@@ -15,6 +15,12 @@ use potemkin_bench::experiments::{
 };
 use potemkin_sim::SimTime;
 
+/// Every experiment this harness can run, in the order it runs them.
+const EXPERIMENTS: [&str; 18] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e16", "e17", "e18",
+];
+
 struct Opts {
     which: Vec<String>,
     fast: bool,
@@ -75,19 +81,25 @@ fn parse_args() -> Opts {
             "--storage-out" => opts.storage_out = args.next(),
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fast] [--csv] [--out-dir DIR] \
-                     [e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18]\n\
+                    "usage: figures [--fast] [--csv] [--out-dir DIR] [{}]\n\
                      --out-dir DIR   write BENCH_replay.json, BENCH_obs.json, \
                      BENCH_memory.json, BENCH_snapshot.json, BENCH_federation.json, \
                      BENCH_services.json, BENCH_storage.json and trace.json into DIR\n\
                      (per-file aliases: --bench-out, --obs-out, --trace-out, \
                      --memory-out, --snapshot-out, --federation-out, --services-out, \
-                     --storage-out)"
+                     --storage-out)",
+                    EXPERIMENTS.join(" ")
                 );
                 std::process::exit(0);
             }
             other => opts.which.push(other.trim_start_matches("--").to_string()),
         }
+    }
+    // A misspelt name used to select nothing and exit 0, which reads as a
+    // pass to whatever script called us.
+    if let Some(unknown) = opts.which.iter().find(|w| !EXPERIMENTS.contains(&w.as_str())) {
+        eprintln!("figures: unknown experiment '{unknown}'; valid: {}", EXPERIMENTS.join(" "));
+        std::process::exit(2);
     }
     if let Some(dir) = &opts.out_dir {
         std::fs::create_dir_all(dir).expect("create --out-dir");

@@ -8,6 +8,7 @@
 //! the paper's delta-virtualization figure.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use potemkin_sim::SimTime;
 use potemkin_storage::{SharedChunkStore, StoreStats, DEFAULT_CHUNK_BLOCKS};
@@ -18,7 +19,7 @@ use crate::clone::CloneTiming;
 use crate::cost::CostModel;
 use crate::domain::{Domain, DomainId, ProvisionKind};
 use crate::error::VmmError;
-use crate::frame::FrameTable;
+use crate::frame::{FrameId, FrameTable};
 use crate::guest::GuestProfile;
 use crate::snapshot::{ImageId, ReferenceImage};
 
@@ -372,26 +373,19 @@ impl Host {
         self.admission_check(self.overhead_pages)?;
         let timing = CloneTiming::new(self.cost.flash_clone_stages(pages));
 
-        // Share every image frame read-only (the delta-virtualization map).
+        // Share every image frame read-only (the delta-virtualization map):
+        // the clone takes a reference on each frame and on the list itself.
         let img = self.images.get(&image).expect("checked above");
-        let shared: Vec<Pte> =
-            img.frames().iter().map(|&f| Pte { frame: f, writable: false }).collect();
+        let base = Arc::clone(img.shared_frames());
         let disk = CowDisk::new(img.disk().clone());
-        for pte in &shared {
-            self.frames.share(pte.frame);
+        for &frame in base.iter() {
+            self.frames.share(frame);
         }
-        let mut entries = shared;
-        entries.extend(self.alloc_overhead());
+        let space = AddressSpace::over_base(base, self.alloc_overhead());
 
         let id = DomainId(self.next_domain);
         self.next_domain += 1;
-        let mut dom = Domain::new(
-            id,
-            image,
-            ProvisionKind::FlashClone,
-            AddressSpace::from_entries(entries),
-            disk,
-        );
+        let mut dom = Domain::new(id, image, ProvisionKind::FlashClone, space, disk);
         dom.unpause().expect("fresh domain is paused");
         self.domains.insert(id, dom);
         self.flash_clones += 1;
@@ -502,17 +496,13 @@ impl Host {
         // Share the domain's current frames and freeze the domain's view:
         // its writable pages become read-only so future writes CoW away
         // from the snapshot.
-        let mut frames = Vec::with_capacity(image_pages as usize);
-        for pfn in 0..image_pages {
-            let pte = dom.space().lookup(pfn).expect("image pfns are mapped");
-            self.frames.share(pte.frame);
-            frames.push(pte.frame);
-            if pte.writable {
-                dom.space_mut()
-                    .remap(pfn, Pte { frame: pte.frame, writable: false })
-                    .expect("pfn in range");
-            }
+        let frames: Vec<FrameId> =
+            dom.space().iter().take(image_pages as usize).map(|(_, pte)| pte.frame).collect();
+        assert_eq!(frames.len() as u64, image_pages, "image pfns are mapped");
+        for &frame in &frames {
+            self.frames.share(frame);
         }
+        dom.space_mut().update_stored_below(image_pages, |_, pte| pte.writable = false);
         let new_id = ImageId(self.next_image);
         self.next_image += 1;
         self.images.insert(new_id, ReferenceImage::new(new_id, name, frames, disk, profile));
@@ -533,34 +523,31 @@ impl Host {
     pub fn rollback(&mut self, id: DomainId) -> Result<SimTime, VmmError> {
         self.ensure_alive()?;
         let image_id = self.domain(id)?.image();
-        let image_frames: Vec<crate::frame::FrameId> = self.image(image_id)?.frames().to_vec();
+        let image_frames =
+            self.images.get(&image_id).ok_or(VmmError::NoSuchImage(image_id))?.frames();
+        let image_pages = image_frames.len() as u64;
         let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
+        assert!(dom.memory_pages() >= image_pages, "image pfns are mapped");
+        let frames = &mut self.frames;
         let mut released = 0u64;
-        for (pfn, &img_frame) in image_frames.iter().enumerate() {
-            let pfn = pfn as u64;
-            let pte = dom.space().lookup(pfn).expect("image pfns are mapped");
+        // Only stored entries are visited: a page the space leaves to its
+        // base is already the pristine read-only image mapping.
+        dom.space_mut().update_stored_below(image_pages, |pfn, pte| {
+            let img_frame = image_frames[pfn as usize];
             // Any page not backed by the original image frame — a private
             // CoW copy, or a frame frozen into a later snapshot — is
             // dropped and the pristine image frame re-shared.
             if pte.frame != img_frame {
-                self.frames.release(pte.frame);
-                self.frames.share(img_frame);
-                dom.space_mut()
-                    .remap(pfn, Pte { frame: img_frame, writable: false })
-                    .expect("pfn in range");
+                frames.release(pte.frame);
+                frames.share(img_frame);
                 released += 1;
-            } else if pte.writable {
-                // Same frame but writable can only happen if the image
-                // itself handed out a writable mapping — it never does.
-                dom.space_mut()
-                    .remap(pfn, Pte { frame: img_frame, writable: false })
-                    .expect("pfn in range");
             }
-        }
+            *pte = Pte { frame: img_frame, writable: false };
+        });
         // Overhead pages beyond the image stay allocated; scrub them.
-        for pfn in image_frames.len() as u64..dom.memory_pages() {
+        for pfn in image_pages..dom.memory_pages() {
             let pte = dom.space().lookup(pfn).expect("in range");
-            self.frames.write(pte.frame, 0);
+            frames.write(pte.frame, 0);
         }
         dom.reset_guest_state();
         self.rollbacks += 1;
@@ -582,24 +569,26 @@ impl Host {
     pub fn reshare_reverted_pages(&mut self, id: DomainId) -> Result<u64, VmmError> {
         self.ensure_alive()?;
         let image_id = self.domain(id)?.image();
-        let image_frames: Vec<crate::frame::FrameId> = self.image(image_id)?.frames().to_vec();
+        let image_frames =
+            self.images.get(&image_id).ok_or(VmmError::NoSuchImage(image_id))?.frames();
         let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
+        assert!(dom.memory_pages() >= image_frames.len() as u64, "image pfns are mapped");
+        let frames = &mut self.frames;
         let mut reclaimed = 0u64;
-        for (pfn, &img_frame) in image_frames.iter().enumerate() {
-            let pfn = pfn as u64;
-            let pte = dom.space().lookup(pfn).expect("image pfns are mapped");
+        // A private page is always a stored entry, so those are all there is
+        // to look at.
+        dom.space_mut().update_stored_below(image_frames.len() as u64, |pfn, pte| {
+            let img_frame = image_frames[pfn as usize];
             if pte.writable
                 && pte.frame != img_frame
-                && self.frames.read(pte.frame) == self.frames.read(img_frame)
+                && frames.read(pte.frame) == frames.read(img_frame)
             {
-                self.frames.release(pte.frame);
-                self.frames.share(img_frame);
-                dom.space_mut()
-                    .remap(pfn, Pte { frame: img_frame, writable: false })
-                    .expect("pfn in range");
+                frames.release(pte.frame);
+                frames.share(img_frame);
+                *pte = Pte { frame: img_frame, writable: false };
                 reclaimed += 1;
             }
-        }
+        });
         Ok(reclaimed)
     }
 
@@ -634,8 +623,7 @@ impl Host {
         // content word -> (canonical frame, the domain still mapping it
         // writable, if any). Seeded from reference images in id order so
         // pristine frames always win canonical status.
-        let mut canonical: HashMap<u64, (crate::frame::FrameId, Option<(DomainId, u64)>)> =
-            HashMap::new();
+        let mut canonical: HashMap<u64, (FrameId, Option<(DomainId, u64)>)> = HashMap::new();
         for img in self.images.values() {
             for &frame in img.frames() {
                 canonical.entry(self.frames.read(frame)).or_insert((frame, None));
@@ -645,12 +633,15 @@ impl Host {
         let scan: Vec<(DomainId, u64)> =
             self.domains.values().map(|d| (d.id(), self.image_guest_pages(d.image()))).collect();
         for (id, guest_pages) in scan {
-            for pfn in 0..guest_pages {
-                let pte = {
-                    let dom = self.domains.get(&id).expect("listed above");
-                    dom.space().lookup(pfn).expect("guest pfns are mapped")
-                };
-                report.scanned_pages += 1;
+            // A page the space leaves to its base maps an image frame
+            // read-only, and every image frame is indexed above: the pass
+            // has nothing to do there and takes the stored entries only.
+            // Taken up front: merging remaps this domain's entries (and
+            // earlier domains') only behind the one being looked at.
+            report.scanned_pages += guest_pages;
+            let stored: Vec<(u64, Pte)> =
+                self.domains[&id].space().stored().take_while(|s| s.0 < guest_pages).collect();
+            for (pfn, pte) in stored {
                 let content = self.frames.read(pte.frame);
                 if !pte.writable {
                     // Already shared; index it so later duplicates can join.
@@ -763,21 +754,23 @@ impl Host {
         if !dom.is_running() {
             return Err(VmmError::BadState { domain: id, op: "write_page" });
         }
-        let pte = dom.space().lookup(pfn)?;
-        if pte.writable {
-            self.frames.write(pte.frame, value);
-            dom.note_write(false);
-            Ok(WriteOutcome { faulted: false, cost: SimTime::ZERO })
-        } else {
-            // CoW fault: allocate a private copy, remap, then write.
-            let copy = self.frames.cow_copy(pte.frame)?;
-            self.frames.write(copy, value);
-            dom.space_mut()
-                .remap(pfn, Pte { frame: copy, writable: true })
-                .expect("pfn validated by lookup");
-            dom.note_write(true);
-            Ok(WriteOutcome { faulted: true, cost: self.cost.cow_fault })
-        }
+        // One visit to the p2m map serves the lookup and, on a CoW fault
+        // (allocate a private copy, remap, then write), the remap.
+        let frames = &mut self.frames;
+        let mut faulted = false;
+        dom.space_mut().update(pfn, |pte| {
+            if pte.writable {
+                frames.write(pte.frame, value);
+                return Ok(pte);
+            }
+            let copy = frames.cow_copy(pte.frame)?;
+            frames.write(copy, value);
+            faulted = true;
+            Ok(Pte { frame: copy, writable: true })
+        })?;
+        dom.note_write(faulted);
+        let cost = if faulted { self.cost.cow_fault } else { SimTime::ZERO };
+        Ok(WriteOutcome { faulted, cost })
     }
 
     /// Writes a batch of pages, summing faults and costs.
@@ -827,11 +820,12 @@ impl Host {
     /// Propagates memory errors.
     pub fn apply_infection(&mut self, id: DomainId, seed: u64) -> Result<TouchStats, VmmError> {
         let image = self.domain(id)?.image();
-        let profile = self.image(image)?.profile().clone();
+        let profile = self.image(image)?.profile();
         let pages = profile.pages_for_infection(seed);
+        let disk_blocks = profile.infection_disk_blocks.min(profile.disk_blocks);
         let stats = self.touch_pages(id, &pages, seed)?;
         let dom = self.domain_mut(id)?;
-        for b in 0..profile.infection_disk_blocks.min(profile.disk_blocks) {
+        for b in 0..disk_blocks {
             dom.disk_mut().write(b, seed.wrapping_add(b)).expect("block bounds clamped");
         }
         dom.mark_infected();
@@ -957,10 +951,10 @@ impl Host {
             w.u64(writes);
             w.bool(dom.is_infected());
             w.u64(dom.space().size());
-            for (_, pte) in dom.space().iter() {
+            dom.space().iter().for_each(|(_, pte)| {
                 w.u64(pte.frame.0);
                 w.bool(pte.writable);
-            }
+            });
             dom.disk().encode_overlay(&mut w);
         }
         w.into_bytes()
@@ -1019,7 +1013,7 @@ impl Host {
             let frame_count = r.u64()?;
             let mut img_frames = Vec::with_capacity(frame_count.min(1 << 20) as usize);
             for _ in 0..frame_count {
-                img_frames.push(crate::frame::FrameId(r.u64()?));
+                img_frames.push(FrameId(r.u64()?));
             }
             let disk = BaseDisk::decode_manifest(&mut r, &self.store)?;
             let memory_pages = r.u64()?;
@@ -1080,26 +1074,27 @@ impl Host {
             let space_size = r.u64()?;
             let mut entries = Vec::with_capacity(space_size.min(1 << 20) as usize);
             for _ in 0..space_size {
-                let frame = crate::frame::FrameId(r.u64()?);
+                let frame = FrameId(r.u64()?);
                 let writable = r.bool()?;
                 entries.push(Pte { frame, writable });
             }
             // A domain's base disk always aliases its image's disk (every
             // provisioning path clones it), so restore from the image.
-            let base = images.get(&image).ok_or_else(bad)?.disk().clone();
-            let disk = CowDisk::decode_overlay(base, &mut r)?;
+            let img = images.get(&image).ok_or_else(bad)?;
+            let disk = CowDisk::decode_overlay(img.disk().clone(), &mut r)?;
+            // A flash clone goes back to holding only what diverged from its
+            // image, as it did before the checkpoint flattened it.
+            let space = match provision {
+                ProvisionKind::FlashClone => {
+                    AddressSpace::sparsify(Arc::clone(img.shared_frames()), entries)
+                }
+                ProvisionKind::FullCopy | ProvisionKind::ColdBoot => {
+                    AddressSpace::from_entries(entries)
+                }
+            };
             let dom = Domain::from_snapshot_parts(
-                id,
-                image,
-                state,
-                provision,
-                AddressSpace::from_entries(entries),
-                disk,
-                bound_addr,
-                cow_faults,
-                mem_reads,
-                mem_writes,
-                infected,
+                id, image, state, provision, space, disk, bound_addr, cow_faults, mem_reads,
+                mem_writes, infected,
             );
             domains.insert(id, dom);
         }
@@ -1125,6 +1120,11 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `encode_state` of [`diverged_host`] as the parent of the sparse p2m
+    /// map wrote it.
+    const DIVERGED_HOST_BYTES: usize = 982_829;
+    const DIVERGED_HOST_DIGEST: u64 = 0x6c3b_2d75_0ad7_be40;
 
     fn small_host() -> (Host, ImageId) {
         let mut host = Host::new(100_000).with_overhead_pages(16);
@@ -1162,6 +1162,89 @@ mod tests {
         let (b, _) = restored.flash_clone(image).unwrap();
         assert_eq!(a, b);
         assert_eq!(host.encode_state(), restored.encode_state());
+    }
+
+    /// Every way a p2m entry diverges from its image or comes back: CoW
+    /// writes, a forensic snapshot freezing them, a merge pass sharing them
+    /// across clones, a rollback and a reshare undoing them, next to a
+    /// full-copy domain that shares nothing.
+    fn diverged_host() -> Host {
+        let (mut host, image) = small_host();
+        let vms: Vec<DomainId> = (0..5).map(|_| host.flash_clone(image).unwrap().0).collect();
+        host.apply_infection(vms[0], 7).unwrap();
+        host.apply_infection(vms[2], 7).unwrap();
+        host.touch_pages(vms[1], &[9, 3, 8_000, 3], 5).unwrap();
+        host.apply_request(vms[3], 1).unwrap();
+        let forensic = host.snapshot_domain(vms[0], "forensic").unwrap();
+        host.write_page(vms[0], 3, 0xAB).unwrap();
+        host.scan_and_merge().unwrap();
+        host.rollback(vms[1]).unwrap();
+        host.write_page(vms[1], 12, 0xCD).unwrap();
+        host.write_page(vms[3], 40, GuestProfile::boot_content(image.0, 40)).unwrap();
+        host.reshare_reverted_pages(vms[3]).unwrap();
+        host.full_copy_clone(image).unwrap();
+        let (of_forensic, _) = host.flash_clone(forensic).unwrap();
+        host.write_page(of_forensic, 3, 0xEF).unwrap();
+        host
+    }
+
+    #[test]
+    fn encode_state_still_writes_the_dense_page_tables() {
+        let mut host = diverged_host();
+        let bytes = host.encode_state();
+        // Length and digest of this very scenario as encoded when every
+        // domain held a flat `Vec<Pte>`: the wire format has not moved.
+        assert_eq!(bytes.len(), DIVERGED_HOST_BYTES);
+        assert_eq!(potemkin_snapshot::fnv1a64(&bytes), DIVERGED_HOST_DIGEST);
+
+        // A resumed host holds what the uninterrupted one held: each flash
+        // clone back over its image's list with the same few stored entries.
+        let mut restored = Host::new(100_000).with_overhead_pages(16);
+        restored.restore_state(&bytes).unwrap();
+        assert_eq!(restored.encode_state(), bytes);
+        for (was, now) in host.domains().zip(restored.domains()) {
+            let base = restored.image(now.image()).unwrap().shared_frames();
+            assert_eq!(now.space().shares_base(base), now.provision() == ProvisionKind::FlashClone);
+            assert_eq!(now.space().delta_len(), was.space().delta_len(), "{}", now.id());
+            assert_eq!(now.private_pages(), was.private_pages());
+        }
+        let deltas: Vec<usize> = restored.domains().map(|d| d.space().delta_len()).collect();
+        assert!(deltas.iter().all(|&n| n < 200), "sparse, not flattened: {deltas:?}");
+        assert!(deltas.iter().any(|&n| n > 0));
+
+        // The dense oracle: flatten every space into explicit entries, one
+        // `lookup` per pfn, and encode that.
+        let ids: Vec<DomainId> = host.domains().map(Domain::id).collect();
+        for id in ids {
+            let space = host.domain_mut(id).unwrap().space_mut();
+            let flat = (0..space.size()).map(|pfn| space.lookup(pfn).unwrap()).collect();
+            *space = AddressSpace::from_entries(flat);
+        }
+        assert_eq!(host.encode_state(), bytes);
+    }
+
+    #[test]
+    fn flash_clone_footprint_is_overhead_plus_dirtied_pages() {
+        let (mut host, image) = small_host();
+        let holders = |host: &Host| Arc::strong_count(host.image(image).unwrap().shared_frames());
+        assert_eq!(holders(&host), 1, "the image alone");
+        let vms: Vec<DomainId> = (0..3).map(|_| host.flash_clone(image).unwrap().0).collect();
+        assert_eq!(holders(&host), 4, "one reference per clone, no copy");
+        for &vm in &vms {
+            let space = host.domain(vm).unwrap().space();
+            assert!(space.shares_base(host.image(image).unwrap().shared_frames()));
+            assert_eq!(space.delta_len(), 0, "a fresh clone stores nothing but its overhead");
+        }
+        host.touch_pages(vms[0], &[5, 900, 5, 8_191, 8_192], 1).unwrap();
+        assert_eq!(host.domain(vms[0]).unwrap().space().delta_len(), 3, "distinct image pfns");
+        host.rollback(vms[0]).unwrap();
+        assert_eq!(host.domain(vms[0]).unwrap().space().delta_len(), 0);
+        host.destroy(vms[1]).unwrap();
+        assert_eq!(holders(&host), 3);
+        // A full copy shares nothing, so it holds nothing of the image's.
+        let (full, _) = host.full_copy_clone(image).unwrap();
+        assert_eq!(holders(&host), 3);
+        assert_eq!(host.domain(full).unwrap().space().delta_len(), 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! destruction can never free image state.
 
 use core::fmt;
+use std::sync::Arc;
 
 use crate::block::BaseDisk;
 use crate::frame::FrameId;
@@ -34,8 +35,9 @@ pub struct ReferenceImage {
     id: ImageId,
     name: String,
     /// One machine frame per pseudo-physical page; the image owns one
-    /// reference on each.
-    frames: Vec<FrameId>,
+    /// reference on each. Immutable once frozen, and shared by reference
+    /// with every flash clone's address space as its base mapping.
+    frames: Arc<[FrameId]>,
     disk: BaseDisk,
     profile: GuestProfile,
 }
@@ -51,7 +53,7 @@ impl ReferenceImage {
         disk: BaseDisk,
         profile: GuestProfile,
     ) -> Self {
-        ReferenceImage { id, name: name.into(), frames, disk, profile }
+        ReferenceImage { id, name: name.into(), frames: frames.into(), disk, profile }
     }
 
     /// The image identifier.
@@ -81,6 +83,11 @@ impl ReferenceImage {
     /// All frames, in pfn order.
     #[must_use]
     pub fn frames(&self) -> &[FrameId] {
+        &self.frames
+    }
+
+    /// The frame list as clones hold it: by reference, never copied.
+    pub(crate) fn shared_frames(&self) -> &Arc<[FrameId]> {
         &self.frames
     }
 

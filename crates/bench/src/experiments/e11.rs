@@ -21,6 +21,7 @@ use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_metrics::{LogHistogram, Table};
 use potemkin_sim::SimTime;
+use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
@@ -63,13 +64,6 @@ pub struct ReplayScaleResult {
     pub duration: SimTime,
     /// Whether every worker count produced a byte-identical report.
     pub deterministic: bool,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// The benchmark scenario: a dense /16 replay with an in-farm worm so the
@@ -127,7 +121,7 @@ pub fn run(duration: SimTime, cells: usize, worker_counts: &[usize]) -> ReplaySc
                 dispatch.record_n(per_event, batch.events);
             }
         }
-        let digest = fnv1a(
+        let digest = fnv1a64(
             format!(
                 "{}|{}|{}|{}",
                 result.degradation.canonical_string(),

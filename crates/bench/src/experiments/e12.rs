@@ -31,6 +31,7 @@ use potemkin_metrics::Table;
 use potemkin_net::PacketBuilder;
 use potemkin_obs::{names, SpanAggregator, SpanStats, TraceConfig, TraceEvent};
 use potemkin_sim::SimTime;
+use potemkin_snapshot::fnv1a64;
 use potemkin_vmm::cost::CostModel;
 
 use super::e11;
@@ -99,17 +100,10 @@ pub struct ObsResult {
     pub digests_match: bool,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
 /// The deterministic face of a replay result (wall-clock telemetry and
 /// the trace itself excluded), digested.
 fn digest(result: &ShardedTelescopeResult) -> u64 {
-    fnv1a(
+    fnv1a64(
         format!(
             "{}|{}|{}|{}|{}",
             result.degradation.canonical_string(),

@@ -31,6 +31,7 @@ use potemkin_gateway::policy::PolicyConfig;
 use potemkin_gateway::reclaim::ReclaimPolicyKind;
 use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
+use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
@@ -41,13 +42,6 @@ pub const POLICIES: [ReclaimPolicyKind; 3] =
 /// The common "worm payload" every diverged clone writes in the sharing
 /// sweep — same pages, same bytes, so the merge pass can re-converge them.
 const PAYLOAD_SEED: u64 = 0x0E13;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
 
 /// One (clone count) measurement of the sharing sweep.
 #[derive(Clone, Debug)]
@@ -224,7 +218,7 @@ fn pressure_point(
         pressure_events = r.stats.counters.get("memory_pressure_events");
         merged_pages = r.stats.counters.get("pages_merged");
         sharing_ratio = r.stats.sharing.ratio();
-        let digest = fnv1a(
+        let digest = fnv1a64(
             format!(
                 "{}|in={}|cloned={}|recycled={}|evicted={}|gw_evicted={}|pressure={}|\
                  merged={}|reclaimed={}|logical={}|resident={}|infected={}|remote={}",
@@ -286,7 +280,7 @@ pub fn run(duration: SimTime, clone_counts: &[usize], worker_counts: &[usize]) -
                     )
                 })
                 .collect();
-            SharingCurve { policy: kind.name(), digest: fnv1a(canonical.as_bytes()), points }
+            SharingCurve { policy: kind.name(), digest: fnv1a64(canonical.as_bytes()), points }
         })
         .collect();
     let curves_identical = curves.windows(2).all(|w| w[0].digest == w[1].digest);

@@ -40,16 +40,9 @@ use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_metrics::Table;
 use potemkin_sim::{FaultPlanConfig, SimTime};
-use potemkin_snapshot::{RetryPolicy, SnapshotError, SnapshotFile};
+use potemkin_snapshot::{fnv1a64, RetryPolicy, SnapshotError, SnapshotFile};
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
 
 /// Checkpoint cadence: one snapshot per window barrier, so the kill
 /// point always has both a primary and a rotated previous checkpoint.
@@ -161,20 +154,7 @@ fn sharded_config(duration: SimTime) -> ShardedTelescopeConfig {
 /// The canonical report digest — same field set as E11/E13, so "byte
 /// identical" means the same thing across the determinism experiments.
 fn digest(r: &ShardedTelescopeResult) -> u64 {
-    fnv1a(
-        format!(
-            "{}|{}|{}|{}|{}|{}|{:?}|{}",
-            r.degradation.canonical_string(),
-            r.stats.live_vms,
-            r.stats.counters.get("packets_in"),
-            r.packets,
-            r.cross_cell_packets,
-            r.final_infected,
-            r.live_vm_series.iter().collect::<Vec<_>>(),
-            r.engine.remote_messages,
-        )
-        .as_bytes(),
-    )
+    fnv1a64(r.canonical_string().as_bytes())
 }
 
 fn error_name(e: &SnapshotError) -> &'static str {

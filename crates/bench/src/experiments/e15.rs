@@ -28,6 +28,7 @@ use std::time::Instant;
 use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin_metrics::Table;
 use potemkin_sim::{AdaptiveWindow, EngineTuning, SimTime};
+use potemkin_snapshot::fnv1a64;
 
 use super::e11;
 
@@ -118,7 +119,7 @@ fn sweep(
         let wall_secs = start.elapsed().as_secs_f64();
         events = result.engine.total.events_processed;
         packets = result.packets;
-        let digest = e11::fnv1a(
+        let digest = fnv1a64(
             format!(
                 "{}|{}|{}|{}",
                 result.degradation.canonical_string(),

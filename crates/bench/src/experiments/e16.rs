@@ -32,10 +32,9 @@ use potemkin_gateway::policy::PolicyConfig;
 use potemkin_metrics::Table;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_sim::SimTime;
+use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
-
-use super::e11;
 
 /// One (farm count, worker count) measurement.
 #[derive(Clone, Debug)]
@@ -125,7 +124,7 @@ pub fn config(
 }
 
 fn digest_of(result: &potemkin_core::federation::FederatedTelescopeResult) -> u64 {
-    e11::fnv1a(
+    fnv1a64(
         format!(
             "{}|{}|{}|{}|{}",
             result.merged.degradation.canonical_string(),

@@ -35,8 +35,7 @@ use potemkin_metrics::Table;
 use potemkin_services::pack::builtin;
 use potemkin_services::{render, ScenarioMetrics, ServiceEngine, ServicesConfig};
 use potemkin_sim::SimTime;
-
-use super::e11;
+use potemkin_snapshot::fnv1a64;
 
 /// The scripted baseline's only line (the seed farm's fixed banner).
 const FIXED_BANNER: &[u8] = b"220 service ready";
@@ -119,7 +118,7 @@ pub fn config(duration: SimTime, cells: usize, attackers: usize) -> InteractionC
 }
 
 fn digest_of(result: &InteractionResult) -> u64 {
-    e11::fnv1a(
+    fnv1a64(
         format!(
             "{}|{}|{}",
             result.merged.degradation.canonical_string(),

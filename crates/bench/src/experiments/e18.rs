@@ -34,17 +34,11 @@ use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
+use potemkin_snapshot::fnv1a64;
 use potemkin_vmm::guest::GuestProfile;
 use potemkin_vmm::{Host, SharedChunkStore, StoreStats};
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
 
 /// Chunk geometry of the host-level study.
 const CHUNK_BLOCKS: u64 = 64;
@@ -158,20 +152,7 @@ fn sharded_config(duration: SimTime, chunk_blocks: u64) -> ShardedTelescopeConfi
 /// "byte identical" means the same thing across the determinism
 /// experiments.
 fn digest(r: &ShardedTelescopeResult) -> u64 {
-    fnv1a(
-        format!(
-            "{}|{}|{}|{}|{}|{}|{:?}|{}",
-            r.degradation.canonical_string(),
-            r.stats.live_vms,
-            r.stats.counters.get("packets_in"),
-            r.packets,
-            r.cross_cell_packets,
-            r.final_infected,
-            r.live_vm_series.iter().collect::<Vec<_>>(),
-            r.engine.remote_messages,
-        )
-        .as_bytes(),
-    )
+    fnv1a64(r.canonical_string().as_bytes())
 }
 
 /// A study host: 2 K frames (kept tight — the encoded free list is

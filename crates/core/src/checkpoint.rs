@@ -38,13 +38,17 @@
 //! integrity validation. [`fork_telescope_checkpointed`] reseeds a
 //! restored farm into a deterministic what-if branch instead of
 //! replaying the original timeline.
+//!
+//! The three entry points are one body over `parallel::run_cells`,
+//! differing only in where the run starts. A config lowered from a
+//! federated one checkpoints through them too: its snapshot adds one
+//! `federation.router` and one `cell<i>.fed` section per cell — only
+//! then, so a plain snapshot's bytes and fingerprint never moved.
 
 use std::path::{Path, PathBuf};
 
-use potemkin_obs::{names as obs, TraceEvent, Tracer};
-use potemkin_sim::{
-    run_sharded_resumable, BarrierControl, RunStats, Shard, ShardConfig, ShardProgress, SimTime,
-};
+use potemkin_obs::{names as obs, Tracer};
+use potemkin_sim::{BarrierControl, RunStats, Shard, ShardProgress, SimTime};
 use potemkin_snapshot::{
     fnv1a64, retry_with_backoff, write_atomic, RetryOutcome, RetryPolicy, SnapReader, SnapWriter,
     SnapshotError, SnapshotFile,
@@ -52,8 +56,8 @@ use potemkin_snapshot::{
 
 use crate::error::FarmError;
 use crate::parallel::{
-    assemble_result, decode_cell_queue, encode_cell_aux, encode_cell_queue, prepare_shards,
-    restore_cell_aux, CellWorld, PreparedRun, ShardedTelescopeConfig, ShardedTelescopeResult,
+    assemble_result, decode_cell_queue, encode_cell_aux, encode_cell_queue, restore_cell_aux,
+    run_cells, CellWorld, Lane, ShardedTelescopeConfig, ShardedTelescopeResult,
 };
 
 /// How a checkpointed run writes its snapshots.
@@ -120,12 +124,13 @@ pub struct CheckpointedRun {
 }
 
 /// Fingerprint of every configuration field that affects deterministic
-/// results. The trace config is deliberately excluded (tracing is
-/// observer-effect-free by the `prop_obs` rule), so traced and untraced
-/// runs share snapshots.
+/// results — for a config lowered from a federated one, the farm grouping
+/// and admission policy too. The trace config is deliberately excluded
+/// (tracing is observer-effect-free by the `prop_obs` rule), so traced and
+/// untraced runs share snapshots.
 #[must_use]
 pub fn config_fingerprint(config: &ShardedTelescopeConfig) -> u64 {
-    let canonical = format!(
+    let mut canonical = format!(
         "{:?}|{}|{:?}|{:?}|{:?}|{}",
         config.base,
         config.cells,
@@ -134,6 +139,9 @@ pub fn config_fingerprint(config: &ShardedTelescopeConfig) -> u64 {
         config.faults,
         config.seed_infections
     );
+    if let Some(plan) = &config.federation {
+        canonical.push_str(&format!("|{plan:?}"));
+    }
     fnv1a64(canonical.as_bytes())
 }
 
@@ -180,7 +188,8 @@ fn decode_progress(bytes: &[u8]) -> Result<ShardProgress, SnapshotError> {
     })
 }
 
-/// Assembles the whole-farm snapshot at a window barrier.
+/// Assembles the whole-farm snapshot at a window barrier; the federation
+/// sections exist only when the cells carry a hop.
 fn encode_snapshot(
     config: &ShardedTelescopeConfig,
     progress: &ShardProgress,
@@ -201,12 +210,18 @@ fn encode_snapshot(
             &format!("cell{cell}.queue"),
             encode_cell_queue(&shard.queue, &shard.world.packets),
         );
+        if let Some(hop) = &shard.world.hop {
+            file.push(&format!("cell{cell}.fed"), hop.encode_fed_aux());
+        }
+    }
+    if let Some(hop) = shards.first().and_then(|s| s.world.hop.as_ref()) {
+        file.push("federation.router", hop.router.lock().expect("router lock").encode_state());
     }
     file
 }
 
 /// Restores a decoded snapshot into freshly prepared shards.
-fn restore_snapshot(
+pub(crate) fn restore_snapshot(
     config: &ShardedTelescopeConfig,
     file: &SnapshotFile,
     shards: &mut [Shard<CellWorld>],
@@ -235,6 +250,13 @@ fn restore_snapshot(
             file.section(&format!("cell{cell}.queue"))?,
             &mut shard.world.packets,
         )?;
+        if let Some(hop) = &mut shard.world.hop {
+            hop.restore_fed_aux(file.section(&format!("cell{cell}.fed"))?)?;
+        }
+    }
+    if let Some(hop) = shards.first().and_then(|s| s.world.hop.as_ref()) {
+        let router = file.section("federation.router")?;
+        hop.router.lock().expect("router lock").restore_state(router)?;
     }
     Ok(progress)
 }
@@ -278,12 +300,12 @@ fn rotated_path(path: &Path) -> PathBuf {
 }
 
 /// The per-barrier checkpoint driver shared by fresh and resumed runs.
-struct CheckpointSink<'a> {
+pub(crate) struct CheckpointSink<'a> {
     config: &'a ShardedTelescopeConfig,
     options: &'a CheckpointOptions,
     report: CheckpointReport,
     remaining_failures: u32,
-    /// Snapshot-lane tracer (lane `3 * cells`), present only when the run
+    /// Snapshot-lane tracer ([`Lane::Snapshot`]), present only when the run
     /// is traced. Emits one `snap.save` span per checkpoint with the
     /// encoded size as a `snap.bytes` counter — never any result field.
     tracer: Option<Tracer>,
@@ -291,8 +313,9 @@ struct CheckpointSink<'a> {
 
 impl<'a> CheckpointSink<'a> {
     fn new(config: &'a ShardedTelescopeConfig, options: &'a CheckpointOptions) -> Self {
-        let tracer =
-            config.trace.map(|trace_config| Tracer::new((config.cells * 3) as u32, trace_config));
+        let tracer = config
+            .trace
+            .map(|trace_config| Tracer::new(Lane::Snapshot.number(config.cells), trace_config));
         CheckpointSink {
             config,
             options,
@@ -302,8 +325,18 @@ impl<'a> CheckpointSink<'a> {
         }
     }
 
+    /// Records that the run about to start was restored from `snapshot`
+    /// at virtual time `at` (a `snap.restore` span on the snapshot lane).
+    pub(crate) fn restored(&mut self, at: SimTime, snapshot: &SnapshotFile) {
+        if let Some(tracer) = self.tracer.as_mut() {
+            let span = tracer.begin(at, obs::SNAP_RESTORE);
+            tracer.counter(at, "snap.bytes", snapshot.encode().len() as u64);
+            tracer.end(at, span);
+        }
+    }
+
     /// Runs at every barrier; returns the engine control decision.
-    fn on_barrier(
+    pub(crate) fn on_barrier(
         &mut self,
         progress: &ShardProgress,
         shards: &mut [Shard<CellWorld>],
@@ -361,11 +394,12 @@ impl<'a> CheckpointSink<'a> {
     /// Folds the snapshot lane into an assembled result's trace.
     fn finish_into(mut self, result: &mut ShardedTelescopeResult) -> CheckpointReport {
         if let Some(mut tracer) = self.tracer.take() {
-            let events: Vec<TraceEvent> = tracer.drain();
+            let events = tracer.drain();
             if !events.is_empty() {
                 result.trace.extend(events);
                 result.trace.sort_by_key(|e| (e.at, e.lane, e.seq));
-                result.trace_lanes.push(((self.config.cells * 3) as u32, "snapshot".to_string()));
+                let lane = Lane::Snapshot.number(self.config.cells);
+                result.trace_lanes.push((lane, "snapshot".to_string()));
             }
         }
         self.report
@@ -378,6 +412,21 @@ fn rotate_previous(path: &Path) {
     if path.exists() {
         let _ = std::fs::rename(path, rotated_path(path));
     }
+}
+
+/// The one body of the three checkpointed entry points: run the cells —
+/// fresh, resumed or forked, per `resume` — under a [`CheckpointSink`].
+fn checkpointed(
+    config: &ShardedTelescopeConfig,
+    workers: usize,
+    resume: Option<(&SnapshotFile, Option<u64>)>,
+    options: &CheckpointOptions,
+) -> Result<CheckpointedRun, FarmError> {
+    let mut sink = CheckpointSink::new(config, options);
+    let (run, engine) = run_cells(config, workers, resume, Some(&mut sink))?;
+    let mut result = assemble_result(config, run, engine);
+    let checkpoints = sink.finish_into(&mut result);
+    Ok(CheckpointedRun { result, checkpoints })
 }
 
 /// Runs a sharded telescope replay with periodic whole-farm checkpoints.
@@ -401,19 +450,7 @@ pub fn run_telescope_checkpointed(
     workers: usize,
     options: &CheckpointOptions,
 ) -> Result<CheckpointedRun, FarmError> {
-    let PreparedRun { mut shards, meta } = prepare_shards(config, true)?;
-    let mut sink = CheckpointSink::new(config, options);
-    let (engine, interrupted) = run_sharded_resumable(
-        &mut shards,
-        config.base.duration,
-        &ShardConfig { window: config.window, workers, tuning: config.tuning },
-        None,
-        |progress, shards| sink.on_barrier(progress, shards),
-    );
-    sink.report.interrupted = interrupted;
-    let mut result = assemble_result(config, &mut shards, engine, &meta);
-    let checkpoints = sink.finish_into(&mut result);
-    Ok(CheckpointedRun { result, checkpoints })
+    checkpointed(config, workers, None, options)
 }
 
 /// Resumes a killed run from a decoded snapshot and runs it to the
@@ -432,25 +469,7 @@ pub fn resume_telescope_checkpointed(
     snapshot: &SnapshotFile,
     options: &CheckpointOptions,
 ) -> Result<CheckpointedRun, FarmError> {
-    let PreparedRun { mut shards, meta } = prepare_shards(config, false)?;
-    let progress = restore_snapshot(config, snapshot, &mut shards)?;
-    let mut sink = CheckpointSink::new(config, options);
-    if let Some(tracer) = sink.tracer.as_mut() {
-        let span = tracer.begin(progress.window_start, obs::SNAP_RESTORE);
-        tracer.counter(progress.window_start, "snap.bytes", snapshot.encode().len() as u64);
-        tracer.end(progress.window_start, span);
-    }
-    let (engine, interrupted) = run_sharded_resumable(
-        &mut shards,
-        config.base.duration,
-        &ShardConfig { window: config.window, workers, tuning: config.tuning },
-        Some(progress),
-        |progress, shards| sink.on_barrier(progress, shards),
-    );
-    sink.report.interrupted = interrupted;
-    let mut result = assemble_result(config, &mut shards, engine, &meta);
-    let checkpoints = sink.finish_into(&mut result);
-    Ok(CheckpointedRun { result, checkpoints })
+    checkpointed(config, workers, Some((snapshot, None)), options)
 }
 
 /// Restores a snapshot, then *reseeds* every cell farm's RNG streams with
@@ -468,23 +487,7 @@ pub fn fork_telescope_checkpointed(
     salt: u64,
     options: &CheckpointOptions,
 ) -> Result<CheckpointedRun, FarmError> {
-    let PreparedRun { mut shards, meta } = prepare_shards(config, false)?;
-    let progress = restore_snapshot(config, snapshot, &mut shards)?;
-    for shard in &mut shards {
-        shard.world.farm.reseed(salt);
-    }
-    let mut sink = CheckpointSink::new(config, options);
-    let (engine, interrupted) = run_sharded_resumable(
-        &mut shards,
-        config.base.duration,
-        &ShardConfig { window: config.window, workers, tuning: config.tuning },
-        Some(progress),
-        |progress, shards| sink.on_barrier(progress, shards),
-    );
-    sink.report.interrupted = interrupted;
-    let mut result = assemble_result(config, &mut shards, engine, &meta);
-    let checkpoints = sink.finish_into(&mut result);
-    Ok(CheckpointedRun { result, checkpoints })
+    checkpointed(config, workers, Some((snapshot, Some(salt))), options)
 }
 
 #[cfg(test)]
@@ -525,20 +528,6 @@ mod tests {
         .unwrap()
     }
 
-    fn digest(r: &ShardedTelescopeResult) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{}|{:?}|{}",
-            r.degradation.canonical_string(),
-            r.stats.live_vms,
-            r.stats.counters.get("packets_in"),
-            r.packets,
-            r.cross_cell_packets,
-            r.final_infected,
-            r.live_vm_series.iter().collect::<Vec<_>>(),
-            r.engine.remote_messages,
-        )
-    }
-
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("potemkin-ckpt-test-{}-{name}", std::process::id()));
@@ -552,7 +541,11 @@ mod tests {
         let plain = run_telescope_sharded(&config, 1).unwrap();
         let checked =
             run_telescope_checkpointed(&config, 1, &CheckpointOptions::new(&path)).unwrap();
-        assert_eq!(digest(&plain), digest(&checked.result), "checkpointing is pure observation");
+        assert_eq!(
+            plain.canonical_string(),
+            checked.result.canonical_string(),
+            "checkpointing is pure observation"
+        );
         assert!(checked.checkpoints.written > 0);
         assert!(!checked.checkpoints.interrupted);
         assert!(path.exists());
@@ -577,7 +570,11 @@ mod tests {
         for workers in [1, 2] {
             let resumed =
                 resume_telescope_checkpointed(&config, workers, &snapshot, &options).unwrap();
-            assert_eq!(digest(&uninterrupted), digest(&resumed.result), "workers={workers}");
+            assert_eq!(
+                uninterrupted.canonical_string(),
+                resumed.result.canonical_string(),
+                "workers={workers}"
+            );
             assert!(!resumed.checkpoints.interrupted);
         }
         let _ = std::fs::remove_file(&path);
@@ -599,7 +596,11 @@ mod tests {
         assert!(run.checkpoints.written >= 1, "{:?}", run.checkpoints);
         assert!(run.checkpoints.retried_attempts >= 2);
         let plain = run_telescope_sharded(&config, 1).unwrap();
-        assert_eq!(digest(&plain), digest(&run.result), "faulted writes don't touch results");
+        assert_eq!(
+            plain.canonical_string(),
+            run.result.canonical_string(),
+            "faulted writes don't touch results"
+        );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(rotated_path(&path));
     }
@@ -626,7 +627,7 @@ mod tests {
         options.stop_after_windows = None;
         let resumed = resume_telescope_checkpointed(&config, 1, &snapshot, &options).unwrap();
         let plain = run_telescope_sharded(&config, 1).unwrap();
-        assert_eq!(digest(&plain), digest(&resumed.result));
+        assert_eq!(plain.canonical_string(), resumed.result.canonical_string());
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(rotated_path(&path));
     }
@@ -685,10 +686,14 @@ mod tests {
         let resumed = resume_telescope_checkpointed(&config, 1, &snapshot, &options).unwrap();
         let fork_a = fork_telescope_checkpointed(&config, 1, &snapshot, 42, &options).unwrap();
         let fork_b = fork_telescope_checkpointed(&config, 1, &snapshot, 42, &options).unwrap();
-        assert_eq!(digest(&fork_a.result), digest(&fork_b.result), "same salt, same branch");
+        assert_eq!(
+            fork_a.result.canonical_string(),
+            fork_b.result.canonical_string(),
+            "same salt, same branch"
+        );
         assert_ne!(
-            digest(&resumed.result),
-            digest(&fork_a.result),
+            resumed.result.canonical_string(),
+            fork_a.result.canonical_string(),
             "fork must explore a different branch"
         );
         let _ = std::fs::remove_file(&path);
@@ -703,9 +708,9 @@ mod tests {
         config.trace = Some(potemkin_obs::TraceConfig::unbounded());
         let traced =
             run_telescope_checkpointed(&config, 1, &CheckpointOptions::new(&path)).unwrap();
-        assert_eq!(digest(&plain.result), digest(&traced.result));
+        assert_eq!(plain.result.canonical_string(), traced.result.canonical_string());
         assert_eq!(plain.checkpoints, traced.checkpoints, "tracing is observer-effect-free");
-        let snap_lane = (config.cells * 3) as u32;
+        let snap_lane = Lane::Snapshot.number(config.cells);
         let saves = traced
             .result
             .trace

@@ -50,6 +50,12 @@ impl From<VmmError> for FarmError {
     }
 }
 
+impl From<ConfigError> for FarmError {
+    fn from(e: ConfigError) -> Self {
+        FarmError::BadConfig { what: e.reason() }
+    }
+}
+
 impl From<potemkin_snapshot::SnapshotError> for FarmError {
     fn from(e: potemkin_snapshot::SnapshotError) -> Self {
         FarmError::Snapshot(e)

@@ -1621,11 +1621,7 @@ impl Honeyfarm {
     /// Records a payload delivery into the capture store.
     fn capture_payload(&mut self, now: SimTime, payload: &[u8], port: u16, src: Ipv4Addr) {
         // FNV-1a content hash for dedup.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in payload {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = potemkin_snapshot::fnv1a64(payload);
         match self.captures.get_mut(&h) {
             Some(rec) => rec.hits += 1,
             None => {
@@ -2213,12 +2209,7 @@ impl Honeyfarm {
     /// operation's what-if branch). Deterministic: the same restored state
     /// and salt always produce the same branch.
     pub fn reseed(&mut self, salt: u64) {
-        let mix = |x: u64| {
-            let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mix = crate::parallel::splitmix64;
         let s = self.rng.state();
         let f = self.fault_rng.state();
         self.rng = SimRng::seed_from(s[0] ^ mix(salt));

@@ -1,8 +1,12 @@
 //! Federated multi-farm telescope replay.
 //!
-//! One [`ShardedTelescope`](crate::parallel) covers a single telescope
-//! range on one simulated cluster. This driver grows to internet scale by
-//! running N member farm clusters behind the
+//! One [sharded telescope](crate::parallel) covers a single telescope
+//! range on one simulated cluster. This module grows it to internet scale
+//! without a second driver: [`FederatedTelescopeConfig::sharded`] lowers a
+//! federated configuration to the sharded one it is, whose cells each
+//! carry a federation hop (`FedHop`), and the run — checkpoints, resumes
+//! and forks included — goes through the sharded entry points. The hop
+//! puts N member farm clusters behind the
 //! [`potemkin_federation`] routing tier: the monitored prefix is carved
 //! into contiguous cell slices ([`CellMap::Sliced`]), farms are
 //! power-of-two groupings of consecutive cells, each farm advertises its
@@ -46,17 +50,16 @@ use std::sync::{Arc, Mutex};
 
 use potemkin_federation::{AdmissionConfig, FederationLayout, FederationRouter};
 use potemkin_gateway::tunnel::{Telescope, TunnelEndpoint};
+use potemkin_gateway::ConfigError;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::Packet;
-use potemkin_sim::{
-    run_sharded, EngineTuning, EventQueue, FaultPlanConfig, Shard, ShardConfig, ShardWorld,
-    SimTime, World,
-};
+use potemkin_obs::{names as obs, Tracer};
+use potemkin_sim::{EngineTuning, FaultPlanConfig, Shard, SimTime};
+use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
 
 use crate::error::FarmError;
 use crate::parallel::{
-    assemble_result, encode_cell_aux, prepare_shards, restore_cell_aux, CellEvent, CellMap,
-    CellWorld, HasCellWorld, PreparedRun, ShardedTelescopeConfig, ShardedTelescopeResult,
+    run_telescope_sharded, CellMap, CellWorld, Lane, ShardedTelescopeConfig, ShardedTelescopeResult,
 };
 use crate::scenario::TelescopeConfig;
 
@@ -123,49 +126,47 @@ impl FederatedTelescopeConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`potemkin_gateway::ConfigError`] when `farms`/`cells`
-    /// cannot slice the telescope (see [`FederationLayout::new`]).
-    pub fn layout(&self) -> Result<FederationLayout, potemkin_gateway::ConfigError> {
+    /// Returns a [`ConfigError`] when `farms`/`cells` cannot slice the
+    /// telescope (see [`FederationLayout::new`]).
+    pub fn layout(&self) -> Result<FederationLayout, ConfigError> {
         FederationLayout::new(self.base.radiation.telescope, self.farms, self.cells)
     }
 
-    /// The underlying sharded configuration: the same scenario over the
-    /// global sliced cell partition. A federated run with one farm *is*
-    /// this sharded run — that identity is what `tests/prop_federation.rs`
-    /// checks.
-    fn sharded(&self) -> ShardedTelescopeConfig {
-        let mut builder = ShardedTelescopeConfig::builder(self.base.clone())
+    /// Lowers this configuration to the sharded replay it *is*: the same
+    /// scenario over the global sliced cell partition, every cell carrying
+    /// a federation hop. The result runs — and checkpoints, resumes and
+    /// forks — through the sharded entry points; with one farm the hop
+    /// never tunnels, and the run equals the plain [`CellMap::Sliced`]
+    /// replay (`tests/prop_federation.rs` checks that identity).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] for an invalid layout (farms/cells/
+    /// telescope geometry) or anything the sharded builder rejects (zero
+    /// window, seeds without a worm, bad adaptive bounds).
+    pub fn sharded(&self) -> Result<ShardedTelescopeConfig, ConfigError> {
+        self.layout()?;
+        let mut config = ShardedTelescopeConfig::builder(self.base.clone())
             .cells(self.cells)
             .cell_map(CellMap::Sliced)
             .window(self.window)
             .seed_infections(self.seed_infections)
-            .tuning(self.tuning);
-        if let Some(faults) = self.faults {
-            builder = builder.faults(faults);
-        }
-        if let Some(trace) = self.trace {
-            builder = builder.trace(trace);
-        }
-        match builder.build() {
-            Ok(config) => config,
-            // Invalid combinations are caught again by `prepare_shards`;
-            // fall back to an unvalidated assembly so the error surfaces
-            // as a typed `FarmError` from the run, not a panic here.
-            Err(_) => {
-                let mut config = ShardedTelescopeConfig::builder(self.base.clone())
-                    .build()
-                    .expect("minimal config is valid");
-                config.cells = self.cells;
-                config.cell_map = CellMap::Sliced;
-                config.window = self.window;
-                config.faults = self.faults;
-                config.seed_infections = self.seed_infections;
-                config.trace = self.trace;
-                config.tuning = self.tuning;
-                config
-            }
-        }
+            .tuning(self.tuning)
+            .build()?;
+        config.faults = self.faults;
+        config.trace = self.trace;
+        config.federation = Some(FederationPlan { farms: self.farms, admission: self.admission });
+        Ok(config)
     }
+}
+
+/// What a lowered config carries for the hop: the farm grouping and the
+/// admission policy. Both shape results (`farms` only the transport
+/// telemetry), so the checkpoint fingerprint covers them.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FederationPlan {
+    farms: usize,
+    admission: AdmissionConfig,
 }
 
 /// Typed builder for [`FederatedTelescopeConfig`]; see
@@ -236,32 +237,17 @@ impl FederatedTelescopeConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`potemkin_gateway::ConfigError`] for an invalid layout
-    /// (farms/cells/telescope geometry) or any error the underlying
-    /// sharded builder reports (zero window, seeds without a worm, bad
-    /// adaptive bounds).
-    pub fn build(self) -> Result<FederatedTelescopeConfig, potemkin_gateway::ConfigError> {
-        let c = self.inner;
-        c.layout()?;
-        // Reuse the sharded validation for the shared knobs.
-        let mut probe = ShardedTelescopeConfig::builder(c.base.clone())
-            .cells(c.cells)
-            .cell_map(CellMap::Sliced)
-            .window(c.window)
-            .seed_infections(c.seed_infections)
-            .tuning(c.tuning);
-        if let Some(faults) = c.faults {
-            probe = probe.faults(faults);
-        }
-        probe.build()?;
-        Ok(c)
+    /// As [`FederatedTelescopeConfig::sharded`], which is the validator.
+    pub fn build(self) -> Result<FederatedTelescopeConfig, ConfigError> {
+        self.inner.sharded()?;
+        Ok(self.inner)
     }
 }
 
 /// Per-farm link accounting, merged across the farm's cells and the
 /// routing tier. All transport telemetry: layout-dependent by nature and
 /// excluded from determinism digests.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FarmLinkReport {
     /// The member farm index.
     pub farm: usize,
@@ -282,7 +268,7 @@ pub struct FarmLinkReport {
 }
 
 /// The federation tier's merged report.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FederationReport {
     /// Member farm clusters.
     pub farms: usize,
@@ -321,44 +307,16 @@ pub struct FederatedTelescopeResult {
     pub federation: FederationReport,
 }
 
-/// A federated telescope: N member farms behind the routing tier.
-#[derive(Clone, Debug)]
-pub struct FederatedTelescope {
-    config: FederatedTelescopeConfig,
-}
-
-impl FederatedTelescope {
-    /// Wraps a validated configuration.
-    #[must_use]
-    pub fn new(config: FederatedTelescopeConfig) -> Self {
-        FederatedTelescope { config }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &FederatedTelescopeConfig {
-        &self.config
-    }
-
-    /// Runs the federated replay on `workers` OS threads; see
-    /// [`run_telescope_federated`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run_telescope_federated`].
-    pub fn run(&self, workers: usize) -> Result<FederatedTelescopeResult, FarmError> {
-        run_telescope_federated(&self.config, workers)
-    }
-}
-
-/// One barrier delivery on the federated fabric.
+/// One barrier delivery on the cell fabric — the one `Remote` type of
+/// [`CellWorld`], whether or not a hop is present.
 ///
-/// `Local` batches stay inside a farm and carry packets directly, exactly
-/// like the sharded fabric. `Tunneled` batches crossed a farm boundary:
-/// each packet was GRE-encapsulated on the source farm's uplink, transited
-/// the routing tier, and arrives as a downlink frame keyed by the owning
-/// farm — the destination cell decapsulates at the barrier. Frame order is
-/// emission order, so delivery order matches the local case 1:1.
+/// `Local` batches stay inside a farm and carry packets directly; without
+/// a hop every batch is `Local`. `Tunneled` batches crossed a farm
+/// boundary: each packet was GRE-encapsulated on the source farm's uplink,
+/// transited the routing tier, and arrives as a downlink frame keyed by
+/// the owning farm — the destination cell decapsulates at the barrier.
+/// Frame order is emission order, so delivery order matches the local
+/// case 1:1.
 pub(crate) enum FedBatch {
     Local(Vec<Packet>),
     Tunneled(Vec<Vec<u8>>),
@@ -372,107 +330,143 @@ struct FedCellStats {
     decap_errors: u64,
 }
 
-/// A cell of a member farm: the plain [`CellWorld`] plus the federation
-/// hop for batches that cross a farm boundary.
-pub(crate) struct FedCellWorld {
-    inner: CellWorld,
+/// The federation hop of a member farm's cell: what happens to a fabric
+/// batch at a farm boundary, on the way out ([`wrap`](FedHop::wrap)) and
+/// on the way in ([`admit`](FedHop::admit)).
+pub(crate) struct FedHop {
     farm_id: usize,
     layout: FederationLayout,
-    /// The shared routing tier. Locked only while staging a cross-farm
-    /// batch; every counter behind the lock is additive, so worker-thread
-    /// lock order cannot affect any reported total.
-    router: Arc<Mutex<FederationRouter>>,
+    /// The routing tier every hop of the run shares (its state is the
+    /// snapshot's one `federation.router` section). Locked only while
+    /// staging a cross-farm batch; every counter behind the lock is
+    /// additive, so worker-thread lock order cannot affect any reported
+    /// total.
+    pub(crate) router: Arc<Mutex<FederationRouter>>,
     /// This farm's downlink terminator (key = farm id, prefix = the
     /// farm's advertised aggregate).
     ingress: TunnelEndpoint,
     admission: AdmissionConfig,
     stats: FedCellStats,
-    tracer: Option<potemkin_obs::Tracer>,
+    /// The `fed.tunnel`/`fed.shed` lane, when the run is traced.
+    pub(crate) tracer: Option<Tracer>,
 }
 
-impl HasCellWorld for FedCellWorld {
-    fn cell(&self) -> &CellWorld {
-        &self.inner
-    }
-    fn cell_mut(&mut self) -> &mut CellWorld {
-        &mut self.inner
-    }
-}
-
-impl World for FedCellWorld {
-    type Event = CellEvent;
-
-    fn handle(&mut self, now: SimTime, event: CellEvent, q: &mut EventQueue<CellEvent>) {
-        self.inner.handle(now, event, q);
-    }
-}
-
-impl ShardWorld for FedCellWorld {
-    type Remote = FedBatch;
-
-    fn take_outbound(&mut self) -> Vec<(usize, FedBatch)> {
-        self.inner
-            .take_outbound()
-            .into_iter()
-            .map(|(dest_cell, packets)| {
-                if self.layout.farm_of_cell(dest_cell) == self.farm_id {
-                    (dest_cell, FedBatch::Local(packets))
-                } else {
-                    // The uplink hop: encapsulate with this farm's key,
-                    // transit the tier (decap → longest-prefix route →
-                    // re-encap with the owner's key). A packet the table
-                    // cannot route is a counted drop at the tier — never
-                    // delivered, never a panic. Frame order preserves
-                    // packet order.
-                    let mut router = self.router.lock().expect("router lock");
-                    let frames = packets
-                        .iter()
-                        .filter_map(|p| {
-                            router.forward(self.farm_id as u32, p).map(|(_, frame)| frame)
-                        })
-                        .collect();
-                    (dest_cell, FedBatch::Tunneled(frames))
-                }
-            })
-            .collect()
+impl FedHop {
+    /// The uplink side. A batch for a cell of this farm stays local; one
+    /// for another farm is encapsulated with this farm's key and transits
+    /// the tier (decap → longest-prefix route → re-encap with the owner's
+    /// key). A packet the table cannot route is a counted drop at the tier
+    /// — never delivered, never a panic. Frame order preserves packet
+    /// order.
+    pub(crate) fn wrap(&self, dest_cell: usize, packets: Vec<Packet>) -> FedBatch {
+        if self.layout.farm_of_cell(dest_cell) == self.farm_id {
+            return FedBatch::Local(packets);
+        }
+        let mut router = self.router.lock().expect("router lock");
+        FedBatch::Tunneled(
+            packets
+                .iter()
+                .filter_map(|p| router.forward(self.farm_id as u32, p).map(|(_, frame)| frame))
+                .collect(),
+        )
     }
 
-    fn accept_remote(&mut self, at: SimTime, batch: FedBatch, queue: &mut EventQueue<CellEvent>) {
+    /// The downlink side: decapsulates a tunneled batch, then applies
+    /// global admission — shed everything once this cell's farm has logged
+    /// `pressure_events` past the threshold. The decision reads only
+    /// destination-cell state and applies to local and tunneled deliveries
+    /// alike, so it is a pure function of simulation state — identical in
+    /// every farm grouping. Returns the packets to deliver (none if shed).
+    pub(crate) fn admit(
+        &mut self,
+        at: SimTime,
+        batch: FedBatch,
+        pressure_events: u64,
+    ) -> Vec<Packet> {
         let packets: Vec<Packet> = match batch {
             FedBatch::Local(packets) => packets,
             FedBatch::Tunneled(frames) => {
                 let decapsulated: Vec<Packet> = frames
                     .iter()
-                    .filter_map(|frame| match self.ingress.decapsulate(frame) {
-                        Ok((_key, packet)) => Some(packet),
-                        Err(_) => {
-                            self.stats.decap_errors += 1;
-                            None
-                        }
-                    })
+                    .filter_map(|frame| self.ingress.decapsulate(frame).ok())
+                    .map(|(_key, packet)| packet)
                     .collect();
+                self.stats.decap_errors += (frames.len() - decapsulated.len()) as u64;
                 self.stats.tunneled_in_packets += decapsulated.len() as u64;
                 if let Some(tracer) = &mut self.tracer {
-                    tracer.instant(at, potemkin_obs::names::FED_TUNNEL, decapsulated.len() as u64);
+                    tracer.instant(at, obs::FED_TUNNEL, decapsulated.len() as u64);
                 }
                 decapsulated
             }
         };
-        // Global admission: shed once this cell's farm is under memory
-        // pressure. The decision reads only destination-cell state and
-        // applies to local and tunneled deliveries alike, so it is a pure
-        // function of simulation state — identical in every farm grouping.
-        if let Some(threshold) = self.admission.shed_after_pressure_events {
-            if self.inner.farm.pressure_events().len() as u64 >= threshold {
-                self.stats.shed_packets += packets.len() as u64;
-                if let Some(tracer) = &mut self.tracer {
-                    tracer.instant(at, potemkin_obs::names::FED_SHED, packets.len() as u64);
-                }
-                return;
+        if self.admission.shed_after_pressure_events.is_some_and(|t| pressure_events >= t) {
+            self.stats.shed_packets += packets.len() as u64;
+            if let Some(tracer) = &mut self.tracer {
+                tracer.instant(at, obs::FED_SHED, packets.len() as u64);
             }
+            return Vec::new();
         }
-        self.inner.accept_remote(at, packets, queue);
+        packets
     }
+
+    /// Encodes this hop's counters and ingress tunnel statistics: the
+    /// per-cell federation section of a snapshot.
+    pub(crate) fn encode_fed_aux(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u64(self.stats.tunneled_in_packets);
+        w.u64(self.stats.shed_packets);
+        w.u64(self.stats.decap_errors);
+        w.bytes(&self.ingress.encode_state());
+        w.into_bytes()
+    }
+
+    /// Restores state captured by [`encode_fed_aux`](FedHop::encode_fed_aux)
+    /// into a freshly attached hop.
+    pub(crate) fn restore_fed_aux(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = SnapReader::new(bytes, "core.fed.cell");
+        let stats = FedCellStats {
+            tunneled_in_packets: r.u64()?,
+            shed_packets: r.u64()?,
+            decap_errors: r.u64()?,
+        };
+        let ingress_bytes = r.bytes()?.to_vec();
+        r.finish()?;
+        self.ingress.restore_state(&ingress_bytes)?;
+        self.stats = stats;
+        Ok(())
+    }
+}
+
+/// Gives every prepared cell its hop: one routing tier for the run, one
+/// ingress endpoint and (when traced) one federation lane per cell.
+pub(crate) fn attach_hops(
+    plan: &FederationPlan,
+    config: &ShardedTelescopeConfig,
+    shards: &mut [Shard<CellWorld>],
+) -> Result<(), FarmError> {
+    let layout = FederationLayout::new(config.base.radiation.telescope, plan.farms, config.cells)?;
+    let router = Arc::new(Mutex::new(
+        layout.router().map_err(|_| FarmError::BadConfig { what: "farm prefixes overlap" })?,
+    ));
+    for (cell, shard) in shards.iter_mut().enumerate() {
+        let farm_id = layout.farm_of_cell(cell);
+        let mut ingress = TunnelEndpoint::new();
+        ingress
+            .attach(Telescope { key: farm_id as u32, prefix: layout.farm_prefix(farm_id) })
+            .expect("one telescope cannot overlap itself");
+        shard.world.hop = Some(FedHop {
+            farm_id,
+            layout,
+            router: Arc::clone(&router),
+            ingress,
+            admission: plan.admission,
+            stats: FedCellStats::default(),
+            tracer: config
+                .trace
+                .map(|trace| Tracer::new(Lane::Federation(cell).number(config.cells), trace)),
+        });
+    }
+    Ok(())
 }
 
 /// Runs a federated telescope replay on `workers` OS threads.
@@ -492,72 +486,19 @@ pub fn run_telescope_federated(
     config: &FederatedTelescopeConfig,
     workers: usize,
 ) -> Result<FederatedTelescopeResult, FarmError> {
-    let layout =
-        config.layout().map_err(|_| FarmError::BadConfig { what: "invalid federation layout" })?;
-    let sharded = config.sharded();
-    let PreparedRun { shards, meta } = prepare_shards(&sharded, true)?;
-    let router = Arc::new(Mutex::new(
-        layout.router().map_err(|_| FarmError::BadConfig { what: "farm prefixes overlap" })?,
-    ));
-
-    let mut fed_shards: Vec<Shard<FedCellWorld>> = shards
-        .into_iter()
-        .enumerate()
-        .map(|(cell, shard)| {
-            let farm_id = layout.farm_of_cell(cell);
-            let mut ingress = TunnelEndpoint::new();
-            ingress
-                .attach(Telescope { key: farm_id as u32, prefix: layout.farm_prefix(farm_id) })
-                .expect("one telescope cannot overlap itself");
-            let tracer = config.trace.map(|trace_config| {
-                potemkin_obs::Tracer::new((config.cells * 3 + cell) as u32, trace_config)
-            });
-            Shard {
-                world: FedCellWorld {
-                    inner: shard.world,
-                    farm_id,
-                    layout,
-                    router: Arc::clone(&router),
-                    ingress,
-                    admission: config.admission,
-                    stats: FedCellStats::default(),
-                    tracer,
-                },
-                queue: shard.queue,
-            }
-        })
-        .collect();
-
-    let engine = run_sharded(
-        &mut fed_shards,
-        config.base.duration,
-        &ShardConfig { window: config.window, workers, tuning: config.tuning },
-    );
-
-    let mut merged = assemble_result(&sharded, &mut fed_shards, engine, &meta);
-    if config.trace.is_some() {
-        for (cell, shard) in fed_shards.iter_mut().enumerate() {
-            if let Some(tracer) = &mut shard.world.tracer {
-                merged.trace.extend(tracer.drain());
-            }
-            merged
-                .trace_lanes
-                .push(((config.cells * 3 + cell) as u32, format!("cell {cell} federation")));
-        }
-        merged.trace.sort_by_key(|e| (e.at, e.lane, e.seq));
-    }
-
-    let router = router.lock().expect("router lock");
-    let federation = assemble_federation(&layout, &router, &fed_shards);
+    let mut merged = run_telescope_sharded(&config.sharded()?, workers)?;
+    let federation =
+        merged.federation.take().ok_or(FarmError::BadConfig { what: "no federation hop" })?;
     Ok(FederatedTelescopeResult { merged, federation })
 }
 
-/// Merges the routing tier's counters with the per-cell federation stats.
-fn assemble_federation(
-    layout: &FederationLayout,
-    router: &FederationRouter,
-    shards: &[Shard<FedCellWorld>],
-) -> FederationReport {
+/// Merges the routing tier's counters with the per-cell hop stats; `None`
+/// for a run without a hop.
+pub(crate) fn assemble_federation(shards: &[Shard<CellWorld>]) -> Option<FederationReport> {
+    let hops: Vec<&FedHop> = shards.iter().filter_map(|s| s.world.hop.as_ref()).collect();
+    let first = hops.first()?;
+    let layout = first.layout;
+    let router = first.router.lock().expect("router lock");
     let mut per_farm = Vec::with_capacity(layout.farms());
     let mut cross_farm_packets = 0;
     let mut shed_packets = 0;
@@ -566,13 +507,11 @@ fn assemble_federation(
         let uplink = router.uplink_stats(farm as u32);
         let link = router.link_stats(farm as u32);
         let mut farm_shed = 0;
-        let mut farm_tunneled_in = 0;
-        for shard in shards.iter().filter(|s| s.world.farm_id == farm) {
-            farm_shed += shard.world.stats.shed_packets;
-            farm_tunneled_in += shard.world.stats.tunneled_in_packets;
-            decap_errors += shard.world.stats.decap_errors;
+        for hop in hops.iter().filter(|h| h.farm_id == farm) {
+            farm_shed += hop.stats.shed_packets;
+            cross_farm_packets += hop.stats.tunneled_in_packets;
+            decap_errors += hop.stats.decap_errors;
         }
-        cross_farm_packets += farm_tunneled_in;
         shed_packets += farm_shed;
         per_farm.push(FarmLinkReport {
             farm,
@@ -585,7 +524,7 @@ fn assemble_federation(
             route_drops: link.route_drops,
         });
     }
-    FederationReport {
+    Some(FederationReport {
         farms: layout.farms(),
         cells: layout.cells(),
         monitored_addresses: router.monitored_addresses(),
@@ -595,52 +534,16 @@ fn assemble_federation(
         route_drops: router.route_drops(),
         decap_errors,
         per_farm,
-    }
-}
-
-/// Encodes one federated cell's driver state for a snapshot section: the
-/// wrapped cell's aux state (live-VM samples, fabric counters, staged
-/// packets), the federation counters, and the ingress tunnel statistics.
-/// The farm itself and the event queue use the same sections a sharded
-/// checkpoint writes; the routing tier adds one `federation.router`
-/// section ([`FederationRouter::encode_state`]).
-// Exercised by the snapshot round-trip test until the checkpoint driver
-// grows a federated front-end; kept out of the public API because the
-// section layout is an internal format.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn encode_fed_aux(world: &FedCellWorld) -> Vec<u8> {
-    let mut w = potemkin_snapshot::SnapWriter::new();
-    w.bytes(&encode_cell_aux(&world.inner));
-    w.u64(world.stats.tunneled_in_packets);
-    w.u64(world.stats.shed_packets);
-    w.u64(world.stats.decap_errors);
-    w.bytes(&world.ingress.encode_state());
-    w.into_bytes()
-}
-
-/// Restores state captured by [`encode_fed_aux`] into a freshly prepared
-/// federated cell world.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn restore_fed_aux(
-    world: &mut FedCellWorld,
-    bytes: &[u8],
-) -> Result<(), potemkin_snapshot::SnapshotError> {
-    let mut r = potemkin_snapshot::SnapReader::new(bytes, "core.fed.cell");
-    let inner_bytes = r.bytes()?.to_vec();
-    let tunneled_in_packets = r.u64()?;
-    let shed_packets = r.u64()?;
-    let decap_errors = r.u64()?;
-    let ingress_bytes = r.bytes()?.to_vec();
-    r.finish()?;
-    restore_cell_aux(&mut world.inner, &inner_bytes)?;
-    world.ingress.restore_state(&ingress_bytes)?;
-    world.stats = FedCellStats { tunneled_in_packets, shed_packets, decap_errors };
-    Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{
+        recover_snapshot, resume_telescope_checkpointed, run_telescope_checkpointed,
+        CheckpointOptions,
+    };
     use crate::farm::FarmConfig;
     use potemkin_gateway::policy::PolicyConfig;
     use potemkin_workload::radiation::RadiationConfig;
@@ -671,22 +574,11 @@ mod tests {
             .unwrap()
     }
 
-    /// The deterministic face of a federated result: everything in the
-    /// sharded digest plus the layout-invariant shed counter. Transport
-    /// telemetry (cross-farm counts, uplink bytes) is excluded by
-    /// convention.
+    /// The deterministic face of a federated result: the sharded one plus
+    /// the layout-invariant shed counter. Transport telemetry (cross-farm
+    /// counts, uplink bytes) is excluded by convention.
     fn digest(r: &FederatedTelescopeResult) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{:?}|{}|{}",
-            r.merged.degradation.canonical_string(),
-            r.merged.stats.counters.get("packets_in"),
-            r.merged.packets,
-            r.merged.cross_cell_packets,
-            r.merged.final_infected,
-            r.merged.live_vm_series.iter().collect::<Vec<_>>(),
-            r.merged.engine.remote_messages,
-            r.federation.shed_packets,
-        )
+        format!("{}|{}", r.merged.canonical_string(), r.federation.shed_packets)
     }
 
     #[test]
@@ -704,6 +596,8 @@ mod tests {
                     "farms={farms} workers={workers} diverged"
                 );
                 assert_eq!(run.federation.farms, farms);
+                assert_eq!(run.federation.advertised_routes, farms);
+                assert_eq!(run.federation.monitored_addresses, 1 << 16);
                 assert_eq!(run.federation.route_drops, 0);
                 assert_eq!(run.federation.decap_errors, 0);
             }
@@ -737,128 +631,154 @@ mod tests {
         }
     }
 
-    #[test]
-    fn federation_tracing_is_digest_invisible() {
-        let plain = run_telescope_federated(&federated_config(4, 8), 2).unwrap();
-        let mut traced_config = federated_config(4, 8);
-        traced_config.trace = Some(potemkin_obs::TraceConfig::unbounded());
-        let traced = run_telescope_federated(&traced_config, 2).unwrap();
-        assert_eq!(digest(&plain), digest(&traced), "tracing must be observer-effect-free");
-        assert!(!traced.merged.trace.is_empty(), "federation lanes must record");
-        let fed_lane_base = (traced_config.cells * 3) as u32;
-        assert!(
-            traced.merged.trace_lanes.iter().any(|(lane, _)| *lane >= fed_lane_base),
-            "federation lanes must be registered"
-        );
-        assert!(
-            traced.merged.trace.iter().any(|e| e.name() == potemkin_obs::names::FED_TUNNEL),
-            "cross-farm deliveries must trace"
-        );
+    /// A federated config small enough to checkpoint in a debug build
+    /// (snapshot encoding walks every page table and free list).
+    fn checkpointable_config(farms: usize, shedding: bool) -> FederatedTelescopeConfig {
+        let mut config = federated_config(farms, 8);
+        let mut profile = potemkin_vmm::guest::GuestProfile::small();
+        profile.memory_pages = 1_024;
+        profile.disk_blocks = 512;
+        config.base.farm.profile = profile;
+        config.base.farm.frames_per_server = 65_536;
+        config.base.farm.worm = Some(WormSpec::code_red("10.1.0.0/18".parse().unwrap()));
+        config.base.radiation.telescope = "10.1.0.0/18".parse().unwrap();
+        config.base.duration = SimTime::from_secs(4);
+        if shedding {
+            config.base.farm.memory_budget_frames = Some(4_000);
+            config.admission = AdmissionConfig::shed_after(1);
+        }
+        config
+    }
+
+    fn temp_snapshot(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("potemkin-fed-test-{}-{name}", std::process::id()))
+    }
+
+    /// Runs `config` until the barrier after `kill_at` windows, leaving one
+    /// snapshot at `path`, and recovers it.
+    fn kill_and_recover(
+        config: &ShardedTelescopeConfig,
+        kill_at: u64,
+        path: &std::path::Path,
+    ) -> potemkin_snapshot::SnapshotFile {
+        let mut options = CheckpointOptions::new(path);
+        options.every_windows = kill_at;
+        options.stop_after_windows = Some(kill_at);
+        let killed = run_telescope_checkpointed(config, 2, &options).unwrap();
+        assert!(killed.checkpoints.interrupted);
+        assert_eq!(killed.checkpoints.written, 1);
+        let (snapshot, fell_back) = recover_snapshot(path).unwrap();
+        assert!(!fell_back);
+        let _ = std::fs::remove_file(path);
+        snapshot
     }
 
     #[test]
-    fn federated_snapshot_sections_round_trip() {
-        use potemkin_snapshot::SnapshotFile;
-        // Run a federated replay to completion, capture its federation
-        // sections, and restore them into a freshly prepared topology.
-        let config = federated_config(4, 8);
-        let layout = config.layout().unwrap();
-        let sharded = config.sharded();
-        let PreparedRun { shards, meta } = prepare_shards(&sharded, true).unwrap();
-        let router = Arc::new(Mutex::new(layout.router().unwrap()));
-        let mut fed: Vec<Shard<FedCellWorld>> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(cell, s)| {
-                let farm_id = layout.farm_of_cell(cell);
-                let mut ingress = TunnelEndpoint::new();
-                ingress
-                    .attach(Telescope { key: farm_id as u32, prefix: layout.farm_prefix(farm_id) })
-                    .unwrap();
-                Shard {
-                    world: FedCellWorld {
-                        inner: s.world,
-                        farm_id,
-                        layout,
-                        router: Arc::clone(&router),
-                        ingress,
-                        admission: config.admission,
-                        stats: FedCellStats::default(),
-                        tracer: None,
-                    },
-                    queue: s.queue,
+    fn federated_kill_recover_resume_matches_uninterrupted() {
+        for (case, shedding) in [false, true].into_iter().enumerate() {
+            let config = checkpointable_config(4, shedding);
+            let uninterrupted = run_telescope_federated(&config, 1).unwrap();
+            assert!(uninterrupted.federation.cross_farm_packets > 0, "worm must cross farms");
+            assert_eq!(uninterrupted.federation.shed_packets > 0, shedding);
+            let sharded = config.sharded().unwrap();
+            let path = temp_snapshot(&format!("resume{case}.snap"));
+            for kill_at in [2, 5] {
+                let snapshot = kill_and_recover(&sharded, kill_at, &path);
+                let mut options = CheckpointOptions::new(&path);
+                options.every_windows = 0;
+                for workers in [1, 2] {
+                    let resumed =
+                        resume_telescope_checkpointed(&sharded, workers, &snapshot, &options)
+                            .unwrap()
+                            .result;
+                    let what = format!("shedding={shedding} kill_at={kill_at} workers={workers}");
+                    assert_eq!(
+                        uninterrupted.merged.canonical_string(),
+                        resumed.canonical_string(),
+                        "{what}"
+                    );
+                    // The whole tier report: per-farm uplink packets and
+                    // bytes, downlink, shed, route drops.
+                    assert_eq!(
+                        Some(&uninterrupted.federation),
+                        resumed.federation.as_ref(),
+                        "{what}"
+                    );
                 }
-            })
-            .collect();
-        let _ = meta;
-        run_sharded(
-            &mut fed,
-            config.base.duration,
-            &ShardConfig { window: config.window, workers: 2, tuning: config.tuning },
-        );
-
-        // Write the federated checkpoint sections.
-        let mut file = SnapshotFile::new(0xfed);
-        file.push("federation.router", router.lock().unwrap().encode_state());
-        for (cell, shard) in fed.iter().enumerate() {
-            file.push(&format!("fed{cell}.aux"), encode_fed_aux(&shard.world));
+            }
         }
-        let encoded = file.encode();
-        let decoded = SnapshotFile::decode(&encoded).unwrap();
+    }
 
-        // Restore into a freshly prepared identical topology.
-        let PreparedRun { shards: fresh, .. } = prepare_shards(&sharded, false).unwrap();
-        let fresh_router = Arc::new(Mutex::new(layout.router().unwrap()));
-        let mut restored: Vec<Shard<FedCellWorld>> = fresh
-            .into_iter()
-            .enumerate()
-            .map(|(cell, s)| {
-                let farm_id = layout.farm_of_cell(cell);
-                let mut ingress = TunnelEndpoint::new();
-                ingress
-                    .attach(Telescope { key: farm_id as u32, prefix: layout.farm_prefix(farm_id) })
-                    .unwrap();
-                Shard {
-                    world: FedCellWorld {
-                        inner: s.world,
-                        farm_id,
-                        layout,
-                        router: Arc::clone(&fresh_router),
-                        ingress,
-                        admission: config.admission,
-                        stats: FedCellStats::default(),
-                        tracer: None,
-                    },
-                    queue: s.queue,
-                }
-            })
-            .collect();
-        fresh_router
-            .lock()
-            .unwrap()
-            .restore_state(decoded.section("federation.router").unwrap())
-            .unwrap();
-        for (cell, shard) in restored.iter_mut().enumerate() {
-            restore_fed_aux(&mut shard.world, decoded.section(&format!("fed{cell}.aux")).unwrap())
-                .unwrap();
+    #[test]
+    fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {
+        let config = checkpointable_config(4, false);
+        let sharded = config.sharded().unwrap();
+        let path = temp_snapshot("reject.snap");
+        let snapshot = kill_and_recover(&sharded, 3, &path);
+        let names = snapshot.section_names();
+        assert!(names.contains(&"federation.router") && names.contains(&"cell7.fed"), "{names:?}");
+        let options = CheckpointOptions::new(&path);
+        let resume = |config: &ShardedTelescopeConfig,
+                      snapshot: &potemkin_snapshot::SnapshotFile| {
+            resume_telescope_checkpointed(config, 1, snapshot, &options).map(|_| ())
+        };
+
+        // A different farm grouping or admission policy is a different run.
+        let mut regrouped = config.clone();
+        regrouped.farms = 2;
+        let mut shedding = config.clone();
+        shedding.admission = AdmissionConfig::shed_after(1);
+        let plain = ShardedTelescopeConfig { federation: None, ..sharded.clone() };
+        for other in [regrouped.sharded().unwrap(), shedding.sharded().unwrap(), plain] {
+            assert!(matches!(
+                resume(&other, &snapshot),
+                Err(FarmError::Snapshot(SnapshotError::ConfigMismatch { .. }))
+            ));
         }
 
-        // Re-encoding every restored section must be bit-identical.
-        assert_eq!(
-            fresh_router.lock().unwrap().encode_state(),
-            router.lock().unwrap().encode_state()
-        );
-        for (cell, shard) in restored.iter().enumerate() {
-            assert_eq!(
-                encode_fed_aux(&shard.world),
-                decoded.section(&format!("fed{cell}.aux")).unwrap(),
-                "cell {cell} aux must round-trip"
+        // Truncated federation sections are rejected, not misdecoded.
+        for section in ["cell0.fed", "federation.router"] {
+            let mut torn = snapshot.clone();
+            let payload =
+                &mut torn.sections.iter_mut().find(|s| s.name == section).unwrap().payload;
+            payload.pop();
+            assert!(
+                matches!(
+                    resume(&sharded, &torn),
+                    Err(FarmError::Snapshot(SnapshotError::Decode { .. }))
+                ),
+                "{section}"
             );
         }
-        // Truncated sections are rejected, not misdecoded.
-        let aux = decoded.section("fed0.aux").unwrap();
-        let mut scratch = restored.pop().unwrap();
-        assert!(restore_fed_aux(&mut scratch.world, &aux[..aux.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn federation_tracing_is_digest_invisible() {
+        // The traced run is also checkpointed, so every tracer a run can
+        // carry — farm, gateway, engine, federation, snapshot — is live.
+        let config = checkpointable_config(2, false);
+        let plain = run_telescope_federated(&config, 2).unwrap();
+        let mut traced_config = config.clone();
+        traced_config.trace = Some(potemkin_obs::TraceConfig::unbounded());
+        let path = temp_snapshot("lanes.snap");
+        let mut options = CheckpointOptions::new(&path);
+        options.every_windows = 4;
+        let traced = run_telescope_checkpointed(&traced_config.sharded().unwrap(), 2, &options)
+            .unwrap()
+            .result;
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("snap.prev"));
+        assert_eq!(plain.merged.canonical_string(), traced.canonical_string());
+        assert_eq!(Some(&plain.federation), traced.federation.as_ref(), "observer-effect-free");
+        // Lane numbers have one owner: no two tracers share one.
+        let lanes = &traced.trace_lanes;
+        assert_eq!(lanes.len(), 4 * config.cells + 1, "{lanes:?}");
+        let numbers: std::collections::BTreeSet<u32> = lanes.iter().map(|(n, _)| *n).collect();
+        assert_eq!(numbers.len(), lanes.len(), "two tracers on one lane: {lanes:?}");
+        assert!(traced.trace.iter().all(|e| numbers.contains(&e.lane)), "unregistered lane");
+        for name in [obs::FED_TUNNEL, obs::SNAP_SAVE] {
+            assert!(traced.trace.iter().any(|e| e.name() == name), "{name} lane is silent");
+        }
     }
 
     #[test]
@@ -877,18 +797,5 @@ mod tests {
         let mut config = federated_config(2, 4);
         config.farms = 3;
         assert!(matches!(run_telescope_federated(&config, 1), Err(FarmError::BadConfig { .. })));
-    }
-
-    #[test]
-    fn federated_telescope_wrapper_runs() {
-        let telescope = FederatedTelescope::new(federated_config(2, 4));
-        assert_eq!(telescope.config().farms, 2);
-        let result = telescope.run(2).unwrap();
-        assert_eq!(result.federation.farms, 2);
-        assert_eq!(result.federation.advertised_routes, 2);
-        assert_eq!(
-            result.federation.monitored_addresses,
-            telescope.config().base.radiation.telescope.len()
-        );
     }
 }

@@ -12,17 +12,22 @@
 //!   in-farm worm outbreaks, with time-series instrumentation.
 //! * [`baseline`] — the low-interaction (scripted) responder baseline for
 //!   the fidelity comparison.
+//! * [`parallel`] — the sharded replay and the crate's one cell world:
+//!   `CellWorld` (a farm, a packet slab, the cell fabric, an optional
+//!   federation hop and an optional attacker fleet) behind one run loop,
+//!   the single caller of the window engine. Every driver below lowers
+//!   its config to a [`ShardedTelescopeConfig`] and runs through it.
 //! * [`checkpoint`] — whole-farm checkpoint/restore: crash-consistent
-//!   snapshots of the sharded driver with integrity validation,
-//!   deterministic resume, and what-if forks.
-//! * [`federation`] — the federated multi-farm telescope: N member farm
-//!   clusters behind the `potemkin-federation` routing tier, with
-//!   cross-farm worm reflection over GRE and byte-identical merged
-//!   reports across topology layouts.
+//!   snapshots of that run loop with integrity validation, deterministic
+//!   resume, and what-if forks — of plain and federated runs alike.
+//! * [`federation`] — the federated multi-farm telescope: the hop a cell
+//!   carries when N member farm clusters sit behind the
+//!   `potemkin-federation` routing tier, with cross-farm worm reflection
+//!   over GRE and byte-identical merged reports across topology layouts.
 //! * [`services`] — the interaction-fidelity plane: scenario packs from
-//!   `potemkin-services` installed in every cell farm, driven by a fleet
-//!   of closed-loop scripted attackers, with per-scenario capture
-//!   metrics merged deterministically across cells.
+//!   `potemkin-services` installed in every cell farm, driven by the
+//!   fleet of closed-loop scripted attackers each cell carries, with
+//!   per-scenario capture metrics merged deterministically across cells.
 //! * [`report`] — aggregated farm statistics.
 //!
 //! [`GatewayAction`]: potemkin_gateway::GatewayAction
@@ -64,7 +69,7 @@ pub use checkpoint::{
 pub use error::{Error, FarmError};
 pub use farm::{FarmConfig, FarmConfigBuilder, Honeyfarm};
 pub use federation::{
-    run_telescope_federated, FarmLinkReport, FederatedTelescope, FederatedTelescopeConfig,
+    run_telescope_federated, FarmLinkReport, FederatedTelescopeConfig,
     FederatedTelescopeConfigBuilder, FederatedTelescopeResult, FederationReport,
 };
 pub use parallel::{

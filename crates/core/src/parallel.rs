@@ -10,6 +10,16 @@
 //! travel the internal fabric as batched remote messages, delivered at the
 //! end of the window in which they were emitted.
 //!
+//! # One cell world, one run loop
+//!
+//! `CellWorld` is the only `ShardWorld` in this crate: federation
+//! ([`crate::federation`]) and driven attackers ([`crate::services`]) are
+//! two optional parts *of* it — a hop and a fleet, `None` in a plain
+//! replay — switched on by crate-private options of the lowered
+//! [`ShardedTelescopeConfig`]. `run_cells` is the single caller of the
+//! window engine; every public driver lowers its config, calls it, and
+//! assembles its own result.
+//!
 //! # Determinism
 //!
 //! The partition (`cells`), the barrier width (`window`), and the seeds
@@ -29,20 +39,24 @@ use potemkin_metrics::TimeSeries;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::Packet;
 use potemkin_sim::{
-    run_sharded, EngineTuning, EventQueue, FaultPlan, FaultPlanConfig, Shard, ShardConfig,
-    ShardRunReport, ShardWorld, SimTime, Slab, World,
+    run_sharded_resumable, BarrierControl, EngineTuning, EventQueue, FaultPlan, FaultPlanConfig,
+    Shard, ShardConfig, ShardRunReport, ShardWorld, SimTime, Slab, World,
 };
+use potemkin_snapshot::SnapshotFile;
 use potemkin_workload::radiation::RadiationModel;
 use potemkin_workload::trace::TrafficMix;
 
+use crate::checkpoint::{restore_snapshot, CheckpointSink};
 use crate::error::FarmError;
 use crate::farm::{FarmOutput, Honeyfarm};
+use crate::federation::{FedBatch, FedHop, FederationPlan, FederationReport};
 use crate::report::{DegradationReport, FarmStats};
 use crate::scenario::TelescopeConfig;
+use crate::services::{Fleet, FleetPlan};
 
 /// `splitmix64` — the statelessly-seedable mixer used for cell routing and
 /// per-cell seed derivation. Chosen for full avalanche at 3 multiplies.
-fn splitmix64(x: u64) -> u64 {
+pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -135,13 +149,6 @@ pub struct CellSlot {
 }
 
 impl CellSlot {
-    /// Whether `dst` is a telescope address owned by a *different* cell —
-    /// i.e. a packet the internal fabric must carry away.
-    #[must_use]
-    pub fn routes_away(&self, dst: Ipv4Addr) -> bool {
-        self.route(dst).is_some()
-    }
-
     /// The index of the *other* cell owning `dst`, or `None` when `dst`
     /// is outside the telescope or owned by this cell. Resolving the
     /// owner once at emission spares the fabric a second `cell_for` hash
@@ -197,6 +204,11 @@ pub struct ShardedTelescopeConfig {
     /// digest-invariant or deterministic-per-configuration — see
     /// [`EngineTuning`].
     pub tuning: EngineTuning,
+    /// The federation hop every cell carries, set only by
+    /// [`FederatedTelescopeConfig::sharded`](crate::federation::FederatedTelescopeConfig::sharded).
+    pub(crate) federation: Option<FederationPlan>,
+    /// The attacker fleet, set only by the interaction driver's lowering.
+    pub(crate) fleet: Option<FleetPlan>,
 }
 
 impl ShardedTelescopeConfig {
@@ -214,8 +226,37 @@ impl ShardedTelescopeConfig {
                 seed_infections: 0,
                 trace: None,
                 tuning: EngineTuning::default(),
+                federation: None,
+                fleet: None,
             },
         }
+    }
+
+    /// The builder's checks, re-run by the run loop because the fields are
+    /// public and may have been edited since `build`.
+    fn validate(&self) -> Result<(), potemkin_gateway::ConfigError> {
+        let bad = |field, reason| {
+            Err(potemkin_gateway::ConfigError::new("ShardedTelescopeConfig", field, reason))
+        };
+        if self.cells == 0 {
+            return bad("cells", "cells must be > 0");
+        }
+        if self.window == SimTime::ZERO {
+            return bad("window", "window must be > 0");
+        }
+        if self.cell_map == CellMap::Sliced
+            && (!self.cells.is_power_of_two()
+                || self.cells as u64 > self.base.radiation.telescope.len())
+        {
+            return bad("cell_map", "sliced map needs a power-of-two cell count <= telescope size");
+        }
+        if self.seed_infections > 0 && self.base.farm.worm.is_none() {
+            return bad("seed_infections", "seeding infections needs base.farm.worm");
+        }
+        if self.tuning.adaptive.is_some_and(|a| a.min == SimTime::ZERO || a.min > a.max) {
+            return bad("tuning.adaptive", "adaptive window needs 0 < min <= max");
+        }
+        Ok(())
     }
 }
 
@@ -280,43 +321,13 @@ impl ShardedTelescopeConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for zero cells, a zero window, or seed
-    /// infections without a worm on the base farm.
+    /// Returns [`ConfigError`](potemkin_gateway::ConfigError) for zero
+    /// cells, a zero window, a sliced map that cannot split the telescope,
+    /// seed infections without a worm on the base farm, or bad adaptive
+    /// bounds.
     pub fn build(self) -> Result<ShardedTelescopeConfig, potemkin_gateway::ConfigError> {
-        use potemkin_gateway::ConfigError;
-        let c = self.inner;
-        if c.cells == 0 {
-            return Err(ConfigError::new("ShardedTelescopeConfig", "cells", "must be > 0"));
-        }
-        if c.window == SimTime::ZERO {
-            return Err(ConfigError::new("ShardedTelescopeConfig", "window", "must be > 0"));
-        }
-        if c.cell_map == CellMap::Sliced
-            && (!c.cells.is_power_of_two() || c.cells as u64 > c.base.radiation.telescope.len())
-        {
-            return Err(ConfigError::new(
-                "ShardedTelescopeConfig",
-                "cell_map",
-                "sliced map needs a power-of-two cell count <= telescope size",
-            ));
-        }
-        if c.seed_infections > 0 && c.base.farm.worm.is_none() {
-            return Err(ConfigError::new(
-                "ShardedTelescopeConfig",
-                "seed_infections",
-                "seeding infections needs base.farm.worm",
-            ));
-        }
-        if let Some(adaptive) = c.tuning.adaptive {
-            if adaptive.min == SimTime::ZERO || adaptive.min > adaptive.max {
-                return Err(ConfigError::new(
-                    "ShardedTelescopeConfig",
-                    "tuning.adaptive",
-                    "adaptive window needs 0 < min <= max",
-                ));
-            }
-        }
-        Ok(c)
+        self.inner.validate()?;
+        Ok(self.inner)
     }
 }
 
@@ -359,6 +370,30 @@ pub struct ShardedTelescopeResult {
     /// Lane-number → human-readable lane name pairs for the trace
     /// exporters.
     pub trace_lanes: Vec<(u32, String)>,
+    /// The routing tier's transport telemetry, present when the config
+    /// was lowered from a federated one. Layout-dependent, so excluded
+    /// from [`canonical_string`](Self::canonical_string).
+    pub federation: Option<FederationReport>,
+}
+
+impl ShardedTelescopeResult {
+    /// The deterministic face of a result — no wall-clock, trace or
+    /// transport telemetry — as the one string the determinism experiments
+    /// (E14, E18) and property suites hash and compare.
+    #[must_use]
+    pub fn canonical_string(&self) -> String {
+        format!(
+            "{}|{}|{}|{}|{}|{}|{:?}|{}",
+            self.degradation.canonical_string(),
+            self.stats.live_vms,
+            self.stats.counters.get("packets_in"),
+            self.packets,
+            self.cross_cell_packets,
+            self.final_infected,
+            self.live_vm_series.iter().collect::<Vec<_>>(),
+            self.engine.remote_messages,
+        )
+    }
 }
 
 pub(crate) enum CellEvent {
@@ -375,10 +410,12 @@ pub(crate) enum CellEvent {
     Sample,
 }
 
+/// The one [`ShardWorld`] of this crate: a cell is a complete farm, a
+/// packet slab, the staging area of the cell fabric, and two optional
+/// parts — a federation hop and an attacker fleet — that are `None` in a
+/// plain telescope replay.
 pub(crate) struct CellWorld {
-    cells: usize,
-    map: CellMap,
-    telescope: Ipv4Prefix,
+    slot: CellSlot,
     pub(crate) farm: Honeyfarm,
     /// Arena for pending [`CellEvent::Packet`] payloads. Slots are
     /// recycled through an intrusive freelist, so the steady-state packet
@@ -395,14 +432,14 @@ pub(crate) struct CellWorld {
     /// destination order canonical.
     outbound: Vec<Vec<Packet>>,
     forwarded: u64,
-    /// When set, farm replies to *external* (non-telescope) destinations
-    /// are collected in `external_replies` instead of being dropped at
-    /// the tunnel boundary. Wrapper worlds (the interaction driver's
-    /// closed-loop attacker actors) drain them after each `handle` to
-    /// feed the attacker side of a conversation. Off in plain telescope
-    /// replays, preserving the seed's drop-at-boundary behaviour.
-    pub(crate) capture_external: bool,
-    pub(crate) external_replies: Vec<Packet>,
+    /// The member-farm boundary: batches for a cell of another farm ride
+    /// GRE through the routing tier, and every inbound batch passes
+    /// admission.
+    pub(crate) hop: Option<FedHop>,
+    /// Closed-loop scripted attackers aimed at this cell. When present,
+    /// farm replies to *external* (non-telescope) destinations feed their
+    /// conversations instead of being dropped at the tunnel boundary.
+    pub(crate) fleet: Option<Fleet>,
 }
 
 impl CellWorld {
@@ -412,18 +449,18 @@ impl CellWorld {
     /// `ForwardedCell` is the reflect path surfacing non-local
     /// reflections (its owning cell was resolved at emission).
     fn route_outputs(&mut self) {
-        let cells = self.cells;
-        let map = self.map;
-        let telescope = self.telescope;
+        let slot = self.slot;
         for out in self.farm.drain_outputs() {
             let (packet, dest) = match out {
                 FarmOutput::ForwardedCell { packet, cell } => (packet, cell),
-                FarmOutput::SentExternal(p) if telescope.contains(p.dst()) => {
-                    let dest = map.owner(telescope, p.dst(), cells);
+                FarmOutput::SentExternal(p) if slot.telescope.contains(p.dst()) => {
+                    let dest = slot.map.owner(slot.telescope, p.dst(), slot.count);
                     (p, dest)
                 }
-                FarmOutput::SentExternal(p) if self.capture_external => {
-                    self.external_replies.push(p);
+                FarmOutput::SentExternal(p) => {
+                    if let Some(fleet) = &mut self.fleet {
+                        fleet.replies.push(p);
+                    }
                     continue;
                 }
                 _ => continue,
@@ -476,53 +513,58 @@ impl World for CellWorld {
             }
         }
         self.route_outputs();
+        if let Some(fleet) = &mut self.fleet {
+            fleet.drain_replies(now, &mut self.packets, q);
+        }
     }
 }
 
 impl ShardWorld for CellWorld {
-    type Remote = Vec<Packet>;
+    type Remote = FedBatch;
 
-    fn take_outbound(&mut self) -> Vec<(usize, Vec<Packet>)> {
+    fn take_outbound(&mut self) -> Vec<(usize, FedBatch)> {
         // The engine calls this exactly once per shard per window — it is
         // the barrier hook, so window-batched farm bookkeeping (hot
         // counters, deferred flow-table refreshes) flushes here.
         self.farm.end_window();
         let mut staged = Vec::new();
         for (dest, packets) in self.outbound.iter_mut().enumerate() {
-            if !packets.is_empty() {
-                staged.push((dest, std::mem::take(packets)));
+            if packets.is_empty() {
+                continue;
             }
+            let packets = std::mem::take(packets);
+            let batch = match &self.hop {
+                Some(hop) => hop.wrap(dest, packets),
+                None => FedBatch::Local(packets),
+            };
+            staged.push((dest, batch));
         }
         staged
     }
 
-    fn accept_remote(
-        &mut self,
-        at: SimTime,
-        batch: Vec<Packet>,
-        queue: &mut EventQueue<CellEvent>,
-    ) {
-        for packet in batch {
+    fn accept_remote(&mut self, at: SimTime, batch: FedBatch, queue: &mut EventQueue<CellEvent>) {
+        let pressure = self.farm.pressure_events().len() as u64;
+        let packets = match (&mut self.hop, batch) {
+            (Some(hop), batch) => hop.admit(at, batch, pressure),
+            (None, FedBatch::Local(packets)) => packets,
+            (None, FedBatch::Tunneled(_)) => return, // only a hop tunnels
+        };
+        for packet in packets {
             let key = self.packets.insert(packet);
             queue.schedule(at, CellEvent::Packet(key));
         }
     }
 }
 
-/// Deterministic facts about the replayed radiation trace, computed at
-/// prepare time (the trace itself is regenerated from config + seed, so a
-/// resumed run recomputes identical values without storing the packets).
-pub(crate) struct TraceMeta {
-    pub(crate) packets: u64,
-    pub(crate) distinct_sources: u64,
-    pub(crate) distinct_destinations: u64,
-    pub(crate) mix: TrafficMix,
-}
-
-/// Shards plus trace metadata, ready for the window engine.
+/// The cells of a run, plus the deterministic facts about the replayed
+/// radiation trace (regenerated from config + seed at prepare time, so a
+/// resumed run reports identical values without storing the packets).
 pub(crate) struct PreparedRun {
     pub(crate) shards: Vec<Shard<CellWorld>>,
-    pub(crate) meta: TraceMeta,
+    packets: u64,
+    distinct_sources: u64,
+    distinct_destinations: u64,
+    mix: TrafficMix,
 }
 
 /// Builds the per-cell farms and shard queues for a sharded replay.
@@ -533,34 +575,20 @@ pub(crate) struct PreparedRun {
 /// farm state is touched beyond construction — the caller restores both
 /// from a checkpoint (the trace is still *generated*, deterministically,
 /// so its metadata fields can be reported).
-pub(crate) fn prepare_shards(
+fn prepare_shards(
     config: &ShardedTelescopeConfig,
     schedule: bool,
 ) -> Result<PreparedRun, FarmError> {
-    if config.cells == 0 {
-        return Err(FarmError::BadConfig { what: "cells must be >= 1" });
-    }
-    if config.seed_infections > 0 && config.base.farm.worm.is_none() {
-        return Err(FarmError::BadConfig { what: "seed_infections needs farm.worm" });
-    }
+    config.validate()?;
     let base = &config.base;
     let telescope = base.radiation.telescope;
-    if config.cell_map == CellMap::Sliced
-        && (!config.cells.is_power_of_two() || config.cells as u64 > telescope.len())
-    {
-        return Err(FarmError::BadConfig {
-            what: "sliced cell map needs a power-of-two cell count <= telescope size",
-        });
-    }
 
     let mut model = RadiationModel::new(base.radiation.clone(), base.seed);
     let trace = model.generate(base.duration);
-    let meta = TraceMeta {
-        packets: trace.len() as u64,
-        distinct_sources: trace.distinct_sources() as u64,
-        distinct_destinations: trace.distinct_destinations() as u64,
-        mix: trace.traffic_mix(),
-    };
+    let packets = trace.len() as u64;
+    let distinct_sources = trace.distinct_sources() as u64;
+    let distinct_destinations = trace.distinct_destinations() as u64;
+    let mix = trace.traffic_mix();
 
     let probe_gap = base.farm.worm.as_ref().map(potemkin_workload::worm::WormSpec::probe_gap);
     // One shared config for every cell: the farm template (service tables,
@@ -573,24 +601,18 @@ pub(crate) fn prepare_shards(
             std::sync::Arc::clone(&farm_template),
             derive_cell_seed(base.farm.seed, cell),
         )?;
-        farm.assign_cell(CellSlot {
-            telescope,
-            index: cell,
-            count: config.cells,
-            map: config.cell_map,
-        });
+        let slot = CellSlot { telescope, index: cell, count: config.cells, map: config.cell_map };
+        farm.assign_cell(slot);
         if let Some(template) = &config.faults {
             let mut plan_config = *template;
             plan_config.seed = derive_cell_seed(template.seed, cell);
             farm.install_fault_plan(FaultPlan::generate(&plan_config));
         }
         if let Some(trace_config) = config.trace {
-            farm.enable_tracing(trace_config, (cell * 2) as u32);
+            farm.enable_tracing(trace_config, Lane::Farm(cell).number(config.cells));
         }
         let world = CellWorld {
-            cells: config.cells,
-            map: config.cell_map,
-            telescope,
+            slot,
             farm,
             packets: Slab::new(),
             probe_gap,
@@ -600,8 +622,8 @@ pub(crate) fn prepare_shards(
             live_vm_series: TimeSeries::new(base.sample_interval),
             outbound: vec![Vec::new(); config.cells],
             forwarded: 0,
-            capture_external: false,
-            external_replies: Vec::new(),
+            hop: None,
+            fleet: None,
         };
         let mut shard = Shard::new(world);
         if schedule {
@@ -637,59 +659,86 @@ pub(crate) fn prepare_shards(
             let key = shard.world.packets.insert(event.packet);
             shard.queue.schedule(event.at, CellEvent::Packet(key));
         }
+        // The optional fleet: its opening SYNs go in after the trace, so
+        // same-instant arrivals keep trace-then-attacker order.
+        if let Some(plan) = &config.fleet {
+            crate::services::launch_fleet(plan, config, &mut shards);
+        }
+    }
+    if let Some(plan) = &config.federation {
+        crate::federation::attach_hops(plan, config, &mut shards)?;
     }
 
-    Ok(PreparedRun { shards, meta })
+    Ok(PreparedRun { shards, packets, distinct_sources, distinct_destinations, mix })
 }
 
-/// A world the sharded assembly/trace machinery can treat as a cell — the
-/// plain [`CellWorld`], or a wrapper (the federation driver) delegating to
-/// one.
-pub(crate) trait HasCellWorld {
-    fn cell(&self) -> &CellWorld;
-    fn cell_mut(&mut self) -> &mut CellWorld;
-}
-
-impl HasCellWorld for CellWorld {
-    fn cell(&self) -> &CellWorld {
-        self
+/// The one place the window engine is called. Prepares the cells — fresh,
+/// or restored from `resume`'s snapshot and optionally reseeded with its
+/// salt into a what-if fork — runs them to the horizon (or to the barrier
+/// at which `sink` stops the run), and hands back the shards as the engine
+/// left them with its report. Every public driver lowers its config to a
+/// [`ShardedTelescopeConfig`], calls this, and assembles its own result.
+pub(crate) fn run_cells(
+    config: &ShardedTelescopeConfig,
+    workers: usize,
+    resume: Option<(&SnapshotFile, Option<u64>)>,
+    mut sink: Option<&mut CheckpointSink<'_>>,
+) -> Result<(PreparedRun, ShardRunReport), FarmError> {
+    let mut run = prepare_shards(config, resume.is_none())?;
+    let mut progress = None;
+    if let Some((snapshot, salt)) = resume {
+        let restored = restore_snapshot(config, snapshot, &mut run.shards)?;
+        if let Some(salt) = salt {
+            for shard in &mut run.shards {
+                shard.world.farm.reseed(salt);
+            }
+        }
+        if let Some(sink) = sink.as_mut() {
+            sink.restored(restored.window_start, snapshot);
+        }
+        progress = Some(restored);
     }
-    fn cell_mut(&mut self) -> &mut CellWorld {
-        self
-    }
+    let (engine, _interrupted) = run_sharded_resumable(
+        &mut run.shards,
+        config.base.duration,
+        &ShardConfig { window: config.window, workers, tuning: config.tuning },
+        progress,
+        |progress, shards| match sink.as_mut() {
+            Some(sink) => sink.on_barrier(progress, shards),
+            None => BarrierControl::Continue,
+        },
+    );
+    Ok((run, engine))
 }
 
 /// Merges finished shards and engine telemetry into the public result.
-pub(crate) fn assemble_result<W: World + HasCellWorld>(
+pub(crate) fn assemble_result(
     config: &ShardedTelescopeConfig,
-    shards: &mut [Shard<W>],
+    run: PreparedRun,
     engine: ShardRunReport,
-    meta: &TraceMeta,
 ) -> ShardedTelescopeResult {
-    let base = &config.base;
-    let farms: Vec<&Honeyfarm> = shards.iter().map(|s| &s.world.cell().farm).collect();
+    let PreparedRun { mut shards, packets, distinct_sources, distinct_destinations, mix } = run;
+    let farms: Vec<&Honeyfarm> = shards.iter().map(|s| &s.world.farm).collect();
     let stats = FarmStats::collect_sharded(farms.iter().copied());
     let degradation = DegradationReport::collect_sharded(farms.iter().copied());
-    let mut live_vm_series = TimeSeries::new(base.sample_interval);
+    let mut live_vm_series = TimeSeries::new(config.base.sample_interval);
     let mut cross_cell_packets = 0;
     let mut final_infected = 0;
     for shard in shards.iter() {
-        live_vm_series.merge(&shard.world.cell().live_vm_series);
-        cross_cell_packets += shard.world.cell().forwarded;
-        final_infected += shard.world.cell().farm.infected_vms();
+        live_vm_series.merge(&shard.world.live_vm_series);
+        cross_cell_packets += shard.world.forwarded;
+        final_infected += shard.world.farm.infected_vms();
     }
     let peak_live_vms = live_vm_series.peak();
-    let (trace_events, trace_lanes) = match config.trace {
-        Some(trace_config) => collect_traces(config, trace_config, shards, &engine),
-        None => (Vec::new(), Vec::new()),
-    };
+    let federation = crate::federation::assemble_federation(&shards);
+    let (trace_events, trace_lanes) = collect_traces(config, &mut shards, &engine);
     ShardedTelescopeResult {
         live_vm_series,
-        packets: meta.packets,
-        distinct_sources: meta.distinct_sources,
-        distinct_destinations: meta.distinct_destinations,
+        packets,
+        distinct_sources,
+        distinct_destinations,
         peak_live_vms,
-        mix: meta.mix.clone(),
+        mix,
         stats,
         degradation,
         cross_cell_packets,
@@ -697,6 +746,7 @@ pub(crate) fn assemble_result<W: World + HasCellWorld>(
         engine,
         trace: trace_events,
         trace_lanes,
+        federation,
     }
 }
 
@@ -713,13 +763,8 @@ pub fn run_telescope_sharded(
     config: &ShardedTelescopeConfig,
     workers: usize,
 ) -> Result<ShardedTelescopeResult, FarmError> {
-    let PreparedRun { mut shards, meta } = prepare_shards(config, true)?;
-    let engine = run_sharded(
-        &mut shards,
-        config.base.duration,
-        &ShardConfig { window: config.window, workers, tuning: config.tuning },
-    );
-    Ok(assemble_result(config, &mut shards, engine, &meta))
+    let (run, engine) = run_cells(config, workers, None, None)?;
+    Ok(assemble_result(config, run, engine))
 }
 
 /// Encodes one cell's driver state (everything around the farm: the merged
@@ -755,7 +800,7 @@ pub(crate) fn restore_cell_aux(
     let live_vm_series = crate::farm::decode_series(&mut r)?;
     let forwarded = r.u64()?;
     let n_dests = r.u64()?;
-    let mut outbound = vec![Vec::new(); world.cells];
+    let mut outbound = vec![Vec::new(); world.outbound.len()];
     for _ in 0..n_dests {
         let dest = r.usize()?;
         if dest >= outbound.len() {
@@ -836,48 +881,77 @@ pub(crate) fn decode_cell_queue(
     Ok(EventQueue::from_parts(next_seq, scheduled, entries))
 }
 
-/// Drains every cell farm's trace and synthesizes shard-worker window
-/// lanes (one per shard, numbered after the cell lanes) from the engine's
-/// batch telemetry: each window batch becomes a `shard.window` span over
-/// its barrier interval with a `shard.events` counter sample, carrying the
-/// batch's measured wall nanoseconds only when wall-clock stamping was
-/// requested.
-pub(crate) fn collect_traces<W: World + HasCellWorld>(
+/// The one owner of trace-lane numbers in a run of `cells` cells: two lanes
+/// per cell farm, one per engine shard, one per federation hop, and the
+/// snapshot lane after all of those — so no two tracers ever share a lane,
+/// whichever optional parts a run carries.
+#[derive(Clone, Copy)]
+pub(crate) enum Lane {
+    Farm(usize),
+    Gateway(usize),
+    Engine(usize),
+    Federation(usize),
+    Snapshot,
+}
+
+impl Lane {
+    pub(crate) fn number(self, cells: usize) -> u32 {
+        (match self {
+            Lane::Farm(cell) => 2 * cell,
+            Lane::Gateway(cell) => 2 * cell + 1,
+            Lane::Engine(shard) => 2 * cells + shard,
+            Lane::Federation(cell) => 3 * cells + cell,
+            Lane::Snapshot => 4 * cells,
+        }) as u32
+    }
+}
+
+/// Drains every cell's tracers (farm, gateway, federation hop) and
+/// synthesizes one window lane per shard from the engine's batch
+/// telemetry: each window batch becomes a `shard.window` span over the
+/// barrier interval the engine recorded for it, with a `shard.events`
+/// counter sample, carrying the batch's measured wall nanoseconds only
+/// when wall-clock stamping was requested. Empty for an untraced run.
+fn collect_traces(
     config: &ShardedTelescopeConfig,
-    trace_config: potemkin_obs::TraceConfig,
-    shards: &mut [Shard<W>],
+    shards: &mut [Shard<CellWorld>],
     engine: &ShardRunReport,
 ) -> (Vec<potemkin_obs::TraceEvent>, Vec<(u32, String)>) {
     use potemkin_obs::{names, TraceEvent, Tracer};
+    let cells = config.cells;
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut lanes = Vec::new();
+    let Some(trace_config) = config.trace else { return (events, lanes) };
     for (cell, shard) in shards.iter_mut().enumerate() {
-        events.extend(shard.world.cell_mut().farm.take_trace());
-        lanes.push(((cell * 2) as u32, format!("cell {cell} farm")));
-        lanes.push(((cell * 2 + 1) as u32, format!("cell {cell} gateway")));
+        events.extend(shard.world.farm.take_trace());
+        lanes.push((Lane::Farm(cell).number(cells), format!("cell {cell} farm")));
+        lanes.push((Lane::Gateway(cell).number(cells), format!("cell {cell} gateway")));
+        if let Some(tracer) = shard.world.hop.as_mut().and_then(|hop| hop.tracer.as_mut()) {
+            events.extend(tracer.drain());
+            lanes.push((Lane::Federation(cell).number(cells), format!("cell {cell} federation")));
+        }
     }
-    let base_lane = (config.cells * 2) as u32;
-    let mut engine_lanes: BTreeMap<u32, Tracer> = BTreeMap::new();
+    let mut engine_lanes: BTreeMap<usize, Tracer> = BTreeMap::new();
     for batch in &engine.batches {
-        let lane = base_lane + batch.shard as u32;
-        let tracer = engine_lanes
-            .entry(lane)
-            .or_insert_with(|| Tracer::new(lane, potemkin_obs::TraceConfig::unbounded()));
-        let start = config.window * batch.window;
-        let end = start.saturating_add(config.window).min(config.base.duration);
-        let span = tracer.begin(start, names::SHARD_WINDOW);
-        tracer.counter(start, names::SHARD_EVENTS, batch.events);
+        let tracer = engine_lanes.entry(batch.shard).or_insert_with(|| {
+            Tracer::new(
+                Lane::Engine(batch.shard).number(cells),
+                potemkin_obs::TraceConfig::unbounded(),
+            )
+        });
+        let span = tracer.begin(batch.start, names::SHARD_WINDOW);
+        tracer.counter(batch.start, names::SHARD_EVENTS, batch.events);
         if trace_config.wall_clock {
             // The engine measured this batch's wall time already; surface
             // it instead of re-stamping (the tracer's own clock started at
             // collection time, long after the batch ran).
-            tracer.instant(start, "shard.batch_wall_nanos", batch.elapsed_nanos);
+            tracer.instant(batch.start, "shard.batch_wall_nanos", batch.elapsed_nanos);
         }
-        tracer.end(end, span);
+        tracer.end(batch.end, span);
     }
-    for (lane, mut tracer) in engine_lanes {
+    for (shard, mut tracer) in engine_lanes {
         events.extend(tracer.drain());
-        lanes.push((lane, format!("shard worker {}", lane - base_lane)));
+        lanes.push((Lane::Engine(shard).number(cells), format!("shard worker {shard}")));
     }
     events.sort_by_key(|e| (e.at, e.lane, e.seq));
     (events, lanes)
@@ -911,23 +985,9 @@ mod tests {
             seed_infections: 0,
             trace: None,
             tuning: EngineTuning::default(),
+            federation: None,
+            fleet: None,
         }
-    }
-
-    /// The deterministic face of a result — everything except wall-clock
-    /// engine telemetry.
-    fn digest(r: &ShardedTelescopeResult) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{}|{:?}|{}",
-            r.degradation.canonical_string(),
-            r.stats.live_vms,
-            r.stats.counters.get("packets_in"),
-            r.packets,
-            r.cross_cell_packets,
-            r.final_infected,
-            r.live_vm_series.iter().collect::<Vec<_>>(),
-            r.engine.remote_messages,
-        )
     }
 
     #[test]
@@ -938,7 +998,7 @@ mod tests {
         assert!(serial.stats.vms_cloned > 0);
         for workers in [2, 4] {
             let parallel = run_telescope_sharded(&config, workers).unwrap();
-            assert_eq!(digest(&serial), digest(&parallel), "workers={workers}");
+            assert_eq!(serial.canonical_string(), parallel.canonical_string(), "workers={workers}");
         }
     }
 
@@ -952,7 +1012,7 @@ mod tests {
         tuned.tuning = EngineTuning { rebalance: true, adaptive: None };
         for workers in [1, 2, 4] {
             let run = run_telescope_sharded(&tuned, workers).unwrap();
-            assert_eq!(digest(&reference), digest(&run), "workers={workers}");
+            assert_eq!(reference.canonical_string(), run.canonical_string(), "workers={workers}");
         }
     }
 
@@ -968,22 +1028,17 @@ mod tests {
         assert!(serial.packets > 50);
         for workers in [2, 4] {
             let parallel = run_telescope_sharded(&config, workers).unwrap();
-            assert_eq!(digest(&serial), digest(&parallel), "workers={workers}");
+            assert_eq!(serial.canonical_string(), parallel.canonical_string(), "workers={workers}");
         }
     }
 
     #[test]
     fn steady_state_recycles_packet_buffers() {
         let config = sharded_config(2);
-        let PreparedRun { mut shards, .. } = prepare_shards(&config, true).unwrap();
-        run_sharded(
-            &mut shards,
-            config.base.duration,
-            &ShardConfig { window: config.window, workers: 1, tuning: config.tuning },
-        );
+        let (run, _) = run_cells(&config, 1, None, None).unwrap();
         let mut acquires = 0;
         let mut reused = 0;
-        for shard in &shards {
+        for shard in &run.shards {
             let farm = shard.world.farm.pool_stats();
             let gw = shard.world.farm.gateway().pool_stats();
             acquires += farm.acquires + gw.acquires;
@@ -1010,7 +1065,11 @@ mod tests {
         assert!(plain.trace_lanes.is_empty());
         config.trace = Some(potemkin_obs::TraceConfig::unbounded());
         let traced = run_telescope_sharded(&config, 2).unwrap();
-        assert_eq!(digest(&plain), digest(&traced), "tracing must be observer-effect-free");
+        assert_eq!(
+            plain.canonical_string(),
+            traced.canonical_string(),
+            "tracing must be observer-effect-free"
+        );
         assert!(!traced.trace.is_empty());
         // Lanes: farm + gateway per cell, plus one engine lane per shard.
         assert_eq!(traced.trace_lanes.len(), 2 * 2 + 2);
@@ -1035,6 +1094,43 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_window_spans_tile_each_shard_lane() {
+        // Adaptive widths vary, so window k does not start at k * window:
+        // the spans must follow the intervals the engine actually ran.
+        let mut config = sharded_config(2);
+        config.base.farm.worm = Some(WormSpec::code_red("10.1.8.0/22".parse().unwrap()));
+        config.seed_infections = 2;
+        config.base.duration = SimTime::from_secs(6);
+        config.tuning = EngineTuning::tuned(SimTime::from_millis(125), SimTime::from_millis(1000));
+        config.trace = Some(potemkin_obs::TraceConfig::unbounded());
+        let run = run_telescope_sharded(&config, 2).unwrap();
+        let widths: std::collections::BTreeSet<SimTime> =
+            run.engine.batches.iter().map(|b| b.end - b.start).collect();
+        assert!(widths.len() > 1, "the controller must have changed the width: {widths:?}");
+        for shard in 0..config.cells {
+            let lane = Lane::Engine(shard).number(config.cells);
+            let edges: Vec<(bool, SimTime)> = run
+                .trace
+                .iter()
+                .filter(|e| e.lane == lane)
+                .filter_map(|e| match e.kind {
+                    potemkin_obs::TraceEventKind::SpanBegin { .. } => Some((true, e.at)),
+                    potemkin_obs::TraceEventKind::SpanEnd { .. } => Some((false, e.at)),
+                    _ => None,
+                })
+                .collect();
+            // Begin/end alternate, and each span begins where the last ended.
+            let mut cursor = SimTime::ZERO;
+            for span in edges.chunks(2) {
+                assert_eq!(span[0], (true, cursor), "shard {shard}: gap or overlap");
+                assert!(!span[1].0 && span[1].1 > cursor, "shard {shard}: empty span");
+                cursor = span[1].1;
+            }
+            assert_eq!(cursor, config.base.duration, "shard {shard}: spans end at the horizon");
+        }
+    }
+
+    #[test]
     fn worm_probes_cross_the_cell_fabric() {
         let mut config = sharded_config(4);
         // A /22 worm space (four /24s, hashed across the cells) keeps the
@@ -1049,7 +1145,7 @@ mod tests {
         assert!(serial.final_infected > config.seed_infections, "worm must spread across cells");
         assert_eq!(serial.degradation.escaped, 0, "reflection still contains everything");
         let parallel = run_telescope_sharded(&config, 4).unwrap();
-        assert_eq!(digest(&serial), digest(&parallel));
+        assert_eq!(serial.canonical_string(), parallel.canonical_string());
     }
 
     #[test]
@@ -1064,7 +1160,7 @@ mod tests {
         let serial = run_telescope_sharded(&config, 1).unwrap();
         assert!(serial.degradation.host_crashes > 0, "crashes fired");
         let parallel = run_telescope_sharded(&config, 2).unwrap();
-        assert_eq!(digest(&serial), digest(&parallel));
+        assert_eq!(serial.canonical_string(), parallel.canonical_string());
     }
 
     #[test]
@@ -1112,8 +1208,11 @@ mod tests {
             );
         }
         // A sliced run is byte-identical across worker counts, worm and all.
+        // The /22 worm space is the telescope, so its four /24 slices are
+        // the four cells and probes cross slice boundaries.
         let mut config = sharded_config(4);
         config.cell_map = CellMap::Sliced;
+        config.base.radiation.telescope = "10.1.8.0/22".parse().unwrap();
         config.base.farm.worm = Some(WormSpec::code_red("10.1.8.0/22".parse().unwrap()));
         config.base.duration = SimTime::from_secs(6);
         config.seed_infections = 2;
@@ -1121,7 +1220,7 @@ mod tests {
         assert!(serial.packets > 50);
         assert!(serial.cross_cell_packets > 0, "worm probes must cross slice boundaries");
         let parallel = run_telescope_sharded(&config, 4).unwrap();
-        assert_eq!(digest(&serial), digest(&parallel));
+        assert_eq!(serial.canonical_string(), parallel.canonical_string());
     }
 
     #[test]

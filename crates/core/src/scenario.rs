@@ -100,7 +100,8 @@ impl OutbreakConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when the farm has no worm, there are zero
-    /// seeds, or any interval is zero.
+    /// seeds or more than 254 (one `10.1.255.x` address each), or any
+    /// interval is zero.
     pub fn build(self) -> Result<OutbreakConfig, ConfigError> {
         let c = self.inner;
         if c.farm.worm.is_none() {
@@ -111,6 +112,13 @@ impl OutbreakConfigBuilder {
                 "OutbreakConfig",
                 "initial_infections",
                 "need at least one seed infection",
+            ));
+        }
+        if c.initial_infections > MAX_OUTBREAK_SEEDS {
+            return Err(ConfigError::new(
+                "OutbreakConfig",
+                "initial_infections",
+                "at most 254 seeds fit 10.1.255.1..=254",
             ));
         }
         if c.duration == SimTime::ZERO {
@@ -125,6 +133,10 @@ impl OutbreakConfigBuilder {
         Ok(c)
     }
 }
+
+/// Patient zero `i` lives at `10.1.255.(i + 1)`; past `.254` the last octet
+/// would wrap onto addresses that already hold a VM.
+const MAX_OUTBREAK_SEEDS: usize = 254;
 
 /// Result of an outbreak run.
 #[derive(Clone, Debug)]
@@ -225,13 +237,16 @@ impl World for OutbreakWorld {
 /// # Errors
 ///
 /// Returns [`FarmError`] for invalid configurations (including a missing
-/// worm or zero seeds) or when the farm cannot be built.
+/// worm, zero seeds, or more than 254) or when the farm cannot be built.
 pub fn run_outbreak(config: OutbreakConfig) -> Result<OutbreakResult, FarmError> {
     let Some(worm) = config.farm.worm.clone() else {
         return Err(FarmError::BadConfig { what: "outbreak needs farm.worm" });
     };
     if config.initial_infections == 0 {
         return Err(FarmError::BadConfig { what: "need at least one seed infection" });
+    }
+    if config.initial_infections > MAX_OUTBREAK_SEEDS {
+        return Err(FarmError::BadConfig { what: "at most 254 seed infections" });
     }
     let mut farm = Honeyfarm::new(config.farm.clone())?;
     // Materialize and seed the patient-zero VMs on distinct telescope
@@ -582,6 +597,17 @@ mod tests {
         let mut c2 = outbreak_config(PolicyConfig::reflect());
         c2.initial_infections = 0;
         assert!(run_outbreak(c2).is_err());
+    }
+
+    #[test]
+    fn outbreak_rejects_more_seeds_than_distinct_addresses() {
+        // Seed 255 would wrap to 10.1.255.0 and seed 256 onto seed 0's VM.
+        let mut config = outbreak_config(PolicyConfig::reflect());
+        let built = |n| OutbreakConfig::builder(config.farm.clone()).initial_infections(n).build();
+        assert!(built(254).is_ok());
+        assert_eq!(built(255).unwrap_err().field(), "initial_infections");
+        config.initial_infections = 255;
+        assert!(matches!(run_outbreak(config), Err(FarmError::BadConfig { .. })));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! The telescope replay ([`crate::parallel`]) measures *scale*: ambient
 //! radiation earns VMs and fixed banners. This driver measures
-//! *interaction fidelity*: a pack of declarative scenarios
-//! ([`potemkin_services`]) is installed in every cell farm, and a fleet
-//! of closed-loop attacker actors replays each scenario's drive script
+//! *interaction fidelity* on the same cells and the same run loop: a pack
+//! of declarative scenarios ([`potemkin_services`]) is installed in every
+//! cell farm, and every cell carries a `Fleet` — its share of a fleet
+//! of closed-loop attacker actors that replays each scenario's drive script
 //! against the farm — SYN, wait for the handshake, send the first
 //! request, check each response against the step's expectation, send the
 //! next — until the conversation completes, stalls, or aborts. The
@@ -18,8 +19,8 @@
 //! The attacker side lives entirely *inside* the owning cell: an actor's
 //! SYN is scheduled into the cell that owns its target address at
 //! prepare time, the farm's replies to that external attacker are
-//! captured at the tunnel boundary of the same cell
-//! ([`CellWorld::capture_external`]), and every follow-up request is
+//! captured at the tunnel boundary of the same cell (a cell with a fleet
+//! keeps them instead of dropping them), and every follow-up request is
 //! scheduled back into the same cell's queue at `now + reply_delay`.
 //! Nothing an actor does crosses a cell boundary, so the conservative
 //! window barrier never reorders a conversation and the merged report is
@@ -28,8 +29,10 @@
 //! functions of each cell's request stream (`BTreeMap` tables, ordered
 //! rules, deterministic eviction — see [`potemkin_services::engine`]).
 //!
-//! Engine conversation state is *not* checkpointed; interaction runs are
-//! short-horizon experiments, not resumable campaigns (DESIGN.md §15).
+//! Fleet and engine conversation state are *not* checkpointed; interaction
+//! runs are short-horizon experiments, not resumable campaigns, and the
+//! lowering to a sharded config stays private so the checkpoint entry
+//! points cannot be reached with a fleet (DESIGN.md §15).
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -41,14 +44,14 @@ use potemkin_net::tcp::TcpFlags;
 use potemkin_net::{Packet, PacketBuilder};
 use potemkin_services::{merge_metrics, render, Scenario, ScenarioMetrics, ServicesConfig};
 use potemkin_services::{SessionRecord, SessionStore};
-use potemkin_sim::{run_sharded, EventQueue, Shard, ShardConfig, ShardWorld, SimTime, World};
+use potemkin_sim::{EventQueue, Shard, SimTime, Slab};
 use potemkin_vmm::guest::{GuestProfile, Service, ServiceProto};
 use potemkin_workload::radiation::RadiationConfig;
 
 use crate::error::FarmError;
 use crate::parallel::{
-    assemble_result, prepare_shards, CellEvent, CellWorld, HasCellWorld, PreparedRun,
-    ShardedTelescopeConfig, ShardedTelescopeResult,
+    assemble_result, run_cells, CellEvent, CellWorld, ShardedTelescopeConfig,
+    ShardedTelescopeResult,
 };
 use crate::scenario::TelescopeConfig;
 
@@ -119,15 +122,6 @@ impl InteractionConfig {
                 trace: None,
             },
         }
-    }
-
-    /// Runs the replay on `workers` threads; see [`run_interaction`].
-    ///
-    /// # Errors
-    ///
-    /// As [`run_interaction`].
-    pub fn run(&self, workers: usize) -> Result<InteractionResult, FarmError> {
-        run_interaction(self, workers)
     }
 }
 
@@ -333,32 +327,40 @@ struct AttackerActor {
     aborted: bool,
 }
 
-/// A cell of the interaction replay: the plain [`CellWorld`] plus the
-/// attacker actors whose targets this cell owns.
-struct SvcCellWorld {
-    inner: CellWorld,
+/// What a lowered config carries for the fleet. The scenario pack itself
+/// rides in `base.farm.services`, where the cell farms read it too.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FleetPlan {
+    attackers_per_scenario: usize,
+    reply_delay: SimTime,
+    start_stagger: SimTime,
+}
+
+/// The attacker fleet of one cell: the actors whose targets the cell owns.
+pub(crate) struct Fleet {
     /// Shared, immutable scenario pack (drive scripts + expectations).
     pack: Arc<Vec<Scenario>>,
     /// Actors keyed by source address; replies are routed back by
     /// `packet.dst()`.
     actors: BTreeMap<Ipv4Addr, AttackerActor>,
     reply_delay: SimTime,
-    requests_sent: u64,
-    completed: u64,
-    aborted: u64,
+    /// Farm replies to external destinations captured at the cell's tunnel
+    /// boundary since the last drain.
+    pub(crate) replies: Vec<Packet>,
 }
 
-impl SvcCellWorld {
+impl Fleet {
     /// Consumes the farm replies captured at the tunnel boundary this
     /// handle: each reply advances its actor's conversation, scheduling
     /// the next drive request into this cell's own queue. Everything
     /// stays intra-cell, so the barrier never reorders a conversation.
-    fn drain_replies(&mut self, now: SimTime, q: &mut EventQueue<CellEvent>) {
-        if self.inner.external_replies.is_empty() {
-            return;
-        }
-        let replies = std::mem::take(&mut self.inner.external_replies);
-        for reply in replies {
+    pub(crate) fn drain_replies(
+        &mut self,
+        now: SimTime,
+        packets: &mut Slab<Packet>,
+        q: &mut EventQueue<CellEvent>,
+    ) {
+        for reply in self.replies.drain(..) {
             let attacker = reply.dst();
             let Some(actor) = self.actors.get_mut(&attacker) else { continue };
             if actor.finished || actor.aborted {
@@ -367,7 +369,6 @@ impl SvcCellWorld {
             let Some(flags) = reply.tcp_flags() else { continue };
             if flags.rst {
                 actor.aborted = true;
-                self.aborted += 1;
                 continue;
             }
             let payload = reply.app_payload();
@@ -389,13 +390,11 @@ impl SvcCellWorld {
                     if let Some(expect) = &step.expect {
                         if !expect.matches(payload) {
                             actor.aborted = true;
-                            self.aborted += 1;
                             continue;
                         }
                     }
                     if actor.next_step >= self.pack[actor.scenario].drive.len() {
                         actor.finished = true;
-                        self.completed += 1;
                         continue;
                     }
                     (header.ack, header.seq.wrapping_add(payload.len() as u32))
@@ -413,45 +412,51 @@ impl SvcCellWorld {
                 &data,
             );
             actor.next_step += 1;
-            self.requests_sent += 1;
-            let key = self.inner.packets.insert(request);
-            q.schedule(now + self.reply_delay, CellEvent::Packet(key));
+            q.schedule(now + self.reply_delay, CellEvent::Packet(packets.insert(request)));
         }
     }
 }
 
-impl HasCellWorld for SvcCellWorld {
-    fn cell(&self) -> &CellWorld {
-        &self.inner
-    }
-    fn cell_mut(&mut self) -> &mut CellWorld {
-        &mut self.inner
-    }
-}
-
-impl World for SvcCellWorld {
-    type Event = CellEvent;
-
-    fn handle(&mut self, now: SimTime, event: CellEvent, q: &mut EventQueue<CellEvent>) {
-        self.inner.handle(now, event, q);
-        self.drain_replies(now, q);
-    }
-}
-
-impl ShardWorld for SvcCellWorld {
-    type Remote = Vec<Packet>;
-
-    fn take_outbound(&mut self) -> Vec<(usize, Vec<Packet>)> {
-        self.inner.take_outbound()
-    }
-
-    fn accept_remote(
-        &mut self,
-        at: SimTime,
-        batch: Vec<Packet>,
-        queue: &mut EventQueue<CellEvent>,
-    ) {
-        self.inner.accept_remote(at, batch, queue);
+/// Launches the attacker fleet of a fresh run: each actor joins the fleet
+/// of the cell owning its target, and its opening SYN is scheduled there,
+/// staggered so VM cloning spreads over the horizon start.
+pub(crate) fn launch_fleet(
+    plan: &FleetPlan,
+    config: &ShardedTelescopeConfig,
+    shards: &mut [Shard<CellWorld>],
+) {
+    let scenarios = config.base.farm.services.as_ref().map(|s| s.pack.scenarios().to_vec());
+    let pack = Arc::new(scenarios.unwrap_or_default());
+    let telescope = config.base.radiation.telescope;
+    for (scenario_idx, scenario) in pack.iter().enumerate() {
+        let port = scenario.ports[0];
+        for a in 0..plan.attackers_per_scenario {
+            let g = (scenario_idx * plan.attackers_per_scenario + a) as u64;
+            let src = attacker_addr(g);
+            let target = target_for(telescope, g);
+            let src_port = 40_000 + (g % 20_000) as u16;
+            let start = SimTime::from_micros(plan.start_stagger.as_micros().saturating_mul(g + 1));
+            let shard = &mut shards[config.cell_map.owner(telescope, target, config.cells)];
+            let fleet = shard.world.fleet.get_or_insert_with(|| Fleet {
+                pack: Arc::clone(&pack),
+                actors: BTreeMap::new(),
+                reply_delay: plan.reply_delay,
+                replies: Vec::new(),
+            });
+            let actor = AttackerActor {
+                scenario: scenario_idx,
+                target,
+                port,
+                src_port,
+                next_step: 0,
+                finished: false,
+                aborted: false,
+            };
+            fleet.actors.insert(src, actor);
+            let syn = PacketBuilder::new(src, target).tcp_syn(src_port, port);
+            let key = shard.world.packets.insert(syn);
+            shard.queue.schedule(start, CellEvent::Packet(key));
+        }
     }
 }
 
@@ -469,8 +474,11 @@ fn profile_for_pack(scenarios: &[Scenario]) -> GuestProfile {
     profile
 }
 
-/// Builds the internal sharded config: per-cell farms with the service
-/// engine installed, light ambient radiation, no worm.
+/// Lowers to the sharded config the run *is*: per-cell farms with the
+/// service engine installed, light ambient radiation, no worm, and an
+/// attacker fleet in every cell. Private on purpose: service-session state
+/// is not snapshotted, so an interaction run must not reach the checkpoint
+/// entry points.
 fn sharded_config(config: &InteractionConfig) -> Result<ShardedTelescopeConfig, FarmError> {
     let profile = profile_for_pack(config.services.pack.scenarios());
     let mut gateway = potemkin_gateway::GatewayConfig::default();
@@ -481,8 +489,7 @@ fn sharded_config(config: &InteractionConfig) -> Result<ShardedTelescopeConfig, 
         .profile(profile)
         .seed(config.seed)
         .services(config.services.clone())
-        .build()
-        .map_err(|_| FarmError::BadConfig { what: "invalid interaction farm config" })?;
+        .build()?;
     let radiation = RadiationConfig {
         telescope: config.telescope,
         peak_source_rate: config.background_rate,
@@ -493,14 +500,16 @@ fn sharded_config(config: &InteractionConfig) -> Result<ShardedTelescopeConfig, 
         .duration(config.duration)
         .sample_interval(SimTime::from_secs(1))
         .tick_interval(SimTime::from_secs(1))
-        .build()
-        .map_err(|_| FarmError::BadConfig { what: "invalid interaction telescope config" })?;
-    let mut builder =
-        ShardedTelescopeConfig::builder(base).cells(config.cells).window(config.window);
-    if let Some(trace) = config.trace {
-        builder = builder.trace(trace);
-    }
-    builder.build().map_err(|_| FarmError::BadConfig { what: "invalid interaction sharded config" })
+        .build()?;
+    let mut sharded =
+        ShardedTelescopeConfig::builder(base).cells(config.cells).window(config.window).build()?;
+    sharded.trace = config.trace;
+    sharded.fleet = Some(FleetPlan {
+        attackers_per_scenario: config.attackers_per_scenario,
+        reply_delay: config.reply_delay,
+        start_stagger: config.start_stagger,
+    });
+    Ok(sharded)
 }
 
 /// Picks actor `g`'s target address: an odd stride walks the whole
@@ -531,80 +540,27 @@ pub fn run_interaction(
     workers: usize,
 ) -> Result<InteractionResult, FarmError> {
     let sharded = sharded_config(config)?;
-    let PreparedRun { shards, meta } = prepare_shards(&sharded, true)?;
-
-    let pack = Arc::new(config.services.pack.scenarios().to_vec());
-    let mut svc_shards: Vec<Shard<SvcCellWorld>> = shards
-        .into_iter()
-        .map(|shard| {
-            let mut world = SvcCellWorld {
-                inner: shard.world,
-                pack: Arc::clone(&pack),
-                actors: BTreeMap::new(),
-                reply_delay: config.reply_delay,
-                requests_sent: 0,
-                completed: 0,
-                aborted: 0,
-            };
-            world.inner.capture_external = true;
-            Shard { world, queue: shard.queue }
-        })
-        .collect();
-
-    // Launch the attacker fleet: each actor's opening SYN is scheduled
-    // into the cell owning its target, staggered so VM cloning spreads
-    // over the horizon start.
-    let mut attackers = 0u64;
-    for (scenario_idx, scenario) in pack.iter().enumerate() {
-        let port = scenario.ports[0];
-        for a in 0..config.attackers_per_scenario {
-            let g = (scenario_idx * config.attackers_per_scenario + a) as u64;
-            let src = attacker_addr(g);
-            let target = target_for(config.telescope, g);
-            let src_port = 40_000 + (g % 20_000) as u16;
-            let cell = sharded.cell_map.owner(config.telescope, target, sharded.cells);
-            let start =
-                SimTime::from_micros(config.start_stagger.as_micros().saturating_mul(g + 1));
-            let shard = &mut svc_shards[cell];
-            shard.world.actors.insert(
-                src,
-                AttackerActor {
-                    scenario: scenario_idx,
-                    target,
-                    port,
-                    src_port,
-                    next_step: 0,
-                    finished: false,
-                    aborted: false,
-                },
-            );
-            let syn = PacketBuilder::new(src, target).tcp_syn(src_port, port);
-            let key = shard.world.inner.packets.insert(syn);
-            shard.queue.schedule(start, CellEvent::Packet(key));
-            attackers += 1;
-        }
-    }
-
-    let engine = run_sharded(
-        &mut svc_shards,
-        sharded.base.duration,
-        &ShardConfig { window: sharded.window, workers, tuning: sharded.tuning },
-    );
+    let (mut run, engine) = run_cells(&sharded, workers, None, None)?;
 
     // Finalize every cell's open sessions before reading metrics, then
     // merge in cell order (pack order within each cell is fixed, so the
     // merged vector is layout- and worker-invariant).
-    let mut per_cell_metrics = Vec::with_capacity(svc_shards.len());
+    let mut per_cell_metrics = Vec::with_capacity(run.shards.len());
     let mut records = Vec::new();
     let mut svc_unclaimed = 0u64;
+    let mut attackers = 0u64;
     let mut drive_requests = 0u64;
     let mut drive_completed = 0u64;
     let mut drive_aborted = 0u64;
-    for shard in &mut svc_shards {
-        drive_requests += shard.world.requests_sent;
-        drive_completed += shard.world.completed;
-        drive_aborted += shard.world.aborted;
-        if let Some(engine) = shard.world.inner.farm.service_engine_mut() {
+    for shard in &mut run.shards {
+        // Every request an actor sent advanced its script by one step.
+        for actor in shard.world.fleet.iter().flat_map(|fleet| fleet.actors.values()) {
+            attackers += 1;
+            drive_requests += actor.next_step as u64;
+            drive_completed += u64::from(actor.finished);
+            drive_aborted += u64::from(actor.aborted);
+        }
+        if let Some(engine) = shard.world.farm.service_engine_mut() {
             engine.finish();
             per_cell_metrics.push(engine.metrics().to_vec());
             records.extend(engine.records().iter().cloned());
@@ -613,7 +569,7 @@ pub fn run_interaction(
     }
     let scenarios = merge_metrics(&per_cell_metrics);
 
-    let merged = assemble_result(&sharded, &mut svc_shards, engine, &meta);
+    let merged = assemble_result(&sharded, run, engine);
     Ok(InteractionResult {
         merged,
         scenarios,

@@ -78,11 +78,7 @@ impl DnsProxy {
         if len == 0 || self.reverse.len() as u64 >= len {
             return Err(SinkholeError::Exhausted);
         }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = potemkin_snapshot::fnv1a64(name.as_bytes());
         // Linear-probe within the prefix on (astronomically unlikely)
         // collision so the reverse map stays injective; a free slot exists
         // because the exhaustion check above passed.

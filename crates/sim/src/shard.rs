@@ -173,6 +173,12 @@ pub struct BatchStat {
     pub window: u64,
     /// Shard index.
     pub shard: usize,
+    /// Virtual time at which the window opened. Windows need not be
+    /// `window * width` apart: adaptive sizing varies the width and a
+    /// resumed run starts mid-sequence.
+    pub start: SimTime,
+    /// Virtual time of the barrier that closed the window.
+    pub end: SimTime,
     /// Events dispatched in this batch.
     pub events: u64,
     /// Wall-clock nanoseconds spent dispatching the batch.
@@ -380,6 +386,8 @@ where
             report.batches.push(BatchStat {
                 window: window_index,
                 shard: idx,
+                start: window_start,
+                end: window_end,
                 events: stats.events_processed,
                 elapsed_nanos,
                 queue_depth_high,

@@ -37,6 +37,7 @@ impl Fnv64 {
     }
 
     /// Folds `data` into the hash.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
         for &byte in data {
             self.state ^= u64::from(byte);

@@ -7,10 +7,9 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use crate::error::StorageError;
+use potemkin_snapshot::Fnv64;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
+use crate::error::StorageError;
 
 /// Content hash of one chunk: FNV-1a-64 over the chunk's words in
 /// little-endian byte order. The hash *is* the chunk's identity — equal
@@ -23,14 +22,11 @@ impl ChunkHash {
     /// Hashes a chunk's words.
     #[must_use]
     pub fn of_words(words: &[u64]) -> Self {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv64::new();
         for w in words {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            h.update(&w.to_le_bytes());
         }
-        ChunkHash(h)
+        ChunkHash(h.finish())
     }
 }
 

@@ -108,6 +108,16 @@ impl Args {
     fn str(&self, key: &str, default: &str) -> String {
         self.flags.get(key).cloned().unwrap_or_else(|| default.to_string())
     }
+
+    /// The guest profile `--image` names.
+    fn image(&self, default: &str) -> Result<GuestProfile, String> {
+        match self.str("image", default).as_str() {
+            "small" => Ok(GuestProfile::small()),
+            "windows" => Ok(GuestProfile::windows_server()),
+            "linux" => Ok(GuestProfile::linux_server()),
+            other => Err(format!("unknown image {other:?}")),
+        }
+    }
 }
 
 fn cmd_replay(args: &Args) -> Result<(), Error> {
@@ -285,12 +295,7 @@ fn cmd_demand(args: &Args) -> Result<(), Error> {
 }
 
 fn cmd_clone(args: &Args) -> Result<(), Error> {
-    let profile = match args.str("image", "windows").as_str() {
-        "small" => GuestProfile::small(),
-        "windows" => GuestProfile::windows_server(),
-        "linux" => GuestProfile::linux_server(),
-        other => return Err(Error::Cli(format!("unknown image {other:?}"))),
-    };
+    let profile = args.image("windows")?;
     let pages = profile.memory_pages;
     let mut host = Host::new(4 * pages + 8_192);
     let image = host.create_reference_image("cli", profile)?;
@@ -603,12 +608,7 @@ fn cmd_services(args: &Args) -> Result<(), Error> {
 /// and prints the store's dedupe / lazy-materialization accounting plus
 /// the manifest-checkpoint size against the flat O(disk) walk it replaced.
 fn cmd_storage(args: &Args) -> Result<(), Error> {
-    let profile = match args.str("image", "small").as_str() {
-        "small" => GuestProfile::small(),
-        "windows" => GuestProfile::windows_server(),
-        "linux" => GuestProfile::linux_server(),
-        other => return Err(Error::Cli(format!("unknown image {other:?}"))),
-    };
+    let profile = args.image("small")?;
     let images = args.num("images", 3)?.max(1);
     let clones = args.num("clones", 4)?.max(1) as usize;
     let chunk_blocks = args.num("chunk-blocks", 64)?.max(1);

@@ -17,6 +17,9 @@ use proptest::prelude::*;
 use potemkin::farm::FarmConfig;
 use potemkin::federation::{run_telescope_federated, FederatedTelescopeConfig};
 use potemkin::gateway::policy::PolicyConfig;
+use potemkin::parallel::{
+    run_telescope_sharded, CellMap, ShardedTelescopeConfig, ShardedTelescopeResult,
+};
 use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::{FaultPlanConfig, SimTime};
 use potemkin::workload::radiation::RadiationConfig;
@@ -119,27 +122,41 @@ fn config_for(s: SampledRun, farms: usize) -> FederatedTelescopeConfig {
     builder.build().expect("valid federated config")
 }
 
-/// Everything a federated replay reports except wall-clock and transport
-/// telemetry, rendered to one comparable string.
+/// The plain sharded replay a one-farm federation *is*: the same scenario
+/// over the same sliced cells, built without any federation type.
+fn sliced_config(fed: &FederatedTelescopeConfig) -> ShardedTelescopeConfig {
+    let mut builder = ShardedTelescopeConfig::builder(fed.base.clone())
+        .cells(fed.cells)
+        .cell_map(CellMap::Sliced)
+        .window(fed.window)
+        .seed_infections(fed.seed_infections);
+    if let Some(faults) = fed.faults {
+        builder = builder.faults(faults);
+    }
+    builder.build().expect("valid sliced config")
+}
+
+/// Everything a replay reports except wall-clock and transport telemetry,
+/// rendered to one comparable string.
+fn render(merged: &ShardedTelescopeResult, shed: u64) -> String {
+    format!(
+        "{}|live={}|in={}|cloned={}|recycled={}|forwarded={}|infected={}|remote={}|\
+         shed={shed}|series={:?}",
+        merged.degradation.canonical_string(),
+        merged.stats.live_vms,
+        merged.stats.counters.get("packets_in"),
+        merged.stats.vms_cloned,
+        merged.stats.vms_recycled,
+        merged.cross_cell_packets,
+        merged.final_infected,
+        merged.engine.remote_messages,
+        merged.live_vm_series.iter().collect::<Vec<_>>(),
+    )
+}
+
 fn digest(config: &FederatedTelescopeConfig, workers: usize) -> (String, u64) {
     let r = run_telescope_federated(config, workers).expect("federated replay runs");
-    (
-        format!(
-            "{}|live={}|in={}|cloned={}|recycled={}|forwarded={}|infected={}|remote={}|\
-             shed={}|series={:?}",
-            r.merged.degradation.canonical_string(),
-            r.merged.stats.live_vms,
-            r.merged.stats.counters.get("packets_in"),
-            r.merged.stats.vms_cloned,
-            r.merged.stats.vms_recycled,
-            r.merged.cross_cell_packets,
-            r.merged.final_infected,
-            r.merged.engine.remote_messages,
-            r.federation.shed_packets,
-            r.merged.live_vm_series.iter().collect::<Vec<_>>(),
-        ),
-        r.merged.degradation.escaped,
-    )
+    (render(&r.merged, r.federation.shed_packets), r.merged.degradation.escaped)
 }
 
 proptest! {
@@ -147,14 +164,19 @@ proptest! {
 
     /// A federated replay (N farms behind the routing tier, sampled worker
     /// count) must produce a merged report byte-identical to the
-    /// single-farm serial reference over the same total range.
+    /// single-farm serial reference over the same total range — which in
+    /// turn is the plain sliced sharded replay, no federation involved.
     #[test]
     fn federated_replay_matches_single_farm_byte_for_byte(s in arb_run()) {
         let reference = config_for(s, 1);
         let federated = config_for(s, s.farms);
         let (single, _) = digest(&reference, 1);
         let (multi, _) = digest(&federated, s.workers);
-        prop_assert_eq!(single, multi);
+        prop_assert_eq!(&single, &multi);
+        let plain = run_telescope_sharded(&sliced_config(&reference), s.workers)
+            .expect("sliced replay runs");
+        prop_assert!(plain.federation.is_none());
+        prop_assert_eq!(single, render(&plain, 0));
     }
 
     /// The routing tier must not open a containment hole: under

@@ -180,22 +180,6 @@ fn config_for(s: SampledRun) -> ShardedTelescopeConfig {
         .expect("valid sharded config")
 }
 
-/// Everything a replay reports except wall-clock telemetry, rendered to
-/// one comparable string.
-fn digest(r: &potemkin::parallel::ShardedTelescopeResult) -> String {
-    format!(
-        "{}|live={}|in={}|packets={}|forwarded={}|infected={}|remote={}|series={:?}",
-        r.degradation.canonical_string(),
-        r.stats.live_vms,
-        r.stats.counters.get("packets_in"),
-        r.packets,
-        r.cross_cell_packets,
-        r.final_infected,
-        r.engine.remote_messages,
-        r.live_vm_series.iter().collect::<Vec<_>>(),
-    )
-}
-
 fn temp_path(tag: u64) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("potemkin-prop-store-{}-{tag:016x}.snap", std::process::id()));
@@ -225,11 +209,11 @@ proptest! {
     fn restore_from_manifests_matches_uninterrupted_run(s in arb_run()) {
         let config = config_for(s);
         let uninterrupted = run_telescope_sharded(&config, 1).expect("baseline runs");
-        let baseline = digest(&uninterrupted);
+        let baseline = uninterrupted.canonical_string();
 
         let flat = config_for(SampledRun { chunk_blocks: 1, ..s });
         let flat_run = run_telescope_sharded(&flat, 1).expect("flat run");
-        prop_assert_eq!(&digest(&flat_run), &baseline, "chunk geometry leaked into the report");
+        prop_assert_eq!(&flat_run.canonical_string(), &baseline, "chunk geometry leaked into the report");
 
         let path = temp_path(s.seed);
         let mut options = CheckpointOptions::new(&path);
@@ -243,6 +227,6 @@ proptest! {
         let resumed = resume_telescope_checkpointed(&config, s.workers, &snapshot, &options)
             .expect("resume runs");
         cleanup(&path);
-        prop_assert_eq!(&digest(&resumed.result), &baseline);
+        prop_assert_eq!(&resumed.result.canonical_string(), &baseline);
     }
 }

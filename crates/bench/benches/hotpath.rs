@@ -102,8 +102,7 @@ fn bench_flow_table(c: &mut Criterion) {
         })
         .collect();
 
-    // Refresh cost for an established flow: per-packet timer + LRU
-    // churn vs. a deferred note flushed once at the barrier.
+    // Refresh cost for an established flow: per-packet timer + LRU churn.
     group.bench_function("refresh_per_packet", |b| {
         let mut ft = FlowTable::new(SimTime::from_secs(30));
         for &key in &keys {
@@ -113,23 +112,6 @@ fn bench_flow_table(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 1) % keys.len();
             ft.observe(now, keys[i], 40, FlowDirection::InboundInitiated)
-        });
-    });
-
-    group.bench_function("refresh_batched", |b| {
-        let mut ft = FlowTable::new(SimTime::from_secs(30)).with_batched_updates();
-        for &key in &keys {
-            ft.observe(now, key, 40, FlowDirection::InboundInitiated);
-        }
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % keys.len();
-            let created = ft.observe(now, keys[i], 40, FlowDirection::InboundInitiated);
-            if i == 0 {
-                // One barrier per 256 packets, matching the engine's cadence.
-                ft.flush_window();
-            }
-            created
         });
     });
 

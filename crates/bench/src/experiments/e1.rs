@@ -12,6 +12,8 @@ use potemkin_vmm::cost::CostModel;
 use potemkin_vmm::guest::GuestProfile;
 use potemkin_vmm::{CloneTiming, Host};
 
+use crate::harness::Outcome;
+
 /// Pages in the paper's 128 MiB clone.
 pub const PAPER_CLONE_PAGES: u64 = 32_768;
 
@@ -83,6 +85,13 @@ pub fn comparison_table(result: &CloneLatencyResult) -> Table {
         ]);
     }
     t
+}
+
+/// Runs the experiment at `figures` scale (nothing here shortens under `--fast`).
+#[must_use]
+pub fn outcome(_fast: bool) -> Outcome {
+    let r = run();
+    Outcome::default().table(breakdown_table(&r)).table(comparison_table(&r))
 }
 
 #[cfg(test)]

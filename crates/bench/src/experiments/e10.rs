@@ -19,6 +19,8 @@ use potemkin_metrics::Table;
 use potemkin_sim::{FaultPlan, FaultPlanConfig, SimTime};
 use potemkin_vmm::RetryPolicy;
 
+use crate::harness::Outcome;
+
 /// Severity of one sweep level.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultLevel {
@@ -198,6 +200,14 @@ pub fn table(result: &FaultSweepResult) -> Table {
         ]);
     }
     t
+}
+
+/// Runs the experiment at `figures` scale (shortened when `fast`).
+#[must_use]
+pub fn outcome(fast: bool) -> Outcome {
+    let r = run(SimTime::from_secs(if fast { 60 } else { 300 }), &default_levels());
+    let trace = format!("trace: {} packets over {} per fault level", r.packets, r.duration);
+    Outcome::default().line(trace).table(table(&r))
 }
 
 #[cfg(test)]

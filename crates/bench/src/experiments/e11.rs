@@ -11,12 +11,13 @@
 //! speedup is free of fidelity cost.
 //!
 //! Wall-clock numbers depend on the machine (core count, load); the
-//! determinism digest does not. `BENCH_replay.json` separates the two.
-
-use std::time::Instant;
+//! determinism digest does not. E15 sweeps the same scenario under two
+//! tuning profiles and owns `BENCH_replay.json`.
 
 use potemkin_core::farm::FarmConfig;
-use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+use potemkin_core::parallel::{
+    run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult,
+};
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_metrics::{LogHistogram, Table};
@@ -25,46 +26,7 @@ use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
-/// One worker-count measurement.
-#[derive(Clone, Debug)]
-pub struct ReplayPoint {
-    /// Worker threads the engine ran on.
-    pub workers: usize,
-    /// Wall-clock seconds for the replay.
-    pub wall_secs: f64,
-    /// Simulation events dispatched per wall-clock second.
-    pub events_per_sec: f64,
-    /// Throughput relative to the one-worker run.
-    pub speedup: f64,
-    /// Median wall-clock nanoseconds per event within a window batch.
-    pub dispatch_p50_ns: u64,
-    /// 99th-percentile nanoseconds per event within a window batch.
-    pub dispatch_p99_ns: u64,
-    /// FNV-1a digest of the merged deterministic report.
-    pub digest: u64,
-}
-
-/// Result of the scaling sweep.
-#[derive(Clone, Debug)]
-pub struct ReplayScaleResult {
-    /// One point per worker count, in input order (first is the serial
-    /// reference).
-    pub points: Vec<ReplayPoint>,
-    /// Simulation events per run (identical across worker counts).
-    pub events: u64,
-    /// Packets in the replayed trace.
-    pub packets: u64,
-    /// Packets that crossed the cell fabric.
-    pub cross_cell_packets: u64,
-    /// Address-space cells.
-    pub cells: usize,
-    /// Barrier window width.
-    pub window: SimTime,
-    /// Replay horizon.
-    pub duration: SimTime,
-    /// Whether every worker count produced a byte-identical report.
-    pub deterministic: bool,
-}
+use crate::harness::{hex, sweep, Outcome, Sweep};
 
 /// The benchmark scenario: a dense /16 replay with an in-farm worm so the
 /// cell fabric carries real cross-shard traffic. Shared with E12, which
@@ -94,73 +56,37 @@ pub(crate) fn config(duration: SimTime, cells: usize) -> ShardedTelescopeConfig 
         .expect("fixed sharded config is valid")
 }
 
-/// Runs the sweep: the same sharded replay at each worker count.
+/// Sweeps `config` over `worker_counts` (first is the serial reference)
+/// with the replay digest recipe E11 and E15 pin: degradation report,
+/// packets in, final infections and remote messages.
 ///
 /// # Panics
 ///
-/// Panics if the fixed configuration fails to build (a bug).
+/// Panics if a replay fails to run (a bug).
 #[must_use]
-pub fn run(duration: SimTime, cells: usize, worker_counts: &[usize]) -> ReplayScaleResult {
-    let config = config(duration, cells);
-    let mut points: Vec<ReplayPoint> = Vec::with_capacity(worker_counts.len());
-    let mut events = 0;
-    let mut packets = 0;
-    let mut cross_cell_packets = 0;
-    for &workers in worker_counts {
-        let start = Instant::now();
-        let result = run_telescope_sharded(&config, workers).expect("replay runs");
-        let wall_secs = start.elapsed().as_secs_f64();
-        events = result.engine.total.events_processed;
-        packets = result.packets;
-        cross_cell_packets = result.cross_cell_packets;
-        // Per-event dispatch cost, weighted by batch size so big windows
-        // count proportionally.
-        let mut dispatch = LogHistogram::new(32);
-        for batch in &result.engine.batches {
-            if let Some(per_event) = batch.elapsed_nanos.checked_div(batch.events) {
-                dispatch.record_n(per_event, batch.events);
-            }
-        }
-        let digest = fnv1a64(
-            format!(
+pub fn run_config(
+    config: &ShardedTelescopeConfig,
+    worker_counts: &[usize],
+) -> Sweep<usize, ShardedTelescopeResult> {
+    sweep(
+        worker_counts,
+        |workers| run_telescope_sharded(config, workers).expect("replay runs"),
+        |result| {
+            let canonical = format!(
                 "{}|{}|{}|{}",
                 result.degradation.canonical_string(),
                 result.stats.counters.get("packets_in"),
                 result.final_infected,
                 result.engine.remote_messages,
-            )
-            .as_bytes(),
-        );
-        let events_per_sec = if wall_secs > 0.0 { events as f64 / wall_secs } else { 0.0 };
-        let speedup = points
-            .first()
-            .map_or(1.0, |base: &ReplayPoint| events_per_sec / base.events_per_sec.max(1e-9));
-        points.push(ReplayPoint {
-            workers,
-            wall_secs,
-            events_per_sec,
-            speedup,
-            dispatch_p50_ns: dispatch.quantile(0.5),
-            dispatch_p99_ns: dispatch.quantile(0.99),
-            digest,
-        });
-    }
-    let deterministic = points.windows(2).all(|w| w[0].digest == w[1].digest);
-    ReplayScaleResult {
-        points,
-        events,
-        packets,
-        cross_cell_packets,
-        cells,
-        window: config.window,
-        duration,
-        deterministic,
-    }
+            );
+            (result.engine.total.events_processed, fnv1a64(canonical.as_bytes()))
+        },
+    )
 }
 
 /// Renders the sweep.
 #[must_use]
-pub fn table(result: &ReplayScaleResult) -> Table {
+pub fn table(result: &Sweep<usize, ShardedTelescopeResult>) -> Table {
     let mut t = Table::new(&[
         "workers",
         "wall (s)",
@@ -172,53 +98,41 @@ pub fn table(result: &ReplayScaleResult) -> Table {
     ])
     .with_title("E11: sharded parallel replay — throughput scaling at fixed results");
     for p in &result.points {
+        // Wall-clock nanoseconds per event inside a window batch, weighted
+        // by batch size so big windows count proportionally.
+        let mut dispatch = LogHistogram::new(32);
+        for batch in &p.result.engine.batches {
+            if let Some(per_event) = batch.elapsed_nanos.checked_div(batch.events) {
+                dispatch.record_n(per_event, batch.events);
+            }
+        }
         t.row_owned(vec![
-            p.workers.to_string(),
+            p.param.to_string(),
             format!("{:.3}", p.wall_secs),
             format!("{:.0}", p.events_per_sec),
             format!("{:.2}x", p.speedup),
-            format!("{}ns", p.dispatch_p50_ns),
-            format!("{}ns", p.dispatch_p99_ns),
-            format!("{:016x}", p.digest),
+            format!("{}ns", dispatch.quantile(0.5)),
+            format!("{}ns", dispatch.quantile(0.99)),
+            hex(p.digest),
         ]);
     }
     t
 }
 
-/// Renders `BENCH_replay.json`: seeded, machine-independent fields at the
-/// top level; wall-clock-dependent numbers under `"measured"`.
+/// Runs the experiment at `figures` scale (shortened when `fast`).
 #[must_use]
-pub fn bench_json(result: &ReplayScaleResult) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"replay\",\n");
-    s.push_str(&format!("  \"cells\": {},\n", result.cells));
-    s.push_str(&format!("  \"window_ns\": {},\n", result.window.as_nanos()));
-    s.push_str(&format!("  \"duration_secs\": {},\n", result.duration.as_secs()));
-    s.push_str(&format!("  \"packets\": {},\n", result.packets));
-    s.push_str(&format!("  \"events\": {},\n", result.events));
-    s.push_str(&format!("  \"cross_cell_packets\": {},\n", result.cross_cell_packets));
-    s.push_str(&format!(
-        "  \"digest\": \"{:016x}\",\n",
-        result.points.first().map_or(0, |p| p.digest)
-    ));
-    s.push_str(&format!("  \"deterministic\": {},\n", result.deterministic));
-    s.push_str("  \"measured\": [\n");
-    for (i, p) in result.points.iter().enumerate() {
-        let sep = if i + 1 == result.points.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \
-             \"speedup\": {:.3}, \"dispatch_p50_ns\": {}, \"dispatch_p99_ns\": {}}}{}\n",
-            p.workers,
-            p.wall_secs,
-            p.events_per_sec,
-            p.speedup,
-            p.dispatch_p50_ns,
-            p.dispatch_p99_ns,
-            sep
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+pub fn outcome(fast: bool) -> Outcome {
+    let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4, 8] };
+    let r = run_config(&config(SimTime::from_secs(if fast { 15 } else { 60 }), 8), workers);
+    let last = &r.points.last().expect("at least one worker count").result;
+    let summary = format!(
+        "replay: {} packets, {} events, {} cross-cell, deterministic: {}",
+        last.packets, last.engine.total.events_processed, last.cross_cell_packets, r.deterministic
+    );
+    Outcome::default()
+        .line(summary)
+        .table(table(&r))
+        .claim("deterministic_across_worker_counts", r.deterministic)
 }
 
 #[cfg(test)]
@@ -227,11 +141,12 @@ mod tests {
 
     #[test]
     fn scaling_sweep_is_deterministic_across_worker_counts() {
-        let r = run(SimTime::from_secs(3), 4, &[1, 2]);
+        let r = run_config(&config(SimTime::from_secs(3), 4), &[1, 2]);
         assert_eq!(r.points.len(), 2);
-        assert!(r.events > 0);
-        assert!(r.packets > 50);
-        assert!(r.cross_cell_packets > 0, "worm probes must cross cells");
+        let last = &r.points[1].result;
+        assert!(last.engine.total.events_processed > 0);
+        assert!(last.packets > 50);
+        assert!(last.cross_cell_packets > 0, "worm probes must cross cells");
         assert!(r.deterministic, "reports diverged across worker counts");
         assert!((r.points[0].speedup - 1.0).abs() < 1e-9, "first point is the baseline");
         let rendered = table(&r).to_string();
@@ -246,7 +161,7 @@ mod tests {
         if cores < 4 || cfg!(debug_assertions) {
             return;
         }
-        let r = run(SimTime::from_secs(20), 8, &[1, 4]);
+        let r = run_config(&config(SimTime::from_secs(20), 8), &[1, 4]);
         assert!(r.deterministic);
         let four = r.points.last().unwrap();
         assert!(
@@ -254,18 +169,5 @@ mod tests {
             "4 workers must beat serial by 2.5x, got {:.2}x",
             four.speedup
         );
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let r = run(SimTime::from_secs(2), 2, &[1]);
-        let json = bench_json(&r);
-        assert!(json.contains("\"bench\": \"replay\""));
-        assert!(json.contains("\"deterministic\": true"));
-        assert!(json.contains("\"measured\""));
-        assert!(json.contains("\"events_per_sec\""));
-        // Crude structural check: balanced braces/brackets.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

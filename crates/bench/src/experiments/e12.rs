@@ -14,8 +14,8 @@
 //!    deterministic report digest byte-identical, and cost only a few
 //!    percent of wall-clock time (the CI gate is 5%).
 //!
-//! The traced capture run also feeds `--trace-out`: the flight
-//! recorder's retained tail — the newest events on every lane, plus the
+//! The traced capture run also feeds `trace.json` (written under
+//! `--out-dir`): the flight recorder's retained tail — the newest events on every lane, plus the
 //! full shard-window timeline synthesized from engine telemetry — as a
 //! Chrome `trace_event` JSON with one lane per cell farm, cell gateway,
 //! and shard worker. Flight retention keeps the artifact a few MB even
@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use potemkin_core::farm::{FarmConfig, Honeyfarm};
 use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeResult};
+use potemkin_json::{obj, JsonValue};
 use potemkin_metrics::Table;
 use potemkin_net::PacketBuilder;
 use potemkin_obs::{names, SpanAggregator, SpanStats, TraceConfig, TraceEvent};
@@ -35,12 +36,13 @@ use potemkin_snapshot::fnv1a64;
 use potemkin_vmm::cost::CostModel;
 
 use super::e11;
+use crate::harness::{round_to, Outcome};
 
 /// Flash clones driven through the traced farm in the fidelity check.
 pub const CLONES: u64 = 24;
 
 /// Per-lane flight-recorder capacity for the exported capture run. Sized
-/// so the `--trace-out` artifact stays a few MB: lanes × capacity ×
+/// so the exported `trace.json` stays a few MB: lanes × capacity ×
 /// ~120 bytes of Chrome JSON per event.
 pub const CAPTURE_FLIGHT_CAPACITY: usize = 16_384;
 
@@ -78,7 +80,7 @@ pub struct ObsResult {
     /// newest [`CAPTURE_FLIGHT_CAPACITY`] per lane, plus the synthesized
     /// shard-window timeline).
     pub events_captured: usize,
-    /// The capture run's merged trace (for `--trace-out`).
+    /// The capture run's merged trace (exported as `trace.json`).
     pub trace: Vec<TraceEvent>,
     /// Lane labels for the trace exporters.
     pub trace_lanes: Vec<(u32, String)>,
@@ -200,7 +202,7 @@ pub fn run(duration: SimTime, cells: usize) -> ObsResult {
 
     // Capture run: the flight recorder's retained tail, wall-clock
     // stamped — what an operator would pull after an incident, and what
-    // `--trace-out` exports. The shard-window timeline is synthesized
+    // `trace.json` carries. The shard-window timeline is synthesized
     // from engine telemetry post-run, so it spans the whole horizon
     // regardless of flight capacity.
     let mut capture_config = replay_config;
@@ -281,47 +283,61 @@ pub fn overhead_table(result: &ObsResult) -> Table {
     t
 }
 
-/// Renders `BENCH_obs.json`: deterministic fields at the top level,
-/// wall-clock-dependent numbers under `"measured"`.
+/// Runs the experiment at `figures` scale (shortened when `fast`) and
+/// builds `BENCH_obs.json` (wall-clock numbers under `measured`) plus the
+/// Chrome trace side file.
 #[must_use]
-pub fn bench_json(result: &ObsResult) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"obs\",\n");
-    s.push_str(&format!("  \"clones\": {},\n", result.clones));
-    s.push_str(&format!("  \"pages\": {},\n", result.pages));
-    s.push_str("  \"stages\": [\n");
-    for (i, row) in result.rows.iter().enumerate() {
-        let sep = if i + 1 == result.rows.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"count\": {}, \"observed_mean_ns\": {}, \
-             \"modeled_ns\": {}}}{}\n",
-            row.stage,
-            row.count,
-            row.observed_mean.as_nanos(),
-            row.modeled.as_nanos(),
-            sep
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"observed_total_ns\": {},\n", result.observed_total.as_nanos()));
-    s.push_str(&format!("  \"modeled_total_ns\": {},\n", result.modeled_total.as_nanos()));
-    s.push_str(&format!("  \"max_delta_ns\": {},\n", result.max_delta.as_nanos()));
-    s.push_str(&format!("  \"within_rounding\": {},\n", result.within_rounding));
-    s.push_str(&format!("  \"digests_match\": {},\n", result.digests_match));
-    s.push_str(&format!("  \"events_captured\": {},\n", result.events_captured));
-    s.push_str(&format!("  \"replay_events\": {},\n", result.replay_events));
-    s.push_str("  \"measured\": {\n");
-    s.push_str(&format!("    \"baseline_wall_secs\": {:.6},\n", result.baseline_wall_secs));
-    s.push_str(&format!("    \"traced_wall_secs\": {:.6},\n", result.traced_wall_secs));
-    s.push_str(&format!("    \"overhead_frac\": {:.6}\n", result.overhead_frac));
-    s.push_str("  }\n}\n");
-    s
+pub fn outcome(fast: bool) -> Outcome {
+    let r = run(SimTime::from_secs(if fast { 5 } else { 20 }), if fast { 2 } else { 4 });
+    let chrome = potemkin_obs::chrome_trace_json(&r.trace, &r.trace_lanes);
+    let summary = format!(
+        "trace capture: {} events over {} lanes; digests match: {}",
+        r.events_captured,
+        r.trace_lanes.len(),
+        r.digests_match
+    );
+    let stage_json = |row: &StageRow| {
+        obj! {
+            "stage": row.stage,
+            "count": row.count,
+            "observed_mean_ns": row.observed_mean.as_nanos(),
+            "modeled_ns": row.modeled.as_nanos(),
+        }
+    };
+    let pinned = obj! {
+        "bench": "obs",
+        "clones": r.clones,
+        "pages": r.pages,
+        "stages": r.rows.iter().map(stage_json).collect::<JsonValue>(),
+        "observed_total_ns": r.observed_total.as_nanos(),
+        "modeled_total_ns": r.modeled_total.as_nanos(),
+        "max_delta_ns": r.max_delta.as_nanos(),
+        "within_rounding": r.within_rounding,
+        "digests_match": r.digests_match,
+        "events_captured": r.events_captured,
+        "replay_events": r.replay_events,
+    };
+    let measured = obj! {
+        "baseline_wall_secs": round_to(r.baseline_wall_secs, 6),
+        "traced_wall_secs": round_to(r.traced_wall_secs, 6),
+        "overhead_frac": round_to(r.overhead_frac, 6),
+    };
+    let mut o = Outcome::default()
+        .line(summary)
+        .table(breakdown_table(&r))
+        .table(overhead_table(&r))
+        .claim("breakdown_within_rounding", r.within_rounding)
+        .claim("tracing_leaves_digest_unchanged", r.digests_match)
+        .claim("recorder_overhead_at_most_5_percent", r.overhead_frac <= 0.05)
+        .claim("chrome_trace_parses", JsonValue::parse(&chrome).is_ok())
+        .artifact("BENCH_obs.json", fast, pinned, measured);
+    o.files.push(("trace.json", chrome));
+    o
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use potemkin_obs::JsonValue;
     use potemkin_vmm::cost::FLASH_CLONE_STAGES;
 
     #[test]
@@ -350,15 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn exported_trace_and_bench_json_are_valid() {
+    fn exported_trace_is_valid() {
         let r = run(SimTime::from_secs(2), 2);
         let chrome = potemkin_obs::chrome_trace_json(&r.trace, &r.trace_lanes);
         let parsed = JsonValue::parse(&chrome).expect("chrome trace parses");
         assert!(parsed.get("traceEvents").is_some());
-        let json = bench_json(&r);
-        let parsed = JsonValue::parse(&json).expect("bench json parses");
-        assert_eq!(parsed.get("bench").and_then(JsonValue::as_str), Some("obs"));
-        assert!(parsed.get("measured").and_then(|m| m.get("overhead_frac")).is_some());
         let rendered = breakdown_table(&r).to_string();
         assert!(rendered.contains("CoW memory map"));
         assert!(overhead_table(&r).to_string().contains("recorder overhead"));

@@ -25,15 +25,20 @@
 //! [`ReclaimPolicyKind`]: potemkin_gateway::reclaim::ReclaimPolicyKind
 
 use potemkin_core::farm::{FarmConfig, Honeyfarm};
-use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+use potemkin_core::parallel::{
+    run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult,
+};
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_gateway::reclaim::ReclaimPolicyKind;
+use potemkin_json::{obj, JsonValue};
 use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
 use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
+
+use crate::harness::{hex, round_to, sweep, Outcome};
 
 /// The three shipped reclamation policies, in a fixed report order.
 pub const POLICIES: [ReclaimPolicyKind; 3] =
@@ -201,54 +206,51 @@ fn pressure_config(kind: ReclaimPolicyKind, duration: SimTime) -> ShardedTelesco
         .expect("fixed sharded config is valid")
 }
 
+/// The pressure replay's canonical report, digested.
+fn pressure_digest(r: &ShardedTelescopeResult) -> u64 {
+    let counter = |name| r.stats.counters.get(name);
+    fnv1a64(
+        format!(
+            "{}|in={}|cloned={}|recycled={}|evicted={}|gw_evicted={}|pressure={}|\
+             merged={}|reclaimed={}|logical={}|resident={}|infected={}|remote={}",
+            r.degradation.canonical_string(),
+            counter("packets_in"),
+            r.stats.vms_cloned,
+            r.stats.vms_recycled,
+            counter("evicted_for_pressure"),
+            counter("bindings_evicted_pressure"),
+            counter("memory_pressure_events"),
+            counter("pages_merged"),
+            counter("frames_reclaimed_by_merge"),
+            r.stats.sharing.logical_pages,
+            r.stats.sharing.resident_frames,
+            r.final_infected,
+            r.engine.remote_messages,
+        )
+        .as_bytes(),
+    )
+}
+
 fn pressure_point(
     kind: ReclaimPolicyKind,
     duration: SimTime,
     worker_counts: &[usize],
 ) -> PressurePoint {
     let config = pressure_config(kind, duration);
-    let mut digests = Vec::with_capacity(worker_counts.len());
-    let mut evictions = 0;
-    let mut pressure_events = 0;
-    let mut merged_pages = 0;
-    let mut sharing_ratio = 0.0;
-    for &workers in worker_counts {
-        let r = run_telescope_sharded(&config, workers).expect("replay runs");
-        evictions = r.stats.counters.get("evicted_for_pressure");
-        pressure_events = r.stats.counters.get("memory_pressure_events");
-        merged_pages = r.stats.counters.get("pages_merged");
-        sharing_ratio = r.stats.sharing.ratio();
-        let digest = fnv1a64(
-            format!(
-                "{}|in={}|cloned={}|recycled={}|evicted={}|gw_evicted={}|pressure={}|\
-                 merged={}|reclaimed={}|logical={}|resident={}|infected={}|remote={}",
-                r.degradation.canonical_string(),
-                r.stats.counters.get("packets_in"),
-                r.stats.vms_cloned,
-                r.stats.vms_recycled,
-                evictions,
-                r.stats.counters.get("bindings_evicted_pressure"),
-                pressure_events,
-                merged_pages,
-                r.stats.counters.get("frames_reclaimed_by_merge"),
-                r.stats.sharing.logical_pages,
-                r.stats.sharing.resident_frames,
-                r.final_infected,
-                r.engine.remote_messages,
-            )
-            .as_bytes(),
-        );
-        digests.push((workers, digest));
-    }
-    let deterministic = digests.windows(2).all(|w| w[0].1 == w[1].1);
+    let runs = sweep(
+        worker_counts,
+        |workers| run_telescope_sharded(&config, workers).expect("replay runs"),
+        |r| (r.engine.total.events_processed, pressure_digest(r)),
+    );
+    let last = &runs.points.last().expect("at least one worker count").result;
     PressurePoint {
         policy: kind.name(),
-        digests,
-        evictions,
-        pressure_events,
-        merged_pages,
-        sharing_ratio,
-        deterministic,
+        digests: runs.points.iter().map(|p| (p.param, p.digest)).collect(),
+        evictions: last.stats.counters.get("evicted_for_pressure"),
+        pressure_events: last.stats.counters.get("memory_pressure_events"),
+        merged_pages: last.stats.counters.get("pages_merged"),
+        sharing_ratio: last.stats.sharing.ratio(),
+        deterministic: runs.deterministic,
     }
 }
 
@@ -354,72 +356,72 @@ pub fn pressure_table(result: &MemoryResult) -> Table {
             p.pressure_events.to_string(),
             p.merged_pages.to_string(),
             format!("{:.2}x", p.sharing_ratio),
-            format!("{:016x}", p.digests.first().map_or(0, |d| d.1)),
+            hex(p.digests.first().map_or(0, |d| d.1)),
             p.deterministic.to_string(),
         ]);
     }
     t
 }
 
-/// Renders `BENCH_memory.json`. Every field is virtual-time canonical —
-/// there is no `"measured"` section to exclude when diffing machines.
+/// Runs the experiment at `figures` scale (shortened when `fast`) and
+/// builds `BENCH_memory.json`. Every field is virtual-time canonical, so
+/// `measured` carries the machine description only.
 #[must_use]
-pub fn bench_json(result: &MemoryResult) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"memory\",\n");
-    s.push_str(&format!("  \"duration_secs\": {},\n", result.duration.as_secs()));
-    s.push_str(&format!(
-        "  \"clone_counts\": [{}],\n",
-        result.clone_counts.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
-    ));
-    s.push_str(&format!("  \"curves_identical\": {},\n", result.curves_identical));
-    s.push_str(&format!("  \"sharing_ratio_min\": {:.6},\n", result.sharing_ratio_min));
-    s.push_str(&format!("  \"deterministic\": {},\n", result.deterministic));
-    s.push_str("  \"sharing\": [\n");
-    if let Some(curve) = result.curves.first() {
-        for (i, p) in curve.points.iter().enumerate() {
-            let sep = if i + 1 == curve.points.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    {{\"clones\": {}, \"logical_pages\": {}, \"frames_pristine\": {}, \
-                 \"frames_diverged\": {}, \"frames_merged\": {}, \"merged_pages\": {}, \
-                 \"sharing_ratio\": {:.6}, \"frames_per_vm\": {:.3}}}{}\n",
-                p.clones,
-                p.logical_pages,
-                p.frames_pristine,
-                p.frames_diverged,
-                p.frames_merged,
-                p.merged_pages,
-                p.sharing_ratio,
-                p.frames_per_vm,
-                sep
-            ));
+pub fn outcome(fast: bool) -> Outcome {
+    let counts: &[usize] = if fast { &[8, 16, 32] } else { &[8, 16, 32, 64] };
+    let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
+    let r = run(SimTime::from_secs(if fast { 4 } else { 10 }), counts, workers);
+    let summary = format!(
+        "sharing curves identical across policies: {}, min post-merge ratio: {:.2}x, \
+         deterministic: {}",
+        r.curves_identical, r.sharing_ratio_min, r.deterministic
+    );
+    let curve = r.curves.first().map_or(&[][..], |c| &c.points[..]);
+    let sharing_json = |p: &SharingPoint| {
+        obj! {
+            "clones": p.clones,
+            "logical_pages": p.logical_pages,
+            "frames_pristine": p.frames_pristine,
+            "frames_diverged": p.frames_diverged,
+            "frames_merged": p.frames_merged,
+            "merged_pages": p.merged_pages,
+            "sharing_ratio": round_to(p.sharing_ratio, 6),
+            "frames_per_vm": round_to(p.frames_per_vm, 3),
         }
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"policies\": [\n");
-    for (i, p) in result.pressure.iter().enumerate() {
-        let sep = if i + 1 == result.pressure.len() { "" } else { "," };
-        let digests: Vec<String> = p
-            .digests
-            .iter()
-            .map(|(w, d)| format!("{{\"workers\": {w}, \"digest\": \"{d:016x}\"}}"))
-            .collect();
-        s.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"evictions\": {}, \"pressure_events\": {}, \
-             \"pages_merged\": {}, \"sharing_ratio\": {:.6}, \"deterministic\": {}, \
-             \"digests\": [{}]}}{}\n",
-            p.policy,
-            p.evictions,
-            p.pressure_events,
-            p.merged_pages,
-            p.sharing_ratio,
-            p.deterministic,
-            digests.join(", "),
-            sep
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    };
+    let digest_json =
+        |&(workers, digest): &(usize, u64)| obj! {"workers": workers, "digest": hex(digest)};
+    let policy_json = |p: &PressurePoint| {
+        obj! {
+            "policy": p.policy,
+            "evictions": p.evictions,
+            "pressure_events": p.pressure_events,
+            "pages_merged": p.merged_pages,
+            "sharing_ratio": round_to(p.sharing_ratio, 6),
+            "deterministic": p.deterministic,
+            "digests": p.digests.iter().map(digest_json).collect::<JsonValue>(),
+        }
+    };
+    let pinned = obj! {
+        "bench": "memory",
+        "duration_secs": r.duration.as_secs(),
+        "clone_counts": r.clone_counts.iter().copied().collect::<JsonValue>(),
+        "curves_identical": r.curves_identical,
+        "sharing_ratio_min": round_to(r.sharing_ratio_min, 6),
+        "deterministic": r.deterministic,
+        "sharing": curve.iter().map(sharing_json).collect::<JsonValue>(),
+        "policies": r.pressure.iter().map(policy_json).collect::<JsonValue>(),
+    };
+    let falling = curve.windows(2).all(|w| w[1].frames_per_vm < w[0].frames_per_vm);
+    Outcome::default()
+        .line(summary)
+        .table(sharing_table(&r))
+        .table(pressure_table(&r))
+        .claim("policies_deterministic_across_worker_counts", r.deterministic)
+        .claim("sharing_curves_identical_across_policies", r.curves_identical)
+        .claim("sharing_ratio_above_5x", r.sharing_ratio_min > 5.0)
+        .claim("frames_per_vm_falls_with_clone_count", falling)
+        .artifact("BENCH_memory.json", fast, pinned, obj! {})
 }
 
 #[cfg(test)]
@@ -458,17 +460,5 @@ mod tests {
             assert!(p.pressure_events > 0, "{}: budget must raise events", p.policy);
             assert!(p.merged_pages > 0, "{}: merge passes must fold pages", p.policy);
         }
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let r = run(SimTime::from_secs(1), &[4, 8], &[1]);
-        let json = bench_json(&r);
-        assert!(json.contains("\"bench\": \"memory\""));
-        assert!(json.contains("\"deterministic\": true"));
-        assert!(json.contains("\"sharing_ratio_min\""));
-        assert!(json.contains("\"policies\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

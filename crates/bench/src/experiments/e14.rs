@@ -38,26 +38,18 @@ use potemkin_core::parallel::{
 };
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
+use potemkin_json::{obj, JsonValue};
 use potemkin_metrics::Table;
 use potemkin_sim::{FaultPlanConfig, SimTime};
 use potemkin_snapshot::{fnv1a64, RetryPolicy, SnapshotError, SnapshotFile};
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
+use crate::harness::{hex, sweep, Outcome};
+
 /// Checkpoint cadence: one snapshot per window barrier, so the kill
 /// point always has both a primary and a rotated previous checkpoint.
 const EVERY_WINDOWS: u64 = 1;
-
-/// One resume measurement at a worker count.
-#[derive(Clone, Debug)]
-pub struct ResumePoint {
-    /// Shard workers driving the resumed run.
-    pub workers: usize,
-    /// Canonical report digest of the resumed run.
-    pub digest: u64,
-    /// Whether the digest matches the uninterrupted baseline.
-    pub matches_baseline: bool,
-}
 
 /// One corruption-rejection case.
 #[derive(Clone, Debug)]
@@ -91,8 +83,9 @@ pub struct SnapshotResult {
     pub infected_at_kill: usize,
     /// Infected VMs at the end of the resumed run.
     pub final_infected: usize,
-    /// One resume measurement per worker count, in input order.
-    pub resumes: Vec<ResumePoint>,
+    /// `(workers, canonical report digest)` of each resumed run, in input
+    /// order.
+    pub resumes: Vec<(usize, u64)>,
     /// Whether every resume matched the baseline digest.
     pub deterministic: bool,
     /// Retry attempts burned absorbing injected write failures.
@@ -228,16 +221,18 @@ pub fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult {
     let snapshot_bytes = snapshot.encode().len() as u64;
     let mut resume_options = CheckpointOptions::new(&kill_path);
     resume_options.every_windows = 0; // pure resume: no further writes
-    let mut resumes = Vec::with_capacity(worker_counts.len());
-    let mut final_infected = 0;
-    for &workers in worker_counts {
-        let resumed = resume_telescope_checkpointed(&config, workers, &snapshot, &resume_options)
-            .expect("resume runs");
-        let d = digest(&resumed.result);
-        final_infected = resumed.result.final_infected;
-        resumes.push(ResumePoint { workers, digest: d, matches_baseline: d == baseline_digest });
-    }
-    let deterministic = resumes.iter().all(|p| p.matches_baseline);
+    let resumed = sweep(
+        worker_counts,
+        |workers| {
+            resume_telescope_checkpointed(&config, workers, &snapshot, &resume_options)
+                .expect("resume runs")
+                .result
+        },
+        |r| (r.engine.total.events_processed, digest(r)),
+    );
+    let final_infected = resumed.points.last().map_or(0, |p| p.result.final_infected);
+    let resumes: Vec<(usize, u64)> = resumed.points.iter().map(|p| (p.param, p.digest)).collect();
+    let deterministic = resumes.iter().all(|&(_, digest)| digest == baseline_digest);
 
     // Claim 4a: transient write failures retry, then skip — never kill
     // the run or touch its results.
@@ -302,7 +297,7 @@ pub fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult {
     let all_rejected = rejections.iter().all(|c| c.rejected && !c.error.is_empty());
 
     // Claim 4b: a reseeded fork is a reproducible what-if branch.
-    let resume_digest = resumes.first().map_or(0, |p| p.digest);
+    let resume_digest = resumes.first().map_or(0, |r| r.1);
     let fork_a =
         fork_telescope_checkpointed(&config, 1, &snapshot, 42, &resume_options).expect("fork runs");
     let fork_b = fork_telescope_checkpointed(&config, 1, &snapshot, 42, &resume_options)
@@ -341,15 +336,15 @@ pub fn resume_table(result: &SnapshotResult) -> Table {
     t.row_owned(vec![
         "uninterrupted".to_string(),
         "1".to_string(),
-        format!("{:016x}", result.baseline_digest),
+        hex(result.baseline_digest),
         "—".to_string(),
     ]);
-    for p in &result.resumes {
+    for &(workers, digest) in &result.resumes {
         t.row_owned(vec![
             "resumed".to_string(),
-            p.workers.to_string(),
-            format!("{:016x}", p.digest),
-            p.matches_baseline.to_string(),
+            workers.to_string(),
+            hex(digest),
+            (digest == result.baseline_digest).to_string(),
         ]);
     }
     t
@@ -381,48 +376,63 @@ pub fn integrity_table(result: &SnapshotResult) -> Table {
     t
 }
 
-/// Renders `BENCH_snapshot.json`. Every field is virtual-time canonical —
-/// snapshot size is a deterministic function of the scenario.
+/// Runs the experiment at `figures` scale (shortened when `fast`) and
+/// builds `BENCH_snapshot.json`. Every field is virtual-time canonical —
+/// snapshot size is a deterministic function of the scenario — so
+/// `measured` carries the machine description only.
 #[must_use]
-pub fn bench_json(result: &SnapshotResult) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"snapshot\",\n");
-    s.push_str(&format!("  \"duration_secs\": {},\n", result.duration.as_secs()));
-    s.push_str(&format!("  \"windows\": {},\n", result.windows));
-    s.push_str(&format!("  \"kill_after_windows\": {},\n", result.kill_after_windows));
-    s.push_str(&format!("  \"baseline_digest\": \"{:016x}\",\n", result.baseline_digest));
-    s.push_str(&format!("  \"observation_pure\": {},\n", result.observation_pure));
-    s.push_str(&format!("  \"checkpoints_written\": {},\n", result.checkpoints_written));
-    s.push_str(&format!("  \"snapshot_bytes\": {},\n", result.snapshot_bytes));
-    s.push_str(&format!("  \"infected_at_kill\": {},\n", result.infected_at_kill));
-    s.push_str(&format!("  \"final_infected\": {},\n", result.final_infected));
-    s.push_str(&format!("  \"deterministic\": {},\n", result.deterministic));
-    s.push_str(&format!("  \"retried_attempts\": {},\n", result.retried_attempts));
-    s.push_str(&format!("  \"retry_skipped\": {},\n", result.retry_skipped));
-    s.push_str(&format!("  \"retry_digest_clean\": {},\n", result.retry_digest_clean));
-    s.push_str(&format!("  \"fallback_recovered\": {},\n", result.fallback_recovered));
-    s.push_str(&format!("  \"all_rejected\": {},\n", result.all_rejected));
-    s.push_str(&format!("  \"fork_diverges\": {},\n", result.fork_diverges));
-    s.push_str(&format!("  \"fork_reproducible\": {},\n", result.fork_reproducible));
-    s.push_str("  \"resumes\": [\n");
-    for (i, p) in result.resumes.iter().enumerate() {
-        let sep = if i + 1 == result.resumes.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"workers\": {}, \"digest\": \"{:016x}\", \"matches_baseline\": {}}}{}\n",
-            p.workers, p.digest, p.matches_baseline, sep
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"rejections\": [\n");
-    for (i, c) in result.rejections.iter().enumerate() {
-        let sep = if i + 1 == result.rejections.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"case\": \"{}\", \"error\": \"{}\", \"rejected\": {}}}{}\n",
-            c.case, c.error, c.rejected, sep
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+pub fn outcome(fast: bool) -> Outcome {
+    let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
+    let r = run(SimTime::from_secs(if fast { 3 } else { 6 }), workers);
+    let summary = format!(
+        "snapshot: {} windows, killed after {}, {} checkpoints, {} bytes; \
+         resume deterministic: {}, corruption rejected: {}",
+        r.windows,
+        r.kill_after_windows,
+        r.checkpoints_written,
+        r.snapshot_bytes,
+        r.deterministic,
+        r.all_rejected
+    );
+    let resume_json = |&(workers, digest): &(usize, u64)| {
+        let matches = digest == r.baseline_digest;
+        obj! {"workers": workers, "digest": hex(digest), "matches_baseline": matches}
+    };
+    let rejection_json =
+        |c: &RejectionCase| obj! {"case": c.case, "error": c.error, "rejected": c.rejected};
+    let pinned = obj! {
+        "bench": "snapshot",
+        "duration_secs": r.duration.as_secs(),
+        "windows": r.windows,
+        "kill_after_windows": r.kill_after_windows,
+        "baseline_digest": hex(r.baseline_digest),
+        "observation_pure": r.observation_pure,
+        "checkpoints_written": r.checkpoints_written,
+        "snapshot_bytes": r.snapshot_bytes,
+        "infected_at_kill": r.infected_at_kill,
+        "final_infected": r.final_infected,
+        "deterministic": r.deterministic,
+        "retried_attempts": r.retried_attempts,
+        "retry_skipped": r.retry_skipped,
+        "retry_digest_clean": r.retry_digest_clean,
+        "fallback_recovered": r.fallback_recovered,
+        "all_rejected": r.all_rejected,
+        "fork_diverges": r.fork_diverges,
+        "fork_reproducible": r.fork_reproducible,
+        "resumes": r.resumes.iter().map(resume_json).collect::<JsonValue>(),
+        "rejections": r.rejections.iter().map(rejection_json).collect::<JsonValue>(),
+    };
+    Outcome::default()
+        .line(summary)
+        .table(resume_table(&r))
+        .table(integrity_table(&r))
+        .claim("checkpointing_is_pure_observation", r.observation_pure)
+        .claim("resume_matches_uninterrupted_run", r.deterministic)
+        .claim("corrupt_snapshots_rejected_with_typed_errors", r.all_rejected)
+        .claim("corrupt_primary_falls_back_to_previous", r.fallback_recovered)
+        .claim("write_failures_leave_digest_clean", r.retry_digest_clean)
+        .claim("fork_diverges_reproducibly", r.fork_diverges && r.fork_reproducible)
+        .artifact("BENCH_snapshot.json", fast, pinned, obj! {})
 }
 
 #[cfg(test)]
@@ -451,17 +461,5 @@ mod tests {
         assert!(r.retry_digest_clean, "flaky checkpoint writes must not touch results");
         assert!(r.fork_diverges, "a reseeded fork must explore a different branch");
         assert!(r.fork_reproducible, "the same salt must reproduce the same branch");
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let r = run(SimTime::from_secs(2), &[1]);
-        let json = bench_json(&r);
-        assert!(json.contains("\"bench\": \"snapshot\""));
-        assert!(json.contains("\"deterministic\": true"));
-        assert!(json.contains("\"rejections\""));
-        assert!(json.contains("\"resumes\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

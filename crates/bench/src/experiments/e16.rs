@@ -17,18 +17,19 @@
 //! sweep turns on global admission control under a tight memory budget
 //! and checks the shed count is layout-invariant too.
 //!
-//! `BENCH_federation.json` (owned by this experiment) separates the
-//! machine-independent digests from wall-clock throughput; CI's
-//! federation-smoke job re-derives the digests and fails hard on any
-//! cross-topology mismatch.
-
-use std::time::Instant;
+//! `BENCH_federation.json` (owned by this experiment) pins the digest and
+//! the per-layout transport facts and keeps wall-clock throughput under
+//! `measured`; `figures --check` fails hard on any cross-topology
+//! mismatch.
 
 use potemkin_core::farm::FarmConfig;
-use potemkin_core::federation::{run_telescope_federated, FederatedTelescopeConfig};
+use potemkin_core::federation::{
+    run_telescope_federated, FederatedTelescopeConfig, FederatedTelescopeResult,
+};
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_federation::AdmissionConfig;
 use potemkin_gateway::policy::PolicyConfig;
+use potemkin_json::{obj, JsonValue};
 use potemkin_metrics::Table;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_sim::SimTime;
@@ -36,33 +37,19 @@ use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
-/// One (farm count, worker count) measurement.
-#[derive(Clone, Debug)]
-pub struct FederationPoint {
-    /// Member farm clusters behind the routing tier.
-    pub farms: usize,
-    /// Worker threads the engine ran on.
-    pub workers: usize,
-    /// Wall-clock seconds for the replay.
-    pub wall_secs: f64,
-    /// Simulation events dispatched per wall-clock second.
-    pub events_per_sec: f64,
-    /// Fabric packets that crossed a farm boundary over GRE (transport
-    /// telemetry: topology-dependent, excluded from the digest).
-    pub cross_farm_packets: u64,
-    /// Frames dropped at the tier for lack of a route (0 in a well-formed
-    /// layout).
-    pub route_drops: u64,
-    /// FNV-1a digest of the merged deterministic report.
-    pub digest: u64,
-}
+use crate::harness::{hex, sweep, Outcome, Point, Sweep};
+
+/// One `(farm count, worker count)` run.
+type Layout = Point<(usize, usize), FederatedTelescopeResult>;
 
 /// Result of the federated scaling sweep.
 #[derive(Clone, Debug)]
 pub struct FederationScaleResult {
-    /// One point per (farm count, worker count), in sweep order (first is
-    /// the single-farm serial reference).
-    pub points: Vec<FederationPoint>,
+    /// One point per `(farm count, worker count)`, in sweep order (first
+    /// is the single-farm serial reference). Cross-farm packets and route
+    /// drops are transport telemetry: topology-dependent, excluded from
+    /// the digest.
+    pub sweep: Sweep<(usize, usize), FederatedTelescopeResult>,
     /// Simulation events per run (identical across layouts).
     pub events: u64,
     /// Packets in the replayed trace.
@@ -79,9 +66,6 @@ pub struct FederationScaleResult {
     pub window: SimTime,
     /// Replay horizon.
     pub duration: SimTime,
-    /// Whether every layout and worker count produced a byte-identical
-    /// merged report.
-    pub deterministic: bool,
     /// Admission sub-sweep: packets shed under a tight memory budget at
     /// each swept farm count, in sweep order. Layout-invariant, so all
     /// entries must be equal.
@@ -123,7 +107,7 @@ pub fn config(
         .expect("fixed federated config is valid")
 }
 
-fn digest_of(result: &potemkin_core::federation::FederatedTelescopeResult) -> u64 {
+fn digest_of(result: &FederatedTelescopeResult) -> u64 {
     fnv1a64(
         format!(
             "{}|{}|{}|{}|{}",
@@ -152,37 +136,21 @@ pub fn run(
     farm_counts: &[usize],
     worker_counts: &[usize],
 ) -> FederationScaleResult {
-    let mut points = Vec::with_capacity(farm_counts.len() * worker_counts.len());
-    let mut events = 0;
-    let mut packets = 0;
-    let mut monitored_addresses = 0;
-    let mut cross_cell_packets = 0;
-    let mut final_infected = 0;
-    for &farms in farm_counts {
-        let cfg = config(duration, telescope, farms, cells);
-        for &workers in worker_counts {
-            let start = Instant::now();
-            let result = run_telescope_federated(&cfg, workers).expect("federated replay runs");
-            let wall_secs = start.elapsed().as_secs_f64();
+    let layouts: Vec<(usize, usize)> = farm_counts
+        .iter()
+        .flat_map(|&farms| worker_counts.iter().map(move |&workers| (farms, workers)))
+        .collect();
+    let sweep = sweep(
+        &layouts,
+        |(farms, workers)| {
             // Progress to stderr: full-scale points run for minutes each.
-            eprintln!("    [e16] farms={farms} workers={workers}: {wall_secs:.1}s");
-            events = result.merged.engine.total.events_processed;
-            packets = result.merged.packets;
-            monitored_addresses = result.federation.monitored_addresses;
-            cross_cell_packets = result.merged.cross_cell_packets;
-            final_infected = result.merged.final_infected;
-            points.push(FederationPoint {
-                farms,
-                workers,
-                wall_secs,
-                events_per_sec: if wall_secs > 0.0 { events as f64 / wall_secs } else { 0.0 },
-                cross_farm_packets: result.federation.cross_farm_packets,
-                route_drops: result.federation.route_drops,
-                digest: digest_of(&result),
-            });
-        }
-    }
-    let deterministic = points.windows(2).all(|w| w[0].digest == w[1].digest);
+            eprintln!("    [e16] farms={farms} workers={workers}");
+            run_telescope_federated(&config(duration, telescope, farms, cells), workers)
+                .expect("federated replay runs")
+        },
+        |r| (r.merged.engine.total.events_processed, digest_of(r)),
+    );
+    let last = &sweep.points.last().expect("at least one layout").result;
 
     // Admission sub-sweep: a tight per-host frame budget triggers pressure
     // events early; shedding kicks in after the first one. The shed count
@@ -200,16 +168,15 @@ pub fn run(
     let shed_invariant = shed_by_farms.windows(2).all(|w| w[0].1 == w[1].1);
 
     FederationScaleResult {
-        points,
-        events,
-        packets,
-        monitored_addresses,
-        cross_cell_packets,
-        final_infected,
+        events: last.merged.engine.total.events_processed,
+        packets: last.merged.packets,
+        monitored_addresses: last.federation.monitored_addresses,
+        cross_cell_packets: last.merged.cross_cell_packets,
+        final_infected: last.merged.final_infected,
+        sweep,
         cells,
         window: SimTime::from_millis(500),
         duration,
-        deterministic,
         shed_by_farms,
         shed_invariant,
     }
@@ -228,66 +195,87 @@ pub fn table(result: &FederationScaleResult) -> Table {
         "digest",
     ])
     .with_title("E16: federated telescope — byte-identical reports across topology layouts");
-    for p in &result.points {
+    for p in &result.sweep.points {
         t.row_owned(vec![
-            p.farms.to_string(),
-            p.workers.to_string(),
+            p.param.0.to_string(),
+            p.param.1.to_string(),
             format!("{:.3}", p.wall_secs),
             format!("{:.0}", p.events_per_sec),
-            p.cross_farm_packets.to_string(),
-            p.route_drops.to_string(),
-            format!("{:016x}", p.digest),
+            p.result.federation.cross_farm_packets.to_string(),
+            p.result.federation.route_drops.to_string(),
+            hex(p.digest),
         ]);
     }
     t
 }
 
-/// Renders `BENCH_federation.json`: the machine-independent digest and
-/// invariants at the top, wall-clock-dependent numbers under `"measured"`.
+/// Runs the experiment at `figures` scale and builds
+/// `BENCH_federation.json`. Fast: a /16 across up to 4 farms. Full: a /11
+/// — ~2.1M monitored addresses — federated across up to 16 farms.
 #[must_use]
-pub fn bench_json(result: &FederationScaleResult) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"federation\",\n");
-    s.push_str("  \"experiment\": \"e16\",\n");
-    s.push_str(&format!("  \"cells\": {},\n", result.cells));
-    s.push_str(&format!("  \"window_ns\": {},\n", result.window.as_nanos()));
-    s.push_str(&format!("  \"duration_secs\": {},\n", result.duration.as_secs()));
-    s.push_str(&format!("  \"monitored_addresses\": {},\n", result.monitored_addresses));
-    s.push_str(&format!("  \"packets\": {},\n", result.packets));
-    s.push_str(&format!("  \"events\": {},\n", result.events));
-    s.push_str(&format!("  \"cross_cell_packets\": {},\n", result.cross_cell_packets));
-    s.push_str(&format!("  \"final_infected\": {},\n", result.final_infected));
-    s.push_str(&format!(
-        "  \"digest\": \"{:016x}\",\n",
-        result.points.first().map_or(0, |p| p.digest)
-    ));
-    s.push_str(&format!("  \"deterministic\": {},\n", result.deterministic));
-    s.push_str(&format!("  \"shed_invariant\": {},\n", result.shed_invariant));
-    s.push_str("  \"shed_by_farms\": [\n");
-    for (i, (farms, shed)) in result.shed_by_farms.iter().enumerate() {
-        let sep = if i + 1 == result.shed_by_farms.len() { "" } else { "," };
-        s.push_str(&format!("    {{\"farms\": {farms}, \"shed_packets\": {shed}}}{sep}\n"));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"measured\": [\n");
-    for (i, p) in result.points.iter().enumerate() {
-        let sep = if i + 1 == result.points.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"farms\": {}, \"workers\": {}, \"wall_secs\": {:.6}, \
-             \"events_per_sec\": {:.1}, \"cross_farm_packets\": {}, \"route_drops\": {}, \
-             \"digest\": \"{:016x}\"}}{}\n",
-            p.farms,
-            p.workers,
-            p.wall_secs,
-            p.events_per_sec,
-            p.cross_farm_packets,
-            p.route_drops,
-            p.digest,
-            sep
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+pub fn outcome(fast: bool) -> Outcome {
+    let telescope: Ipv4Prefix =
+        if fast { "10.1.0.0/16" } else { "10.0.0.0/11" }.parse().expect("static prefix");
+    let farm_counts: &[usize] = if fast { &[1, 2, 4] } else { &[1, 2, 4, 8, 16] };
+    let duration = SimTime::from_secs(if fast { 4 } else { 6 });
+    let r = run(duration, telescope, if fast { 8 } else { 16 }, farm_counts, &[1, 2]);
+    let points = &r.sweep.points;
+    let summary = format!(
+        "federation: {} addresses across up to {} farms, {} packets, {} cross-cell; \
+         deterministic: {}, shed invariant: {}",
+        r.monitored_addresses,
+        farm_counts.last().unwrap_or(&1),
+        r.packets,
+        r.cross_cell_packets,
+        r.sweep.deterministic,
+        r.shed_invariant
+    );
+    let layout_json = |p: &Layout| {
+        obj! {
+            "farms": p.param.0,
+            "workers": p.param.1,
+            "cross_farm_packets": p.result.federation.cross_farm_packets,
+            "route_drops": p.result.federation.route_drops,
+            "digest": hex(p.digest),
+        }
+    };
+    let shed_json = |&(farms, shed): &(usize, u64)| obj! {"farms": farms, "shed_packets": shed};
+    let timing = |p: &Layout| p.timing(obj! {"farms": p.param.0, "workers": p.param.1});
+    let pinned = obj! {
+        "bench": "federation",
+        "experiment": "e16",
+        "cells": r.cells,
+        "window_ns": r.window.as_nanos(),
+        "duration_secs": r.duration.as_secs(),
+        "monitored_addresses": r.monitored_addresses,
+        "packets": r.packets,
+        "events": r.events,
+        "cross_cell_packets": r.cross_cell_packets,
+        "final_infected": r.final_infected,
+        "digest": hex(points.first().map_or(0, |p| p.digest)),
+        "deterministic": r.sweep.deterministic,
+        "shed_invariant": r.shed_invariant,
+        "shed_by_farms": r.shed_by_farms.iter().map(shed_json).collect::<JsonValue>(),
+        "layouts": points.iter().map(layout_json).collect::<JsonValue>(),
+    };
+    let measured = obj! {"points": points.iter().map(timing).collect::<JsonValue>()};
+    let transit = |p: &Layout| p.result.federation.cross_farm_packets > 0;
+    Outcome::default()
+        .line(summary)
+        .table(table(&r))
+        .claim("byte_identical_across_layouts", r.sweep.deterministic)
+        .claim("replay_is_not_empty", r.events > 0 && r.packets > 0)
+        .claim(
+            "tier_routes_every_frame",
+            points.iter().all(|p| p.result.federation.route_drops == 0),
+        )
+        .claim(
+            "gre_transit_iff_more_than_one_farm",
+            points.iter().all(|p| transit(p) == (p.param.0 > 1)),
+        )
+        .claim("shed_count_is_layout_invariant", r.shed_invariant)
+        .claim("tight_budget_sheds", r.shed_by_farms.iter().all(|&(_, shed)| shed > 0))
+        .artifact("BENCH_federation.json", fast, pinned, measured)
 }
 
 #[cfg(test)]
@@ -304,28 +292,19 @@ mod tests {
         assert!(r.packets > 50);
         assert!(r.events > 0);
         assert!(r.cross_cell_packets > 0, "worm must cross cells");
-        assert!(r.deterministic, "digests diverged across layouts");
+        assert!(r.sweep.deterministic, "digests diverged across layouts");
         assert!(r.shed_invariant, "shed count diverged across layouts");
         assert!(r.shed_by_farms.iter().all(|&(_, shed)| shed > 0), "budget must shed");
         // One farm keeps everything local; more farms must tunnel.
-        let single = r.points.iter().find(|p| p.farms == 1).unwrap();
-        assert_eq!(single.cross_farm_packets, 0);
-        let multi = r.points.iter().find(|p| p.farms == 4).unwrap();
-        assert!(multi.cross_farm_packets > 0, "worm must cross farms");
-        assert!(r.points.iter().all(|p| p.route_drops == 0));
+        let transit = |farms| {
+            let p = r.sweep.points.iter().find(|p| p.param.0 == farms).unwrap();
+            p.result.federation.cross_farm_packets
+        };
+        assert_eq!(transit(1), 0);
+        assert!(transit(4) > 0, "worm must cross farms");
+        assert!(r.sweep.points.iter().all(|p| p.result.federation.route_drops == 0));
+        assert_eq!(r.monitored_addresses, 65_536);
         let rendered = table(&r).to_string();
         assert!(rendered.contains("cross-farm"));
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let r = run(SimTime::from_secs(2), telescope(), 4, &[1, 2], &[1]);
-        let json = bench_json(&r);
-        assert!(json.contains("\"experiment\": \"e16\""));
-        assert!(json.contains("\"deterministic\": true"));
-        assert!(json.contains("\"shed_invariant\": true"));
-        assert!(json.contains("\"monitored_addresses\": 65536"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

@@ -24,18 +24,20 @@
 //!
 //! `BENCH_services.json` (owned by this experiment) separates the
 //! machine-independent digest and capture counts from wall-clock
-//! throughput; CI's services-smoke job re-derives the digest and fails
-//! hard on a mismatch or a zero capture count.
+//! throughput; `figures --check` fails hard on a digest mismatch and the
+//! claims on a zero capture count.
 
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
 use potemkin_core::services::{run_interaction, InteractionConfig, InteractionResult};
+use potemkin_json::{obj, JsonValue};
 use potemkin_metrics::Table;
 use potemkin_services::pack::builtin;
 use potemkin_services::{render, ScenarioMetrics, ServiceEngine, ServicesConfig};
 use potemkin_sim::SimTime;
 use potemkin_snapshot::fnv1a64;
+
+use crate::harness::{hex, sweep, Outcome, Point, Sweep};
 
 /// The scripted baseline's only line (the seed farm's fixed banner).
 const FIXED_BANNER: &[u8] = b"220 service ready";
@@ -60,26 +62,14 @@ pub struct ScenarioFidelity {
     pub scenario_captured: bool,
 }
 
-/// One (worker count) end-to-end measurement.
-#[derive(Clone, Debug)]
-pub struct InteractionPoint {
-    /// Worker threads the engine ran on.
-    pub workers: usize,
-    /// Wall-clock seconds for the replay.
-    pub wall_secs: f64,
-    /// Simulation events dispatched per wall-clock second.
-    pub events_per_sec: f64,
-    /// FNV-1a digest of the merged deterministic report.
-    pub digest: u64,
-}
-
 /// Result of the interaction-services experiment.
 #[derive(Clone, Debug)]
 pub struct ServicesResult {
     /// Per-scenario scripted-vs-scenario capture comparison.
     pub fidelity: Vec<ScenarioFidelity>,
-    /// End-to-end sweep, one point per worker count.
-    pub points: Vec<InteractionPoint>,
+    /// End-to-end sweep, one point per worker count; the first is the
+    /// reference run the counts below come from.
+    pub sweep: Sweep<usize, InteractionResult>,
     /// Merged per-scenario fidelity metrics from the reference run.
     pub scenarios: Vec<ScenarioMetrics>,
     /// Scripted attacker actors launched per run.
@@ -90,8 +80,6 @@ pub struct ServicesResult {
     pub payloads_captured: u64,
     /// Interaction sessions opened farm-wide in the reference run.
     pub sessions_opened: u64,
-    /// Whether every worker count produced a byte-identical report.
-    pub deterministic: bool,
     /// Replay horizon.
     pub duration: SimTime,
     /// Address-space cells.
@@ -212,36 +200,21 @@ pub fn run(duration: SimTime, cells: usize, attackers: usize, workers: &[usize])
         });
     }
 
-    let mut points = Vec::with_capacity(workers.len());
-    let mut reference: Option<InteractionResult> = None;
-    for &w in workers {
-        let start = Instant::now();
-        let result = run_interaction(&cfg, w).expect("interaction replay runs");
-        let wall_secs = start.elapsed().as_secs_f64();
-        eprintln!("    [e17] workers={w}: {wall_secs:.1}s");
-        let events = result.merged.engine.total.events_processed;
-        points.push(InteractionPoint {
-            workers: w,
-            wall_secs,
-            events_per_sec: if wall_secs > 0.0 { events as f64 / wall_secs } else { 0.0 },
-            digest: digest_of(&result),
-        });
-        if reference.is_none() {
-            reference = Some(result);
-        }
-    }
-    let deterministic = points.windows(2).all(|p| p[0].digest == p[1].digest);
-    let reference = reference.expect("at least one worker count");
+    let sweep = sweep(
+        workers,
+        |w| run_interaction(&cfg, w).expect("interaction replay runs"),
+        |r| (r.merged.engine.total.events_processed, digest_of(r)),
+    );
+    let reference = &sweep.points.first().expect("at least one worker count").result;
 
     ServicesResult {
         fidelity,
-        points,
         scenarios: reference.scenarios.clone(),
         attackers: reference.attackers,
         drive_completed: reference.drive_completed,
         payloads_captured: reference.merged.stats.counters.get("svc_payloads_captured"),
         sessions_opened: reference.merged.stats.counters.get("svc_sessions_opened"),
-        deterministic,
+        sweep,
         duration,
         cells,
         window: cfg.window,
@@ -278,64 +251,75 @@ pub fn table(result: &ServicesResult) -> Table {
 pub fn sweep_table(result: &ServicesResult) -> Table {
     let mut t = Table::new(&["workers", "wall (s)", "events/sec", "digest"])
         .with_title("E17: sharded interaction replay — byte-identical at any worker count");
-    for p in &result.points {
+    for p in &result.sweep.points {
         t.row_owned(vec![
-            p.workers.to_string(),
+            p.param.to_string(),
             format!("{:.3}", p.wall_secs),
             format!("{:.0}", p.events_per_sec),
-            format!("{:016x}", p.digest),
+            hex(p.digest),
         ]);
     }
     t
 }
 
-/// Renders `BENCH_services.json`: the machine-independent digest and
-/// capture counts at the top, wall-clock-dependent numbers under
-/// `"measured"`.
+/// Runs the experiment at `figures` scale (shortened when `fast`) and
+/// builds `BENCH_services.json`: the digest, capture counts and fidelity
+/// rows are pinned, the worker sweep's wall-clock numbers are `measured`.
 #[must_use]
-pub fn bench_json(result: &ServicesResult) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"services\",\n");
-    s.push_str("  \"experiment\": \"e17\",\n");
-    s.push_str(&format!("  \"cells\": {},\n", result.cells));
-    s.push_str(&format!("  \"window_ns\": {},\n", result.window.as_nanos()));
-    s.push_str(&format!("  \"duration_secs\": {},\n", result.duration.as_secs()));
-    s.push_str(&format!("  \"attackers\": {},\n", result.attackers));
-    s.push_str(&format!("  \"drive_completed\": {},\n", result.drive_completed));
-    s.push_str(&format!("  \"payloads_captured\": {},\n", result.payloads_captured));
-    s.push_str(&format!("  \"sessions_opened\": {},\n", result.sessions_opened));
-    s.push_str(&format!(
-        "  \"digest\": \"{:016x}\",\n",
-        result.points.first().map_or(0, |p| p.digest)
-    ));
-    s.push_str(&format!("  \"deterministic\": {},\n", result.deterministic));
-    s.push_str("  \"fidelity\": [\n");
-    for (i, f) in result.fidelity.iter().enumerate() {
-        let sep = if i + 1 == result.fidelity.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"drive_steps\": {}, \"scripted_rounds\": {}, \
-             \"scripted_captured\": {}, \"scenario_rounds\": {}, \"scenario_captured\": {}}}{}\n",
-            f.scenario,
-            f.drive_steps,
-            f.scripted_rounds,
-            f.scripted_captured,
-            f.scenario_rounds,
-            f.scenario_captured,
-            sep
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"measured\": [\n");
-    for (i, p) in result.points.iter().enumerate() {
-        let sep = if i + 1 == result.points.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \
-             \"digest\": \"{:016x}\"}}{}\n",
-            p.workers, p.wall_secs, p.events_per_sec, p.digest, sep
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+pub fn outcome(fast: bool) -> Outcome {
+    let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
+    let scale = if fast { 2 } else { 4 };
+    let r = run(SimTime::from_secs(if fast { 12 } else { 30 }), scale, scale, workers);
+    let summary = format!(
+        "services: {} attackers over 4 scenarios, {} drives completed, {} payloads \
+         captured, {} sessions; deterministic: {}",
+        r.attackers,
+        r.drive_completed,
+        r.payloads_captured,
+        r.sessions_opened,
+        r.sweep.deterministic
+    );
+    let fidelity_json = |f: &ScenarioFidelity| {
+        obj! {
+            "scenario": f.scenario.as_str(),
+            "drive_steps": f.drive_steps,
+            "scripted_rounds": f.scripted_rounds,
+            "scripted_captured": f.scripted_captured,
+            "scenario_rounds": f.scenario_rounds,
+            "scenario_captured": f.scenario_captured,
+        }
+    };
+    let points = &r.sweep.points;
+    let pinned = obj! {
+        "bench": "services",
+        "experiment": "e17",
+        "cells": r.cells,
+        "window_ns": r.window.as_nanos(),
+        "duration_secs": r.duration.as_secs(),
+        "attackers": r.attackers,
+        "drive_completed": r.drive_completed,
+        "payloads_captured": r.payloads_captured,
+        "sessions_opened": r.sessions_opened,
+        "digest": hex(points.first().map_or(0, |p| p.digest)),
+        "deterministic": r.sweep.deterministic,
+        "fidelity": r.fidelity.iter().map(fidelity_json).collect::<JsonValue>(),
+    };
+    let timing = |p: &Point<usize, InteractionResult>| {
+        p.timing(obj! {"workers": p.param, "digest": hex(p.digest)})
+    };
+    let measured = obj! {"points": points.iter().map(timing).collect::<JsonValue>()};
+    let every = |holds: fn(&ScenarioFidelity) -> bool| r.fidelity.iter().all(holds);
+    Outcome::default()
+        .line(summary)
+        .table(table(&r))
+        .table(sweep_table(&r))
+        .claim("deterministic_across_worker_counts", r.sweep.deterministic)
+        .claim("payloads_captured", r.payloads_captured > 0)
+        .claim("every_drive_completed", r.drive_completed == r.attackers)
+        .claim("scenario_engine_captures_every_payload", every(|f| f.scenario_captured))
+        .claim("fixed_banner_captures_nothing", every(|f| !f.scripted_captured))
+        .claim("banner_stalls_before_the_engine", every(|f| f.scripted_rounds < f.scenario_rounds))
+        .artifact("BENCH_services.json", fast, pinned, measured)
 }
 
 #[cfg(test)]
@@ -356,23 +340,12 @@ mod tests {
                 f.scenario
             );
         }
-        assert!(r.deterministic, "digests diverged across worker counts");
+        assert!(r.sweep.deterministic, "digests diverged across worker counts");
         assert!(r.payloads_captured > 0);
         assert!(r.sessions_opened > 0);
         assert_eq!(r.drive_completed, r.attackers);
         let rendered = table(&r).to_string();
         assert!(rendered.contains("scripted rounds"));
         assert!(sweep_table(&r).to_string().contains("digest"));
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let r = run(SimTime::from_secs(8), 2, 1, &[1]);
-        let json = bench_json(&r);
-        assert!(json.contains("\"experiment\": \"e17\""));
-        assert!(json.contains("\"deterministic\": true"));
-        assert!(json.contains("\"scenario\": \"worm-dropper\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

@@ -32,6 +32,7 @@ use potemkin_core::parallel::{
 };
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
+use potemkin_json::{obj, JsonValue};
 use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
 use potemkin_snapshot::fnv1a64;
@@ -39,6 +40,8 @@ use potemkin_vmm::guest::GuestProfile;
 use potemkin_vmm::{Host, SharedChunkStore, StoreStats};
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
+
+use crate::harness::{hex, round_to, sweep, Outcome};
 
 /// Chunk geometry of the host-level study.
 const CHUNK_BLOCKS: u64 = 64;
@@ -66,17 +69,6 @@ pub struct CheckpointPoint {
     pub reduction: f64,
 }
 
-/// One determinism measurement.
-#[derive(Clone, Debug)]
-pub struct DigestPoint {
-    /// Shard workers driving the run.
-    pub workers: usize,
-    /// Store chunk size in blocks (1 = flat layout).
-    pub chunk_blocks: u64,
-    /// Canonical report digest.
-    pub digest: u64,
-}
-
 /// Result of the full experiment.
 #[derive(Clone, Debug)]
 pub struct StorageResult {
@@ -102,8 +94,9 @@ pub struct StorageResult {
     pub materialize_time: SimTime,
     /// Checkpoint-size sweep, ascending clone counts.
     pub checkpoints: Vec<CheckpointPoint>,
-    /// Digest sweep over worker counts × chunk sizes.
-    pub digests: Vec<DigestPoint>,
+    /// `(chunk blocks, workers, canonical report digest)` over chunk sizes
+    /// (1 = flat layout) × worker counts.
+    pub digests: Vec<(u64, usize, u64)>,
     /// Whether every digest (any workers, chunked or flat) was identical.
     pub deterministic: bool,
 }
@@ -239,15 +232,20 @@ pub fn run(duration: SimTime, worker_counts: &[usize]) -> StorageResult {
 
     // Claim 3b: results are byte-identical at any worker count and at
     // any chunk geometry (64-block chunks vs. the flat 1-block layout).
-    let mut digests = Vec::new();
-    for &chunk_blocks in &[CHUNK_BLOCKS, 1] {
-        let config = sharded_config(duration, chunk_blocks);
-        for &workers in worker_counts {
-            let r = run_telescope_sharded(&config, workers).expect("sharded run");
-            digests.push(DigestPoint { workers, chunk_blocks, digest: digest(&r) });
-        }
-    }
-    let deterministic = digests.windows(2).all(|w| w[0].digest == w[1].digest);
+    let layouts: Vec<(u64, usize)> = [CHUNK_BLOCKS, 1]
+        .iter()
+        .flat_map(|&chunk_blocks| worker_counts.iter().map(move |&workers| (chunk_blocks, workers)))
+        .collect();
+    let runs = sweep(
+        &layouts,
+        |(chunk_blocks, workers)| {
+            run_telescope_sharded(&sharded_config(duration, chunk_blocks), workers)
+                .expect("sharded run")
+        },
+        |r| (r.engine.total.events_processed, digest(r)),
+    );
+    let digests = runs.points.iter().map(|p| (p.param.0, p.param.1, p.digest)).collect();
+    let deterministic = runs.deterministic;
 
     StorageResult {
         chunk_blocks: CHUNK_BLOCKS,
@@ -314,53 +312,70 @@ pub fn checkpoint_table(result: &StorageResult) -> Table {
 pub fn digest_table(result: &StorageResult) -> Table {
     let mut t = Table::new(&["chunk blocks", "workers", "digest"])
         .with_title("E18c: report digests — chunked vs. flat, at every worker count");
-    for p in &result.digests {
-        t.row_owned(vec![
-            p.chunk_blocks.to_string(),
-            p.workers.to_string(),
-            format!("{:016x}", p.digest),
-        ]);
+    for &(chunk_blocks, workers, digest) in &result.digests {
+        t.row_owned(vec![chunk_blocks.to_string(), workers.to_string(), hex(digest)]);
     }
     t
 }
 
-/// Renders `BENCH_storage.json`. Every field is virtual-time canonical.
+/// Runs the experiment at `figures` scale (shortened when `fast`) and
+/// builds `BENCH_storage.json`. Every field is virtual-time canonical, so
+/// `measured` carries the machine description only.
 #[must_use]
-pub fn bench_json(result: &StorageResult) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"storage\",\n");
-    s.push_str(&format!("  \"chunk_blocks\": {},\n", result.chunk_blocks));
-    s.push_str(&format!("  \"disk_blocks\": {},\n", result.disk_blocks));
-    s.push_str(&format!("  \"images\": {},\n", result.images));
-    s.push_str(&format!("  \"puts\": {},\n", result.after_reads.puts));
-    s.push_str(&format!("  \"dedupe_hits\": {},\n", result.after_reads.dedupe_hits));
-    s.push_str(&format!("  \"materialized\": {},\n", result.after_reads.materialized));
-    s.push_str(&format!("  \"resident_chunks\": {},\n", result.after_reads.resident_chunks));
-    s.push_str(&format!("  \"sharing_ratio\": {:.4},\n", result.sharing_ratio));
-    s.push_str(&format!("  \"lazy\": {},\n", result.lazy));
-    s.push_str(&format!("  \"cross_image_dedupe\": {},\n", result.cross_image_dedupe));
-    s.push_str(&format!("  \"materialize_us\": {},\n", result.materialize_time.as_micros()));
-    s.push_str(&format!("  \"deterministic\": {},\n", result.deterministic));
-    s.push_str("  \"checkpoints\": [\n");
-    for (i, p) in result.checkpoints.iter().enumerate() {
-        let sep = if i + 1 == result.checkpoints.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"clones\": {}, \"chunked_bytes\": {}, \"flat_bytes\": {}, \
-             \"reduction\": {:.2}}}{}\n",
-            p.clones, p.chunked_bytes, p.flat_bytes, p.reduction, sep
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"digests\": [\n");
-    for (i, p) in result.digests.iter().enumerate() {
-        let sep = if i + 1 == result.digests.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"chunk_blocks\": {}, \"workers\": {}, \"digest\": \"{:016x}\"}}{}\n",
-            p.chunk_blocks, p.workers, p.digest, sep
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+pub fn outcome(fast: bool) -> Outcome {
+    let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
+    let r = run(SimTime::from_secs(if fast { 2 } else { 6 }), workers);
+    let summary = format!(
+        "storage: {} images over {}-block chunks; sharing {:.2}x, {} dedupe hits, \
+         lazy: {}, deterministic: {}",
+        r.images,
+        r.chunk_blocks,
+        r.sharing_ratio,
+        r.after_reads.dedupe_hits,
+        r.lazy,
+        r.deterministic
+    );
+    let checkpoint_json = |p: &CheckpointPoint| {
+        obj! {
+            "clones": p.clones,
+            "chunked_bytes": p.chunked_bytes,
+            "flat_bytes": p.flat_bytes,
+            "reduction": round_to(p.reduction, 2),
+        }
+    };
+    let digest_json = |&(chunk_blocks, workers, digest): &(u64, usize, u64)| {
+        obj! {"chunk_blocks": chunk_blocks, "workers": workers, "digest": hex(digest)}
+    };
+    let pinned = obj! {
+        "bench": "storage",
+        "chunk_blocks": r.chunk_blocks,
+        "disk_blocks": r.disk_blocks,
+        "images": r.images,
+        "puts": r.after_reads.puts,
+        "dedupe_hits": r.after_reads.dedupe_hits,
+        "materialized": r.after_reads.materialized,
+        "resident_chunks": r.after_reads.resident_chunks,
+        "sharing_ratio": round_to(r.sharing_ratio, 4),
+        "lazy": r.lazy,
+        "cross_image_dedupe": r.cross_image_dedupe,
+        "materialize_us": r.materialize_time.as_micros(),
+        "deterministic": r.deterministic,
+        "checkpoints": r.checkpoints.iter().map(checkpoint_json).collect::<JsonValue>(),
+        "digests": r.digests.iter().map(digest_json).collect::<JsonValue>(),
+    };
+    let shrinks = r.checkpoints.iter().any(|c| c.clones == 64 && c.reduction >= 2.0);
+    Outcome::default()
+        .line(summary)
+        .table(store_table(&r))
+        .table(checkpoint_table(&r))
+        .table(digest_table(&r))
+        .claim("byte_identical_across_layouts_and_workers", r.deterministic)
+        .claim("nothing_materializes_before_the_first_read", r.lazy)
+        .claim("reads_materialize_chunks", r.after_reads.materialized > 0)
+        .claim("identical_images_share_chunks", r.cross_image_dedupe)
+        .claim("sharing_ratio_above_1x", r.sharing_ratio > 1.0)
+        .claim("checkpoint_shrinks_2x_at_64_clones", shrinks)
+        .artifact("BENCH_storage.json", fast, pinned, obj! {})
 }
 
 #[cfg(test)]
@@ -383,16 +398,5 @@ mod tests {
             assert!(p.reduction > 2.0, "manifest references must shrink the checkpoint: {p:?}");
         }
         assert!(r.deterministic, "digests diverged across workers or chunk sizes");
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let r = run(SimTime::from_secs(1), &[1]);
-        let json = bench_json(&r);
-        assert!(json.contains("\"bench\": \"storage\""));
-        assert!(json.contains("\"checkpoints\""));
-        assert!(json.contains("\"digests\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

@@ -11,6 +11,8 @@ use potemkin_metrics::Table;
 use potemkin_vmm::guest::GuestProfile;
 use potemkin_vmm::{Host, VmmError};
 
+use crate::harness::Outcome;
+
 /// One sweep point.
 #[derive(Clone, Copy, Debug)]
 pub struct MemoryPoint {
@@ -135,6 +137,17 @@ pub fn table(result: &MemoryScalingResult) -> Table {
         ]);
     }
     t
+}
+
+/// Runs the experiment at `figures` scale (shortened when `fast`).
+#[must_use]
+pub fn outcome(fast: bool) -> Outcome {
+    let counts: &[u64] = if fast { &[1, 25, 50] } else { &[1, 10, 25, 50, 75, 100, 116] };
+    let r = run(counts);
+    Outcome::default().table(table(&r)).line(format!(
+        "full-copy baseline capacity: {} VMs; delta virtualization: {} VMs\n",
+        r.full_copy_capacity, r.cow_capacity
+    ))
 }
 
 #[cfg(test)]

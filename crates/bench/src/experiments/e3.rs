@@ -15,6 +15,8 @@ use potemkin_metrics::{ConcurrencyAnalyzer, Table};
 use potemkin_sim::SimTime;
 use potemkin_workload::radiation::{RadiationConfig, RadiationModel};
 
+use crate::harness::Outcome;
+
 /// One sweep point.
 #[derive(Clone, Copy, Debug)]
 pub struct DemandPoint {
@@ -143,6 +145,17 @@ pub fn default_lifetimes() -> Vec<SimTime> {
         SimTime::from_secs(300),
         SimTime::from_secs(1_800),
     ]
+}
+
+/// Runs the experiment at `figures` scale (shortened when `fast`).
+#[must_use]
+pub fn outcome(fast: bool) -> Outcome {
+    let r = run(SimTime::from_secs(if fast { 300 } else { 1_800 }), &default_lifetimes(), 2005);
+    let trace = format!(
+        "trace: {} packets over {}, {} distinct telescope addresses",
+        r.packets, r.duration, r.addresses_touched
+    );
+    Outcome::default().line(trace).table(table(&r))
 }
 
 #[cfg(test)]

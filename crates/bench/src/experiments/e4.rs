@@ -16,6 +16,8 @@ use potemkin_metrics::Table;
 use potemkin_net::{Packet, PacketBuilder};
 use potemkin_sim::SimTime;
 
+use crate::harness::Outcome;
+
 /// One measurement point.
 #[derive(Clone, Copy, Debug)]
 pub struct ThroughputPoint {
@@ -145,6 +147,13 @@ pub fn table(result: &ThroughputResult) -> Table {
         "-".into(),
     ]);
     t
+}
+
+/// Runs the experiment at `figures` scale (shortened when `fast`).
+#[must_use]
+pub fn outcome(fast: bool) -> Outcome {
+    let r = run(&[100, 1_000, 10_000, 50_000], if fast { 20_000 } else { 200_000 });
+    Outcome::default().table(table(&r))
 }
 
 #[cfg(test)]

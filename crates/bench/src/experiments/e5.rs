@@ -16,6 +16,8 @@ use potemkin_sim::SimTime;
 use potemkin_workload::epidemic::SiModel;
 use potemkin_workload::worm::WormSpec;
 
+use crate::harness::Outcome;
+
 /// Result of the three-policy comparison.
 #[derive(Clone, Debug)]
 pub struct ContainmentResult {
@@ -126,6 +128,13 @@ pub fn curve_table(result: &ContainmentResult) -> Table {
         }
     }
     t
+}
+
+/// Runs the experiment at `figures` scale (shortened when `fast`).
+#[must_use]
+pub fn outcome(fast: bool) -> Outcome {
+    let r = run(SimTime::from_secs(if fast { 25 } else { 60 }));
+    Outcome::default().table(summary_table(&r)).table(curve_table(&r))
 }
 
 #[cfg(test)]

@@ -11,6 +11,8 @@ use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
 use potemkin_workload::radiation::RadiationConfig;
 
+use crate::harness::Outcome;
+
 /// Builds the standard end-to-end configuration.
 #[must_use]
 pub fn config(duration: SimTime, idle_timeout: SimTime, servers: usize) -> TelescopeConfig {
@@ -95,6 +97,17 @@ pub fn series_table(result: &TelescopeResult) -> Table {
         t.row_owned(vec![at.as_secs().to_string(), format!("{v:.0}")]);
     }
     t
+}
+
+/// Runs the experiment at `figures` scale (shortened when `fast`).
+#[must_use]
+pub fn outcome(fast: bool) -> Outcome {
+    let duration = SimTime::from_secs(if fast { 120 } else { 600 });
+    let r = run(duration, SimTime::from_secs(60), 1);
+    Outcome::default()
+        .table(summary_table(&r, duration))
+        .table(mix_table(&r))
+        .table(series_table(&r))
 }
 
 #[cfg(test)]

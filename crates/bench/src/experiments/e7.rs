@@ -12,6 +12,8 @@ use potemkin_metrics::Table;
 use potemkin_workload::dialogue::{DialogueOutcome, ExploitScript};
 use potemkin_workload::worm::WormSpec;
 
+use crate::harness::Outcome;
+
 /// One race outcome row.
 #[derive(Clone, Debug)]
 pub struct FidelityRow {
@@ -95,6 +97,12 @@ pub fn table(result: &FidelityResult) -> Table {
         ]);
     }
     t
+}
+
+/// Runs the experiment at `figures` scale (nothing here shortens under `--fast`).
+#[must_use]
+pub fn outcome(_fast: bool) -> Outcome {
+    Outcome::default().table(table(&run(2)))
 }
 
 #[cfg(test)]

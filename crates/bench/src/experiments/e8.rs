@@ -18,6 +18,8 @@ use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
 use potemkin_workload::radiation::RadiationConfig;
 
+use crate::harness::Outcome;
+
 /// One ablation row: a label plus the run it produced.
 #[derive(Clone, Debug)]
 pub struct AblationRow {
@@ -139,6 +141,12 @@ pub fn table(result: &AblationResult) -> Table {
         }
     }
     t
+}
+
+/// Runs the experiment at `figures` scale (shortened when `fast`).
+#[must_use]
+pub fn outcome(fast: bool) -> Outcome {
+    Outcome::default().table(table(&run(SimTime::from_secs(if fast { 60 } else { 300 }))))
 }
 
 #[cfg(test)]

@@ -18,6 +18,8 @@ use potemkin_sim::SimTime;
 use potemkin_workload::epidemic::SisModel;
 use potemkin_workload::worm::WormSpec;
 
+use crate::harness::Outcome;
+
 /// One sweep point.
 #[derive(Clone, Debug)]
 pub struct RecyclePoint {
@@ -118,6 +120,13 @@ pub fn table(result: &RecycleResult) -> Table {
         ]);
     }
     t
+}
+
+/// Runs the experiment at `figures` scale (shortened when `fast`).
+#[must_use]
+pub fn outcome(fast: bool) -> Outcome {
+    let r = run(SimTime::from_secs(if fast { 30 } else { 90 }), &default_lifetimes());
+    Outcome::default().table(table(&r))
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! One module per reproduced experiment.
+//! One module per reproduced experiment, and the table `figures` loops over.
 //!
 //! | Module | Paper artifact | What it regenerates |
 //! |--------|----------------|---------------------|
@@ -39,3 +39,31 @@ pub mod e6;
 pub mod e7;
 pub mod e8;
 pub mod e9;
+
+use crate::harness::Outcome;
+
+/// Runs one experiment at `figures` scale, shortened when the argument is
+/// true.
+pub type Experiment = fn(bool) -> Outcome;
+
+/// Every experiment by name, in the order `figures` runs them.
+pub const ALL: [(&str, Experiment); 18] = [
+    ("e1", e1::outcome),
+    ("e2", e2::outcome),
+    ("e3", e3::outcome),
+    ("e4", e4::outcome),
+    ("e5", e5::outcome),
+    ("e6", e6::outcome),
+    ("e7", e7::outcome),
+    ("e8", e8::outcome),
+    ("e9", e9::outcome),
+    ("e10", e10::outcome),
+    ("e11", e11::outcome),
+    ("e12", e12::outcome),
+    ("e13", e13::outcome),
+    ("e14", e14::outcome),
+    ("e15", e15::outcome),
+    ("e16", e16::outcome),
+    ("e17", e17::outcome),
+    ("e18", e18::outcome),
+];

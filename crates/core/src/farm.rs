@@ -1662,7 +1662,7 @@ impl Honeyfarm {
     }
 
     /// Ends a simulation window: folds the gateway's hot-path counters
-    /// into its counter set and applies deferred flow-table refreshes.
+    /// into its counter set.
     ///
     /// Drivers that batch bookkeeping at window barriers (see
     /// [`crate::parallel`]) call this once per window instead of paying

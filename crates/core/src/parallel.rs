@@ -524,8 +524,8 @@ impl ShardWorld for CellWorld {
 
     fn take_outbound(&mut self) -> Vec<(usize, FedBatch)> {
         // The engine calls this exactly once per shard per window — it is
-        // the barrier hook, so window-batched farm bookkeeping (hot
-        // counters, deferred flow-table refreshes) flushes here.
+        // the barrier hook, so window-batched farm bookkeeping (the
+        // gateway's hot counters) flushes here.
         self.farm.end_window();
         let mut staged = Vec::new();
         for (dest, packets) in self.outbound.iter_mut().enumerate() {

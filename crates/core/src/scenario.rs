@@ -522,20 +522,11 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    crossbeam::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (i, item) in items.into_iter().enumerate() {
-            let f = &f;
-            handles.push(s.spawn(move |_| (i, f(item))));
-        }
-        for h in handles {
-            let (i, r) = h.join().expect("sweep job panicked");
-            results[i] = Some(r);
-        }
+    std::thread::scope(|s| {
+        let f = &f;
+        let jobs: Vec<_> = items.into_iter().map(|item| s.spawn(move || f(item))).collect();
+        jobs.into_iter().map(|job| job.join().expect("sweep job panicked")).collect()
     })
-    .expect("sweep scope panicked");
-    results.into_iter().map(|r| r.expect("all slots filled")).collect()
 }
 
 #[cfg(test)]

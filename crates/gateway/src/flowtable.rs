@@ -71,18 +71,6 @@ pub struct FlowTable {
     /// Recency index for LRU eviction.
     lru: BTreeMap<(SimTime, u64), FlowKey>,
     next_stamp: u64,
-    /// When set, existing-flow refreshes defer their timer re-arm and LRU
-    /// restamp into [`FlowTable::pending`]; policy-visible state
-    /// (`last_seen`, counts, direction) still updates per packet.
-    batched: bool,
-    /// Deferred refreshes as `(flow id, canonical key, observation time)`,
-    /// in observation order. Flushed last-wins per flow before any point
-    /// that reads the timers or the LRU.
-    pending: Vec<(u64, FlowKey, SimTime)>,
-    /// Lifetime count of refreshes that were deferred instead of applied
-    /// inline (telemetry for the batching win: deferred − flushed timer
-    /// re-arms were never paid).
-    deferred: u64,
     /// Hashed endpoint index: address → interned flow id → canonical key.
     /// Replaces the former O(table) linear scans in [`FlowTable::retire_addr`]
     /// and [`FlowTable::flows_for`]; the inner map is ordered by intern id so
@@ -109,26 +97,10 @@ impl FlowTable {
             next_stamp: 0,
             by_addr: HashMap::new(),
             next_id: 0,
-            batched: false,
-            pending: Vec::new(),
-            deferred: 0,
             created: 0,
             evicted: 0,
             lru_evicted: 0,
         }
-    }
-
-    /// Switches existing-flow refreshes to per-window batching: `observe`
-    /// still updates the policy-visible state immediately, but the timer
-    /// cancel/re-schedule and LRU restamp are deferred and applied once per
-    /// flow at the next flush point ([`FlowTable::flush_window`], `expire`,
-    /// `retire_addr`, or a capacity eviction). Under sustained per-flow
-    /// packet rates this collapses O(packets) timer churn to O(flows) per
-    /// window without changing which flows idle out.
-    #[must_use]
-    pub fn with_batched_updates(mut self) -> Self {
-        self.batched = true;
-        self
     }
 
     /// Adds `key` (already canonical) under both endpoints in the address
@@ -180,26 +152,17 @@ impl FlowTable {
             state.last_seen = now;
             state.packets += 1;
             state.bytes += bytes as u64;
-            if self.batched {
-                self.pending.push((state.id, canonical, now));
-                self.deferred += 1;
-            } else {
-                let deadline = now + self.idle_timeout;
-                let stamp = (now, self.next_stamp);
-                self.next_stamp += 1;
-                self.timers.cancel(state.timer);
-                state.timer = self.timers.schedule(deadline, canonical);
-                self.lru.remove(&state.stamp);
-                state.stamp = stamp;
-                self.lru.insert(stamp, canonical);
-            }
+            let deadline = now + self.idle_timeout;
+            let stamp = (now, self.next_stamp);
+            self.next_stamp += 1;
+            self.timers.cancel(state.timer);
+            state.timer = self.timers.schedule(deadline, canonical);
+            self.lru.remove(&state.stamp);
+            state.stamp = stamp;
+            self.lru.insert(stamp, canonical);
             return false;
         }
         if let Some(max) = self.max_flows {
-            if self.flows.len() >= max {
-                // The LRU victim choice must see every deferred refresh.
-                self.flush_pending();
-            }
             while self.flows.len() >= max {
                 let (&oldest, &victim) = self.lru.iter().next().expect("lru tracks every flow");
                 self.lru.remove(&oldest);
@@ -236,58 +199,6 @@ impl FlowTable {
         true
     }
 
-    /// Applies deferred refreshes: for each flow with pending observations,
-    /// re-arms the idle timer and restamps the LRU from its *latest*
-    /// observation (last-wins — intermediate refreshes were subsumed).
-    /// Entries whose flow was evicted or recreated since deferral are
-    /// skipped via the interned-id guard. Deterministic: applies in flow-id
-    /// order, independent of hash-map iteration.
-    fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.pending);
-        // Entries with equal (id, time) are interchangeable, so an unstable
-        // sort is safe and allocation-free.
-        pending.sort_unstable_by_key(|&(id, _, at)| (id, at));
-        let mut i = 0;
-        while i < pending.len() {
-            let mut j = i;
-            while j + 1 < pending.len() && pending[j + 1].0 == pending[i].0 {
-                j += 1;
-            }
-            let (id, key, at) = pending[j];
-            i = j + 1;
-            let Some(state) = self.flows.get_mut(&key) else { continue };
-            if state.id != id {
-                continue;
-            }
-            self.timers.cancel(state.timer);
-            state.timer = self.timers.schedule(at + self.idle_timeout, key);
-            self.lru.remove(&state.stamp);
-            let stamp = (at, self.next_stamp);
-            self.next_stamp += 1;
-            state.stamp = stamp;
-            self.lru.insert(stamp, key);
-        }
-        // Hand the (empty) buffer back so steady state reuses its capacity.
-        pending.clear();
-        self.pending = pending;
-    }
-
-    /// Window-barrier hook: applies every deferred refresh. A no-op in
-    /// unbatched mode or when nothing is pending.
-    pub fn flush_window(&mut self) {
-        self.flush_pending();
-    }
-
-    /// Lifetime count of refreshes deferred by batching (each one is a
-    /// timer cancel + schedule the unbatched table would have paid inline).
-    #[must_use]
-    pub fn deferred_refreshes(&self) -> u64 {
-        self.deferred
-    }
-
     /// Looks up the flow containing `key` (either direction).
     #[must_use]
     pub fn get(&self, key: FlowKey) -> Option<&FlowState> {
@@ -303,9 +214,6 @@ impl FlowTable {
     /// Evicts flows idle past the timeout, up to virtual time `now`.
     /// Returns the evicted keys.
     pub fn expire(&mut self, now: SimTime) -> Vec<FlowKey> {
-        // Deferred refreshes must re-arm their timers before the wheel
-        // advances, or a refreshed flow would idle out on its stale timer.
-        self.flush_pending();
         let mut evicted = Vec::new();
         for key in self.timers.advance_to(now) {
             // A fired timer is authoritative: observe() cancels and
@@ -328,9 +236,6 @@ impl FlowTable {
     /// binding, or its "reply" allowance would let a *recycled* VM's packets
     /// out through a dialogue the new occupant never had.
     pub fn retire_addr(&mut self, addr: std::net::Ipv4Addr) -> usize {
-        // Settle deferred refreshes so the LRU/timer state we unlink from is
-        // consistent (stale entries for retired flows are id-guarded anyway).
-        self.flush_pending();
         // The address index makes this O(flows at addr): walk the interned
         // ids in first-seen order (stable eviction order) instead of
         // scanning the whole table.
@@ -431,16 +336,6 @@ impl FlowTable {
         w.u64(self.created);
         w.u64(self.evicted);
         w.u64(self.lru_evicted);
-        // Deferred refreshes ride along so a snapshot taken mid-window
-        // resumes with the exact same flush outcome as the uninterrupted
-        // run — no flush-before-checkpoint discipline required of callers.
-        w.usize(self.pending.len());
-        for &(id, key, at) in &self.pending {
-            w.u64(id);
-            encode_flow_key(&mut w, key);
-            w.u64(at.as_nanos());
-        }
-        w.u64(self.deferred);
         w.into_bytes()
     }
 
@@ -504,15 +399,6 @@ impl FlowTable {
         let created = r.u64()?;
         let evicted = r.u64()?;
         let lru_evicted = r.u64()?;
-        let n_pending = r.usize()?;
-        let mut pending = Vec::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            let id = r.u64()?;
-            let key = decode_flow_key(&mut r)?;
-            let at = SimTime::from_nanos(r.u64()?);
-            pending.push((id, key, at));
-        }
-        let deferred = r.u64()?;
         r.finish()?;
         self.flows = flows;
         self.timers = TimerWheel::from_parts(tick, now_ticks, next_timer_id, timers);
@@ -526,8 +412,6 @@ impl FlowTable {
         self.created = created;
         self.evicted = evicted;
         self.lru_evicted = lru_evicted;
-        self.pending = pending;
-        self.deferred = deferred;
         Ok(())
     }
 }
@@ -757,105 +641,6 @@ mod tests {
             let brute = ft.flows.keys().filter(|k| k.src == a || k.dst == a).count();
             assert_eq!(ft.flows_for(a), brute);
         }
-    }
-
-    #[test]
-    fn batched_refreshes_keep_flows_alive() {
-        let mut ft = FlowTable::new(SimTime::from_secs(5)).with_batched_updates();
-        ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
-        // Refresh at t=3 is deferred: the timer still holds the t=5
-        // deadline until a flush point.
-        ft.observe(SimTime::from_secs(3), key(), 40, FlowDirection::InboundInitiated);
-        assert_eq!(ft.deferred_refreshes(), 1);
-        // expire() flushes first, so the stale t=5 timer never fires.
-        assert!(ft.expire(SimTime::from_secs(6)).is_empty(), "refresh moved the deadline to t=8");
-        let s = ft.get(key()).unwrap();
-        assert_eq!((s.packets, s.last_seen), (2, SimTime::from_secs(3)), "policy state is live");
-        assert_eq!(ft.expire(SimTime::from_secs(9)), vec![key().canonical()]);
-    }
-
-    #[test]
-    fn batched_and_inline_tables_evict_identically() {
-        // Drive both modes through create/refresh/expire/LRU churn; the
-        // surviving flow sets must match at every step.
-        let mut inline = FlowTable::new(SimTime::from_secs(4)).with_max_flows(3);
-        let mut batched =
-            FlowTable::new(SimTime::from_secs(4)).with_max_flows(3).with_batched_updates();
-        let keys: Vec<FlowKey> = (0..6u16).map(|i| FlowKey::tcp(ATK, 2_000 + i, HP, 445)).collect();
-        for step in 0..30u64 {
-            let now = SimTime::from_secs(step);
-            // Quadratic residues revisit recent keys, mixing refreshes of
-            // resident flows with creations that trigger LRU eviction.
-            let k = keys[((step * step) % keys.len() as u64) as usize];
-            inline.observe(now, k, 40, FlowDirection::InboundInitiated);
-            batched.observe(now, k, 40, FlowDirection::InboundInitiated);
-            if step % 3 == 2 {
-                let mut a = inline.expire(now);
-                let mut b = batched.expire(now);
-                a.sort_unstable_by_key(|k| (k.src, k.dst));
-                b.sort_unstable_by_key(|k| (k.src, k.dst));
-                assert_eq!(a, b, "divergent eviction at step {step}");
-            }
-            assert_eq!(inline.len(), batched.len(), "table size diverged at step {step}");
-            for &k in &keys {
-                assert_eq!(
-                    inline.get(k).is_some(),
-                    batched.get(k).is_some(),
-                    "flow presence diverged at step {step}"
-                );
-            }
-        }
-        assert_eq!(inline.lifetime_counts(), batched.lifetime_counts());
-        assert_eq!(inline.lru_evictions(), batched.lru_evictions());
-        assert!(batched.deferred_refreshes() > 0, "the batched table actually deferred work");
-    }
-
-    #[test]
-    fn capacity_eviction_sees_deferred_refreshes() {
-        let mut ft =
-            FlowTable::new(SimTime::from_secs(3_600)).with_max_flows(3).with_batched_updates();
-        let keys: Vec<FlowKey> = (0..5u16).map(|i| FlowKey::tcp(ATK, 1_000 + i, HP, 445)).collect();
-        for (i, &k) in keys.iter().take(3).enumerate() {
-            ft.observe(SimTime::from_secs(i as u64), k, 40, FlowDirection::InboundInitiated);
-        }
-        // Deferred refresh of the oldest flow; the capacity eviction below
-        // must flush it before choosing a victim, or keys[0] dies wrongly.
-        ft.observe(SimTime::from_secs(10), keys[0], 40, FlowDirection::InboundInitiated);
-        ft.observe(SimTime::from_secs(11), keys[3], 40, FlowDirection::InboundInitiated);
-        assert!(ft.get(keys[0]).is_some(), "refreshed flow survives");
-        assert!(ft.get(keys[1]).is_none(), "true LRU flow evicted");
-        assert_eq!(ft.lru_evictions(), 1);
-    }
-
-    #[test]
-    fn pending_refreshes_survive_snapshot() {
-        let mut ft = FlowTable::new(SimTime::from_secs(5)).with_batched_updates();
-        ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
-        ft.observe(SimTime::from_secs(3), key(), 40, FlowDirection::InboundInitiated);
-        // Snapshot with the refresh still deferred.
-        let bytes = ft.encode_state();
-        let mut restored = FlowTable::new(SimTime::from_secs(5)).with_batched_updates();
-        restored.restore_state(&bytes).unwrap();
-        assert_eq!(restored.encode_state(), bytes, "encode∘restore∘encode ≠ encode");
-        assert_eq!(restored.deferred_refreshes(), 1);
-        // The deferred refresh lands after restore exactly as it would have
-        // in the uninterrupted run.
-        assert!(restored.expire(SimTime::from_secs(6)).is_empty());
-        assert_eq!(restored.expire(SimTime::from_secs(9)), vec![key().canonical()]);
-    }
-
-    #[test]
-    fn flush_window_is_idempotent() {
-        let mut ft = FlowTable::new(SimTime::from_secs(5)).with_batched_updates();
-        ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
-        for s in 1..4u64 {
-            ft.observe(SimTime::from_secs(s), key(), 40, FlowDirection::InboundInitiated);
-        }
-        ft.flush_window();
-        ft.flush_window();
-        // Last-wins: the deadline tracks the final observation (t=3 + 5).
-        assert!(ft.expire(SimTime::from_secs(7)).is_empty());
-        assert_eq!(ft.expire(SimTime::from_secs(8)).len(), 1);
     }
 
     #[test]

@@ -37,11 +37,6 @@ pub struct GatewayConfig {
     pub granularity: BindGranularity,
     /// The reserved prefix DNS answers come from.
     pub sinkhole: Ipv4Prefix,
-    /// Defer flow-table timer/LRU refreshes and hot-path counter folds to
-    /// window barriers ([`Gateway::end_window`]) instead of paying them per
-    /// packet. Flow eviction outcomes are unchanged; only when the
-    /// bookkeeping happens moves.
-    pub batched_flow_updates: bool,
     /// Cap on concurrently open interaction-service sessions admitted per
     /// farm (`None` = unlimited). Checked by
     /// [`Gateway::admit_service_session`] before the farm opens a new
@@ -55,7 +50,6 @@ impl Default for GatewayConfig {
             policy: PolicyConfig::default(),
             granularity: BindGranularity::PerDestination,
             sinkhole: "172.20.0.0/16".parse().expect("static prefix"),
-            batched_flow_updates: false,
             service_sessions: None,
         }
     }
@@ -104,13 +98,6 @@ impl GatewayConfigBuilder {
     #[must_use]
     pub fn sinkhole(mut self, sinkhole: Ipv4Prefix) -> Self {
         self.inner.sinkhole = sinkhole;
-        self
-    }
-
-    /// Defers per-packet flow-table refreshes to window barriers.
-    #[must_use]
-    pub fn batched_flow_updates(mut self, batched: bool) -> Self {
-        self.inner.batched_flow_updates = batched;
         self
     }
 
@@ -280,13 +267,10 @@ impl Gateway {
             policy.binding_max_lifetime,
             policy.per_source_vm_limit,
         );
-        let mut flows = match policy.max_flows {
+        let flows = match policy.max_flows {
             Some(max) => FlowTable::new(policy.flow_idle_timeout).with_max_flows(max),
             None => FlowTable::new(policy.flow_idle_timeout),
         };
-        if config.batched_flow_updates {
-            flows = flows.with_batched_updates();
-        }
         let dns = DnsProxy::new(config.sinkhole);
         Gateway {
             config,
@@ -638,13 +622,11 @@ impl Gateway {
         std::mem::take(&mut self.hot).fold_into(&mut self.counters);
     }
 
-    /// Window-barrier hook: folds hot-path counters and applies the flow
-    /// table's deferred refreshes. The sharded engine calls this when a
-    /// cell's window closes; the serial driver calls it each tick. Cheap
-    /// when nothing is pending.
+    /// Window-barrier hook: folds hot-path counters into the counter set.
+    /// The sharded engine calls this when a cell's window closes; the
+    /// serial driver calls it each tick. Cheap when nothing is pending.
     pub fn end_window(&mut self) {
         self.flush_hot();
-        self.flows.flush_window();
     }
 
     /// The gateway's telemetry counters as of the last flush point

@@ -1,12 +1,14 @@
-//! A minimal JSON parser (no external dependencies).
+//! A minimal JSON parser and serializer (no external dependencies).
 //!
 //! Just enough to validate and round-trip the workspace's structured
 //! text formats: objects, arrays, strings with the standard escapes,
-//! numbers as `f64`, booleans, null. Two consumers share it — the trace
-//! exporters in `potemkin-obs` (round-trip tests, E12's trace self-check)
-//! and the scenario DSL loader in `potemkin-services` — so the workspace
-//! carries exactly one hand-rolled parser instead of growing a second.
-//! Not a general-purpose parser.
+//! numbers as `f64`, booleans, null. Three consumers share it — the trace
+//! exporters in `potemkin-obs` (round-trip tests, E12's trace self-check),
+//! the scenario DSL loader in `potemkin-services`, and the experiment
+//! harness in `potemkin-bench`, which builds every `BENCH_*.json` as a
+//! [`JsonValue`] and prints it with [`fmt::Display`] — so the workspace
+//! carries exactly one hand-rolled parser and one emitter.
+//! Not a general-purpose library.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,7 +47,85 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Builds a [`JsonValue::Object`] from `"key": value` pairs; each value
+/// goes through [`JsonValue::from`].
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal : $value:expr),* $(,)?) => {
+        $crate::JsonValue::Object(
+            [$(($key.to_string(), $crate::JsonValue::from($value))),*].into_iter().collect(),
+        )
+    };
+}
+
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            /// Exact up to 2^53, like every JSON number.
+            #[allow(clippy::cast_precision_loss, clippy::cast_lossless)]
+            fn from(n: $t) -> JsonValue {
+                JsonValue::Num(n as f64)
+            }
+        }
+    )*};
+}
+
+from_number!(u64, usize, f64);
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> JsonValue {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> JsonValue {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> JsonValue {
+        JsonValue::Str(s)
+    }
+}
+
+impl<T: Into<JsonValue>> FromIterator<T> for JsonValue {
+    /// Collects into a [`JsonValue::Array`].
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> JsonValue {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+impl fmt::Display for JsonValue {
+    /// Pretty-prints the value: a container whose children are all scalars
+    /// stays on one line (a table row); any other container puts one child
+    /// per line, two spaces per level. Non-finite numbers, which JSON cannot
+    /// carry, print as `null`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
 impl JsonValue {
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            // `Display` for `f64` is the shortest text that parses back to
+            // the same value, with no exponent and no fraction on integers.
+            JsonValue::Num(n) if n.is_finite() => write!(f, "{n}"),
+            JsonValue::Num(_) => f.write_str("null"),
+            JsonValue::Str(s) => write!(f, "\"{}\"", escape(s)),
+            JsonValue::Array(items) => {
+                write_container(f, depth, ['[', ']'], items.iter().map(|v| (None, v)))
+            }
+            JsonValue::Object(members) => {
+                write_container(f, depth, ['{', '}'], members.iter().map(|(k, v)| (Some(k), v)))
+            }
+        }
+    }
+
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage is an error).
     ///
@@ -61,6 +141,16 @@ impl JsonValue {
             return Err(p.err("trailing characters after document"));
         }
         Ok(value)
+    }
+
+    /// Sets member `key` of an object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this value is not an object (a bug in the caller).
+    pub fn insert(&mut self, key: &str, value: impl Into<JsonValue>) {
+        let JsonValue::Object(members) = self else { panic!("insert into a JSON non-object") };
+        members.insert(key.to_string(), value.into());
     }
 
     /// Object member lookup.
@@ -273,6 +363,33 @@ impl Parser<'_> {
     }
 }
 
+fn write_container<'a>(
+    f: &mut fmt::Formatter<'_>,
+    depth: usize,
+    [open, close]: [char; 2],
+    children: impl Iterator<Item = (Option<&'a String>, &'a JsonValue)> + Clone,
+) -> fmt::Result {
+    let flat =
+        children.clone().all(|(_, v)| !matches!(v, JsonValue::Array(_) | JsonValue::Object(_)));
+    write!(f, "{open}")?;
+    for (i, (key, value)) in children.enumerate() {
+        if i > 0 {
+            f.write_str(if flat { ", " } else { "," })?;
+        }
+        if !flat {
+            write!(f, "\n{:1$}", "", 2 * depth + 2)?;
+        }
+        if let Some(key) = key {
+            write!(f, "\"{}\": ", escape(key))?;
+        }
+        value.write(f, depth + 1)?;
+    }
+    if !flat {
+        write!(f, "\n{:1$}", "", 2 * depth)?;
+    }
+    write!(f, "{close}")
+}
+
 /// Escapes `text` for inclusion inside a JSON string literal.
 #[must_use]
 pub fn escape(text: &str) -> String {
@@ -310,6 +427,8 @@ pub fn strip_line_comments(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_document() {
@@ -334,6 +453,67 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}f";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(JsonValue::parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn integers_print_without_fraction_or_exponent() {
+        for (n, text) in [
+            (1_945_208_u64, "1945208"),
+            (1 << 53, "9007199254740992"),
+            (500_000_000, "500000000"),
+            (0, "0"),
+        ] {
+            assert_eq!(JsonValue::from(n).to_string(), text);
+        }
+        assert_eq!(JsonValue::from(24.94).to_string(), "24.94");
+        assert_eq!(JsonValue::from(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn rows_stay_on_one_line_and_nesting_indents() {
+        let doc = obj! {
+            "digest": "a342e7210fca478c",
+            "rows": [obj! {"workers": 1_u64, "ok": true}, obj! {"workers": 2_u64, "ok": false}]
+                .into_iter()
+                .collect::<JsonValue>(),
+            "empty": JsonValue::Array(Vec::new()),
+        };
+        let expected = "{\n  \"digest\": \"a342e7210fca478c\",\n  \"empty\": [],\n  \"rows\": [\n    \
+                        {\"ok\": true, \"workers\": 1},\n    {\"ok\": false, \"workers\": 2}\n  ]\n}";
+        assert_eq!(doc.to_string(), expected);
+    }
+
+    /// Scalars plus, while `depth` lasts, arrays and objects of the level
+    /// below. Strings draw from quotes, backslashes, control characters and
+    /// non-ASCII; numbers from integers up to 2^53 and arbitrary fractions.
+    fn arb_value(depth: u32) -> BoxedStrategy<JsonValue> {
+        let text = || "[a-c \"\\\n\t\u{1}é/{:,]{0,8}";
+        let scalar = prop_oneof![
+            Just(JsonValue::Null),
+            any::<bool>().prop_map(JsonValue::Bool),
+            (0_u64..=1 << 53).prop_map(JsonValue::from),
+            (-1e9..1e9_f64).prop_map(JsonValue::Num),
+            text().prop_map(JsonValue::Str),
+        ];
+        if depth == 0 {
+            return scalar.boxed();
+        }
+        let inner = arb_value(depth - 1);
+        prop_oneof![
+            2 => scalar,
+            1 => vec(inner.clone(), 0..4).prop_map(JsonValue::Array),
+            1 => vec((text(), inner), 0..4)
+                .prop_map(|members| JsonValue::Object(members.into_iter().collect())),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #[test]
+        fn serialize_then_parse_is_identity(value in arb_value(3)) {
+            let text = value.to_string();
+            prop_assert_eq!(JsonValue::parse(&text), Ok(value), "{}", text);
+        }
     }
 
     #[test]

@@ -504,23 +504,18 @@ where
     if buckets.len() <= 1 {
         return buckets.pop().unwrap_or_default().into_iter().map(|(i, s)| run_one(i, s)).collect();
     }
-    crossbeam::thread::scope(|scope| {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for bucket in buckets {
-            let tx = tx.clone();
-            let run_one = &run_one;
-            scope.spawn(move |_| {
-                for (idx, shard) in bucket {
-                    if tx.send(run_one(idx, shard)).is_err() {
-                        panic!("merge receiver disconnected");
-                    }
-                }
-            });
-        }
-        drop(tx);
-        rx.iter().collect()
+    std::thread::scope(|scope| {
+        let run_one = &run_one;
+        let workers: Vec<_> = buckets
+            .into_iter()
+            .map(|bucket| {
+                scope.spawn(move || {
+                    bucket.into_iter().map(|(idx, shard)| run_one(idx, shard)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("shard worker panicked")).collect()
     })
-    .expect("shard worker panicked")
 }
 
 #[cfg(test)]

@@ -25,9 +25,10 @@ use crate::error::SnapshotError;
 
 /// Current snapshot format version. Version 2 switched disk sections from
 /// raw block walks to chunk-manifest references (geometry + materialized
-/// bits + overlay deltas); version-1 files are rejected rather than
+/// bits + overlay deltas); version 3 dropped the flow table's deferred
+/// refresh list and counter. Older files are rejected rather than
 /// misparsed.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";
@@ -305,13 +306,17 @@ mod tests {
 
     #[test]
     fn wrong_version_rejected() {
-        let mut bytes = sample().encode();
-        bytes[8] = 99; // version field follows the 8-byte magic
-                       // Digest now mismatches too, but version is checked first.
-        assert!(matches!(
-            SnapshotFile::decode(&bytes),
-            Err(SnapshotError::VersionMismatch { found: 99, expected: SNAPSHOT_VERSION })
-        ));
+        // The previous format version and a future one: the version field
+        // follows the 8-byte magic. The digest now mismatches too, but the
+        // version is checked first, so an old file is never decoded.
+        for found in [SNAPSHOT_VERSION - 1, 99] {
+            let mut bytes = sample().encode();
+            bytes[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                SnapshotFile::decode(&bytes).err(),
+                Some(SnapshotError::VersionMismatch { found, expected: SNAPSHOT_VERSION })
+            );
+        }
     }
 
     #[test]

@@ -38,8 +38,6 @@ struct SampledRun {
     rebalance: bool,
     /// Adaptive window sizing (deterministic per configuration).
     adaptive: bool,
-    /// Barrier-batched gateway flow/counter updates.
-    batched_flow: bool,
 }
 
 fn arb_run() -> impl Strategy<Value = SampledRun> {
@@ -51,7 +49,7 @@ fn arb_run() -> impl Strategy<Value = SampledRun> {
         prop_oneof![Just(0.0), 120.0..600.0f64],
         prop_oneof![Just(0.0), 0.01..0.3f64],
         any::<bool>(),
-        (any::<bool>(), any::<bool>(), any::<bool>()),
+        (any::<bool>(), any::<bool>()),
     )
         .prop_map(
             |(
@@ -62,7 +60,7 @@ fn arb_run() -> impl Strategy<Value = SampledRun> {
                 crash_rate,
                 clone_prob,
                 with_worm,
-                (rebalance, adaptive, batched_flow),
+                (rebalance, adaptive),
             )| {
                 SampledRun {
                     seed,
@@ -74,7 +72,6 @@ fn arb_run() -> impl Strategy<Value = SampledRun> {
                     with_worm,
                     rebalance,
                     adaptive,
-                    batched_flow,
                 }
             },
         )
@@ -86,7 +83,6 @@ fn config_for(s: SampledRun) -> ShardedTelescopeConfig {
     farm.frames_per_server = 262_144;
     farm.seed = s.seed;
     farm.degradation_ladder = true;
-    farm.gateway.batched_flow_updates = s.batched_flow;
     let mut seed_infections = 0;
     if s.with_worm {
         // A small worm space keeps the saturated VM population (and the

@@ -48,10 +48,10 @@
 use std::path::{Path, PathBuf};
 
 use potemkin_obs::{names as obs, Tracer};
-use potemkin_sim::{BarrierControl, RunStats, Shard, ShardProgress, SimTime};
+use potemkin_sim::{BarrierControl, Shard, ShardProgress, SimTime};
 use potemkin_snapshot::{
-    fnv1a64, retry_with_backoff, write_atomic, RetryOutcome, RetryPolicy, SnapReader, SnapWriter,
-    SnapshotError, SnapshotFile,
+    fnv1a64, retry_with_backoff, write_atomic, RetryOutcome, RetryPolicy, Snap, SnapReader,
+    SnapWriter, SnapshotError, SnapshotFile,
 };
 
 use crate::error::FarmError;
@@ -145,49 +145,6 @@ pub fn config_fingerprint(config: &ShardedTelescopeConfig) -> u64 {
     fnv1a64(canonical.as_bytes())
 }
 
-fn encode_progress(progress: &ShardProgress) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.u64(progress.next_window);
-    w.u64(progress.window_start.as_nanos());
-    w.u64(progress.per_shard.len() as u64);
-    for stats in &progress.per_shard {
-        w.u64(stats.events_processed);
-        w.u64(stats.last_event_time.as_nanos());
-        w.bool(stats.hit_horizon);
-    }
-    w.u64(progress.remote_messages);
-    w.u64(progress.windows);
-    w.u64(progress.window_width.as_nanos());
-    w.into_bytes()
-}
-
-fn decode_progress(bytes: &[u8]) -> Result<ShardProgress, SnapshotError> {
-    let mut r = SnapReader::new(bytes, "core.checkpoint.progress");
-    let next_window = r.u64()?;
-    let window_start = SimTime::from_nanos(r.u64()?);
-    let n = r.u64()?;
-    let mut per_shard = Vec::with_capacity(n.min(1 << 16) as usize);
-    for _ in 0..n {
-        per_shard.push(RunStats {
-            events_processed: r.u64()?,
-            last_event_time: SimTime::from_nanos(r.u64()?),
-            hit_horizon: r.bool()?,
-        });
-    }
-    let remote_messages = r.u64()?;
-    let windows = r.u64()?;
-    let window_width = SimTime::from_nanos(r.u64()?);
-    r.finish()?;
-    Ok(ShardProgress {
-        next_window,
-        window_start,
-        per_shard,
-        remote_messages,
-        windows,
-        window_width,
-    })
-}
-
 /// Assembles the whole-farm snapshot at a window barrier; the federation
 /// sections exist only when the cells carry a hop.
 fn encode_snapshot(
@@ -202,7 +159,7 @@ fn encode_snapshot(
     meta.u64(config.base.duration.as_nanos());
     meta.u64(config.base.seed);
     file.push("meta", meta.into_bytes());
-    file.push("progress", encode_progress(progress));
+    file.push("progress", progress.to_bytes());
     for (cell, shard) in shards.iter().enumerate() {
         file.push(&format!("cell{cell}.farm"), shard.world.farm.encode_state());
         file.push(&format!("cell{cell}.world"), encode_cell_aux(&shard.world));
@@ -237,11 +194,12 @@ pub(crate) fn restore_snapshot(
     let _seed = meta.u64()?;
     meta.finish()?;
     if cells != shards.len() {
-        return Err(SnapshotError::Decode { context: "core.checkpoint.meta" });
+        return Err(meta.bad());
     }
-    let progress = decode_progress(file.section("progress")?)?;
+    const PROGRESS: &str = "core.checkpoint.progress";
+    let progress = ShardProgress::from_bytes(file.section("progress")?, PROGRESS)?;
     if progress.per_shard.len() != shards.len() {
-        return Err(SnapshotError::Decode { context: "core.checkpoint.progress" });
+        return Err(SnapshotError::Decode { context: PROGRESS });
     }
     for (cell, shard) in shards.iter_mut().enumerate() {
         shard.world.farm.restore_state(file.section(&format!("cell{cell}.farm"))?)?;

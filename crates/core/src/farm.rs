@@ -24,7 +24,7 @@ use potemkin_net::{BufferPool, Packet, PacketBuilder, PacketPayload, PoolStats};
 use potemkin_obs::{names as obs, TraceConfig, TraceEvent, Tracer};
 use potemkin_services::{ServiceEngine, ServicesConfig};
 use potemkin_sim::{FaultInjector, FaultKind, FaultPlan, SimRng, SimTime};
-use potemkin_snapshot::{SnapReader, SnapshotError};
+use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use potemkin_vmm::cost::CostModel;
 use potemkin_vmm::guest::GuestProfile;
 use potemkin_vmm::{
@@ -405,6 +405,8 @@ pub struct InfectionRecord {
     pub at: SimTime,
 }
 
+snap_struct!(InfectionRecord { vm, victim_addr, infected_by, port, internal_origin, at });
+
 /// A captured exploit payload (deduplicated by content).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CaptureRecord {
@@ -419,6 +421,8 @@ pub struct CaptureRecord {
     /// How many times this exact payload has been delivered.
     pub hits: u64,
 }
+
+snap_struct!(CaptureRecord { payload, port, first_source, first_seen, hits });
 
 /// Externally visible farm emissions, recorded for assertions and reports.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -442,11 +446,49 @@ pub enum FarmOutput {
     DroppedOutbound(DropReason),
 }
 
+/// A `u8` variant tag, then the variant's fields; packets ride as wire
+/// bytes.
+impl Snap for FarmOutput {
+    fn snap(&self, w: &mut SnapWriter) {
+        match self {
+            FarmOutput::SentExternal(packet) => {
+                w.u8(0);
+                packet.snap(w);
+            }
+            FarmOutput::ForwardedCell { packet, cell } => {
+                w.u8(1);
+                packet.snap(w);
+                cell.snap(w);
+            }
+            FarmOutput::DroppedInbound(reason) => {
+                w.u8(2);
+                reason.snap(w);
+            }
+            FarmOutput::DroppedOutbound(reason) => {
+                w.u8(3);
+                reason.snap(w);
+            }
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.u8()? {
+            0 => FarmOutput::SentExternal(Snap::unsnap(r)?),
+            1 => FarmOutput::ForwardedCell { packet: Snap::unsnap(r)?, cell: Snap::unsnap(r)? },
+            2 => FarmOutput::DroppedInbound(Snap::unsnap(r)?),
+            3 => FarmOutput::DroppedOutbound(Snap::unsnap(r)?),
+            _ => return Err(r.bad()),
+        })
+    }
+}
+
 #[derive(Clone, Copy)]
 struct VmSlot {
     host: usize,
     domain: DomainId,
 }
+
+snap_struct!(VmSlot { host, domain });
 
 /// The honeyfarm: gateway + server pool + guest behaviour.
 pub struct Honeyfarm {
@@ -1815,10 +1857,12 @@ impl Honeyfarm {
 /// state — images, budget, cell slot, tracer — is reconstructed by
 /// [`Honeyfarm::new`] and the driver, not serialized).
 ///
-/// Restore parses and validates the entire payload before committing any
-/// field **except** the per-host blobs, which restore in place; on error,
-/// discard the farm and rebuild (the whole-farm snapshot layer always
-/// restores into a scratch farm).
+/// Restore parses and validates the farm's own fields before committing
+/// any of them, but the per-host blobs, the gateway blob and the shared
+/// chunk store restore in place, in that order, so an error part-way can
+/// leave earlier parts applied: restore targets a scratch farm that is
+/// discarded on error (the whole-farm snapshot layer always restores into
+/// freshly prepared shards).
 ///
 /// [`Host::encode_state`]: potemkin_vmm::Host::encode_state
 /// [`Gateway::encode_state`]: potemkin_gateway::gateway::Gateway::encode_state
@@ -1826,159 +1870,40 @@ impl Honeyfarm {
     /// Encodes the farm's mutable state for a checkpoint section.
     #[must_use]
     pub fn encode_state(&self) -> Vec<u8> {
-        use potemkin_snapshot::SnapWriter;
         let mut w = SnapWriter::new();
-        // Server pool.
-        w.u64(self.hosts.len() as u64);
-        for host in &self.hosts {
-            w.bytes(&host.encode_state());
-        }
-        for pool in &self.standby {
-            w.u64(pool.len() as u64);
-            for dom in pool {
-                w.u64(dom.0);
-            }
-        }
-        // VM slots, in VmRef order (the map key is unique and monotone).
-        let mut vms: Vec<(u64, usize, u64)> =
-            self.vms.iter().map(|(vm, slot)| (vm.0, slot.host, slot.domain.0)).collect();
-        vms.sort_unstable();
-        w.u64(vms.len() as u64);
-        for (vm, host, domain) in vms {
-            w.u64(vm);
-            w.usize(host);
-            w.u64(domain);
-        }
+        // Server pool: one blob per host, then one standby list per host.
+        w.seq(&self.hosts, |host, w| w.bytes(&host.encode_state()));
+        self.standby.iter().for_each(|pool| pool.snap(&mut w));
+        self.vms.snap(&mut w);
         w.u64(self.next_vmref);
         w.usize(self.next_host);
         w.u64(self.request_counter);
-        // RNG streams.
-        for part in self.rng.state() {
-            w.u64(part);
-        }
-        for part in self.fault_rng.state() {
-            w.u64(part);
-        }
-        // Infection bookkeeping.
-        w.u64(self.newly_infected.len() as u64);
-        for vm in &self.newly_infected {
-            w.u64(vm.0);
-        }
-        w.u64(self.infection_log.len() as u64);
-        for rec in &self.infection_log {
-            w.u64(rec.vm.0);
-            match rec.victim_addr {
-                Some(a) => {
-                    w.bool(true);
-                    w.u32(u32::from(a));
-                }
-                None => w.bool(false),
-            }
-            w.u32(u32::from(rec.infected_by));
-            match rec.port {
-                Some(p) => {
-                    w.bool(true);
-                    w.u16(p);
-                }
-                None => w.bool(false),
-            }
-            w.bool(rec.internal_origin);
-            w.u64(rec.at.as_nanos());
-        }
-        // Captures, in content-hash order (the map key).
-        let mut captures: Vec<(&u64, &CaptureRecord)> = self.captures.iter().collect();
-        captures.sort_unstable_by_key(|(hash, _)| **hash);
-        w.u64(captures.len() as u64);
-        for (hash, rec) in captures {
-            w.u64(*hash);
-            w.bytes(&rec.payload);
-            w.u16(rec.port);
-            w.u32(u32::from(rec.first_source));
-            w.u64(rec.first_seen.as_nanos());
-            w.u64(rec.hits);
-        }
-        // Undrained outputs (packets ride as wire bytes).
-        w.u64(self.outputs.len() as u64);
-        for out in &self.outputs {
-            match out {
-                FarmOutput::SentExternal(p) => {
-                    w.u8(0);
-                    w.bytes(p.wire());
-                }
-                FarmOutput::ForwardedCell { packet, cell } => {
-                    w.u8(1);
-                    w.bytes(packet.wire());
-                    w.u64(*cell as u64);
-                }
-                FarmOutput::DroppedInbound(reason) => {
-                    w.u8(2);
-                    w.u8(encode_drop_reason(*reason));
-                }
-                FarmOutput::DroppedOutbound(reason) => {
-                    w.u8(3);
-                    w.u8(encode_drop_reason(*reason));
-                }
-            }
-        }
+        self.rng.snap(&mut w);
+        self.fault_rng.snap(&mut w);
+        // Infection bookkeeping and undrained outputs.
+        self.newly_infected.snap(&mut w);
+        self.infection_log.snap(&mut w);
+        self.captures.snap(&mut w);
+        self.outputs.snap(&mut w);
         // Counters and latency accounting.
-        w.usize(self.counters.len());
-        for (name, value) in self.counters.iter() {
-            w.str(name);
-            w.u64(value);
-        }
-        encode_histogram(&mut w, &self.clone_latency_us);
-        w.u64(self.vmm_time.as_nanos());
+        self.counters.snap(&mut w);
+        self.clone_latency_us.snap(&mut w);
+        self.vmm_time.snap(&mut w);
         // Fault machinery: the plan plus the injector's cursor.
-        match &self.faults {
-            Some(injector) => {
-                w.bool(true);
-                let plan = injector.plan();
-                w.f64(plan.clone_failure_prob);
-                w.u64(injector.cursor() as u64);
-                w.u64(plan.events.len() as u64);
-                for event in &plan.events {
-                    w.u64(event.at.as_nanos());
-                    encode_fault_kind(&mut w, event.kind);
-                }
-            }
-            None => w.bool(false),
-        }
-        let (counts, rebind, delay) = self.fault_ledger.snapshot_parts();
-        w.u64(counts.len() as u64);
-        for c in counts {
-            w.u64(c);
-        }
-        encode_histogram(&mut w, rebind);
-        encode_histogram(&mut w, delay);
-        let mut rebinds: Vec<(u32, u64)> = self
-            .pending_rebinds
-            .iter()
-            .map(|(addr, at)| (u32::from(*addr), at.as_nanos()))
-            .collect();
-        rebinds.sort_unstable();
-        w.u64(rebinds.len() as u64);
-        for (addr, at) in rebinds {
-            w.u32(addr);
-            w.u64(at);
-        }
+        self.faults.snap(&mut w);
+        self.fault_ledger.snap(&mut w);
+        self.pending_rebinds.snap(&mut w);
         w.f64(self.clone_failure_prob);
-        w.u64(self.tunnel_degraded_until.as_nanos());
+        self.tunnel_degraded_until.snap(&mut w);
         w.f64(self.tunnel_loss);
-        w.u64(self.tunnel_extra_latency.as_nanos());
+        self.tunnel_extra_latency.snap(&mut w);
         // Memory control plane.
         w.bytes(&self.reclaim.snapshot_state());
-        w.u64(self.next_merge.as_nanos());
-        w.u64(self.merge_total.scanned_pages);
-        w.u64(self.merge_total.merged_pages);
-        w.u64(self.merge_total.frames_reclaimed);
-        w.u64(self.pressure_log.len() as u64);
-        for event in &self.pressure_log {
-            w.u64(event.used_frames);
-            w.u64(event.requested_frames);
-            w.u64(event.limit_frames);
-        }
-        encode_series(&mut w, &self.sharing_series);
-        encode_series(&mut w, &self.resident_series);
+        self.next_merge.snap(&mut w);
+        self.merge_total.snap(&mut w);
+        self.pressure_log.snap(&mut w);
+        self.sharing_series.snap(&mut w);
+        self.resident_series.snap(&mut w);
         // Chunk-store accounting. Resident contents are NOT walked here:
         // each host blob carries manifest references, and restore re-puts
         // materialized chunks from those — O(chunks) bools, not O(blocks).
@@ -2002,161 +1927,46 @@ impl Honeyfarm {
     /// different server count. On error this farm may be partially
     /// restored — discard it and rebuild.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        const CTX: &str = "core.farm";
-        let bad = || SnapshotError::Decode { context: CTX };
-        let mut r = SnapReader::new(bytes, CTX);
-        let host_count = r.u64()? as usize;
-        if host_count != self.hosts.len() {
-            return Err(bad());
+        let mut r = SnapReader::new(bytes, "core.farm");
+        let host_blobs = r.seq(SnapReader::bytes)?;
+        if host_blobs.len() != self.hosts.len() {
+            return Err(r.bad());
         }
-        let mut host_blobs = Vec::with_capacity(host_count);
-        for _ in 0..host_count {
-            host_blobs.push(r.bytes()?);
-        }
-        let mut standby = Vec::with_capacity(host_count);
-        for _ in 0..host_count {
-            let n = r.u64()?;
-            let mut pool = Vec::with_capacity(n.min(1 << 20) as usize);
-            for _ in 0..n {
-                pool.push(DomainId(r.u64()?));
-            }
-            standby.push(pool);
-        }
-        let n_vms = r.u64()?;
-        let mut vms = HashMap::with_capacity(n_vms.min(1 << 20) as usize);
-        for _ in 0..n_vms {
-            let vm = VmRef(r.u64()?);
-            let host = r.usize()?;
-            if host >= host_count {
-                return Err(bad());
-            }
-            let domain = DomainId(r.u64()?);
-            vms.insert(vm, VmSlot { host, domain });
+        let standby = host_blobs.iter().map(|_| Snap::unsnap(&mut r)).collect::<Result<_, _>>()?;
+        let vms = HashMap::<VmRef, VmSlot>::unsnap(&mut r)?;
+        if vms.values().any(|slot| slot.host >= host_blobs.len()) {
+            return Err(r.bad());
         }
         let next_vmref = r.u64()?;
         let next_host = r.usize()?;
         let request_counter = r.u64()?;
-        let rng = SimRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
-        let fault_rng = SimRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
-        let n_newly = r.u64()?;
-        let mut newly_infected = Vec::with_capacity(n_newly.min(1 << 20) as usize);
-        for _ in 0..n_newly {
-            newly_infected.push(VmRef(r.u64()?));
-        }
-        let n_log = r.u64()?;
-        let mut infection_log = Vec::with_capacity(n_log.min(1 << 20) as usize);
-        for _ in 0..n_log {
-            let vm = VmRef(r.u64()?);
-            let victim_addr = if r.bool()? { Some(Ipv4Addr::from(r.u32()?)) } else { None };
-            let infected_by = Ipv4Addr::from(r.u32()?);
-            let port = if r.bool()? { Some(r.u16()?) } else { None };
-            let internal_origin = r.bool()?;
-            let at = SimTime::from_nanos(r.u64()?);
-            infection_log.push(InfectionRecord {
-                vm,
-                victim_addr,
-                infected_by,
-                port,
-                internal_origin,
-                at,
-            });
-        }
-        let n_captures = r.u64()?;
-        let mut captures = HashMap::with_capacity(n_captures.min(1 << 20) as usize);
-        for _ in 0..n_captures {
-            let hash = r.u64()?;
-            let payload = r.bytes()?.to_vec();
-            let port = r.u16()?;
-            let first_source = Ipv4Addr::from(r.u32()?);
-            let first_seen = SimTime::from_nanos(r.u64()?);
-            let hits = r.u64()?;
-            captures.insert(hash, CaptureRecord { payload, port, first_source, first_seen, hits });
-        }
-        let n_outputs = r.u64()?;
-        let mut outputs = Vec::with_capacity(n_outputs.min(1 << 20) as usize);
-        for _ in 0..n_outputs {
-            outputs.push(match r.u8()? {
-                0 => FarmOutput::SentExternal(decode_packet(r.bytes()?)?),
-                1 => {
-                    let packet = decode_packet(r.bytes()?)?;
-                    let cell = r.u64()? as usize;
-                    FarmOutput::ForwardedCell { packet, cell }
-                }
-                2 => FarmOutput::DroppedInbound(decode_drop_reason(r.u8()?)?),
-                3 => FarmOutput::DroppedOutbound(decode_drop_reason(r.u8()?)?),
-                _ => return Err(bad()),
-            });
-        }
-        let n_counters = r.usize()?;
-        let mut pairs = Vec::with_capacity(n_counters.min(1 << 16));
-        for _ in 0..n_counters {
-            let name = r.str()?.to_string();
-            let value = r.u64()?;
-            pairs.push((name, value));
-        }
-        let counters = CounterSet::from_pairs(pairs);
-        let clone_latency_us = decode_histogram(&mut r)?;
-        let vmm_time = SimTime::from_nanos(r.u64()?);
-        let faults = if r.bool()? {
-            let clone_failure_prob = r.f64()?;
-            let cursor = r.u64()? as usize;
-            let n_events = r.u64()?;
-            let mut events = Vec::with_capacity(n_events.min(1 << 20) as usize);
-            for _ in 0..n_events {
-                let at = SimTime::from_nanos(r.u64()?);
-                let kind = decode_fault_kind(&mut r)?;
-                events.push(potemkin_sim::FaultEvent { at, kind });
-            }
-            if cursor > events.len() {
-                return Err(bad());
-            }
-            Some(FaultInjector::from_plan_at(FaultPlan { events, clone_failure_prob }, cursor))
-        } else {
-            None
-        };
-        let n_counts = r.u64()?;
-        let mut class_counts = Vec::with_capacity(n_counts.min(64) as usize);
-        for _ in 0..n_counts {
-            class_counts.push(r.u64()?);
-        }
-        let rebind_hist = decode_histogram(&mut r)?;
-        let delay_hist = decode_histogram(&mut r)?;
-        let fault_ledger =
-            FaultLedger::from_parts(&class_counts, rebind_hist, delay_hist).ok_or_else(bad)?;
-        let n_rebinds = r.u64()?;
-        let mut pending_rebinds = HashMap::with_capacity(n_rebinds.min(1 << 20) as usize);
-        for _ in 0..n_rebinds {
-            let addr = Ipv4Addr::from(r.u32()?);
-            let at = SimTime::from_nanos(r.u64()?);
-            pending_rebinds.insert(addr, at);
-        }
+        let rng = Snap::unsnap(&mut r)?;
+        let fault_rng = Snap::unsnap(&mut r)?;
+        let newly_infected = Snap::unsnap(&mut r)?;
+        let infection_log = Snap::unsnap(&mut r)?;
+        let captures = Snap::unsnap(&mut r)?;
+        let outputs = Snap::unsnap(&mut r)?;
+        let counters = Snap::unsnap(&mut r)?;
+        let clone_latency_us = Snap::unsnap(&mut r)?;
+        let vmm_time = Snap::unsnap(&mut r)?;
+        let faults = Snap::unsnap(&mut r)?;
+        let fault_ledger = Snap::unsnap(&mut r)?;
+        let pending_rebinds = Snap::unsnap(&mut r)?;
         let clone_failure_prob = r.f64()?;
-        let tunnel_degraded_until = SimTime::from_nanos(r.u64()?);
+        let tunnel_degraded_until = Snap::unsnap(&mut r)?;
         let tunnel_loss = r.f64()?;
-        let tunnel_extra_latency = SimTime::from_nanos(r.u64()?);
-        let reclaim_blob = r.bytes()?.to_vec();
-        let next_merge = SimTime::from_nanos(r.u64()?);
-        let merge_total = MergeReport {
-            scanned_pages: r.u64()?,
-            merged_pages: r.u64()?,
-            frames_reclaimed: r.u64()?,
-        };
-        let n_pressure = r.u64()?;
-        let mut pressure_log = Vec::with_capacity(n_pressure.min(1 << 20) as usize);
-        for _ in 0..n_pressure {
-            pressure_log.push(PressureEvent {
-                used_frames: r.u64()?,
-                requested_frames: r.u64()?,
-                limit_frames: r.u64()?,
-            });
-        }
-        let sharing_series = decode_series(&mut r)?;
-        let resident_series = decode_series(&mut r)?;
+        let tunnel_extra_latency = Snap::unsnap(&mut r)?;
+        let reclaim_blob = r.bytes()?;
+        let next_merge = Snap::unsnap(&mut r)?;
+        let merge_total = Snap::unsnap(&mut r)?;
+        let pressure_log = Snap::unsnap(&mut r)?;
+        let sharing_series = Snap::unsnap(&mut r)?;
+        let resident_series = Snap::unsnap(&mut r)?;
         let store_puts = r.u64()?;
         let store_dedupe = r.u64()?;
         let store_materialized = r.u64()?;
         let store_reads = r.u64()?;
-        let gateway_blob = r.bytes()?.to_vec();
+        let gateway_blob = r.bytes()?;
         r.finish()?;
 
         // Everything parsed; commit. Host and gateway restores mutate in
@@ -2170,9 +1980,9 @@ impl Honeyfarm {
             host.restore_state(blob)?;
         }
         self.store.set_accounting(store_puts, store_dedupe, store_materialized, store_reads);
-        self.gateway.restore_state(&gateway_blob)?;
+        self.gateway.restore_state(gateway_blob)?;
         let mut reclaim = self.config.reclaim_policy.instantiate();
-        reclaim.restore_state(&reclaim_blob)?;
+        reclaim.restore_state(reclaim_blob)?;
         self.reclaim = reclaim;
         self.standby = standby;
         self.vms = vms;
@@ -2215,138 +2025,6 @@ impl Honeyfarm {
         self.rng = SimRng::seed_from(s[0] ^ mix(salt));
         self.fault_rng = SimRng::seed_from(f[0] ^ mix(salt ^ 0xFA17));
     }
-}
-
-fn encode_drop_reason(reason: DropReason) -> u8 {
-    match reason {
-        DropReason::Containment => 0,
-        DropReason::RateLimited => 1,
-        DropReason::SourceQuota => 2,
-        DropReason::PortFiltered => 3,
-        DropReason::Backscatter => 4,
-        DropReason::Malformed => 5,
-        DropReason::SpoofedSource => 6,
-        DropReason::AdmissionControl => 7,
-        DropReason::GatewayStalled => 8,
-        DropReason::TunnelLoss => 9,
-        DropReason::Degraded => 10,
-    }
-}
-
-fn decode_drop_reason(tag: u8) -> Result<DropReason, SnapshotError> {
-    Ok(match tag {
-        0 => DropReason::Containment,
-        1 => DropReason::RateLimited,
-        2 => DropReason::SourceQuota,
-        3 => DropReason::PortFiltered,
-        4 => DropReason::Backscatter,
-        5 => DropReason::Malformed,
-        6 => DropReason::SpoofedSource,
-        7 => DropReason::AdmissionControl,
-        8 => DropReason::GatewayStalled,
-        9 => DropReason::TunnelLoss,
-        10 => DropReason::Degraded,
-        _ => return Err(SnapshotError::Decode { context: "core.farm.drop_reason" }),
-    })
-}
-
-fn encode_fault_kind(w: &mut potemkin_snapshot::SnapWriter, kind: FaultKind) {
-    match kind {
-        FaultKind::HostCrash { host } => {
-            w.u8(0);
-            w.usize(host);
-        }
-        FaultKind::HostRecover { host } => {
-            w.u8(1);
-            w.usize(host);
-        }
-        FaultKind::CloneFaultBurst { host, count } => {
-            w.u8(2);
-            w.usize(host);
-            w.u32(count);
-        }
-        FaultKind::TunnelDegrade { loss, extra_latency, duration } => {
-            w.u8(3);
-            w.f64(loss);
-            w.u64(extra_latency.as_nanos());
-            w.u64(duration.as_nanos());
-        }
-        FaultKind::GatewayStall { duration } => {
-            w.u8(4);
-            w.u64(duration.as_nanos());
-        }
-    }
-}
-
-fn decode_fault_kind(r: &mut SnapReader<'_>) -> Result<FaultKind, SnapshotError> {
-    Ok(match r.u8()? {
-        0 => FaultKind::HostCrash { host: r.usize()? },
-        1 => FaultKind::HostRecover { host: r.usize()? },
-        2 => FaultKind::CloneFaultBurst { host: r.usize()?, count: r.u32()? },
-        3 => FaultKind::TunnelDegrade {
-            loss: r.f64()?,
-            extra_latency: SimTime::from_nanos(r.u64()?),
-            duration: SimTime::from_nanos(r.u64()?),
-        },
-        4 => FaultKind::GatewayStall { duration: SimTime::from_nanos(r.u64()?) },
-        _ => return Err(SnapshotError::Decode { context: "core.farm.fault_kind" }),
-    })
-}
-
-/// Encodes a [`LogHistogram`] (shared by the clone-latency and ledger
-/// histograms).
-fn encode_histogram(w: &mut potemkin_snapshot::SnapWriter, h: &LogHistogram) {
-    let (sub_buckets, count, sum, min, max, sparse) = h.snapshot_parts();
-    w.u32(sub_buckets);
-    w.u64(count);
-    w.u128(sum);
-    w.u64(min);
-    w.u64(max);
-    w.u64(sparse.len() as u64);
-    for (idx, c) in sparse {
-        w.u64(idx);
-        w.u64(c);
-    }
-}
-
-fn decode_histogram(r: &mut SnapReader<'_>) -> Result<LogHistogram, SnapshotError> {
-    let bad = || SnapshotError::Decode { context: "core.farm.histogram" };
-    let sub_buckets = r.u32()?;
-    let count = r.u64()?;
-    let sum = r.u128()?;
-    let min = r.u64()?;
-    let max = r.u64()?;
-    let n = r.u64()?;
-    let mut sparse = Vec::with_capacity(n.min(1 << 16) as usize);
-    for _ in 0..n {
-        sparse.push((r.u64()?, r.u64()?));
-    }
-    LogHistogram::from_parts(sub_buckets, count, sum, min, max, &sparse).ok_or_else(bad)
-}
-
-/// Encodes a [`TimeSeries`] (bin width plus raw bins).
-pub(crate) fn encode_series(w: &mut potemkin_snapshot::SnapWriter, series: &TimeSeries) {
-    let (bin, bins) = series.snapshot_parts();
-    w.u64(bin.as_nanos());
-    w.u64(bins.len() as u64);
-    for &v in bins {
-        w.f64(v);
-    }
-}
-
-pub(crate) fn decode_series(r: &mut SnapReader<'_>) -> Result<TimeSeries, SnapshotError> {
-    let bad = || SnapshotError::Decode { context: "core.farm.series" };
-    let bin = SimTime::from_nanos(r.u64()?);
-    let n = r.u64()?;
-    let mut bins = Vec::with_capacity(n.min(1 << 24) as usize);
-    for _ in 0..n {
-        bins.push(r.f64()?);
-    }
-    TimeSeries::from_parts(bin, bins).ok_or_else(bad)
-}
-
-pub(crate) fn decode_packet(wire: &[u8]) -> Result<Packet, SnapshotError> {
-    Packet::parse(wire).map_err(|_| SnapshotError::Decode { context: "core.farm.packet" })
 }
 
 #[cfg(test)]
@@ -3063,16 +2741,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_round_trip_is_byte_identical() {
-        let mut farm = Honeyfarm::new(busy_checkpoint_config()).unwrap();
+    /// The busy farm under the fault plan, 12 s in, with undrained outputs
+    /// left in place so they are encoded too.
+    fn busy_farm(config: FarmConfig) -> Honeyfarm {
+        let mut farm = Honeyfarm::new(config).unwrap();
         farm.install_fault_plan(checkpoint_fault_plan());
         let vm0 = farm.materialize(SimTime::ZERO, HP1).unwrap();
         farm.seed_infection(vm0).unwrap();
         drive_busy(&mut farm, 0, 12);
-        // Leave undrained outputs in place so they round-trip too.
         farm.inject_external(SimTime::from_secs(12), syn(ATTACKER, HP1, 445));
+        farm
+    }
 
+    /// `(len, fnv1a64)` of `encode_state` for [`busy_farm`] on the default
+    /// chunk geometry and on E18's 16-block chunks, as the hand-written
+    /// codecs before the `Snap` trait wrote them: the wire format has not
+    /// moved.
+    const BUSY_FARM_PIN: (usize, u64) = (3_931_674, 0x59fd8007b8e2d8d0);
+    const CHUNKED_FARM_PIN: (usize, u64) = (3_943_962, 0xb59b63d78a4d968b);
+
+    #[test]
+    fn encode_state_matches_the_pinned_wire_format() {
+        let pin = |farm: &Honeyfarm| {
+            let bytes = farm.encode_state();
+            (bytes.len(), potemkin_snapshot::fnv1a64(&bytes))
+        };
+        assert_eq!(pin(&busy_farm(busy_checkpoint_config())), BUSY_FARM_PIN);
+        let mut chunked = busy_checkpoint_config();
+        chunked.disk_chunk_blocks = 16;
+        let farm = busy_farm(chunked);
+        // Guests read their disks, so some manifest slots are materialized
+        // and some stay lazy.
+        let mut slots: Vec<&VmSlot> = farm.vms.values().collect();
+        slots.sort_by_key(|slot| slot.domain);
+        for (i, slot) in slots.iter().enumerate() {
+            farm.hosts[slot.host].read_block(slot.domain, 40 * i as u64).unwrap();
+        }
+        assert!(farm.store_stats().materialized > 1);
+        assert_eq!(pin(&farm), CHUNKED_FARM_PIN);
+    }
+
+    #[test]
+    fn checkpoint_round_trip_is_byte_identical() {
+        let farm = busy_farm(busy_checkpoint_config());
         let encoded = farm.encode_state();
         let mut restored = Honeyfarm::new(busy_checkpoint_config()).unwrap();
         restored.restore_state(&encoded).unwrap();

@@ -55,7 +55,7 @@ use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::Packet;
 use potemkin_obs::{names as obs, Tracer};
 use potemkin_sim::{EngineTuning, FaultPlanConfig, Shard, SimTime};
-use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::error::FarmError;
 use crate::parallel::{
@@ -330,6 +330,8 @@ struct FedCellStats {
     decap_errors: u64,
 }
 
+snap_struct!(FedCellStats { tunneled_in_packets, shed_packets, decap_errors });
+
 /// The federation hop of a member farm's cell: what happens to a fabric
 /// batch at a farm boundary, on the way out ([`wrap`](FedHop::wrap)) and
 /// on the way in ([`admit`](FedHop::admit)).
@@ -413,9 +415,7 @@ impl FedHop {
     /// per-cell federation section of a snapshot.
     pub(crate) fn encode_fed_aux(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.u64(self.stats.tunneled_in_packets);
-        w.u64(self.stats.shed_packets);
-        w.u64(self.stats.decap_errors);
+        self.stats.snap(&mut w);
         w.bytes(&self.ingress.encode_state());
         w.into_bytes()
     }
@@ -424,14 +424,10 @@ impl FedHop {
     /// into a freshly attached hop.
     pub(crate) fn restore_fed_aux(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "core.fed.cell");
-        let stats = FedCellStats {
-            tunneled_in_packets: r.u64()?,
-            shed_packets: r.u64()?,
-            decap_errors: r.u64()?,
-        };
-        let ingress_bytes = r.bytes()?.to_vec();
+        let stats = Snap::unsnap(&mut r)?;
+        let ingress_bytes = r.bytes()?;
         r.finish()?;
-        self.ingress.restore_state(&ingress_bytes)?;
+        self.ingress.restore_state(ingress_bytes)?;
         self.stats = stats;
         Ok(())
     }
@@ -709,6 +705,8 @@ mod tests {
         }
     }
 
+    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (1_743_956, 0x8c6b68f294332d27);
+
     #[test]
     fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {
         let config = checkpointable_config(4, false);
@@ -717,6 +715,10 @@ mod tests {
         let snapshot = kill_and_recover(&sharded, 3, &path);
         let names = snapshot.section_names();
         assert!(names.contains(&"federation.router") && names.contains(&"cell7.fed"), "{names:?}");
+        // The whole file — every cell's farm, world, queue and hop section
+        // and the routing tier — as the hand-written codecs before the
+        // `Snap` trait wrote it.
+        assert_eq!((snapshot.encode().len(), snapshot.digest()), FEDERATED_SNAPSHOT_PIN);
         let options = CheckpointOptions::new(&path);
         let resume = |config: &ShardedTelescopeConfig,
                       snapshot: &potemkin_snapshot::SnapshotFile| {
@@ -736,12 +738,22 @@ mod tests {
             ));
         }
 
-        // Truncated federation sections are rejected, not misdecoded.
-        for section in ["cell0.fed", "federation.router"] {
+        // Truncated federation sections are rejected, not misdecoded; and
+        // no section of any kind — meta, progress, a cell's farm, world,
+        // queue or hop, the routing tier — reserves room for a length its
+        // payload could not hold.
+        let hostile = (u64::MAX >> 4).to_le_bytes().to_vec();
+        let corrupted = [("cell0.fed", None), ("federation.router", None)]
+            .into_iter()
+            .chain(names.iter().map(|&name| (name, Some(&hostile))));
+        for (section, replacement) in corrupted {
             let mut torn = snapshot.clone();
             let payload =
                 &mut torn.sections.iter_mut().find(|s| s.name == section).unwrap().payload;
-            payload.pop();
+            match replacement {
+                Some(bytes) => payload.clone_from(bytes),
+                None => drop(payload.pop()),
+            }
             assert!(
                 matches!(
                     resume(&sharded, &torn),

@@ -42,7 +42,7 @@ use potemkin_sim::{
     run_sharded_resumable, BarrierControl, EngineTuning, EventQueue, FaultPlan, FaultPlanConfig,
     Shard, ShardConfig, ShardRunReport, ShardWorld, SimTime, Slab, World,
 };
-use potemkin_snapshot::SnapshotFile;
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError, SnapshotFile};
 use potemkin_workload::radiation::RadiationModel;
 use potemkin_workload::trace::TrafficMix;
 
@@ -771,84 +771,59 @@ pub fn run_telescope_sharded(
 /// live-VM samples, fabric counters, and any packets staged for other
 /// cells). The farm itself is a separate snapshot section.
 pub(crate) fn encode_cell_aux(world: &CellWorld) -> Vec<u8> {
-    let mut w = potemkin_snapshot::SnapWriter::new();
-    crate::farm::encode_series(&mut w, &world.live_vm_series);
+    let mut w = SnapWriter::new();
+    world.live_vm_series.snap(&mut w);
     w.u64(world.forwarded);
     // Same wire shape as the former map-based staging: only non-empty
     // destinations, in ascending order.
-    w.u64(world.outbound.iter().filter(|p| !p.is_empty()).count() as u64);
-    for (dest, packets) in world.outbound.iter().enumerate() {
-        if packets.is_empty() {
-            continue;
-        }
-        w.usize(dest);
-        w.u64(packets.len() as u64);
-        for p in packets {
-            w.bytes(p.wire());
-        }
-    }
+    let staged: Vec<(usize, &Vec<Packet>)> =
+        world.outbound.iter().enumerate().filter(|(_, packets)| !packets.is_empty()).collect();
+    w.seq(staged, |(dest, packets), w| {
+        dest.snap(w);
+        packets.snap(w);
+    });
     w.into_bytes()
 }
 
 /// Restores state captured by [`encode_cell_aux`] into a freshly prepared
 /// cell world.
-pub(crate) fn restore_cell_aux(
-    world: &mut CellWorld,
-    bytes: &[u8],
-) -> Result<(), potemkin_snapshot::SnapshotError> {
-    let mut r = potemkin_snapshot::SnapReader::new(bytes, "core.cell");
-    let live_vm_series = crate::farm::decode_series(&mut r)?;
+pub(crate) fn restore_cell_aux(world: &mut CellWorld, bytes: &[u8]) -> Result<(), SnapshotError> {
+    let mut r = SnapReader::new(bytes, "core.cell");
+    let live_vm_series = Snap::unsnap(&mut r)?;
     let forwarded = r.u64()?;
-    let n_dests = r.u64()?;
-    let mut outbound = vec![Vec::new(); world.outbound.len()];
-    for _ in 0..n_dests {
-        let dest = r.usize()?;
-        if dest >= outbound.len() {
-            return Err(potemkin_snapshot::SnapshotError::Decode { context: "core.cell" });
-        }
-        let n = r.u64()?;
-        let mut packets = Vec::with_capacity(n.min(1 << 20) as usize);
-        for _ in 0..n {
-            packets.push(crate::farm::decode_packet(r.bytes()?)?);
-        }
-        outbound[dest] = packets;
-    }
+    let staged = Vec::<(usize, Vec<Packet>)>::unsnap(&mut r)?;
     r.finish()?;
+    let mut outbound = vec![Vec::new(); world.outbound.len()];
+    for (dest, packets) in staged {
+        *outbound.get_mut(dest).ok_or_else(|| r.bad())? = packets;
+    }
     world.live_vm_series = live_vm_series;
     world.forwarded = forwarded;
     world.outbound = outbound;
     Ok(())
 }
 
-/// Encodes one cell's event queue: counters plus every pending entry with
-/// its original sequence number, so FIFO tie-breaking survives the restore
-/// boundary. Packet events resolve their slab key against `packets` and
-/// ride as wire bytes — slab keys themselves are transient and never
-/// serialized, so restores may re-slot packets freely.
+/// Encodes one cell's event queue in [`EventQueue`]'s own layout (counters
+/// plus every pending entry with its original sequence number, so FIFO
+/// tie-breaking survives the restore boundary), with the event codec
+/// passed in as a closure: packet events resolve their slab key against
+/// `packets` and ride as wire bytes — slab keys themselves are transient
+/// and never serialized, so restores may re-slot packets freely.
 pub(crate) fn encode_cell_queue(queue: &EventQueue<CellEvent>, packets: &Slab<Packet>) -> Vec<u8> {
-    let mut w = potemkin_snapshot::SnapWriter::new();
-    let (next_seq, scheduled, entries) = queue.snapshot_parts();
-    w.u64(next_seq);
-    w.u64(scheduled);
-    w.u64(entries.len() as u64);
-    for (at, seq, event) in entries {
-        w.u64(at.as_nanos());
-        w.u64(seq);
-        match event {
-            CellEvent::Packet(key) => {
-                let p = packets.get(*key).expect("queued packet key is live");
-                w.u8(0);
-                w.bytes(p.wire());
-            }
-            CellEvent::Probe { vm, idx } => {
-                w.u8(1);
-                w.u64(vm.0);
-                w.u64(*idx);
-            }
-            CellEvent::Tick => w.u8(2),
-            CellEvent::Sample => w.u8(3),
+    let mut w = SnapWriter::new();
+    queue.snap_with(&mut w, |event, w| match event {
+        CellEvent::Packet(key) => {
+            w.u8(0);
+            packets.get(*key).expect("queued packet key is live").snap(w);
         }
-    }
+        CellEvent::Probe { vm, idx } => {
+            w.u8(1);
+            vm.snap(w);
+            w.u64(*idx);
+        }
+        CellEvent::Tick => w.u8(2),
+        CellEvent::Sample => w.u8(3),
+    });
     w.into_bytes()
 }
 
@@ -858,27 +833,19 @@ pub(crate) fn encode_cell_queue(queue: &EventQueue<CellEvent>, packets: &Slab<Pa
 pub(crate) fn decode_cell_queue(
     bytes: &[u8],
     packets: &mut Slab<Packet>,
-) -> Result<EventQueue<CellEvent>, potemkin_snapshot::SnapshotError> {
-    const CTX: &str = "core.cell.queue";
-    let mut r = potemkin_snapshot::SnapReader::new(bytes, CTX);
-    let next_seq = r.u64()?;
-    let scheduled = r.u64()?;
-    let n = r.u64()?;
-    let mut entries = Vec::with_capacity(n.min(1 << 20) as usize);
-    for _ in 0..n {
-        let at = SimTime::from_nanos(r.u64()?);
-        let seq = r.u64()?;
-        let event = match r.u8()? {
-            0 => CellEvent::Packet(packets.insert(crate::farm::decode_packet(r.bytes()?)?)),
-            1 => CellEvent::Probe { vm: VmRef(r.u64()?), idx: r.u64()? },
+) -> Result<EventQueue<CellEvent>, SnapshotError> {
+    let mut r = SnapReader::new(bytes, "core.cell.queue");
+    let queue = EventQueue::unsnap_with(&mut r, |r| {
+        Ok(match r.u8()? {
+            0 => CellEvent::Packet(packets.insert(Snap::unsnap(r)?)),
+            1 => CellEvent::Probe { vm: Snap::unsnap(r)?, idx: r.u64()? },
             2 => CellEvent::Tick,
             3 => CellEvent::Sample,
-            _ => return Err(potemkin_snapshot::SnapshotError::Decode { context: CTX }),
-        };
-        entries.push((at, seq, event));
-    }
+            _ => return Err(r.bad()),
+        })
+    })?;
     r.finish()?;
-    Ok(EventQueue::from_parts(next_seq, scheduled, entries))
+    Ok(queue)
 }
 
 /// The one owner of trace-lane numbers in a run of `cells` cells: two lanes

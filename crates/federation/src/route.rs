@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use potemkin_net::addr::Ipv4Prefix;
-use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
 
 /// One advertised route: a prefix and the farm that owns it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,18 +122,17 @@ impl RouteTable {
         self.misses
     }
 
-    /// Checkpoint support: serializes the counters. Routes are
-    /// configuration (rebuilt by the owner) and are not included.
-    pub(crate) fn encode_counters(&self, w: &mut SnapWriter) {
-        w.u64(self.lookups);
-        w.u64(self.misses);
+    /// The `(lookups, misses)` counters: the table's only mutable state,
+    /// and so all of it that a checkpoint carries — routes are
+    /// configuration, rebuilt by the owner.
+    pub(crate) fn counters(&self) -> (u64, u64) {
+        (self.lookups, self.misses)
     }
 
-    /// Restores counters captured by [`RouteTable::encode_counters`].
-    pub(crate) fn restore_counters(&mut self, r: &mut SnapReader) -> Result<(), SnapshotError> {
-        self.lookups = r.u64()?;
-        self.misses = r.u64()?;
-        Ok(())
+    /// Reinstates counters captured by [`RouteTable::counters`].
+    pub(crate) fn set_counters(&mut self, (lookups, misses): (u64, u64)) {
+        self.lookups = lookups;
+        self.misses = misses;
     }
 }
 

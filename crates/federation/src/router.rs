@@ -15,7 +15,7 @@ use potemkin_gateway::GatewayError;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::gre::GreHeader;
 use potemkin_net::Packet;
-use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use std::collections::BTreeMap;
 
 use crate::route::RouteTable;
@@ -42,6 +42,8 @@ pub struct LinkStats {
     /// destination.
     pub route_drops: u64,
 }
+
+snap_struct!(LinkStats { downlink_packets, downlink_bytes, route_drops });
 
 /// The federation routing tier: per-farm GRE uplinks plus the route table.
 #[derive(Default)]
@@ -159,7 +161,7 @@ impl FederationRouter {
     /// The route table's lookup/miss counters.
     #[must_use]
     pub fn table_counters(&self) -> (u64, u64) {
-        (self.table.lookups(), self.table.misses())
+        self.table.counters()
     }
 
     /// Checkpoint support: serializes every transit counter — tunnel
@@ -169,14 +171,8 @@ impl FederationRouter {
     pub fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.bytes(&self.uplinks.encode_state());
-        self.table.encode_counters(&mut w);
-        w.usize(self.links.len());
-        for (&farm, link) in &self.links {
-            w.u32(farm);
-            w.u64(link.downlink_packets);
-            w.u64(link.downlink_bytes);
-            w.u64(link.route_drops);
-        }
+        self.table.counters().snap(&mut w);
+        self.links.snap(&mut w);
         w.u64(self.decap_drops);
         w.into_bytes()
     }
@@ -189,24 +185,13 @@ impl FederationRouter {
     /// is left untouched in that case.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "federation.router");
-        let tunnel_bytes = r.bytes()?.to_vec();
-        let mut table = self.table.clone();
-        table.restore_counters(&mut r)?;
-        let n = r.usize()?;
-        let mut links = BTreeMap::new();
-        for _ in 0..n {
-            let farm = r.u32()?;
-            let link = LinkStats {
-                downlink_packets: r.u64()?,
-                downlink_bytes: r.u64()?,
-                route_drops: r.u64()?,
-            };
-            links.insert(farm, link);
-        }
+        let tunnel_bytes = r.bytes()?;
+        let table_counters = Snap::unsnap(&mut r)?;
+        let links = Snap::unsnap(&mut r)?;
         let decap_drops = r.u64()?;
         r.finish()?;
-        self.uplinks.restore_state(&tunnel_bytes)?;
-        self.table = table;
+        self.uplinks.restore_state(tunnel_bytes)?;
+        self.table.set_counters(table_counters);
         self.links = links;
         self.decap_drops = decap_drops;
         Ok(())

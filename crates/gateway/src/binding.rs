@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use potemkin_sim::{SimTime, TimerHandle, TimerWheel};
-use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::reclaim::ReclaimCandidate;
 
@@ -19,6 +19,8 @@ use crate::reclaim::ReclaimCandidate;
 /// The gateway never dereferences it — it only routes packets to it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmRef(pub u64);
+
+snap_struct!(VmRef { 0 });
 
 /// Binding granularity: what key maps to a VM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,6 +43,8 @@ pub struct BindKey {
     pub src: Option<Ipv4Addr>,
 }
 
+snap_struct!(BindKey { dst, src });
+
 #[derive(Clone, Debug)]
 struct Binding {
     vm: VmRef,
@@ -52,6 +56,8 @@ struct Binding {
     /// Monotone epoch distinguishing reuse of the same key.
     epoch: u64,
 }
+
+snap_struct!(Binding { vm, src, bound_at, last_active, packets, idle_timer, epoch });
 
 /// An expired binding, reported so the controller can destroy the VM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -295,28 +301,8 @@ impl AddressBinder {
         // is identical regardless of hash-map iteration order.
         let mut bindings: Vec<(&BindKey, &Binding)> = self.bindings.iter().collect();
         bindings.sort_by_key(|(_, b)| b.epoch);
-        w.usize(bindings.len());
-        for (key, b) in bindings {
-            encode_bind_key(&mut w, *key);
-            w.u64(b.vm.0);
-            w.u32(u32::from(b.src));
-            w.u64(b.bound_at.as_nanos());
-            w.u64(b.last_active.as_nanos());
-            w.u64(b.packets);
-            w.u64(b.idle_timer.raw());
-            w.u64(b.epoch);
-        }
-        let (tick, now_ticks, next_timer_id, timers) = self.timers.snapshot_parts();
-        w.u64(tick.as_nanos());
-        w.u64(now_ticks);
-        w.u64(next_timer_id);
-        w.usize(timers.len());
-        for (id, deadline_ticks, &(key, epoch)) in timers {
-            w.u64(id);
-            w.u64(deadline_ticks);
-            encode_bind_key(&mut w, key);
-            w.u64(epoch);
-        }
+        w.pairs(bindings);
+        self.timers.snap(&mut w);
         w.u64(self.next_epoch);
         w.u64(self.binds);
         w.u64(self.expiries);
@@ -333,69 +319,26 @@ impl AddressBinder {
     /// Returns [`SnapshotError::Decode`] on truncated or malformed input;
     /// the binder is left untouched in that case.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        const CTX: &str = "gateway.binder";
-        let mut r = SnapReader::new(bytes, CTX);
-        let n_bindings = r.usize()?;
-        let mut bindings = HashMap::with_capacity(n_bindings);
-        let mut per_source: HashMap<Ipv4Addr, u32> = HashMap::new();
-        for _ in 0..n_bindings {
-            let key = decode_bind_key(&mut r)?;
-            let vm = VmRef(r.u64()?);
-            let src = Ipv4Addr::from(r.u32()?);
-            let bound_at = SimTime::from_nanos(r.u64()?);
-            let last_active = SimTime::from_nanos(r.u64()?);
-            let packets = r.u64()?;
-            let idle_timer = TimerHandle::from_raw(r.u64()?);
-            let epoch = r.u64()?;
-            bindings.insert(
-                key,
-                Binding { vm, src, bound_at, last_active, packets, idle_timer, epoch },
-            );
-            *per_source.entry(src).or_insert(0) += 1;
-        }
-        let tick = SimTime::from_nanos(r.u64()?);
-        let now_ticks = r.u64()?;
-        let next_timer_id = r.u64()?;
-        let n_timers = r.usize()?;
-        let mut timers = Vec::with_capacity(n_timers);
-        for _ in 0..n_timers {
-            let id = r.u64()?;
-            let deadline_ticks = r.u64()?;
-            let key = decode_bind_key(&mut r)?;
-            let epoch = r.u64()?;
-            timers.push((id, deadline_ticks, (key, epoch)));
-        }
+        let mut r = SnapReader::new(bytes, "gateway.binder");
+        let bindings = Vec::<(BindKey, Binding)>::unsnap(&mut r)?;
+        let timers = Snap::unsnap(&mut r)?;
         let next_epoch = r.u64()?;
         let binds = r.u64()?;
         let expiries = r.u64()?;
         let quota_rejections = r.u64()?;
         r.finish()?;
-        self.bindings = bindings;
-        self.timers = TimerWheel::from_parts(tick, now_ticks, next_timer_id, timers);
-        self.per_source = per_source;
+        self.per_source = HashMap::new();
+        for (_, b) in &bindings {
+            *self.per_source.entry(b.src).or_insert(0) += 1;
+        }
+        self.bindings = bindings.into_iter().collect();
+        self.timers = timers;
         self.next_epoch = next_epoch;
         self.binds = binds;
         self.expiries = expiries;
         self.quota_rejections = quota_rejections;
         Ok(())
     }
-}
-
-fn encode_bind_key(w: &mut SnapWriter, key: BindKey) {
-    w.u32(u32::from(key.dst));
-    match key.src {
-        None => w.bool(false),
-        Some(src) => {
-            w.bool(true);
-            w.u32(u32::from(src));
-        }
-    }
-}
-
-fn decode_bind_key(r: &mut SnapReader<'_>) -> Result<BindKey, SnapshotError> {
-    let dst = Ipv4Addr::from(r.u32()?);
-    let src = if r.bool()? { Some(Ipv4Addr::from(r.u32()?)) } else { None };
-    Ok(BindKey { dst, src })
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@ use std::net::Ipv4Addr;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::dns::{DnsMessage, DNS_PORT, TYPE_A};
 use potemkin_net::{Packet, PacketBuilder, PacketPayload};
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Why the sinkhole could not produce an address for a name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,14 +173,8 @@ impl DnsProxy {
     /// forward one.
     #[must_use]
     pub fn encode_state(&self) -> Vec<u8> {
-        let mut w = potemkin_snapshot::SnapWriter::new();
-        let mut names: Vec<(&String, &Ipv4Addr)> = self.forward.iter().collect();
-        names.sort();
-        w.usize(names.len());
-        for (name, &addr) in names {
-            w.str(name);
-            w.u32(u32::from(addr));
-        }
+        let mut w = SnapWriter::new();
+        self.forward.snap(&mut w);
         w.u32(self.ttl);
         w.u64(self.queries);
         w.u64(self.nxdomain);
@@ -190,26 +185,19 @@ impl DnsProxy {
     ///
     /// # Errors
     ///
-    /// Returns [`potemkin_snapshot::SnapshotError::Decode`] on truncated or
-    /// malformed input; the proxy is left untouched in that case.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), potemkin_snapshot::SnapshotError> {
-        const CTX: &str = "gateway.dns";
-        let mut r = potemkin_snapshot::SnapReader::new(bytes, CTX);
-        let n = r.usize()?;
-        let mut forward = HashMap::with_capacity(n);
-        let mut reverse = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let name = r.str()?.to_string();
-            let addr = Ipv4Addr::from(r.u32()?);
-            reverse.insert(addr, name.clone());
-            forward.insert(name, addr);
-        }
+    /// Returns [`SnapshotError::Decode`] on truncated or malformed input;
+    /// the proxy is left untouched in that case.
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = SnapReader::new(bytes, "gateway.dns");
+        // In wire (name) order, so the reverse map is rebuilt the same way
+        // on every restore.
+        let names = Vec::<(String, Ipv4Addr)>::unsnap(&mut r)?;
         let ttl = r.u32()?;
         let queries = r.u64()?;
         let nxdomain = r.u64()?;
         r.finish()?;
-        self.forward = forward;
-        self.reverse = reverse;
+        self.reverse = names.iter().map(|(name, addr)| (*addr, name.clone())).collect();
+        self.forward = names.into_iter().collect();
         self.ttl = ttl;
         self.queries = queries;
         self.nxdomain = nxdomain;

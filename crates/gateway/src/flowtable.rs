@@ -8,9 +8,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use potemkin_net::{FlowKey, Transport};
+use potemkin_net::FlowKey;
 use potemkin_sim::{SimTime, TimerHandle, TimerWheel};
-use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Who sent the first packet of the flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,6 +20,8 @@ pub enum FlowDirection {
     /// First packet was emitted by a honeypot (worm → victim).
     OutboundInitiated,
 }
+
+snap_enum!(FlowDirection { InboundInitiated = 0, OutboundInitiated = 1 });
 
 /// Per-flow state.
 #[derive(Clone, Debug)]
@@ -42,6 +44,8 @@ pub struct FlowState {
     /// address) instead of O(table).
     id: u64,
 }
+
+snap_struct!(FlowState { direction, first_seen, last_seen, packets, bytes, timer, stamp, id });
 
 /// The flow table: canonical flow key → state, with idle eviction.
 ///
@@ -305,32 +309,8 @@ impl FlowTable {
         // order), so the byte stream is hash-map-order independent.
         let mut flows: Vec<(&FlowKey, &FlowState)> = self.flows.iter().collect();
         flows.sort_by_key(|(_, s)| s.id);
-        w.usize(flows.len());
-        for (key, s) in flows {
-            encode_flow_key(&mut w, *key);
-            w.u8(match s.direction {
-                FlowDirection::InboundInitiated => 0,
-                FlowDirection::OutboundInitiated => 1,
-            });
-            w.u64(s.first_seen.as_nanos());
-            w.u64(s.last_seen.as_nanos());
-            w.u64(s.packets);
-            w.u64(s.bytes);
-            w.u64(s.timer.raw());
-            w.u64(s.stamp.0.as_nanos());
-            w.u64(s.stamp.1);
-            w.u64(s.id);
-        }
-        let (tick, now_ticks, next_timer_id, timers) = self.timers.snapshot_parts();
-        w.u64(tick.as_nanos());
-        w.u64(now_ticks);
-        w.u64(next_timer_id);
-        w.usize(timers.len());
-        for (id, deadline_ticks, &key) in timers {
-            w.u64(id);
-            w.u64(deadline_ticks);
-            encode_flow_key(&mut w, key);
-        }
+        w.pairs(flows);
+        self.timers.snap(&mut w);
         w.u64(self.next_stamp);
         w.u64(self.next_id);
         w.u64(self.created);
@@ -348,65 +328,22 @@ impl FlowTable {
     /// Returns [`SnapshotError::Decode`] on truncated or malformed input;
     /// the table is left untouched in that case.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        const CTX: &str = "gateway.flows";
-        let mut r = SnapReader::new(bytes, CTX);
-        let n_flows = r.usize()?;
-        let mut flows = HashMap::with_capacity(n_flows);
-        let mut lru = BTreeMap::new();
-        let mut indexed: Vec<(FlowKey, u64)> = Vec::with_capacity(n_flows);
-        for _ in 0..n_flows {
-            let key = decode_flow_key(&mut r)?;
-            let direction = match r.u8()? {
-                0 => FlowDirection::InboundInitiated,
-                1 => FlowDirection::OutboundInitiated,
-                _ => return Err(SnapshotError::Decode { context: CTX }),
-            };
-            let first_seen = SimTime::from_nanos(r.u64()?);
-            let last_seen = SimTime::from_nanos(r.u64()?);
-            let packets = r.u64()?;
-            let bytes_seen = r.u64()?;
-            let timer = TimerHandle::from_raw(r.u64()?);
-            let stamp = (SimTime::from_nanos(r.u64()?), r.u64()?);
-            let id = r.u64()?;
-            lru.insert(stamp, key);
-            indexed.push((key, id));
-            flows.insert(
-                key,
-                FlowState {
-                    direction,
-                    first_seen,
-                    last_seen,
-                    packets,
-                    bytes: bytes_seen,
-                    timer,
-                    stamp,
-                    id,
-                },
-            );
-        }
-        let tick = SimTime::from_nanos(r.u64()?);
-        let now_ticks = r.u64()?;
-        let next_timer_id = r.u64()?;
-        let n_timers = r.usize()?;
-        let mut timers = Vec::with_capacity(n_timers);
-        for _ in 0..n_timers {
-            let id = r.u64()?;
-            let deadline_ticks = r.u64()?;
-            timers.push((id, deadline_ticks, decode_flow_key(&mut r)?));
-        }
+        let mut r = SnapReader::new(bytes, "gateway.flows");
+        let flows = Vec::<(FlowKey, FlowState)>::unsnap(&mut r)?;
+        let timers = Snap::unsnap(&mut r)?;
         let next_stamp = r.u64()?;
         let next_id = r.u64()?;
         let created = r.u64()?;
         let evicted = r.u64()?;
         let lru_evicted = r.u64()?;
         r.finish()?;
-        self.flows = flows;
-        self.timers = TimerWheel::from_parts(tick, now_ticks, next_timer_id, timers);
-        self.lru = lru;
+        self.lru = flows.iter().map(|(key, s)| (s.stamp, *key)).collect();
         self.by_addr = HashMap::new();
-        for (key, id) in indexed {
-            self.index_insert(key, id);
+        for (key, s) in &flows {
+            self.index_insert(*key, s.id);
         }
+        self.flows = flows.into_iter().collect();
+        self.timers = timers;
         self.next_stamp = next_stamp;
         self.next_id = next_id;
         self.created = created;
@@ -414,44 +351,6 @@ impl FlowTable {
         self.lru_evicted = lru_evicted;
         Ok(())
     }
-}
-
-fn encode_flow_key(w: &mut SnapWriter, key: FlowKey) {
-    w.u32(u32::from(key.src));
-    w.u32(u32::from(key.dst));
-    match key.transport {
-        Transport::Tcp { src_port, dst_port } => {
-            w.u8(0);
-            w.u16(src_port);
-            w.u16(dst_port);
-        }
-        Transport::Udp { src_port, dst_port } => {
-            w.u8(1);
-            w.u16(src_port);
-            w.u16(dst_port);
-        }
-        Transport::Icmp { ident } => {
-            w.u8(2);
-            w.u16(ident);
-        }
-        Transport::Other { protocol } => {
-            w.u8(3);
-            w.u8(protocol);
-        }
-    }
-}
-
-fn decode_flow_key(r: &mut SnapReader<'_>) -> Result<FlowKey, SnapshotError> {
-    let src = std::net::Ipv4Addr::from(r.u32()?);
-    let dst = std::net::Ipv4Addr::from(r.u32()?);
-    let transport = match r.u8()? {
-        0 => Transport::Tcp { src_port: r.u16()?, dst_port: r.u16()? },
-        1 => Transport::Udp { src_port: r.u16()?, dst_port: r.u16()? },
-        2 => Transport::Icmp { ident: r.u16()? },
-        3 => Transport::Other { protocol: r.u8()? },
-        _ => return Err(SnapshotError::Decode { context: "gateway.flows" }),
-    };
-    Ok(FlowKey { src, dst, transport })
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::{BufferPool, Packet, PacketBuilder, PacketPayload, PoolStats};
 use potemkin_obs::{names as obs, TraceEvent, Tracer};
 use potemkin_sim::{SimTime, TokenBucket};
-use potemkin_snapshot::{SnapReader, SnapWriter};
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter};
 
 use crate::binding::{AddressBinder, BindGranularity, ExpiredBinding, VmRef};
 use crate::config::ConfigError;
@@ -695,32 +695,13 @@ impl Gateway {
         w.bytes(&self.flows.encode_state());
         w.bytes(&self.binder.encode_state());
         w.bytes(&self.dns.encode_state());
-        let mut rate: Vec<(&VmRef, &TokenBucket)> = self.rate.iter().collect();
-        rate.sort_by_key(|(vm, _)| **vm);
-        w.usize(rate.len());
-        for (vm, bucket) in rate {
-            let (rps, burst, tokens, last) = bucket.snapshot_parts();
-            w.u64(vm.0);
-            w.f64(rps);
-            w.f64(burst);
-            w.f64(tokens);
-            w.u64(last.as_nanos());
-        }
-        let (tau, est, last, events) = self.inbound_rate.snapshot_parts();
-        w.f64(tau);
-        w.f64(est);
-        w.opt_u64(last.map(SimTime::as_nanos));
-        w.u64(events);
+        self.rate.snap(&mut w);
+        self.inbound_rate.snap(&mut w);
         // Serialize with in-flight hot tallies folded in: the wire image is
         // the flushed view, so snapshots need no flush-before-encode
         // discipline and round-trip exactly.
-        let counters = self.counters_snapshot();
-        w.usize(counters.len());
-        for (name, value) in counters.iter() {
-            w.str(name);
-            w.u64(value);
-        }
-        w.u64(self.stalled_until.as_nanos());
+        self.counters_snapshot().snap(&mut w);
+        self.stalled_until.snap(&mut w);
         w.into_bytes()
     }
 
@@ -734,35 +715,18 @@ impl Gateway {
     /// part-way can leave earlier sections applied — callers restore into a
     /// scratch gateway and discard it on error.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), potemkin_snapshot::SnapshotError> {
-        const CTX: &str = "gateway";
-        let mut r = SnapReader::new(bytes, CTX);
+        let mut r = SnapReader::new(bytes, "gateway");
         self.flows.restore_state(r.bytes()?)?;
         self.binder.restore_state(r.bytes()?)?;
         self.dns.restore_state(r.bytes()?)?;
-        let n_rate = r.usize()?;
-        let mut rate = HashMap::with_capacity(n_rate);
-        for _ in 0..n_rate {
-            let vm = VmRef(r.u64()?);
-            let rps = r.f64()?;
-            let burst = r.f64()?;
-            let tokens = r.f64()?;
-            let last = SimTime::from_nanos(r.u64()?);
-            rate.insert(vm, TokenBucket::from_parts(rps, burst, tokens, last));
-        }
-        let tau = r.f64()?;
-        let est = r.f64()?;
-        let last = r.opt_u64()?.map(SimTime::from_nanos);
-        let events = r.u64()?;
-        let n_counters = r.usize()?;
-        let mut pairs = Vec::with_capacity(n_counters);
-        for _ in 0..n_counters {
-            pairs.push((r.str()?.to_string(), r.u64()?));
-        }
-        let stalled_until = SimTime::from_nanos(r.u64()?);
+        let rate = Snap::unsnap(&mut r)?;
+        let inbound_rate = Snap::unsnap(&mut r)?;
+        let counters = Snap::unsnap(&mut r)?;
+        let stalled_until = Snap::unsnap(&mut r)?;
         r.finish()?;
         self.rate = rate;
-        self.inbound_rate = RateEstimator::from_parts(tau, est, last, events);
-        self.counters = CounterSet::from_pairs(pairs);
+        self.inbound_rate = inbound_rate;
+        self.counters = counters;
         // The wire image carried hot tallies already folded in.
         self.hot = HotStats::default();
         self.stalled_until = stalled_until;
@@ -1372,10 +1336,15 @@ mod tests {
         g
     }
 
+    /// `(len, fnv1a64)` of [`busy_gateway`]'s `encode_state` as the
+    /// hand-written codecs before the `Snap` trait wrote it.
+    const BUSY_GATEWAY_PIN: (usize, u64) = (1_160, 0xa99296a9383d299c);
+
     #[test]
     fn encode_restore_round_trips_bit_exactly() {
         let original = busy_gateway();
         let bytes = original.encode_state();
+        assert_eq!((bytes.len(), potemkin_snapshot::fnv1a64(&bytes)), BUSY_GATEWAY_PIN);
         let mut restored = gw(PolicyConfig::reflect());
         restored.restore_state(&bytes).unwrap();
         assert_eq!(restored.encode_state(), bytes, "re-encode must be bit-identical");

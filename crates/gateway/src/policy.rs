@@ -61,6 +61,20 @@ pub enum DropReason {
     Degraded,
 }
 
+potemkin_snapshot::snap_enum!(DropReason {
+    Containment = 0,
+    RateLimited = 1,
+    SourceQuota = 2,
+    PortFiltered = 3,
+    Backscatter = 4,
+    Malformed = 5,
+    SpoofedSource = 6,
+    AdmissionControl = 7,
+    GatewayStalled = 8,
+    TunnelLoss = 9,
+    Degraded = 10,
+});
+
 impl core::fmt::Display for DropReason {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let s = match self {

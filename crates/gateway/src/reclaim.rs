@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use potemkin_sim::SimTime;
-use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::binding::{BindKey, VmRef};
 
@@ -226,24 +226,15 @@ impl ReclaimPolicy for ClockSecondChance {
 
     fn snapshot_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.opt_u64(self.hand_epoch);
-        w.usize(self.seen_packets.len());
-        for (&epoch, &packets) in &self.seen_packets {
-            w.u64(epoch);
-            w.u64(packets);
-        }
+        self.hand_epoch.snap(&mut w);
+        self.seen_packets.snap(&mut w);
         w.into_bytes()
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "gateway.reclaim.clock");
-        let hand_epoch = r.opt_u64()?;
-        let n = r.usize()?;
-        let mut seen_packets = BTreeMap::new();
-        for _ in 0..n {
-            let epoch = r.u64()?;
-            seen_packets.insert(epoch, r.u64()?);
-        }
+        let hand_epoch = Snap::unsnap(&mut r)?;
+        let seen_packets = Snap::unsnap(&mut r)?;
         r.finish()?;
         self.hand_epoch = hand_epoch;
         self.seen_packets = seen_packets;

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::gre::{self, GreHeader};
 use potemkin_net::{NetError, Packet};
+use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::error::GatewayError;
 
@@ -34,6 +35,8 @@ pub struct TunnelStats {
     /// Decapsulation errors.
     pub errors: u64,
 }
+
+snap_struct!(TunnelStats { packets_in, bytes_in, packets_out, errors });
 
 /// The gateway's tunnel terminator.
 pub struct TunnelEndpoint {
@@ -189,15 +192,8 @@ impl TunnelEndpoint {
     /// telescopes attached.
     #[must_use]
     pub fn encode_state(&self) -> Vec<u8> {
-        let mut w = potemkin_snapshot::SnapWriter::new();
-        w.usize(self.stats.len());
-        for (&key, s) in &self.stats {
-            w.u32(key);
-            w.u64(s.packets_in);
-            w.u64(s.bytes_in);
-            w.u64(s.packets_out);
-            w.u64(s.errors);
-        }
+        let mut w = SnapWriter::new();
+        self.stats.snap(&mut w);
         w.u64(self.unattributed_errors);
         w.into_bytes()
     }
@@ -206,20 +202,11 @@ impl TunnelEndpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`potemkin_snapshot::SnapshotError::Decode`] on truncated or
-    /// malformed input; the endpoint is left untouched in that case.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), potemkin_snapshot::SnapshotError> {
-        let mut r = potemkin_snapshot::SnapReader::new(bytes, "gateway.tunnel");
-        let n = r.usize()?;
-        let mut stats = BTreeMap::new();
-        for _ in 0..n {
-            let key = r.u32()?;
-            let packets_in = r.u64()?;
-            let bytes_in = r.u64()?;
-            let packets_out = r.u64()?;
-            let errors = r.u64()?;
-            stats.insert(key, TunnelStats { packets_in, bytes_in, packets_out, errors });
-        }
+    /// Returns [`SnapshotError::Decode`] on truncated or malformed input;
+    /// the endpoint is left untouched in that case.
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = SnapReader::new(bytes, "gateway.tunnel");
+        let stats = Snap::unsnap(&mut r)?;
         let unattributed_errors = r.u64()?;
         r.finish()?;
         self.stats = stats;

@@ -5,6 +5,8 @@
 
 use std::collections::BTreeMap;
 
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 /// A set of named monotonic `u64` counters.
 ///
 /// Counters are created on first touch. Names are `&'static str` because the
@@ -74,31 +76,38 @@ impl CounterSet {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
     }
+}
 
-    /// Checkpoint support: rebuilds a set from `(name, value)` pairs read
-    /// back from a snapshot. Names are interned into a global table —
-    /// telemetry names form a small fixed vocabulary, so repeated restores
-    /// never grow memory beyond that vocabulary.
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (String, u64)>) -> Self {
+/// A sequence of `(name, value)` pairs in name order. Decoded names are
+/// interned into a global table — telemetry names form a small fixed
+/// vocabulary, so repeated restores never grow memory beyond it.
+impl Snap for CounterSet {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.seq(&self.counters, |(name, value), w| {
+            w.str(name);
+            w.u64(*value);
+        });
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let mut set = CounterSet::new();
-        for (name, value) in pairs {
-            set.counters.insert(intern(name), value);
+        for _ in 0..r.seq_len()? {
+            set.counters.insert(intern(r.str()?), r.u64()?);
         }
-        set
+        Ok(set)
     }
 }
 
 /// Interns a counter name, reusing a previously leaked copy when available.
-fn intern(name: String) -> &'static str {
+fn intern(name: &str) -> &'static str {
     use std::collections::BTreeSet;
     use std::sync::{Mutex, OnceLock};
     static TABLE: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
     let table = TABLE.get_or_init(|| Mutex::new(BTreeSet::new()));
     let mut guard = table.lock().expect("intern table poisoned");
-    if let Some(&existing) = guard.get(name.as_str()) {
+    if let Some(&existing) = guard.get(name) {
         return existing;
     }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
+    let leaked: &'static str = Box::leak(name.into());
     guard.insert(leaked);
     leaked
 }

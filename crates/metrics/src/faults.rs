@@ -9,6 +9,8 @@
 
 use core::fmt;
 
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 use crate::histogram::LogHistogram;
 
 /// The classes of injected faults the harness distinguishes.
@@ -132,26 +134,6 @@ impl FaultLedger {
         &self.tunnel_delay_us
     }
 
-    /// Checkpoint support: `(per-class counts in `FaultClass::ALL` order,
-    /// re-bind histogram, tunnel-delay histogram)`.
-    #[must_use]
-    pub fn snapshot_parts(&self) -> (Vec<u64>, &LogHistogram, &LogHistogram) {
-        (self.counts.to_vec(), &self.rebind_latency_us, &self.tunnel_delay_us)
-    }
-
-    /// Checkpoint support: rebuilds a ledger from parts captured by
-    /// [`FaultLedger::snapshot_parts`]. Returns `None` when the class-count
-    /// vector does not match `FaultClass::ALL`.
-    #[must_use]
-    pub fn from_parts(
-        counts: &[u64],
-        rebind_latency_us: LogHistogram,
-        tunnel_delay_us: LogHistogram,
-    ) -> Option<Self> {
-        let counts: [u64; FaultClass::ALL.len()] = counts.try_into().ok()?;
-        Some(FaultLedger { counts, rebind_latency_us, tunnel_delay_us })
-    }
-
     /// Folds another ledger into this one (sweep aggregation).
     pub fn merge(&mut self, other: &FaultLedger) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -159,6 +141,24 @@ impl FaultLedger {
         }
         self.rebind_latency_us.merge(&other.rebind_latency_us);
         self.tunnel_delay_us.merge(&other.tunnel_delay_us);
+    }
+}
+
+/// The per-class counts as a sequence in [`FaultClass::ALL`] order, then
+/// the two histograms; any other number of classes is a decode error.
+impl Snap for FaultLedger {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.seq(&self.counts, u64::snap);
+        self.rebind_latency_us.snap(w);
+        self.tunnel_delay_us.snap(w);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let counts = Vec::<u64>::unsnap(r)?.try_into().map_err(|_| r.bad())?;
+        Ok(FaultLedger {
+            counts,
+            rebind_latency_us: Snap::unsnap(r)?,
+            tunnel_delay_us: Snap::unsnap(r)?,
+        })
     }
 }
 

@@ -6,6 +6,13 @@
 //! linear sub-buckets, giving a bounded relative error everywhere — the same
 //! scheme HdrHistogram uses, reduced to the essentials.
 
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+
+/// The finest precision [`LogHistogram::unsnap`] accepts. Every histogram
+/// in the tree is built with 32; a decoded precision sizes the bucket table
+/// (`64 * sub_buckets` counters), so it is bounded before that allocation.
+const MAX_DECODED_SUB_BUCKETS: u32 = 1 << 10;
+
 /// A histogram of `u64` samples with geometric buckets.
 ///
 /// Relative quantile error is bounded by `1 / sub_buckets`.
@@ -149,47 +156,6 @@ impl LogHistogram {
         self.max
     }
 
-    /// Checkpoint support: `(sub_buckets, count, sum, min, max, sparse)`
-    /// where `sparse` lists only non-zero buckets as `(index, count)`.
-    #[must_use]
-    pub fn snapshot_parts(&self) -> (u32, u64, u128, u64, u64, Vec<(u64, u64)>) {
-        let sparse = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64, c))
-            .collect();
-        (self.sub_buckets, self.count, self.sum, self.min, self.max, sparse)
-    }
-
-    /// Checkpoint support: rebuilds a histogram from parts captured by
-    /// [`LogHistogram::snapshot_parts`]. Returns `None` when the parts are
-    /// structurally invalid (bad sub-bucket count or out-of-range index).
-    #[must_use]
-    pub fn from_parts(
-        sub_buckets: u32,
-        count: u64,
-        sum: u128,
-        min: u64,
-        max: u64,
-        sparse: &[(u64, u64)],
-    ) -> Option<Self> {
-        if sub_buckets == 0 || !sub_buckets.is_power_of_two() {
-            return None;
-        }
-        let mut h = LogHistogram::new(sub_buckets);
-        for &(idx, c) in sparse {
-            let slot = h.counts.get_mut(usize::try_from(idx).ok()?)?;
-            *slot = c;
-        }
-        h.count = count;
-        h.sum = sum;
-        h.min = min;
-        h.max = max;
-        Some(h)
-    }
-
     /// Merges another histogram (must have identical `sub_buckets`).
     ///
     /// # Panics
@@ -207,9 +173,52 @@ impl LogHistogram {
     }
 }
 
+/// The precision, the summary (`count`, `sum`, `min`, `max`), then only
+/// the non-zero buckets as `(index, count)` pairs. A precision that is not
+/// a power of two or is finer than [`MAX_DECODED_SUB_BUCKETS`], or a bucket
+/// index outside the table, is a decode error.
+impl Snap for LogHistogram {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.u32(self.sub_buckets);
+        w.u64(self.count);
+        w.u128(self.sum);
+        w.u64(self.min);
+        w.u64(self.max);
+        let sparse: Vec<(u64, u64)> =
+            (0..).zip(&self.counts).filter(|&(_, &c)| c > 0).map(|(i, &c)| (i, c)).collect();
+        sparse.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let sub_buckets = r.u32()?;
+        if !sub_buckets.is_power_of_two() || sub_buckets > MAX_DECODED_SUB_BUCKETS {
+            return Err(r.bad());
+        }
+        let mut h = LogHistogram::new(sub_buckets);
+        h.count = r.u64()?;
+        h.sum = r.u128()?;
+        h.min = r.u64()?;
+        h.max = r.u64()?;
+        for (idx, c) in Vec::<(u64, u64)>::unsnap(r)? {
+            let slot = usize::try_from(idx).ok().and_then(|i| h.counts.get_mut(i));
+            *slot.ok_or_else(|| r.bad())? = c;
+        }
+        Ok(h)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_hostile_precision_is_refused_before_the_bucket_table_is_sized() {
+        // 64 * (1 << 31) counters would be a 1 TiB table.
+        let mut bytes = LogHistogram::new(32).to_bytes();
+        bytes[..4].copy_from_slice(&(1u32 << 31).to_le_bytes());
+        let decoded = LogHistogram::from_bytes(&bytes, "hist");
+        assert_eq!(decoded.err(), Some(SnapshotError::Decode { context: "hist" }));
+    }
 
     #[test]
     fn small_values_are_exact() {

@@ -92,20 +92,9 @@ impl RateEstimator {
     pub fn count(&self) -> u64 {
         self.events
     }
-
-    /// Checkpoint support: `(tau, rate, last, events)`.
-    #[must_use]
-    pub fn snapshot_parts(&self) -> (f64, f64, Option<SimTime>, u64) {
-        (self.tau, self.rate, self.last, self.events)
-    }
-
-    /// Checkpoint support: rebuilds an estimator bit-exactly from parts
-    /// captured by [`RateEstimator::snapshot_parts`].
-    #[must_use]
-    pub fn from_parts(tau: f64, rate: f64, last: Option<SimTime>, events: u64) -> Self {
-        RateEstimator { tau, rate, last, events }
-    }
 }
+
+potemkin_snapshot::snap_struct!(RateEstimator { tau, rate, last, events });
 
 #[cfg(test)]
 mod tests {

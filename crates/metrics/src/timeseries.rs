@@ -6,6 +6,7 @@
 //! for the `figures` binary.
 
 use potemkin_sim::SimTime;
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// A fixed-bin-width time series of `f64` accumulators.
 ///
@@ -122,22 +123,6 @@ impl TimeSeries {
         }
     }
 
-    /// Checkpoint support: `(bin_width, bins)`.
-    #[must_use]
-    pub fn snapshot_parts(&self) -> (SimTime, &[f64]) {
-        (self.bin_width, &self.bins)
-    }
-
-    /// Checkpoint support: rebuilds a series from parts captured by
-    /// [`TimeSeries::snapshot_parts`]. Returns `None` for a zero bin width.
-    #[must_use]
-    pub fn from_parts(bin_width: SimTime, bins: Vec<f64>) -> Option<Self> {
-        if bin_width.is_zero() {
-            return None;
-        }
-        Some(TimeSeries { bin_width, bins })
-    }
-
     /// Adds `other` into `self` bin-by-bin, growing as needed. Used to fold
     /// per-shard series (e.g. live VMs per cell) into a farm-wide series.
     ///
@@ -152,6 +137,21 @@ impl TimeSeries {
         for (dst, src) in self.bins.iter_mut().zip(other.bins.iter()) {
             *dst += src;
         }
+    }
+}
+
+/// The bin width, then the raw bins; a zero bin width is a decode error.
+impl Snap for TimeSeries {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.bin_width.snap(w);
+        self.bins.snap(w);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let bin_width = SimTime::unsnap(r)?;
+        if bin_width.is_zero() {
+            return Err(r.bad());
+        }
+        Ok(TimeSeries { bin_width, bins: Snap::unsnap(r)? })
     }
 }
 

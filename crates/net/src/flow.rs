@@ -8,6 +8,8 @@
 use core::fmt;
 use std::net::Ipv4Addr;
 
+use potemkin_snapshot::{snap_enum, snap_struct};
+
 use crate::ipv4::IpProtocol;
 
 /// Transport identification for a flow: protocol plus ports where they
@@ -39,6 +41,13 @@ pub enum Transport {
         protocol: u8,
     },
 }
+
+snap_enum!(Transport {
+    Tcp { src_port, dst_port } = 0,
+    Udp { src_port, dst_port } = 1,
+    Icmp { ident } = 2,
+    Other { protocol } = 3,
+});
 
 impl Transport {
     /// The IP protocol of this transport.
@@ -95,6 +104,8 @@ pub struct FlowKey {
     /// Transport identification.
     pub transport: Transport,
 }
+
+snap_struct!(FlowKey { src, dst, transport });
 
 impl FlowKey {
     /// Creates a TCP flow key.

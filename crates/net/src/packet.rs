@@ -8,6 +8,7 @@
 //! datagrams (worm probes, DNS), and ICMP echoes.
 
 use bytes::{BufferPool, Bytes, BytesMut};
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 use std::net::Ipv4Addr;
 
 use crate::error::NetError;
@@ -65,6 +66,17 @@ pub struct Packet {
     ipv4: Ipv4Header,
     payload: PacketPayload,
     wire: Bytes,
+}
+
+/// The length-prefixed wire image; bytes that do not parse back into a
+/// packet are a decode error.
+impl Snap for Packet {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.bytes(&self.wire);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Packet::parse(r.bytes()?).map_err(|_| r.bad())
+    }
 }
 
 impl Packet {

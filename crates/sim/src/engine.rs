@@ -32,6 +32,8 @@ pub struct RunStats {
     pub hit_horizon: bool,
 }
 
+potemkin_snapshot::snap_struct!(RunStats { events_processed, last_event_time, hit_horizon });
+
 /// Runs the simulation until the queue drains or an event at or beyond
 /// `horizon` is next.
 ///

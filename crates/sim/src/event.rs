@@ -7,6 +7,8 @@
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 use crate::time::SimTime;
 
 struct Entry<E> {
@@ -141,27 +143,53 @@ impl<E> EventQueue<E> {
         self.heap.clear();
     }
 
-    /// Checkpoint support: the queue's counters and every pending entry as
-    /// `(at, seq, event)`, sorted by `(at, seq)` so the serialized form is
-    /// canonical regardless of heap layout.
-    #[must_use]
-    pub fn snapshot_parts(&self) -> (u64, u64, Vec<(SimTime, u64, &E)>) {
-        let mut entries: Vec<(SimTime, u64, &E)> =
-            self.heap.iter().map(|e| (e.at, e.seq, &e.event)).collect();
-        entries.sort_by_key(|&(at, seq, _)| (at, seq));
-        (self.next_seq, self.scheduled, entries)
+    /// The queue's encoding — its counters and every pending entry as
+    /// `(at, seq, event)`, sorted by `(at, seq)` so the bytes are canonical
+    /// regardless of heap layout — with each event written through `event`.
+    /// This is the [`Snap`] layout for a queue whose events cannot implement
+    /// the trait because their encoding needs context (a slab key that has
+    /// to be resolved, say).
+    pub fn snap_with(&self, w: &mut SnapWriter, mut event: impl FnMut(&E, &mut SnapWriter)) {
+        w.u64(self.next_seq);
+        w.u64(self.scheduled);
+        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
+        entries.sort_by_key(|e| (e.at, e.seq));
+        w.seq(entries, |e, w| {
+            e.at.snap(w);
+            w.u64(e.seq);
+            event(&e.event, w);
+        });
     }
 
-    /// Checkpoint support: rebuilds a queue from counters and entries
-    /// captured by [`EventQueue::snapshot_parts`]. Original sequence numbers
-    /// are preserved, so FIFO tie-breaking across the restore boundary is
-    /// identical to the uninterrupted run.
-    #[must_use]
-    pub fn from_parts(next_seq: u64, scheduled: u64, entries: Vec<(SimTime, u64, E)>) -> Self {
-        let heap: BinaryHeap<Entry<E>> =
-            entries.into_iter().map(|(at, seq, event)| Entry { at, seq, event }).collect();
+    /// Reads a queue written by [`EventQueue::snap_with`], each event
+    /// through `event`. Original sequence numbers are preserved, so FIFO
+    /// tie-breaking across the restore boundary is identical to the
+    /// uninterrupted run.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Decode`] on truncated input, or whatever `event`
+    /// returns.
+    pub fn unsnap_with(
+        r: &mut SnapReader<'_>,
+        mut event: impl FnMut(&mut SnapReader<'_>) -> Result<E, SnapshotError>,
+    ) -> Result<Self, SnapshotError> {
+        let next_seq = r.u64()?;
+        let scheduled = r.u64()?;
+        let entries =
+            r.seq(|r| Ok(Entry { at: SimTime::unsnap(r)?, seq: r.u64()?, event: event(r)? }))?;
+        let heap = BinaryHeap::from(entries);
         let depth_high = heap.len();
-        EventQueue { heap, next_seq, scheduled, depth_high }
+        Ok(EventQueue { heap, next_seq, scheduled, depth_high })
+    }
+}
+
+impl<E: Snap> Snap for EventQueue<E> {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.snap_with(w, E::snap);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Self::unsnap_with(r, E::unsnap)
     }
 }
 

@@ -35,6 +35,8 @@
 //! }
 //! ```
 
+use potemkin_snapshot::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -81,6 +83,14 @@ pub enum FaultKind {
     },
 }
 
+snap_enum!(FaultKind {
+    HostCrash { host } = 0,
+    HostRecover { host } = 1,
+    CloneFaultBurst { host, count } = 2,
+    TunnelDegrade { loss, extra_latency, duration } = 3,
+    GatewayStall { duration } = 4,
+});
+
 /// A single scheduled fault: a [`FaultKind`] pinned to a virtual timestamp.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
@@ -89,6 +99,8 @@ pub struct FaultEvent {
     /// What happens.
     pub kind: FaultKind,
 }
+
+snap_struct!(FaultEvent { at, kind });
 
 /// Parameters from which a [`FaultPlan`] is generated.
 ///
@@ -327,26 +339,25 @@ impl FaultInjector {
     pub fn remaining(&self) -> usize {
         self.events.len() - self.cursor
     }
+}
 
-    /// Checkpoint support: how many events have already been delivered.
-    #[must_use]
-    pub fn cursor(&self) -> usize {
-        self.cursor
+/// The whole plan plus the cursor, so an injector restored mid-plan hands
+/// out exactly the suffix the original would have. A cursor past the end of
+/// the plan is a decode error.
+impl Snap for FaultInjector {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.f64(self.clone_failure_prob);
+        w.usize(self.cursor);
+        self.events.snap(w);
     }
-
-    /// Checkpoint support: rebuilds an injector mid-plan. Events before
-    /// `cursor` are treated as already delivered; the restored injector hands
-    /// out exactly the suffix the original would have.
-    #[must_use]
-    pub fn from_plan_at(plan: FaultPlan, cursor: usize) -> Self {
-        let cursor = cursor.min(plan.events.len());
-        FaultInjector { events: plan.events, cursor, clone_failure_prob: plan.clone_failure_prob }
-    }
-
-    /// Checkpoint support: the full plan backing this injector.
-    #[must_use]
-    pub fn plan(&self) -> FaultPlan {
-        FaultPlan { events: self.events.clone(), clone_failure_prob: self.clone_failure_prob }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let clone_failure_prob = r.f64()?;
+        let cursor = r.usize()?;
+        let events = Vec::<FaultEvent>::unsnap(r)?;
+        if cursor > events.len() {
+            return Err(r.bad());
+        }
+        Ok(FaultInjector { events, cursor, clone_failure_prob })
     }
 }
 

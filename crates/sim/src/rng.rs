@@ -7,6 +7,8 @@
 //! workload models need a handful of distributions with well-understood
 //! parameterizations; see [`crate::dist`].
 
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 /// Advances a SplitMix64 state and returns the next value.
 ///
 /// SplitMix64 is used to expand a single `u64` seed into the four words of
@@ -38,6 +40,17 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
+/// The four state words, so a restored generator continues the exact
+/// sequence the original would have produced.
+impl Snap for SimRng {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.s.iter().for_each(|word| w.u64(*word));
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(SimRng { s: [r.u64()?, r.u64()?, r.u64()?, r.u64()?] })
+    }
+}
+
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
     #[must_use]
@@ -48,18 +61,10 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Captures the full generator state for checkpointing.
+    /// The four state words.
     #[must_use]
     pub fn state(&self) -> [u64; 4] {
         self.s
-    }
-
-    /// Rebuilds a generator from a state captured by [`SimRng::state`]. The
-    /// restored generator continues the exact sequence the original would
-    /// have produced.
-    #[must_use]
-    pub fn from_state(s: [u64; 4]) -> Self {
-        SimRng { s }
     }
 
     /// Derives an independent child generator from this one.

@@ -226,6 +226,15 @@ pub struct ShardProgress {
     pub windows: u64,
 }
 
+potemkin_snapshot::snap_struct!(ShardProgress {
+    next_window,
+    window_start,
+    per_shard,
+    remote_messages,
+    windows,
+    window_width,
+});
+
 /// What a barrier hook tells the engine to do after a window completes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BarrierControl {

@@ -28,6 +28,9 @@ pub struct SimTime {
     nanos: u64,
 }
 
+// As its nanosecond count.
+potemkin_snapshot::snap_struct!(SimTime { nanos });
+
 impl SimTime {
     /// The zero timestamp (simulation start).
     pub const ZERO: SimTime = SimTime { nanos: 0 };

@@ -11,6 +11,8 @@
 //! granularity, covering `256^4` ticks (over 4 billion). Timers beyond the
 //! horizon saturate to the last slot of the outer wheel and re-cascade.
 
+use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+
 use crate::time::SimTime;
 
 const SLOTS: usize = 256;
@@ -20,21 +22,9 @@ const LEVELS: usize = 4;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TimerHandle(u64);
 
-impl TimerHandle {
-    /// Checkpoint support: the raw timer id, stable across save/restore.
-    #[must_use]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Checkpoint support: rebuilds a handle from a raw id captured by
-    /// [`TimerHandle::raw`]. Only meaningful against the wheel that issued
-    /// (or restored) that id.
-    #[must_use]
-    pub fn from_raw(id: u64) -> Self {
-        TimerHandle(id)
-    }
-}
+// The raw timer id: stable across save/restore, and only meaningful against
+// the wheel that issued (or restored) it.
+snap_struct!(TimerHandle { 0 });
 
 #[derive(Clone, Debug)]
 struct TimerEntry<T> {
@@ -204,48 +194,41 @@ impl<T> TimerWheel<T> {
         fired.sort_by_key(|e| (e.deadline_ticks, e.id));
         fired.into_iter().map(|e| e.payload).collect()
     }
+}
 
-    /// Checkpoint support: the wheel's clock state and every *live* entry as
-    /// `(id, deadline_ticks, payload)`, sorted by id. Cancelled-but-not-yet-
-    /// swept entries are omitted — they can never fire, so dropping them at
-    /// the snapshot boundary is behaviour-preserving.
-    ///
-    /// Returns `(tick, now_ticks, next_id, entries)`.
-    #[must_use]
-    pub fn snapshot_parts(&self) -> (SimTime, u64, u64, Vec<(u64, u64, &T)>) {
-        let mut entries: Vec<(u64, u64, &T)> = self
-            .wheels
-            .iter()
-            .flatten()
-            .flatten()
-            .filter(|e| self.live.contains(&e.id))
-            .map(|e| (e.id, e.deadline_ticks, &e.payload))
-            .collect();
-        entries.sort_by_key(|&(id, _, _)| id);
-        (self.tick, self.now_ticks, self.next_id, entries)
+snap_struct!(TimerEntry<T> { id, deadline_ticks, payload });
+
+/// The wheel's clock (`tick`, `now_ticks`, `next_id`) and every *live*
+/// entry, sorted by id. Cancelled-but-not-yet-swept entries are omitted —
+/// they can never fire, so dropping them at the snapshot boundary is
+/// behaviour-preserving. Ids survive, so handles held by restored callers
+/// stay valid, and firing order — which sorts by `(deadline_ticks, id)` —
+/// is that of the uninterrupted run whatever the re-insertion order.
+impl<T: Snap> Snap for TimerWheel<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.tick.snap(w);
+        w.u64(self.now_ticks);
+        w.u64(self.next_id);
+        let mut entries: Vec<&TimerEntry<T>> =
+            self.wheels.iter().flatten().flatten().filter(|e| self.live.contains(&e.id)).collect();
+        entries.sort_by_key(|e| e.id);
+        w.seq(entries, TimerEntry::snap);
     }
 
-    /// Checkpoint support: rebuilds a wheel from parts captured by
-    /// [`TimerWheel::snapshot_parts`]. Ids are preserved, so handles held by
-    /// restored callers stay valid, and firing order — which sorts by
-    /// `(deadline_ticks, id)` — is identical to the uninterrupted run
-    /// regardless of re-insertion order.
-    #[must_use]
-    pub fn from_parts(
-        tick: SimTime,
-        now_ticks: u64,
-        next_id: u64,
-        entries: Vec<(u64, u64, T)>,
-    ) -> Self {
-        let mut wheel = TimerWheel::new(tick);
-        wheel.now_ticks = now_ticks;
-        wheel.next_id = next_id;
-        for (id, deadline_ticks, payload) in entries {
-            let (level, slot) = wheel.place(deadline_ticks);
-            wheel.wheels[level][slot].push(TimerEntry { id, deadline_ticks, payload });
-            wheel.live.insert(id);
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let tick = SimTime::unsnap(r)?;
+        if tick.is_zero() {
+            return Err(r.bad());
         }
-        wheel
+        let mut wheel = TimerWheel::new(tick);
+        wheel.now_ticks = r.u64()?;
+        wheel.next_id = r.u64()?;
+        for entry in r.seq(TimerEntry::<T>::unsnap)? {
+            let (level, slot) = wheel.place(entry.deadline_ticks);
+            wheel.live.insert(entry.id);
+            wheel.wheels[level][slot].push(entry);
+        }
+        Ok(wheel)
     }
 }
 

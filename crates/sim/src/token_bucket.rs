@@ -83,20 +83,9 @@ impl TokenBucket {
     pub fn burst(&self) -> f64 {
         self.burst
     }
-
-    /// Checkpoint support: `(rate, burst, tokens, last)`.
-    #[must_use]
-    pub fn snapshot_parts(&self) -> (f64, f64, f64, SimTime) {
-        (self.rate, self.burst, self.tokens, self.last)
-    }
-
-    /// Checkpoint support: rebuilds a bucket from parts captured by
-    /// [`TokenBucket::snapshot_parts`], bit-exact.
-    #[must_use]
-    pub fn from_parts(rate: f64, burst: f64, tokens: f64, last: SimTime) -> Self {
-        TokenBucket { rate, burst, tokens, last }
-    }
 }
+
+potemkin_snapshot::snap_struct!(TokenBucket { rate, burst, tokens, last });
 
 #[cfg(test)]
 mod tests {

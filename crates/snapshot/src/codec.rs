@@ -9,6 +9,7 @@
 //! event queues, not integer headers.
 
 use crate::error::SnapshotError;
+use crate::snap::Snap;
 
 /// Accumulates an encoded byte stream.
 #[derive(Debug, Default)]
@@ -97,15 +98,34 @@ impl SnapWriter {
         self.bytes(v.as_bytes());
     }
 
-    /// Appends an `Option<u64>` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
+    /// Appends a sequence: its length, then every item through `each` —
+    /// [`Snap::snap`](crate::Snap::snap) for a plain element, a closure
+    /// where the element needs context the trait cannot carry.
+    pub fn seq<I>(&mut self, items: I, mut each: impl FnMut(I::Item, &mut Self))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.usize(items.len());
+        for item in items {
+            each(item, self);
         }
+    }
+
+    /// Appends a sequence of `(key, value)` pairs held by reference: the
+    /// bytes a `Vec<(K, V)>` of the same entries would write, which is how
+    /// a map that sorts its entries into its own canonical order reads them
+    /// back.
+    pub fn pairs<'a, K: Snap + 'a, V: Snap + 'a, I>(&mut self, entries: I)
+    where
+        I: IntoIterator<Item = (&'a K, &'a V)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        self.seq(entries, |(key, value), w| {
+            key.snap(w);
+            value.snap(w);
+        });
     }
 }
 
@@ -128,18 +148,25 @@ impl<'a> SnapReader<'a> {
         SnapReader { buf, pos: 0, context }
     }
 
-    fn err(&self) -> SnapshotError {
+    /// The decode error for this stream: what a codec returns when the
+    /// bytes parse but the value is out of its domain.
+    #[must_use]
+    pub fn bad(&self) -> SnapshotError {
         SnapshotError::Decode { context: self.context }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| self.err())?;
-        if end > self.buf.len() {
-            return Err(self.err());
-        }
-        let slice = &self.buf[self.pos..end];
+        let end = self.pos.checked_add(n).ok_or_else(|| self.bad())?;
+        let slice = self.buf.get(self.pos..end).ok_or_else(|| self.bad())?;
         self.pos = end;
         Ok(slice)
+    }
+
+    /// Reads exactly `N` bytes.
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
     /// Bytes not yet consumed.
@@ -153,13 +180,13 @@ impl<'a> SnapReader<'a> {
         if self.remaining() == 0 {
             Ok(())
         } else {
-            Err(self.err())
+            Err(self.bad())
         }
     }
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+        self.array().map(|[b]| b)
     }
 
     /// Reads a bool; any byte other than 0/1 is a decode error.
@@ -167,38 +194,33 @@ impl<'a> SnapReader<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            _ => Err(self.err()),
+            _ => Err(self.bad()),
         }
     }
 
     /// Reads a little-endian u16.
     pub fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian u32.
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian u64.
     pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("slice of length 8")))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian u128.
     pub fn u128(&mut self) -> Result<u128, SnapshotError> {
-        let b = self.take(16)?;
-        Ok(u128::from_le_bytes(b.try_into().expect("slice of length 16")))
+        self.array().map(u128::from_le_bytes)
     }
 
     /// Reads a little-endian i64.
     pub fn i64(&mut self) -> Result<i64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(i64::from_le_bytes(b.try_into().expect("slice of length 8")))
+        self.array().map(i64::from_le_bytes)
     }
 
     /// Reads an f64 from its bit pattern.
@@ -208,7 +230,7 @@ impl<'a> SnapReader<'a> {
 
     /// Reads a u64 and converts to usize, failing on overflow.
     pub fn usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| self.err())
+        usize::try_from(self.u64()?).map_err(|_| self.bad())
     }
 
     /// Reads a length-prefixed byte slice.
@@ -219,16 +241,33 @@ impl<'a> SnapReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, SnapshotError> {
-        core::str::from_utf8(self.bytes()?).map_err(|_| self.err())
+        core::str::from_utf8(self.bytes()?).map_err(|_| self.bad())
     }
 
-    /// Reads an `Option<u64>` written by [`SnapWriter::opt_u64`].
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        if self.bool()? {
-            Ok(Some(self.u64()?))
-        } else {
-            Ok(None)
+    /// Reads a sequence length written by [`SnapWriter::seq`] and refuses
+    /// one the stream cannot hold: every element occupies at least one
+    /// byte, so `n` elements need `n` more bytes. This is the bound on
+    /// every decoded length — checked before the caller reserves anything.
+    pub fn seq_len(&mut self) -> Result<usize, SnapshotError> {
+        let n = self.usize()?;
+        if n > self.remaining() {
+            return Err(self.bad());
         }
+        Ok(n)
+    }
+
+    /// Reads a sequence written by [`SnapWriter::seq`], each element
+    /// through `each`.
+    pub fn seq<T>(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let n = self.seq_len()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(each(self)?);
+        }
+        Ok(items)
     }
 }
 
@@ -251,8 +290,6 @@ mod tests {
         w.usize(12345);
         w.bytes(b"payload");
         w.str("héllo");
-        w.opt_u64(None);
-        w.opt_u64(Some(9));
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes, "test");
@@ -268,8 +305,6 @@ mod tests {
         assert_eq!(r.usize().unwrap(), 12345);
         assert_eq!(r.bytes().unwrap(), b"payload");
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_u64().unwrap(), Some(9));
         r.finish().unwrap();
     }
 

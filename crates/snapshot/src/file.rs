@@ -155,8 +155,7 @@ impl SnapshotFile {
             if bytes.len() < need {
                 return Err(torn(bytes.len(), need));
             }
-            let name_len =
-                u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+            let name_len = u32::from_le_bytes(array_at(bytes, pos)?) as usize;
             pos += 4;
             let need = pos.saturating_add(name_len).saturating_add(12);
             if bytes.len() < need {
@@ -165,10 +164,9 @@ impl SnapshotFile {
             let name = String::from_utf8(bytes[pos..pos + name_len].to_vec())
                 .map_err(|_| SnapshotError::Decode { context: "section name" })?;
             pos += name_len;
-            let payload_len =
-                u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes")) as usize;
+            let payload_len = u64::from_le_bytes(array_at(bytes, pos)?) as usize;
             pos += 8;
-            let stored_crc = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
+            let stored_crc = u32::from_le_bytes(array_at(bytes, pos)?);
             pos += 4;
             let need = pos.saturating_add(payload_len);
             if bytes.len() < need {
@@ -187,7 +185,7 @@ impl SnapshotFile {
         if &bytes[pos + 8..trailer_need] != END_MAGIC {
             return Err(torn(bytes.len(), trailer_need));
         }
-        let stored_digest = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
+        let stored_digest = u64::from_le_bytes(array_at(bytes, pos)?);
         let mut digest = Fnv64::new();
         digest.update(&bytes[..pos]);
         let computed = digest.finish();
@@ -222,6 +220,13 @@ impl SnapshotFile {
 
 fn torn(len: usize, needed: usize) -> SnapshotError {
     SnapshotError::TornWrite { len, needed }
+}
+
+/// The `N` bytes at `pos`; a file too short to hold them is torn.
+fn array_at<const N: usize>(bytes: &[u8], pos: usize) -> Result<[u8; N], SnapshotError> {
+    SnapReader::new(bytes.get(pos..).unwrap_or_default(), "snapshot container")
+        .array()
+        .map_err(|_| torn(bytes.len(), pos.saturating_add(N)))
 }
 
 /// Writes `bytes` to `path` crash-consistently: temp file in the same

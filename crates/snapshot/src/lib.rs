@@ -7,7 +7,8 @@
 //! byte-identically:
 //!
 //! * [`SnapWriter`] / [`SnapReader`] — a tiny little-endian byte codec with
-//!   length-prefixed strings and byte slices and typed truncation errors.
+//!   length-prefixed strings, byte slices and sequences, and typed
+//!   truncation errors.
 //! * [`SnapshotFile`] — a versioned container of named, length-prefixed
 //!   sections, each protected by a CRC-32, the whole file sealed by a 64-bit
 //!   FNV-1a digest and an end-of-file magic trailer. A missing trailer is
@@ -21,18 +22,29 @@
 //!   auto-checkpoint path, so a transiently failing disk degrades a run
 //!   (checkpoint skipped) instead of killing it.
 //!
-//! Section payload encodings live with the types they serialize (each crate
-//! implements its own `snapshot_*`/`restore_*` routines using the codec), so
-//! private fields never leak across crate boundaries.
+//! * [`Snap`] — the one value-level codec trait: a type states its byte
+//!   layout once and gets both directions, usually from a field list
+//!   ([`snap_struct!`], [`snap_enum!`]). Implemented here for the primitives
+//!   and standard containers; every decoded sequence length is bounded by
+//!   the bytes that remain before anything is reserved for it.
+//!
+//! Section payload encodings live with the types they serialize: each crate
+//! implements [`Snap`] beside its own types and composes them in its
+//! components' `encode_state`/`restore_state`, so private fields never leak
+//! across crate boundaries.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod codec;
 mod crc;
 mod error;
 mod file;
 mod retry;
+mod snap;
 
 pub use codec::{SnapReader, SnapWriter};
 pub use crc::{crc32, fnv1a64, Fnv64};
 pub use error::SnapshotError;
 pub use file::{write_atomic, Section, SnapshotFile, SNAPSHOT_VERSION};
 pub use retry::{retry_with_backoff, RetryOutcome, RetryPolicy};
+pub use snap::Snap;

@@ -15,15 +15,13 @@
 //! checkpoints: a manifest serializes as its geometry plus one
 //! materialized bit per slot, never the block contents.
 
-use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{snap_struct, SnapReader, SnapWriter, SnapshotError};
 
 use crate::error::StorageError;
 use crate::store::{ChunkHash, SharedChunkStore};
 
 /// Default chunk size in blocks, the farm-config default.
 pub const DEFAULT_CHUNK_BLOCKS: u64 = 64;
-
-const CTX: &str = "storage.manifest";
 
 /// One manifest slot: a chunk not yet faulted in, or the content hash of
 /// its stored chunk.
@@ -136,38 +134,35 @@ impl Manifest {
         w.u64(self.size_blocks);
         w.u64(self.chunk_blocks);
         w.u64(self.seed);
-        w.u64(self.slots.len() as u64);
-        for slot in &self.slots {
-            w.bool(matches!(slot, ChunkRef::Stored(_)));
-        }
+        w.seq(&self.slots, |slot, w| w.bool(matches!(slot, ChunkRef::Stored(_))));
     }
 
     /// Decodes a manifest encoded by [`Manifest::encode`], re-putting each
     /// materialized chunk into `store` (a dedupe no-op when the content is
-    /// already resident).
+    /// already resident). Not a [`Snap`](potemkin_snapshot::Snap) impl only
+    /// because it needs the store.
     pub fn decode(r: &mut SnapReader, store: &SharedChunkStore) -> Result<Self, SnapshotError> {
-        let bad = || SnapshotError::Decode { context: CTX };
         let size_blocks = r.u64()?;
         let chunk_blocks = r.u64()?;
         if chunk_blocks == 0 {
-            return Err(bad());
+            return Err(r.bad());
         }
         let seed = r.u64()?;
-        let n_slots = r.u64()?;
+        let n_slots = r.seq_len()? as u64;
         if n_slots != size_blocks.div_ceil(chunk_blocks) {
-            return Err(bad());
+            return Err(r.bad());
         }
-        let mut m = Manifest { size_blocks, chunk_blocks, seed, slots: Vec::new() };
-        m.slots.reserve(n_slots.min(1 << 24) as usize);
-        for chunk in 0..n_slots {
-            if r.bool()? {
-                let hash = store.put(&m.generate_chunk(chunk)).map_err(|_| bad())?;
-                m.slots.push(ChunkRef::Stored(hash));
-            } else {
-                m.slots.push(ChunkRef::Lazy);
-            }
-        }
-        Ok(m)
+        let geometry = Manifest { size_blocks, chunk_blocks, seed, slots: Vec::new() };
+        let slots = (0..n_slots)
+            .map(|chunk| {
+                if !r.bool()? {
+                    return Ok(ChunkRef::Lazy);
+                }
+                let hash = store.put(&geometry.generate_chunk(chunk)).map_err(|_| r.bad())?;
+                Ok(ChunkRef::Stored(hash))
+            })
+            .collect::<Result<_, SnapshotError>>()?;
+        Ok(Manifest { slots, ..geometry })
     }
 }
 
@@ -218,28 +213,11 @@ impl OverlayManifest {
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.writes.iter().map(|(&b, &c)| (b, c))
     }
-
-    /// Encodes the delta: O(dirty blocks).
-    pub fn encode(&self, w: &mut SnapWriter) {
-        w.u64(self.writes.len() as u64);
-        for (block, content) in self.iter() {
-            w.u64(block);
-            w.u64(content);
-        }
-    }
-
-    /// Decodes an overlay encoded by [`OverlayManifest::encode`].
-    pub fn decode(r: &mut SnapReader) -> Result<Self, SnapshotError> {
-        let n = r.u64()?;
-        let mut overlay = OverlayManifest::new();
-        for _ in 0..n {
-            let block = r.u64()?;
-            let content = r.u64()?;
-            overlay.set(block, content);
-        }
-        Ok(overlay)
-    }
 }
+
+// The dirty `(block, content)` pairs in ascending block order: O(dirty
+// blocks).
+snap_struct!(OverlayManifest { writes });
 
 #[cfg(test)]
 mod tests {
@@ -343,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn overlay_round_trips_in_block_order() {
+    fn overlay_iterates_in_block_order() {
         let mut o = OverlayManifest::new();
         o.set(9, 90);
         o.set(2, 20);
@@ -353,14 +331,6 @@ mod tests {
         assert_eq!(o.get(3), None);
         let pairs: Vec<_> = o.iter().collect();
         assert_eq!(pairs, vec![(2, 20), (9, 91)], "ascending block order");
-
-        let mut w = SnapWriter::new();
-        o.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes, "test");
-        let d = OverlayManifest::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(d, o);
 
         o.clear();
         assert!(o.is_empty());

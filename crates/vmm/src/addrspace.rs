@@ -34,6 +34,8 @@ pub struct Pte {
     pub writable: bool,
 }
 
+potemkin_snapshot::snap_struct!(Pte { frame, writable });
+
 impl Pte {
     /// The mapping a flash clone starts with: the image's frame, read-only.
     fn pristine(frame: FrameId) -> Self {

@@ -19,7 +19,7 @@
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
-use potemkin_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 use potemkin_storage::{
     Manifest, OverlayManifest, SharedChunkStore, StorageError, DEFAULT_CHUNK_BLOCKS,
 };
@@ -248,7 +248,7 @@ impl CowDisk {
     /// through the overlay manifest codec: O(dirty blocks). The base is
     /// not encoded here — it belongs to the image and restores first.
     pub fn encode_overlay(&self, w: &mut SnapWriter) {
-        self.overlay.encode(w);
+        self.overlay.snap(w);
         w.u64(self.stats.reads());
         w.u64(self.stats.writes());
     }
@@ -256,7 +256,7 @@ impl CowDisk {
     /// Decodes clone-private state encoded by [`CowDisk::encode_overlay`]
     /// over the already-restored `base`.
     pub fn decode_overlay(base: BaseDisk, r: &mut SnapReader) -> Result<Self, SnapshotError> {
-        let overlay = OverlayManifest::decode(r)?;
+        let overlay = OverlayManifest::unsnap(r)?;
         let stats = DiskStats::default();
         stats.reads.set(r.u64()?);
         stats.writes.set(r.u64()?);

@@ -5,16 +5,22 @@
 //! disk, telemetry) lives here.
 
 use core::fmt;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
-use crate::addrspace::AddressSpace;
+use potemkin_snapshot::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+
+use crate::addrspace::{AddressSpace, Pte};
 use crate::block::CowDisk;
 use crate::error::VmmError;
-use crate::snapshot::ImageId;
+use crate::snapshot::{ImageId, ReferenceImage};
 
 /// Identifier of a domain on a host.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainId(pub u64);
+
+snap_struct!(DomainId { 0 });
 
 impl fmt::Debug for DomainId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -39,6 +45,8 @@ pub enum DomainState {
     Destroyed,
 }
 
+snap_enum!(DomainState { Paused = 0, Running = 1, Destroyed = 2 });
+
 /// How the domain's memory was materialized — used by memory reports and
 /// the clone-strategy ablation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,6 +58,8 @@ pub enum ProvisionKind {
     /// Booted from scratch (no image involvement).
     ColdBoot,
 }
+
+snap_enum!(ProvisionKind { FlashClone = 0, FullCopy = 1, ColdBoot = 2 });
 
 /// A virtual machine domain.
 #[derive(Clone, Debug)]
@@ -96,24 +106,55 @@ impl Domain {
         }
     }
 
-    /// Checkpoint support: reassembles a domain with every field restored
-    /// verbatim (unlike [`Domain::new`], which starts the lifecycle fresh).
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_snapshot_parts(
-        id: DomainId,
-        image: ImageId,
-        state: DomainState,
-        provision: ProvisionKind,
-        space: AddressSpace,
-        disk: CowDisk,
-        bound_addr: Option<Ipv4Addr>,
-        cow_faults: u64,
-        reads: u64,
-        writes: u64,
-        infected: bool,
-    ) -> Self {
-        Domain {
+    /// Checkpoint support: every field verbatim, the address space as the
+    /// dense page table it stands for and the disk as its overlay.
+    pub(crate) fn encode(&self, w: &mut SnapWriter) {
+        self.id.snap(w);
+        self.image.snap(w);
+        self.state.snap(w);
+        self.provision.snap(w);
+        self.bound_addr.snap(w);
+        w.u64(self.cow_faults);
+        w.u64(self.reads);
+        w.u64(self.writes);
+        w.bool(self.infected);
+        w.u64(self.space.size());
+        self.space.iter().for_each(|(_, pte)| pte.snap(w));
+        self.disk.encode_overlay(w);
+    }
+
+    /// Reads a domain written by [`Domain::encode`] (unlike
+    /// [`Domain::new`], which starts the lifecycle fresh). It needs the
+    /// already-restored `images` — the one thing that keeps this from being
+    /// a [`Snap`] impl: a domain's base disk always aliases its image's
+    /// disk (every provisioning path clones it), and a flash clone goes
+    /// back to holding only what diverged from its image, as it did before
+    /// the checkpoint flattened it.
+    pub(crate) fn decode(
+        r: &mut SnapReader<'_>,
+        images: &BTreeMap<ImageId, ReferenceImage>,
+    ) -> Result<Self, SnapshotError> {
+        let id = Snap::unsnap(r)?;
+        let image = Snap::unsnap(r)?;
+        let img = images.get(&image).ok_or_else(|| r.bad())?;
+        let state = Snap::unsnap(r)?;
+        let provision = Snap::unsnap(r)?;
+        let bound_addr = Snap::unsnap(r)?;
+        let cow_faults = r.u64()?;
+        let reads = r.u64()?;
+        let writes = r.u64()?;
+        let infected = r.bool()?;
+        let entries = Vec::<Pte>::unsnap(r)?;
+        let space = match provision {
+            ProvisionKind::FlashClone => {
+                AddressSpace::sparsify(Arc::clone(img.shared_frames()), entries)
+            }
+            ProvisionKind::FullCopy | ProvisionKind::ColdBoot => {
+                AddressSpace::from_entries(entries)
+            }
+        };
+        let disk = CowDisk::decode_overlay(img.disk().clone(), r)?;
+        Ok(Domain {
             id,
             image,
             state,
@@ -125,7 +166,7 @@ impl Domain {
             reads,
             writes,
             infected,
-        }
+        })
     }
 
     /// The domain identifier.

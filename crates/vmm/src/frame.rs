@@ -10,17 +10,15 @@
 
 use core::fmt;
 
+use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+
 use crate::error::VmmError;
 
 /// Identifier of a machine (host-physical) frame.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameId(pub u64);
 
-/// One live frame in a checkpoint: `(index, refcount, content)`.
-pub type LiveFrameEntry = (u64, u32, u64);
-
-/// Frame-table checkpoint parts: `(total, allocs, frees, free-list, live)`.
-pub type FrameTableParts<'a> = (u64, u64, u64, &'a [u64], Vec<LiveFrameEntry>);
+snap_struct!(FrameId { 0 });
 
 impl fmt::Debug for FrameId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -215,55 +213,6 @@ impl FrameTable {
         }
     }
 
-    /// Checkpoint support: `(total, allocs, frees, free-list, live)` where
-    /// `free-list` preserves LIFO order (allocation order after restore must
-    /// match the uninterrupted run) and `live` is `(index, refcount,
-    /// content)` for every live frame, in index order.
-    #[must_use]
-    pub fn snapshot_parts(&self) -> FrameTableParts<'_> {
-        let live = self
-            .frames
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i as u64, s.refcount, s.content)))
-            .collect();
-        (self.total, self.allocs, self.frees, &self.free, live)
-    }
-
-    /// Checkpoint support: rebuilds a table from parts captured by
-    /// [`FrameTable::snapshot_parts`] plus the dense table length. Returns
-    /// `None` when an index is out of range.
-    #[must_use]
-    pub fn from_parts(
-        total: u64,
-        allocs: u64,
-        frees: u64,
-        free: Vec<u64>,
-        table_len: u64,
-        live: &[(u64, u32, u64)],
-    ) -> Option<Self> {
-        let table_len = usize::try_from(table_len).ok()?;
-        if table_len as u64 > total {
-            return None;
-        }
-        let mut frames: Vec<Option<FrameState>> = vec![None; table_len];
-        for &(idx, refcount, content) in live {
-            let slot = frames.get_mut(usize::try_from(idx).ok()?)?;
-            *slot = Some(FrameState { refcount, content });
-        }
-        if free.iter().any(|&f| f as usize >= table_len) {
-            return None;
-        }
-        Some(FrameTable { frames, free, total, allocs, frees })
-    }
-
-    /// Checkpoint support: the dense table length (touched-frame high-water
-    /// mark), needed alongside [`FrameTable::snapshot_parts`] to restore.
-    #[must_use]
-    pub fn table_len(&self) -> u64 {
-        self.frames.len() as u64
-    }
-
     /// Copy-on-write: allocates a fresh frame with the same content as
     /// `frame` and drops one reference to the original.
     ///
@@ -276,6 +225,49 @@ impl FrameTable {
         let copy = self.alloc(content)?;
         self.release(frame);
         Ok(copy)
+    }
+}
+
+/// The counters, the dense table length (the touched-frame high-water
+/// mark), the free list in LIFO order — allocation order after restore must
+/// match the uninterrupted run — and every live frame as `(index, refcount,
+/// content)` in index order. A table longer than `total` or than its live
+/// and free frames together, or an index outside it, is a decode error.
+impl Snap for FrameTable {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.u64(self.total);
+        w.u64(self.allocs);
+        w.u64(self.frees);
+        w.usize(self.frames.len());
+        self.free.snap(w);
+        let live: Vec<(u64, u32, u64)> = (0..)
+            .zip(&self.frames)
+            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s.refcount, s.content)))
+            .collect();
+        live.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let total = r.u64()?;
+        let allocs = r.u64()?;
+        let frees = r.u64()?;
+        let table_len = r.usize()?;
+        let free = Vec::<u64>::unsnap(r)?;
+        let live = Vec::<(u64, u32, u64)>::unsnap(r)?;
+        // Every touched slot is either live or on the free list, which also
+        // bounds the table by what the payload actually holds.
+        if table_len as u64 > total || free.len().checked_add(live.len()) != Some(table_len) {
+            return Err(r.bad());
+        }
+        let mut frames: Vec<Option<FrameState>> = vec![None; table_len];
+        for (idx, refcount, content) in live {
+            let slot = usize::try_from(idx).ok().and_then(|i| frames.get_mut(i));
+            *slot.ok_or_else(|| r.bad())? = Some(FrameState { refcount, content });
+        }
+        if free.iter().any(|&f| f >= table_len as u64) {
+            return Err(r.bad());
+        }
+        Ok(FrameTable { frames, free, total, allocs, frees })
     }
 }
 

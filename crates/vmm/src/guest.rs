@@ -8,6 +8,8 @@
 //! decision-relevant behaviours; see DESIGN.md §5 for the substitution
 //! argument.
 
+use potemkin_snapshot::{snap_enum, snap_struct};
+
 /// Transport of a listening service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ServiceProto {
@@ -16,6 +18,8 @@ pub enum ServiceProto {
     /// UDP service.
     Udp,
 }
+
+snap_enum!(ServiceProto { Tcp = 0, Udp = 1 });
 
 /// A network service the guest runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,6 +34,8 @@ pub struct Service {
     /// baselines fail when their scripted depth is smaller.
     pub exploit_depth: u8,
 }
+
+snap_struct!(Service { port, proto, exploit_depth });
 
 /// Behavioural profile of a guest OS image.
 ///
@@ -68,6 +74,17 @@ pub struct GuestProfile {
     /// Listening services.
     pub services: Vec<Service>,
 }
+
+snap_struct!(GuestProfile {
+    memory_pages,
+    disk_blocks,
+    disk_seed,
+    request_touch_pages,
+    infection_touch_pages,
+    infected_dirty_rate,
+    infection_disk_blocks,
+    services,
+});
 
 impl GuestProfile {
     /// A tiny profile for unit tests (32 MiB of memory).

@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use potemkin_sim::SimTime;
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 use potemkin_storage::{SharedChunkStore, StoreStats, DEFAULT_CHUNK_BLOCKS};
 
 use crate::addrspace::{AddressSpace, Pte};
@@ -865,24 +866,8 @@ impl Host {
     /// Encodes the host's mutable state for a checkpoint section.
     #[must_use]
     pub fn encode_state(&self) -> Vec<u8> {
-        use potemkin_snapshot::SnapWriter;
         let mut w = SnapWriter::new();
-        // Frame table.
-        let (total, allocs, frees, free, live) = self.frames.snapshot_parts();
-        w.u64(total);
-        w.u64(allocs);
-        w.u64(frees);
-        w.u64(self.frames.table_len());
-        w.u64(free.len() as u64);
-        for &f in free {
-            w.u64(f);
-        }
-        w.u64(live.len() as u64);
-        for (idx, refcount, content) in live {
-            w.u64(idx);
-            w.u32(refcount);
-            w.u64(content);
-        }
+        self.frames.snap(&mut w);
         // Id allocators and lifecycle counters.
         w.u64(self.next_image);
         w.u64(self.next_domain);
@@ -895,68 +880,9 @@ impl Host {
         w.u32(self.pending_clone_faults);
         w.u64(self.crashes);
         w.u64(self.domains_lost);
-        // Reference images (BTreeMap: already in id order).
-        w.u64(self.images.len() as u64);
-        for img in self.images.values() {
-            w.u64(img.id().0);
-            w.str(img.name());
-            w.u64(img.frames().len() as u64);
-            for &f in img.frames() {
-                w.u64(f.0);
-            }
-            img.disk().encode_manifest(&mut w);
-            let p = img.profile();
-            w.u64(p.memory_pages);
-            w.u64(p.disk_blocks);
-            w.u64(p.disk_seed);
-            w.u64(p.request_touch_pages);
-            w.u64(p.infection_touch_pages);
-            w.f64(p.infected_dirty_rate);
-            w.u64(p.infection_disk_blocks);
-            w.u64(p.services.len() as u64);
-            for s in &p.services {
-                w.u16(s.port);
-                w.u8(match s.proto {
-                    crate::guest::ServiceProto::Tcp => 0,
-                    crate::guest::ServiceProto::Udp => 1,
-                });
-                w.u8(s.exploit_depth);
-            }
-        }
-        // Domains (BTreeMap: id order).
-        w.u64(self.domains.len() as u64);
-        for dom in self.domains.values() {
-            w.u64(dom.id().0);
-            w.u64(dom.image().0);
-            w.u8(match dom.state() {
-                crate::domain::DomainState::Paused => 0,
-                crate::domain::DomainState::Running => 1,
-                crate::domain::DomainState::Destroyed => 2,
-            });
-            w.u8(match dom.provision() {
-                ProvisionKind::FlashClone => 0,
-                ProvisionKind::FullCopy => 1,
-                ProvisionKind::ColdBoot => 2,
-            });
-            match dom.bound_addr() {
-                Some(a) => {
-                    w.bool(true);
-                    w.u32(u32::from(a));
-                }
-                None => w.bool(false),
-            }
-            w.u64(dom.cow_faults());
-            let (reads, writes) = dom.mem_ops();
-            w.u64(reads);
-            w.u64(writes);
-            w.bool(dom.is_infected());
-            w.u64(dom.space().size());
-            dom.space().iter().for_each(|(_, pte)| {
-                w.u64(pte.frame.0);
-                w.bool(pte.writable);
-            });
-            dom.disk().encode_overlay(&mut w);
-        }
+        // Both maps are ordered by id.
+        w.seq(self.images.values(), ReferenceImage::encode);
+        w.seq(self.domains.values(), Domain::encode);
         w.into_bytes()
     }
 
@@ -966,33 +892,13 @@ impl Host {
     ///
     /// # Errors
     ///
-    /// Returns [`potemkin_snapshot::SnapshotError::Decode`] when the payload
-    /// is truncated or structurally inconsistent.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), potemkin_snapshot::SnapshotError> {
-        use potemkin_snapshot::{SnapReader, SnapshotError};
-        const CTX: &str = "vmm.host";
-        let bad = || SnapshotError::Decode { context: CTX };
-        let mut r = SnapReader::new(bytes, CTX);
-        // Frame table.
-        let total = r.u64()?;
-        let allocs = r.u64()?;
-        let frees = r.u64()?;
-        let table_len = r.u64()?;
-        let free_len = r.u64()?;
-        let mut free = Vec::with_capacity(free_len.min(1 << 20) as usize);
-        for _ in 0..free_len {
-            free.push(r.u64()?);
-        }
-        let live_len = r.u64()?;
-        let mut live = Vec::with_capacity(live_len.min(1 << 20) as usize);
-        for _ in 0..live_len {
-            let idx = r.u64()?;
-            let refcount = r.u32()?;
-            let content = r.u64()?;
-            live.push((idx, refcount, content));
-        }
-        let frames =
-            FrameTable::from_parts(total, allocs, frees, free, table_len, &live).ok_or_else(bad)?;
+    /// Returns [`SnapshotError::Decode`] when the payload is truncated or
+    /// structurally inconsistent; the host itself is left untouched in that
+    /// case, though chunks of the images decoded so far may already have
+    /// been put into the shared store.
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = SnapReader::new(bytes, "vmm.host");
+        let frames = Snap::unsnap(&mut r)?;
         let next_image = r.u64()?;
         let next_domain = r.u64()?;
         let flash_clones = r.u64()?;
@@ -1004,100 +910,13 @@ impl Host {
         let pending_clone_faults = r.u32()?;
         let crashes = r.u64()?;
         let domains_lost = r.u64()?;
-        // Reference images.
-        let image_count = r.u64()?;
-        let mut images = BTreeMap::new();
-        for _ in 0..image_count {
-            let id = ImageId(r.u64()?);
-            let name = r.str()?.to_owned();
-            let frame_count = r.u64()?;
-            let mut img_frames = Vec::with_capacity(frame_count.min(1 << 20) as usize);
-            for _ in 0..frame_count {
-                img_frames.push(FrameId(r.u64()?));
-            }
-            let disk = BaseDisk::decode_manifest(&mut r, &self.store)?;
-            let memory_pages = r.u64()?;
-            let disk_blocks = r.u64()?;
-            let disk_seed = r.u64()?;
-            let request_touch_pages = r.u64()?;
-            let infection_touch_pages = r.u64()?;
-            let infected_dirty_rate = r.f64()?;
-            let infection_disk_blocks = r.u64()?;
-            let service_count = r.u64()?;
-            let mut services = Vec::with_capacity(service_count.min(1 << 16) as usize);
-            for _ in 0..service_count {
-                let port = r.u16()?;
-                let proto = match r.u8()? {
-                    0 => crate::guest::ServiceProto::Tcp,
-                    1 => crate::guest::ServiceProto::Udp,
-                    _ => return Err(bad()),
-                };
-                let exploit_depth = r.u8()?;
-                services.push(crate::guest::Service { port, proto, exploit_depth });
-            }
-            let profile = GuestProfile {
-                memory_pages,
-                disk_blocks,
-                disk_seed,
-                request_touch_pages,
-                infection_touch_pages,
-                infected_dirty_rate,
-                infection_disk_blocks,
-                services,
-            };
-            images.insert(id, ReferenceImage::new(id, name, img_frames, disk, profile));
-        }
-        // Domains.
-        let domain_count = r.u64()?;
-        let mut domains = BTreeMap::new();
-        for _ in 0..domain_count {
-            let id = DomainId(r.u64()?);
-            let image = ImageId(r.u64()?);
-            let state = match r.u8()? {
-                0 => crate::domain::DomainState::Paused,
-                1 => crate::domain::DomainState::Running,
-                2 => crate::domain::DomainState::Destroyed,
-                _ => return Err(bad()),
-            };
-            let provision = match r.u8()? {
-                0 => ProvisionKind::FlashClone,
-                1 => ProvisionKind::FullCopy,
-                2 => ProvisionKind::ColdBoot,
-                _ => return Err(bad()),
-            };
-            let bound_addr =
-                if r.bool()? { Some(std::net::Ipv4Addr::from(r.u32()?)) } else { None };
-            let cow_faults = r.u64()?;
-            let mem_reads = r.u64()?;
-            let mem_writes = r.u64()?;
-            let infected = r.bool()?;
-            let space_size = r.u64()?;
-            let mut entries = Vec::with_capacity(space_size.min(1 << 20) as usize);
-            for _ in 0..space_size {
-                let frame = FrameId(r.u64()?);
-                let writable = r.bool()?;
-                entries.push(Pte { frame, writable });
-            }
-            // A domain's base disk always aliases its image's disk (every
-            // provisioning path clones it), so restore from the image.
-            let img = images.get(&image).ok_or_else(bad)?;
-            let disk = CowDisk::decode_overlay(img.disk().clone(), &mut r)?;
-            // A flash clone goes back to holding only what diverged from its
-            // image, as it did before the checkpoint flattened it.
-            let space = match provision {
-                ProvisionKind::FlashClone => {
-                    AddressSpace::sparsify(Arc::clone(img.shared_frames()), entries)
-                }
-                ProvisionKind::FullCopy | ProvisionKind::ColdBoot => {
-                    AddressSpace::from_entries(entries)
-                }
-            };
-            let dom = Domain::from_snapshot_parts(
-                id, image, state, provision, space, disk, bound_addr, cow_faults, mem_reads,
-                mem_writes, infected,
-            );
-            domains.insert(id, dom);
-        }
+        let images: BTreeMap<ImageId, ReferenceImage> = r
+            .seq(|r| ReferenceImage::decode(r, &self.store))?
+            .into_iter()
+            .map(|img| (img.id(), img))
+            .collect();
+        let domains =
+            r.seq(|r| Domain::decode(r, &images))?.into_iter().map(|d| (d.id(), d)).collect();
         r.finish()?;
         self.frames = frames;
         self.images = images;

@@ -13,6 +13,8 @@
 //!
 //! [`Host::scan_and_merge`]: crate::host::Host::scan_and_merge
 
+use potemkin_snapshot::snap_struct;
+
 /// Outcome of one [`Host::scan_and_merge`] pass over a host.
 ///
 /// [`Host::scan_and_merge`]: crate::host::Host::scan_and_merge
@@ -25,6 +27,8 @@ pub struct MergeReport {
     /// Machine frames actually freed by the pass.
     pub frames_reclaimed: u64,
 }
+
+snap_struct!(MergeReport { scanned_pages, merged_pages, frames_reclaimed });
 
 impl MergeReport {
     /// Folds another pass (or another host's pass) into this report.
@@ -117,6 +121,8 @@ pub struct PressureEvent {
     /// The budget it would have exceeded.
     pub limit_frames: u64,
 }
+
+snap_struct!(PressureEvent { used_frames, requested_frames, limit_frames });
 
 impl PressureEvent {
     /// Frames the host is over (or would be over) budget.

@@ -9,6 +9,9 @@
 use core::fmt;
 use std::sync::Arc;
 
+use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use potemkin_storage::SharedChunkStore;
+
 use crate::block::BaseDisk;
 use crate::frame::FrameId;
 use crate::guest::GuestProfile;
@@ -16,6 +19,8 @@ use crate::guest::GuestProfile;
 /// Identifier of a reference image on a host.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ImageId(pub u64);
+
+snap_struct!(ImageId { 0 });
 
 impl fmt::Debug for ImageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -101,6 +106,30 @@ impl ReferenceImage {
     #[must_use]
     pub fn profile(&self) -> &GuestProfile {
         &self.profile
+    }
+
+    /// Checkpoint support: identity, frame list, disk manifest, profile.
+    pub(crate) fn encode(&self, w: &mut SnapWriter) {
+        self.id.snap(w);
+        self.name.snap(w);
+        w.seq(&*self.frames, FrameId::snap);
+        self.disk.encode_manifest(w);
+        self.profile.snap(w);
+    }
+
+    /// Reads an image written by [`ReferenceImage::encode`], its disk over
+    /// `store` — the one thing that keeps this from being a [`Snap`] impl.
+    pub(crate) fn decode(
+        r: &mut SnapReader<'_>,
+        store: &SharedChunkStore,
+    ) -> Result<Self, SnapshotError> {
+        Ok(ReferenceImage {
+            id: Snap::unsnap(r)?,
+            name: Snap::unsnap(r)?,
+            frames: Vec::unsnap(r)?.into(),
+            disk: BaseDisk::decode_manifest(r, store)?,
+            profile: Snap::unsnap(r)?,
+        })
     }
 }
 

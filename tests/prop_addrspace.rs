@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use potemkin::snapshot::Snap;
 use potemkin::vmm::addrspace::{AddressSpace, Pte};
 use potemkin::vmm::{FrameId, FrameTable};
 
@@ -167,6 +168,6 @@ proptest! {
         }
         prop_assert_eq!(space.size(), 0);
         prop_assert_eq!(space.private_pages(), 0);
-        prop_assert_eq!(frames.snapshot_parts(), dense_frames.snapshot_parts());
+        prop_assert_eq!(frames.to_bytes(), dense_frames.to_bytes());
     }
 }

@@ -8,7 +8,7 @@
 //! back, when an exploit succeeds) is modeled here, on top of the page-level
 //! guest activity models in `potemkin-vmm`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -498,6 +498,11 @@ pub struct Honeyfarm {
     /// Per host: one image per profile (index 0 = the default profile).
     images: Vec<Vec<ImageId>>,
     vms: HashMap<VmRef, VmSlot>,
+    /// Every live VM under the address it impersonates, so finding an
+    /// address's VM is a range lookup and — several VMs share an address
+    /// under per-source binding — always finds the lowest `VmRef`. Derived
+    /// from `vms` and the domains' bound addresses; not serialized.
+    by_addr: BTreeSet<(Ipv4Addr, VmRef)>,
     /// Pre-cloned, unbound, pristine domains per host.
     standby: Vec<Vec<DomainId>>,
     next_vmref: u64,
@@ -650,6 +655,7 @@ impl Honeyfarm {
             images,
             standby,
             vms: HashMap::new(),
+            by_addr: BTreeSet::new(),
             next_vmref: 0,
             next_host: 0,
             rng,
@@ -924,17 +930,15 @@ impl Honeyfarm {
             .vms
             .iter()
             .filter(|(_, slot)| slot.host == host)
-            .map(|(&vm, slot)| {
-                (vm, self.hosts[host].domain(slot.domain).ok().and_then(|d| d.bound_addr()))
-            })
+            .map(|(&vm, &slot)| (vm, self.bound_addr(slot)))
             .collect();
         victims.sort_by_key(|(vm, _)| vm.0); // vms is a HashMap; fix the order
+        for &(vm, _) in &victims {
+            self.forget_vm(vm);
+        }
         self.hosts[host].crash();
         self.standby[host].clear();
         self.counters.add("vms_lost_to_crash", victims.len() as u64);
-        for (vm, _) in &victims {
-            self.vms.remove(vm);
-        }
         for (vm, bound) in victims {
             let mut addrs = self.gateway.unbind_vm(vm);
             if let Some(a) = bound {
@@ -972,9 +976,24 @@ impl Honeyfarm {
         }
     }
 
+    /// The address `slot`'s domain impersonates, while the domain exists.
+    fn bound_addr(&self, slot: VmSlot) -> Option<Ipv4Addr> {
+        self.hosts[slot.host].domain(slot.domain).ok().and_then(|d| d.bound_addr())
+    }
+
+    /// Drops `vm` from the live set and the address index (its domain must
+    /// still exist, to say which address it held).
+    fn forget_vm(&mut self, vm: VmRef) -> Option<VmSlot> {
+        let slot = self.vms.remove(&vm)?;
+        if let Some(addr) = self.bound_addr(slot) {
+            self.by_addr.remove(&(addr, vm));
+        }
+        Some(slot)
+    }
+
     /// Reclaims one VM per the configured [`RecycleStrategy`].
     fn reclaim_vm(&mut self, vm: VmRef) {
-        let Some(slot) = self.vms.remove(&vm) else { return };
+        let Some(slot) = self.forget_vm(vm) else { return };
         let result = match self.config.recycle {
             RecycleStrategy::DestroyAndClone => self.hosts[slot.host].destroy(slot.domain),
             RecycleStrategy::RollbackToPool => {
@@ -1055,7 +1074,7 @@ impl Honeyfarm {
                 GatewayAction::GatewayReply(packet) => {
                     // A gateway-synthesized packet: deliver to a VM if its
                     // destination is one, else it leaves the farm.
-                    if let Some(vm) = self.vm_for_addr(now, packet.dst()) {
+                    if let Some(vm) = self.vm_for_addr(packet.dst()) {
                         let emissions = self.handle_delivery(now, vm, packet);
                         for p in emissions {
                             queue.push(self.gateway.on_outbound(now, vm, p));
@@ -1113,17 +1132,11 @@ impl Honeyfarm {
         self.outputs.push(FarmOutput::DroppedInbound(DropReason::Degraded));
     }
 
-    /// Finds the VM bound to `addr` without consuming gateway state beyond
-    /// an activity refresh.
-    fn vm_for_addr(&mut self, _now: SimTime, addr: Ipv4Addr) -> Option<VmRef> {
-        self.vms
-            .iter()
-            .find(|(_, slot)| {
-                self.hosts[slot.host]
-                    .domain(slot.domain)
-                    .is_ok_and(|d| d.bound_addr() == Some(addr))
-            })
-            .map(|(&vm, _)| vm)
+    /// Finds the VM impersonating `addr` — the lowest `VmRef` when several
+    /// do — without touching gateway state.
+    fn vm_for_addr(&self, addr: Ipv4Addr) -> Option<VmRef> {
+        let vms = (addr, VmRef(0))..=(addr, VmRef(u64::MAX));
+        self.by_addr.range(vms).next().map(|&(_, vm)| vm)
     }
 
     /// The profile index serving `addr` (0 = the default profile).
@@ -1274,6 +1287,7 @@ impl Honeyfarm {
         let vm = VmRef(self.next_vmref);
         self.next_vmref += 1;
         self.vms.insert(vm, slot);
+        self.by_addr.insert((addr, vm));
         self.gateway.bind(now, src, addr, vm);
         self.counters.incr("vms_cloned");
         self.clone_latency_us.record(timing.total().as_micros());
@@ -1584,11 +1598,7 @@ impl Honeyfarm {
                 self.newly_infected.push(vm);
                 // Attribution: is the infecting source one of our own
                 // honeypots (internal epidemic) or an external host?
-                let internal_origin = self.vms.values().any(|slot| {
-                    self.hosts[slot.host]
-                        .domain(slot.domain)
-                        .is_ok_and(|d| d.bound_addr() == Some(infected_by))
-                });
+                let internal_origin = self.vm_for_addr(infected_by).is_some();
                 if internal_origin {
                     self.counters.incr("infections_internal");
                 } else {
@@ -1986,6 +1996,8 @@ impl Honeyfarm {
         self.reclaim = reclaim;
         self.standby = standby;
         self.vms = vms;
+        self.by_addr =
+            self.vms.iter().filter_map(|(&vm, &slot)| Some((self.bound_addr(slot)?, vm))).collect();
         self.next_vmref = next_vmref;
         self.next_host = next_host;
         self.request_counter = request_counter;
@@ -2408,7 +2420,8 @@ mod tests {
         // The same exploit delivered to two addresses by two attackers.
         for (src, dst_octet) in [(atk, 1u8), (atk2, 2u8)] {
             let dst = Ipv4Addr::new(10, 1, 0, dst_octet);
-            farm.inject_external(SimTime::ZERO, PacketBuilder::new(src, dst).tcp_syn(9_000, 80));
+            let t = SimTime::from_millis(10 * u64::from(dst_octet));
+            farm.inject_external(t, PacketBuilder::new(src, dst).tcp_syn(9_000, 80));
             let payload = PacketBuilder::new(src, dst).tcp_segment(
                 9_000,
                 80,
@@ -2417,7 +2430,7 @@ mod tests {
                 1,
                 b"GET /default.ida?NNNN-marker",
             );
-            farm.inject_external(SimTime::from_millis(5), payload);
+            farm.inject_external(t + SimTime::from_millis(5), payload);
         }
         assert_eq!(farm.infected_vms(), 2);
         let captures = farm.captures();
@@ -2502,6 +2515,32 @@ mod tests {
         assert!(log[1].internal_origin, "internal epidemic");
         assert_eq!(farm.counters().get("infections_internal"), 1);
         assert_eq!(farm.counters().get("infections_external"), 1);
+    }
+
+    #[test]
+    fn an_address_shared_by_two_vms_resolves_to_the_same_one_in_every_farm() {
+        // Per-source binding puts one VM per attacker on HP1. Which of them
+        // takes a gateway-synthesized reply to HP1 (a DNS answer) used to
+        // follow a `HashMap`'s iteration order, so it differed from one
+        // farm instance to the next.
+        let other = Ipv4Addr::new(7, 7, 7, 7);
+        for _ in 0..32 {
+            let mut cfg = FarmConfig::small_test();
+            cfg.gateway.granularity = potemkin_gateway::BindGranularity::PerSourceDestination;
+            let mut farm = Honeyfarm::new(cfg).unwrap();
+            farm.inject_external(SimTime::ZERO, syn(ATTACKER, HP1, 445));
+            farm.inject_external(SimTime::ZERO, syn(other, HP1, 445));
+            assert_eq!(farm.live_vms(), 2);
+            assert_eq!(farm.vm_for_addr(HP1), Some(VmRef(0)), "the lowest VmRef wins");
+            // The index follows recycling and survives a restore.
+            let mut restored = Honeyfarm::new(farm.config.as_ref().clone()).unwrap();
+            restored.restore_state(&farm.encode_state()).unwrap();
+            assert_eq!(restored.vm_for_addr(HP1), Some(VmRef(0)));
+            farm.reclaim_vm(VmRef(0));
+            assert_eq!(farm.vm_for_addr(HP1), Some(VmRef(1)));
+            farm.reclaim_vm(VmRef(1));
+            assert_eq!(farm.vm_for_addr(HP1), None);
+        }
     }
 
     #[test]
@@ -2754,11 +2793,10 @@ mod tests {
     }
 
     /// `(len, fnv1a64)` of `encode_state` for [`busy_farm`] on the default
-    /// chunk geometry and on E18's 16-block chunks, as the hand-written
-    /// codecs before the `Snap` trait wrote them: the wire format has not
-    /// moved.
-    const BUSY_FARM_PIN: (usize, u64) = (3_931_674, 0x59fd8007b8e2d8d0);
-    const CHUNKED_FARM_PIN: (usize, u64) = (3_943_962, 0xb59b63d78a4d968b);
+    /// chunk geometry and on E18's 16-block chunks, re-pinned once for
+    /// snapshot version 4 (only the gateway section moved).
+    const BUSY_FARM_PIN: (usize, u64) = (3_930_911, 0x914fa5546b37e57a);
+    const CHUNKED_FARM_PIN: (usize, u64) = (3_943_199, 0xcb227625f86b4ccb);
 
     #[test]
     fn encode_state_matches_the_pinned_wire_format() {

@@ -705,7 +705,7 @@ mod tests {
         }
     }
 
-    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (1_743_956, 0x8c6b68f294332d27);
+    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (1_729_594, 0x3036a32a1ddd2da5);
 
     #[test]
     fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {

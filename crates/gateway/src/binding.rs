@@ -2,14 +2,15 @@
 //!
 //! The honeyfarm does not dedicate a VM per monitored address — it binds an
 //! address to a VM only when traffic arrives, and unbinds (recycling the VM)
-//! after inactivity. [`AddressBinder`] owns that mapping plus the recycling
-//! timers; the per-source quota the paper proposes for resource containment
-//! is implemented here too.
+//! after inactivity. [`AddressBinder`] owns that mapping and decides when a
+//! binding has idled out or outlived its cap; the per-source quota the paper
+//! proposes for resource containment is implemented here too.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use potemkin_sim::{SimTime, TimerHandle, TimerWheel};
+use potemkin_sim::arena::{Links, SlotList, NO_SLOT};
+use potemkin_sim::{RecencySlab, SimTime};
 use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::reclaim::ReclaimCandidate;
@@ -52,12 +53,15 @@ struct Binding {
     bound_at: SimTime,
     last_active: SimTime,
     packets: u64,
-    idle_timer: TimerHandle,
-    /// Monotone epoch distinguishing reuse of the same key.
+    /// Monotone bind counter: the binding's place in bind order.
     epoch: u64,
+    /// The tick from which a sweep expires the binding however active it
+    /// is: the hard lifetime cap, as [`RecencySlab::due_tick`] read it at
+    /// bind time.
+    hard_due: u64,
 }
 
-snap_struct!(Binding { vm, src, bound_at, last_active, packets, idle_timer, epoch });
+snap_struct!(Binding { vm, src, bound_at, last_active, packets, epoch, hard_due });
 
 /// An expired binding, reported so the controller can destroy the VM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,12 +77,20 @@ pub struct ExpiredBinding {
 }
 
 /// The address-to-VM binding table with idle/lifetime recycling.
+///
+/// Bindings sit on two lists threaded through one [`RecencySlab`]'s slots:
+/// its own least-recently-active-first order, whose oldest end is where
+/// bindings idle out, and a first-bound-first FIFO, whose oldest end is
+/// where they reach the hard lifetime cap (one constant, so bind order is
+/// cap order).
 pub struct AddressBinder {
     granularity: BindGranularity,
     idle_timeout: SimTime,
     max_lifetime: SimTime,
-    bindings: HashMap<BindKey, Binding>,
-    timers: TimerWheel<(BindKey, u64)>,
+    bindings: RecencySlab<BindKey, Binding>,
+    /// First bound first.
+    bind_order: SlotList,
+    bind_links: Vec<Links>,
     per_source: HashMap<Ipv4Addr, u32>,
     per_source_limit: Option<u32>,
     next_epoch: u64,
@@ -101,8 +113,9 @@ impl AddressBinder {
             granularity,
             idle_timeout,
             max_lifetime,
-            bindings: HashMap::new(),
-            timers: TimerWheel::new(SimTime::from_millis(100)),
+            bindings: RecencySlab::default(),
+            bind_order: SlotList::EMPTY,
+            bind_links: Vec::new(),
             per_source: HashMap::new(),
             per_source_limit,
             next_epoch: 0,
@@ -122,19 +135,13 @@ impl AddressBinder {
     }
 
     /// Looks up the VM bound for traffic from `src` to `dst`, refreshing the
-    /// idle timer on hit.
+    /// idle timer on hit. The hard lifetime cap stays where bind put it.
     pub fn lookup_active(&mut self, now: SimTime, src: Ipv4Addr, dst: Ipv4Addr) -> Option<VmRef> {
         let key = self.key_for(src, dst);
-        let idle_timeout = self.idle_timeout;
-        let binding = self.bindings.get_mut(&key)?;
+        let slot = self.bindings.refresh(&key, now + self.idle_timeout)?;
+        let binding = &mut self.bindings[slot];
         binding.last_active = now;
         binding.packets += 1;
-        self.timers.cancel(binding.idle_timer);
-        // Never extend past the hard lifetime cap.
-        let idle_deadline = now + idle_timeout;
-        let hard_deadline = binding.bound_at.saturating_add(self.max_lifetime);
-        binding.idle_timer =
-            self.timers.schedule(idle_deadline.min(hard_deadline), (key, binding.epoch));
         Some(binding.vm)
     }
 
@@ -158,113 +165,113 @@ impl AddressBinder {
     /// should not normally let this happen).
     pub fn bind(&mut self, now: SimTime, src: Ipv4Addr, dst: Ipv4Addr, vm: VmRef) -> Option<VmRef> {
         let key = self.key_for(src, dst);
+        // A replaced binding releases its quota slot and both list places.
+        let old = self.unbind(key);
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        let deadline = (now + self.idle_timeout).min(now.saturating_add(self.max_lifetime));
-        let idle_timer = self.timers.schedule(deadline, (key, epoch));
-        let old = self.bindings.insert(
-            key,
-            Binding { vm, src, bound_at: now, last_active: now, packets: 0, idle_timer, epoch },
-        );
+        let hard_due = self.bindings.due_tick(now.saturating_add(self.max_lifetime));
+        let binding =
+            Binding { vm, src, bound_at: now, last_active: now, packets: 0, epoch, hard_due };
+        let slot = self.bindings.insert(key, now + self.idle_timeout, binding);
+        self.bind_order.push_last(&mut self.bind_links, slot);
         self.binds += 1;
         *self.per_source.entry(src).or_insert(0) += 1;
-        if let Some(o) = &old {
-            // Replaced binding: release its quota slot and timer.
-            self.timers.cancel(o.idle_timer);
-            Self::decr_source(&mut self.per_source, o.src);
-        }
-        old.map(|b| b.vm)
+        old
     }
 
-    fn decr_source(map: &mut HashMap<Ipv4Addr, u32>, src: Ipv4Addr) {
-        if let Some(c) = map.get_mut(&src) {
-            *c -= 1;
-            if *c == 0 {
-                map.remove(&src);
+    /// Removes the binding at `slot` from the table, the bind-order FIFO
+    /// and its source's quota count.
+    fn release(&mut self, slot: usize) -> (BindKey, Binding) {
+        let (key, binding) = self.bindings.remove(slot);
+        self.bind_order.unlink(&mut self.bind_links, slot);
+        if let Some(count) = self.per_source.get_mut(&binding.src) {
+            *count -= 1;
+            if *count == 0 {
+                self.per_source.remove(&binding.src);
             }
+        }
+        (key, binding)
+    }
+
+    /// Ends the binding at `slot` as an expiry at `now`.
+    fn expire_slot(&mut self, slot: usize, now: SimTime) -> ExpiredBinding {
+        let (key, binding) = self.release(slot);
+        self.expiries += 1;
+        ExpiredBinding {
+            key,
+            vm: binding.vm,
+            lifetime: now.saturating_sub(binding.bound_at),
+            packets: binding.packets,
         }
     }
 
     /// Explicitly unbinds a key (e.g. the controller killed the VM for
     /// other reasons). Returns the VM if it was bound.
     pub fn unbind(&mut self, key: BindKey) -> Option<VmRef> {
-        let binding = self.bindings.remove(&key)?;
-        self.timers.cancel(binding.idle_timer);
-        Self::decr_source(&mut self.per_source, binding.src);
-        Some(binding.vm)
+        let slot = self.bindings.slot(&key)?;
+        Some(self.release(slot).1.vm)
     }
 
     /// Unbinds every key bound to `vm` (the VM's host crashed; all of its
-    /// bindings die with it). Returns the removed keys.
+    /// bindings die with it). Returns the removed keys, first bound first.
     pub fn unbind_vm(&mut self, vm: VmRef) -> Vec<BindKey> {
-        let keys: Vec<BindKey> =
-            self.bindings.iter().filter(|(_, b)| b.vm == vm).map(|(&k, _)| k).collect();
-        for key in &keys {
-            self.unbind(*key);
-        }
-        keys
+        let bound = self.bind_order.iter(&self.bind_links);
+        let slots: Vec<usize> = bound.filter(|&slot| self.bindings[slot].vm == vm).collect();
+        slots.into_iter().map(|slot| self.release(slot).0).collect()
     }
 
-    /// Every live binding as a reclaim candidate, sorted by ascending bind
-    /// epoch. Epochs are unique and monotone, so the order is deterministic
-    /// regardless of hash-map iteration order — the contract
-    /// [`crate::reclaim::ReclaimPolicy`] implementations rely on.
+    /// Every live binding as a reclaim candidate, in ascending bind epoch.
+    /// Epochs are unique and monotone, so the order is deterministic — the
+    /// contract [`crate::reclaim::ReclaimPolicy`] implementations rely on.
     #[must_use]
     pub fn reclaim_candidates(&self) -> Vec<ReclaimCandidate> {
-        let mut candidates: Vec<ReclaimCandidate> = self
-            .bindings
-            .iter()
-            .map(|(&key, b)| ReclaimCandidate {
-                key,
-                vm: b.vm,
-                bound_at: b.bound_at,
-                last_active: b.last_active,
-                packets: b.packets,
-                epoch: b.epoch,
+        self.bind_order
+            .iter(&self.bind_links)
+            .map(|slot| {
+                let b = &self.bindings[slot];
+                ReclaimCandidate {
+                    key: self.bindings.key(slot),
+                    vm: b.vm,
+                    bound_at: b.bound_at,
+                    last_active: b.last_active,
+                    packets: b.packets,
+                    epoch: b.epoch,
+                }
             })
-            .collect();
-        candidates.sort_by_key(|c| c.epoch);
-        candidates
+            .collect()
     }
 
     /// Forcibly expires the binding for `key` (resource pressure: a reclaim
     /// policy chose it as the victim). Returns the evicted binding, or
     /// `None` when the key is not bound.
     pub fn evict_key(&mut self, key: BindKey, now: SimTime) -> Option<ExpiredBinding> {
-        let binding = self.bindings.remove(&key)?;
-        self.timers.cancel(binding.idle_timer);
-        Self::decr_source(&mut self.per_source, binding.src);
-        self.expiries += 1;
-        Some(ExpiredBinding {
-            key,
-            vm: binding.vm,
-            lifetime: now.saturating_sub(binding.bound_at),
-            packets: binding.packets,
-        })
+        let slot = self.bindings.slot(&key)?;
+        Some(self.expire_slot(slot, now))
     }
 
     /// Advances time, expiring idle / over-lifetime bindings. The controller
     /// destroys the returned VMs.
     pub fn expire(&mut self, now: SimTime) -> Vec<ExpiredBinding> {
-        let mut expired = Vec::new();
-        for (key, epoch) in self.timers.advance_to(now) {
-            let Some(binding) = self.bindings.get(&key) else { continue };
-            if binding.epoch != epoch {
-                continue; // The key was re-bound; stale timer.
-            }
-            // Hard lifetime reached, or idle (observe() reschedules active
-            // bindings, so a fired timer at the idle deadline means idle).
-            let binding = self.bindings.remove(&key).expect("checked above");
-            Self::decr_source(&mut self.per_source, binding.src);
-            expired.push(ExpiredBinding {
-                key,
-                vm: binding.vm,
-                lifetime: now.saturating_sub(binding.bound_at),
-                packets: binding.packets,
-            });
-            self.expiries += 1;
+        let Some(target) = self.bindings.sweep(now) else { return Vec::new() };
+        let mut due = Vec::new();
+        loop {
+            // Idle (lookup_active() moves an active binding to the newest
+            // end, so a due oldest end means idle), else hard lifetime
+            // reached.
+            let first = self.bind_order.first;
+            let slot = match self.bindings.oldest_due(target) {
+                Some(slot) => slot,
+                None if first != NO_SLOT && self.bindings[first].hard_due <= target => first,
+                None => break,
+            };
+            // A binding leaves at the earlier of its two ticks; within a
+            // tick, in the order of last activity.
+            let (idle_due, seq) = self.bindings.stamp(slot);
+            let order = (idle_due.min(self.bindings[slot].hard_due), seq);
+            due.push((order, self.expire_slot(slot, now)));
         }
-        expired
+        due.sort_unstable_by_key(|&(order, _)| order);
+        due.into_iter().map(|(_, expired)| expired).collect()
     }
 
     /// Number of live bindings.
@@ -291,18 +298,15 @@ impl AddressBinder {
         self.per_source.get(&src).copied().unwrap_or(0)
     }
 
-    /// Checkpoint support: serializes every mutable field. Configuration
-    /// (granularity, timeouts, quota limit) is not included — restore goes
-    /// into a binder freshly built from the same [`crate::GatewayConfig`].
+    /// Checkpoint support: serializes every mutable field — the bindings,
+    /// least recently active first, and the lifetime counters.
+    /// Configuration (granularity, timeouts, quota limit) is not included —
+    /// restore goes into a binder freshly built from the same
+    /// [`crate::GatewayConfig`].
     #[must_use]
     pub fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        // Bindings sorted by epoch: unique and monotone, so the byte stream
-        // is identical regardless of hash-map iteration order.
-        let mut bindings: Vec<(&BindKey, &Binding)> = self.bindings.iter().collect();
-        bindings.sort_by_key(|(_, b)| b.epoch);
-        w.pairs(bindings);
-        self.timers.snap(&mut w);
+        self.bindings.snap(&mut w);
         w.u64(self.next_epoch);
         w.u64(self.binds);
         w.u64(self.expiries);
@@ -312,7 +316,8 @@ impl AddressBinder {
 
     /// Restores mutable state encoded by [`AddressBinder::encode_state`]
     /// into this binder (its configuration fields are kept). The per-source
-    /// quota index is rebuilt from the restored bindings.
+    /// quota index and the bind-order FIFO are rebuilt from the restored
+    /// bindings.
     ///
     /// # Errors
     ///
@@ -320,19 +325,20 @@ impl AddressBinder {
     /// the binder is left untouched in that case.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "gateway.binder");
-        let bindings = Vec::<(BindKey, Binding)>::unsnap(&mut r)?;
-        let timers = Snap::unsnap(&mut r)?;
+        let bindings = RecencySlab::<BindKey, Binding>::unsnap(&mut r)?;
         let next_epoch = r.u64()?;
         let binds = r.u64()?;
         let expiries = r.u64()?;
         let quota_rejections = r.u64()?;
         r.finish()?;
-        self.per_source = HashMap::new();
-        for (_, b) in &bindings {
-            *self.per_source.entry(b.src).or_insert(0) += 1;
+        let mut slots: Vec<usize> = bindings.slots().collect();
+        slots.sort_unstable_by_key(|&slot| bindings[slot].epoch);
+        self.bindings = bindings;
+        (self.bind_order, self.per_source) = (SlotList::EMPTY, HashMap::new());
+        for slot in slots {
+            self.bind_order.push_last(&mut self.bind_links, slot);
+            *self.per_source.entry(self.bindings[slot].src).or_insert(0) += 1;
         }
-        self.bindings = bindings.into_iter().collect();
-        self.timers = timers;
         self.next_epoch = next_epoch;
         self.binds = binds;
         self.expiries = expiries;
@@ -445,7 +451,7 @@ mod tests {
         b.bind(SimTime::ZERO, SRC, DST, VmRef(1));
         assert_eq!(b.expire(SimTime::from_secs(11)).len(), 1);
         b.bind(SimTime::from_secs(12), SRC, DST, VmRef(2));
-        // The old binding's timer must not kill the new binding.
+        // The old binding's deadline must not kill the new binding.
         assert!(b.expire(SimTime::from_secs(13)).is_empty());
         assert_eq!(b.lookup_active(SimTime::from_secs(13), SRC, DST), Some(VmRef(2)));
     }
@@ -480,7 +486,7 @@ mod tests {
         assert_eq!(b.unbind(key), None);
         assert!(b.is_empty());
         assert_eq!(b.source_bindings(SRC), 0);
-        // The cancelled timer must not fire later.
+        // The unbound key must not expire later.
         assert!(b.expire(SimTime::from_secs(120)).is_empty());
     }
 
@@ -488,13 +494,16 @@ mod tests {
     fn reclaim_candidates_sorted_by_epoch() {
         let mut b = binder(600);
         assert!(b.reclaim_candidates().is_empty(), "empty binder");
-        b.bind(SimTime::from_secs(5), SRC2, DST2, VmRef(2));
-        b.bind(SimTime::from_secs(1), SRC, DST, VmRef(1));
+        b.bind(SimTime::from_secs(1), SRC2, DST2, VmRef(2));
+        b.bind(SimTime::from_secs(5), SRC, DST, VmRef(1));
+        // Activity reorders idle expiry, never the candidates.
+        b.lookup_active(SimTime::from_secs(6), SRC2, DST2);
         let cs = b.reclaim_candidates();
         assert_eq!(cs.len(), 2);
         assert!(cs[0].epoch < cs[1].epoch, "ascending epoch");
         assert_eq!(cs[0].vm, VmRef(2), "first bound first");
-        assert_eq!(cs[1].bound_at, SimTime::from_secs(1));
+        assert_eq!(cs[0].last_active, SimTime::from_secs(6));
+        assert_eq!(cs[1].bound_at, SimTime::from_secs(5));
     }
 
     #[test]
@@ -509,7 +518,7 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert_eq!(b.source_bindings(SRC), 0, "quota released");
         assert!(b.evict_key(key, SimTime::from_secs(11)).is_none(), "already gone");
-        // The cancelled idle timer never fires for the evicted key.
+        // The evicted key never expires a second time.
         assert!(b.expire(SimTime::from_hours(1)).len() == 1, "only the survivor expires");
         assert!(b.is_empty());
     }

@@ -3,13 +3,18 @@
 //! Tracks every transport flow crossing the gateway: who initiated it (the
 //! containment policy allows replies within attacker-initiated flows but not
 //! honeypot-initiated ones), byte/packet counts, and last-activity times for
-//! idle eviction. Eviction uses the hierarchical timer wheel so sustained
-//! scan loads (tens of thousands of one-packet flows) stay O(1) per packet.
+//! idle eviction. Flows live in a [`RecencySlab`]: every flow shares one idle
+//! timeout, so the least recently seen flow is both the next to idle out and
+//! the capacity victim, and a packet on a known flow costs one hash probe.
+//! Sustained scan loads (tens of thousands of one-packet flows) stay O(1)
+//! per packet.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::{Entry, HashMap};
+use std::net::Ipv4Addr;
 
 use potemkin_net::FlowKey;
-use potemkin_sim::{SimTime, TimerHandle, TimerWheel};
+use potemkin_sim::arena::{Links, SlotList};
+use potemkin_sim::{RecencySlab, SimTime};
 use potemkin_snapshot::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Who sent the first packet of the flow.
@@ -36,16 +41,18 @@ pub struct FlowState {
     pub packets: u64,
     /// Bytes seen in either direction.
     pub bytes: u64,
-    timer: TimerHandle,
-    /// Recency stamp (time, tiebreak) for LRU eviction.
-    stamp: (SimTime, u64),
-    /// Interned flow id, assigned in first-seen order. Keys the per-address
-    /// index so endpoint scans stay deterministic and O(flows at the
-    /// address) instead of O(table).
-    id: u64,
 }
 
-snap_struct!(FlowState { direction, first_seen, last_seen, packets, bytes, timer, stamp, id });
+snap_struct!(FlowState { direction, first_seen, last_seen, packets, bytes });
+
+/// The `(link, address)` pairs the flow `key` at `slot` is chained under: a
+/// flow is on the chain of its source as link `2 * slot` and on the chain of
+/// its destination as link `2 * slot + 1`; a flow from an address to itself
+/// is chained once, as source.
+fn ends(slot: usize, key: FlowKey) -> impl Iterator<Item = (usize, Ipv4Addr)> {
+    let both = [(2 * slot, key.src), (2 * slot + 1, key.dst)];
+    both.into_iter().take(1 + usize::from(key.src != key.dst))
+}
 
 /// The flow table: canonical flow key → state, with idle eviction.
 ///
@@ -61,27 +68,22 @@ snap_struct!(FlowState { direction, first_seen, last_seen, packets, bytes, timer
 /// let key = FlowKey::tcp(Ipv4Addr::new(1, 1, 1, 1), 9999, Ipv4Addr::new(10, 0, 0, 1), 445);
 /// ft.observe(SimTime::ZERO, key, 40, FlowDirection::InboundInitiated);
 /// assert_eq!(ft.len(), 1);
-/// let evicted = ft.expire(SimTime::from_secs(31));
-/// assert_eq!(evicted.len(), 1);
+/// let evicted = ft.expire(SimTime::from_secs(31), |_| {});
+/// assert_eq!(evicted, 1);
 /// assert!(ft.is_empty());
 /// ```
 pub struct FlowTable {
-    flows: HashMap<FlowKey, FlowState>,
-    timers: TimerWheel<FlowKey>,
+    /// Least recently seen flow first.
+    flows: RecencySlab<FlowKey, FlowState>,
     idle_timeout: SimTime,
     /// Optional hard capacity; exceeding it evicts the least-recently-seen
     /// flow (the software gateway's memory is finite under scan floods).
     max_flows: Option<usize>,
-    /// Recency index for LRU eviction.
-    lru: BTreeMap<(SimTime, u64), FlowKey>,
-    next_stamp: u64,
-    /// Hashed endpoint index: address → interned flow id → canonical key.
-    /// Replaces the former O(table) linear scans in [`FlowTable::retire_addr`]
-    /// and [`FlowTable::flows_for`]; the inner map is ordered by intern id so
-    /// retirement walks flows in first-seen order, keeping eviction order
-    /// stable across runs.
-    by_addr: HashMap<std::net::Ipv4Addr, BTreeMap<u64, FlowKey>>,
-    next_id: u64,
+    /// Endpoint index: address → chain of the live flows touching it, so
+    /// [`FlowTable::retire_addr`] and [`FlowTable::flows_for`] are O(flows
+    /// at the address) instead of O(table).
+    by_addr: HashMap<Ipv4Addr, SlotList>,
+    chain_links: Vec<Links>,
     /// Lifetime counters.
     created: u64,
     evicted: u64,
@@ -93,38 +95,44 @@ impl FlowTable {
     #[must_use]
     pub fn new(idle_timeout: SimTime) -> Self {
         FlowTable {
-            flows: HashMap::new(),
-            timers: TimerWheel::new(SimTime::from_millis(100)),
+            flows: RecencySlab::default(),
             idle_timeout,
             max_flows: None,
-            lru: BTreeMap::new(),
-            next_stamp: 0,
             by_addr: HashMap::new(),
-            next_id: 0,
+            chain_links: Vec::new(),
             created: 0,
             evicted: 0,
             lru_evicted: 0,
         }
     }
 
-    /// Adds `key` (already canonical) under both endpoints in the address
-    /// index.
-    fn index_insert(&mut self, key: FlowKey, id: u64) {
-        self.by_addr.entry(key.src).or_default().insert(id, key);
-        self.by_addr.entry(key.dst).or_default().insert(id, key);
+    /// Puts the flow at `slot` on both endpoints' chains.
+    fn chain(&mut self, slot: usize) {
+        for (link, addr) in ends(slot, self.flows.key(slot)) {
+            let chain = self.by_addr.entry(addr).or_insert(SlotList::EMPTY);
+            chain.push_last(&mut self.chain_links, link);
+        }
     }
 
-    /// Removes `key` from both endpoints of the address index, dropping
-    /// per-address maps that empty out.
-    fn index_remove(&mut self, key: FlowKey, id: u64) {
-        for addr in [key.src, key.dst] {
-            if let Some(ids) = self.by_addr.get_mut(&addr) {
-                ids.remove(&id);
-                if ids.is_empty() {
-                    self.by_addr.remove(&addr);
-                }
-            }
+    /// Takes `link` off the chain of `addr`, dropping a chain that empties.
+    fn unchain(&mut self, addr: Ipv4Addr, link: usize) {
+        let Entry::Occupied(mut chain) = self.by_addr.entry(addr) else {
+            unreachable!("a chained flow's address has a chain");
+        };
+        chain.get_mut().unlink(&mut self.chain_links, link);
+        if chain.get().len == 0 {
+            chain.remove();
         }
+    }
+
+    /// Removes the flow at `slot` from the table and both chains.
+    fn evict(&mut self, slot: usize) -> FlowKey {
+        let (key, _) = self.flows.remove(slot);
+        for (link, addr) in ends(slot, key) {
+            self.unchain(addr, link);
+        }
+        self.evicted += 1;
+        key
     }
 
     /// Bounds the table at `max` flows; the least-recently-seen flow is
@@ -143,93 +151,60 @@ impl FlowTable {
     /// Records a packet on a flow, creating the entry on first sight.
     ///
     /// `direction` is only consulted when the flow is new — it records who
-    /// initiated. Returns whether the flow was newly created.
+    /// initiated. Returns who initiated the flow: `direction` itself for a
+    /// new flow, the recorded initiator for a known one.
     pub fn observe(
         &mut self,
         now: SimTime,
         key: FlowKey,
         bytes: usize,
         direction: FlowDirection,
-    ) -> bool {
+    ) -> FlowDirection {
         let canonical = key.canonical();
-        if let Some(state) = self.flows.get_mut(&canonical) {
+        let deadline = now + self.idle_timeout;
+        if let Some(slot) = self.flows.refresh(&canonical, deadline) {
+            let state = &mut self.flows[slot];
             state.last_seen = now;
             state.packets += 1;
             state.bytes += bytes as u64;
-            let deadline = now + self.idle_timeout;
-            let stamp = (now, self.next_stamp);
-            self.next_stamp += 1;
-            self.timers.cancel(state.timer);
-            state.timer = self.timers.schedule(deadline, canonical);
-            self.lru.remove(&state.stamp);
-            state.stamp = stamp;
-            self.lru.insert(stamp, canonical);
-            return false;
+            return state.direction;
         }
-        if let Some(max) = self.max_flows {
-            while self.flows.len() >= max {
-                let (&oldest, &victim) = self.lru.iter().next().expect("lru tracks every flow");
-                self.lru.remove(&oldest);
-                if let Some(old) = self.flows.remove(&victim) {
-                    self.timers.cancel(old.timer);
-                    self.index_remove(victim, old.id);
-                    self.lru_evicted += 1;
-                    self.evicted += 1;
-                }
-            }
+        while self.max_flows.is_some_and(|max| self.flows.len() >= max) {
+            let oldest = self.flows.slots().next().expect("a full table has an oldest flow");
+            self.evict(oldest);
+            self.lru_evicted += 1;
         }
-        let deadline = now + self.idle_timeout;
-        let stamp = (now, self.next_stamp);
-        self.next_stamp += 1;
-        let timer = self.timers.schedule(deadline, canonical);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.flows.insert(
-            canonical,
-            FlowState {
-                direction,
-                first_seen: now,
-                last_seen: now,
-                packets: 1,
-                bytes: bytes as u64,
-                timer,
-                stamp,
-                id,
-            },
-        );
-        self.index_insert(canonical, id);
-        self.lru.insert(stamp, canonical);
+        let state = FlowState {
+            direction,
+            first_seen: now,
+            last_seen: now,
+            packets: 1,
+            bytes: bytes as u64,
+        };
+        let slot = self.flows.insert(canonical, deadline, state);
+        self.chain(slot);
         self.created += 1;
-        true
+        direction
     }
 
     /// Looks up the flow containing `key` (either direction).
     #[must_use]
     pub fn get(&self, key: FlowKey) -> Option<&FlowState> {
-        self.flows.get(&key.canonical())
+        self.flows.slot(&key.canonical()).map(|slot| &self.flows[slot])
     }
 
-    /// Whether an attacker-initiated flow exists for `key`.
-    #[must_use]
-    pub fn is_reply_to_inbound(&self, key: FlowKey) -> bool {
-        self.get(key).is_some_and(|s| s.direction == FlowDirection::InboundInitiated)
-    }
-
-    /// Evicts flows idle past the timeout, up to virtual time `now`.
-    /// Returns the evicted keys.
-    pub fn expire(&mut self, now: SimTime) -> Vec<FlowKey> {
-        let mut evicted = Vec::new();
-        for key in self.timers.advance_to(now) {
-            // A fired timer is authoritative: observe() cancels and
-            // re-schedules on every packet, so any firing means idle.
-            if let Some(state) = self.flows.remove(&key) {
-                self.lru.remove(&state.stamp);
-                self.index_remove(key, state.id);
-                evicted.push(key);
-                self.evicted += 1;
-            }
+    /// Evicts flows idle past the timeout, up to virtual time `now`, handing
+    /// each evicted key to `each` in expiry order. Returns how many went.
+    pub fn expire(&mut self, now: SimTime, mut each: impl FnMut(FlowKey)) -> usize {
+        let Some(target) = self.flows.sweep(now) else { return 0 };
+        let mut expired = 0;
+        // observe() moves a flow to the newest end on every packet, so
+        // whatever is due at the oldest end has been idle for the timeout.
+        while let Some(slot) = self.flows.oldest_due(target) {
+            each(self.evict(slot));
+            expired += 1;
         }
-        evicted
+        expired
     }
 
     /// Retires every flow touching `addr` as either endpoint. Returns how
@@ -239,38 +214,19 @@ impl FlowTable {
     /// host crash): a stale attacker-initiated flow must not survive the
     /// binding, or its "reply" allowance would let a *recycled* VM's packets
     /// out through a dialogue the new occupant never had.
-    pub fn retire_addr(&mut self, addr: std::net::Ipv4Addr) -> usize {
-        // The address index makes this O(flows at addr): walk the interned
-        // ids in first-seen order (stable eviction order) instead of
-        // scanning the whole table.
-        let Some(victims) = self.by_addr.remove(&addr) else {
-            return 0;
-        };
-        let retired = victims.len();
-        for (id, key) in victims {
-            if let Some(state) = self.flows.remove(&key) {
-                self.lru.remove(&state.stamp);
-                self.timers.cancel(state.timer);
-                self.evicted += 1;
-            }
-            // Unlink the other endpoint's index entry.
-            let other = if key.src == addr { key.dst } else { key.src };
-            if other != addr {
-                if let Some(ids) = self.by_addr.get_mut(&other) {
-                    ids.remove(&id);
-                    if ids.is_empty() {
-                        self.by_addr.remove(&other);
-                    }
-                }
-            }
+    pub fn retire_addr(&mut self, addr: Ipv4Addr) -> usize {
+        let mut retired = 0;
+        while let Some(chain) = self.by_addr.get(&addr) {
+            self.evict(chain.first / 2);
+            retired += 1;
         }
         retired
     }
 
     /// Live flows touching `addr` as either endpoint (indexed lookup).
     #[must_use]
-    pub fn flows_for(&self, addr: std::net::Ipv4Addr) -> usize {
-        self.by_addr.get(&addr).map_or(0, BTreeMap::len)
+    pub fn flows_for(&self, addr: Ipv4Addr) -> usize {
+        self.by_addr.get(&addr).map_or(0, |chain| chain.len)
     }
 
     /// Number of live flows.
@@ -299,20 +255,13 @@ impl FlowTable {
 
     /// Checkpoint support: serializes every mutable field. Configuration
     /// (idle timeout, capacity bound) is not included — restore goes into a
-    /// table freshly built from the same policy config. The LRU and
-    /// per-address indexes are derivable from the flows, so only the flows
-    /// and the timer wheel go on the wire.
+    /// table freshly built from the same policy config. The per-address
+    /// chains are derivable from the flows, so only the flows — least
+    /// recently seen first — and the lifetime counters go on the wire.
     #[must_use]
     pub fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        // Flows sorted by interned id: unique and monotone (first-seen
-        // order), so the byte stream is hash-map-order independent.
-        let mut flows: Vec<(&FlowKey, &FlowState)> = self.flows.iter().collect();
-        flows.sort_by_key(|(_, s)| s.id);
-        w.pairs(flows);
-        self.timers.snap(&mut w);
-        w.u64(self.next_stamp);
-        w.u64(self.next_id);
+        self.flows.snap(&mut w);
         w.u64(self.created);
         w.u64(self.evicted);
         w.u64(self.lru_evicted);
@@ -320,8 +269,8 @@ impl FlowTable {
     }
 
     /// Restores mutable state encoded by [`FlowTable::encode_state`] into
-    /// this table (its configuration fields are kept). The LRU and
-    /// per-address indexes are rebuilt from the restored flows.
+    /// this table (its configuration fields are kept). The per-address
+    /// chains are rebuilt from the restored flows.
     ///
     /// # Errors
     ///
@@ -329,23 +278,16 @@ impl FlowTable {
     /// the table is left untouched in that case.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "gateway.flows");
-        let flows = Vec::<(FlowKey, FlowState)>::unsnap(&mut r)?;
-        let timers = Snap::unsnap(&mut r)?;
-        let next_stamp = r.u64()?;
-        let next_id = r.u64()?;
+        let flows = RecencySlab::<FlowKey, FlowState>::unsnap(&mut r)?;
         let created = r.u64()?;
         let evicted = r.u64()?;
         let lru_evicted = r.u64()?;
         r.finish()?;
-        self.lru = flows.iter().map(|(key, s)| (s.stamp, *key)).collect();
+        self.flows = flows;
         self.by_addr = HashMap::new();
-        for (key, s) in &flows {
-            self.index_insert(*key, s.id);
+        for slot in self.flows.slots().collect::<Vec<_>>() {
+            self.chain(slot);
         }
-        self.flows = flows.into_iter().collect();
-        self.timers = timers;
-        self.next_stamp = next_stamp;
-        self.next_id = next_id;
         self.created = created;
         self.evicted = evicted;
         self.lru_evicted = lru_evicted;
@@ -365,11 +307,19 @@ mod tests {
         FlowKey::tcp(ATK, 9999, HP, 445)
     }
 
+    /// The keys `expire` evicts at `now`, in order.
+    fn expired(ft: &mut FlowTable, now: SimTime) -> Vec<FlowKey> {
+        let mut keys = Vec::new();
+        assert_eq!(ft.expire(now, |key| keys.push(key)), keys.len());
+        keys
+    }
+
     #[test]
     fn create_and_update() {
         let mut ft = FlowTable::new(SimTime::from_secs(10));
-        assert!(ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated));
-        assert!(!ft.observe(SimTime::from_secs(1), key(), 60, FlowDirection::InboundInitiated));
+        ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
+        ft.observe(SimTime::from_secs(1), key(), 60, FlowDirection::InboundInitiated);
+        assert_eq!(ft.lifetime_counts(), (1, 0), "the second packet created nothing");
         let s = ft.get(key()).unwrap();
         assert_eq!(s.packets, 2);
         assert_eq!(s.bytes, 100);
@@ -383,13 +333,13 @@ mod tests {
         ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
         // The reply direction updates the same flow and keeps the original
         // initiator.
-        assert!(!ft.observe(
+        let initiator = ft.observe(
             SimTime::from_secs(1),
             key().reversed(),
             40,
-            FlowDirection::OutboundInitiated
-        ));
-        assert!(ft.is_reply_to_inbound(key().reversed()));
+            FlowDirection::OutboundInitiated,
+        );
+        assert_eq!(initiator, FlowDirection::InboundInitiated);
         assert_eq!(ft.len(), 1);
     }
 
@@ -397,16 +347,17 @@ mod tests {
     fn initiator_recorded_for_outbound() {
         let mut ft = FlowTable::new(SimTime::from_secs(10));
         let k = FlowKey::tcp(HP, 1025, Ipv4Addr::new(9, 9, 9, 9), 445);
-        ft.observe(SimTime::ZERO, k, 40, FlowDirection::OutboundInitiated);
-        assert!(!ft.is_reply_to_inbound(k));
+        let initiator = ft.observe(SimTime::ZERO, k, 40, FlowDirection::OutboundInitiated);
+        assert_eq!(initiator, FlowDirection::OutboundInitiated);
+        assert_eq!(ft.get(k.reversed()).unwrap().direction, FlowDirection::OutboundInitiated);
     }
 
     #[test]
     fn idle_eviction() {
         let mut ft = FlowTable::new(SimTime::from_secs(5));
         ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
-        assert!(ft.expire(SimTime::from_secs(4)).is_empty());
-        let evicted = ft.expire(SimTime::from_secs(6));
+        assert!(expired(&mut ft, SimTime::from_secs(4)).is_empty());
+        let evicted = expired(&mut ft, SimTime::from_secs(6));
         assert_eq!(evicted, vec![key().canonical()]);
         assert!(ft.get(key()).is_none());
         assert_eq!(ft.lifetime_counts(), (1, 1));
@@ -419,12 +370,11 @@ mod tests {
         // Keep the flow alive with periodic packets.
         for s in 1..10 {
             ft.observe(SimTime::from_secs(s * 3), key(), 40, FlowDirection::InboundInitiated);
-            assert!(ft.expire(SimTime::from_secs(s * 3)).is_empty());
+            assert_eq!(ft.expire(SimTime::from_secs(s * 3), |_| {}), 0);
         }
         assert_eq!(ft.len(), 1);
         // Now go quiet.
-        let evicted = ft.expire(SimTime::from_secs(27 + 6));
-        assert_eq!(evicted.len(), 1);
+        assert_eq!(ft.expire(SimTime::from_secs(27 + 6), |_| {}), 1);
     }
 
     #[test]
@@ -459,12 +409,12 @@ mod tests {
         ft.observe(SimTime::ZERO, k1, 40, FlowDirection::InboundInitiated);
         ft.observe(SimTime::from_secs(1), k2, 40, FlowDirection::InboundInitiated);
         assert_eq!(ft.len(), 1);
-        // k1's idle timer (cancelled at LRU eviction) must not evict k2 or
-        // double-count.
-        let expired = ft.expire(SimTime::from_secs(5) + SimTime::from_millis(500));
-        assert!(expired.is_empty(), "k2 idles out at t=6, not before");
-        let expired2 = ft.expire(SimTime::from_secs(7));
-        assert_eq!(expired2, vec![k2.canonical()]);
+        // k1's idle deadline (gone with it at LRU eviction) must not evict
+        // k2 or double-count.
+        let early = expired(&mut ft, SimTime::from_secs(5) + SimTime::from_millis(500));
+        assert!(early.is_empty(), "k2 idles out at t=6, not before");
+        assert_eq!(expired(&mut ft, SimTime::from_secs(7)), vec![k2.canonical()]);
+        assert_eq!(ft.lifetime_counts(), (2, 2));
     }
 
     #[test]
@@ -505,9 +455,11 @@ mod tests {
         assert_eq!(ft.retire_addr(HP), 2, "flows with HP as src or dst retired");
         assert_eq!(ft.len(), 1);
         assert!(ft.get(FlowKey::tcp(ATK, 2, other, 445)).is_some(), "unrelated flow survives");
-        assert!(!ft.is_reply_to_inbound(FlowKey::tcp(ATK, 1, HP, 445)));
-        // Cancelled timers never fire for retired flows.
-        assert!(ft.expire(SimTime::from_secs(61)).iter().all(|k| k.src != HP && k.dst != HP));
+        assert!(ft.get(FlowKey::tcp(ATK, 1, HP, 445)).is_none());
+        // Retired flows never expire a second time.
+        assert!(expired(&mut ft, SimTime::from_secs(61))
+            .iter()
+            .all(|k| k.src != HP && k.dst != HP));
         // Idempotent.
         assert_eq!(ft.retire_addr(HP), 0);
     }
@@ -526,9 +478,14 @@ mod tests {
                 let k = FlowKey::tcp(src, 1000 + (step % 7) as u16, dst, 445);
                 ft.observe(SimTime::from_secs(step), k, 40, FlowDirection::InboundInitiated);
             }
-            ft.expire(SimTime::from_secs(step));
+            ft.expire(SimTime::from_secs(step), |_| {});
             for &a in &addrs {
-                let brute = ft.flows.keys().filter(|k| k.src == a || k.dst == a).count();
+                let brute = ft
+                    .flows
+                    .slots()
+                    .map(|s| ft.flows.key(s))
+                    .filter(|k| k.src == a || k.dst == a)
+                    .count();
                 assert_eq!(ft.flows_for(a), brute, "index diverged at step {step} for {a}");
             }
         }
@@ -537,7 +494,12 @@ mod tests {
         assert_eq!(ft.len(), before - retired);
         assert_eq!(ft.flows_for(addrs[0]), 0);
         for &a in &addrs {
-            let brute = ft.flows.keys().filter(|k| k.src == a || k.dst == a).count();
+            let brute = ft
+                .flows
+                .slots()
+                .map(|s| ft.flows.key(s))
+                .filter(|k| k.src == a || k.dst == a)
+                .count();
             assert_eq!(ft.flows_for(a), brute);
         }
     }
@@ -551,7 +513,7 @@ mod tests {
         }
         assert_eq!(ft.len(), 1000);
         // Half the flows idle out by t = 1.5s.
-        let evicted = ft.expire(SimTime::from_millis(1_500));
-        assert!((400..=600).contains(&evicted.len()), "evicted {}", evicted.len());
+        let evicted = ft.expire(SimTime::from_millis(1_500), |_| {});
+        assert!((400..=600).contains(&evicted), "evicted {evicted}");
     }
 }

@@ -467,9 +467,12 @@ impl Gateway {
             }
         }
 
+        // A packet on a flow the attacker opened is a reply; any other flow,
+        // this packet's own new one included, is the honeypot's initiative.
         let key = packet.flow_key();
-        let is_reply = self.flows.is_reply_to_inbound(key);
-        self.flows.observe(now, key, packet.len(), FlowDirection::OutboundInitiated);
+        let initiator =
+            self.flows.observe(now, key, packet.len(), FlowDirection::OutboundInitiated);
+        let is_reply = initiator == FlowDirection::InboundInitiated;
 
         // Intra-farm traffic: the destination is already impersonated by a
         // VM (reflection dialogue); keep it inside.
@@ -582,8 +585,8 @@ impl Gateway {
         }
         self.rate.remove(&vm);
         let mut addrs: Vec<Ipv4Addr> = keys.iter().map(|k| k.dst).collect();
-        // Sort for determinism (the binder iterates a HashMap) and dedup
-        // per-source keys sharing a destination.
+        // Ascending order (the controller re-places the addresses in it)
+        // and deduped: per-source keys share a destination.
         addrs.sort_unstable();
         addrs.dedup();
         for &addr in &addrs {
@@ -606,8 +609,8 @@ impl Gateway {
     /// destroy the VMs of returned bindings.
     pub fn expire(&mut self, now: SimTime) -> Vec<ExpiredBinding> {
         self.flush_hot();
-        let evicted_flows = self.flows.expire(now);
-        self.counters.add("flows_expired", evicted_flows.len() as u64);
+        let evicted_flows = self.flows.expire(now, |_| {});
+        self.counters.add("flows_expired", evicted_flows as u64);
         let expired = self.binder.expire(now);
         for e in &expired {
             self.rate.remove(&e.vm);
@@ -1336,9 +1339,9 @@ mod tests {
         g
     }
 
-    /// `(len, fnv1a64)` of [`busy_gateway`]'s `encode_state` as the
-    /// hand-written codecs before the `Snap` trait wrote it.
-    const BUSY_GATEWAY_PIN: (usize, u64) = (1_160, 0xa99296a9383d299c);
+    /// `(len, fnv1a64)` of [`busy_gateway`]'s `encode_state`, re-pinned once
+    /// for snapshot version 4.
+    const BUSY_GATEWAY_PIN: (usize, u64) = (906, 0x673ba134f213d15d);
 
     #[test]
     fn encode_restore_round_trips_bit_exactly() {
@@ -1361,7 +1364,7 @@ mod tests {
         let mut restored = gw(PolicyConfig::reflect());
         restored.restore_state(&original.encode_state()).unwrap();
         // Idle expiry must fire at the same virtual instant with the same
-        // victims on both gateways (timer wheel state survived restore).
+        // victims on both gateways (due ticks survived restore).
         let far = SimTime::from_hours(2);
         let a = original.expire(far);
         let b = restored.expire(far);

@@ -1,4 +1,5 @@
-//! Slab arena with freelist reuse for hot-path event payloads.
+//! Slab arena with freelist reuse for hot-path event payloads, and lists
+//! threaded through its keys.
 //!
 //! [`Slab`] stores values in a flat `Vec` of slots and recycles vacated slots
 //! through an intrusive freelist, so a steady-state insert/remove workload
@@ -15,7 +16,73 @@
 //! snapshot/restore — checkpoint codecs serialize the payloads themselves and
 //! re-insert on restore, re-keying events in canonical queue order.
 
-const NO_SLOT: usize = usize::MAX;
+/// The key no slot ever has: the end marker of the freelist and of every
+/// [`SlotList`].
+pub const NO_SLOT: usize = usize::MAX;
+
+/// A key's neighbours in a [`SlotList`] ([`NO_SLOT`] at either end).
+#[derive(Clone, Copy, Debug)]
+pub struct Links {
+    /// The key before this one.
+    pub prev: usize,
+    /// The key after this one.
+    pub next: usize,
+}
+
+/// The ends of a doubly linked list threaded through slab keys. The links
+/// live beside the slab, in a `Vec<Links>` indexed by key that the list's
+/// owner passes in — so one slab's keys can carry several lists, and lists
+/// of different owners share this one implementation.
+#[derive(Clone, Copy, Debug)]
+pub struct SlotList {
+    /// The key at the front, or [`NO_SLOT`].
+    pub first: usize,
+    /// The key at the back, or [`NO_SLOT`].
+    pub last: usize,
+    /// How many keys are on the list.
+    pub len: usize,
+}
+
+impl SlotList {
+    /// The list with no keys.
+    pub const EMPTY: SlotList = SlotList { first: NO_SLOT, last: NO_SLOT, len: 0 };
+
+    /// Appends `key` (which must not be on the list), growing `links` to
+    /// hold it.
+    pub fn push_last(&mut self, links: &mut Vec<Links>, key: usize) {
+        if links.len() <= key {
+            links.resize(key + 1, Links { prev: NO_SLOT, next: NO_SLOT });
+        }
+        links[key] = Links { prev: self.last, next: NO_SLOT };
+        match self.last {
+            NO_SLOT => self.first = key,
+            last => links[last].next = key,
+        }
+        self.last = key;
+        self.len += 1;
+    }
+
+    /// Takes `key` (which must be on the list) out; its own links keep
+    /// their values until the key is pushed again.
+    pub fn unlink(&mut self, links: &mut [Links], key: usize) {
+        let Links { prev, next } = links[key];
+        match prev {
+            NO_SLOT => self.first = next,
+            _ => links[prev].next = next,
+        }
+        match next {
+            NO_SLOT => self.last = prev,
+            _ => links[next].prev = prev,
+        }
+        self.len -= 1;
+    }
+
+    /// The keys from first to last.
+    pub fn iter<'a>(&self, links: &'a [Links]) -> impl Iterator<Item = usize> + 'a {
+        let live = |key: usize| (key != NO_SLOT).then_some(key);
+        std::iter::successors(live(self.first), move |&key| live(links[key].next))
+    }
+}
 
 enum Slot<T> {
     /// Empty slot; holds the index of the next vacant slot (or [`NO_SLOT`]).
@@ -105,6 +172,14 @@ impl<T> Slab<T> {
         }
     }
 
+    /// Exclusive access to the value at `key`, if occupied.
+    pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
+        match self.slots.get_mut(key) {
+            Some(Slot::Occupied(value)) => Some(value),
+            _ => None,
+        }
+    }
+
     /// Number of occupied slots.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -158,7 +233,9 @@ mod tests {
         let b = slab.insert("b");
         assert_ne!(a, b);
         assert_eq!(slab.get(a), Some(&"a"));
-        assert_eq!(slab.remove(a), Some("a"));
+        *slab.get_mut(a).unwrap() = "A";
+        assert_eq!(slab.remove(a), Some("A"));
+        assert_eq!(slab.get_mut(a), None);
         assert_eq!(slab.remove(a), None, "double remove yields nothing");
         assert_eq!(slab.get(a), None);
         assert_eq!(slab.len(), 1);
@@ -203,6 +280,25 @@ mod tests {
         slab.remove(b);
         let pairs: Vec<(usize, char)> = slab.iter().map(|(k, &v)| (k, v)).collect();
         assert_eq!(pairs, vec![(a, 'a'), (c, 'c')]);
+    }
+
+    #[test]
+    fn slot_list_keeps_push_order_through_unlinks() {
+        let (mut list, mut links) = (SlotList::EMPTY, Vec::new());
+        for key in [4, 0, 7, 2] {
+            list.push_last(&mut links, key);
+        }
+        assert_eq!(list.iter(&links).collect::<Vec<_>>(), [4, 0, 7, 2]);
+        list.unlink(&mut links, 7);
+        list.unlink(&mut links, 4);
+        assert_eq!((list.first, links[0].next), (0, 2));
+        list.push_last(&mut links, 4);
+        list.unlink(&mut links, 2);
+        assert_eq!((list.iter(&links).collect::<Vec<_>>(), list.len), (vec![0, 4], 2));
+        list.unlink(&mut links, 0);
+        list.unlink(&mut links, 4);
+        assert_eq!(list.iter(&links).count(), 0);
+        assert_eq!(list.first, NO_SLOT);
     }
 
     #[test]

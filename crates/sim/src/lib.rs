@@ -4,8 +4,8 @@
 //! Xen and a live network telescope. This crate provides the substrate that
 //! replaces "real time on a cluster" in our reproduction: a virtual clock, a
 //! deterministic event queue, seeded random number generation with the
-//! distributions the workload models need, a hierarchical timer wheel for
-//! high-volume timeout management (gateway flow expiry, VM recycling), and a
+//! distributions the workload models need, a recency-ordered keyed slab for
+//! high-volume idle-timeout state (gateway flow expiry, VM recycling), and a
 //! token bucket for rate-limiting containment policies.
 //!
 //! Everything here is deterministic given a seed, so every experiment in the
@@ -47,11 +47,11 @@ pub mod dist;
 pub mod engine;
 pub mod event;
 pub mod fault;
+pub mod recency;
 pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod time;
-pub mod timer_wheel;
 pub mod token_bucket;
 
 pub use arena::Slab;
@@ -59,6 +59,7 @@ pub use dist::{Alias, Exponential, LogNormal, Pareto, Poisson, Zipf};
 pub use engine::{run_until, RunStats, World};
 pub use event::EventQueue;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig};
+pub use recency::RecencySlab;
 pub use rng::SimRng;
 pub use shard::{
     run_sharded, run_sharded_resumable, AdaptiveWindow, BarrierControl, BatchStat, EngineTuning,
@@ -66,5 +67,4 @@ pub use shard::{
 };
 pub use stats::{OnlineStats, WelfordVariance};
 pub use time::SimTime;
-pub use timer_wheel::{TimerHandle, TimerWheel};
 pub use token_bucket::TokenBucket;

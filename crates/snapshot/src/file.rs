@@ -26,9 +26,10 @@ use crate::error::SnapshotError;
 /// Current snapshot format version. Version 2 switched disk sections from
 /// raw block walks to chunk-manifest references (geometry + materialized
 /// bits + overlay deltas); version 3 dropped the flow table's deferred
-/// refresh list and counter. Older files are rejected rather than
-/// misparsed.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// refresh list and counter; version 4 writes the gateway's flows and
+/// bindings least recently active first, each with its due tick, and no
+/// timer-wheel section. Older files are rejected rather than misparsed.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

@@ -750,49 +750,50 @@ impl Host {
         pfn: u64,
         value: u64,
     ) -> Result<WriteOutcome, VmmError> {
-        self.ensure_alive()?;
-        let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
-        if !dom.is_running() {
-            return Err(VmmError::BadState { domain: id, op: "write_page" });
-        }
-        // One visit to the p2m map serves the lookup and, on a CoW fault
-        // (allocate a private copy, remap, then write), the remap.
-        let frames = &mut self.frames;
-        let mut faulted = false;
-        dom.space_mut().update(pfn, |pte| {
-            if pte.writable {
-                frames.write(pte.frame, value);
-                return Ok(pte);
-            }
-            let copy = frames.cow_copy(pte.frame)?;
-            frames.write(copy, value);
-            faulted = true;
-            Ok(Pte { frame: copy, writable: true })
-        })?;
-        dom.note_write(faulted);
-        let cost = if faulted { self.cost.cow_fault } else { SimTime::ZERO };
-        Ok(WriteOutcome { faulted, cost })
+        let stats = self.touch_pages(id, &[pfn], value)?;
+        Ok(WriteOutcome { faulted: stats.faults == 1, cost: stats.cost })
     }
 
-    /// Writes a batch of pages, summing faults and costs.
+    /// Writes a batch of pages — page `i` gets `value_seed + i` — summing
+    /// faults and costs. The domain is resolved once for the batch.
     ///
     /// # Errors
     ///
-    /// Propagates the first error from [`Host::write_page`].
+    /// As [`Host::write_page`]; pages before the failing one stay written.
     pub fn touch_pages(
         &mut self,
         id: DomainId,
         pfns: &[u64],
         value_seed: u64,
     ) -> Result<TouchStats, VmmError> {
+        self.ensure_alive()?;
+        let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
+        if !dom.is_running() {
+            return Err(VmmError::BadState { domain: id, op: "write_page" });
+        }
+        let frames = &mut self.frames;
         let mut stats = TouchStats::default();
         for (i, &pfn) in pfns.iter().enumerate() {
-            let out = self.write_page(id, pfn, value_seed.wrapping_add(i as u64))?;
+            let value = value_seed.wrapping_add(i as u64);
+            // One visit to the p2m map serves the lookup and, on a CoW fault
+            // (allocate a private copy, remap, then write), the remap.
+            let mut faulted = false;
+            dom.space_mut().update(pfn, |pte| {
+                if pte.writable {
+                    frames.write(pte.frame, value);
+                    return Ok(pte);
+                }
+                let copy = frames.cow_copy(pte.frame)?;
+                frames.write(copy, value);
+                faulted = true;
+                Ok(Pte { frame: copy, writable: true })
+            })?;
+            dom.note_write(faulted);
             stats.pages += 1;
-            if out.faulted {
+            if faulted {
                 stats.faults += 1;
+                stats.cost += self.cost.cow_fault;
             }
-            stats.cost += out.cost;
         }
         Ok(stats)
     }

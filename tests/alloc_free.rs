@@ -3,8 +3,9 @@
 //! The sharded engine's throughput claim rests on three primitives that
 //! must stop allocating once warm: the recycling wire-buffer pool
 //! ([`BufferPool`]), the packet-event arena ([`Slab`]), and the event
-//! queue ([`EventQueue`]). This test installs a counting global allocator
-//! and drives each primitive through a warmed steady-state cycle,
+//! queue ([`EventQueue`]) — and on the gateway every packet crosses, whose
+//! flow and binding tables must do the same. This test installs a counting
+//! global allocator and drives each through a warmed steady-state cycle,
 //! asserting the per-iteration heap traffic is exactly zero.
 //!
 //! The counter is thread-local (const-initialized, so reading it never
@@ -14,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use potemkin::gateway::{Gateway, GatewayAction, GatewayConfig, VmRef};
 use potemkin::net::{BufferPool, Packet, PacketBuilder};
 use potemkin::sim::{EventQueue, SimTime, Slab};
 
@@ -111,4 +113,66 @@ fn warmed_event_queue_cycles_without_allocating() {
         while queue.pop().is_some() {}
     }
     assert_eq!(allocations() - before, 0, "steady-state scheduling must not grow the heap");
+}
+
+/// A gateway with `10.1.2.3` bound, and a source of SYNs to it from
+/// `10.0.0.1`, one flow per source port.
+fn bound_gateway(pool: &BufferPool) -> (Gateway, impl Fn(u16) -> Packet + '_) {
+    let syn = move |port: u16| {
+        PacketBuilder::new("10.0.0.1".parse().unwrap(), "10.1.2.3".parse().unwrap())
+            .pooled(pool)
+            .tcp_syn(port, 445)
+    };
+    let mut gateway = Gateway::new(GatewayConfig::default());
+    let first = syn(1);
+    gateway.bind(SimTime::ZERO, first.src(), first.dst(), VmRef(1));
+    (gateway, syn)
+}
+
+#[test]
+fn warmed_gateway_refreshes_a_known_flow_without_allocating() {
+    let pool = BufferPool::new();
+    let (mut gateway, syn) = bound_gateway(&pool);
+    let deliver = |gateway: &mut Gateway, ms: u64| {
+        let action = gateway.on_inbound(SimTime::from_millis(ms), syn(4444));
+        assert!(matches!(action, GatewayAction::Deliver { vm: VmRef(1), .. }));
+    };
+    // Warmup: the flow, its address chains and the pooled buffer exist.
+    deliver(&mut gateway, 0);
+    deliver(&mut gateway, 1);
+    let before = allocations();
+    for ms in 2..258 {
+        deliver(&mut gateway, ms);
+    }
+    assert_eq!(allocations() - before, 0, "a packet on a known flow to a bound address is free");
+    assert_eq!(gateway.live_flows(), 1);
+}
+
+#[test]
+fn warmed_gateway_churns_flows_at_a_constant_count_without_allocating() {
+    let pool = BufferPool::new();
+    let (mut gateway, syn) = bound_gateway(&pool);
+    // One new flow a second; the default 120 s flow timeout holds the live
+    // count at ~120 while every second one flow idles out and one arrives
+    // (and keeps the binding active).
+    let second = |gateway: &mut Gateway, s: u64| {
+        let now = SimTime::from_secs(s);
+        gateway.on_inbound(now, syn(1_024 + (s % 60_000) as u16));
+        assert!(gateway.expire(now).is_empty(), "the binding stays active");
+    };
+    // Warmup: long enough for the tables to reach their steady size and
+    // for the hash maps to have rehashed in place once (a table that has
+    // only ever grown still owes one resize to its tombstones).
+    for s in 0..4_096 {
+        second(&mut gateway, s);
+    }
+    let live = gateway.live_flows();
+    let before = allocations();
+    for s in 4_096..8_192 {
+        second(&mut gateway, s);
+    }
+    assert_eq!(allocations() - before, 0, "flow churn at a constant live count is free");
+    assert_eq!(gateway.live_flows(), live);
+    assert!((100..=130).contains(&live), "live flows {live}");
+    assert_eq!(gateway.counters().get("flows_expired"), 8_192 - live as u64);
 }

@@ -1,74 +1,15 @@
-//! Property-based tests on the simulation substrate: the timer wheel
-//! against a naive reference model, event-queue ordering, and statistical
-//! invariants of the distributions and the histogram.
+//! Property-based tests on the simulation substrate: event-queue ordering
+//! and statistical invariants of the distributions and the histogram. (The
+//! expiry tables built on `RecencySlab` are checked against a naive model in
+//! `prop_gateway.rs`.)
 
 use proptest::prelude::*;
 
 use potemkin::metrics::LogHistogram;
-use potemkin::sim::{EventQueue, SimRng, SimTime, TimerWheel};
-
-#[derive(Clone, Debug)]
-enum TimerOp {
-    Schedule { deadline_ms: u64 },
-    Cancel { pick: usize },
-    Advance { by_ms: u64 },
-}
-
-fn arb_timer_op() -> impl Strategy<Value = TimerOp> {
-    prop_oneof![
-        5 => (0u64..100_000).prop_map(|deadline_ms| TimerOp::Schedule { deadline_ms }),
-        2 => any::<usize>().prop_map(|pick| TimerOp::Cancel { pick }),
-        3 => (0u64..5_000).prop_map(|by_ms| TimerOp::Advance { by_ms }),
-    ]
-}
+use potemkin::sim::{EventQueue, SimRng, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The timer wheel fires exactly the same payload sets as a naive
-    /// sorted-list model, never early, and respects cancellation.
-    #[test]
-    fn timer_wheel_matches_reference_model(ops in proptest::collection::vec(arb_timer_op(), 1..150)) {
-        let mut wheel: TimerWheel<u64> = TimerWheel::new(SimTime::from_millis(1));
-        // Model: (deadline_ms rounded up to tick, id, handle) of live timers.
-        let mut model: Vec<(u64, u64, potemkin::sim::TimerHandle)> = Vec::new();
-        let mut now_ms = 0u64;
-        let mut next_id = 0u64;
-
-        for op in ops {
-            match op {
-                TimerOp::Schedule { deadline_ms } => {
-                    let h = wheel.schedule(SimTime::from_millis(deadline_ms), next_id);
-                    // Past deadlines are clamped to the next unprocessed tick.
-                    let effective = deadline_ms.max(now_ms + 1);
-                    model.push((effective, next_id, h));
-                    next_id += 1;
-                }
-                TimerOp::Cancel { pick } => {
-                    if model.is_empty() { continue; }
-                    let idx = pick % model.len();
-                    let (_, _, h) = model.remove(idx);
-                    prop_assert!(wheel.cancel(h), "live timer must cancel");
-                    prop_assert!(!wheel.cancel(h), "double cancel must fail");
-                }
-                TimerOp::Advance { by_ms } => {
-                    now_ms += by_ms;
-                    let fired = wheel.advance_to(SimTime::from_millis(now_ms));
-                    let mut expected: Vec<u64> = model
-                        .iter()
-                        .filter(|&&(d, _, _)| d <= now_ms)
-                        .map(|&(_, id, _)| id)
-                        .collect();
-                    model.retain(|&(d, _, _)| d > now_ms);
-                    let mut got = fired.clone();
-                    got.sort_unstable();
-                    expected.sort_unstable();
-                    prop_assert_eq!(got, expected, "fired set mismatch at t={}ms", now_ms);
-                }
-            }
-            prop_assert_eq!(wheel.len(), model.len());
-        }
-    }
 
     /// Events pop in non-decreasing time order, FIFO within ties.
     #[test]

@@ -245,7 +245,7 @@ fn check_every_codec(seed: u64) -> Result<(), TestCaseError> {
     use potemkin::metrics::{CounterSet, FaultClass, FaultLedger, LogHistogram, RateEstimator};
     use potemkin::net::{FlowKey, PacketBuilder, Transport};
     use potemkin::sim::{
-        EventQueue, FaultEvent, FaultKind, ShardProgress, TimerWheel, TokenBucket,
+        EventQueue, FaultEvent, FaultKind, RecencySlab, ShardProgress, TokenBucket,
     };
     use potemkin::vmm::guest::GuestProfile;
     use potemkin::vmm::{FrameTable, OverlayManifest};
@@ -286,13 +286,15 @@ fn check_every_codec(seed: u64) -> Result<(), TestCaseError> {
     let mut bucket = TokenBucket::new(5.0, 10.0);
     bucket.try_take(time(1), 3.0);
     check_codec("TokenBucket", &bucket)?;
-    let mut wheel = TimerWheel::new(SimTime::from_millis(100));
-    let handles: Vec<_> = (0..n).map(|i| wheel.schedule(time(i), w[i])).collect();
-    if let Some(&first) = handles.first() {
-        wheel.cancel(first);
+    let mut recency = RecencySlab::default();
+    let secs = |s: usize| SimTime::from_secs(s as u64);
+    let slots: Vec<_> = (0..n).map(|i| recency.insert(i, secs(i), w[i])).collect();
+    if let Some(&first) = slots.first() {
+        recency.remove(first);
     }
-    wheel.advance_to(time(40));
-    check_codec("TimerWheel", &wheel)?;
+    recency.sweep(time(40));
+    recency.refresh(&(n / 2), time(40) + secs(n));
+    check_codec("RecencySlab", &recency)?;
     let mut queue = EventQueue::new();
     (0..n).for_each(|i| queue.schedule(time(i), w[i]));
     queue.pop();
@@ -427,7 +429,7 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
     use potemkin::gateway::tunnel::TunnelEndpoint;
     use potemkin::gateway::{AddressBinder, BindGranularity, DnsProxy, FlowTable, Gateway};
     use potemkin::metrics::{CounterSet, FaultLedger, LogHistogram, TimeSeries};
-    use potemkin::sim::{EventQueue, TimerWheel};
+    use potemkin::sim::{EventQueue, RecencySlab};
     use potemkin::vmm::{FrameTable, Host, OverlayManifest};
 
     let bare = (u64::MAX >> 4).to_le_bytes().to_vec();
@@ -455,7 +457,7 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
         ];
         let from_bytes = [
             ("Vec", Vec::<u64>::from_bytes(hostile, "hostile").map(drop)),
-            ("TimerWheel", TimerWheel::<u64>::from_bytes(hostile, "hostile").map(drop)),
+            ("RecencySlab", RecencySlab::<u64, u64>::from_bytes(hostile, "hostile").map(drop)),
             ("EventQueue", EventQueue::<u64>::from_bytes(hostile, "hostile").map(drop)),
             ("LogHistogram", LogHistogram::from_bytes(hostile, "hostile").map(drop)),
             ("TimeSeries", TimeSeries::from_bytes(hostile, "hostile").map(drop)),

@@ -1042,9 +1042,8 @@ impl Honeyfarm {
             budget -= 1;
             match action {
                 GatewayAction::Deliver { vm, packet } => {
-                    let emissions = self.handle_delivery(now, vm, packet);
-                    for p in emissions {
-                        queue.push(self.gateway.on_outbound(now, vm, p));
+                    if let Some(reply) = self.handle_delivery(now, vm, packet) {
+                        queue.push(self.gateway.on_outbound(now, vm, reply));
                     }
                 }
                 GatewayAction::CloneAndDeliver { addr, packet } => {
@@ -1075,9 +1074,8 @@ impl Honeyfarm {
                     // A gateway-synthesized packet: deliver to a VM if its
                     // destination is one, else it leaves the farm.
                     if let Some(vm) = self.vm_for_addr(packet.dst()) {
-                        let emissions = self.handle_delivery(now, vm, packet);
-                        for p in emissions {
-                            queue.push(self.gateway.on_outbound(now, vm, p));
+                        if let Some(reply) = self.handle_delivery(now, vm, packet) {
+                            queue.push(self.gateway.on_outbound(now, vm, reply));
                         }
                     } else {
                         self.counters.incr("sent_external");
@@ -1307,34 +1305,28 @@ impl Honeyfarm {
     }
 
     /// Models the guest receiving a packet: page activity, infection, and
-    /// response emission. Deliberately unspanned: each delivery already
-    /// leaves a `gw.action.deliver` instant in the trace, and a redundant
-    /// span pair here would be the single largest event source (E12 holds
-    /// recorder overhead under 5%).
-    fn handle_delivery(&mut self, now: SimTime, vm: VmRef, packet: Packet) -> Vec<Packet> {
-        let Some(slot) = self.vms.get(&vm) else {
-            return vec![];
-        };
+    /// the response, if the guest makes one (no branch makes two).
+    /// Deliberately unspanned: each delivery already leaves a
+    /// `gw.action.deliver` instant in the trace, and a redundant span pair
+    /// here would be the single largest event source (E12 holds recorder
+    /// overhead under 5%).
+    fn handle_delivery(&mut self, now: SimTime, vm: VmRef, packet: Packet) -> Option<Packet> {
+        let slot = self.vms.get(&vm)?;
         let (host_idx, domain) = (slot.host, slot.domain);
-        if !self.hosts[host_idx].domain(domain).is_ok_and(|d| d.is_running()) {
-            return vec![];
-        }
+        // One lookup of the domain serves everything asked of it below.
+        let dom = self.hosts[host_idx].domain(domain).ok().filter(|d| d.is_running())?;
+        let infected = dom.is_infected();
         self.counters.incr("packets_to_guests");
         let me = packet.dst();
         let remote = packet.src();
         // The VM's behaviour comes from *its* image (farms can impersonate
-        // heterogeneous OS profiles across the address space). The domain
-        // or its image can disappear under a concurrent host crash; drop
-        // the delivery rather than panic.
+        // heterogeneous OS profiles across the address space). The image
+        // can disappear under a concurrent host crash; drop the delivery
+        // rather than panic.
         let (listens_tcp, listens_udp) = {
-            let Ok(dom) = self.hosts[host_idx].domain(domain) else {
+            let Ok(img) = self.hosts[host_idx].image(dom.image()) else {
                 self.counters.incr("delivery_races");
-                return vec![];
-            };
-            let image = dom.image();
-            let Ok(img) = self.hosts[host_idx].image(image) else {
-                self.counters.incr("delivery_races");
-                return vec![];
+                return None;
             };
             // Only the port-listen verdicts are needed downstream; looking
             // them up here (while the image borrow is live) avoids cloning
@@ -1354,61 +1346,47 @@ impl Honeyfarm {
         let req_idx = self.request_counter;
         self.request_counter += 1;
 
-        let mut emissions = Vec::new();
         match packet.payload() {
-            PacketPayload::Icmp(msg) => {
-                if let Some(reply) = msg.reply_to() {
-                    emissions.push(PacketBuilder::new(me, remote).pooled(&self.pool).icmp(reply));
-                }
-            }
+            PacketPayload::Icmp(msg) => msg
+                .reply_to()
+                .map(|reply| PacketBuilder::new(me, remote).pooled(&self.pool).icmp(reply)),
             PacketPayload::Tcp { header, payload } => {
                 let flags = header.flags;
                 let listening = listens_tcp;
                 if flags.syn && !flags.ack {
                     if listening {
                         self.touch(now, host_idx, domain, req_idx);
-                        emissions.push(
-                            PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
-                                header.dst_port,
-                                header.src_port,
-                                TcpFlags::SYN_ACK,
-                                self.rng.next_u32(),
-                                header.seq.wrapping_add(1),
-                                &[],
-                            ),
-                        );
+                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                            header.dst_port,
+                            header.src_port,
+                            TcpFlags::SYN_ACK,
+                            self.rng.next_u32(),
+                            header.seq.wrapping_add(1),
+                            &[],
+                        ))
                     } else {
-                        emissions.push(
-                            PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
-                                header.dst_port,
-                                header.src_port,
-                                TcpFlags::RST,
-                                0,
-                                header.seq.wrapping_add(1),
-                                &[],
-                            ),
-                        );
+                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                            header.dst_port,
+                            header.src_port,
+                            TcpFlags::RST,
+                            0,
+                            header.seq.wrapping_add(1),
+                            &[],
+                        ))
                     }
                 } else if flags.syn && flags.ack {
                     // Our connection attempt was accepted. An infected guest
                     // is mid-exploit: send the payload.
-                    let infected =
-                        self.hosts[host_idx].domain(domain).is_ok_and(|d| d.is_infected());
-                    if infected {
-                        if let Some(worm) = self.config.worm.as_ref() {
-                            let instance = self.rng.next_u64();
-                            emissions.push(
-                                PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
-                                    header.dst_port,
-                                    header.src_port,
-                                    TcpFlags::PSH_ACK,
-                                    header.ack,
-                                    header.seq.wrapping_add(1),
-                                    &worm.payload_instance(instance),
-                                ),
-                            );
-                        }
-                    }
+                    let worm = self.config.worm.as_ref().filter(|_| infected)?;
+                    let instance = self.rng.next_u64();
+                    Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                        header.dst_port,
+                        header.src_port,
+                        TcpFlags::PSH_ACK,
+                        header.ack,
+                        header.seq.wrapping_add(1),
+                        &worm.payload_instance(instance),
+                    ))
                 } else if !payload.is_empty() {
                     let carries_exploit =
                         marker.is_some_and(|m| Self::contains(payload, m)) && listening;
@@ -1422,44 +1400,40 @@ impl Honeyfarm {
                             remote,
                             Some(header.dst_port),
                         );
-                        emissions.push(
-                            PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
-                                header.dst_port,
-                                header.src_port,
-                                TcpFlags::ACK,
-                                header.ack,
-                                header.seq.wrapping_add(payload.len() as u32),
-                                &[],
-                            ),
-                        );
+                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                            header.dst_port,
+                            header.src_port,
+                            TcpFlags::ACK,
+                            header.ack,
+                            header.seq.wrapping_add(payload.len() as u32),
+                            &[],
+                        ))
                     } else if listening {
                         self.touch(now, host_idx, domain, req_idx);
                         let banner =
                             self.service_response(now, remote, me, header.dst_port, payload);
-                        emissions.push(
-                            PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
-                                header.dst_port,
-                                header.src_port,
-                                TcpFlags::PSH_ACK,
-                                header.ack,
-                                header.seq.wrapping_add(payload.len() as u32),
-                                &banner,
-                            ),
-                        );
+                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                            header.dst_port,
+                            header.src_port,
+                            TcpFlags::PSH_ACK,
+                            header.ack,
+                            header.seq.wrapping_add(payload.len() as u32),
+                            &banner,
+                        ))
                     } else {
-                        emissions.push(
-                            PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
-                                header.dst_port,
-                                header.src_port,
-                                TcpFlags::RST,
-                                0,
-                                header.seq,
-                                &[],
-                            ),
-                        );
+                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                            header.dst_port,
+                            header.src_port,
+                            TcpFlags::RST,
+                            0,
+                            header.seq,
+                            &[],
+                        ))
                     }
+                } else {
+                    // Bare ACK/FIN segments need no response in this model.
+                    None
                 }
-                // Bare ACK/FIN segments need no response in this model.
             }
             PacketPayload::Udp { header, payload } => {
                 let listening = listens_udp;
@@ -1469,6 +1443,7 @@ impl Honeyfarm {
                     // A DNS response to the guest's own query: the resolver
                     // consumes it (the guest had the socket open).
                     self.counters.incr("dns_responses_consumed");
+                    None
                 } else if carries_exploit {
                     self.capture_payload(now, payload, header.dst_port, remote);
                     self.infect(
@@ -1480,25 +1455,25 @@ impl Honeyfarm {
                         Some(header.dst_port),
                     );
                     // Slammer-style worms elicit no reply.
+                    None
                 } else if listening {
                     self.touch(now, host_idx, domain, req_idx);
+                    None
                 } else {
                     // Closed UDP port: ICMP port unreachable, as a real
                     // stack would.
                     let original: Vec<u8> = packet.wire().iter().take(28).copied().collect();
-                    emissions.push(PacketBuilder::new(me, remote).pooled(&self.pool).icmp(
+                    Some(PacketBuilder::new(me, remote).pooled(&self.pool).icmp(
                         IcmpMessage::DestUnreachable {
                             code: IcmpMessage::CODE_PORT_UNREACHABLE,
                             original,
                         },
-                    ));
+                    ))
                 }
             }
-            PacketPayload::Raw { .. } => {
-                // Unmodeled transports are absorbed silently.
-            }
+            // Unmodeled transports are absorbed silently.
+            PacketPayload::Raw { .. } => None,
         }
-        emissions
     }
 
     fn contains(haystack: &[u8], needle: &[u8]) -> bool {
@@ -2794,9 +2769,10 @@ mod tests {
 
     /// `(len, fnv1a64)` of `encode_state` for [`busy_farm`] on the default
     /// chunk geometry and on E18's 16-block chunks, re-pinned once for
-    /// snapshot version 4 (only the gateway section moved).
-    const BUSY_FARM_PIN: (usize, u64) = (3_930_911, 0x914fa5546b37e57a);
-    const CHUNKED_FARM_PIN: (usize, u64) = (3_943_199, 0xcb227625f86b4ccb);
+    /// snapshot version 5 (only refcount values in the hosts' frame tables
+    /// moved; the lengths are version 4's).
+    const BUSY_FARM_PIN: (usize, u64) = (3_930_911, 0xd850461fcd799d7e);
+    const CHUNKED_FARM_PIN: (usize, u64) = (3_943_199, 0xf8d8e922e75612b7);
 
     #[test]
     fn encode_state_matches_the_pinned_wire_format() {

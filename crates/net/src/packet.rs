@@ -309,7 +309,7 @@ impl PacketBuilder {
 
     fn wire_buf(&self, capacity: usize) -> WireBuf {
         match &self.pool {
-            Some(pool) => WireBuf::Pooled(pool.acquire()),
+            Some(pool) => WireBuf::Pooled(pool.acquire(capacity)),
             None => WireBuf::Plain(Vec::with_capacity(capacity)),
         }
     }
@@ -608,7 +608,7 @@ mod tests {
 
     #[test]
     fn pooled_builder_recycles_wire_buffers() {
-        let pool = BufferPool::with_config(256, 16);
+        let pool = BufferPool::with_config(16);
         for i in 0..50u16 {
             let p = PacketBuilder::new(ATTACKER, HONEYPOT).pooled(&pool).ident(i).tcp_segment(
                 5000,

@@ -28,8 +28,12 @@ use crate::error::SnapshotError;
 /// bits + overlay deltas); version 3 dropped the flow table's deferred
 /// refresh list and counter; version 4 writes the gateway's flows and
 /// bindings least recently active first, each with its due tick, and no
-/// timer-wheel section. Older files are rejected rather than misparsed.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// timer-wheel section; version 5 moves no byte of the layout but counts
+/// explicit references only in the frame table (an image's frame list and
+/// each stored p2m entry hold one, a clone's pristine page none), so a
+/// version-4 table would free image frames under its clones. Older files
+/// are rejected rather than misparsed.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

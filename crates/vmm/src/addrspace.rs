@@ -18,6 +18,14 @@
 //! behave as one dense table — and canonical: the delta holds exactly the
 //! entries that differ from the pristine read-only base mapping, so two
 //! spaces with the same contents over the same base have the same footprint.
+//!
+//! References follow the representation. Every *stored* entry, delta or
+//! tail, owns one reference on the frame it names; a pristine mapping owns
+//! none — the hold on the base list stands for all of them, and the image
+//! that owns the list owns the frames ([`crate::snapshot`]). Constructors
+//! adopt entries whose references the caller took; `write`, `remap`,
+//! `update_stored_below` and `release_all` keep the rule from there, so a
+//! clone costs the frame table its overhead and dirtied pages, no more.
 
 use std::sync::Arc;
 
@@ -43,28 +51,35 @@ impl Pte {
     }
 }
 
-/// Words of the bitmap per entry of the rank index: 512 pfns.
-const BLOCK_WORDS: usize = 8;
+/// A delta entry in 8 bytes: the frame number above the writable bit.
+fn pack(pte: Pte) -> u64 {
+    debug_assert!(pte.frame.0 >> 63 == 0, "frame numbers fit 63 bits");
+    pte.frame.0 << 1 | u64::from(pte.writable)
+}
+
+fn unpack(word: u64) -> Pte {
+    Pte { frame: FrameId(word >> 1), writable: word & 1 == 1 }
+}
 
 /// The entries below the base's length that have diverged from it.
 ///
-/// A bitmap over the base's pfns says which have; their `Pte`s sit in pfn
-/// order, so an entry's position is the number of set bits below its pfn
+/// A bitmap over the base's pfns says which have; their packed `Pte`s sit in
+/// pfn order, so an entry's position is the number of set bits below its pfn
 /// (its rank). Finding it takes no search and storing it takes no key: a
-/// running count per block of the bitmap makes the rank a handful of
-/// `count_ones`. Sorted `(pfn, Pte)` pairs would need no bitmap, but a
-/// long-lived clone diverges on thousands of pages in no particular order,
-/// and the mispredicted branches of searching them make a CoW fault twice
-/// as dear as the dense table's indexed store (DESIGN.md §17).
+/// running count per word of the bitmap makes the rank one `count_ones`.
+/// Sorted `(pfn, Pte)` pairs would need no bitmap, but a long-lived clone
+/// diverges on thousands of pages in no particular order, and the
+/// mispredicted branches of searching them make a CoW fault twice as dear as
+/// the dense table's indexed store (DESIGN.md §17).
 ///
-/// Everything is empty until the first divergence; after it the bitmap
-/// costs one bit per image page.
+/// Everything is empty until the first divergence; after it the bitmap and
+/// its counts cost a bit and a half per image page.
 #[derive(Clone, Debug, Default)]
 struct Delta {
     present: Vec<u64>,
-    /// Set bits in all blocks before block `b`.
+    /// Set bits in all words before word `w`.
     before: Vec<u32>,
-    ptes: Vec<Pte>,
+    ptes: Vec<u64>,
 }
 
 /// The word of the bitmap, and the bit within it, that stand for `pfn`.
@@ -89,14 +104,11 @@ impl Delta {
     fn position(&self, pfn: u64) -> Result<usize, usize> {
         let (word, bit) = bit_of(pfn);
         let Some(&bits) = self.present.get(word) else { return Err(0) };
-        let block = word / BLOCK_WORDS;
-        let below = self.before[block]
-            + self.present[block * BLOCK_WORDS..word].iter().map(|w| w.count_ones()).sum::<u32>()
-            + (bits & (bit - 1)).count_ones();
+        let below = (self.before[word] + (bits & (bit - 1)).count_ones()) as usize;
         if bits & bit != 0 {
-            Ok(below as usize)
+            Ok(below)
         } else {
-            Err(below as usize)
+            Err(below)
         }
     }
 
@@ -105,18 +117,18 @@ impl Delta {
     fn insert(&mut self, pfn: u64, at: usize, pte: Pte, pages: usize) {
         if self.present.is_empty() {
             self.present = vec![0; pages.div_ceil(64)];
-            self.before = vec![0; self.present.len().div_ceil(BLOCK_WORDS)];
+            self.before = vec![0; self.present.len()];
         }
         let (word, bit) = bit_of(pfn);
         self.present[word] |= bit;
-        self.before[word / BLOCK_WORDS + 1..].iter_mut().for_each(|n| *n += 1);
-        self.ptes.insert(at, pte);
+        self.before[word + 1..].iter_mut().for_each(|n| *n += 1);
+        self.ptes.insert(at, pack(pte));
     }
 
     fn remove(&mut self, pfn: u64, at: usize) {
         let (word, bit) = bit_of(pfn);
         self.present[word] &= !bit;
-        self.before[word / BLOCK_WORDS + 1..].iter_mut().for_each(|n| *n -= 1);
+        self.before[word + 1..].iter_mut().for_each(|n| *n -= 1);
         self.ptes.remove(at);
     }
 
@@ -124,31 +136,30 @@ impl Delta {
     fn iter(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
         let pfns = (0u64..).step_by(64).zip(&self.present);
         pfns.flat_map(|(first, &bits)| set_bits(bits).map(move |at| first + at))
-            .zip(self.ptes.iter().copied())
+            .zip(self.ptes.iter().map(|&word| unpack(word)))
     }
 
     /// Lets `keep` rewrite each entry in pfn order and drops those it
     /// returns `false` for.
     fn retain_mut(&mut self, mut keep: impl FnMut(u64, &mut Pte) -> bool) {
-        let (mut from, mut to) = (0, 0);
-        for (first, word) in (0u64..).step_by(64).zip(&mut self.present) {
+        let (mut from, mut to, mut below) = (0, 0, 0);
+        for ((first, word), before) in
+            (0u64..).step_by(64).zip(&mut self.present).zip(&mut self.before)
+        {
             for at in set_bits(*word) {
-                let mut pte = self.ptes[from];
+                let mut pte = unpack(self.ptes[from]);
                 from += 1;
                 if keep(first + at, &mut pte) {
-                    self.ptes[to] = pte;
+                    self.ptes[to] = pack(pte);
                     to += 1;
                 } else {
                     *word &= !(1 << at);
                 }
             }
+            *before = below;
+            below += word.count_ones();
         }
         self.ptes.truncate(to);
-        let mut below = 0;
-        for (before, block) in self.before.iter_mut().zip(self.present.chunks(BLOCK_WORDS)) {
-            *before = below;
-            below += block.iter().map(|w| w.count_ones()).sum::<u32>();
-        }
     }
 }
 
@@ -177,7 +188,7 @@ impl AddressSpace {
 
     /// Builds a flash clone's space: every pfn of `base` mapped read-only
     /// to the listed frame, followed by `tail`. Allocates nothing beyond
-    /// what `tail` already holds.
+    /// what `tail` already holds, and touches no frame's count.
     #[must_use]
     pub fn over_base(base: Arc<[FrameId]>, tail: Vec<Pte>) -> Self {
         let writable = tail.iter().filter(|pte| pte.writable).count() as u64;
@@ -197,7 +208,7 @@ impl AddressSpace {
         let mut space = Self::over_base(base, tail);
         for (pfn, pte) in (0u64..).zip(entries) {
             if pte != Pte::pristine(space.base[pfn as usize]) {
-                space.remap(pfn, pte).expect("pfn is below the base's length");
+                space.update(pfn, |_, _| Ok(pte)).expect("pfn is below the base's length");
             }
         }
         space
@@ -240,66 +251,97 @@ impl AddressSpace {
     pub fn lookup(&self, pfn: u64) -> Result<Pte, VmmError> {
         match self.base.get(pfn as usize) {
             Some(&frame) => Ok(match self.delta.position(pfn) {
-                Ok(at) => self.delta.ptes[at],
+                Ok(at) => unpack(self.delta.ptes[at]),
                 Err(_) => Pte::pristine(frame),
             }),
             None => Ok(self.tail[self.tail_slot(pfn)?]),
         }
     }
 
-    /// Replaces the entry for `pfn`.
-    pub fn remap(&mut self, pfn: u64, pte: Pte) -> Result<(), VmmError> {
-        self.update(pfn, |_| Ok(pte))
-    }
-
     /// Replaces the entry for `pfn` with what `change` makes of the current
-    /// one: a `lookup` and a `remap` in one step, which is what a CoW fault
-    /// wants. Nothing changes if `change` fails.
-    pub fn update(
+    /// one and of whether it is stored (owns a reference), and says whether
+    /// the new one is. Touches no frame's count; a failed `change`, nothing.
+    fn update(
         &mut self,
         pfn: u64,
-        change: impl FnOnce(Pte) -> Result<Pte, VmmError>,
-    ) -> Result<(), VmmError> {
-        let (old, new) = match self.base.get(pfn as usize) {
+        change: impl FnOnce(Pte, bool) -> Result<Pte, VmmError>,
+    ) -> Result<bool, VmmError> {
+        let (old, new, stored) = match self.base.get(pfn as usize) {
             Some(&frame) => {
                 let pristine = Pte::pristine(frame);
-                match self.delta.position(pfn) {
-                    Ok(at) => {
-                        let old = self.delta.ptes[at];
-                        let new = change(old)?;
-                        if new == pristine {
-                            self.delta.remove(pfn, at);
-                        } else {
-                            self.delta.ptes[at] = new;
-                        }
-                        (old, new)
-                    }
-                    Err(at) => {
-                        let new = change(pristine)?;
-                        if new != pristine {
-                            self.delta.insert(pfn, at, new, self.base.len());
-                        }
-                        (pristine, new)
-                    }
+                let slot = self.delta.position(pfn);
+                let old = slot.map_or(pristine, |at| unpack(self.delta.ptes[at]));
+                let new = change(old, slot.is_ok())?;
+                match slot {
+                    Ok(at) if new == pristine => self.delta.remove(pfn, at),
+                    Ok(at) => self.delta.ptes[at] = pack(new),
+                    Err(at) if new != pristine => self.delta.insert(pfn, at, new, self.base.len()),
+                    Err(_) => {}
                 }
+                (old, new, new != pristine)
             }
             None => {
                 let at = self.tail_slot(pfn)?;
                 let old = self.tail[at];
-                self.tail[at] = change(old)?;
-                (old, self.tail[at])
+                self.tail[at] = change(old, true)?;
+                (old, self.tail[at], true)
             }
         };
         self.writable = self.writable - u64::from(old.writable) + u64::from(new.writable);
+        Ok(stored)
+    }
+
+    /// Replaces the entry for `pfn`, moving the space's reference with it:
+    /// one is taken on `pte`'s frame if the new entry is stored, and the one
+    /// a stored old entry held is released.
+    pub fn remap(&mut self, pfn: u64, pte: Pte, frames: &mut FrameTable) -> Result<(), VmmError> {
+        let mut held = None;
+        let stored = self.update(pfn, |old, owns| {
+            held = owns.then_some(old.frame);
+            Ok(pte)
+        })?;
+        if stored {
+            frames.share(pte.frame);
+        }
+        if let Some(frame) = held {
+            frames.release(frame);
+        }
         Ok(())
+    }
+
+    /// A guest write of `value` to `pfn`: in place if the entry is writable,
+    /// else a CoW fault onto a fresh private copy, which releases the
+    /// reference a stored entry held on the frame it leaves (a pristine one
+    /// held none). Returns whether it faulted. On [`VmmError::BadPfn`], or
+    /// [`VmmError::OutOfMemory`] from the fault, nothing has changed.
+    pub fn write(
+        &mut self,
+        pfn: u64,
+        value: u64,
+        frames: &mut FrameTable,
+    ) -> Result<bool, VmmError> {
+        let mut faulted = false;
+        self.update(pfn, |pte, owns| {
+            if pte.writable {
+                frames.write(pte.frame, value);
+                return Ok(pte);
+            }
+            // A page's content is one word, so the copy is born written.
+            let copy = frames.alloc(value)?;
+            if owns {
+                frames.release(pte.frame);
+            }
+            faulted = true;
+            Ok(Pte { frame: copy, writable: true })
+        })?;
+        Ok(faulted)
     }
 
     /// Iterates all entries with their pfn, in pfn order.
     ///
-    /// Every destroy and every checkpoint walks this, so it goes over the
-    /// base a bitmap word at a time — under a zero word it is a plain copy
-    /// loop — and is built from adaptors that `for_each` can drive from the
-    /// inside.
+    /// Every checkpoint walks this, so it goes over the base a bitmap word
+    /// at a time — under a zero word it is a plain copy loop — and is built
+    /// from adaptors that `for_each` can drive from the inside.
     pub fn iter(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
         let words = self.delta.present.iter().copied().chain(std::iter::repeat(0));
         let mut next = 0;
@@ -310,7 +352,7 @@ impl AddressSpace {
                 frames.iter().enumerate().map(move |(bit, &frame)| {
                     let pte = if bits >> bit & 1 == 1 {
                         at += 1;
-                        self.delta.ptes[at - 1]
+                        unpack(self.delta.ptes[at - 1])
                     } else {
                         Pte::pristine(frame)
                     };
@@ -323,32 +365,40 @@ impl AddressSpace {
 
     /// Iterates, in pfn order, the entries that are stored rather than
     /// implied by the base — the only ones that can be anything but a
-    /// pristine read-only image mapping. A walk with nothing to do for
-    /// pristine pages takes these instead of every pfn.
+    /// pristine read-only image mapping, and the only ones that own a
+    /// reference. A walk with nothing to do for pristine pages takes these.
     pub fn stored(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
         self.delta.iter().chain(self.tail_entries())
     }
 
     /// Lets `update` rewrite, in pfn order, every stored entry below
     /// `limit` (see [`AddressSpace::stored`]); pages implied by the base are
-    /// not visited. One linear pass however many entries change.
-    pub fn update_stored_below(&mut self, limit: u64, mut update: impl FnMut(u64, &mut Pte)) {
+    /// not visited. One linear pass however many entries change. Each
+    /// entry's reference moves to the frame it comes out naming, or is given
+    /// up where it comes out as the base implies (it is then dropped).
+    pub fn update_stored_below(
+        &mut self,
+        limit: u64,
+        frames: &mut FrameTable,
+        mut update: impl FnMut(u64, &mut Pte, &FrameTable),
+    ) {
         let mut writable = self.writable;
-        let mut visit = |pfn: u64, pte: &mut Pte| {
-            let was = pte.writable;
-            update(pfn, pte);
-            writable = writable - u64::from(was) + u64::from(pte.writable);
+        // Says whether the entry stays stored; `implied` is the base's frame.
+        let mut visit = |pfn: u64, pte: &mut Pte, implied: Option<FrameId>| {
+            let was = *pte;
+            update(pfn, pte, frames);
+            writable = writable - u64::from(was.writable) + u64::from(pte.writable);
+            let stored = implied.is_none_or(|frame| *pte != Pte::pristine(frame));
+            if stored {
+                frames.share(pte.frame);
+            }
+            frames.release(was.frame);
+            stored
         };
         let base = &self.base;
-        self.delta.retain_mut(|pfn, pte| {
-            if pfn < limit {
-                visit(pfn, pte);
-            }
-            *pte != Pte::pristine(base[pfn as usize])
-        });
-        let base_len = base.len() as u64;
-        for (pfn, pte) in (base_len..limit).zip(self.tail.iter_mut()) {
-            visit(pfn, pte);
+        self.delta.retain_mut(|pfn, pte| pfn >= limit || visit(pfn, pte, Some(base[pfn as usize])));
+        for (pfn, pte) in (base.len() as u64..limit).zip(self.tail.iter_mut()) {
+            visit(pfn, pte, None);
         }
         self.writable = writable;
     }
@@ -365,11 +415,11 @@ impl AddressSpace {
         self.size() - self.private_pages()
     }
 
-    /// Releases every mapped frame back to the table, in pfn order (the
-    /// table's free list is LIFO, so the order decides every later
-    /// allocation), and empties the space.
+    /// Releases every stored entry's frame back to the table, in pfn order
+    /// (the table's free list is LIFO, so the order decides every later
+    /// allocation), and empties the space. Pristine pages hold nothing.
     pub fn release_all(&mut self, frames: &mut FrameTable) {
-        self.iter().for_each(|(_, pte)| frames.release(pte.frame));
+        self.stored().for_each(|(_, pte)| frames.release(pte.frame));
         *self = Self::from_entries(Vec::new());
     }
 }
@@ -387,9 +437,6 @@ mod tests {
     /// A 6-page image with a 2-page writable tail, as `flash_clone` builds.
     fn clone_of(frames: &mut FrameTable) -> (Arc<[FrameId]>, AddressSpace) {
         let base: Arc<[FrameId]> = (0..6).map(|i| frames.alloc(100 + i).unwrap()).collect();
-        for &f in base.iter() {
-            frames.share(f);
-        }
         let tail = (0..2).map(|_| Pte { frame: frames.alloc(0).unwrap(), writable: true });
         let space = AddressSpace::over_base(Arc::clone(&base), tail.collect());
         (base, space)
@@ -409,11 +456,15 @@ mod tests {
         let mut ft = FrameTable::new(10);
         let mut space = space_with(&mut ft, 2);
         let new_frame = ft.alloc(99).unwrap();
-        space.remap(1, Pte { frame: new_frame, writable: false }).unwrap();
+        let old_frame = space.lookup(1).unwrap().frame;
+        space.remap(1, Pte { frame: new_frame, writable: false }, &mut ft).unwrap();
         let pte = space.lookup(1).unwrap();
         assert_eq!(pte.frame, new_frame);
         assert!(!pte.writable);
-        assert!(space.remap(5, Pte { frame: new_frame, writable: true }).is_err());
+        assert_eq!(ft.refcount(new_frame), 2, "the allocation's reference and the entry's");
+        assert_eq!(ft.alloc(0).unwrap(), old_frame, "the displaced entry's was its last");
+        assert!(space.remap(5, Pte { frame: new_frame, writable: true }, &mut ft).is_err());
+        assert_eq!(ft.refcount(new_frame), 2, "a refused remap takes nothing");
     }
 
     #[test]
@@ -452,8 +503,8 @@ mod tests {
 
         // Diverge out of order; the delta stays in pfn order.
         let copies: Vec<FrameId> = (0..2).map(|_| ft.alloc(7).unwrap()).collect();
-        space.remap(4, Pte { frame: copies[0], writable: true }).unwrap();
-        space.remap(1, Pte { frame: copies[1], writable: true }).unwrap();
+        space.remap(4, Pte { frame: copies[0], writable: true }, &mut ft).unwrap();
+        space.remap(1, Pte { frame: copies[1], writable: true }, &mut ft).unwrap();
         assert_eq!((space.delta_len(), space.private_pages(), space.shared_pages()), (2, 4, 4));
         let frames: Vec<FrameId> = space.iter().map(|(_, pte)| pte.frame).collect();
         assert_eq!(frames[..6], [base[0], copies[1], base[2], base[3], copies[0], base[5]]);
@@ -462,11 +513,14 @@ mod tests {
 
         // A downgrade keeps the entry (the frame still differs); mapping the
         // image frame back read-only drops it.
-        space.remap(4, Pte { frame: copies[0], writable: false }).unwrap();
+        space.remap(4, Pte { frame: copies[0], writable: false }, &mut ft).unwrap();
         assert_eq!((space.delta_len(), space.private_pages()), (2, 3));
-        space.remap(4, Pte::pristine(base[4])).unwrap();
-        space.remap(2, Pte::pristine(base[2])).unwrap();
+        assert_eq!(ft.refcount(copies[0]), 2, "same frame, same reference");
+        space.remap(4, Pte::pristine(base[4]), &mut ft).unwrap();
+        space.remap(2, Pte::pristine(base[2]), &mut ft).unwrap();
         assert_eq!((space.delta_len(), space.private_pages()), (1, 3));
+        assert_eq!(ft.refcount(copies[0]), 1, "the dropped entry's reference went with it");
+        assert!(base.iter().all(|&f| ft.refcount(f) == 1), "a pristine mapping owns none");
     }
 
     #[test]
@@ -477,7 +531,8 @@ mod tests {
         // Either side of word and block boundaries, high pfns first.
         let pfns = [599, 256, 255, 0, 511, 512, 63, 64];
         for pfn in pfns {
-            space.remap(pfn, Pte { frame: ft.alloc(pfn).unwrap(), writable: true }).unwrap();
+            let pte = Pte { frame: ft.alloc(pfn).unwrap(), writable: true };
+            space.remap(pfn, pte, &mut ft).unwrap();
         }
         let stored: Vec<u64> = space.stored().map(|(pfn, _)| pfn).collect();
         assert_eq!(stored, [0, 63, 64, 255, 256, 511, 512, 599]);
@@ -487,8 +542,8 @@ mod tests {
         assert_eq!(space.lookup(257).unwrap(), Pte::pristine(base[257]));
         assert!(space.iter().map(|(pfn, _)| pfn).eq(0..600));
 
-        space.remap(256, Pte::pristine(base[256])).unwrap();
-        space.update_stored_below(512, |pfn, pte| {
+        space.remap(256, Pte::pristine(base[256]), &mut ft).unwrap();
+        space.update_stored_below(512, &mut ft, |pfn, pte, _| {
             if pfn >= 255 {
                 *pte = Pte::pristine(base[pfn as usize]);
             }
@@ -503,18 +558,29 @@ mod tests {
         let mut ft = FrameTable::new(32);
         let (base, mut space) = clone_of(&mut ft);
         for pfn in [5, 0, 3] {
-            space.remap(pfn, Pte { frame: ft.alloc(pfn).unwrap(), writable: true }).unwrap();
+            assert!(space.write(pfn, pfn, &mut ft).unwrap());
         }
+        let (copy_of_0, tail_6) = (space.lookup(0).unwrap().frame, space.lookup(6).unwrap().frame);
         let mut seen = Vec::new();
-        space.update_stored_below(7, |pfn, pte| {
+        space.update_stored_below(7, &mut ft, |pfn, pte, _| {
             seen.push(pfn);
             match pfn {
                 0 => *pte = Pte::pristine(base[0]),
-                3 | 6 => pte.writable = false,
+                3 => pte.writable = false,
+                // Past the base every entry stays stored, whatever it names.
+                6 => *pte = Pte::pristine(base[1]),
                 _ => {}
             }
         });
         assert_eq!(seen, [0, 3, 5, 6], "pfn order, pristine pages and pfn 7 skipped");
+        assert_eq!(
+            (ft.refcount(base[0]), ft.refcount(base[1])),
+            (1, 2),
+            "only a stored entry owns"
+        );
+        let mut freed = [ft.alloc(0).unwrap(), ft.alloc(0).unwrap()];
+        freed.reverse();
+        assert_eq!(freed, [copy_of_0, tail_6], "both displaced frames went free, in pfn order");
         assert_eq!((space.delta_len(), space.private_pages()), (2, 2));
         assert_eq!(space.lookup(0).unwrap(), Pte::pristine(base[0]));
         assert!(!space.lookup(6).unwrap().writable);
@@ -522,16 +588,49 @@ mod tests {
     }
 
     #[test]
+    fn write_faults_once_and_takes_only_what_it_stores() {
+        let mut ft = FrameTable::new(10);
+        let (base, mut space) = clone_of(&mut ft);
+        assert!(space.write(3, 0xAB, &mut ft).unwrap(), "a pristine page faults");
+        let copy = space.lookup(3).unwrap().frame;
+        assert_eq!((ft.read(copy), ft.read(base[3])), (0xAB, 103), "the image frame is untouched");
+        assert_eq!((ft.refcount(copy), ft.refcount(base[3])), (1, 1), "nothing to release");
+        assert!(!space.write(3, 0xCD, &mut ft).unwrap(), "the private copy is written in place");
+        assert!(!space.write(6, 1, &mut ft).unwrap(), "as is a writable tail page");
+        assert_eq!((ft.read(copy), space.delta_len(), space.private_pages()), (0xCD, 1, 3));
+
+        // A stored read-only entry (a merged or frozen page) gives its
+        // reference up when it faults.
+        ft.share(copy);
+        space.update_stored_below(6, &mut ft, |_, pte, _| pte.writable = false);
+        assert!(space.write(3, 0xEF, &mut ft).unwrap());
+        assert_eq!(ft.refcount(copy), 1, "the other holder's");
+        assert_eq!((ft.read(copy), ft.read(space.lookup(3).unwrap().frame)), (0xCD, 0xEF));
+
+        // Out of frames: the fault fails and nothing has moved.
+        assert_eq!(ft.free_frames(), 0);
+        assert!(matches!(space.write(0, 1, &mut ft), Err(VmmError::OutOfMemory { .. })));
+        assert_eq!(space.lookup(0).unwrap(), Pte::pristine(base[0]));
+        assert_eq!((ft.refcount(base[0]), space.delta_len()), (1, 1));
+        assert!(matches!(space.write(8, 1, &mut ft), Err(VmmError::BadPfn { pfn: 8, size: 8 })));
+
+        space.release_all(&mut ft);
+        assert_eq!(ft.used_frames(), 7, "the image's six and the other holder's copy");
+    }
+
+    #[test]
     fn sparsify_inverts_iter() {
         let mut ft = FrameTable::new(32);
         let (base, mut space) = clone_of(&mut ft);
-        space.remap(2, Pte { frame: ft.alloc(1).unwrap(), writable: true }).unwrap();
-        space.remap(4, Pte { frame: ft.alloc(2).unwrap(), writable: false }).unwrap();
+        space.write(2, 1, &mut ft).unwrap();
+        space.write(4, 2, &mut ft).unwrap();
+        space.update_stored_below(5, &mut ft, |pfn, pte, _| pte.writable = pfn != 4);
         let dense: Vec<Pte> = space.iter().map(|(_, pte)| pte).collect();
         let back = AddressSpace::sparsify(Arc::clone(&base), dense.clone());
         assert!(back.shares_base(&base));
         assert_eq!((back.delta_len(), back.private_pages()), (2, space.private_pages()));
         assert!(back.iter().eq(space.iter()));
+        assert!(back.stored().eq(space.stored()));
         // Too short to cover the base: kept dense, contents intact.
         let short = AddressSpace::sparsify(base, dense[..3].to_vec());
         assert_eq!((short.size(), short.delta_len()), (3, 0));

@@ -145,6 +145,10 @@ impl Domain {
         let writes = r.u64()?;
         let infected = r.bool()?;
         let entries = Vec::<Pte>::unsnap(r)?;
+        // The delta packs a frame number into 63 bits; no table is that long.
+        if entries.iter().any(|pte| pte.frame.0 >> 63 != 0) {
+            return Err(r.bad());
+        }
         let space = match provision {
             ProvisionKind::FlashClone => {
                 AddressSpace::sparsify(Arc::clone(img.shared_frames()), entries)
@@ -306,8 +310,9 @@ impl Domain {
         &mut self.disk
     }
 
-    /// Internal: the address space (used by the host for memory ops).
-    pub(crate) fn space(&self) -> &AddressSpace {
+    /// The p2m map: what the domain maps, and which entries it stores.
+    #[must_use]
+    pub fn space(&self) -> &AddressSpace {
         &self.space
     }
 

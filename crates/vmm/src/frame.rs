@@ -32,6 +32,7 @@ impl fmt::Display for FrameId {
     }
 }
 
+/// Sixteen bytes a frame: a free frame is one whose count is zero.
 #[derive(Clone, Debug)]
 struct FrameState {
     refcount: u32,
@@ -40,9 +41,9 @@ struct FrameState {
 
 /// The global machine frame table of one host.
 ///
-/// Frames are allocated with refcount 1; sharing a frame (delta
-/// virtualization) bumps the count; the frame returns to the free list when
-/// the count reaches zero.
+/// Frames are allocated with refcount 1; each further holder — an image's
+/// frame list, a stored p2m entry (see [`crate::addrspace`]) — bumps the
+/// count; the frame returns to the free list when the count reaches zero.
 ///
 /// # Examples
 ///
@@ -60,7 +61,7 @@ struct FrameState {
 /// ```
 #[derive(Clone, Debug)]
 pub struct FrameTable {
-    frames: Vec<Option<FrameState>>,
+    frames: Vec<FrameState>,
     free: Vec<u64>,
     total: u64,
     /// Lifetime counters.
@@ -120,15 +121,16 @@ impl FrameTable {
     ///
     /// Returns [`VmmError::OutOfMemory`] when no frame is free.
     pub fn alloc(&mut self, content: u64) -> Result<FrameId, VmmError> {
+        let state = FrameState { refcount: 1, content };
         let id = if let Some(id) = self.free.pop() {
+            self.frames[id as usize] = state;
             id
         } else if (self.frames.len() as u64) < self.total {
-            self.frames.push(None);
+            self.frames.push(state);
             self.frames.len() as u64 - 1
         } else {
             return Err(VmmError::OutOfMemory { requested: 1, free: 0 });
         };
-        self.frames[id as usize] = Some(FrameState { refcount: 1, content });
         self.allocs += 1;
         Ok(FrameId(id))
     }
@@ -136,14 +138,14 @@ impl FrameTable {
     fn state(&self, frame: FrameId) -> &FrameState {
         self.frames
             .get(frame.0 as usize)
-            .and_then(Option::as_ref)
+            .filter(|state| state.refcount > 0)
             .expect("frame id must reference a live frame")
     }
 
     fn state_mut(&mut self, frame: FrameId) -> &mut FrameState {
         self.frames
             .get_mut(frame.0 as usize)
-            .and_then(Option::as_mut)
+            .filter(|state| state.refcount > 0)
             .expect("frame id must reference a live frame")
     }
 
@@ -188,16 +190,6 @@ impl FrameTable {
         self.state(frame).refcount
     }
 
-    /// Whether a frame is shared (refcount > 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is not live.
-    #[must_use]
-    pub fn is_shared(&self, frame: FrameId) -> bool {
-        self.refcount(frame) > 1
-    }
-
     /// Drops one reference; frees the frame when the count reaches zero.
     ///
     /// # Panics
@@ -207,32 +199,18 @@ impl FrameTable {
         let state = self.state_mut(frame);
         state.refcount -= 1;
         if state.refcount == 0 {
-            self.frames[frame.0 as usize] = None;
             self.free.push(frame.0);
             self.frees += 1;
         }
-    }
-
-    /// Copy-on-write: allocates a fresh frame with the same content as
-    /// `frame` and drops one reference to the original.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmmError::OutOfMemory`] when no frame is free — the
-    /// original's refcount is left untouched in that case.
-    pub fn cow_copy(&mut self, frame: FrameId) -> Result<FrameId, VmmError> {
-        let content = self.read(frame);
-        let copy = self.alloc(content)?;
-        self.release(frame);
-        Ok(copy)
     }
 }
 
 /// The counters, the dense table length (the touched-frame high-water
 /// mark), the free list in LIFO order — allocation order after restore must
 /// match the uninterrupted run — and every live frame as `(index, refcount,
-/// content)` in index order. A table longer than `total` or than its live
-/// and free frames together, or an index outside it, is a decode error.
+/// content)` in index order. A table longer than `total`, or one whose slots
+/// are not each claimed exactly once — by a live row with a count above zero
+/// or by the free list — is a decode error.
 impl Snap for FrameTable {
     fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.total);
@@ -242,7 +220,8 @@ impl Snap for FrameTable {
         self.free.snap(w);
         let live: Vec<(u64, u32, u64)> = (0..)
             .zip(&self.frames)
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s.refcount, s.content)))
+            .filter(|(_, s)| s.refcount > 0)
+            .map(|(i, s)| (i, s.refcount, s.content))
             .collect();
         live.snap(w);
     }
@@ -259,12 +238,17 @@ impl Snap for FrameTable {
         if table_len as u64 > total || free.len().checked_add(live.len()) != Some(table_len) {
             return Err(r.bad());
         }
-        let mut frames: Vec<Option<FrameState>> = vec![None; table_len];
+        let mut frames = vec![FrameState { refcount: 0, content: 0 }; table_len];
+        let mut claimed = vec![false; table_len];
+        let mut claim = |idx: u64| {
+            let at = usize::try_from(idx).ok().filter(|&at| at < table_len)?;
+            (!std::mem::replace(&mut claimed[at], true)).then_some(at)
+        };
         for (idx, refcount, content) in live {
-            let slot = usize::try_from(idx).ok().and_then(|i| frames.get_mut(i));
-            *slot.ok_or_else(|| r.bad())? = Some(FrameState { refcount, content });
+            let at = claim(idx).filter(|_| refcount > 0).ok_or_else(|| r.bad())?;
+            frames[at] = FrameState { refcount, content };
         }
-        if free.iter().any(|&f| f >= table_len as u64) {
+        if !free.iter().all(|&idx| claim(idx).is_some()) {
             return Err(r.bad());
         }
         Ok(FrameTable { frames, free, total, allocs, frees })
@@ -316,37 +300,12 @@ mod tests {
         ft.share(f);
         ft.share(f);
         assert_eq!(ft.refcount(f), 3);
-        assert!(ft.is_shared(f));
         ft.release(f);
         ft.release(f);
         assert_eq!(ft.refcount(f), 1);
-        assert!(!ft.is_shared(f));
         assert_eq!(ft.free_frames(), 0, "still referenced");
         ft.release(f);
         assert_eq!(ft.free_frames(), 1);
-    }
-
-    #[test]
-    fn cow_copy_preserves_content_and_drops_ref() {
-        let mut ft = FrameTable::new(2);
-        let orig = ft.alloc(0x1111).unwrap();
-        ft.share(orig); // refcount 2: one image, one clone
-        let copy = ft.cow_copy(orig).unwrap();
-        assert_ne!(copy, orig);
-        assert_eq!(ft.read(copy), 0x1111);
-        assert_eq!(ft.refcount(orig), 1, "clone's reference moved to the copy");
-        // Writing the copy does not disturb the original.
-        ft.write(copy, 0x2222);
-        assert_eq!(ft.read(orig), 0x1111);
-    }
-
-    #[test]
-    fn cow_copy_oom_leaves_refcount_intact() {
-        let mut ft = FrameTable::new(1);
-        let f = ft.alloc(5).unwrap();
-        ft.share(f);
-        assert!(matches!(ft.cow_copy(f), Err(VmmError::OutOfMemory { .. })));
-        assert_eq!(ft.refcount(f), 2, "failed CoW must not leak a reference");
     }
 
     #[test]

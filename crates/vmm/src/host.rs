@@ -248,12 +248,9 @@ impl Host {
         if !self.alive {
             return 0;
         }
-        let ids: Vec<DomainId> = self.domains.keys().copied().collect();
-        let lost = ids.len() as u64;
-        for id in ids {
-            let mut dom = self.domains.remove(&id).expect("key just listed");
+        let lost = self.domains.len() as u64;
+        for mut dom in std::mem::take(&mut self.domains).into_values() {
             dom.space_mut().release_all(&mut self.frames);
-            dom.mark_destroyed();
         }
         self.alive = false;
         self.pending_clone_faults = 0;
@@ -274,6 +271,18 @@ impl Host {
         } else {
             Err(VmmError::HostDown)
         }
+    }
+
+    /// One lookup each of a live host's domain and the image it came from,
+    /// with the frame table and cost model a memory operation needs beside.
+    fn resolve(
+        &mut self,
+        id: DomainId,
+    ) -> Result<(&mut Domain, &ReferenceImage, &mut FrameTable, &CostModel), VmmError> {
+        self.ensure_alive()?;
+        let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
+        let image = self.images.get(&dom.image()).ok_or(VmmError::NoSuchImage(dom.image()))?;
+        Ok((dom, image, &mut self.frames, &self.cost))
     }
 
     /// Boots a guest profile once and freezes it as a reference image.
@@ -354,8 +363,21 @@ impl Host {
             .collect()
     }
 
+    /// Starts a domain of `image` over `space`, with a fresh overlay on the
+    /// image's disk, under the next domain id.
+    fn start(&mut self, image: ImageId, kind: ProvisionKind, space: AddressSpace) -> DomainId {
+        let disk = CowDisk::new(self.images[&image].disk().clone());
+        let id = DomainId(self.next_domain);
+        self.next_domain += 1;
+        let mut dom = Domain::new(id, image, kind, space, disk);
+        dom.unpause().expect("fresh domain is paused");
+        self.domains.insert(id, dom);
+        id
+    }
+
     /// Flash-clones a domain from a reference image: every image page is
-    /// mapped copy-on-write; only the fixed overhead is allocated.
+    /// mapped copy-on-write by holding the image's frame list (no frame's
+    /// count moves); only the fixed overhead is allocated.
     ///
     /// The returned [`CloneTiming`] is the reproduction of the paper's
     /// clone-latency breakdown. The domain comes back *running*.
@@ -370,27 +392,32 @@ impl Host {
             self.pending_clone_faults -= 1;
             return Err(VmmError::InjectedFault { op: "flash_clone" });
         }
-        let pages = self.image(image)?.pages();
+        let base = Arc::clone(self.image(image)?.shared_frames());
         self.admission_check(self.overhead_pages)?;
-        let timing = CloneTiming::new(self.cost.flash_clone_stages(pages));
-
-        // Share every image frame read-only (the delta-virtualization map):
-        // the clone takes a reference on each frame and on the list itself.
-        let img = self.images.get(&image).expect("checked above");
-        let base = Arc::clone(img.shared_frames());
-        let disk = CowDisk::new(img.disk().clone());
-        for &frame in base.iter() {
-            self.frames.share(frame);
-        }
+        let timing = CloneTiming::new(self.cost.flash_clone_stages(base.len() as u64));
         let space = AddressSpace::over_base(base, self.alloc_overhead());
-
-        let id = DomainId(self.next_domain);
-        self.next_domain += 1;
-        let mut dom = Domain::new(id, image, ProvisionKind::FlashClone, space, disk);
-        dom.unpause().expect("fresh domain is paused");
-        self.domains.insert(id, dom);
         self.flash_clones += 1;
-        Ok((id, timing))
+        Ok((self.start(image, ProvisionKind::FlashClone, space), timing))
+    }
+
+    /// Starts a domain holding a private copy of every image page, whatever
+    /// `kind` calls it; returns it with the image's page count.
+    fn copy_clone(
+        &mut self,
+        image: ImageId,
+        kind: ProvisionKind,
+    ) -> Result<(DomainId, u64), VmmError> {
+        self.ensure_alive()?;
+        let list = Arc::clone(self.image(image)?.shared_frames());
+        let pages = list.len() as u64;
+        self.admission_check(pages + self.overhead_pages)?;
+        let copy = |&frame| {
+            let content = self.frames.read(frame);
+            Pte { frame: self.frames.alloc(content).expect("admission checked"), writable: true }
+        };
+        let mut entries: Vec<Pte> = list.iter().map(copy).collect();
+        entries.extend(self.alloc_overhead());
+        Ok((self.start(image, kind, AddressSpace::from_entries(entries)), pages))
     }
 
     /// Eagerly copies every image page into private frames (the no-delta
@@ -401,60 +428,22 @@ impl Host {
     /// Returns the same errors as [`Host::flash_clone`]; the frame demand is
     /// the whole image plus overhead.
     pub fn full_copy_clone(&mut self, image: ImageId) -> Result<(DomainId, CloneTiming), VmmError> {
-        self.ensure_alive()?;
-        let pages = self.image(image)?.pages();
-        self.admission_check(pages + self.overhead_pages)?;
-        let timing = CloneTiming::new(self.cost.full_copy_stages(pages));
-
-        let contents: Vec<u64> = {
-            let img = self.images.get(&image).expect("checked above");
-            img.frames().iter().map(|&f| self.frames.read(f)).collect()
-        };
-        let mut entries: Vec<Pte> = contents
-            .into_iter()
-            .map(|c| Pte {
-                frame: self.frames.alloc(c).expect("admission checked"),
-                writable: true,
-            })
-            .collect();
-        entries.extend(self.alloc_overhead());
-        let disk = CowDisk::new(self.images.get(&image).expect("checked").disk().clone());
-
-        let id = DomainId(self.next_domain);
-        self.next_domain += 1;
-        let mut dom = Domain::new(
-            id,
-            image,
-            ProvisionKind::FullCopy,
-            AddressSpace::from_entries(entries),
-            disk,
-        );
-        dom.unpause().expect("fresh domain is paused");
-        self.domains.insert(id, dom);
+        let (id, pages) = self.copy_clone(image, ProvisionKind::FullCopy)?;
         self.full_copies += 1;
-        Ok((id, timing))
+        Ok((id, CloneTiming::new(self.cost.full_copy_stages(pages))))
     }
 
     /// Boots a fresh domain from scratch (the no-cloning baseline: tens of
-    /// seconds of virtual time).
+    /// seconds of virtual time). Same memory shape as a full copy, different
+    /// provenance and timing.
     ///
     /// # Errors
     ///
     /// Returns the same errors as [`Host::full_copy_clone`].
     pub fn cold_boot(&mut self, image: ImageId) -> Result<(DomainId, CloneTiming), VmmError> {
-        let (id, _) = self.full_copy_clone(image)?;
-        self.full_copies -= 1;
+        let (id, pages) = self.copy_clone(image, ProvisionKind::ColdBoot)?;
         self.cold_boots += 1;
-        let dom = self.domains.get_mut(&id).expect("just created");
-        // Same memory shape, different provenance and timing.
-        let pages = dom.memory_pages() - self.overhead_pages;
-        let timing = CloneTiming::new(self.cost.cold_boot_stages(pages));
-        let space = std::mem::replace(dom.space_mut(), AddressSpace::from_entries(vec![]));
-        let disk = dom.disk().clone();
-        let mut fresh = Domain::new(id, dom.image(), ProvisionKind::ColdBoot, space, disk);
-        fresh.unpause().expect("fresh domain is paused");
-        *dom = fresh;
-        Ok((id, timing))
+        Ok((id, CloneTiming::new(self.cost.cold_boot_stages(pages))))
     }
 
     /// Destroys a domain, releasing all of its frames. Returns the
@@ -469,7 +458,6 @@ impl Host {
         let mut dom = self.domains.remove(&id).ok_or(VmmError::NoSuchDomain(id))?;
         let cost = self.cost.destroy_cost(dom.private_pages());
         dom.space_mut().release_all(&mut self.frames);
-        dom.mark_destroyed();
         self.destroys += 1;
         Ok(cost)
     }
@@ -488,11 +476,8 @@ impl Host {
     ///
     /// Returns [`VmmError::NoSuchDomain`] for unknown domains.
     pub fn snapshot_domain(&mut self, id: DomainId, name: &str) -> Result<ImageId, VmmError> {
-        self.ensure_alive()?;
-        let source_image = self.domain(id)?.image();
-        let profile = self.image(source_image)?.profile().clone();
-        let disk = self.image(source_image)?.disk().clone();
-        let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
+        let (dom, source, table, _) = self.resolve(id)?;
+        let (profile, disk) = (source.profile().clone(), source.disk().clone());
         let image_pages = profile.memory_pages;
         // Share the domain's current frames and freeze the domain's view:
         // its writable pages become read-only so future writes CoW away
@@ -501,9 +486,9 @@ impl Host {
             dom.space().iter().take(image_pages as usize).map(|(_, pte)| pte.frame).collect();
         assert_eq!(frames.len() as u64, image_pages, "image pfns are mapped");
         for &frame in &frames {
-            self.frames.share(frame);
+            table.share(frame);
         }
-        dom.space_mut().update_stored_below(image_pages, |_, pte| pte.writable = false);
+        dom.space_mut().update_stored_below(image_pages, table, |_, pte, _| pte.writable = false);
         let new_id = ImageId(self.next_image);
         self.next_image += 1;
         self.images.insert(new_id, ReferenceImage::new(new_id, name, frames, disk, profile));
@@ -522,27 +507,17 @@ impl Host {
     ///
     /// Returns [`VmmError::NoSuchDomain`] for unknown domains.
     pub fn rollback(&mut self, id: DomainId) -> Result<SimTime, VmmError> {
-        self.ensure_alive()?;
-        let image_id = self.domain(id)?.image();
-        let image_frames =
-            self.images.get(&image_id).ok_or(VmmError::NoSuchImage(image_id))?.frames();
+        let (dom, image, frames, cost) = self.resolve(id)?;
+        let image_frames = image.frames();
         let image_pages = image_frames.len() as u64;
-        let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
         assert!(dom.memory_pages() >= image_pages, "image pfns are mapped");
-        let frames = &mut self.frames;
         let mut released = 0u64;
         // Only stored entries are visited: a page the space leaves to its
-        // base is already the pristine read-only image mapping.
-        dom.space_mut().update_stored_below(image_pages, |pfn, pte| {
+        // base is already the pristine read-only image mapping. Any other
+        // frame — a private CoW copy, one frozen into a later snapshot — goes.
+        dom.space_mut().update_stored_below(image_pages, frames, |pfn, pte, _| {
             let img_frame = image_frames[pfn as usize];
-            // Any page not backed by the original image frame — a private
-            // CoW copy, or a frame frozen into a later snapshot — is
-            // dropped and the pristine image frame re-shared.
-            if pte.frame != img_frame {
-                frames.release(pte.frame);
-                frames.share(img_frame);
-                released += 1;
-            }
+            released += u64::from(pte.frame != img_frame);
             *pte = Pte { frame: img_frame, writable: false };
         });
         // Overhead pages beyond the image stay allocated; scrub them.
@@ -551,8 +526,9 @@ impl Host {
             frames.write(pte.frame, 0);
         }
         dom.reset_guest_state();
+        let cost = cost.rollback_cost(released);
         self.rollbacks += 1;
-        Ok(self.cost.rollback_cost(released))
+        Ok(cost)
     }
 
     /// Re-shares a domain's private pages whose contents have reverted to
@@ -568,24 +544,19 @@ impl Host {
     ///
     /// Returns [`VmmError::NoSuchDomain`] for unknown domains.
     pub fn reshare_reverted_pages(&mut self, id: DomainId) -> Result<u64, VmmError> {
-        self.ensure_alive()?;
-        let image_id = self.domain(id)?.image();
-        let image_frames =
-            self.images.get(&image_id).ok_or(VmmError::NoSuchImage(image_id))?.frames();
-        let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
-        assert!(dom.memory_pages() >= image_frames.len() as u64, "image pfns are mapped");
-        let frames = &mut self.frames;
+        let (dom, image, frames, _) = self.resolve(id)?;
+        let image_frames = image.frames();
+        let image_pages = image_frames.len() as u64;
+        assert!(dom.memory_pages() >= image_pages, "image pfns are mapped");
         let mut reclaimed = 0u64;
         // A private page is always a stored entry, so those are all there is
         // to look at.
-        dom.space_mut().update_stored_below(image_frames.len() as u64, |pfn, pte| {
+        dom.space_mut().update_stored_below(image_pages, frames, |pfn, pte, frames| {
             let img_frame = image_frames[pfn as usize];
             if pte.writable
                 && pte.frame != img_frame
                 && frames.read(pte.frame) == frames.read(img_frame)
             {
-                frames.release(pte.frame);
-                frames.share(img_frame);
                 *pte = Pte { frame: img_frame, writable: false };
                 reclaimed += 1;
             }
@@ -631,8 +602,10 @@ impl Host {
             }
         }
         let mut report = crate::memctl::MergeReport::default();
+        // Per domain, the pages of its guest region: the image-backed prefix.
+        let pages_of = |d: &Domain| self.images.get(&d.image()).map_or(0, ReferenceImage::pages);
         let scan: Vec<(DomainId, u64)> =
-            self.domains.values().map(|d| (d.id(), self.image_guest_pages(d.image()))).collect();
+            self.domains.values().map(|d| (d.id(), pages_of(d))).collect();
         for (id, guest_pages) in scan {
             // A page the space leaves to its base maps an image frame
             // read-only, and every image frame is indexed above: the pass
@@ -658,20 +631,19 @@ impl Host {
                         // The canonical frame may still be writable in its
                         // owner's map; freeze it first so neither side can
                         // mutate the now-shared frame in place.
+                        let merged = Pte { frame: cframe, writable: false };
                         if let Some((oid, opfn)) = owner {
                             let odom = self.domains.get_mut(&oid).expect("owner is live");
                             odom.space_mut()
-                                .remap(opfn, Pte { frame: cframe, writable: false })
+                                .remap(opfn, merged, &mut self.frames)
                                 .expect("owner pfn in range");
                             canonical.insert(content, (cframe, None));
                         }
-                        self.frames.share(cframe);
-                        self.frames.release(pte.frame);
                         self.domains
                             .get_mut(&id)
                             .expect("listed above")
                             .space_mut()
-                            .remap(pfn, Pte { frame: cframe, writable: false })
+                            .remap(pfn, merged, &mut self.frames)
                             .expect("pfn in range");
                         report.merged_pages += 1;
                     }
@@ -680,12 +652,6 @@ impl Host {
         }
         report.frames_reclaimed = self.frames.free_frames().saturating_sub(free_before);
         Ok(report)
-    }
-
-    /// Pages of the guest region (the image-backed prefix of the address
-    /// space) for domains cloned from `image`.
-    fn image_guest_pages(&self, image: ImageId) -> u64 {
-        self.images.get(&image).map_or(0, ReferenceImage::pages)
     }
 
     /// The host's logical-vs-physical occupancy (sharing ratio input).
@@ -768,31 +734,28 @@ impl Host {
     ) -> Result<TouchStats, VmmError> {
         self.ensure_alive()?;
         let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
+        Self::touch(dom, &mut self.frames, &self.cost, pfns, value_seed)
+    }
+
+    /// The body of every guest write batch, over a domain already resolved.
+    fn touch(
+        dom: &mut Domain,
+        frames: &mut FrameTable,
+        cost: &CostModel,
+        pfns: &[u64],
+        value_seed: u64,
+    ) -> Result<TouchStats, VmmError> {
         if !dom.is_running() {
-            return Err(VmmError::BadState { domain: id, op: "write_page" });
+            return Err(VmmError::BadState { domain: dom.id(), op: "write_page" });
         }
-        let frames = &mut self.frames;
         let mut stats = TouchStats::default();
         for (i, &pfn) in pfns.iter().enumerate() {
-            let value = value_seed.wrapping_add(i as u64);
-            // One visit to the p2m map serves the lookup and, on a CoW fault
-            // (allocate a private copy, remap, then write), the remap.
-            let mut faulted = false;
-            dom.space_mut().update(pfn, |pte| {
-                if pte.writable {
-                    frames.write(pte.frame, value);
-                    return Ok(pte);
-                }
-                let copy = frames.cow_copy(pte.frame)?;
-                frames.write(copy, value);
-                faulted = true;
-                Ok(Pte { frame: copy, writable: true })
-            })?;
+            let faulted = dom.space_mut().write(pfn, value_seed.wrapping_add(i as u64), frames)?;
             dom.note_write(faulted);
             stats.pages += 1;
             if faulted {
                 stats.faults += 1;
-                stats.cost += self.cost.cow_fault;
+                stats.cost += cost.cow_fault;
             }
         }
         Ok(stats)
@@ -809,9 +772,9 @@ impl Host {
         id: DomainId,
         request_idx: u64,
     ) -> Result<TouchStats, VmmError> {
-        let image = self.domain(id)?.image();
-        let pages = self.image(image)?.profile().pages_for_request(request_idx);
-        self.touch_pages(id, &pages, request_idx)
+        let (dom, image, frames, cost) = self.resolve(id)?;
+        let pages = image.profile().pages_for_request(request_idx);
+        Self::touch(dom, frames, cost, &pages, request_idx)
     }
 
     /// Applies the guest's page/disk activity for a successful infection
@@ -821,13 +784,10 @@ impl Host {
     ///
     /// Propagates memory errors.
     pub fn apply_infection(&mut self, id: DomainId, seed: u64) -> Result<TouchStats, VmmError> {
-        let image = self.domain(id)?.image();
-        let profile = self.image(image)?.profile();
-        let pages = profile.pages_for_infection(seed);
-        let disk_blocks = profile.infection_disk_blocks.min(profile.disk_blocks);
-        let stats = self.touch_pages(id, &pages, seed)?;
-        let dom = self.domain_mut(id)?;
-        for b in 0..disk_blocks {
+        let (dom, image, frames, cost) = self.resolve(id)?;
+        let profile = image.profile();
+        let stats = Self::touch(dom, frames, cost, &profile.pages_for_infection(seed), seed)?;
+        for b in 0..profile.infection_disk_blocks.min(profile.disk_blocks) {
             dom.disk_mut().write(b, seed.wrapping_add(b)).expect("block bounds clamped");
         }
         dom.mark_infected();
@@ -941,10 +901,11 @@ impl Host {
 mod tests {
     use super::*;
 
-    /// `encode_state` of [`diverged_host`] as the parent of the sparse p2m
-    /// map wrote it.
+    /// `encode_state` of [`diverged_host`]: the length as the parent of the
+    /// sparse p2m map wrote it, the digest as of snapshot version 5, which
+    /// moved nothing but the counts of frames that pristine pages map.
     const DIVERGED_HOST_BYTES: usize = 982_829;
-    const DIVERGED_HOST_DIGEST: u64 = 0x6c3b_2d75_0ad7_be40;
+    const DIVERGED_HOST_DIGEST: u64 = 0xe921_9c12_b1f8_6f33;
 
     fn small_host() -> (Host, ImageId) {
         let mut host = Host::new(100_000).with_overhead_pages(16);
@@ -1012,8 +973,8 @@ mod tests {
     fn encode_state_still_writes_the_dense_page_tables() {
         let mut host = diverged_host();
         let bytes = host.encode_state();
-        // Length and digest of this very scenario as encoded when every
-        // domain held a flat `Vec<Pte>`: the wire format has not moved.
+        // The length of this very scenario as encoded when every domain
+        // held a flat `Vec<Pte>`: the wire layout has not moved.
         assert_eq!(bytes.len(), DIVERGED_HOST_BYTES);
         assert_eq!(potemkin_snapshot::fnv1a64(&bytes), DIVERGED_HOST_DIGEST);
 

@@ -5,6 +5,11 @@
 //! flash clone maps copy-on-write, and its disk becomes an immutable base
 //! disk. The image holds one reference on each of its frames, so clone
 //! destruction can never free image state.
+//!
+//! That reference is all a clone's pristine page rests on: a clone holds
+//! the image's frame list, not a count on each frame in it. It is sound
+//! because a host never drops an image; anything that one day does must
+//! refuse while a clone holds the list (`Arc::strong_count` above one).
 
 use core::fmt;
 use std::sync::Arc;

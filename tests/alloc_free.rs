@@ -6,9 +6,11 @@
 //! queue ([`EventQueue`]) — and on the gateway every packet crosses, whose
 //! flow and binding tables must do the same. This test installs a counting
 //! global allocator and drives each through a warmed steady-state cycle,
-//! asserting the per-iteration heap traffic is exactly zero.
+//! asserting the per-iteration heap traffic is exactly zero. What the pool
+//! does allocate is sized to the packet: the largest single request behind a
+//! fresh 40-byte SYN is the 128-byte size class, not an MTU.
 //!
-//! The counter is thread-local (const-initialized, so reading it never
+//! The counters are thread-local (const-initialized, so reading them never
 //! allocates), which keeps the accounting immune to other test threads
 //! in this binary.
 
@@ -21,6 +23,13 @@ use potemkin::sim::{EventQueue, SimTime, Slab};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The largest single request since the test last zeroed it.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    LARGEST.with(|c| c.set(c.get().max(size)));
 }
 
 struct CountingAlloc;
@@ -29,7 +38,7 @@ struct CountingAlloc;
 // thread-local and never re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -38,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -72,6 +81,19 @@ fn warmed_buffer_pool_builds_packets_without_allocating() {
     let stats = pool.stats();
     assert_eq!(stats.acquires, stats.allocated + stats.reused);
     assert!(stats.reused >= 256, "every steady-state build reuses a slot");
+}
+
+#[test]
+fn a_fresh_pooled_syn_reserves_its_size_class_not_an_mtu() {
+    let pool = BufferPool::new();
+    LARGEST.with(|c| c.set(0));
+    let before = allocations();
+    let syn = probe(&pool);
+    assert_eq!(syn.wire().len(), 40);
+    assert!(allocations() > before, "a cold pool does allocate");
+    let largest = LARGEST.with(Cell::get);
+    assert!(largest <= 128, "a 40-byte SYN asked the allocator for {largest} bytes at once");
+    assert_eq!(pool.stats().allocated, 1);
 }
 
 #[test]

@@ -5,6 +5,13 @@
 //! `release_all` hands the frames back in the same order — the frame table's
 //! free list is LIFO, so that order decides every `FrameId` allocated
 //! afterwards, and with it every digest downstream.
+//!
+//! The oracle also keeps the reference rule by hand, in a frame table of its
+//! own where every one of its entries is stored and so owns a reference; the
+//! space under test keeps it itself, and where it sits over the image's list
+//! its pristine pages own none. The two tables must agree on which frames
+//! are free, in which order, and on the count of every frame no pristine
+//! page maps.
 
 use std::sync::Arc;
 
@@ -55,12 +62,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 /// One frame table holding an image and a clone of it: the image's frame
 /// list, the clone's space (over that list when `shared`, else flattened
-/// into explicit entries), and the dense oracle of the same mapping.
+/// into explicit entries, each owning a reference), and the dense oracle of
+/// the same mapping.
 fn build(shared: bool) -> (FrameTable, Arc<[FrameId]>, AddressSpace, Vec<Pte>) {
     let mut frames = FrameTable::new(4_096);
     let image: Arc<[FrameId]> = (0..BASE_PAGES).map(|i| frames.alloc(i).unwrap()).collect();
-    for &f in image.iter() {
-        frames.share(f);
+    if !shared {
+        image.iter().for_each(|&f| frames.share(f));
     }
     let tail: Vec<Pte> =
         (0..TAIL_PAGES).map(|_| Pte { frame: frames.alloc(0).unwrap(), writable: true }).collect();
@@ -136,30 +144,31 @@ proptest! {
             };
             match oracle.get_mut(pfn as usize) {
                 Some(slot) => {
-                    space.remap(pfn, new).unwrap();
-                    let old = std::mem::replace(slot, new);
-                    // Keep refcounts honest so `release_all` frees exactly
-                    // what a host would: the displaced frame loses this
-                    // mapping's reference, an image frame mapped back gains one.
-                    if old.frame != new.frame {
-                        for table in [&mut frames, &mut dense_frames] {
-                            if image.get(pfn as usize) == Some(&new.frame) {
-                                table.share(new.frame);
-                            }
-                            table.release(old.frame);
-                        }
-                    }
+                    space.remap(pfn, new, &mut frames).unwrap();
+                    // The oracle's entry is stored whatever it holds: its
+                    // reference moves from the old frame to the new one.
+                    dense_frames.share(new.frame);
+                    dense_frames.release(std::mem::replace(slot, new).frame);
                 }
-                None => {
-                    prop_assert!(space.remap(pfn, new).is_err());
-                    if let Op::Diverge { .. } = op {
-                        frames.release(new.frame);
-                        dense_frames.release(new.frame);
-                    }
-                }
+                None => prop_assert!(space.remap(pfn, new, &mut frames).is_err()),
+            }
+            // A fresh frame came with the allocation's own reference; the
+            // entry, if there is one now, holds another.
+            if let Op::Diverge { .. } = op {
+                frames.release(new.frame);
+                dense_frames.release(new.frame);
             }
         }
         audit(&space, &oracle)?;
+        // What each frame is owed: one reference for the image's list, one
+        // for each stored entry naming it.
+        for (pfn, &frame) in (0u64..).zip(image.iter()) {
+            let stored = space.stored().filter(|s| s.1.frame == frame).count() as u32;
+            prop_assert_eq!(frames.refcount(frame), 1 + stored, "image frame of pfn {}", pfn);
+        }
+        for (_, pte) in space.stored().filter(|s| !image.contains(&s.1.frame)) {
+            prop_assert_eq!(frames.refcount(pte.frame), dense_frames.refcount(pte.frame));
+        }
 
         // Release the space one way and the oracle the plain way: pfn order.
         space.release_all(&mut frames);

@@ -14,6 +14,12 @@
 //!    merged report for any shard worker count, and no pressure eviction
 //!    opens a containment hole (the escape counter stays zero).
 //!
+//! 4. **The reference rule.** Whatever a host has been through, a frame's
+//!    count is the image frame lists naming it plus the *stored* p2m entries
+//!    naming it — a clone's pristine pages hold nothing — through a
+//!    checkpoint and back, and once every domain is gone what stays resident
+//!    is what the images hold.
+//!
 //! The replay cases run full telescope scenarios per worker count, so
 //! their budget is small; the fixed tests in `potemkin_bench::e13` and
 //! `potemkin_vmm` cover the common configurations on every run.
@@ -28,7 +34,7 @@ use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::SimTime;
 use potemkin::vmm::guest::GuestProfile;
-use potemkin::vmm::{DomainId, Host};
+use potemkin::vmm::{DomainId, FrameId, Host, ImageId};
 use potemkin::workload::radiation::RadiationConfig;
 use potemkin::workload::worm::WormSpec;
 
@@ -105,6 +111,161 @@ fn pressure_digest(config: &ShardedTelescopeConfig, workers: usize) -> (String, 
         ),
         r.degradation.escaped,
     )
+}
+
+/// One step of a host's life, domains and images picked by index into
+/// what is live at the time.
+#[derive(Clone, Debug)]
+enum HostOp {
+    FlashClone {
+        image: usize,
+    },
+    FullCopy {
+        image: usize,
+    },
+    Touch {
+        dom: usize,
+        pfns: Vec<u64>,
+        seed: u64,
+    },
+    /// Write a page's image content back, so a reshare or a merge finds it.
+    Revert {
+        dom: usize,
+        pfn: u64,
+    },
+    Rollback {
+        dom: usize,
+    },
+    Reshare {
+        dom: usize,
+    },
+    Merge,
+    Snapshot {
+        dom: usize,
+    },
+    Destroy {
+        dom: usize,
+    },
+    CrashAndRevive,
+}
+
+// Four words of the delta's bitmap, the last one partial, and a tail.
+const RULE_IMAGE_PAGES: u64 = 200;
+const RULE_OVERHEAD_PAGES: u64 = 3;
+
+fn arb_host_op() -> impl Strategy<Value = HostOp> {
+    let pick = 0usize..64;
+    let pfn = 0..RULE_IMAGE_PAGES + RULE_OVERHEAD_PAGES;
+    prop_oneof![
+        4 => pick.clone().prop_map(|image| HostOp::FlashClone { image }),
+        1 => pick.clone().prop_map(|image| HostOp::FullCopy { image }),
+        // Few seeds, so that clones write the same contents and merge.
+        8 => (pick.clone(), proptest::collection::vec(pfn.clone(), 1..12), 0u64..3)
+            .prop_map(|(dom, pfns, seed)| HostOp::Touch { dom, pfns, seed }),
+        3 => (pick.clone(), 0..RULE_IMAGE_PAGES).prop_map(|(dom, pfn)| HostOp::Revert { dom, pfn }),
+        2 => pick.clone().prop_map(|dom| HostOp::Rollback { dom }),
+        2 => pick.clone().prop_map(|dom| HostOp::Reshare { dom }),
+        2 => Just(HostOp::Merge),
+        1 => pick.clone().prop_map(|dom| HostOp::Snapshot { dom }),
+        2 => pick.prop_map(|dom| HostOp::Destroy { dom }),
+        1 => Just(HostOp::CrashAndRevive),
+    ]
+}
+
+fn rule_host() -> Host {
+    Host::new(16_384).with_overhead_pages(RULE_OVERHEAD_PAGES)
+}
+
+/// The reference rule, checked frame by frame: every resident frame is named
+/// by an image list or a stored entry, and counts exactly those.
+fn check_reference_rule(host: &Host, images: &[ImageId]) -> Result<(), TestCaseError> {
+    let mut owed: std::collections::BTreeMap<FrameId, u32> = Default::default();
+    let listed = images.iter().flat_map(|&id| host.image(id).expect("kept").frames().to_vec());
+    let stored = host.domains().flat_map(|d| d.space().stored().map(|(_, pte)| pte.frame));
+    for frame in listed.chain(stored) {
+        *owed.entry(frame).or_default() += 1;
+    }
+    prop_assert_eq!(host.frames().used_frames(), owed.len() as u64, "a frame nothing names");
+    for (&frame, &count) in &owed {
+        prop_assert_eq!(host.frames().refcount(frame), count, "{}", frame);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Claim 4, over random lives of one host with a checkpoint round trip
+    /// somewhere in the middle.
+    #[test]
+    fn refcounts_are_image_lists_plus_stored_entries(
+        ops in proptest::collection::vec(arb_host_op(), 1..80),
+        checkpoint_at in 0usize..80,
+    ) {
+        let profile = GuestProfile { memory_pages: RULE_IMAGE_PAGES, ..GuestProfile::small() };
+        let mut host = rule_host();
+        let mut images = vec![host.create_reference_image("rule", profile).expect("fits")];
+        for (step, op) in ops.into_iter().enumerate() {
+            if step == checkpoint_at {
+                let bytes = host.encode_state();
+                host = rule_host();
+                host.restore_state(&bytes).expect("own payload");
+                prop_assert_eq!(host.encode_state(), bytes);
+            }
+            let live: Vec<DomainId> = host.domains().map(|d| d.id()).collect();
+            let dom = |i: usize| live.get(i % live.len().max(1)).copied();
+            // A refusal (no domain yet, no room) is part of a life too:
+            // outcomes are dropped, only the rule is checked.
+            match op {
+                HostOp::FlashClone { image } => {
+                    let _ = host.flash_clone(images[image % images.len()]);
+                }
+                HostOp::FullCopy { image } => {
+                    let _ = host.full_copy_clone(images[image % images.len()]);
+                }
+                HostOp::Merge => {
+                    host.scan_and_merge().expect("host is alive");
+                }
+                HostOp::CrashAndRevive => {
+                    host.crash();
+                    host.revive();
+                }
+                HostOp::Touch { dom: i, pfns, seed } => {
+                    let _ = dom(i).map(|id| host.touch_pages(id, &pfns, seed));
+                }
+                HostOp::Revert { dom: i, pfn } => {
+                    if let Some(id) = dom(i) {
+                        let image = host.domain(id).expect("live").image();
+                        let frame = host.image(image).expect("kept").frames()[pfn as usize];
+                        let content = host.frames().read(frame);
+                        let _ = host.write_page(id, pfn, content);
+                    }
+                }
+                HostOp::Rollback { dom: i } => {
+                    let _ = dom(i).map(|id| host.rollback(id));
+                }
+                HostOp::Reshare { dom: i } => {
+                    let _ = dom(i).map(|id| host.reshare_reverted_pages(id));
+                }
+                HostOp::Snapshot { dom: i } => {
+                    if let Some(id) = dom(i) {
+                        images.push(host.snapshot_domain(id, "frozen").expect("live domain"));
+                    }
+                }
+                HostOp::Destroy { dom: i } => {
+                    let _ = dom(i).map(|id| host.destroy(id));
+                }
+            }
+            check_reference_rule(&host, &images)?;
+        }
+        let live: Vec<DomainId> = host.domains().map(|d| d.id()).collect();
+        for id in live {
+            host.destroy(id).expect("live domain");
+        }
+        // With no domain left the rule says it all: what stays resident is
+        // what the images hold.
+        check_reference_rule(&host, &images)?;
+    }
 }
 
 proptest! {

@@ -421,7 +421,9 @@ proptest! {
 /// Claim 4b: a payload whose first length is `u64::MAX >> 4` — alone, and
 /// followed by enough zeros that the bytes after it parse — is a decode
 /// error for every component with a `restore_state`, and for every
-/// sequence-bearing `Snap` type.
+/// sequence-bearing `Snap` type. So is a frame table whose lengths add up
+/// but whose slots are not each claimed once: a count of zero means free, so
+/// such a table would hold a slot that is neither live nor free.
 #[test]
 fn a_hostile_first_length_is_a_decode_error_for_every_component() {
     use potemkin::fed::FederationRouter;
@@ -474,5 +476,30 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
                 hostile.len()
             );
         }
+    }
+
+    // A three-slot table as `FrameTable::snap` writes it: total, allocs,
+    // frees, table length, the free list, then `(index, refcount, content)`
+    // per live frame.
+    let table = |free: &[u64], live: &[(u64, u32, u64)]| {
+        let mut w = potemkin::snapshot::SnapWriter::new();
+        (8u64, 5u64, 2u64).snap(&mut w);
+        w.usize(3);
+        free.to_vec().snap(&mut w);
+        live.to_vec().snap(&mut w);
+        FrameTable::from_bytes(&w.into_bytes(), "hostile")
+    };
+    let honest = table(&[1], &[(0, 1, 7), (2, 3, 9)]).expect("one claim per slot");
+    assert_eq!((honest.used_frames(), honest.refcount(potemkin::vmm::FrameId(2))), (2, 3));
+    for (what, free, live) in [
+        ("a live row with refcount 0", &[1][..], &[(0, 0, 7), (2, 3, 9)][..]),
+        ("an index live twice", &[1], &[(0, 1, 7), (0, 3, 9)]),
+        ("an index live and free", &[0], &[(0, 1, 7), (2, 3, 9)]),
+        ("an index free twice", &[1, 1], &[(0, 1, 7)]),
+        ("a live index past the table", &[1], &[(0, 1, 7), (3, 3, 9)]),
+        ("a free index past the table", &[3], &[(0, 1, 7), (2, 3, 9)]),
+    ] {
+        let outcome = table(free, live).map(drop);
+        assert!(matches!(outcome, Err(SnapshotError::Decode { .. })), "{what}: {outcome:?}");
     }
 }

@@ -10,13 +10,15 @@
 //! replay and reports availability (fraction of first contacts served by a
 //! full VM), mean time to re-bind after a crash, fidelity loss per
 //! degradation level, and — the invariant that must never move — escaped
-//! packets.
+//! packets. Each level is a one-cell, one-worker run of the shared cell
+//! engine with the level as its fault-plan template.
 
 use potemkin_core::farm::FarmConfig;
-use potemkin_core::scenario::{run_telescope_faulted, TelescopeConfig};
+use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_metrics::Table;
-use potemkin_sim::{FaultPlan, FaultPlanConfig, SimTime};
+use potemkin_sim::{FaultPlanConfig, SimTime};
 use potemkin_vmm::RetryPolicy;
 
 use crate::harness::Outcome;
@@ -86,14 +88,14 @@ fn farm_config() -> FarmConfig {
     farm
 }
 
-fn plan_for(level: &FaultLevel, duration: SimTime) -> FaultPlan {
-    FaultPlan::generate(&FaultPlanConfig {
+fn plan_for(level: &FaultLevel, duration: SimTime) -> FaultPlanConfig {
+    FaultPlanConfig {
         seed: PLAN_SEED,
         host_crash_rate_per_hour: level.host_crash_rate_per_hour,
         clone_failure_prob: level.clone_failure_prob,
         gateway_stall_rate_per_hour: level.gateway_stall_rate_per_hour,
         ..FaultPlanConfig::zero(duration, SERVERS)
-    })
+    }
 }
 
 /// Runs the sweep: the same telescope replay under each fault level.
@@ -106,7 +108,7 @@ pub fn run(duration: SimTime, levels: &[FaultLevel]) -> FaultSweepResult {
     let mut points = Vec::with_capacity(levels.len());
     let mut packets = 0;
     for &level in levels {
-        let config = TelescopeConfig::builder(
+        let base = TelescopeConfig::builder(
             farm_config(),
             potemkin_workload::radiation::RadiationConfig::default(),
         )
@@ -116,8 +118,12 @@ pub fn run(duration: SimTime, levels: &[FaultLevel]) -> FaultSweepResult {
         .tick_interval(SimTime::from_secs(1))
         .build()
         .expect("fixed telescope config is valid");
-        let (result, report) =
-            run_telescope_faulted(config, plan_for(&level, duration)).expect("replay runs");
+        let config = ShardedTelescopeConfig::builder(base)
+            .faults(plan_for(&level, duration))
+            .build()
+            .expect("fixed telescope config is valid");
+        let result = run_telescope_sharded(&config, 1).expect("replay runs");
+        let report = &result.degradation;
         packets = result.packets;
         points.push(FaultPoint {
             level,
@@ -202,12 +208,16 @@ pub fn table(result: &FaultSweepResult) -> Table {
     t
 }
 
-/// Runs the experiment at `figures` scale (shortened when `fast`).
+/// Runs the experiment at `figures` scale (shortened when `fast`), with
+/// the containment claim: nothing escapes at any fault level.
 #[must_use]
 pub fn outcome(fast: bool) -> Outcome {
     let r = run(SimTime::from_secs(if fast { 60 } else { 300 }), &default_levels());
     let trace = format!("trace: {} packets over {} per fault level", r.packets, r.duration);
-    Outcome::default().line(trace).table(table(&r))
+    Outcome::default()
+        .line(trace)
+        .table(table(&r))
+        .claim("no_escapes_at_any_fault_level", r.points.iter().all(|p| p.escapes == 0))
 }
 
 #[cfg(test)]

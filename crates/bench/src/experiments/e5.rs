@@ -7,13 +7,20 @@
 //! allow-all it attacks the Internet. This experiment runs the same outbreak
 //! under all three policies and prints the infection curves, validating the
 //! reflection curve's shape against the analytic SI model.
+//!
+//! Each outbreak is a one-cell, one-worker run of the shared cell engine
+//! whose telescope is the worm's /24, with no radiation.
 
 use potemkin_core::farm::FarmConfig;
-use potemkin_core::scenario::{run_outbreak, OutbreakConfig, OutbreakResult};
+use potemkin_core::parallel::{
+    run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult,
+};
+use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::{ContainmentMode, PolicyConfig};
 use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
 use potemkin_workload::epidemic::SiModel;
+use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
 use crate::harness::Outcome;
@@ -22,7 +29,7 @@ use crate::harness::Outcome;
 #[derive(Clone, Debug)]
 pub struct ContainmentResult {
     /// Per-mode outbreak results, in `[Reflect, DropAll, AllowAll]` order.
-    pub runs: Vec<(ContainmentMode, OutbreakResult)>,
+    pub runs: Vec<(ContainmentMode, ShardedTelescopeResult)>,
     /// The analytic prediction for the reflection run.
     pub analytic: SiModel,
     /// Duration of each run.
@@ -41,7 +48,7 @@ pub fn slow_worm() -> WormSpec {
     WormSpec { scan_rate: 0.5, ..WormSpec::code_red(SPACE.parse().expect("static prefix")) }
 }
 
-fn config_for(mode: ContainmentMode, duration: SimTime) -> OutbreakConfig {
+fn config_for(mode: ContainmentMode, duration: SimTime) -> ShardedTelescopeConfig {
     let mut farm = FarmConfig::small_test();
     farm.gateway.policy = match mode {
         ContainmentMode::Reflect => PolicyConfig::reflect(),
@@ -53,11 +60,19 @@ fn config_for(mode: ContainmentMode, duration: SimTime) -> OutbreakConfig {
     farm.worm = Some(slow_worm());
     farm.frames_per_server = 4_000_000;
     farm.max_domains_per_server = 4_096;
-    OutbreakConfig::builder(farm)
-        .initial_infections(1)
+    let quiet = RadiationConfig {
+        telescope: SPACE.parse().expect("static prefix"),
+        peak_source_rate: 0.0,
+        ..RadiationConfig::default()
+    };
+    let base = TelescopeConfig::builder(farm, quiet)
         .duration(duration)
         .sample_interval(SimTime::from_secs(1))
         .tick_interval(SimTime::from_secs(10))
+        .build()
+        .expect("fixed outbreak config is valid");
+    ShardedTelescopeConfig::builder(base)
+        .seed_infections(1)
         .build()
         .expect("fixed outbreak config is valid")
 }
@@ -70,9 +85,12 @@ fn config_for(mode: ContainmentMode, duration: SimTime) -> OutbreakConfig {
 #[must_use]
 pub fn run(duration: SimTime) -> ContainmentResult {
     let modes = [ContainmentMode::Reflect, ContainmentMode::DropAll, ContainmentMode::AllowAll];
-    let runs: Vec<(ContainmentMode, OutbreakResult)> = modes
+    let runs = modes
         .into_iter()
-        .map(|mode| (mode, run_outbreak(config_for(mode, duration)).expect("scenario must build")))
+        .map(|mode| {
+            let config = config_for(mode, duration);
+            (mode, run_telescope_sharded(&config, 1).expect("scenario must build"))
+        })
         .collect();
     let worm = slow_worm();
     let analytic = SiModel::new(
@@ -101,8 +119,8 @@ pub fn summary_table(result: &ContainmentResult) -> Table {
         t.row_owned(vec![
             format!("{mode:?}"),
             r.final_infected.to_string(),
-            r.escapes.to_string(),
-            r.probes.to_string(),
+            r.degradation.escaped.to_string(),
+            r.stats.counters.get("worm_probes").to_string(),
             r.stats.counters.get("unique_payloads_captured").to_string(),
             r.stats.live_vms.to_string(),
         ]);
@@ -115,8 +133,7 @@ pub fn summary_table(result: &ContainmentResult) -> Table {
 pub fn curve_table(result: &ContainmentResult) -> Table {
     let mut t = Table::new(&["t (s)", "infected (simulated)", "infected (SI model)"])
         .with_title("E5b: internal epidemic growth under reflection");
-    let (_, reflect_run) =
-        &result.runs.iter().find(|(m, _)| *m == ContainmentMode::Reflect).expect("reflect run");
+    let reflect_run = run_for(result, ContainmentMode::Reflect);
     let step = (result.duration.as_secs() / 12).max(1);
     for (at, v) in reflect_run.infected_series.iter() {
         if at.as_secs() % step == 0 {
@@ -130,11 +147,30 @@ pub fn curve_table(result: &ContainmentResult) -> Table {
     t
 }
 
-/// Runs the experiment at `figures` scale (shortened when `fast`).
+/// The run under `mode` ([`run`] makes one under each).
+fn run_for(result: &ContainmentResult, mode: ContainmentMode) -> &ShardedTelescopeResult {
+    result.runs.iter().find(|(m, _)| *m == mode).map(|(_, r)| r).expect("every mode ran")
+}
+
+/// Runs the experiment at `figures` scale (shortened when `fast`), with
+/// the containment claims: nothing escapes a containing policy, and
+/// reflection spreads the worm while drop-all leaves it at its seed.
 #[must_use]
 pub fn outcome(fast: bool) -> Outcome {
     let r = run(SimTime::from_secs(if fast { 25 } else { 60 }));
-    Outcome::default().table(summary_table(&r)).table(curve_table(&r))
+    let reflect = run_for(&r, ContainmentMode::Reflect);
+    let drop = run_for(&r, ContainmentMode::DropAll);
+    Outcome::default()
+        .table(summary_table(&r))
+        .table(curve_table(&r))
+        .claim(
+            "reflect_and_drop_all_escape_nothing",
+            reflect.degradation.escaped == 0 && drop.degradation.escaped == 0,
+        )
+        .claim(
+            "reflect_spreads_while_drop_all_stays_at_its_seed",
+            reflect.final_infected > 1 && drop.final_infected == 1,
+        )
 }
 
 #[cfg(test)]
@@ -144,29 +180,27 @@ mod tests {
     #[test]
     fn policies_separate_as_the_paper_shows() {
         let r = run(SimTime::from_secs(25));
-        let get = |mode: ContainmentMode| {
-            r.runs.iter().find(|(m, _)| *m == mode).map(|(_, r)| r).unwrap()
-        };
-        let reflect = get(ContainmentMode::Reflect);
-        let drop = get(ContainmentMode::DropAll);
-        let allow = get(ContainmentMode::AllowAll);
+        let reflect = run_for(&r, ContainmentMode::Reflect);
+        let drop = run_for(&r, ContainmentMode::DropAll);
+        let allow = run_for(&r, ContainmentMode::AllowAll);
+        let probes = |r: &ShardedTelescopeResult| r.stats.counters.get("worm_probes");
 
         // Reflection: spreads internally, zero escapes.
         assert!(reflect.final_infected > 2, "reflect spread: {}", reflect.final_infected);
-        assert_eq!(reflect.escapes, 0);
+        assert_eq!(reflect.degradation.escaped, 0);
         // Drop-all: frozen at the seed, zero escapes.
         assert_eq!(drop.final_infected, 1);
-        assert_eq!(drop.escapes, 0);
+        assert_eq!(drop.degradation.escaped, 0);
         // Allow-all: escapes to the Internet.
-        assert!(allow.escapes > 0);
+        assert!(allow.degradation.escaped > 0);
         // Reflection observes strictly more behaviour than drop-all.
-        assert!(reflect.probes >= drop.probes);
+        assert!(probes(reflect) >= probes(drop));
     }
 
     #[test]
     fn reflection_curve_grows_like_si_early_phase() {
         let r = run(SimTime::from_secs(30));
-        let (_, reflect) = r.runs.iter().find(|(m, _)| *m == ContainmentMode::Reflect).unwrap();
+        let reflect = run_for(&r, ContainmentMode::Reflect);
         // Simulated infections at the horizon within a factor of ~3 of the
         // analytic prediction (the sim has cloning latency and dialogue
         // round-trips the ideal model lacks).

@@ -3,10 +3,14 @@
 //! The paper ran its prototype live against the UCSD telescope for ~10
 //! minutes and reported the traffic served and VMs consumed. This experiment
 //! replays synthetic radiation of the same character against the full farm
-//! (gateway + servers + recycling) and reports the analogous numbers.
+//! (gateway + servers + recycling) and reports the analogous numbers, as a
+//! one-cell, one-worker run of the shared cell engine.
 
 use potemkin_core::farm::FarmConfig;
-use potemkin_core::scenario::{run_telescope, TelescopeConfig, TelescopeResult};
+use potemkin_core::parallel::{
+    run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult,
+};
+use potemkin_core::scenario::TelescopeConfig;
 use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
 use potemkin_workload::radiation::RadiationConfig;
@@ -15,19 +19,20 @@ use crate::harness::Outcome;
 
 /// Builds the standard end-to-end configuration.
 #[must_use]
-pub fn config(duration: SimTime, idle_timeout: SimTime, servers: usize) -> TelescopeConfig {
+pub fn config(duration: SimTime, idle_timeout: SimTime, servers: usize) -> ShardedTelescopeConfig {
     let mut farm = FarmConfig::small_test();
     farm.servers = servers;
     farm.frames_per_server = 1_500_000;
     farm.max_domains_per_server = 2_048;
     farm.gateway.policy.binding_idle_timeout = idle_timeout;
-    TelescopeConfig::builder(farm, RadiationConfig::default())
+    let base = TelescopeConfig::builder(farm, RadiationConfig::default())
         .seed(2005)
         .duration(duration)
         .sample_interval(SimTime::from_secs(5))
         .tick_interval(SimTime::from_secs(1))
         .build()
-        .expect("fixed telescope config is valid")
+        .expect("fixed telescope config is valid");
+    ShardedTelescopeConfig::builder(base).build().expect("fixed telescope config is valid")
 }
 
 /// Runs the replay.
@@ -36,13 +41,13 @@ pub fn config(duration: SimTime, idle_timeout: SimTime, servers: usize) -> Teles
 ///
 /// Panics if the fixed configuration fails to build (a bug).
 #[must_use]
-pub fn run(duration: SimTime, idle_timeout: SimTime, servers: usize) -> TelescopeResult {
-    run_telescope(config(duration, idle_timeout, servers)).expect("config must build")
+pub fn run(duration: SimTime, idle_timeout: SimTime, servers: usize) -> ShardedTelescopeResult {
+    run_telescope_sharded(&config(duration, idle_timeout, servers), 1).expect("config must build")
 }
 
 /// Renders the headline numbers.
 #[must_use]
-pub fn summary_table(result: &TelescopeResult, duration: SimTime) -> Table {
+pub fn summary_table(result: &ShardedTelescopeResult, duration: SimTime) -> Table {
     let mut t = Table::new(&["metric", "value"]).with_title("E6: end-to-end telescope replay");
     let s = &result.stats;
     t.row_owned(vec!["replay duration".into(), duration.to_string()]);
@@ -76,7 +81,7 @@ pub fn summary_table(result: &TelescopeResult, duration: SimTime) -> Table {
 /// Renders the trace's traffic-mix breakdown (the deployment report's
 /// "what hit the telescope" table).
 #[must_use]
-pub fn mix_table(result: &TelescopeResult) -> Table {
+pub fn mix_table(result: &ShardedTelescopeResult) -> Table {
     let mix = &result.mix;
     let mut t = Table::new(&["class", "packets"]).with_title("E6c: replayed traffic mix");
     t.row_owned(vec!["TCP SYN (scans)".into(), mix.tcp_syns.to_string()]);
@@ -91,7 +96,7 @@ pub fn mix_table(result: &TelescopeResult) -> Table {
 
 /// Renders the live-VM time series.
 #[must_use]
-pub fn series_table(result: &TelescopeResult) -> Table {
+pub fn series_table(result: &ShardedTelescopeResult) -> Table {
     let mut t = Table::new(&["t (s)", "live VMs"]).with_title("E6b: live VMs over the replay");
     for (at, v) in result.live_vm_series.iter() {
         t.row_owned(vec![at.as_secs().to_string(), format!("{v:.0}")]);

@@ -10,9 +10,14 @@
 //!   time spent per recycled VM.
 //! * **Backscatter filter** — VMs wasted on DoS backscatter when the
 //!   filter is off.
+//!
+//! Every variant is a one-cell, one-worker run of the shared cell engine.
 
 use potemkin_core::farm::{FarmConfig, RecycleStrategy};
-use potemkin_core::scenario::{run_telescope, TelescopeConfig, TelescopeResult};
+use potemkin_core::parallel::{
+    run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult,
+};
+use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::binding::BindGranularity;
 use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
@@ -26,7 +31,7 @@ pub struct AblationRow {
     /// What was varied.
     pub label: String,
     /// The run.
-    pub result: TelescopeResult,
+    pub result: ShardedTelescopeResult,
 }
 
 /// Result of the ablation suite.
@@ -56,6 +61,11 @@ fn base_config(duration: SimTime) -> TelescopeConfig {
         .expect("fixed telescope config is valid")
 }
 
+fn replay(base: TelescopeConfig) -> ShardedTelescopeResult {
+    let config = ShardedTelescopeConfig::builder(base).build().expect("config builds");
+    run_telescope_sharded(&config, 1).expect("config builds")
+}
+
 /// Runs the ablation suite over `duration` of identical radiation.
 ///
 /// # Panics
@@ -70,10 +80,7 @@ pub fn run(duration: SimTime) -> AblationResult {
     ] {
         let mut cfg = base_config(duration);
         cfg.farm.gateway.granularity = g;
-        granularity.push(AblationRow {
-            label: label.to_string(),
-            result: run_telescope(cfg).expect("config builds"),
-        });
+        granularity.push(AblationRow { label: label.to_string(), result: replay(cfg) });
     }
 
     let mut standby = Vec::new();
@@ -84,10 +91,7 @@ pub fn run(duration: SimTime) -> AblationResult {
         // Both variants use rollback recycling (which refills the pool), so
         // the initial pool size matters for the cold-start transient; in
         // steady state recycled VMs dominate either way.
-        standby.push(AblationRow {
-            label: format!("initial pool = {pool}"),
-            result: run_telescope(cfg).expect("config builds"),
-        });
+        standby.push(AblationRow { label: format!("initial pool = {pool}"), result: replay(cfg) });
     }
 
     let mut recycle = Vec::new();
@@ -97,20 +101,14 @@ pub fn run(duration: SimTime) -> AblationResult {
     ] {
         let mut cfg = base_config(duration);
         cfg.farm.recycle = strategy;
-        recycle.push(AblationRow {
-            label: label.to_string(),
-            result: run_telescope(cfg).expect("config builds"),
-        });
+        recycle.push(AblationRow { label: label.to_string(), result: replay(cfg) });
     }
 
     let mut backscatter = Vec::new();
     for (label, filter) in [("filter on", true), ("filter off", false)] {
         let mut cfg = base_config(duration);
         cfg.farm.gateway.policy.filter_backscatter = filter;
-        backscatter.push(AblationRow {
-            label: label.to_string(),
-            result: run_telescope(cfg).expect("config builds"),
-        });
+        backscatter.push(AblationRow { label: label.to_string(), result: replay(cfg) });
     }
 
     AblationResult { granularity, standby, recycle, backscatter }

@@ -8,14 +8,17 @@
 //! the endemic level `N(1 − γ/β)`. This experiment sweeps the hard VM
 //! lifetime and compares the simulated farm against the analytic
 //! prediction — the operator can bound the farm's own infection level by
-//! turning one dial.
+//! turning one dial. Each point is a one-cell, one-worker outbreak run of
+//! the shared cell engine on the worm's quiet /24.
 
 use potemkin_core::farm::FarmConfig;
-use potemkin_core::scenario::{run_outbreak, OutbreakConfig};
+use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_metrics::Table;
 use potemkin_sim::SimTime;
 use potemkin_workload::epidemic::SisModel;
+use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
 use crate::harness::Outcome;
@@ -70,14 +73,22 @@ pub fn run(duration: SimTime, lifetimes: &[SimTime]) -> RecycleResult {
         farm.worm = Some(slow_worm());
         farm.frames_per_server = 2_000_000;
         farm.max_domains_per_server = 4_096;
-        let config = OutbreakConfig::builder(farm)
-            .initial_infections(SEEDS)
+        let quiet = RadiationConfig {
+            telescope: SPACE.parse().expect("static prefix"),
+            peak_source_rate: 0.0,
+            ..RadiationConfig::default()
+        };
+        let base = TelescopeConfig::builder(farm, quiet)
             .duration(duration)
             .sample_interval(SimTime::from_secs(1))
             .tick_interval(SimTime::from_millis(500))
             .build()
             .expect("fixed outbreak config is valid");
-        let result = run_outbreak(config).expect("outbreak runs");
+        let config = ShardedTelescopeConfig::builder(base)
+            .seed_infections(SEEDS)
+            .build()
+            .expect("fixed outbreak config is valid");
+        let result = run_telescope_sharded(&config, 1).expect("outbreak runs");
         let model =
             SisModel::new(256, SEEDS as u64, SCAN_RATE, 256, lifetime).expect("valid model");
         points.push(RecyclePoint {
@@ -85,7 +96,7 @@ pub fn run(duration: SimTime, lifetimes: &[SimTime]) -> RecycleResult {
             r0: model.si.beta() / model.gamma,
             final_infected: result.final_infected,
             predicted_equilibrium: model.endemic_equilibrium(),
-            escapes: result.escapes,
+            escapes: result.degradation.escaped,
         });
     }
     RecycleResult { points, scan_rate: SCAN_RATE, duration }
@@ -122,11 +133,18 @@ pub fn table(result: &RecycleResult) -> Table {
     t
 }
 
-/// Runs the experiment at `figures` scale (shortened when `fast`).
+/// Runs the experiment at `figures` scale (shortened when `fast`), with
+/// the containment claims: nothing escapes at any lifetime, and every
+/// subcritical point (R0 < 1) dies out below its seeds.
 #[must_use]
 pub fn outcome(fast: bool) -> Outcome {
     let r = run(SimTime::from_secs(if fast { 30 } else { 90 }), &default_lifetimes());
-    Outcome::default().table(table(&r))
+    let mut subcritical = r.points.iter().filter(|p| p.r0 < 1.0).peekable();
+    let dies_out = subcritical.peek().is_some() && subcritical.all(|p| p.final_infected < SEEDS);
+    Outcome::default()
+        .table(table(&r))
+        .claim("no_escapes_at_any_lifetime", r.points.iter().all(|p| p.escapes == 0))
+        .claim("subcritical_point_dies_out", dies_out)
 }
 
 #[cfg(test)]

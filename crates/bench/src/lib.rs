@@ -3,8 +3,7 @@
 //! Every table and figure of the paper's evaluation has a function here that
 //! computes it (see EXPERIMENTS.md for the mapping) and returns a
 //! [`harness::Outcome`]. The `figures` binary prints, writes and checks
-//! them; the Criterion benches in `benches/` measure the hot operations
-//! each experiment exercises.
+//! them; the performance ledger (`benchmark/`) times the hot operations.
 
 pub mod experiments;
 pub mod harness;

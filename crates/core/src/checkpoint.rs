@@ -125,9 +125,12 @@ pub struct CheckpointedRun {
 
 /// Fingerprint of every configuration field that affects deterministic
 /// results — for a config lowered from a federated one, the farm grouping
-/// and admission policy too. The trace config is deliberately excluded
-/// (tracing is observer-effect-free by the `prop_obs` rule), so traced and
-/// untraced runs share snapshots.
+/// and admission policy too, and the adaptive window controller when one
+/// is set (both appended only then, so no other snapshot's fingerprint
+/// moved). The trace config is deliberately excluded (tracing is
+/// observer-effect-free by the `prop_obs` rule), so traced and untraced
+/// runs share snapshots; so is `tuning.rebalance`, which is
+/// digest-invariant.
 #[must_use]
 pub fn config_fingerprint(config: &ShardedTelescopeConfig) -> u64 {
     let mut canonical = format!(
@@ -141,6 +144,9 @@ pub fn config_fingerprint(config: &ShardedTelescopeConfig) -> u64 {
     );
     if let Some(plan) = &config.federation {
         canonical.push_str(&format!("|{plan:?}"));
+    }
+    if let Some(adaptive) = &config.tuning.adaptive {
+        canonical.push_str(&format!("|{adaptive:?}"));
     }
     fnv1a64(canonical.as_bytes())
 }
@@ -617,6 +623,30 @@ mod tests {
         other.base.seed = 999;
         assert!(matches!(
             resume_telescope_checkpointed(&other, 1, &snapshot, &options),
+            Err(FarmError::Snapshot(SnapshotError::ConfigMismatch { .. }))
+        ));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(rotated_path(&path));
+    }
+
+    #[test]
+    fn a_snapshot_does_not_resume_under_other_adaptive_windows() {
+        // Adaptive windows change the window sequence and so the run: a
+        // config that differs only in them is a different run.
+        let config = sharded_config(1);
+        let path = temp_path("adaptive.snap");
+        let mut options = CheckpointOptions::new(&path);
+        options.stop_after_windows = Some(2);
+        run_telescope_checkpointed(&config, 1, &options).unwrap();
+        let (snapshot, _) = recover_snapshot(&path).unwrap();
+        let mut adaptive = config;
+        adaptive.tuning.adaptive = Some(potemkin_sim::AdaptiveWindow::bounded(
+            SimTime::from_millis(250),
+            SimTime::from_millis(1000),
+        ));
+        options.stop_after_windows = None;
+        assert!(matches!(
+            resume_telescope_checkpointed(&adaptive, 1, &snapshot, &options),
             Err(FarmError::Snapshot(SnapshotError::ConfigMismatch { .. }))
         ));
         let _ = std::fs::remove_file(&path);

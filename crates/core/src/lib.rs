@@ -8,15 +8,18 @@
 //!   (flash-cloning on demand, delivering packets into guests, reflecting
 //!   contained traffic back into the farm, recycling idle VMs) and models
 //!   guest responses (service replies, exploit infection, worm dialogue).
-//! * [`scenario`] — event-driven experiment drivers: telescope replay and
-//!   in-farm worm outbreaks, with time-series instrumentation.
+//! * [`scenario`] — [`TelescopeConfig`], the scenario every run starts
+//!   from: farm template, radiation, horizon, sampling and tick intervals.
 //! * [`baseline`] — the low-interaction (scripted) responder baseline for
 //!   the fidelity comparison.
 //! * [`parallel`] — the sharded replay and the crate's one cell world:
 //!   `CellWorld` (a farm, a packet slab, the cell fabric, an optional
 //!   federation hop and an optional attacker fleet) behind one run loop,
 //!   the single caller of the window engine. Every driver below lowers
-//!   its config to a [`ShardedTelescopeConfig`] and runs through it.
+//!   its config to a [`ShardedTelescopeConfig`] and runs through it, and
+//!   so do a plain telescope replay and an in-farm worm outbreak: one
+//!   cell on one worker, the outbreak on a quiet telescope with seed
+//!   infections.
 //! * [`checkpoint`] — whole-farm checkpoint/restore: crash-consistent
 //!   snapshots of that run loop with integrity validation, deterministic
 //!   resume, and what-if forks — of plain and federated runs alike.
@@ -78,9 +81,7 @@ pub use parallel::{
 };
 pub use potemkin_gateway::ConfigError;
 pub use report::{DegradationReport, FarmStats};
-pub use scenario::{
-    OutbreakConfig, OutbreakConfigBuilder, TelescopeConfig, TelescopeConfigBuilder,
-};
+pub use scenario::{TelescopeConfig, TelescopeConfigBuilder};
 pub use services::{
     run_interaction, InteractionConfig, InteractionConfigBuilder, InteractionResult,
 };

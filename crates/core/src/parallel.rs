@@ -20,6 +20,12 @@
 //! window engine; every public driver lowers its config, calls it, and
 //! assembles its own result.
 //!
+//! A plain telescope replay and an in-farm worm outbreak are runs of the
+//! same loop too: one cell on one worker, the outbreak with the worm's
+//! scan space as its telescope, a zero radiation rate and
+//! `seed_infections(n)`. [`ShardedTelescopeResult`] is the one result type,
+//! infection curve included.
+//!
 //! # Determinism
 //!
 //! The partition (`cells`), the barrier width (`window`), and the seeds
@@ -238,6 +244,16 @@ impl ShardedTelescopeConfig {
         let bad = |field, reason| {
             Err(potemkin_gateway::ConfigError::new("ShardedTelescopeConfig", field, reason))
         };
+        let radiation = &self.base.radiation;
+        if !(radiation.peak_source_rate >= 0.0 && radiation.peak_source_rate.is_finite()) {
+            return bad("base.radiation.peak_source_rate", "rate must be finite and >= 0");
+        }
+        if radiation.ports.is_empty() {
+            return bad("base.radiation.ports", "radiation needs at least one port");
+        }
+        if self.seed_infections as u64 > radiation.telescope.len() {
+            return bad("seed_infections", "more seed infections than telescope addresses");
+        }
         if self.cells == 0 {
             return bad("cells", "cells must be > 0");
         }
@@ -321,24 +337,28 @@ impl ShardedTelescopeConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`](potemkin_gateway::ConfigError) for zero
-    /// cells, a zero window, a sliced map that cannot split the telescope,
-    /// seed infections without a worm on the base farm, or bad adaptive
-    /// bounds.
+    /// Returns [`ConfigError`](potemkin_gateway::ConfigError) for a
+    /// radiation rate that is negative, NaN or infinite, radiation without
+    /// ports, zero cells, a zero window, a sliced map that cannot split the
+    /// telescope, seed infections without a worm on the base farm or more
+    /// of them than telescope addresses, or bad adaptive bounds.
     pub fn build(self) -> Result<ShardedTelescopeConfig, potemkin_gateway::ConfigError> {
         self.inner.validate()?;
         Ok(self.inner)
     }
 }
 
-/// Result of a sharded telescope replay: the serial [`TelescopeResult`]
-/// fields merged across cells, plus engine telemetry.
-///
-/// [`TelescopeResult`]: crate::scenario::TelescopeResult
+/// Result of a run: the replayed trace's facts and the cells' farms merged,
+/// plus engine telemetry.
 #[derive(Clone, Debug)]
 pub struct ShardedTelescopeResult {
     /// Live-VM count over time, summed across cells per sample bin.
     pub live_vm_series: TimeSeries,
+    /// Cumulative infections at each sample time — the SI model's I(t),
+    /// patient zeros counted from t = 0 — from the cells' infection logs.
+    /// One bin per `live_vm_series` bin; not part of
+    /// [`canonical_string`](Self::canonical_string).
+    pub infected_series: TimeSeries,
     /// Packets in the replayed trace.
     pub packets: u64,
     /// Distinct external sources in the trace.
@@ -722,18 +742,26 @@ pub(crate) fn assemble_result(
     let stats = FarmStats::collect_sharded(farms.iter().copied());
     let degradation = DegradationReport::collect_sharded(farms.iter().copied());
     let mut live_vm_series = TimeSeries::new(config.base.sample_interval);
+    let mut infected_at = Vec::new();
     let mut cross_cell_packets = 0;
     let mut final_infected = 0;
     for shard in shards.iter() {
         live_vm_series.merge(&shard.world.live_vm_series);
         cross_cell_packets += shard.world.forwarded;
         final_infected += shard.world.farm.infected_vms();
+        infected_at.extend(shard.world.farm.infection_log().iter().map(|record| record.at));
+    }
+    infected_at.sort_unstable();
+    let mut infected_series = TimeSeries::new(config.base.sample_interval);
+    for (at, _) in live_vm_series.iter() {
+        infected_series.add(at, infected_at.partition_point(|&t| t <= at) as f64);
     }
     let peak_live_vms = live_vm_series.peak();
     let federation = crate::federation::assemble_federation(&shards);
     let (trace_events, trace_lanes) = collect_traces(config, &mut shards, &engine);
     ShardedTelescopeResult {
         live_vm_series,
+        infected_series,
         packets,
         distinct_sources,
         distinct_destinations,
@@ -754,11 +782,39 @@ pub(crate) fn assemble_result(
 ///
 /// `workers == 1` runs every cell on the calling thread (the serial
 /// reference); any larger count produces byte-identical merged reports.
+/// One cell on one worker is the plain replay, and — with a zero radiation
+/// rate and seed infections — the in-farm worm outbreak.
+///
+/// # Examples
+///
+/// ```
+/// use potemkin_core::farm::FarmConfig;
+/// use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+/// use potemkin_core::scenario::TelescopeConfig;
+/// use potemkin_sim::SimTime;
+/// use potemkin_workload::radiation::RadiationConfig;
+/// use potemkin_workload::worm::WormSpec;
+///
+/// // An outbreak: the telescope is the worm's scan space and is quiet.
+/// let space = "10.1.0.0/28".parse().unwrap();
+/// let farm = FarmConfig::builder()
+///     .worm(WormSpec::code_red(space))
+///     .frames_per_server(200_000)
+///     .build()
+///     .unwrap();
+/// let quiet = RadiationConfig { telescope: space, peak_source_rate: 0.0, ..Default::default() };
+/// let base = TelescopeConfig::builder(farm, quiet).duration(SimTime::from_secs(5)).build().unwrap();
+/// let config = ShardedTelescopeConfig::builder(base).seed_infections(1).build().unwrap();
+/// let result = run_telescope_sharded(&config, 1).unwrap();
+/// assert!(result.final_infected >= 1);
+/// assert_eq!(result.degradation.escaped, 0, "reflection contains the worm");
+/// ```
 ///
 /// # Errors
 ///
-/// Returns [`FarmError::BadConfig`] for a zero cell count, seed infections
-/// without a worm, or a farm the cells cannot build.
+/// Returns [`FarmError::BadConfig`] for a config
+/// [`ShardedTelescopeConfigBuilder::build`] rejects, or a farm the cells
+/// cannot build.
 pub fn run_telescope_sharded(
     config: &ShardedTelescopeConfig,
     workers: usize,
@@ -1130,20 +1186,136 @@ mod tests {
         assert_eq!(serial.canonical_string(), parallel.canonical_string());
     }
 
+    /// A one-cell in-farm outbreak: the worm's /24 is a quiet telescope.
+    fn outbreak_config(policy: PolicyConfig) -> ShardedTelescopeConfig {
+        let mut farm = FarmConfig::small_test();
+        farm.gateway.policy = policy;
+        farm.worm = Some(WormSpec::code_red("10.1.0.0/24".parse().unwrap()));
+        farm.frames_per_server = 600_000;
+        farm.max_domains_per_server = 4_096;
+        let radiation = RadiationConfig {
+            telescope: "10.1.0.0/24".parse().unwrap(),
+            peak_source_rate: 0.0,
+            ..RadiationConfig::default()
+        };
+        let base = TelescopeConfig::builder(farm, radiation)
+            .duration(SimTime::from_secs(30))
+            .tick_interval(SimTime::from_secs(5))
+            .build()
+            .unwrap();
+        ShardedTelescopeConfig::builder(base).seed_infections(1).build().unwrap()
+    }
+
     #[test]
-    fn single_cell_matches_the_serial_scenario_counters() {
-        // One cell, no cross-cell fabric: the sharded driver is the plain
-        // telescope replay, so the farm-level counters must agree with it.
-        let config = sharded_config(1);
-        let sharded = run_telescope_sharded(&config, 1).unwrap();
-        let serial = crate::scenario::run_telescope(config.base.clone()).unwrap();
-        assert_eq!(sharded.packets, serial.packets);
-        assert_eq!(sharded.stats.vms_cloned, serial.stats.vms_cloned);
-        assert_eq!(
-            sharded.stats.counters.get("packets_in"),
-            serial.stats.counters.get("packets_in")
-        );
-        assert_eq!(sharded.cross_cell_packets, 0);
+    fn outbreak_under_reflection_spreads_internally() {
+        let result = run_telescope_sharded(&outbreak_config(PolicyConfig::reflect()), 1).unwrap();
+        assert_eq!(result.packets, 0, "a quiet telescope replays nothing");
+        assert!(result.final_infected > 1, "worm must spread: {}", result.final_infected);
+        assert_eq!(result.degradation.escaped, 0, "reflection must contain everything");
+        assert!(result.stats.counters.get("worm_probes") > 0);
+        // The infection curve is the patient zero at t = 0, never dips,
+        // reaches the epidemic's final size, and has one bin per live-VM
+        // sample.
+        let curve: Vec<f64> = result.infected_series.iter().map(|(_, v)| v).collect();
+        assert_eq!(curve[0], 1.0);
+        assert!(curve.windows(2).all(|w| w[0] <= w[1]), "curve dipped: {curve:?}");
+        assert_eq!(*curve.last().unwrap(), result.final_infected as f64);
+        assert_eq!(curve.len(), result.live_vm_series.len());
+    }
+
+    #[test]
+    fn outbreak_under_drop_all_does_not_spread() {
+        let result = run_telescope_sharded(&outbreak_config(PolicyConfig::drop_all()), 1).unwrap();
+        assert_eq!(result.final_infected, 1, "drop-all freezes the worm");
+        assert_eq!(result.degradation.escaped, 0);
+    }
+
+    #[test]
+    fn outbreak_under_allow_all_escapes() {
+        let result = run_telescope_sharded(&outbreak_config(PolicyConfig::allow_all()), 1).unwrap();
+        assert!(result.degradation.escaped > 0, "allow-all leaks probes");
+        // What leaves for a telescope address comes back through the
+        // fabric at the window edge, even in a one-cell run.
+        assert_eq!(result.cross_cell_packets, result.degradation.escaped);
+    }
+
+    #[test]
+    fn one_cell_replay_binds_vms_and_recycles() {
+        let mut config = sharded_config(1);
+        config.base.farm.profile = potemkin_vmm::guest::GuestProfile::small();
+        config.base.farm.frames_per_server = 1_000_000;
+        config.base.farm.max_domains_per_server = 8_192;
+        config.base.duration = SimTime::from_secs(60);
+        let result = run_telescope_sharded(&config, 1).unwrap();
+        assert!(result.packets > 50, "packets: {}", result.packets);
+        assert!(result.peak_live_vms > 1.0);
+        assert!(result.stats.vms_cloned > 0);
+        assert!(result.stats.vms_recycled > 0, "10s idle timeout must recycle");
+        assert!(result.distinct_sources > 10);
+        assert!(!result.live_vm_series.is_empty());
+        assert_eq!(result.cross_cell_packets, 0, "one cell has no fabric to cross");
+    }
+
+    #[test]
+    fn zero_fault_template_reproduces_the_unfaulted_run() {
+        let mut config = sharded_config(1);
+        let plain = run_telescope_sharded(&config, 1).unwrap();
+        config.faults = Some(FaultPlanConfig::zero(config.base.duration, config.base.farm.servers));
+        let faulted = run_telescope_sharded(&config, 1).unwrap();
+        assert_eq!(plain.canonical_string(), faulted.canonical_string());
+        assert_eq!(faulted.degradation.host_crashes, 0);
+        assert_eq!(faulted.degradation.availability(), 1.0);
+    }
+
+    #[test]
+    fn faulted_one_cell_replay_degrades_but_contains() {
+        let mut config = sharded_config(1);
+        config.base.duration = SimTime::from_secs(30);
+        config.base.farm.servers = 2;
+        config.base.farm.frames_per_server = 1_000_000;
+        config.base.farm.max_domains_per_server = 8_192;
+        config.base.farm.retry = Some(potemkin_vmm::RetryPolicy::default_clone());
+        config.base.farm.degradation_ladder = true;
+        config.faults = Some(FaultPlanConfig {
+            host_crash_rate_per_hour: 240.0, // expect a couple of crashes
+            clone_failure_prob: 0.10,
+            ..FaultPlanConfig::zero(config.base.duration, config.base.farm.servers)
+        });
+        let result = run_telescope_sharded(&config, 1).unwrap();
+        let report = &result.degradation;
+        assert!(result.packets > 50);
+        assert_eq!(report.escaped, 0, "faults must not break containment");
+        assert!(report.host_crashes > 0, "crashes fired: {report:?}");
+        assert!(report.clone_faults > 0, "clone faults fired");
+        assert!(report.clone_retries > 0, "retry policy engaged");
+        assert!((0.0..=1.0).contains(&report.availability()));
+        assert!(report.canonical_string().contains("escaped=0"));
+    }
+
+    #[test]
+    fn degenerate_radiation_and_surplus_seeds_are_rejected_at_build() {
+        let base = sharded_config(1).base;
+        let field = |base: TelescopeConfig, seeds| {
+            ShardedTelescopeConfig::builder(base)
+                .seed_infections(seeds)
+                .build()
+                .unwrap_err()
+                .field()
+        };
+        for rate in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut bad = base.clone();
+            bad.radiation.peak_source_rate = rate;
+            assert_eq!(field(bad, 0), "base.radiation.peak_source_rate", "rate {rate}");
+        }
+        let mut portless = base.clone();
+        portless.radiation.ports.clear();
+        assert_eq!(field(portless, 0), "base.radiation.ports");
+        // A /30 telescope holds four patient zeros and no more.
+        let mut small = base;
+        small.farm.worm = Some(WormSpec::code_red("10.1.0.0/30".parse().unwrap()));
+        small.radiation.telescope = "10.1.0.0/30".parse().unwrap();
+        assert!(ShardedTelescopeConfig::builder(small.clone()).seed_infections(4).build().is_ok());
+        assert_eq!(field(small, 5), "seed_infections");
     }
 
     #[test]

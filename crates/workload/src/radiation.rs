@@ -34,6 +34,7 @@ pub struct RadiationConfig {
     /// The telescope prefix being watched.
     pub telescope: Ipv4Prefix,
     /// Mean new-source arrival rate at the diurnal peak (sources/second).
+    /// Zero is a quiet telescope: the trace is empty.
     pub peak_source_rate: f64,
     /// Ratio of trough to peak rate (0–1; the diurnal cycle).
     pub diurnal_trough_ratio: f64,
@@ -114,12 +115,12 @@ impl RadiationModel {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (no ports, non-positive
-    /// rates).
+    /// Panics if the configuration is degenerate (no ports, a negative or
+    /// NaN rate).
     #[must_use]
     pub fn new(config: RadiationConfig, seed: u64) -> Self {
         assert!(!config.ports.is_empty(), "need at least one port");
-        assert!(config.peak_source_rate > 0.0, "need a positive source rate");
+        assert!(config.peak_source_rate >= 0.0, "need a non-negative source rate");
         let port_dist = Zipf::new(config.ports.len(), config.port_skew).expect("validated");
         let probes_dist = Pareto::new(config.probes_per_source_min, config.probes_per_source_alpha)
             .expect("validated");
@@ -157,11 +158,15 @@ impl RadiationModel {
     /// Generates the full trace up to `horizon`.
     ///
     /// Source arrivals are a non-homogeneous Poisson process (thinning
-    /// method); each source then emits its Pareto-sized probe train.
+    /// method); each source then emits its Pareto-sized probe train. A
+    /// zero peak rate generates nothing.
     #[must_use]
     pub fn generate(&mut self, horizon: SimTime) -> Trace {
         let mut trace = Trace::new();
         let peak = self.config.peak_source_rate;
+        if peak == 0.0 {
+            return trace;
+        }
         let gap = Exponential::with_mean(1.0 / peak).expect("positive rate");
         let mut t = SimTime::ZERO;
         loop {
@@ -351,6 +356,12 @@ mod tests {
         // weighted by heavy-tailed probe counts — allow a wide band).
         let frac = backscatter as f64 / t.len() as f64;
         assert!((0.05..0.60).contains(&frac), "backscatter fraction {frac}");
+    }
+
+    #[test]
+    fn zero_rate_is_a_quiet_telescope() {
+        let cfg = RadiationConfig { peak_source_rate: 0.0, ..RadiationConfig::default() };
+        assert!(RadiationModel::new(cfg, 1).generate(SimTime::from_secs(60)).is_empty());
     }
 
     #[test]

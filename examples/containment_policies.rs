@@ -9,8 +9,10 @@
 use potemkin::baseline::{race_high_interaction, LowInteractionResponder};
 use potemkin::farm::FarmConfig;
 use potemkin::gateway::policy::{ContainmentMode, PolicyConfig};
-use potemkin::scenario::{run_outbreak, OutbreakConfig};
+use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::SimTime;
+use potemkin::workload::radiation::RadiationConfig;
 use potemkin::workload::worm::WormSpec;
 
 fn outbreak(mode: ContainmentMode) -> (ContainmentMode, usize, u64, u64) {
@@ -21,18 +23,22 @@ fn outbreak(mode: ContainmentMode) -> (ContainmentMode, usize, u64, u64) {
         ContainmentMode::AllowAll => PolicyConfig::allow_all(),
     };
     farm.gateway.policy.binding_idle_timeout = SimTime::from_secs(600);
-    farm.worm = Some(WormSpec::code_red("10.1.0.0/24".parse().expect("valid")));
+    let space = "10.1.0.0/24".parse().expect("valid");
+    farm.worm = Some(WormSpec::code_red(space));
     farm.frames_per_server = 4_000_000;
     farm.max_domains_per_server = 4_096;
-    let config = OutbreakConfig::builder(farm)
-        .initial_infections(1)
+    // A one-cell run whose quiet telescope is the worm's scan space.
+    let quiet = RadiationConfig { telescope: space, peak_source_rate: 0.0, ..Default::default() };
+    let base = TelescopeConfig::builder(farm, quiet)
         .duration(SimTime::from_secs(30))
         .sample_interval(SimTime::from_secs(5))
         .tick_interval(SimTime::from_secs(10))
         .build()
         .expect("valid config");
-    let result = run_outbreak(config).expect("outbreak runs");
-    (mode, result.final_infected, result.escapes, result.probes)
+    let config = ShardedTelescopeConfig::builder(base).seed_infections(1).build().expect("valid");
+    let result = run_telescope_sharded(&config, 1).expect("outbreak runs");
+    let probes = result.stats.counters.get("worm_probes");
+    (mode, result.final_infected, result.degradation.escaped, probes)
 }
 
 fn main() {

@@ -7,7 +7,8 @@
 //! ```
 
 use potemkin::farm::FarmConfig;
-use potemkin::scenario::{run_telescope, TelescopeConfig};
+use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::SimTime;
 use potemkin::workload::radiation::RadiationConfig;
 
@@ -21,14 +22,16 @@ fn main() {
     println!("== Telescope replay ==");
     println!("replaying {duration} of synthetic /16 radiation, VM recycle after 30s idle...\n");
 
-    let config = TelescopeConfig::builder(farm, RadiationConfig::default())
+    let base = TelescopeConfig::builder(farm, RadiationConfig::default())
         .seed(2005)
         .duration(duration)
         .sample_interval(SimTime::from_secs(10))
         .tick_interval(SimTime::from_secs(1))
         .build()
         .expect("valid config");
-    let result = run_telescope(config).expect("replay runs");
+    // One cell on one worker: the plain replay.
+    let config = ShardedTelescopeConfig::builder(base).build().expect("valid config");
+    let result = run_telescope_sharded(&config, 1).expect("replay runs");
 
     println!("packets replayed:           {}", result.packets);
     println!("distinct scan sources:      {}", result.distinct_sources);

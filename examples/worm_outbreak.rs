@@ -9,9 +9,11 @@
 //! ```
 
 use potemkin::farm::FarmConfig;
-use potemkin::scenario::{run_outbreak, OutbreakConfig};
+use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::SimTime;
 use potemkin::workload::epidemic::SiModel;
+use potemkin::workload::radiation::RadiationConfig;
 use potemkin::workload::worm::WormSpec;
 
 fn main() {
@@ -29,15 +31,17 @@ fn main() {
     farm.frames_per_server = 4_000_000;
     farm.max_domains_per_server = 4_096;
 
-    let duration = SimTime::from_secs(40);
-    let config = OutbreakConfig::builder(farm)
-        .initial_infections(1)
-        .duration(duration)
+    // The outbreak is a one-cell run whose telescope is the worm's scan
+    // space, with no background radiation.
+    let quiet = RadiationConfig { telescope: space, peak_source_rate: 0.0, ..Default::default() };
+    let base = TelescopeConfig::builder(farm, quiet)
+        .duration(SimTime::from_secs(40))
         .sample_interval(SimTime::from_secs(2))
         .tick_interval(SimTime::from_secs(10))
         .build()
         .expect("valid config");
-    let result = run_outbreak(config).expect("outbreak runs");
+    let config = ShardedTelescopeConfig::builder(base).seed_infections(1).build().expect("valid");
+    let result = run_telescope_sharded(&config, 1).expect("outbreak runs");
 
     let analytic = SiModel::new(256, 1, worm.scan_rate, 256).expect("valid model");
     println!("t(s)  infected(sim)  infected(SI model)");
@@ -46,8 +50,8 @@ fn main() {
     }
 
     println!("\nfinal infected honeypots: {}", result.final_infected);
-    println!("worm probes observed:     {}", result.probes);
-    println!("packets escaped:          {}  <- containment", result.escapes);
+    println!("worm probes observed:     {}", result.stats.counters.get("worm_probes"));
+    println!("packets escaped:          {}  <- containment", result.degradation.escaped);
     println!("live VMs at the end:      {}", result.stats.live_vms);
     println!(
         "marginal memory per VM:   {:.2} MiB (delta virtualization)",

@@ -5,7 +5,7 @@
 //!                   [--seed N] [--save-trace FILE] [--load-trace FILE]
 //!                   [--save-pcap FILE]
 //! potemkin outbreak [--worm codered|slammer|blaster] [--policy reflect|drop|allow]
-//!                   [--duration SECS] [--scan-rate R]
+//!                   [--duration SECS] [--scan-rate R] [--seeds N]
 //! potemkin demand   [--duration SECS] [--lifetimes S1,S2,...] [--seed N]
 //! potemkin clone    [--image small|windows|linux]
 //! potemkin snapshot [--out FILE] [--duration SECS] [--cells N] [--workers N]
@@ -40,8 +40,8 @@ use potemkin::federation::{run_telescope_federated, FederatedTelescopeConfig};
 use potemkin::gateway::policy::PolicyConfig;
 use potemkin::interaction::{run_interaction, InteractionConfig};
 use potemkin::metrics::{ConcurrencyAnalyzer, Table};
-use potemkin::parallel::ShardedTelescopeConfig;
-use potemkin::scenario::{run_outbreak, run_telescope, OutbreakConfig, TelescopeConfig};
+use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+use potemkin::scenario::TelescopeConfig;
 use potemkin::services::{JsonlStore, ScenarioPack, ServicesConfig};
 use potemkin::sim::SimTime;
 use potemkin::vmm::guest::GuestProfile;
@@ -167,13 +167,13 @@ fn cmd_replay(args: &Args) -> Result<(), Error> {
         println!("\n{}", live_farm.stats());
         return Ok(());
     } else {
-        let config = TelescopeConfig::builder(farm, RadiationConfig::default())
+        let base = TelescopeConfig::builder(farm, RadiationConfig::default())
             .seed(seed)
             .duration(duration)
             .sample_interval(SimTime::from_secs(5))
             .tick_interval(SimTime::from_secs(1))
             .build()?;
-        run_telescope(config)?
+        run_telescope_sharded(&ShardedTelescopeConfig::builder(base).build()?, 1)?
     };
 
     let mut t = Table::new(&["metric", "value"]).with_title("telescope replay");
@@ -219,16 +219,21 @@ fn cmd_outbreak(args: &Args) -> Result<(), Error> {
     farm.frames_per_server = 16_000_000;
     farm.max_domains_per_server = 4_096;
 
-    let config = OutbreakConfig::builder(farm)
-        .initial_infections(args.num("seeds", 1)? as usize)
+    // An outbreak is a one-cell run whose quiet telescope is the worm's
+    // scan space.
+    let quiet = RadiationConfig { telescope: space, peak_source_rate: 0.0, ..Default::default() };
+    let base = TelescopeConfig::builder(farm, quiet)
         .duration(duration)
         .sample_interval(SimTime::from_secs(1))
         .tick_interval(SimTime::from_secs(10))
         .build()?;
-    let result = run_outbreak(config)?;
+    let config = ShardedTelescopeConfig::builder(base)
+        .seed_infections(args.num("seeds", 1)? as usize)
+        .build()?;
+    let result = run_telescope_sharded(&config, 1)?;
 
     println!("worm: {} ({} probes/s, port {})", worm.name, worm.scan_rate, worm.port);
-    println!("t(s)  infected");
+    println!("t(s)  infected (cumulative)");
     let step = (duration.as_secs() / 20).max(1);
     for (at, v) in result.infected_series.iter() {
         if at.as_secs().is_multiple_of(step) {
@@ -236,8 +241,8 @@ fn cmd_outbreak(args: &Args) -> Result<(), Error> {
         }
     }
     println!("\nfinal infected: {}", result.final_infected);
-    println!("probes seen:    {}", result.probes);
-    println!("escapes:        {}", result.escapes);
+    println!("probes seen:    {}", result.stats.counters.get("worm_probes"));
+    println!("escapes:        {}", result.degradation.escaped);
     Ok(())
 }
 

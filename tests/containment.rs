@@ -126,8 +126,10 @@ fn aggressive_recycling_extinguishes_the_internal_epidemic() {
     // epidemic dies out when the recycle rate γ exceeds the growth rate β.
     // Worm: 0.5 probes/s over a /24 (β ≈ 0.5/s). Hard VM lifetime 1 s
     // (γ = 1/s) → subcritical → extinction. Lifetime 600 s → supercritical
-    // → saturation.
-    use potemkin::scenario::{run_outbreak, OutbreakConfig};
+    // → saturation. Each outbreak is a one-cell run on the worm's quiet /24.
+    use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+    use potemkin::scenario::TelescopeConfig;
+    use potemkin::workload::radiation::RadiationConfig;
 
     let run_with_lifetime = |lifetime: SimTime| {
         let mut farm = FarmConfig::small_test();
@@ -138,14 +140,20 @@ fn aggressive_recycling_extinguishes_the_internal_epidemic() {
             Some(WormSpec { scan_rate: 0.5, ..WormSpec::code_red("10.1.0.0/24".parse().unwrap()) });
         farm.frames_per_server = 2_000_000;
         farm.max_domains_per_server = 4_096;
-        let config = OutbreakConfig::builder(farm)
-            .initial_infections(4)
+        let quiet = RadiationConfig {
+            telescope: "10.1.0.0/24".parse().unwrap(),
+            peak_source_rate: 0.0,
+            ..RadiationConfig::default()
+        };
+        let base = TelescopeConfig::builder(farm, quiet)
             .duration(SimTime::from_secs(60))
             .sample_interval(SimTime::from_secs(1))
             .tick_interval(SimTime::from_millis(500))
             .build()
             .expect("valid config");
-        run_outbreak(config).expect("outbreak runs")
+        let config =
+            ShardedTelescopeConfig::builder(base).seed_infections(4).build().expect("valid config");
+        run_telescope_sharded(&config, 1).expect("outbreak runs")
     };
 
     let subcritical = run_with_lifetime(SimTime::from_secs(1));
@@ -154,7 +162,7 @@ fn aggressive_recycling_extinguishes_the_internal_epidemic() {
         "subcritical epidemic must die out: {} infected",
         subcritical.final_infected
     );
-    assert_eq!(subcritical.escapes, 0);
+    assert_eq!(subcritical.degradation.escaped, 0);
 
     let supercritical = run_with_lifetime(SimTime::from_secs(600));
     assert!(
@@ -162,7 +170,7 @@ fn aggressive_recycling_extinguishes_the_internal_epidemic() {
         "supercritical epidemic must spread: {} infected",
         supercritical.final_infected
     );
-    assert_eq!(supercritical.escapes, 0);
+    assert_eq!(supercritical.degradation.escaped, 0);
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! byte-identical merged [`DegradationReport`] and identical merged
 //! counters, under arbitrary seeds, worker counts, cell counts, and fault
 //! schedules. Containment must also survive sharding: no cross-cell fabric
-//! path may leak a packet.
+//! path may leak a packet. A `quiet` sample is outbreak-shaped — no
+//! radiation, the worm's scan space as the telescope, a seeded worm — the
+//! run the in-farm containment experiments make.
 //!
 //! Each case replays a full telescope scenario per worker count, so the
 //! case budget is kept small; the fixed unit tests in
@@ -38,6 +40,9 @@ struct SampledRun {
     rebalance: bool,
     /// Adaptive window sizing (deterministic per configuration).
     adaptive: bool,
+    /// Outbreak-shaped: zero radiation rate, worm on, telescope = worm
+    /// space.
+    quiet: bool,
 }
 
 fn arb_run() -> impl Strategy<Value = SampledRun> {
@@ -49,7 +54,7 @@ fn arb_run() -> impl Strategy<Value = SampledRun> {
         prop_oneof![Just(0.0), 120.0..600.0f64],
         prop_oneof![Just(0.0), 0.01..0.3f64],
         any::<bool>(),
-        (any::<bool>(), any::<bool>()),
+        (any::<bool>(), any::<bool>(), any::<bool>()),
     )
         .prop_map(
             |(
@@ -60,7 +65,7 @@ fn arb_run() -> impl Strategy<Value = SampledRun> {
                 crash_rate,
                 clone_prob,
                 with_worm,
-                (rebalance, adaptive),
+                (rebalance, adaptive, quiet),
             )| {
                 SampledRun {
                     seed,
@@ -72,6 +77,7 @@ fn arb_run() -> impl Strategy<Value = SampledRun> {
                     with_worm,
                     rebalance,
                     adaptive,
+                    quiet,
                 }
             },
         )
@@ -84,10 +90,15 @@ fn config_for(s: SampledRun) -> ShardedTelescopeConfig {
     farm.seed = s.seed;
     farm.degradation_ladder = true;
     let mut seed_infections = 0;
-    if s.with_worm {
+    let space = "10.1.8.0/22".parse().unwrap();
+    let mut radiation = RadiationConfig::default();
+    if s.quiet {
+        radiation = RadiationConfig { telescope: space, peak_source_rate: 0.0, ..radiation };
+    }
+    if s.with_worm || s.quiet {
         // A small worm space keeps the saturated VM population (and the
         // debug-mode event count) bounded per sampled case.
-        farm.worm = Some(WormSpec::code_red("10.1.8.0/22".parse().unwrap()));
+        farm.worm = Some(WormSpec::code_red(space));
         seed_infections = 1;
         // Patient zero must place even when the sampled fault plan injects
         // clone failures: standby binds are pre-cloned fault-free.
@@ -101,7 +112,7 @@ fn config_for(s: SampledRun) -> ShardedTelescopeConfig {
         host_recovery_time: SimTime::from_secs(2),
         ..FaultPlanConfig::zero(duration, farm.servers)
     });
-    let base = TelescopeConfig::builder(farm, RadiationConfig::default())
+    let base = TelescopeConfig::builder(farm, radiation)
         .seed(s.seed)
         .duration(duration)
         .sample_interval(SimTime::from_secs(1))

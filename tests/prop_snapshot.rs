@@ -6,10 +6,10 @@
 //!    section names and payloads — survives `encode` → `decode` with its
 //!    contents intact, and re-encodes byte-identically.
 //! 2. **Resume ≡ uninterrupted.** For any sampled scenario (seed, cells,
-//!    workers, fault schedule) and any kill window, killing the run at a
-//!    checkpoint barrier, recovering the snapshot from disk, and resuming
-//!    produces a report digest byte-identical to the run that was never
-//!    interrupted.
+//!    workers, fault schedule, outbreak-shaped or not) and any kill window,
+//!    killing the run at a checkpoint barrier, recovering the snapshot from
+//!    disk, and resuming produces a report digest byte-identical to the run
+//!    that was never interrupted.
 //! 3. **Corruption rejection.** Flipping any single byte of an encoded
 //!    snapshot, or truncating it at any point, yields a typed
 //!    [`SnapshotError`] — never a panic, never a silently-accepted
@@ -51,6 +51,9 @@ struct SampledRun {
     kill_after_windows: u64,
     clone_prob: f64,
     with_worm: bool,
+    /// Outbreak-shaped: zero radiation rate, worm on, telescope = worm
+    /// space.
+    quiet: bool,
 }
 
 fn arb_run() -> impl Strategy<Value = SampledRun> {
@@ -60,11 +63,21 @@ fn arb_run() -> impl Strategy<Value = SampledRun> {
         1usize..=4,
         2u64..=3,
         prop_oneof![Just(0.0), 0.01..0.3f64],
-        any::<bool>(),
+        (any::<bool>(), any::<bool>()),
     )
-        .prop_map(|(seed, cells, workers, kill_after_windows, clone_prob, with_worm)| {
-            SampledRun { seed, cells, workers, kill_after_windows, clone_prob, with_worm }
-        })
+        .prop_map(
+            |(seed, cells, workers, kill_after_windows, clone_prob, (with_worm, quiet))| {
+                SampledRun {
+                    seed,
+                    cells,
+                    workers,
+                    kill_after_windows,
+                    clone_prob,
+                    with_worm,
+                    quiet,
+                }
+            },
+        )
 }
 
 /// The snapshot encoder walks every domain page table and host free
@@ -81,8 +94,13 @@ fn config_for(s: SampledRun) -> ShardedTelescopeConfig {
     farm.profile = profile;
     farm.seed = s.seed;
     let mut seed_infections = 0;
-    if s.with_worm {
-        farm.worm = Some(WormSpec::code_red("10.1.8.0/26".parse().unwrap()));
+    let space = "10.1.8.0/26".parse().unwrap();
+    let mut radiation = RadiationConfig::default();
+    if s.quiet {
+        radiation = RadiationConfig { telescope: space, peak_source_rate: 0.0, ..radiation };
+    }
+    if s.with_worm || s.quiet {
+        farm.worm = Some(WormSpec::code_red(space));
         seed_infections = 1;
     }
     let duration = SimTime::from_secs(2);
@@ -91,7 +109,7 @@ fn config_for(s: SampledRun) -> ShardedTelescopeConfig {
         clone_failure_prob: s.clone_prob,
         ..FaultPlanConfig::zero(duration, farm.servers)
     });
-    let base = TelescopeConfig::builder(farm, RadiationConfig::default())
+    let base = TelescopeConfig::builder(farm, radiation)
         .seed(s.seed)
         .duration(duration)
         .sample_interval(SimTime::from_secs(1))

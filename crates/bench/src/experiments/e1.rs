@@ -15,17 +15,17 @@ use potemkin_vmm::{CloneTiming, Host};
 use crate::harness::Outcome;
 
 /// Pages in the paper's 128 MiB clone.
-pub const PAPER_CLONE_PAGES: u64 = 32_768;
+pub(crate) const PAPER_CLONE_PAGES: u64 = 32_768;
 
 /// Result of the clone-latency experiment.
 #[derive(Clone, Debug)]
-pub struct CloneLatencyResult {
+pub(crate) struct CloneLatencyResult {
     /// The measured stage breakdown of a real flash clone.
-    pub flash: CloneTiming,
+    pub(crate) flash: CloneTiming,
     /// Totals: (flash, full copy, cold boot).
-    pub totals: (SimTime, SimTime, SimTime),
+    pub(crate) totals: (SimTime, SimTime, SimTime),
     /// The optimized-model flash total (the paper's projection).
-    pub optimized_flash: SimTime,
+    pub(crate) optimized_flash: SimTime,
 }
 
 /// Runs the experiment: clones a 128 MiB image each way and records the
@@ -35,7 +35,7 @@ pub struct CloneLatencyResult {
 ///
 /// Panics only if the fixed test configuration is internally inconsistent.
 #[must_use]
-pub fn run() -> CloneLatencyResult {
+pub(crate) fn run() -> CloneLatencyResult {
     let profile = GuestProfile::windows_server();
     let mut host = Host::new(3 * profile.memory_pages + 16_384);
     let image = host.create_reference_image("winxp", profile).unwrap();
@@ -55,7 +55,7 @@ pub fn run() -> CloneLatencyResult {
 
 /// Renders the breakdown table (the reproduction of Table 1).
 #[must_use]
-pub fn breakdown_table(result: &CloneLatencyResult) -> Table {
+pub(crate) fn breakdown_table(result: &CloneLatencyResult) -> Table {
     let mut t = Table::new(&["stage", "time (ms)"])
         .with_title("E1 / Table 1: flash-clone latency breakdown (128 MiB image)");
     for (stage, d) in result.flash.stages() {
@@ -67,7 +67,7 @@ pub fn breakdown_table(result: &CloneLatencyResult) -> Table {
 
 /// Renders the provisioning-strategy comparison table.
 #[must_use]
-pub fn comparison_table(result: &CloneLatencyResult) -> Table {
+pub(crate) fn comparison_table(result: &CloneLatencyResult) -> Table {
     let (flash, full, boot) = result.totals;
     let mut t = Table::new(&["strategy", "time (ms)", "vs flash"])
         .with_title("E1b: provisioning strategy comparison");
@@ -89,7 +89,7 @@ pub fn comparison_table(result: &CloneLatencyResult) -> Table {
 
 /// Runs the experiment at `figures` scale (nothing here shortens under `--fast`).
 #[must_use]
-pub fn outcome(_fast: bool) -> Outcome {
+pub(crate) fn outcome(_fast: bool) -> Outcome {
     let r = run();
     Outcome::default().table(breakdown_table(&r)).table(comparison_table(&r))
 }

@@ -25,53 +25,53 @@ use crate::harness::Outcome;
 
 /// Severity of one sweep level.
 #[derive(Clone, Copy, Debug)]
-pub struct FaultLevel {
+pub(crate) struct FaultLevel {
     /// Display name.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Farm-wide host-crash arrival rate (crashes per hour).
-    pub host_crash_rate_per_hour: f64,
+    pub(crate) host_crash_rate_per_hour: f64,
     /// Per-attempt flash-clone failure probability.
-    pub clone_failure_prob: f64,
+    pub(crate) clone_failure_prob: f64,
     /// Gateway-stall arrival rate (stalls per hour).
-    pub gateway_stall_rate_per_hour: f64,
+    pub(crate) gateway_stall_rate_per_hour: f64,
 }
 
 /// Outcome of one sweep level.
 #[derive(Clone, Debug)]
-pub struct FaultPoint {
+pub(crate) struct FaultPoint {
     /// The injected severity.
-    pub level: FaultLevel,
+    pub(crate) level: FaultLevel,
     /// Host crashes that fired.
-    pub crashes: u64,
+    pub(crate) crashes: u64,
     /// Injected clone faults consumed.
-    pub clone_faults: u64,
+    pub(crate) clone_faults: u64,
     /// VMs torn down by crashes.
-    pub vms_lost: u64,
+    pub(crate) vms_lost: u64,
     /// Orphaned addresses re-bound on survivors.
-    pub rebinds: u64,
+    pub(crate) rebinds: u64,
     /// Mean time to re-bind after a crash.
-    pub mttr: SimTime,
+    pub(crate) mttr: SimTime,
     /// Fraction of first contacts served by a full VM.
-    pub availability: f64,
+    pub(crate) availability: f64,
     /// Fraction answered below full fidelity.
-    pub fidelity_loss: f64,
+    pub(crate) fidelity_loss: f64,
     /// First contacts served by the stateless SYN/ACK rung.
-    pub degraded_synacks: u64,
+    pub(crate) degraded_synacks: u64,
     /// First contacts dropped at the bottom rung.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Containment violations (must be 0 at every severity).
-    pub escapes: u64,
+    pub(crate) escapes: u64,
 }
 
 /// Result of the fault sweep.
 #[derive(Clone, Debug)]
-pub struct FaultSweepResult {
+pub(crate) struct FaultSweepResult {
     /// One point per severity level, in input order.
-    pub points: Vec<FaultPoint>,
+    pub(crate) points: Vec<FaultPoint>,
     /// Replay duration per point.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
     /// Packets in the replayed trace (identical across levels).
-    pub packets: u64,
+    pub(crate) packets: u64,
 }
 
 const SERVERS: usize = 2;
@@ -104,7 +104,7 @@ fn plan_for(level: &FaultLevel, duration: SimTime) -> FaultPlanConfig {
 ///
 /// Panics if a fixed configuration fails to build (a bug).
 #[must_use]
-pub fn run(duration: SimTime, levels: &[FaultLevel]) -> FaultSweepResult {
+pub(crate) fn run(duration: SimTime, levels: &[FaultLevel]) -> FaultSweepResult {
     let mut points = Vec::with_capacity(levels.len());
     let mut packets = 0;
     for &level in levels {
@@ -144,7 +144,7 @@ pub fn run(duration: SimTime, levels: &[FaultLevel]) -> FaultSweepResult {
 
 /// The default severity ladder: fault-free through hostile.
 #[must_use]
-pub fn default_levels() -> Vec<FaultLevel> {
+pub(crate) fn default_levels() -> Vec<FaultLevel> {
     vec![
         FaultLevel {
             label: "none",
@@ -175,7 +175,7 @@ pub fn default_levels() -> Vec<FaultLevel> {
 
 /// Renders the sweep.
 #[must_use]
-pub fn table(result: &FaultSweepResult) -> Table {
+pub(crate) fn table(result: &FaultSweepResult) -> Table {
     let mut t = Table::new(&[
         "fault level",
         "crashes",
@@ -211,7 +211,7 @@ pub fn table(result: &FaultSweepResult) -> Table {
 /// Runs the experiment at `figures` scale (shortened when `fast`), with
 /// the containment claim: nothing escapes at any fault level.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let r = run(SimTime::from_secs(if fast { 60 } else { 300 }), &default_levels());
     let trace = format!("trace: {} packets over {} per fault level", r.packets, r.duration);
     Outcome::default()

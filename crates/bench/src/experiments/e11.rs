@@ -64,7 +64,7 @@ pub(crate) fn config(duration: SimTime, cells: usize) -> ShardedTelescopeConfig 
 ///
 /// Panics if a replay fails to run (a bug).
 #[must_use]
-pub fn run_config(
+pub(crate) fn run_config(
     config: &ShardedTelescopeConfig,
     worker_counts: &[usize],
 ) -> Sweep<usize, ShardedTelescopeResult> {
@@ -86,7 +86,7 @@ pub fn run_config(
 
 /// Renders the sweep.
 #[must_use]
-pub fn table(result: &Sweep<usize, ShardedTelescopeResult>) -> Table {
+pub(crate) fn table(result: &Sweep<usize, ShardedTelescopeResult>) -> Table {
     let mut t = Table::new(&[
         "workers",
         "wall (s)",
@@ -121,7 +121,7 @@ pub fn table(result: &Sweep<usize, ShardedTelescopeResult>) -> Table {
 
 /// Runs the experiment at `figures` scale (shortened when `fast`).
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4, 8] };
     let r = run_config(&config(SimTime::from_secs(if fast { 15 } else { 60 }), 8), workers);
     let last = &r.points.last().expect("at least one worker count").result;

@@ -39,67 +39,67 @@ use super::e11;
 use crate::harness::{round_to, Outcome};
 
 /// Flash clones driven through the traced farm in the fidelity check.
-pub const CLONES: u64 = 24;
+pub(crate) const CLONES: u64 = 24;
 
 /// Per-lane flight-recorder capacity for the exported capture run. Sized
 /// so the exported `trace.json` stays a few MB: lanes × capacity ×
 /// ~120 bytes of Chrome JSON per event.
-pub const CAPTURE_FLIGHT_CAPACITY: usize = 16_384;
+pub(crate) const CAPTURE_FLIGHT_CAPACITY: usize = 16_384;
 
 /// One stage of the observed-vs-modeled comparison.
 #[derive(Clone, Debug)]
-pub struct StageRow {
+pub(crate) struct StageRow {
     /// Stage name (a row of the shared stage table).
-    pub stage: &'static str,
+    pub(crate) stage: &'static str,
     /// Observed instances of this stage span.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Mean observed duration, rebuilt from trace events alone.
-    pub observed_mean: SimTime,
+    pub(crate) observed_mean: SimTime,
     /// The cost model's prediction for the same page count.
-    pub modeled: SimTime,
+    pub(crate) modeled: SimTime,
 }
 
 /// Everything E12 reports.
 #[derive(Clone, Debug)]
-pub struct ObsResult {
+pub(crate) struct ObsResult {
     /// Clones driven in the fidelity check.
-    pub clones: u64,
+    pub(crate) clones: u64,
     /// Pages per cloned image.
-    pub pages: u64,
+    pub(crate) pages: u64,
     /// Per-stage observed-vs-modeled rows, in stage-table order.
-    pub rows: Vec<StageRow>,
+    pub(crate) rows: Vec<StageRow>,
     /// Observed mean end-to-end clone latency (root span).
-    pub observed_total: SimTime,
+    pub(crate) observed_total: SimTime,
     /// Modeled end-to-end clone latency.
-    pub modeled_total: SimTime,
+    pub(crate) modeled_total: SimTime,
     /// Largest |observed mean − modeled| across stages and the total.
-    pub max_delta: SimTime,
+    pub(crate) max_delta: SimTime,
     /// Whether `max_delta` is within rounding (≤ 1 µs).
-    pub within_rounding: bool,
+    pub(crate) within_rounding: bool,
     /// Trace events retained by the flight-recorder capture run (the
     /// newest [`CAPTURE_FLIGHT_CAPACITY`] per lane, plus the synthesized
     /// shard-window timeline).
-    pub events_captured: usize,
+    pub(crate) events_captured: usize,
     /// The capture run's merged trace (exported as `trace.json`).
-    pub trace: Vec<TraceEvent>,
+    pub(crate) trace: Vec<TraceEvent>,
     /// Lane labels for the trace exporters.
-    pub trace_lanes: Vec<(u32, String)>,
+    pub(crate) trace_lanes: Vec<(u32, String)>,
     /// Replay horizon of the overhead workload.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
     /// Cells in the overhead workload.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Simulation events per replay run.
-    pub replay_events: u64,
+    pub(crate) replay_events: u64,
     /// Best-of-N wall seconds with tracing disabled.
-    pub baseline_wall_secs: f64,
+    pub(crate) baseline_wall_secs: f64,
     /// Best-of-N wall seconds with the flight recorder on.
-    pub traced_wall_secs: f64,
+    pub(crate) traced_wall_secs: f64,
     /// Fractional recorder overhead: the median of per-pair
     /// traced/baseline wall ratios minus one, clamped at zero.
-    pub overhead_frac: f64,
+    pub(crate) overhead_frac: f64,
     /// Whether tracing left the deterministic digest byte-identical
     /// (timed flight runs AND the wall-clock capture run vs baseline).
-    pub digests_match: bool,
+    pub(crate) digests_match: bool,
 }
 
 /// The deterministic face of a replay result (wall-clock telemetry and
@@ -146,7 +146,7 @@ fn capture_clone_breakdown() -> (SpanAggregator, CostModel, u64) {
 ///
 /// Panics if the fixed configurations fail to build (a bug).
 #[must_use]
-pub fn run(duration: SimTime, cells: usize) -> ObsResult {
+pub(crate) fn run(duration: SimTime, cells: usize) -> ObsResult {
     // Part 1: the observed breakdown vs the cost model.
     let (agg, cost_model, pages) = capture_clone_breakdown();
     let modeled = cost_model.flash_clone_stages(pages);
@@ -234,7 +234,7 @@ pub fn run(duration: SimTime, cells: usize) -> ObsResult {
 /// Renders the observed-vs-modeled breakdown (the paper's clone-latency
 /// table, rebuilt from trace events).
 #[must_use]
-pub fn breakdown_table(result: &ObsResult) -> Table {
+pub(crate) fn breakdown_table(result: &ObsResult) -> Table {
     let mut t =
         Table::new(&["stage", "count", "observed mean", "modeled", "delta"]).with_title(&format!(
             "E12: flash-clone stage breakdown observed from {} traced clones ({} pages)",
@@ -264,7 +264,7 @@ pub fn breakdown_table(result: &ObsResult) -> Table {
 
 /// Renders the recorder-overhead measurement.
 #[must_use]
-pub fn overhead_table(result: &ObsResult) -> Table {
+pub(crate) fn overhead_table(result: &ObsResult) -> Table {
     let mut t = Table::new(&["metric", "value"]).with_title(&format!(
         "E12: flight-recorder overhead on the E11 replay ({} cells, {}s horizon)",
         result.cells,
@@ -287,7 +287,7 @@ pub fn overhead_table(result: &ObsResult) -> Table {
 /// builds `BENCH_obs.json` (wall-clock numbers under `measured`) plus the
 /// Chrome trace side file.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let r = run(SimTime::from_secs(if fast { 5 } else { 20 }), if fast { 2 } else { 4 });
     let chrome = potemkin_obs::chrome_trace_json(&r.trace, &r.trace_lanes);
     let summary = format!(

@@ -41,7 +41,7 @@ use potemkin_workload::worm::WormSpec;
 use crate::harness::{hex, round_to, sweep, Outcome};
 
 /// The three shipped reclamation policies, in a fixed report order.
-pub const POLICIES: [ReclaimPolicyKind; 3] =
+pub(crate) const POLICIES: [ReclaimPolicyKind; 3] =
     [ReclaimPolicyKind::Oldest, ReclaimPolicyKind::LruByLastPacket, ReclaimPolicyKind::Clock];
 
 /// The common "worm payload" every diverged clone writes in the sharing
@@ -50,74 +50,72 @@ const PAYLOAD_SEED: u64 = 0x0E13;
 
 /// One (clone count) measurement of the sharing sweep.
 #[derive(Clone, Debug)]
-pub struct SharingPoint {
+pub(crate) struct SharingPoint {
     /// Live clones on the host.
-    pub clones: usize,
+    pub(crate) clones: usize,
     /// Logical guest pages mapped across all domains.
-    pub logical_pages: u64,
+    pub(crate) logical_pages: u64,
     /// Resident frames before the guests diverged.
-    pub frames_pristine: u64,
+    pub(crate) frames_pristine: u64,
     /// Resident frames after every clone wrote the payload (peak).
-    pub frames_diverged: u64,
+    pub(crate) frames_diverged: u64,
     /// Resident frames after the merge pass.
-    pub frames_merged: u64,
+    pub(crate) frames_merged: u64,
     /// Pages folded back to shared mappings by the merge pass.
-    pub merged_pages: u64,
+    pub(crate) merged_pages: u64,
     /// Sharing ratio (logical pages / resident frames) after the merge.
-    pub sharing_ratio: f64,
+    pub(crate) sharing_ratio: f64,
     /// Resident frames per clone after the merge — the falling curve.
-    pub frames_per_vm: f64,
+    pub(crate) frames_per_vm: f64,
 }
 
 /// The sharing sweep under one reclamation policy.
 #[derive(Clone, Debug)]
-pub struct SharingCurve {
-    /// Policy name (`oldest`, `lru-by-last-packet`, `clock`).
-    pub policy: &'static str,
+pub(crate) struct SharingCurve {
     /// One point per clone count, in input order.
-    pub points: Vec<SharingPoint>,
+    pub(crate) points: Vec<SharingPoint>,
     /// FNV-1a digest over every canonical field of the curve.
-    pub digest: u64,
+    pub(crate) digest: u64,
 }
 
 /// One policy's determinism measurement under memory pressure.
 #[derive(Clone, Debug)]
-pub struct PressurePoint {
+pub(crate) struct PressurePoint {
     /// Policy name.
-    pub policy: &'static str,
+    pub(crate) policy: &'static str,
     /// `(workers, digest)` per worker count, in input order.
-    pub digests: Vec<(usize, u64)>,
+    pub(crate) digests: Vec<(usize, u64)>,
     /// Bindings evicted through the reclaim policy.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     /// Typed pressure events the budget raised.
-    pub pressure_events: u64,
+    pub(crate) pressure_events: u64,
     /// Pages folded by the periodic merge passes.
-    pub merged_pages: u64,
+    pub(crate) merged_pages: u64,
     /// Farm-wide sharing ratio at the end of the replay.
-    pub sharing_ratio: f64,
+    pub(crate) sharing_ratio: f64,
     /// Whether every worker count produced a byte-identical report.
-    pub deterministic: bool,
+    pub(crate) deterministic: bool,
 }
 
 /// Result of the full experiment.
 #[derive(Clone, Debug)]
-pub struct MemoryResult {
+pub(crate) struct MemoryResult {
     /// Clone counts of the sharing sweep.
-    pub clone_counts: Vec<usize>,
+    pub(crate) clone_counts: Vec<usize>,
     /// One curve per policy; merging is policy-independent, so all curves
     /// must be identical.
-    pub curves: Vec<SharingCurve>,
+    pub(crate) curves: Vec<SharingCurve>,
     /// Whether every policy produced the same sharing curve.
-    pub curves_identical: bool,
+    pub(crate) curves_identical: bool,
     /// Smallest post-merge sharing ratio across every curve point (the CI
     /// floor; must stay strictly above 1).
-    pub sharing_ratio_min: f64,
+    pub(crate) sharing_ratio_min: f64,
     /// One determinism measurement per policy.
-    pub pressure: Vec<PressurePoint>,
+    pub(crate) pressure: Vec<PressurePoint>,
     /// Whether every policy was deterministic across worker counts.
-    pub deterministic: bool,
+    pub(crate) deterministic: bool,
     /// Pressure-replay horizon.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
 }
 
 /// The sharing sweep: `n` flash clones of one image, an identical payload
@@ -261,7 +259,11 @@ fn pressure_point(
 ///
 /// Panics if a fixed configuration fails to build (a bug).
 #[must_use]
-pub fn run(duration: SimTime, clone_counts: &[usize], worker_counts: &[usize]) -> MemoryResult {
+pub(crate) fn run(
+    duration: SimTime,
+    clone_counts: &[usize],
+    worker_counts: &[usize],
+) -> MemoryResult {
     let curves: Vec<SharingCurve> = POLICIES
         .iter()
         .map(|&kind| {
@@ -282,7 +284,7 @@ pub fn run(duration: SimTime, clone_counts: &[usize], worker_counts: &[usize]) -
                     )
                 })
                 .collect();
-            SharingCurve { policy: kind.name(), digest: fnv1a64(canonical.as_bytes()), points }
+            SharingCurve { digest: fnv1a64(canonical.as_bytes()), points }
         })
         .collect();
     let curves_identical = curves.windows(2).all(|w| w[0].digest == w[1].digest);
@@ -307,7 +309,7 @@ pub fn run(duration: SimTime, clone_counts: &[usize], worker_counts: &[usize]) -
 /// Renders the sharing sweep (one curve — they are identical across
 /// policies, which the summary line asserts).
 #[must_use]
-pub fn sharing_table(result: &MemoryResult) -> Table {
+pub(crate) fn sharing_table(result: &MemoryResult) -> Table {
     let mut t = Table::new(&[
         "clones",
         "logical pages",
@@ -338,7 +340,7 @@ pub fn sharing_table(result: &MemoryResult) -> Table {
 
 /// Renders the per-policy pressure sweep.
 #[must_use]
-pub fn pressure_table(result: &MemoryResult) -> Table {
+pub(crate) fn pressure_table(result: &MemoryResult) -> Table {
     let mut t = Table::new(&[
         "policy",
         "evictions",
@@ -367,7 +369,7 @@ pub fn pressure_table(result: &MemoryResult) -> Table {
 /// builds `BENCH_memory.json`. Every field is virtual-time canonical, so
 /// `measured` carries the machine description only.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let counts: &[usize] = if fast { &[8, 16, 32] } else { &[8, 16, 32, 64] };
     let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
     let r = run(SimTime::from_secs(if fast { 4 } else { 10 }), counts, workers);

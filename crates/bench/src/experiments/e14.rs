@@ -53,58 +53,58 @@ const EVERY_WINDOWS: u64 = 1;
 
 /// One corruption-rejection case.
 #[derive(Clone, Debug)]
-pub struct RejectionCase {
+pub(crate) struct RejectionCase {
     /// Case label (`truncated`, `bit-flip`, `config-mismatch`).
-    pub case: &'static str,
+    pub(crate) case: &'static str,
     /// The typed error's variant name (empty when wrongly accepted).
-    pub error: &'static str,
+    pub(crate) error: &'static str,
     /// Whether the snapshot was rejected.
-    pub rejected: bool,
+    pub(crate) rejected: bool,
 }
 
 /// Result of the full experiment.
 #[derive(Clone, Debug)]
-pub struct SnapshotResult {
+pub(crate) struct SnapshotResult {
     /// Replay horizon.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
     /// Barrier windows in the horizon.
-    pub windows: u64,
+    pub(crate) windows: u64,
     /// Window after which the mid-outbreak run is killed.
-    pub kill_after_windows: u64,
+    pub(crate) kill_after_windows: u64,
     /// Canonical digest of the uninterrupted baseline run.
-    pub baseline_digest: u64,
+    pub(crate) baseline_digest: u64,
     /// Whether the fully checkpointed run matched the plain run.
-    pub observation_pure: bool,
+    pub(crate) observation_pure: bool,
     /// Checkpoints the full run wrote.
-    pub checkpoints_written: u64,
+    pub(crate) checkpoints_written: u64,
     /// Encoded size of the recovered mid-outbreak snapshot.
-    pub snapshot_bytes: u64,
+    pub(crate) snapshot_bytes: u64,
     /// Infected VMs at the kill point (the "mid-outbreak" witness).
-    pub infected_at_kill: usize,
+    pub(crate) infected_at_kill: usize,
     /// Infected VMs at the end of the resumed run.
-    pub final_infected: usize,
+    pub(crate) final_infected: usize,
     /// `(workers, canonical report digest)` of each resumed run, in input
     /// order.
-    pub resumes: Vec<(usize, u64)>,
+    pub(crate) resumes: Vec<(usize, u64)>,
     /// Whether every resume matched the baseline digest.
-    pub deterministic: bool,
+    pub(crate) deterministic: bool,
     /// Retry attempts burned absorbing injected write failures.
-    pub retried_attempts: u64,
+    pub(crate) retried_attempts: u64,
     /// Checkpoints skipped after retry exhaustion (run survives).
-    pub retry_skipped: u64,
+    pub(crate) retry_skipped: u64,
     /// Whether the flaky-writes run still matched the baseline.
-    pub retry_digest_clean: bool,
+    pub(crate) retry_digest_clean: bool,
     /// Whether a corrupted primary recovered via the rotated previous
     /// checkpoint and resumed to the baseline digest.
-    pub fallback_recovered: bool,
+    pub(crate) fallback_recovered: bool,
     /// One entry per corruption case, in fixed order.
-    pub rejections: Vec<RejectionCase>,
+    pub(crate) rejections: Vec<RejectionCase>,
     /// Whether every corruption case was rejected with a typed error.
-    pub all_rejected: bool,
+    pub(crate) all_rejected: bool,
     /// Whether the reseeded fork diverged from the faithful resume.
-    pub fork_diverges: bool,
+    pub(crate) fork_diverges: bool,
     /// Whether the same fork salt reproduced the same branch.
-    pub fork_reproducible: bool,
+    pub(crate) fork_reproducible: bool,
 }
 
 /// The scenario: a code-red outbreak over telescope radiation across four
@@ -187,7 +187,7 @@ fn cleanup(path: &PathBuf) {
 ///
 /// Panics if a fixed configuration fails to build or a run fails (a bug).
 #[must_use]
-pub fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult {
+pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult {
     let config = sharded_config(duration);
     let windows = duration.as_nanos().div_ceil(config.window.as_nanos());
     // Kill a third of the way in, while the outbreak is still growing. At
@@ -330,7 +330,7 @@ pub fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult {
 
 /// Renders the kill/restore/resume sweep.
 #[must_use]
-pub fn resume_table(result: &SnapshotResult) -> Table {
+pub(crate) fn resume_table(result: &SnapshotResult) -> Table {
     let mut t = Table::new(&["run", "workers", "digest", "matches baseline"])
         .with_title("E14a: kill mid-outbreak, restore, resume — digest vs. uninterrupted run");
     t.row_owned(vec![
@@ -352,7 +352,7 @@ pub fn resume_table(result: &SnapshotResult) -> Table {
 
 /// Renders the integrity and robustness cases.
 #[must_use]
-pub fn integrity_table(result: &SnapshotResult) -> Table {
+pub(crate) fn integrity_table(result: &SnapshotResult) -> Table {
     let mut t = Table::new(&["case", "typed error", "handled"])
         .with_title("E14b: integrity verification and write robustness");
     for c in &result.rejections {
@@ -381,7 +381,7 @@ pub fn integrity_table(result: &SnapshotResult) -> Table {
 /// snapshot size is a deterministic function of the scenario — so
 /// `measured` carries the machine description only.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
     let r = run(SimTime::from_secs(if fast { 3 } else { 6 }), workers);
     let summary = format!(

@@ -39,23 +39,23 @@ use crate::harness::{hex, round_to, Outcome, Point, Sweep};
 
 /// Result of the two-profile sweep.
 #[derive(Clone, Debug)]
-pub struct HotPathResult {
+pub(crate) struct HotPathResult {
     /// Tuning off.
-    pub baseline: Sweep<usize, ShardedTelescopeResult>,
+    pub(crate) baseline: Sweep<usize, ShardedTelescopeResult>,
     /// Rebalancing + adaptive windows.
-    pub tuned: Sweep<usize, ShardedTelescopeResult>,
+    pub(crate) tuned: Sweep<usize, ShardedTelescopeResult>,
     /// Packets in the replayed trace (same scenario for both profiles).
-    pub packets: u64,
+    pub(crate) packets: u64,
     /// Address-space cells.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Starting barrier window width.
-    pub window: SimTime,
+    pub(crate) window: SimTime,
     /// Replay horizon.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
     /// Baseline ÷ tuned wall-clock at the highest common worker count.
     /// The profiles simulate different event streams (see the module
     /// docs), so this is not a per-event cost ratio.
-    pub per_worker_gain: f64,
+    pub(crate) per_worker_gain: f64,
 }
 
 /// The tuned profile's configuration: the E11 scenario with every
@@ -63,7 +63,7 @@ pub struct HotPathResult {
 /// it only widens (toward an 8× ceiling), trading cross-cell delivery
 /// latency for fewer barriers, which is the right trade for bulk replay.
 #[must_use]
-pub fn tuned_config(duration: SimTime, cells: usize) -> ShardedTelescopeConfig {
+pub(crate) fn tuned_config(duration: SimTime, cells: usize) -> ShardedTelescopeConfig {
     let mut config = e11::config(duration, cells);
     config.tuning = EngineTuning {
         rebalance: true,
@@ -83,7 +83,7 @@ pub fn tuned_config(duration: SimTime, cells: usize) -> ShardedTelescopeConfig {
 ///
 /// Panics if the fixed configuration fails to build (a bug).
 #[must_use]
-pub fn run(duration: SimTime, cells: usize, worker_counts: &[usize]) -> HotPathResult {
+pub(crate) fn run(duration: SimTime, cells: usize, worker_counts: &[usize]) -> HotPathResult {
     let baseline_config = e11::config(duration, cells);
     let baseline = e11::run_config(&baseline_config, worker_counts);
     let tuned = e11::run_config(&tuned_config(duration, cells), worker_counts);
@@ -108,7 +108,7 @@ fn profiles(result: &HotPathResult) -> [(&'static str, &Sweep<usize, ShardedTele
 
 /// Renders both sweeps into one table.
 #[must_use]
-pub fn table(result: &HotPathResult) -> Table {
+pub(crate) fn table(result: &HotPathResult) -> Table {
     let mut t = Table::new(&[
         "profile",
         "workers",
@@ -139,7 +139,7 @@ pub fn table(result: &HotPathResult) -> Table {
 /// builds `BENCH_replay.json`: per-profile digests and event counts are
 /// pinned, every wall-clock number sits under a `measured` member.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4, 8] };
     let r = run(SimTime::from_secs(if fast { 10 } else { 60 }), 8, workers);
     let summary = format!(

@@ -44,41 +44,41 @@ type Layout = Point<(usize, usize), FederatedTelescopeResult>;
 
 /// Result of the federated scaling sweep.
 #[derive(Clone, Debug)]
-pub struct FederationScaleResult {
+pub(crate) struct FederationScaleResult {
     /// One point per `(farm count, worker count)`, in sweep order (first
     /// is the single-farm serial reference). Cross-farm packets and route
     /// drops are transport telemetry: topology-dependent, excluded from
     /// the digest.
-    pub sweep: Sweep<(usize, usize), FederatedTelescopeResult>,
+    pub(crate) sweep: Sweep<(usize, usize), FederatedTelescopeResult>,
     /// Simulation events per run (identical across layouts).
-    pub events: u64,
+    pub(crate) events: u64,
     /// Packets in the replayed trace.
-    pub packets: u64,
+    pub(crate) packets: u64,
     /// Total monitored addresses across all farm advertisements.
-    pub monitored_addresses: u64,
+    pub(crate) monitored_addresses: u64,
     /// Packets that crossed a cell boundary (layout-invariant).
-    pub cross_cell_packets: u64,
+    pub(crate) cross_cell_packets: u64,
     /// Final infected-VM count (layout-invariant).
-    pub final_infected: usize,
+    pub(crate) final_infected: usize,
     /// Global address-space cells (fixed across farm counts).
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Barrier window width.
-    pub window: SimTime,
+    pub(crate) window: SimTime,
     /// Replay horizon.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
     /// Admission sub-sweep: packets shed under a tight memory budget at
     /// each swept farm count, in sweep order. Layout-invariant, so all
     /// entries must be equal.
-    pub shed_by_farms: Vec<(usize, u64)>,
+    pub(crate) shed_by_farms: Vec<(usize, u64)>,
     /// Whether the admission shed count was identical across layouts.
-    pub shed_invariant: bool,
+    pub(crate) shed_invariant: bool,
 }
 
 /// The benchmark scenario: dense radiation over `telescope` with a worm
 /// targeting the *whole* monitored range, so reflected probes cross cell
 /// boundaries at any cell count and farm boundaries at any farm count.
 #[must_use]
-pub fn config(
+pub(crate) fn config(
     duration: SimTime,
     telescope: Ipv4Prefix,
     farms: usize,
@@ -129,7 +129,7 @@ fn digest_of(result: &FederatedTelescopeResult) -> u64 {
 /// Panics if the fixed configuration fails to build or a replay fails to
 /// run (a bug).
 #[must_use]
-pub fn run(
+pub(crate) fn run(
     duration: SimTime,
     telescope: Ipv4Prefix,
     cells: usize,
@@ -184,7 +184,7 @@ pub fn run(
 
 /// Renders the sweep into one table.
 #[must_use]
-pub fn table(result: &FederationScaleResult) -> Table {
+pub(crate) fn table(result: &FederationScaleResult) -> Table {
     let mut t = Table::new(&[
         "farms",
         "workers",
@@ -213,7 +213,7 @@ pub fn table(result: &FederationScaleResult) -> Table {
 /// `BENCH_federation.json`. Fast: a /16 across up to 4 farms. Full: a /11
 /// — ~2.1M monitored addresses — federated across up to 16 farms.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let telescope: Ipv4Prefix =
         if fast { "10.1.0.0/16" } else { "10.0.0.0/11" }.parse().expect("static prefix");
     let farm_counts: &[usize] = if fast { &[1, 2, 4] } else { &[1, 2, 4, 8, 16] };

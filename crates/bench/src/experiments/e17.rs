@@ -33,7 +33,7 @@ use potemkin_core::services::{run_interaction, InteractionConfig, InteractionRes
 use potemkin_json::{obj, JsonValue};
 use potemkin_metrics::Table;
 use potemkin_services::pack::builtin;
-use potemkin_services::{render, ScenarioMetrics, ServiceEngine, ServicesConfig};
+use potemkin_services::{render, ServiceEngine, ServicesConfig};
 use potemkin_sim::SimTime;
 use potemkin_snapshot::fnv1a64;
 
@@ -44,48 +44,44 @@ const FIXED_BANNER: &[u8] = b"220 service ready";
 
 /// One scenario's capture outcome under both responders.
 #[derive(Clone, Debug)]
-pub struct ScenarioFidelity {
+pub(crate) struct ScenarioFidelity {
     /// Scenario name.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Rounds in the attack drive.
-    pub drive_steps: usize,
-    /// Drive index of the request carrying the marked payload.
-    pub marker_step: usize,
+    pub(crate) drive_steps: usize,
     /// Rounds the fixed banner sustained before the drive stalled.
-    pub scripted_rounds: usize,
+    pub(crate) scripted_rounds: usize,
     /// Whether the fixed banner kept the attacker talking long enough to
     /// receive the marked payload.
-    pub scripted_captured: bool,
+    pub(crate) scripted_captured: bool,
     /// Rounds the scenario engine sustained.
-    pub scenario_rounds: usize,
+    pub(crate) scenario_rounds: usize,
     /// Whether the scenario engine captured the marked payload.
-    pub scenario_captured: bool,
+    pub(crate) scenario_captured: bool,
 }
 
 /// Result of the interaction-services experiment.
 #[derive(Clone, Debug)]
-pub struct ServicesResult {
+pub(crate) struct ServicesResult {
     /// Per-scenario scripted-vs-scenario capture comparison.
-    pub fidelity: Vec<ScenarioFidelity>,
+    pub(crate) fidelity: Vec<ScenarioFidelity>,
     /// End-to-end sweep, one point per worker count; the first is the
     /// reference run the counts below come from.
-    pub sweep: Sweep<usize, InteractionResult>,
-    /// Merged per-scenario fidelity metrics from the reference run.
-    pub scenarios: Vec<ScenarioMetrics>,
+    pub(crate) sweep: Sweep<usize, InteractionResult>,
     /// Scripted attacker actors launched per run.
-    pub attackers: u64,
+    pub(crate) attackers: u64,
     /// Actors that completed their full drive.
-    pub drive_completed: u64,
+    pub(crate) drive_completed: u64,
     /// Marked payloads captured farm-wide in the reference run.
-    pub payloads_captured: u64,
+    pub(crate) payloads_captured: u64,
     /// Interaction sessions opened farm-wide in the reference run.
-    pub sessions_opened: u64,
+    pub(crate) sessions_opened: u64,
     /// Replay horizon.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
     /// Address-space cells.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Barrier window width.
-    pub window: SimTime,
+    pub(crate) window: SimTime,
 }
 
 /// The benchmark scenario: the built-in four-scenario pack, a small
@@ -95,7 +91,7 @@ pub struct ServicesResult {
 ///
 /// Panics if the fixed configuration fails to validate (a bug).
 #[must_use]
-pub fn config(duration: SimTime, cells: usize, attackers: usize) -> InteractionConfig {
+pub(crate) fn config(duration: SimTime, cells: usize, attackers: usize) -> InteractionConfig {
     InteractionConfig::builder(ServicesConfig::new(builtin()))
         .duration(duration)
         .cells(cells)
@@ -176,7 +172,12 @@ fn marker_step(scenario_idx: usize, pack_config: &ServicesConfig) -> usize {
 /// Panics if the fixed configuration fails to build or a replay fails to
 /// run (a bug).
 #[must_use]
-pub fn run(duration: SimTime, cells: usize, attackers: usize, workers: &[usize]) -> ServicesResult {
+pub(crate) fn run(
+    duration: SimTime,
+    cells: usize,
+    attackers: usize,
+    workers: &[usize],
+) -> ServicesResult {
     let cfg = config(duration, cells, attackers);
     let pack_config = &cfg.services;
 
@@ -192,7 +193,6 @@ pub fn run(duration: SimTime, cells: usize, attackers: usize, workers: &[usize])
         fidelity.push(ScenarioFidelity {
             scenario: scenario.name.clone(),
             drive_steps: scenario.drive.len(),
-            marker_step: marker,
             scripted_rounds,
             scripted_captured,
             scenario_rounds,
@@ -209,7 +209,6 @@ pub fn run(duration: SimTime, cells: usize, attackers: usize, workers: &[usize])
 
     ServicesResult {
         fidelity,
-        scenarios: reference.scenarios.clone(),
         attackers: reference.attackers,
         drive_completed: reference.drive_completed,
         payloads_captured: reference.merged.stats.counters.get("svc_payloads_captured"),
@@ -223,7 +222,7 @@ pub fn run(duration: SimTime, cells: usize, attackers: usize, workers: &[usize])
 
 /// Renders the capture comparison and the end-to-end sweep as one table.
 #[must_use]
-pub fn table(result: &ServicesResult) -> Table {
+pub(crate) fn table(result: &ServicesResult) -> Table {
     let mut t = Table::new(&[
         "scenario",
         "drive steps",
@@ -248,7 +247,7 @@ pub fn table(result: &ServicesResult) -> Table {
 
 /// Renders the end-to-end worker sweep.
 #[must_use]
-pub fn sweep_table(result: &ServicesResult) -> Table {
+pub(crate) fn sweep_table(result: &ServicesResult) -> Table {
     let mut t = Table::new(&["workers", "wall (s)", "events/sec", "digest"])
         .with_title("E17: sharded interaction replay — byte-identical at any worker count");
     for p in &result.sweep.points {
@@ -266,7 +265,7 @@ pub fn sweep_table(result: &ServicesResult) -> Table {
 /// builds `BENCH_services.json`: the digest, capture counts and fidelity
 /// rows are pinned, the worker sweep's wall-clock numbers are `measured`.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
     let scale = if fast { 2 } else { 4 };
     let r = run(SimTime::from_secs(if fast { 12 } else { 30 }), scale, scale, workers);

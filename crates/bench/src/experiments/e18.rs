@@ -56,49 +56,49 @@ const MEM_PAGES: u64 = 256;
 
 /// One checkpoint-size measurement at a clone count.
 #[derive(Clone, Debug)]
-pub struct CheckpointPoint {
+pub(crate) struct CheckpointPoint {
     /// Live clones when the host snapshot was taken.
-    pub clones: usize,
+    pub(crate) clones: usize,
     /// Encoded host-snapshot size with manifest-reference disks.
-    pub chunked_bytes: u64,
+    pub(crate) chunked_bytes: u64,
     /// What the same snapshot would cost with the flat O(disk) block
     /// walk the manifest codec replaced (analytic: 8 bytes per block per
     /// image, everything else identical).
-    pub flat_bytes: u64,
+    pub(crate) flat_bytes: u64,
     /// `flat_bytes / chunked_bytes`.
-    pub reduction: f64,
+    pub(crate) reduction: f64,
 }
 
 /// Result of the full experiment.
 #[derive(Clone, Debug)]
-pub struct StorageResult {
+pub(crate) struct StorageResult {
     /// Chunk size of the host-level study (blocks).
-    pub chunk_blocks: u64,
+    pub(crate) chunk_blocks: u64,
     /// Virtual disk size of each study image (blocks).
-    pub disk_blocks: u64,
+    pub(crate) disk_blocks: u64,
     /// Reference images sharing the store (across two hosts).
-    pub images: usize,
+    pub(crate) images: usize,
     /// Store accounting after image creation and cloning, before any
     /// guest read (the late-binding witness: everything still lazy).
-    pub before_reads: StoreStats,
+    pub(crate) before_reads: StoreStats,
     /// Store accounting after the guests' read pattern.
-    pub after_reads: StoreStats,
+    pub(crate) after_reads: StoreStats,
     /// Whether no chunk materialized before the first guest read.
-    pub lazy: bool,
+    pub(crate) lazy: bool,
     /// Whether same-content images deduped across images and hosts
     /// (dedupe hits > 0 and resident < puts).
-    pub cross_image_dedupe: bool,
+    pub(crate) cross_image_dedupe: bool,
     /// Final store sharing ratio (puts per resident chunk).
-    pub sharing_ratio: f64,
+    pub(crate) sharing_ratio: f64,
     /// Virtual time charged for chunk materializations during the reads.
-    pub materialize_time: SimTime,
+    pub(crate) materialize_time: SimTime,
     /// Checkpoint-size sweep, ascending clone counts.
-    pub checkpoints: Vec<CheckpointPoint>,
+    pub(crate) checkpoints: Vec<CheckpointPoint>,
     /// `(chunk blocks, workers, canonical report digest)` over chunk sizes
     /// (1 = flat layout) × worker counts.
-    pub digests: Vec<(u64, usize, u64)>,
+    pub(crate) digests: Vec<(u64, usize, u64)>,
     /// Whether every digest (any workers, chunked or flat) was identical.
-    pub deterministic: bool,
+    pub(crate) deterministic: bool,
 }
 
 /// The study profile: the small guest trimmed to a 2,048-block disk so
@@ -163,7 +163,7 @@ fn study_host(store: &SharedChunkStore) -> Host {
 ///
 /// Panics if a fixed configuration fails to build or a run fails (a bug).
 #[must_use]
-pub fn run(duration: SimTime, worker_counts: &[usize]) -> StorageResult {
+pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> StorageResult {
     // Claim 1 + 2: one farm-wide store, two hosts, four images — three
     // golden (same disk seed: the same OS release installed everywhere)
     // and one divergent (a different image whose chunks must NOT share).
@@ -271,7 +271,7 @@ fn manifest_section_bytes() -> u64 {
 
 /// Renders the dedupe / late-binding accounting.
 #[must_use]
-pub fn store_table(result: &StorageResult) -> Table {
+pub(crate) fn store_table(result: &StorageResult) -> Table {
     let mut t = Table::new(&["moment", "puts", "dedupe hits", "materialized", "resident chunks"])
         .with_title(&format!(
             "E18a: farm-wide chunk store — {} images, {}-block chunks, {}-block disks",
@@ -293,7 +293,7 @@ pub fn store_table(result: &StorageResult) -> Table {
 
 /// Renders the checkpoint-size sweep.
 #[must_use]
-pub fn checkpoint_table(result: &StorageResult) -> Table {
+pub(crate) fn checkpoint_table(result: &StorageResult) -> Table {
     let mut t = Table::new(&["clones", "chunked bytes", "flat bytes", "reduction"])
         .with_title("E18b: host checkpoint size — manifest references vs. flat block walk");
     for p in &result.checkpoints {
@@ -309,7 +309,7 @@ pub fn checkpoint_table(result: &StorageResult) -> Table {
 
 /// Renders the determinism sweep.
 #[must_use]
-pub fn digest_table(result: &StorageResult) -> Table {
+pub(crate) fn digest_table(result: &StorageResult) -> Table {
     let mut t = Table::new(&["chunk blocks", "workers", "digest"])
         .with_title("E18c: report digests — chunked vs. flat, at every worker count");
     for &(chunk_blocks, workers, digest) in &result.digests {
@@ -322,7 +322,7 @@ pub fn digest_table(result: &StorageResult) -> Table {
 /// builds `BENCH_storage.json`. Every field is virtual-time canonical, so
 /// `measured` carries the machine description only.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
     let r = run(SimTime::from_secs(if fast { 2 } else { 6 }), workers);
     let summary = format!(

@@ -15,31 +15,29 @@ use crate::harness::Outcome;
 
 /// One sweep point.
 #[derive(Clone, Copy, Debug)]
-pub struct MemoryPoint {
+pub(crate) struct MemoryPoint {
     /// Number of live clones.
-    pub vms: u64,
+    pub(crate) vms: u64,
     /// Aggregate used memory with delta virtualization (MiB).
-    pub cow_mib: f64,
+    pub(crate) cow_mib: f64,
     /// Aggregate used memory with eager full copies (MiB), `None` when the
     /// baseline ran out of memory at this point.
-    pub full_mib: Option<f64>,
+    pub(crate) full_mib: Option<f64>,
     /// Marginal memory per CoW clone (MiB).
-    pub cow_marginal_mib: f64,
+    pub(crate) cow_marginal_mib: f64,
 }
 
 /// Result of the memory-scaling sweep.
 #[derive(Clone, Debug)]
-pub struct MemoryScalingResult {
+pub(crate) struct MemoryScalingResult {
     /// Sweep points.
-    pub points: Vec<MemoryPoint>,
-    /// The server's total memory (MiB).
-    pub server_mib: f64,
+    pub(crate) points: Vec<MemoryPoint>,
     /// How many clones the full-copy baseline managed before OOM.
-    pub full_copy_capacity: u64,
+    pub(crate) full_copy_capacity: u64,
     /// How many clones delta virtualization managed in the same memory (we
     /// stop the sweep at the largest requested point, so this is a lower
     /// bound when no OOM was hit).
-    pub cow_capacity: u64,
+    pub(crate) cow_capacity: u64,
 }
 
 const FRAMES_2GIB: u64 = 2 * 1024 * 1024 / 4; // 2 GiB / 4 KiB
@@ -56,7 +54,7 @@ fn mib(frames: u64) -> f64 {
 ///
 /// Panics only on internal inconsistencies in the fixed configuration.
 #[must_use]
-pub fn run(vm_counts: &[u64]) -> MemoryScalingResult {
+pub(crate) fn run(vm_counts: &[u64]) -> MemoryScalingResult {
     let profile = GuestProfile::windows_server();
 
     // Delta-virtualization server.
@@ -114,17 +112,12 @@ pub fn run(vm_counts: &[u64]) -> MemoryScalingResult {
         }
     }
 
-    MemoryScalingResult {
-        points,
-        server_mib: mib(FRAMES_2GIB),
-        full_copy_capacity: full_spawned,
-        cow_capacity: cow_spawned,
-    }
+    MemoryScalingResult { points, full_copy_capacity: full_spawned, cow_capacity: cow_spawned }
 }
 
 /// Renders the sweep as a table.
 #[must_use]
-pub fn table(result: &MemoryScalingResult) -> Table {
+pub(crate) fn table(result: &MemoryScalingResult) -> Table {
     let mut t =
         Table::new(&["VMs", "CoW total (MiB)", "full-copy total (MiB)", "CoW marginal (MiB/VM)"])
             .with_title("E2: aggregate memory vs. live VMs (2 GiB server, 128 MiB image)");
@@ -141,7 +134,7 @@ pub fn table(result: &MemoryScalingResult) -> Table {
 
 /// Runs the experiment at `figures` scale (shortened when `fast`).
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let counts: &[u64] = if fast { &[1, 25, 50] } else { &[1, 10, 25, 50, 75, 100, 116] };
     let r = run(counts);
     Outcome::default().table(table(&r)).line(format!(
@@ -172,7 +165,7 @@ mod tests {
         assert!(last.cow_marginal_mib < 16.0, "marginal {} MiB", last.cow_marginal_mib);
         assert!(last.cow_marginal_mib > 1.0);
         // CoW total stays under half the server at 116 VMs.
-        assert!(last.cow_mib < r.server_mib / 2.0, "cow total {} MiB", last.cow_mib);
+        assert!(last.cow_mib < mib(FRAMES_2GIB) / 2.0, "cow total {} MiB", last.cow_mib);
         // Totals grow monotonically.
         for w in r.points.windows(2) {
             assert!(w[1].cow_mib >= w[0].cow_mib);

@@ -19,28 +19,28 @@ use crate::harness::Outcome;
 
 /// One sweep point.
 #[derive(Clone, Copy, Debug)]
-pub struct DemandPoint {
+pub(crate) struct DemandPoint {
     /// The idle recycle time.
-    pub lifetime: SimTime,
+    pub(crate) lifetime: SimTime,
     /// Peak simultaneous VMs.
-    pub peak_vms: u64,
+    pub(crate) peak_vms: u64,
     /// Time-averaged simultaneous VMs.
-    pub mean_vms: f64,
+    pub(crate) mean_vms: f64,
     /// Little's-law prediction λ·T from the binding-creation rate.
-    pub littles_law: f64,
+    pub(crate) littles_law: f64,
 }
 
 /// Result of the demand sweep.
 #[derive(Clone, Debug)]
-pub struct DemandResult {
+pub(crate) struct DemandResult {
     /// Sweep points, in lifetime order.
-    pub points: Vec<DemandPoint>,
+    pub(crate) points: Vec<DemandPoint>,
     /// Packets in the trace.
-    pub packets: u64,
+    pub(crate) packets: u64,
     /// Distinct destination addresses touched.
-    pub addresses_touched: u64,
+    pub(crate) addresses_touched: u64,
     /// Trace duration.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
 }
 
 /// Derives binding sessions per destination under an idle-timeout `lifetime`
@@ -50,7 +50,7 @@ pub struct DemandResult {
 /// the last packet whose gap from its predecessor is below `lifetime` —
 /// exactly the gateway's idle-recycling semantics.
 #[must_use]
-pub fn sessions_for_lifetime(
+pub(crate) fn sessions_for_lifetime(
     per_dst: &HashMap<u32, Vec<SimTime>>,
     lifetime: SimTime,
 ) -> ConcurrencyAnalyzer {
@@ -72,7 +72,7 @@ pub fn sessions_for_lifetime(
 
 /// Groups a trace's packet times by destination address.
 #[must_use]
-pub fn arrivals_by_destination(
+pub(crate) fn arrivals_by_destination(
     trace: &potemkin_workload::trace::Trace,
 ) -> HashMap<u32, Vec<SimTime>> {
     let mut per_dst: HashMap<u32, Vec<SimTime>> = HashMap::new();
@@ -85,7 +85,7 @@ pub fn arrivals_by_destination(
 
 /// Runs the sweep over the given recycle times.
 #[must_use]
-pub fn run(duration: SimTime, lifetimes: &[SimTime], seed: u64) -> DemandResult {
+pub(crate) fn run(duration: SimTime, lifetimes: &[SimTime], seed: u64) -> DemandResult {
     let mut model = RadiationModel::new(RadiationConfig::default(), seed);
     let trace = model.generate(duration);
     let per_dst = arrivals_by_destination(&trace);
@@ -111,7 +111,7 @@ pub fn run(duration: SimTime, lifetimes: &[SimTime], seed: u64) -> DemandResult 
 
 /// Renders the sweep as a table.
 #[must_use]
-pub fn table(result: &DemandResult) -> Table {
+pub(crate) fn table(result: &DemandResult) -> Table {
     let mut t = Table::new(&[
         "recycle time",
         "peak VMs",
@@ -134,7 +134,7 @@ pub fn table(result: &DemandResult) -> Table {
 
 /// The paper-style sweep schedule: 100 ms to 30 min.
 #[must_use]
-pub fn default_lifetimes() -> Vec<SimTime> {
+pub(crate) fn default_lifetimes() -> Vec<SimTime> {
     vec![
         SimTime::from_millis(100),
         SimTime::from_millis(500),
@@ -149,7 +149,7 @@ pub fn default_lifetimes() -> Vec<SimTime> {
 
 /// Runs the experiment at `figures` scale (shortened when `fast`).
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let r = run(SimTime::from_secs(if fast { 300 } else { 1_800 }), &default_lifetimes(), 2005);
     let trace = format!(
         "trace: {} packets over {}, {} distinct telescope addresses",

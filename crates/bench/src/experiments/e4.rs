@@ -20,22 +20,22 @@ use crate::harness::Outcome;
 
 /// One measurement point.
 #[derive(Clone, Copy, Debug)]
-pub struct ThroughputPoint {
+pub(crate) struct ThroughputPoint {
     /// Pre-installed bindings (≈ live VMs).
-    pub bindings: usize,
+    pub(crate) bindings: usize,
     /// Fast-path (bound inbound) packets per second.
-    pub bound_pps: f64,
+    pub(crate) bound_pps: f64,
     /// Outbound reflect-path packets per second.
-    pub reflect_pps: f64,
+    pub(crate) reflect_pps: f64,
 }
 
 /// Result of the throughput measurement.
 #[derive(Clone, Debug)]
-pub struct ThroughputResult {
+pub(crate) struct ThroughputResult {
     /// Points at increasing state sizes.
-    pub points: Vec<ThroughputPoint>,
+    pub(crate) points: Vec<ThroughputPoint>,
     /// Unbound-path (clone-request) decisions per second, measured once.
-    pub clone_request_pps: f64,
+    pub(crate) clone_request_pps: f64,
 }
 
 fn telescope_addr(i: u32) -> Ipv4Addr {
@@ -48,7 +48,7 @@ fn source_addr(i: u32) -> Ipv4Addr {
 
 /// Builds a gateway pre-loaded with `n` bindings.
 #[must_use]
-pub fn loaded_gateway(n: usize) -> Gateway {
+pub(crate) fn loaded_gateway(n: usize) -> Gateway {
     let mut g = Gateway::new(GatewayConfig::default());
     let t = SimTime::ZERO;
     for i in 0..n {
@@ -60,7 +60,7 @@ pub fn loaded_gateway(n: usize) -> Gateway {
 
 /// A pre-built batch of inbound packets targeting bound addresses.
 #[must_use]
-pub fn bound_packets(n: usize, count: usize) -> Vec<Packet> {
+pub(crate) fn bound_packets(n: usize, count: usize) -> Vec<Packet> {
     (0..count)
         .map(|i| {
             let i = (i % n.max(1)) as u32;
@@ -87,7 +87,7 @@ fn measure<F: FnMut() -> bool>(iterations: usize, mut f: F) -> f64 {
 /// `iterations` controls measurement length (use ≥ 100k for stable figures,
 /// less in tests).
 #[must_use]
-pub fn run(binding_counts: &[usize], iterations: usize) -> ThroughputResult {
+pub(crate) fn run(binding_counts: &[usize], iterations: usize) -> ThroughputResult {
     let mut points = Vec::new();
     for &n in binding_counts {
         let mut g = loaded_gateway(n);
@@ -131,7 +131,7 @@ pub fn run(binding_counts: &[usize], iterations: usize) -> ThroughputResult {
 
 /// Renders the measurement as a table.
 #[must_use]
-pub fn table(result: &ThroughputResult) -> Table {
+pub(crate) fn table(result: &ThroughputResult) -> Table {
     let mut t = Table::new(&["bindings", "bound-path pps", "reflect-path pps"])
         .with_title("E4: gateway pipeline throughput vs. state size");
     for p in &result.points {
@@ -151,7 +151,7 @@ pub fn table(result: &ThroughputResult) -> Table {
 
 /// Runs the experiment at `figures` scale (shortened when `fast`).
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let r = run(&[100, 1_000, 10_000, 50_000], if fast { 20_000 } else { 200_000 });
     Outcome::default().table(table(&r))
 }

@@ -27,13 +27,13 @@ use crate::harness::Outcome;
 
 /// Result of the three-policy comparison.
 #[derive(Clone, Debug)]
-pub struct ContainmentResult {
+pub(crate) struct ContainmentResult {
     /// Per-mode outbreak results, in `[Reflect, DropAll, AllowAll]` order.
-    pub runs: Vec<(ContainmentMode, ShardedTelescopeResult)>,
+    pub(crate) runs: Vec<(ContainmentMode, ShardedTelescopeResult)>,
     /// The analytic prediction for the reflection run.
-    pub analytic: SiModel,
+    pub(crate) analytic: SiModel,
     /// Duration of each run.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
 }
 
 /// The scanned space for the outbreak (a /24 so the sim stays fast).
@@ -44,7 +44,7 @@ const SPACE: &str = "10.1.0.0/24";
 /// samples (at the real 11 probes/s the farm saturates inside the first
 /// sample bin; the containment *outcome* is identical).
 #[must_use]
-pub fn slow_worm() -> WormSpec {
+pub(crate) fn slow_worm() -> WormSpec {
     WormSpec { scan_rate: 0.5, ..WormSpec::code_red(SPACE.parse().expect("static prefix")) }
 }
 
@@ -83,7 +83,7 @@ fn config_for(mode: ContainmentMode, duration: SimTime) -> ShardedTelescopeConfi
 ///
 /// Panics if a scenario fails to build (fixed configs make that a bug).
 #[must_use]
-pub fn run(duration: SimTime) -> ContainmentResult {
+pub(crate) fn run(duration: SimTime) -> ContainmentResult {
     let modes = [ContainmentMode::Reflect, ContainmentMode::DropAll, ContainmentMode::AllowAll];
     let runs = modes
         .into_iter()
@@ -105,7 +105,7 @@ pub fn run(duration: SimTime) -> ContainmentResult {
 
 /// Renders the headline comparison.
 #[must_use]
-pub fn summary_table(result: &ContainmentResult) -> Table {
+pub(crate) fn summary_table(result: &ContainmentResult) -> Table {
     let mut t = Table::new(&[
         "policy",
         "infected (final)",
@@ -130,7 +130,7 @@ pub fn summary_table(result: &ContainmentResult) -> Table {
 
 /// Renders the reflection run's infection curve against the analytic model.
 #[must_use]
-pub fn curve_table(result: &ContainmentResult) -> Table {
+pub(crate) fn curve_table(result: &ContainmentResult) -> Table {
     let mut t = Table::new(&["t (s)", "infected (simulated)", "infected (SI model)"])
         .with_title("E5b: internal epidemic growth under reflection");
     let reflect_run = run_for(result, ContainmentMode::Reflect);
@@ -156,7 +156,7 @@ fn run_for(result: &ContainmentResult, mode: ContainmentMode) -> &ShardedTelesco
 /// the containment claims: nothing escapes a containing policy, and
 /// reflection spreads the worm while drop-all leaves it at its seed.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let r = run(SimTime::from_secs(if fast { 25 } else { 60 }));
     let reflect = run_for(&r, ContainmentMode::Reflect);
     let drop = run_for(&r, ContainmentMode::DropAll);

@@ -19,7 +19,11 @@ use crate::harness::Outcome;
 
 /// Builds the standard end-to-end configuration.
 #[must_use]
-pub fn config(duration: SimTime, idle_timeout: SimTime, servers: usize) -> ShardedTelescopeConfig {
+pub(crate) fn config(
+    duration: SimTime,
+    idle_timeout: SimTime,
+    servers: usize,
+) -> ShardedTelescopeConfig {
     let mut farm = FarmConfig::small_test();
     farm.servers = servers;
     farm.frames_per_server = 1_500_000;
@@ -41,13 +45,17 @@ pub fn config(duration: SimTime, idle_timeout: SimTime, servers: usize) -> Shard
 ///
 /// Panics if the fixed configuration fails to build (a bug).
 #[must_use]
-pub fn run(duration: SimTime, idle_timeout: SimTime, servers: usize) -> ShardedTelescopeResult {
+pub(crate) fn run(
+    duration: SimTime,
+    idle_timeout: SimTime,
+    servers: usize,
+) -> ShardedTelescopeResult {
     run_telescope_sharded(&config(duration, idle_timeout, servers), 1).expect("config must build")
 }
 
 /// Renders the headline numbers.
 #[must_use]
-pub fn summary_table(result: &ShardedTelescopeResult, duration: SimTime) -> Table {
+pub(crate) fn summary_table(result: &ShardedTelescopeResult, duration: SimTime) -> Table {
     let mut t = Table::new(&["metric", "value"]).with_title("E6: end-to-end telescope replay");
     let s = &result.stats;
     t.row_owned(vec!["replay duration".into(), duration.to_string()]);
@@ -81,7 +89,7 @@ pub fn summary_table(result: &ShardedTelescopeResult, duration: SimTime) -> Tabl
 /// Renders the trace's traffic-mix breakdown (the deployment report's
 /// "what hit the telescope" table).
 #[must_use]
-pub fn mix_table(result: &ShardedTelescopeResult) -> Table {
+pub(crate) fn mix_table(result: &ShardedTelescopeResult) -> Table {
     let mix = &result.mix;
     let mut t = Table::new(&["class", "packets"]).with_title("E6c: replayed traffic mix");
     t.row_owned(vec!["TCP SYN (scans)".into(), mix.tcp_syns.to_string()]);
@@ -96,7 +104,7 @@ pub fn mix_table(result: &ShardedTelescopeResult) -> Table {
 
 /// Renders the live-VM time series.
 #[must_use]
-pub fn series_table(result: &ShardedTelescopeResult) -> Table {
+pub(crate) fn series_table(result: &ShardedTelescopeResult) -> Table {
     let mut t = Table::new(&["t (s)", "live VMs"]).with_title("E6b: live VMs over the replay");
     for (at, v) in result.live_vm_series.iter() {
         t.row_owned(vec![at.as_secs().to_string(), format!("{v:.0}")]);
@@ -106,7 +114,7 @@ pub fn series_table(result: &ShardedTelescopeResult) -> Table {
 
 /// Runs the experiment at `figures` scale (shortened when `fast`).
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let duration = SimTime::from_secs(if fast { 120 } else { 600 });
     let r = run(duration, SimTime::from_secs(60), 1);
     Outcome::default()

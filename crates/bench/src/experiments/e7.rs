@@ -16,31 +16,31 @@ use crate::harness::Outcome;
 
 /// One race outcome row.
 #[derive(Clone, Debug)]
-pub struct FidelityRow {
+pub(crate) struct FidelityRow {
     /// The exploit's name.
-    pub exploit: String,
+    pub(crate) exploit: String,
     /// Dialogue rounds the exploit needs.
-    pub depth: u8,
+    pub(crate) depth: u8,
     /// What the scripted responder managed.
-    pub low: DialogueOutcome,
+    pub(crate) low: DialogueOutcome,
     /// What the real guest managed.
-    pub high: DialogueOutcome,
+    pub(crate) high: DialogueOutcome,
 }
 
 /// Result of the fidelity comparison.
 #[derive(Clone, Debug)]
-pub struct FidelityResult {
+pub(crate) struct FidelityResult {
     /// The scripted depth used for the low-interaction baseline.
-    pub scripted_depth: u8,
+    pub(crate) scripted_depth: u8,
     /// Rows per exploit.
-    pub rows: Vec<FidelityRow>,
+    pub(crate) rows: Vec<FidelityRow>,
 }
 
 /// Runs the comparison with the given scripted depth (honeyd-style scripts
 /// typically cover banner + one command; the paper's point holds for any
 /// finite depth).
 #[must_use]
-pub fn run(scripted_depth: u8) -> FidelityResult {
+pub(crate) fn run(scripted_depth: u8) -> FidelityResult {
     let space = "10.1.0.0/16".parse().expect("static prefix");
     let mut scripts: Vec<ExploitScript> = vec![
         WormSpec::slammer(space).script(),
@@ -78,7 +78,7 @@ fn outcome_cell(o: &DialogueOutcome) -> String {
 
 /// Renders the comparison table.
 #[must_use]
-pub fn table(result: &FidelityResult) -> Table {
+pub(crate) fn table(result: &FidelityResult) -> Table {
     let mut t =
         Table::new(&["exploit", "depth", "low-interaction", "high-interaction (Potemkin VM)"])
             .with_title(
@@ -101,7 +101,7 @@ pub fn table(result: &FidelityResult) -> Table {
 
 /// Runs the experiment at `figures` scale (nothing here shortens under `--fast`).
 #[must_use]
-pub fn outcome(_fast: bool) -> Outcome {
+pub(crate) fn outcome(_fast: bool) -> Outcome {
     Outcome::default().table(table(&run(2)))
 }
 

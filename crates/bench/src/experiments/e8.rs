@@ -27,24 +27,24 @@ use crate::harness::Outcome;
 
 /// One ablation row: a label plus the run it produced.
 #[derive(Clone, Debug)]
-pub struct AblationRow {
+pub(crate) struct AblationRow {
     /// What was varied.
-    pub label: String,
+    pub(crate) label: String,
     /// The run.
-    pub result: ShardedTelescopeResult,
+    pub(crate) result: ShardedTelescopeResult,
 }
 
 /// Result of the ablation suite.
 #[derive(Clone, Debug)]
-pub struct AblationResult {
+pub(crate) struct AblationResult {
     /// Granularity ablation rows.
-    pub granularity: Vec<AblationRow>,
+    pub(crate) granularity: Vec<AblationRow>,
     /// Standby-pool ablation rows.
-    pub standby: Vec<AblationRow>,
+    pub(crate) standby: Vec<AblationRow>,
     /// Recycle-strategy ablation rows.
-    pub recycle: Vec<AblationRow>,
+    pub(crate) recycle: Vec<AblationRow>,
     /// Backscatter-filter ablation rows.
-    pub backscatter: Vec<AblationRow>,
+    pub(crate) backscatter: Vec<AblationRow>,
 }
 
 fn base_config(duration: SimTime) -> TelescopeConfig {
@@ -72,7 +72,7 @@ fn replay(base: TelescopeConfig) -> ShardedTelescopeResult {
 ///
 /// Panics if a fixed configuration fails to build (a bug).
 #[must_use]
-pub fn run(duration: SimTime) -> AblationResult {
+pub(crate) fn run(duration: SimTime) -> AblationResult {
     let mut granularity = Vec::new();
     for (label, g) in [
         ("per-destination", BindGranularity::PerDestination),
@@ -116,7 +116,7 @@ pub fn run(duration: SimTime) -> AblationResult {
 
 /// Renders all four ablations.
 #[must_use]
-pub fn table(result: &AblationResult) -> Table {
+pub(crate) fn table(result: &AblationResult) -> Table {
     let mut t =
         Table::new(&["ablation", "variant", "VMs cloned", "peak live", "clone p50", "vmm time"])
             .with_title("E8: design-choice ablations (identical radiation per pair)");
@@ -143,7 +143,7 @@ pub fn table(result: &AblationResult) -> Table {
 
 /// Runs the experiment at `figures` scale (shortened when `fast`).
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     Outcome::default().table(table(&run(SimTime::from_secs(if fast { 60 } else { 300 }))))
 }
 

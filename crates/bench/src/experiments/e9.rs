@@ -25,28 +25,24 @@ use crate::harness::Outcome;
 
 /// One sweep point.
 #[derive(Clone, Debug)]
-pub struct RecyclePoint {
+pub(crate) struct RecyclePoint {
     /// The hard VM lifetime (1/γ).
-    pub lifetime: SimTime,
+    pub(crate) lifetime: SimTime,
     /// The basic reproduction number β/γ.
-    pub r0: f64,
+    pub(crate) r0: f64,
     /// Final infected honeypots in the simulated farm.
-    pub final_infected: usize,
+    pub(crate) final_infected: usize,
     /// The SIS endemic-equilibrium prediction.
-    pub predicted_equilibrium: f64,
+    pub(crate) predicted_equilibrium: f64,
     /// Packets escaped (must always be zero under reflection).
-    pub escapes: u64,
+    pub(crate) escapes: u64,
 }
 
 /// Result of the recycling sweep.
 #[derive(Clone, Debug)]
-pub struct RecycleResult {
+pub(crate) struct RecycleResult {
     /// Sweep points in lifetime order.
-    pub points: Vec<RecyclePoint>,
-    /// The worm's scan rate (probes/s).
-    pub scan_rate: f64,
-    /// Run duration per point.
-    pub duration: SimTime,
+    pub(crate) points: Vec<RecyclePoint>,
 }
 
 const SPACE: &str = "10.1.0.0/24";
@@ -63,7 +59,7 @@ fn slow_worm() -> WormSpec {
 ///
 /// Panics if a fixed configuration fails to build (a bug).
 #[must_use]
-pub fn run(duration: SimTime, lifetimes: &[SimTime]) -> RecycleResult {
+pub(crate) fn run(duration: SimTime, lifetimes: &[SimTime]) -> RecycleResult {
     let mut points = Vec::with_capacity(lifetimes.len());
     for &lifetime in lifetimes {
         let mut farm = FarmConfig::small_test();
@@ -99,12 +95,12 @@ pub fn run(duration: SimTime, lifetimes: &[SimTime]) -> RecycleResult {
             escapes: result.degradation.escaped,
         });
     }
-    RecycleResult { points, scan_rate: SCAN_RATE, duration }
+    RecycleResult { points }
 }
 
 /// The default sweep: subcritical through saturating.
 #[must_use]
-pub fn default_lifetimes() -> Vec<SimTime> {
+pub(crate) fn default_lifetimes() -> Vec<SimTime> {
     vec![
         SimTime::from_secs(1),
         SimTime::from_secs(2),
@@ -117,7 +113,7 @@ pub fn default_lifetimes() -> Vec<SimTime> {
 
 /// Renders the sweep.
 #[must_use]
-pub fn table(result: &RecycleResult) -> Table {
+pub(crate) fn table(result: &RecycleResult) -> Table {
     let mut t =
         Table::new(&["VM lifetime", "R0 = β/γ", "infected (sim)", "SIS equilibrium", "escapes"])
             .with_title("E9: VM recycling as an internal-containment knob (SIS threshold)");
@@ -137,7 +133,7 @@ pub fn table(result: &RecycleResult) -> Table {
 /// the containment claims: nothing escapes at any lifetime, and every
 /// subcritical point (R0 < 1) dies out below its seeds.
 #[must_use]
-pub fn outcome(fast: bool) -> Outcome {
+pub(crate) fn outcome(fast: bool) -> Outcome {
     let r = run(SimTime::from_secs(if fast { 30 } else { 90 }), &default_lifetimes());
     let mut subcritical = r.points.iter().filter(|p| p.r0 < 1.0).peekable();
     let dies_out = subcritical.peek().is_some() && subcritical.all(|p| p.final_infected < SEEDS);

@@ -2,49 +2,49 @@
 //!
 //! | Module | Paper artifact | What it regenerates |
 //! |--------|----------------|---------------------|
-//! | [`e1`] | Table 1 | flash-cloning latency breakdown + provisioning comparison |
-//! | [`e2`] | delta-virtualization figure | memory vs. number of live VMs, CoW vs full copy |
-//! | [`e3`] | scalability figure | VMs required vs. VM recycle time for a /16 telescope |
-//! | [`e4`] | gateway scalability | gateway pipeline throughput vs. state size |
-//! | [`e5`] | containment | in-farm worm outbreak under each containment mode |
-//! | [`e6`] | "Potemkin in practice" | 10-minute telescope replay, end to end |
-//! | [`e7`] | fidelity motivation | exploit capture: scripted responder vs. real guest |
-//! | [`e8`] | (extension) | ablations: binding granularity, standby pool, recycle strategy, backscatter filter |
-//! | [`e9`] | (extension) | VM recycling as an internal-containment knob (SIS threshold) |
-//! | [`e10`] | (extension) | availability and fidelity under injected faults (graceful degradation) |
-//! | [`e11`] | (extension) | sharded parallel replay: throughput scaling with byte-identical results |
-//! | [`e12`] | (extension) | observability: clone-stage breakdown from trace events + recorder overhead |
-//! | [`e13`] | (extension) | memory control plane: content-hash frame sharing + reclaim-policy determinism |
-//! | [`e14`] | (extension) | checkpoint/restore: crash-consistent snapshots, integrity verification, deterministic resume |
-//! | [`e15`] | (extension) | hot-path tuning: load-aware sharding, adaptive windows, allocation-free packet path |
-//! | [`e16`] | (extension) | federated multi-farm telescope: BGP-style prefix routing, cross-farm worm reflection, byte-identical reports across topologies |
-//! | [`e17`] | (extension) | interaction services: scripted-banner vs scenario-engine capture rates, deterministic sharded attacker replay |
-//! | [`e18`] | (extension) | content-addressed chunked block store: farm-wide image dedupe, lazy chunk materialization, manifest checkpoints |
+//! | `e1` | Table 1 | flash-cloning latency breakdown + provisioning comparison |
+//! | `e2` | delta-virtualization figure | memory vs. number of live VMs, CoW vs full copy |
+//! | `e3` | scalability figure | VMs required vs. VM recycle time for a /16 telescope |
+//! | `e4` | gateway scalability | gateway pipeline throughput vs. state size |
+//! | `e5` | containment | in-farm worm outbreak under each containment mode |
+//! | `e6` | "Potemkin in practice" | 10-minute telescope replay, end to end |
+//! | `e7` | fidelity motivation | exploit capture: scripted responder vs. real guest |
+//! | `e8` | (extension) | ablations: binding granularity, standby pool, recycle strategy, backscatter filter |
+//! | `e9` | (extension) | VM recycling as an internal-containment knob (SIS threshold) |
+//! | `e10` | (extension) | availability and fidelity under injected faults (graceful degradation) |
+//! | `e11` | (extension) | sharded parallel replay: throughput scaling with byte-identical results |
+//! | `e12` | (extension) | observability: clone-stage breakdown from trace events + recorder overhead |
+//! | `e13` | (extension) | memory control plane: content-hash frame sharing + reclaim-policy determinism |
+//! | `e14` | (extension) | checkpoint/restore: crash-consistent snapshots, integrity verification, deterministic resume |
+//! | `e15` | (extension) | hot-path tuning: load-aware sharding, adaptive windows, allocation-free packet path |
+//! | `e16` | (extension) | federated multi-farm telescope: BGP-style prefix routing, cross-farm worm reflection, byte-identical reports across topologies |
+//! | `e17` | (extension) | interaction services: scripted-banner vs scenario-engine capture rates, deterministic sharded attacker replay |
+//! | `e18` | (extension) | content-addressed chunked block store: farm-wide image dedupe, lazy chunk materialization, manifest checkpoints |
 
-pub mod e1;
-pub mod e10;
-pub mod e11;
-pub mod e12;
-pub mod e13;
-pub mod e14;
-pub mod e15;
-pub mod e16;
-pub mod e17;
-pub mod e18;
-pub mod e2;
-pub mod e3;
-pub mod e4;
-pub mod e5;
-pub mod e6;
-pub mod e7;
-pub mod e8;
-pub mod e9;
+pub(crate) mod e1;
+pub(crate) mod e10;
+pub(crate) mod e11;
+pub(crate) mod e12;
+pub(crate) mod e13;
+pub(crate) mod e14;
+pub(crate) mod e15;
+pub(crate) mod e16;
+pub(crate) mod e17;
+pub(crate) mod e18;
+pub(crate) mod e2;
+pub(crate) mod e3;
+pub(crate) mod e4;
+pub(crate) mod e5;
+pub(crate) mod e6;
+pub(crate) mod e7;
+pub(crate) mod e8;
+pub(crate) mod e9;
 
 use crate::harness::Outcome;
 
 /// Runs one experiment at `figures` scale, shortened when the argument is
 /// true.
-pub type Experiment = fn(bool) -> Outcome;
+pub(crate) type Experiment = fn(bool) -> Outcome;
 
 /// Every experiment by name, in the order `figures` runs them.
 pub const ALL: [(&str, Experiment); 18] = [

@@ -5,7 +5,7 @@
 //! own result. `figures` prints, writes, and fails the run on a false claim
 //! or — under `--check DIR` — on any artifact value outside a `measured`
 //! member that differs from `DIR`'s copy. The parameter sweeps the
-//! determinism experiments share live here too ([`sweep`]).
+//! determinism experiments share live here too (`sweep`).
 
 use std::path::Path;
 use std::time::Instant;
@@ -33,27 +33,27 @@ pub struct Outcome {
     /// wall-clock-stamped Chrome trace).
     pub files: Vec<(&'static str, String)>,
     /// Named claims about the result; a false one fails the run.
-    pub claims: Vec<(&'static str, bool)>,
+    pub(crate) claims: Vec<(&'static str, bool)>,
 }
 
 impl Outcome {
     /// Appends a summary line.
     #[must_use]
-    pub fn line(mut self, line: String) -> Self {
+    pub(crate) fn line(mut self, line: String) -> Self {
         self.blocks.push(Block::Line(line));
         self
     }
 
     /// Appends a table.
     #[must_use]
-    pub fn table(mut self, table: Table) -> Self {
+    pub(crate) fn table(mut self, table: Table) -> Self {
         self.blocks.push(Block::Table(table));
         self
     }
 
     /// Records a named claim.
     #[must_use]
-    pub fn claim(mut self, name: &'static str, holds: bool) -> Self {
+    pub(crate) fn claim(mut self, name: &'static str, holds: bool) -> Self {
         self.claims.push((name, holds));
         self
     }
@@ -64,7 +64,7 @@ impl Outcome {
     /// baseline is never compared with a long run, and the machine
     /// description goes under `measured` so a wall-clock number can be read.
     #[must_use]
-    pub fn artifact(
+    pub(crate) fn artifact(
         mut self,
         file: &'static str,
         fast: bool,
@@ -140,35 +140,35 @@ fn first_difference(path: &str, baseline: &JsonValue, run: &JsonValue) -> Option
 
 /// One timed run of a sweep.
 #[derive(Clone, Debug)]
-pub struct Point<P, R> {
+pub(crate) struct Point<P, R> {
     /// The swept parameter (a worker count, a `(farms, workers)` pair, …).
-    pub param: P,
+    pub(crate) param: P,
     /// Wall-clock seconds the run took.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Simulation events dispatched per wall-clock second.
-    pub events_per_sec: f64,
+    pub(crate) events_per_sec: f64,
     /// Throughput relative to the sweep's first point.
-    pub speedup: f64,
+    pub(crate) speedup: f64,
     /// Digest of the run's deterministic report.
-    pub digest: u64,
+    pub(crate) digest: u64,
     /// What the run returned, kept whole: a report is small next to the
     /// run that produced it (full-length e16 peaks at 2.0 GB either way).
-    pub result: R,
+    pub(crate) result: R,
 }
 
 /// A parameter sweep over one scenario.
 #[derive(Clone, Debug)]
-pub struct Sweep<P, R> {
+pub(crate) struct Sweep<P, R> {
     /// One point per parameter, in input order.
-    pub points: Vec<Point<P, R>>,
+    pub(crate) points: Vec<Point<P, R>>,
     /// Whether every point produced the same digest.
-    pub deterministic: bool,
+    pub(crate) deterministic: bool,
 }
 
 /// Runs and times `run` at each parameter; `measure` (untimed) extracts
 /// `(events, digest)` from a result. Each experiment keeps its own digest
 /// recipe — they differ on purpose and the digests are pinned.
-pub fn sweep<P: Copy, R>(
+pub(crate) fn sweep<P: Copy, R>(
     params: &[P],
     mut run: impl FnMut(P) -> R,
     measure: impl Fn(&R) -> (u64, u64),
@@ -192,7 +192,7 @@ impl<P, R> Point<P, R> {
     /// A `measured` row: `row` (an object naming the swept parameter) plus
     /// this point's machine-dependent numbers.
     #[must_use]
-    pub fn timing(&self, mut row: JsonValue) -> JsonValue {
+    pub(crate) fn timing(&self, mut row: JsonValue) -> JsonValue {
         row.insert("wall_secs", round_to(self.wall_secs, 6));
         row.insert("events_per_sec", round_to(self.events_per_sec, 1));
         row.insert("speedup", round_to(self.speedup, 3));
@@ -202,14 +202,14 @@ impl<P, R> Point<P, R> {
 
 /// A digest as the 16-digit hex string every table and artifact shows.
 #[must_use]
-pub fn hex(digest: u64) -> String {
+pub(crate) fn hex(digest: u64) -> String {
     format!("{digest:016x}")
 }
 
 /// `x` rounded to `places` decimals, so artifacts carry `24.94`, not the
 /// full mantissa.
 #[must_use]
-pub fn round_to(x: f64, places: i32) -> f64 {
+pub(crate) fn round_to(x: f64, places: i32) -> f64 {
     let scale = 10f64.powi(places);
     (x * scale).round() / scale
 }

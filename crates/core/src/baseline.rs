@@ -9,18 +9,6 @@
 
 use potemkin_workload::dialogue::{DialogueOutcome, DialogueRequest, ExploitScript};
 
-/// The kind of responder racing the exploit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResponderKind {
-    /// Scripted emulation that knows `depth` dialogue rounds per service.
-    LowInteraction {
-        /// Scripted dialogue depth.
-        depth: u8,
-    },
-    /// A real guest image (a Potemkin VM): sustains any depth.
-    HighInteraction,
-}
-
 /// A honeyd-style scripted responder.
 #[derive(Clone, Debug)]
 pub struct LowInteractionResponder {
@@ -39,22 +27,16 @@ impl LowInteractionResponder {
         LowInteractionResponder { scripted_depth, open_ports, answered: 0, stalled: 0 }
     }
 
-    /// The scripted depth.
-    #[must_use]
-    pub fn scripted_depth(&self) -> u8 {
-        self.scripted_depth
-    }
-
     /// Whether the emulation serves `port`.
     #[must_use]
-    pub fn serves(&self, port: u16) -> bool {
+    pub(crate) fn serves(&self, port: u16) -> bool {
         self.open_ports.contains(&port)
     }
 
     /// Responds to one dialogue request, or `None` once past the scripted
     /// depth (the connection hangs/resets — the emulation has no idea what
     /// to say).
-    pub fn respond(&mut self, request: &DialogueRequest) -> Option<Vec<u8>> {
+    pub(crate) fn respond(&mut self, request: &DialogueRequest) -> Option<Vec<u8>> {
         if request.round < self.scripted_depth {
             self.answered += 1;
             Some(format!("scripted-response-{}", request.round).into_bytes())
@@ -74,12 +56,6 @@ impl LowInteractionResponder {
             return DialogueOutcome::StalledAt { rounds: 0 };
         }
         exploit.drive(|req| self.respond(req))
-    }
-
-    /// Lifetime `(answered, stalled)` counts.
-    #[must_use]
-    pub fn counts(&self) -> (u64, u64) {
-        (self.answered, self.stalled)
     }
 }
 
@@ -104,7 +80,7 @@ mod tests {
         let outcome = low.race(&exploit(3));
         assert_eq!(outcome, DialogueOutcome::StalledAt { rounds: 2 });
         assert!(!outcome.captured());
-        assert_eq!(low.counts(), (2, 1));
+        assert_eq!((low.answered, low.stalled), (2, 1));
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub struct CheckpointReport {
     /// Total write attempts beyond the first, across all checkpoints.
     pub retried_attempts: u64,
     /// Total deterministic backoff charged by the retry loop, in nanos.
-    pub total_backoff_nanos: u64,
+    pub(crate) total_backoff_nanos: u64,
     /// Encoded size of the most recent snapshot, in bytes.
     pub last_snapshot_bytes: u64,
     /// Content digest of the most recent snapshot.
@@ -132,7 +132,7 @@ pub struct CheckpointedRun {
 /// runs share snapshots; so is `tuning.rebalance`, which is
 /// digest-invariant.
 #[must_use]
-pub fn config_fingerprint(config: &ShardedTelescopeConfig) -> u64 {
+pub(crate) fn config_fingerprint(config: &ShardedTelescopeConfig) -> u64 {
     let mut canonical = format!(
         "{:?}|{}|{:?}|{:?}|{:?}|{}",
         config.base,
@@ -577,10 +577,20 @@ mod tests {
         options.stop_after_windows = Some(4);
         run_telescope_checkpointed(&config, 1, &options).unwrap();
         assert!(rotated_path(&path).exists(), "rotation kept the previous checkpoint");
+        let plain = run_telescope_sharded(&config, 1).unwrap().canonical_string();
+        // Resumed runs checkpoint elsewhere, so every case below reads the
+        // files the killed run left.
+        let resumed_path = temp_path("fallback-resumed.snap");
+        let resume_options = CheckpointOptions::new(&resumed_path);
+        let resume = |snapshot: &SnapshotFile| {
+            let run = resume_telescope_checkpointed(&config, 1, snapshot, &resume_options);
+            run.unwrap().result.canonical_string()
+        };
 
         // Flip a byte mid-file: the primary must fail integrity
         // validation and recovery must fall back.
-        let mut bytes = std::fs::read(&path).unwrap();
+        let newest = std::fs::read(&path).unwrap();
+        let mut bytes = newest.clone();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
@@ -588,12 +598,22 @@ mod tests {
         let (snapshot, fell_back) = recover_snapshot(&path).unwrap();
         assert!(fell_back);
         // The fallback is one checkpoint older but still resumable.
-        options.stop_after_windows = None;
-        let resumed = resume_telescope_checkpointed(&config, 1, &snapshot, &options).unwrap();
-        let plain = run_telescope_sharded(&config, 1).unwrap();
-        assert_eq!(plain.canonical_string(), resumed.result.canonical_string());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(rotated_path(&path));
+        assert_eq!(plain, resume(&snapshot));
+
+        // A crash inside `save`, after `rotate_previous` and before
+        // `write_atomic`, leaves no primary: only `.prev`, which now holds
+        // the newest checkpoint.
+        std::fs::write(&path, &newest).unwrap();
+        rotate_previous(&path);
+        assert!(!path.exists());
+        let (snapshot, fell_back) = recover_snapshot(&path).unwrap();
+        assert!(fell_back);
+        assert_eq!(snapshot.digest(), SnapshotFile::decode(&newest).unwrap().digest());
+        assert_eq!(plain, resume(&snapshot));
+        for p in [&path, &resumed_path] {
+            let _ = std::fs::remove_file(p);
+            let _ = std::fs::remove_file(rotated_path(p));
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use potemkin_gateway::ConfigError;
 use potemkin_metrics::{CounterSet, FaultClass, FaultLedger, LogHistogram, TimeSeries};
 use potemkin_net::icmp::IcmpMessage;
 use potemkin_net::tcp::TcpFlags;
-use potemkin_net::{BufferPool, Packet, PacketBuilder, PacketPayload, PoolStats};
+use potemkin_net::{BufferPool, Packet, PacketBuilder, PacketPayload};
 use potemkin_obs::{names as obs, TraceConfig, TraceEvent, Tracer};
 use potemkin_services::{ServiceEngine, ServicesConfig};
 use potemkin_sim::{FaultInjector, FaultKind, FaultPlan, SimRng, SimTime};
@@ -85,11 +85,11 @@ pub struct FarmConfig {
     /// served by the mapped guest profile (first match wins); everything
     /// else uses the default `profile`. Every server hosts a reference
     /// image per profile.
-    pub address_profiles: Vec<(potemkin_net::addr::Ipv4Prefix, GuestProfile)>,
+    pub(crate) address_profiles: Vec<(potemkin_net::addr::Ipv4Prefix, GuestProfile)>,
     /// When the farm is full and a new address needs a VM, evict the oldest
     /// binding instead of dropping the packet (the paper's replace-oldest
     /// resource policy).
-    pub evict_on_pressure: bool,
+    pub(crate) evict_on_pressure: bool,
     /// Bounded retry for transient clone faults (None = fail fast). Only
     /// injected faults are transient, so this is inert without a fault
     /// plan.
@@ -102,7 +102,7 @@ pub struct FarmConfig {
     /// Which binding the farm reclaims under memory pressure (only
     /// consulted when `evict_on_pressure` is set). Defaults to
     /// [`ReclaimPolicyKind::Oldest`], the pre-policy behaviour.
-    pub reclaim_policy: ReclaimPolicyKind,
+    pub(crate) reclaim_policy: ReclaimPolicyKind,
     /// Per-host cap on resident frames, checked before each flash clone
     /// (None = no budget; only the physical frame count limits). A clone
     /// that would exceed the budget raises a typed [`PressureEvent`] and
@@ -114,13 +114,13 @@ pub struct FarmConfig {
     /// deterministic [`Host::scan_and_merge`] sweep.
     ///
     /// [`Host::scan_and_merge`]: potemkin_vmm::host::Host::scan_and_merge
-    pub merge_interval: Option<SimTime>,
+    pub(crate) merge_interval: Option<SimTime>,
     /// The adaptive interaction plane (None = the seed's fixed
     /// `220 service ready` banner on every listening port). When set,
     /// inbound data on listening ports is classified and answered by the
     /// scenario engine ([`potemkin_services`]), and captured scenario
     /// payloads flow into the farm's capture table.
-    pub services: Option<ServicesConfig>,
+    pub(crate) services: Option<ServicesConfig>,
     /// Chunk size (in blocks) of the content-addressed store backing every
     /// reference-image disk. `1` reproduces the flat one-word-per-chunk
     /// layout; results are byte-identical at any value — only checkpoint
@@ -222,22 +222,8 @@ impl FarmConfigBuilder {
 
     /// Sets the default guest image profile.
     #[must_use]
-    pub fn profile(mut self, profile: GuestProfile) -> Self {
+    pub(crate) fn profile(mut self, profile: GuestProfile) -> Self {
         self.inner.profile = profile;
-        self
-    }
-
-    /// Sets the VMM latency model.
-    #[must_use]
-    pub fn cost_model(mut self, cost_model: CostModel) -> Self {
-        self.inner.cost_model = cost_model;
-        self
-    }
-
-    /// Sets the fixed per-domain page overhead.
-    #[must_use]
-    pub fn overhead_pages(mut self, pages: u64) -> Self {
-        self.inner.overhead_pages = pages;
         self
     }
 
@@ -262,48 +248,10 @@ impl FarmConfigBuilder {
         self
     }
 
-    /// Sets the VM recycling strategy.
-    #[must_use]
-    pub fn recycle(mut self, recycle: RecycleStrategy) -> Self {
-        self.inner.recycle = recycle;
-        self
-    }
-
-    /// Sets the per-host standby-pool size.
-    #[must_use]
-    pub fn standby_per_host(mut self, n: usize) -> Self {
-        self.inner.standby_per_host = n;
-        self
-    }
-
-    /// Sets heterogeneous per-prefix guest profiles.
-    #[must_use]
-    pub fn address_profiles(
-        mut self,
-        profiles: Vec<(potemkin_net::addr::Ipv4Prefix, GuestProfile)>,
-    ) -> Self {
-        self.inner.address_profiles = profiles;
-        self
-    }
-
     /// Enables or disables pressure eviction.
     #[must_use]
     pub fn evict_on_pressure(mut self, on: bool) -> Self {
         self.inner.evict_on_pressure = on;
-        self
-    }
-
-    /// Sets bounded retry for transient clone faults.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.inner.retry = Some(retry);
-        self
-    }
-
-    /// Enables or disables the degradation ladder.
-    #[must_use]
-    pub fn degradation_ladder(mut self, on: bool) -> Self {
-        self.inner.degradation_ladder = on;
         self
     }
 
@@ -331,15 +279,8 @@ impl FarmConfigBuilder {
     /// Installs the adaptive interaction plane (scenario-driven service
     /// responses instead of the fixed banner).
     #[must_use]
-    pub fn services(mut self, services: ServicesConfig) -> Self {
+    pub(crate) fn services(mut self, services: ServicesConfig) -> Self {
         self.inner.services = Some(services);
-        self
-    }
-
-    /// Sets the chunk size (in blocks) of the shared disk store.
-    #[must_use]
-    pub fn disk_chunk_blocks(mut self, blocks: u64) -> Self {
-        self.inner.disk_chunk_blocks = blocks;
         self
     }
 
@@ -600,7 +541,10 @@ impl Honeyfarm {
     /// # Errors
     ///
     /// Same as [`Honeyfarm::new`].
-    pub fn with_shared_config(config: Arc<FarmConfig>, seed: u64) -> Result<Self, FarmError> {
+    pub(crate) fn with_shared_config(
+        config: Arc<FarmConfig>,
+        seed: u64,
+    ) -> Result<Self, FarmError> {
         if config.servers == 0 {
             return Err(FarmError::BadConfig { what: "servers must be > 0" });
         }
@@ -719,18 +663,11 @@ impl Honeyfarm {
         events
     }
 
-    /// Trace events lost to flight-recorder overwrite (farm + gateway
-    /// lanes).
-    #[must_use]
-    pub fn trace_dropped(&self) -> u64 {
-        self.tracer.dropped() + self.gateway.trace_dropped()
-    }
-
     /// Declares this farm to be one cell of a sharded run. From then on,
     /// reflected packets whose destination hashes to a different cell are
     /// emitted as [`FarmOutput::ForwardedCell`] for the driver to route,
     /// instead of re-entering this farm's gateway.
-    pub fn assign_cell(&mut self, slot: crate::parallel::CellSlot) {
+    pub(crate) fn assign_cell(&mut self, slot: crate::parallel::CellSlot) {
         self.cell = Some(slot);
     }
 
@@ -853,7 +790,7 @@ impl Honeyfarm {
     /// is itself deterministic, so the merged state — and every report
     /// derived from it — depends only on the farm state, never on wall
     /// clock or worker count.
-    pub fn run_merge(&mut self, now: SimTime) -> MergeReport {
+    pub(crate) fn run_merge(&mut self, now: SimTime) -> MergeReport {
         let span = self.tracer.begin(now, obs::MEM_SCAN);
         let mut pass = MergeReport::default();
         for host in &mut self.hosts {
@@ -1532,15 +1469,9 @@ impl Honeyfarm {
         outcome.response
     }
 
-    /// The interaction-service engine, when one is configured.
-    #[must_use]
-    pub fn service_engine(&self) -> Option<&ServiceEngine> {
-        self.services.as_ref()
-    }
-
     /// Mutable access to the interaction-service engine (end-of-run
     /// finalization, record export).
-    pub fn service_engine_mut(&mut self) -> Option<&mut ServiceEngine> {
+    pub(crate) fn service_engine_mut(&mut self) -> Option<&mut ServiceEngine> {
         self.services.as_mut()
     }
 
@@ -1626,7 +1557,7 @@ impl Honeyfarm {
     }
 
     /// Drains the list of VMs infected since the last call.
-    pub fn take_new_infections(&mut self) -> Vec<VmRef> {
+    pub(crate) fn take_new_infections(&mut self) -> Vec<VmRef> {
         std::mem::take(&mut self.newly_infected)
     }
 
@@ -1670,8 +1601,8 @@ impl Honeyfarm {
     /// Recycling statistics of the farm's wire-buffer pool. In steady
     /// state `reused` grows while `allocated` stays flat — the invariant
     /// the allocation-free-path tests assert.
-    #[must_use]
-    pub fn pool_stats(&self) -> PoolStats {
+    #[cfg(test)]
+    pub(crate) fn pool_stats(&self) -> potemkin_net::PoolStats {
         self.pool.stats()
     }
 
@@ -1694,7 +1625,7 @@ impl Honeyfarm {
     /// Drivers that batch bookkeeping at window barriers (see
     /// [`crate::parallel`]) call this once per window instead of paying
     /// map updates per packet.
-    pub fn end_window(&mut self) {
+    pub(crate) fn end_window(&mut self) {
         self.gateway.end_window();
     }
 
@@ -1760,32 +1691,26 @@ impl Honeyfarm {
 
     /// Histogram of clone latencies (microseconds of virtual time).
     #[must_use]
-    pub fn clone_latency_us(&self) -> &LogHistogram {
+    pub(crate) fn clone_latency_us(&self) -> &LogHistogram {
         &self.clone_latency_us
     }
 
     /// Total virtual time spent inside VMM operations.
     #[must_use]
-    pub fn vmm_time(&self) -> SimTime {
+    pub(crate) fn vmm_time(&self) -> SimTime {
         self.vmm_time
     }
 
     /// Per-fault-class counters and recovery-latency histograms.
     #[must_use]
-    pub fn fault_ledger(&self) -> &FaultLedger {
+    pub(crate) fn fault_ledger(&self) -> &FaultLedger {
         &self.fault_ledger
     }
 
     /// Addresses orphaned by a crash and still awaiting a re-bind.
     #[must_use]
-    pub fn pending_rebinds(&self) -> usize {
+    pub(crate) fn pending_rebinds(&self) -> usize {
         self.pending_rebinds.len()
-    }
-
-    /// Fault events not yet fired (0 for fault-free runs).
-    #[must_use]
-    pub fn pending_fault_events(&self) -> usize {
-        self.faults.as_ref().map_or(0, FaultInjector::remaining)
     }
 
     /// Farm-wide logical-vs-resident memory occupancy (summed over all
@@ -1807,27 +1732,8 @@ impl Honeyfarm {
 
     /// Every memory-budget rejection so far, in occurrence order.
     #[must_use]
-    pub fn pressure_events(&self) -> &[PressureEvent] {
+    pub(crate) fn pressure_events(&self) -> &[PressureEvent] {
         &self.pressure_log
-    }
-
-    /// Sharing ratio sampled at each merge pass (empty when merging is
-    /// off).
-    #[must_use]
-    pub fn sharing_ratio_series(&self) -> &TimeSeries {
-        &self.sharing_series
-    }
-
-    /// Resident machine frames sampled at each merge pass.
-    #[must_use]
-    pub fn resident_frames_series(&self) -> &TimeSeries {
-        &self.resident_series
-    }
-
-    /// Stable name of the active pressure-reclaim policy.
-    #[must_use]
-    pub fn reclaim_policy_name(&self) -> &'static str {
-        self.reclaim.name()
     }
 }
 
@@ -2005,7 +1911,7 @@ impl Honeyfarm {
     /// diverging this farm from the run it was restored from (the `fork`
     /// operation's what-if branch). Deterministic: the same restored state
     /// and salt always produce the same branch.
-    pub fn reseed(&mut self, salt: u64) {
+    pub(crate) fn reseed(&mut self, salt: u64) {
         let mix = crate::parallel::splitmix64;
         let s = self.rng.state();
         let f = self.fault_rng.state();

@@ -2,7 +2,7 @@
 //!
 //! One [sharded telescope](crate::parallel) covers a single telescope
 //! range on one simulated cluster. This module grows it to internet scale
-//! without a second driver: [`FederatedTelescopeConfig::sharded`] lowers a
+//! without a second driver: `FederatedTelescopeConfig::sharded` lowers a
 //! federated configuration to the sharded one it is, whose cells each
 //! carry a federation hop (`FedHop`), and the run — checkpoints, resumes
 //! and forks included — goes through the sharded entry points. The hop
@@ -93,10 +93,10 @@ pub struct FederatedTelescopeConfig {
     /// Observability: adds one federation lane per cell (`fed.tunnel`,
     /// `fed.shed` instants) on top of the sharded lanes. Digest-invisible
     /// by construction.
-    pub trace: Option<potemkin_obs::TraceConfig>,
+    pub(crate) trace: Option<potemkin_obs::TraceConfig>,
     /// Engine performance tuning (see
     /// [`EngineTuning`]).
-    pub tuning: EngineTuning,
+    pub(crate) tuning: EngineTuning,
     /// Global admission/load-shedding policy, keyed off the member farms'
     /// memory-pressure plumbing.
     pub admission: AdmissionConfig,
@@ -128,7 +128,7 @@ impl FederatedTelescopeConfig {
     ///
     /// Returns a [`ConfigError`] when `farms`/`cells` cannot slice the
     /// telescope (see [`FederationLayout::new`]).
-    pub fn layout(&self) -> Result<FederationLayout, ConfigError> {
+    pub(crate) fn layout(&self) -> Result<FederationLayout, ConfigError> {
         FederationLayout::new(self.base.radiation.telescope, self.farms, self.cells)
     }
 
@@ -144,7 +144,7 @@ impl FederatedTelescopeConfig {
     /// Returns a [`ConfigError`] for an invalid layout (farms/cells/
     /// telescope geometry) or anything the sharded builder rejects (zero
     /// window, seeds without a worm, bad adaptive bounds).
-    pub fn sharded(&self) -> Result<ShardedTelescopeConfig, ConfigError> {
+    pub(crate) fn sharded(&self) -> Result<ShardedTelescopeConfig, ConfigError> {
         self.layout()?;
         let mut config = ShardedTelescopeConfig::builder(self.base.clone())
             .cells(self.cells)
@@ -212,20 +212,6 @@ impl FederatedTelescopeConfigBuilder {
         self
     }
 
-    /// Enables per-cell tracing (federation lanes included).
-    #[must_use]
-    pub fn trace(mut self, trace: potemkin_obs::TraceConfig) -> Self {
-        self.inner.trace = Some(trace);
-        self
-    }
-
-    /// Sets the engine performance tuning.
-    #[must_use]
-    pub fn tuning(mut self, tuning: EngineTuning) -> Self {
-        self.inner.tuning = tuning;
-        self
-    }
-
     /// Sets the global admission/load-shedding policy.
     #[must_use]
     pub fn admission(mut self, admission: AdmissionConfig) -> Self {
@@ -237,7 +223,7 @@ impl FederatedTelescopeConfigBuilder {
     ///
     /// # Errors
     ///
-    /// As [`FederatedTelescopeConfig::sharded`], which is the validator.
+    /// As `FederatedTelescopeConfig::sharded`, which is the validator.
     pub fn build(self) -> Result<FederatedTelescopeConfig, ConfigError> {
         self.inner.sharded()?;
         Ok(self.inner)
@@ -254,17 +240,17 @@ pub struct FarmLinkReport {
     /// The aggregate prefix this farm advertises.
     pub prefix: Ipv4Prefix,
     /// Cells this farm runs.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Packets the routing tier decapsulated from this farm's uplink.
     pub uplink_packets: u64,
     /// Inner bytes decapsulated from this farm's uplink.
-    pub uplink_bytes: u64,
+    pub(crate) uplink_bytes: u64,
     /// Packets the tier forwarded down to this farm.
     pub downlink_packets: u64,
     /// Packets shed into this farm's cells by admission control.
     pub shed_packets: u64,
     /// This farm's uplink frames dropped for lack of a route.
-    pub route_drops: u64,
+    pub(crate) route_drops: u64,
 }
 
 /// The federation tier's merged report.

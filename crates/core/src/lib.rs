@@ -8,7 +8,7 @@
 //!   (flash-cloning on demand, delivering packets into guests, reflecting
 //!   contained traffic back into the farm, recycling idle VMs) and models
 //!   guest responses (service replies, exploit infection, worm dialogue).
-//! * [`scenario`] — [`TelescopeConfig`], the scenario every run starts
+//! * [`scenario`] — [`scenario::TelescopeConfig`], the scenario every run starts
 //!   from: farm template, radiation, horizon, sampling and tick intervals.
 //! * [`baseline`] — the low-interaction (scripted) responder baseline for
 //!   the fidelity comparison.
@@ -16,7 +16,7 @@
 //!   `CellWorld` (a farm, a packet slab, the cell fabric, an optional
 //!   federation hop and an optional attacker fleet) behind one run loop,
 //!   the single caller of the window engine. Every driver below lowers
-//!   its config to a [`ShardedTelescopeConfig`] and runs through it, and
+//!   its config to a [`parallel::ShardedTelescopeConfig`] and runs through it, and
 //!   so do a plain telescope replay and an in-farm worm outbreak: one
 //!   cell on one worker, the outbreak on a quiet telescope with seed
 //!   infections.
@@ -53,9 +53,11 @@
 //! assert!(!sent.is_empty(), "the honeypot answered the scanner");
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod baseline;
 pub mod checkpoint;
-pub mod error;
+mod error;
 pub mod farm;
 pub mod federation;
 pub mod parallel;
@@ -63,25 +65,5 @@ pub mod report;
 pub mod scenario;
 pub mod services;
 
-pub use baseline::{LowInteractionResponder, ResponderKind};
-pub use checkpoint::{
-    config_fingerprint, fork_telescope_checkpointed, read_snapshot, recover_snapshot,
-    resume_telescope_checkpointed, run_telescope_checkpointed, CheckpointOptions, CheckpointReport,
-    CheckpointedRun,
-};
 pub use error::{Error, FarmError};
-pub use farm::{FarmConfig, FarmConfigBuilder, Honeyfarm};
-pub use federation::{
-    run_telescope_federated, FarmLinkReport, FederatedTelescopeConfig,
-    FederatedTelescopeConfigBuilder, FederatedTelescopeResult, FederationReport,
-};
-pub use parallel::{
-    cell_for, derive_cell_seed, run_telescope_sharded, CellMap, CellSlot, ShardedTelescopeConfig,
-    ShardedTelescopeConfigBuilder, ShardedTelescopeResult,
-};
 pub use potemkin_gateway::ConfigError;
-pub use report::{DegradationReport, FarmStats};
-pub use scenario::{TelescopeConfig, TelescopeConfigBuilder};
-pub use services::{
-    run_interaction, InteractionConfig, InteractionConfigBuilder, InteractionResult,
-};

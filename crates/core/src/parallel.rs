@@ -77,7 +77,7 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 ///
 /// Panics if `cells` is zero.
 #[must_use]
-pub fn cell_for(addr: Ipv4Addr, cells: usize) -> usize {
+pub(crate) fn cell_for(addr: Ipv4Addr, cells: usize) -> usize {
     assert!(cells > 0, "cells must be >= 1");
     let subnet = u64::from(u32::from(addr) >> 8);
     (splitmix64(subnet) % cells as u64) as usize
@@ -86,7 +86,7 @@ pub fn cell_for(addr: Ipv4Addr, cells: usize) -> usize {
 /// Derives the private seed for one cell from a run-wide base seed, so
 /// cells draw from disjoint RNG streams regardless of how many there are.
 #[must_use]
-pub fn derive_cell_seed(base: u64, cell: usize) -> u64 {
+pub(crate) fn derive_cell_seed(base: u64, cell: usize) -> u64 {
     splitmix64(base ^ splitmix64(cell as u64 + 1))
 }
 
@@ -124,7 +124,7 @@ impl CellMap {
     /// `telescope` or `cells` does not evenly split it — all rejected at
     /// config validation.
     #[must_use]
-    pub fn owner(self, telescope: Ipv4Prefix, addr: Ipv4Addr, cells: usize) -> usize {
+    pub(crate) fn owner(self, telescope: Ipv4Prefix, addr: Ipv4Addr, cells: usize) -> usize {
         match self {
             CellMap::Hashed => cell_for(addr, cells),
             CellMap::Sliced => {
@@ -143,15 +143,15 @@ impl CellMap {
 
 /// One cell's slice of a sharded telescope: which addresses it owns.
 #[derive(Clone, Copy, Debug)]
-pub struct CellSlot {
+pub(crate) struct CellSlot {
     /// The monitored prefix the run covers.
-    pub telescope: Ipv4Prefix,
+    pub(crate) telescope: Ipv4Prefix,
     /// This cell's index.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Total number of cells.
-    pub count: usize,
+    pub(crate) count: usize,
     /// How addresses map to cells.
-    pub map: CellMap,
+    pub(crate) map: CellMap,
 }
 
 impl CellSlot {
@@ -160,7 +160,7 @@ impl CellSlot {
     /// owner once at emission spares the fabric a second `cell_for` hash
     /// per forwarded packet.
     #[must_use]
-    pub fn route(&self, dst: Ipv4Addr) -> Option<usize> {
+    pub(crate) fn route(&self, dst: Ipv4Addr) -> Option<usize> {
         if !self.telescope.contains(dst) {
             return None;
         }
@@ -179,7 +179,7 @@ impl CellSlot {
 pub struct ShardedTelescopeConfig {
     /// The scenario (per-cell farm template, radiation, horizon). Each
     /// cell instantiates `base.farm` with a seed derived from
-    /// [`derive_cell_seed`]`(base.farm.seed, cell)`.
+    /// `derive_cell_seed(base.farm.seed, cell)`.
     pub base: TelescopeConfig,
     /// Number of address-space cells. Fixed per run: results depend on it,
     /// the worker count does not change them.
@@ -188,7 +188,7 @@ pub struct ShardedTelescopeConfig {
     /// `cells`). The default [`CellMap::Hashed`] preserves the historical
     /// scattered-/24 partition; [`CellMap::Sliced`] assigns contiguous
     /// sub-prefixes, the shape federated layouts advertise.
-    pub cell_map: CellMap,
+    pub(crate) cell_map: CellMap,
     /// Conservative barrier window width.
     pub window: SimTime,
     /// Per-cell fault plans, generated from this template with a per-cell
@@ -197,7 +197,7 @@ pub struct ShardedTelescopeConfig {
     /// Patient-zero infections to seed (requires `base.farm.worm`); they
     /// are placed on distinct telescope addresses in their owning cells,
     /// and their probes propagate across the cell fabric.
-    pub seed_infections: usize,
+    pub(crate) seed_infections: usize,
     /// Observability: when set, every cell farm records spans (farm lane
     /// `2*cell`, gateway lane `2*cell + 1`) and the engine's window batches
     /// are synthesized into per-shard worker lanes. `None` leaves tracing
@@ -370,10 +370,10 @@ pub struct ShardedTelescopeResult {
     pub peak_live_vms: f64,
     /// Traffic-mix breakdown of the replayed trace.
     pub mix: TrafficMix,
-    /// Merged farm statistics ([`FarmStats::collect_sharded`]).
+    /// Merged farm statistics (`FarmStats::collect_sharded`).
     pub stats: FarmStats,
     /// Merged fault/degradation report
-    /// ([`DegradationReport::collect_sharded`]).
+    /// (`DegradationReport::collect_sharded`).
     pub degradation: DegradationReport,
     /// Packets that crossed a cell boundary over the internal fabric.
     pub cross_cell_packets: u64,

@@ -12,9 +12,9 @@ pub struct FarmStats {
     /// Live VMs across all servers.
     pub live_vms: usize,
     /// Currently infected live VMs.
-    pub infected_vms: usize,
+    pub(crate) infected_vms: usize,
     /// Per-server memory reports.
-    pub memory: Vec<MemoryReport>,
+    pub(crate) memory: Vec<MemoryReport>,
     /// Merged farm + gateway counters.
     pub counters: CounterSet,
     /// VMs cloned over the farm's lifetime.
@@ -34,7 +34,7 @@ pub struct FarmStats {
 impl FarmStats {
     /// Collects a snapshot from a farm.
     #[must_use]
-    pub fn collect(farm: &Honeyfarm) -> FarmStats {
+    pub(crate) fn collect(farm: &Honeyfarm) -> FarmStats {
         let mut counters = farm.counters().clone();
         counters.merge(&farm.gateway().counters_snapshot());
         let h = farm.clone_latency_us();
@@ -57,7 +57,7 @@ impl FarmStats {
     /// concatenated in cell order, so the result depends only on the cell
     /// states — never on how many worker threads executed them.
     #[must_use]
-    pub fn collect_sharded<'a>(farms: impl IntoIterator<Item = &'a Honeyfarm>) -> FarmStats {
+    pub(crate) fn collect_sharded<'a>(farms: impl IntoIterator<Item = &'a Honeyfarm>) -> FarmStats {
         let mut live_vms = 0;
         let mut infected_vms = 0;
         let mut memory = Vec::new();
@@ -97,7 +97,7 @@ impl FarmStats {
 
     /// Total frames private to domains across servers.
     #[must_use]
-    pub fn total_private_frames(&self) -> u64 {
+    pub(crate) fn total_private_frames(&self) -> u64 {
         self.memory.iter().map(|m| m.private_frames).sum()
     }
 
@@ -137,25 +137,25 @@ pub struct DegradationReport {
     /// Host crashes fired.
     pub host_crashes: u64,
     /// Host recoveries fired.
-    pub host_recoveries: u64,
+    pub(crate) host_recoveries: u64,
     /// Injected clone faults consumed.
     pub clone_faults: u64,
     /// Inbound packets lost to tunnel degradation.
-    pub tunnel_drops: u64,
+    pub(crate) tunnel_drops: u64,
     /// Gateway stall windows entered.
-    pub gateway_stalls: u64,
+    pub(crate) gateway_stalls: u64,
     /// VMs torn down by host crashes.
     pub vms_lost_to_crash: u64,
     /// Orphaned addresses successfully re-bound on a surviving host.
     pub rebinds_after_crash: u64,
     /// Orphaned addresses still waiting for a re-bind at collection time.
-    pub pending_rebinds: u64,
+    pub(crate) pending_rebinds: u64,
     /// Mean crash-to-rebind latency, microseconds (0 when none).
-    pub mean_rebind_us: u64,
+    pub(crate) mean_rebind_us: u64,
     /// 99th-percentile crash-to-rebind latency, microseconds.
-    pub p99_rebind_us: u64,
+    pub(crate) p99_rebind_us: u64,
     /// Full VMs placed (top rung of the ladder).
-    pub vms_cloned: u64,
+    pub(crate) vms_cloned: u64,
     /// First contacts served by the stateless SYN/ACK responder.
     pub degraded_synacks: u64,
     /// First contacts count-dropped at the bottom rung.
@@ -165,9 +165,9 @@ pub struct DegradationReport {
     /// Inbound packets dropped during gateway stalls.
     pub dropped_gateway_stalled: u64,
     /// Inbound packets refused by the admission cap.
-    pub dropped_admission: u64,
+    pub(crate) dropped_admission: u64,
     /// Clone attempts that were retried.
-    pub clone_retries: u64,
+    pub(crate) clone_retries: u64,
     /// Third-party packets that escaped containment (must stay 0).
     pub escaped: u64,
 }
@@ -186,7 +186,7 @@ impl DegradationReport {
     /// [`FarmStats::collect_sharded`], the result is a pure function of the
     /// cell states and is byte-identical for any worker count.
     #[must_use]
-    pub fn collect_sharded<'a>(
+    pub(crate) fn collect_sharded<'a>(
         farms: impl IntoIterator<Item = &'a Honeyfarm>,
     ) -> DegradationReport {
         let mut c = CounterSet::new();
@@ -229,7 +229,7 @@ impl DegradationReport {
     /// First-contact demand: every new address that asked for a VM,
     /// however the ladder answered it.
     #[must_use]
-    pub fn demand(&self) -> u64 {
+    pub(crate) fn demand(&self) -> u64 {
         self.vms_cloned
             + self.degraded_synacks
             + self.dropped_degraded

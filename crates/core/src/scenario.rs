@@ -30,7 +30,7 @@ pub struct TelescopeConfig {
     /// How long to replay.
     pub duration: SimTime,
     /// Time-series sampling interval.
-    pub sample_interval: SimTime,
+    pub(crate) sample_interval: SimTime,
     /// Gateway/binding expiry tick interval.
     pub tick_interval: SimTime,
 }

@@ -27,7 +27,7 @@
 //! byte-identical at any worker count (`tests/prop_services.rs` holds
 //! this at 1/2/4 workers). The service engines themselves are pure
 //! functions of each cell's request stream (`BTreeMap` tables, ordered
-//! rules, deterministic eviction — see [`potemkin_services::engine`]).
+//! rules, deterministic eviction — see [`potemkin_services::ServiceEngine`]).
 //!
 //! Fleet and engine conversation state are *not* checkpointed; interaction
 //! runs are short-horizon experiments, not resumable campaigns, and the
@@ -70,7 +70,7 @@ pub struct InteractionConfig {
     /// farm.
     pub services: ServicesConfig,
     /// The monitored prefix attackers aim at.
-    pub telescope: Ipv4Prefix,
+    pub(crate) telescope: Ipv4Prefix,
     /// Replay horizon.
     pub duration: SimTime,
     /// Address-space cells (results depend on it; worker count does not).
@@ -78,25 +78,25 @@ pub struct InteractionConfig {
     /// Conservative barrier window width.
     pub window: SimTime,
     /// Base RNG seed (farm + radiation).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Closed-loop attacker actors per scenario in the pack.
-    pub attackers_per_scenario: usize,
+    pub(crate) attackers_per_scenario: usize,
     /// Think time between receiving a response and sending the next
     /// drive step.
-    pub reply_delay: SimTime,
+    pub(crate) reply_delay: SimTime,
     /// Gap between consecutive actors' opening SYNs (staggered starts
     /// spread VM cloning).
-    pub start_stagger: SimTime,
+    pub(crate) start_stagger: SimTime,
     /// Ambient radiation rate (sources/second at the diurnal peak);
     /// background scanners share the farm with the scripted attackers.
-    pub background_rate: f64,
+    pub(crate) background_rate: f64,
     /// VMM servers per cell farm.
-    pub servers: usize,
+    pub(crate) servers: usize,
     /// Gateway cap on concurrently open interaction sessions per cell
     /// (`None` = unlimited).
-    pub session_cap: Option<usize>,
+    pub(crate) session_cap: Option<usize>,
     /// Observability: per-cell farm tracing (svc.* lanes included).
-    pub trace: Option<potemkin_obs::TraceConfig>,
+    pub(crate) trace: Option<potemkin_obs::TraceConfig>,
 }
 
 impl InteractionConfig {
@@ -154,13 +154,6 @@ impl InteractionConfigBuilder {
         self
     }
 
-    /// Sets the barrier window width.
-    #[must_use]
-    pub fn window(mut self, window: SimTime) -> Self {
-        self.inner.window = window;
-        self
-    }
-
     /// Sets the base RNG seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -175,24 +168,10 @@ impl InteractionConfigBuilder {
         self
     }
 
-    /// Sets the attacker think time.
-    #[must_use]
-    pub fn reply_delay(mut self, delay: SimTime) -> Self {
-        self.inner.reply_delay = delay;
-        self
-    }
-
     /// Sets the gap between consecutive actors' opening SYNs.
     #[must_use]
     pub fn start_stagger(mut self, stagger: SimTime) -> Self {
         self.inner.start_stagger = stagger;
-        self
-    }
-
-    /// Sets the ambient radiation rate (0.0 = scripted attackers only).
-    #[must_use]
-    pub fn background_rate(mut self, rate: f64) -> Self {
-        self.inner.background_rate = rate;
         self
     }
 
@@ -207,13 +186,6 @@ impl InteractionConfigBuilder {
     #[must_use]
     pub fn session_cap(mut self, cap: Option<usize>) -> Self {
         self.inner.session_cap = cap;
-        self
-    }
-
-    /// Enables per-cell farm tracing (svc.* lanes included).
-    #[must_use]
-    pub fn trace(mut self, trace: potemkin_obs::TraceConfig) -> Self {
-        self.inner.trace = Some(trace);
         self
     }
 

@@ -4,7 +4,7 @@
 //! address space — far more than one cluster serves. This crate provides
 //! the *top tier* that joins N member farms into one federated telescope:
 //!
-//! * [`RouteTable`] — a deterministic BGP-style longest-prefix-match table
+//! * `RouteTable` — a deterministic BGP-style longest-prefix-match table
 //!   over [`potemkin_net`] prefixes; each farm advertises its monitored
 //!   ranges, unadvertised destinations are counted drops (or follow a
 //!   default route).
@@ -21,15 +21,15 @@
 //! * [`AdmissionConfig`] — global load-shedding policy, keyed off the
 //!   member farms' `MemoryBudget`/`PressureEvent` plumbing.
 
-pub mod route;
-pub mod router;
+#![warn(unreachable_pub)]
+
+mod route;
+mod router;
 
 use potemkin_gateway::{ConfigError, GatewayError};
 use potemkin_net::addr::Ipv4Prefix;
-use std::net::Ipv4Addr;
 
-pub use route::{Route, RouteTable};
-pub use router::{FederationRouter, LinkStats, TransitDrop};
+pub use router::FederationRouter;
 
 /// Global admission control for the federation tier.
 ///
@@ -111,12 +111,6 @@ impl FederationLayout {
         Ok(FederationLayout { telescope, farms, cells })
     }
 
-    /// The monitored prefix.
-    #[must_use]
-    pub fn telescope(&self) -> Ipv4Prefix {
-        self.telescope
-    }
-
     /// Member-farm count.
     #[must_use]
     pub fn farms(&self) -> usize {
@@ -158,23 +152,13 @@ impl FederationLayout {
             .expect("validated farms split the telescope")
     }
 
-    /// The contiguous slice cell `cell` owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell >= cells`.
-    #[must_use]
-    pub fn cell_prefix(&self, cell: usize) -> Ipv4Prefix {
+    /// The `cell`-th equal slice of the telescope: the geometry the layout
+    /// tests check farm ownership against.
+    #[cfg(test)]
+    fn cell_prefix(&self, cell: usize) -> Ipv4Prefix {
         self.telescope
             .subprefix(cell as u64, self.cells as u64)
             .expect("validated cells split the telescope")
-    }
-
-    /// The farm owning `addr`, or `None` outside the telescope.
-    #[must_use]
-    pub fn farm_of_addr(&self, addr: Ipv4Addr) -> Option<usize> {
-        let index = self.telescope.index_of(addr)?;
-        Some((index / (self.telescope.len() / self.farms as u64)) as usize)
     }
 
     /// Builds the routing tier for this layout: one uplink + one
@@ -224,7 +208,6 @@ mod tests {
                 // slices tile its advertised prefix.
                 let farm = layout.farm_of_cell(cell);
                 assert!(layout.farm_prefix(farm).covers(layout.cell_prefix(cell)));
-                assert_eq!(layout.farm_of_addr(layout.cell_prefix(cell).network()), Some(farm));
             }
         }
     }
@@ -234,7 +217,7 @@ mod tests {
         let telescope: Ipv4Prefix = "10.0.0.0/16".parse().unwrap();
         let layout = FederationLayout::new(telescope, 8, 16).unwrap();
         let mut router = layout.router().unwrap();
-        assert_eq!(router.farms(), 8);
+        assert_eq!(router.advertised_routes(), 8);
         assert_eq!(router.monitored_addresses(), telescope.len());
         // Every cell's network address routes to the owning farm.
         for cell in 0..16 {

@@ -19,16 +19,16 @@ use potemkin_net::addr::Ipv4Prefix;
 
 /// One advertised route: a prefix and the farm that owns it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Route {
+pub(crate) struct Route {
     /// The advertised prefix.
-    pub prefix: Ipv4Prefix,
+    pub(crate) prefix: Ipv4Prefix,
     /// The owning farm (tunnel key of its uplink).
-    pub next_hop: u32,
+    pub(crate) next_hop: u32,
 }
 
 /// A longest-prefix-match route table.
 #[derive(Clone, Debug, Default)]
-pub struct RouteTable {
+pub(crate) struct RouteTable {
     /// `(prefix length, network base)` → next hop. Keying by length first
     /// lets the lookup probe each present length exactly once.
     routes: BTreeMap<(u8, u32), u32>,
@@ -39,19 +39,13 @@ pub struct RouteTable {
 }
 
 impl RouteTable {
-    /// An empty table (every lookup misses).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Advertises `prefix` as owned by `next_hop`. Re-advertising the
     /// exact same prefix replaces the route and returns the previous next
     /// hop — the tie-break for equal-length, equal-prefix announcements is
     /// last-writer-wins, which is deterministic because insertion order is
     /// program order. Distinct prefixes of equal length never tie: at most
     /// one of them can contain a given address.
-    pub fn insert(&mut self, prefix: Ipv4Prefix, next_hop: u32) -> Option<u32> {
+    pub(crate) fn insert(&mut self, prefix: Ipv4Prefix, next_hop: u32) -> Option<u32> {
         let bits = prefix.bits();
         if !self.lengths.contains(&bits) {
             self.lengths.push(bits);
@@ -60,24 +54,9 @@ impl RouteTable {
         self.routes.insert((bits, u32::from(prefix.network())), next_hop)
     }
 
-    /// Installs a default route (`0.0.0.0/0`): the fallback for addresses
-    /// no advertised prefix covers.
-    pub fn set_default(&mut self, next_hop: u32) -> Option<u32> {
-        self.insert(Ipv4Prefix::new(Ipv4Addr::UNSPECIFIED, 0).expect("/0 is valid"), next_hop)
-    }
-
-    /// Withdraws an exact route, returning its next hop if present.
-    pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<u32> {
-        let removed = self.routes.remove(&(prefix.bits(), u32::from(prefix.network())));
-        if removed.is_some() && !self.routes.keys().any(|&(b, _)| b == prefix.bits()) {
-            self.lengths.retain(|&b| b != prefix.bits());
-        }
-        removed
-    }
-
     /// Longest-prefix match for `addr`. `None` — a counted miss — when no
     /// route (not even a default) covers it.
-    pub fn lookup(&mut self, addr: Ipv4Addr) -> Option<u32> {
+    pub(crate) fn lookup(&mut self, addr: Ipv4Addr) -> Option<u32> {
         self.lookups += 1;
         let raw = u32::from(addr);
         for &bits in &self.lengths {
@@ -91,35 +70,11 @@ impl RouteTable {
     }
 
     /// All routes in canonical `(length, network)` order.
-    pub fn routes(&self) -> impl Iterator<Item = Route> + '_ {
+    pub(crate) fn routes(&self) -> impl Iterator<Item = Route> + '_ {
         self.routes.iter().map(|(&(bits, base), &next_hop)| Route {
             prefix: Ipv4Prefix::new(Ipv4Addr::from(base), bits).expect("stored bits are valid"),
             next_hop,
         })
-    }
-
-    /// Number of installed routes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// Whether the table has no routes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
-    }
-
-    /// Total lookups performed.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups no route covered.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// The `(lookups, misses)` counters: the table's only mutable state,
@@ -141,7 +96,7 @@ mod tests {
     use super::*;
 
     fn table() -> RouteTable {
-        let mut t = RouteTable::new();
+        let mut t = RouteTable::default();
         t.insert("10.0.0.0/14".parse().unwrap(), 0);
         t.insert("10.4.0.0/14".parse().unwrap(), 1);
         t
@@ -168,18 +123,18 @@ mod tests {
         assert_eq!(t.lookup(Ipv4Addr::new(10, 4, 0, 1)), Some(5));
         // Distinct equal-length prefixes never collide on one address.
         assert_eq!(t.lookup(Ipv4Addr::new(10, 0, 0, 1)), Some(0));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.routes.len(), 2);
     }
 
     #[test]
     fn default_route_fallback() {
         let mut t = table();
         assert_eq!(t.lookup(Ipv4Addr::new(192, 168, 1, 1)), None, "no default yet");
-        t.set_default(42);
+        t.insert("0.0.0.0/0".parse().unwrap(), 42);
         assert_eq!(t.lookup(Ipv4Addr::new(192, 168, 1, 1)), Some(42));
         // Specific routes still beat the default.
         assert_eq!(t.lookup(Ipv4Addr::new(10, 0, 0, 1)), Some(0));
-        assert_eq!(t.misses(), 1, "the defaulted lookup is not a miss");
+        assert_eq!(t.misses, 1, "the defaulted lookup is not a miss");
     }
 
     #[test]
@@ -188,23 +143,12 @@ mod tests {
         for i in 0..5u8 {
             assert_eq!(t.lookup(Ipv4Addr::new(172, 16, 0, i)), None);
         }
-        assert_eq!(t.lookups(), 5);
-        assert_eq!(t.misses(), 5);
+        assert_eq!(t.lookups, 5);
+        assert_eq!(t.misses, 5);
         // The empty table is the degenerate everything-misses case.
-        let mut empty = RouteTable::new();
-        assert!(empty.is_empty());
+        let mut empty = RouteTable::default();
+        assert!(empty.routes.is_empty());
         assert_eq!(empty.lookup(Ipv4Addr::new(1, 2, 3, 4)), None);
-        assert_eq!(empty.misses(), 1);
-    }
-
-    #[test]
-    fn withdraw_restores_covering_route() {
-        let mut t = table();
-        t.insert("10.1.0.0/16".parse().unwrap(), 7);
-        assert_eq!(t.lookup(Ipv4Addr::new(10, 1, 0, 1)), Some(7));
-        assert_eq!(t.remove("10.1.0.0/16".parse().unwrap()), Some(7));
-        assert_eq!(t.lookup(Ipv4Addr::new(10, 1, 0, 1)), Some(0), "falls back to the /14");
-        assert_eq!(t.remove("10.1.0.0/16".parse().unwrap()), None);
-        assert_eq!(t.routes().count(), 2);
+        assert_eq!(empty.misses, 1);
     }
 }

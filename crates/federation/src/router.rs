@@ -23,7 +23,7 @@ use crate::route::RouteTable;
 /// Why the routing tier dropped a frame in transit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum TransitDrop {
+pub(crate) enum TransitDrop {
     /// The uplink frame failed GRE decapsulation (malformed, keyless, or
     /// an unknown farm key).
     Decap,
@@ -37,7 +37,7 @@ pub struct LinkStats {
     /// Packets forwarded *to* this farm (downlink).
     pub downlink_packets: u64,
     /// Inner bytes forwarded to this farm.
-    pub downlink_bytes: u64,
+    pub(crate) downlink_bytes: u64,
     /// Frames from this farm dropped because no route covered the
     /// destination.
     pub route_drops: u64,
@@ -69,17 +69,11 @@ impl FederationRouter {
     /// Returns [`GatewayError::OverlappingPrefix`] when `prefix` overlaps
     /// an already-advertised farm — two owners for one address would make
     /// the longest-prefix decision ambiguous.
-    pub fn advertise(&mut self, farm: u32, prefix: Ipv4Prefix) -> Result<(), GatewayError> {
+    pub(crate) fn advertise(&mut self, farm: u32, prefix: Ipv4Prefix) -> Result<(), GatewayError> {
         self.uplinks.attach(Telescope { key: farm, prefix })?;
         self.table.insert(prefix, farm);
         self.links.entry(farm).or_default();
         Ok(())
-    }
-
-    /// Installs a default route: packets no advertisement covers go to
-    /// `farm` instead of being dropped.
-    pub fn set_default_route(&mut self, farm: u32) {
-        self.table.set_default(farm);
     }
 
     /// Carries one uplink frame across the tier: decapsulate (charging the
@@ -90,7 +84,7 @@ impl FederationRouter {
     ///
     /// Returns the counted [`TransitDrop`] — the frame is dropped, never a
     /// panic, because uplink traffic is untrusted input.
-    pub fn transit(&mut self, frame: &[u8]) -> Result<(u32, Vec<u8>), TransitDrop> {
+    pub(crate) fn transit(&mut self, frame: &[u8]) -> Result<(u32, Vec<u8>), TransitDrop> {
         let (src, inner) = match self.uplinks.decapsulate(frame) {
             Ok(decapsulated) => decapsulated,
             Err(_) => {
@@ -134,12 +128,6 @@ impl FederationRouter {
         self.links.values().map(|l| l.route_drops).sum()
     }
 
-    /// Frames dropped at decapsulation (malformed or unknown-key uplinks).
-    #[must_use]
-    pub fn decap_drops(&self) -> u64 {
-        self.decap_drops
-    }
-
     /// Installed routes (excluding any default).
     #[must_use]
     pub fn advertised_routes(&self) -> usize {
@@ -150,18 +138,6 @@ impl FederationRouter {
     #[must_use]
     pub fn monitored_addresses(&self) -> u64 {
         self.uplinks.monitored_addresses()
-    }
-
-    /// Number of member farms.
-    #[must_use]
-    pub fn farms(&self) -> usize {
-        self.uplinks.len()
-    }
-
-    /// The route table's lookup/miss counters.
-    #[must_use]
-    pub fn table_counters(&self) -> (u64, u64) {
-        self.table.counters()
     }
 
     /// Checkpoint support: serializes every transit counter — tunnel
@@ -234,7 +210,7 @@ mod tests {
         let mut r = router();
         let err = r.advertise(2, "10.0.4.0/24".parse().unwrap()).unwrap_err();
         assert!(matches!(err, GatewayError::OverlappingPrefix { .. }));
-        assert_eq!(r.farms(), 2);
+        assert_eq!(r.uplinks.len(), 2);
         assert_eq!(r.advertised_routes(), 2, "rejected farm must not leak a route");
     }
 
@@ -246,7 +222,7 @@ mod tests {
         assert_eq!(r.link_stats(0).route_drops, 1);
         assert_eq!(r.route_drops(), 1);
         // With a default route installed the same packet transits.
-        r.set_default_route(1);
+        r.table.insert("0.0.0.0/0".parse().unwrap(), 1);
         let (dest, _) = r.forward(0, &stray).unwrap();
         assert_eq!(dest, 1);
     }
@@ -257,7 +233,7 @@ mod tests {
         assert_eq!(r.transit(&[0x20]), Err(TransitDrop::Decap));
         let unknown_key = GreHeader::encapsulate_ipv4(99, probe(Ipv4Addr::new(10, 0, 0, 1)).wire());
         assert_eq!(r.transit(&unknown_key), Err(TransitDrop::Decap));
-        assert_eq!(r.decap_drops(), 2);
+        assert_eq!(r.decap_drops, 2);
     }
 
     #[test]
@@ -274,8 +250,8 @@ mod tests {
         assert_eq!(restored.link_stats(0), r.link_stats(0));
         assert_eq!(restored.link_stats(1), r.link_stats(1));
         assert_eq!(restored.uplink_stats(0), r.uplink_stats(0));
-        assert_eq!(restored.table_counters(), r.table_counters());
-        assert_eq!(restored.decap_drops(), 1);
+        assert_eq!(restored.table.counters(), r.table.counters());
+        assert_eq!(restored.decap_drops, 1);
         for cut in [0, 3, bytes.len() - 1] {
             let mut fresh = router();
             assert!(fresh.restore_state(&bytes[..cut]).is_err(), "cut at {cut} must fail");

@@ -155,7 +155,7 @@ impl AddressBinder {
     }
 
     /// Records a quota rejection (telemetry).
-    pub fn note_quota_rejection(&mut self) {
+    pub(crate) fn note_quota_rejection(&mut self) {
         self.quota_rejections += 1;
     }
 

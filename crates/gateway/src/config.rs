@@ -11,11 +11,11 @@
 /// # Examples
 ///
 /// ```
-/// use potemkin_gateway::policy::PolicyConfig;
+/// use potemkin_gateway::ConfigError;
 ///
-/// let err = PolicyConfig::builder().outbound_burst(0.0).build().unwrap_err();
-/// assert_eq!(err.config(), "PolicyConfig");
-/// assert_eq!(err.field(), "outbound_burst");
+/// let err = ConfigError::new("GatewayConfig", "max_flows", "must be positive");
+/// assert_eq!(err.field(), "max_flows");
+/// assert_eq!(err.to_string(), "GatewayConfig.max_flows: must be positive");
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfigError {
@@ -29,12 +29,6 @@ impl ConfigError {
     #[must_use]
     pub fn new(config: &'static str, field: &'static str, reason: &'static str) -> Self {
         ConfigError { config, field, reason }
-    }
-
-    /// The config struct that failed validation (e.g. `"FarmConfig"`).
-    #[must_use]
-    pub fn config(&self) -> &'static str {
-        self.config
     }
 
     /// The offending field.
@@ -66,7 +60,6 @@ mod tests {
     fn display_names_struct_and_field() {
         let e = ConfigError::new("FarmConfig", "servers", "must be at least 1");
         assert_eq!(e.to_string(), "FarmConfig.servers: must be at least 1");
-        assert_eq!(e.config(), "FarmConfig");
         assert_eq!(e.field(), "servers");
         assert_eq!(e.reason(), "must be at least 1");
     }

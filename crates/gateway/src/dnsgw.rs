@@ -21,7 +21,7 @@ use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Why the sinkhole could not produce an address for a name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SinkholeError {
+pub(crate) enum SinkholeError {
     /// Every address in the sinkhole prefix is already bound to a name
     /// (or the prefix is empty): there is nothing left to hand out.
     Exhausted,
@@ -98,7 +98,7 @@ impl DnsProxy {
 
     /// Whether a UDP packet is a DNS query the proxy should answer.
     #[must_use]
-    pub fn is_dns_query(packet: &Packet) -> bool {
+    pub(crate) fn is_dns_query(packet: &Packet) -> bool {
         match packet.payload() {
             PacketPayload::Udp { header, payload } => {
                 header.dst_port == DNS_PORT
@@ -112,7 +112,7 @@ impl DnsProxy {
     /// fully-formed response packet addressed back to the querying VM.
     ///
     /// Returns `None` if the packet is not a parseable DNS query.
-    pub fn answer(&mut self, query_packet: &Packet) -> Option<Packet> {
+    pub(crate) fn answer(&mut self, query_packet: &Packet) -> Option<Packet> {
         let PacketPayload::Udp { header, payload } = query_packet.payload() else {
             return None;
         };
@@ -151,7 +151,7 @@ impl DnsProxy {
 
     /// Whether `addr` is inside the sinkhole prefix.
     #[must_use]
-    pub fn is_sinkhole_addr(&self, addr: Ipv4Addr) -> bool {
+    pub(crate) fn is_sinkhole_addr(&self, addr: Ipv4Addr) -> bool {
         self.sinkhole.contains(addr)
     }
 
@@ -162,8 +162,8 @@ impl DnsProxy {
     }
 
     /// Number of distinct names resolved.
-    #[must_use]
-    pub fn names_resolved(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn names_resolved(&self) -> usize {
         self.forward.len()
     }
 
@@ -172,7 +172,7 @@ impl DnsProxy {
     /// built from the same config, and the reverse map is rebuilt from the
     /// forward one.
     #[must_use]
-    pub fn encode_state(&self) -> Vec<u8> {
+    pub(crate) fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.forward.snap(&mut w);
         w.u32(self.ttl);
@@ -181,7 +181,7 @@ impl DnsProxy {
         w.into_bytes()
     }
 
-    /// Restores state encoded by [`DnsProxy::encode_state`] into this proxy.
+    /// Restores state encoded by `DnsProxy::encode_state` into this proxy.
     ///
     /// # Errors
     ///

@@ -36,7 +36,7 @@ pub struct GatewayConfig {
     /// Address-binding granularity.
     pub granularity: BindGranularity,
     /// The reserved prefix DNS answers come from.
-    pub sinkhole: Ipv4Prefix,
+    pub(crate) sinkhole: Ipv4Prefix,
     /// Cap on concurrently open interaction-service sessions admitted per
     /// farm (`None` = unlimited). Checked by
     /// [`Gateway::admit_service_session`] before the farm opens a new
@@ -71,8 +71,8 @@ impl GatewayConfig {
 /// use potemkin_gateway::gateway::GatewayConfig;
 /// use potemkin_gateway::policy::PolicyConfig;
 ///
-/// let config = GatewayConfig::builder().policy(PolicyConfig::reflect()).build().unwrap();
-/// assert!(config.policy.proxy_dns);
+/// let config = GatewayConfig::builder().policy(PolicyConfig::drop_all()).build().unwrap();
+/// assert_eq!(config.policy.mode, PolicyConfig::drop_all().mode);
 /// ```
 #[derive(Clone, Debug)]
 pub struct GatewayConfigBuilder {
@@ -84,27 +84,6 @@ impl GatewayConfigBuilder {
     #[must_use]
     pub fn policy(mut self, policy: PolicyConfig) -> Self {
         self.inner.policy = policy;
-        self
-    }
-
-    /// Sets the address-binding granularity.
-    #[must_use]
-    pub fn granularity(mut self, granularity: BindGranularity) -> Self {
-        self.inner.granularity = granularity;
-        self
-    }
-
-    /// Sets the sinkhole prefix DNS answers come from.
-    #[must_use]
-    pub fn sinkhole(mut self, sinkhole: Ipv4Prefix) -> Self {
-        self.inner.sinkhole = sinkhole;
-        self
-    }
-
-    /// Caps concurrently open interaction-service sessions per farm.
-    #[must_use]
-    pub fn service_sessions(mut self, cap: Option<usize>) -> Self {
-        self.inner.service_sessions = cap;
         self
     }
 
@@ -305,12 +284,6 @@ impl Gateway {
         self.tracer.drain()
     }
 
-    /// Trace events lost to flight-recorder overwrite on this lane.
-    #[must_use]
-    pub fn trace_dropped(&self) -> u64 {
-        self.tracer.dropped()
-    }
-
     /// Admission control for interaction-service sessions: whether a new
     /// scenario session may open given `open` are already live on this
     /// farm. Deterministic — a pure comparison against the configured cap
@@ -341,14 +314,8 @@ impl Gateway {
 
     /// Whether the gateway is currently stalled.
     #[must_use]
-    pub fn is_stalled(&self, now: SimTime) -> bool {
+    pub(crate) fn is_stalled(&self, now: SimTime) -> bool {
         now < self.stalled_until
-    }
-
-    /// The configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
     }
 
     /// Processes a packet arriving from outside (or re-offered after a
@@ -651,40 +618,16 @@ impl Gateway {
         merged
     }
 
-    /// The smoothed inbound packet rate (packets/second of virtual time).
-    #[must_use]
-    pub fn inbound_rate(&self, now: SimTime) -> f64 {
-        self.inbound_rate.rate(now)
-    }
-
-    /// Live binding count (== live VMs from the gateway's perspective).
-    #[must_use]
-    pub fn live_bindings(&self) -> usize {
-        self.binder.len()
-    }
-
     /// Live flow count.
     #[must_use]
     pub fn live_flows(&self) -> usize {
         self.flows.len()
     }
 
-    /// Live flows touching `addr` as either endpoint (tests and telemetry).
-    #[must_use]
-    pub fn flows_alive_for(&self, addr: Ipv4Addr) -> usize {
-        self.flows.flows_for(addr)
-    }
-
     /// The DNS proxy (attribution queries).
     #[must_use]
     pub fn dns(&self) -> &DnsProxy {
         &self.dns
-    }
-
-    /// The binder (stats queries).
-    #[must_use]
-    pub fn binder(&self) -> &AddressBinder {
-        &self.binder
     }
 
     /// Checkpoint support: serializes the gateway's complete mutable state
@@ -802,7 +745,7 @@ mod tests {
             GatewayAction::Deliver { vm, .. } => assert_eq!(vm, VmRef(1)),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(g.live_bindings(), 1);
+        assert_eq!(g.binder.len(), 1);
     }
 
     #[test]
@@ -823,7 +766,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(g.live_bindings(), 0, "no VM spent on a ping");
+        assert_eq!(g.binder.len(), 0, "no VM spent on a ping");
         // But a ping to a *bound* address goes to its VM.
         g.bind(SimTime::ZERO, ATTACKER, HP1, VmRef(1));
         let ping2 = PacketBuilder::new(ATTACKER, HP1).icmp_echo(9, 2, b"x");
@@ -1133,7 +1076,7 @@ mod tests {
         let expired = g.expire(SimTime::from_secs(11));
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].vm, VmRef(1));
-        assert_eq!(g.live_bindings(), 0);
+        assert_eq!(g.binder.len(), 0);
         // Next packet for HP1 requests a fresh clone.
         assert!(matches!(
             g.on_inbound(SimTime::from_secs(12), syn(ATTACKER, HP1)),
@@ -1154,13 +1097,13 @@ mod tests {
         g.on_inbound(t, syn(ATTACKER, HP1));
         g.bind(t, ATTACKER, HP1, VmRef(1));
         g.on_inbound(t, syn(ATTACKER, HP1));
-        assert!(g.flows_alive_for(HP1) > 0);
+        assert!(g.flows.flows_for(HP1) > 0);
 
         // The binding idles out; the flow idle timeout alone (120 s) would
         // have kept the flow for another ~110 s.
         let expired = g.expire(SimTime::from_secs(11));
         assert_eq!(expired.len(), 1);
-        assert_eq!(g.flows_alive_for(HP1), 0, "binding expiry retires its flows");
+        assert_eq!(g.flows.flows_for(HP1), 0, "binding expiry retires its flows");
 
         // The address is re-bound to a different (recycled) VM, which emits
         // a "SYN-ACK reply" into the old dialogue it never had.
@@ -1184,11 +1127,11 @@ mod tests {
         g.on_inbound(t, syn(ATTACKER, HP1));
         g.bind(t, ATTACKER, HP1, VmRef(1));
         g.on_inbound(t, syn(ATTACKER, HP1));
-        assert!(g.flows_alive_for(HP1) > 0);
+        assert!(g.flows.flows_for(HP1) > 0);
         let mut policy = crate::reclaim::OldestFirst;
         let evicted = g.evict_for_pressure(SimTime::from_secs(1), &mut policy).unwrap();
         assert_eq!(evicted.vm, VmRef(1));
-        assert_eq!(g.flows_alive_for(HP1), 0);
+        assert_eq!(g.flows.flows_for(HP1), 0);
         assert_eq!(g.counters().get("bindings_evicted_pressure"), 1);
     }
 
@@ -1273,8 +1216,8 @@ mod tests {
 
         let addrs = g.unbind_vm(VmRef(1));
         assert_eq!(addrs, vec![HP1]);
-        assert_eq!(g.live_bindings(), 1);
-        assert_eq!(g.flows_alive_for(HP1), 0);
+        assert_eq!(g.binder.len(), 1);
+        assert_eq!(g.flows.flows_for(HP1), 0);
         // The survivor is untouched.
         assert!(matches!(
             g.on_inbound(SimTime::from_secs(1), syn(ATTACKER, HP2)),
@@ -1286,16 +1229,16 @@ mod tests {
     #[test]
     fn inbound_rate_tracks_load() {
         let mut g = gw(PolicyConfig::reflect());
-        assert_eq!(g.inbound_rate(SimTime::ZERO), 0.0);
+        assert_eq!(g.inbound_rate.rate(SimTime::ZERO), 0.0);
         // 200 packets/s for 30 seconds (past the 5s EWMA time constant).
         for i in 1..=6_000u64 {
             let p = PacketBuilder::new(ATTACKER, HP1).tcp_syn((i % 60_000) as u16, 445);
             g.on_inbound(SimTime::from_millis(i * 5), p);
         }
-        let rate = g.inbound_rate(SimTime::from_secs(30));
+        let rate = g.inbound_rate.rate(SimTime::from_secs(30));
         assert!((150.0..250.0).contains(&rate), "rate = {rate}");
         // Long silence caps the claimable rate.
-        let quiet = g.inbound_rate(SimTime::from_secs(330));
+        let quiet = g.inbound_rate.rate(SimTime::from_secs(330));
         assert!(quiet < 0.01, "quiet = {quiet}");
     }
 
@@ -1351,7 +1294,7 @@ mod tests {
         let mut restored = gw(PolicyConfig::reflect());
         restored.restore_state(&bytes).unwrap();
         assert_eq!(restored.encode_state(), bytes, "re-encode must be bit-identical");
-        assert_eq!(restored.live_bindings(), original.live_bindings());
+        assert_eq!(restored.binder.len(), original.binder.len());
         assert_eq!(restored.live_flows(), original.live_flows());
         assert_eq!(restored.dns().names_resolved(), 1);
         assert!(restored.is_stalled(SimTime::from_secs(11)));

@@ -10,7 +10,7 @@
 //! * **Outbound**, every packet a honeypot emits is classified against the
 //!   **containment policy** ([`policy`]): replies to the original attacker
 //!   flow out for fidelity, DNS is answered by a controlled resolver
-//!   ([`dnsgw`]), and everything else is — depending on the configured mode
+//!   (`dnsgw`), and everything else is — depending on the configured mode
 //!   — allowed (unsafe baseline), dropped (safe but fidelity-destroying
 //!   baseline), or **reflected** back into the farm, so that a captured worm
 //!   propagates among honeypots instead of attacking third parties.
@@ -21,10 +21,12 @@
 //! synchronously testable and mirrors the paper's separation between the
 //! gateway router and the VMM servers.
 
+#![warn(unreachable_pub)]
+
 pub mod binding;
-pub mod config;
-pub mod dnsgw;
-pub mod error;
+mod config;
+mod dnsgw;
+mod error;
 pub mod flowtable;
 pub mod gateway;
 pub mod policy;
@@ -33,12 +35,8 @@ pub mod tunnel;
 
 pub use binding::{AddressBinder, BindGranularity, VmRef};
 pub use config::ConfigError;
-pub use dnsgw::{DnsProxy, SinkholeError};
+pub use dnsgw::DnsProxy;
 pub use error::GatewayError;
-pub use flowtable::{FlowDirection, FlowTable};
-pub use gateway::{Gateway, GatewayAction, GatewayConfig, GatewayConfigBuilder};
-pub use policy::{ContainmentMode, DropReason, PolicyConfig, PolicyConfigBuilder};
-pub use reclaim::{
-    ClockSecondChance, LruByLastPacket, OldestFirst, ReclaimCandidate, ReclaimPolicy,
-    ReclaimPolicyKind,
-};
+pub use flowtable::FlowTable;
+pub use gateway::{Gateway, GatewayAction, GatewayConfig};
+pub use policy::DropReason;

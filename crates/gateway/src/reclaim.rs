@@ -88,13 +88,13 @@ pub trait ReclaimPolicy: Send {
 /// for [`ReclaimPolicy`] implementations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReclaimPolicyKind {
-    /// Evict the binding bound earliest ([`OldestFirst`]) — the
+    /// Evict the binding bound earliest (`OldestFirst`) — the
     /// behaviour the farm had before policies were pluggable.
     #[default]
     Oldest,
-    /// Evict the binding idle longest ([`LruByLastPacket`]).
+    /// Evict the binding idle longest (`LruByLastPacket`).
     LruByLastPacket,
-    /// Second-chance clock sweep over bind order ([`ClockSecondChance`]).
+    /// Second-chance clock sweep over bind order (`ClockSecondChance`).
     Clock,
 }
 
@@ -130,7 +130,7 @@ impl core::fmt::Display for ReclaimPolicyKind {
 /// Evicts the binding with the earliest `bound_at`; ties break on epoch
 /// (bind order), which subsumes the pre-policy `evict_oldest` behaviour.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct OldestFirst;
+pub(crate) struct OldestFirst;
 
 impl ReclaimPolicy for OldestFirst {
     fn name(&self) -> &'static str {
@@ -145,7 +145,7 @@ impl ReclaimPolicy for OldestFirst {
 /// Evicts the binding whose last packet is furthest in the past — the
 /// interaction least likely to still be live.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct LruByLastPacket;
+pub(crate) struct LruByLastPacket;
 
 impl ReclaimPolicy for LruByLastPacket {
     fn name(&self) -> &'static str {
@@ -166,7 +166,7 @@ impl ReclaimPolicy for LruByLastPacket {
 /// If every binding was referenced, the full sweep cleared every bit, so
 /// the binding right after the hand is evicted — classic second chance.
 #[derive(Clone, Debug, Default)]
-pub struct ClockSecondChance {
+pub(crate) struct ClockSecondChance {
     /// Epoch the hand last stopped at (`None` before the first eviction);
     /// the sweep resumes just past it.
     hand_epoch: Option<u64>,
@@ -177,7 +177,7 @@ pub struct ClockSecondChance {
 impl ClockSecondChance {
     /// A clock with the hand at the origin and every bit set.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ClockSecondChance::default()
     }
 

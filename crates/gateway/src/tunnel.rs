@@ -31,9 +31,9 @@ pub struct TunnelStats {
     /// Bytes (inner) decapsulated.
     pub bytes_in: u64,
     /// Packets encapsulated back down this tunnel.
-    pub packets_out: u64,
+    pub(crate) packets_out: u64,
     /// Decapsulation errors.
-    pub errors: u64,
+    pub(crate) errors: u64,
 }
 
 snap_struct!(TunnelStats { packets_in, bytes_in, packets_out, errors });
@@ -87,12 +87,6 @@ impl TunnelEndpoint {
             });
         }
         Ok(self.telescopes.insert(telescope.key, telescope))
-    }
-
-    /// The telescope owning `addr`, if any.
-    #[must_use]
-    pub fn telescope_for(&self, addr: std::net::Ipv4Addr) -> Option<&Telescope> {
-        self.telescopes.values().find(|t| t.prefix.contains(addr))
     }
 
     /// Total monitored addresses across all telescopes.
@@ -171,19 +165,6 @@ impl TunnelEndpoint {
     #[must_use]
     pub fn stats(&self, key: u32) -> TunnelStats {
         self.stats.get(&key).copied().unwrap_or_default()
-    }
-
-    /// Decapsulation failures not attributable to any tunnel (garbage GRE,
-    /// keyless frames, unknown keys).
-    #[must_use]
-    pub fn unattributed_errors(&self) -> u64 {
-        self.unattributed_errors
-    }
-
-    /// Total decapsulation failures: per-tunnel plus unattributed.
-    #[must_use]
-    pub fn total_errors(&self) -> u64 {
-        self.unattributed_errors + self.stats.values().map(|s| s.errors).sum::<u64>()
     }
 
     /// Checkpoint support: serializes the per-tunnel statistics and the
@@ -281,8 +262,7 @@ mod tests {
         let frame = GreHeader::encapsulate_ipv4(1, &[0xde, 0xad]);
         assert!(ep.decapsulate(&frame).is_err());
         assert_eq!(ep.stats(1).errors, 1);
-        assert_eq!(ep.unattributed_errors(), 0, "key was readable: charged to tunnel 1");
-        assert_eq!(ep.total_errors(), 1);
+        assert_eq!(ep.unattributed_errors, 0, "key was readable: charged to tunnel 1");
     }
 
     #[test]
@@ -297,9 +277,8 @@ mod tests {
         // Unknown key.
         let unknown = GreHeader::encapsulate_ipv4(99, probe(Ipv4Addr::new(10, 1, 0, 5)).wire());
         assert!(ep.decapsulate(&unknown).is_err());
-        assert_eq!(ep.unattributed_errors(), 3);
+        assert_eq!(ep.unattributed_errors, 3);
         assert_eq!(ep.stats(1).errors, 0);
-        assert_eq!(ep.total_errors(), 3);
     }
 
     #[test]
@@ -315,7 +294,7 @@ mod tests {
         assert_eq!(restored.encode_state(), bytes, "re-encode must be bit-identical");
         assert_eq!(restored.stats(1), ep.stats(1));
         assert_eq!(restored.stats(2), ep.stats(2));
-        assert_eq!(restored.unattributed_errors(), 1);
+        assert_eq!(restored.unattributed_errors, 1);
         for cut in [0, 1, bytes.len() - 1] {
             let mut r = endpoint();
             assert!(r.restore_state(&bytes[..cut]).is_err(), "cut at {cut} must fail");
@@ -355,7 +334,6 @@ mod tests {
         assert!(ep.attach(Telescope { key: 4, prefix: "10.0.0.0/8".parse().unwrap() }).is_err());
         // The failed attaches left the endpoint untouched.
         assert_eq!(ep.len(), 2);
-        assert_eq!(ep.telescope_for(Ipv4Addr::new(10, 1, 5, 9)).unwrap().key, 1);
     }
 
     #[test]
@@ -373,10 +351,8 @@ mod tests {
     }
 
     #[test]
-    fn telescope_lookup_and_coverage() {
+    fn telescope_coverage() {
         let ep = endpoint();
-        assert_eq!(ep.telescope_for(Ipv4Addr::new(10, 1, 200, 1)).unwrap().key, 1);
-        assert!(ep.telescope_for(Ipv4Addr::new(11, 0, 0, 1)).is_none());
         assert_eq!(ep.monitored_addresses(), 2 * 65_536);
         assert_eq!(ep.len(), 2);
     }

@@ -10,6 +10,8 @@
 //! carries exactly one hand-rolled parser and one emitter.
 //! Not a general-purpose library.
 
+#![warn(unreachable_pub)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -34,9 +36,9 @@ pub enum JsonValue {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure.
-    pub at: usize,
+    pub(crate) at: usize,
     /// Static description.
-    pub what: &'static str,
+    pub(crate) what: &'static str,
 }
 
 impl fmt::Display for JsonError {

@@ -61,20 +61,8 @@ impl CounterSet {
     }
 
     /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// The number of distinct counters.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Whether no counter has been touched.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
     }
 }
 
@@ -134,7 +122,7 @@ mod tests {
         assert_eq!(c.get("a"), 2);
         assert_eq!(c.get("b"), 10);
         assert_eq!(c.get("c"), 0);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.counters.len(), 2);
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl FaultClass {
 
     /// Stable kebab-case name (canonical-report and display key).
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultClass::HostCrash => "host-crash",
             FaultClass::HostRecovery => "host-recovery",
@@ -104,12 +104,6 @@ impl FaultLedger {
         self.counts[Self::idx(class)]
     }
 
-    /// Total faults recorded across all classes.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
     /// Records one address re-bind latency (crash → re-placement), in
     /// microseconds.
     pub fn record_rebind_us(&mut self, us: u64) {
@@ -126,12 +120,6 @@ impl FaultLedger {
     #[must_use]
     pub fn rebind_latency(&self) -> &LogHistogram {
         &self.rebind_latency_us
-    }
-
-    /// The injected tunnel-delay histogram, in microseconds.
-    #[must_use]
-    pub fn tunnel_delay(&self) -> &LogHistogram {
-        &self.tunnel_delay_us
     }
 
     /// Folds another ledger into this one (sweep aggregation).
@@ -193,7 +181,7 @@ mod tests {
         assert_eq!(l.count(FaultClass::HostCrash), 2);
         assert_eq!(l.count(FaultClass::CloneFault), 1);
         assert_eq!(l.count(FaultClass::TunnelDrop), 0);
-        assert_eq!(l.total(), 3);
+        assert_eq!(l.counts.iter().sum::<u64>(), 3);
     }
 
     #[test]
@@ -218,7 +206,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(FaultClass::GatewayStall), 2);
         assert_eq!(a.count(FaultClass::TunnelDrop), 1);
-        assert_eq!(a.tunnel_delay().count(), 1);
+        assert_eq!(a.tunnel_delay_us.count(), 1);
     }
 
     #[test]

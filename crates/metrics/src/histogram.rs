@@ -124,18 +124,6 @@ impl LogHistogram {
         }
     }
 
-    /// Smallest recorded sample (`None` when empty).
-    #[must_use]
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded sample (`None` when empty).
-    #[must_use]
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Estimates the quantile `q` in `[0, 1]` (returns the lower bound of the
     /// bucket containing the target rank; zero when empty).
     #[must_use]
@@ -175,7 +163,7 @@ impl LogHistogram {
 
 /// The precision, the summary (`count`, `sum`, `min`, `max`), then only
 /// the non-zero buckets as `(index, count)` pairs. A precision that is not
-/// a power of two or is finer than [`MAX_DECODED_SUB_BUCKETS`], or a bucket
+/// a power of two or is finer than `MAX_DECODED_SUB_BUCKETS`, or a bucket
 /// index outside the table, is a decode error.
 impl Snap for LogHistogram {
     fn snap(&self, w: &mut SnapWriter) {
@@ -276,13 +264,12 @@ mod tests {
     fn mean_min_max() {
         let mut h = LogHistogram::new(16);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), None);
         h.record(10);
         h.record(20);
         h.record(30);
         assert!((h.mean() - 20.0).abs() < 1e-12);
-        assert_eq!(h.min(), Some(10));
-        assert_eq!(h.max(), Some(30));
+        assert_eq!(h.min, 10);
+        assert_eq!(h.max, 30);
     }
 
     #[test]
@@ -306,8 +293,8 @@ mod tests {
         b.record(1_000_000);
         a.merge(&b);
         assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(1));
-        assert_eq!(a.max(), Some(1_000_000));
+        assert_eq!(a.min, 1);
+        assert_eq!(a.max, 1_000_000);
     }
 
     #[test]
@@ -324,8 +311,8 @@ mod tests {
         h.record(0);
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(u64::MAX));
+        assert_eq!(h.min, 0);
+        assert_eq!(h.max, u64::MAX);
         assert_eq!(h.quantile(0.0), 0);
     }
 }

@@ -20,22 +20,22 @@ pub struct ConcurrencyStats {
     /// Time-averaged number of open intervals over the span.
     pub mean: f64,
     /// The observation span used for the average.
-    pub span: SimTime,
+    pub(crate) span: SimTime,
     /// Arrival rate λ over the span (intervals per second).
     pub arrival_rate: f64,
 }
 
 impl ConcurrencyStats {
-    /// The Little's-law prediction `λ · T` for mean concurrency given the
-    /// interval duration `lifetime`.
-    #[must_use]
-    pub fn littles_law_prediction(&self, lifetime: SimTime) -> f64 {
+    /// Little's-law prediction of mean concurrency for a given lifetime:
+    /// `N = λ·T`. The reference the analyzer's test checks against.
+    #[cfg(test)]
+    fn littles_law_prediction(&self, lifetime: SimTime) -> f64 {
         self.arrival_rate * lifetime.as_secs_f64()
     }
 }
 
-/// Sweep-style analyzer: collects interval start times (and optional
-/// per-interval durations), then answers concurrency queries.
+/// Sweep-style analyzer: collects `(start, duration)` intervals, then
+/// answers concurrency queries.
 #[derive(Clone, Debug, Default)]
 pub struct ConcurrencyAnalyzer {
     /// (start, duration) pairs.
@@ -54,38 +54,9 @@ impl ConcurrencyAnalyzer {
         self.intervals.push((start, duration));
     }
 
-    /// Records only a start; the duration is supplied at analysis time
-    /// (used for lifetime sweeps over the same arrival trace).
-    pub fn record_start(&mut self, start: SimTime) {
-        self.intervals.push((start, SimTime::ZERO));
-    }
-
-    /// Number of recorded intervals.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.intervals.len()
-    }
-
-    /// Whether no intervals are recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
-    }
-
     /// Analyzes concurrency with each interval's own duration.
     #[must_use]
     pub fn analyze(&self) -> ConcurrencyStats {
-        self.analyze_with(None)
-    }
-
-    /// Analyzes concurrency treating every interval as lasting `lifetime`
-    /// (ignoring recorded durations) — the paper's recycle-time sweep.
-    #[must_use]
-    pub fn analyze_with_lifetime(&self, lifetime: SimTime) -> ConcurrencyStats {
-        self.analyze_with(Some(lifetime))
-    }
-
-    fn analyze_with(&self, fixed: Option<SimTime>) -> ConcurrencyStats {
         if self.intervals.is_empty() {
             return ConcurrencyStats {
                 intervals: 0,
@@ -100,7 +71,6 @@ impl ConcurrencyAnalyzer {
         let mut span_end = SimTime::ZERO;
         let mut span_start = SimTime::MAX;
         for &(start, dur) in &self.intervals {
-            let dur = fixed.unwrap_or(dur);
             let end = start.saturating_add(dur);
             events.push((start, 1));
             events.push((end, -1));
@@ -188,28 +158,14 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_sweep_monotonic() {
-        let mut a = ConcurrencyAnalyzer::new();
-        for i in 0..100 {
-            a.record_start(SimTime::from_millis(i * 100));
-        }
-        let short = a.analyze_with_lifetime(SimTime::from_millis(50));
-        let long = a.analyze_with_lifetime(secs(5));
-        assert!(long.peak > short.peak);
-        assert!(long.mean > short.mean);
-        assert_eq!(short.peak, 1, "50ms lifetime, 100ms spacing: no overlap");
-        assert_eq!(long.peak, 50, "5s lifetime, 100ms spacing: 50 concurrent");
-    }
-
-    #[test]
     fn littles_law_holds_for_poisson_like_arrivals() {
         // Deterministic arrivals at 10/s with 2s lifetime: N = λT = 20.
+        let lifetime = secs(2);
         let mut a = ConcurrencyAnalyzer::new();
         for i in 0..1000u64 {
-            a.record_start(SimTime::from_millis(i * 100));
+            a.record(SimTime::from_millis(i * 100), lifetime);
         }
-        let lifetime = secs(2);
-        let s = a.analyze_with_lifetime(lifetime);
+        let s = a.analyze();
         let predicted = s.littles_law_prediction(lifetime);
         assert!(
             (s.mean - predicted).abs() / predicted < 0.05,
@@ -231,8 +187,8 @@ mod tests {
     #[test]
     fn zero_duration_intervals() {
         let mut a = ConcurrencyAnalyzer::new();
-        a.record_start(secs(1));
-        a.record_start(secs(1));
+        a.record(secs(1), SimTime::ZERO);
+        a.record(secs(1), SimTime::ZERO);
         let s = a.analyze();
         assert_eq!(s.peak, 0, "zero-length intervals never open");
     }

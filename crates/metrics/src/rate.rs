@@ -86,12 +86,6 @@ impl RateEstimator {
             }
         }
     }
-
-    /// Lifetime event count.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.events
-    }
 }
 
 potemkin_snapshot::snap_struct!(RateEstimator { tau, rate, last, events });
@@ -110,7 +104,7 @@ mod tests {
         }
         let rate = r.rate(SimTime::from_secs(6));
         assert!((950.0..1_050.0).contains(&rate), "rate = {rate}");
-        assert_eq!(r.count(), 6_000);
+        assert_eq!(r.events, 6_000);
     }
 
     #[test]
@@ -161,6 +155,6 @@ mod tests {
         r.record(SimTime::from_secs(2));
         let rate = r.rate(SimTime::from_secs(2));
         assert!(rate.is_finite());
-        assert_eq!(r.count(), 101);
+        assert_eq!(r.events, 101);
     }
 }

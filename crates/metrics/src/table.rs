@@ -13,8 +13,8 @@ use core::fmt;
 /// use potemkin_metrics::Table;
 ///
 /// let mut t = Table::new(&["stage", "time (ms)"]);
-/// t.row(&["domain create", "112.3"]);
-/// t.row(&["device setup", "44.0"]);
+/// t.row_owned(vec!["domain create".into(), "112.3".into()]);
+/// t.row_owned(vec!["device setup".into(), "44.0".into()]);
 /// let s = t.to_string();
 /// assert!(s.contains("domain create"));
 /// ```
@@ -43,16 +43,6 @@ impl Table {
         self
     }
 
-    /// Appends a row (must match the header count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row(&mut self, cells: &[&str]) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells.iter().map(|s| s.to_string()).collect());
-    }
-
     /// Appends a row of already-owned strings.
     ///
     /// # Panics
@@ -61,18 +51,6 @@ impl Table {
     pub fn row_owned(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table as CSV (RFC 4180 quoting), for plotting pipelines.
@@ -152,11 +130,15 @@ impl fmt::Display for Table {
 mod tests {
     use super::*;
 
+    fn row(t: &mut Table, cells: &[&str]) {
+        t.row_owned(cells.iter().map(|s| s.to_string()).collect());
+    }
+
     #[test]
     fn renders_aligned() {
         let mut t = Table::new(&["name", "value"]).with_title("demo");
-        t.row(&["short", "1"]);
-        t.row(&["a-much-longer-name", "12345"]);
+        row(&mut t, &["short", "1"]);
+        row(&mut t, &["a-much-longer-name", "12345"]);
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[0], "== demo ==");
@@ -170,8 +152,8 @@ mod tests {
     #[test]
     fn numeric_cells_right_aligned() {
         let mut t = Table::new(&["n"]);
-        t.row(&["5"]);
-        t.row(&["50000"]);
+        row(&mut t, &["5"]);
+        row(&mut t, &["50000"]);
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[2], "    5");
@@ -182,13 +164,13 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn width_mismatch_panics() {
         let mut t = Table::new(&["a", "b"]);
-        t.row(&["only-one"]);
+        row(&mut t, &["only-one"]);
     }
 
     #[test]
     fn empty_table_renders_headers() {
         let t = Table::new(&["x", "y"]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         let s = t.to_string();
         assert!(s.contains('x'));
         assert!(s.contains('y'));
@@ -197,8 +179,8 @@ mod tests {
     #[test]
     fn csv_export_quotes_correctly() {
         let mut t = Table::new(&["name", "note"]);
-        t.row(&["plain", "simple"]);
-        t.row(&["with,comma", "with \"quotes\""]);
+        row(&mut t, &["plain", "simple"]);
+        row(&mut t, &["with,comma", "with \"quotes\""]);
         let csv = t.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "name,note");
@@ -216,7 +198,7 @@ mod tests {
     fn row_owned_works() {
         let mut t = Table::new(&["k", "v"]);
         t.row_owned(vec!["key".into(), format!("{:.2}", 1.5)]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 1);
         assert!(t.to_string().contains("1.50"));
     }
 }

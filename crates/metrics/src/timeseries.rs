@@ -20,8 +20,8 @@ use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 /// ts.add(SimTime::from_millis(500), 1.0);
 /// ts.add(SimTime::from_millis(700), 1.0);
 /// ts.add(SimTime::from_millis(1200), 1.0);
-/// assert_eq!(ts.bin_value(0), 2.0);
-/// assert_eq!(ts.bin_value(1), 1.0);
+/// let values: Vec<f64> = ts.iter().map(|(_, v)| v).collect();
+/// assert_eq!(values, [2.0, 1.0]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct TimeSeries {
@@ -43,7 +43,7 @@ impl TimeSeries {
 
     /// The bin index for a timestamp.
     #[must_use]
-    pub fn bin_index(&self, at: SimTime) -> usize {
+    pub(crate) fn bin_index(&self, at: SimTime) -> usize {
         (at / self.bin_width) as usize
     }
 
@@ -57,11 +57,6 @@ impl TimeSeries {
         self.bins[idx] += value;
     }
 
-    /// Records an observation of 1 (a count series).
-    pub fn incr(&mut self, at: SimTime) {
-        self.add(at, 1.0);
-    }
-
     /// Sets the bin containing `at` to the max of its current value and
     /// `value` (a peak-tracking series).
     pub fn record_max(&mut self, at: SimTime, value: f64) {
@@ -70,12 +65,6 @@ impl TimeSeries {
             self.bins.resize(idx + 1, 0.0);
         }
         self.bins[idx] = self.bins[idx].max(value);
-    }
-
-    /// The value of bin `idx` (zero beyond the end).
-    #[must_use]
-    pub fn bin_value(&self, idx: usize) -> f64 {
-        self.bins.get(idx).copied().unwrap_or(0.0)
     }
 
     /// The number of bins (highest touched bin + 1).
@@ -90,37 +79,15 @@ impl TimeSeries {
         self.bins.is_empty()
     }
 
-    /// The configured bin width.
-    #[must_use]
-    pub fn bin_width(&self) -> SimTime {
-        self.bin_width
-    }
-
     /// Iterates `(bin_start_time, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         self.bins.iter().enumerate().map(move |(i, &v)| (self.bin_width * i as u64, v))
-    }
-
-    /// Sum of all bins.
-    #[must_use]
-    pub fn total(&self) -> f64 {
-        self.bins.iter().sum()
     }
 
     /// Largest bin value (zero when empty).
     #[must_use]
     pub fn peak(&self) -> f64 {
         self.bins.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean of the bins that exist (zero when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.bins.is_empty() {
-            0.0
-        } else {
-            self.total() / self.bins.len() as f64
-        }
     }
 
     /// Adds `other` into `self` bin-by-bin, growing as needed. Used to fold
@@ -168,10 +135,10 @@ mod tests {
         b.add(SimTime::from_secs(1), 5.0);
         b.add(SimTime::from_secs(3), 7.0);
         a.merge(&b);
-        assert_eq!(a.bin_value(0), 2.0);
-        assert_eq!(a.bin_value(1), 8.0);
-        assert_eq!(a.bin_value(2), 0.0);
-        assert_eq!(a.bin_value(3), 7.0);
+        assert_eq!(a.bins[0], 2.0);
+        assert_eq!(a.bins[1], 8.0);
+        assert_eq!(a.bins[2], 0.0);
+        assert_eq!(a.bins[3], 7.0);
         assert_eq!(a.len(), 4);
     }
 
@@ -189,24 +156,23 @@ mod tests {
     #[test]
     fn binning_boundaries() {
         let mut ts = TimeSeries::new(secs(10));
-        ts.incr(SimTime::ZERO);
-        ts.incr(SimTime::from_millis(9_999));
-        ts.incr(secs(10)); // exactly on the boundary goes to bin 1
-        assert_eq!(ts.bin_value(0), 2.0);
-        assert_eq!(ts.bin_value(1), 1.0);
+        ts.add(SimTime::ZERO, 1.0);
+        ts.add(SimTime::from_millis(9_999), 1.0);
+        ts.add(secs(10), 1.0); // exactly on the boundary goes to bin 1
+        assert_eq!(ts.bins[0], 2.0);
+        assert_eq!(ts.bins[1], 1.0);
         assert_eq!(ts.len(), 2);
     }
 
     #[test]
     fn sparse_bins_are_zero() {
         let mut ts = TimeSeries::new(secs(1));
-        ts.incr(secs(5));
+        ts.add(secs(5), 1.0);
         assert_eq!(ts.len(), 6);
         for i in 0..5 {
-            assert_eq!(ts.bin_value(i), 0.0);
+            assert_eq!(ts.bins[i], 0.0);
         }
-        assert_eq!(ts.bin_value(5), 1.0);
-        assert_eq!(ts.bin_value(99), 0.0, "beyond end reads zero");
+        assert_eq!(ts.bins[5], 1.0);
     }
 
     #[test]
@@ -215,7 +181,7 @@ mod tests {
         ts.record_max(secs(0), 5.0);
         ts.record_max(secs(0), 3.0);
         ts.record_max(secs(0), 8.0);
-        assert_eq!(ts.bin_value(0), 8.0);
+        assert_eq!(ts.bins[0], 8.0);
     }
 
     #[test]
@@ -224,15 +190,13 @@ mod tests {
         ts.add(secs(0), 1.0);
         ts.add(secs(1), 3.0);
         ts.add(secs(2), 2.0);
-        assert_eq!(ts.total(), 6.0);
         assert_eq!(ts.peak(), 3.0);
-        assert!((ts.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn iter_yields_bin_starts() {
         let mut ts = TimeSeries::new(secs(2));
-        ts.incr(secs(3));
+        ts.add(secs(3), 1.0);
         let points: Vec<(SimTime, f64)> = ts.iter().collect();
         assert_eq!(points, vec![(secs(0), 0.0), (secs(2), 1.0)]);
     }
@@ -241,8 +205,6 @@ mod tests {
     fn empty_series() {
         let ts = TimeSeries::new(secs(1));
         assert!(ts.is_empty());
-        assert_eq!(ts.total(), 0.0);
         assert_eq!(ts.peak(), 0.0);
-        assert_eq!(ts.mean(), 0.0);
     }
 }

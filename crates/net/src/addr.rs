@@ -1,111 +1,14 @@
-//! Link-layer and network-layer addressing.
+//! Network-layer addressing.
 //!
-//! IPv4 addresses use [`std::net::Ipv4Addr`]; this module adds the MAC
-//! address type and the CIDR prefix arithmetic the gateway and telescope
-//! generators need (membership tests, index↔address mapping over a prefix,
-//! iteration).
+//! IPv4 addresses use [`std::net::Ipv4Addr`]; this module adds the CIDR
+//! prefix arithmetic the gateway and telescope generators need (membership
+//! tests, index↔address mapping over a prefix, iteration).
 
 use core::fmt;
 use core::str::FromStr;
 use std::net::Ipv4Addr;
 
 use crate::error::NetError;
-
-/// A 48-bit IEEE 802 MAC address.
-///
-/// # Examples
-///
-/// ```
-/// use potemkin_net::MacAddr;
-///
-/// let mac: MacAddr = "02:00:00:00:00:01".parse().unwrap();
-/// assert_eq!(mac.to_string(), "02:00:00:00:00:01");
-/// assert!(mac.is_locally_administered());
-/// assert!(!mac.is_multicast());
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MacAddr(pub [u8; 6]);
-
-impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
-    /// The all-zero address.
-    pub const ZERO: MacAddr = MacAddr([0; 6]);
-
-    /// Constructs an address from its six octets.
-    #[must_use]
-    pub const fn new(octets: [u8; 6]) -> Self {
-        MacAddr(octets)
-    }
-
-    /// Returns the six octets.
-    #[must_use]
-    pub const fn octets(self) -> [u8; 6] {
-        self.0
-    }
-
-    /// Whether the group (multicast) bit is set.
-    #[must_use]
-    pub const fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// Whether the locally-administered bit is set.
-    #[must_use]
-    pub const fn is_locally_administered(self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
-
-    /// Whether this is the broadcast address.
-    #[must_use]
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
-
-    /// Generates a deterministic locally-administered unicast MAC from an
-    /// index, as the honeyfarm does when it materializes a VM.
-    #[must_use]
-    pub fn from_index(index: u64) -> Self {
-        let b = index.to_be_bytes();
-        // 0x02 prefix: locally administered, unicast.
-        MacAddr([0x02, b[3], b[4], b[5], b[6], b[7]])
-    }
-}
-
-impl fmt::Display for MacAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let o = self.0;
-        write!(f, "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}", o[0], o[1], o[2], o[3], o[4], o[5])
-    }
-}
-
-impl fmt::Debug for MacAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "MacAddr({self})")
-    }
-}
-
-impl FromStr for MacAddr {
-    type Err = NetError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut octets = [0u8; 6];
-        let mut parts = s.split(':');
-        for octet in &mut octets {
-            let part = parts.next().ok_or(NetError::InvalidField {
-                layer: "mac",
-                what: "expected 6 colon-separated octets",
-            })?;
-            *octet = u8::from_str_radix(part, 16)
-                .map_err(|_| NetError::InvalidField { layer: "mac", what: "octet is not hex" })?;
-        }
-        if parts.next().is_some() {
-            return Err(NetError::InvalidField { layer: "mac", what: "too many octets" });
-        }
-        Ok(MacAddr(octets))
-    }
-}
 
 /// An IPv4 CIDR prefix, e.g. `10.1.0.0/16`.
 ///
@@ -154,7 +57,7 @@ impl Ipv4Prefix {
 
     /// The network mask as a `u32`.
     #[must_use]
-    pub fn mask(self) -> u32 {
+    pub(crate) fn mask(self) -> u32 {
         Self::mask_for(self.bits)
     }
 
@@ -275,46 +178,6 @@ impl FromStr for Ipv4Prefix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mac_display_and_parse_roundtrip() {
-        let mac = MacAddr::new([0xde, 0xad, 0xbe, 0xef, 0x00, 0x42]);
-        let s = mac.to_string();
-        assert_eq!(s, "de:ad:be:ef:00:42");
-        assert_eq!(s.parse::<MacAddr>().unwrap(), mac);
-    }
-
-    #[test]
-    fn mac_parse_rejects_garbage() {
-        assert!("de:ad:be:ef:00".parse::<MacAddr>().is_err());
-        assert!("de:ad:be:ef:00:42:77".parse::<MacAddr>().is_err());
-        assert!("zz:ad:be:ef:00:42".parse::<MacAddr>().is_err());
-        assert!("".parse::<MacAddr>().is_err());
-    }
-
-    #[test]
-    fn mac_flag_bits() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::ZERO.is_multicast());
-        let la = MacAddr::new([0x02, 0, 0, 0, 0, 1]);
-        assert!(la.is_locally_administered());
-        assert!(!la.is_multicast());
-    }
-
-    #[test]
-    fn mac_from_index_unique_and_unicast() {
-        let a = MacAddr::from_index(1);
-        let b = MacAddr::from_index(2);
-        assert_ne!(a, b);
-        assert!(!a.is_multicast());
-        assert!(a.is_locally_administered());
-        // Low 40 bits of the index are preserved.
-        assert_eq!(
-            MacAddr::from_index(0x01_0203_0405).octets(),
-            [0x02, 0x01, 0x02, 0x03, 0x04, 0x05]
-        );
-    }
 
     #[test]
     fn prefix_normalizes_host_bits() {

@@ -6,23 +6,8 @@
 //! pseudo-header, header, and payload without concatenating buffers.
 
 /// Incremental RFC 1071 checksum accumulator.
-///
-/// # Examples
-///
-/// ```
-/// use potemkin_net::checksum::Checksum;
-///
-/// let mut c = Checksum::new();
-/// c.add_bytes(&[0x45, 0x00, 0x00, 0x1c]);
-/// let sum = c.finish();
-/// // Verifying data that includes a correct checksum yields zero.
-/// let mut v = Checksum::new();
-/// v.add_bytes(&[0x45, 0x00, 0x00, 0x1c]);
-/// v.add_u16(sum);
-/// assert_eq!(v.finish(), 0);
-/// ```
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Checksum {
+pub(crate) struct Checksum {
     sum: u32,
     /// A pending odd byte from a previous `add_bytes` call.
     pending: Option<u8>,
@@ -31,12 +16,12 @@ pub struct Checksum {
 impl Checksum {
     /// Creates an empty accumulator.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a 16-bit word in network order.
-    pub fn add_u16(&mut self, word: u16) {
+    pub(crate) fn add_u16(&mut self, word: u16) {
         // Flush byte alignment first so words land on even offsets.
         if let Some(b) = self.pending.take() {
             self.sum += u32::from(u16::from_be_bytes([b, (word >> 8) as u8]));
@@ -47,13 +32,13 @@ impl Checksum {
     }
 
     /// Adds a 32-bit value as two network-order words.
-    pub fn add_u32(&mut self, value: u32) {
+    pub(crate) fn add_u32(&mut self, value: u32) {
         self.add_u16((value >> 16) as u16);
         self.add_u16(value as u16);
     }
 
     /// Adds a byte slice (handles odd lengths across calls).
-    pub fn add_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn add_bytes(&mut self, bytes: &[u8]) {
         let mut data = bytes;
         if let Some(b) = self.pending.take() {
             if let Some((&first, rest)) = data.split_first() {
@@ -75,7 +60,7 @@ impl Checksum {
 
     /// Finalizes: folds carries and returns the one's-complement sum.
     #[must_use]
-    pub fn finish(mut self) -> u16 {
+    pub(crate) fn finish(mut self) -> u16 {
         if let Some(b) = self.pending.take() {
             self.sum += u32::from(u16::from_be_bytes([b, 0]));
         }
@@ -89,7 +74,7 @@ impl Checksum {
 
 /// Computes the checksum of a single buffer.
 #[must_use]
-pub fn checksum(bytes: &[u8]) -> u16 {
+pub(crate) fn checksum(bytes: &[u8]) -> u16 {
     let mut c = Checksum::new();
     c.add_bytes(bytes);
     c.finish()
@@ -98,7 +83,7 @@ pub fn checksum(bytes: &[u8]) -> u16 {
 /// Verifies a buffer whose checksum field is included: the total must be
 /// zero (i.e. `finish()` returns 0).
 #[must_use]
-pub fn verify(bytes: &[u8]) -> bool {
+pub(crate) fn verify(bytes: &[u8]) -> bool {
     checksum(bytes) == 0
 }
 

@@ -19,7 +19,7 @@ pub const DNS_PORT: u16 = 53;
 /// Record type A (host address).
 pub const TYPE_A: u16 = 1;
 /// Class IN (Internet).
-pub const CLASS_IN: u16 = 1;
+pub(crate) const CLASS_IN: u16 = 1;
 
 /// A DNS question.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,28 +29,28 @@ pub struct Question {
     /// Query type (1 = A).
     pub qtype: u16,
     /// Query class (1 = IN).
-    pub qclass: u16,
+    pub(crate) qclass: u16,
 }
 
 /// A DNS resource record (answers only; we never emit authority/additional).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Answer {
     /// The owner name.
-    pub name: String,
+    pub(crate) name: String,
     /// Record type (1 = A).
-    pub rtype: u16,
+    pub(crate) rtype: u16,
     /// Record class (1 = IN).
-    pub rclass: u16,
+    pub(crate) rclass: u16,
     /// Time to live in seconds.
-    pub ttl: u32,
+    pub(crate) ttl: u32,
     /// Record data (4 bytes for A).
-    pub rdata: Vec<u8>,
+    pub(crate) rdata: Vec<u8>,
 }
 
 impl Answer {
     /// Builds an A record.
     #[must_use]
-    pub fn a(name: &str, addr: Ipv4Addr, ttl: u32) -> Answer {
+    pub(crate) fn a(name: &str, addr: Ipv4Addr, ttl: u32) -> Answer {
         Answer {
             name: name.to_string(),
             rtype: TYPE_A,
@@ -79,9 +79,9 @@ pub struct DnsMessage {
     /// True for responses, false for queries.
     pub is_response: bool,
     /// Recursion desired.
-    pub recursion_desired: bool,
+    pub(crate) recursion_desired: bool,
     /// Response code (0 = NOERROR, 3 = NXDOMAIN).
-    pub rcode: u8,
+    pub(crate) rcode: u8,
     /// Questions.
     pub questions: Vec<Question>,
     /// Answers.
@@ -89,7 +89,7 @@ pub struct DnsMessage {
 }
 
 /// NXDOMAIN response code.
-pub const RCODE_NXDOMAIN: u8 = 3;
+pub(crate) const RCODE_NXDOMAIN: u8 = 3;
 
 impl DnsMessage {
     /// Builds an A query for `name`.

@@ -10,8 +10,6 @@ use std::net::Ipv4Addr;
 
 use potemkin_snapshot::{snap_enum, snap_struct};
 
-use crate::ipv4::IpProtocol;
-
 /// Transport identification for a flow: protocol plus ports where they
 /// exist.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,17 +48,6 @@ snap_enum!(Transport {
 });
 
 impl Transport {
-    /// The IP protocol of this transport.
-    #[must_use]
-    pub fn protocol(&self) -> IpProtocol {
-        match self {
-            Transport::Tcp { .. } => IpProtocol::Tcp,
-            Transport::Udp { .. } => IpProtocol::Udp,
-            Transport::Icmp { .. } => IpProtocol::Icmp,
-            Transport::Other { protocol } => IpProtocol::from_value(*protocol),
-        }
-    }
-
     /// The destination port, if the transport has ports.
     #[must_use]
     pub fn dst_port(&self) -> Option<u16> {
@@ -81,7 +68,7 @@ impl Transport {
 
     /// The same transport with source and destination swapped.
     #[must_use]
-    pub fn reversed(&self) -> Transport {
+    pub(crate) fn reversed(&self) -> Transport {
         match *self {
             Transport::Tcp { src_port, dst_port } => {
                 Transport::Tcp { src_port: dst_port, dst_port: src_port }
@@ -112,18 +99,6 @@ impl FlowKey {
     #[must_use]
     pub fn tcp(src: Ipv4Addr, src_port: u16, dst: Ipv4Addr, dst_port: u16) -> Self {
         FlowKey { src, dst, transport: Transport::Tcp { src_port, dst_port } }
-    }
-
-    /// Creates a UDP flow key.
-    #[must_use]
-    pub fn udp(src: Ipv4Addr, src_port: u16, dst: Ipv4Addr, dst_port: u16) -> Self {
-        FlowKey { src, dst, transport: Transport::Udp { src_port, dst_port } }
-    }
-
-    /// Creates an ICMP-echo flow key.
-    #[must_use]
-    pub fn icmp(src: Ipv4Addr, dst: Ipv4Addr, ident: u16) -> Self {
-        FlowKey { src, dst, transport: Transport::Icmp { ident } }
     }
 
     /// The reverse-direction key.
@@ -172,6 +147,14 @@ mod tests {
     const A: Ipv4Addr = Ipv4Addr::new(1, 1, 1, 1);
     const B: Ipv4Addr = Ipv4Addr::new(2, 2, 2, 2);
 
+    fn udp(src: Ipv4Addr, src_port: u16, dst: Ipv4Addr, dst_port: u16) -> FlowKey {
+        FlowKey { src, dst, transport: Transport::Udp { src_port, dst_port } }
+    }
+
+    fn icmp(src: Ipv4Addr, dst: Ipv4Addr, ident: u16) -> FlowKey {
+        FlowKey { src, dst, transport: Transport::Icmp { ident } }
+    }
+
     #[test]
     fn reversed_swaps_everything() {
         let k = FlowKey::tcp(A, 1000, B, 80);
@@ -186,9 +169,9 @@ mod tests {
     fn canonical_is_direction_independent() {
         let k = FlowKey::tcp(A, 1000, B, 80);
         assert_eq!(k.canonical(), k.reversed().canonical());
-        let u = FlowKey::udp(B, 53, A, 3000);
+        let u = udp(B, 53, A, 3000);
         assert_eq!(u.canonical(), u.reversed().canonical());
-        let i = FlowKey::icmp(A, B, 7);
+        let i = icmp(A, B, 7);
         assert_eq!(i.canonical(), i.reversed().canonical());
     }
 
@@ -202,7 +185,7 @@ mod tests {
     fn distinct_flows_have_distinct_canonical_keys() {
         let k1 = FlowKey::tcp(A, 1000, B, 80).canonical();
         let k2 = FlowKey::tcp(A, 1001, B, 80).canonical();
-        let k3 = FlowKey::udp(A, 1000, B, 80).canonical();
+        let k3 = udp(A, 1000, B, 80).canonical();
         assert_ne!(k1, k2);
         assert_ne!(k1, k3);
     }
@@ -212,18 +195,16 @@ mod tests {
         let t = Transport::Tcp { src_port: 5, dst_port: 6 };
         assert_eq!(t.src_port(), Some(5));
         assert_eq!(t.dst_port(), Some(6));
-        assert_eq!(t.protocol(), IpProtocol::Tcp);
         let i = Transport::Icmp { ident: 1 };
         assert_eq!(i.src_port(), None);
         assert_eq!(i.dst_port(), None);
         let o = Transport::Other { protocol: 89 };
-        assert_eq!(o.protocol(), IpProtocol::Other(89));
         assert_eq!(o.reversed(), o);
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(FlowKey::tcp(A, 4444, B, 445).to_string(), "tcp 1.1.1.1:4444 -> 2.2.2.2:445");
-        assert_eq!(FlowKey::icmp(A, B, 3).to_string(), "icmp 1.1.1.1 -> 2.2.2.2 (id 3)");
+        assert_eq!(icmp(A, B, 3).to_string(), "icmp 1.1.1.1 -> 2.2.2.2 (id 3)");
     }
 }

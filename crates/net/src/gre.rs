@@ -8,7 +8,7 @@
 use crate::error::NetError;
 
 /// Base GRE header length (no options).
-pub const BASE_HEADER_LEN: usize = 4;
+pub(crate) const BASE_HEADER_LEN: usize = 4;
 
 /// EtherType-style protocol value for IPv4-in-GRE.
 pub const PROTO_IPV4: u16 = 0x0800;

@@ -7,7 +7,7 @@ use crate::checksum;
 use crate::error::NetError;
 
 /// Minimum ICMP message length (type, code, checksum, 4 bytes rest-of-header).
-pub const MIN_LEN: usize = 8;
+pub(crate) const MIN_LEN: usize = 8;
 
 /// A parsed ICMP message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,13 +57,8 @@ pub enum IcmpMessage {
 }
 
 impl IcmpMessage {
-    /// Code for "communication administratively prohibited".
-    pub const CODE_ADMIN_PROHIBITED: u8 = 13;
     /// Code for "port unreachable".
     pub const CODE_PORT_UNREACHABLE: u8 = 3;
-    /// Code for "host unreachable".
-    pub const CODE_HOST_UNREACHABLE: u8 = 1;
-
     /// Parses an ICMP message, verifying the checksum.
     pub fn parse(buf: &[u8]) -> Result<IcmpMessage, NetError> {
         if buf.len() < MIN_LEN {
@@ -87,7 +82,7 @@ impl IcmpMessage {
 
     /// Serializes the message, computing the checksum.
     #[must_use]
-    pub fn build(&self) -> Vec<u8> {
+    pub(crate) fn build(&self) -> Vec<u8> {
         let (icmp_type, code, rest_header, body): (u8, u8, [u8; 4], &[u8]) = match self {
             IcmpMessage::EchoRequest { ident, seq, payload } => {
                 let mut rh = [0u8; 4];
@@ -172,7 +167,7 @@ mod tests {
     #[test]
     fn unreachable_roundtrip() {
         let msg = IcmpMessage::DestUnreachable {
-            code: IcmpMessage::CODE_ADMIN_PROHIBITED,
+            code: 13, // administratively prohibited
             original: vec![0x45, 0, 0, 28],
         };
         let wire = msg.build();

@@ -9,7 +9,7 @@ use crate::checksum::{self, Checksum};
 use crate::error::NetError;
 
 /// Minimum IPv4 header length (no options).
-pub const MIN_HEADER_LEN: usize = 20;
+pub(crate) const MIN_HEADER_LEN: usize = 20;
 
 /// IP protocol numbers used by the honeyfarm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -29,7 +29,7 @@ pub enum IpProtocol {
 impl IpProtocol {
     /// The wire value.
     #[must_use]
-    pub fn value(self) -> u8 {
+    pub(crate) fn value(self) -> u8 {
         match self {
             IpProtocol::Icmp => 1,
             IpProtocol::Tcp => 6,
@@ -41,7 +41,7 @@ impl IpProtocol {
 
     /// Decodes a wire value.
     #[must_use]
-    pub fn from_value(v: u8) -> Self {
+    pub(crate) fn from_value(v: u8) -> Self {
         match v {
             1 => IpProtocol::Icmp,
             6 => IpProtocol::Tcp,
@@ -66,29 +66,29 @@ impl core::fmt::Display for IpProtocol {
 
 /// A parsed IPv4 header (options skipped, fragments not reassembled).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Ipv4Header {
+pub(crate) struct Ipv4Header {
     /// Source address.
-    pub src: Ipv4Addr,
+    pub(crate) src: Ipv4Addr,
     /// Destination address.
-    pub dst: Ipv4Addr,
+    pub(crate) dst: Ipv4Addr,
     /// Payload protocol.
-    pub protocol: IpProtocol,
+    pub(crate) protocol: IpProtocol,
     /// Time to live.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
     /// IP identification field.
-    pub ident: u16,
+    pub(crate) ident: u16,
     /// Don't-fragment flag.
-    pub dont_fragment: bool,
+    pub(crate) dont_fragment: bool,
     /// Total length of header + payload, as claimed on the wire.
-    pub total_len: u16,
+    pub(crate) total_len: u16,
     /// Header length in bytes (20 plus options).
-    pub header_len: u8,
+    pub(crate) header_len: u8,
 }
 
 impl Ipv4Header {
     /// Parses a header from `buf`, verifying the header checksum, and
     /// returns the header and the payload (bounded by `total_len`).
-    pub fn parse(buf: &[u8]) -> Result<(Ipv4Header, &[u8]), NetError> {
+    pub(crate) fn parse(buf: &[u8]) -> Result<(Ipv4Header, &[u8]), NetError> {
         if buf.len() < MIN_HEADER_LEN {
             return Err(NetError::Truncated {
                 layer: "ipv4",
@@ -143,7 +143,8 @@ impl Ipv4Header {
     ///
     /// Returns [`NetError::InvalidField`] if the total length would exceed
     /// 65 535 bytes.
-    pub fn build(&self, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+    #[cfg(test)]
+    fn build(&self, payload: &[u8]) -> Result<Vec<u8>, NetError> {
         let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
         self.build_prefix(payload.len(), &mut out)?;
         out.extend_from_slice(payload);
@@ -161,7 +162,11 @@ impl Ipv4Header {
     ///
     /// Returns [`NetError::InvalidField`] if the total length would exceed
     /// 65 535 bytes.
-    pub fn build_prefix(&self, transport_len: usize, out: &mut Vec<u8>) -> Result<(), NetError> {
+    pub(crate) fn build_prefix(
+        &self,
+        transport_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), NetError> {
         let total = MIN_HEADER_LEN + transport_len;
         if total > u16::MAX as usize {
             return Err(NetError::InvalidField { layer: "ipv4", what: "payload too large" });
@@ -188,7 +193,7 @@ impl Ipv4Header {
     /// Starts a transport pseudo-header checksum (RFC 793 §3.1) for this
     /// packet's addresses and the given protocol/length.
     #[must_use]
-    pub fn pseudo_header_checksum(
+    pub(crate) fn pseudo_header_checksum(
         src: Ipv4Addr,
         dst: Ipv4Addr,
         proto: IpProtocol,

@@ -7,41 +7,36 @@
 //! is classified against a containment policy. This crate provides the wire
 //! formats that the gateway and the workload generators share:
 //!
-//! * [`addr`] — MAC addresses, IPv4 prefixes (CIDR), address arithmetic.
-//! * [`arp`] — ARP and the proxy-ARP responder for directly-attached
-//!   telescope segments.
-//! * [`checksum`] — the RFC 1071 Internet checksum.
-//! * [`ethernet`], [`ipv4`], [`tcp`], [`udp`], [`icmp`] — header
-//!   parsing and construction with checksum handling.
+//! * [`addr`] — IPv4 prefixes (CIDR), address arithmetic.
+//! * `checksum` — the RFC 1071 Internet checksum.
+//! * `ipv4`, [`tcp`], `udp`, [`icmp`] — header parsing and
+//!   construction with checksum handling.
 //! * [`gre`] — GRE encapsulation (RFC 2784) used to backhaul telescope
 //!   prefixes to the gateway.
 //! * [`dns`] — a minimal DNS wire codec (queries and A answers) for the
 //!   gateway's DNS containment policy.
-//! * [`flow`] — canonical 5-tuple flow keys.
+//! * `flow` — canonical 5-tuple flow keys.
 //! * [`pcap`] — standard libpcap trace export/import (Wireshark-ready).
-//! * [`packet`] — a convenient owned-packet type plus builders that the
+//! * `packet` — a convenient owned-packet type plus builders that the
 //!   rest of the workspace uses to synthesize traffic.
 
+#![warn(unreachable_pub)]
+
 pub mod addr;
-pub mod arp;
-pub mod checksum;
+mod checksum;
 pub mod dns;
-pub mod error;
-pub mod ethernet;
-pub mod flow;
+mod error;
+mod flow;
 pub mod gre;
 pub mod icmp;
-pub mod ipv4;
-pub mod packet;
+mod ipv4;
+mod packet;
 pub mod pcap;
 pub mod tcp;
-pub mod udp;
+mod udp;
 
-pub use addr::{Ipv4Prefix, MacAddr};
-pub use bytes::{BufferPool, BytesMut, PoolStats};
+pub use addr::Ipv4Prefix;
+pub use bytes::{BufferPool, PoolStats};
 pub use error::NetError;
 pub use flow::{FlowKey, Transport};
 pub use packet::{Packet, PacketBuilder, PacketPayload};
-
-/// Convenience alias: all fallible operations in this crate use [`NetError`].
-pub type Result<T> = core::result::Result<T, NetError>;

@@ -111,12 +111,6 @@ impl Packet {
         Ok(Packet { ipv4, payload, wire })
     }
 
-    /// The IPv4 header.
-    #[must_use]
-    pub fn ipv4(&self) -> &Ipv4Header {
-        &self.ipv4
-    }
-
     /// The source address.
     #[must_use]
     pub fn src(&self) -> Ipv4Addr {
@@ -251,7 +245,8 @@ impl Packet {
 /// let probe = PacketBuilder::new(Ipv4Addr::new(6, 6, 6, 6), Ipv4Addr::new(10, 1, 2, 3))
 ///     .ttl(100)
 ///     .udp(1434, 1434, b"slammer-probe");
-/// assert_eq!(probe.ipv4().ttl, 100);
+/// assert_eq!(probe.wire()[8], 100, "the IPv4 TTL byte");
+/// assert_eq!(probe.app_payload(), b"slammer-probe");
 /// ```
 #[derive(Clone, Debug)]
 pub struct PacketBuilder {
@@ -330,7 +325,7 @@ impl PacketBuilder {
 
     /// Sets the don't-fragment flag.
     #[must_use]
-    pub fn dont_fragment(mut self) -> Self {
+    pub(crate) fn dont_fragment(mut self) -> Self {
         self.dont_fragment = true;
         self
     }
@@ -367,7 +362,7 @@ impl PacketBuilder {
     /// The segment is serialized exactly once, directly into the wire
     /// buffer; the stored payload is a refcounted slice of it.
     #[must_use]
-    pub fn tcp_raw(self, header: TcpHeader, payload: &[u8]) -> Packet {
+    pub(crate) fn tcp_raw(self, header: TcpHeader, payload: &[u8]) -> Packet {
         let transport_len = crate::tcp::MIN_HEADER_LEN + header.options.len() + payload.len();
         let ipv4 = self.ipv4_header(IpProtocol::Tcp);
         let mut wire = self.wire_buf(crate::ipv4::MIN_HEADER_LEN + transport_len);
@@ -440,7 +435,7 @@ impl PacketBuilder {
     /// # Errors
     ///
     /// Returns [`NetError::InvalidField`] if the payload exceeds IP limits.
-    pub fn raw(self, protocol: IpProtocol, payload: &[u8]) -> Result<Packet, NetError> {
+    pub(crate) fn raw(self, protocol: IpProtocol, payload: &[u8]) -> Result<Packet, NetError> {
         let ipv4 = self.ipv4_header(protocol);
         let mut wire = self.wire_buf(crate::ipv4::MIN_HEADER_LEN + payload.len());
         ipv4.build_prefix(payload.len(), wire.vec_mut())?;
@@ -505,11 +500,11 @@ mod tests {
             .ident(0xbeef)
             .dont_fragment()
             .tcp_syn(1, 2);
-        assert_eq!(p.ipv4().ttl, 33);
-        assert_eq!(p.ipv4().ident, 0xbeef);
-        assert!(p.ipv4().dont_fragment);
+        assert_eq!(p.ipv4.ttl, 33);
+        assert_eq!(p.ipv4.ident, 0xbeef);
+        assert!(p.ipv4.dont_fragment);
         let reparsed = Packet::parse(p.wire()).unwrap();
-        assert_eq!(reparsed.ipv4().ttl, 33);
+        assert_eq!(reparsed.ipv4.ttl, 33);
     }
 
     #[test]
@@ -618,7 +613,7 @@ mod tests {
                 9,
                 b"probe-body",
             );
-            assert_eq!(p.ipv4().ident, i);
+            assert_eq!(p.ipv4.ident, i);
             assert_eq!(p.app_payload(), b"probe-body");
             assert_payload_in_wire(&p);
             let reflected = p.rewrite_addresses_pooled(HONEYPOT, ATTACKER, &pool).unwrap();

@@ -127,85 +127,6 @@ fn parse_record(buf: &[u8], at: usize) -> Result<(PcapRecord, usize), NetError> 
     Ok((PcapRecord { ts_sec, ts_usec, packet }, end))
 }
 
-/// What [`parse_pcap_lossy`] had to drop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PcapLoss {
-    /// Records whose framing was intact but whose packet bytes failed to
-    /// parse (skipped, parsing continued at the next record).
-    pub bad_packets: u64,
-    /// Whether the buffer ended mid-record (everything before the torn
-    /// record was still recovered).
-    pub truncated_tail: bool,
-}
-
-impl PcapLoss {
-    /// Whether anything at all was dropped.
-    #[must_use]
-    pub fn is_lossless(&self) -> bool {
-        self.bad_packets == 0 && !self.truncated_tail
-    }
-}
-
-/// Best-effort variant of [`parse_pcap`] for damaged captures: recovers
-/// every parseable record instead of failing on the first bad one. Records
-/// with intact framing but unparseable packet bytes are skipped; a torn
-/// final record stops parsing without discarding earlier records.
-///
-/// # Errors
-///
-/// Returns [`NetError`] only when the *global header* is bad (wrong magic,
-/// version, or link type) — a file that was never our pcap dialect is an
-/// error, not a loss.
-pub fn parse_pcap_lossy(buf: &[u8]) -> Result<(Vec<PcapRecord>, PcapLoss), NetError> {
-    if read_u32(buf, 0)? != MAGIC {
-        return Err(NetError::Unsupported {
-            layer: "pcap",
-            what: "magic (need LE microsecond pcap)",
-            value: read_u32(buf, 0)?,
-        });
-    }
-    let (major, minor) = (read_u16(buf, 4)?, read_u16(buf, 6)?);
-    if (major, minor) != (2, 4) {
-        return Err(NetError::Unsupported {
-            layer: "pcap",
-            what: "version",
-            value: u32::from(major) << 16 | u32::from(minor),
-        });
-    }
-    let linktype = read_u32(buf, 20)?;
-    if linktype != LINKTYPE_RAW {
-        return Err(NetError::Unsupported { layer: "pcap", what: "link type", value: linktype });
-    }
-    let mut records = Vec::new();
-    let mut loss = PcapLoss::default();
-    let mut at = 24;
-    while at < buf.len() {
-        // Framing first: a torn record header or torn payload ends the file.
-        let Ok(incl_len) = read_u32(buf, at + 8).map(|l| l as usize) else {
-            loss.truncated_tail = true;
-            break;
-        };
-        let data_at = at + 16;
-        let Some(end) = data_at.checked_add(incl_len).filter(|&e| e <= buf.len()) else {
-            loss.truncated_tail = true;
-            break;
-        };
-        match parse_record(buf, at) {
-            Ok((record, next)) => {
-                records.push(record);
-                at = next;
-            }
-            Err(_) => {
-                // Framing was intact, so only the packet bytes were bad:
-                // skip this record and resume at the next frame boundary.
-                loss.bad_packets += 1;
-                at = end;
-            }
-        }
-    }
-    Ok((records, loss))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,44 +228,5 @@ mod tests {
         // Claim a record length that would overflow `data_at + incl_len`.
         buf[24 + 8..24 + 12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(parse_pcap(&buf).unwrap_err(), NetError::Truncated { .. }));
-    }
-
-    #[test]
-    fn lossy_parse_recovers_around_bad_packets() {
-        let recs = records();
-        let mut buf = Vec::new();
-        write_pcap(&mut buf, &recs).unwrap();
-        // Clean file: lossless.
-        let (all, loss) = parse_pcap_lossy(&buf).unwrap();
-        assert_eq!(all, recs);
-        assert!(loss.is_lossless());
-        // Corrupt the middle record's packet bytes (keep its framing).
-        let first_len = recs[0].packet.wire().len();
-        let second_data = 24 + 16 + first_len + 16;
-        let mut damaged = buf.clone();
-        damaged[second_data] = 0xFF; // bad IP version nibble
-        assert!(parse_pcap(&damaged).is_err(), "strict parse fails");
-        let (recovered, loss) = parse_pcap_lossy(&damaged).unwrap();
-        assert_eq!(recovered.len(), 2, "first and third records recovered");
-        assert_eq!(recovered[0], recs[0]);
-        assert_eq!(recovered[1], recs[2]);
-        assert_eq!(loss.bad_packets, 1);
-        assert!(!loss.truncated_tail);
-    }
-
-    #[test]
-    fn lossy_parse_keeps_records_before_a_torn_tail() {
-        let recs = records();
-        let mut buf = Vec::new();
-        write_pcap(&mut buf, &recs).unwrap();
-        let (recovered, loss) = parse_pcap_lossy(&buf[..buf.len() - 3]).unwrap();
-        assert_eq!(recovered.len(), 2, "complete records survive");
-        assert!(loss.truncated_tail);
-        assert_eq!(loss.bad_packets, 0);
-        assert!(!loss.is_lossless());
-        // A bad global header is still a hard error.
-        let mut bad = buf.clone();
-        bad[0] ^= 0xFF;
-        assert!(parse_pcap_lossy(&bad).is_err());
     }
 }

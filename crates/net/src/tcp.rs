@@ -10,23 +10,23 @@ use crate::error::NetError;
 use crate::ipv4::{IpProtocol, Ipv4Header};
 
 /// Minimum TCP header length (no options).
-pub const MIN_HEADER_LEN: usize = 20;
+pub(crate) const MIN_HEADER_LEN: usize = 20;
 
 /// TCP flag bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags {
     /// FIN: no more data from sender.
-    pub fin: bool,
+    pub(crate) fin: bool,
     /// SYN: synchronize sequence numbers.
     pub syn: bool,
     /// RST: reset the connection.
     pub rst: bool,
     /// PSH: push buffered data.
-    pub psh: bool,
+    pub(crate) psh: bool,
     /// ACK: acknowledgment field is significant.
     pub ack: bool,
     /// URG: urgent pointer is significant.
-    pub urg: bool,
+    pub(crate) urg: bool,
 }
 
 impl TcpFlags {
@@ -38,8 +38,6 @@ impl TcpFlags {
     pub const ACK: TcpFlags = TcpFlags { ack: true, ..TcpFlags::none() };
     /// RST (with ACK, as most stacks send).
     pub const RST: TcpFlags = TcpFlags { rst: true, ack: true, ..TcpFlags::none() };
-    /// FIN+ACK.
-    pub const FIN_ACK: TcpFlags = TcpFlags { fin: true, ack: true, ..TcpFlags::none() };
     /// PSH+ACK: the usual data segment.
     pub const PSH_ACK: TcpFlags = TcpFlags { psh: true, ack: true, ..TcpFlags::none() };
 
@@ -49,7 +47,7 @@ impl TcpFlags {
 
     /// Encodes to the low 6 bits of the flags byte.
     #[must_use]
-    pub fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         u8::from(self.fin)
             | u8::from(self.syn) << 1
             | u8::from(self.rst) << 2
@@ -112,9 +110,9 @@ pub struct TcpHeader {
     /// Flag bits.
     pub flags: TcpFlags,
     /// Receive window.
-    pub window: u16,
+    pub(crate) window: u16,
     /// Raw option bytes (may be empty).
-    pub options: Vec<u8>,
+    pub(crate) options: Vec<u8>,
 }
 
 impl TcpHeader {
@@ -165,10 +163,18 @@ impl TcpHeader {
     ///
     /// Returns [`NetError::InvalidField`] if options are not a multiple of 4
     /// bytes or longer than 40, or if the segment exceeds 65 535 bytes.
-    pub fn build(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Result<Vec<u8>, NetError> {
+    #[cfg(test)]
+    fn build(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Result<Vec<u8>, NetError> {
         let mut out = Vec::with_capacity(MIN_HEADER_LEN + self.options.len() + payload.len());
         self.build_into(src, dst, payload, &mut out)?;
         Ok(out)
+    }
+
+    /// Builds the standard 4-byte MSS option.
+    #[cfg(test)]
+    fn mss_option(mss: u16) -> Vec<u8> {
+        let b = mss.to_be_bytes();
+        vec![2, 4, b[0], b[1]]
     }
 
     /// Appends the serialized segment (header, options, payload) to `out`,
@@ -180,7 +186,7 @@ impl TcpHeader {
     ///
     /// Returns [`NetError::InvalidField`] if options are not a multiple of 4
     /// bytes or longer than 40, or if the segment exceeds 65 535 bytes.
-    pub fn build_into(
+    pub(crate) fn build_into(
         &self,
         src: Ipv4Addr,
         dst: Ipv4Addr,
@@ -211,13 +217,6 @@ impl TcpHeader {
         let sum = c.finish();
         out[base + 16..base + 18].copy_from_slice(&sum.to_be_bytes());
         Ok(())
-    }
-
-    /// Builds the standard 4-byte MSS option.
-    #[must_use]
-    pub fn mss_option(mss: u16) -> Vec<u8> {
-        let b = mss.to_be_bytes();
-        vec![2, 4, b[0], b[1]]
     }
 }
 

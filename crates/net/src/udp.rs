@@ -6,7 +6,7 @@ use crate::error::NetError;
 use crate::ipv4::{IpProtocol, Ipv4Header};
 
 /// UDP header length.
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// A parsed UDP header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -16,14 +16,18 @@ pub struct UdpHeader {
     /// Destination port.
     pub dst_port: u16,
     /// Length of header + payload as claimed on the wire.
-    pub length: u16,
+    pub(crate) length: u16,
 }
 
 impl UdpHeader {
     /// Parses a UDP header, verifying length and checksum (when non-zero;
     /// an all-zero checksum means "not computed" per RFC 768). Returns the
     /// header and the payload.
-    pub fn parse(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(UdpHeader, &[u8]), NetError> {
+    pub(crate) fn parse(
+        buf: &[u8],
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Result<(UdpHeader, &[u8]), NetError> {
         if buf.len() < HEADER_LEN {
             return Err(NetError::Truncated { layer: "udp", need: HEADER_LEN, have: buf.len() });
         }
@@ -58,7 +62,8 @@ impl UdpHeader {
     ///
     /// Returns [`NetError::InvalidField`] if the datagram exceeds 65 535
     /// bytes.
-    pub fn build(
+    #[cfg(test)]
+    fn build(
         src_port: u16,
         dst_port: u16,
         src: Ipv4Addr,
@@ -78,7 +83,7 @@ impl UdpHeader {
     ///
     /// Returns [`NetError::InvalidField`] if the datagram exceeds 65 535
     /// bytes.
-    pub fn build_into(
+    pub(crate) fn build_into(
         src_port: u16,
         dst_port: u16,
         src: Ipv4Addr,

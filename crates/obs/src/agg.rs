@@ -1,4 +1,4 @@
-//! Span aggregation: latency histograms and breakdown tables.
+//! Span aggregation: per-name latency statistics.
 //!
 //! [`SpanAggregator`] replays a drained event stream, pairs span
 //! begin/end events per lane, and folds the durations into per-name
@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use potemkin_metrics::{LogHistogram, Table};
+use potemkin_metrics::LogHistogram;
 use potemkin_sim::SimTime;
 
 use crate::event::{TraceEvent, TraceEventKind};
@@ -19,9 +19,9 @@ pub struct SpanStats {
     /// Completed instances.
     pub count: u64,
     /// Sum of durations (sim-time).
-    pub total: SimTime,
+    pub(crate) total: SimTime,
     /// Duration distribution in microseconds.
-    pub hist_us: LogHistogram,
+    pub(crate) hist_us: LogHistogram,
 }
 
 impl SpanStats {
@@ -90,71 +90,6 @@ impl SpanAggregator {
     pub fn stats(&self, name: &str) -> Option<&SpanStats> {
         self.spans.get(name)
     }
-
-    /// All span names seen, sorted.
-    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.spans.keys().copied()
-    }
-
-    /// Span ends whose begin event was lost (e.g. to ring overwrite).
-    #[must_use]
-    pub fn unmatched_ends(&self) -> u64 {
-        self.unmatched_ends
-    }
-
-    /// Span begins with no end in the ingested stream.
-    #[must_use]
-    pub fn unclosed_begins(&self) -> u64 {
-        self.unclosed_begins
-    }
-
-    /// Latency table over every span name: count, mean, p50, p99, total.
-    #[must_use]
-    pub fn latency_table(&self, title: &str) -> Table {
-        let mut t = Table::new(&["span", "count", "mean", "p50 (us)", "p99 (us)", "total (ms)"])
-            .with_title(title);
-        for (name, stats) in &self.spans {
-            t.row_owned(vec![
-                (*name).to_string(),
-                stats.count.to_string(),
-                format!("{:.3}ms", stats.mean().as_millis_f64()),
-                stats.hist_us.quantile(0.5).to_string(),
-                stats.hist_us.quantile(0.99).to_string(),
-                format!("{:.3}", stats.total.as_millis_f64()),
-            ]);
-        }
-        t
-    }
-
-    /// Stage-breakdown table in the paper's Table-1 shape: one row per
-    /// listed stage (in the given order), with observed count, mean, and
-    /// share of the listed stages' total. Stages never observed render as
-    /// zero rows.
-    #[must_use]
-    pub fn breakdown_table(&self, title: &str, stage_names: &[&str]) -> Table {
-        let listed_total: f64 = stage_names
-            .iter()
-            .filter_map(|n| self.spans.get(n))
-            .map(|s| s.total.as_millis_f64())
-            .sum();
-        let mut t =
-            Table::new(&["stage", "count", "mean", "total (ms)", "share"]).with_title(title);
-        for name in stage_names {
-            let (count, mean, total) = self
-                .spans
-                .get(name)
-                .map_or((0, SimTime::ZERO, 0.0), |s| (s.count, s.mean(), s.total.as_millis_f64()));
-            let share = if listed_total > 0.0 { 100.0 * total / listed_total } else { 0.0 };
-            t.row_owned(vec![
-                (*name).to_string(),
-                count.to_string(),
-                format!("{:.3}ms", mean.as_millis_f64()),
-                format!("{total:.3}"),
-                format!("{share:.1}%"),
-            ]);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -175,8 +110,8 @@ mod tests {
         assert_eq!(s.count, 4);
         assert_eq!(s.mean(), SimTime::from_millis(2));
         assert_eq!(s.total, SimTime::from_millis(8));
-        assert_eq!(agg.unmatched_ends(), 0);
-        assert_eq!(agg.unclosed_begins(), 0);
+        assert_eq!(agg.unmatched_ends, 0);
+        assert_eq!(agg.unclosed_begins, 0);
     }
 
     #[test]
@@ -188,23 +123,6 @@ mod tests {
         let mut agg = SpanAggregator::new();
         agg.ingest(&t.drain());
         assert!(agg.stats("lost").is_none());
-        assert_eq!(agg.unmatched_ends(), 1);
-    }
-
-    #[test]
-    fn breakdown_table_orders_by_given_stages() {
-        let mut t = Tracer::new(0, TraceConfig::unbounded());
-        let a = t.begin(SimTime::ZERO, "alpha");
-        t.end(SimTime::from_millis(30), a);
-        let b = t.begin(SimTime::from_millis(30), "beta");
-        t.end(SimTime::from_millis(40), b);
-        let mut agg = SpanAggregator::new();
-        agg.ingest(&t.drain());
-        let rendered = agg.breakdown_table("breakdown", &["beta", "alpha", "gamma"]).to_string();
-        let beta = rendered.find("beta").unwrap();
-        let alpha = rendered.find("alpha").unwrap();
-        assert!(beta < alpha, "rows follow the given stage order");
-        assert!(rendered.contains("75.0%"), "alpha holds 30 of 40 ms: {rendered}");
-        assert!(rendered.contains("gamma"), "unobserved stages render as zero rows");
+        assert_eq!(agg.unmatched_ends, 1);
     }
 }

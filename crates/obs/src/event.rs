@@ -15,7 +15,7 @@ use potemkin_sim::SimTime;
 
 /// Identifier of one span instance, unique within a lane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u64);
+pub struct SpanId(pub(crate) u64);
 
 /// The typed payload of a trace event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,10 +1,8 @@
-//! Trace exporters: Chrome `trace_event` JSON and compact JSONL.
+//! Trace export: Chrome `trace_event` JSON.
 //!
-//! The Chrome format targets `chrome://tracing` / Perfetto: one lane per
-//! tracer (farm, gateway, each shard worker) rendered as a named thread,
-//! spans as `"X"` complete events with microsecond timestamps in
-//! sim-time. The JSONL form is one event per line for grep/jq-style
-//! processing.
+//! The format targets `chrome://tracing` / Perfetto: one lane per tracer
+//! (farm, gateway, each shard worker) rendered as a named thread, spans as
+//! `"X"` complete events with microsecond timestamps in sim-time.
 
 use std::fmt::Write as _;
 
@@ -144,62 +142,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], lane_names: &[(u32, String)]) ->
     out
 }
 
-/// Renders events as compact JSONL, one event per line, in
-/// `(sim-time, lane, seq)` order.
-#[must_use]
-pub fn jsonl(events: &[TraceEvent]) -> String {
-    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| (e.at, e.lane, e.seq));
-    let mut out = String::new();
-    for event in sorted {
-        let _ = write!(
-            out,
-            "{{\"t_ns\":{},\"lane\":{},\"seq\":{}",
-            event.at.as_nanos(),
-            event.lane,
-            event.seq
-        );
-        if let Some(wall) = event.wall_nanos {
-            let _ = write!(out, ",\"wall_ns\":{wall}");
-        }
-        match event.kind {
-            TraceEventKind::SpanBegin { id, parent, name } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"begin\",\"name\":\"{}\",\"id\":{}",
-                    escape(name),
-                    id.0
-                );
-                if let Some(p) = parent {
-                    let _ = write!(out, ",\"parent\":{}", p.0);
-                }
-            }
-            TraceEventKind::SpanEnd { id, name } => {
-                let _ =
-                    write!(out, ",\"kind\":\"end\",\"name\":\"{}\",\"id\":{}", escape(name), id.0);
-            }
-            TraceEventKind::Instant { name, value } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"instant\",\"name\":\"{}\",\"value\":{}",
-                    escape(name),
-                    value
-                );
-            }
-            TraceEventKind::Counter { name, value } => {
-                let _ = write!(
-                    out,
-                    ",\"kind\":\"counter\",\"name\":\"{}\",\"value\":{}",
-                    escape(name),
-                    value
-                );
-            }
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,22 +196,5 @@ mod tests {
             .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
             .count();
         assert_eq!(xs, 1, "only the completed span exports");
-    }
-
-    #[test]
-    fn jsonl_lines_parse_individually() {
-        let text = jsonl(&sample_events());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6);
-        for line in &lines {
-            let v = JsonValue::parse(line).expect("each line is a JSON object");
-            assert!(v.get("kind").is_some());
-        }
-        // Sorted by sim-time.
-        let times: Vec<f64> = lines
-            .iter()
-            .map(|l| JsonValue::parse(l).unwrap().get("t_ns").unwrap().as_f64().unwrap())
-            .collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 }

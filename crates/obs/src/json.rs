@@ -5,4 +5,5 @@
 //! implementation. Existing `potemkin_obs::json::JsonValue` paths keep
 //! working through this shim.
 
-pub use potemkin_json::{escape, strip_line_comments, JsonError, JsonValue};
+pub(crate) use potemkin_json::escape;
+pub use potemkin_json::JsonValue;

@@ -4,10 +4,10 @@
 //! one flash clone into per-stage costs; the telescope experiments reason
 //! about where time goes as load scales. This crate records that
 //! attribution from live runs instead of trusting the cost model:
-//! structured [`TraceEvent`]s with RAII/token [`Span`]s, a per-lane
+//! structured [`TraceEvent`]s with token spans (`SpanToken`), a per-lane
 //! flight-recorder ring ([`RingRecorder`]), aggregation into latency
-//! histograms and stage-breakdown tables ([`SpanAggregator`]), and
-//! exporters (Chrome `trace_event` JSON, compact JSONL).
+//! statistics per span name ([`SpanAggregator`]), and a Chrome
+//! `trace_event` JSON exporter.
 //!
 //! Three properties define the design:
 //!
@@ -41,19 +41,21 @@
 //! assert_eq!(agg.stats("control plane").unwrap().mean(), SimTime::from_millis(182));
 //! ```
 
-pub mod agg;
-pub mod event;
-pub mod export;
-pub mod json;
-pub mod recorder;
-pub mod tracer;
+#![warn(unreachable_pub)]
+
+mod agg;
+mod event;
+mod export;
+mod json;
+mod recorder;
+mod tracer;
 
 pub use agg::{SpanAggregator, SpanStats};
-pub use event::{SpanId, TraceEvent, TraceEventKind};
-pub use export::{chrome_trace_json, jsonl};
-pub use json::{JsonError, JsonValue};
-pub use recorder::{RecorderMode, RingRecorder, TraceSink};
-pub use tracer::{Span, SpanToken, TraceConfig, Tracer};
+pub use event::{TraceEvent, TraceEventKind};
+pub use export::chrome_trace_json;
+pub use json::JsonValue;
+pub use recorder::{RecorderMode, RingRecorder};
+pub use tracer::{TraceConfig, Tracer};
 
 /// Interned span and event names used across the stack, kept in one place
 /// so emitters, aggregators, and experiment tables agree by construction.

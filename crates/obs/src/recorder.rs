@@ -1,6 +1,6 @@
-//! Trace sinks: where events go once recorded.
+//! Where events go once recorded.
 //!
-//! The workhorse is [`RingRecorder`], a fixed-capacity overwrite-oldest
+//! [`RingRecorder`] is a fixed-capacity overwrite-oldest
 //! ring ("flight recorder") that doubles as an unbounded capture buffer.
 //! It is lock-free *by construction*: every tracer owns its sink
 //! exclusively (`&mut self` recording, one lane per component or worker),
@@ -9,28 +9,6 @@
 //! the simulation's per-shard event queues.
 
 use crate::event::TraceEvent;
-
-/// Destination for recorded events.
-pub trait TraceSink {
-    /// Records one event. Must be cheap: this sits on simulation hot
-    /// paths.
-    fn record(&mut self, event: TraceEvent);
-
-    /// Removes and returns every retained event, oldest first.
-    fn drain(&mut self) -> Vec<TraceEvent>;
-
-    /// Number of events currently retained.
-    fn len(&self) -> usize;
-
-    /// Whether the sink currently retains no events.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events discarded so far (overwritten in flight mode). Never reset
-    /// by [`TraceSink::drain`].
-    fn dropped(&self) -> u64;
-}
 
 /// Retention policy for a [`RingRecorder`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,18 +46,8 @@ impl RingRecorder {
         RingRecorder { capacity, buf: Vec::new(), head: 0, dropped: 0 }
     }
 
-    /// The configured capacity (`None` = unbounded).
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    // Inherent copies of the sink operations: [`Tracer`] holds a concrete
-    // `RingRecorder` and calls these directly, so the per-event record
-    // inlines into simulation hot paths with no virtual dispatch. The
-    // [`TraceSink`] impl below delegates here for generic callers.
-
-    /// Records one event (see [`TraceSink::record`]).
+    /// Records one event. Must be cheap: this sits on simulation hot
+    /// paths.
     #[inline]
     pub fn record(&mut self, event: TraceEvent) {
         match self.capacity {
@@ -95,8 +63,7 @@ impl RingRecorder {
         }
     }
 
-    /// Removes and returns every retained event, oldest first (see
-    /// [`TraceSink::drain`]).
+    /// Removes and returns every retained event, oldest first.
     pub fn drain(&mut self) -> Vec<TraceEvent> {
         self.buf.rotate_left(self.head);
         self.head = 0;
@@ -115,28 +82,10 @@ impl RingRecorder {
         self.buf.is_empty()
     }
 
-    /// Events overwritten so far.
+    /// Events overwritten so far. Never reset by [`RingRecorder::drain`].
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-}
-
-impl TraceSink for RingRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        RingRecorder::record(self, event);
-    }
-
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        RingRecorder::drain(self)
-    }
-
-    fn len(&self) -> usize {
-        RingRecorder::len(self)
-    }
-
-    fn dropped(&self) -> u64 {
-        RingRecorder::dropped(self)
     }
 }
 
@@ -188,7 +137,7 @@ mod tests {
         let mut r = RingRecorder::new(RecorderMode::Flight { capacity: 0 });
         r.record(ev(1));
         r.record(ev(2));
-        assert_eq!(r.capacity(), Some(1));
+        assert_eq!(r.capacity, Some(1));
         assert_eq!(r.drain().last().map(|e| e.seq), Some(2));
     }
 }

@@ -1,4 +1,4 @@
-//! The per-component tracer: span guards, instants, counters.
+//! The per-component tracer: spans, instants, counters.
 //!
 //! A [`Tracer`] is either *disabled* — a `None` inner, so every call is a
 //! single branch and the subsystem compiles down to no-ops on the hot
@@ -7,14 +7,9 @@
 //! which is what makes recording lock-free: there is no shared buffer to
 //! contend on.
 //!
-//! Two span APIs are provided:
-//!
-//! * **Token-based** ([`Tracer::begin`] / [`Tracer::end`]): a [`SpanToken`]
-//!   is `Copy` and borrows nothing, so a span can cover a `&mut self`
-//!   method body that also needs the tracer. This is the form the farm and
-//!   gateway use.
-//! * **RAII** ([`Tracer::span`]): a [`Span`] guard that closes on drop,
-//!   for straight-line scopes.
+//! Spans are token-based ([`Tracer::begin`] / [`Tracer::end`]): a
+//! [`SpanToken`] is `Copy` and borrows nothing, so a span can cover a
+//! `&mut self` method body that also needs the tracer.
 //!
 //! Determinism: a tracer never consults an RNG, never reorders simulation
 //! events, and stamps events with the caller-supplied sim-time. Wall-clock
@@ -33,7 +28,7 @@ use crate::recorder::{RecorderMode, RingRecorder};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Retention policy of the lane's ring recorder.
-    pub mode: RecorderMode,
+    pub(crate) mode: RecorderMode,
     /// Also stamp events with wall-clock nanoseconds (bench runs only;
     /// never part of deterministic output).
     pub wall_clock: bool,
@@ -76,9 +71,9 @@ impl SpanToken {
 
 struct Inner {
     lane: u32,
-    /// Concrete, not `Box<dyn TraceSink>`: the per-event record must
-    /// inline into simulation hot paths (the recorder-overhead budget in
-    /// E12 is what this buys).
+    /// Concrete, not a trait object: the per-event record must inline
+    /// into simulation hot paths (the recorder-overhead budget in E12 is
+    /// what this buys).
     sink: RingRecorder,
     next_seq: u64,
     next_span: u64,
@@ -142,12 +137,6 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// The recording lane, if enabled.
-    #[must_use]
-    pub fn lane(&self) -> Option<u32> {
-        self.inner.as_ref().map(|i| i.lane)
-    }
-
     /// Opens a span named `name` at sim-time `now`; its parent is the
     /// innermost span still open on this lane.
     #[inline]
@@ -177,13 +166,6 @@ impl Tracer {
         inner.emit(now, TraceEventKind::SpanEnd { id: SpanId(token.id), name: token.name });
     }
 
-    /// Opens a RAII span that closes (at its begin time) when dropped, or
-    /// at an explicit [`Span::end`] time.
-    pub fn span(&mut self, now: SimTime, name: &'static str) -> Span<'_> {
-        let token = self.begin(now, name);
-        Span { tracer: self, token, at: now, open: true }
-    }
-
     /// Records a point event.
     #[inline]
     pub fn instant(&mut self, now: SimTime, name: &'static str, value: u64) {
@@ -205,18 +187,6 @@ impl Tracer {
     pub fn drain(&mut self) -> Vec<TraceEvent> {
         self.inner.as_mut().map_or_else(Vec::new, |i| i.sink.drain())
     }
-
-    /// Events lost to flight-recorder overwrite.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.sink.dropped())
-    }
-
-    /// Spans currently open on this lane.
-    #[must_use]
-    pub fn open_spans(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.stack.len())
-    }
 }
 
 impl Inner {
@@ -234,32 +204,6 @@ impl Inner {
     }
 }
 
-/// RAII guard from [`Tracer::span`]. Prefer [`Span::end`] with the real
-/// end time; dropping without it closes the span at its begin time (a
-/// zero-duration interval), which is correct for instantaneous scopes.
-pub struct Span<'a> {
-    tracer: &'a mut Tracer,
-    token: SpanToken,
-    at: SimTime,
-    open: bool,
-}
-
-impl Span<'_> {
-    /// Closes the span at `now`.
-    pub fn end(mut self, now: SimTime) {
-        self.tracer.end(now, self.token);
-        self.open = false;
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if self.open {
-            self.tracer.end(self.at, self.token);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,7 +216,6 @@ mod tests {
         t.end(SimTime::from_secs(1), sp);
         assert!(!t.is_enabled());
         assert!(t.drain().is_empty());
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
@@ -295,19 +238,7 @@ mod tests {
             panic!("unexpected second event: {:?}", events[1]);
         };
         assert_eq!(p, outer_id);
-        assert_eq!(t.open_spans(), 0);
-    }
-
-    #[test]
-    fn raii_span_closes_on_drop() {
-        let mut t = Tracer::new(0, TraceConfig::unbounded());
-        {
-            let _sp = t.span(SimTime::from_secs(1), "scope");
-        }
-        let events = t.drain();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[1].kind, TraceEventKind::SpanEnd { .. }));
-        assert_eq!(events[1].at, SimTime::from_secs(1));
+        assert!(t.inner.as_ref().unwrap().stack.is_empty());
     }
 
     #[test]

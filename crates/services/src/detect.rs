@@ -29,7 +29,7 @@ pub enum Protocol {
 impl Protocol {
     /// The canonical lowercase name used by the scenario DSL.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Protocol::Ssh => "ssh",
             Protocol::Http => "http",
@@ -41,7 +41,7 @@ impl Protocol {
 
     /// Parses a DSL protocol name.
     #[must_use]
-    pub fn from_name(name: &str) -> Option<Protocol> {
+    pub(crate) fn from_name(name: &str) -> Option<Protocol> {
         match name {
             "ssh" => Some(Protocol::Ssh),
             "http" => Some(Protocol::Http),
@@ -61,7 +61,7 @@ impl fmt::Display for Protocol {
 
 /// The well-known-port fallback used when no banner heuristic fires.
 #[must_use]
-pub fn port_hint(port: u16) -> Protocol {
+pub(crate) fn port_hint(port: u16) -> Protocol {
     match port {
         22 => Protocol::Ssh,
         80 | 8000 | 8080 => Protocol::Http,

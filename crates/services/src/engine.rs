@@ -30,9 +30,9 @@ pub struct ServicesConfig {
     pub pack: ScenarioPack,
     /// Maximum live sessions per engine (deterministic LRU eviction past
     /// it).
-    pub session_budget: usize,
+    pub(crate) session_budget: usize,
     /// Maximum transcript entries retained per session.
-    pub transcript_limit: usize,
+    pub(crate) transcript_limit: usize,
 }
 
 impl ServicesConfig {
@@ -41,20 +41,6 @@ impl ServicesConfig {
     #[must_use]
     pub fn new(pack: ScenarioPack) -> ServicesConfig {
         ServicesConfig { pack, session_budget: 256, transcript_limit: 64 }
-    }
-
-    /// Overrides the live-session budget (clamped to ≥ 1).
-    #[must_use]
-    pub fn session_budget(mut self, budget: usize) -> ServicesConfig {
-        self.session_budget = budget.max(1);
-        self
-    }
-
-    /// Overrides the per-session transcript cap.
-    #[must_use]
-    pub fn transcript_limit(mut self, limit: usize) -> ServicesConfig {
-        self.transcript_limit = limit;
-        self
     }
 }
 
@@ -90,7 +76,7 @@ pub struct ScenarioMetrics {
     /// Sessions that captured at least one payload.
     pub completions: u64,
     /// Stall events by state name (where conversations die).
-    pub stall_points: BTreeMap<String, u64>,
+    pub(crate) stall_points: BTreeMap<String, u64>,
 }
 
 impl ScenarioMetrics {
@@ -99,7 +85,7 @@ impl ScenarioMetrics {
     /// # Panics
     ///
     /// If the scenario names differ (cells must share one pack).
-    pub fn absorb(&mut self, other: &ScenarioMetrics) {
+    pub(crate) fn absorb(&mut self, other: &ScenarioMetrics) {
         assert_eq!(self.scenario, other.scenario, "metrics merged across packs");
         self.sessions += other.sessions;
         self.rounds += other.rounds;
@@ -352,36 +338,16 @@ impl ServiceEngine {
         self.store.records()
     }
 
-    /// Streams every finalized record into an external store (e.g. a
-    /// [`crate::store::JsonlStore`]).
-    pub fn export<S: SessionStore>(&self, store: &mut S) {
-        for record in self.store.records() {
-            store.record(record);
-        }
-    }
-
     /// Live (not yet finalized) sessions.
     #[must_use]
     pub fn open_sessions(&self) -> usize {
         self.sessions.len()
     }
 
-    /// Total requests offered to the engine.
-    #[must_use]
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
     /// Requests no scenario claimed (fell back to the fixed banner).
     #[must_use]
     pub fn unclaimed(&self) -> u64 {
         self.unclaimed
-    }
-
-    /// Sessions evicted under budget pressure.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.sessions.evictions()
     }
 
     fn initial_state(&self, scenario_idx: usize) -> usize {
@@ -437,7 +403,7 @@ mod tests {
         }
         "#;
         let pack = ScenarioPack::new(vec![Scenario::parse(doc).unwrap()]).unwrap();
-        ServiceEngine::new(&ServicesConfig::new(pack).session_budget(4))
+        ServiceEngine::new(&ServicesConfig { session_budget: 4, ..ServicesConfig::new(pack) })
     }
 
     const ATTACKER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 9);
@@ -513,7 +479,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(eng.open_sessions(), 4);
-        assert_eq!(eng.evictions(), 2);
         // Oldest two attackers were evicted and finalized.
         assert_eq!(eng.records().len(), 2);
         assert_eq!(eng.records()[0].attacker, Ipv4Addr::new(198, 51, 100, 0));

@@ -6,21 +6,21 @@
 //! is always available — to the `potemkin services` CLI, the E17
 //! experiment, and the property tests — without filesystem access.
 
-use crate::scenario::{Scenario, ScenarioError, ScenarioPack};
+use crate::scenario::ScenarioPack;
 
 /// The SMTP worm-dropper scenario source.
-pub const WORM_DROPPER: &str = include_str!("../../../examples/scenarios/worm_dropper.json");
+pub(crate) const WORM_DROPPER: &str = include_str!("../../../examples/scenarios/worm_dropper.json");
 /// The Telnet botnet C2 check-in scenario source.
-pub const BOTNET_C2: &str = include_str!("../../../examples/scenarios/botnet_c2.json");
+pub(crate) const BOTNET_C2: &str = include_str!("../../../examples/scenarios/botnet_c2.json");
 /// The SSH credential-stuffing scenario source.
-pub const CREDENTIAL_STUFFING: &str =
+pub(crate) const CREDENTIAL_STUFFING: &str =
     include_str!("../../../examples/scenarios/credential_stuffing.json");
 /// The multi-stage HTTP dropper scenario source.
-pub const MULTI_STAGE_DROPPER: &str =
+pub(crate) const MULTI_STAGE_DROPPER: &str =
     include_str!("../../../examples/scenarios/multi_stage_dropper.json");
 
 /// Sources of the four built-in scenarios, in pack order.
-pub const BUILTIN_SOURCES: [&str; 4] =
+pub(crate) const BUILTIN_SOURCES: [&str; 4] =
     [WORM_DROPPER, BOTNET_C2, CREDENTIAL_STUFFING, MULTI_STAGE_DROPPER];
 
 /// Parses and validates the built-in four-scenario pack.
@@ -34,19 +34,11 @@ pub fn builtin() -> ScenarioPack {
     ScenarioPack::parse_many(&BUILTIN_SOURCES).expect("built-in scenarios are valid")
 }
 
-/// Parses one of the built-in sources individually.
-///
-/// # Errors
-///
-/// Propagates the scenario parse/validation error.
-pub fn parse_source(source: &str) -> Result<Scenario, ScenarioError> {
-    Scenario::parse(source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::detect::Protocol;
+    use crate::scenario::Scenario;
 
     #[test]
     fn builtin_pack_loads_and_covers_four_protocols() {

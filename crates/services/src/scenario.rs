@@ -6,8 +6,7 @@
 //! responses, capture markers, and per-state timeouts. A `drive` section
 //! describes the canonical attacker side — the request sequence a worm or
 //! tool sends and what it expects back — which both the closed-loop
-//! interaction driver and the scripted-baseline comparison (via
-//! [`Scenario::to_exploit_script`]) replay.
+//! interaction driver and the scripted-baseline comparison replay.
 //!
 //! Everything is validated at load time with typed [`ScenarioError`]s so
 //! a broken scenario file fails the run immediately and nameably, never
@@ -18,7 +17,6 @@ use std::fmt;
 
 use potemkin_json::{strip_line_comments, JsonError, JsonValue};
 use potemkin_sim::SimTime;
-use potemkin_workload::dialogue::ExploitScript;
 
 use crate::detect::Protocol;
 
@@ -220,8 +218,7 @@ pub struct Scenario {
     pub initial: String,
     /// Whole-session idle timeout (reconnect semantics past it).
     pub session_timeout: SimTime,
-    /// The payload marker the drive's final request carries; also the
-    /// marker for [`Scenario::to_exploit_script`].
+    /// The payload marker the drive's final request carries.
     pub capture_marker: String,
     /// The state machine.
     pub states: Vec<State>,
@@ -246,7 +243,7 @@ impl Scenario {
     /// # Errors
     ///
     /// As [`Scenario::parse`].
-    pub fn from_value(value: &JsonValue) -> Result<Scenario, ScenarioError> {
+    pub(crate) fn from_value(value: &JsonValue) -> Result<Scenario, ScenarioError> {
         let name = req_str(value, "?", "scenario")?;
         let protocol_name = req_str(value, &name, "protocol")?;
         let protocol = Protocol::from_name(&protocol_name).ok_or_else(|| {
@@ -316,7 +313,7 @@ impl Scenario {
     /// # Errors
     ///
     /// The typed [`ScenarioError`] for the first violation.
-    pub fn validate(&self) -> Result<(), ScenarioError> {
+    pub(crate) fn validate(&self) -> Result<(), ScenarioError> {
         if self.name.is_empty() {
             return Err(bad("?", "scenario", "name must not be empty"));
         }
@@ -372,28 +369,11 @@ impl Scenario {
         Ok(())
     }
 
-    /// The state named `name`, if any.
-    #[must_use]
-    pub fn state(&self, name: &str) -> Option<&State> {
-        self.states.iter().find(|s| s.name == name)
-    }
-
     /// Whether this scenario claims sessions classified as `protocol` on
     /// `port`.
     #[must_use]
-    pub fn claims(&self, protocol: Protocol, port: u16) -> bool {
+    pub(crate) fn claims(&self, protocol: Protocol, port: u16) -> bool {
         self.protocol == protocol && (self.ports.is_empty() || self.ports.contains(&port))
-    }
-
-    /// The scripted-dialogue equivalent of this scenario's drive: one
-    /// round per drive step, final round carrying the capture marker.
-    /// This is the bridge to the fixed-depth fidelity machinery
-    /// ([`potemkin_workload::dialogue`]) used by the E17 baseline.
-    #[must_use]
-    pub fn to_exploit_script(&self) -> ExploitScript {
-        let depth = u8::try_from(self.drive.len().max(1)).unwrap_or(u8::MAX);
-        let port = self.ports.first().copied().unwrap_or(0);
-        ExploitScript::new(self.name.clone(), port, depth, self.capture_marker.as_bytes())
     }
 
     /// Canonical serialization; `Scenario::parse` of the output yields an
@@ -619,7 +599,7 @@ impl ScenarioPack {
     /// pack order is the deterministic tie-break between overlapping
     /// claims.
     #[must_use]
-    pub fn select(&self, protocol: Protocol, port: u16) -> Option<(usize, &Scenario)> {
+    pub(crate) fn select(&self, protocol: Protocol, port: u16) -> Option<(usize, &Scenario)> {
         self.scenarios.iter().enumerate().find(|(_, s)| s.claims(protocol, port))
     }
 }
@@ -673,15 +653,6 @@ mod tests {
         assert_eq!(s.drive.len(), 2);
         let round_tripped = Scenario::parse(&s.to_json()).unwrap();
         assert_eq!(round_tripped, s);
-    }
-
-    #[test]
-    fn exploit_script_bridge_carries_identity() {
-        let s = Scenario::parse(doc()).unwrap();
-        let script = s.to_exploit_script();
-        assert_eq!(script.name(), "mini-smtp");
-        assert_eq!(script.port(), 25);
-        assert_eq!(script.depth(), 2);
     }
 
     #[test]

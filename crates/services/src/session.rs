@@ -15,16 +15,16 @@ use potemkin_sim::SimTime;
 
 /// Identity of a session: one attacker conversing with one scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SessionKey {
+pub(crate) struct SessionKey {
     /// The remote attacker address.
-    pub attacker: Ipv4Addr,
+    pub(crate) attacker: Ipv4Addr,
     /// Index of the scenario in the pack.
-    pub scenario: usize,
+    pub(crate) scenario: usize,
 }
 
 /// Direction of one transcript entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Attacker → honeypot.
     Request,
     /// Honeypot → attacker.
@@ -34,7 +34,7 @@ pub enum Direction {
 impl Direction {
     /// The canonical short name used in JSONL records.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Direction::Request => "req",
             Direction::Response => "resp",
@@ -44,42 +44,42 @@ impl Direction {
 
 /// One captured request or response.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TranscriptEntry {
+pub(crate) struct TranscriptEntry {
     /// When it was observed.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Which way it flowed.
-    pub dir: Direction,
+    pub(crate) dir: Direction,
     /// The bytes on the wire.
-    pub data: Vec<u8>,
+    pub(crate) data: Vec<u8>,
 }
 
 /// Live state of one attacker/scenario conversation.
 #[derive(Clone, Debug)]
-pub struct Session {
+pub(crate) struct Session {
     /// Current state index within the scenario's `states`.
-    pub state: usize,
+    pub(crate) state: usize,
     /// Request/response rounds sustained so far.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Payloads captured in this session.
-    pub payloads: u64,
+    pub(crate) payloads: u64,
     /// Stalls (no-rule-match or timeout resets) hit so far.
-    pub stalls: u64,
+    pub(crate) stalls: u64,
     /// When the session was opened.
-    pub opened_at: SimTime,
+    pub(crate) opened_at: SimTime,
     /// When the last request arrived.
-    pub last_activity: SimTime,
+    pub(crate) last_activity: SimTime,
     /// The local honeypot address the attacker spoke to.
-    pub local: Ipv4Addr,
+    pub(crate) local: Ipv4Addr,
     /// The destination port of the conversation.
-    pub port: u16,
+    pub(crate) port: u16,
     /// Captured wire transcript (bounded by the manager's transcript
     /// limit).
-    pub transcript: Vec<TranscriptEntry>,
+    pub(crate) transcript: Vec<TranscriptEntry>,
 }
 
 /// The session table: bounded, ordered, deterministically evicted.
 #[derive(Clone, Debug)]
-pub struct SessionManager {
+pub(crate) struct SessionManager {
     sessions: BTreeMap<SessionKey, Session>,
     budget: usize,
     transcript_limit: usize,
@@ -91,7 +91,7 @@ impl SessionManager {
     /// Creates a manager holding at most `budget` live sessions, each
     /// with at most `transcript_limit` transcript entries.
     #[must_use]
-    pub fn new(budget: usize, transcript_limit: usize) -> SessionManager {
+    pub(crate) fn new(budget: usize, transcript_limit: usize) -> SessionManager {
         SessionManager {
             sessions: BTreeMap::new(),
             budget: budget.max(1),
@@ -103,43 +103,29 @@ impl SessionManager {
 
     /// Number of live sessions.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// Whether no session is live.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Sessions evicted under budget pressure so far.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Transcript entries dropped to the per-session limit so far.
-    #[must_use]
-    pub fn transcript_drops(&self) -> u64 {
-        self.transcript_drops
     }
 
     /// The live session for `key`, if any.
     #[must_use]
-    pub fn get(&self, key: &SessionKey) -> Option<&Session> {
+    pub(crate) fn get(&self, key: &SessionKey) -> Option<&Session> {
         self.sessions.get(key)
     }
 
     /// Mutable access to the live session for `key`.
-    pub fn get_mut(&mut self, key: &SessionKey) -> Option<&mut Session> {
+    pub(crate) fn get_mut(&mut self, key: &SessionKey) -> Option<&mut Session> {
         self.sessions.get_mut(key)
     }
 
     /// Opens a session for `key`, evicting the least-recently-active
     /// session first if the table is at budget. Returns the evicted
     /// session (for store finalization), if any.
-    pub fn open(&mut self, key: SessionKey, session: Session) -> Option<(SessionKey, Session)> {
+    pub(crate) fn open(
+        &mut self,
+        key: SessionKey,
+        session: Session,
+    ) -> Option<(SessionKey, Session)> {
         let evicted = if self.sessions.len() >= self.budget && !self.sessions.contains_key(&key) {
             self.evict_one()
         } else {
@@ -150,12 +136,12 @@ impl SessionManager {
     }
 
     /// Removes and returns the session for `key`.
-    pub fn close(&mut self, key: &SessionKey) -> Option<Session> {
+    pub(crate) fn close(&mut self, key: &SessionKey) -> Option<Session> {
         self.sessions.remove(key)
     }
 
     /// Appends to a session's transcript, honoring the per-session cap.
-    pub fn record(&mut self, key: &SessionKey, entry: TranscriptEntry) {
+    pub(crate) fn record(&mut self, key: &SessionKey, entry: TranscriptEntry) {
         let limit = self.transcript_limit;
         if let Some(session) = self.sessions.get_mut(key) {
             if session.transcript.len() < limit {
@@ -167,7 +153,7 @@ impl SessionManager {
     }
 
     /// Drains every live session in key order (end-of-run finalization).
-    pub fn drain(&mut self) -> Vec<(SessionKey, Session)> {
+    pub(crate) fn drain(&mut self) -> Vec<(SessionKey, Session)> {
         std::mem::take(&mut self.sessions).into_iter().collect()
     }
 
@@ -213,7 +199,7 @@ mod tests {
         // Third session: key(2,0) has the older last_activity → evicted.
         let (victim, _) = mgr.open(key(3, 0), session(7)).unwrap();
         assert_eq!(victim, key(2, 0));
-        assert_eq!(mgr.evictions(), 1);
+        assert_eq!(mgr.evictions, 1);
         // Tie on last_activity → smaller key evicted.
         let (victim, _) = mgr.open(key(4, 0), session(5)).unwrap();
         assert_eq!(victim, key(1, 0));
@@ -226,7 +212,7 @@ mod tests {
         assert!(mgr.open(key(1, 0), session(1)).is_none());
         assert!(mgr.open(key(1, 0), session(2)).is_none());
         assert_eq!(mgr.len(), 1);
-        assert_eq!(mgr.evictions(), 0);
+        assert_eq!(mgr.evictions, 0);
     }
 
     #[test]
@@ -244,7 +230,7 @@ mod tests {
             );
         }
         assert_eq!(mgr.get(&key(1, 0)).unwrap().transcript.len(), 2);
-        assert_eq!(mgr.transcript_drops(), 3);
+        assert_eq!(mgr.transcript_drops, 3);
     }
 
     #[test]
@@ -255,6 +241,6 @@ mod tests {
         mgr.open(key(9, 0), session(3));
         let keys: Vec<SessionKey> = mgr.drain().into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![key(1, 0), key(9, 0), key(9, 1)]);
-        assert!(mgr.is_empty());
+        assert_eq!(mgr.len(), 0);
     }
 }

@@ -23,33 +23,33 @@ use crate::session::{Session, SessionKey, TranscriptEntry};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionRecord {
     /// The remote attacker.
-    pub attacker: Ipv4Addr,
+    pub(crate) attacker: Ipv4Addr,
     /// The honeypot address spoken to.
-    pub local: Ipv4Addr,
+    pub(crate) local: Ipv4Addr,
     /// Destination port of the conversation.
-    pub port: u16,
+    pub(crate) port: u16,
     /// Scenario name that handled the session.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Protocol the session classified as.
-    pub protocol: Protocol,
+    pub(crate) protocol: Protocol,
     /// When the session opened.
-    pub opened_at: SimTime,
+    pub(crate) opened_at: SimTime,
     /// Last request seen.
-    pub last_activity: SimTime,
+    pub(crate) last_activity: SimTime,
     /// Rounds sustained.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Payloads captured.
-    pub payloads: u64,
+    pub(crate) payloads: u64,
     /// Stall events (unmatched requests, timeout resets).
-    pub stalls: u64,
+    pub(crate) stalls: u64,
     /// The wire transcript (possibly truncated to the transcript limit).
-    pub transcript: Vec<TranscriptEntry>,
+    pub(crate) transcript: Vec<TranscriptEntry>,
 }
 
 impl SessionRecord {
     /// Builds a record from a closing session.
     #[must_use]
-    pub fn from_session(
+    pub(crate) fn from_session(
         key: &SessionKey,
         session: Session,
         scenario: &str,
@@ -74,7 +74,7 @@ impl SessionRecord {
     /// are not printable ASCII are escaped by [`potemkin_json::escape`]'s
     /// `\u` rules after a lossy UTF-8 pass.
     #[must_use]
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         let _ = write!(
             out,
@@ -118,27 +118,21 @@ pub trait SessionStore {
 
 /// Keeps every record in memory (the default; feeds the report).
 #[derive(Clone, Debug, Default)]
-pub struct MemoryStore {
+pub(crate) struct MemoryStore {
     records: Vec<SessionRecord>,
 }
 
 impl MemoryStore {
     /// An empty store.
     #[must_use]
-    pub fn new() -> MemoryStore {
+    pub(crate) fn new() -> MemoryStore {
         MemoryStore::default()
     }
 
     /// The records accepted so far, in arrival order.
     #[must_use]
-    pub fn records(&self) -> &[SessionRecord] {
+    pub(crate) fn records(&self) -> &[SessionRecord] {
         &self.records
-    }
-
-    /// Consumes the store, yielding its records.
-    #[must_use]
-    pub fn into_records(self) -> Vec<SessionRecord> {
-        self.records
     }
 }
 
@@ -173,12 +167,6 @@ impl JsonlStore {
     #[must_use]
     pub fn written(&self) -> u64 {
         self.written
-    }
-
-    /// Write failures swallowed.
-    #[must_use]
-    pub fn errors(&self) -> u64 {
-        self.errors
     }
 
     /// Flushes buffered records to disk.
@@ -268,7 +256,7 @@ mod tests {
         store.record(&record());
         store.flush().unwrap();
         assert_eq!(store.written(), 2);
-        assert_eq!(store.errors(), 0);
+        assert_eq!(store.errors, 0);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -24,9 +24,9 @@ pub const NO_SLOT: usize = usize::MAX;
 #[derive(Clone, Copy, Debug)]
 pub struct Links {
     /// The key before this one.
-    pub prev: usize,
+    pub(crate) prev: usize,
     /// The key after this one.
-    pub next: usize,
+    pub(crate) next: usize,
 }
 
 /// The ends of a doubly linked list threaded through slab keys. The links
@@ -38,7 +38,7 @@ pub struct SlotList {
     /// The key at the front, or [`NO_SLOT`].
     pub first: usize,
     /// The key at the back, or [`NO_SLOT`].
-    pub last: usize,
+    pub(crate) last: usize,
     /// How many keys are on the list.
     pub len: usize,
 }
@@ -95,7 +95,6 @@ pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     free_head: usize,
     len: usize,
-    high_watermark: usize,
     inserts: u64,
     reuses: u64,
 }
@@ -110,20 +109,7 @@ impl<T> Slab<T> {
     /// Creates an empty slab.
     #[must_use]
     pub fn new() -> Slab<T> {
-        Slab {
-            slots: Vec::new(),
-            free_head: NO_SLOT,
-            len: 0,
-            high_watermark: 0,
-            inserts: 0,
-            reuses: 0,
-        }
-    }
-
-    /// Creates an empty slab with pre-allocated capacity.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Slab<T> {
-        Slab { slots: Vec::with_capacity(cap), ..Slab::new() }
+        Slab { slots: Vec::new(), free_head: NO_SLOT, len: 0, inserts: 0, reuses: 0 }
     }
 
     /// Stores `value`, returning its key. Reuses a vacated slot when one is
@@ -131,7 +117,6 @@ impl<T> Slab<T> {
     pub fn insert(&mut self, value: T) -> usize {
         self.inserts += 1;
         self.len += 1;
-        self.high_watermark = self.high_watermark.max(self.len);
         if self.free_head != NO_SLOT {
             let key = self.free_head;
             let Slot::Vacant(next) = self.slots[key] else {
@@ -173,7 +158,7 @@ impl<T> Slab<T> {
     }
 
     /// Exclusive access to the value at `key`, if occupied.
-    pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, key: usize) -> Option<&mut T> {
         match self.slots.get_mut(key) {
             Some(Slot::Occupied(value)) => Some(value),
             _ => None,
@@ -182,21 +167,14 @@ impl<T> Slab<T> {
 
     /// Number of occupied slots.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no slots are occupied.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Peak number of simultaneously occupied slots — the slab never holds
-    /// more backing storage than this.
-    #[must_use]
-    pub fn high_watermark(&self) -> usize {
-        self.high_watermark
     }
 
     /// Total inserts and how many of them reused a vacated slot. After
@@ -204,21 +182,6 @@ impl<T> Slab<T> {
     #[must_use]
     pub fn reuse_stats(&self) -> (u64, u64) {
         (self.inserts, self.reuses)
-    }
-
-    /// Removes all values, keeping the backing storage for reuse.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free_head = NO_SLOT;
-        self.len = 0;
-    }
-
-    /// Iterates `(key, &value)` over occupied slots in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.slots.iter().enumerate().filter_map(|(key, slot)| match slot {
-            Slot::Occupied(value) => Some((key, value)),
-            Slot::Vacant(_) => None,
-        })
     }
 }
 
@@ -252,7 +215,7 @@ mod tests {
         // LIFO freelist: the most recently vacated slot is reused first.
         assert_eq!(slab.insert(20), keys[2]);
         assert_eq!(slab.insert(10), keys[1]);
-        assert_eq!(slab.high_watermark(), 4);
+        assert_eq!(slab.slots.len(), 4);
         let (inserts, reuses) = slab.reuse_stats();
         assert_eq!(inserts, 6);
         assert_eq!(reuses, 2);
@@ -265,21 +228,10 @@ mod tests {
             let k = slab.insert(round);
             assert_eq!(slab.remove(k), Some(round));
         }
-        assert_eq!(slab.high_watermark(), 1);
+        assert_eq!(slab.slots.len(), 1);
         let (inserts, reuses) = slab.reuse_stats();
         assert_eq!(inserts, 1000);
         assert_eq!(reuses, 999, "every insert after the first reuses the slot");
-    }
-
-    #[test]
-    fn iter_skips_vacant_slots() {
-        let mut slab = Slab::new();
-        let a = slab.insert('a');
-        let b = slab.insert('b');
-        let c = slab.insert('c');
-        slab.remove(b);
-        let pairs: Vec<(usize, char)> = slab.iter().map(|(k, &v)| (k, v)).collect();
-        assert_eq!(pairs, vec![(a, 'a'), (c, 'c')]);
     }
 
     #[test]

@@ -5,11 +5,7 @@
 //!
 //! * [`Exponential`] — inter-arrival times of Poisson scan traffic.
 //! * [`Pareto`] — heavy-tailed source on-times and session sizes.
-//! * [`LogNormal`] — service times / dialogue durations.
-//! * [`Poisson`] — per-interval packet counts.
 //! * [`Zipf`] — popularity skew across destination ports and prefixes.
-//! * [`Alias`] — O(1) sampling from an arbitrary discrete distribution
-//!   (Walker's alias method), used for port/protocol mixes.
 
 use crate::rng::SimRng;
 
@@ -21,7 +17,7 @@ use crate::rng::SimRng;
 /// use potemkin_sim::{Exponential, SimRng};
 ///
 /// let mut rng = SimRng::seed_from(1);
-/// let d = Exponential::new(2.0).unwrap();
+/// let d = Exponential::with_mean(0.5).unwrap();
 /// let x = d.sample(&mut rng);
 /// assert!(x >= 0.0);
 /// ```
@@ -31,26 +27,12 @@ pub struct Exponential {
 }
 
 impl Exponential {
-    /// Creates an exponential distribution with rate `lambda`.
-    ///
-    /// Returns `None` unless `lambda` is finite and strictly positive.
-    #[must_use]
-    pub fn new(lambda: f64) -> Option<Self> {
-        (lambda.is_finite() && lambda > 0.0).then_some(Exponential { lambda })
-    }
-
     /// Creates an exponential distribution with the given mean.
     ///
     /// Returns `None` unless `mean` is finite and strictly positive.
     #[must_use]
     pub fn with_mean(mean: f64) -> Option<Self> {
         (mean.is_finite() && mean > 0.0).then(|| Exponential { lambda: 1.0 / mean })
-    }
-
-    /// The rate parameter.
-    #[must_use]
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 
     /// Draws a sample (inverse-CDF method).
@@ -84,91 +66,11 @@ impl Pareto {
         self.x_min / rng.f64_open().powf(1.0 / self.alpha)
     }
 
-    /// The theoretical mean, or `None` when `alpha <= 1` (infinite mean).
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
+    /// The analytic mean, `None` when infinite (`alpha <= 1`): the reference
+    /// the sampler's test checks against.
+    #[cfg(test)]
+    fn mean(&self) -> Option<f64> {
         (self.alpha > 1.0).then(|| self.alpha * self.x_min / (self.alpha - 1.0))
-    }
-}
-
-/// Log-normal distribution: `exp(mu + sigma * N(0, 1))`.
-#[derive(Clone, Copy, Debug)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal distribution from the underlying normal's
-    /// parameters.
-    ///
-    /// Returns `None` unless `mu` is finite and `sigma` is finite and
-    /// non-negative.
-    #[must_use]
-    pub fn new(mu: f64, sigma: f64) -> Option<Self> {
-        (mu.is_finite() && sigma.is_finite() && sigma >= 0.0).then_some(LogNormal { mu, sigma })
-    }
-
-    /// Creates a log-normal with the given *distribution* mean and a shape
-    /// parameter `sigma` of the underlying normal.
-    ///
-    /// Returns `None` on invalid parameters (`mean <= 0`, non-finite inputs,
-    /// or negative `sigma`).
-    #[must_use]
-    pub fn with_mean(mean: f64, sigma: f64) -> Option<Self> {
-        if !(mean.is_finite() && mean > 0.0 && sigma.is_finite() && sigma >= 0.0) {
-            return None;
-        }
-        // E[X] = exp(mu + sigma^2 / 2)  =>  mu = ln(mean) - sigma^2 / 2.
-        Some(LogNormal { mu: mean.ln() - sigma * sigma / 2.0, sigma })
-    }
-
-    /// Draws a sample.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        (self.mu + self.sigma * rng.standard_normal()).exp()
-    }
-}
-
-/// Poisson distribution with mean `lambda`.
-///
-/// Uses Knuth's product method for small `lambda` and a normal approximation
-/// for large `lambda` (`> 30`), which is plenty for packet-count sampling.
-#[derive(Clone, Copy, Debug)]
-pub struct Poisson {
-    lambda: f64,
-}
-
-impl Poisson {
-    /// Creates a Poisson distribution.
-    ///
-    /// Returns `None` unless `lambda` is finite and strictly positive.
-    #[must_use]
-    pub fn new(lambda: f64) -> Option<Self> {
-        (lambda.is_finite() && lambda > 0.0).then_some(Poisson { lambda })
-    }
-
-    /// Draws a sample.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        if self.lambda > 30.0 {
-            // Normal approximation with continuity correction.
-            let x = self.lambda + self.lambda.sqrt() * rng.standard_normal() + 0.5;
-            if x < 0.0 {
-                0
-            } else {
-                x as u64
-            }
-        } else {
-            let l = (-self.lambda).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= rng.f64_open();
-                if p <= l {
-                    return k;
-                }
-                k += 1;
-            }
-        }
     }
 }
 
@@ -210,96 +112,6 @@ impl Zipf {
         let idx = self.cdf.partition_point(|&c| c < u);
         idx.min(self.cdf.len() - 1) + 1
     }
-
-    /// The number of ranks.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-}
-
-/// O(1) sampling from an arbitrary discrete distribution (Walker's alias
-/// method).
-///
-/// Used for port/protocol mixes in the telescope traffic generator, where
-/// every packet draws from the same categorical distribution.
-#[derive(Clone, Debug)]
-pub struct Alias {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-impl Alias {
-    /// Builds the alias tables from a slice of non-negative weights.
-    ///
-    /// Returns `None` if the slice is empty, any weight is negative or
-    /// non-finite, or all weights are zero.
-    #[must_use]
-    pub fn new(weights: &[f64]) -> Option<Self> {
-        if weights.is_empty() {
-            return None;
-        }
-        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return None;
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let n = weights.len();
-        let scaled: Vec<f64> = weights.iter().map(|w| w * n as f64 / total).collect();
-        let mut prob = vec![0.0; n];
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        let mut work = scaled;
-        for (i, &w) in work.iter().enumerate() {
-            if w < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while !small.is_empty() && !large.is_empty() {
-            let s = small.pop().expect("checked non-empty");
-            let l = large.pop().expect("checked non-empty");
-            prob[s] = work[s];
-            alias[s] = l;
-            work[l] = (work[l] + work[s]) - 1.0;
-            if work[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        for i in large.into_iter().chain(small) {
-            prob[i] = 1.0;
-            alias[i] = i;
-        }
-        Some(Alias { prob, alias })
-    }
-
-    /// Draws an index into the original weight slice.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let i = rng.index(self.prob.len());
-        if rng.f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-
-    /// The number of categories.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table is empty (never true for a constructed table).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -322,9 +134,9 @@ mod tests {
 
     #[test]
     fn exponential_rejects_bad_params() {
-        assert!(Exponential::new(0.0).is_none());
-        assert!(Exponential::new(-1.0).is_none());
-        assert!(Exponential::new(f64::NAN).is_none());
+        assert!(Exponential::with_mean(0.0).is_none());
+        assert!(Exponential::with_mean(-1.0).is_none());
+        assert!(Exponential::with_mean(f64::NAN).is_none());
         assert!(Exponential::with_mean(f64::INFINITY).is_none());
     }
 
@@ -340,50 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn pareto_infinite_mean_flagged() {
-        let d = Pareto::new(1.0, 0.9).unwrap();
-        assert!(d.mean().is_none());
+    fn pareto_rejects_bad_params() {
         assert!(Pareto::new(0.0, 1.0).is_none());
         assert!(Pareto::new(1.0, -1.0).is_none());
-    }
-
-    #[test]
-    fn lognormal_with_mean_hits_target() {
-        let mut rng = SimRng::seed_from(23);
-        let d = LogNormal::with_mean(10.0, 0.5).unwrap();
-        let samples: Vec<f64> = (0..200_000).map(|_| d.sample(&mut rng)).collect();
-        let m = mean_of(&samples);
-        assert!((m - 10.0).abs() < 0.2, "mean = {m}");
-        assert!(samples.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn lognormal_zero_sigma_is_constant() {
-        let mut rng = SimRng::seed_from(24);
-        let d = LogNormal::new(1.0, 0.0).unwrap();
-        for _ in 0..100 {
-            assert!((d.sample(&mut rng) - core::f64::consts::E).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn poisson_small_lambda_mean() {
-        let mut rng = SimRng::seed_from(25);
-        let d = Poisson::new(3.5).unwrap();
-        let n = 200_000;
-        let total: u64 = (0..n).map(|_| d.sample(&mut rng)).sum();
-        let m = total as f64 / n as f64;
-        assert!((m - 3.5).abs() < 0.05, "mean = {m}");
-    }
-
-    #[test]
-    fn poisson_large_lambda_mean() {
-        let mut rng = SimRng::seed_from(26);
-        let d = Poisson::new(200.0).unwrap();
-        let n = 50_000;
-        let total: u64 = (0..n).map(|_| d.sample(&mut rng)).sum();
-        let m = total as f64 / n as f64;
-        assert!((m - 200.0).abs() < 1.0, "mean = {m}");
     }
 
     #[test]
@@ -418,7 +189,7 @@ mod tests {
     fn zipf_single_rank_always_one() {
         let mut rng = SimRng::seed_from(31);
         let d = Zipf::new(1, 2.0).unwrap();
-        assert_eq!(d.n(), 1);
+        assert_eq!(d.cdf.len(), 1);
         for _ in 0..100 {
             assert_eq!(d.sample(&mut rng), 1);
         }
@@ -437,39 +208,5 @@ mod tests {
         assert!(Zipf::new(0, 1.0).is_none());
         assert!(Zipf::new(5, -1.0).is_none());
         assert!(Zipf::new(5, f64::NAN).is_none());
-    }
-
-    #[test]
-    fn alias_matches_weights() {
-        let mut rng = SimRng::seed_from(29);
-        let d = Alias::new(&[1.0, 2.0, 7.0]).unwrap();
-        let mut counts = [0u32; 3];
-        let n = 200_000;
-        for _ in 0..n {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        let p: Vec<f64> = counts.iter().map(|&c| c as f64 / n as f64).collect();
-        assert!((p[0] - 0.1).abs() < 0.01, "p0 = {}", p[0]);
-        assert!((p[1] - 0.2).abs() < 0.01, "p1 = {}", p[1]);
-        assert!((p[2] - 0.7).abs() < 0.01, "p2 = {}", p[2]);
-    }
-
-    #[test]
-    fn alias_degenerate_cases() {
-        assert!(Alias::new(&[]).is_none());
-        assert!(Alias::new(&[0.0, 0.0]).is_none());
-        assert!(Alias::new(&[-1.0, 2.0]).is_none());
-        assert!(Alias::new(&[f64::NAN]).is_none());
-        // Single category always returns 0.
-        let mut rng = SimRng::seed_from(30);
-        let d = Alias::new(&[5.0]).unwrap();
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 0);
-        }
-        // Zero-weight category is never drawn.
-        let d = Alias::new(&[0.0, 1.0]).unwrap();
-        for _ in 0..10_000 {
-            assert_eq!(d.sample(&mut rng), 1);
-        }
     }
 }

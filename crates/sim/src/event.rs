@@ -74,17 +74,6 @@ impl<E> EventQueue<E> {
         EventQueue { heap: BinaryHeap::new(), next_seq: 0, scheduled: 0, depth_high: 0 }
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            scheduled: 0,
-            depth_high: 0,
-        }
-    }
-
     /// Schedules `event` for delivery at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
@@ -102,45 +91,21 @@ impl<E> EventQueue<E> {
     /// Returns the timestamp of the earliest pending event without removing
     /// it.
     #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
-    }
-
-    /// The number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 
     /// Whether the queue has no pending events.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    #[must_use]
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Peak depth reached since the watermark was last taken. Deterministic:
-    /// depends only on the schedule/pop sequence, never on wall clock.
-    #[must_use]
-    pub fn depth_high_watermark(&self) -> usize {
-        self.depth_high
     }
 
     /// Returns the peak depth since the last call and re-arms the watermark
     /// at the current depth, giving per-window telemetry for the sharded
     /// engine's adaptive controller.
-    pub fn take_depth_high_watermark(&mut self) -> usize {
+    pub(crate) fn take_depth_high_watermark(&mut self) -> usize {
         std::mem::replace(&mut self.depth_high, self.heap.len())
-    }
-
-    /// Discards all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 
     /// The queue's encoding — its counters and every pending entry as
@@ -236,17 +201,7 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         q.schedule(SimTime::from_secs(7), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn with_capacity_behaves_identically() {
-        let mut q = EventQueue::with_capacity(16);
-        for i in (0..32).rev() {
-            q.schedule(SimTime::from_millis(i), i);
-        }
-        let order: Vec<u64> = core::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..32).collect::<Vec<_>>());
+        assert_eq!(q.heap.len(), 1);
     }
 
     #[test]
@@ -257,24 +212,11 @@ mod tests {
         }
         q.pop();
         q.pop();
-        assert_eq!(q.depth_high_watermark(), 5, "peak was before the pops");
+        assert_eq!(q.depth_high, 5, "peak was before the pops");
         assert_eq!(q.take_depth_high_watermark(), 5);
         // Re-armed at the current depth (3); a push raises it again.
-        assert_eq!(q.depth_high_watermark(), 3);
+        assert_eq!(q.depth_high, 3);
         q.schedule(SimTime::from_millis(9), 9);
-        assert_eq!(q.depth_high_watermark(), 4);
-    }
-
-    #[test]
-    fn counters_and_clear() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(SimTime::ZERO, 1);
-        q.schedule(SimTime::ZERO, 2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.total_scheduled(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.total_scheduled(), 2, "clear keeps the lifetime counter");
+        assert_eq!(q.depth_high, 4);
     }
 }

@@ -17,10 +17,9 @@
 //! # Examples
 //!
 //! ```
-//! use potemkin_sim::fault::{FaultInjector, FaultPlan, FaultPlanConfig};
-//! use potemkin_sim::SimTime;
+//! use potemkin_sim::{FaultInjector, FaultPlan, FaultPlanConfig, SimTime};
 //!
-//! let mut config = FaultPlanConfig::zero(SimTime::from_mins(10), 4);
+//! let mut config = FaultPlanConfig::zero(SimTime::from_secs(600), 4);
 //! config.seed = 7;
 //! config.host_crash_rate_per_hour = 12.0;
 //! config.host_recovery_time = SimTime::from_secs(30);
@@ -29,7 +28,7 @@
 //! assert_eq!(plan, FaultPlan::generate(&config)); // reproducible
 //!
 //! let mut injector = FaultInjector::new(plan);
-//! while let Some(event) = injector.next_due(SimTime::from_mins(10)) {
+//! while let Some(event) = injector.next_due(SimTime::from_secs(600)) {
 //!     // apply `event.kind` at `event.at`
 //!     let _ = event;
 //! }
@@ -176,24 +175,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Returns `true` if the plan injects nothing at all.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.events.is_empty() && self.clone_failure_prob <= 0.0
-    }
-
-    /// Number of scheduled discrete events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` if no discrete events are scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Generates a plan from `config`, deterministically in `config.seed`.
     ///
     /// Arrivals for each fault class are drawn from independent exponential
@@ -322,22 +303,10 @@ impl FaultInjector {
         }
     }
 
-    /// Timestamp of the next undelivered event, if any remain.
-    #[must_use]
-    pub fn peek_next_at(&self) -> Option<SimTime> {
-        self.events.get(self.cursor).map(|e| e.at)
-    }
-
     /// The plan's continuous per-attempt clone-failure probability.
     #[must_use]
     pub fn clone_failure_prob(&self) -> f64 {
         self.clone_failure_prob
-    }
-
-    /// Number of events not yet delivered.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.cursor
     }
 }
 
@@ -366,7 +335,7 @@ mod tests {
     use super::*;
 
     fn faulty_config() -> FaultPlanConfig {
-        let mut c = FaultPlanConfig::zero(SimTime::from_mins(30), 4);
+        let mut c = FaultPlanConfig::zero(SimTime::from_secs(30 * 60), 4);
         c.seed = 42;
         c.host_crash_rate_per_hour = 20.0;
         c.host_recovery_time = SimTime::from_secs(45);
@@ -395,8 +364,6 @@ mod tests {
     #[test]
     fn zero_config_generates_empty_plan() {
         let plan = FaultPlan::generate(&FaultPlanConfig::zero(SimTime::from_hours(1), 8));
-        assert!(plan.is_zero());
-        assert!(plan.is_empty());
         assert_eq!(plan, FaultPlan::zero());
     }
 
@@ -404,7 +371,7 @@ mod tests {
     fn events_are_sorted_and_within_horizon() {
         let config = faulty_config();
         let plan = FaultPlan::generate(&config);
-        assert!(!plan.is_empty());
+        assert!(!plan.events.is_empty());
         for pair in plan.events.windows(2) {
             assert!(pair[0].at <= pair[1].at);
         }
@@ -462,10 +429,9 @@ mod tests {
     #[test]
     fn injector_drains_in_order_exactly_once() {
         let plan = FaultPlan::generate(&faulty_config());
-        let total = plan.len();
+        let total = plan.events.len();
         let mut injector = FaultInjector::new(plan.clone());
-        assert_eq!(injector.remaining(), total);
-        assert_eq!(injector.peek_next_at(), Some(plan.events[0].at));
+        assert_eq!(injector.events.len() - injector.cursor, total);
 
         // Nothing due before the first event.
         let before = plan.events[0].at.saturating_sub(SimTime::from_nanos(1));
@@ -476,7 +442,7 @@ mod tests {
             drained.push(e);
         }
         assert_eq!(drained, plan.events);
-        assert_eq!(injector.remaining(), 0);
+        assert_eq!(injector.events.len() - injector.cursor, 0);
         assert!(injector.next_due(SimTime::MAX).is_none());
     }
 

@@ -14,57 +14,46 @@
 //! # Examples
 //!
 //! ```
-//! use potemkin_sim::{EventQueue, SimTime, World, run_until};
+//! use potemkin_sim::{EventQueue, Exponential, SimRng, SimTime};
 //!
-//! struct Counter {
-//!     fired: u32,
-//! }
+//! // Same seed, same stream: a scan source's probe times are reproducible.
+//! let gaps = |seed| {
+//!     let d = Exponential::with_mean(0.5).unwrap();
+//!     let mut rng = SimRng::seed_from(seed);
+//!     (0..3).map(|_| d.sample(&mut rng)).collect::<Vec<f64>>()
+//! };
+//! assert_eq!(gaps(7), gaps(7));
 //!
-//! enum Ev {
-//!     Tick,
-//! }
-//!
-//! impl World for Counter {
-//!     type Event = Ev;
-//!     fn handle(&mut self, now: SimTime, _ev: Ev, q: &mut EventQueue<Ev>) {
-//!         self.fired += 1;
-//!         if self.fired < 10 {
-//!             q.schedule(now + SimTime::from_millis(5), Ev::Tick);
-//!         }
-//!     }
-//! }
-//!
-//! let mut world = Counter { fired: 0 };
+//! // Events at equal times leave the queue in scheduling order.
 //! let mut q = EventQueue::new();
-//! q.schedule(SimTime::ZERO, Ev::Tick);
-//! let stats = run_until(&mut world, &mut q, SimTime::from_secs(1));
-//! assert_eq!(world.fired, 10);
-//! assert_eq!(stats.events_processed, 10);
+//! q.schedule(SimTime::from_millis(5), "first");
+//! q.schedule(SimTime::from_millis(5), "second");
+//! assert_eq!(q.pop(), Some((SimTime::from_millis(5), "first")));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod arena;
-pub mod dist;
-pub mod engine;
-pub mod event;
-pub mod fault;
+mod dist;
+mod engine;
+mod event;
+mod fault;
 pub mod recency;
-pub mod rng;
-pub mod shard;
-pub mod stats;
-pub mod time;
-pub mod token_bucket;
+mod rng;
+mod shard;
+mod time;
+mod token_bucket;
 
 pub use arena::Slab;
-pub use dist::{Alias, Exponential, LogNormal, Pareto, Poisson, Zipf};
-pub use engine::{run_until, RunStats, World};
+pub use dist::{Exponential, Pareto, Zipf};
+pub use engine::World;
 pub use event::EventQueue;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig};
 pub use recency::RecencySlab;
 pub use rng::SimRng;
 pub use shard::{
-    run_sharded, run_sharded_resumable, AdaptiveWindow, BarrierControl, BatchStat, EngineTuning,
-    Shard, ShardConfig, ShardProgress, ShardRunReport, ShardWorld,
+    run_sharded, run_sharded_resumable, AdaptiveWindow, BarrierControl, EngineTuning, Shard,
+    ShardConfig, ShardProgress, ShardRunReport, ShardWorld,
 };
-pub use stats::{OnlineStats, WelfordVariance};
 pub use time::SimTime;
 pub use token_bucket::TokenBucket;

@@ -139,7 +139,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
-    pub fn index(&mut self, bound: usize) -> usize {
+    pub(crate) fn index(&mut self, bound: usize) -> usize {
         self.below(bound as u64) as usize
     }
 
@@ -151,7 +151,7 @@ impl SimRng {
     /// Returns a uniform `f64` in the open interval `(0, 1]`.
     ///
     /// Handy for `ln()`-based transforms that must not see zero.
-    pub fn f64_open(&mut self) -> f64 {
+    pub(crate) fn f64_open(&mut self) -> f64 {
         1.0 - self.f64()
     }
 
@@ -164,33 +164,6 @@ impl SimRng {
         } else {
             self.f64() < p
         }
-    }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "choose from empty slice");
-        &items[self.index(items.len())]
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
-
-    /// Samples a standard normal variate (Box–Muller, one value per call).
-    pub fn standard_normal(&mut self) -> f64 {
-        // Marsaglia polar method would cache the second value; for
-        // determinism-by-construction we just discard it.
-        let u1 = self.f64_open();
-        let u2 = self.f64();
-        (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
     }
 }
 
@@ -290,38 +263,5 @@ mod tests {
         let hits = (0..100_000).filter(|_| rng.chance(0.3)).count();
         let p = hits as f64 / 100_000.0;
         assert!((p - 0.3).abs() < 0.01, "p = {p}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(10);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>(), "100 elements should not stay sorted");
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut rng = SimRng::seed_from(11);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean = {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var = {var}");
-    }
-
-    #[test]
-    fn choose_covers_all_elements() {
-        let mut rng = SimRng::seed_from(12);
-        let items = [1, 2, 3, 4];
-        let mut seen = [false; 4];
-        for _ in 0..1000 {
-            seen[*rng.choose(&items) as usize - 1] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 }

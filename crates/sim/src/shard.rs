@@ -116,7 +116,7 @@ impl AdaptiveWindow {
     /// Pure controller step: the width for the next window given the width
     /// and cross-shard message count of the one that just completed.
     #[must_use]
-    pub fn next_width(&self, current: SimTime, remote_msgs: u64) -> SimTime {
+    pub(crate) fn next_width(&self, current: SimTime, remote_msgs: u64) -> SimTime {
         let clamped = current.max(self.min).min(self.max);
         if remote_msgs > self.narrow_above {
             (clamped / 2).max(self.min)
@@ -164,13 +164,11 @@ pub struct ShardConfig {
 }
 
 /// Telemetry for one `(window, shard)` execution. Virtual-time fields
-/// (`events`, `queue_depth_high`, `remote_msgs`) are deterministic;
+/// (`events`, `queue_depth_high`) are deterministic;
 /// `elapsed_nanos` is wall-clock and is not — which is why the rebalancer
 /// packs on event counts, not on it.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchStat {
-    /// Window index.
-    pub window: u64,
     /// Shard index.
     pub shard: usize,
     /// Virtual time at which the window opened. Windows need not be
@@ -185,8 +183,6 @@ pub struct BatchStat {
     pub elapsed_nanos: u64,
     /// High-watermark of the shard's event-queue depth during the window.
     pub queue_depth_high: u64,
-    /// Cross-shard messages this shard emitted during the window.
-    pub remote_msgs: u64,
 }
 
 /// Outcome of a sharded run.
@@ -195,7 +191,7 @@ pub struct ShardRunReport {
     /// Aggregated run statistics (events summed across shards).
     pub total: RunStats,
     /// Per-shard aggregated statistics, indexed like the input slice.
-    pub per_shard: Vec<RunStats>,
+    pub(crate) per_shard: Vec<RunStats>,
     /// Per-`(window, shard)` batch telemetry, in `(window, shard)` order.
     pub batches: Vec<BatchStat>,
     /// Cross-shard messages delivered across all barriers.
@@ -255,8 +251,9 @@ pub enum BarrierControl {
 /// the outcome is identical for any worker count:
 ///
 /// ```
-/// use potemkin_sim::shard::{run_sharded, EngineTuning, Shard, ShardConfig, ShardWorld};
-/// use potemkin_sim::{EventQueue, SimTime, World};
+/// use potemkin_sim::{
+///     run_sharded, EngineTuning, EventQueue, Shard, ShardConfig, ShardWorld, SimTime, World,
+/// };
 ///
 /// struct Ring { id: usize, n: usize, seen: u64, out: Vec<(usize, u64)> }
 /// impl World for Ring {
@@ -393,14 +390,12 @@ where
             agg.last_event_time = agg.last_event_time.max(stats.last_event_time);
             agg.hit_horizon |= stats.hit_horizon;
             report.batches.push(BatchStat {
-                window: window_index,
                 shard: idx,
                 start: window_start,
                 end: window_end,
                 events: stats.events_processed,
                 elapsed_nanos,
                 queue_depth_high,
-                remote_msgs: outbound.len() as u64,
             });
             // `results` is sorted by source shard and each `outbound` is in
             // emission order, so this loop delivers in the canonical
@@ -724,20 +719,11 @@ mod tests {
         assert_eq!(per_shard_sum, report.total.events_processed);
         let batch_sum: u64 = report.batches.iter().map(|b| b.events).sum();
         assert_eq!(batch_sum, report.total.events_processed);
-        // Batches are in (window, shard) order.
-        let keys: Vec<(u64, usize)> = report.batches.iter().map(|b| (b.window, b.shard)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-        // Emitted cross-shard messages add up to the delivered total, and a
-        // batch that processed events must have seen a non-empty queue.
-        let remote_sum: u64 = report.batches.iter().map(|b| b.remote_msgs).sum();
-        assert_eq!(remote_sum, report.remote_messages);
+        // A batch that processed events must have seen a non-empty queue.
         for b in &report.batches {
             assert!(
                 b.events == 0 || b.queue_depth_high > 0,
-                "window {} shard {} processed {} events with a zero depth watermark",
-                b.window,
+                "shard {} processed {} events with a zero depth watermark",
                 b.shard,
                 b.events
             );

@@ -62,12 +62,6 @@ impl SimTime {
         SimTime { nanos: secs * 1_000_000_000 }
     }
 
-    /// Creates a timestamp from whole minutes.
-    #[must_use]
-    pub const fn from_mins(mins: u64) -> Self {
-        SimTime::from_secs(mins * 60)
-    }
-
     /// Creates a timestamp from whole hours.
     #[must_use]
     pub const fn from_hours(hours: u64) -> Self {
@@ -139,24 +133,6 @@ impl SimTime {
         SimTime { nanos: self.nanos.saturating_sub(rhs.nanos) }
     }
 
-    /// Checked addition, `None` on overflow.
-    #[must_use]
-    pub const fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
-        match self.nanos.checked_add(rhs.nanos) {
-            Some(nanos) => Some(SimTime { nanos }),
-            None => None,
-        }
-    }
-
-    /// Checked subtraction, `None` on underflow.
-    #[must_use]
-    pub const fn checked_sub(self, rhs: SimTime) -> Option<SimTime> {
-        match self.nanos.checked_sub(rhs.nanos) {
-            Some(nanos) => Some(SimTime { nanos }),
-            None => None,
-        }
-    }
-
     /// Returns `true` if this is the zero timestamp.
     #[must_use]
     pub const fn is_zero(self) -> bool {
@@ -171,7 +147,7 @@ impl SimTime {
 
     /// Returns the minimum of two timestamps.
     #[must_use]
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         if self <= other {
             self
         } else {
@@ -181,7 +157,7 @@ impl SimTime {
 
     /// Returns the maximum of two timestamps.
     #[must_use]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self >= other {
             self
         } else {
@@ -290,8 +266,7 @@ mod tests {
         assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1_000));
         assert_eq!(SimTime::from_millis(1), SimTime::from_micros(1_000));
         assert_eq!(SimTime::from_secs(1), SimTime::from_millis(1_000));
-        assert_eq!(SimTime::from_mins(1), SimTime::from_secs(60));
-        assert_eq!(SimTime::from_hours(1), SimTime::from_mins(60));
+        assert_eq!(SimTime::from_hours(1), SimTime::from_secs(3_600));
     }
 
     #[test]
@@ -322,15 +297,9 @@ mod tests {
     }
 
     #[test]
-    fn saturating_and_checked() {
+    fn saturating_ops_clamp() {
         assert_eq!(SimTime::MAX.saturating_add(SimTime::from_secs(1)), SimTime::MAX);
         assert_eq!(SimTime::ZERO.saturating_sub(SimTime::from_secs(1)), SimTime::ZERO);
-        assert_eq!(SimTime::MAX.checked_add(SimTime::from_nanos(1)), None);
-        assert_eq!(SimTime::ZERO.checked_sub(SimTime::from_nanos(1)), None);
-        assert_eq!(
-            SimTime::from_secs(2).checked_sub(SimTime::from_secs(1)),
-            Some(SimTime::from_secs(1))
-        );
     }
 
     #[test]

@@ -65,24 +65,6 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Returns the current token level after refilling to `now`.
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-
-    /// The configured fill rate (tokens/second).
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// The configured burst capacity.
-    #[must_use]
-    pub fn burst(&self) -> f64 {
-        self.burst
-    }
 }
 
 potemkin_snapshot::snap_struct!(TokenBucket { rate, burst, tokens, last });
@@ -90,6 +72,12 @@ potemkin_snapshot::snap_struct!(TokenBucket { rate, burst, tokens, last });
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The token level after refilling to `now`.
+    fn available(tb: &mut TokenBucket, now: SimTime) -> f64 {
+        tb.refill(now);
+        tb.tokens
+    }
 
     #[test]
     fn starts_full_and_drains() {
@@ -106,7 +94,7 @@ mod tests {
         let mut tb = TokenBucket::new(2.0, 10.0);
         assert!(tb.try_take(SimTime::ZERO, 10.0));
         // 2 tokens/s for 1.5 s = 3 tokens.
-        assert!((tb.available(SimTime::from_millis(1500)) - 3.0).abs() < 1e-6);
+        assert!((available(&mut tb, SimTime::from_millis(1500)) - 3.0).abs() < 1e-6);
         assert!(tb.try_take(SimTime::from_millis(1500), 3.0));
         assert!(!tb.try_take(SimTime::from_millis(1500), 0.5));
     }
@@ -114,14 +102,14 @@ mod tests {
     #[test]
     fn capped_at_burst() {
         let mut tb = TokenBucket::new(100.0, 5.0);
-        assert!((tb.available(SimTime::from_secs(1000)) - 5.0).abs() < 1e-9);
+        assert!((available(&mut tb, SimTime::from_secs(1000)) - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn failed_take_does_not_debit() {
         let mut tb = TokenBucket::new(1.0, 2.0);
         assert!(!tb.try_take(SimTime::ZERO, 5.0));
-        assert!((tb.available(SimTime::ZERO) - 2.0).abs() < 1e-9);
+        assert!((available(&mut tb, SimTime::ZERO) - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -136,14 +124,14 @@ mod tests {
         let mut tb = TokenBucket::new(1.0, 4.0);
         assert!(tb.try_take(SimTime::from_secs(10), 4.0));
         // Asking about the past does not mint tokens.
-        assert!(tb.available(SimTime::from_secs(5)) < 1e-9);
+        assert!(available(&mut tb, SimTime::from_secs(5)) < 1e-9);
     }
 
     #[test]
     fn negative_params_clamped() {
         let mut tb = TokenBucket::new(-5.0, -1.0);
-        assert_eq!(tb.rate(), 0.0);
-        assert_eq!(tb.burst(), 0.0);
+        assert_eq!(tb.rate, 0.0);
+        assert_eq!(tb.burst, 0.0);
         assert!(!tb.try_take(SimTime::ZERO, 1.0));
         // Zero-amount takes always succeed.
         assert!(tb.try_take(SimTime::ZERO, 0.0));

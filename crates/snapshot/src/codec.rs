@@ -30,18 +30,6 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -53,7 +41,7 @@ impl SnapWriter {
     }
 
     /// Appends a little-endian u16.
-    pub fn u16(&mut self, v: u16) {
+    pub(crate) fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -73,7 +61,7 @@ impl SnapWriter {
     }
 
     /// Appends a little-endian i64.
-    pub fn i64(&mut self, v: i64) {
+    pub(crate) fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -117,7 +105,7 @@ impl SnapWriter {
     /// bytes a `Vec<(K, V)>` of the same entries would write, which is how
     /// a map that sorts its entries into its own canonical order reads them
     /// back.
-    pub fn pairs<'a, K: Snap + 'a, V: Snap + 'a, I>(&mut self, entries: I)
+    pub(crate) fn pairs<'a, K: Snap + 'a, V: Snap + 'a, I>(&mut self, entries: I)
     where
         I: IntoIterator<Item = (&'a K, &'a V)>,
         I::IntoIter: ExactSizeIterator,
@@ -171,7 +159,7 @@ impl<'a> SnapReader<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -199,7 +187,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a little-endian u16.
-    pub fn u16(&mut self) -> Result<u16, SnapshotError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, SnapshotError> {
         self.array().map(u16::from_le_bytes)
     }
 
@@ -219,7 +207,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a little-endian i64.
-    pub fn i64(&mut self) -> Result<i64, SnapshotError> {
+    pub(crate) fn i64(&mut self) -> Result<i64, SnapshotError> {
         self.array().map(i64::from_le_bytes)
     }
 

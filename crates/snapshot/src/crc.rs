@@ -8,7 +8,7 @@
 
 /// Computes the IEEE CRC-32 (reflected, polynomial `0xEDB88320`) of `data`.
 #[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &byte in data {
         crc ^= u32::from(byte);

@@ -33,7 +33,7 @@ use crate::error::SnapshotError;
 /// each stored p2m entry hold one, a clone's pristine page none), so a
 /// version-4 table would free image frames under its clones. Older files
 /// are rejected rather than misparsed.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub(crate) const SNAPSHOT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";
@@ -235,14 +235,18 @@ fn array_at<const N: usize>(bytes: &[u8], pos: usize) -> Result<[u8; N], Snapsho
 }
 
 /// Writes `bytes` to `path` crash-consistently: temp file in the same
-/// directory, flush + fsync, then atomic rename. Readers observe either the
-/// previous snapshot or the complete new one — never a torn intermediate.
+/// directory, flush + fsync, atomic rename, then fsync of the directory so
+/// the rename itself survives a crash. Readers observe either the previous
+/// snapshot or the complete new one — never a torn intermediate.
 ///
 /// # Errors
 ///
 /// Returns [`SnapshotError::Io`] naming the failing operation.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let dir = path.parent().map_or_else(|| PathBuf::from("."), Path::to_path_buf);
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
+        _ => PathBuf::from("."),
+    };
     let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("snapshot");
     let tmp = dir.join(format!(".{file_name}.tmp"));
     let mut f = fs::File::create(&tmp)
@@ -251,6 +255,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     f.sync_all().map_err(|e| SnapshotError::Io { op: "fsync temp", kind: e.kind() })?;
     drop(f);
     fs::rename(&tmp, path).map_err(|e| SnapshotError::Io { op: "rename", kind: e.kind() })?;
+    fs::File::open(&dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| SnapshotError::Io { op: "fsync dir", kind: e.kind() })?;
     Ok(())
 }
 

@@ -34,6 +34,7 @@
 //! across crate boundaries.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![warn(unreachable_pub)]
 
 mod codec;
 mod crc;
@@ -43,8 +44,8 @@ mod retry;
 mod snap;
 
 pub use codec::{SnapReader, SnapWriter};
-pub use crc::{crc32, fnv1a64, Fnv64};
+pub use crc::{fnv1a64, Fnv64};
 pub use error::SnapshotError;
-pub use file::{write_atomic, Section, SnapshotFile, SNAPSHOT_VERSION};
+pub use file::{write_atomic, SnapshotFile};
 pub use retry::{retry_with_backoff, RetryOutcome, RetryPolicy};
 pub use snap::Snap;

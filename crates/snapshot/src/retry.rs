@@ -28,7 +28,7 @@ impl RetryPolicy {
     /// The deterministic backoff that precedes attempt `attempt` (0-based;
     /// attempt 0 has no backoff).
     #[must_use]
-    pub fn backoff_before(&self, attempt: u32) -> u64 {
+    pub(crate) fn backoff_before(&self, attempt: u32) -> u64 {
         if attempt == 0 {
             0
         } else {
@@ -70,14 +70,6 @@ pub enum RetryOutcome<T> {
         /// The final attempt's error.
         last_error: SnapshotError,
     },
-}
-
-impl<T> RetryOutcome<T> {
-    /// Whether the operation ultimately succeeded.
-    #[must_use]
-    pub fn is_success(&self) -> bool {
-        matches!(self, RetryOutcome::Succeeded { .. })
-    }
 }
 
 /// Runs `op` up to `policy.max_attempts` times, accumulating deterministic

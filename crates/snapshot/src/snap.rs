@@ -148,7 +148,7 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
 /// Same bytes as the [`BTreeMap`] with the same entries: the pairs are
 /// sorted by key first, so the encoding never shows the hasher's order. A
 /// map whose canonical order is not its key order sorts its own entries
-/// and writes them with [`SnapWriter::pairs`].
+/// and writes them with `SnapWriter::pairs`.
 impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
     fn snap(&self, w: &mut SnapWriter) {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();

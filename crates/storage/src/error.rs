@@ -5,9 +5,8 @@ use std::fmt;
 /// Errors surfaced by chunk stores and manifests.
 ///
 /// Every failure is a value, never a panic: a corrupt store degrades into
-/// [`StorageError::MissingChunk`], a bad address into
-/// [`StorageError::OutOfRange`], and backing-file trouble in the
-/// directory store into [`StorageError::Io`].
+/// [`StorageError::MissingChunk`], and a bad address into
+/// [`StorageError::OutOfRange`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageError {
     /// A manifest referenced a chunk the store does not hold.
@@ -22,11 +21,6 @@ pub enum StorageError {
         /// The object's size (blocks for manifests, words for chunks).
         size: u64,
     },
-    /// A directory-backed store could not read or write a backing file.
-    Io {
-        /// Which operation failed.
-        context: &'static str,
-    },
 }
 
 impl fmt::Display for StorageError {
@@ -38,7 +32,6 @@ impl fmt::Display for StorageError {
             StorageError::OutOfRange { index, size } => {
                 write!(f, "address {index} out of range (size {size})")
             }
-            StorageError::Io { context } => write!(f, "storage I/O failure in {context}"),
         }
     }
 }
@@ -53,6 +46,5 @@ mod tests {
     fn display_names_the_failure() {
         assert!(StorageError::MissingChunk { hash: 0xAB }.to_string().contains("00000000000000ab"));
         assert!(StorageError::OutOfRange { index: 9, size: 4 }.to_string().contains("9"));
-        assert!(StorageError::Io { context: "storage.dir.put" }.to_string().contains("dir.put"));
     }
 }

@@ -5,14 +5,12 @@
 //! For storage that means three things, and this crate provides exactly
 //! those three:
 //!
-//! 1. **One store, keyed by content.** A [`ChunkStore`] holds fixed-size
-//!    chunks of block words under their content hash ([`ChunkHash`]).
-//!    Putting a chunk whose content is already resident stores nothing —
-//!    identical chunks dedupe farm-wide, across every reference image that
-//!    shares the store. Two implementations ship: [`MemoryChunkStore`]
-//!    (the farm default) and [`DirChunkStore`] (one file per chunk, for
-//!    checkpoint-adjacent tooling). [`SharedChunkStore`] is the cloneable
-//!    handle a whole farm shares.
+//! 1. **One store, keyed by content.** A `MemoryChunkStore` holds
+//!    fixed-size chunks of block words under their content hash
+//!    ([`ChunkHash`]). Putting a chunk whose content is already resident
+//!    stores nothing — identical chunks dedupe farm-wide, across every
+//!    reference image that shares the store. [`SharedChunkStore`] is the
+//!    cloneable handle a whole farm shares.
 //!
 //! 2. **Manifests are the only disk representation.** A [`Manifest`] is an
 //!    ordered list of chunk references — a reference image. An
@@ -37,12 +35,12 @@
 //! randomness enters anywhere — the farm's byte-identical-digest rule
 //! holds chunked or flat, at any worker count.
 
-pub mod error;
-pub mod manifest;
-pub mod store;
+#![warn(unreachable_pub)]
+
+mod error;
+mod manifest;
+mod store;
 
 pub use error::StorageError;
 pub use manifest::{ChunkRef, Manifest, OverlayManifest, DEFAULT_CHUNK_BLOCKS};
-pub use store::{
-    ChunkHash, ChunkStore, DirChunkStore, MemoryChunkStore, SharedChunkStore, StoreStats,
-};
+pub use store::{ChunkHash, SharedChunkStore, StoreStats};

@@ -67,24 +67,6 @@ impl Manifest {
         self.size_blocks
     }
 
-    /// Chunk size in blocks.
-    #[must_use]
-    pub fn chunk_blocks(&self) -> u64 {
-        self.chunk_blocks
-    }
-
-    /// The content seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Number of chunk slots.
-    #[must_use]
-    pub fn chunk_count(&self) -> u64 {
-        self.slots.len() as u64
-    }
-
     /// Number of slots already materialized into the store.
     #[must_use]
     pub fn materialized_chunks(&self) -> u64 {
@@ -100,7 +82,7 @@ impl Manifest {
     /// Generates the content words of chunk `chunk` (the last chunk may be
     /// partial).
     #[must_use]
-    pub fn generate_chunk(&self, chunk: u64) -> Vec<u64> {
+    pub(crate) fn generate_chunk(&self, chunk: u64) -> Vec<u64> {
         let start = chunk * self.chunk_blocks;
         let end = (start + self.chunk_blocks).min(self.size_blocks);
         (start..end).map(|b| Manifest::block_content(self.seed, b)).collect()
@@ -208,11 +190,6 @@ impl OverlayManifest {
     pub fn clear(&mut self) {
         self.writes.clear();
     }
-
-    /// The dirty `(block, content)` pairs in ascending block order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.writes.iter().map(|(&b, &c)| (b, c))
-    }
 }
 
 // The dirty `(block, content)` pairs in ascending block order: O(dirty
@@ -227,7 +204,7 @@ mod tests {
     fn lazy_then_stored_on_first_read() {
         let store = SharedChunkStore::new_memory();
         let mut m = Manifest::new(100, 16, 42);
-        assert_eq!(m.chunk_count(), 7, "ceil(100/16)");
+        assert_eq!(m.slots.len(), 7, "ceil(100/16)");
         assert_eq!(m.materialized_chunks(), 0);
         assert_eq!(store.stats().materialized, 0);
 
@@ -293,8 +270,8 @@ mod tests {
         let d = Manifest::decode(&mut r, &fresh).unwrap();
         r.finish().unwrap();
         assert_eq!(d.size_blocks(), 100);
-        assert_eq!(d.chunk_blocks(), 16);
-        assert_eq!(d.seed(), 42);
+        assert_eq!(d.chunk_blocks, 16);
+        assert_eq!(d.seed, 42);
         assert_eq!(d.materialized_chunks(), 2);
         assert_eq!(fresh.stats().resident_chunks, 2, "decode re-put the stored chunks");
         assert_eq!(d.slots()[0], m.slots()[0]);
@@ -329,7 +306,7 @@ mod tests {
         assert_eq!(o.len(), 2);
         assert_eq!(o.get(9), Some(91));
         assert_eq!(o.get(3), None);
-        let pairs: Vec<_> = o.iter().collect();
+        let pairs: Vec<(u64, u64)> = o.writes.iter().map(|(&b, &c)| (b, c)).collect();
         assert_eq!(pairs, vec![(2, 20), (9, 91)], "ascending block order");
 
         o.clear();

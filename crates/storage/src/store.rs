@@ -1,10 +1,8 @@
-//! The [`ChunkStore`] trait and its two implementations, plus the shared
-//! farm-wide handle.
+//! The content-addressed chunk store and the shared farm-wide handle.
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use potemkin_snapshot::Fnv64;
@@ -16,7 +14,7 @@ use crate::error::StorageError;
 /// content always produces the same hash, which is what makes farm-wide
 /// dedupe fall out of a plain map insert.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ChunkHash(pub u64);
+pub struct ChunkHash(pub(crate) u64);
 
 impl ChunkHash {
     /// Hashes a chunk's words.
@@ -52,7 +50,7 @@ pub struct StoreStats {
     /// Distinct chunks currently resident.
     pub resident_chunks: u64,
     /// Total words currently resident.
-    pub resident_words: u64,
+    pub(crate) resident_words: u64,
 }
 
 impl StoreStats {
@@ -74,46 +72,15 @@ impl StoreStats {
     }
 }
 
-/// A content-addressed chunk store.
+/// A content-addressed, in-memory chunk store.
 ///
 /// `put` is idempotent by construction: storing content that is already
 /// resident is a dedupe hit and writes nothing (first-write-wins keyed by
-/// [`ChunkHash`]). Reads go through `&self` — stores keep their read
-/// counters in interior cells so shared handles never need write access
-/// to serve a fetch.
-pub trait ChunkStore: Send + fmt::Debug {
-    /// Stores `words` under their content hash, deduping against resident
-    /// content. Returns the hash.
-    fn put(&mut self, words: &[u64]) -> Result<ChunkHash, StorageError>;
-
-    /// Fetches a whole chunk.
-    fn get(&self, hash: ChunkHash) -> Result<Vec<u64>, StorageError>;
-
-    /// Fetches one word of a chunk.
-    fn read_word(&self, hash: ChunkHash, offset: u64) -> Result<u64, StorageError>;
-
-    /// Whether the store holds a chunk with this hash.
-    fn contains(&self, hash: ChunkHash) -> bool;
-
-    /// Current accounting.
-    fn stats(&self) -> StoreStats;
-
-    /// Records one lazy materialization (called by `Manifest::read` when a
-    /// slot flips from `Lazy` to `Stored`).
-    fn note_materialized(&mut self);
-
-    /// Overwrites the accounting counters (checkpoint-restore support:
-    /// restoring a farm re-puts manifest chunks, then resets the counters
-    /// to the values the checkpoint recorded).
-    fn set_accounting(&mut self, puts: u64, dedupe_hits: u64, materialized: u64, reads: u64);
-
-    /// Drops every resident chunk and zeroes the accounting.
-    fn clear(&mut self);
-}
-
-/// The in-memory chunk store — the farm default.
+/// [`ChunkHash`]). Reads go through `&self`: the read counter lives in an
+/// interior cell so shared handles never need write access to serve a
+/// fetch.
 #[derive(Debug, Default)]
-pub struct MemoryChunkStore {
+pub(crate) struct MemoryChunkStore {
     chunks: HashMap<u64, Vec<u64>>,
     resident_words: u64,
     puts: u64,
@@ -125,13 +92,13 @@ pub struct MemoryChunkStore {
 impl MemoryChunkStore {
     /// An empty store.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MemoryChunkStore::default()
     }
-}
 
-impl ChunkStore for MemoryChunkStore {
-    fn put(&mut self, words: &[u64]) -> Result<ChunkHash, StorageError> {
+    /// Stores `words` under their content hash, deduping against resident
+    /// content. Returns the hash.
+    pub(crate) fn put(&mut self, words: &[u64]) -> Result<ChunkHash, StorageError> {
         let hash = ChunkHash::of_words(words);
         self.puts += 1;
         if self.chunks.contains_key(&hash.0) {
@@ -143,12 +110,14 @@ impl ChunkStore for MemoryChunkStore {
         Ok(hash)
     }
 
-    fn get(&self, hash: ChunkHash) -> Result<Vec<u64>, StorageError> {
+    /// Fetches a whole chunk.
+    pub(crate) fn get(&self, hash: ChunkHash) -> Result<Vec<u64>, StorageError> {
         self.reads.set(self.reads.get() + 1);
         self.chunks.get(&hash.0).cloned().ok_or(StorageError::MissingChunk { hash: hash.0 })
     }
 
-    fn read_word(&self, hash: ChunkHash, offset: u64) -> Result<u64, StorageError> {
+    /// Fetches one word of a chunk.
+    pub(crate) fn read_word(&self, hash: ChunkHash, offset: u64) -> Result<u64, StorageError> {
         self.reads.set(self.reads.get() + 1);
         let chunk = self.chunks.get(&hash.0).ok_or(StorageError::MissingChunk { hash: hash.0 })?;
         chunk
@@ -157,11 +126,8 @@ impl ChunkStore for MemoryChunkStore {
             .ok_or(StorageError::OutOfRange { index: offset, size: chunk.len() as u64 })
     }
 
-    fn contains(&self, hash: ChunkHash) -> bool {
-        self.chunks.contains_key(&hash.0)
-    }
-
-    fn stats(&self) -> StoreStats {
+    /// Current accounting.
+    pub(crate) fn stats(&self) -> StoreStats {
         StoreStats {
             puts: self.puts,
             dedupe_hits: self.dedupe_hits,
@@ -172,143 +138,37 @@ impl ChunkStore for MemoryChunkStore {
         }
     }
 
-    fn note_materialized(&mut self) {
+    /// Records one lazy materialization (called by `Manifest::read` when a
+    /// slot flips from `Lazy` to `Stored`).
+    pub(crate) fn note_materialized(&mut self) {
         self.materialized += 1;
     }
 
-    fn set_accounting(&mut self, puts: u64, dedupe_hits: u64, materialized: u64, reads: u64) {
+    /// Overwrites the accounting counters (checkpoint-restore support:
+    /// restoring a farm re-puts manifest chunks, then resets the counters
+    /// to the values the checkpoint recorded).
+    pub(crate) fn set_accounting(
+        &mut self,
+        puts: u64,
+        dedupe_hits: u64,
+        materialized: u64,
+        reads: u64,
+    ) {
         self.puts = puts;
         self.dedupe_hits = dedupe_hits;
         self.materialized = materialized;
         self.reads.set(reads);
     }
 
-    fn clear(&mut self) {
+    /// Drops every resident chunk and zeroes the accounting.
+    pub(crate) fn clear(&mut self) {
         self.chunks.clear();
         self.resident_words = 0;
         self.set_accounting(0, 0, 0, 0);
     }
 }
 
-/// A directory-backed chunk store: one file per chunk, named by its
-/// content hash, words as little-endian bytes. The index of resident
-/// hashes is kept in memory; content lives on disk.
-#[derive(Debug)]
-pub struct DirChunkStore {
-    root: PathBuf,
-    /// hash → word count, mirroring what is on disk.
-    index: HashMap<u64, u64>,
-    resident_words: u64,
-    puts: u64,
-    dedupe_hits: u64,
-    materialized: u64,
-    reads: Cell<u64>,
-}
-
-impl DirChunkStore {
-    /// Opens (creating if needed) a store rooted at `root`. Starts with an
-    /// empty index: this is a scratch store for tooling, not a reopenable
-    /// database.
-    pub fn create(root: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        let root = root.into();
-        std::fs::create_dir_all(&root)
-            .map_err(|_| StorageError::Io { context: "storage.dir.create" })?;
-        Ok(DirChunkStore {
-            root,
-            index: HashMap::new(),
-            resident_words: 0,
-            puts: 0,
-            dedupe_hits: 0,
-            materialized: 0,
-            reads: Cell::new(0),
-        })
-    }
-
-    fn chunk_path(&self, hash: u64) -> PathBuf {
-        self.root.join(format!("{hash:016x}.chunk"))
-    }
-}
-
-impl ChunkStore for DirChunkStore {
-    fn put(&mut self, words: &[u64]) -> Result<ChunkHash, StorageError> {
-        let hash = ChunkHash::of_words(words);
-        self.puts += 1;
-        if self.index.contains_key(&hash.0) {
-            self.dedupe_hits += 1;
-            return Ok(hash);
-        }
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        std::fs::write(self.chunk_path(hash.0), &bytes)
-            .map_err(|_| StorageError::Io { context: "storage.dir.put" })?;
-        self.index.insert(hash.0, words.len() as u64);
-        self.resident_words += words.len() as u64;
-        Ok(hash)
-    }
-
-    fn get(&self, hash: ChunkHash) -> Result<Vec<u64>, StorageError> {
-        self.reads.set(self.reads.get() + 1);
-        if !self.index.contains_key(&hash.0) {
-            return Err(StorageError::MissingChunk { hash: hash.0 });
-        }
-        let bytes = std::fs::read(self.chunk_path(hash.0))
-            .map_err(|_| StorageError::Io { context: "storage.dir.get" })?;
-        if bytes.len() % 8 != 0 {
-            return Err(StorageError::Io { context: "storage.dir.get" });
-        }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
-
-    fn read_word(&self, hash: ChunkHash, offset: u64) -> Result<u64, StorageError> {
-        let chunk = self.get(hash)?;
-        chunk
-            .get(offset as usize)
-            .copied()
-            .ok_or(StorageError::OutOfRange { index: offset, size: chunk.len() as u64 })
-    }
-
-    fn contains(&self, hash: ChunkHash) -> bool {
-        self.index.contains_key(&hash.0)
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            puts: self.puts,
-            dedupe_hits: self.dedupe_hits,
-            materialized: self.materialized,
-            reads: self.reads.get(),
-            resident_chunks: self.index.len() as u64,
-            resident_words: self.resident_words,
-        }
-    }
-
-    fn note_materialized(&mut self) {
-        self.materialized += 1;
-    }
-
-    fn set_accounting(&mut self, puts: u64, dedupe_hits: u64, materialized: u64, reads: u64) {
-        self.puts = puts;
-        self.dedupe_hits = dedupe_hits;
-        self.materialized = materialized;
-        self.reads.set(reads);
-    }
-
-    fn clear(&mut self) {
-        for hash in self.index.keys() {
-            let _ = std::fs::remove_file(self.chunk_path(*hash));
-        }
-        self.index.clear();
-        self.resident_words = 0;
-        self.set_accounting(0, 0, 0, 0);
-    }
-}
-
-/// A cloneable, thread-safe handle to one [`ChunkStore`] — the thing a
+/// A cloneable, thread-safe handle to one in-memory chunk store — the thing a
 /// whole farm shares. Every reference image and every VMM host on the farm
 /// holds a clone of the same handle, which is what makes dedupe *farm-wide*
 /// rather than per-image. The mutex is uncontended in practice: the packet
@@ -316,77 +176,56 @@ impl ChunkStore for DirChunkStore {
 /// checkpoint plane do.
 #[derive(Clone)]
 pub struct SharedChunkStore {
-    inner: Arc<Mutex<Box<dyn ChunkStore>>>,
+    inner: Arc<Mutex<MemoryChunkStore>>,
 }
 
 impl SharedChunkStore {
     /// A fresh handle over an in-memory store.
     #[must_use]
     pub fn new_memory() -> Self {
-        SharedChunkStore::from_store(Box::new(MemoryChunkStore::new()))
+        SharedChunkStore { inner: Arc::new(Mutex::new(MemoryChunkStore::new())) }
     }
 
-    /// A fresh handle over a directory-backed store rooted at `root`.
-    pub fn new_dir(root: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        Ok(SharedChunkStore::from_store(Box::new(DirChunkStore::create(root)?)))
-    }
-
-    /// Wraps any store implementation.
-    #[must_use]
-    pub fn from_store(store: Box<dyn ChunkStore>) -> Self {
-        SharedChunkStore { inner: Arc::new(Mutex::new(store)) }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Box<dyn ChunkStore>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, MemoryChunkStore> {
         self.inner.lock().expect("chunk store lock poisoned")
     }
 
-    /// See [`ChunkStore::put`].
+    /// Stores `words` under their content hash, deduping against resident
+    /// content. Returns the hash.
     pub fn put(&self, words: &[u64]) -> Result<ChunkHash, StorageError> {
         self.lock().put(words)
     }
 
-    /// See [`ChunkStore::get`].
+    /// Fetches a whole chunk.
     pub fn get(&self, hash: ChunkHash) -> Result<Vec<u64>, StorageError> {
         self.lock().get(hash)
     }
 
-    /// See [`ChunkStore::read_word`].
+    /// Fetches one word of a chunk.
     pub fn read_word(&self, hash: ChunkHash, offset: u64) -> Result<u64, StorageError> {
         self.lock().read_word(hash, offset)
     }
 
-    /// See [`ChunkStore::contains`].
-    #[must_use]
-    pub fn contains(&self, hash: ChunkHash) -> bool {
-        self.lock().contains(hash)
-    }
-
-    /// See [`ChunkStore::stats`].
+    /// Current accounting.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
         self.lock().stats()
     }
 
-    /// See [`ChunkStore::note_materialized`].
-    pub fn note_materialized(&self) {
+    /// See [`MemoryChunkStore::note_materialized`].
+    pub(crate) fn note_materialized(&self) {
         self.lock().note_materialized();
     }
 
-    /// See [`ChunkStore::set_accounting`].
+    /// Overwrites the accounting counters (checkpoint restore re-puts the
+    /// manifest chunks, then resets the counters to the recorded values).
     pub fn set_accounting(&self, puts: u64, dedupe_hits: u64, materialized: u64, reads: u64) {
         self.lock().set_accounting(puts, dedupe_hits, materialized, reads);
     }
 
-    /// See [`ChunkStore::clear`].
+    /// Drops every resident chunk and zeroes the accounting.
     pub fn clear(&self) {
         self.lock().clear();
-    }
-
-    /// Whether two handles refer to the same underlying store.
-    #[must_use]
-    pub fn same_store(&self, other: &SharedChunkStore) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
@@ -400,7 +239,7 @@ impl fmt::Debug for SharedChunkStore {
 mod tests {
     use super::*;
 
-    fn exercise(store: &mut dyn ChunkStore) {
+    fn exercise(store: &mut MemoryChunkStore) {
         let a = store.put(&[1, 2, 3]).unwrap();
         let b = store.put(&[1, 2, 3]).unwrap();
         let c = store.put(&[4, 5, 6]).unwrap();
@@ -416,7 +255,7 @@ mod tests {
 
         assert_eq!(store.get(a).unwrap(), vec![1, 2, 3]);
         assert_eq!(store.read_word(c, 1).unwrap(), 5);
-        assert!(store.contains(a));
+        assert!(store.chunks.contains_key(&a.0));
         assert_eq!(store.get(ChunkHash(0xDEAD)), Err(StorageError::MissingChunk { hash: 0xDEAD }));
         assert_eq!(store.read_word(a, 99), Err(StorageError::OutOfRange { index: 99, size: 3 }));
         assert!(store.stats().reads >= 4);
@@ -424,21 +263,13 @@ mod tests {
         store.clear();
         let s = store.stats();
         assert_eq!(s, StoreStats::default());
-        assert!(!store.contains(a));
+        assert!(!store.chunks.contains_key(&a.0));
     }
 
     #[test]
     fn memory_store_contract() {
         let mut store = MemoryChunkStore::new();
         exercise(&mut store);
-    }
-
-    #[test]
-    fn dir_store_contract() {
-        let dir = std::env::temp_dir().join(format!("ptmk_store_{}", std::process::id()));
-        let mut store = DirChunkStore::create(&dir).unwrap();
-        exercise(&mut store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -452,8 +283,6 @@ mod tests {
     fn shared_handle_clones_alias_one_store() {
         let a = SharedChunkStore::new_memory();
         let b = a.clone();
-        assert!(a.same_store(&b));
-        assert!(!a.same_store(&SharedChunkStore::new_memory()));
         a.put(&[9, 9]).unwrap();
         assert_eq!(b.stats().resident_chunks, 1);
         b.set_accounting(10, 2, 3, 4);

@@ -10,7 +10,7 @@
 //! image's frame list; it holds the list by reference (the *base*: every
 //! pfn it covers is implicitly mapped read-only to the listed frame), a
 //! *delta* of the entries that have diverged from that (bitmap-indexed, see
-//! [`Delta`]), and a dense *tail* for the pages past the image (the
+//! `Delta`), and a dense *tail* for the pages past the image (the
 //! per-domain overhead). A domain with nothing to share (full copy, cold
 //! boot, a hand-built space) is the same structure with an empty base:
 //! everything lives in the tail.
@@ -22,7 +22,7 @@
 //! References follow the representation. Every *stored* entry, delta or
 //! tail, owns one reference on the frame it names; a pristine mapping owns
 //! none — the hold on the base list stands for all of them, and the image
-//! that owns the list owns the frames ([`crate::snapshot`]). Constructors
+//! that owns the list owns the frames (`crate::snapshot`). Constructors
 //! adopt entries whose references the caller took; `write`, `remap`,
 //! `update_stored_below` and `release_all` keep the rule from there, so a
 //! clone costs the frame table its overhead and dirtied pages, no more.
@@ -200,7 +200,7 @@ impl AddressSpace {
     /// mapping are dropped, so the result has the footprint the space had
     /// before it was flattened. A list shorter than the base shares nothing.
     #[must_use]
-    pub fn sparsify(base: Arc<[FrameId]>, mut entries: Vec<Pte>) -> Self {
+    pub(crate) fn sparsify(base: Arc<[FrameId]>, mut entries: Vec<Pte>) -> Self {
         if entries.len() < base.len() {
             return Self::from_entries(entries);
         }
@@ -314,7 +314,7 @@ impl AddressSpace {
     /// reference a stored entry held on the frame it leaves (a pristine one
     /// held none). Returns whether it faulted. On [`VmmError::BadPfn`], or
     /// [`VmmError::OutOfMemory`] from the fault, nothing has changed.
-    pub fn write(
+    pub(crate) fn write(
         &mut self,
         pfn: u64,
         value: u64,
@@ -376,7 +376,7 @@ impl AddressSpace {
     /// not visited. One linear pass however many entries change. Each
     /// entry's reference moves to the frame it comes out naming, or is given
     /// up where it comes out as the base implies (it is then dropped).
-    pub fn update_stored_below(
+    pub(crate) fn update_stored_below(
         &mut self,
         limit: u64,
         frames: &mut FrameTable,

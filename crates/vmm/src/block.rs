@@ -20,9 +20,7 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
-use potemkin_storage::{
-    Manifest, OverlayManifest, SharedChunkStore, StorageError, DEFAULT_CHUNK_BLOCKS,
-};
+use potemkin_storage::{Manifest, OverlayManifest, SharedChunkStore, StorageError};
 
 use crate::error::VmmError;
 
@@ -32,7 +30,6 @@ fn to_bad_block(size: u64) -> impl Fn(StorageError) -> VmmError {
         // A missing or truncated chunk is store corruption; surface it as
         // the typed block error rather than panicking.
         StorageError::MissingChunk { hash } => VmmError::BadBlock { block: hash, size },
-        StorageError::Io { .. } => VmmError::BadBlock { block: u64::MAX, size },
     }
 }
 
@@ -62,9 +59,14 @@ impl BaseDisk {
     /// derived from `seed`, over a fresh private in-memory store with the
     /// default chunk size (standalone-use convenience; farm disks share
     /// one store via [`BaseDisk::open`]).
-    #[must_use]
-    pub fn generate(size: u64, seed: u64) -> Self {
-        BaseDisk::open(&SharedChunkStore::new_memory(), size, DEFAULT_CHUNK_BLOCKS, seed)
+    #[cfg(test)]
+    pub(crate) fn generate(size: u64, seed: u64) -> Self {
+        BaseDisk::open(
+            &SharedChunkStore::new_memory(),
+            size,
+            potemkin_storage::DEFAULT_CHUNK_BLOCKS,
+            seed,
+        )
     }
 
     fn manifest(&self) -> std::sync::MutexGuard<'_, Manifest> {
@@ -73,37 +75,19 @@ impl BaseDisk {
 
     /// Disk size in blocks.
     #[must_use]
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         self.manifest().size_blocks()
-    }
-
-    /// Chunk size in blocks.
-    #[must_use]
-    pub fn chunk_blocks(&self) -> u64 {
-        self.manifest().chunk_blocks()
-    }
-
-    /// The content seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.manifest().seed()
     }
 
     /// Chunks faulted into the store so far (late binding: 0 until the
     /// first read).
     #[must_use]
-    pub fn materialized_chunks(&self) -> u64 {
+    pub(crate) fn materialized_chunks(&self) -> u64 {
         self.manifest().materialized_chunks()
     }
 
-    /// The backing store handle.
-    #[must_use]
-    pub fn store(&self) -> &SharedChunkStore {
-        &self.store
-    }
-
     /// Reads a block, materializing its chunk on first touch.
-    pub fn read(&self, block: u64) -> Result<u64, VmmError> {
+    pub(crate) fn read(&self, block: u64) -> Result<u64, VmmError> {
         let mut m = self.manifest();
         let size = m.size_blocks();
         m.read(&self.store, block).map_err(to_bad_block(size))
@@ -112,14 +96,14 @@ impl BaseDisk {
     /// Encodes this disk through the manifest section codec: geometry plus
     /// one materialized bit per chunk slot — the only way a base disk is
     /// ever serialized.
-    pub fn encode_manifest(&self, w: &mut SnapWriter) {
+    pub(crate) fn encode_manifest(&self, w: &mut SnapWriter) {
         self.manifest().encode(w);
     }
 
     /// Decodes a disk encoded by [`BaseDisk::encode_manifest`] over
     /// `store`, re-putting materialized chunks (dedupe no-ops when the
     /// content is already resident).
-    pub fn decode_manifest(
+    pub(crate) fn decode_manifest(
         r: &mut SnapReader,
         store: &SharedChunkStore,
     ) -> Result<Self, SnapshotError> {
@@ -131,7 +115,7 @@ impl BaseDisk {
 /// Read/write accounting for one [`CowDisk`], kept in interior cells so
 /// reads go through `&self`.
 #[derive(Clone, Debug, Default)]
-pub struct DiskStats {
+pub(crate) struct DiskStats {
     reads: Cell<u64>,
     writes: Cell<u64>,
 }
@@ -139,13 +123,13 @@ pub struct DiskStats {
 impl DiskStats {
     /// Lifetime read count.
     #[must_use]
-    pub fn reads(&self) -> u64 {
+    pub(crate) fn reads(&self) -> u64 {
         self.reads.get()
     }
 
     /// Lifetime write count.
     #[must_use]
-    pub fn writes(&self) -> u64 {
+    pub(crate) fn writes(&self) -> u64 {
         self.writes.get()
     }
 }
@@ -156,15 +140,14 @@ impl DiskStats {
 /// # Examples
 ///
 /// ```
-/// use potemkin_vmm::block::{BaseDisk, CowDisk};
+/// use potemkin_vmm::{BaseDisk, CowDisk, SharedChunkStore, DEFAULT_CHUNK_BLOCKS};
 ///
-/// let base = BaseDisk::generate(100, 42);
+/// let base = BaseDisk::open(&SharedChunkStore::new_memory(), 100, DEFAULT_CHUNK_BLOCKS, 42);
 /// let mut disk = CowDisk::new(base.clone());
 /// let orig = disk.read(5).unwrap();
 /// disk.write(5, 777).unwrap();
 /// assert_eq!(disk.read(5).unwrap(), 777);
-/// assert_eq!(base.read(5).unwrap(), orig, "base is never modified");
-/// assert_eq!(disk.dirty_blocks(), 1);
+/// assert_eq!(CowDisk::new(base).read(5).unwrap(), orig, "base is never modified");
 /// ```
 #[derive(Clone, Debug)]
 pub struct CowDisk {
@@ -182,7 +165,7 @@ impl CowDisk {
 
     /// Disk size in blocks.
     #[must_use]
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         self.base.size()
     }
 
@@ -209,45 +192,27 @@ impl CowDisk {
     }
 
     /// Number of blocks this clone has made private.
-    #[must_use]
-    pub fn dirty_blocks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dirty_blocks(&self) -> u64 {
         self.overlay.len() as u64
     }
 
     /// Discards the private overlay, restoring the pristine base view
     /// (rollback support).
-    pub fn clear_overlay(&mut self) {
+    pub(crate) fn clear_overlay(&mut self) {
         self.overlay.clear();
-    }
-
-    /// Lifetime read count.
-    #[must_use]
-    pub fn total_reads(&self) -> u64 {
-        self.stats.reads()
-    }
-
-    /// Lifetime write count.
-    #[must_use]
-    pub fn total_writes(&self) -> u64 {
-        self.stats.writes()
     }
 
     /// The shared base this view overlays.
     #[must_use]
-    pub fn base(&self) -> &BaseDisk {
+    pub(crate) fn base(&self) -> &BaseDisk {
         &self.base
-    }
-
-    /// The private CoW delta.
-    #[must_use]
-    pub fn overlay(&self) -> &OverlayManifest {
-        &self.overlay
     }
 
     /// Encodes the clone-private state (overlay delta + accounting)
     /// through the overlay manifest codec: O(dirty blocks). The base is
     /// not encoded here — it belongs to the image and restores first.
-    pub fn encode_overlay(&self, w: &mut SnapWriter) {
+    pub(crate) fn encode_overlay(&self, w: &mut SnapWriter) {
         self.overlay.snap(w);
         w.u64(self.stats.reads());
         w.u64(self.stats.writes());
@@ -255,7 +220,10 @@ impl CowDisk {
 
     /// Decodes clone-private state encoded by [`CowDisk::encode_overlay`]
     /// over the already-restored `base`.
-    pub fn decode_overlay(base: BaseDisk, r: &mut SnapReader) -> Result<Self, SnapshotError> {
+    pub(crate) fn decode_overlay(
+        base: BaseDisk,
+        r: &mut SnapReader,
+    ) -> Result<Self, SnapshotError> {
         let overlay = OverlayManifest::unsnap(r)?;
         let stats = DiskStats::default();
         stats.reads.set(r.u64()?);
@@ -331,7 +299,7 @@ mod tests {
         d.write(1, 20).unwrap();
         assert_eq!(d.dirty_blocks(), 1);
         assert_eq!(d.read(1).unwrap(), 20);
-        assert_eq!(d.total_writes(), 2);
+        assert_eq!(d.stats.writes(), 2);
     }
 
     #[test]
@@ -341,7 +309,7 @@ mod tests {
         let r: &CowDisk = &d;
         r.read(0).unwrap();
         r.read(1).unwrap();
-        assert_eq!(d.total_reads(), 2);
+        assert_eq!(d.stats.reads(), 2);
     }
 
     #[test]
@@ -399,8 +367,8 @@ mod tests {
         assert_eq!(base2.size(), 100);
         assert_eq!(base2.materialized_chunks(), 1);
         assert_eq!(d2.dirty_blocks(), 2);
-        assert_eq!(d2.total_reads(), d.total_reads());
-        assert_eq!(d2.total_writes(), d.total_writes());
+        assert_eq!(d2.stats.reads(), d.stats.reads());
+        assert_eq!(d2.stats.writes(), d.stats.writes());
         for blk in 0..100 {
             assert_eq!(d2.read(blk).unwrap(), d.read(blk).unwrap());
         }

@@ -33,12 +33,6 @@ impl CloneTiming {
         self.stages.iter().map(|&(_, t)| t).sum()
     }
 
-    /// The duration of a named stage, if present.
-    #[must_use]
-    pub fn stage(&self, name: &str) -> Option<SimTime> {
-        self.stages.iter().find(|&&(n, _)| n == name).map(|&(_, t)| t)
-    }
-
     /// The most expensive stage.
     #[must_use]
     pub fn dominant_stage(&self) -> Option<(&'static str, SimTime)> {
@@ -93,11 +87,11 @@ pub struct RetryPolicy {
     /// Total attempts, including the first (1 means "no retries").
     pub max_attempts: u32,
     /// Backoff before the first retry.
-    pub base_backoff: SimTime,
+    pub(crate) base_backoff: SimTime,
     /// Cap on the exponential term.
-    pub max_backoff: SimTime,
+    pub(crate) max_backoff: SimTime,
     /// Fraction of the backoff added as jitter (`0.25` means up to +25%).
-    pub jitter_frac: f64,
+    pub(crate) jitter_frac: f64,
 }
 
 impl RetryPolicy {
@@ -145,13 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_lookup() {
-        let t = timing();
-        assert_eq!(t.stage("beta"), Some(SimTime::from_millis(30)));
-        assert_eq!(t.stage("nope"), None);
-    }
-
-    #[test]
     fn dominant_stage() {
         assert_eq!(timing().dominant_stage(), Some(("beta", SimTime::from_millis(30))));
         assert_eq!(CloneTiming::new(vec![]).dominant_stage(), None);
@@ -170,7 +157,7 @@ mod tests {
         let mut t = timing();
         t.push_stage("retry_backoff", SimTime::from_millis(15));
         assert_eq!(t.total(), SimTime::from_millis(60));
-        assert_eq!(t.stage("retry_backoff"), Some(SimTime::from_millis(15)));
+        assert_eq!(t.stages.last(), Some(&("retry_backoff", SimTime::from_millis(15))));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use potemkin_sim::SimTime;
 /// How a provisioning stage's duration derives from the model: a fixed
 /// field, or a per-page rate multiplied by the clone's page count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StageCost {
+pub(crate) enum StageCost {
     /// `xend`-style control-path overhead ([`CostModel::control_plane`]).
     ControlPlane,
     /// Hypervisor domain construction ([`CostModel::domain_create`]).
@@ -43,16 +43,16 @@ pub enum StageCost {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageSpec {
     /// Stable stage name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Duration rule.
-    pub cost: StageCost,
+    pub(crate) cost: StageCost,
 }
 
 impl StageSpec {
     /// Evaluates this stage's duration under `model` for a clone of
     /// `pages` pages.
     #[must_use]
-    pub fn duration(&self, model: &CostModel, pages: u64) -> SimTime {
+    pub(crate) fn duration(&self, model: &CostModel, pages: u64) -> SimTime {
         match self.cost {
             StageCost::ControlPlane => model.control_plane,
             StageCost::DomainCreate => model.domain_create,
@@ -77,7 +77,7 @@ pub const FLASH_CLONE_STAGES: &[StageSpec] = &[
 ];
 
 /// The eager full-memory-copy clone stage table (no-delta baseline).
-pub const FULL_COPY_STAGES: &[StageSpec] = &[
+pub(crate) const FULL_COPY_STAGES: &[StageSpec] = &[
     StageSpec { name: "control plane", cost: StageCost::ControlPlane },
     StageSpec { name: "domain creation", cost: StageCost::DomainCreate },
     StageSpec { name: "memory copy", cost: StageCost::CopyPerPage },
@@ -87,7 +87,7 @@ pub const FULL_COPY_STAGES: &[StageSpec] = &[
 ];
 
 /// The cold-boot stage table (no-cloning baseline).
-pub const COLD_BOOT_STAGES: &[StageSpec] = &[
+pub(crate) const COLD_BOOT_STAGES: &[StageSpec] = &[
     StageSpec { name: "control plane", cost: StageCost::ControlPlane },
     StageSpec { name: "domain creation", cost: StageCost::DomainCreate },
     StageSpec { name: "memory allocation", cost: StageCost::CopyPerPage },
@@ -97,7 +97,7 @@ pub const COLD_BOOT_STAGES: &[StageSpec] = &[
 ];
 
 /// The standby-bind stage table: only the late-binding stages remain.
-pub const STANDBY_BIND_STAGES: &[StageSpec] = &[
+pub(crate) const STANDBY_BIND_STAGES: &[StageSpec] = &[
     StageSpec { name: "network config", cost: StageCost::NetConfig },
     StageSpec { name: "unpause", cost: StageCost::Unpause },
 ];
@@ -107,36 +107,36 @@ pub const STANDBY_BIND_STAGES: &[StageSpec] = &[
 pub struct CostModel {
     /// Control-plane overhead per management operation (the paper found the
     /// Python `xend` path dominated unoptimized clone time).
-    pub control_plane: SimTime,
+    pub(crate) control_plane: SimTime,
     /// Hypervisor domain-construction cost (fixed part).
-    pub domain_create: SimTime,
+    pub(crate) domain_create: SimTime,
     /// Per-page cost of installing a CoW mapping (map + refcount, no copy).
-    pub cow_map_per_page: SimTime,
+    pub(crate) cow_map_per_page: SimTime,
     /// Per-page cost of an eager memory copy (the no-delta baseline).
-    pub copy_per_page: SimTime,
+    pub(crate) copy_per_page: SimTime,
     /// Device attach cost (virtual NIC + CoW block device).
-    pub device_attach: SimTime,
+    pub(crate) device_attach: SimTime,
     /// Network configuration cost (late-bound IP/MAC, gateway filter entry).
-    pub net_config: SimTime,
+    pub(crate) net_config: SimTime,
     /// Unpause/resume cost.
-    pub unpause: SimTime,
+    pub(crate) unpause: SimTime,
     /// Cost of one CoW write fault taken by a running domain.
-    pub cow_fault: SimTime,
+    pub(crate) cow_fault: SimTime,
     /// Cost of lazily materializing one disk chunk from the golden image
     /// on first guest read (late binding for storage). Charged per chunk
     /// faulted in, never per block.
-    pub chunk_materialize: SimTime,
+    pub(crate) chunk_materialize: SimTime,
     /// Fixed cost of a cold OS boot (the no-cloning baseline).
-    pub cold_boot: SimTime,
+    pub(crate) cold_boot: SimTime,
     /// Cost of destroying a domain and scrubbing its private pages,
     /// per page.
-    pub destroy_per_page: SimTime,
+    pub(crate) destroy_per_page: SimTime,
     /// Fixed destroy cost.
-    pub destroy_fixed: SimTime,
+    pub(crate) destroy_fixed: SimTime,
     /// Fixed cost of rolling a domain back to its reference image (cheaper
     /// than destroy + clone: the domain structures survive, only the delta
     /// is discarded).
-    pub rollback_fixed: SimTime,
+    pub(crate) rollback_fixed: SimTime,
 }
 
 impl Default for CostModel {
@@ -196,32 +196,32 @@ impl CostModel {
     /// The per-stage breakdown of an eager full-copy clone (baseline;
     /// [`FULL_COPY_STAGES`]).
     #[must_use]
-    pub fn full_copy_stages(&self, pages: u64) -> Vec<(&'static str, SimTime)> {
+    pub(crate) fn full_copy_stages(&self, pages: u64) -> Vec<(&'static str, SimTime)> {
         self.eval_stages(FULL_COPY_STAGES, pages)
     }
 
     /// The per-stage breakdown of a cold boot (baseline;
     /// [`COLD_BOOT_STAGES`]).
     #[must_use]
-    pub fn cold_boot_stages(&self, pages: u64) -> Vec<(&'static str, SimTime)> {
+    pub(crate) fn cold_boot_stages(&self, pages: u64) -> Vec<(&'static str, SimTime)> {
         self.eval_stages(COLD_BOOT_STAGES, pages)
     }
 
     /// The cost of destroying a domain with `private_pages` private pages.
     #[must_use]
-    pub fn destroy_cost(&self, private_pages: u64) -> SimTime {
+    pub(crate) fn destroy_cost(&self, private_pages: u64) -> SimTime {
         self.destroy_fixed + self.destroy_per_page * private_pages
     }
 
     /// The cost of rolling a domain back to pristine image state.
     #[must_use]
-    pub fn rollback_cost(&self, private_pages: u64) -> SimTime {
+    pub(crate) fn rollback_cost(&self, private_pages: u64) -> SimTime {
         self.rollback_fixed + self.destroy_per_page * private_pages
     }
 
     /// The latency of binding a *standby* (pre-cloned, idle) VM to an
     /// address: only the late-binding stages remain
-    /// ([`STANDBY_BIND_STAGES`]).
+    /// (`STANDBY_BIND_STAGES`).
     #[must_use]
     pub fn standby_bind_stages(&self) -> Vec<(&'static str, SimTime)> {
         self.eval_stages(STANDBY_BIND_STAGES, 0)

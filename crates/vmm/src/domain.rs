@@ -36,7 +36,7 @@ impl fmt::Display for DomainId {
 
 /// Lifecycle state of a domain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DomainState {
+pub(crate) enum DomainState {
     /// Created but not yet scheduled (between clone and unpause).
     Paused,
     /// Running and able to fault pages.
@@ -50,7 +50,7 @@ snap_enum!(DomainState { Paused = 0, Running = 1, Destroyed = 2 });
 /// How the domain's memory was materialized — used by memory reports and
 /// the clone-strategy ablation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProvisionKind {
+pub(crate) enum ProvisionKind {
     /// Flash clone: CoW against a reference image (delta virtualization).
     FlashClone,
     /// Eager full copy of the image (no sharing).
@@ -84,7 +84,7 @@ pub struct Domain {
 impl Domain {
     /// Assembles a domain (called by [`crate::host::Host`]).
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         id: DomainId,
         image: ImageId,
         provision: ProvisionKind,
@@ -185,21 +185,15 @@ impl Domain {
         self.image
     }
 
-    /// Current lifecycle state.
-    #[must_use]
-    pub fn state(&self) -> DomainState {
-        self.state
-    }
-
     /// How the memory was provisioned.
-    #[must_use]
-    pub fn provision(&self) -> ProvisionKind {
+    #[cfg(test)]
+    pub(crate) fn provision(&self) -> ProvisionKind {
         self.provision
     }
 
     /// Memory size in pages.
     #[must_use]
-    pub fn memory_pages(&self) -> u64 {
+    pub(crate) fn memory_pages(&self) -> u64 {
         self.space.size()
     }
 
@@ -221,12 +215,6 @@ impl Domain {
         self.cow_faults
     }
 
-    /// Lifetime (reads, writes) memory-operation counts.
-    #[must_use]
-    pub fn mem_ops(&self) -> (u64, u64) {
-        (self.reads, self.writes)
-    }
-
     /// The late-bound external IP address, if the gateway bound one.
     #[must_use]
     pub fn bound_addr(&self) -> Option<Ipv4Addr> {
@@ -245,14 +233,14 @@ impl Domain {
     }
 
     /// Marks the guest infected.
-    pub fn mark_infected(&mut self) {
+    pub(crate) fn mark_infected(&mut self) {
         self.infected = true;
     }
 
     /// Clears the guest-visible state after a rollback to the reference
     /// image: infection flag, address binding, and the disk overlay. Memory
     /// remapping is the host's job (it owns the frame table).
-    pub fn reset_guest_state(&mut self) {
+    pub(crate) fn reset_guest_state(&mut self) {
         self.infected = false;
         self.bound_addr = None;
         self.disk.clear_overlay();
@@ -263,7 +251,7 @@ impl Domain {
     /// # Errors
     ///
     /// Returns [`VmmError::BadState`] unless the domain is paused.
-    pub fn unpause(&mut self) -> Result<(), VmmError> {
+    pub(crate) fn unpause(&mut self) -> Result<(), VmmError> {
         match self.state {
             DomainState::Paused => {
                 self.state = DomainState::Running;
@@ -271,26 +259,6 @@ impl Domain {
             }
             _ => Err(VmmError::BadState { domain: self.id, op: "unpause" }),
         }
-    }
-
-    /// Pauses the domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmmError::BadState`] unless the domain is running.
-    pub fn pause(&mut self) -> Result<(), VmmError> {
-        match self.state {
-            DomainState::Running => {
-                self.state = DomainState::Paused;
-                Ok(())
-            }
-            _ => Err(VmmError::BadState { domain: self.id, op: "pause" }),
-        }
-    }
-
-    /// Marks the domain destroyed (host has already released resources).
-    pub fn mark_destroyed(&mut self) {
-        self.state = DomainState::Destroyed;
     }
 
     /// Whether the domain can execute (take faults, answer packets).
@@ -301,7 +269,7 @@ impl Domain {
 
     /// The CoW disk.
     #[must_use]
-    pub fn disk(&self) -> &CowDisk {
+    pub(crate) fn disk(&self) -> &CowDisk {
         &self.disk
     }
 
@@ -357,16 +325,11 @@ mod tests {
     fn lifecycle_transitions() {
         let mut ft = FrameTable::new(10);
         let mut d = make_domain(&mut ft);
-        assert_eq!(d.state(), DomainState::Paused);
-        assert!(d.pause().is_err(), "pause while paused");
+        assert_eq!(d.state, DomainState::Paused);
+        assert!(!d.is_running());
         d.unpause().unwrap();
         assert!(d.is_running());
         assert!(d.unpause().is_err(), "double unpause");
-        d.pause().unwrap();
-        assert_eq!(d.state(), DomainState::Paused);
-        d.mark_destroyed();
-        assert!(d.unpause().is_err(), "unpause after destroy");
-        assert!(!d.is_running());
     }
 
     #[test]

@@ -48,7 +48,7 @@ struct FrameState {
 /// # Examples
 ///
 /// ```
-/// use potemkin_vmm::frame::FrameTable;
+/// use potemkin_vmm::FrameTable;
 ///
 /// let mut ft = FrameTable::new(100);
 /// let f = ft.alloc(0xabcd).unwrap();
@@ -57,7 +57,7 @@ struct FrameState {
 /// assert_eq!(ft.refcount(f), 2);
 /// ft.release(f);
 /// ft.release(f);
-/// assert_eq!(ft.free_frames(), 100);
+/// assert_eq!(ft.used_frames(), 0);
 /// ```
 #[derive(Clone, Debug)]
 pub struct FrameTable {
@@ -86,13 +86,13 @@ impl FrameTable {
 
     /// Total frames managed.
     #[must_use]
-    pub fn total_frames(&self) -> u64 {
+    pub(crate) fn total_frames(&self) -> u64 {
         self.total
     }
 
     /// Frames currently free.
     #[must_use]
-    pub fn free_frames(&self) -> u64 {
+    pub(crate) fn free_frames(&self) -> u64 {
         // Never-touched frames plus explicitly freed ones.
         (self.total - self.frames.len() as u64) + self.free.len() as u64
     }
@@ -101,18 +101,6 @@ impl FrameTable {
     #[must_use]
     pub fn used_frames(&self) -> u64 {
         self.total - self.free_frames()
-    }
-
-    /// Lifetime allocation count.
-    #[must_use]
-    pub fn total_allocs(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Lifetime free count.
-    #[must_use]
-    pub fn total_frees(&self) -> u64 {
-        self.frees
     }
 
     /// Allocates a frame with the given initial content.
@@ -167,7 +155,7 @@ impl FrameTable {
     /// # Panics
     ///
     /// Panics if the frame is not live.
-    pub fn write(&mut self, frame: FrameId, content: u64) {
+    pub(crate) fn write(&mut self, frame: FrameId, content: u64) {
         self.state_mut(frame).content = content;
     }
 
@@ -271,8 +259,8 @@ mod tests {
         assert_eq!(ft.free_frames(), 3);
         ft.release(b);
         assert_eq!(ft.free_frames(), 4);
-        assert_eq!(ft.total_allocs(), 2);
-        assert_eq!(ft.total_frees(), 2);
+        assert_eq!(ft.allocs, 2);
+        assert_eq!(ft.frees, 2);
     }
 
     #[test]

@@ -47,9 +47,6 @@ snap_struct!(Service { port, proto, exploit_depth });
 /// let p = GuestProfile::windows_server();
 /// assert!(p.listens_on_tcp(445));
 /// assert!(!p.listens_on_tcp(22));
-/// let pages = p.pages_for_request(0);
-/// assert!(!pages.is_empty());
-/// assert!(pages.iter().all(|&pfn| pfn < p.memory_pages));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct GuestProfile {
@@ -157,12 +154,6 @@ impl GuestProfile {
         self.services.iter().any(|s| s.port == port && s.proto == ServiceProto::Udp)
     }
 
-    /// The service on `port`/`proto`, if any.
-    #[must_use]
-    pub fn service(&self, port: u16, proto: ServiceProto) -> Option<&Service> {
-        self.services.iter().find(|s| s.port == port && s.proto == proto)
-    }
-
     fn spread(&self, seed: u64, count: u64) -> Vec<u64> {
         // Deterministic pseudo-random page selection (SplitMix64 stream).
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
@@ -181,7 +172,7 @@ impl GuestProfile {
     /// The (deterministic) set of pages dirtied while handling request
     /// number `request_idx`.
     #[must_use]
-    pub fn pages_for_request(&self, request_idx: u64) -> Vec<u64> {
+    pub(crate) fn pages_for_request(&self, request_idx: u64) -> Vec<u64> {
         self.spread(request_idx.wrapping_add(1), self.request_touch_pages)
     }
 
@@ -225,9 +216,6 @@ mod tests {
         assert!(p.listens_on_udp(1434));
         assert!(!p.listens_on_udp(445));
         assert!(!p.listens_on_tcp(1434));
-        let s = p.service(445, ServiceProto::Tcp).unwrap();
-        assert_eq!(s.exploit_depth, 3);
-        assert!(p.service(12_345, ServiceProto::Tcp).is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use potemkin_sim::SimTime;
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
-use potemkin_storage::{SharedChunkStore, StoreStats, DEFAULT_CHUNK_BLOCKS};
+use potemkin_storage::{SharedChunkStore, DEFAULT_CHUNK_BLOCKS};
 
 use crate::addrspace::{AddressSpace, Pte};
 use crate::block::{BaseDisk, CowDisk};
@@ -33,18 +33,18 @@ pub const DOMAIN_OVERHEAD_PAGES: u64 = 1_024; // 4 MiB at 4 KiB pages
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WriteOutcome {
     /// Whether the write took a CoW fault (first write to a shared page).
-    pub faulted: bool,
+    pub(crate) faulted: bool,
     /// Virtual-time cost of the write (zero for non-faulting writes).
-    pub cost: SimTime,
+    pub(crate) cost: SimTime,
 }
 
 /// Aggregate outcome of touching a batch of pages.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TouchStats {
     /// Pages written.
-    pub pages: u64,
+    pub(crate) pages: u64,
     /// CoW faults taken.
-    pub faults: u64,
+    pub(crate) faults: u64,
     /// Total virtual-time cost.
     pub cost: SimTime,
 }
@@ -63,7 +63,7 @@ pub struct MemoryReport {
     /// Frames owned exclusively by live domains (their deltas + overhead).
     pub private_frames: u64,
     /// Domain page mappings that still share an image frame.
-    pub shared_mappings: u64,
+    pub(crate) shared_mappings: u64,
     /// Live (not destroyed) domains.
     pub live_domains: u64,
 }
@@ -181,24 +181,6 @@ impl Host {
         self
     }
 
-    /// The chunk store backing this host's base disks.
-    #[must_use]
-    pub fn chunk_store(&self) -> &SharedChunkStore {
-        &self.store
-    }
-
-    /// Accounting snapshot of the backing chunk store.
-    #[must_use]
-    pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
-    }
-
-    /// The latency model in effect.
-    #[must_use]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Lifetime provisioning counts `(flash, full_copy, cold_boot,
     /// destroys)`.
     #[must_use]
@@ -206,28 +188,10 @@ impl Host {
         (self.flash_clones, self.full_copies, self.cold_boots, self.destroys)
     }
 
-    /// Lifetime rollback count.
-    #[must_use]
-    pub fn rollback_count(&self) -> u64 {
-        self.rollbacks
-    }
-
     /// Whether the server is up.
     #[must_use]
     pub fn is_alive(&self) -> bool {
         self.alive
-    }
-
-    /// Lifetime crash / crash-loss counts `(crashes, domains_lost)`.
-    #[must_use]
-    pub fn crash_counts(&self) -> (u64, u64) {
-        (self.crashes, self.domains_lost)
-    }
-
-    /// Injected clone failures still pending.
-    #[must_use]
-    pub fn pending_clone_faults(&self) -> u32 {
-        self.pending_clone_faults
     }
 
     /// Arms `count` additional injected clone failures: the next `count`
@@ -683,7 +647,7 @@ impl Host {
     /// Reads a guest disk block through the domain's CoW view, lazily
     /// materializing the underlying chunk from the golden image on first
     /// touch. Returns the content word and the virtual-time cost of the
-    /// read — [`CostModel::chunk_materialize`] per chunk faulted in, zero
+    /// read — `CostModel::chunk_materialize` per chunk faulted in, zero
     /// for reads served from already-resident chunks or the overlay.
     ///
     /// # Errors
@@ -1286,7 +1250,7 @@ mod tests {
         assert!(d.is_running(), "rollback keeps the domain schedulable");
         // Memory reads pristine image content again.
         assert_eq!(host.read_page(vm, 3).unwrap(), GuestProfile::boot_content(image.0, 3));
-        assert_eq!(host.rollback_count(), 1);
+        assert_eq!(host.rollbacks, 1);
     }
 
     #[test]
@@ -1296,7 +1260,7 @@ mod tests {
         host.touch_pages(vm, &(0..200).collect::<Vec<_>>(), 1).unwrap();
         let private = host.domain(vm).unwrap().private_pages();
         let rollback_cost = host.rollback(vm).unwrap();
-        let destroy_cost = host.cost_model().destroy_cost(private);
+        let destroy_cost = host.cost.destroy_cost(private);
         assert!(rollback_cost < destroy_cost + clone_timing.total());
     }
 
@@ -1431,14 +1395,14 @@ mod tests {
         let lost = host.crash();
         assert_eq!(lost, 1);
         assert!(!host.is_alive());
-        assert_eq!(host.crash_counts(), (1, 1));
+        assert_eq!((host.crashes, host.domains_lost), (1, 1));
         let after = host.memory_report();
         assert_eq!(after.live_domains, 0);
         assert_eq!(after.used_frames, pristine.used_frames, "domain frames released");
         assert_eq!(after.image_frames, pristine.image_frames, "images survive the crash");
         // Crash is idempotent: a dead host stays dead, counters unchanged.
         assert_eq!(host.crash(), 0);
-        assert_eq!(host.crash_counts(), (1, 1));
+        assert_eq!((host.crashes, host.domains_lost), (1, 1));
     }
 
     #[test]
@@ -1477,10 +1441,10 @@ mod tests {
     fn injected_clone_faults_are_consumed_per_attempt() {
         let (mut host, image) = small_host();
         host.fail_next_clones(2);
-        assert_eq!(host.pending_clone_faults(), 2);
+        assert_eq!(host.pending_clone_faults, 2);
         assert_eq!(host.flash_clone(image), Err(VmmError::InjectedFault { op: "flash_clone" }));
         assert_eq!(host.flash_clone(image), Err(VmmError::InjectedFault { op: "flash_clone" }));
-        assert_eq!(host.pending_clone_faults(), 0);
+        assert_eq!(host.pending_clone_faults, 0);
         assert!(host.flash_clone(image).is_ok(), "budget exhausted, clone succeeds");
         // A failed attempt allocates nothing and mints no domain id.
         assert_eq!(host.live_domains(), 1);
@@ -1488,7 +1452,7 @@ mod tests {
         host.fail_next_clones(5);
         host.crash();
         host.revive();
-        assert_eq!(host.pending_clone_faults(), 0);
+        assert_eq!(host.pending_clone_faults, 0);
     }
 
     #[test]

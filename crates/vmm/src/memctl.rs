@@ -21,7 +21,7 @@ use potemkin_snapshot::snap_struct;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeReport {
     /// Guest-region page mappings examined.
-    pub scanned_pages: u64,
+    pub(crate) scanned_pages: u64,
     /// Divergent pages remapped back to a shared frame.
     pub merged_pages: u64,
     /// Machine frames actually freed by the pass.
@@ -88,12 +88,6 @@ impl MemoryBudget {
         MemoryBudget { limit_frames }
     }
 
-    /// The configured cap.
-    #[must_use]
-    pub fn limit_frames(&self) -> u64 {
-        self.limit_frames
-    }
-
     /// Admits an allocation of `requested_frames` on a host currently
     /// using `used_frames`, or returns the typed pressure event the farm
     /// feeds to its reclaim policy.
@@ -115,22 +109,14 @@ impl MemoryBudget {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PressureEvent {
     /// Frames the host had resident at the check.
-    pub used_frames: u64,
+    pub(crate) used_frames: u64,
     /// Frames the allocation asked for.
     pub requested_frames: u64,
     /// The budget it would have exceeded.
-    pub limit_frames: u64,
+    pub(crate) limit_frames: u64,
 }
 
 snap_struct!(PressureEvent { used_frames, requested_frames, limit_frames });
-
-impl PressureEvent {
-    /// Frames the host is over (or would be over) budget.
-    #[must_use]
-    pub fn overage_frames(&self) -> u64 {
-        (self.used_frames + self.requested_frames).saturating_sub(self.limit_frames)
-    }
-}
 
 impl core::fmt::Display for PressureEvent {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -149,13 +135,12 @@ mod tests {
     #[test]
     fn budget_admits_within_and_rejects_over() {
         let b = MemoryBudget::new(100);
-        assert_eq!(b.limit_frames(), 100);
+        assert_eq!(b.limit_frames, 100);
         assert!(b.admit(90, 10).is_ok(), "exactly at budget admits");
         let e = b.admit(95, 10).unwrap_err();
         assert_eq!(e.used_frames, 95);
         assert_eq!(e.requested_frames, 10);
         assert_eq!(e.limit_frames, 100);
-        assert_eq!(e.overage_frames(), 5);
         assert!(e.to_string().contains("95 used"));
     }
 

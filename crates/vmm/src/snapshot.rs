@@ -56,7 +56,7 @@ impl ReferenceImage {
     /// Assembles an image (called by [`crate::host::Host`]; the host has
     /// already taken the frame references).
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         id: ImageId,
         name: impl Into<String>,
         frames: Vec<FrameId>,
@@ -68,26 +68,14 @@ impl ReferenceImage {
 
     /// The image identifier.
     #[must_use]
-    pub fn id(&self) -> ImageId {
+    pub(crate) fn id(&self) -> ImageId {
         self.id
-    }
-
-    /// Human-readable image name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The image's memory size in pages.
     #[must_use]
     pub fn pages(&self) -> u64 {
         self.frames.len() as u64
-    }
-
-    /// The frame backing pseudo-physical page `pfn`.
-    #[must_use]
-    pub fn frame_at(&self, pfn: u64) -> Option<FrameId> {
-        self.frames.get(pfn as usize).copied()
     }
 
     /// All frames, in pfn order.
@@ -103,7 +91,7 @@ impl ReferenceImage {
 
     /// The immutable base disk.
     #[must_use]
-    pub fn disk(&self) -> &BaseDisk {
+    pub(crate) fn disk(&self) -> &BaseDisk {
         &self.disk
     }
 
@@ -155,9 +143,8 @@ mod tests {
             GuestProfile::small(),
         );
         assert_eq!(img.pages(), 10);
-        assert_eq!(img.frame_at(3), Some(frames[3]));
-        assert_eq!(img.frame_at(10), None);
-        assert_eq!(img.name(), "test");
+        assert_eq!(img.frames(), &frames[..]);
+        assert_eq!(img.name, "test");
         assert_eq!(img.id(), ImageId(1));
         assert_eq!(img.disk().size(), 50);
     }

@@ -27,9 +27,9 @@ pub struct DialogueRequest {
     /// Round number (0-based).
     pub round: u8,
     /// The request bytes.
-    pub data: Vec<u8>,
+    pub(crate) data: Vec<u8>,
     /// Whether this request carries the exploit payload (final round).
-    pub is_payload: bool,
+    pub(crate) is_payload: bool,
 }
 
 /// Result of driving a dialogue against a responder.
@@ -97,7 +97,7 @@ impl ExploitScript {
 
     /// The request for round `round` (`None` past the end).
     #[must_use]
-    pub fn request(&self, round: u8) -> Option<DialogueRequest> {
+    pub(crate) fn request(&self, round: u8) -> Option<DialogueRequest> {
         if round >= self.depth {
             return None;
         }

@@ -20,19 +20,14 @@
 //!   side of an exploit as a hard-coded round sequence; the *service* side
 //!   — protocol detection and data-driven interaction state machines
 //!   loaded from declarative scenario files — lives in the
-//!   `potemkin-services` crate, which builds [`ExploitScript`]s from
-//!   parsed scenario data.
+//!   `potemkin-services` crate.
 //! * [`trace`] — the timestamped packet-event container shared by all
 //!   generators.
+
+#![warn(unreachable_pub)]
 
 pub mod dialogue;
 pub mod epidemic;
 pub mod radiation;
 pub mod trace;
 pub mod worm;
-
-pub use dialogue::{DialogueOutcome, ExploitScript};
-pub use epidemic::SiModel;
-pub use radiation::{RadiationConfig, RadiationModel};
-pub use trace::{Trace, TraceEvent};
-pub use worm::{ScanStrategy, WormSpec};

@@ -130,7 +130,7 @@ impl RadiationModel {
     /// Instantaneous source arrival rate at time `t` (diurnal sinusoid
     /// between trough and peak).
     #[must_use]
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    pub(crate) fn rate_at(&self, t: SimTime) -> f64 {
         let peak = self.config.peak_source_rate;
         let trough = peak * self.config.diurnal_trough_ratio.clamp(0.0, 1.0);
         let phase = (t % self.config.diurnal_period).as_secs_f64()

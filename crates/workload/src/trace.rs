@@ -22,9 +22,9 @@ pub struct Trace {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TrafficMix {
     /// Total packets.
-    pub packets: u64,
+    pub(crate) packets: u64,
     /// Total bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// TCP connection-opening SYNs.
     pub tcp_syns: u64,
     /// Other TCP segments (incl. backscatter SYN-ACK/RST).
@@ -34,9 +34,9 @@ pub struct TrafficMix {
     /// ICMP messages.
     pub icmp: u64,
     /// Unparsed transports.
-    pub other: u64,
+    pub(crate) other: u64,
     /// Packets per destination port (TCP + UDP).
-    pub port_counts: std::collections::BTreeMap<u16, u64>,
+    pub(crate) port_counts: std::collections::BTreeMap<u16, u64>,
 }
 
 impl TrafficMix {
@@ -68,12 +68,6 @@ impl Trace {
         self.events.sort_by_key(|e| e.at);
     }
 
-    /// Merges another trace into this one and re-sorts.
-    pub fn merge(&mut self, other: Trace) {
-        self.events.extend(other.events);
-        self.sort();
-    }
-
     /// The events.
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
@@ -98,15 +92,16 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// The time of the last event (zero when empty).
-    #[must_use]
-    pub fn horizon(&self) -> SimTime {
+    /// Time of the last event (`ZERO` when empty).
+    #[cfg(test)]
+    pub(crate) fn horizon(&self) -> SimTime {
         self.events.iter().map(|e| e.at).max().unwrap_or(SimTime::ZERO)
     }
 
-    /// Mean packet rate over the trace span (packets/second).
-    #[must_use]
-    pub fn mean_rate(&self) -> f64 {
+    /// Packets per second over `[0, horizon]`: the measurement the
+    /// generator tests check a trace against.
+    #[cfg(test)]
+    pub(crate) fn mean_rate(&self) -> f64 {
         let span = self.horizon().as_secs_f64();
         if span > 0.0 {
             self.len() as f64 / span
@@ -257,19 +252,6 @@ mod tests {
         t.push(SimTime::from_secs(2), pkt(3, 3));
         t.sort();
         let times: Vec<u64> = t.events().iter().map(|e| e.at.as_secs()).collect();
-        assert_eq!(times, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn merge_interleaves() {
-        let mut a = Trace::new();
-        a.push(SimTime::from_secs(1), pkt(1, 1));
-        a.push(SimTime::from_secs(3), pkt(1, 2));
-        let mut b = Trace::new();
-        b.push(SimTime::from_secs(2), pkt(2, 1));
-        a.merge(b);
-        assert_eq!(a.len(), 3);
-        let times: Vec<u64> = a.events().iter().map(|e| e.at.as_secs()).collect();
         assert_eq!(times, vec![1, 2, 3]);
     }
 

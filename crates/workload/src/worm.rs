@@ -54,6 +54,7 @@ pub enum ProbeTransport {
 /// # Examples
 ///
 /// ```
+/// use potemkin_net::BufferPool;
 /// use potemkin_sim::SimRng;
 /// use potemkin_workload::worm::WormSpec;
 /// use std::net::Ipv4Addr;
@@ -63,7 +64,7 @@ pub enum ProbeTransport {
 /// let mut rng = SimRng::seed_from(7);
 /// let src = Ipv4Addr::new(10, 1, 0, 1);
 /// let target = worm.pick_target(&mut rng, src, 0).unwrap();
-/// let probe = worm.probe(src, 1025, target);
+/// let probe = worm.probe_instance_pooled(src, 1025, target, 0, &BufferPool::new());
 /// assert_eq!(probe.flow_key().transport.dst_port(), Some(1434));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -186,38 +187,10 @@ impl WormSpec {
         p
     }
 
-    /// Builds the first probe packet toward `dst`.
-    ///
-    /// For UDP worms the probe *is* the exploit (depth 1); for TCP worms it
-    /// is the SYN that opens the dialogue.
-    #[must_use]
-    pub fn probe(&self, src: Ipv4Addr, src_port: u16, dst: Ipv4Addr) -> Packet {
-        self.probe_instance(src, src_port, dst, 0)
-    }
-
-    /// Like [`WormSpec::probe`], with an explicit instance seed for
-    /// polymorphic payloads.
-    #[must_use]
-    pub fn probe_instance(
-        &self,
-        src: Ipv4Addr,
-        src_port: u16,
-        dst: Ipv4Addr,
-        instance_seed: u64,
-    ) -> Packet {
-        match self.transport {
-            ProbeTransport::Tcp => PacketBuilder::new(src, dst).tcp_syn(src_port, self.port),
-            ProbeTransport::Udp => PacketBuilder::new(src, dst).udp(
-                src_port,
-                self.port,
-                &self.payload_instance(instance_seed),
-            ),
-        }
-    }
-
-    /// [`WormSpec::probe_instance`] with the wire buffer drawn from `pool`
-    /// — the farm's allocation-free scanning path. Wire content is
-    /// identical to the unpooled builder.
+    /// A probe of this worm from `src:src_port` to `dst`, carrying the
+    /// payload of instance `instance_seed` (UDP worms), with the wire
+    /// buffer drawn from `pool` — the farm's allocation-free scanning
+    /// path.
     #[must_use]
     pub fn probe_instance_pooled(
         &self,
@@ -335,10 +308,11 @@ mod tests {
     fn probe_packet_shape() {
         let src = Ipv4Addr::new(10, 1, 0, 1);
         let dst = Ipv4Addr::new(10, 1, 0, 2);
-        let tcp = WormSpec::code_red(space()).probe(src, 1025, dst);
+        let pool = BufferPool::new();
+        let tcp = WormSpec::code_red(space()).probe_instance_pooled(src, 1025, dst, 0, &pool);
         assert_eq!(tcp.flow_key().transport.dst_port(), Some(80));
         assert!(tcp.tcp_flags().unwrap().syn);
-        let udp = WormSpec::slammer(space()).probe(src, 1025, dst);
+        let udp = WormSpec::slammer(space()).probe_instance_pooled(src, 1025, dst, 0, &pool);
         assert_eq!(udp.flow_key().transport.dst_port(), Some(1434));
         assert_eq!(udp.app_payload(), b"\x04slammer-marker");
     }
@@ -360,8 +334,9 @@ mod tests {
         // The probe carries the instance payload for UDP worms.
         let src = Ipv4Addr::new(10, 1, 0, 1);
         let dst = Ipv4Addr::new(10, 1, 0, 2);
-        let p1 = w.probe_instance(src, 1, dst, 1);
-        let p2 = w.probe_instance(src, 1, dst, 2);
+        let pool = BufferPool::new();
+        let p1 = w.probe_instance_pooled(src, 1, dst, 1, &pool);
+        let p2 = w.probe_instance_pooled(src, 1, dst, 2, &pool);
         assert_ne!(p1.app_payload(), p2.app_payload());
     }
 

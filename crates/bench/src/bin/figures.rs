@@ -11,8 +11,9 @@
 //!
 //! Output is plain aligned text; EXPERIMENTS.md quotes it directly. The
 //! exit status is 1 if any experiment's claim is false or, under `--check`,
-//! any pinned artifact value differs from the baseline; 2 on a bad command
-//! line or an unwritable `--out-dir`.
+//! any byte of an artifact differs from the baseline; 2 on a bad command
+//! line or an unwritable `--out-dir`. No artifact or claim reads a clock:
+//! speed numbers come from the performance ledger (`benchmark/run.sh`).
 
 use std::path::{Path, PathBuf};
 
@@ -53,8 +54,8 @@ fn parse_args() -> Opts {
                 println!(
                     "usage: figures [--fast] [--csv] [--out-dir DIR] [--check DIR] [{}]\n\
                      --out-dir DIR   write every BENCH_*.json and trace.json into DIR\n\
-                     --check DIR     exit 1 if an artifact value outside `measured` differs \
-                     from DIR's copy",
+                     --check DIR     exit 1 if any byte of an artifact differs from DIR's \
+                     copy",
                     names.join(" ")
                 );
                 std::process::exit(0);
@@ -103,8 +104,8 @@ fn main() {
             }
         }
         if let Some(dir) = &opts.out_dir {
-            if let Some((file, value)) = &outcome.artifact {
-                write(dir, file, &format!("{value}\n"));
+            if let Some((file, text)) = outcome.artifact_text() {
+                write(dir, file, &text);
             }
             for (file, contents) in &outcome.files {
                 write(dir, file, contents);

@@ -366,8 +366,7 @@ pub(crate) fn pressure_table(result: &MemoryResult) -> Table {
 }
 
 /// Runs the experiment at `figures` scale (shortened when `fast`) and
-/// builds `BENCH_memory.json`. Every field is virtual-time canonical, so
-/// `measured` carries the machine description only.
+/// builds `BENCH_memory.json`. Every field is virtual-time canonical.
 #[must_use]
 pub(crate) fn outcome(fast: bool) -> Outcome {
     let counts: &[usize] = if fast { &[8, 16, 32] } else { &[8, 16, 32, 64] };
@@ -423,7 +422,7 @@ pub(crate) fn outcome(fast: bool) -> Outcome {
         .claim("sharing_curves_identical_across_policies", r.curves_identical)
         .claim("sharing_ratio_above_5x", r.sharing_ratio_min > 5.0)
         .claim("frames_per_vm_falls_with_clone_count", falling)
-        .artifact("BENCH_memory.json", fast, pinned, obj! {})
+        .artifact("BENCH_memory.json", fast, pinned)
 }
 
 #[cfg(test)]

@@ -378,8 +378,7 @@ pub(crate) fn integrity_table(result: &SnapshotResult) -> Table {
 
 /// Runs the experiment at `figures` scale (shortened when `fast`) and
 /// builds `BENCH_snapshot.json`. Every field is virtual-time canonical —
-/// snapshot size is a deterministic function of the scenario — so
-/// `measured` carries the machine description only.
+/// snapshot size is a deterministic function of the scenario.
 #[must_use]
 pub(crate) fn outcome(fast: bool) -> Outcome {
     let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
@@ -432,7 +431,7 @@ pub(crate) fn outcome(fast: bool) -> Outcome {
         .claim("corrupt_primary_falls_back_to_previous", r.fallback_recovered)
         .claim("write_failures_leave_digest_clean", r.retry_digest_clean)
         .claim("fork_diverges_reproducibly", r.fork_diverges && r.fork_reproducible)
-        .artifact("BENCH_snapshot.json", fast, pinned, obj! {})
+        .artifact("BENCH_snapshot.json", fast, pinned)
 }
 
 #[cfg(test)]

@@ -22,10 +22,10 @@
 //! byte-identical (the window-barrier determinism argument extended to
 //! conversation state).
 //!
-//! `BENCH_services.json` (owned by this experiment) separates the
-//! machine-independent digest and capture counts from wall-clock
-//! throughput; `figures --check` fails hard on a digest mismatch and the
-//! claims on a zero capture count.
+//! `BENCH_services.json` (owned by this experiment) pins the digest and
+//! capture counts; `figures --check` fails hard on a digest mismatch and
+//! the claims on a zero capture count. The sweep table's wall-clock
+//! columns are printed only.
 
 use std::net::Ipv4Addr;
 
@@ -37,7 +37,7 @@ use potemkin_services::{render, ServiceEngine, ServicesConfig};
 use potemkin_sim::SimTime;
 use potemkin_snapshot::fnv1a64;
 
-use crate::harness::{hex, sweep, Outcome, Point, Sweep};
+use crate::harness::{hex, sweep, Outcome, Sweep};
 
 /// The scripted baseline's only line (the seed farm's fixed banner).
 const FIXED_BANNER: &[u8] = b"220 service ready";
@@ -263,7 +263,7 @@ pub(crate) fn sweep_table(result: &ServicesResult) -> Table {
 
 /// Runs the experiment at `figures` scale (shortened when `fast`) and
 /// builds `BENCH_services.json`: the digest, capture counts and fidelity
-/// rows are pinned, the worker sweep's wall-clock numbers are `measured`.
+/// rows.
 #[must_use]
 pub(crate) fn outcome(fast: bool) -> Outcome {
     let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
@@ -303,10 +303,6 @@ pub(crate) fn outcome(fast: bool) -> Outcome {
         "deterministic": r.sweep.deterministic,
         "fidelity": r.fidelity.iter().map(fidelity_json).collect::<JsonValue>(),
     };
-    let timing = |p: &Point<usize, InteractionResult>| {
-        p.timing(obj! {"workers": p.param, "digest": hex(p.digest)})
-    };
-    let measured = obj! {"points": points.iter().map(timing).collect::<JsonValue>()};
     let every = |holds: fn(&ScenarioFidelity) -> bool| r.fidelity.iter().all(holds);
     Outcome::default()
         .line(summary)
@@ -318,7 +314,7 @@ pub(crate) fn outcome(fast: bool) -> Outcome {
         .claim("scenario_engine_captures_every_payload", every(|f| f.scenario_captured))
         .claim("fixed_banner_captures_nothing", every(|f| !f.scripted_captured))
         .claim("banner_stalls_before_the_engine", every(|f| f.scripted_rounds < f.scenario_rounds))
-        .artifact("BENCH_services.json", fast, pinned, measured)
+        .artifact("BENCH_services.json", fast, pinned)
 }
 
 #[cfg(test)]

@@ -319,8 +319,7 @@ pub(crate) fn digest_table(result: &StorageResult) -> Table {
 }
 
 /// Runs the experiment at `figures` scale (shortened when `fast`) and
-/// builds `BENCH_storage.json`. Every field is virtual-time canonical, so
-/// `measured` carries the machine description only.
+/// builds `BENCH_storage.json`. Every field is virtual-time canonical.
 #[must_use]
 pub(crate) fn outcome(fast: bool) -> Outcome {
     let workers: &[usize] = if fast { &[1, 2] } else { &[1, 2, 4] };
@@ -375,7 +374,7 @@ pub(crate) fn outcome(fast: bool) -> Outcome {
         .claim("identical_images_share_chunks", r.cross_image_dedupe)
         .claim("sharing_ratio_above_1x", r.sharing_ratio > 1.0)
         .claim("checkpoint_shrinks_2x_at_64_clones", shrinks)
-        .artifact("BENCH_storage.json", fast, pinned, obj! {})
+        .artifact("BENCH_storage.json", fast, pinned)
 }
 
 #[cfg(test)]

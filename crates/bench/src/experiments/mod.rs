@@ -12,11 +12,10 @@
 //! | `e8` | (extension) | ablations: binding granularity, standby pool, recycle strategy, backscatter filter |
 //! | `e9` | (extension) | VM recycling as an internal-containment knob (SIS threshold) |
 //! | `e10` | (extension) | availability and fidelity under injected faults (graceful degradation) |
-//! | `e11` | (extension) | sharded parallel replay: throughput scaling with byte-identical results |
-//! | `e12` | (extension) | observability: clone-stage breakdown from trace events + recorder overhead |
+//! | `e11` | (extension) | sharded parallel replay: byte-identical results at every worker count, baseline and tuned engine |
+//! | `e12` | (extension) | observability: clone-stage breakdown from trace events + digest-invisible tracing |
 //! | `e13` | (extension) | memory control plane: content-hash frame sharing + reclaim-policy determinism |
 //! | `e14` | (extension) | checkpoint/restore: crash-consistent snapshots, integrity verification, deterministic resume |
-//! | `e15` | (extension) | hot-path tuning: load-aware sharding, adaptive windows, allocation-free packet path |
 //! | `e16` | (extension) | federated multi-farm telescope: BGP-style prefix routing, cross-farm worm reflection, byte-identical reports across topologies |
 //! | `e17` | (extension) | interaction services: scripted-banner vs scenario-engine capture rates, deterministic sharded attacker replay |
 //! | `e18` | (extension) | content-addressed chunked block store: farm-wide image dedupe, lazy chunk materialization, manifest checkpoints |
@@ -27,7 +26,6 @@ pub(crate) mod e11;
 pub(crate) mod e12;
 pub(crate) mod e13;
 pub(crate) mod e14;
-pub(crate) mod e15;
 pub(crate) mod e16;
 pub(crate) mod e17;
 pub(crate) mod e18;
@@ -47,7 +45,7 @@ use crate::harness::Outcome;
 pub(crate) type Experiment = fn(bool) -> Outcome;
 
 /// Every experiment by name, in the order `figures` runs them.
-pub const ALL: [(&str, Experiment); 18] = [
+pub const ALL: [(&str, Experiment); 17] = [
     ("e1", e1::outcome),
     ("e2", e2::outcome),
     ("e3", e3::outcome),
@@ -62,7 +60,6 @@ pub const ALL: [(&str, Experiment); 18] = [
     ("e12", e12::outcome),
     ("e13", e13::outcome),
     ("e14", e14::outcome),
-    ("e15", e15::outcome),
     ("e16", e16::outcome),
     ("e17", e17::outcome),
     ("e18", e18::outcome),

@@ -2,15 +2,16 @@
 //!
 //! Every experiment returns an [`Outcome`]: what to print, the
 //! `BENCH_*.json` it owns (if any), and the named claims it makes about its
-//! own result. `figures` prints, writes, and fails the run on a false claim
-//! or — under `--check DIR` — on any artifact value outside a `measured`
-//! member that differs from `DIR`'s copy. The parameter sweeps the
-//! determinism experiments share live here too (`sweep`).
+//! own result. An artifact is a behavioural contract only — no key and no
+//! claim reads a clock — so `figures` fails the run on a false claim or,
+//! under `--check DIR`, on any byte that differs from `DIR`'s copy. The
+//! parameter sweeps the determinism experiments share live here too
+//! (`sweep`); the wall time they keep is for printed tables only.
 
 use std::path::Path;
 use std::time::Instant;
 
-use potemkin_json::{obj, JsonValue};
+use potemkin_json::JsonValue;
 use potemkin_metrics::Table;
 
 /// One printed item: a summary line or a table.
@@ -58,31 +59,25 @@ impl Outcome {
         self
     }
 
-    /// Sets the artifact from two objects: `pinned` members are the
-    /// behavioural contract `--check` compares; `measured` members depend on
-    /// the machine and are not. Run length goes in as `fast` so a short
-    /// baseline is never compared with a long run, and the machine
-    /// description goes under `measured` so a wall-clock number can be read.
+    /// Sets the artifact. Run length goes in as `fast` so a short
+    /// baseline never matches a long run.
     #[must_use]
-    pub(crate) fn artifact(
-        mut self,
-        file: &'static str,
-        fast: bool,
-        mut pinned: JsonValue,
-        mut measured: JsonValue,
-    ) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-        measured.insert("machine", obj! {"available_parallelism": cores, "profile": profile});
-        pinned.insert("fast", fast);
-        pinned.insert("measured", measured);
-        self.artifact = Some((file, pinned));
+    pub(crate) fn artifact(mut self, file: &'static str, fast: bool, mut value: JsonValue) -> Self {
+        value.insert("fast", fast);
+        self.artifact = Some((file, value));
         self
     }
 
+    /// The artifact's file name and its exact on-disk text — what
+    /// `--out-dir` writes and what `--check` compares byte for byte.
+    #[must_use]
+    pub fn artifact_text(&self) -> Option<(&'static str, String)> {
+        self.artifact.as_ref().map(|(file, value)| (*file, format!("{value}\n")))
+    }
+
     /// Everything wrong with this outcome, one message each: false claims,
-    /// and with `baseline_dir` the first pinned value that differs from the
-    /// checked-in artifact. Empty means pass.
+    /// and with `baseline_dir` an artifact whose bytes differ from the
+    /// checked-in copy, naming its first differing line. Empty means pass.
     #[must_use]
     pub fn failures(&self, baseline_dir: Option<&Path>) -> Vec<String> {
         let mut failures: Vec<String> = self
@@ -91,54 +86,35 @@ impl Outcome {
             .filter(|(_, holds)| !holds)
             .map(|(name, _)| format!("claim '{name}' is false"))
             .collect();
-        if let (Some(dir), Some((file, value))) = (baseline_dir, &self.artifact) {
+        if let (Some(dir), Some((file, run))) = (baseline_dir, self.artifact_text()) {
             let path = dir.join(file);
-            let baseline = std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| JsonValue::parse(&text).map_err(|e| e.to_string()));
-            match baseline {
+            match std::fs::read_to_string(&path) {
                 Err(e) => failures.push(format!("cannot read baseline {}: {e}", path.display())),
-                Ok(baseline) if baseline.get("fast") != value.get("fast") => {
+                Ok(baseline) if baseline != run => {
+                    let same = baseline.lines().zip(run.lines()).take_while(|(b, r)| b == r);
+                    let line = same.count();
+                    let at = |text: &str| {
+                        text.lines()
+                            .nth(line)
+                            .map_or("<end of file>".into(), |l| l.trim().to_string())
+                    };
                     failures.push(format!(
-                        "baseline {} and this run differ in length (one is --fast, one is not); \
-                     nothing else was compared",
-                        path.display()
-                    ))
+                        "differs from baseline {} at line {}: baseline `{}`, run `{}`",
+                        path.display(),
+                        line + 1,
+                        at(&baseline),
+                        at(&run)
+                    ));
                 }
-                Ok(baseline) => failures.extend(
-                    first_difference(file, &baseline, value)
-                        .map(|d| format!("differs from baseline {} at {d}", path.display())),
-                ),
+                Ok(_) => {}
             }
         }
         failures
     }
 }
 
-/// The first key path at which `run` differs from `baseline`, skipping every
-/// object member named `measured`.
-fn first_difference(path: &str, baseline: &JsonValue, run: &JsonValue) -> Option<String> {
-    match (baseline, run) {
-        (JsonValue::Object(b), JsonValue::Object(r)) => b
-            .keys()
-            .chain(r.keys().filter(|k| !b.contains_key(*k)))
-            .filter(|k| *k != "measured")
-            .find_map(|k| match (b.get(k), r.get(k)) {
-                (Some(b), Some(r)) => first_difference(&format!("{path}.{k}"), b, r),
-                (Some(_), None) => Some(format!("{path}.{k}: missing from this run")),
-                _ => Some(format!("{path}.{k}: missing from the baseline")),
-            }),
-        (JsonValue::Array(b), JsonValue::Array(r)) if b.len() == r.len() => b
-            .iter()
-            .zip(r)
-            .enumerate()
-            .find_map(|(i, (b, r))| first_difference(&format!("{path}[{i}]"), b, r)),
-        _ if baseline == run => None,
-        _ => Some(format!("{path}: baseline {baseline}, run {run}")),
-    }
-}
-
-/// One timed run of a sweep.
+/// One timed run of a sweep. The wall-clock fields feed printed tables,
+/// never an artifact or a claim.
 #[derive(Clone, Debug)]
 pub(crate) struct Point<P, R> {
     /// The swept parameter (a worker count, a `(farms, workers)` pair, …).
@@ -188,18 +164,6 @@ pub(crate) fn sweep<P: Copy, R>(
     Sweep { points, deterministic }
 }
 
-impl<P, R> Point<P, R> {
-    /// A `measured` row: `row` (an object naming the swept parameter) plus
-    /// this point's machine-dependent numbers.
-    #[must_use]
-    pub(crate) fn timing(&self, mut row: JsonValue) -> JsonValue {
-        row.insert("wall_secs", round_to(self.wall_secs, 6));
-        row.insert("events_per_sec", round_to(self.events_per_sec, 1));
-        row.insert("speedup", round_to(self.speedup, 3));
-        row
-    }
-}
-
 /// A digest as the 16-digit hex string every table and artifact shows.
 #[must_use]
 pub(crate) fn hex(digest: u64) -> String {
@@ -217,35 +181,39 @@ pub(crate) fn round_to(x: f64, places: i32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use potemkin_json::obj;
 
-    fn outcome(digest: &str, wall: f64) -> Outcome {
+    fn outcome(digest: &str) -> Outcome {
         Outcome::default().claim("holds", true).artifact(
             "BENCH_t.json",
             true,
             obj! {"rows": [obj! {"digest": digest}].into_iter().collect::<JsonValue>()},
-            obj! {"wall_secs": wall},
         )
     }
 
     #[test]
     fn a_false_claim_fails_and_a_true_one_passes() {
-        assert!(outcome("aa", 1.0).failures(None).is_empty());
-        let broken = outcome("aa", 1.0).claim("broken", false);
+        assert!(outcome("aa").failures(None).is_empty());
+        let broken = outcome("aa").claim("broken", false);
         assert_eq!(broken.failures(None), vec!["claim 'broken' is false".to_string()]);
     }
 
     #[test]
-    fn check_names_the_first_pinned_difference_and_skips_measured() {
+    fn check_is_byte_equality_and_names_the_first_differing_line() {
         let dir = std::env::temp_dir().join(format!("potemkin-harness-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(outcome("aa", 1.0).failures(Some(&dir))[0].contains("cannot read baseline"));
-        let (file, value) = outcome("aa", 1.0).artifact.unwrap();
-        std::fs::write(dir.join(file), value.to_string()).unwrap();
-        assert!(outcome("aa", 9.0).failures(Some(&dir)).is_empty(), "measured is not compared");
-        let failures = outcome("ab", 1.0).failures(Some(&dir));
-        assert!(failures[0].contains("BENCH_t.json.rows[0].digest"), "{failures:?}");
-        let long = outcome("aa", 1.0).artifact("BENCH_t.json", false, obj! {}, obj! {});
-        assert!(long.failures(Some(&dir))[0].contains("differ in length"));
+        assert!(outcome("aa").failures(Some(&dir))[0].contains("cannot read baseline"));
+        let (file, text) = outcome("aa").artifact_text().unwrap();
+        std::fs::write(dir.join(file), &text).unwrap();
+        assert!(outcome("aa").failures(Some(&dir)).is_empty());
+        let failures = outcome("ab").failures(Some(&dir));
+        assert!(failures[0].contains("BENCH_t.json at line 4"), "{failures:?}");
+        assert!(failures[0].ends_with(r#"baseline `{"digest": "aa"}`, run `{"digest": "ab"}`"#));
+        let long = outcome("aa").artifact("BENCH_t.json", false, obj! {});
+        assert!(long.failures(Some(&dir))[0].contains("at line 1"));
+        std::fs::write(dir.join(file), text.trim_end()).unwrap();
+        let failures = outcome("aa").failures(Some(&dir));
+        assert!(failures[0].contains("<end of file>"), "{failures:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,7 @@
 //! `figures` is driven by scripts and CI jobs that read its exit status: a
 //! bad command line must fail loudly instead of selecting nothing, and
-//! `--check` must fail exactly when a pinned value drifts from the
-//! checked-in baseline.
+//! `--check` must fail on any byte that differs from the checked-in
+//! baseline.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -24,7 +24,7 @@ fn temp_dir(name: &str) -> PathBuf {
 
 #[test]
 fn unknown_experiment_exits_2_and_lists_the_valid_names() {
-    for args in [&["e99"][..], &["--fast", "e1", "replay"]] {
+    for args in [&["e99"][..], &["--fast", "e1", "replay"], &["e15"]] {
         let out = figures(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}: nothing may run before the name check");
@@ -78,23 +78,21 @@ fn check_passes_on_the_checked_in_baseline_and_fails_on_a_pinned_difference() {
     let baseline = std::fs::read_to_string(repo.join("BENCH_services.json")).expect("baseline");
     let digest = "\"digest\": \"a342e7210fca478c\"";
     assert!(baseline.contains(digest), "the pinned E17 digest moved: {baseline}");
+    let digest_line = 1 + baseline.lines().position(|l| l.contains(digest)).expect("digest");
     let copy = dir.join("BENCH_services.json");
 
-    // Machine-dependent numbers are not part of the contract.
-    std::fs::write(
-        &copy,
-        baseline.replace("\"available_parallelism\": ", "\"available_parallelism\": 9"),
-    )
-    .expect("write copy");
-    let out = check(&dir);
-    assert!(out.status.success(), "a change under `measured` must pass: {}", stderr(&out));
-
-    // One digit of the top-level digest (the first occurrence; the copies
-    // under `measured` sort after it).
-    std::fs::write(&copy, baseline.replacen(digest, "\"digest\": \"a342e7210fca478d\"", 1))
-        .expect("write copy");
-    let out = check(&dir);
-    assert_eq!(out.status.code(), Some(1), "a digest change must fail");
-    assert!(stderr(&out).contains("BENCH_services.json.digest"), "{}", stderr(&out));
+    // A one-byte change anywhere fails, naming the file and the line: the
+    // last digit of the digest, one more space, and the final newline.
+    for (changed, line) in [
+        (baseline.replace(digest, "\"digest\": \"a342e7210fca478d\""), digest_line),
+        (baseline.replace(digest, "\"digest\":  \"a342e7210fca478c\""), digest_line),
+        (baseline.trim_end().to_string(), baseline.lines().count() + 1),
+    ] {
+        std::fs::write(&copy, changed).expect("write copy");
+        let out = check(&dir);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "a one-byte change must fail: {err}");
+        assert!(err.contains(&format!("BENCH_services.json at line {line}:")), "{err}");
+    }
     std::fs::remove_dir_all(&dir).expect("clean up");
 }

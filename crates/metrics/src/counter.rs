@@ -3,15 +3,16 @@
 //! Components (gateway, VMM hosts, policy engine) export their telemetry as a
 //! [`CounterSet`]; the controller merges them into one report.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// A set of named monotonic `u64` counters.
 ///
-/// Counters are created on first touch. Names are `&'static str` because the
-/// set of telemetry points is fixed at compile time; a BTreeMap keeps reports
-/// deterministically ordered.
+/// Counters are created on first touch. A name is borrowed when code touches
+/// it, so the hot path never allocates, and owned when a snapshot decoded it;
+/// either way a BTreeMap keeps reports deterministically ordered.
 ///
 /// # Examples
 ///
@@ -27,7 +28,7 @@ use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CounterSet {
-    counters: BTreeMap<&'static str, u64>,
+    counters: BTreeMap<Cow<'static, str>, u64>,
 }
 
 impl CounterSet {
@@ -44,7 +45,7 @@ impl CounterSet {
 
     /// Adds `delta` to `name`.
     pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        *self.counters.entry(Cow::Borrowed(name)).or_insert(0) += delta;
     }
 
     /// Reads a counter (zero if never touched).
@@ -56,19 +57,18 @@ impl CounterSet {
     /// Merges another set into this one by summing matching names.
     pub fn merge(&mut self, other: &CounterSet) {
         for (name, value) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += value;
+            *self.counters.entry(name.clone()).or_insert(0) += value;
         }
     }
 
     /// Iterates over `(name, value)` pairs in name order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.counters.iter().map(|(k, &v)| (k.as_ref(), v))
     }
 }
 
-/// A sequence of `(name, value)` pairs in name order. Decoded names are
-/// interned into a global table — telemetry names form a small fixed
-/// vocabulary, so repeated restores never grow memory beyond it.
+/// A sequence of `(name, value)` pairs in name order. A decoded name is
+/// owned by the set it was decoded into and freed with it.
 impl Snap for CounterSet {
     fn snap(&self, w: &mut SnapWriter) {
         w.seq(&self.counters, |(name, value), w| {
@@ -79,25 +79,10 @@ impl Snap for CounterSet {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let mut set = CounterSet::new();
         for _ in 0..r.seq_len()? {
-            set.counters.insert(intern(r.str()?), r.u64()?);
+            set.counters.insert(Cow::Owned(r.str()?.to_string()), r.u64()?);
         }
         Ok(set)
     }
-}
-
-/// Interns a counter name, reusing a previously leaked copy when available.
-fn intern(name: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static TABLE: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut guard = table.lock().expect("intern table poisoned");
-    if let Some(&existing) = guard.get(name) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(name.into());
-    guard.insert(leaked);
-    leaked
 }
 
 impl core::fmt::Display for CounterSet {
@@ -147,6 +132,18 @@ mod tests {
         c.incr("mid");
         let names: Vec<&str> = c.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
+    }
+
+    #[test]
+    fn a_name_no_code_uses_round_trips() {
+        let mut c = CounterSet::new();
+        c.counters.insert(Cow::Owned("never_compiled_in".to_string()), 7);
+        c.add("packets_in", 3);
+        let mut w = SnapWriter::new();
+        c.snap(&mut w);
+        let bytes = w.into_bytes();
+        let decoded = CounterSet::unsnap(&mut SnapReader::new(&bytes, "counters")).unwrap();
+        assert_eq!((decoded.get("never_compiled_in"), &decoded), (7, &c));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use potemkin_gateway::ConfigError;
 use potemkin_metrics::{CounterSet, FaultClass, FaultLedger, LogHistogram, TimeSeries};
 use potemkin_net::icmp::IcmpMessage;
 use potemkin_net::tcp::TcpFlags;
-use potemkin_net::{BufferPool, Packet, PacketBuilder, PacketPayload};
+use potemkin_net::{Packet, PacketBuilder, PacketPayload};
 use potemkin_obs::{names as obs, TraceConfig, TraceEvent, Tracer};
 use potemkin_services::{ServiceEngine, ServicesConfig};
 use potemkin_sim::{FaultInjector, FaultKind, FaultPlan, SimRng, SimTime};
@@ -502,11 +502,6 @@ pub struct Honeyfarm {
     sharing_series: TimeSeries,
     /// Farm-wide resident frames sampled at each merge pass.
     resident_series: TimeSeries,
-    /// Wire-buffer pool for farm-built packets (guest dialogue emissions,
-    /// degraded SYN/ACKs, worm probes). Transient perf state: recycled
-    /// slots make the steady-state emission path allocation-free; never
-    /// serialized, so restores simply start with a cold pool.
-    pool: BufferPool,
     /// The interaction-service engine (None without `config.services`).
     /// Conversation state lives here, not in checkpoints: services runs
     /// are not snapshot/restored (see DESIGN.md §15).
@@ -629,7 +624,6 @@ impl Honeyfarm {
             pressure_log: Vec::new(),
             sharing_series: TimeSeries::new(bin),
             resident_series: TimeSeries::new(bin),
-            pool: BufferPool::new(),
             services: config_services,
             store,
         })
@@ -755,7 +749,7 @@ impl Honeyfarm {
         }
         let src_port = 1024 + (probe_idx % 60_000) as u16;
         let instance = probe_idx.wrapping_mul(0x9E37_79B9).wrapping_add(vm.0);
-        let probe = worm.probe_instance_pooled(src, src_port, dst, instance, &self.pool);
+        let probe = worm.probe_instance(src, src_port, dst, instance);
         self.counters.incr("worm_probes");
         self.emit_from_vm(now, vm, probe)
     }
@@ -1050,7 +1044,7 @@ impl Honeyfarm {
         if let PacketPayload::Tcp { header, .. } = packet.payload() {
             if header.flags.syn && !header.flags.ack {
                 self.counters.incr("degraded_synacks");
-                let reply = PacketBuilder::new(addr, packet.src()).pooled(&self.pool).tcp_segment(
+                let reply = PacketBuilder::new(addr, packet.src()).tcp_segment(
                     header.dst_port,
                     header.src_port,
                     TcpFlags::SYN_ACK,
@@ -1284,16 +1278,16 @@ impl Honeyfarm {
         self.request_counter += 1;
 
         match packet.payload() {
-            PacketPayload::Icmp(msg) => msg
-                .reply_to()
-                .map(|reply| PacketBuilder::new(me, remote).pooled(&self.pool).icmp(reply)),
+            PacketPayload::Icmp(msg) => {
+                msg.reply_to().map(|reply| PacketBuilder::new(me, remote).icmp(reply))
+            }
             PacketPayload::Tcp { header, payload } => {
                 let flags = header.flags;
                 let listening = listens_tcp;
                 if flags.syn && !flags.ack {
                     if listening {
                         self.touch(now, host_idx, domain, req_idx);
-                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                        Some(PacketBuilder::new(me, remote).tcp_segment(
                             header.dst_port,
                             header.src_port,
                             TcpFlags::SYN_ACK,
@@ -1302,7 +1296,7 @@ impl Honeyfarm {
                             &[],
                         ))
                     } else {
-                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                        Some(PacketBuilder::new(me, remote).tcp_segment(
                             header.dst_port,
                             header.src_port,
                             TcpFlags::RST,
@@ -1316,7 +1310,7 @@ impl Honeyfarm {
                     // is mid-exploit: send the payload.
                     let worm = self.config.worm.as_ref().filter(|_| infected)?;
                     let instance = self.rng.next_u64();
-                    Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                    Some(PacketBuilder::new(me, remote).tcp_segment(
                         header.dst_port,
                         header.src_port,
                         TcpFlags::PSH_ACK,
@@ -1337,7 +1331,7 @@ impl Honeyfarm {
                             remote,
                             Some(header.dst_port),
                         );
-                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                        Some(PacketBuilder::new(me, remote).tcp_segment(
                             header.dst_port,
                             header.src_port,
                             TcpFlags::ACK,
@@ -1349,7 +1343,7 @@ impl Honeyfarm {
                         self.touch(now, host_idx, domain, req_idx);
                         let banner =
                             self.service_response(now, remote, me, header.dst_port, payload);
-                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                        Some(PacketBuilder::new(me, remote).tcp_segment(
                             header.dst_port,
                             header.src_port,
                             TcpFlags::PSH_ACK,
@@ -1358,7 +1352,7 @@ impl Honeyfarm {
                             &banner,
                         ))
                     } else {
-                        Some(PacketBuilder::new(me, remote).pooled(&self.pool).tcp_segment(
+                        Some(PacketBuilder::new(me, remote).tcp_segment(
                             header.dst_port,
                             header.src_port,
                             TcpFlags::RST,
@@ -1399,13 +1393,11 @@ impl Honeyfarm {
                 } else {
                     // Closed UDP port: ICMP port unreachable, as a real
                     // stack would.
-                    let original: Vec<u8> = packet.wire().iter().take(28).copied().collect();
-                    Some(PacketBuilder::new(me, remote).pooled(&self.pool).icmp(
-                        IcmpMessage::DestUnreachable {
-                            code: IcmpMessage::CODE_PORT_UNREACHABLE,
-                            original,
-                        },
-                    ))
+                    let original = &packet.wire()[..packet.len().min(28)];
+                    Some(PacketBuilder::new(me, remote).icmp(IcmpMessage::DestUnreachable {
+                        code: IcmpMessage::CODE_PORT_UNREACHABLE,
+                        original,
+                    }))
                 }
             }
             // Unmodeled transports are absorbed silently.
@@ -1596,14 +1588,6 @@ impl Honeyfarm {
                 );
             }
         }
-    }
-
-    /// Recycling statistics of the farm's wire-buffer pool. In steady
-    /// state `reused` grows while `allocated` stays flat — the invariant
-    /// the allocation-free-path tests assert.
-    #[cfg(test)]
-    pub(crate) fn pool_stats(&self) -> potemkin_net::PoolStats {
-        self.pool.stats()
     }
 
     /// Drains recorded farm outputs.

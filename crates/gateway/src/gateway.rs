@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 
 use potemkin_metrics::{CounterSet, RateEstimator};
 use potemkin_net::addr::Ipv4Prefix;
-use potemkin_net::{BufferPool, Packet, PacketBuilder, PacketPayload, PoolStats};
+use potemkin_net::{Packet, PacketBuilder, PacketPayload};
 use potemkin_obs::{names as obs, TraceEvent, Tracer};
 use potemkin_sim::{SimTime, TokenBucket};
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter};
@@ -223,11 +223,6 @@ pub struct Gateway {
     inbound_rate: RateEstimator,
     counters: CounterSet,
     hot: HotStats,
-    /// Wire-buffer pool for gateway-built packets (ICMP echo replies,
-    /// proxied-port rewrites). Recycled slots make the steady-state reply
-    /// path allocation-free; the pool is transient perf state and is
-    /// never serialized.
-    pool: BufferPool,
     /// Fault injection: until this instant, no new bindings are admitted
     /// (existing bindings keep forwarding).
     stalled_until: SimTime,
@@ -260,16 +255,9 @@ impl Gateway {
             inbound_rate: RateEstimator::new(SimTime::from_secs(5)),
             counters: CounterSet::new(),
             hot: HotStats::default(),
-            pool: BufferPool::new(),
             stalled_until: SimTime::ZERO,
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Recycling statistics of the gateway's wire-buffer pool.
-    #[must_use]
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// Installs an observability tracer (pass [`Tracer::disabled`] to turn
@@ -368,7 +356,7 @@ impl Gateway {
             if let PacketPayload::Icmp(msg) = packet.payload() {
                 if let Some(reply) = msg.reply_to() {
                     self.counters.incr("gateway_pings_answered");
-                    let reply_packet = PacketBuilder::new(dst, src).pooled(&self.pool).icmp(reply);
+                    let reply_packet = PacketBuilder::new(dst, src).icmp(reply);
                     return GatewayAction::GatewayReply(reply_packet);
                 }
             }
@@ -499,7 +487,7 @@ impl Gateway {
         if let Some(port) = packet.flow_key().transport.dst_port() {
             if let Some(&proxy_addr) = self.config.policy.proxied_ports.get(&port) {
                 self.counters.incr("proxied_service");
-                return match packet.rewrite_addresses_pooled(src, proxy_addr, &self.pool) {
+                return match packet.rewrite_addresses(src, proxy_addr) {
                     Ok(rewritten) => GatewayAction::Reflect { addr: proxy_addr, packet: rewritten },
                     Err(_) => GatewayAction::Drop { reason: DropReason::Malformed },
                 };
@@ -758,7 +746,7 @@ mod tests {
                 assert_eq!(reply.dst(), ATTACKER);
                 match reply.payload() {
                     PacketPayload::Icmp(IcmpMessage::EchoReply { ident, payload, .. }) => {
-                        assert_eq!(*ident, 9);
+                        assert_eq!(ident, 9);
                         assert_eq!(payload, b"hello");
                     }
                     other => panic!("unexpected {other:?}"),

@@ -9,9 +9,9 @@ use crate::error::NetError;
 /// Minimum ICMP message length (type, code, checksum, 4 bytes rest-of-header).
 pub(crate) const MIN_LEN: usize = 8;
 
-/// A parsed ICMP message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IcmpMessage {
+/// A parsed ICMP message, borrowing its body from the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IcmpMessage<'a> {
     /// Echo request (type 8).
     EchoRequest {
         /// Identifier, usually per-process.
@@ -19,7 +19,7 @@ pub enum IcmpMessage {
         /// Sequence number within the identifier.
         seq: u16,
         /// Echo payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// Echo reply (type 0).
     EchoReply {
@@ -28,7 +28,7 @@ pub enum IcmpMessage {
         /// Sequence copied from the request.
         seq: u16,
         /// Payload copied from the request.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// Destination unreachable (type 3) carrying the original datagram
     /// prefix.
@@ -36,14 +36,14 @@ pub enum IcmpMessage {
         /// Code (0 net, 1 host, 3 port, 13 admin-prohibited, ...).
         code: u8,
         /// The leading bytes of the offending datagram.
-        original: Vec<u8>,
+        original: &'a [u8],
     },
     /// Time exceeded (type 11).
     TimeExceeded {
         /// Code (0 TTL exceeded in transit).
         code: u8,
         /// The leading bytes of the offending datagram.
-        original: Vec<u8>,
+        original: &'a [u8],
     },
     /// Any other type, preserved raw.
     Other {
@@ -52,84 +52,96 @@ pub enum IcmpMessage {
         /// ICMP code.
         code: u8,
         /// Everything after the checksum.
-        rest: Vec<u8>,
+        rest: &'a [u8],
     },
 }
 
-impl IcmpMessage {
+impl<'a> IcmpMessage<'a> {
     /// Code for "port unreachable".
     pub const CODE_PORT_UNREACHABLE: u8 = 3;
     /// Parses an ICMP message, verifying the checksum.
-    pub fn parse(buf: &[u8]) -> Result<IcmpMessage, NetError> {
+    pub fn parse(buf: &'a [u8]) -> Result<IcmpMessage<'a>, NetError> {
         if buf.len() < MIN_LEN {
             return Err(NetError::Truncated { layer: "icmp", need: MIN_LEN, have: buf.len() });
         }
         if !checksum::verify(buf) {
             return Err(NetError::BadChecksum { layer: "icmp" });
         }
-        let icmp_type = buf[0];
+        Ok(IcmpMessage::read(buf))
+    }
+
+    /// Decodes a message [`IcmpMessage::parse`] has accepted, without
+    /// checking it again.
+    pub(crate) fn read(buf: &'a [u8]) -> IcmpMessage<'a> {
         let code = buf[1];
         let ident = u16::from_be_bytes([buf[4], buf[5]]);
         let seq = u16::from_be_bytes([buf[6], buf[7]]);
-        Ok(match icmp_type {
-            8 => IcmpMessage::EchoRequest { ident, seq, payload: buf[8..].to_vec() },
-            0 => IcmpMessage::EchoReply { ident, seq, payload: buf[8..].to_vec() },
-            3 => IcmpMessage::DestUnreachable { code, original: buf[8..].to_vec() },
-            11 => IcmpMessage::TimeExceeded { code, original: buf[8..].to_vec() },
-            t => IcmpMessage::Other { icmp_type: t, code, rest: buf[4..].to_vec() },
-        })
+        let body = &buf[MIN_LEN..];
+        match buf[0] {
+            8 => IcmpMessage::EchoRequest { ident, seq, payload: body },
+            0 => IcmpMessage::EchoReply { ident, seq, payload: body },
+            3 => IcmpMessage::DestUnreachable { code, original: body },
+            11 => IcmpMessage::TimeExceeded { code, original: body },
+            t => IcmpMessage::Other { icmp_type: t, code, rest: &buf[4..] },
+        }
     }
 
     /// Serializes the message, computing the checksum.
-    #[must_use]
-    pub(crate) fn build(&self) -> Vec<u8> {
-        let (icmp_type, code, rest_header, body): (u8, u8, [u8; 4], &[u8]) = match self {
+    #[cfg(test)]
+    fn build(&self) -> Vec<u8> {
+        let mut out = vec![0; self.wire_len()];
+        self.write(&mut out);
+        out
+    }
+
+    /// The serialized length.
+    pub(crate) fn wire_len(&self) -> usize {
+        match *self {
+            IcmpMessage::EchoRequest { payload: body, .. }
+            | IcmpMessage::EchoReply { payload: body, .. }
+            | IcmpMessage::DestUnreachable { original: body, .. }
+            | IcmpMessage::TimeExceeded { original: body, .. } => MIN_LEN + body.len(),
+            // A `rest` shorter than the rest-of-header word is zero-padded.
+            IcmpMessage::Other { rest, .. } => (4 + rest.len()).max(MIN_LEN),
+        }
+    }
+
+    /// Writes the message into `out`, which is exactly
+    /// [`IcmpMessage::wire_len`] zeroed bytes, computing the checksum.
+    pub(crate) fn write(&self, out: &mut [u8]) {
+        let echo = |out: &mut [u8], ident: u16, seq: u16| {
+            out[4..6].copy_from_slice(&ident.to_be_bytes());
+            out[6..8].copy_from_slice(&seq.to_be_bytes());
+        };
+        let (icmp_type, code, body_at, body) = match *self {
             IcmpMessage::EchoRequest { ident, seq, payload } => {
-                let mut rh = [0u8; 4];
-                rh[..2].copy_from_slice(&ident.to_be_bytes());
-                rh[2..].copy_from_slice(&seq.to_be_bytes());
-                (8, 0, rh, payload)
+                echo(out, ident, seq);
+                (8, 0, MIN_LEN, payload)
             }
             IcmpMessage::EchoReply { ident, seq, payload } => {
-                let mut rh = [0u8; 4];
-                rh[..2].copy_from_slice(&ident.to_be_bytes());
-                rh[2..].copy_from_slice(&seq.to_be_bytes());
-                (0, 0, rh, payload)
+                echo(out, ident, seq);
+                (0, 0, MIN_LEN, payload)
             }
-            IcmpMessage::DestUnreachable { code, original } => (3, *code, [0; 4], original),
-            IcmpMessage::TimeExceeded { code, original } => (11, *code, [0; 4], original),
-            IcmpMessage::Other { icmp_type, code, rest } => {
-                let mut out = vec![*icmp_type, *code, 0, 0];
-                out.extend_from_slice(rest);
-                // `rest` already includes the 4 rest-of-header bytes.
-                let mut padded = out;
-                while padded.len() < MIN_LEN {
-                    padded.push(0);
-                }
-                let sum = checksum::checksum(&padded);
-                padded[2..4].copy_from_slice(&sum.to_be_bytes());
-                return padded;
-            }
+            IcmpMessage::DestUnreachable { code, original } => (3, code, MIN_LEN, original),
+            IcmpMessage::TimeExceeded { code, original } => (11, code, MIN_LEN, original),
+            // `rest` already holds the rest-of-header word.
+            IcmpMessage::Other { icmp_type, code, rest } => (icmp_type, code, 4, rest),
         };
-        let mut out = Vec::with_capacity(MIN_LEN + body.len());
-        out.push(icmp_type);
-        out.push(code);
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&rest_header);
-        out.extend_from_slice(body);
-        let sum = checksum::checksum(&out);
+        out[0] = icmp_type;
+        out[1] = code;
+        out[body_at..body_at + body.len()].copy_from_slice(body);
+        let sum = checksum::checksum(out);
         out[2..4].copy_from_slice(&sum.to_be_bytes());
-        out
     }
 
     /// Builds the echo reply corresponding to an echo request.
     ///
     /// Returns `None` if `self` is not an echo request.
     #[must_use]
-    pub fn reply_to(&self) -> Option<IcmpMessage> {
-        match self {
+    pub fn reply_to(&self) -> Option<IcmpMessage<'a>> {
+        match *self {
             IcmpMessage::EchoRequest { ident, seq, payload } => {
-                Some(IcmpMessage::EchoReply { ident: *ident, seq: *seq, payload: payload.clone() })
+                Some(IcmpMessage::EchoReply { ident, seq, payload })
             }
             _ => None,
         }
@@ -142,20 +154,20 @@ mod tests {
 
     #[test]
     fn echo_roundtrip() {
-        let req = IcmpMessage::EchoRequest { ident: 77, seq: 3, payload: b"ping!".to_vec() };
+        let req = IcmpMessage::EchoRequest { ident: 77, seq: 3, payload: b"ping!" };
         let wire = req.build();
         assert_eq!(IcmpMessage::parse(&wire).unwrap(), req);
     }
 
     #[test]
     fn reply_mirrors_request() {
-        let req = IcmpMessage::EchoRequest { ident: 5, seq: 9, payload: vec![1, 2, 3] };
+        let req = IcmpMessage::EchoRequest { ident: 5, seq: 9, payload: &[1, 2, 3] };
         let reply = req.reply_to().unwrap();
         match &reply {
             IcmpMessage::EchoReply { ident, seq, payload } => {
                 assert_eq!(*ident, 5);
                 assert_eq!(*seq, 9);
-                assert_eq!(payload, &vec![1, 2, 3]);
+                assert_eq!(payload, &[1, 2, 3]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -168,7 +180,7 @@ mod tests {
     fn unreachable_roundtrip() {
         let msg = IcmpMessage::DestUnreachable {
             code: 13, // administratively prohibited
-            original: vec![0x45, 0, 0, 28],
+            original: &[0x45, 0, 0, 28],
         };
         let wire = msg.build();
         assert_eq!(wire[0], 3);
@@ -178,13 +190,13 @@ mod tests {
 
     #[test]
     fn time_exceeded_roundtrip() {
-        let msg = IcmpMessage::TimeExceeded { code: 0, original: vec![9; 28] };
+        let msg = IcmpMessage::TimeExceeded { code: 0, original: &[9; 28] };
         assert_eq!(IcmpMessage::parse(&msg.build()).unwrap(), msg);
     }
 
     #[test]
     fn other_type_preserved() {
-        let msg = IcmpMessage::Other { icmp_type: 13, code: 0, rest: vec![7; 16] };
+        let msg = IcmpMessage::Other { icmp_type: 13, code: 0, rest: &[7; 16] };
         let wire = msg.build();
         assert_eq!(IcmpMessage::parse(&wire).unwrap(), msg);
     }
@@ -192,14 +204,14 @@ mod tests {
     #[test]
     fn other_type_short_rest_padded() {
         // A 2-byte rest is padded to the 8-byte minimum and still parses.
-        let msg = IcmpMessage::Other { icmp_type: 40, code: 1, rest: vec![0xaa, 0xbb] };
+        let msg = IcmpMessage::Other { icmp_type: 40, code: 1, rest: &[0xaa, 0xbb] };
         let wire = msg.build();
         assert_eq!(wire.len(), MIN_LEN);
         match IcmpMessage::parse(&wire).unwrap() {
             IcmpMessage::Other { icmp_type, code, rest } => {
                 assert_eq!(icmp_type, 40);
                 assert_eq!(code, 1);
-                assert_eq!(rest, vec![0xaa, 0xbb, 0, 0]);
+                assert_eq!(rest, [0xaa, 0xbb, 0, 0]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -207,7 +219,7 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let mut wire = IcmpMessage::EchoRequest { ident: 1, seq: 1, payload: vec![] }.build();
+        let mut wire = IcmpMessage::EchoRequest { ident: 1, seq: 1, payload: &[] }.build();
         wire[5] ^= 0xff;
         assert_eq!(IcmpMessage::parse(&wire).unwrap_err(), NetError::BadChecksum { layer: "icmp" });
     }

@@ -66,29 +66,29 @@ impl core::fmt::Display for IpProtocol {
 
 /// A parsed IPv4 header (options skipped, fragments not reassembled).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Ipv4Header {
+pub struct Ipv4Header {
     /// Source address.
-    pub(crate) src: Ipv4Addr,
+    pub src: Ipv4Addr,
     /// Destination address.
-    pub(crate) dst: Ipv4Addr,
+    pub dst: Ipv4Addr,
     /// Payload protocol.
-    pub(crate) protocol: IpProtocol,
+    pub protocol: IpProtocol,
     /// Time to live.
-    pub(crate) ttl: u8,
+    pub ttl: u8,
     /// IP identification field.
-    pub(crate) ident: u16,
+    pub ident: u16,
     /// Don't-fragment flag.
-    pub(crate) dont_fragment: bool,
+    pub dont_fragment: bool,
     /// Total length of header + payload, as claimed on the wire.
-    pub(crate) total_len: u16,
+    pub total_len: u16,
     /// Header length in bytes (20 plus options).
-    pub(crate) header_len: u8,
+    pub header_len: u8,
 }
 
 impl Ipv4Header {
     /// Parses a header from `buf`, verifying the header checksum, and
     /// returns the header and the payload (bounded by `total_len`).
-    pub(crate) fn parse(buf: &[u8]) -> Result<(Ipv4Header, &[u8]), NetError> {
+    pub fn parse(buf: &[u8]) -> Result<(Ipv4Header, &[u8]), NetError> {
         if buf.len() < MIN_HEADER_LEN {
             return Err(NetError::Truncated {
                 layer: "ipv4",
@@ -122,18 +122,25 @@ impl Ipv4Header {
                 actual: buf.len(),
             });
         }
-        let flags = buf[6] >> 5;
+        Ok(Ipv4Header::read(buf))
+    }
+
+    /// Decodes a header [`Ipv4Header::parse`] has accepted, without checking
+    /// it again.
+    pub(crate) fn read(buf: &[u8]) -> (Ipv4Header, &[u8]) {
+        let header_len = (buf[0] & 0x0f) * 4;
+        let total_len = u16::from_be_bytes([buf[2], buf[3]]);
         let header = Ipv4Header {
             src: Ipv4Addr::new(buf[12], buf[13], buf[14], buf[15]),
             dst: Ipv4Addr::new(buf[16], buf[17], buf[18], buf[19]),
             protocol: IpProtocol::from_value(buf[9]),
             ttl: buf[8],
             ident: u16::from_be_bytes([buf[4], buf[5]]),
-            dont_fragment: flags & 0b010 != 0,
+            dont_fragment: buf[6] & 0x40 != 0,
             total_len,
-            header_len: ihl as u8,
+            header_len,
         };
-        Ok((header, &buf[ihl..total_len as usize]))
+        (header, &buf[usize::from(header_len)..usize::from(total_len)])
     }
 
     /// Serializes a 20-byte header (no options) followed by `payload`,
@@ -145,49 +152,30 @@ impl Ipv4Header {
     /// 65 535 bytes.
     #[cfg(test)]
     fn build(&self, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
-        self.build_prefix(payload.len(), &mut out)?;
-        out.extend_from_slice(payload);
+        let total_len = u16::try_from(MIN_HEADER_LEN + payload.len())
+            .map_err(|_| NetError::InvalidField { layer: "ipv4", what: "payload too large" })?;
+        let mut out = vec![0; usize::from(total_len)];
+        Ipv4Header { total_len, ..*self }.write(&mut out[..MIN_HEADER_LEN]);
+        out[MIN_HEADER_LEN..].copy_from_slice(payload);
         Ok(out)
     }
 
-    /// Appends a 20-byte header (no options) for a transport of
-    /// `transport_len` bytes to `out`, computing the header checksum. The
-    /// caller appends the transport bytes itself — this is the
-    /// single-serialization path used by `PacketBuilder`, which writes the
-    /// transport directly into the wire buffer instead of through an
-    /// intermediate copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidField`] if the total length would exceed
-    /// 65 535 bytes.
-    pub(crate) fn build_prefix(
-        &self,
-        transport_len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), NetError> {
-        let total = MIN_HEADER_LEN + transport_len;
-        if total > u16::MAX as usize {
-            return Err(NetError::InvalidField { layer: "ipv4", what: "payload too large" });
-        }
-        let base = out.len();
-        out.resize(base + MIN_HEADER_LEN, 0);
-        let h = &mut out[base..base + MIN_HEADER_LEN];
+    /// Writes this header as 20 bytes (no options) into `h`, which is 20
+    /// zeroed bytes, computing the header checksum; `total_len` must
+    /// already be the packet's length.
+    pub(crate) fn write(&self, h: &mut [u8]) {
         h[0] = 0x45; // version 4, IHL 5
         h[1] = 0; // DSCP/ECN
-        h[2..4].copy_from_slice(&(total as u16).to_be_bytes());
+        h[2..4].copy_from_slice(&self.total_len.to_be_bytes());
         h[4..6].copy_from_slice(&self.ident.to_be_bytes());
         let flags: u16 = if self.dont_fragment { 0x4000 } else { 0 };
         h[6..8].copy_from_slice(&flags.to_be_bytes());
         h[8] = self.ttl;
         h[9] = self.protocol.value();
-        // Checksum at [10..12] starts zeroed.
         h[12..16].copy_from_slice(&self.src.octets());
         h[16..20].copy_from_slice(&self.dst.octets());
-        let sum = checksum::checksum(&out[base..base + MIN_HEADER_LEN]);
-        out[base + 10..base + 12].copy_from_slice(&sum.to_be_bytes());
-        Ok(())
+        let sum = checksum::checksum(&h[..MIN_HEADER_LEN]);
+        h[10..12].copy_from_slice(&sum.to_be_bytes());
     }
 
     /// Starts a transport pseudo-header checksum (RFC 793 §3.1) for this

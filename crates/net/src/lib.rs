@@ -9,7 +9,7 @@
 //!
 //! * [`addr`] — IPv4 prefixes (CIDR), address arithmetic.
 //! * `checksum` — the RFC 1071 Internet checksum.
-//! * `ipv4`, [`tcp`], `udp`, [`icmp`] — header parsing and
+//! * [`ipv4`], [`tcp`], [`udp`], [`icmp`] — header parsing and
 //!   construction with checksum handling.
 //! * [`gre`] — GRE encapsulation (RFC 2784) used to backhaul telescope
 //!   prefixes to the gateway.
@@ -17,8 +17,8 @@
 //!   gateway's DNS containment policy.
 //! * `flow` — canonical 5-tuple flow keys.
 //! * [`pcap`] — standard libpcap trace export/import (Wireshark-ready).
-//! * `packet` — a convenient owned-packet type plus builders that the
-//!   rest of the workspace uses to synthesize traffic.
+//! * `packet` — the owned packet (its validated wire image) plus the
+//!   builders the rest of the workspace uses to synthesize traffic.
 
 #![warn(unreachable_pub)]
 
@@ -29,14 +29,13 @@ mod error;
 mod flow;
 pub mod gre;
 pub mod icmp;
-mod ipv4;
+pub mod ipv4;
 mod packet;
 pub mod pcap;
 pub mod tcp;
-mod udp;
+pub mod udp;
 
 pub use addr::Ipv4Prefix;
-pub use bytes::{BufferPool, PoolStats};
 pub use error::NetError;
 pub use flow::{FlowKey, Transport};
-pub use packet::{Packet, PacketBuilder, PacketPayload};
+pub use packet::{BufferPool, Packet, PacketBuilder, PacketPayload};

@@ -1,52 +1,70 @@
 //! The owned packet type used throughout the honeyfarm.
 //!
-//! [`Packet`] couples a fully serialized IPv4 packet with its parsed
-//! structure, so producers (workload generators, honeypot guests) construct
-//! packets once and consumers (gateway, VMs, metrics) inspect them without
-//! re-parsing. [`PacketBuilder`] provides ergonomic constructors for the
-//! packet shapes the honeyfarm deals in: scan SYNs, handshake segments, UDP
-//! datagrams (worm probes, DNS), and ICMP echoes.
+//! A [`Packet`] is its validated IPv4 wire image and nothing else: parsing
+//! checks every header and checksum once and keeps the bytes, and every
+//! accessor afterwards reads its field from those bytes at a fixed offset,
+//! borrowing rather than allocating. An image of up to `INLINE_CAPACITY`
+//! bytes — every SYN, SYN/ACK, RST, ACK and worm probe a telescope storm
+//! carries — lives inside the `Packet` itself; a larger one takes one
+//! exact-size heap buffer. [`PacketBuilder`] serializes the packet shapes the
+//! honeyfarm deals in (scan SYNs, handshake segments, UDP datagrams, ICMP
+//! echoes) straight into that storage.
 
-use bytes::{BufferPool, Bytes, BytesMut};
+use core::fmt;
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 use std::net::Ipv4Addr;
 
 use crate::error::NetError;
 use crate::flow::{FlowKey, Transport};
 use crate::icmp::IcmpMessage;
-use crate::ipv4::{IpProtocol, Ipv4Header};
+use crate::ipv4::{IpProtocol, Ipv4Header, MIN_HEADER_LEN};
 use crate::tcp::{TcpFlags, TcpHeader};
 use crate::udp::UdpHeader;
 
-/// The parsed transport content of a packet.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PacketPayload {
+/// Wire images up to this many bytes live inside the [`Packet`]; a larger
+/// one spills to the heap. 78 is what fits beside the length byte and the
+/// variant tag in 80 bytes, and covers the 40-byte TCP control segments and
+/// Code Red's 68-byte probe.
+const INLINE_CAPACITY: usize = 78;
+
+/// The transport content of a packet, borrowed from its wire image.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PacketPayload<'a> {
     /// A TCP segment.
     Tcp {
         /// The TCP header.
-        header: TcpHeader,
+        header: TcpHeader<'a>,
         /// The segment payload.
-        payload: Bytes,
+        payload: &'a [u8],
     },
     /// A UDP datagram.
     Udp {
         /// The UDP header.
         header: UdpHeader,
-        /// The datagram payload.
-        payload: Bytes,
+        /// The datagram payload, ending at the UDP length field.
+        payload: &'a [u8],
     },
     /// An ICMP message.
-    Icmp(IcmpMessage),
+    Icmp(IcmpMessage<'a>),
     /// An unparsed transport, kept raw.
     Raw {
         /// The IP protocol.
         protocol: IpProtocol,
         /// The raw transport bytes.
-        payload: Bytes,
+        payload: &'a [u8],
     },
 }
 
-/// An owned IPv4 packet: parsed view plus canonical wire bytes.
+/// Where a packet's wire image lives.
+#[derive(Clone)]
+enum Wire {
+    Inline { len: u8, bytes: [u8; INLINE_CAPACITY] },
+    Spilled(Box<[u8]>),
+}
+
+/// An owned IPv4 packet: its validated wire image.
+///
+/// Two packets are equal when their wire bytes are.
 ///
 /// # Examples
 ///
@@ -61,84 +79,92 @@ pub enum PacketPayload {
 /// let reparsed = Packet::parse(&wire).unwrap();
 /// assert_eq!(reparsed.flow_key(), syn.flow_key());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Packet {
-    ipv4: Ipv4Header,
-    payload: PacketPayload,
-    wire: Bytes,
+    wire: Wire,
 }
 
 /// The length-prefixed wire image; bytes that do not parse back into a
 /// packet are a decode error.
 impl Snap for Packet {
     fn snap(&self, w: &mut SnapWriter) {
-        w.bytes(&self.wire);
+        w.bytes(self.wire());
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         Packet::parse(r.bytes()?).map_err(|_| r.bad())
     }
 }
 
+impl PartialEq for Packet {
+    fn eq(&self, other: &Packet) -> bool {
+        self.wire() == other.wire()
+    }
+}
+
+impl Eq for Packet {}
+
+impl fmt::Debug for Packet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Packet")
+            .field("flow", &format_args!("{}", self.flow_key()))
+            .field("payload", &self.payload())
+            .finish()
+    }
+}
+
 impl Packet {
     /// Parses an IPv4 packet (with transport) from wire bytes.
     ///
-    /// Unknown transports are preserved raw; header checksums are verified.
-    /// The wire bytes are copied exactly once: the parsed transport payload
-    /// is a zero-copy slice of the owned wire buffer.
+    /// Checks the version, IHL, IPv4 total length and header checksum, and
+    /// for TCP, UDP and ICMP the transport's length fields and checksum;
+    /// other transports are kept raw. Keeps the first `total_len` bytes:
+    /// trailing link-layer padding is not part of the packet.
     pub fn parse(buf: &[u8]) -> Result<Packet, NetError> {
-        let (ipv4, transport_bytes) = Ipv4Header::parse(buf)?;
-        let total = ipv4.total_len as usize;
-        let wire = Bytes::copy_from_slice(&buf[..total]);
-        // TCP/UDP bodies are suffixes of the wire image, so their offset is
-        // recoverable from their length alone.
-        let payload = match ipv4.protocol {
+        let (ipv4, transport) = Ipv4Header::parse(buf)?;
+        match ipv4.protocol {
             IpProtocol::Tcp => {
-                let (header, body) = TcpHeader::parse(transport_bytes, ipv4.src, ipv4.dst)?;
-                let payload = wire.slice(total - body.len()..);
-                PacketPayload::Tcp { header, payload }
+                TcpHeader::parse(transport, ipv4.src, ipv4.dst)?;
             }
             IpProtocol::Udp => {
-                let (header, body) = UdpHeader::parse(transport_bytes, ipv4.src, ipv4.dst)?;
-                let payload = wire.slice(total - body.len()..);
-                PacketPayload::Udp { header, payload }
+                UdpHeader::parse(transport, ipv4.src, ipv4.dst)?;
             }
-            IpProtocol::Icmp => PacketPayload::Icmp(IcmpMessage::parse(transport_bytes)?),
-            proto => PacketPayload::Raw {
-                protocol: proto,
-                payload: wire.slice(total - transport_bytes.len()..),
-            },
+            IpProtocol::Icmp => {
+                IcmpMessage::parse(transport)?;
+            }
+            _ => {}
+        }
+        let image = &buf[..usize::from(ipv4.total_len)];
+        Ok(Packet::filled(image.len(), |wire| wire.copy_from_slice(image)))
+    }
+
+    /// A `len`-byte image, zeroed and then handed to `fill`.
+    fn filled(len: usize, fill: impl FnOnce(&mut [u8])) -> Packet {
+        let mut wire = match u8::try_from(len) {
+            Ok(short) if len <= INLINE_CAPACITY => {
+                Wire::Inline { len: short, bytes: [0; INLINE_CAPACITY] }
+            }
+            _ => Wire::Spilled(vec![0; len].into_boxed_slice()),
         };
-        Ok(Packet { ipv4, payload, wire })
-    }
-
-    /// The source address.
-    #[must_use]
-    pub fn src(&self) -> Ipv4Addr {
-        self.ipv4.src
-    }
-
-    /// The destination address.
-    #[must_use]
-    pub fn dst(&self) -> Ipv4Addr {
-        self.ipv4.dst
-    }
-
-    /// The parsed transport payload.
-    #[must_use]
-    pub fn payload(&self) -> &PacketPayload {
-        &self.payload
+        fill(match &mut wire {
+            Wire::Inline { len, bytes } => &mut bytes[..usize::from(*len)],
+            Wire::Spilled(bytes) => bytes,
+        });
+        Packet { wire }
     }
 
     /// The canonical wire encoding.
     #[must_use]
     pub fn wire(&self) -> &[u8] {
-        &self.wire
+        match &self.wire {
+            Wire::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Wire::Spilled(bytes) => bytes,
+        }
     }
 
     /// Total length in bytes on the wire.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.wire.len()
+        self.wire().len()
     }
 
     /// Whether the packet is empty (never: a parsed packet has a header).
@@ -147,47 +173,83 @@ impl Packet {
         false
     }
 
+    /// The source address.
+    #[must_use]
+    pub fn src(&self) -> Ipv4Addr {
+        let w = self.wire();
+        Ipv4Addr::new(w[12], w[13], w[14], w[15])
+    }
+
+    /// The destination address.
+    #[must_use]
+    pub fn dst(&self) -> Ipv4Addr {
+        let w = self.wire();
+        Ipv4Addr::new(w[16], w[17], w[18], w[19])
+    }
+
+    fn protocol(&self) -> IpProtocol {
+        IpProtocol::from_value(self.wire()[9])
+    }
+
+    /// The bytes after the IPv4 header (and its options).
+    fn transport(&self) -> &[u8] {
+        let w = self.wire();
+        &w[usize::from(w[0] & 0x0f) * 4..]
+    }
+
+    /// The transport content, decoded from the wire image.
+    #[must_use]
+    pub fn payload(&self) -> PacketPayload<'_> {
+        let transport = self.transport();
+        match self.protocol() {
+            IpProtocol::Tcp => {
+                let (header, payload) = TcpHeader::read(transport);
+                PacketPayload::Tcp { header, payload }
+            }
+            IpProtocol::Udp => {
+                let (header, payload) = UdpHeader::read(transport);
+                PacketPayload::Udp { header, payload }
+            }
+            IpProtocol::Icmp => PacketPayload::Icmp(IcmpMessage::read(transport)),
+            protocol => PacketPayload::Raw { protocol, payload: transport },
+        }
+    }
+
     /// The directional flow key of this packet.
     #[must_use]
     pub fn flow_key(&self) -> FlowKey {
-        let transport = match &self.payload {
-            PacketPayload::Tcp { header, .. } => {
-                Transport::Tcp { src_port: header.src_port, dst_port: header.dst_port }
+        let t = self.transport();
+        let word = |at: usize| u16::from_be_bytes([t[at], t[at + 1]]);
+        let transport = match self.protocol() {
+            IpProtocol::Tcp => Transport::Tcp { src_port: word(0), dst_port: word(2) },
+            IpProtocol::Udp => Transport::Udp { src_port: word(0), dst_port: word(2) },
+            // Echo requests (8) and replies (0) carry an identifier.
+            IpProtocol::Icmp => {
+                Transport::Icmp { ident: if matches!(t[0], 0 | 8) { word(4) } else { 0 } }
             }
-            PacketPayload::Udp { header, .. } => {
-                Transport::Udp { src_port: header.src_port, dst_port: header.dst_port }
-            }
-            PacketPayload::Icmp(msg) => Transport::Icmp {
-                ident: match msg {
-                    IcmpMessage::EchoRequest { ident, .. }
-                    | IcmpMessage::EchoReply { ident, .. } => *ident,
-                    _ => 0,
-                },
-            },
-            PacketPayload::Raw { protocol, .. } => Transport::Other { protocol: protocol.value() },
+            protocol => Transport::Other { protocol: protocol.value() },
         };
-        FlowKey { src: self.ipv4.src, dst: self.ipv4.dst, transport }
+        FlowKey { src: self.src(), dst: self.dst(), transport }
     }
 
     /// The TCP flags if this is a TCP segment.
     #[must_use]
     pub fn tcp_flags(&self) -> Option<TcpFlags> {
-        match &self.payload {
-            PacketPayload::Tcp { header, .. } => Some(header.flags),
-            _ => None,
-        }
+        (self.protocol() == IpProtocol::Tcp).then(|| TcpFlags::from_byte(self.transport()[13]))
     }
 
     /// The application payload bytes (TCP/UDP body, ICMP echo payload, raw
     /// transport bytes).
     #[must_use]
     pub fn app_payload(&self) -> &[u8] {
-        match &self.payload {
-            PacketPayload::Tcp { payload, .. } | PacketPayload::Udp { payload, .. } => payload,
-            PacketPayload::Icmp(IcmpMessage::EchoRequest { payload, .. })
-            | PacketPayload::Icmp(IcmpMessage::EchoReply { payload, .. }) => payload,
+        match self.payload() {
+            PacketPayload::Tcp { payload, .. }
+            | PacketPayload::Udp { payload, .. }
+            | PacketPayload::Raw { payload, .. }
+            | PacketPayload::Icmp(
+                IcmpMessage::EchoRequest { payload, .. } | IcmpMessage::EchoReply { payload, .. },
+            ) => payload,
             PacketPayload::Icmp(_) => &[],
-            PacketPayload::Raw { payload, .. } => payload,
         }
     }
 
@@ -196,41 +258,33 @@ impl Packet {
     ///
     /// Transport checksums are recomputed since they cover the pseudo-header.
     pub fn rewrite_addresses(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Result<Packet, NetError> {
-        self.rewrite_with(src, dst, None)
-    }
-
-    /// [`Packet::rewrite_addresses`] with the wire buffer drawn from `pool` —
-    /// the gateway's allocation-free reflection path.
-    pub fn rewrite_addresses_pooled(
-        &self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        pool: &BufferPool,
-    ) -> Result<Packet, NetError> {
-        self.rewrite_with(src, dst, Some(pool))
-    }
-
-    fn rewrite_with(
-        &self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        pool: Option<&BufferPool>,
-    ) -> Result<Packet, NetError> {
-        let mut b = PacketBuilder::new(src, dst).ttl(self.ipv4.ttl).ident(self.ipv4.ident);
-        if self.ipv4.dont_fragment {
+        let (ipv4, _) = Ipv4Header::read(self.wire());
+        let mut b = PacketBuilder::new(src, dst).ttl(ipv4.ttl).ident(ipv4.ident);
+        if ipv4.dont_fragment {
             b = b.dont_fragment();
         }
-        if let Some(pool) = pool {
-            b = b.pooled(pool);
-        }
-        match &self.payload {
-            PacketPayload::Tcp { header, payload } => Ok(b.tcp_raw(header.clone(), payload)),
+        match self.payload() {
+            PacketPayload::Tcp { header, payload } => Ok(b.tcp_raw(header, payload)),
             PacketPayload::Udp { header, payload } => {
                 Ok(b.udp(header.src_port, header.dst_port, payload))
             }
-            PacketPayload::Icmp(msg) => Ok(b.icmp(msg.clone())),
-            PacketPayload::Raw { protocol, payload } => b.raw(*protocol, payload),
+            PacketPayload::Icmp(msg) => Ok(b.icmp(msg)),
+            PacketPayload::Raw { protocol, payload } => b.raw(protocol, payload),
         }
+    }
+}
+
+/// A no-op kept so that callers written for the retired wire-buffer pool
+/// still compile: a packet's storage is its own, so there is nothing to
+/// recycle. [`PacketBuilder::pooled`] accepts and ignores it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BufferPool;
+
+impl BufferPool {
+    /// The (empty) pool.
+    #[must_use]
+    pub fn new() -> Self {
+        BufferPool
     }
 }
 
@@ -255,58 +309,19 @@ pub struct PacketBuilder {
     ttl: u8,
     ident: u16,
     dont_fragment: bool,
-    pool: Option<BufferPool>,
-}
-
-/// Wire buffer under construction: freshly allocated or drawn from a pool.
-enum WireBuf {
-    Plain(Vec<u8>),
-    Pooled(BytesMut),
-}
-
-impl WireBuf {
-    fn vec_mut(&mut self) -> &mut Vec<u8> {
-        match self {
-            WireBuf::Plain(v) => v,
-            WireBuf::Pooled(m) => m.as_vec_mut(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            WireBuf::Plain(v) => v.len(),
-            WireBuf::Pooled(m) => m.len(),
-        }
-    }
-
-    fn freeze(self) -> Bytes {
-        match self {
-            WireBuf::Plain(v) => Bytes::from(v),
-            WireBuf::Pooled(m) => m.freeze(),
-        }
-    }
 }
 
 impl PacketBuilder {
     /// Starts a builder for a packet from `src` to `dst`.
     #[must_use]
     pub fn new(src: Ipv4Addr, dst: Ipv4Addr) -> Self {
-        PacketBuilder { src, dst, ttl: 64, ident: 0, dont_fragment: false, pool: None }
+        PacketBuilder { src, dst, ttl: 64, ident: 0, dont_fragment: false }
     }
 
-    /// Draws the wire buffer from `pool` instead of allocating, so the built
-    /// packet's storage recycles when its last clone drops.
+    /// Returns the builder unchanged: see [`BufferPool`].
     #[must_use]
-    pub fn pooled(mut self, pool: &BufferPool) -> Self {
-        self.pool = Some(pool.clone());
+    pub fn pooled(self, _pool: &BufferPool) -> Self {
         self
-    }
-
-    fn wire_buf(&self, capacity: usize) -> WireBuf {
-        match &self.pool {
-            Some(pool) => WireBuf::Pooled(pool.acquire(capacity)),
-            None => WireBuf::Plain(Vec::with_capacity(capacity)),
-        }
     }
 
     /// Sets the TTL (default 64).
@@ -330,48 +345,46 @@ impl PacketBuilder {
         self
     }
 
-    fn ipv4_header(&self, protocol: IpProtocol) -> Ipv4Header {
-        Ipv4Header {
+    /// Serializes a packet whose `transport_len`-byte transport `fill`
+    /// writes, behind a 20-byte IPv4 header.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::InvalidField`] if the packet would exceed 65 535
+    /// bytes.
+    fn build(
+        &self,
+        protocol: IpProtocol,
+        transport_len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<Packet, NetError> {
+        let total_len = u16::try_from(MIN_HEADER_LEN + transport_len)
+            .map_err(|_| NetError::InvalidField { layer: "ipv4", what: "payload too large" })?;
+        let ipv4 = Ipv4Header {
             src: self.src,
             dst: self.dst,
             protocol,
             ttl: self.ttl,
             ident: self.ident,
             dont_fragment: self.dont_fragment,
-            total_len: 0, // Filled when built.
-            header_len: 20,
-        }
-    }
-
-    /// Seals a fully serialized wire buffer into a [`Packet`], exposing the
-    /// application payload as a zero-copy suffix slice of the wire bytes.
-    fn finish(
-        mut ipv4: Ipv4Header,
-        wire: WireBuf,
-        payload_len: usize,
-        make: impl FnOnce(Bytes) -> PacketPayload,
-    ) -> Packet {
-        ipv4.total_len = wire.len() as u16;
-        let wire = wire.freeze();
-        let payload = make(wire.slice(wire.len() - payload_len..));
-        Packet { ipv4, payload, wire }
+            total_len,
+            header_len: MIN_HEADER_LEN as u8,
+        };
+        Ok(Packet::filled(usize::from(total_len), |wire| {
+            let (header, transport) = wire.split_at_mut(MIN_HEADER_LEN);
+            ipv4.write(header);
+            fill(transport);
+        }))
     }
 
     /// Builds a TCP segment from an explicit header.
-    ///
-    /// The segment is serialized exactly once, directly into the wire
-    /// buffer; the stored payload is a refcounted slice of it.
     #[must_use]
-    pub(crate) fn tcp_raw(self, header: TcpHeader, payload: &[u8]) -> Packet {
-        let transport_len = crate::tcp::MIN_HEADER_LEN + header.options.len() + payload.len();
-        let ipv4 = self.ipv4_header(IpProtocol::Tcp);
-        let mut wire = self.wire_buf(crate::ipv4::MIN_HEADER_LEN + transport_len);
-        ipv4.build_prefix(transport_len, wire.vec_mut())
-            .expect("builder-constructed packets never exceed IP limits");
-        header
-            .build_into(self.src, self.dst, payload, wire.vec_mut())
-            .expect("builder-validated TCP header");
-        Self::finish(ipv4, wire, payload.len(), |payload| PacketPayload::Tcp { header, payload })
+    pub(crate) fn tcp_raw(self, header: TcpHeader<'_>, payload: &[u8]) -> Packet {
+        let header_len = header.header_len().expect("builder-validated TCP header");
+        self.build(IpProtocol::Tcp, header_len + payload.len(), |segment| {
+            header.write(self.src, self.dst, payload, segment);
+        })
+        .expect("builder-constructed packets never exceed IP limits")
     }
 
     /// Builds a bare SYN — the telescope's bread and butter.
@@ -393,41 +406,31 @@ impl PacketBuilder {
         payload: &[u8],
     ) -> Packet {
         let header =
-            TcpHeader { src_port, dst_port, seq, ack, flags, window: 65_535, options: vec![] };
+            TcpHeader { src_port, dst_port, seq, ack, flags, window: 65_535, options: &[] };
         self.tcp_raw(header, payload)
     }
 
-    /// Builds a UDP datagram, serialized once into the wire buffer.
+    /// Builds a UDP datagram.
     #[must_use]
     pub fn udp(self, src_port: u16, dst_port: u16, payload: &[u8]) -> Packet {
-        let transport_len = crate::udp::HEADER_LEN + payload.len();
-        let ipv4 = self.ipv4_header(IpProtocol::Udp);
-        let mut wire = self.wire_buf(crate::ipv4::MIN_HEADER_LEN + transport_len);
-        ipv4.build_prefix(transport_len, wire.vec_mut())
-            .expect("builder-constructed packets never exceed IP limits");
-        UdpHeader::build_into(src_port, dst_port, self.src, self.dst, payload, wire.vec_mut())
-            .expect("builder-validated UDP datagram");
-        let header = UdpHeader { src_port, dst_port, length: transport_len as u16 };
-        Self::finish(ipv4, wire, payload.len(), |payload| PacketPayload::Udp { header, payload })
+        let len = crate::udp::HEADER_LEN + payload.len();
+        self.build(IpProtocol::Udp, len, |datagram| {
+            UdpHeader::write(src_port, dst_port, self.src, self.dst, payload, datagram);
+        })
+        .expect("builder-constructed packets never exceed IP limits")
     }
 
     /// Builds an ICMP packet from a message.
     #[must_use]
-    pub fn icmp(self, msg: IcmpMessage) -> Packet {
-        let transport = msg.build();
-        let mut ipv4 = self.ipv4_header(IpProtocol::Icmp);
-        let mut wire = self.wire_buf(crate::ipv4::MIN_HEADER_LEN + transport.len());
-        ipv4.build_prefix(transport.len(), wire.vec_mut())
-            .expect("builder-constructed packets never exceed IP limits");
-        wire.vec_mut().extend_from_slice(&transport);
-        ipv4.total_len = wire.len() as u16;
-        Packet { ipv4, payload: PacketPayload::Icmp(msg), wire: wire.freeze() }
+    pub fn icmp(self, msg: IcmpMessage<'_>) -> Packet {
+        self.build(IpProtocol::Icmp, msg.wire_len(), |out| msg.write(out))
+            .expect("builder-constructed packets never exceed IP limits")
     }
 
     /// Builds an ICMP echo request.
     #[must_use]
     pub fn icmp_echo(self, ident: u16, seq: u16, payload: &[u8]) -> Packet {
-        self.icmp(IcmpMessage::EchoRequest { ident, seq, payload: payload.to_vec() })
+        self.icmp(IcmpMessage::EchoRequest { ident, seq, payload })
     }
 
     /// Builds a raw-transport packet.
@@ -436,14 +439,7 @@ impl PacketBuilder {
     ///
     /// Returns [`NetError::InvalidField`] if the payload exceeds IP limits.
     pub(crate) fn raw(self, protocol: IpProtocol, payload: &[u8]) -> Result<Packet, NetError> {
-        let ipv4 = self.ipv4_header(protocol);
-        let mut wire = self.wire_buf(crate::ipv4::MIN_HEADER_LEN + payload.len());
-        ipv4.build_prefix(payload.len(), wire.vec_mut())?;
-        wire.vec_mut().extend_from_slice(payload);
-        Ok(Self::finish(ipv4, wire, payload.len(), |payload| PacketPayload::Raw {
-            protocol,
-            payload,
-        }))
+        self.build(protocol, payload.len(), |out| out.copy_from_slice(payload))
     }
 }
 
@@ -453,6 +449,31 @@ mod tests {
 
     const ATTACKER: Ipv4Addr = Ipv4Addr::new(6, 6, 6, 6);
     const HONEYPOT: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 5);
+
+    #[test]
+    fn a_packet_is_at_most_80_bytes() {
+        assert!(std::mem::size_of::<Packet>() <= 80, "{}", std::mem::size_of::<Packet>());
+    }
+
+    #[test]
+    fn large_packets_spill_and_roundtrip() {
+        let body = [0x5a; 200];
+        let p = PacketBuilder::new(ATTACKER, HONEYPOT).udp(7, 7, &body);
+        assert_eq!(p.len(), 228);
+        assert!(matches!(p.wire, Wire::Spilled(_)));
+        assert_eq!(p.app_payload(), &body[..]);
+        assert_eq!(Packet::parse(p.wire()).unwrap(), p);
+        let code_red = PacketBuilder::new(ATTACKER, HONEYPOT).tcp_segment(
+            1025,
+            80,
+            TcpFlags::PSH_ACK,
+            1,
+            1,
+            &[0; 28],
+        );
+        assert_eq!(code_red.len(), 68);
+        assert!(matches!(code_red.wire, Wire::Inline { .. }));
+    }
 
     #[test]
     fn syn_roundtrip() {
@@ -500,11 +521,10 @@ mod tests {
             .ident(0xbeef)
             .dont_fragment()
             .tcp_syn(1, 2);
-        assert_eq!(p.ipv4.ttl, 33);
-        assert_eq!(p.ipv4.ident, 0xbeef);
-        assert!(p.ipv4.dont_fragment);
-        let reparsed = Packet::parse(p.wire()).unwrap();
-        assert_eq!(reparsed.ipv4.ttl, 33);
+        let (ipv4, _) = Ipv4Header::parse(p.wire()).unwrap();
+        assert_eq!(ipv4.ttl, 33);
+        assert_eq!(ipv4.ident, 0xbeef);
+        assert!(ipv4.dont_fragment);
     }
 
     #[test]
@@ -555,33 +575,8 @@ mod tests {
         assert_eq!(fwd.flow_key().canonical(), rev.flow_key().canonical());
     }
 
-    fn assert_payload_in_wire(p: &Packet) {
-        let wire = p.wire().as_ptr_range();
-        let pay = p.app_payload().as_ptr_range();
-        assert!(
-            pay.start >= wire.start && pay.end <= wire.end,
-            "payload must be a zero-copy slice of the wire buffer"
-        );
-    }
-
     #[test]
-    fn built_payloads_are_slices_of_the_wire() {
-        assert_payload_in_wire(&PacketBuilder::new(ATTACKER, HONEYPOT).tcp_segment(
-            5000,
-            80,
-            TcpFlags::PSH_ACK,
-            1,
-            2,
-            b"body",
-        ));
-        assert_payload_in_wire(&PacketBuilder::new(ATTACKER, HONEYPOT).udp(7, 7, b"datagram"));
-        assert_payload_in_wire(
-            &PacketBuilder::new(ATTACKER, HONEYPOT).raw(IpProtocol::Other(89), b"raw").unwrap(),
-        );
-    }
-
-    #[test]
-    fn parsed_payloads_are_slices_of_the_wire() {
+    fn payloads_are_suffixes_of_the_wire() {
         for p in [
             PacketBuilder::new(ATTACKER, HONEYPOT).tcp_segment(1, 2, TcpFlags::PSH_ACK, 1, 2, b"x"),
             PacketBuilder::new(ATTACKER, HONEYPOT).udp(1, 2, b"yy"),
@@ -589,50 +584,9 @@ mod tests {
         ] {
             let reparsed = Packet::parse(p.wire()).unwrap();
             assert_eq!(reparsed, p);
-            assert_payload_in_wire(&reparsed);
+            assert!(!p.app_payload().is_empty());
+            assert!(reparsed.wire().ends_with(reparsed.app_payload()));
         }
-    }
-
-    #[test]
-    fn clone_shares_the_wire_allocation() {
-        let p = PacketBuilder::new(ATTACKER, HONEYPOT).udp(1434, 1434, b"slammer");
-        let q = p.clone();
-        assert_eq!(p.wire().as_ptr(), q.wire().as_ptr(), "clone must not deep-copy the wire");
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn pooled_builder_recycles_wire_buffers() {
-        let pool = BufferPool::with_config(16);
-        for i in 0..50u16 {
-            let p = PacketBuilder::new(ATTACKER, HONEYPOT).pooled(&pool).ident(i).tcp_segment(
-                5000,
-                445,
-                TcpFlags::PSH_ACK,
-                7,
-                9,
-                b"probe-body",
-            );
-            assert_eq!(p.ipv4.ident, i);
-            assert_eq!(p.app_payload(), b"probe-body");
-            assert_payload_in_wire(&p);
-            let reflected = p.rewrite_addresses_pooled(HONEYPOT, ATTACKER, &pool).unwrap();
-            assert_eq!(Packet::parse(reflected.wire()).unwrap(), reflected);
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.acquires, 100, "one builder + one rewrite per round");
-        assert_eq!(stats.allocated, 2, "steady state holds one buffer per live packet");
-        assert_eq!(stats.acquires, stats.allocated + stats.reused);
-    }
-
-    #[test]
-    fn pooled_and_plain_packets_are_byte_identical() {
-        let pool = BufferPool::new();
-        let plain = PacketBuilder::new(ATTACKER, HONEYPOT).udp(1434, 1434, b"slammer");
-        let pooled =
-            PacketBuilder::new(ATTACKER, HONEYPOT).pooled(&pool).udp(1434, 1434, b"slammer");
-        assert_eq!(plain, pooled);
-        assert_eq!(plain.wire(), pooled.wire());
     }
 
     #[test]

@@ -96,9 +96,9 @@ impl core::fmt::Display for TcpFlags {
     }
 }
 
-/// A parsed TCP header.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TcpHeader {
+/// A parsed TCP header, borrowing its options from the segment.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TcpHeader<'a> {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
@@ -112,13 +112,17 @@ pub struct TcpHeader {
     /// Receive window.
     pub(crate) window: u16,
     /// Raw option bytes (may be empty).
-    pub(crate) options: Vec<u8>,
+    pub(crate) options: &'a [u8],
 }
 
-impl TcpHeader {
+impl<'a> TcpHeader<'a> {
     /// Parses a TCP header and verifies its checksum against the given IPv4
     /// addresses. Returns the header and the payload.
-    pub fn parse(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(TcpHeader, &[u8]), NetError> {
+    pub fn parse(
+        buf: &'a [u8],
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Result<(TcpHeader<'a>, &'a [u8]), NetError> {
         if buf.len() < MIN_HEADER_LEN {
             return Err(NetError::Truncated {
                 layer: "tcp",
@@ -144,6 +148,13 @@ impl TcpHeader {
         if c.finish() != 0 {
             return Err(NetError::BadChecksum { layer: "tcp" });
         }
+        Ok(TcpHeader::read(buf))
+    }
+
+    /// Decodes a segment [`TcpHeader::parse`] has accepted, without checking
+    /// it again.
+    pub(crate) fn read(buf: &'a [u8]) -> (TcpHeader<'a>, &'a [u8]) {
+        let data_off = usize::from(buf[12] >> 4) * 4;
         let header = TcpHeader {
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
@@ -151,9 +162,9 @@ impl TcpHeader {
             ack: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
             flags: TcpFlags::from_byte(buf[13]),
             window: u16::from_be_bytes([buf[14], buf[15]]),
-            options: buf[MIN_HEADER_LEN..data_off].to_vec(),
+            options: &buf[MIN_HEADER_LEN..data_off],
         };
-        Ok((header, &buf[data_off..]))
+        (header, &buf[data_off..])
     }
 
     /// Serializes the header followed by `payload`, computing the checksum
@@ -162,61 +173,45 @@ impl TcpHeader {
     /// # Errors
     ///
     /// Returns [`NetError::InvalidField`] if options are not a multiple of 4
-    /// bytes or longer than 40, or if the segment exceeds 65 535 bytes.
+    /// bytes or longer than 40.
     #[cfg(test)]
     fn build(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let mut out = Vec::with_capacity(MIN_HEADER_LEN + self.options.len() + payload.len());
-        self.build_into(src, dst, payload, &mut out)?;
+        let mut out = vec![0; self.header_len()? + payload.len()];
+        self.write(src, dst, payload, &mut out);
         Ok(out)
     }
 
-    /// Builds the standard 4-byte MSS option.
-    #[cfg(test)]
-    fn mss_option(mss: u16) -> Vec<u8> {
-        let b = mss.to_be_bytes();
-        vec![2, 4, b[0], b[1]]
-    }
-
-    /// Appends the serialized segment (header, options, payload) to `out`,
-    /// computing the checksum over the pseudo-header for `src`/`dst`. Used
-    /// by `PacketBuilder` to serialize the transport directly into the wire
-    /// buffer.
+    /// The header's length with its options.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::InvalidField`] if options are not a multiple of 4
-    /// bytes or longer than 40, or if the segment exceeds 65 535 bytes.
-    pub(crate) fn build_into(
-        &self,
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), NetError> {
+    /// bytes or longer than 40.
+    pub(crate) fn header_len(&self) -> Result<usize, NetError> {
         if !self.options.len().is_multiple_of(4) || self.options.len() > 40 {
             return Err(NetError::InvalidField { layer: "tcp", what: "bad options length" });
         }
+        Ok(MIN_HEADER_LEN + self.options.len())
+    }
+
+    /// Writes the segment (header, options, `payload`) into `out`, which is
+    /// exactly [`TcpHeader::header_len`] plus `payload.len()` zeroed bytes
+    /// of at most 65 535, computing the checksum over the pseudo-header for
+    /// `src`/`dst`.
+    pub(crate) fn write(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut [u8]) {
         let header_len = MIN_HEADER_LEN + self.options.len();
-        let total = header_len + payload.len();
-        let len = u16::try_from(total)
-            .map_err(|_| NetError::InvalidField { layer: "tcp", what: "segment too large" })?;
-        let base = out.len();
-        out.resize(base + header_len, 0);
-        let h = &mut out[base..base + header_len];
-        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        h[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        h[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        h[12] = ((header_len / 4) as u8) << 4;
-        h[13] = self.flags.to_byte();
-        h[14..16].copy_from_slice(&self.window.to_be_bytes());
-        h[MIN_HEADER_LEN..header_len].copy_from_slice(&self.options);
-        out.extend_from_slice(payload);
-        let mut c = Ipv4Header::pseudo_header_checksum(src, dst, IpProtocol::Tcp, len);
-        c.add_bytes(&out[base..]);
-        let sum = c.finish();
-        out[base + 16..base + 18].copy_from_slice(&sum.to_be_bytes());
-        Ok(())
+        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        out[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        out[12] = ((header_len / 4) as u8) << 4;
+        out[13] = self.flags.to_byte();
+        out[14..16].copy_from_slice(&self.window.to_be_bytes());
+        out[MIN_HEADER_LEN..header_len].copy_from_slice(self.options);
+        out[header_len..].copy_from_slice(payload);
+        let mut c = Ipv4Header::pseudo_header_checksum(src, dst, IpProtocol::Tcp, out.len() as u16);
+        c.add_bytes(out);
+        out[16..18].copy_from_slice(&c.finish().to_be_bytes());
     }
 }
 
@@ -226,8 +221,10 @@ mod tests {
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+    /// The standard 4-byte MSS option (kind 2, length 4) for an MSS of 1460.
+    const MSS_1460: [u8; 4] = [2, 4, 0x05, 0xb4];
 
-    fn syn() -> TcpHeader {
+    fn syn() -> TcpHeader<'static> {
         TcpHeader {
             src_port: 44_321,
             dst_port: 445,
@@ -235,7 +232,7 @@ mod tests {
             ack: 0,
             flags: TcpFlags::SYN,
             window: 65_535,
-            options: TcpHeader::mss_option(1460),
+            options: &MSS_1460,
         }
     }
 
@@ -302,20 +299,15 @@ mod tests {
     #[test]
     fn invalid_options_rejected_on_build() {
         let mut h = syn();
-        h.options = vec![1, 2, 3]; // not a multiple of 4
+        h.options = &[1, 2, 3]; // not a multiple of 4
         assert!(h.build(SRC, DST, &[]).is_err());
-        h.options = vec![0; 44]; // too long
+        h.options = &[0; 44]; // too long
         assert!(h.build(SRC, DST, &[]).is_err());
-    }
-
-    #[test]
-    fn mss_option_format() {
-        assert_eq!(TcpHeader::mss_option(1460), vec![2, 4, 0x05, 0xb4]);
     }
 
     #[test]
     fn no_options_minimal_header() {
-        let h = TcpHeader { options: vec![], flags: TcpFlags::RST, ..syn() };
+        let h = TcpHeader { options: &[], flags: TcpFlags::RST, ..syn() };
         let wire = h.build(SRC, DST, &[]).unwrap();
         assert_eq!(wire.len(), MIN_HEADER_LEN);
         let (parsed, payload) = TcpHeader::parse(&wire, SRC, DST).unwrap();

@@ -16,18 +16,14 @@ pub struct UdpHeader {
     /// Destination port.
     pub dst_port: u16,
     /// Length of header + payload as claimed on the wire.
-    pub(crate) length: u16,
+    pub length: u16,
 }
 
 impl UdpHeader {
     /// Parses a UDP header, verifying length and checksum (when non-zero;
     /// an all-zero checksum means "not computed" per RFC 768). Returns the
-    /// header and the payload.
-    pub(crate) fn parse(
-        buf: &[u8],
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-    ) -> Result<(UdpHeader, &[u8]), NetError> {
+    /// header and the payload, which ends at the length field.
+    pub fn parse(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(UdpHeader, &[u8]), NetError> {
         if buf.len() < HEADER_LEN {
             return Err(NetError::Truncated { layer: "udp", need: HEADER_LEN, have: buf.len() });
         }
@@ -39,21 +35,26 @@ impl UdpHeader {
                 actual: buf.len(),
             });
         }
-        let datagram = &buf[..length as usize];
         let wire_sum = u16::from_be_bytes([buf[6], buf[7]]);
         if wire_sum != 0 {
             let mut c = Ipv4Header::pseudo_header_checksum(src, dst, IpProtocol::Udp, length);
-            c.add_bytes(datagram);
+            c.add_bytes(&buf[..length as usize]);
             if c.finish() != 0 {
                 return Err(NetError::BadChecksum { layer: "udp" });
             }
         }
+        Ok(UdpHeader::read(buf))
+    }
+
+    /// Decodes a datagram [`UdpHeader::parse`] has accepted, without
+    /// checking it again.
+    pub(crate) fn read(buf: &[u8]) -> (UdpHeader, &[u8]) {
         let header = UdpHeader {
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            length,
+            length: u16::from_be_bytes([buf[4], buf[5]]),
         };
-        Ok((header, &datagram[HEADER_LEN..]))
+        (header, &buf[HEADER_LEN..usize::from(header.length)])
     }
 
     /// Serializes the header followed by `payload`, computing the checksum.
@@ -70,46 +71,39 @@ impl UdpHeader {
         dst: Ipv4Addr,
         payload: &[u8],
     ) -> Result<Vec<u8>, NetError> {
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        UdpHeader::build_into(src_port, dst_port, src, dst, payload, &mut out)?;
+        let len = HEADER_LEN + payload.len();
+        if len > usize::from(u16::MAX) {
+            return Err(NetError::InvalidField { layer: "udp", what: "datagram too large" });
+        }
+        let mut out = vec![0; len];
+        UdpHeader::write(src_port, dst_port, src, dst, payload, &mut out);
         Ok(out)
     }
 
-    /// Appends the serialized datagram (header and payload) to `out`,
-    /// computing the checksum. Used by `PacketBuilder` to serialize the
-    /// transport directly into the wire buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidField`] if the datagram exceeds 65 535
-    /// bytes.
-    pub(crate) fn build_into(
+    /// Writes the datagram (header and `payload`) into `out`, which is
+    /// exactly `HEADER_LEN` plus `payload.len()` zeroed bytes of at most
+    /// 65 535, computing the checksum.
+    pub(crate) fn write(
         src_port: u16,
         dst_port: u16,
         src: Ipv4Addr,
         dst: Ipv4Addr,
         payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), NetError> {
-        let total = HEADER_LEN + payload.len();
-        let length = u16::try_from(total)
-            .map_err(|_| NetError::InvalidField { layer: "udp", what: "datagram too large" })?;
-        let base = out.len();
-        out.resize(base + HEADER_LEN, 0);
-        let h = &mut out[base..base + HEADER_LEN];
-        h[0..2].copy_from_slice(&src_port.to_be_bytes());
-        h[2..4].copy_from_slice(&dst_port.to_be_bytes());
-        h[4..6].copy_from_slice(&length.to_be_bytes());
-        out.extend_from_slice(payload);
+        out: &mut [u8],
+    ) {
+        let length = out.len() as u16;
+        out[0..2].copy_from_slice(&src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&dst_port.to_be_bytes());
+        out[4..6].copy_from_slice(&length.to_be_bytes());
+        out[HEADER_LEN..].copy_from_slice(payload);
         let mut c = Ipv4Header::pseudo_header_checksum(src, dst, IpProtocol::Udp, length);
-        c.add_bytes(&out[base..]);
+        c.add_bytes(out);
         let mut sum = c.finish();
         // RFC 768: a computed zero checksum is transmitted as all-ones.
         if sum == 0 {
             sum = 0xffff;
         }
-        out[base + 6..base + 8].copy_from_slice(&sum.to_be_bytes());
-        Ok(())
+        out[6..8].copy_from_slice(&sum.to_be_bytes());
     }
 }
 

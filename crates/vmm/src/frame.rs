@@ -32,8 +32,11 @@ impl fmt::Display for FrameId {
     }
 }
 
-/// Sixteen bytes a frame: a free frame is one whose count is zero.
-#[derive(Clone, Debug)]
+/// Twelve bytes a frame: a free frame is one whose count is zero. Packed to
+/// 4-byte alignment, so a `u64` content word does not pad every row to 16
+/// bytes; fields are only ever read and written by value.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, packed(4))]
 struct FrameState {
     refcount: u32,
     content: u64,
@@ -294,6 +297,11 @@ mod tests {
         assert_eq!(ft.free_frames(), 0, "still referenced");
         ft.release(f);
         assert_eq!(ft.free_frames(), 1);
+    }
+
+    #[test]
+    fn a_frame_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<FrameState>(), 12);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::net::Ipv4Addr;
 
 use potemkin_net::addr::Ipv4Prefix;
-use potemkin_net::{BufferPool, Packet, PacketBuilder};
+use potemkin_net::{Packet, PacketBuilder};
 use potemkin_sim::{SimRng, SimTime};
 
 use crate::dialogue::ExploitScript;
@@ -54,7 +54,6 @@ pub enum ProbeTransport {
 /// # Examples
 ///
 /// ```
-/// use potemkin_net::BufferPool;
 /// use potemkin_sim::SimRng;
 /// use potemkin_workload::worm::WormSpec;
 /// use std::net::Ipv4Addr;
@@ -64,7 +63,7 @@ pub enum ProbeTransport {
 /// let mut rng = SimRng::seed_from(7);
 /// let src = Ipv4Addr::new(10, 1, 0, 1);
 /// let target = worm.pick_target(&mut rng, src, 0).unwrap();
-/// let probe = worm.probe_instance_pooled(src, 1025, target, 0, &BufferPool::new());
+/// let probe = worm.probe_instance(src, 1025, target, 0);
 /// assert_eq!(probe.flow_key().transport.dst_port(), Some(1434));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -188,23 +187,18 @@ impl WormSpec {
     }
 
     /// A probe of this worm from `src:src_port` to `dst`, carrying the
-    /// payload of instance `instance_seed` (UDP worms), with the wire
-    /// buffer drawn from `pool` — the farm's allocation-free scanning
-    /// path.
+    /// payload of instance `instance_seed` (UDP worms).
     #[must_use]
-    pub fn probe_instance_pooled(
+    pub fn probe_instance(
         &self,
         src: Ipv4Addr,
         src_port: u16,
         dst: Ipv4Addr,
         instance_seed: u64,
-        pool: &BufferPool,
     ) -> Packet {
         match self.transport {
-            ProbeTransport::Tcp => {
-                PacketBuilder::new(src, dst).pooled(pool).tcp_syn(src_port, self.port)
-            }
-            ProbeTransport::Udp => PacketBuilder::new(src, dst).pooled(pool).udp(
+            ProbeTransport::Tcp => PacketBuilder::new(src, dst).tcp_syn(src_port, self.port),
+            ProbeTransport::Udp => PacketBuilder::new(src, dst).udp(
                 src_port,
                 self.port,
                 &self.payload_instance(instance_seed),
@@ -308,11 +302,10 @@ mod tests {
     fn probe_packet_shape() {
         let src = Ipv4Addr::new(10, 1, 0, 1);
         let dst = Ipv4Addr::new(10, 1, 0, 2);
-        let pool = BufferPool::new();
-        let tcp = WormSpec::code_red(space()).probe_instance_pooled(src, 1025, dst, 0, &pool);
+        let tcp = WormSpec::code_red(space()).probe_instance(src, 1025, dst, 0);
         assert_eq!(tcp.flow_key().transport.dst_port(), Some(80));
         assert!(tcp.tcp_flags().unwrap().syn);
-        let udp = WormSpec::slammer(space()).probe_instance_pooled(src, 1025, dst, 0, &pool);
+        let udp = WormSpec::slammer(space()).probe_instance(src, 1025, dst, 0);
         assert_eq!(udp.flow_key().transport.dst_port(), Some(1434));
         assert_eq!(udp.app_payload(), b"\x04slammer-marker");
     }
@@ -334,9 +327,8 @@ mod tests {
         // The probe carries the instance payload for UDP worms.
         let src = Ipv4Addr::new(10, 1, 0, 1);
         let dst = Ipv4Addr::new(10, 1, 0, 2);
-        let pool = BufferPool::new();
-        let p1 = w.probe_instance_pooled(src, 1, dst, 1, &pool);
-        let p2 = w.probe_instance_pooled(src, 1, dst, 2, &pool);
+        let p1 = w.probe_instance(src, 1, dst, 1);
+        let p2 = w.probe_instance(src, 1, dst, 2);
         assert_ne!(p1.app_payload(), p2.app_payload());
     }
 

@@ -237,7 +237,7 @@ fn udp_probe_to_closed_port_gets_unreachable_back() {
                 PacketPayload::Icmp(potemkin::net::icmp::IcmpMessage::DestUnreachable {
                     code,
                     ..
-                }) => Some(*code),
+                }) => Some(code),
                 _ => None,
             },
             _ => None,

@@ -1,17 +1,177 @@
 //! Property-based tests on the wire formats: build/parse roundtrips for
-//! arbitrary field values, and parse-never-panics on arbitrary bytes.
+//! arbitrary field values, parse-never-panics on arbitrary bytes, and that
+//! every field a [`Packet`] reads from its wire image is what the header
+//! validators decode from the same bytes.
 
 use proptest::prelude::*;
 
 use potemkin::net::dns::DnsMessage;
 use potemkin::net::gre::GreHeader;
 use potemkin::net::icmp::IcmpMessage;
+use potemkin::net::ipv4::{IpProtocol, Ipv4Header};
 use potemkin::net::tcp::{TcpFlags, TcpHeader};
-use potemkin::net::{Packet, PacketBuilder};
+use potemkin::net::udp::UdpHeader;
+use potemkin::net::{FlowKey, Packet, PacketBuilder, PacketPayload, Transport};
 use std::net::Ipv4Addr;
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from)
+}
+
+/// The RFC 1071 checksum, for re-sealing a mutated IPv4 header so that the
+/// mutation reaches the checks behind the header checksum.
+fn internet_checksum(bytes: &[u8]) -> u16 {
+    let mut sum: u32 = bytes
+        .chunks(2)
+        .map(|c| u32::from(u16::from_be_bytes([c[0], c.get(1).copied().unwrap_or(0)])))
+        .sum();
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+/// A packet from one of the public builders, chosen by `shape`.
+fn build(
+    shape: u8,
+    (src, dst): (Ipv4Addr, Ipv4Addr),
+    (sport, dport): (u16, u16),
+    (seq, ack, flag_bits, code): (u32, u32, u8, u8),
+    payload: &[u8],
+) -> Packet {
+    let b = PacketBuilder::new(src, dst).ttl(code | 1).ident(sport ^ dport);
+    match shape {
+        0 => b.tcp_syn(sport, dport),
+        1 => b.tcp_segment(sport, dport, TcpFlags::from_byte(flag_bits), seq, ack, payload),
+        2 => b.udp(sport, dport, payload),
+        3 => b.icmp_echo(sport, dport, payload),
+        4 => b.icmp(IcmpMessage::EchoReply { ident: sport, seq: dport, payload }),
+        5 => b.icmp(IcmpMessage::DestUnreachable { code, original: payload }),
+        6 => b.icmp(IcmpMessage::TimeExceeded { code, original: payload }),
+        7 => b.icmp(IcmpMessage::Other { icmp_type: flag_bits, code, rest: payload }),
+        _ => b
+            .udp(sport, dport, payload)
+            .rewrite_addresses(dst, src)
+            .expect("a built datagram rewrites"),
+    }
+}
+
+/// Applies mutation `kind` to a valid encoding: a byte flip, a truncation,
+/// a rewritten IHL, IPv4 total length, TCP data offset or UDP length, or
+/// trailing link-layer padding. With `reseal`, the checksums are then made
+/// to match again (a UDP one by zeroing it, "not computed"), so the
+/// mutation reaches the checks that sit behind them.
+fn mutate(wire: &mut Vec<u8>, kind: u8, at: u16, by: u8, reseal: bool) {
+    let len = wire.len();
+    let ihl = usize::from(wire[0] & 0x0f) * 4;
+    let field = |wire: &mut Vec<u8>, at: usize, value: u16| {
+        wire[at..at + 2].copy_from_slice(&value.to_be_bytes());
+    };
+    match kind {
+        1 => wire[usize::from(at) % len] ^= by | 1,
+        2 => wire.truncate(usize::from(at) % len),
+        3 => wire[0] = 0x40 | (by & 0x0f),
+        4 => field(wire, 2, (len as u16 + u16::from(by % 32)).wrapping_sub(16)),
+        5 if wire[9] == 6 => wire[ihl + 12] = (by << 4) | (wire[ihl + 12] & 0x0f),
+        6 if wire[9] == 17 => {
+            field(wire, ihl + 4, ((len - ihl) as u16 + u16::from(by % 32)).wrapping_sub(16));
+        }
+        7 => wire.extend(std::iter::repeat_n(by, usize::from(by % 16))),
+        _ => {}
+    }
+    if !reseal || wire.len() < 20 {
+        return;
+    }
+    let ihl = (usize::from(wire[0] & 0x0f) * 4).clamp(20, wire.len());
+    let end = usize::from(u16::from_be_bytes([wire[2], wire[3]])).min(wire.len()).max(ihl);
+    match wire[9] {
+        6 if end >= ihl + 20 => {
+            wire[ihl + 16..ihl + 18].fill(0);
+            let mut pseudo = wire[12..20].to_vec();
+            pseudo.extend_from_slice(&[0, 6]);
+            pseudo.extend_from_slice(&((end - ihl) as u16).to_be_bytes());
+            pseudo.extend_from_slice(&wire[ihl..end]);
+            let sum = internet_checksum(&pseudo);
+            wire[ihl + 16..ihl + 18].copy_from_slice(&sum.to_be_bytes());
+        }
+        17 if end >= ihl + 8 => wire[ihl + 6..ihl + 8].fill(0),
+        _ => {}
+    }
+    wire[10..12].fill(0);
+    let sum = internet_checksum(&wire[..ihl]);
+    wire[10..12].copy_from_slice(&sum.to_be_bytes());
+}
+
+/// `Packet::parse(bytes)` is a typed error, or a packet whose every
+/// accessor equals what the header validators decode from `bytes`.
+fn fields_match_validators(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let Ok(p) = Packet::parse(bytes) else { return Ok(()) };
+    let (ip, transport) = Ipv4Header::parse(bytes).expect("Packet::parse accepted the header");
+    let payload = match ip.protocol {
+        IpProtocol::Tcp => {
+            let (header, payload) =
+                TcpHeader::parse(transport, ip.src, ip.dst).expect("accepted segment");
+            PacketPayload::Tcp { header, payload }
+        }
+        IpProtocol::Udp => {
+            let (header, payload) =
+                UdpHeader::parse(transport, ip.src, ip.dst).expect("accepted datagram");
+            PacketPayload::Udp { header, payload }
+        }
+        IpProtocol::Icmp => PacketPayload::Icmp(IcmpMessage::parse(transport).expect("accepted")),
+        protocol => PacketPayload::Raw { protocol, payload: transport },
+    };
+    let (transport_key, flags, app): (Transport, Option<TcpFlags>, &[u8]) = match payload {
+        PacketPayload::Tcp { header, payload } => (
+            Transport::Tcp { src_port: header.src_port, dst_port: header.dst_port },
+            Some(header.flags),
+            payload,
+        ),
+        PacketPayload::Udp { header, payload } => {
+            (Transport::Udp { src_port: header.src_port, dst_port: header.dst_port }, None, payload)
+        }
+        PacketPayload::Icmp(
+            IcmpMessage::EchoRequest { ident, payload, .. }
+            | IcmpMessage::EchoReply { ident, payload, .. },
+        ) => (Transport::Icmp { ident }, None, payload),
+        PacketPayload::Icmp(_) => (Transport::Icmp { ident: 0 }, None, &[]),
+        PacketPayload::Raw { payload, .. } => {
+            (Transport::Other { protocol: bytes[9] }, None, payload)
+        }
+    };
+    prop_assert_eq!(p.wire(), &bytes[..usize::from(ip.total_len)]);
+    prop_assert_eq!(p.len(), usize::from(ip.total_len));
+    prop_assert_eq!(p.src(), ip.src);
+    prop_assert_eq!(p.dst(), ip.dst);
+    prop_assert_eq!(p.payload(), payload);
+    prop_assert_eq!(p.flow_key(), FlowKey { src: ip.src, dst: ip.dst, transport: transport_key });
+    prop_assert_eq!(p.tcp_flags(), flags);
+    prop_assert_eq!(p.app_payload(), app);
+    prop_assert_eq!(Packet::parse(p.wire()), Ok(p.clone()));
+    let debug = format!("{p:?}");
+    prop_assert!(debug.starts_with("Packet"));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+    #[test]
+    fn packet_fields_are_what_the_validators_read(
+        shape in 0u8..9,
+        addrs in (arb_addr(), arb_addr()),
+        ports in (any::<u16>(), any::<u16>()),
+        words in (any::<u32>(), any::<u32>(), any::<u8>(), any::<u8>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..120),
+        mutation in (0u8..8, any::<u16>(), any::<u8>(), any::<bool>()),
+    ) {
+        let p = build(shape, addrs, ports, words, &payload);
+        fields_match_validators(p.wire())?;
+        prop_assert_eq!(Packet::parse(p.wire()), Ok(p.clone()));
+        let (kind, at, by, reseal) = mutation;
+        let mut wire = p.wire().to_vec();
+        mutate(&mut wire, kind, at, by, reseal);
+        fields_match_validators(&wire)?;
+    }
 }
 
 proptest! {

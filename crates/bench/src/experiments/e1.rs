@@ -6,7 +6,7 @@
 //! from the calibrated cost model, the measured breakdown of an actual clone
 //! performed by our VMM, and the provisioning-strategy comparison.
 
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_sim::SimTime;
 use potemkin_vmm::cost::CostModel;
 use potemkin_vmm::guest::GuestProfile;

@@ -17,7 +17,7 @@ use potemkin_core::farm::FarmConfig;
 use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_sim::{FaultPlanConfig, SimTime};
 use potemkin_vmm::RetryPolicy;
 

@@ -29,7 +29,7 @@ use potemkin_core::parallel::{
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_json::{obj, JsonValue};
-use potemkin_metrics::{LogHistogram, Table};
+use potemkin_obs::{LogHistogram, Table};
 use potemkin_sim::{AdaptiveWindow, EngineTuning, SimTime};
 use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;

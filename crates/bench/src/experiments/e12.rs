@@ -29,8 +29,8 @@ use std::net::Ipv4Addr;
 use potemkin_core::farm::{FarmConfig, Honeyfarm};
 use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeResult};
 use potemkin_json::{obj, JsonValue};
-use potemkin_metrics::Table;
 use potemkin_net::PacketBuilder;
+use potemkin_obs::Table;
 use potemkin_obs::{names, SpanAggregator, SpanStats, TraceConfig, TraceEvent};
 use potemkin_sim::SimTime;
 use potemkin_snapshot::fnv1a64;

@@ -32,7 +32,7 @@ use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_gateway::reclaim::ReclaimPolicyKind;
 use potemkin_json::{obj, JsonValue};
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_sim::SimTime;
 use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;

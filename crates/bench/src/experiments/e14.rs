@@ -39,7 +39,7 @@ use potemkin_core::parallel::{
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_json::{obj, JsonValue};
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_sim::{FaultPlanConfig, SimTime};
 use potemkin_snapshot::{fnv1a64, RetryPolicy, SnapshotError, SnapshotFile};
 use potemkin_workload::radiation::RadiationConfig;

@@ -23,15 +23,15 @@
 //! only.
 
 use potemkin_core::farm::FarmConfig;
+use potemkin_core::fed::AdmissionConfig;
 use potemkin_core::federation::{
     run_telescope_federated, FederatedTelescopeConfig, FederatedTelescopeResult,
 };
 use potemkin_core::scenario::TelescopeConfig;
-use potemkin_federation::AdmissionConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_json::{obj, JsonValue};
-use potemkin_metrics::Table;
 use potemkin_net::addr::Ipv4Prefix;
+use potemkin_obs::Table;
 use potemkin_sim::SimTime;
 use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;

@@ -16,7 +16,7 @@
 //!    marked payload.
 //!
 //! The second half runs the full sharded interaction replay
-//! ([`potemkin_core::services`]) — scripted attacker fleets against cell
+//! ([`potemkin_core::interaction`]) — scripted attacker fleets against cell
 //! farms with the pack installed, plus ambient radiation — at several
 //! worker counts, and checks the merged fidelity report is
 //! byte-identical (the window-barrier determinism argument extended to
@@ -29,9 +29,9 @@
 
 use std::net::Ipv4Addr;
 
-use potemkin_core::services::{run_interaction, InteractionConfig, InteractionResult};
+use potemkin_core::interaction::{run_interaction, InteractionConfig, InteractionResult};
 use potemkin_json::{obj, JsonValue};
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_services::pack::builtin;
 use potemkin_services::{render, ServiceEngine, ServicesConfig};
 use potemkin_sim::SimTime;

@@ -4,9 +4,9 @@
 //! Potemkin's delta virtualization applies to disks too: every clone's
 //! block device is a copy-on-write overlay over a golden image, and §4.2's
 //! flash cloning works *because* nothing is copied until touched. The
-//! `potemkin-storage` redesign pushes that one level further — golden
-//! images themselves are manifests over one farm-wide content-addressed
-//! chunk store — and this experiment makes three claims measurable:
+//! VMM's chunk store pushes that one level further — golden images
+//! themselves are manifests over one farm-wide content-addressed chunk
+//! store — and this experiment makes three claims measurable:
 //!
 //! 1. **Farm-wide dedupe.** Reference images built from the same golden
 //!    content share every chunk in the store, across images and across
@@ -33,7 +33,7 @@ use potemkin_core::parallel::{
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_json::{obj, JsonValue};
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_sim::SimTime;
 use potemkin_snapshot::fnv1a64;
 use potemkin_vmm::guest::GuestProfile;

@@ -7,7 +7,7 @@
 //! eager-full-copy baseline — lets each guest handle a few requests, and
 //! reports aggregate and marginal memory.
 
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_vmm::guest::GuestProfile;
 use potemkin_vmm::{Host, VmmError};
 

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use potemkin_metrics::{ConcurrencyAnalyzer, Table};
+use potemkin_obs::{ConcurrencyAnalyzer, Table};
 use potemkin_sim::SimTime;
 use potemkin_workload::radiation::{RadiationConfig, RadiationModel};
 

@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use potemkin_gateway::binding::VmRef;
 use potemkin_gateway::gateway::{Gateway, GatewayAction, GatewayConfig};
-use potemkin_metrics::Table;
 use potemkin_net::{Packet, PacketBuilder};
+use potemkin_obs::Table;
 use potemkin_sim::SimTime;
 
 use crate::harness::Outcome;
@@ -23,7 +23,11 @@ use crate::harness::Outcome;
 pub(crate) struct ThroughputPoint {
     /// Pre-installed bindings (≈ live VMs).
     pub(crate) bindings: usize,
-    /// Fast-path (bound inbound) packets per second.
+    /// First packets of each bound flow per second: a flow-table insert
+    /// on the bound path.
+    pub(crate) first_pps: f64,
+    /// Fast-path (bound inbound) packets per second, every flow already
+    /// in the flow table.
     pub(crate) bound_pps: f64,
     /// Outbound reflect-path packets per second.
     pub(crate) reflect_pps: f64,
@@ -92,9 +96,20 @@ pub(crate) fn run(binding_counts: &[usize], iterations: usize) -> ThroughputResu
     for &n in binding_counts {
         let mut g = loaded_gateway(n);
         let packets = bound_packets(n, iterations.min(10_000));
+        let now = SimTime::from_secs(1);
+        // First packets: the batch cycles over its first `n` packets, one
+        // per flow, and each inserts into the flow table. They are timed
+        // apart, so the fast path below refreshes a warm table at every
+        // state size.
+        let flows = n.min(packets.len());
+        let mut i = 0usize;
+        let first_pps = measure(flows, || {
+            let p = packets[i].clone();
+            i += 1;
+            matches!(g.on_inbound(now, p), GatewayAction::Deliver { .. })
+        });
         // Fast path: inbound to a bound address.
         let mut i = 0usize;
-        let now = SimTime::from_secs(1);
         let bound_pps = measure(iterations, || {
             let p = packets[i % packets.len()].clone();
             i += 1;
@@ -113,7 +128,7 @@ pub(crate) fn run(binding_counts: &[usize], iterations: usize) -> ThroughputResu
             k += 1;
             matches!(g.on_outbound(now, VmRef(0), p), GatewayAction::Reflect { .. })
         });
-        points.push(ThroughputPoint { bindings: n, bound_pps, reflect_pps });
+        points.push(ThroughputPoint { bindings: n, first_pps, bound_pps, reflect_pps });
     }
 
     // Clone-request path: every packet targets a fresh unbound address.
@@ -139,6 +154,13 @@ pub(crate) fn table(result: &ThroughputResult) -> Table {
             p.bindings.to_string(),
             format!("{:.0}", p.bound_pps),
             format!("{:.0}", p.reflect_pps),
+        ]);
+    }
+    for p in &result.points {
+        t.row_owned(vec![
+            format!("{} (first packets)", p.bindings),
+            format!("{:.0} (flow-table insert)", p.first_pps),
+            "-".into(),
         ]);
     }
     t.row_owned(vec![
@@ -176,6 +198,7 @@ mod tests {
     fn clone_request_path_works_and_is_measured() {
         let r = run(&[100], 5_000);
         assert!(r.clone_request_pps > 1_000.0);
+        assert!(r.points[0].first_pps > 1_000.0);
         assert!(r.points[0].reflect_pps > 1_000.0);
     }
 
@@ -184,6 +207,7 @@ mod tests {
         let r = run(&[10], 2_000);
         let s = table(&r).to_string();
         assert!(s.contains("bindings"));
+        assert!(s.contains("10 (first packets)"));
         assert!(s.contains("clone-request"));
     }
 }

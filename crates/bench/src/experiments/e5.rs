@@ -17,7 +17,7 @@ use potemkin_core::parallel::{
 };
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::{ContainmentMode, PolicyConfig};
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_sim::SimTime;
 use potemkin_workload::epidemic::SiModel;
 use potemkin_workload::radiation::RadiationConfig;

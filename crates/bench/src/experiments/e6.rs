@@ -11,7 +11,7 @@ use potemkin_core::parallel::{
     run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult,
 };
 use potemkin_core::scenario::TelescopeConfig;
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_sim::SimTime;
 use potemkin_workload::radiation::RadiationConfig;
 

@@ -8,7 +8,7 @@
 //! captured the payload.
 
 use potemkin_core::baseline::{race_high_interaction, LowInteractionResponder};
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 use potemkin_workload::dialogue::{DialogueOutcome, ExploitScript};
 use potemkin_workload::worm::WormSpec;
 

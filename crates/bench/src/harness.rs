@@ -12,7 +12,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use potemkin_json::JsonValue;
-use potemkin_metrics::Table;
+use potemkin_obs::Table;
 
 /// One printed item: a summary line or a table.
 #[derive(Debug)]

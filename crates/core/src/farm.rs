@@ -17,11 +17,11 @@ use potemkin_gateway::gateway::{Gateway, GatewayAction, GatewayConfig};
 use potemkin_gateway::policy::DropReason;
 use potemkin_gateway::reclaim::{ReclaimPolicy, ReclaimPolicyKind};
 use potemkin_gateway::ConfigError;
-use potemkin_metrics::{CounterSet, FaultClass, FaultLedger, LogHistogram, TimeSeries};
 use potemkin_net::icmp::IcmpMessage;
 use potemkin_net::tcp::TcpFlags;
 use potemkin_net::{Packet, PacketBuilder, PacketPayload};
 use potemkin_obs::{names as obs, TraceConfig, TraceEvent, Tracer};
+use potemkin_obs::{CounterSet, FaultClass, FaultLedger, LogHistogram, TimeSeries};
 use potemkin_services::{ServiceEngine, ServicesConfig};
 use potemkin_sim::{FaultInjector, FaultKind, FaultPlan, SimRng, SimTime};
 use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
@@ -2416,7 +2416,7 @@ mod tests {
         assert!(!farm.worm_probe(SimTime::ZERO, VmRef(99), 0));
     }
 
-    use potemkin_metrics::FaultClass;
+    use potemkin_obs::FaultClass;
     use potemkin_sim::FaultEvent;
 
     fn plan_of(events: Vec<FaultEvent>) -> potemkin_sim::FaultPlan {

@@ -1,7 +1,7 @@
 //! Federated honeyfarm routing tier.
 //!
 //! The paper's end vision is a honeyfarm monitoring internet-scale dark
-//! address space — far more than one cluster serves. This crate provides
+//! address space — far more than one cluster serves. This module provides
 //! the *top tier* that joins N member farms into one federated telescope:
 //!
 //! * `RouteTable` — a deterministic BGP-style longest-prefix-match table
@@ -17,11 +17,9 @@
 //!   clean aggregate prefixes and *regrouping cells into different farm
 //!   counts never moves an address between cells*. That invariance is the
 //!   heart of the cross-topology determinism argument: see
-//!   `potemkin_core::federation` for the driver that rides on it.
+//!   [`crate::federation`] for the driver that rides on it.
 //! * [`AdmissionConfig`] — global load-shedding policy, keyed off the
 //!   member farms' `MemoryBudget`/`PressureEvent` plumbing.
-
-#![warn(unreachable_pub)]
 
 mod route;
 mod router;
@@ -44,16 +42,10 @@ pub struct AdmissionConfig {
     /// Shed fabric deliveries into a cell once its farm has logged at
     /// least this many memory-pressure events. `None` (the default)
     /// disables shedding.
-    pub shed_after_pressure_events: Option<u64>,
+    pub(crate) shed_after_pressure_events: Option<u64>,
 }
 
 impl AdmissionConfig {
-    /// Shedding disabled.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
     /// Shed once a destination cell's farm has logged `events` pressure
     /// events.
     #[must_use]
@@ -68,7 +60,7 @@ impl AdmissionConfig {
 /// The *cell* partition is the unit of determinism — it is fixed by
 /// `(telescope, cells)` alone. Farms are groupings of
 /// `cells / farms` consecutive cells, so every farm owns one aggregate
-/// sub-prefix ([`FederationLayout::farm_prefix`]) it can advertise, and
+/// sub-prefix (`FederationLayout::farm_prefix`) it can advertise, and
 /// changing `farms` (1 vs. 16) changes *transport* (which deliveries ride
 /// a GRE uplink) but never *ownership* (which cell an address belongs to).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,19 +105,19 @@ impl FederationLayout {
 
     /// Member-farm count.
     #[must_use]
-    pub fn farms(&self) -> usize {
+    pub(crate) fn farms(&self) -> usize {
         self.farms
     }
 
     /// Global cell count (layout-invariant across farm counts).
     #[must_use]
-    pub fn cells(&self) -> usize {
+    pub(crate) fn cells(&self) -> usize {
         self.cells
     }
 
     /// Cells per member farm.
     #[must_use]
-    pub fn cells_per_farm(&self) -> usize {
+    pub(crate) fn cells_per_farm(&self) -> usize {
         self.cells / self.farms
     }
 
@@ -135,7 +127,7 @@ impl FederationLayout {
     ///
     /// Panics if `cell >= cells`.
     #[must_use]
-    pub fn farm_of_cell(&self, cell: usize) -> usize {
+    pub(crate) fn farm_of_cell(&self, cell: usize) -> usize {
         assert!(cell < self.cells, "cell out of range");
         cell / self.cells_per_farm()
     }
@@ -146,7 +138,7 @@ impl FederationLayout {
     ///
     /// Panics if `farm >= farms`.
     #[must_use]
-    pub fn farm_prefix(&self, farm: usize) -> Ipv4Prefix {
+    pub(crate) fn farm_prefix(&self, farm: usize) -> Ipv4Prefix {
         self.telescope
             .subprefix(farm as u64, self.farms as u64)
             .expect("validated farms split the telescope")
@@ -232,7 +224,7 @@ mod tests {
 
     #[test]
     fn admission_config_constructors() {
-        assert_eq!(AdmissionConfig::disabled().shed_after_pressure_events, None);
+        assert_eq!(AdmissionConfig::default().shed_after_pressure_events, None);
         assert_eq!(AdmissionConfig::shed_after(3).shed_after_pressure_events, Some(3));
     }
 }

@@ -18,7 +18,7 @@ use potemkin_net::Packet;
 use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 use std::collections::BTreeMap;
 
-use crate::route::RouteTable;
+use super::route::RouteTable;
 
 /// Why the routing tier dropped a frame in transit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,14 +33,14 @@ pub(crate) enum TransitDrop {
 
 /// Per-farm link accounting at the routing tier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
+pub(crate) struct LinkStats {
     /// Packets forwarded *to* this farm (downlink).
-    pub downlink_packets: u64,
+    pub(crate) downlink_packets: u64,
     /// Inner bytes forwarded to this farm.
     pub(crate) downlink_bytes: u64,
     /// Frames from this farm dropped because no route covered the
     /// destination.
-    pub route_drops: u64,
+    pub(crate) route_drops: u64,
 }
 
 snap_struct!(LinkStats { downlink_packets, downlink_bytes, route_drops });
@@ -112,31 +112,31 @@ impl FederationRouter {
 
     /// The routing tier's view of one farm's uplink (GRE-level counters).
     #[must_use]
-    pub fn uplink_stats(&self, farm: u32) -> TunnelStats {
+    pub(crate) fn uplink_stats(&self, farm: u32) -> TunnelStats {
         self.uplinks.stats(farm)
     }
 
     /// Downlink/drop accounting for one farm.
     #[must_use]
-    pub fn link_stats(&self, farm: u32) -> LinkStats {
+    pub(crate) fn link_stats(&self, farm: u32) -> LinkStats {
         self.links.get(&farm).copied().unwrap_or_default()
     }
 
     /// Frames dropped because no route covered their destination.
     #[must_use]
-    pub fn route_drops(&self) -> u64 {
+    pub(crate) fn route_drops(&self) -> u64 {
         self.links.values().map(|l| l.route_drops).sum()
     }
 
     /// Installed routes (excluding any default).
     #[must_use]
-    pub fn advertised_routes(&self) -> usize {
+    pub(crate) fn advertised_routes(&self) -> usize {
         self.table.routes().filter(|r| r.prefix.bits() > 0).count()
     }
 
     /// Total addresses monitored across member farms.
     #[must_use]
-    pub fn monitored_addresses(&self) -> u64 {
+    pub(crate) fn monitored_addresses(&self) -> u64 {
         self.uplinks.monitored_addresses()
     }
 
@@ -144,7 +144,7 @@ impl FederationRouter {
     /// stats, per-farm link stats, route-table counters. Advertisements
     /// are configuration and are rebuilt by the owner before restore.
     #[must_use]
-    pub fn encode_state(&self) -> Vec<u8> {
+    pub(crate) fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.bytes(&self.uplinks.encode_state());
         self.table.counters().snap(&mut w);
@@ -153,7 +153,7 @@ impl FederationRouter {
         w.into_bytes()
     }
 
-    /// Restores counters captured by [`FederationRouter::encode_state`].
+    /// Restores counters captured by `FederationRouter::encode_state`.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@
 //! carry a federation hop (`FedHop`), and the run — checkpoints, resumes
 //! and forks included — goes through the sharded entry points. The hop
 //! puts N member farm clusters behind the
-//! [`potemkin_federation`] routing tier: the monitored prefix is carved
+//! [`crate::fed`] routing tier: the monitored prefix is carved
 //! into contiguous cell slices ([`CellMap::Sliced`]), farms are
 //! power-of-two groupings of consecutive cells, each farm advertises its
 //! aggregate prefix into a BGP-style longest-prefix route table, and
@@ -48,7 +48,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use potemkin_federation::{AdmissionConfig, FederationLayout, FederationRouter};
 use potemkin_gateway::tunnel::{Telescope, TunnelEndpoint};
 use potemkin_gateway::ConfigError;
 use potemkin_net::addr::Ipv4Prefix;
@@ -58,6 +57,7 @@ use potemkin_sim::{EngineTuning, FaultPlanConfig, Shard, SimTime};
 use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::error::FarmError;
+use crate::fed::{AdmissionConfig, FederationLayout, FederationRouter};
 use crate::parallel::{
     run_telescope_sharded, CellMap, CellWorld, Lane, ShardedTelescopeConfig, ShardedTelescopeResult,
 };
@@ -117,7 +117,7 @@ impl FederatedTelescopeConfig {
                 seed_infections: 0,
                 trace: None,
                 tuning: EngineTuning::default(),
-                admission: AdmissionConfig::disabled(),
+                admission: AdmissionConfig::default(),
             },
         }
     }

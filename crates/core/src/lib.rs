@@ -23,11 +23,13 @@
 //! * [`checkpoint`] — whole-farm checkpoint/restore: crash-consistent
 //!   snapshots of that run loop with integrity validation, deterministic
 //!   resume, and what-if forks — of plain and federated runs alike.
+//! * [`fed`] — the federation routing tier: BGP-style prefix routes, GRE
+//!   farm uplinks, the cell/farm layout and global admission control.
 //! * [`federation`] — the federated multi-farm telescope: the hop a cell
-//!   carries when N member farm clusters sit behind the
-//!   `potemkin-federation` routing tier, with cross-farm worm reflection
-//!   over GRE and byte-identical merged reports across topology layouts.
-//! * [`services`] — the interaction-fidelity plane: scenario packs from
+//!   carries when N member farm clusters sit behind the [`fed`] routing
+//!   tier, with cross-farm worm reflection over GRE and byte-identical
+//!   merged reports across topology layouts.
+//! * [`interaction`] — the interaction-fidelity plane: scenario packs from
 //!   `potemkin-services` installed in every cell farm, driven by the
 //!   fleet of closed-loop scripted attackers each cell carries, with
 //!   per-scenario capture metrics merged deterministically across cells.
@@ -59,11 +61,12 @@ pub mod baseline;
 pub mod checkpoint;
 mod error;
 pub mod farm;
+pub mod fed;
 pub mod federation;
+pub mod interaction;
 pub mod parallel;
 pub mod report;
 pub mod scenario;
-pub mod services;
 
 pub use error::{Error, FarmError};
 pub use potemkin_gateway::ConfigError;

@@ -13,7 +13,7 @@
 //! # One cell world, one run loop
 //!
 //! `CellWorld` is the only `ShardWorld` in this crate: federation
-//! ([`crate::federation`]) and driven attackers ([`crate::services`]) are
+//! ([`crate::federation`]) and driven attackers ([`crate::interaction`]) are
 //! two optional parts *of* it — a hop and a fleet, `None` in a plain
 //! replay — switched on by crate-private options of the lowered
 //! [`ShardedTelescopeConfig`]. `run_cells` is the single caller of the
@@ -41,9 +41,9 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use potemkin_gateway::binding::VmRef;
-use potemkin_metrics::TimeSeries;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::Packet;
+use potemkin_obs::TimeSeries;
 use potemkin_sim::{
     run_sharded_resumable, BarrierControl, EngineTuning, EventQueue, FaultPlan, FaultPlanConfig,
     Shard, ShardConfig, ShardRunReport, ShardWorld, SimTime, Slab, World,
@@ -56,9 +56,9 @@ use crate::checkpoint::{restore_snapshot, CheckpointSink};
 use crate::error::FarmError;
 use crate::farm::{FarmOutput, Honeyfarm};
 use crate::federation::{FedBatch, FedHop, FederationPlan, FederationReport};
+use crate::interaction::{Fleet, FleetPlan};
 use crate::report::{DegradationReport, FarmStats};
 use crate::scenario::TelescopeConfig;
-use crate::services::{Fleet, FleetPlan};
 
 /// `splitmix64` — the statelessly-seedable mixer used for cell routing and
 /// per-cell seed derivation. Chosen for full avalanche at 3 multiplies.
@@ -682,7 +682,7 @@ fn prepare_shards(
         // The optional fleet: its opening SYNs go in after the trace, so
         // same-instant arrivals keep trace-then-attacker order.
         if let Some(plan) = &config.fleet {
-            crate::services::launch_fleet(plan, config, &mut shards);
+            crate::interaction::launch_fleet(plan, config, &mut shards);
         }
     }
     if let Some(plan) = &config.federation {

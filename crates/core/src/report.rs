@@ -1,6 +1,6 @@
 //! Aggregated farm statistics.
 
-use potemkin_metrics::{CounterSet, FaultLedger, LogHistogram};
+use potemkin_obs::{CounterSet, FaultLedger, LogHistogram};
 use potemkin_sim::SimTime;
 use potemkin_vmm::{MemoryReport, SharingReport};
 
@@ -129,7 +129,7 @@ impl core::fmt::Display for FarmStats {
 /// availability and fidelity, and how fast the farm re-bound orphaned
 /// addresses.
 ///
-/// Collected from the farm's [`potemkin_metrics::FaultLedger`] and merged
+/// Collected from the farm's [`potemkin_obs::FaultLedger`] and merged
 /// counters. [`DegradationReport::canonical_string`] renders a stable,
 /// byte-comparable form used by the determinism property tests.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -202,7 +202,7 @@ impl DegradationReport {
     }
 
     fn from_parts(c: &CounterSet, ledger: &FaultLedger, pending_rebinds: u64) -> Self {
-        use potemkin_metrics::FaultClass;
+        use potemkin_obs::FaultClass;
         let rebind = ledger.rebind_latency();
         DegradationReport {
             host_crashes: ledger.count(FaultClass::HostCrash),

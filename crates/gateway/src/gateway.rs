@@ -9,10 +9,10 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use potemkin_metrics::{CounterSet, RateEstimator};
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::{Packet, PacketBuilder, PacketPayload};
 use potemkin_obs::{names as obs, TraceEvent, Tracer};
+use potemkin_obs::{CounterSet, RateEstimator};
 use potemkin_sim::{SimTime, TokenBucket};
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter};
 

@@ -8,10 +8,10 @@
 
 use std::collections::BTreeMap;
 
-use potemkin_metrics::LogHistogram;
 use potemkin_sim::SimTime;
 
 use crate::event::{TraceEvent, TraceEventKind};
+use crate::histogram::LogHistogram;
 
 /// Aggregated statistics for one span name.
 #[derive(Clone, Debug)]

@@ -17,7 +17,7 @@ use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 /// # Examples
 ///
 /// ```
-/// use potemkin_metrics::CounterSet;
+/// use potemkin_obs::CounterSet;
 ///
 /// let mut c = CounterSet::new();
 /// c.incr("packets_in");

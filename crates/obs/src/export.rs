@@ -6,8 +6,9 @@
 
 use std::fmt::Write as _;
 
+use potemkin_json::escape;
+
 use crate::event::{TraceEvent, TraceEventKind};
-use crate::json::escape;
 
 /// One paired span interval, recovered from begin/end events.
 #[derive(Clone, Debug)]
@@ -145,8 +146,8 @@ pub fn chrome_trace_json(events: &[TraceEvent], lane_names: &[(u32, String)]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::JsonValue;
     use crate::tracer::{TraceConfig, Tracer};
+    use potemkin_json::JsonValue;
     use potemkin_sim::SimTime;
 
     fn sample_events() -> Vec<TraceEvent> {

@@ -20,7 +20,7 @@ const MAX_DECODED_SUB_BUCKETS: u32 = 1 << 10;
 /// # Examples
 ///
 /// ```
-/// use potemkin_metrics::LogHistogram;
+/// use potemkin_obs::LogHistogram;
 ///
 /// let mut h = LogHistogram::new(16);
 /// for v in 1..=1000u64 {

@@ -1,15 +1,24 @@
-//! Deterministic observability for the Potemkin honeyfarm.
+//! Deterministic observability for the Potemkin honeyfarm: the counters
+//! every table is computed from, and the traces that attribute time.
 //!
-//! The paper's evaluation is an exercise in *attribution*: Table 1 breaks
-//! one flash clone into per-stage costs; the telescope experiments reason
-//! about where time goes as load scales. This crate records that
-//! attribution from live runs instead of trusting the cost model:
-//! structured [`TraceEvent`]s with token spans (`SpanToken`), a per-lane
-//! flight-recorder ring ([`RingRecorder`]), aggregation into latency
-//! statistics per span name ([`SpanAggregator`]), and a Chrome
+//! **Measurement.** Every table and figure in the reproduction is computed
+//! from the primitives here: named counters ([`CounterSet`]), log-bucketed
+//! histograms with quantiles ([`LogHistogram`]), binned time series
+//! ([`TimeSeries`]), a concurrency analyzer ([`ConcurrencyAnalyzer`] — the
+//! paper's scalability argument is a Little's-law argument: VMs required ≈
+//! arrival rate × VM lifetime), a fault ledger, and the plain-text
+//! [`Table`] renderer the `figures` binary prints paper-style tables with.
+//!
+//! **Tracing.** The paper's evaluation is an exercise in *attribution*:
+//! Table 1 breaks one flash clone into per-stage costs; the telescope
+//! experiments reason about where time goes as load scales. This crate
+//! records that attribution from live runs instead of trusting the cost
+//! model: structured [`TraceEvent`]s with token spans (`SpanToken`), a
+//! per-lane flight-recorder ring ([`RingRecorder`]), aggregation into
+//! latency statistics per span name ([`SpanAggregator`]), and a Chrome
 //! `trace_event` JSON exporter.
 //!
-//! Three properties define the design:
+//! Three properties define the tracing design:
 //!
 //! * **Zero observer effect.** A disabled [`Tracer`] is a `None` — every
 //!   call is one branch. An enabled tracer stamps events with
@@ -44,17 +53,29 @@
 #![warn(unreachable_pub)]
 
 mod agg;
+mod counter;
 mod event;
 mod export;
-mod json;
+mod faults;
+mod histogram;
+mod littles_law;
+mod rate;
 mod recorder;
+mod table;
+mod timeseries;
 mod tracer;
 
 pub use agg::{SpanAggregator, SpanStats};
+pub use counter::CounterSet;
 pub use event::{TraceEvent, TraceEventKind};
 pub use export::chrome_trace_json;
-pub use json::JsonValue;
+pub use faults::{FaultClass, FaultLedger};
+pub use histogram::LogHistogram;
+pub use littles_law::ConcurrencyAnalyzer;
+pub use rate::RateEstimator;
 pub use recorder::{RecorderMode, RingRecorder};
+pub use table::Table;
+pub use timeseries::TimeSeries;
 pub use tracer::{TraceConfig, Tracer};
 
 /// Interned span and event names used across the stack, kept in one place

@@ -12,7 +12,7 @@ use potemkin_sim::SimTime;
 /// # Examples
 ///
 /// ```
-/// use potemkin_metrics::RateEstimator;
+/// use potemkin_obs::RateEstimator;
 /// use potemkin_sim::SimTime;
 ///
 /// // 100ms time constant: converges within ~0.5s of event time.

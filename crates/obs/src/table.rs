@@ -10,7 +10,7 @@ use core::fmt;
 /// # Examples
 ///
 /// ```
-/// use potemkin_metrics::Table;
+/// use potemkin_obs::Table;
 ///
 /// let mut t = Table::new(&["stage", "time (ms)"]);
 /// t.row_owned(vec!["domain create".into(), "112.3".into()]);

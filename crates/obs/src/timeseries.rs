@@ -13,7 +13,7 @@ use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 /// # Examples
 ///
 /// ```
-/// use potemkin_metrics::TimeSeries;
+/// use potemkin_obs::TimeSeries;
 /// use potemkin_sim::SimTime;
 ///
 /// let mut ts = TimeSeries::new(SimTime::from_secs(1));

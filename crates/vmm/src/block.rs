@@ -6,7 +6,7 @@
 //! block granularity). Block *contents* are modeled as one `u64` per block,
 //! like frame contents.
 //!
-//! [`BaseDisk`] and [`CowDisk`] are thin views over `potemkin-storage`
+//! [`BaseDisk`] and [`CowDisk`] are thin views over `storage`
 //! manifests: a base disk is a [`Manifest`] (ordered chunk refs) shared by
 //! every clone of the image, a clone disk is an [`OverlayManifest`] (sparse
 //! CoW delta) over that base. Identical chunks dedupe farm-wide through the
@@ -20,18 +20,9 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
-use potemkin_storage::{Manifest, OverlayManifest, SharedChunkStore, StorageError};
 
 use crate::error::VmmError;
-
-fn to_bad_block(size: u64) -> impl Fn(StorageError) -> VmmError {
-    move |e| match e {
-        StorageError::OutOfRange { index, .. } => VmmError::BadBlock { block: index, size },
-        // A missing or truncated chunk is store corruption; surface it as
-        // the typed block error rather than panicking.
-        StorageError::MissingChunk { hash } => VmmError::BadBlock { block: hash, size },
-    }
-}
+use crate::storage::{Manifest, OverlayManifest, SharedChunkStore};
 
 /// An immutable base disk image shared by all clones of a reference image:
 /// a chunk manifest over a farm-wide [`SharedChunkStore`]. Cloning the
@@ -64,7 +55,7 @@ impl BaseDisk {
         BaseDisk::open(
             &SharedChunkStore::new_memory(),
             size,
-            potemkin_storage::DEFAULT_CHUNK_BLOCKS,
+            crate::storage::DEFAULT_CHUNK_BLOCKS,
             seed,
         )
     }
@@ -88,9 +79,7 @@ impl BaseDisk {
 
     /// Reads a block, materializing its chunk on first touch.
     pub(crate) fn read(&self, block: u64) -> Result<u64, VmmError> {
-        let mut m = self.manifest();
-        let size = m.size_blocks();
-        m.read(&self.store, block).map_err(to_bad_block(size))
+        self.manifest().read(&self.store, block)
     }
 
     /// Encodes this disk through the manifest section codec: geometry plus
@@ -245,6 +234,21 @@ mod tests {
         }
         let c = BaseDisk::generate(10, 8);
         assert_ne!(a.read(0).unwrap(), c.read(0).unwrap());
+    }
+
+    #[test]
+    fn missing_chunk_is_reported_as_itself() {
+        let store = SharedChunkStore::new_memory();
+        let base = BaseDisk::open(&store, 100, 16, 42);
+        let content = base.read(0).unwrap();
+        store.clear();
+        let Err(VmmError::MissingChunk { hash }) = base.read(0) else {
+            panic!("a chunk dropped from the store is a missing chunk, not a bad block");
+        };
+        let words: Vec<u64> = (0..16).map(|b| Manifest::block_content(42, b)).collect();
+        assert_eq!(words[0], content);
+        assert_eq!(hash, crate::storage::ChunkHash::of_words(&words));
+        assert_eq!(base.read(100), Err(VmmError::BadBlock { block: 100, size: 100 }));
     }
 
     #[test]

@@ -4,6 +4,7 @@ use core::fmt;
 
 use crate::domain::DomainId;
 use crate::snapshot::ImageId;
+use crate::storage::ChunkHash;
 
 /// Errors from VMM operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,6 +40,13 @@ pub enum VmmError {
         block: u64,
         /// The disk size in blocks.
         size: u64,
+    },
+    /// A disk manifest names a chunk the store does not hold, or holds
+    /// shorter than the read: store corruption, reported as a value rather
+    /// than a panic.
+    MissingChunk {
+        /// Content hash of the missing chunk.
+        hash: ChunkHash,
     },
     /// The host's domain limit was reached.
     TooManyDomains {
@@ -85,6 +93,9 @@ impl fmt::Display for VmmError {
             VmmError::BadBlock { block, size } => {
                 write!(f, "block {block} out of range (disk has {size} blocks)")
             }
+            VmmError::MissingChunk { hash } => {
+                write!(f, "chunk {hash} missing or short in the chunk store")
+            }
             VmmError::TooManyDomains { limit } => {
                 write!(f, "domain limit reached ({limit})")
             }
@@ -113,6 +124,8 @@ mod tests {
             .contains("write"));
         assert!(VmmError::BadPfn { pfn: 99, size: 10 }.to_string().contains("99"));
         assert!(VmmError::BadBlock { block: 5, size: 2 }.to_string().contains("5"));
+        let hash = ChunkHash::of_words(&[0xAB]);
+        assert!(VmmError::MissingChunk { hash }.to_string().contains(&hash.to_string()));
         assert!(VmmError::TooManyDomains { limit: 128 }.to_string().contains("128"));
         assert_eq!(VmmError::HostDown.to_string(), "host is down");
         assert!(VmmError::InjectedFault { op: "flash_clone" }.to_string().contains("flash_clone"));

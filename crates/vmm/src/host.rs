@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use potemkin_sim::SimTime;
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
-use potemkin_storage::{SharedChunkStore, DEFAULT_CHUNK_BLOCKS};
 
 use crate::addrspace::{AddressSpace, Pte};
 use crate::block::{BaseDisk, CowDisk};
@@ -23,6 +22,7 @@ use crate::error::VmmError;
 use crate::frame::{FrameId, FrameTable};
 use crate::guest::GuestProfile;
 use crate::snapshot::{ImageId, ReferenceImage};
+use crate::storage::{SharedChunkStore, DEFAULT_CHUNK_BLOCKS};
 
 /// Fixed per-domain memory overhead in pages (hypervisor structures, shadow
 /// tables, device rings). The paper observed that a clone's marginal

@@ -22,10 +22,12 @@
 //!   profile once.
 //! * `domain` — VM domains: lifecycle, memory reads/writes with CoW
 //!   write faults, devices.
+//! * `storage` — the content-addressed chunk store and the chunk
+//!   manifests that are the only disk representation: delta
+//!   virtualization for disks, as the frame table is for memory.
 //! * `block` — copy-on-write virtual block devices as thin views over
-//!   `potemkin-storage` chunk manifests: base disks dedupe farm-wide
-//!   through a shared content-addressed store and materialize lazily on
-//!   first guest read.
+//!   `storage` chunk manifests: base disks dedupe farm-wide through the
+//!   shared store and materialize lazily on first guest read.
 //! * `clone` — the flash-clone procedure and its per-stage timing, plus
 //!   the boot-from-scratch and eager-full-copy baselines.
 //! * [`cost`] — the latency cost model (calibrated to the paper's
@@ -67,6 +69,7 @@ pub mod guest;
 pub mod host;
 mod memctl;
 mod snapshot;
+mod storage;
 
 pub use block::{BaseDisk, CowDisk};
 pub use clone::{CloneTiming, RetryPolicy};
@@ -77,9 +80,7 @@ pub use guest::GuestProfile;
 pub use host::{Host, MemoryReport};
 pub use memctl::{MemoryBudget, MergeReport, PressureEvent, SharingReport};
 pub use snapshot::ImageId;
-// The storage layer's public surface, re-exported so farm-level code can
-// share one chunk store across hosts without a direct crate dependency.
-pub use potemkin_storage::{
+pub use storage::{
     ChunkHash, ChunkRef, Manifest, OverlayManifest, SharedChunkStore, StoreStats,
     DEFAULT_CHUNK_BLOCKS,
 };

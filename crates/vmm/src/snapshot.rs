@@ -15,11 +15,11 @@ use core::fmt;
 use std::sync::Arc;
 
 use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
-use potemkin_storage::SharedChunkStore;
 
 use crate::block::BaseDisk;
 use crate::frame::FrameId;
 use crate::guest::GuestProfile;
+use crate::storage::SharedChunkStore;
 
 /// Identifier of a reference image on a host.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -2,20 +2,20 @@
 //! memory control plane's `ContentIndex`.
 //!
 //! Potemkin's delta virtualization applies late binding to *all* resources.
-//! For storage that means three things, and this crate provides exactly
+//! For storage that means three things, and this module provides exactly
 //! those three:
 //!
-//! 1. **One store, keyed by content.** A `MemoryChunkStore` holds
+//! 1. **One store, keyed by content.** A [`SharedChunkStore`] holds
 //!    fixed-size chunks of block words under their content hash
 //!    ([`ChunkHash`]). Putting a chunk whose content is already resident
 //!    stores nothing — identical chunks dedupe farm-wide, across every
-//!    reference image that shares the store. [`SharedChunkStore`] is the
-//!    cloneable handle a whole farm shares.
+//!    reference image that shares the store: the store is a cloneable
+//!    handle a whole farm shares.
 //!
 //! 2. **Manifests are the only disk representation.** A [`Manifest`] is an
 //!    ordered list of chunk references — a reference image. An
 //!    [`OverlayManifest`] is a sparse block→content delta — a clone's
-//!    private CoW disk. Nothing above this crate ever sees a raw block
+//!    private CoW disk. Nothing above this module ever sees a raw block
 //!    vector.
 //!
 //! 3. **Chunks materialize lazily on first read.** A fresh manifest holds
@@ -35,12 +35,8 @@
 //! randomness enters anywhere — the farm's byte-identical-digest rule
 //! holds chunked or flat, at any worker count.
 
-#![warn(unreachable_pub)]
-
-mod error;
 mod manifest;
 mod store;
 
-pub use error::StorageError;
 pub use manifest::{ChunkRef, Manifest, OverlayManifest, DEFAULT_CHUNK_BLOCKS};
 pub use store::{ChunkHash, SharedChunkStore, StoreStats};

@@ -17,8 +17,8 @@
 
 use potemkin_snapshot::{snap_struct, SnapReader, SnapWriter, SnapshotError};
 
-use crate::error::StorageError;
-use crate::store::{ChunkHash, SharedChunkStore};
+use super::store::{ChunkHash, SharedChunkStore};
+use crate::error::VmmError;
 
 /// Default chunk size in blocks, the farm-config default.
 pub const DEFAULT_CHUNK_BLOCKS: u64 = 64;
@@ -63,13 +63,13 @@ impl Manifest {
 
     /// Disk size in blocks.
     #[must_use]
-    pub fn size_blocks(&self) -> u64 {
+    pub(crate) fn size_blocks(&self) -> u64 {
         self.size_blocks
     }
 
     /// Number of slots already materialized into the store.
     #[must_use]
-    pub fn materialized_chunks(&self) -> u64 {
+    pub(crate) fn materialized_chunks(&self) -> u64 {
         self.slots.iter().filter(|s| matches!(s, ChunkRef::Stored(_))).count() as u64
     }
 
@@ -90,9 +90,9 @@ impl Manifest {
 
     /// Reads one block, materializing its chunk into `store` on first
     /// touch (counted via the store's `materialized` stat).
-    pub fn read(&mut self, store: &SharedChunkStore, block: u64) -> Result<u64, StorageError> {
+    pub fn read(&mut self, store: &SharedChunkStore, block: u64) -> Result<u64, VmmError> {
         if block >= self.size_blocks {
-            return Err(StorageError::OutOfRange { index: block, size: self.size_blocks });
+            return Err(VmmError::BadBlock { block, size: self.size_blocks });
         }
         let chunk = block / self.chunk_blocks;
         let offset = block % self.chunk_blocks;
@@ -112,7 +112,7 @@ impl Manifest {
     /// Encodes this manifest: geometry plus one materialized bit per slot.
     /// O(chunks), never O(blocks) — chunk content is re-derivable from the
     /// seed, so hashes are not stored either.
-    pub fn encode(&self, w: &mut SnapWriter) {
+    pub(crate) fn encode(&self, w: &mut SnapWriter) {
         w.u64(self.size_blocks);
         w.u64(self.chunk_blocks);
         w.u64(self.seed);
@@ -123,7 +123,10 @@ impl Manifest {
     /// materialized chunk into `store` (a dedupe no-op when the content is
     /// already resident). Not a [`Snap`](potemkin_snapshot::Snap) impl only
     /// because it needs the store.
-    pub fn decode(r: &mut SnapReader, store: &SharedChunkStore) -> Result<Self, SnapshotError> {
+    pub(crate) fn decode(
+        r: &mut SnapReader,
+        store: &SharedChunkStore,
+    ) -> Result<Self, SnapshotError> {
         let size_blocks = r.u64()?;
         let chunk_blocks = r.u64()?;
         if chunk_blocks == 0 {
@@ -165,7 +168,7 @@ impl OverlayManifest {
 
     /// The overlaid content of `block`, if written.
     #[must_use]
-    pub fn get(&self, block: u64) -> Option<u64> {
+    pub(crate) fn get(&self, block: u64) -> Option<u64> {
         self.writes.get(&block).copied()
     }
 
@@ -175,19 +178,13 @@ impl OverlayManifest {
     }
 
     /// Number of dirty blocks.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.writes.len()
     }
 
-    /// Whether no block has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
-    }
-
     /// Discards every write.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.writes.clear();
     }
 }
@@ -249,7 +246,7 @@ mod tests {
     fn out_of_range_read_rejected() {
         let store = SharedChunkStore::new_memory();
         let mut m = Manifest::new(10, 4, 1);
-        assert_eq!(m.read(&store, 10), Err(StorageError::OutOfRange { index: 10, size: 10 }));
+        assert_eq!(m.read(&store, 10), Err(VmmError::BadBlock { block: 10, size: 10 }));
     }
 
     #[test]
@@ -310,6 +307,6 @@ mod tests {
         assert_eq!(pairs, vec![(2, 20), (9, 91)], "ascending block order");
 
         o.clear();
-        assert!(o.is_empty());
+        assert_eq!(o, OverlayManifest::new());
     }
 }

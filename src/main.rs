@@ -39,7 +39,7 @@ use potemkin::fed::AdmissionConfig;
 use potemkin::federation::{run_telescope_federated, FederatedTelescopeConfig};
 use potemkin::gateway::policy::PolicyConfig;
 use potemkin::interaction::{run_interaction, InteractionConfig};
-use potemkin::metrics::{ConcurrencyAnalyzer, Table};
+use potemkin::obs::{ConcurrencyAnalyzer, Table};
 use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin::scenario::TelescopeConfig;
 use potemkin::services::{JsonlStore, ScenarioPack, ServicesConfig};

@@ -23,9 +23,8 @@ use proptest::prelude::*;
 
 use potemkin::farm::FarmConfig;
 use potemkin::gateway::policy::PolicyConfig;
-use potemkin::obs::{
-    chrome_trace_json, JsonValue, RecorderMode, RingRecorder, TraceConfig, Tracer,
-};
+use potemkin::json::JsonValue;
+use potemkin::obs::{chrome_trace_json, RecorderMode, RingRecorder, TraceConfig, Tracer};
 use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::{FaultPlanConfig, SimTime};

@@ -11,7 +11,7 @@
 //!
 //! Each replay case runs several full sharded interactions, so the case
 //! budget is kept small; the fixed unit tests in
-//! `potemkin_core::services` and `potemkin_services` cover the common
+//! `potemkin_core::interaction` and `potemkin_services` cover the common
 //! shapes on every run.
 
 use proptest::prelude::*;

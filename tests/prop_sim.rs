@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use potemkin::metrics::LogHistogram;
+use potemkin::obs::LogHistogram;
 use potemkin::sim::{EventQueue, SimRng, SimTime};
 
 proptest! {

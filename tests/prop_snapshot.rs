@@ -259,9 +259,9 @@ fn check_every_codec(seed: u64) -> Result<(), TestCaseError> {
     use potemkin::farm::{CaptureRecord, FarmOutput, InfectionRecord};
     use potemkin::gateway::binding::{BindKey, VmRef};
     use potemkin::gateway::DropReason;
-    use potemkin::metrics::TimeSeries;
-    use potemkin::metrics::{CounterSet, FaultClass, FaultLedger, LogHistogram, RateEstimator};
     use potemkin::net::{FlowKey, PacketBuilder, Transport};
+    use potemkin::obs::TimeSeries;
+    use potemkin::obs::{CounterSet, FaultClass, FaultLedger, LogHistogram, RateEstimator};
     use potemkin::sim::{
         EventQueue, FaultEvent, FaultKind, RecencySlab, ShardProgress, TokenBucket,
     };
@@ -448,7 +448,7 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
     use potemkin::gateway::reclaim::ReclaimPolicyKind;
     use potemkin::gateway::tunnel::TunnelEndpoint;
     use potemkin::gateway::{AddressBinder, BindGranularity, DnsProxy, FlowTable, Gateway};
-    use potemkin::metrics::{CounterSet, FaultLedger, LogHistogram, TimeSeries};
+    use potemkin::obs::{CounterSet, FaultLedger, LogHistogram, TimeSeries};
     use potemkin::sim::{EventQueue, RecencySlab};
     use potemkin::vmm::{FrameTable, Host, OverlayManifest};
 

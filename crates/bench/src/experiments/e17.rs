@@ -92,7 +92,8 @@ pub(crate) struct ServicesResult {
 /// Panics if the fixed configuration fails to validate (a bug).
 #[must_use]
 pub(crate) fn config(duration: SimTime, cells: usize, attackers: usize) -> InteractionConfig {
-    InteractionConfig::builder(ServicesConfig::new(builtin()))
+    let pack = builtin().expect("the built-in scenarios are valid");
+    InteractionConfig::builder(ServicesConfig::new(pack))
         .duration(duration)
         .cells(cells)
         .attackers_per_scenario(attackers)

@@ -2658,11 +2658,11 @@ mod tests {
     }
 
     /// `(len, fnv1a64)` of `encode_state` for [`busy_farm`] on the default
-    /// chunk geometry and on E18's 16-block chunks, re-pinned once for
-    /// snapshot version 5 (only refcount values in the hosts' frame tables
-    /// moved; the lengths are version 4's).
-    const BUSY_FARM_PIN: (usize, u64) = (3_930_911, 0xd850461fcd799d7e);
-    const CHUNKED_FARM_PIN: (usize, u64) = (3_943_199, 0xf8d8e922e75612b7);
+    /// chunk geometry and on E18's 16-block chunks, re-pinned for snapshot
+    /// version 6 (the hosts' frame tables hold rows for shared frames only
+    /// and a count of private pages; every other section is version 4's).
+    const BUSY_FARM_PIN: (usize, u64) = (3_890_967, 0x50045b75d7c5023a);
+    const CHUNKED_FARM_PIN: (usize, u64) = (3_903_255, 0xc50c4761ccb5fc4a);
 
     #[test]
     fn encode_state_matches_the_pinned_wire_format() {

@@ -560,7 +560,7 @@ mod tests {
     use potemkin_services::pack::builtin;
 
     fn config(attackers: usize) -> InteractionConfig {
-        InteractionConfig::builder(ServicesConfig::new(builtin()))
+        InteractionConfig::builder(ServicesConfig::new(builtin().unwrap()))
             .duration(SimTime::from_secs(12))
             .cells(4)
             .attackers_per_scenario(attackers)
@@ -611,7 +611,7 @@ mod tests {
 
     #[test]
     fn session_cap_rejects_past_gateway_budget() {
-        let capped = InteractionConfig::builder(ServicesConfig::new(builtin()))
+        let capped = InteractionConfig::builder(ServicesConfig::new(builtin().unwrap()))
             .duration(SimTime::from_secs(12))
             .cells(1)
             .attackers_per_scenario(3)
@@ -627,7 +627,7 @@ mod tests {
 
     #[test]
     fn builder_rejects_driveless_pack() {
-        let mut scenario = builtin().scenarios()[0].clone();
+        let mut scenario = builtin().unwrap().scenarios()[0].clone();
         scenario.drive.clear();
         let pack = potemkin_services::ScenarioPack::new(vec![scenario]).expect("still valid DSL");
         let err = InteractionConfig::builder(ServicesConfig::new(pack)).build().unwrap_err();

@@ -170,7 +170,7 @@ impl FlowTable {
             return state.direction;
         }
         while self.max_flows.is_some_and(|max| self.flows.len() >= max) {
-            let oldest = self.flows.slots().next().expect("a full table has an oldest flow");
+            let Some(oldest) = self.flows.slots().next() else { break };
             self.evict(oldest);
             self.lru_evicted += 1;
         }

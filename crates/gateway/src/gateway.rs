@@ -49,7 +49,7 @@ impl Default for GatewayConfig {
         GatewayConfig {
             policy: PolicyConfig::default(),
             granularity: BindGranularity::PerDestination,
-            sinkhole: "172.20.0.0/16".parse().expect("static prefix"),
+            sinkhole: const { Ipv4Prefix::constant(Ipv4Addr::new(172, 20, 0, 0), 16) },
             service_sessions: None,
         }
     }
@@ -523,7 +523,7 @@ impl Gateway {
             return None;
         }
         let chosen = candidates[policy.pick(now, &candidates).min(candidates.len() - 1)];
-        let evicted = self.binder.evict_key(chosen.key, now).expect("candidate is bound");
+        let evicted = self.binder.evict_key(chosen.key, now)?;
         self.rate.remove(&evicted.vm);
         self.retire_binding_flows(evicted.key.dst);
         self.counters.incr("bindings_evicted_pressure");

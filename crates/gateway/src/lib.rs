@@ -21,6 +21,7 @@
 //! synchronously testable and mirrors the paper's separation between the
 //! gateway router and the VMM servers.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unreachable_pub)]
 
 pub mod binding;

@@ -10,6 +10,7 @@
 //! carries exactly one hand-rolled parser and one emitter.
 //! Not a general-purpose library.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unreachable_pub)]
 
 use std::collections::BTreeMap;

@@ -43,11 +43,18 @@ impl Ipv4Prefix {
         if bits > 32 {
             return Err(NetError::InvalidField { layer: "prefix", what: "bits > 32" });
         }
-        let mask = Self::mask_for(bits);
-        Ok(Ipv4Prefix { base: u32::from(base) & mask, bits })
+        Ok(Self::constant(base, bits))
     }
 
-    fn mask_for(bits: u8) -> u32 {
+    /// [`Ipv4Prefix::new`] for a constant, where a `bits` above 32 is a
+    /// compile error.
+    #[must_use]
+    pub const fn constant(base: Ipv4Addr, bits: u8) -> Self {
+        assert!(bits <= 32, "bits > 32");
+        Ipv4Prefix { base: base.to_bits() & Self::mask_for(bits), bits }
+    }
+
+    const fn mask_for(bits: u8) -> u32 {
         if bits == 0 {
             0
         } else {

@@ -145,6 +145,9 @@ pub struct ServiceEngine {
     unclaimed: u64,
 }
 
+/// What one request did: `(response, capture, stalled, stall_state_name)`.
+type Step = (Vec<u8>, Option<Vec<u8>>, bool, String);
+
 impl ServiceEngine {
     /// Builds an engine from a cloned config.
     #[must_use]
@@ -231,7 +234,7 @@ impl ServiceEngine {
         }
 
         let (response, capture, stalled, stall_state) =
-            self.step(scenario_idx, &key, now, attacker, payload);
+            self.step(scenario_idx, &key, now, attacker, payload)?;
 
         self.metrics[scenario_idx].rounds += 1;
         if stalled {
@@ -254,8 +257,8 @@ impl ServiceEngine {
         Some(SvcOutcome { response, capture, opened, stalled, scenario: scenario_idx })
     }
 
-    /// Applies the current state's rules to one request. Returns
-    /// `(response, capture, stalled, stall_state_name)`.
+    /// Applies the current state's rules to one request, or returns `None`
+    /// if the session is not open.
     fn step(
         &mut self,
         scenario_idx: usize,
@@ -263,10 +266,10 @@ impl ServiceEngine {
         now: SimTime,
         attacker: Ipv4Addr,
         payload: &[u8],
-    ) -> (Vec<u8>, Option<Vec<u8>>, bool, String) {
+    ) -> Option<Step> {
         let scenario = &self.pack.scenarios()[scenario_idx];
         let initial = scenario.states.iter().position(|s| s.name == scenario.initial).unwrap_or(0);
-        let session = self.sessions.get_mut(key).expect("session opened above");
+        let session = self.sessions.get_mut(key)?;
 
         // Per-state idle timeout: reset to initial before matching.
         let mut state_idx = session.state.min(scenario.states.len() - 1);
@@ -297,11 +300,9 @@ impl ServiceEngine {
         match matched {
             Some(action) => {
                 let response = render(&action.respond, session.local, attacker, round);
-                let next = scenario
-                    .states
-                    .iter()
-                    .position(|s| s.name == action.next)
-                    .expect("validated at load");
+                // Validated at load: every action names a state.
+                let next =
+                    scenario.states.iter().position(|s| s.name == action.next).unwrap_or(state_idx);
                 session.state = next;
                 let capture = if action.capture {
                     session.payloads += 1;
@@ -309,11 +310,11 @@ impl ServiceEngine {
                 } else {
                     None
                 };
-                (response, capture, timeout_reset, stall_here)
+                Some((response, capture, timeout_reset, stall_here))
             }
             None => {
                 session.stalls += 1;
-                (UNRECOGNIZED.to_vec(), None, true, stall_here)
+                Some((UNRECOGNIZED.to_vec(), None, true, stall_here))
             }
         }
     }

@@ -32,6 +32,7 @@
 //! tie-breaks, no randomness, no wall clock — so the farm's digests stay
 //! byte-identical at any worker count (`tests/prop_services.rs`).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(unreachable_pub)]
 
 mod detect;

@@ -6,7 +6,7 @@
 //! is always available — to the `potemkin services` CLI, the E17
 //! experiment, and the property tests — without filesystem access.
 
-use crate::scenario::ScenarioPack;
+use crate::scenario::{ScenarioError, ScenarioPack};
 
 /// The SMTP worm-dropper scenario source.
 pub(crate) const WORM_DROPPER: &str = include_str!("../../../examples/scenarios/worm_dropper.json");
@@ -25,13 +25,12 @@ pub(crate) const BUILTIN_SOURCES: [&str; 4] =
 
 /// Parses and validates the built-in four-scenario pack.
 ///
-/// # Panics
+/// # Errors
 ///
 /// Never in a correct build: the sources are compiled in and covered by
-/// tests; a parse failure means the checked-in files are broken.
-#[must_use]
-pub fn builtin() -> ScenarioPack {
-    ScenarioPack::parse_many(&BUILTIN_SOURCES).expect("built-in scenarios are valid")
+/// tests; an error means the checked-in files are broken.
+pub fn builtin() -> Result<ScenarioPack, ScenarioError> {
+    ScenarioPack::parse_many(&BUILTIN_SOURCES)
 }
 
 #[cfg(test)]
@@ -42,7 +41,7 @@ mod tests {
 
     #[test]
     fn builtin_pack_loads_and_covers_four_protocols() {
-        let pack = builtin();
+        let pack = builtin().unwrap();
         assert_eq!(pack.scenarios().len(), 4);
         let names: Vec<&str> = pack.scenarios().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
@@ -57,7 +56,7 @@ mod tests {
 
     #[test]
     fn builtin_scenarios_round_trip() {
-        for scenario in builtin().scenarios() {
+        for scenario in builtin().unwrap().scenarios() {
             let again = Scenario::parse(&scenario.to_json()).unwrap();
             assert_eq!(&again, scenario);
         }
@@ -73,7 +72,7 @@ mod tests {
 
         let attacker = Ipv4Addr::new(198, 51, 100, 1);
         let host = Ipv4Addr::new(10, 0, 0, 1);
-        for scenario in builtin().scenarios() {
+        for scenario in builtin().unwrap().scenarios() {
             let pack = ScenarioPack::new(vec![scenario.clone()]).unwrap();
             let mut engine = ServiceEngine::new(&ServicesConfig::new(pack));
             let port = scenario.ports[0];

@@ -31,9 +31,12 @@ use crate::error::SnapshotError;
 /// timer-wheel section; version 5 moves no byte of the layout but counts
 /// explicit references only in the frame table (an image's frame list and
 /// each stored p2m entry hold one, a clone's pristine page none), so a
-/// version-4 table would free image frames under its clones. Older files
-/// are rejected rather than misparsed.
-pub(crate) const SNAPSHOT_VERSION: u32 = 5;
+/// version-4 table would free image frames under its clones; version 6
+/// gives a private page no frame-table row — the table carries a count of
+/// them, rows for shared frames only and no lifetime counters, and each p2m
+/// entry is a kind and a word: the page's content, or the frame it shares.
+/// Older files are rejected rather than misparsed.
+pub(crate) const SNAPSHOT_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

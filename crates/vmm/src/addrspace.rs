@@ -1,10 +1,12 @@
 //! Per-domain pseudo-physical address spaces (the p2m map).
 //!
 //! Each domain sees a contiguous pseudo-physical frame space `0..size`.
-//! Every entry maps to a machine frame plus a writable bit. Delta
-//! virtualization is exactly this indirection: many domains map the same
-//! machine frame read-only, and the first write by any of them triggers a
-//! CoW fault that remaps that single entry.
+//! Every entry is either a private page — the domain's alone, written in
+//! place, its content word held by the entry itself — or a read-only
+//! mapping of a shared machine frame. Delta virtualization is exactly this
+//! indirection: many domains map the same machine frame read-only, and the
+//! first write by any of them triggers a CoW fault that turns that single
+//! entry into a private page.
 //!
 //! The map is itself delta-virtualized. A flash clone does not copy its
 //! image's frame list; it holds the list by reference (the *base*: every
@@ -18,53 +20,116 @@
 //! behave as one dense table — and canonical: the delta holds exactly the
 //! entries that differ from the pristine read-only base mapping, so two
 //! spaces with the same contents over the same base have the same footprint.
+//! A stored entry is one 8-byte word: a private page's content, or the
+//! number of the frame it shares; a bitmap, allocated at the first shared
+//! stored entry, says which.
 //!
 //! References follow the representation. Every *stored* entry, delta or
-//! tail, owns one reference on the frame it names; a pristine mapping owns
+//! tail, owns one reference: a shared one on the frame it names, a private
+//! one its page in the frame table's private count. A pristine mapping owns
 //! none — the hold on the base list stands for all of them, and the image
 //! that owns the list owns the frames (`crate::snapshot`). Constructors
 //! adopt entries whose references the caller took; `write`, `remap`,
-//! `update_stored_below` and `release_all` keep the rule from there, so a
-//! clone costs the frame table its overhead and dirtied pages, no more.
+//! `freeze`, `remap_stored_below` and `release_all` keep the rule from
+//! there, so a clone costs the frame table its overhead and dirtied pages,
+//! no more, and a dirtied page costs no row.
 
 use std::sync::Arc;
+
+use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::error::VmmError;
 use crate::frame::{FrameId, FrameTable};
 
-/// One p2m entry: which machine frame, and whether writes are permitted
-/// without a fault.
+/// One p2m entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Pte {
-    /// The backing machine frame.
-    pub frame: FrameId,
-    /// Whether the domain owns the frame exclusively.
-    pub writable: bool,
+pub enum Pte {
+    /// A page the domain owns alone and writes in place: its content word.
+    Private(u64),
+    /// A read-only mapping of a shared machine frame; a write faults.
+    Shared(FrameId),
 }
 
-potemkin_snapshot::snap_struct!(Pte { frame, writable });
-
 impl Pte {
-    /// The mapping a flash clone starts with: the image's frame, read-only.
-    fn pristine(frame: FrameId) -> Self {
-        Pte { frame, writable: false }
+    /// The page's content word; a shared entry must name a live frame.
+    #[must_use]
+    pub(crate) fn content(self, frames: &FrameTable) -> u64 {
+        match self {
+            Pte::Private(content) => content,
+            Pte::Shared(frame) => frames.read(frame),
+        }
+    }
+
+    fn is_private(self) -> bool {
+        matches!(self, Pte::Private(_))
+    }
+
+    /// The stored word: the content, or the frame's number.
+    fn word(self) -> u64 {
+        match self {
+            Pte::Private(word) | Pte::Shared(FrameId(word)) => word,
+        }
+    }
+
+    fn from_word(word: u64, shared: bool) -> Self {
+        if shared {
+            Pte::Shared(FrameId(word))
+        } else {
+            Pte::Private(word)
+        }
+    }
+
+    /// Gives back the reference a stored entry owns.
+    fn release(self, frames: &mut FrameTable) {
+        match self {
+            Pte::Private(_) => frames.release_private(1),
+            Pte::Shared(frame) => frames.release(frame),
+        }
     }
 }
 
-/// A delta entry in 8 bytes: the frame number above the writable bit.
-fn pack(pte: Pte) -> u64 {
-    debug_assert!(pte.frame.0 >> 63 == 0, "frame numbers fit 63 bits");
-    pte.frame.0 << 1 | u64::from(pte.writable)
+/// A kind tag (0 private, 1 shared), then the word.
+impl Snap for Pte {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.bool(!self.is_private());
+        w.u64(self.word());
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let shared = r.bool()?;
+        Ok(Pte::from_word(r.u64()?, shared))
+    }
 }
 
-fn unpack(word: u64) -> Pte {
-    Pte { frame: FrameId(word >> 1), writable: word & 1 == 1 }
+/// Which stored words name a frame: one bit per pfn, nothing at all until
+/// the first one does.
+#[derive(Clone, Debug, Default)]
+struct SharedBits(Vec<u64>);
+
+impl SharedBits {
+    fn get(&self, pfn: u64) -> bool {
+        let (word, bit) = bit_of(pfn);
+        self.0.get(word).is_some_and(|&bits| bits & bit != 0)
+    }
+
+    /// Sets the bit of `pfn`, of `pages`.
+    fn set(&mut self, pfn: u64, shared: bool, pages: usize) {
+        let (word, bit) = bit_of(pfn);
+        if shared {
+            if self.0.is_empty() {
+                self.0 = vec![0; pages.div_ceil(64)];
+            }
+            self.0[word] |= bit;
+        } else if let Some(bits) = self.0.get_mut(word) {
+            *bits &= !bit;
+        }
+    }
 }
 
 /// The entries below the base's length that have diverged from it.
 ///
-/// A bitmap over the base's pfns says which have; their packed `Pte`s sit in
-/// pfn order, so an entry's position is the number of set bits below its pfn
+/// A bitmap over the base's pfns says which have; their words sit in pfn
+/// order, so an entry's position is the number of set bits below its pfn
 /// (its rank). Finding it takes no search and storing it takes no key: a
 /// running count per word of the bitmap makes the rank one `count_ones`.
 /// Sorted `(pfn, Pte)` pairs would need no bitmap, but a long-lived clone
@@ -79,7 +144,7 @@ struct Delta {
     present: Vec<u64>,
     /// Set bits in all words before word `w`.
     before: Vec<u32>,
-    ptes: Vec<u64>,
+    words: Vec<u64>,
 }
 
 /// The word of the bitmap, and the bit within it, that stand for `pfn`.
@@ -99,7 +164,7 @@ fn set_bits(mut bits: u64) -> impl Iterator<Item = u64> {
 }
 
 impl Delta {
-    /// Where `pfn`'s entry is in `ptes`, or where it would go: the contract
+    /// Where `pfn`'s word is in `words`, or where it would go: the contract
     /// of `binary_search`, computed by counting bits.
     fn position(&self, pfn: u64) -> Result<usize, usize> {
         let (word, bit) = bit_of(pfn);
@@ -112,54 +177,54 @@ impl Delta {
         }
     }
 
-    /// Stores `pte` for `pfn` at the position [`Delta::position`] gave, over
-    /// a base of `pages` pfns.
-    fn insert(&mut self, pfn: u64, at: usize, pte: Pte, pages: usize) {
+    /// Stores `word` for `pfn` at the position [`Delta::position`] gave,
+    /// over a base of `pages` pfns.
+    fn insert(&mut self, pfn: u64, at: usize, word: u64, pages: usize) {
         if self.present.is_empty() {
             self.present = vec![0; pages.div_ceil(64)];
             self.before = vec![0; self.present.len()];
         }
-        let (word, bit) = bit_of(pfn);
-        self.present[word] |= bit;
-        self.before[word + 1..].iter_mut().for_each(|n| *n += 1);
-        self.ptes.insert(at, pack(pte));
+        let (w, bit) = bit_of(pfn);
+        self.present[w] |= bit;
+        self.before[w + 1..].iter_mut().for_each(|n| *n += 1);
+        self.words.insert(at, word);
     }
 
     fn remove(&mut self, pfn: u64, at: usize) {
         let (word, bit) = bit_of(pfn);
         self.present[word] &= !bit;
         self.before[word + 1..].iter_mut().for_each(|n| *n -= 1);
-        self.ptes.remove(at);
+        self.words.remove(at);
     }
 
-    /// The diverged entries with their pfn, in pfn order.
-    fn iter(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
+    /// The diverged words with their pfn, in pfn order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let pfns = (0u64..).step_by(64).zip(&self.present);
         pfns.flat_map(|(first, &bits)| set_bits(bits).map(move |at| first + at))
-            .zip(self.ptes.iter().map(|&word| unpack(word)))
+            .zip(self.words.iter().copied())
     }
 
-    /// Lets `keep` rewrite each entry in pfn order and drops those it
+    /// Lets `keep` rewrite each word in pfn order and drops those it
     /// returns `false` for.
-    fn retain_mut(&mut self, mut keep: impl FnMut(u64, &mut Pte) -> bool) {
+    fn retain_mut(&mut self, mut keep: impl FnMut(u64, &mut u64) -> bool) {
         let (mut from, mut to, mut below) = (0, 0, 0);
-        for ((first, word), before) in
+        for ((first, bits), before) in
             (0u64..).step_by(64).zip(&mut self.present).zip(&mut self.before)
         {
-            for at in set_bits(*word) {
-                let mut pte = unpack(self.ptes[from]);
+            for at in set_bits(*bits) {
+                let mut word = self.words[from];
                 from += 1;
-                if keep(first + at, &mut pte) {
-                    self.ptes[to] = pack(pte);
+                if keep(first + at, &mut word) {
+                    self.words[to] = word;
                     to += 1;
                 } else {
-                    *word &= !(1 << at);
+                    *bits &= !(1 << at);
                 }
             }
             *before = below;
-            below += word.count_ones();
+            below += bits.count_ones();
         }
-        self.ptes.truncate(to);
+        self.words.truncate(to);
     }
 }
 
@@ -174,9 +239,11 @@ pub struct AddressSpace {
     /// mapping, and only those.
     delta: Delta,
     /// Entries for pfns `base.len()..size`, dense.
-    tail: Vec<Pte>,
-    /// Writable entries across delta and tail (base entries never are).
-    writable: u64,
+    tail: Vec<u64>,
+    /// Which stored words, by pfn, name a frame.
+    shared: SharedBits,
+    /// Private entries across delta and tail (base entries never are).
+    private: u64,
 }
 
 impl AddressSpace {
@@ -187,12 +254,17 @@ impl AddressSpace {
     }
 
     /// Builds a flash clone's space: every pfn of `base` mapped read-only
-    /// to the listed frame, followed by `tail`. Allocates nothing beyond
-    /// what `tail` already holds, and touches no frame's count.
+    /// to the listed frame, followed by `tail`. Touches no frame's count.
     #[must_use]
     pub fn over_base(base: Arc<[FrameId]>, tail: Vec<Pte>) -> Self {
-        let writable = tail.iter().filter(|pte| pte.writable).count() as u64;
-        AddressSpace { base, delta: Delta::default(), tail, writable }
+        let (pages, delta, shared) = (base.len() as u64, Delta::default(), SharedBits::default());
+        // A zero word is a private page until set.
+        let (words, private) = (vec![0; tail.len()], tail.len() as u64);
+        let mut space = AddressSpace { base, delta, tail: words, shared, private };
+        for (pfn, pte) in (pages..).zip(tail) {
+            space.update(pfn, |_, _| Ok(pte)).expect("pfn is in the tail");
+        }
+        space
     }
 
     /// Rebuilds the space that holds `entries` over `base`: the inverse of
@@ -207,7 +279,7 @@ impl AddressSpace {
         let tail = entries.split_off(base.len());
         let mut space = Self::over_base(base, tail);
         for (pfn, pte) in (0u64..).zip(entries) {
-            if pte != Pte::pristine(space.base[pfn as usize]) {
+            if pte != Pte::Shared(space.base[pfn as usize]) {
                 space.update(pfn, |_, _| Ok(pte)).expect("pfn is below the base's length");
             }
         }
@@ -229,7 +301,7 @@ impl AddressSpace {
     /// How many entries below the base's length have diverged from it.
     #[cfg(test)]
     pub(crate) fn delta_len(&self) -> usize {
-        self.delta.ptes.len()
+        self.delta.words.len()
     }
 
     /// Where in `tail` the entry for `pfn` (at or past the base's length) is.
@@ -242,25 +314,31 @@ impl AddressSpace {
         }
     }
 
+    /// What the stored `word` of `pfn` stands for.
+    fn entry(&self, pfn: u64, word: u64) -> Pte {
+        Pte::from_word(word, self.shared.get(pfn))
+    }
+
     /// The tail's entries with their pfn.
     fn tail_entries(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
-        (self.base.len() as u64..).zip(self.tail.iter().copied())
+        let pfns = self.base.len() as u64..;
+        pfns.zip(&self.tail).map(|(pfn, &word)| (pfn, self.entry(pfn, word)))
     }
 
     /// Looks up the entry for `pfn`.
     pub fn lookup(&self, pfn: u64) -> Result<Pte, VmmError> {
         match self.base.get(pfn as usize) {
             Some(&frame) => Ok(match self.delta.position(pfn) {
-                Ok(at) => unpack(self.delta.ptes[at]),
-                Err(_) => Pte::pristine(frame),
+                Ok(at) => self.entry(pfn, self.delta.words[at]),
+                Err(_) => Pte::Shared(frame),
             }),
-            None => Ok(self.tail[self.tail_slot(pfn)?]),
+            None => Ok(self.entry(pfn, self.tail[self.tail_slot(pfn)?])),
         }
     }
 
     /// Replaces the entry for `pfn` with what `change` makes of the current
     /// one and of whether it is stored (owns a reference), and says whether
-    /// the new one is. Touches no frame's count; a failed `change`, nothing.
+    /// the new one is. Touches no reference; a failed `change`, nothing.
     fn update(
         &mut self,
         pfn: u64,
@@ -268,53 +346,63 @@ impl AddressSpace {
     ) -> Result<bool, VmmError> {
         let (old, new, stored) = match self.base.get(pfn as usize) {
             Some(&frame) => {
-                let pristine = Pte::pristine(frame);
+                let pristine = Pte::Shared(frame);
                 let slot = self.delta.position(pfn);
-                let old = slot.map_or(pristine, |at| unpack(self.delta.ptes[at]));
+                let old = slot.map_or(pristine, |at| self.entry(pfn, self.delta.words[at]));
                 let new = change(old, slot.is_ok())?;
+                let word = new.word();
                 match slot {
                     Ok(at) if new == pristine => self.delta.remove(pfn, at),
-                    Ok(at) => self.delta.ptes[at] = pack(new),
-                    Err(at) if new != pristine => self.delta.insert(pfn, at, new, self.base.len()),
+                    Ok(at) => self.delta.words[at] = word,
+                    Err(at) if new != pristine => self.delta.insert(pfn, at, word, self.base.len()),
                     Err(_) => {}
                 }
                 (old, new, new != pristine)
             }
             None => {
                 let at = self.tail_slot(pfn)?;
-                let old = self.tail[at];
-                self.tail[at] = change(old, true)?;
-                (old, self.tail[at], true)
+                let old = self.entry(pfn, self.tail[at]);
+                let new = change(old, true)?;
+                self.tail[at] = new.word();
+                (old, new, true)
             }
         };
-        self.writable = self.writable - u64::from(old.writable) + u64::from(new.writable);
+        let slots = self.size() as usize;
+        self.shared.set(pfn, stored && !new.is_private(), slots);
+        self.private = self.private - u64::from(old.is_private()) + u64::from(new.is_private());
         Ok(stored)
     }
 
-    /// Replaces the entry for `pfn`, moving the space's reference with it:
-    /// one is taken on `pte`'s frame if the new entry is stored, and the one
-    /// a stored old entry held is released.
-    pub fn remap(&mut self, pfn: u64, pte: Pte, frames: &mut FrameTable) -> Result<(), VmmError> {
+    /// Maps `pfn` read-only to `frame`, moving the space's reference with
+    /// it: the entry takes one on `frame` unless it comes out as the base
+    /// implies, and a stored old entry gives its up. On
+    /// [`VmmError::BadPfn`] nothing has changed.
+    pub fn remap(
+        &mut self,
+        pfn: u64,
+        frame: FrameId,
+        frames: &mut FrameTable,
+    ) -> Result<(), VmmError> {
         let mut held = None;
         let stored = self.update(pfn, |old, owns| {
-            held = owns.then_some(old.frame);
-            Ok(pte)
+            held = owns.then_some(old);
+            Ok(Pte::Shared(frame))
         })?;
         if stored {
-            frames.share(pte.frame);
+            frames.share(frame);
         }
-        if let Some(frame) = held {
-            frames.release(frame);
+        if let Some(old) = held {
+            old.release(frames);
         }
         Ok(())
     }
 
-    /// A guest write of `value` to `pfn`: in place if the entry is writable,
-    /// else a CoW fault onto a fresh private copy, which releases the
+    /// A guest write of `value` to `pfn`: in place if the page is private,
+    /// else a CoW fault onto a fresh private page, which releases the
     /// reference a stored entry held on the frame it leaves (a pristine one
     /// held none). Returns whether it faulted. On [`VmmError::BadPfn`], or
     /// [`VmmError::OutOfMemory`] from the fault, nothing has changed.
-    pub(crate) fn write(
+    pub fn write(
         &mut self,
         pfn: u64,
         value: u64,
@@ -322,19 +410,37 @@ impl AddressSpace {
     ) -> Result<bool, VmmError> {
         let mut faulted = false;
         self.update(pfn, |pte, owns| {
-            if pte.writable {
-                frames.write(pte.frame, value);
-                return Ok(pte);
+            if let Pte::Shared(frame) = pte {
+                frames.alloc_private(1)?;
+                if owns {
+                    frames.release(frame);
+                }
+                faulted = true;
             }
             // A page's content is one word, so the copy is born written.
-            let copy = frames.alloc(value)?;
-            if owns {
-                frames.release(pte.frame);
-            }
-            faulted = true;
-            Ok(Pte { frame: copy, writable: true })
+            Ok(Pte::Private(value))
         })?;
         Ok(faulted)
+    }
+
+    /// Makes the page at `pfn` shareable and returns the frame its entry
+    /// names from now on: a private page's content moves into a fresh row,
+    /// which the entry holds read-only (the frame count does not move), so
+    /// the next write faults; a shared entry is left as it is.
+    pub(crate) fn freeze(
+        &mut self,
+        pfn: u64,
+        frames: &mut FrameTable,
+    ) -> Result<FrameId, VmmError> {
+        let mut named = FrameId(0);
+        self.update(pfn, |pte, _| {
+            named = match pte {
+                Pte::Private(content) => frames.promote(content),
+                Pte::Shared(frame) => frame,
+            };
+            Ok(Pte::Shared(named))
+        })?;
+        Ok(named)
     }
 
     /// Iterates all entries with their pfn, in pfn order.
@@ -350,13 +456,14 @@ impl AddressSpace {
                 let mut at = next;
                 next += bits.count_ones() as usize;
                 frames.iter().enumerate().map(move |(bit, &frame)| {
+                    let pfn = first + bit as u64;
                     let pte = if bits >> bit & 1 == 1 {
                         at += 1;
-                        unpack(self.delta.ptes[at - 1])
+                        self.entry(pfn, self.delta.words[at - 1])
                     } else {
-                        Pte::pristine(frame)
+                        Pte::Shared(frame)
                     };
-                    (first + bit as u64, pte)
+                    (pfn, pte)
                 })
             },
         );
@@ -368,45 +475,52 @@ impl AddressSpace {
     /// pristine read-only image mapping, and the only ones that own a
     /// reference. A walk with nothing to do for pristine pages takes these.
     pub fn stored(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
-        self.delta.iter().chain(self.tail_entries())
+        let delta = self.delta.iter().map(|(pfn, word)| (pfn, self.entry(pfn, word)));
+        delta.chain(self.tail_entries())
     }
 
-    /// Lets `update` rewrite, in pfn order, every stored entry below
-    /// `limit` (see [`AddressSpace::stored`]); pages implied by the base are
-    /// not visited. One linear pass however many entries change. Each
-    /// entry's reference moves to the frame it comes out naming, or is given
-    /// up where it comes out as the base implies (it is then dropped).
-    pub(crate) fn update_stored_below(
+    /// Lets `to` name, in pfn order, a frame for every stored entry below
+    /// `limit` (see [`AddressSpace::stored`]) to map read-only instead, or
+    /// `None` to leave it; pages implied by the base are not visited. One
+    /// linear pass however many entries change. A remapped entry's reference
+    /// moves to the frame, or is given up where the entry comes out as the
+    /// base implies (it is then dropped).
+    pub(crate) fn remap_stored_below(
         &mut self,
         limit: u64,
         frames: &mut FrameTable,
-        mut update: impl FnMut(u64, &mut Pte, &FrameTable),
+        mut to: impl FnMut(u64, Pte, &FrameTable) -> Option<FrameId>,
     ) {
-        let mut writable = self.writable;
-        // Says whether the entry stays stored; `implied` is the base's frame.
-        let mut visit = |pfn: u64, pte: &mut Pte, implied: Option<FrameId>| {
-            let was = *pte;
-            update(pfn, pte, frames);
-            writable = writable - u64::from(was.writable) + u64::from(pte.writable);
-            let stored = implied.is_none_or(|frame| *pte != Pte::pristine(frame));
+        let (mut private, slots) = (self.private, self.size() as usize);
+        let shared = &mut self.shared;
+        // Rewrites one stored word and says whether it stays stored;
+        // `implied` is the base's frame.
+        let mut visit = |pfn: u64, word: &mut u64, implied: Option<FrameId>| {
+            let was = Pte::from_word(*word, shared.get(pfn));
+            let Some(frame) = to(pfn, was, frames) else { return true };
+            let stored = implied != Some(frame);
             if stored {
-                frames.share(pte.frame);
+                frames.share(frame);
             }
-            frames.release(was.frame);
+            private -= u64::from(was.is_private());
+            was.release(frames);
+            shared.set(pfn, stored, slots);
+            *word = frame.0;
             stored
         };
-        let base = &self.base;
-        self.delta.retain_mut(|pfn, pte| pfn >= limit || visit(pfn, pte, Some(base[pfn as usize])));
-        for (pfn, pte) in (base.len() as u64..limit).zip(self.tail.iter_mut()) {
-            visit(pfn, pte, None);
+        let (base, pages) = (&self.base, self.base.len() as u64);
+        self.delta
+            .retain_mut(|pfn, word| pfn >= limit || visit(pfn, word, Some(base[pfn as usize])));
+        for (pfn, word) in (pages..limit).zip(&mut self.tail) {
+            visit(pfn, word, None);
         }
-        self.writable = writable;
+        self.private = private;
     }
 
     /// Counts entries the domain owns exclusively (its private pages).
     #[must_use]
     pub fn private_pages(&self) -> u64 {
-        self.writable
+        self.private
     }
 
     /// Counts entries mapped read-only from a shared frame.
@@ -415,11 +529,17 @@ impl AddressSpace {
         self.size() - self.private_pages()
     }
 
-    /// Releases every stored entry's frame back to the table, in pfn order
-    /// (the table's free list is LIFO, so the order decides every later
-    /// allocation), and empties the space. Pristine pages hold nothing.
+    /// Releases every stored entry's reference back to the table — the
+    /// shared ones in pfn order (the table's free list is LIFO, so the order
+    /// decides every later allocation) — and empties the space. Pristine
+    /// pages hold nothing.
     pub fn release_all(&mut self, frames: &mut FrameTable) {
-        self.stored().for_each(|(_, pte)| frames.release(pte.frame));
+        for (_, pte) in self.stored() {
+            if let Pte::Shared(frame) = pte {
+                frames.release(frame);
+            }
+        }
+        frames.release_private(self.private);
         *self = Self::from_entries(Vec::new());
     }
 }
@@ -429,16 +549,15 @@ mod tests {
     use super::*;
 
     fn space_with(frames: &mut FrameTable, n: u64) -> AddressSpace {
-        let entries =
-            (0..n).map(|i| Pte { frame: frames.alloc(i).unwrap(), writable: true }).collect();
-        AddressSpace::from_entries(entries)
+        frames.alloc_private(n).unwrap();
+        AddressSpace::from_entries((0..n).map(Pte::Private).collect())
     }
 
-    /// A 6-page image with a 2-page writable tail, as `flash_clone` builds.
+    /// A 6-page image with a 2-page private tail, as `flash_clone` builds.
     fn clone_of(frames: &mut FrameTable) -> (Arc<[FrameId]>, AddressSpace) {
         let base: Arc<[FrameId]> = (0..6).map(|i| frames.alloc(100 + i).unwrap()).collect();
-        let tail = (0..2).map(|_| Pte { frame: frames.alloc(0).unwrap(), writable: true });
-        let space = AddressSpace::over_base(Arc::clone(&base), tail.collect());
+        frames.alloc_private(2).unwrap();
+        let space = AddressSpace::over_base(Arc::clone(&base), vec![Pte::Private(0); 2]);
         (base, space)
     }
 
@@ -446,9 +565,25 @@ mod tests {
     fn lookup_in_and_out_of_range() {
         let mut ft = FrameTable::new(10);
         let space = space_with(&mut ft, 4);
-        assert!(space.lookup(3).is_ok());
+        assert_eq!(space.lookup(3), Ok(Pte::Private(3)));
         assert_eq!(space.lookup(4).unwrap_err(), VmmError::BadPfn { pfn: 4, size: 4 });
         assert_eq!(space.size(), 4);
+    }
+
+    #[test]
+    fn an_entry_is_one_word() {
+        let mut ft = FrameTable::new(700);
+        let base: Arc<[FrameId]> = (0..600).map(|i| ft.alloc(i).unwrap()).collect();
+        let mut space = AddressSpace::over_base(base, vec![Pte::Private(0); 3]);
+        ft.alloc_private(3).unwrap();
+        space.write(7, 1, &mut ft).unwrap();
+        fn word_of<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        assert_eq!((word_of(&space.tail), word_of(&space.delta.words)), (8, 8));
+        assert!(space.shared.0.is_empty(), "no bitmap while nothing stored is shared");
+        space.freeze(7, &mut ft).unwrap();
+        assert_eq!(space.shared.0.len(), 10, "one bit per page, once one is shared");
     }
 
     #[test]
@@ -456,14 +591,11 @@ mod tests {
         let mut ft = FrameTable::new(10);
         let mut space = space_with(&mut ft, 2);
         let new_frame = ft.alloc(99).unwrap();
-        let old_frame = space.lookup(1).unwrap().frame;
-        space.remap(1, Pte { frame: new_frame, writable: false }, &mut ft).unwrap();
-        let pte = space.lookup(1).unwrap();
-        assert_eq!(pte.frame, new_frame);
-        assert!(!pte.writable);
+        space.remap(1, new_frame, &mut ft).unwrap();
+        assert_eq!(space.lookup(1), Ok(Pte::Shared(new_frame)));
         assert_eq!(ft.refcount(new_frame), 2, "the allocation's reference and the entry's");
-        assert_eq!(ft.alloc(0).unwrap(), old_frame, "the displaced entry's was its last");
-        assert!(space.remap(5, Pte { frame: new_frame, writable: true }, &mut ft).is_err());
+        assert_eq!(ft.used_frames(), 2, "the displaced private page went back");
+        assert!(space.remap(5, new_frame, &mut ft).is_err());
         assert_eq!(ft.refcount(new_frame), 2, "a refused remap takes nothing");
     }
 
@@ -473,11 +605,10 @@ mod tests {
         let shared = ft.alloc(0).unwrap();
         ft.share(shared);
         ft.share(shared);
-        let private = ft.alloc(1).unwrap();
         let space = AddressSpace::from_entries(vec![
-            Pte { frame: shared, writable: false },
-            Pte { frame: shared, writable: false },
-            Pte { frame: private, writable: true },
+            Pte::Shared(shared),
+            Pte::Shared(shared),
+            Pte::Private(1),
         ]);
         assert_eq!(space.private_pages(), 1);
         assert_eq!(space.shared_pages(), 2);
@@ -498,28 +629,28 @@ mod tests {
         let mut ft = FrameTable::new(32);
         let (base, mut space) = clone_of(&mut ft);
         assert_eq!((space.size(), space.delta_len(), space.private_pages()), (8, 0, 2));
-        assert_eq!(space.lookup(3).unwrap(), Pte::pristine(base[3]));
+        assert_eq!(space.lookup(3), Ok(Pte::Shared(base[3])));
         assert_eq!(space.lookup(8).unwrap_err(), VmmError::BadPfn { pfn: 8, size: 8 });
 
         // Diverge out of order; the delta stays in pfn order.
-        let copies: Vec<FrameId> = (0..2).map(|_| ft.alloc(7).unwrap()).collect();
-        space.remap(4, Pte { frame: copies[0], writable: true }, &mut ft).unwrap();
-        space.remap(1, Pte { frame: copies[1], writable: true }, &mut ft).unwrap();
+        assert!(space.write(4, 7, &mut ft).unwrap() && space.write(1, 8, &mut ft).unwrap());
         assert_eq!((space.delta_len(), space.private_pages(), space.shared_pages()), (2, 4, 4));
-        let frames: Vec<FrameId> = space.iter().map(|(_, pte)| pte.frame).collect();
-        assert_eq!(frames[..6], [base[0], copies[1], base[2], base[3], copies[0], base[5]]);
+        let ptes: Vec<Pte> = space.iter().map(|(_, pte)| pte).collect();
+        let image = |pfn: usize| Pte::Shared(base[pfn]);
+        let expect = [image(0), Pte::Private(8), image(2), image(3), Pte::Private(7), image(5)];
+        assert_eq!(ptes[..6], expect);
         let stored: Vec<u64> = space.stored().map(|(pfn, _)| pfn).collect();
         assert_eq!(stored, [1, 4, 6, 7], "the delta, then the tail");
 
-        // A downgrade keeps the entry (the frame still differs); mapping the
-        // image frame back read-only drops it.
-        space.remap(4, Pte { frame: copies[0], writable: false }, &mut ft).unwrap();
+        // Freezing keeps the entry (its frame still differs) and moves the
+        // page into a row; mapping the image frame back drops it.
+        let row = space.freeze(4, &mut ft).unwrap();
         assert_eq!((space.delta_len(), space.private_pages()), (2, 3));
-        assert_eq!(ft.refcount(copies[0]), 2, "same frame, same reference");
-        space.remap(4, Pte::pristine(base[4]), &mut ft).unwrap();
-        space.remap(2, Pte::pristine(base[2]), &mut ft).unwrap();
+        assert_eq!((ft.read(row), ft.refcount(row), ft.used_frames()), (7, 1, 6 + 1 + 3));
+        space.remap(4, base[4], &mut ft).unwrap();
+        space.remap(2, base[2], &mut ft).unwrap();
         assert_eq!((space.delta_len(), space.private_pages()), (1, 3));
-        assert_eq!(ft.refcount(copies[0]), 1, "the dropped entry's reference went with it");
+        assert_eq!(ft.live_rows(), 6, "the dropped entry's row went with it");
         assert!(base.iter().all(|&f| ft.refcount(f) == 1), "a pristine mapping owns none");
     }
 
@@ -531,60 +662,53 @@ mod tests {
         // Either side of word and block boundaries, high pfns first.
         let pfns = [599, 256, 255, 0, 511, 512, 63, 64];
         for pfn in pfns {
-            let pte = Pte { frame: ft.alloc(pfn).unwrap(), writable: true };
-            space.remap(pfn, pte, &mut ft).unwrap();
+            space.write(pfn, pfn + 1_000, &mut ft).unwrap();
         }
         let stored: Vec<u64> = space.stored().map(|(pfn, _)| pfn).collect();
         assert_eq!(stored, [0, 63, 64, 255, 256, 511, 512, 599]);
         for pfn in pfns {
-            assert_eq!(ft.read(space.lookup(pfn).unwrap().frame), pfn);
+            assert_eq!(space.lookup(pfn).unwrap().content(&ft), pfn + 1_000);
         }
-        assert_eq!(space.lookup(257).unwrap(), Pte::pristine(base[257]));
+        assert_eq!(space.lookup(257), Ok(Pte::Shared(base[257])));
         assert!(space.iter().map(|(pfn, _)| pfn).eq(0..600));
 
-        space.remap(256, Pte::pristine(base[256]), &mut ft).unwrap();
-        space.update_stored_below(512, &mut ft, |pfn, pte, _| {
-            if pfn >= 255 {
-                *pte = Pte::pristine(base[pfn as usize]);
-            }
-        });
+        space.remap(256, base[256], &mut ft).unwrap();
+        space
+            .remap_stored_below(512, &mut ft, |pfn, _, _| (pfn >= 255).then(|| base[pfn as usize]));
         let stored: Vec<u64> = space.stored().map(|(pfn, _)| pfn).collect();
         assert_eq!(stored, [0, 63, 64, 512, 599], "pfn 512 is not below the limit");
-        assert_eq!((space.delta_len(), space.private_pages()), (5, 5));
+        assert_eq!((space.delta_len(), space.private_pages(), ft.used_frames()), (5, 5, 605));
     }
 
     #[test]
-    fn update_stored_visits_delta_then_tail_and_drops_pristine_entries() {
+    fn remap_stored_visits_delta_then_tail_and_drops_pristine_entries() {
         let mut ft = FrameTable::new(32);
         let (base, mut space) = clone_of(&mut ft);
         for pfn in [5, 0, 3] {
             assert!(space.write(pfn, pfn, &mut ft).unwrap());
         }
-        let (copy_of_0, tail_6) = (space.lookup(0).unwrap().frame, space.lookup(6).unwrap().frame);
+        let row = space.freeze(5, &mut ft).unwrap();
         let mut seen = Vec::new();
-        space.update_stored_below(7, &mut ft, |pfn, pte, _| {
-            seen.push(pfn);
+        space.remap_stored_below(7, &mut ft, |pfn, pte, ft| {
+            seen.push((pfn, pte.content(ft)));
             match pfn {
-                0 => *pte = Pte::pristine(base[0]),
-                3 => pte.writable = false,
+                0 => Some(base[0]),
                 // Past the base every entry stays stored, whatever it names.
-                6 => *pte = Pte::pristine(base[1]),
-                _ => {}
+                6 => Some(base[1]),
+                _ => None,
             }
         });
-        assert_eq!(seen, [0, 3, 5, 6], "pfn order, pristine pages and pfn 7 skipped");
+        assert_eq!(seen, [(0, 0), (3, 3), (5, 5), (6, 0)], "pfn order, pristine pages skipped");
         assert_eq!(
-            (ft.refcount(base[0]), ft.refcount(base[1])),
-            (1, 2),
+            (ft.refcount(base[0]), ft.refcount(base[1]), ft.refcount(row)),
+            (1, 2, 1),
             "only a stored entry owns"
         );
-        let mut freed = [ft.alloc(0).unwrap(), ft.alloc(0).unwrap()];
-        freed.reverse();
-        assert_eq!(freed, [copy_of_0, tail_6], "both displaced frames went free, in pfn order");
         assert_eq!((space.delta_len(), space.private_pages()), (2, 2));
-        assert_eq!(space.lookup(0).unwrap(), Pte::pristine(base[0]));
-        assert!(!space.lookup(6).unwrap().writable);
-        assert!(space.lookup(7).unwrap().writable);
+        assert_eq!(ft.used_frames(), 7 + 2, "six image rows, the frozen row, pfns 3 and 7");
+        assert_eq!(space.lookup(0), Ok(Pte::Shared(base[0])));
+        assert_eq!(space.lookup(6), Ok(Pte::Shared(base[1])));
+        assert_eq!(space.lookup(7), Ok(Pte::Private(0)));
     }
 
     #[test]
@@ -592,30 +716,37 @@ mod tests {
         let mut ft = FrameTable::new(10);
         let (base, mut space) = clone_of(&mut ft);
         assert!(space.write(3, 0xAB, &mut ft).unwrap(), "a pristine page faults");
-        let copy = space.lookup(3).unwrap().frame;
-        assert_eq!((ft.read(copy), ft.read(base[3])), (0xAB, 103), "the image frame is untouched");
-        assert_eq!((ft.refcount(copy), ft.refcount(base[3])), (1, 1), "nothing to release");
-        assert!(!space.write(3, 0xCD, &mut ft).unwrap(), "the private copy is written in place");
-        assert!(!space.write(6, 1, &mut ft).unwrap(), "as is a writable tail page");
-        assert_eq!((ft.read(copy), space.delta_len(), space.private_pages()), (0xCD, 1, 3));
+        assert_eq!(space.lookup(3), Ok(Pte::Private(0xAB)));
+        assert_eq!(
+            (ft.read(base[3]), ft.refcount(base[3])),
+            (103, 1),
+            "the image row is untouched"
+        );
+        assert_eq!((ft.live_rows(), ft.used_frames()), (6, 9), "a fault takes no row");
+        assert!(!space.write(3, 0xCD, &mut ft).unwrap(), "the private page is written in place");
+        assert!(!space.write(6, 1, &mut ft).unwrap(), "as is a private tail page");
+        assert_eq!(
+            (space.lookup(3), space.delta_len(), space.private_pages()),
+            (Ok(Pte::Private(0xCD)), 1, 3)
+        );
 
-        // A stored read-only entry (a merged or frozen page) gives its
+        // A stored shared entry (a merged or frozen page) gives its
         // reference up when it faults.
-        ft.share(copy);
-        space.update_stored_below(6, &mut ft, |_, pte, _| pte.writable = false);
+        let row = space.freeze(3, &mut ft).unwrap();
+        ft.share(row);
         assert!(space.write(3, 0xEF, &mut ft).unwrap());
-        assert_eq!(ft.refcount(copy), 1, "the other holder's");
-        assert_eq!((ft.read(copy), ft.read(space.lookup(3).unwrap().frame)), (0xCD, 0xEF));
+        assert_eq!(ft.refcount(row), 1, "the other holder's");
+        assert_eq!((ft.read(row), space.lookup(3)), (0xCD, Ok(Pte::Private(0xEF))));
 
         // Out of frames: the fault fails and nothing has moved.
         assert_eq!(ft.free_frames(), 0);
         assert!(matches!(space.write(0, 1, &mut ft), Err(VmmError::OutOfMemory { .. })));
-        assert_eq!(space.lookup(0).unwrap(), Pte::pristine(base[0]));
+        assert_eq!(space.lookup(0), Ok(Pte::Shared(base[0])));
         assert_eq!((ft.refcount(base[0]), space.delta_len()), (1, 1));
         assert!(matches!(space.write(8, 1, &mut ft), Err(VmmError::BadPfn { pfn: 8, size: 8 })));
 
         space.release_all(&mut ft);
-        assert_eq!(ft.used_frames(), 7, "the image's six and the other holder's copy");
+        assert_eq!(ft.used_frames(), 7, "the image's six and the other holder's row");
     }
 
     #[test]
@@ -624,7 +755,7 @@ mod tests {
         let (base, mut space) = clone_of(&mut ft);
         space.write(2, 1, &mut ft).unwrap();
         space.write(4, 2, &mut ft).unwrap();
-        space.update_stored_below(5, &mut ft, |pfn, pte, _| pte.writable = pfn != 4);
+        space.freeze(4, &mut ft).unwrap();
         let dense: Vec<Pte> = space.iter().map(|(_, pte)| pte).collect();
         let back = AddressSpace::sparsify(Arc::clone(&base), dense.clone());
         assert!(back.shares_base(&base));

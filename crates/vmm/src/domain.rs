@@ -107,7 +107,8 @@ impl Domain {
     }
 
     /// Checkpoint support: every field verbatim, the address space as the
-    /// dense page table it stands for and the disk as its overlay.
+    /// dense page table it stands for (one kind and word per pfn) and the
+    /// disk as its overlay.
     pub(crate) fn encode(&self, w: &mut SnapWriter) {
         self.id.snap(w);
         self.image.snap(w);
@@ -145,10 +146,6 @@ impl Domain {
         let writes = r.u64()?;
         let infected = r.bool()?;
         let entries = Vec::<Pte>::unsnap(r)?;
-        // The delta packs a frame number into 63 bits; no table is that long.
-        if entries.iter().any(|pte| pte.frame.0 >> 63 != 0) {
-            return Err(r.bad());
-        }
         let space = match provision {
             ProvisionKind::FlashClone => {
                 AddressSpace::sparsify(Arc::clone(img.shared_frames()), entries)
@@ -310,8 +307,7 @@ mod tests {
     use crate::frame::FrameTable;
 
     fn make_domain(ft: &mut FrameTable) -> Domain {
-        let entries =
-            (0..4).map(|i| Pte { frame: ft.alloc(i).unwrap(), writable: false }).collect();
+        let entries = (0..4).map(|i| Pte::Shared(ft.alloc(i).unwrap())).collect();
         Domain::new(
             DomainId(1),
             ImageId(0),

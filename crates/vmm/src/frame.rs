@@ -4,9 +4,15 @@
 //! domains could map the same machine frame copy-on-write. The simulation
 //! keeps the same data structure: a global table of frames with reference
 //! counts and a free list. Page *contents* are represented by a single
-//! 64-bit word per frame — enough to verify CoW isolation (a clone's writes
-//! must never be visible through the image or a sibling clone) without
-//! storing 4 KiB per page.
+//! 64-bit word per shared frame — enough to verify CoW isolation (a clone's
+//! writes must never be visible through the image or a sibling clone)
+//! without storing 4 KiB per page.
+//!
+//! Only a frame that can be shared has a row: an image's frames, and those
+//! a merge pass or a forensic snapshot shares. A private page — one domain's
+//! CoW copy or overhead page — keeps its content word in its own p2m entry
+//! (see [`crate::addrspace`]), and the table keeps only their count, so
+//! every admission, pressure and merge decision still sees each page.
 
 use core::fmt;
 
@@ -44,9 +50,10 @@ struct FrameState {
 
 /// The global machine frame table of one host.
 ///
-/// Frames are allocated with refcount 1; each further holder — an image's
-/// frame list, a stored p2m entry (see [`crate::addrspace`]) — bumps the
-/// count; the frame returns to the free list when the count reaches zero.
+/// Rows are allocated with refcount 1; each further holder — an image's
+/// frame list, a stored shared p2m entry (see [`crate::addrspace`]) — bumps
+/// the count; the row returns to the free list when the count reaches zero.
+/// Private pages are a count beside the rows, under the same capacity.
 ///
 /// # Examples
 ///
@@ -67,9 +74,8 @@ pub struct FrameTable {
     frames: Vec<FrameState>,
     free: Vec<u64>,
     total: u64,
-    /// Lifetime counters.
-    allocs: u64,
-    frees: u64,
+    /// Pages that live in a p2m entry of their own and have no row.
+    private: u64,
 }
 
 impl FrameTable {
@@ -82,8 +88,7 @@ impl FrameTable {
             // implicitly free. `free` holds explicitly freed frame ids.
             free: Vec::new(),
             total,
-            allocs: 0,
-            frees: 0,
+            private: 0,
         }
     }
 
@@ -96,34 +101,80 @@ impl FrameTable {
     /// Frames currently free.
     #[must_use]
     pub(crate) fn free_frames(&self) -> u64 {
-        // Never-touched frames plus explicitly freed ones.
-        (self.total - self.frames.len() as u64) + self.free.len() as u64
+        self.total - self.used_frames()
     }
 
-    /// Frames currently in use.
+    /// Frames currently in use: live rows plus private pages.
     #[must_use]
     pub fn used_frames(&self) -> u64 {
-        self.total - self.free_frames()
+        self.live_rows() + self.private
     }
 
-    /// Allocates a frame with the given initial content.
+    /// Rows with a count above zero: the frames that can be shared.
+    #[must_use]
+    pub fn live_rows(&self) -> u64 {
+        (self.frames.len() - self.free.len()) as u64
+    }
+
+    /// Allocates a row with the given initial content.
     ///
     /// # Errors
     ///
     /// Returns [`VmmError::OutOfMemory`] when no frame is free.
     pub fn alloc(&mut self, content: u64) -> Result<FrameId, VmmError> {
+        // One capacity rule: a row is a frame taken as a private page and
+        // promoted.
+        self.alloc_private(1)?;
+        Ok(self.promote(content))
+    }
+
+    /// Counts `pages` new private pages.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmmError::OutOfMemory`] when fewer frames are free.
+    pub fn alloc_private(&mut self, pages: u64) -> Result<(), VmmError> {
+        let free = self.free_frames();
+        if free < pages {
+            return Err(VmmError::OutOfMemory { requested: pages, free });
+        }
+        self.private += pages;
+        Ok(())
+    }
+
+    /// Gives `pages` private pages back.
+    pub fn release_private(&mut self, pages: u64) {
+        self.private -= pages;
+    }
+
+    /// Moves one private page's `content` into a fresh row with refcount 1,
+    /// on the frame the page occupied, so it cannot run out.
+    pub(crate) fn promote(&mut self, content: u64) -> FrameId {
+        self.private -= 1;
         let state = FrameState { refcount: 1, content };
         let id = if let Some(id) = self.free.pop() {
             self.frames[id as usize] = state;
             id
-        } else if (self.frames.len() as u64) < self.total {
+        } else {
             self.frames.push(state);
             self.frames.len() as u64 - 1
-        } else {
-            return Err(VmmError::OutOfMemory { requested: 1, free: 0 });
         };
-        self.allocs += 1;
-        Ok(FrameId(id))
+        FrameId(id)
+    }
+
+    /// Whether `holders` (one item per reference) and `private` pages
+    /// account for the table exactly: every named row live and counted once
+    /// per holder, no row without one.
+    pub(crate) fn is_held_by(
+        &self,
+        mut holders: impl Iterator<Item = FrameId>,
+        private: u64,
+    ) -> bool {
+        let mut owed = vec![0u32; self.frames.len()];
+        let at = |frame: FrameId| usize::try_from(frame.0).ok();
+        holders.all(|frame| at(frame).and_then(|at| owed.get_mut(at)).map(|n| *n += 1).is_some())
+            && private == self.private
+            && owed.iter().zip(&self.frames).all(|(&n, s)| n == s.refcount)
     }
 
     fn state(&self, frame: FrameId) -> &FrameState {
@@ -148,18 +199,6 @@ impl FrameTable {
     #[must_use]
     pub fn read(&self, frame: FrameId) -> u64 {
         self.state(frame).content
-    }
-
-    /// Writes the content word of a live frame.
-    ///
-    /// This does *not* perform CoW — callers must only write frames they own
-    /// exclusively (the domain layer enforces this via writable bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is not live.
-    pub(crate) fn write(&mut self, frame: FrameId, content: u64) {
-        self.state_mut(frame).content = content;
     }
 
     /// Increments a live frame's reference count (a new sharer).
@@ -191,22 +230,20 @@ impl FrameTable {
         state.refcount -= 1;
         if state.refcount == 0 {
             self.free.push(frame.0);
-            self.frees += 1;
         }
     }
 }
 
-/// The counters, the dense table length (the touched-frame high-water
-/// mark), the free list in LIFO order — allocation order after restore must
-/// match the uninterrupted run — and every live frame as `(index, refcount,
-/// content)` in index order. A table longer than `total`, or one whose slots
-/// are not each claimed exactly once — by a live row with a count above zero
-/// or by the free list — is a decode error.
+/// The total, the private count, the table length (the touched-row
+/// high-water mark), the free list in LIFO order — allocation order after
+/// restore must match the uninterrupted run — and each live row as `(index,
+/// refcount, content)` in index order. Rows and private pages above `total`,
+/// or slots not each claimed exactly once — by a live row with a count above
+/// zero or by the free list — are a decode error.
 impl Snap for FrameTable {
     fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.total);
-        w.u64(self.allocs);
-        w.u64(self.frees);
+        w.u64(self.private);
         w.usize(self.frames.len());
         self.free.snap(w);
         let live: Vec<(u64, u32, u64)> = (0..)
@@ -219,14 +256,16 @@ impl Snap for FrameTable {
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let total = r.u64()?;
-        let allocs = r.u64()?;
-        let frees = r.u64()?;
+        let private = r.u64()?;
         let table_len = r.usize()?;
         let free = Vec::<u64>::unsnap(r)?;
         let live = Vec::<(u64, u32, u64)>::unsnap(r)?;
         // Every touched slot is either live or on the free list, which also
         // bounds the table by what the payload actually holds.
-        if table_len as u64 > total || free.len().checked_add(live.len()) != Some(table_len) {
+        if table_len as u64 > total
+            || (live.len() as u64).checked_add(private).is_none_or(|used| used > total)
+            || free.len().checked_add(live.len()) != Some(table_len)
+        {
             return Err(r.bad());
         }
         let mut frames = vec![FrameState { refcount: 0, content: 0 }; table_len];
@@ -242,7 +281,7 @@ impl Snap for FrameTable {
         if !free.iter().all(|&idx| claim(idx).is_some()) {
             return Err(r.bad());
         }
-        Ok(FrameTable { frames, free, total, allocs, frees })
+        Ok(FrameTable { frames, free, total, private })
     }
 }
 
@@ -261,9 +300,7 @@ mod tests {
         ft.release(a);
         assert_eq!(ft.free_frames(), 3);
         ft.release(b);
-        assert_eq!(ft.free_frames(), 4);
-        assert_eq!(ft.allocs, 2);
-        assert_eq!(ft.frees, 2);
+        assert_eq!((ft.free_frames(), ft.live_rows()), (4, 0));
     }
 
     #[test]
@@ -311,10 +348,22 @@ mod tests {
         for (i, &f) in frames.iter().enumerate() {
             assert_eq!(ft.read(f), i as u64 * 100);
         }
-        ft.write(frames[3], 999);
-        assert_eq!(ft.read(frames[3]), 999);
-        assert_eq!(ft.read(frames[2]), 200);
-        assert_eq!(ft.read(frames[4]), 400);
+    }
+
+    #[test]
+    fn private_pages_and_rows_share_one_capacity() {
+        let mut ft = FrameTable::new(4);
+        ft.alloc_private(3).unwrap();
+        assert_eq!((ft.used_frames(), ft.live_rows()), (3, 0));
+        assert_eq!(ft.alloc_private(2), Err(VmmError::OutOfMemory { requested: 2, free: 1 }));
+        let a = ft.alloc(5).unwrap();
+        assert_eq!(ft.alloc(6), Err(VmmError::OutOfMemory { requested: 1, free: 0 }));
+        // A full table can still move a private page into a row.
+        let b = ft.promote(7);
+        assert_eq!((ft.used_frames(), ft.live_rows(), ft.read(b)), (4, 2, 7));
+        ft.release(a);
+        ft.release_private(2);
+        assert_eq!((ft.free_frames(), ft.live_rows()), (3, 1));
     }
 
     #[test]

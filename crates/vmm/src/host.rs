@@ -319,12 +319,8 @@ impl Host {
     }
 
     fn alloc_overhead(&mut self) -> Vec<Pte> {
-        (0..self.overhead_pages)
-            .map(|_| Pte {
-                frame: self.frames.alloc(0).expect("admission checked"),
-                writable: true,
-            })
-            .collect()
+        self.frames.alloc_private(self.overhead_pages).expect("admission checked");
+        vec![Pte::Private(0); self.overhead_pages as usize]
     }
 
     /// Starts a domain of `image` over `space`, with a fresh overlay on the
@@ -375,11 +371,9 @@ impl Host {
         let list = Arc::clone(self.image(image)?.shared_frames());
         let pages = list.len() as u64;
         self.admission_check(pages + self.overhead_pages)?;
-        let copy = |&frame| {
-            let content = self.frames.read(frame);
-            Pte { frame: self.frames.alloc(content).expect("admission checked"), writable: true }
-        };
-        let mut entries: Vec<Pte> = list.iter().map(copy).collect();
+        let mut entries: Vec<Pte> =
+            list.iter().map(|&frame| Pte::Private(self.frames.read(frame))).collect();
+        self.frames.alloc_private(pages).expect("admission checked");
         entries.extend(self.alloc_overhead());
         Ok((self.start(image, kind, AddressSpace::from_entries(entries)), pages))
     }
@@ -432,7 +426,8 @@ impl Host {
     /// whole farm of already-infected honeypots.
     ///
     /// The new image shares every frame with the domain (copy-on-write in
-    /// both directions): creating it allocates nothing. The image's disk is
+    /// both directions): each private page of the image region moves into
+    /// a row the two share, so creating it uses no frame. The image's disk is
     /// the domain's *base* disk (block overlays are per-domain state and
     /// are not captured).
     ///
@@ -443,16 +438,14 @@ impl Host {
         let (dom, source, table, _) = self.resolve(id)?;
         let (profile, disk) = (source.profile().clone(), source.disk().clone());
         let image_pages = profile.memory_pages;
-        // Share the domain's current frames and freeze the domain's view:
-        // its writable pages become read-only so future writes CoW away
-        // from the snapshot.
-        let frames: Vec<FrameId> =
-            dom.space().iter().take(image_pages as usize).map(|(_, pte)| pte.frame).collect();
-        assert_eq!(frames.len() as u64, image_pages, "image pfns are mapped");
+        // Freeze the domain's view — its private pages become shared rows,
+        // so future writes CoW away from the snapshot — and share each.
+        let space = dom.space_mut();
+        let frames = (0..image_pages).map(|pfn| space.freeze(pfn, table));
+        let frames: Vec<FrameId> = frames.collect::<Result<_, _>>().expect("image pfns are mapped");
         for &frame in &frames {
             table.share(frame);
         }
-        dom.space_mut().update_stored_below(image_pages, table, |_, pte, _| pte.writable = false);
         let new_id = ImageId(self.next_image);
         self.next_image += 1;
         self.images.insert(new_id, ReferenceImage::new(new_id, name, frames, disk, profile));
@@ -477,17 +470,17 @@ impl Host {
         assert!(dom.memory_pages() >= image_pages, "image pfns are mapped");
         let mut released = 0u64;
         // Only stored entries are visited: a page the space leaves to its
-        // base is already the pristine read-only image mapping. Any other
-        // frame — a private CoW copy, one frozen into a later snapshot — goes.
-        dom.space_mut().update_stored_below(image_pages, frames, |pfn, pte, _| {
+        // base is already the pristine read-only image mapping. Anything
+        // else — a private CoW copy, a row frozen into a later snapshot — goes.
+        dom.space_mut().remap_stored_below(image_pages, frames, |pfn, pte, _| {
             let img_frame = image_frames[pfn as usize];
-            released += u64::from(pte.frame != img_frame);
-            *pte = Pte { frame: img_frame, writable: false };
+            released += u64::from(pte != Pte::Shared(img_frame));
+            Some(img_frame)
         });
-        // Overhead pages beyond the image stay allocated; scrub them.
+        // Overhead pages beyond the image stay allocated and private; scrub
+        // them.
         for pfn in image_pages..dom.memory_pages() {
-            let pte = dom.space().lookup(pfn).expect("in range");
-            frames.write(pte.frame, 0);
+            dom.space_mut().write(pfn, 0, frames).expect("in range, and no fault");
         }
         dom.reset_guest_state();
         let cost = cost.rollback_cost(released);
@@ -515,15 +508,11 @@ impl Host {
         let mut reclaimed = 0u64;
         // A private page is always a stored entry, so those are all there is
         // to look at.
-        dom.space_mut().update_stored_below(image_pages, frames, |pfn, pte, frames| {
+        dom.space_mut().remap_stored_below(image_pages, frames, |pfn, pte, frames| {
             let img_frame = image_frames[pfn as usize];
-            if pte.writable
-                && pte.frame != img_frame
-                && frames.read(pte.frame) == frames.read(img_frame)
-            {
-                *pte = Pte { frame: img_frame, writable: false };
-                reclaimed += 1;
-            }
+            let reverted = pte == Pte::Private(frames.read(img_frame));
+            reclaimed += u64::from(reverted);
+            reverted.then_some(img_frame)
         });
         Ok(reclaimed)
     }
@@ -537,10 +526,10 @@ impl Host {
     /// image-identical pages to *any* identical content — the KSM-style
     /// content-based sharing the paper leaves as future work. Worm payloads
     /// write the same bytes into every victim, so post-infection clones
-    /// re-converge. When the merge target is another domain's still-writable
-    /// page, that page is first downgraded to read-only so a future write by
-    /// either side faults a private copy (guest-visible contents never
-    /// change).
+    /// re-converge. When the merge target is another domain's private page,
+    /// that page first moves into a shared row that both then map read-only,
+    /// so a future write by either side faults a private copy (guest-visible
+    /// contents never change).
     ///
     /// Only the image-backed guest region is scanned: the fixed overhead
     /// pages model per-domain hypervisor structures (shadow tables, device
@@ -556,13 +545,19 @@ impl Host {
     pub fn scan_and_merge(&mut self) -> Result<crate::memctl::MergeReport, VmmError> {
         self.ensure_alive()?;
         let free_before = self.frames.free_frames();
-        // content word -> (canonical frame, the domain still mapping it
-        // writable, if any). Seeded from reference images in id order so
-        // pristine frames always win canonical status.
-        let mut canonical: HashMap<u64, (FrameId, Option<(DomainId, u64)>)> = HashMap::new();
+        // Where a content word already lives: a shared row, or the one
+        // private page that holds it so far.
+        #[derive(Clone, Copy)]
+        enum Holder {
+            Row(FrameId),
+            Page(DomainId, u64),
+        }
+        // Seeded from reference images in id order so pristine frames
+        // always win canonical status.
+        let mut canonical: HashMap<u64, Holder> = HashMap::new();
         for img in self.images.values() {
             for &frame in img.frames() {
-                canonical.entry(self.frames.read(frame)).or_insert((frame, None));
+                canonical.entry(self.frames.read(frame)).or_insert(Holder::Row(frame));
             }
         }
         let mut report = crate::memctl::MergeReport::default();
@@ -580,38 +575,37 @@ impl Host {
             let stored: Vec<(u64, Pte)> =
                 self.domains[&id].space().stored().take_while(|s| s.0 < guest_pages).collect();
             for (pfn, pte) in stored {
-                let content = self.frames.read(pte.frame);
-                if !pte.writable {
-                    // Already shared; index it so later duplicates can join.
-                    canonical.entry(content).or_insert((pte.frame, None));
-                    continue;
-                }
-                match canonical.get(&content).copied() {
+                let content = match pte {
+                    Pte::Shared(frame) => {
+                        // Already shared; index it so later duplicates can join.
+                        canonical.entry(self.frames.read(frame)).or_insert(Holder::Row(frame));
+                        continue;
+                    }
+                    Pte::Private(content) => content,
+                };
+                let row = match canonical.get(&content).copied() {
                     None => {
-                        canonical.insert(content, (pte.frame, Some((id, pfn))));
+                        canonical.insert(content, Holder::Page(id, pfn));
+                        continue;
                     }
-                    Some((cframe, _)) if cframe == pte.frame => {}
-                    Some((cframe, owner)) => {
-                        // The canonical frame may still be writable in its
-                        // owner's map; freeze it first so neither side can
-                        // mutate the now-shared frame in place.
-                        let merged = Pte { frame: cframe, writable: false };
-                        if let Some((oid, opfn)) = owner {
-                            let odom = self.domains.get_mut(&oid).expect("owner is live");
-                            odom.space_mut()
-                                .remap(opfn, merged, &mut self.frames)
-                                .expect("owner pfn in range");
-                            canonical.insert(content, (cframe, None));
-                        }
-                        self.domains
-                            .get_mut(&id)
-                            .expect("listed above")
-                            .space_mut()
-                            .remap(pfn, merged, &mut self.frames)
-                            .expect("pfn in range");
-                        report.merged_pages += 1;
+                    Some(Holder::Row(row)) => row,
+                    Some(Holder::Page(owner, opfn)) => {
+                        // The first holder's page becomes the shared row, so
+                        // neither side can mutate it in place.
+                        let odom = self.domains.get_mut(&owner).expect("owner is live");
+                        let row = odom.space_mut().freeze(opfn, &mut self.frames);
+                        let row = row.expect("owner pfn in range");
+                        canonical.insert(content, Holder::Row(row));
+                        row
                     }
-                }
+                };
+                self.domains
+                    .get_mut(&id)
+                    .expect("listed above")
+                    .space_mut()
+                    .remap(pfn, row, &mut self.frames)
+                    .expect("pfn in range");
+                report.merged_pages += 1;
             }
         }
         report.frames_reclaimed = self.frames.free_frames().saturating_sub(free_before);
@@ -641,7 +635,7 @@ impl Host {
         }
         let pte = dom.space().lookup(pfn)?;
         dom.note_read();
-        Ok(self.frames.read(pte.frame))
+        Ok(pte.content(&self.frames))
     }
 
     /// Reads a guest disk block through the domain's CoW view, lazily
@@ -818,12 +812,14 @@ impl Host {
     /// # Errors
     ///
     /// Returns [`SnapshotError::Decode`] when the payload is truncated or
-    /// structurally inconsistent; the host itself is left untouched in that
+    /// structurally inconsistent — including a frame table that disagrees
+    /// with what names its frames (the reference rule of
+    /// [`crate::addrspace`]); the host itself is left untouched in that
     /// case, though chunks of the images decoded so far may already have
     /// been put into the shared store.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "vmm.host");
-        let frames = Snap::unsnap(&mut r)?;
+        let frames: FrameTable = Snap::unsnap(&mut r)?;
         let next_image = r.u64()?;
         let next_domain = r.u64()?;
         let flash_clones = r.u64()?;
@@ -840,9 +836,19 @@ impl Host {
             .into_iter()
             .map(|img| (img.id(), img))
             .collect();
-        let domains =
+        let domains: BTreeMap<DomainId, Domain> =
             r.seq(|r| Domain::decode(r, &images))?.into_iter().map(|d| (d.id(), d)).collect();
         r.finish()?;
+        let listed = images.values().flat_map(|img| img.frames().iter().copied());
+        let stored = domains.values().flat_map(|d| d.space().stored());
+        let shared = stored.filter_map(|(_, pte)| match pte {
+            Pte::Shared(frame) => Some(frame),
+            Pte::Private(_) => None,
+        });
+        let private = domains.values().map(Domain::private_pages).sum();
+        if !frames.is_held_by(listed.chain(shared), private) {
+            return Err(r.bad());
+        }
         self.frames = frames;
         self.images = images;
         self.domains = domains;
@@ -865,11 +871,9 @@ impl Host {
 mod tests {
     use super::*;
 
-    /// `encode_state` of [`diverged_host`]: the length as the parent of the
-    /// sparse p2m map wrote it, the digest as of snapshot version 5, which
-    /// moved nothing but the counts of frames that pristine pages map.
-    const DIVERGED_HOST_BYTES: usize = 982_829;
-    const DIVERGED_HOST_DIGEST: u64 = 0xe921_9c12_b1f8_6f33;
+    /// `encode_state` of [`diverged_host`] as of snapshot version 6.
+    const DIVERGED_HOST_BYTES: usize = 816_581;
+    const DIVERGED_HOST_DIGEST: u64 = 0x7bbb_e7e9_23cb_374b;
 
     fn small_host() -> (Host, ImageId) {
         let mut host = Host::new(100_000).with_overhead_pages(16);
@@ -937,8 +941,7 @@ mod tests {
     fn encode_state_still_writes_the_dense_page_tables() {
         let mut host = diverged_host();
         let bytes = host.encode_state();
-        // The length of this very scenario as encoded when every domain
-        // held a flat `Vec<Pte>`: the wire layout has not moved.
+        // Every domain is still written as its dense page table.
         assert_eq!(bytes.len(), DIVERGED_HOST_BYTES);
         assert_eq!(potemkin_snapshot::fnv1a64(&bytes), DIVERGED_HOST_DIGEST);
 
@@ -1065,6 +1068,20 @@ mod tests {
         assert!(out2.faulted);
         assert_eq!(host.read_page(a, 5).unwrap(), 0xAAAA);
         assert_eq!(host.read_page(b, 5).unwrap(), 0xBBBB);
+    }
+
+    #[test]
+    fn cow_faults_take_no_row() {
+        let mut host = Host::new(100_000).with_overhead_pages(16);
+        let profile = GuestProfile { memory_pages: 10_000, ..GuestProfile::small() };
+        let image = host.create_reference_image("big", profile).unwrap();
+        let (vm, _) = host.flash_clone(image).unwrap();
+        let before = host.memory_report().used_frames;
+        let stats = host.touch_pages(vm, &(0..10_000).collect::<Vec<_>>(), 1).unwrap();
+        assert_eq!(stats.faults, 10_000);
+        assert_eq!(host.frames().live_rows(), 10_000, "the image's rows, and no more");
+        assert_eq!(host.memory_report().used_frames, before + 10_000);
+        assert_eq!(host.read_page(vm, 9_999).unwrap(), 10_000);
     }
 
     #[test]
@@ -1536,7 +1553,7 @@ mod tests {
         assert_eq!(second.merged_pages, 0, "second pass finds nothing");
         assert_eq!(second.frames_reclaimed, 0);
         let r = host.memory_report();
-        // The merged frame is shared between the two domains (writable in
+        // The merged frame is shared between the two domains (private in
         // neither map), so only the per-domain overhead stays private.
         assert_eq!(r.private_frames, 2 * 16, "overhead stays private per domain");
         assert_eq!(r.used_frames, r.image_frames + r.private_frames + 1, "one merged frame");

@@ -15,9 +15,10 @@
 //! # Architecture
 //!
 //! * `frame` — the machine frame table: allocation, reference counts,
-//!   per-frame content words standing in for page contents.
+//!   content words standing in for the contents of shared frames, and a
+//!   count of the private pages that hold their own.
 //! * [`addrspace`] — per-domain pseudo-physical → machine maps with
-//!   writable bits (the p2m table).
+//!   private pages held in the entry (the p2m table).
 //! * `snapshot` — frozen reference images created by booting a guest
 //!   profile once.
 //! * `domain` — VM domains: lifecycle, memory reads/writes with CoW

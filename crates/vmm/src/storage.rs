@@ -35,6 +35,8 @@
 //! randomness enters anywhere — the farm's byte-identical-digest rule
 //! holds chunked or flat, at any worker count.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod manifest;
 mod store;
 

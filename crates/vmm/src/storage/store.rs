@@ -3,7 +3,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use potemkin_snapshot::Fnv64;
 
@@ -103,7 +103,10 @@ impl SharedChunkStore {
     }
 
     fn lock(&self) -> MutexGuard<'_, Chunks> {
-        self.inner.lock().expect("chunk store lock poisoned")
+        // Every update leaves the store valid at every step — a chunk goes
+        // in whole or not at all, and the rest are statistics — so the
+        // guard a panicking holder left behind is still good to use.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stores `words` under their content hash, deduping against resident

@@ -1,17 +1,18 @@
 //! The p2m map is stored as a shared base plus a sparse delta plus a dense
 //! tail, but must behave as the one dense table it replaced. Here a plain
-//! `Vec<Pte>` is that table: under arbitrary `remap`/`lookup`/`iter`
+//! `Vec<Pte>` is that table: under arbitrary `write`/`remap`/`lookup`/`iter`
 //! sequences the two agree on every result and every counter, and
-//! `release_all` hands the frames back in the same order — the frame table's
+//! `release_all` hands the rows back in the same order — the frame table's
 //! free list is LIFO, so that order decides every `FrameId` allocated
 //! afterwards, and with it every digest downstream.
 //!
 //! The oracle also keeps the reference rule by hand, in a frame table of its
-//! own where every one of its entries is stored and so owns a reference; the
-//! space under test keeps it itself, and where it sits over the image's list
-//! its pristine pages own none. The two tables must agree on which frames
-//! are free, in which order, and on the count of every frame no pristine
-//! page maps.
+//! own where every one of its entries is stored and so owns a reference — a
+//! count on the row it shares, or one private page; the space under test
+//! keeps it itself, and where it sits over the image's list its pristine
+//! pages own none. The two tables must agree on which rows are free, in
+//! which order, on the count of every row no pristine page maps, and on the
+//! private pages.
 
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 
 use potemkin::snapshot::Snap;
 use potemkin::vmm::addrspace::{AddressSpace, Pte};
-use potemkin::vmm::{FrameId, FrameTable};
+use potemkin::vmm::{FrameId, FrameTable, VmmError};
 
 // Ten words of the delta's bitmap (the last one partial) in two rank blocks.
 const BASE_PAGES: u64 = 600;
@@ -27,14 +28,13 @@ const TAIL_PAGES: u64 = 6;
 
 #[derive(Clone, Debug)]
 enum Op {
-    /// CoW-style: a fresh private frame, writable.
+    /// CoW-style: a private page.
     Diverge {
         pfn: u64,
     },
-    /// Merge/snapshot-style: keep the frame, flip the writable bit.
-    SetWritable {
+    /// Merge/snapshot-style: a private page moves into a fresh row.
+    Freeze {
         pfn: u64,
-        writable: bool,
     },
     /// Rollback/reshare-style: back to the image frame, read-only.
     Revert {
@@ -52,8 +52,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     let pfn = 0..BASE_PAGES + TAIL_PAGES + 3;
     prop_oneof![
         5 => pfn.clone().prop_map(|pfn| Op::Diverge { pfn }),
-        2 => (pfn.clone(), any::<bool>())
-            .prop_map(|(pfn, writable)| Op::SetWritable { pfn, writable }),
+        2 => pfn.clone().prop_map(|pfn| Op::Freeze { pfn }),
         3 => pfn.clone().prop_map(|pfn| Op::Revert { pfn }),
         3 => pfn.prop_map(|pfn| Op::Lookup { pfn }),
         1 => Just(Op::Audit),
@@ -70,10 +69,10 @@ fn build(shared: bool) -> (FrameTable, Arc<[FrameId]>, AddressSpace, Vec<Pte>) {
     if !shared {
         image.iter().for_each(|&f| frames.share(f));
     }
-    let tail: Vec<Pte> =
-        (0..TAIL_PAGES).map(|_| Pte { frame: frames.alloc(0).unwrap(), writable: true }).collect();
+    frames.alloc_private(TAIL_PAGES).unwrap();
+    let tail = vec![Pte::Private(0); TAIL_PAGES as usize];
     let oracle: Vec<Pte> =
-        image.iter().map(|&frame| Pte { frame, writable: false }).chain(tail.clone()).collect();
+        image.iter().map(|&frame| Pte::Shared(frame)).chain(tail.clone()).collect();
     let space = if shared {
         AddressSpace::over_base(Arc::clone(&image), tail)
     } else {
@@ -82,16 +81,46 @@ fn build(shared: bool) -> (FrameTable, Arc<[FrameId]>, AddressSpace, Vec<Pte>) {
     (frames, image, space, oracle)
 }
 
+/// What the space under test does to make `pfn` read as `new`: a guest
+/// write for a private page, a read-only remap for a shared one.
+fn apply(
+    space: &mut AddressSpace,
+    pfn: u64,
+    new: Pte,
+    frames: &mut FrameTable,
+) -> Result<(), VmmError> {
+    match new {
+        Pte::Private(value) => space.write(pfn, value, frames).map(drop),
+        Pte::Shared(frame) => space.remap(pfn, frame, frames),
+    }
+}
+
+/// Takes the reference a stored entry owns.
+fn hold(frames: &mut FrameTable, pte: Pte) {
+    match pte {
+        Pte::Private(_) => frames.alloc_private(1).unwrap(),
+        Pte::Shared(frame) => frames.share(frame),
+    }
+}
+
+/// Gives it back.
+fn let_go(frames: &mut FrameTable, pte: Pte) {
+    match pte {
+        Pte::Private(_) => frames.release_private(1),
+        Pte::Shared(frame) => frames.release(frame),
+    }
+}
+
 fn audit(space: &AddressSpace, oracle: &[Pte]) -> Result<(), TestCaseError> {
     prop_assert_eq!(space.size(), oracle.len() as u64);
     let dense: Vec<(u64, Pte)> = space.iter().collect();
     let expect: Vec<(u64, Pte)> = (0u64..).zip(oracle.iter().copied()).collect();
     prop_assert_eq!(&dense, &expect);
-    let private = oracle.iter().filter(|pte| pte.writable).count() as u64;
+    let private = oracle.iter().filter(|pte| matches!(pte, Pte::Private(_))).count() as u64;
     prop_assert_eq!(space.private_pages(), private);
     prop_assert_eq!(space.shared_pages(), oracle.len() as u64 - private);
     // The stored entries come in pfn order, tell the truth about what they
-    // hold, and leave out nothing that is not a read-only page.
+    // hold, and leave out nothing that is a private page.
     let stored: Vec<(u64, Pte)> = space.stored().collect();
     prop_assert!(stored.windows(2).all(|w| w[0].0 < w[1].0));
     for &(pfn, pte) in &stored {
@@ -99,7 +128,7 @@ fn audit(space: &AddressSpace, oracle: &[Pte]) -> Result<(), TestCaseError> {
     }
     for (pfn, pte) in expect {
         let listed = stored.binary_search_by_key(&pfn, |s| s.0).is_ok();
-        prop_assert!(!pte.writable || listed, "writable pfn {} not stored", pfn);
+        prop_assert!(matches!(pte, Pte::Shared(_)) || listed, "private pfn {} not stored", pfn);
     }
     Ok(())
 }
@@ -117,20 +146,22 @@ proptest! {
         // table tells what the free list must look like at the end.
         let (mut dense_frames, _, _, _) = build(false);
 
-        for op in ops {
-            let (pfn, new) = match op {
-                Op::Diverge { pfn } => {
-                    // Same allocation on both tables keeps their ids aligned.
-                    let frame = frames.alloc(pfn).unwrap();
-                    prop_assert_eq!(dense_frames.alloc(pfn).unwrap(), frame);
-                    (pfn, Pte { frame, writable: true })
-                }
-                Op::SetWritable { pfn, writable } => match oracle.get(pfn as usize) {
-                    Some(old) => (pfn, Pte { frame: old.frame, writable }),
+        for (step, op) in (0u64..).zip(ops) {
+            // `fresh` is a row allocated for the op, with a reference of its own.
+            let (pfn, new, fresh) = match op {
+                Op::Diverge { pfn } => (pfn, Pte::Private(step), None),
+                Op::Freeze { pfn } => match oracle.get(pfn as usize) {
+                    Some(&Pte::Private(content)) => {
+                        // Same allocation on both tables keeps their ids aligned.
+                        let row = frames.alloc(content).unwrap();
+                        prop_assert_eq!(dense_frames.alloc(content).unwrap(), row);
+                        (pfn, Pte::Shared(row), Some(row))
+                    }
+                    Some(&shared) => (pfn, shared, None),
                     None => continue,
                 },
                 Op::Revert { pfn } => match image.get(pfn as usize) {
-                    Some(&frame) => (pfn, Pte { frame, writable: false }),
+                    Some(&frame) => (pfn, Pte::Shared(frame), None),
                     None => continue,
                 },
                 Op::Lookup { pfn } => {
@@ -144,36 +175,40 @@ proptest! {
             };
             match oracle.get_mut(pfn as usize) {
                 Some(slot) => {
-                    space.remap(pfn, new, &mut frames).unwrap();
+                    apply(&mut space, pfn, new, &mut frames).unwrap();
                     // The oracle's entry is stored whatever it holds: its
-                    // reference moves from the old frame to the new one.
-                    dense_frames.share(new.frame);
-                    dense_frames.release(std::mem::replace(slot, new).frame);
+                    // reference moves from the old entry to the new one.
+                    hold(&mut dense_frames, new);
+                    let_go(&mut dense_frames, std::mem::replace(slot, new));
                 }
-                None => prop_assert!(space.remap(pfn, new, &mut frames).is_err()),
+                None => prop_assert!(apply(&mut space, pfn, new, &mut frames).is_err()),
             }
-            // A fresh frame came with the allocation's own reference; the
-            // entry, if there is one now, holds another.
-            if let Op::Diverge { .. } = op {
-                frames.release(new.frame);
-                dense_frames.release(new.frame);
+            // The entry holds the fresh row now; the allocation lets go.
+            if let Some(row) = fresh {
+                frames.release(row);
+                dense_frames.release(row);
             }
         }
         audit(&space, &oracle)?;
-        // What each frame is owed: one reference for the image's list, one
+        prop_assert_eq!(frames.used_frames(), dense_frames.used_frames());
+        // What each row is owed: one reference for the image's list, one
         // for each stored entry naming it.
+        let shared_rows = || space.stored().filter_map(|(_, pte)| match pte {
+            Pte::Shared(frame) => Some(frame),
+            Pte::Private(_) => None,
+        });
         for (pfn, &frame) in (0u64..).zip(image.iter()) {
-            let stored = space.stored().filter(|s| s.1.frame == frame).count() as u32;
+            let stored = shared_rows().filter(|&f| f == frame).count() as u32;
             prop_assert_eq!(frames.refcount(frame), 1 + stored, "image frame of pfn {}", pfn);
         }
-        for (_, pte) in space.stored().filter(|s| !image.contains(&s.1.frame)) {
-            prop_assert_eq!(frames.refcount(pte.frame), dense_frames.refcount(pte.frame));
+        for frame in shared_rows().filter(|f| !image.contains(f)) {
+            prop_assert_eq!(frames.refcount(frame), dense_frames.refcount(frame));
         }
 
         // Release the space one way and the oracle the plain way: pfn order.
         space.release_all(&mut frames);
-        for pte in &oracle {
-            dense_frames.release(pte.frame);
+        for &pte in &oracle {
+            let_go(&mut dense_frames, pte);
         }
         prop_assert_eq!(space.size(), 0);
         prop_assert_eq!(space.private_pages(), 0);

@@ -15,10 +15,11 @@
 //!    opens a containment hole (the escape counter stays zero).
 //!
 //! 4. **The reference rule.** Whatever a host has been through, a frame's
-//!    count is the image frame lists naming it plus the *stored* p2m entries
-//!    naming it — a clone's pristine pages hold nothing — through a
-//!    checkpoint and back, and once every domain is gone what stays resident
-//!    is what the images hold.
+//!    count is the image frame lists naming it plus the *stored* shared p2m
+//!    entries naming it — a clone's pristine pages hold nothing — every
+//!    frame in use is such a row or one private page, through a checkpoint
+//!    and back, and once every domain is gone what stays resident is what
+//!    the images hold.
 //!
 //! The replay cases run full telescope scenarios per worker count, so
 //! their budget is small; the fixed tests in `potemkin_bench::e13` and
@@ -33,6 +34,7 @@ use potemkin::gateway::GatewayConfig;
 use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::SimTime;
+use potemkin::vmm::addrspace::Pte;
 use potemkin::vmm::guest::GuestProfile;
 use potemkin::vmm::{DomainId, FrameId, Host, ImageId};
 use potemkin::workload::radiation::RadiationConfig;
@@ -176,16 +178,23 @@ fn rule_host() -> Host {
     Host::new(16_384).with_overhead_pages(RULE_OVERHEAD_PAGES)
 }
 
-/// The reference rule, checked frame by frame: every resident frame is named
-/// by an image list or a stored entry, and counts exactly those.
+/// The reference rule, checked frame by frame: every live row is named by an
+/// image list or a stored shared entry, and counts exactly those; every other
+/// frame in use is one domain's private page.
 fn check_reference_rule(host: &Host, images: &[ImageId]) -> Result<(), TestCaseError> {
     let mut owed: std::collections::BTreeMap<FrameId, u32> = Default::default();
     let listed = images.iter().flat_map(|&id| host.image(id).expect("kept").frames().to_vec());
-    let stored = host.domains().flat_map(|d| d.space().stored().map(|(_, pte)| pte.frame));
-    for frame in listed.chain(stored) {
+    let shared = host.domains().flat_map(|d| d.space().stored()).filter_map(|(_, pte)| match pte {
+        Pte::Shared(frame) => Some(frame),
+        Pte::Private(_) => None,
+    });
+    for frame in listed.chain(shared) {
         *owed.entry(frame).or_default() += 1;
     }
-    prop_assert_eq!(host.frames().used_frames(), owed.len() as u64, "a frame nothing names");
+    let rows = host.frames().live_rows();
+    let private: u64 = host.domains().map(|d| d.private_pages()).sum();
+    prop_assert_eq!(rows, owed.len() as u64, "a row nothing names");
+    prop_assert_eq!(host.frames().used_frames(), rows + private, "a frame neither row nor page");
     for (&frame, &count) in &owed {
         prop_assert_eq!(host.frames().refcount(frame), count, "{}", frame);
     }
@@ -211,6 +220,7 @@ proptest! {
                 host = rule_host();
                 host.restore_state(&bytes).expect("own payload");
                 prop_assert_eq!(host.encode_state(), bytes);
+                check_reference_rule(&host, &images)?;
             }
             let live: Vec<DomainId> = host.domains().map(|d| d.id()).collect();
             let dom = |i: usize| live.get(i % live.len().max(1)).copied();

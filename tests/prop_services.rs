@@ -139,7 +139,7 @@ proptest! {
         workers in 2usize..=4,
     ) {
         let config = InteractionConfig::builder(ServicesConfig::new(
-            potemkin::services::pack::builtin(),
+            potemkin::services::pack::builtin().unwrap(),
         ))
         .duration(SimTime::from_secs(8))
         .cells(1 << cells_exp)

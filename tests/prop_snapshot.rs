@@ -496,19 +496,22 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
         }
     }
 
-    // A three-slot table as `FrameTable::snap` writes it: total, allocs,
-    // frees, table length, the free list, then `(index, refcount, content)`
-    // per live frame.
-    let table = |free: &[u64], live: &[(u64, u32, u64)]| {
+    // A three-slot table as `FrameTable::snap` writes it: total, private
+    // pages, table length, the free list, then `(index, refcount, content)`
+    // per live row.
+    let table_of = |private: u64, free: &[u64], live: &[(u64, u32, u64)]| {
         let mut w = potemkin::snapshot::SnapWriter::new();
-        (8u64, 5u64, 2u64).snap(&mut w);
+        (8u64, private).snap(&mut w);
         w.usize(3);
         free.to_vec().snap(&mut w);
         live.to_vec().snap(&mut w);
         FrameTable::from_bytes(&w.into_bytes(), "hostile")
     };
-    let honest = table(&[1], &[(0, 1, 7), (2, 3, 9)]).expect("one claim per slot");
-    assert_eq!((honest.used_frames(), honest.refcount(potemkin::vmm::FrameId(2))), (2, 3));
+    let table = |free: &[u64], live: &[(u64, u32, u64)]| table_of(1, free, live);
+    let honest = table_of(6, &[1], &[(0, 1, 7), (2, 3, 9)]).expect("one claim per slot");
+    assert_eq!((honest.used_frames(), honest.refcount(potemkin::vmm::FrameId(2))), (8, 3));
+    let crowded = table_of(7, &[1], &[(0, 1, 7), (2, 3, 9)]).map(drop);
+    assert!(matches!(crowded, Err(SnapshotError::Decode { .. })), "9 of 8 frames: {crowded:?}");
     for (what, free, live) in [
         ("a live row with refcount 0", &[1][..], &[(0, 0, 7), (2, 3, 9)][..]),
         ("an index live twice", &[1], &[(0, 1, 7), (0, 3, 9)]),
@@ -519,5 +522,68 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
     ] {
         let outcome = table(free, live).map(drop);
         assert!(matches!(outcome, Err(SnapshotError::Decode { .. })), "{what}: {outcome:?}");
+    }
+}
+
+/// Claim 4c: a host payload whose frame table disagrees with what names its
+/// frames — the image lists and the shared p2m entries, one reference each,
+/// and the private pages, one count each — is a decode error, and the host
+/// it was offered to is left as it was. Each case is the host's own payload
+/// with only its frame table, the payload's first field, replaced.
+#[test]
+fn a_host_payload_that_breaks_the_reference_rule_is_a_decode_error() {
+    use potemkin::snapshot::SnapReader;
+    use potemkin::vmm::addrspace::Pte;
+    use potemkin::vmm::guest::GuestProfile;
+    use potemkin::vmm::{FrameId, FrameTable, Host};
+
+    let fresh = || Host::new(100_000).with_overhead_pages(16);
+    let mut host = fresh();
+    let image = host.create_reference_image("rule", GuestProfile::small()).unwrap();
+    let (a, _) = host.flash_clone(image).unwrap();
+    let (b, _) = host.flash_clone(image).unwrap();
+    host.write_page(a, 9, 0xC0DE).unwrap();
+    host.write_page(b, 9, 0xC0DE).unwrap();
+    host.write_page(b, 10, 0xF00D).unwrap();
+    host.scan_and_merge().unwrap();
+    let Ok(Pte::Shared(merged)) = host.domain(a).unwrap().space().lookup(9) else {
+        panic!("the merge shares pfn 9")
+    };
+    let bytes = host.encode_state();
+    let table = FrameTable::unsnap(&mut SnapReader::new(&bytes, "table")).unwrap();
+    let rest = &bytes[table.to_bytes().len()..];
+    let with = |edit: &dyn Fn(&mut FrameTable)| {
+        let mut t = table.clone();
+        edit(&mut t);
+        [t.to_bytes(), rest.to_vec()].concat()
+    };
+    // The private count is the second word, after the total.
+    let private_off_by = |delta: i64| {
+        let mut payload = bytes.clone();
+        let private = u64::from_le_bytes(payload[8..16].try_into().unwrap());
+        payload[8..16].copy_from_slice(&private.wrapping_add_signed(delta).to_le_bytes());
+        payload
+    };
+    let mut honest = fresh();
+    honest.restore_state(&with(&|_| {})).expect("the payload as written");
+    assert_eq!(honest.encode_state(), bytes);
+
+    let mut bystander = fresh();
+    let kept = bystander.create_reference_image("kept", GuestProfile::small()).unwrap();
+    let (c, _) = bystander.flash_clone(kept).unwrap();
+    bystander.write_page(c, 3, 0xAB).unwrap();
+    let before = bystander.encode_state();
+    for (what, payload) in [
+        ("an image frame on the free list", with(&|t| t.release(FrameId(8_191)))),
+        ("a shared entry naming a free slot", with(&|t| (0..2).for_each(|_| t.release(merged)))),
+        ("a refcount one above its holders", with(&|t| t.share(FrameId(0)))),
+        ("a refcount one below its holders", with(&|t| t.release(merged))),
+        ("a row nothing names", with(&|t| assert!(t.alloc(5).is_ok()))),
+        ("a private count one high", private_off_by(1)),
+        ("a private count one low", private_off_by(-1)),
+    ] {
+        let outcome = bystander.restore_state(&payload);
+        assert!(matches!(outcome, Err(SnapshotError::Decode { .. })), "{what}: {outcome:?}");
+        assert_eq!(bystander.encode_state(), before, "{what}: the host moved");
     }
 }

@@ -86,55 +86,92 @@ fn measure<F: FnMut() -> bool>(iterations: usize, mut f: F) -> f64 {
     iterations as f64 / dt
 }
 
+/// Rounds the bound and reflect paths are timed in. The sizes take turns
+/// within a round, in alternating order, and each point keeps its best
+/// round. A round is short — well under a scheduler time slice in tests —
+/// so a stretch of contention on the machine slows some rounds of each
+/// size rather than every sample of the size timed last.
+const ROUNDS: usize = 16;
+
+/// One state size under measurement: its gateway, its packet batches, and
+/// how far through each batch the rounds so far have gone.
+struct Loaded {
+    gateway: Gateway,
+    packets: Vec<Packet>,
+    probes: Vec<Packet>,
+    next_packet: usize,
+    next_probe: usize,
+}
+
 /// Runs the throughput measurement at the given binding counts.
 ///
 /// `iterations` controls measurement length (use ≥ 100k for stable figures,
-/// less in tests).
+/// less in tests): the packets each path is timed over, split across the
+/// rounds.
 #[must_use]
 pub(crate) fn run(binding_counts: &[usize], iterations: usize) -> ThroughputResult {
-    let mut points = Vec::new();
-    for &n in binding_counts {
-        let mut g = loaded_gateway(n);
-        let packets = bound_packets(n, iterations.min(10_000));
-        let now = SimTime::from_secs(1);
-        // First packets: the batch cycles over its first `n` packets, one
-        // per flow, and each inserts into the flow table. They are timed
-        // apart, so the fast path below refreshes a warm table at every
-        // state size.
-        let flows = n.min(packets.len());
-        let mut i = 0usize;
-        let first_pps = measure(flows, || {
-            let p = packets[i].clone();
-            i += 1;
-            matches!(g.on_inbound(now, p), GatewayAction::Deliver { .. })
-        });
-        // Fast path: inbound to a bound address.
-        let mut i = 0usize;
-        let bound_pps = measure(iterations, || {
-            let p = packets[i % packets.len()].clone();
-            i += 1;
-            matches!(g.on_inbound(now, p), GatewayAction::Deliver { .. })
-        });
-        // Reflect path: a bound VM probes unbound external addresses.
-        let probe_batch: Vec<Packet> = (0..packets.len())
-            .map(|k| {
-                PacketBuilder::new(telescope_addr(0), Ipv4Addr::from(0x2000_0000 + k as u32))
-                    .tcp_syn(1_025, 445)
-            })
-            .collect();
-        let mut k = 0usize;
-        let reflect_pps = measure(iterations, || {
-            let p = probe_batch[k % probe_batch.len()].clone();
-            k += 1;
-            matches!(g.on_outbound(now, VmRef(0), p), GatewayAction::Reflect { .. })
-        });
-        points.push(ThroughputPoint { bindings: n, first_pps, bound_pps, reflect_pps });
+    let now = SimTime::from_secs(1);
+    let mut loaded: Vec<Loaded> = binding_counts
+        .iter()
+        .map(|&n| {
+            let packets = bound_packets(n, iterations.min(10_000));
+            // Reflect path: a bound VM probes unbound external addresses.
+            let probes = (0..packets.len())
+                .map(|k| {
+                    PacketBuilder::new(telescope_addr(0), Ipv4Addr::from(0x2000_0000 + k as u32))
+                        .tcp_syn(1_025, 445)
+                })
+                .collect();
+            Loaded { gateway: loaded_gateway(n), packets, probes, next_packet: 0, next_probe: 0 }
+        })
+        .collect();
+    // First packets: the batch cycles over its first `n` packets, one per
+    // flow, and each inserts into the flow table — once per gateway, so
+    // they are timed once, before the rounds, and the fast path below
+    // refreshes a warm table at every state size.
+    let mut points: Vec<ThroughputPoint> = binding_counts
+        .iter()
+        .zip(&mut loaded)
+        .map(|(&n, l)| {
+            let flows = n.min(l.packets.len());
+            let mut i = 0usize;
+            let first_pps = measure(flows, || {
+                let p = l.packets[i].clone();
+                i += 1;
+                matches!(l.gateway.on_inbound(now, p), GatewayAction::Deliver { .. })
+            });
+            ThroughputPoint { bindings: n, first_pps, bound_pps: 0.0, reflect_pps: 0.0 }
+        })
+        .collect();
+    // Each round picks up each batch where the last left off, so the rounds
+    // together walk every flow, however short each one is.
+    let per_round = iterations.div_ceil(ROUNDS);
+    for round in 0..ROUNDS {
+        let mut order: Vec<usize> = (0..loaded.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for at in order {
+            let (l, point) = (&mut loaded[at], &mut points[at]);
+            // Fast path: inbound to a bound address.
+            let bound_pps = measure(per_round, || {
+                let p = l.packets[l.next_packet % l.packets.len()].clone();
+                l.next_packet += 1;
+                matches!(l.gateway.on_inbound(now, p), GatewayAction::Deliver { .. })
+            });
+            let reflect_pps = measure(per_round, || {
+                let p = l.probes[l.next_probe % l.probes.len()].clone();
+                l.next_probe += 1;
+                matches!(l.gateway.on_outbound(now, VmRef(0), p), GatewayAction::Reflect { .. })
+            });
+            point.bound_pps = point.bound_pps.max(bound_pps);
+            point.reflect_pps = point.reflect_pps.max(reflect_pps);
+        }
     }
 
     // Clone-request path: every packet targets a fresh unbound address.
     let mut g = Gateway::new(GatewayConfig::default());
     let mut j = 0u32;
-    let now = SimTime::from_secs(1);
     let clone_request_pps = measure(iterations, || {
         let p = PacketBuilder::new(source_addr(j), telescope_addr(j)).tcp_syn(4_000, 445);
         j += 1;
@@ -189,7 +226,7 @@ mod tests {
         let small = r.points[0].bound_pps;
         let large = r.points[1].bound_pps;
         // Hash-table pipeline: within 3x across 100x state (generous bound
-        // for noisy CI machines).
+        // for noisy CI machines), each size at its best of the rounds.
         assert!(large > small / 3.0, "fast path degraded: {small} -> {large}");
         assert!(small > 10_000.0, "absurdly slow fast path: {small} pps");
     }

@@ -732,7 +732,7 @@ impl Honeyfarm {
         let Ok(dom) = self.hosts[slot.host].domain(slot.domain) else {
             return false;
         };
-        if !dom.is_infected() || !dom.is_running() {
+        if !dom.is_infected() {
             return false;
         }
         let Some(src) = dom.bound_addr() else {
@@ -1245,7 +1245,7 @@ impl Honeyfarm {
         let slot = self.vms.get(&vm)?;
         let (host_idx, domain) = (slot.host, slot.domain);
         // One lookup of the domain serves everything asked of it below.
-        let dom = self.hosts[host_idx].domain(domain).ok().filter(|d| d.is_running())?;
+        let dom = self.hosts[host_idx].domain(domain).ok()?;
         let infected = dom.is_infected();
         self.counters.incr("packets_to_guests");
         let me = packet.dst();
@@ -2659,10 +2659,10 @@ mod tests {
 
     /// `(len, fnv1a64)` of `encode_state` for [`busy_farm`] on the default
     /// chunk geometry and on E18's 16-block chunks, re-pinned for snapshot
-    /// version 6 (the hosts' frame tables hold rows for shared frames only
-    /// and a count of private pages; every other section is version 4's).
-    const BUSY_FARM_PIN: (usize, u64) = (3_890_967, 0x50045b75d7c5023a);
-    const CHUNKED_FARM_PIN: (usize, u64) = (3_903_255, 0xc50c4761ccb5fc4a);
+    /// version 7 (each domain's p2m is written as what it stores: the delta
+    /// from its image and its tail; every other section is version 6's).
+    const BUSY_FARM_PIN: (usize, u64) = (958_237, 0x26f086b665e60e3f);
+    const CHUNKED_FARM_PIN: (usize, u64) = (970_525, 0xa50598e10d8d6101);
 
     #[test]
     fn encode_state_matches_the_pinned_wire_format() {

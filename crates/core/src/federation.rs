@@ -691,7 +691,7 @@ mod tests {
         }
     }
 
-    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (1_484_830, 0x284fa11baa03eb29);
+    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (457_185, 0x1cadbe883037ee29);
 
     #[test]
     fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {

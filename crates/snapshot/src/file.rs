@@ -34,9 +34,13 @@ use crate::error::SnapshotError;
 /// version-4 table would free image frames under its clones; version 6
 /// gives a private page no frame-table row — the table carries a count of
 /// them, rows for shared frames only and no lifetime counters, and each p2m
-/// entry is a kind and a word: the page's content, or the frame it shares.
+/// entry is a kind and a word: the page's content, or the frame it shares;
+/// version 7 writes each p2m as what it stores — whether it sits over its
+/// image's frame list, the `(pfn, entry)` pairs that differ from that list,
+/// then the entries past it — instead of one entry per pfn, and a domain
+/// carries no lifecycle state and no provisioning tag.
 /// Older files are rejected rather than misparsed.
-pub(crate) const SNAPSHOT_VERSION: u32 = 6;
+pub(crate) const SNAPSHOT_VERSION: u32 = 7;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

@@ -33,6 +33,13 @@
 //! `freeze`, `remap_stored_below` and `release_all` keep the rule from
 //! there, so a clone costs the frame table its overhead and dirtied pages,
 //! no more, and a dirtied page costs no row.
+//!
+//! A checkpoint writes the same three parts and nothing they imply: whether
+//! the space sits over its image's list, the delta as `(pfn, Pte)` pairs in
+//! pfn order, and the tail (`AddressSpace::encode`). A fresh clone's
+//! bytes are its overhead pages, whatever the size of its image.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::Arc;
 
@@ -257,33 +264,68 @@ impl AddressSpace {
     /// to the listed frame, followed by `tail`. Touches no frame's count.
     #[must_use]
     pub fn over_base(base: Arc<[FrameId]>, tail: Vec<Pte>) -> Self {
-        let (pages, delta, shared) = (base.len() as u64, Delta::default(), SharedBits::default());
-        // A zero word is a private page until set.
-        let (words, private) = (vec![0; tail.len()], tail.len() as u64);
-        let mut space = AddressSpace { base, delta, tail: words, shared, private };
-        for (pfn, pte) in (pages..).zip(tail) {
-            space.update(pfn, |_, _| Ok(pte)).expect("pfn is in the tail");
-        }
-        space
+        let (pages, slots) = (base.len() as u64, base.len() + tail.len());
+        let (mut shared, mut private) = (SharedBits::default(), 0);
+        let tail = (pages..)
+            .zip(tail)
+            .map(|(pfn, pte)| {
+                shared.set(pfn, !pte.is_private(), slots);
+                private += u64::from(pte.is_private());
+                pte.word()
+            })
+            .collect();
+        AddressSpace { base, delta: Delta::default(), tail, shared, private }
     }
 
-    /// Rebuilds the space that holds `entries` over `base`: the inverse of
-    /// collecting [`AddressSpace::iter`]. Entries equal to the pristine base
-    /// mapping are dropped, so the result has the footprint the space had
-    /// before it was flattened. A list shorter than the base shares nothing.
-    #[must_use]
-    pub(crate) fn sparsify(base: Arc<[FrameId]>, mut entries: Vec<Pte>) -> Self {
-        if entries.len() < base.len() {
-            return Self::from_entries(entries);
+    /// Checkpoint support: one bool (does the space sit over a base?), the
+    /// delta as `(pfn, Pte)` pairs in pfn order, then the tail's entries.
+    /// The size is not written; it is the base's length plus the tail's.
+    pub(crate) fn encode(&self, w: &mut SnapWriter) {
+        w.bool(!self.base.is_empty());
+        w.usize(self.delta.words.len());
+        self.delta.iter().for_each(|(pfn, word)| (pfn, self.entry(pfn, word)).snap(w));
+        w.usize(self.tail.len());
+        self.tail_entries().for_each(|(_, pte)| pte.snap(w));
+    }
+
+    /// Reads a space written by [`AddressSpace::encode`], over `image` (its
+    /// domain's image's frame list) if the space sat over one. Each pair is
+    /// applied through the one write path, so the delta is rebuilt as a
+    /// running space would have built it.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Decode`] for a space smaller than `image` or over an
+    /// empty one, a shared page past `image`, or a pair that is out of pfn
+    /// order, past the base, or equal to what the base implies — spaces no
+    /// host builds.
+    pub(crate) fn decode(
+        r: &mut SnapReader<'_>,
+        image: &Arc<[FrameId]>,
+    ) -> Result<Self, SnapshotError> {
+        let base = match r.bool()? {
+            false => Arc::from([]),
+            true if !image.is_empty() => Arc::clone(image),
+            true => return Err(r.bad()),
+        };
+        let pairs = Vec::<(u64, Pte)>::unsnap(r)?;
+        let mut space = Self::over_base(base, Vec::unsnap(r)?);
+        // Pages past the image are the domain's own overhead, never shared.
+        let pages = image.len() as u64;
+        let shared_past = space.tail_entries().any(|(pfn, pte)| pfn >= pages && !pte.is_private());
+        if space.size() < pages || shared_past {
+            return Err(r.bad());
         }
-        let tail = entries.split_off(base.len());
-        let mut space = Self::over_base(base, tail);
-        for (pfn, pte) in (0u64..).zip(entries) {
-            if pte != Pte::Shared(space.base[pfn as usize]) {
-                space.update(pfn, |_, _| Ok(pte)).expect("pfn is below the base's length");
+        let mut next = 0;
+        for (pfn, pte) in pairs {
+            let implied = space.base.get(pfn as usize).map(|&frame| Pte::Shared(frame));
+            if pfn < next || implied.is_none_or(|implied| implied == pte) {
+                return Err(r.bad());
             }
+            space.update(pfn, |_, _| Ok(pte)).map_err(|_| r.bad())?;
+            next = pfn + 1;
         }
-        space
+        Ok(space)
     }
 
     /// The domain's memory size in pages.
@@ -443,31 +485,11 @@ impl AddressSpace {
         Ok(named)
     }
 
-    /// Iterates all entries with their pfn, in pfn order.
-    ///
-    /// Every checkpoint walks this, so it goes over the base a bitmap word
-    /// at a time — under a zero word it is a plain copy loop — and is built
-    /// from adaptors that `for_each` can drive from the inside.
+    /// Iterates all entries with their pfn, in pfn order: the dense table
+    /// the space stands for, one [`AddressSpace::lookup`] per pfn. Nothing
+    /// on a hot path walks it; a checkpoint writes what the space stores.
     pub fn iter(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
-        let words = self.delta.present.iter().copied().chain(std::iter::repeat(0));
-        let mut next = 0;
-        let shared = (0u64..).step_by(64).zip(self.base.chunks(64)).zip(words).flat_map(
-            move |((first, frames), bits)| {
-                let mut at = next;
-                next += bits.count_ones() as usize;
-                frames.iter().enumerate().map(move |(bit, &frame)| {
-                    let pfn = first + bit as u64;
-                    let pte = if bits >> bit & 1 == 1 {
-                        at += 1;
-                        self.entry(pfn, self.delta.words[at - 1])
-                    } else {
-                        Pte::Shared(frame)
-                    };
-                    (pfn, pte)
-                })
-            },
-        );
-        shared.chain(self.tail_entries())
+        (0..self.size()).filter_map(|pfn| Some((pfn, self.lookup(pfn).ok()?)))
     }
 
     /// Iterates, in pfn order, the entries that are stored rather than
@@ -750,21 +772,31 @@ mod tests {
     }
 
     #[test]
-    fn sparsify_inverts_iter() {
+    fn decode_inverts_encode_over_a_base_or_none() {
         let mut ft = FrameTable::new(32);
-        let (base, mut space) = clone_of(&mut ft);
-        space.write(2, 1, &mut ft).unwrap();
-        space.write(4, 2, &mut ft).unwrap();
-        space.freeze(4, &mut ft).unwrap();
-        let dense: Vec<Pte> = space.iter().map(|(_, pte)| pte).collect();
-        let back = AddressSpace::sparsify(Arc::clone(&base), dense.clone());
-        assert!(back.shares_base(&base));
-        assert_eq!((back.delta_len(), back.private_pages()), (2, space.private_pages()));
-        assert!(back.iter().eq(space.iter()));
-        assert!(back.stored().eq(space.stored()));
-        // Too short to cover the base: kept dense, contents intact.
-        let short = AddressSpace::sparsify(base, dense[..3].to_vec());
-        assert_eq!((short.size(), short.delta_len()), (3, 0));
-        assert_eq!(short.lookup(2).unwrap(), dense[2]);
+        let (base, mut clone) = clone_of(&mut ft);
+        clone.write(2, 1, &mut ft).unwrap();
+        clone.write(4, 2, &mut ft).unwrap();
+        clone.freeze(4, &mut ft).unwrap();
+        let dense = space_with(&mut ft, 8);
+        for space in [clone, dense] {
+            let mut w = SnapWriter::new();
+            space.encode(&mut w);
+            let bytes = w.into_bytes();
+            let back = AddressSpace::decode(&mut SnapReader::new(&bytes, "p2m"), &base).unwrap();
+            assert_eq!(back.shares_base(&base), space.shares_base(&base));
+            assert_eq!(
+                (back.delta_len(), back.private_pages()),
+                (space.delta_len(), space.private_pages())
+            );
+            assert!(back.iter().eq(space.iter()) && back.stored().eq(space.stored()));
+            let mut again = SnapWriter::new();
+            back.encode(&mut again);
+            assert_eq!(again.into_bytes(), bytes);
+        }
+        // Over a base, but the image has no pages: not what `encode` writes.
+        let over_nothing = [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        let empty: Arc<[FrameId]> = Arc::from([]);
+        assert!(AddressSpace::decode(&mut SnapReader::new(&over_nothing, "p2m"), &empty).is_err());
     }
 }

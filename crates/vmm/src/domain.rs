@@ -1,19 +1,21 @@
-//! VM domains: identity, lifecycle state, address space, devices.
+//! VM domains: identity, address space, devices.
 //!
 //! Memory operations that need the host's frame table (reads, CoW writes)
-//! live on [`crate::host::Host`]; everything domain-local (state machine,
-//! disk, telemetry) lives here.
+//! live on [`crate::host::Host`]; everything domain-local (disk, address
+//! binding, infection flag, telemetry) lives here. A domain in a host's map
+//! is running: a host starts it as it provisions it and drops it as it
+//! destroys it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use core::fmt;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
-use potemkin_snapshot::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
-use crate::addrspace::{AddressSpace, Pte};
+use crate::addrspace::AddressSpace;
 use crate::block::CowDisk;
-use crate::error::VmmError;
 use crate::snapshot::{ImageId, ReferenceImage};
 
 /// Identifier of a domain on a host.
@@ -34,40 +36,11 @@ impl fmt::Display for DomainId {
     }
 }
 
-/// Lifecycle state of a domain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum DomainState {
-    /// Created but not yet scheduled (between clone and unpause).
-    Paused,
-    /// Running and able to fault pages.
-    Running,
-    /// Destroyed; all resources released.
-    Destroyed,
-}
-
-snap_enum!(DomainState { Paused = 0, Running = 1, Destroyed = 2 });
-
-/// How the domain's memory was materialized — used by memory reports and
-/// the clone-strategy ablation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ProvisionKind {
-    /// Flash clone: CoW against a reference image (delta virtualization).
-    FlashClone,
-    /// Eager full copy of the image (no sharing).
-    FullCopy,
-    /// Booted from scratch (no image involvement).
-    ColdBoot,
-}
-
-snap_enum!(ProvisionKind { FlashClone = 0, FullCopy = 1, ColdBoot = 2 });
-
 /// A virtual machine domain.
 #[derive(Clone, Debug)]
 pub struct Domain {
     id: DomainId,
     image: ImageId,
-    state: DomainState,
-    provision: ProvisionKind,
     space: AddressSpace,
     disk: CowDisk,
     /// The telescope IP address the gateway late-bound to this VM.
@@ -84,18 +57,10 @@ pub struct Domain {
 impl Domain {
     /// Assembles a domain (called by [`crate::host::Host`]).
     #[must_use]
-    pub(crate) fn new(
-        id: DomainId,
-        image: ImageId,
-        provision: ProvisionKind,
-        space: AddressSpace,
-        disk: CowDisk,
-    ) -> Self {
+    pub(crate) fn new(id: DomainId, image: ImageId, space: AddressSpace, disk: CowDisk) -> Self {
         Domain {
             id,
             image,
-            state: DomainState::Paused,
-            provision,
             space,
             disk,
             bound_addr: None,
@@ -106,31 +71,25 @@ impl Domain {
         }
     }
 
-    /// Checkpoint support: every field verbatim, the address space as the
-    /// dense page table it stands for (one kind and word per pfn) and the
-    /// disk as its overlay.
+    /// Checkpoint support: every field verbatim, the address space as what
+    /// it stores (see [`AddressSpace::encode`]) and the disk as its overlay.
     pub(crate) fn encode(&self, w: &mut SnapWriter) {
         self.id.snap(w);
         self.image.snap(w);
-        self.state.snap(w);
-        self.provision.snap(w);
         self.bound_addr.snap(w);
         w.u64(self.cow_faults);
         w.u64(self.reads);
         w.u64(self.writes);
         w.bool(self.infected);
-        w.u64(self.space.size());
-        self.space.iter().for_each(|(_, pte)| pte.snap(w));
+        self.space.encode(w);
         self.disk.encode_overlay(w);
     }
 
-    /// Reads a domain written by [`Domain::encode`] (unlike
-    /// [`Domain::new`], which starts the lifecycle fresh). It needs the
+    /// Reads a domain written by [`Domain::encode`]. It needs the
     /// already-restored `images` — the one thing that keeps this from being
     /// a [`Snap`] impl: a domain's base disk always aliases its image's
-    /// disk (every provisioning path clones it), and a flash clone goes
-    /// back to holding only what diverged from its image, as it did before
-    /// the checkpoint flattened it.
+    /// disk (every provisioning path clones it), and a flash clone's space
+    /// sits over its image's frame list again.
     pub(crate) fn decode(
         r: &mut SnapReader<'_>,
         images: &BTreeMap<ImageId, ReferenceImage>,
@@ -138,36 +97,14 @@ impl Domain {
         let id = Snap::unsnap(r)?;
         let image = Snap::unsnap(r)?;
         let img = images.get(&image).ok_or_else(|| r.bad())?;
-        let state = Snap::unsnap(r)?;
-        let provision = Snap::unsnap(r)?;
         let bound_addr = Snap::unsnap(r)?;
         let cow_faults = r.u64()?;
         let reads = r.u64()?;
         let writes = r.u64()?;
         let infected = r.bool()?;
-        let entries = Vec::<Pte>::unsnap(r)?;
-        let space = match provision {
-            ProvisionKind::FlashClone => {
-                AddressSpace::sparsify(Arc::clone(img.shared_frames()), entries)
-            }
-            ProvisionKind::FullCopy | ProvisionKind::ColdBoot => {
-                AddressSpace::from_entries(entries)
-            }
-        };
+        let space = AddressSpace::decode(r, img.shared_frames())?;
         let disk = CowDisk::decode_overlay(img.disk().clone(), r)?;
-        Ok(Domain {
-            id,
-            image,
-            state,
-            provision,
-            space,
-            disk,
-            bound_addr,
-            cow_faults,
-            reads,
-            writes,
-            infected,
-        })
+        Ok(Domain { id, image, space, disk, bound_addr, cow_faults, reads, writes, infected })
     }
 
     /// The domain identifier.
@@ -180,12 +117,6 @@ impl Domain {
     #[must_use]
     pub fn image(&self) -> ImageId {
         self.image
-    }
-
-    /// How the memory was provisioned.
-    #[cfg(test)]
-    pub(crate) fn provision(&self) -> ProvisionKind {
-        self.provision
     }
 
     /// Memory size in pages.
@@ -243,27 +174,6 @@ impl Domain {
         self.disk.clear_overlay();
     }
 
-    /// Unpauses the domain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmmError::BadState`] unless the domain is paused.
-    pub(crate) fn unpause(&mut self) -> Result<(), VmmError> {
-        match self.state {
-            DomainState::Paused => {
-                self.state = DomainState::Running;
-                Ok(())
-            }
-            _ => Err(VmmError::BadState { domain: self.id, op: "unpause" }),
-        }
-    }
-
-    /// Whether the domain can execute (take faults, answer packets).
-    #[must_use]
-    pub fn is_running(&self) -> bool {
-        self.state == DomainState::Running
-    }
-
     /// The CoW disk.
     #[must_use]
     pub(crate) fn disk(&self) -> &CowDisk {
@@ -311,21 +221,9 @@ mod tests {
         Domain::new(
             DomainId(1),
             ImageId(0),
-            ProvisionKind::FlashClone,
             AddressSpace::from_entries(entries),
             CowDisk::new(BaseDisk::generate(10, 1)),
         )
-    }
-
-    #[test]
-    fn lifecycle_transitions() {
-        let mut ft = FrameTable::new(10);
-        let mut d = make_domain(&mut ft);
-        assert_eq!(d.state, DomainState::Paused);
-        assert!(!d.is_running());
-        d.unpause().unwrap();
-        assert!(d.is_running());
-        assert!(d.unpause().is_err(), "double unpause");
     }
 
     #[test]
@@ -348,6 +246,5 @@ mod tests {
         assert_eq!(d.private_pages(), 0);
         assert_eq!(d.shared_pages(), 4);
         assert_eq!(d.cow_faults(), 0);
-        assert_eq!(d.provision(), ProvisionKind::FlashClone);
     }
 }

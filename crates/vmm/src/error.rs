@@ -20,13 +20,6 @@ pub enum VmmError {
     NoSuchDomain(DomainId),
     /// The referenced reference image does not exist.
     NoSuchImage(ImageId),
-    /// The operation is invalid in the domain's current state.
-    BadState {
-        /// The domain.
-        domain: DomainId,
-        /// What was attempted.
-        op: &'static str,
-    },
     /// A pseudo-physical frame number is outside the domain's memory.
     BadPfn {
         /// The offending pfn.
@@ -68,7 +61,7 @@ pub enum VmmError {
 impl VmmError {
     /// Returns `true` if the error is transient — retrying the same operation
     /// on the same host may succeed (injected faults are consumed per
-    /// attempt). Capacity and state errors are not transient: retrying
+    /// attempt). Capacity errors and a down host are not transient: retrying
     /// without freeing resources cannot help.
     #[must_use]
     pub fn is_transient(&self) -> bool {
@@ -84,9 +77,6 @@ impl fmt::Display for VmmError {
             }
             VmmError::NoSuchDomain(id) => write!(f, "no such domain: {id}"),
             VmmError::NoSuchImage(id) => write!(f, "no such reference image: {id}"),
-            VmmError::BadState { domain, op } => {
-                write!(f, "domain {domain}: invalid state for {op}")
-            }
             VmmError::BadPfn { pfn, size } => {
                 write!(f, "pfn {pfn} out of range (domain has {size} pages)")
             }
@@ -119,9 +109,6 @@ mod tests {
         );
         assert!(VmmError::NoSuchDomain(DomainId(7)).to_string().contains("dom7"));
         assert!(VmmError::NoSuchImage(ImageId(2)).to_string().contains("img2"));
-        assert!(VmmError::BadState { domain: DomainId(1), op: "write" }
-            .to_string()
-            .contains("write"));
         assert!(VmmError::BadPfn { pfn: 99, size: 10 }.to_string().contains("99"));
         assert!(VmmError::BadBlock { block: 5, size: 2 }.to_string().contains("5"));
         let hash = ChunkHash::of_words(&[0xAB]);

@@ -17,7 +17,7 @@ use crate::addrspace::{AddressSpace, Pte};
 use crate::block::{BaseDisk, CowDisk};
 use crate::clone::CloneTiming;
 use crate::cost::CostModel;
-use crate::domain::{Domain, DomainId, ProvisionKind};
+use crate::domain::{Domain, DomainId};
 use crate::error::VmmError;
 use crate::frame::{FrameId, FrameTable};
 use crate::guest::GuestProfile;
@@ -325,13 +325,11 @@ impl Host {
 
     /// Starts a domain of `image` over `space`, with a fresh overlay on the
     /// image's disk, under the next domain id.
-    fn start(&mut self, image: ImageId, kind: ProvisionKind, space: AddressSpace) -> DomainId {
+    fn start(&mut self, image: ImageId, space: AddressSpace) -> DomainId {
         let disk = CowDisk::new(self.images[&image].disk().clone());
         let id = DomainId(self.next_domain);
         self.next_domain += 1;
-        let mut dom = Domain::new(id, image, kind, space, disk);
-        dom.unpause().expect("fresh domain is paused");
-        self.domains.insert(id, dom);
+        self.domains.insert(id, Domain::new(id, image, space, disk));
         id
     }
 
@@ -357,16 +355,13 @@ impl Host {
         let timing = CloneTiming::new(self.cost.flash_clone_stages(base.len() as u64));
         let space = AddressSpace::over_base(base, self.alloc_overhead());
         self.flash_clones += 1;
-        Ok((self.start(image, ProvisionKind::FlashClone, space), timing))
+        Ok((self.start(image, space), timing))
     }
 
-    /// Starts a domain holding a private copy of every image page, whatever
-    /// `kind` calls it; returns it with the image's page count.
-    fn copy_clone(
-        &mut self,
-        image: ImageId,
-        kind: ProvisionKind,
-    ) -> Result<(DomainId, u64), VmmError> {
+    /// Starts a domain holding a private copy of every image page — a full
+    /// copy or a cold boot, which differ only in cost and in the counter
+    /// each bumps; returns it with the image's page count.
+    fn copy_clone(&mut self, image: ImageId) -> Result<(DomainId, u64), VmmError> {
         self.ensure_alive()?;
         let list = Arc::clone(self.image(image)?.shared_frames());
         let pages = list.len() as u64;
@@ -375,7 +370,7 @@ impl Host {
             list.iter().map(|&frame| Pte::Private(self.frames.read(frame))).collect();
         self.frames.alloc_private(pages).expect("admission checked");
         entries.extend(self.alloc_overhead());
-        Ok((self.start(image, kind, AddressSpace::from_entries(entries)), pages))
+        Ok((self.start(image, AddressSpace::from_entries(entries)), pages))
     }
 
     /// Eagerly copies every image page into private frames (the no-delta
@@ -386,7 +381,7 @@ impl Host {
     /// Returns the same errors as [`Host::flash_clone`]; the frame demand is
     /// the whole image plus overhead.
     pub fn full_copy_clone(&mut self, image: ImageId) -> Result<(DomainId, CloneTiming), VmmError> {
-        let (id, pages) = self.copy_clone(image, ProvisionKind::FullCopy)?;
+        let (id, pages) = self.copy_clone(image)?;
         self.full_copies += 1;
         Ok((id, CloneTiming::new(self.cost.full_copy_stages(pages))))
     }
@@ -399,7 +394,7 @@ impl Host {
     ///
     /// Returns the same errors as [`Host::full_copy_clone`].
     pub fn cold_boot(&mut self, image: ImageId) -> Result<(DomainId, CloneTiming), VmmError> {
-        let (id, pages) = self.copy_clone(image, ProvisionKind::ColdBoot)?;
+        let (id, pages) = self.copy_clone(image)?;
         self.cold_boots += 1;
         Ok((id, CloneTiming::new(self.cost.cold_boot_stages(pages))))
     }
@@ -625,14 +620,10 @@ impl Host {
     ///
     /// # Errors
     ///
-    /// Returns [`VmmError::NoSuchDomain`], [`VmmError::BadState`] for
-    /// non-running domains, or [`VmmError::BadPfn`].
+    /// Returns [`VmmError::NoSuchDomain`] or [`VmmError::BadPfn`].
     pub fn read_page(&mut self, id: DomainId, pfn: u64) -> Result<u64, VmmError> {
         self.ensure_alive()?;
         let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
-        if !dom.is_running() {
-            return Err(VmmError::BadState { domain: id, op: "read_page" });
-        }
         let pte = dom.space().lookup(pfn)?;
         dom.note_read();
         Ok(pte.content(&self.frames))
@@ -646,14 +637,10 @@ impl Host {
     ///
     /// # Errors
     ///
-    /// Returns [`VmmError::NoSuchDomain`], [`VmmError::BadState`] for
-    /// non-running domains, or [`VmmError::BadBlock`].
+    /// Returns [`VmmError::NoSuchDomain`] or [`VmmError::BadBlock`].
     pub fn read_block(&self, id: DomainId, block: u64) -> Result<(u64, SimTime), VmmError> {
         self.ensure_alive()?;
         let dom = self.domains.get(&id).ok_or(VmmError::NoSuchDomain(id))?;
-        if !dom.is_running() {
-            return Err(VmmError::BadState { domain: id, op: "read_block" });
-        }
         let before = dom.disk().base().materialized_chunks();
         let content = dom.disk().read(block)?;
         let after = dom.disk().base().materialized_chunks();
@@ -703,9 +690,6 @@ impl Host {
         pfns: &[u64],
         value_seed: u64,
     ) -> Result<TouchStats, VmmError> {
-        if !dom.is_running() {
-            return Err(VmmError::BadState { domain: dom.id(), op: "write_page" });
-        }
         let mut stats = TouchStats::default();
         for (i, &pfn) in pfns.iter().enumerate() {
             let faulted = dom.space_mut().write(pfn, value_seed.wrapping_add(i as u64), frames)?;
@@ -812,7 +796,8 @@ impl Host {
     /// # Errors
     ///
     /// Returns [`SnapshotError::Decode`] when the payload is truncated or
-    /// structurally inconsistent — including a frame table that disagrees
+    /// structurally inconsistent — including images or domains out of id
+    /// order or past their id allocator, and a frame table that disagrees
     /// with what names its frames (the reference rule of
     /// [`crate::addrspace`]); the host itself is left untouched in that
     /// case, though chunks of the images decoded so far may already have
@@ -831,13 +816,18 @@ impl Host {
         let pending_clone_faults = r.u32()?;
         let crashes = r.u64()?;
         let domains_lost = r.u64()?;
-        let images: BTreeMap<ImageId, ReferenceImage> = r
-            .seq(|r| ReferenceImage::decode(r, &self.store))?
-            .into_iter()
-            .map(|img| (img.id(), img))
-            .collect();
+        let images = r.seq(|r| ReferenceImage::decode(r, &self.store))?;
+        if !ids_in_order(images.iter().map(|img| img.id().0), next_image) {
+            return Err(r.bad());
+        }
+        let images: BTreeMap<ImageId, ReferenceImage> =
+            images.into_iter().map(|img| (img.id(), img)).collect();
+        let domains = r.seq(|r| Domain::decode(r, &images))?;
+        if !ids_in_order(domains.iter().map(|d| d.id().0), next_domain) {
+            return Err(r.bad());
+        }
         let domains: BTreeMap<DomainId, Domain> =
-            r.seq(|r| Domain::decode(r, &images))?.into_iter().map(|d| (d.id(), d)).collect();
+            domains.into_iter().map(|d| (d.id(), d)).collect();
         r.finish()?;
         let listed = images.values().flat_map(|img| img.frames().iter().copied());
         let stored = domains.values().flat_map(|d| d.space().stored());
@@ -867,13 +857,24 @@ impl Host {
     }
 }
 
+/// Whether `ids` ascend strictly and stay below `next`, as a map kept in
+/// id order and filled from a counting allocator writes them.
+fn ids_in_order(mut ids: impl Iterator<Item = u64>, next: u64) -> bool {
+    let mut floor = 0;
+    ids.all(|id| {
+        let fits = (floor..next).contains(&id);
+        floor = id.saturating_add(1);
+        fits
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `encode_state` of [`diverged_host`] as of snapshot version 6.
-    const DIVERGED_HOST_BYTES: usize = 816_581;
-    const DIVERGED_HOST_DIGEST: u64 = 0x7bbb_e7e9_23cb_374b;
+    /// `encode_state` of [`diverged_host`] as of snapshot version 7.
+    const DIVERGED_HOST_BYTES: usize = 378_767;
+    const DIVERGED_HOST_DIGEST: u64 = 0x7f54_4d94_cf9d_48f8;
 
     fn small_host() -> (Host, ImageId) {
         let mut host = Host::new(100_000).with_overhead_pages(16);
@@ -938,37 +939,49 @@ mod tests {
     }
 
     #[test]
-    fn encode_state_still_writes_the_dense_page_tables() {
-        let mut host = diverged_host();
+    fn encode_state_writes_each_space_as_what_it_stores() {
+        let host = diverged_host();
         let bytes = host.encode_state();
-        // Every domain is still written as its dense page table.
         assert_eq!(bytes.len(), DIVERGED_HOST_BYTES);
         assert_eq!(potemkin_snapshot::fnv1a64(&bytes), DIVERGED_HOST_DIGEST);
 
         // A resumed host holds what the uninterrupted one held: each flash
-        // clone back over its image's list with the same few stored entries.
+        // clone back over its image's list with the same few stored entries,
+        // and every domain mapping what it mapped, pfn by pfn.
         let mut restored = Host::new(100_000).with_overhead_pages(16);
         restored.restore_state(&bytes).unwrap();
         assert_eq!(restored.encode_state(), bytes);
+        let over_image = |host: &Host, dom: &Domain| {
+            dom.space().shares_base(host.image(dom.image()).unwrap().shared_frames())
+        };
         for (was, now) in host.domains().zip(restored.domains()) {
-            let base = restored.image(now.image()).unwrap().shared_frames();
-            assert_eq!(now.space().shares_base(base), now.provision() == ProvisionKind::FlashClone);
+            assert_eq!(now.id(), was.id());
+            assert_eq!(over_image(&restored, now), over_image(&host, was), "{}", now.id());
             assert_eq!(now.space().delta_len(), was.space().delta_len(), "{}", now.id());
             assert_eq!(now.private_pages(), was.private_pages());
+            assert!(now.space().iter().eq(was.space().iter()), "{}", now.id());
         }
         let deltas: Vec<usize> = restored.domains().map(|d| d.space().delta_len()).collect();
-        assert!(deltas.iter().all(|&n| n < 200), "sparse, not flattened: {deltas:?}");
+        assert!(deltas.iter().all(|&n| n < 200), "sparse: {deltas:?}");
         assert!(deltas.iter().any(|&n| n > 0));
+        let flash = restored.domains().filter(|d| over_image(&restored, d)).count();
+        assert_eq!((flash, restored.live_domains()), (6, 7), "the full copy alone is dense");
+    }
 
-        // The dense oracle: flatten every space into explicit entries, one
-        // `lookup` per pfn, and encode that.
-        let ids: Vec<DomainId> = host.domains().map(Domain::id).collect();
-        for id in ids {
-            let space = host.domain_mut(id).unwrap().space_mut();
-            let flat = (0..space.size()).map(|pfn| space.lookup(pfn).unwrap()).collect();
-            *space = AddressSpace::from_entries(flat);
-        }
-        assert_eq!(host.encode_state(), bytes);
+    #[test]
+    fn a_fresh_clone_encodes_what_it_stores_not_its_image() {
+        let mut host = Host::new(100_000).with_overhead_pages(16);
+        let encoded = |host: &mut Host, memory_pages: u64| {
+            let profile = GuestProfile { memory_pages, ..GuestProfile::small() };
+            let image = host.create_reference_image("sized", profile).unwrap();
+            let (vm, _) = host.flash_clone(image).unwrap();
+            let mut w = SnapWriter::new();
+            host.domain(vm).unwrap().encode(&mut w);
+            w.into_bytes().len()
+        };
+        let small = encoded(&mut host, 8_192);
+        assert_eq!(encoded(&mut host, 32_768), small);
+        assert!(small < 16 * 10 + 100, "its 16 overhead pages and a header: {small} B");
     }
 
     #[test]
@@ -1037,7 +1050,6 @@ mod tests {
         assert_eq!(after - before, 16, "only overhead pages allocated");
         assert!(timing.total() < SimTime::from_secs(1));
         let dom = host.domain(vm).unwrap();
-        assert!(dom.is_running());
         assert_eq!(dom.shared_pages(), 8_192);
         assert_eq!(dom.private_pages(), 16);
     }
@@ -1154,9 +1166,8 @@ mod tests {
         assert!(boot_t.total() > SimTime::from_secs(20));
         assert!(boot_t.total() > flash_t.total() * 10);
         let dom = host.domain(vm).unwrap();
-        assert_eq!(dom.provision(), ProvisionKind::ColdBoot);
+        assert!(!dom.space().shares_base(host.image(image).unwrap().shared_frames()));
         assert_eq!(dom.shared_pages(), 0);
-        assert!(dom.is_running());
         let (flash, full, cold, _) = host.lifecycle_counts();
         assert_eq!((flash, full, cold), (1, 0, 1));
     }
@@ -1264,7 +1275,6 @@ mod tests {
         assert_eq!(d.bound_addr(), None);
         assert_eq!(d.private_pages(), 16, "only overhead remains private");
         assert_eq!(d.disk().dirty_blocks(), 0);
-        assert!(d.is_running(), "rollback keeps the domain schedulable");
         // Memory reads pristine image content again.
         assert_eq!(host.read_page(vm, 3).unwrap(), GuestProfile::boot_content(image.0, 3));
         assert_eq!(host.rollbacks, 1);

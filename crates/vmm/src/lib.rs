@@ -21,8 +21,8 @@
 //!   private pages held in the entry (the p2m table).
 //! * `snapshot` — frozen reference images created by booting a guest
 //!   profile once.
-//! * `domain` — VM domains: lifecycle, memory reads/writes with CoW
-//!   write faults, devices.
+//! * `domain` — VM domains: identity, address space, disk, address
+//!   binding and infection state; checkpointed as what they store.
 //! * `storage` — the content-addressed chunk store and the chunk
 //!   manifests that are the only disk representation: delta
 //!   virtualization for disks, as the frame table is for memory.

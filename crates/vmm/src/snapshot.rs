@@ -11,6 +11,8 @@
 //! because a host never drops an image; anything that one day does must
 //! refuse while a clone holds the list (`Arc::strong_count` above one).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use core::fmt;
 use std::sync::Arc;
 
@@ -112,17 +114,25 @@ impl ReferenceImage {
 
     /// Reads an image written by [`ReferenceImage::encode`], its disk over
     /// `store` — the one thing that keeps this from being a [`Snap`] impl.
+    /// An image whose profile disagrees with its frame list's length or its
+    /// disk's size is a decode error: a host sizes its memory operations by
+    /// the profile.
     pub(crate) fn decode(
         r: &mut SnapReader<'_>,
         store: &SharedChunkStore,
     ) -> Result<Self, SnapshotError> {
-        Ok(ReferenceImage {
+        let image = ReferenceImage {
             id: Snap::unsnap(r)?,
             name: Snap::unsnap(r)?,
             frames: Vec::unsnap(r)?.into(),
             disk: BaseDisk::decode_manifest(r, store)?,
             profile: Snap::unsnap(r)?,
-        })
+        };
+        let profile = &image.profile;
+        if profile.memory_pages != image.pages() || profile.disk_blocks != image.disk.size() {
+            return Err(r.bad());
+        }
+        Ok(image)
     }
 }
 

@@ -587,3 +587,198 @@ fn a_host_payload_that_breaks_the_reference_rule_is_a_decode_error() {
         assert_eq!(bystander.encode_state(), before, "{what}: the host moved");
     }
 }
+
+/// Finds the one place `part` occurs in `bytes`.
+fn find_once(bytes: &[u8], part: &[u8]) -> usize {
+    let mut hits = bytes.windows(part.len()).enumerate().filter(|(_, w)| *w == part);
+    let (at, _) = hits.next().expect("the part is in the payload");
+    assert!(hits.next().is_none(), "the part is in the payload once");
+    at
+}
+
+/// Claim 4d: a host payload whose p2m is not one a host makes — a space
+/// smaller than its image, a delta pair out of pfn order, repeated, past
+/// the image or equal to what the image implies, or a shared page past the
+/// image — is a decode error, and the host it was offered to is left as it
+/// was. Each case splices one domain's space and edits the frame table to
+/// match, so the reference rule alone would accept it.
+#[test]
+fn a_host_payload_with_a_hostile_p2m_is_a_decode_error() {
+    use potemkin::snapshot::SnapReader;
+    use potemkin::snapshot::SnapWriter;
+    use potemkin::vmm::addrspace::Pte;
+    use potemkin::vmm::guest::GuestProfile;
+    use potemkin::vmm::{FrameTable, Host};
+
+    let fresh = || Host::new(100_000).with_overhead_pages(16);
+    let mut host = fresh();
+    let image = host.create_reference_image("p2m", GuestProfile::small()).unwrap();
+    let (clone, _) = host.flash_clone(image).unwrap();
+    host.write_page(clone, 3, 0xA3).unwrap();
+    host.write_page(clone, 9, 0xA9).unwrap();
+    let (copy, _) = host.full_copy_clone(image).unwrap();
+    let bytes = host.encode_state();
+    let base = host.image(image).unwrap().frames().to_vec();
+
+    // A space as it goes on the wire: whether it sits over its image's
+    // list, the pairs that differ from the list, then the pages past it.
+    let space = |over: bool, pairs: &[(u64, Pte)], tail: &[Pte]| {
+        let mut w = SnapWriter::new();
+        w.bool(over);
+        pairs.to_vec().snap(&mut w);
+        tail.to_vec().snap(&mut w);
+        w.into_bytes()
+    };
+    let overhead = [Pte::Private(0); 16];
+    let (a3, a9) = ((3, Pte::Private(0xA3)), (9, Pte::Private(0xA9)));
+    let clone_space = space(true, &[a3, a9], &overhead);
+    let copied: Vec<Pte> = host.domain(copy).unwrap().space().iter().map(|(_, pte)| pte).collect();
+    let copy_space = space(false, &[], &copied);
+    // The payload with `was` replaced by `now` and `edit` made to the frame
+    // table, the payload's first field.
+    let table = FrameTable::unsnap(&mut SnapReader::new(&bytes, "table")).unwrap();
+    let rest = &bytes[table.to_bytes().len()..];
+    let splice = |was: &[u8], now: &[u8], edit: &dyn Fn(&mut FrameTable)| {
+        let at = find_once(rest, was);
+        let mut t = table.clone();
+        edit(&mut t);
+        [&t.to_bytes()[..], &rest[..at], now, &rest[at + was.len()..]].concat()
+    };
+    let fewer_private = |pages: u64| move |t: &mut FrameTable| t.release_private(pages);
+    let mut honest = fresh();
+    honest.restore_state(&splice(&clone_space, &clone_space, &|_| {})).expect("as written");
+    assert_eq!(honest.encode_state(), bytes);
+
+    let mut bystander = fresh();
+    let kept = bystander.create_reference_image("kept", GuestProfile::small()).unwrap();
+    let (c, _) = bystander.flash_clone(kept).unwrap();
+    bystander.write_page(c, 3, 0xAB).unwrap();
+    let before = bystander.encode_state();
+    let short = [Pte::Private(0); 10];
+    let mut shared_overhead = copied.clone();
+    *shared_overhead.last_mut().unwrap() = Pte::Shared(base[0]);
+    let (same, one_fewer) = (&|_: &mut FrameTable| {}, &fewer_private(1));
+    for (what, payload) in [
+        ("a flash clone mapping fewer pages than its image", {
+            splice(&clone_space, &space(false, &[], &short), &fewer_private(18 - 10))
+        }),
+        ("a full copy mapping fewer pages than its image", {
+            let fewer = fewer_private(copied.len() as u64 - 10);
+            splice(&copy_space, &space(false, &[], &short), &fewer)
+        }),
+        ("pairs out of pfn order", splice(&clone_space, &space(true, &[a9, a3], &overhead), same)),
+        ("a pair repeated", splice(&clone_space, &space(true, &[a3, a3, a9], &overhead), same)),
+        ("a pair past the image", {
+            let past = space(true, &[a3, (8_192, Pte::Private(1))], &overhead);
+            splice(&clone_space, &past, one_fewer)
+        }),
+        ("a pair equal to the image's mapping", {
+            let equal = space(true, &[a3, (9, Pte::Shared(base[9]))], &overhead);
+            splice(&clone_space, &equal, one_fewer)
+        }),
+        ("a shared page past the image", {
+            splice(&copy_space, &space(false, &[], &shared_overhead), &|t| {
+                t.release_private(1);
+                t.share(base[0]);
+            })
+        }),
+    ] {
+        let outcome = bystander.restore_state(&payload);
+        assert!(matches!(outcome, Err(SnapshotError::Decode { .. })), "{what}: {outcome:?}");
+        assert_eq!(bystander.encode_state(), before, "{what}: the host moved");
+    }
+}
+
+/// A host that has been through every path that changes a p2m entry or the
+/// frame table, on a 256-page image so that a case stays cheap: CoW writes,
+/// a forensic snapshot and a clone of it, a merge pass, a rollback, a full
+/// copy and a cold boot.
+fn diverged_small_host() -> potemkin::vmm::Host {
+    use potemkin::vmm::guest::GuestProfile;
+    use potemkin::vmm::{DomainId, Host};
+
+    let mut host = Host::new(4_096).with_overhead_pages(8);
+    let profile = GuestProfile { memory_pages: 256, ..GuestProfile::small() };
+    let image = host.create_reference_image("small", profile).unwrap();
+    let vms: Vec<DomainId> = (0..3).map(|_| host.flash_clone(image).unwrap().0).collect();
+    host.touch_pages(vms[0], &[1, 9, 40, 200], 0xA0).unwrap();
+    host.touch_pages(vms[1], &[9, 70], 0xA1).unwrap();
+    host.write_page(vms[1], 9, 0xA1 + 1).unwrap();
+    let forensic = host.snapshot_domain(vms[0], "forensic").unwrap();
+    host.write_page(vms[0], 1, 0xB0).unwrap();
+    host.write_page(vms[2], 9, 0xA1 + 1).unwrap();
+    host.scan_and_merge().unwrap();
+    host.rollback(vms[1]).unwrap();
+    host.full_copy_clone(image).unwrap();
+    host.cold_boot(image).unwrap();
+    let (of_forensic, _) = host.flash_clone(forensic).unwrap();
+    host.write_page(of_forensic, 40, 0xC0).unwrap();
+    host
+}
+
+/// Restores `payload`, `what` a mutation made, into a host that holds a
+/// clone of its own and holds the outcome to claim 4e.
+fn check_mutated_host_payload(what: &str, payload: &[u8]) -> Result<(), TestCaseError> {
+    use potemkin::vmm::guest::GuestProfile;
+    use potemkin::vmm::{DomainId, Host};
+
+    let mut host = Host::new(4_096).with_overhead_pages(8);
+    let profile = GuestProfile { memory_pages: 16, ..GuestProfile::small() };
+    let image = host.create_reference_image("bystander", profile).unwrap();
+    let (vm, _) = host.flash_clone(image).unwrap();
+    host.write_page(vm, 3, 0xAB).unwrap();
+    let before = host.encode_state();
+    match host.restore_state(payload) {
+        Err(SnapshotError::Decode { .. }) => {
+            prop_assert!(host.encode_state() == before, "{what}: refused, but the host moved");
+            return Ok(());
+        }
+        Err(other) => prop_assert!(false, "{what}: not a decode error: {other:?}"),
+        Ok(()) => prop_assert!(host.encode_state() == payload, "{what}: accepted, re-encodes else"),
+    }
+    let ids: Vec<(DomainId, u64)> =
+        host.domains().map(|d| (d.id(), d.private_pages() + d.shared_pages())).collect();
+    for (id, pages) in ids {
+        let _ = host.read_page(id, pages.saturating_sub(1));
+        let _ = host.rollback(id);
+        let _ = host.snapshot_domain(id, "mutated");
+        let _ = host.destroy(id);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Claim 4e: one mutation of a diverged host's payload — a byte
+    /// flipped, a cut, or a large value added to an 8-byte field — is
+    /// either refused as a decode error with the host unchanged, or
+    /// accepted as exactly the state it encodes, on which every domain
+    /// operation returns rather than panics.
+    #[test]
+    fn a_mutated_host_payload_is_refused_or_restored_whole(seed in any::<u64>()) {
+        let bytes = diverged_small_host().encode_state();
+        let mut rng = SimRng::seed_from(seed);
+        let at = rng.below(bytes.len() as u64) as usize;
+        let mut payload = bytes.clone();
+        let what = match rng.below(3) {
+            0 => {
+                let bit = rng.below(8);
+                payload[at] ^= 1 << bit;
+                format!("bit {bit} of byte {at} flipped")
+            }
+            1 => {
+                payload.truncate(at);
+                format!("cut at {at}")
+            }
+            _ => {
+                let at = at.min(bytes.len() - 8);
+                let field = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+                let large = 1 << 32 | rng.next_u64();
+                payload[at..at + 8].copy_from_slice(&field.wrapping_add(large).to_le_bytes());
+                format!("{large:#x} added at byte {at}")
+            }
+        };
+        check_mutated_host_payload(&what, &payload)?;
+    }
+}

@@ -8,9 +8,9 @@
 //! traffic is untrusted input.
 //!
 //! Determinism: the table is a pure value. Lookups depend only on the
-//! inserted routes, iteration order is canonical (`BTreeMap`), and the
-//! only mutable state is the lookup/miss counters — which are themselves
-//! deterministic functions of the traffic.
+//! inserted routes, and iteration order is canonical (`BTreeMap`). Routes
+//! are configuration, rebuilt by the owner, so a checkpoint carries none
+//! of the table.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -34,8 +34,6 @@ pub(crate) struct RouteTable {
     routes: BTreeMap<(u8, u32), u32>,
     /// Distinct prefix lengths present, longest first.
     lengths: Vec<u8>,
-    lookups: u64,
-    misses: u64,
 }
 
 impl RouteTable {
@@ -54,10 +52,9 @@ impl RouteTable {
         self.routes.insert((bits, u32::from(prefix.network())), next_hop)
     }
 
-    /// Longest-prefix match for `addr`. `None` — a counted miss — when no
-    /// route (not even a default) covers it.
-    pub(crate) fn lookup(&mut self, addr: Ipv4Addr) -> Option<u32> {
-        self.lookups += 1;
+    /// Longest-prefix match for `addr`. `None` when no route (not even a
+    /// default) covers it.
+    pub(crate) fn lookup(&self, addr: Ipv4Addr) -> Option<u32> {
         let raw = u32::from(addr);
         for &bits in &self.lengths {
             let mask = if bits == 0 { 0 } else { u32::MAX << (32 - bits) };
@@ -65,7 +62,6 @@ impl RouteTable {
                 return Some(hop);
             }
         }
-        self.misses += 1;
         None
     }
 
@@ -75,19 +71,6 @@ impl RouteTable {
             prefix: Ipv4Prefix::new(Ipv4Addr::from(base), bits).expect("stored bits are valid"),
             next_hop,
         })
-    }
-
-    /// The `(lookups, misses)` counters: the table's only mutable state,
-    /// and so all of it that a checkpoint carries — routes are
-    /// configuration, rebuilt by the owner.
-    pub(crate) fn counters(&self) -> (u64, u64) {
-        (self.lookups, self.misses)
-    }
-
-    /// Reinstates counters captured by [`RouteTable::counters`].
-    pub(crate) fn set_counters(&mut self, (lookups, misses): (u64, u64)) {
-        self.lookups = lookups;
-        self.misses = misses;
     }
 }
 
@@ -134,21 +117,17 @@ mod tests {
         assert_eq!(t.lookup(Ipv4Addr::new(192, 168, 1, 1)), Some(42));
         // Specific routes still beat the default.
         assert_eq!(t.lookup(Ipv4Addr::new(10, 0, 0, 1)), Some(0));
-        assert_eq!(t.misses, 1, "the defaulted lookup is not a miss");
     }
 
     #[test]
-    fn unadvertised_prefix_counts_as_miss_without_panicking() {
-        let mut t = table();
+    fn unadvertised_prefix_misses_without_panicking() {
+        let t = table();
         for i in 0..5u8 {
             assert_eq!(t.lookup(Ipv4Addr::new(172, 16, 0, i)), None);
         }
-        assert_eq!(t.lookups, 5);
-        assert_eq!(t.misses, 5);
         // The empty table is the degenerate everything-misses case.
-        let mut empty = RouteTable::default();
+        let empty = RouteTable::default();
         assert!(empty.routes.is_empty());
         assert_eq!(empty.lookup(Ipv4Addr::new(1, 2, 3, 4)), None);
-        assert_eq!(empty.misses, 1);
     }
 }

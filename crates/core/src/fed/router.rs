@@ -10,7 +10,7 @@
 //! hop is content-preserving byte-for-byte (GRE encap/decap round-trips
 //! exactly), which is one leg of the federation determinism argument.
 
-use potemkin_gateway::tunnel::{Telescope, TunnelEndpoint, TunnelStats};
+use potemkin_gateway::tunnel::{Telescope, TunnelEndpoint};
 use potemkin_gateway::GatewayError;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::gre::GreHeader;
@@ -34,16 +34,13 @@ pub(crate) enum TransitDrop {
 /// Per-farm link accounting at the routing tier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct LinkStats {
+    /// Packets decapsulated from this farm's uplink.
+    pub(crate) uplink_packets: u64,
     /// Packets forwarded *to* this farm (downlink).
     pub(crate) downlink_packets: u64,
-    /// Inner bytes forwarded to this farm.
-    pub(crate) downlink_bytes: u64,
-    /// Frames from this farm dropped because no route covered the
-    /// destination.
-    pub(crate) route_drops: u64,
 }
 
-snap_struct!(LinkStats { downlink_packets, downlink_bytes, route_drops });
+snap_struct!(LinkStats { uplink_packets, downlink_packets });
 
 /// The federation routing tier: per-farm GRE uplinks plus the route table.
 #[derive(Default)]
@@ -51,6 +48,9 @@ pub struct FederationRouter {
     uplinks: TunnelEndpoint,
     table: RouteTable,
     links: BTreeMap<u32, LinkStats>,
+    /// Uplink frames dropped because no route covered the destination.
+    route_drops: u64,
+    /// Uplink frames that failed GRE decapsulation.
     decap_drops: u64,
 }
 
@@ -76,8 +76,8 @@ impl FederationRouter {
         Ok(())
     }
 
-    /// Carries one uplink frame across the tier: decapsulate (charging the
-    /// source farm's tunnel stats), longest-prefix-route the inner
+    /// Carries one uplink frame across the tier: decapsulate (counting it
+    /// on the source farm's link), longest-prefix-route the inner
     /// destination, re-encapsulate with the owning farm's key.
     ///
     /// # Errors
@@ -92,13 +92,12 @@ impl FederationRouter {
                 return Err(TransitDrop::Decap);
             }
         };
+        self.links.entry(src).or_default().uplink_packets += 1;
         let Some(dest) = self.table.lookup(inner.dst()) else {
-            self.links.entry(src).or_default().route_drops += 1;
+            self.route_drops += 1;
             return Err(TransitDrop::NoRoute);
         };
-        let link = self.links.entry(dest).or_default();
-        link.downlink_packets += 1;
-        link.downlink_bytes += inner.len() as u64;
+        self.links.entry(dest).or_default().downlink_packets += 1;
         Ok((dest, GreHeader::encapsulate_ipv4(dest, inner.wire())))
     }
 
@@ -110,13 +109,7 @@ impl FederationRouter {
         self.transit(&frame).ok()
     }
 
-    /// The routing tier's view of one farm's uplink (GRE-level counters).
-    #[must_use]
-    pub(crate) fn uplink_stats(&self, farm: u32) -> TunnelStats {
-        self.uplinks.stats(farm)
-    }
-
-    /// Downlink/drop accounting for one farm.
+    /// Uplink/downlink accounting for one farm.
     #[must_use]
     pub(crate) fn link_stats(&self, farm: u32) -> LinkStats {
         self.links.get(&farm).copied().unwrap_or_default()
@@ -125,7 +118,13 @@ impl FederationRouter {
     /// Frames dropped because no route covered their destination.
     #[must_use]
     pub(crate) fn route_drops(&self) -> u64 {
-        self.links.values().map(|l| l.route_drops).sum()
+        self.route_drops
+    }
+
+    /// Uplink frames that failed decapsulation at the tier.
+    #[must_use]
+    pub(crate) fn decap_drops(&self) -> u64 {
+        self.decap_drops
     }
 
     /// Installed routes (excluding any default).
@@ -140,15 +139,14 @@ impl FederationRouter {
         self.uplinks.monitored_addresses()
     }
 
-    /// Checkpoint support: serializes every transit counter — tunnel
-    /// stats, per-farm link stats, route-table counters. Advertisements
-    /// are configuration and are rebuilt by the owner before restore.
+    /// Checkpoint support: serializes every transit counter — per-farm
+    /// link stats and the two drop counts. Advertisements are
+    /// configuration and are rebuilt by the owner before restore.
     #[must_use]
     pub(crate) fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.bytes(&self.uplinks.encode_state());
-        self.table.counters().snap(&mut w);
         self.links.snap(&mut w);
+        w.u64(self.route_drops);
         w.u64(self.decap_drops);
         w.into_bytes()
     }
@@ -161,14 +159,12 @@ impl FederationRouter {
     /// is left untouched in that case.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "federation.router");
-        let tunnel_bytes = r.bytes()?;
-        let table_counters = Snap::unsnap(&mut r)?;
         let links = Snap::unsnap(&mut r)?;
+        let route_drops = r.u64()?;
         let decap_drops = r.u64()?;
         r.finish()?;
-        self.uplinks.restore_state(tunnel_bytes)?;
-        self.table.set_counters(table_counters);
         self.links = links;
+        self.route_drops = route_drops;
         self.decap_drops = decap_drops;
         Ok(())
     }
@@ -200,9 +196,8 @@ mod tests {
         let (header, inner) = GreHeader::parse(&downlink).unwrap();
         assert_eq!(header.key, Some(1), "downlink keyed by the owning farm");
         assert_eq!(inner, packet.wire(), "transit is byte-exact");
-        assert_eq!(r.uplink_stats(0).packets_in, 1);
+        assert_eq!(r.link_stats(0).uplink_packets, 1);
         assert_eq!(r.link_stats(1).downlink_packets, 1);
-        assert_eq!(r.link_stats(1).downlink_bytes, packet.len() as u64);
     }
 
     #[test]
@@ -219,7 +214,6 @@ mod tests {
         let mut r = router();
         let stray = probe(Ipv4Addr::new(172, 16, 0, 1));
         assert!(r.forward(0, &stray).is_none());
-        assert_eq!(r.link_stats(0).route_drops, 1);
         assert_eq!(r.route_drops(), 1);
         // With a default route installed the same packet transits.
         r.table.insert("0.0.0.0/0".parse().unwrap(), 1);
@@ -227,13 +221,17 @@ mod tests {
         assert_eq!(dest, 1);
     }
 
+    /// A frame with a bad GRE header and one with an unknown key are
+    /// dropped at the uplink and land in `decap_drops()`, the count the
+    /// federation report's `decap_errors` adds in.
     #[test]
     fn malformed_uplinks_dropped_and_counted() {
         let mut r = router();
         assert_eq!(r.transit(&[0x20]), Err(TransitDrop::Decap));
         let unknown_key = GreHeader::encapsulate_ipv4(99, probe(Ipv4Addr::new(10, 0, 0, 1)).wire());
         assert_eq!(r.transit(&unknown_key), Err(TransitDrop::Decap));
-        assert_eq!(r.decap_drops, 2);
+        assert_eq!(r.decap_drops(), 2);
+        assert_eq!(r.link_stats(0), LinkStats::default(), "no uplink was charged");
     }
 
     #[test]
@@ -249,9 +247,8 @@ mod tests {
         assert_eq!(restored.encode_state(), bytes, "re-encode must be bit-identical");
         assert_eq!(restored.link_stats(0), r.link_stats(0));
         assert_eq!(restored.link_stats(1), r.link_stats(1));
-        assert_eq!(restored.uplink_stats(0), r.uplink_stats(0));
-        assert_eq!(restored.table.counters(), r.table.counters());
-        assert_eq!(restored.decap_drops, 1);
+        assert_eq!(restored.route_drops(), 1);
+        assert_eq!(restored.decap_drops(), 1);
         for cut in [0, 3, bytes.len() - 1] {
             let mut fresh = router();
             assert!(fresh.restore_state(&bytes[..cut]).is_err(), "cut at {cut} must fail");

@@ -42,7 +42,7 @@
 //!   alike, so the same packets are shed in every layout.
 //!
 //! What *does* change with the layout is transport telemetry: how many
-//! deliveries crossed a farm boundary, per-uplink byte counts. Those are
+//! deliveries crossed a farm boundary, per-uplink packet counts. Those are
 //! reported in [`FederationReport`] and excluded from determinism digests
 //! by convention, like wall-clock engine telemetry.
 
@@ -243,14 +243,10 @@ pub struct FarmLinkReport {
     pub(crate) cells: usize,
     /// Packets the routing tier decapsulated from this farm's uplink.
     pub uplink_packets: u64,
-    /// Inner bytes decapsulated from this farm's uplink.
-    pub(crate) uplink_bytes: u64,
     /// Packets the tier forwarded down to this farm.
     pub downlink_packets: u64,
     /// Packets shed into this farm's cells by admission control.
     pub shed_packets: u64,
-    /// This farm's uplink frames dropped for lack of a route.
-    pub(crate) route_drops: u64,
 }
 
 /// The federation tier's merged report.
@@ -275,8 +271,9 @@ pub struct FederationReport {
     /// Uplink frames dropped for lack of a route (0 in a well-formed
     /// layout: every farm advertises its slice).
     pub route_drops: u64,
-    /// Downlink frames a farm ingress failed to decapsulate (0 in a
-    /// well-formed layout).
+    /// GRE frames that failed decapsulation at either end — the routing
+    /// tier's uplink side or a farm's downlink ingress (0 in a well-formed
+    /// layout).
     pub decap_errors: u64,
     /// Per-farm link accounting.
     pub per_farm: Vec<FarmLinkReport>,
@@ -397,12 +394,11 @@ impl FedHop {
         packets
     }
 
-    /// Encodes this hop's counters and ingress tunnel statistics: the
-    /// per-cell federation section of a snapshot.
+    /// Encodes this hop's counters: the per-cell federation section of a
+    /// snapshot. The ingress endpoint is configuration, rebuilt on attach.
     pub(crate) fn encode_fed_aux(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.stats.snap(&mut w);
-        w.bytes(&self.ingress.encode_state());
         w.into_bytes()
     }
 
@@ -411,9 +407,7 @@ impl FedHop {
     pub(crate) fn restore_fed_aux(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "core.fed.cell");
         let stats = Snap::unsnap(&mut r)?;
-        let ingress_bytes = r.bytes()?;
         r.finish()?;
-        self.ingress.restore_state(ingress_bytes)?;
         self.stats = stats;
         Ok(())
     }
@@ -484,9 +478,8 @@ pub(crate) fn assemble_federation(shards: &[Shard<CellWorld>]) -> Option<Federat
     let mut per_farm = Vec::with_capacity(layout.farms());
     let mut cross_farm_packets = 0;
     let mut shed_packets = 0;
-    let mut decap_errors = 0;
+    let mut decap_errors = router.decap_drops();
     for farm in 0..layout.farms() {
-        let uplink = router.uplink_stats(farm as u32);
         let link = router.link_stats(farm as u32);
         let mut farm_shed = 0;
         for hop in hops.iter().filter(|h| h.farm_id == farm) {
@@ -499,11 +492,9 @@ pub(crate) fn assemble_federation(shards: &[Shard<CellWorld>]) -> Option<Federat
             farm,
             prefix: layout.farm_prefix(farm),
             cells: layout.cells_per_farm(),
-            uplink_packets: uplink.packets_in,
-            uplink_bytes: uplink.bytes_in,
+            uplink_packets: link.uplink_packets,
             downlink_packets: link.downlink_packets,
             shed_packets: farm_shed,
-            route_drops: link.route_drops,
         });
     }
     Some(FederationReport {
@@ -558,7 +549,7 @@ mod tests {
 
     /// The deterministic face of a federated result: the sharded one plus
     /// the layout-invariant shed counter. Transport telemetry (cross-farm
-    /// counts, uplink bytes) is excluded by convention.
+    /// counts, uplink packets) is excluded by convention.
     fn digest(r: &FederatedTelescopeResult) -> String {
         format!("{}|{}", r.merged.canonical_string(), r.federation.shed_packets)
     }
@@ -679,8 +670,8 @@ mod tests {
                         resumed.canonical_string(),
                         "{what}"
                     );
-                    // The whole tier report: per-farm uplink packets and
-                    // bytes, downlink, shed, route drops.
+                    // The whole tier report: per-farm uplink and downlink
+                    // packets, shed, route drops, decap errors.
                     assert_eq!(
                         Some(&uninterrupted.federation),
                         resumed.federation.as_ref(),
@@ -691,7 +682,7 @@ mod tests {
         }
     }
 
-    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (457_185, 0x1cadbe883037ee29);
+    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (453_037, 0x7c437214d54246c2);
 
     #[test]
     fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {

@@ -563,9 +563,10 @@ impl ShardWorld for CellWorld {
     }
 
     fn accept_remote(&mut self, at: SimTime, batch: FedBatch, queue: &mut EventQueue<CellEvent>) {
-        let pressure = self.farm.pressure_events().len() as u64;
         let packets = match (&mut self.hop, batch) {
-            (Some(hop), batch) => hop.admit(at, batch, pressure),
+            (Some(hop), batch) => {
+                hop.admit(at, batch, self.farm.counters().get("memory_pressure_events"))
+            }
             (None, FedBatch::Local(packets)) => packets,
             (None, FedBatch::Tunneled(_)) => return, // only a hop tunnels
         };
@@ -1277,6 +1278,47 @@ mod tests {
         assert!(report.clone_retries > 0, "retry policy engaged");
         assert!((0.0..=1.0).contains(&report.availability()));
         assert!(report.canonical_string().contains("escaped=0"));
+    }
+
+    /// Every fault class fires in one two-cell run, and the merged
+    /// degradation report — each fault count and both rebind latencies —
+    /// is pinned by digest.
+    #[test]
+    fn every_fault_class_fires_and_the_degradation_report_is_pinned() {
+        const FAULT_REPORT_DIGEST: u64 = 0x3deb_4393_ad1e_7d61;
+        let mut config = sharded_config(2);
+        config.base.duration = SimTime::from_secs(30);
+        config.base.farm.servers = 2;
+        config.base.farm.frames_per_server = 1_000_000;
+        config.base.farm.max_domains_per_server = 8_192;
+        config.base.farm.retry = Some(potemkin_vmm::RetryPolicy::default_clone());
+        config.base.farm.degradation_ladder = true;
+        config.faults = Some(FaultPlanConfig {
+            seed: 11,
+            host_crash_rate_per_hour: 480.0,
+            host_recovery_time: SimTime::from_secs(5),
+            clone_failure_prob: 0.05,
+            tunnel_degrade_rate_per_hour: 720.0,
+            tunnel_degrade_duration: SimTime::from_secs(2),
+            tunnel_loss: 0.5,
+            gateway_stall_rate_per_hour: 720.0,
+            gateway_stall_duration: SimTime::from_secs(1),
+            ..FaultPlanConfig::zero(config.base.duration, config.base.farm.servers)
+        });
+        let report = run_telescope_sharded(&config, 1).unwrap().degradation;
+        assert!(report.host_crashes > 0, "{report:?}");
+        assert!(report.host_recoveries > 0, "{report:?}");
+        assert!(report.clone_faults > 0, "{report:?}");
+        assert!(report.tunnel_drops > 0, "{report:?}");
+        assert!(report.gateway_stalls > 0, "{report:?}");
+        assert!(report.mean_rebind_us > 0 && report.p99_rebind_us > 0, "{report:?}");
+        assert_eq!(report.escaped, 0);
+        assert_eq!(
+            potemkin_snapshot::fnv1a64(report.canonical_string().as_bytes()),
+            FAULT_REPORT_DIGEST,
+            "{}",
+            report.canonical_string()
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Aggregated farm statistics.
 
-use potemkin_obs::{CounterSet, FaultLedger, LogHistogram};
+use potemkin_obs::{CounterSet, LogHistogram};
 use potemkin_sim::SimTime;
 use potemkin_vmm::{MemoryReport, SharingReport};
 
@@ -35,21 +35,7 @@ impl FarmStats {
     /// Collects a snapshot from a farm.
     #[must_use]
     pub(crate) fn collect(farm: &Honeyfarm) -> FarmStats {
-        let mut counters = farm.counters().clone();
-        counters.merge(&farm.gateway().counters_snapshot());
-        let h = farm.clone_latency_us();
-        FarmStats {
-            live_vms: farm.live_vms(),
-            infected_vms: farm.infected_vms(),
-            memory: farm.hosts().iter().map(|h| h.memory_report()).collect(),
-            vms_cloned: counters.get("vms_cloned"),
-            vms_recycled: counters.get("vms_recycled"),
-            clone_latency_p50: SimTime::from_micros(h.quantile(0.5)),
-            clone_latency_p99: SimTime::from_micros(h.quantile(0.99)),
-            vmm_time: farm.vmm_time(),
-            sharing: farm.sharing_report(),
-            counters,
-        }
+        Self::collect_sharded(std::iter::once(farm))
     }
 
     /// Collects one merged snapshot across the per-cell farms of a sharded
@@ -129,8 +115,8 @@ impl core::fmt::Display for FarmStats {
 /// availability and fidelity, and how fast the farm re-bound orphaned
 /// addresses.
 ///
-/// Collected from the farm's [`potemkin_obs::FaultLedger`] and merged
-/// counters. [`DegradationReport::canonical_string`] renders a stable,
+/// Collected from the farm's merged counters and rebind-latency
+/// histogram. [`DegradationReport::canonical_string`] renders a stable,
 /// byte-comparable form used by the determinism property tests.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DegradationReport {
@@ -176,40 +162,32 @@ impl DegradationReport {
     /// Collects the report from a farm.
     #[must_use]
     pub fn collect(farm: &Honeyfarm) -> DegradationReport {
-        let mut c = farm.counters().clone();
-        c.merge(&farm.gateway().counters_snapshot());
-        Self::from_parts(&c, farm.fault_ledger(), farm.pending_rebinds() as u64)
+        Self::collect_sharded(std::iter::once(farm))
     }
 
     /// Collects one merged report across the per-cell farms of a sharded
-    /// run. Ledgers and counters are folded in cell order; like
-    /// [`FarmStats::collect_sharded`], the result is a pure function of the
-    /// cell states and is byte-identical for any worker count.
+    /// run. Counters and the rebind histogram are folded in cell order;
+    /// like [`FarmStats::collect_sharded`], the result is a pure function
+    /// of the cell states and is byte-identical for any worker count.
     #[must_use]
     pub(crate) fn collect_sharded<'a>(
         farms: impl IntoIterator<Item = &'a Honeyfarm>,
     ) -> DegradationReport {
         let mut c = CounterSet::new();
-        let mut ledger = FaultLedger::new();
-        let mut pending = 0u64;
+        let mut rebind = LogHistogram::new(32);
+        let mut pending_rebinds = 0u64;
         for farm in farms {
             c.merge(farm.counters());
             c.merge(&farm.gateway().counters_snapshot());
-            ledger.merge(farm.fault_ledger());
-            pending += farm.pending_rebinds() as u64;
+            rebind.merge(farm.rebind_latency_us());
+            pending_rebinds += farm.pending_rebinds() as u64;
         }
-        Self::from_parts(&c, &ledger, pending)
-    }
-
-    fn from_parts(c: &CounterSet, ledger: &FaultLedger, pending_rebinds: u64) -> Self {
-        use potemkin_obs::FaultClass;
-        let rebind = ledger.rebind_latency();
         DegradationReport {
-            host_crashes: ledger.count(FaultClass::HostCrash),
-            host_recoveries: ledger.count(FaultClass::HostRecovery),
-            clone_faults: ledger.count(FaultClass::CloneFault),
-            tunnel_drops: ledger.count(FaultClass::TunnelDrop),
-            gateway_stalls: ledger.count(FaultClass::GatewayStall),
+            host_crashes: c.get("host_crashes"),
+            host_recoveries: c.get("host_recoveries"),
+            clone_faults: c.get("clone_faults_injected"),
+            tunnel_drops: c.get("tunnel_dropped"),
+            gateway_stalls: c.get("gateway_stalls"),
             vms_lost_to_crash: c.get("vms_lost_to_crash"),
             rebinds_after_crash: c.get("rebinds_after_crash"),
             pending_rebinds,

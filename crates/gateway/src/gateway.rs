@@ -11,8 +11,8 @@ use std::net::Ipv4Addr;
 
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::{Packet, PacketBuilder, PacketPayload};
+use potemkin_obs::CounterSet;
 use potemkin_obs::{names as obs, TraceEvent, Tracer};
-use potemkin_obs::{CounterSet, RateEstimator};
 use potemkin_sim::{SimTime, TokenBucket};
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter};
 
@@ -220,7 +220,6 @@ pub struct Gateway {
     binder: AddressBinder,
     dns: DnsProxy,
     rate: HashMap<VmRef, TokenBucket>,
-    inbound_rate: RateEstimator,
     counters: CounterSet,
     hot: HotStats,
     /// Fault injection: until this instant, no new bindings are admitted
@@ -252,7 +251,6 @@ impl Gateway {
             binder,
             dns,
             rate: HashMap::new(),
-            inbound_rate: RateEstimator::new(SimTime::from_secs(5)),
             counters: CounterSet::new(),
             hot: HotStats::default(),
             stalled_until: SimTime::ZERO,
@@ -327,7 +325,6 @@ impl Gateway {
     fn classify_inbound(&mut self, now: SimTime, packet: Packet) -> GatewayAction {
         self.hot.packets_in += 1;
         self.hot.bytes_in += packet.len() as u64;
-        self.inbound_rate.record(now);
         self.flows.observe(now, packet.flow_key(), packet.len(), FlowDirection::InboundInitiated);
 
         let (src, dst) = (packet.src(), packet.dst());
@@ -619,8 +616,8 @@ impl Gateway {
     }
 
     /// Checkpoint support: serializes the gateway's complete mutable state
-    /// (flow table, binder, DNS proxy, per-VM rate limiters, inbound rate
-    /// estimator, counters, stall deadline). The configuration and the
+    /// (flow table, binder, DNS proxy, per-VM rate limiters, counters,
+    /// stall deadline). The configuration and the
     /// tracer are excluded — restore goes into a gateway freshly built from
     /// the same [`GatewayConfig`], and tracing is digest-invisible.
     #[must_use]
@@ -630,7 +627,6 @@ impl Gateway {
         w.bytes(&self.binder.encode_state());
         w.bytes(&self.dns.encode_state());
         self.rate.snap(&mut w);
-        self.inbound_rate.snap(&mut w);
         // Serialize with in-flight hot tallies folded in: the wire image is
         // the flushed view, so snapshots need no flush-before-encode
         // discipline and round-trip exactly.
@@ -654,12 +650,10 @@ impl Gateway {
         self.binder.restore_state(r.bytes()?)?;
         self.dns.restore_state(r.bytes()?)?;
         let rate = Snap::unsnap(&mut r)?;
-        let inbound_rate = Snap::unsnap(&mut r)?;
         let counters = Snap::unsnap(&mut r)?;
         let stalled_until = Snap::unsnap(&mut r)?;
         r.finish()?;
         self.rate = rate;
-        self.inbound_rate = inbound_rate;
         self.counters = counters;
         // The wire image carried hot tallies already folded in.
         self.hot = HotStats::default();
@@ -1215,22 +1209,6 @@ mod tests {
     }
 
     #[test]
-    fn inbound_rate_tracks_load() {
-        let mut g = gw(PolicyConfig::reflect());
-        assert_eq!(g.inbound_rate.rate(SimTime::ZERO), 0.0);
-        // 200 packets/s for 30 seconds (past the 5s EWMA time constant).
-        for i in 1..=6_000u64 {
-            let p = PacketBuilder::new(ATTACKER, HP1).tcp_syn((i % 60_000) as u16, 445);
-            g.on_inbound(SimTime::from_millis(i * 5), p);
-        }
-        let rate = g.inbound_rate.rate(SimTime::from_secs(30));
-        assert!((150.0..250.0).contains(&rate), "rate = {rate}");
-        // Long silence caps the claimable rate.
-        let quiet = g.inbound_rate.rate(SimTime::from_secs(330));
-        assert!(quiet < 0.01, "quiet = {quiet}");
-    }
-
-    #[test]
     fn counters_track_the_pipeline() {
         let mut g = gw(PolicyConfig::reflect());
         let t = SimTime::ZERO;
@@ -1270,9 +1248,9 @@ mod tests {
         g
     }
 
-    /// `(len, fnv1a64)` of [`busy_gateway`]'s `encode_state`, re-pinned once
-    /// for snapshot version 4.
-    const BUSY_GATEWAY_PIN: (usize, u64) = (906, 0x673ba134f213d15d);
+    /// `(len, fnv1a64)` of [`busy_gateway`]'s `encode_state`, re-pinned for
+    /// snapshot versions 4 and 8 (the rate estimator's 33 bytes went).
+    const BUSY_GATEWAY_PIN: (usize, u64) = (873, 0xf98e618504f4a39a);
 
     #[test]
     fn encode_restore_round_trips_bit_exactly() {

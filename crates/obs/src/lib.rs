@@ -6,8 +6,8 @@
 //! histograms with quantiles ([`LogHistogram`]), binned time series
 //! ([`TimeSeries`]), a concurrency analyzer ([`ConcurrencyAnalyzer`] — the
 //! paper's scalability argument is a Little's-law argument: VMs required ≈
-//! arrival rate × VM lifetime), a fault ledger, and the plain-text
-//! [`Table`] renderer the `figures` binary prints paper-style tables with.
+//! arrival rate × VM lifetime), and the plain-text [`Table`] renderer the
+//! `figures` binary prints paper-style tables with.
 //!
 //! **Tracing.** The paper's evaluation is an exercise in *attribution*:
 //! Table 1 breaks one flash clone into per-stage costs; the telescope
@@ -51,15 +51,14 @@
 //! ```
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod agg;
 mod counter;
 mod event;
 mod export;
-mod faults;
 mod histogram;
 mod littles_law;
-mod rate;
 mod recorder;
 mod table;
 mod timeseries;
@@ -69,10 +68,8 @@ pub use agg::{SpanAggregator, SpanStats};
 pub use counter::CounterSet;
 pub use event::{TraceEvent, TraceEventKind};
 pub use export::chrome_trace_json;
-pub use faults::{FaultClass, FaultLedger};
 pub use histogram::LogHistogram;
 pub use littles_law::ConcurrencyAnalyzer;
-pub use rate::RateEstimator;
 pub use recorder::{RecorderMode, RingRecorder};
 pub use table::Table;
 pub use timeseries::TimeSeries;

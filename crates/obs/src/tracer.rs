@@ -198,7 +198,7 @@ impl Inner {
             let nanos = u64::try_from(base.elapsed().as_nanos()).unwrap_or(u64::MAX);
             // 0ns readings stamp as 1ns: the field is NonZero to keep the
             // event small (see `TraceEvent::wall_nanos`).
-            std::num::NonZeroU64::new(nanos.max(1)).expect("max(1) is non-zero")
+            std::num::NonZeroU64::new(nanos).unwrap_or(std::num::NonZeroU64::MIN)
         });
         self.sink.record(TraceEvent { lane: self.lane, seq, at, wall_nanos, kind });
     }

@@ -64,13 +64,11 @@ pub enum FaultKind {
         count: u32,
     },
     /// The GRE tunnel from the telescope degrades for `duration`: inbound
-    /// packets are dropped with probability `loss`, and survivors incur
-    /// `extra_latency` of added one-way delay.
+    /// packets are dropped with probability `loss`; survivors are delivered
+    /// as usual.
     TunnelDegrade {
         /// Packet-loss probability in `[0, 1]` while degraded.
         loss: f64,
-        /// Additional one-way latency applied to surviving packets.
-        extra_latency: SimTime,
         /// How long the degraded window lasts.
         duration: SimTime,
     },
@@ -86,7 +84,7 @@ snap_enum!(FaultKind {
     HostCrash { host } = 0,
     HostRecover { host } = 1,
     CloneFaultBurst { host, count } = 2,
-    TunnelDegrade { loss, extra_latency, duration } = 3,
+    TunnelDegrade { loss, duration } = 3,
     GatewayStall { duration } = 4,
 });
 
@@ -129,8 +127,6 @@ pub struct FaultPlanConfig {
     pub tunnel_degrade_duration: SimTime,
     /// Packet-loss probability while the tunnel is degraded.
     pub tunnel_loss: f64,
-    /// Extra one-way latency while the tunnel is degraded.
-    pub tunnel_extra_latency: SimTime,
     /// Arrival rate of gateway stalls (stalls per hour).
     pub gateway_stall_rate_per_hour: f64,
     /// Length of each gateway stall.
@@ -151,7 +147,6 @@ impl FaultPlanConfig {
             tunnel_degrade_rate_per_hour: 0.0,
             tunnel_degrade_duration: SimTime::from_secs(5),
             tunnel_loss: 0.0,
-            tunnel_extra_latency: SimTime::ZERO,
             gateway_stall_rate_per_hour: 0.0,
             gateway_stall_duration: SimTime::from_secs(2),
         }
@@ -233,7 +228,6 @@ impl FaultPlan {
                     at: t,
                     kind: FaultKind::TunnelDegrade {
                         loss: config.tunnel_loss,
-                        extra_latency: config.tunnel_extra_latency,
                         duration: config.tunnel_degrade_duration,
                     },
                 });
@@ -342,7 +336,6 @@ mod tests {
         c.clone_failure_prob = 0.1;
         c.tunnel_degrade_rate_per_hour = 10.0;
         c.tunnel_loss = 0.3;
-        c.tunnel_extra_latency = SimTime::from_millis(40);
         c.gateway_stall_rate_per_hour = 6.0;
         c
     }

@@ -38,9 +38,13 @@ use crate::error::SnapshotError;
 /// version 7 writes each p2m as what it stores — whether it sits over its
 /// image's frame list, the `(pfn, entry)` pairs that differ from that list,
 /// then the entries past it — instead of one entry per pfn, and a domain
-/// carries no lifecycle state and no provisioning tag.
+/// carries no lifecycle state and no provisioning tag; version 8 drops
+/// the tallies nothing reads: the fault ledger (its rebind histogram stays,
+/// as a farm field), the sharing and resident series, the pressure log,
+/// the gateway's rate estimator, tunnel and route-table statistics, per-disk
+/// read/write counts, a host's crash tallies and a tunnel fault's latency.
 /// Older files are rejected rather than misparsed.
-pub(crate) const SNAPSHOT_VERSION: u32 = 7;
+pub(crate) const SNAPSHOT_VERSION: u32 = 8;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

@@ -16,7 +16,6 @@
 //! overlay equivalents — so checkpoints store O(chunks) + O(dirty blocks),
 //! never raw block walks.
 
-use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
@@ -101,28 +100,6 @@ impl BaseDisk {
     }
 }
 
-/// Read/write accounting for one [`CowDisk`], kept in interior cells so
-/// reads go through `&self`.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct DiskStats {
-    reads: Cell<u64>,
-    writes: Cell<u64>,
-}
-
-impl DiskStats {
-    /// Lifetime read count.
-    #[must_use]
-    pub(crate) fn reads(&self) -> u64 {
-        self.reads.get()
-    }
-
-    /// Lifetime write count.
-    #[must_use]
-    pub(crate) fn writes(&self) -> u64 {
-        self.writes.get()
-    }
-}
-
 /// A clone's view of a disk: the shared base manifest plus a private write
 /// overlay.
 ///
@@ -142,14 +119,13 @@ impl DiskStats {
 pub struct CowDisk {
     base: BaseDisk,
     overlay: OverlayManifest,
-    stats: DiskStats,
 }
 
 impl CowDisk {
     /// Creates a CoW view over `base` with an empty overlay.
     #[must_use]
     pub fn new(base: BaseDisk) -> Self {
-        CowDisk { base, overlay: OverlayManifest::new(), stats: DiskStats::default() }
+        CowDisk { base, overlay: OverlayManifest::new() }
     }
 
     /// Disk size in blocks.
@@ -163,7 +139,6 @@ impl CowDisk {
         if block >= self.size() {
             return Err(VmmError::BadBlock { block, size: self.size() });
         }
-        self.stats.reads.set(self.stats.reads.get() + 1);
         match self.overlay.get(block) {
             Some(content) => Ok(content),
             None => self.base.read(block),
@@ -175,7 +150,6 @@ impl CowDisk {
         if block >= self.size() {
             return Err(VmmError::BadBlock { block, size: self.size() });
         }
-        self.stats.writes.set(self.stats.writes.get() + 1);
         self.overlay.set(block, content);
         Ok(())
     }
@@ -198,13 +172,11 @@ impl CowDisk {
         &self.base
     }
 
-    /// Encodes the clone-private state (overlay delta + accounting)
-    /// through the overlay manifest codec: O(dirty blocks). The base is
-    /// not encoded here — it belongs to the image and restores first.
+    /// Encodes the clone-private state (the overlay delta) through the
+    /// overlay manifest codec: O(dirty blocks). The base is not encoded
+    /// here — it belongs to the image and restores first.
     pub(crate) fn encode_overlay(&self, w: &mut SnapWriter) {
         self.overlay.snap(w);
-        w.u64(self.stats.reads());
-        w.u64(self.stats.writes());
     }
 
     /// Decodes clone-private state encoded by [`CowDisk::encode_overlay`]
@@ -213,11 +185,7 @@ impl CowDisk {
         base: BaseDisk,
         r: &mut SnapReader,
     ) -> Result<Self, SnapshotError> {
-        let overlay = OverlayManifest::unsnap(r)?;
-        let stats = DiskStats::default();
-        stats.reads.set(r.u64()?);
-        stats.writes.set(r.u64()?);
-        Ok(CowDisk { base, overlay, stats })
+        Ok(CowDisk { base, overlay: OverlayManifest::unsnap(r)? })
     }
 }
 
@@ -303,17 +271,15 @@ mod tests {
         d.write(1, 20).unwrap();
         assert_eq!(d.dirty_blocks(), 1);
         assert_eq!(d.read(1).unwrap(), 20);
-        assert_eq!(d.stats.writes(), 2);
     }
 
     #[test]
-    fn reads_take_shared_reference_and_still_count() {
+    fn reads_take_shared_reference() {
         let base = BaseDisk::generate(8, 1);
-        let d = CowDisk::new(base);
+        let d = CowDisk::new(base.clone());
         let r: &CowDisk = &d;
-        r.read(0).unwrap();
-        r.read(1).unwrap();
-        assert_eq!(d.stats.reads(), 2);
+        assert_eq!(r.read(0).unwrap(), base.read(0).unwrap());
+        assert_eq!(r.read(1).unwrap(), base.read(1).unwrap());
     }
 
     #[test]
@@ -371,8 +337,6 @@ mod tests {
         assert_eq!(base2.size(), 100);
         assert_eq!(base2.materialized_chunks(), 1);
         assert_eq!(d2.dirty_blocks(), 2);
-        assert_eq!(d2.stats.reads(), d.stats.reads());
-        assert_eq!(d2.stats.writes(), d.stats.writes());
         for blk in 0..100 {
             assert_eq!(d2.read(blk).unwrap(), d.read(blk).unwrap());
         }

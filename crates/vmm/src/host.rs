@@ -104,10 +104,6 @@ pub struct Host {
     /// Remaining injected clone failures: each flash-clone attempt consumes
     /// one and fails with [`VmmError::InjectedFault`].
     pending_clone_faults: u32,
-    /// Lifetime crash count.
-    crashes: u64,
-    /// Domains lost to crashes (they were live when their host went down).
-    domains_lost: u64,
     /// The content-addressed chunk store backing every reference image's
     /// base disk. Farm-managed hosts share one store
     /// ([`Host::with_chunk_store`]) so identical chunks dedupe farm-wide;
@@ -137,8 +133,6 @@ impl Host {
             rollbacks: 0,
             alive: true,
             pending_clone_faults: 0,
-            crashes: 0,
-            domains_lost: 0,
             store: SharedChunkStore::new_memory(),
             chunk_blocks: DEFAULT_CHUNK_BLOCKS,
         }
@@ -218,8 +212,6 @@ impl Host {
         }
         self.alive = false;
         self.pending_clone_faults = 0;
-        self.crashes += 1;
-        self.domains_lost += lost;
         lost
     }
 
@@ -781,8 +773,6 @@ impl Host {
         w.u64(self.rollbacks);
         w.bool(self.alive);
         w.u32(self.pending_clone_faults);
-        w.u64(self.crashes);
-        w.u64(self.domains_lost);
         // Both maps are ordered by id.
         w.seq(self.images.values(), ReferenceImage::encode);
         w.seq(self.domains.values(), Domain::encode);
@@ -814,8 +804,6 @@ impl Host {
         let rollbacks = r.u64()?;
         let alive = r.bool()?;
         let pending_clone_faults = r.u32()?;
-        let crashes = r.u64()?;
-        let domains_lost = r.u64()?;
         let images = r.seq(|r| ReferenceImage::decode(r, &self.store))?;
         if !ids_in_order(images.iter().map(|img| img.id().0), next_image) {
             return Err(r.bad());
@@ -851,8 +839,6 @@ impl Host {
         self.rollbacks = rollbacks;
         self.alive = alive;
         self.pending_clone_faults = pending_clone_faults;
-        self.crashes = crashes;
-        self.domains_lost = domains_lost;
         Ok(())
     }
 }
@@ -872,9 +858,9 @@ fn ids_in_order(mut ids: impl Iterator<Item = u64>, next: u64) -> bool {
 mod tests {
     use super::*;
 
-    /// `encode_state` of [`diverged_host`] as of snapshot version 7.
-    const DIVERGED_HOST_BYTES: usize = 378_767;
-    const DIVERGED_HOST_DIGEST: u64 = 0x7f54_4d94_cf9d_48f8;
+    /// `encode_state` of [`diverged_host`] as of snapshot version 8.
+    const DIVERGED_HOST_BYTES: usize = 378_639;
+    const DIVERGED_HOST_DIGEST: u64 = 0x17c8_57cb_f943_9278;
 
     fn small_host() -> (Host, ImageId) {
         let mut host = Host::new(100_000).with_overhead_pages(16);
@@ -1422,14 +1408,14 @@ mod tests {
         let lost = host.crash();
         assert_eq!(lost, 1);
         assert!(!host.is_alive());
-        assert_eq!((host.crashes, host.domains_lost), (1, 1));
         let after = host.memory_report();
         assert_eq!(after.live_domains, 0);
         assert_eq!(after.used_frames, pristine.used_frames, "domain frames released");
         assert_eq!(after.image_frames, pristine.image_frames, "images survive the crash");
-        // Crash is idempotent: a dead host stays dead, counters unchanged.
+        // Crash is idempotent: a dead host stays dead and loses nothing more.
         assert_eq!(host.crash(), 0);
-        assert_eq!((host.crashes, host.domains_lost), (1, 1));
+        assert!(!host.is_alive());
+        assert_eq!(host.memory_report().used_frames, after.used_frames);
     }
 
     #[test]

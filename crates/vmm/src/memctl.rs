@@ -116,8 +116,6 @@ pub struct PressureEvent {
     pub(crate) limit_frames: u64,
 }
 
-snap_struct!(PressureEvent { used_frames, requested_frames, limit_frames });
-
 impl core::fmt::Display for PressureEvent {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(

@@ -1,10 +1,12 @@
 //! Property-based tests on the wire formats: build/parse roundtrips for
-//! arbitrary field values, parse-never-panics on arbitrary bytes, and that
+//! arbitrary field values, parse-never-panics on arbitrary bytes, that
 //! every field a [`Packet`] reads from its wire image is what the header
-//! validators decode from the same bytes.
+//! validators decode from the same bytes, and that a mutated GRE frame is
+//! refused or decapsulates stably.
 
 use proptest::prelude::*;
 
+use potemkin::gateway::tunnel::{Telescope, TunnelEndpoint};
 use potemkin::net::dns::DnsMessage;
 use potemkin::net::gre::GreHeader;
 use potemkin::net::icmp::IcmpMessage;
@@ -171,6 +173,46 @@ proptest! {
         let mut wire = p.wire().to_vec();
         mutate(&mut wire, kind, at, by, reseal);
         fields_match_validators(&wire)?;
+    }
+
+    /// A tunneled frame with one byte flipped, cut short, or an inner
+    /// length field rewritten is refused, or decapsulates to a key and
+    /// packet that survive a second trip through the tunnel unchanged.
+    #[test]
+    fn a_mutated_gre_frame_is_refused_or_decapsulates_stably(
+        key in any::<u32>(),
+        shape in 0u8..9,
+        addrs in (arb_addr(), arb_addr()),
+        ports in (any::<u16>(), any::<u16>()),
+        words in (any::<u32>(), any::<u32>(), any::<u8>(), any::<u8>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..120),
+        mutation in (0u8..5, any::<u16>(), any::<u8>(), any::<bool>()),
+    ) {
+        let mut tunnel = TunnelEndpoint::new();
+        tunnel.attach(Telescope { key, prefix: "10.0.0.0/8".parse().unwrap() }).unwrap();
+        let p = build(shape, addrs, ports, words, &payload);
+        let (kind, at, by, reseal) = mutation;
+        let frame = match kind {
+            0 | 1 => {
+                let mut frame = GreHeader::encapsulate_ipv4(key, p.wire());
+                let len = frame.len();
+                match kind {
+                    0 => frame[usize::from(at) % len] ^= by | 1,
+                    _ => frame.truncate(usize::from(at) % len),
+                }
+                frame
+            }
+            // IPv4 total length, TCP data offset or UDP length.
+            _ => {
+                let mut inner = p.wire().to_vec();
+                mutate(&mut inner, kind + 2, at, by, reseal);
+                GreHeader::encapsulate_ipv4(key, &inner)
+            }
+        };
+        if let Ok((k, packet)) = tunnel.decapsulate(&frame) {
+            let again = GreHeader::encapsulate_ipv4(k, packet.wire());
+            prop_assert_eq!(tunnel.decapsulate(&again), Ok((k, packet)));
+        }
     }
 }
 

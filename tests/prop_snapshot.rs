@@ -261,7 +261,7 @@ fn check_every_codec(seed: u64) -> Result<(), TestCaseError> {
     use potemkin::gateway::DropReason;
     use potemkin::net::{FlowKey, PacketBuilder, Transport};
     use potemkin::obs::TimeSeries;
-    use potemkin::obs::{CounterSet, FaultClass, FaultLedger, LogHistogram, RateEstimator};
+    use potemkin::obs::{CounterSet, LogHistogram};
     use potemkin::sim::{
         EventQueue, FaultEvent, FaultKind, RecencySlab, ShardProgress, TokenBucket,
     };
@@ -321,11 +321,7 @@ fn check_every_codec(seed: u64) -> Result<(), TestCaseError> {
         FaultKind::HostCrash { host: n },
         FaultKind::HostRecover { host: n },
         FaultKind::CloneFaultBurst { host: n, count: w[2] as u32 },
-        FaultKind::TunnelDegrade {
-            loss: f64::from_bits(w[3]),
-            extra_latency: time(4),
-            duration: time(5),
-        },
+        FaultKind::TunnelDegrade { loss: f64::from_bits(w[3]), duration: time(5) },
         FaultKind::GatewayStall { duration: time(6) },
     ];
     for kind in kinds {
@@ -344,13 +340,6 @@ fn check_every_codec(seed: u64) -> Result<(), TestCaseError> {
     let mut series = TimeSeries::new(SimTime::from_secs(1));
     w[..n].iter().for_each(|&x| series.add(SimTime::from_secs(x % 7), (x >> 40) as f64));
     check_codec("TimeSeries", &series)?;
-    let mut rate = RateEstimator::new(SimTime::from_secs(1));
-    (0..n as u64).for_each(|i| rate.record(SimTime::from_millis(10 * i)));
-    check_codec("RateEstimator", &rate)?;
-    let mut ledger = FaultLedger::new();
-    ledger.record(FaultClass::ALL[n % FaultClass::ALL.len()]);
-    ledger.record_rebind_us(w[10] >> 30);
-    check_codec("FaultLedger", &ledger)?;
     let mut counters = CounterSet::new();
     counters.add("packets_in", w[11]);
     if n > 2 {
@@ -446,9 +435,8 @@ proptest! {
 fn a_hostile_first_length_is_a_decode_error_for_every_component() {
     use potemkin::fed::FederationRouter;
     use potemkin::gateway::reclaim::ReclaimPolicyKind;
-    use potemkin::gateway::tunnel::TunnelEndpoint;
     use potemkin::gateway::{AddressBinder, BindGranularity, DnsProxy, FlowTable, Gateway};
-    use potemkin::obs::{CounterSet, FaultLedger, LogHistogram, TimeSeries};
+    use potemkin::obs::{CounterSet, LogHistogram, TimeSeries};
     use potemkin::sim::{EventQueue, RecencySlab};
     use potemkin::vmm::{FrameTable, Host, OverlayManifest};
 
@@ -468,7 +456,6 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
                 .restore_state(hostile),
             ),
             ("dns", DnsProxy::new("172.20.0.0/16".parse().unwrap()).restore_state(hostile)),
-            ("tunnel", TunnelEndpoint::new().restore_state(hostile)),
             ("gateway", Gateway::new(Default::default()).restore_state(hostile)),
             ("clock", ReclaimPolicyKind::Clock.instantiate().restore_state(hostile)),
             ("host", Host::new(1_000).restore_state(hostile)),
@@ -482,7 +469,6 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
             ("LogHistogram", LogHistogram::from_bytes(hostile, "hostile").map(drop)),
             ("TimeSeries", TimeSeries::from_bytes(hostile, "hostile").map(drop)),
             ("CounterSet", CounterSet::from_bytes(hostile, "hostile").map(drop)),
-            ("FaultLedger", FaultLedger::from_bytes(hostile, "hostile").map(drop)),
             ("FrameTable", FrameTable::from_bytes(hostile, "hostile").map(drop)),
             ("OverlayManifest", OverlayManifest::from_bytes(hostile, "hostile").map(drop)),
         ];

@@ -2604,8 +2604,8 @@ mod tests {
     /// version 8 (no fault ledger, series, pressure log, rate estimator,
     /// disk or crash tallies; the rebind histogram follows the clone
     /// latency one).
-    const BUSY_FARM_PIN: (usize, u64) = (957_760, 0xf9e2781e49ee12fd);
-    const CHUNKED_FARM_PIN: (usize, u64) = (970_048, 0x670800d7ada06f35);
+    const BUSY_FARM_PIN: (usize, u64) = (957_344, 0x2452fb1c7fa634d6);
+    const CHUNKED_FARM_PIN: (usize, u64) = (969_632, 0x8e556fefd127abce);
 
     #[test]
     fn encode_state_matches_the_pinned_wire_format() {

@@ -682,7 +682,7 @@ mod tests {
         }
     }
 
-    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (453_037, 0x7c437214d54246c2);
+    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (444_205, 0x22598e8e93851d00);
 
     #[test]
     fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {

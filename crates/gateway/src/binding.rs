@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use potemkin_sim::arena::{Links, SlotList, NO_SLOT};
+use potemkin_sim::arena::{Links, SlotList};
 use potemkin_sim::{RecencySlab, SimTime};
 use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
@@ -36,7 +36,7 @@ pub enum BindGranularity {
 }
 
 /// A binding key under the configured granularity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BindKey {
     /// The telescope address being impersonated.
     pub dst: Ipv4Addr,
@@ -45,6 +45,14 @@ pub struct BindKey {
 }
 
 snap_struct!(BindKey { dst, src });
+
+/// One hasher write, as for `FlowKey`: the destination, a set bit, the source.
+impl std::hash::Hash for BindKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let src = self.src.map_or(0, |src| 1 << 32 | u64::from(src.to_bits()));
+        state.write_u128(u128::from(self.dst.to_bits()) << 64 | u128::from(src));
+    }
+}
 
 #[derive(Clone, Debug)]
 struct Binding {
@@ -258,12 +266,9 @@ impl AddressBinder {
             // Idle (lookup_active() moves an active binding to the newest
             // end, so a due oldest end means idle), else hard lifetime
             // reached.
-            let first = self.bind_order.first;
-            let slot = match self.bindings.oldest_due(target) {
-                Some(slot) => slot,
-                None if first != NO_SLOT && self.bindings[first].hard_due <= target => first,
-                None => break,
-            };
+            let first = self.bind_order.iter(&self.bind_links).next();
+            let capped = first.filter(|&first| self.bindings[first].hard_due <= target);
+            let Some(slot) = self.bindings.oldest_due(target).or(capped) else { break };
             // A binding leaves at the earlier of its two ticks; within a
             // tick, in the order of last activity.
             let (idle_due, seq) = self.bindings.stamp(slot);
@@ -363,6 +368,23 @@ mod tests {
             SimTime::MAX,
             None,
         )
+    }
+
+    #[test]
+    fn a_key_hashes_its_source_and_whether_it_has_one() {
+        use std::hash::BuildHasher;
+        let hasher = std::collections::hash_map::RandomState::new();
+        let keys = [
+            BindKey { dst: DST, src: None },
+            BindKey { dst: DST, src: Some(Ipv4Addr::UNSPECIFIED) },
+            BindKey { dst: DST, src: Some(SRC) },
+            BindKey { dst: SRC, src: Some(DST) },
+        ];
+        let hashes: Vec<u64> = keys.iter().map(|k| hasher.hash_one(k)).collect();
+        for (i, h) in hashes.iter().enumerate() {
+            assert!(!hashes[i + 1..].contains(h), "{:?}", keys[i]);
+        }
+        assert_eq!(hasher.hash_one(keys[2]), hasher.hash_one(BindKey { dst: DST, src: Some(SRC) }));
     }
 
     #[test]

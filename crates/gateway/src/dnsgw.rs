@@ -127,7 +127,7 @@ impl DnsProxy {
         let answer_addr = match query.questions.first() {
             // An exhausted sinkhole answers NXDOMAIN-style (no address)
             // rather than panicking: fidelity degrades, containment holds.
-            Some(q) if q.qtype == TYPE_A && !q.name.is_empty() => self.addr_for(&q.name).ok(),
+            Some(q) if q.qtype == TYPE_A => self.addr_for(&q.name).ok(),
             _ => None,
         };
         if answer_addr.is_none() {

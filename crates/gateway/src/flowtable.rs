@@ -1,21 +1,21 @@
 //! The gateway's flow table.
 //!
-//! Tracks every transport flow crossing the gateway: who initiated it (the
+//! Tracks every transport flow crossing the gateway by who initiated it: the
 //! containment policy allows replies within attacker-initiated flows but not
-//! honeypot-initiated ones), byte/packet counts, and last-activity times for
-//! idle eviction. Flows live in a [`RecencySlab`]: every flow shares one idle
-//! timeout, so the least recently seen flow is both the next to idle out and
-//! the capacity victim, and a packet on a known flow costs one hash probe.
-//! Sustained scan loads (tens of thousands of one-packet flows) stay O(1)
-//! per packet.
+//! honeypot-initiated ones, and that is all it reads. Flows live in a
+//! [`RecencySlab`]: every flow shares one idle timeout, so the least recently
+//! seen flow is both the next to idle out and the capacity victim, and a
+//! packet costs one hash probe, new flow or known. Sustained scan loads (tens
+//! of thousands of one-packet flows) stay O(1) per packet.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::net::Ipv4Addr;
+use std::num::NonZeroUsize;
 
 use potemkin_net::FlowKey;
 use potemkin_sim::arena::{Links, SlotList};
 use potemkin_sim::{RecencySlab, SimTime};
-use potemkin_snapshot::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{snap_enum, Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Who sent the first packet of the flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,22 +28,8 @@ pub enum FlowDirection {
 
 snap_enum!(FlowDirection { InboundInitiated = 0, OutboundInitiated = 1 });
 
-/// Per-flow state.
-#[derive(Clone, Debug)]
-pub struct FlowState {
-    /// Who initiated the flow.
-    pub direction: FlowDirection,
-    /// When the first packet was seen.
-    pub first_seen: SimTime,
-    /// When the most recent packet was seen.
-    pub last_seen: SimTime,
-    /// Packets seen in either direction.
-    pub packets: u64,
-    /// Bytes seen in either direction.
-    pub bytes: u64,
-}
-
-snap_struct!(FlowState { direction, first_seen, last_seen, packets, bytes });
+// A flow's slab entry is its key, its initiator and its expiry stamp.
+const _: () = assert!(RecencySlab::<FlowKey, FlowDirection>::SLOT_BYTES <= 40);
 
 /// The `(link, address)` pairs the flow `key` at `slot` is chained under: a
 /// flow is on the chain of its source as link `2 * slot` and on the chain of
@@ -54,7 +40,7 @@ fn ends(slot: usize, key: FlowKey) -> impl Iterator<Item = (usize, Ipv4Addr)> {
     both.into_iter().take(1 + usize::from(key.src != key.dst))
 }
 
-/// The flow table: canonical flow key → state, with idle eviction.
+/// The flow table: canonical flow key → initiator, with idle eviction.
 ///
 /// # Examples
 ///
@@ -64,9 +50,9 @@ fn ends(slot: usize, key: FlowKey) -> impl Iterator<Item = (usize, Ipv4Addr)> {
 /// use potemkin_sim::SimTime;
 /// use std::net::Ipv4Addr;
 ///
-/// let mut ft = FlowTable::new(SimTime::from_secs(30));
+/// let mut ft = FlowTable::new(SimTime::from_secs(30), None);
 /// let key = FlowKey::tcp(Ipv4Addr::new(1, 1, 1, 1), 9999, Ipv4Addr::new(10, 0, 0, 1), 445);
-/// ft.observe(SimTime::ZERO, key, 40, FlowDirection::InboundInitiated);
+/// ft.observe(SimTime::ZERO, key, FlowDirection::InboundInitiated);
 /// assert_eq!(ft.len(), 1);
 /// let evicted = ft.expire(SimTime::from_secs(31), |_| {});
 /// assert_eq!(evicted, 1);
@@ -74,11 +60,11 @@ fn ends(slot: usize, key: FlowKey) -> impl Iterator<Item = (usize, Ipv4Addr)> {
 /// ```
 pub struct FlowTable {
     /// Least recently seen flow first.
-    flows: RecencySlab<FlowKey, FlowState>,
+    flows: RecencySlab<FlowKey, FlowDirection>,
     idle_timeout: SimTime,
-    /// Optional hard capacity; exceeding it evicts the least-recently-seen
+    /// Optional hard capacity; exceeding it evicts the least recently seen
     /// flow (the software gateway's memory is finite under scan floods).
-    max_flows: Option<usize>,
+    max_flows: Option<NonZeroUsize>,
     /// Endpoint index: address → chain of the live flows touching it, so
     /// [`FlowTable::retire_addr`] and [`FlowTable::flows_for`] are O(flows
     /// at the address) instead of O(table).
@@ -91,13 +77,18 @@ pub struct FlowTable {
 }
 
 impl FlowTable {
-    /// Creates a flow table with the given idle timeout.
+    /// Creates a flow table with the given idle timeout and optional
+    /// capacity (past it, the least recently seen flow goes), never zero:
+    ///
+    /// ```compile_fail,E0308
+    /// potemkin_gateway::FlowTable::new(potemkin_sim::SimTime::ZERO, Some(0));
+    /// ```
     #[must_use]
-    pub fn new(idle_timeout: SimTime) -> Self {
+    pub fn new(idle_timeout: SimTime, max_flows: Option<NonZeroUsize>) -> Self {
         FlowTable {
             flows: RecencySlab::default(),
             idle_timeout,
-            max_flows: None,
+            max_flows,
             by_addr: HashMap::new(),
             chain_links: Vec::new(),
             created: 0,
@@ -135,62 +126,31 @@ impl FlowTable {
         key
     }
 
-    /// Bounds the table at `max` flows; the least-recently-seen flow is
-    /// evicted to make room.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is zero.
-    #[must_use]
-    pub fn with_max_flows(mut self, max: usize) -> Self {
-        assert!(max > 0, "flow capacity must be positive");
-        self.max_flows = Some(max);
-        self
-    }
-
     /// Records a packet on a flow, creating the entry on first sight.
     ///
-    /// `direction` is only consulted when the flow is new — it records who
-    /// initiated. Returns who initiated the flow: `direction` itself for a
-    /// new flow, the recorded initiator for a known one.
-    pub fn observe(
-        &mut self,
-        now: SimTime,
-        key: FlowKey,
-        bytes: usize,
-        direction: FlowDirection,
-    ) -> FlowDirection {
-        let canonical = key.canonical();
+    /// `dir` is only consulted when the flow is new — it records who
+    /// initiated. Returns who initiated the flow: `dir` itself for a new
+    /// flow, the recorded initiator for a known one.
+    pub fn observe(&mut self, now: SimTime, key: FlowKey, dir: FlowDirection) -> FlowDirection {
         let deadline = now + self.idle_timeout;
-        if let Some(slot) = self.flows.refresh(&canonical, deadline) {
-            let state = &mut self.flows[slot];
-            state.last_seen = now;
-            state.packets += 1;
-            state.bytes += bytes as u64;
-            return state.direction;
+        let (slot, new) = self.flows.refresh_or_insert(key.canonical(), deadline, || dir);
+        if new {
+            self.chain(slot);
+            self.created += 1;
         }
-        while self.max_flows.is_some_and(|max| self.flows.len() >= max) {
+        // The new flow is the newest, so the victims are the oldest others.
+        while self.max_flows.is_some_and(|max| self.flows.len() > max.get()) {
             let Some(oldest) = self.flows.slots().next() else { break };
             self.evict(oldest);
             self.lru_evicted += 1;
         }
-        let state = FlowState {
-            direction,
-            first_seen: now,
-            last_seen: now,
-            packets: 1,
-            bytes: bytes as u64,
-        };
-        let slot = self.flows.insert(canonical, deadline, state);
-        self.chain(slot);
-        self.created += 1;
-        direction
+        self.flows[slot]
     }
 
-    /// Looks up the flow containing `key` (either direction).
+    /// Who initiated the flow containing `key` (either direction).
     #[must_use]
-    pub fn get(&self, key: FlowKey) -> Option<&FlowState> {
-        self.flows.slot(&key.canonical()).map(|slot| &self.flows[slot])
+    pub fn get(&self, key: FlowKey) -> Option<FlowDirection> {
+        self.flows.slot(&key.canonical()).map(|slot| self.flows[slot])
     }
 
     /// Evicts flows idle past the timeout, up to virtual time `now`, handing
@@ -217,7 +177,8 @@ impl FlowTable {
     pub fn retire_addr(&mut self, addr: Ipv4Addr) -> usize {
         let mut retired = 0;
         while let Some(chain) = self.by_addr.get(&addr) {
-            self.evict(chain.first / 2);
+            let Some(link) = chain.iter(&self.chain_links).next() else { break };
+            self.evict(link / 2);
             retired += 1;
         }
         retired
@@ -226,7 +187,7 @@ impl FlowTable {
     /// Live flows touching `addr` as either endpoint (indexed lookup).
     #[must_use]
     pub fn flows_for(&self, addr: Ipv4Addr) -> usize {
-        self.by_addr.get(&addr).map_or(0, |chain| chain.len)
+        self.by_addr.get(&addr).map_or(0, |chain| chain.len as usize)
     }
 
     /// Number of live flows.
@@ -278,7 +239,7 @@ impl FlowTable {
     /// the table is left untouched in that case.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "gateway.flows");
-        let flows = RecencySlab::<FlowKey, FlowState>::unsnap(&mut r)?;
+        let flows = RecencySlab::<FlowKey, FlowDirection>::unsnap(&mut r)?;
         let created = r.u64()?;
         let evicted = r.u64()?;
         let lru_evicted = r.u64()?;
@@ -316,46 +277,38 @@ mod tests {
 
     #[test]
     fn create_and_update() {
-        let mut ft = FlowTable::new(SimTime::from_secs(10));
-        ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
-        ft.observe(SimTime::from_secs(1), key(), 60, FlowDirection::InboundInitiated);
+        let mut ft = FlowTable::new(SimTime::from_secs(10), None);
+        ft.observe(SimTime::ZERO, key(), FlowDirection::InboundInitiated);
+        ft.observe(SimTime::from_secs(1), key(), FlowDirection::OutboundInitiated);
         assert_eq!(ft.lifetime_counts(), (1, 0), "the second packet created nothing");
-        let s = ft.get(key()).unwrap();
-        assert_eq!(s.packets, 2);
-        assert_eq!(s.bytes, 100);
-        assert_eq!(s.first_seen, SimTime::ZERO);
-        assert_eq!(s.last_seen, SimTime::from_secs(1));
+        assert_eq!(ft.get(key()), Some(FlowDirection::InboundInitiated));
     }
 
     #[test]
     fn both_directions_share_state() {
-        let mut ft = FlowTable::new(SimTime::from_secs(10));
-        ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
+        let mut ft = FlowTable::new(SimTime::from_secs(10), None);
+        ft.observe(SimTime::ZERO, key(), FlowDirection::InboundInitiated);
         // The reply direction updates the same flow and keeps the original
         // initiator.
-        let initiator = ft.observe(
-            SimTime::from_secs(1),
-            key().reversed(),
-            40,
-            FlowDirection::OutboundInitiated,
-        );
+        let initiator =
+            ft.observe(SimTime::from_secs(1), key().reversed(), FlowDirection::OutboundInitiated);
         assert_eq!(initiator, FlowDirection::InboundInitiated);
         assert_eq!(ft.len(), 1);
     }
 
     #[test]
     fn initiator_recorded_for_outbound() {
-        let mut ft = FlowTable::new(SimTime::from_secs(10));
+        let mut ft = FlowTable::new(SimTime::from_secs(10), None);
         let k = FlowKey::tcp(HP, 1025, Ipv4Addr::new(9, 9, 9, 9), 445);
-        let initiator = ft.observe(SimTime::ZERO, k, 40, FlowDirection::OutboundInitiated);
+        let initiator = ft.observe(SimTime::ZERO, k, FlowDirection::OutboundInitiated);
         assert_eq!(initiator, FlowDirection::OutboundInitiated);
-        assert_eq!(ft.get(k.reversed()).unwrap().direction, FlowDirection::OutboundInitiated);
+        assert_eq!(ft.get(k.reversed()), Some(FlowDirection::OutboundInitiated));
     }
 
     #[test]
     fn idle_eviction() {
-        let mut ft = FlowTable::new(SimTime::from_secs(5));
-        ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
+        let mut ft = FlowTable::new(SimTime::from_secs(5), None);
+        ft.observe(SimTime::ZERO, key(), FlowDirection::InboundInitiated);
         assert!(expired(&mut ft, SimTime::from_secs(4)).is_empty());
         let evicted = expired(&mut ft, SimTime::from_secs(6));
         assert_eq!(evicted, vec![key().canonical()]);
@@ -365,11 +318,11 @@ mod tests {
 
     #[test]
     fn activity_refreshes_timeout() {
-        let mut ft = FlowTable::new(SimTime::from_secs(5));
-        ft.observe(SimTime::ZERO, key(), 40, FlowDirection::InboundInitiated);
+        let mut ft = FlowTable::new(SimTime::from_secs(5), None);
+        ft.observe(SimTime::ZERO, key(), FlowDirection::InboundInitiated);
         // Keep the flow alive with periodic packets.
         for s in 1..10 {
-            ft.observe(SimTime::from_secs(s * 3), key(), 40, FlowDirection::InboundInitiated);
+            ft.observe(SimTime::from_secs(s * 3), key(), FlowDirection::InboundInitiated);
             assert_eq!(ft.expire(SimTime::from_secs(s * 3), |_| {}), 0);
         }
         assert_eq!(ft.len(), 1);
@@ -379,16 +332,16 @@ mod tests {
 
     #[test]
     fn lru_capacity_evicts_least_recent() {
-        let mut ft = FlowTable::new(SimTime::from_secs(3_600)).with_max_flows(3);
+        let mut ft = FlowTable::new(SimTime::from_secs(3_600), NonZeroUsize::new(3));
         let keys: Vec<FlowKey> = (0..5u16).map(|i| FlowKey::tcp(ATK, 1_000 + i, HP, 445)).collect();
         for (i, &k) in keys.iter().take(3).enumerate() {
-            ft.observe(SimTime::from_secs(i as u64), k, 40, FlowDirection::InboundInitiated);
+            ft.observe(SimTime::from_secs(i as u64), k, FlowDirection::InboundInitiated);
         }
         assert_eq!(ft.len(), 3);
         // Refresh the oldest flow so it becomes the newest.
-        ft.observe(SimTime::from_secs(10), keys[0], 40, FlowDirection::InboundInitiated);
+        ft.observe(SimTime::from_secs(10), keys[0], FlowDirection::InboundInitiated);
         // A fourth flow evicts keys[1] (now the least recent), not keys[0].
-        ft.observe(SimTime::from_secs(11), keys[3], 40, FlowDirection::InboundInitiated);
+        ft.observe(SimTime::from_secs(11), keys[3], FlowDirection::InboundInitiated);
         assert_eq!(ft.len(), 3);
         assert!(ft.get(keys[0]).is_some(), "refreshed flow survives");
         assert!(ft.get(keys[1]).is_none(), "LRU flow evicted");
@@ -396,18 +349,18 @@ mod tests {
         assert!(ft.get(keys[3]).is_some());
         assert_eq!(ft.lru_evictions(), 1);
         // A fifth flow evicts keys[2].
-        ft.observe(SimTime::from_secs(12), keys[4], 40, FlowDirection::InboundInitiated);
+        ft.observe(SimTime::from_secs(12), keys[4], FlowDirection::InboundInitiated);
         assert!(ft.get(keys[2]).is_none());
         assert_eq!(ft.lru_evictions(), 2);
     }
 
     #[test]
     fn lru_evicted_flow_timer_does_not_fire_later() {
-        let mut ft = FlowTable::new(SimTime::from_secs(5)).with_max_flows(1);
+        let mut ft = FlowTable::new(SimTime::from_secs(5), Some(NonZeroUsize::MIN));
         let k1 = FlowKey::tcp(ATK, 1, HP, 445);
         let k2 = FlowKey::tcp(ATK, 2, HP, 445);
-        ft.observe(SimTime::ZERO, k1, 40, FlowDirection::InboundInitiated);
-        ft.observe(SimTime::from_secs(1), k2, 40, FlowDirection::InboundInitiated);
+        ft.observe(SimTime::ZERO, k1, FlowDirection::InboundInitiated);
+        ft.observe(SimTime::from_secs(1), k2, FlowDirection::InboundInitiated);
         assert_eq!(ft.len(), 1);
         // k1's idle deadline (gone with it at LRU eviction) must not evict
         // k2 or double-count.
@@ -419,10 +372,10 @@ mod tests {
 
     #[test]
     fn unbounded_table_never_lru_evicts() {
-        let mut ft = FlowTable::new(SimTime::from_secs(3_600));
+        let mut ft = FlowTable::new(SimTime::from_secs(3_600), None);
         for i in 0..500u16 {
             let k = FlowKey::tcp(ATK, i, HP, 445);
-            ft.observe(SimTime::ZERO, k, 40, FlowDirection::InboundInitiated);
+            ft.observe(SimTime::ZERO, k, FlowDirection::InboundInitiated);
         }
         assert_eq!(ft.len(), 500);
         assert_eq!(ft.lru_evictions(), 0);
@@ -430,24 +383,17 @@ mod tests {
 
     #[test]
     fn retire_addr_removes_flows_on_both_sides() {
-        let mut ft = FlowTable::new(SimTime::from_secs(60));
+        let mut ft = FlowTable::new(SimTime::from_secs(60), None);
         let other = Ipv4Addr::new(10, 0, 0, 2);
-        ft.observe(
-            SimTime::ZERO,
-            FlowKey::tcp(ATK, 1, HP, 445),
-            40,
-            FlowDirection::InboundInitiated,
-        );
+        ft.observe(SimTime::ZERO, FlowKey::tcp(ATK, 1, HP, 445), FlowDirection::InboundInitiated);
         ft.observe(
             SimTime::ZERO,
             FlowKey::tcp(HP, 1025, ATK, 80),
-            40,
             FlowDirection::OutboundInitiated,
         );
         ft.observe(
             SimTime::ZERO,
             FlowKey::tcp(ATK, 2, other, 445),
-            40,
             FlowDirection::InboundInitiated,
         );
         assert_eq!(ft.len(), 3);
@@ -469,14 +415,14 @@ mod tests {
         // Exercise create, refresh, idle eviction, LRU eviction, and
         // retirement; the index must agree with a brute-force scan
         // throughout.
-        let mut ft = FlowTable::new(SimTime::from_secs(5)).with_max_flows(6);
+        let mut ft = FlowTable::new(SimTime::from_secs(5), NonZeroUsize::new(6));
         let addrs: Vec<Ipv4Addr> = (1..=4u8).map(|i| Ipv4Addr::new(10, 0, 0, i)).collect();
         for step in 0..40u64 {
             let src = addrs[(step % 4) as usize];
             let dst = addrs[((step / 4 + 1) % 4) as usize];
             if src != dst {
                 let k = FlowKey::tcp(src, 1000 + (step % 7) as u16, dst, 445);
-                ft.observe(SimTime::from_secs(step), k, 40, FlowDirection::InboundInitiated);
+                ft.observe(SimTime::from_secs(step), k, FlowDirection::InboundInitiated);
             }
             ft.expire(SimTime::from_secs(step), |_| {});
             for &a in &addrs {
@@ -506,10 +452,10 @@ mod tests {
 
     #[test]
     fn many_flows_independent_timers() {
-        let mut ft = FlowTable::new(SimTime::from_secs(1));
+        let mut ft = FlowTable::new(SimTime::from_secs(1), None);
         for i in 0..1000u32 {
             let k = FlowKey::tcp(Ipv4Addr::from(0x0101_0000 + i), 1000, HP, 445);
-            ft.observe(SimTime::from_millis(u64::from(i)), k, 40, FlowDirection::InboundInitiated);
+            ft.observe(SimTime::from_millis(u64::from(i)), k, FlowDirection::InboundInitiated);
         }
         assert_eq!(ft.len(), 1000);
         // Half the flows idle out by t = 1.5s.

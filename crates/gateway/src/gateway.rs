@@ -240,10 +240,7 @@ impl Gateway {
             policy.binding_max_lifetime,
             policy.per_source_vm_limit,
         );
-        let flows = match policy.max_flows {
-            Some(max) => FlowTable::new(policy.flow_idle_timeout).with_max_flows(max),
-            None => FlowTable::new(policy.flow_idle_timeout),
-        };
+        let flows = FlowTable::new(policy.flow_idle_timeout, policy.max_flows);
         let dns = DnsProxy::new(config.sinkhole);
         Gateway {
             config,
@@ -325,7 +322,7 @@ impl Gateway {
     fn classify_inbound(&mut self, now: SimTime, packet: Packet) -> GatewayAction {
         self.hot.packets_in += 1;
         self.hot.bytes_in += packet.len() as u64;
-        self.flows.observe(now, packet.flow_key(), packet.len(), FlowDirection::InboundInitiated);
+        self.flows.observe(now, packet.flow_key(), FlowDirection::InboundInitiated);
 
         let (src, dst) = (packet.src(), packet.dst());
         if let Some(vm) = self.binder.lookup_active(now, src, dst) {
@@ -422,8 +419,7 @@ impl Gateway {
         // A packet on a flow the attacker opened is a reply; any other flow,
         // this packet's own new one included, is the honeypot's initiative.
         let key = packet.flow_key();
-        let initiator =
-            self.flows.observe(now, key, packet.len(), FlowDirection::OutboundInitiated);
+        let initiator = self.flows.observe(now, key, FlowDirection::OutboundInitiated);
         let is_reply = initiator == FlowDirection::InboundInitiated;
 
         // Intra-farm traffic: the destination is already impersonated by a
@@ -1249,8 +1245,9 @@ mod tests {
     }
 
     /// `(len, fnv1a64)` of [`busy_gateway`]'s `encode_state`, re-pinned for
-    /// snapshot versions 4 and 8 (the rate estimator's 33 bytes went).
-    const BUSY_GATEWAY_PIN: (usize, u64) = (873, 0xf98e618504f4a39a);
+    /// snapshot versions 4, 8 (the rate estimator's 33 bytes went) and 9 (a
+    /// flow record is its key, initiator and stamp: 32 bytes less a flow).
+    const BUSY_GATEWAY_PIN: (usize, u64) = (745, 0x5fb4838b69be60db);
 
     #[test]
     fn encode_restore_round_trips_bit_exactly() {

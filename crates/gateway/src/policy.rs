@@ -11,6 +11,7 @@
 use potemkin_sim::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::num::NonZeroUsize;
 
 /// The headline containment mode for new outbound connections.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,7 +139,7 @@ pub struct PolicyConfig {
     pub(crate) flow_idle_timeout: SimTime,
     /// Optional hard bound on flow-table entries (LRU eviction beyond it);
     /// `None` = timeout-only eviction.
-    pub max_flows: Option<usize>,
+    pub max_flows: Option<NonZeroUsize>,
     /// Admission control: hard cap on simultaneously bound VMs. When the
     /// farm is degraded (hosts down), capping admissions preserves service
     /// for existing interactions instead of thrashing. `None` disables it.

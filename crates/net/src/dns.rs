@@ -169,7 +169,9 @@ impl DnsMessage {
             if len > 63 {
                 return Err(NetError::BadName);
             }
-            let label = buf.get(pos + 1..pos + 1 + len).ok_or(NetError::BadName)?;
+            // A label holding a dot has no dotted form.
+            let label = buf.get(pos + 1..pos + 1 + len).filter(|l| !l.contains(&b'.'));
+            let label = label.ok_or(NetError::BadName)?;
             if !name.is_empty() {
                 name.push('.');
             }
@@ -179,7 +181,8 @@ impl DnsMessage {
                 return Err(NetError::BadName);
             }
         }
-        Ok((name, end))
+        // The root name, "", does not build: refuse it here too.
+        (!name.is_empty()).then_some((name, end)).ok_or(NetError::BadName)
     }
 
     /// Serializes the message to wire format (no compression).
@@ -315,6 +318,18 @@ mod tests {
         assert!(r.answers.is_empty());
         let parsed = DnsMessage::parse(&r.build().unwrap()).unwrap();
         assert_eq!(parsed.rcode, RCODE_NXDOMAIN);
+    }
+
+    #[test]
+    fn names_that_do_not_build_are_refused_on_parse() {
+        let mut wire = DnsMessage::query_a(4, "ab.cd").build().unwrap();
+        wire[12] = 0;
+        assert_eq!(DnsMessage::parse(&wire), Err(NetError::BadName), "the root name");
+        wire[12] = 2;
+        wire[14] = b'.';
+        assert_eq!(DnsMessage::parse(&wire), Err(NetError::BadName), "\"a.\" is no label");
+        wire[14] = b'b';
+        assert!(DnsMessage::parse(&wire).is_ok());
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Transport {
 }
 
 /// A directional flow key: source, destination, transport.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src: Ipv4Addr,
@@ -93,6 +93,21 @@ pub struct FlowKey {
 }
 
 snap_struct!(FlowKey { src, dst, transport });
+
+/// One 16-byte write of an injective packing, not the derived hash's seven:
+/// addresses, transport tag, then ports, ident or protocol.
+impl std::hash::Hash for FlowKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let (tag, low) = match self.transport {
+            Transport::Tcp { src_port: s, dst_port: d } => (0u8, u32::from(s) << 16 | u32::from(d)),
+            Transport::Udp { src_port: s, dst_port: d } => (1, u32::from(s) << 16 | u32::from(d)),
+            Transport::Icmp { ident } => (2, u32::from(ident)),
+            Transport::Other { protocol } => (3, u32::from(protocol)),
+        };
+        let addrs = u64::from(self.src.to_bits()) << 32 | u64::from(self.dst.to_bits());
+        state.write_u128(u128::from(addrs) << 64 | u128::from(tag) << 32 | u128::from(low));
+    }
+}
 
 impl FlowKey {
     /// Creates a TCP flow key.
@@ -200,6 +215,41 @@ mod tests {
         assert_eq!(i.dst_port(), None);
         let o = Transport::Other { protocol: 89 };
         assert_eq!(o.reversed(), o);
+    }
+
+    /// The bytes each `write` call of a key's `Hash` hands the hasher.
+    fn writes(key: FlowKey) -> Vec<Vec<u8>> {
+        #[derive(Default)]
+        struct Record(Vec<Vec<u8>>);
+        impl std::hash::Hasher for Record {
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.push(bytes.to_vec());
+            }
+            fn finish(&self) -> u64 {
+                0
+            }
+        }
+        let mut record = Record::default();
+        std::hash::Hash::hash(&key, &mut record);
+        record.0
+    }
+
+    #[test]
+    fn a_key_hashes_as_one_write_that_tells_every_field_apart() {
+        let keys = [
+            FlowKey::tcp(A, 1, B, 2),
+            FlowKey::tcp(B, 1, A, 2),
+            FlowKey::tcp(A, 2, B, 1),
+            udp(A, 1, B, 2),
+            icmp(A, B, 1),
+            FlowKey { src: A, dst: B, transport: Transport::Other { protocol: 1 } },
+        ];
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(writes(k).len(), 1, "{k}");
+            for &other in &keys[i + 1..] {
+                assert_ne!(writes(k), writes(other), "{k} and {other}");
+            }
+        }
     }
 
     #[test]

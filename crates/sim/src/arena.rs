@@ -16,18 +16,27 @@
 //! snapshot/restore — checkpoint codecs serialize the payloads themselves and
 //! re-insert on restore, re-keying events in canonical queue order.
 
-/// The key no slot ever has: the end marker of the freelist and of every
-/// [`SlotList`].
-pub const NO_SLOT: usize = usize::MAX;
+/// The 4-byte link past either end of a [`SlotList`] or of the freelist.
+const END: u32 = u32::MAX;
 
-/// A key's neighbours in a [`SlotList`] ([`NO_SLOT`] at either end).
+/// `key` as a 4-byte link: a panic past 4 × 10⁹ keys.
+pub(crate) fn link(key: usize) -> u32 {
+    u32::try_from(key).ok().filter(|&at| at != END).expect("a slot key fits a 32-bit link")
+}
+
+/// The key a link names, or `None` past either end.
+fn slot(at: u32) -> Option<usize> {
+    (at != END).then_some(at as usize)
+}
+
+/// A key's neighbours in a [`SlotList`].
 #[derive(Clone, Copy, Debug)]
 pub struct Links {
-    /// The key before this one.
-    pub(crate) prev: usize,
-    /// The key after this one.
-    pub(crate) next: usize,
+    prev: u32,
+    next: u32,
 }
+
+const _: () = assert!(size_of::<Links>() == 8, "two 4-byte links per key");
 
 /// The ends of a doubly linked list threaded through slab keys. The links
 /// live beside the slab, in a `Vec<Links>` indexed by key that the list's
@@ -35,30 +44,30 @@ pub struct Links {
 /// of different owners share this one implementation.
 #[derive(Clone, Copy, Debug)]
 pub struct SlotList {
-    /// The key at the front, or [`NO_SLOT`].
-    pub first: usize,
-    /// The key at the back, or [`NO_SLOT`].
-    pub(crate) last: usize,
+    first: u32,
+    /// The back, or [`END`]: never a slab key, as [`link`] refuses it.
+    pub(crate) last: u32,
     /// How many keys are on the list.
-    pub len: usize,
+    pub len: u32,
 }
 
 impl SlotList {
     /// The list with no keys.
-    pub const EMPTY: SlotList = SlotList { first: NO_SLOT, last: NO_SLOT, len: 0 };
+    pub const EMPTY: SlotList = SlotList { first: END, last: END, len: 0 };
 
     /// Appends `key` (which must not be on the list), growing `links` to
     /// hold it.
     pub fn push_last(&mut self, links: &mut Vec<Links>, key: usize) {
+        let at = link(key);
         if links.len() <= key {
-            links.resize(key + 1, Links { prev: NO_SLOT, next: NO_SLOT });
+            links.resize(key + 1, Links { prev: END, next: END });
         }
-        links[key] = Links { prev: self.last, next: NO_SLOT };
+        links[key] = Links { prev: self.last, next: END };
         match self.last {
-            NO_SLOT => self.first = key,
-            last => links[last].next = key,
+            END => self.first = at,
+            last => links[last as usize].next = at,
         }
-        self.last = key;
+        self.last = at;
         self.len += 1;
     }
 
@@ -67,33 +76,32 @@ impl SlotList {
     pub fn unlink(&mut self, links: &mut [Links], key: usize) {
         let Links { prev, next } = links[key];
         match prev {
-            NO_SLOT => self.first = next,
-            _ => links[prev].next = next,
+            END => self.first = next,
+            _ => links[prev as usize].next = next,
         }
         match next {
-            NO_SLOT => self.last = prev,
-            _ => links[next].prev = prev,
+            END => self.last = prev,
+            _ => links[next as usize].prev = prev,
         }
         self.len -= 1;
     }
 
     /// The keys from first to last.
     pub fn iter<'a>(&self, links: &'a [Links]) -> impl Iterator<Item = usize> + 'a {
-        let live = |key: usize| (key != NO_SLOT).then_some(key);
-        std::iter::successors(live(self.first), move |&key| live(links[key].next))
+        std::iter::successors(slot(self.first), move |&at| slot(links[at].next))
     }
 }
 
-enum Slot<T> {
-    /// Empty slot; holds the index of the next vacant slot (or [`NO_SLOT`]).
-    Vacant(usize),
+pub(crate) enum Slot<T> {
+    /// Empty slot; holds the link to the next vacant slot.
+    Vacant(u32),
     Occupied(T),
 }
 
 /// A growable arena of reusable slots.
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
-    free_head: usize,
+    free_head: u32,
     len: usize,
     inserts: u64,
     reuses: u64,
@@ -109,7 +117,7 @@ impl<T> Slab<T> {
     /// Creates an empty slab.
     #[must_use]
     pub fn new() -> Slab<T> {
-        Slab { slots: Vec::new(), free_head: NO_SLOT, len: 0, inserts: 0, reuses: 0 }
+        Slab { slots: Vec::new(), free_head: END, len: 0, inserts: 0, reuses: 0 }
     }
 
     /// Stores `value`, returning its key. Reuses a vacated slot when one is
@@ -117,8 +125,7 @@ impl<T> Slab<T> {
     pub fn insert(&mut self, value: T) -> usize {
         self.inserts += 1;
         self.len += 1;
-        if self.free_head != NO_SLOT {
-            let key = self.free_head;
+        if let Some(key) = slot(self.free_head) {
             let Slot::Vacant(next) = self.slots[key] else {
                 unreachable!("freelist head points at an occupied slot");
             };
@@ -140,7 +147,7 @@ impl<T> Slab<T> {
             return None;
         }
         let taken = std::mem::replace(slot, Slot::Vacant(self.free_head));
-        self.free_head = key;
+        self.free_head = link(key);
         self.len -= 1;
         match taken {
             Slot::Occupied(value) => Some(value),
@@ -250,7 +257,7 @@ mod tests {
         list.unlink(&mut links, 0);
         list.unlink(&mut links, 4);
         assert_eq!(list.iter(&links).count(), 0);
-        assert_eq!(list.first, NO_SLOT);
+        assert_eq!(list.first, END);
     }
 
     #[test]

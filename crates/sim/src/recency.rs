@@ -7,9 +7,9 @@
 //! expires first, so *recency order is expiry order* and no timer structure
 //! is needed: [`RecencySlab`] is a `HashMap<K, slot>` over a [`Slab`] whose
 //! occupied slots are threaded oldest→newest by a [`SlotList`]. A refresh is
-//! one hash probe, a relink to the newest end and two stores; a sweep pops
-//! from the oldest end while the stored due tick has passed; the capacity
-//! victim is that same oldest end.
+//! one hash probe, a relink to the newest end and two stores (a miss can be
+//! an insert on the same probe); a sweep pops from the oldest end while the
+//! stored due tick has passed; the capacity victim is that same oldest end.
 //!
 //! Deadlines are kept in [`SWEEP_TICK`] units, rounded up so nothing
 //! expires early, and never before the first tick no sweep has covered yet:
@@ -19,13 +19,13 @@
 //! non-decreasing along the list, is list order. DESIGN.md §13 has the
 //! argument and the lifetime rules for slot keys.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 use std::ops::{Index, IndexMut};
 
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
-use crate::arena::{Links, Slab, SlotList};
+use crate::arena::{link, Links, Slab, Slot, SlotList};
 use crate::time::SimTime;
 
 /// Granularity of expiry: deadlines round up to a multiple of this.
@@ -65,7 +65,7 @@ struct Node<K, V> {
 /// assert_eq!(table.oldest_due(target), None, "\"a\" lives until t = 8 s");
 /// ```
 pub struct RecencySlab<K, V> {
-    index: HashMap<K, usize>,
+    index: HashMap<K, u32>,
     nodes: Slab<Node<K, V>>,
     /// Least recently refreshed first.
     order: SlotList,
@@ -89,6 +89,9 @@ impl<K, V> Default for RecencySlab<K, V> {
 }
 
 impl<K: Copy + Eq + Hash, V> RecencySlab<K, V> {
+    /// Bytes one entry takes in the slab: its key, value and stamp.
+    pub const SLOT_BYTES: usize = size_of::<Slot<Node<K, V>>>();
+
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -108,7 +111,7 @@ impl<K: Copy + Eq + Hash, V> RecencySlab<K, V> {
     /// The slot holding `key`, without refreshing it.
     #[must_use]
     pub fn slot(&self, key: &K) -> Option<usize> {
-        self.index.get(key).copied()
+        self.index.get(key).map(|&slot| slot as usize)
     }
 
     /// The key stored at `slot`.
@@ -133,17 +136,10 @@ impl<K: Copy + Eq + Hash, V> RecencySlab<K, V> {
     /// Links `slot`, stamped `due`, in at the newest end.
     fn link_newest(&mut self, slot: usize, due: u64) {
         debug_assert!(
-            self.nodes.get(self.order.last).is_none_or(|newest| newest.due <= due),
+            self.nodes.get(self.order.last as usize).is_none_or(|newest| newest.due <= due),
             "a table's clock must not run backwards"
         );
         self.order.push_last(&mut self.links, slot);
-    }
-
-    fn push(&mut self, key: K, value: V, due: u64, seq: u64) -> usize {
-        let slot = self.nodes.insert(Node { key, value, due, seq });
-        assert!(self.index.insert(key, slot).is_none(), "key inserted twice");
-        self.link_newest(slot, due);
-        slot
     }
 
     /// The due tick and sequence number of a refresh made now.
@@ -152,16 +148,47 @@ impl<K: Copy + Eq + Hash, V> RecencySlab<K, V> {
         (self.due_tick(deadline), self.next_seq - 1)
     }
 
-    /// Makes `key` the newest entry with a new `deadline`. Returns its slot,
-    /// or `None` when the key is not present.
-    pub fn refresh(&mut self, key: &K, deadline: SimTime) -> Option<usize> {
-        let slot = *self.index.get(key)?;
-        let (due, seq) = self.next_stamp(deadline);
+    /// Restamps the live entry at `slot` and moves it to the newest end.
+    fn restamp(&mut self, slot: usize, (due, seq): (u64, u64)) {
         let node = self.nodes.get_mut(slot).expect("slot is live");
         (node.due, node.seq) = (due, seq);
         self.order.unlink(&mut self.links, slot);
         self.link_newest(slot, due);
+    }
+
+    /// Makes `key` the newest entry with a new `deadline`. Returns its slot,
+    /// or `None` when the key is not present.
+    pub fn refresh(&mut self, key: &K, deadline: SimTime) -> Option<usize> {
+        let slot = self.slot(key)?;
+        let stamp = self.next_stamp(deadline);
+        self.restamp(slot, stamp);
         Some(slot)
+    }
+
+    /// [`RecencySlab::refresh`] of `key`, or when it is not present
+    /// [`RecencySlab::insert`] of `make()` under it, on one hash probe.
+    /// Returns the slot and whether the entry is new.
+    pub fn refresh_or_insert(
+        &mut self,
+        key: K,
+        deadline: SimTime,
+        make: impl FnOnce() -> V,
+    ) -> (usize, bool) {
+        let stamp = self.next_stamp(deadline);
+        match self.index.entry(key) {
+            Entry::Occupied(at) => {
+                let slot = *at.get() as usize;
+                self.restamp(slot, stamp);
+                (slot, false)
+            }
+            Entry::Vacant(at) => {
+                let (due, seq) = stamp;
+                let slot = self.nodes.insert(Node { key, value: make(), due, seq });
+                at.insert(link(slot));
+                self.link_newest(slot, due);
+                (slot, true)
+            }
+        }
     }
 
     /// Stores `value` under `key` as the newest entry and returns its slot.
@@ -171,8 +198,9 @@ impl<K: Copy + Eq + Hash, V> RecencySlab<K, V> {
     /// Panics if `key` is already present: the tables built on this type
     /// look a key up before they insert it.
     pub fn insert(&mut self, key: K, deadline: SimTime, value: V) -> usize {
-        let (due, seq) = self.next_stamp(deadline);
-        self.push(key, value, due, seq)
+        let (slot, new) = self.refresh_or_insert(key, deadline, || value);
+        assert!(new, "key inserted twice");
+        slot
     }
 
     /// Removes the entry at `slot`, vacating it for reuse.
@@ -245,15 +273,17 @@ impl<K: Snap + Copy + Eq + Hash, V: Snap> Snap for RecencySlab<K, V> {
         let mut table = RecencySlab::default();
         for _ in 0..r.seq_len()? {
             let (key, value, due, seq) = (K::unsnap(r)?, V::unsnap(r)?, r.u64()?, r.u64()?);
-            let newest = table.nodes.get(table.order.last);
+            let newest = table.nodes.get(table.order.last as usize);
             if newest.is_some_and(|n| n.due > due || n.seq >= seq) || table.slot(&key).is_some() {
                 return Err(r.bad());
             }
-            table.push(key, value, due, seq);
+            let slot = table.nodes.insert(Node { key, value, due, seq });
+            table.index.insert(key, link(slot));
+            table.link_newest(slot, due);
         }
         table.unswept = r.u64()?;
         table.next_seq = r.u64()?;
-        if table.nodes.get(table.order.last).is_some_and(|n| n.seq >= table.next_seq) {
+        if table.nodes.get(table.order.last as usize).is_some_and(|n| n.seq >= table.next_seq) {
             return Err(r.bad());
         }
         Ok(table)
@@ -269,7 +299,7 @@ mod tests {
     }
 
     /// Sweeps to `now` and removes everything due, in expiry order.
-    fn expire(table: &mut RecencySlab<u32, char>, now: SimTime) -> Vec<char> {
+    fn expire<V>(table: &mut RecencySlab<u32, V>, now: SimTime) -> Vec<V> {
         let mut out = Vec::new();
         if let Some(target) = table.sweep(now) {
             while let Some(slot) = table.oldest_due(target) {
@@ -333,6 +363,34 @@ mod tests {
         assert_eq!(t.slot(&1), None);
         assert_eq!(t.insert(3, ms(100), 'c'), a, "the vacated slot is recycled");
         assert_eq!(expire(&mut t, ms(100)), vec!['b', 'c']);
+    }
+
+    #[test]
+    fn refresh_or_insert_is_refresh_else_insert() {
+        let (mut one, mut two) = (RecencySlab::default(), RecencySlab::default());
+        // Keys repeat, so hits and misses interleave; a sweep and a removal
+        // on the way move the first unswept tick and vacate a slot.
+        for (step, key) in [3u32, 1, 3, 4, 1, 1, 9, 4, 3, 7, 9].into_iter().enumerate() {
+            if step == 5 {
+                assert_eq!(expire(&mut one, ms(500)), expire(&mut two, ms(500)));
+                let (a, b) = (one.slot(&1).unwrap(), two.slot(&1).unwrap());
+                assert_eq!(one.remove(a), two.remove(b));
+            }
+            let deadline = ms(100 * step as u64 + 250);
+            let value = u64::from(key) * 10;
+            let (slot, new) = one.refresh_or_insert(key, deadline, || value);
+            let other = match two.refresh(&key, deadline) {
+                Some(slot) => (slot, false),
+                None => (two.insert(key, deadline, value), true),
+            };
+            assert_eq!((slot, new), other, "step {step}");
+            // One stamp a step, by the due rule: ceil(deadline / tick) is
+            // past every tick swept so far.
+            assert_eq!(one.stamp(slot), (step as u64 + 3, step as u64));
+            assert_eq!(one.stamp(slot), two.stamp(other.0));
+            assert_eq!(one.slots().collect::<Vec<_>>(), two.slots().collect::<Vec<_>>());
+        }
+        assert_eq!(one.to_bytes(), two.to_bytes());
     }
 
     #[test]

@@ -42,9 +42,11 @@ use crate::error::SnapshotError;
 /// the tallies nothing reads: the fault ledger (its rebind histogram stays,
 /// as a farm field), the sharing and resident series, the pressure log,
 /// the gateway's rate estimator, tunnel and route-table statistics, per-disk
-/// read/write counts, a host's crash tallies and a tunnel fault's latency.
+/// read/write counts, a host's crash tallies and a tunnel fault's latency;
+/// version 9 writes a flow as its key, its initiator and its expiry stamp,
+/// without first/last-seen times or packet and byte counts.
 /// Older files are rejected rather than misparsed.
-pub(crate) const SNAPSHOT_VERSION: u32 = 8;
+pub(crate) const SNAPSHOT_VERSION: u32 = 9;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
+use std::num::NonZeroUsize;
 
 use potemkin::gateway::binding::{AddressBinder, BindGranularity, BindKey, ExpiredBinding, VmRef};
 use potemkin::gateway::flowtable::{FlowDirection, FlowTable};
@@ -63,10 +64,6 @@ impl SweepClock {
 struct ModelFlow {
     key: FlowKey,
     direction: FlowDirection,
-    first_seen: SimTime,
-    last_seen: SimTime,
-    packets: u64,
-    bytes: u64,
     due: u64,
     seq: u64,
 }
@@ -83,13 +80,10 @@ struct ModelFlows {
 }
 
 impl ModelFlows {
-    fn observe(&mut self, now: SimTime, key: FlowKey, bytes: u64, direction: FlowDirection) {
+    fn observe(&mut self, now: SimTime, key: FlowKey, direction: FlowDirection) {
         let key = key.canonical();
         if let Some(flow) = self.flows.iter_mut().find(|f| f.key == key) {
             (flow.due, flow.seq) = self.clock.stamp(now + IDLE);
-            flow.last_seen = now;
-            flow.packets += 1;
-            flow.bytes += bytes;
             return;
         }
         while self.max_flows.is_some_and(|max| self.flows.len() >= max) {
@@ -99,16 +93,7 @@ impl ModelFlows {
             self.lru_evicted += 1;
         }
         let (due, seq) = self.clock.stamp(now + IDLE);
-        self.flows.push(ModelFlow {
-            key,
-            direction,
-            first_seen: now,
-            last_seen: now,
-            packets: 1,
-            bytes,
-            due,
-            seq,
-        });
+        self.flows.push(ModelFlow { key, direction, due, seq });
         self.created += 1;
     }
 
@@ -314,10 +299,7 @@ proptest! {
         max_flows in proptest::option::of(1usize..6),
         restore_at in any::<usize>(),
     ) {
-        let fresh = || match max_flows {
-            Some(max) => FlowTable::new(IDLE).with_max_flows(max),
-            None => FlowTable::new(IDLE),
-        };
+        let fresh = || FlowTable::new(IDLE, max_flows.and_then(NonZeroUsize::new));
         let mut table = fresh();
         let mut model = ModelFlows { max_flows, ..Default::default() };
         // Four addresses and two ports a side: flows share endpoints, run
@@ -340,16 +322,11 @@ proptest! {
                     } else {
                         FlowDirection::OutboundInitiated
                     };
-                    model.observe(now, key, u64::from(b), direction);
-                    let initiator = table.observe(now, key, usize::from(b), direction);
+                    model.observe(now, key, direction);
+                    let initiator = table.observe(now, key, direction);
                     let flow = model.flows.iter().find(|f| f.key == key.canonical()).unwrap();
                     prop_assert_eq!(initiator, flow.direction);
-                    let state = table.get(key.reversed()).unwrap();
-                    prop_assert_eq!(
-                        (state.direction, state.first_seen, state.last_seen),
-                        (flow.direction, flow.first_seen, flow.last_seen)
-                    );
-                    prop_assert_eq!((state.packets, state.bytes), (flow.packets, flow.bytes));
+                    prop_assert_eq!(table.get(key.reversed()), Some(flow.direction));
                 }
                 6..=8 => {
                     let mut expired = Vec::new();
@@ -524,9 +501,9 @@ fn a_repeated_key_in_a_checkpoint_is_a_decode_error() {
     }
     let decode = |what| Err(SnapshotError::Decode { context: what });
 
-    let mut flows = FlowTable::new(IDLE);
+    let mut flows = FlowTable::new(IDLE, None);
     let key = FlowKey::tcp(Ipv4Addr::new(6, 6, 6, 6), 9_999, telescope_addr(1), 445);
-    flows.observe(SimTime::ZERO, key, 40, FlowDirection::InboundInitiated);
+    flows.observe(SimTime::ZERO, key, FlowDirection::InboundInitiated);
     let bytes = flows.encode_state();
     assert_eq!(flows.restore_state(&doubled(&bytes, 40, true)), Ok(()));
     assert_eq!(flows.len(), 2);

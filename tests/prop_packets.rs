@@ -1,8 +1,8 @@
 //! Property-based tests on the wire formats: build/parse roundtrips for
 //! arbitrary field values, parse-never-panics on arbitrary bytes, that
 //! every field a [`Packet`] reads from its wire image is what the header
-//! validators decode from the same bytes, and that a mutated GRE frame is
-//! refused or decapsulates stably.
+//! validators decode from the same bytes, and that a mutated GRE frame or
+//! DNS message is refused or decodes stably.
 
 use proptest::prelude::*;
 
@@ -346,5 +346,51 @@ proptest! {
         let q = DnsMessage::query_a(id, &name);
         let parsed = DnsMessage::parse(&q.build().expect("valid name")).expect("roundtrip");
         prop_assert_eq!(parsed, q);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40_000))]
+    /// A query or response with one byte flipped, cut short, a question or
+    /// answer count inflated, or a label length of its first name inflated
+    /// is refused, or parses to a message that rebuilds and parses back to
+    /// itself.
+    #[test]
+    fn a_mutated_dns_message_is_refused_or_rebuilds_to_itself(
+        id in any::<u16>(),
+        labels in proptest::collection::vec("[a-z0-9]{1,16}", 1..5),
+        answer in proptest::option::of(arb_addr()),
+        respond in any::<bool>(),
+        mutation in (0u8..4, any::<u16>(), any::<u8>()),
+    ) {
+        let query = DnsMessage::query_a(id, &labels.join("."));
+        let message = if respond { DnsMessage::respond(&query, answer, 300) } else { query };
+        let mut wire = message.build().expect("valid name");
+        let (kind, at, by) = mutation;
+        let len = wire.len();
+        match kind {
+            0 => wire[usize::from(at) % len] ^= by | 1,
+            1 => wire.truncate(usize::from(at) % len),
+            2 => {
+                let field = 4 + 2 * usize::from(at & 1);
+                let count = u16::from_be_bytes([wire[field], wire[field + 1]]);
+                let inflated = count.saturating_add(1 + u16::from(by % 4));
+                wire[field..field + 2].copy_from_slice(&inflated.to_be_bytes());
+            }
+            _ => {
+                let mut starts = vec![12];
+                while let Some(&label) = starts.last().and_then(|&pos| wire.get(pos)).filter(|&&l| l != 0) {
+                    starts.push(starts[starts.len() - 1] + 1 + usize::from(label));
+                }
+                starts.pop();
+                let pos = starts[usize::from(at) % starts.len()];
+                wire[pos] = wire[pos].wrapping_add(1 + by % 64);
+            }
+        }
+        if let Ok(parsed) = DnsMessage::parse(&wire) {
+            let rebuilt = parsed.build();
+            prop_assert!(rebuilt.is_ok(), "{:?} parses but does not build: {:?}", parsed, rebuilt);
+            prop_assert_eq!(DnsMessage::parse(&rebuilt.unwrap()), Ok(parsed));
+        }
     }
 }

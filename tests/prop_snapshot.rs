@@ -444,7 +444,7 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
     let padded = [&bare[..], &[0; 96]].concat();
     for hostile in [&bare[..], &padded] {
         let mut components: Vec<(&str, Result<(), SnapshotError>)> = vec![
-            ("flows", FlowTable::new(SimTime::from_secs(30)).restore_state(hostile)),
+            ("flows", FlowTable::new(SimTime::from_secs(30), None).restore_state(hostile)),
             (
                 "binder",
                 AddressBinder::new(

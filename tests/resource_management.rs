@@ -9,6 +9,7 @@ use potemkin::net::PacketBuilder;
 use potemkin::sim::SimTime;
 use potemkin::workload::radiation::{RadiationConfig, RadiationModel};
 use std::net::Ipv4Addr;
+use std::num::NonZeroUsize;
 
 const SCANNER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
 const SCANNER2: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 2);
@@ -67,7 +68,7 @@ fn per_source_destination_granularity_isolates_attackers_end_to_end() {
 #[test]
 fn flow_table_bound_survives_a_scan_flood() {
     let mut cfg = FarmConfig::small_test();
-    cfg.gateway.policy.max_flows = Some(500);
+    cfg.gateway.policy.max_flows = NonZeroUsize::new(500);
     cfg.gateway.policy.per_source_vm_limit = Some(4); // don't spend VMs on the flood
     cfg.frames_per_server = 200_000;
     let mut farm = Honeyfarm::new(cfg).unwrap();

@@ -114,9 +114,8 @@ fn digest(result: &ShardedTelescopeResult) -> u64 {
 
 /// Drives `CLONES` flash clones through a traced farm and rebuilds the
 /// stage breakdown from the recorded spans.
-fn capture_clone_breakdown() -> (SpanAggregator, CostModel, u64) {
+fn capture_clone_breakdown() -> (SpanAggregator, u64) {
     let config = FarmConfig::small_test();
-    let cost_model = config.cost_model;
     let pages = config.profile.memory_pages;
     let mut farm = Honeyfarm::new(config).expect("small_test farm builds");
     farm.enable_tracing(TraceConfig::unbounded(), 0);
@@ -130,7 +129,7 @@ fn capture_clone_breakdown() -> (SpanAggregator, CostModel, u64) {
     }
     let mut agg = SpanAggregator::new();
     agg.ingest(&farm.take_trace());
-    (agg, cost_model, pages)
+    (agg, pages)
 }
 
 /// Runs E12 end to end: the clone-breakdown fidelity check, then an
@@ -142,8 +141,8 @@ fn capture_clone_breakdown() -> (SpanAggregator, CostModel, u64) {
 #[must_use]
 pub(crate) fn run(duration: SimTime, cells: usize) -> ObsResult {
     // Part 1: the observed breakdown vs the cost model.
-    let (agg, cost_model, pages) = capture_clone_breakdown();
-    let modeled = cost_model.flash_clone_stages(pages);
+    let (agg, pages) = capture_clone_breakdown();
+    let modeled = CostModel::default().flash_clone_stages(pages);
     let mut rows = Vec::with_capacity(modeled.len());
     let mut max_delta = SimTime::ZERO;
     for (stage, predicted) in &modeled {

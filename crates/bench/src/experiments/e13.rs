@@ -121,14 +121,12 @@ pub(crate) struct MemoryResult {
 /// The sharing sweep: `n` flash clones of one image, an identical payload
 /// written into each, then one merge pass through the farm's control plane.
 fn sharing_point(kind: ReclaimPolicyKind, clones: usize) -> SharingPoint {
-    let config = FarmConfig::builder()
-        .frames_per_server(262_144)
-        .max_domains_per_server(4_096)
-        .reclaim_policy(kind)
-        .merge_interval(SimTime::from_secs(1))
-        .seed(2005)
-        .build()
-        .expect("fixed farm config is valid");
+    let mut config = FarmConfig::small_test();
+    config.frames_per_server = 262_144;
+    config.max_domains_per_server = 4_096;
+    config.reclaim_policy = kind;
+    config.merge_interval = Some(SimTime::from_secs(1));
+    config.seed = 2005;
     let profile = config.profile.clone();
     let mut farm = Honeyfarm::new(config).expect("farm builds");
     for i in 0..clones {
@@ -172,23 +170,17 @@ fn used_frames(farm: &Honeyfarm) -> u64 {
 /// The pressure scenario: telescope radiation plus an in-farm worm against
 /// a budget tight enough that placements must evict through the policy.
 fn pressure_config(kind: ReclaimPolicyKind, duration: SimTime) -> ShardedTelescopeConfig {
-    let gateway = potemkin_gateway::GatewayConfig::builder()
-        .policy(PolicyConfig::reflect().with_idle_timeout(SimTime::from_secs(10)))
-        .build()
-        .expect("fixed gateway config is valid");
-    let farm = FarmConfig::builder()
-        .gateway(gateway)
-        .servers(2)
-        .frames_per_server(262_144)
-        .max_domains_per_server(4_096)
-        .seed(2005)
-        .worm(WormSpec::code_red("10.1.0.0/22".parse().expect("static prefix")))
-        .evict_on_pressure(true)
-        .memory_budget_frames(10_752) // image (8192) + ~40 clone overheads
-        .merge_interval(SimTime::from_secs(1))
-        .reclaim_policy(kind)
-        .build()
-        .expect("fixed farm config is valid");
+    let mut farm = FarmConfig::small_test();
+    farm.gateway.policy = PolicyConfig::reflect().with_idle_timeout(SimTime::from_secs(10));
+    farm.servers = 2;
+    farm.frames_per_server = 262_144;
+    farm.max_domains_per_server = 4_096;
+    farm.seed = 2005;
+    farm.worm = Some(WormSpec::code_red("10.1.0.0/22".parse().expect("static prefix")));
+    farm.evict_on_pressure = true;
+    farm.memory_budget_frames = Some(10_752); // image (8192) + ~40 clone overheads
+    farm.merge_interval = Some(SimTime::from_secs(1));
+    farm.reclaim_policy = kind;
     let base = TelescopeConfig::builder(farm, RadiationConfig::default())
         .seed(2005)
         .duration(duration)

@@ -41,7 +41,7 @@ use potemkin_gateway::policy::PolicyConfig;
 use potemkin_json::{obj, JsonValue};
 use potemkin_obs::Table;
 use potemkin_sim::{FaultPlanConfig, SimTime};
-use potemkin_snapshot::{fnv1a64, RetryPolicy, SnapshotError, SnapshotFile};
+use potemkin_snapshot::{fnv1a64, SnapshotError, SnapshotFile};
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
@@ -239,7 +239,6 @@ pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult 
     let flaky_path = temp_path("flaky.snap");
     let mut flaky_options = CheckpointOptions::new(&flaky_path);
     flaky_options.every_windows = EVERY_WINDOWS;
-    flaky_options.retry = RetryPolicy { max_attempts: 2, ..RetryPolicy::default_checkpoint() };
     flaky_options.inject_write_failures = 3;
     let flaky = run_telescope_checkpointed(&config, 1, &flaky_options).expect("flaky run");
     let retried_attempts = flaky.checkpoints.retried_attempts;

@@ -30,14 +30,14 @@
 //!    observer-effect-free, so a traced resume of an untraced run is
 //!    legal.
 //!
-//! The auto-checkpoint write path is wrapped in bounded retry with
-//! deterministic backoff ([`retry_with_backoff`]): a transient I/O
-//! failure never kills the run, it only costs (at worst) one skipped
-//! checkpoint. Recovery reads fall back from the newest checkpoint to
-//! the rotated previous one ([`recover_snapshot`]) when the newest fails
-//! integrity validation. [`fork_telescope_checkpointed`] reseeds a
-//! restored farm into a deterministic what-if branch instead of
-//! replaying the original timeline.
+//! The auto-checkpoint write path makes up to three attempts at once,
+//! with no wait between them: a transient I/O failure never kills the
+//! run, it only costs (at worst) one skipped checkpoint. Recovery reads fall back from the
+//! newest checkpoint to the rotated previous one ([`recover_snapshot`])
+//! when the newest fails integrity validation.
+//! [`fork_telescope_checkpointed`] reseeds a restored farm into a
+//! deterministic what-if branch instead of replaying the original
+//! timeline.
 //!
 //! The three entry points are one body over `parallel::run_cells`,
 //! differing only in where the run starts. A config lowered from a
@@ -50,8 +50,7 @@ use std::path::{Path, PathBuf};
 use potemkin_obs::{names as obs, Tracer};
 use potemkin_sim::{BarrierControl, Shard, ShardProgress, SimTime};
 use potemkin_snapshot::{
-    fnv1a64, retry_with_backoff, write_atomic, RetryOutcome, RetryPolicy, Snap, SnapReader,
-    SnapWriter, SnapshotError, SnapshotFile,
+    fnv1a64, write_atomic, Snap, SnapReader, SnapWriter, SnapshotError, SnapshotFile,
 };
 
 use crate::error::FarmError;
@@ -59,6 +58,9 @@ use crate::parallel::{
     assemble_result, decode_cell_queue, encode_cell_aux, encode_cell_queue, restore_cell_aux,
     run_cells, CellWorld, Lane, ShardedTelescopeConfig, ShardedTelescopeResult,
 };
+
+/// Write attempts per checkpoint before it is skipped.
+const WRITE_ATTEMPTS: u32 = 3;
 
 /// How a checkpointed run writes its snapshots.
 #[derive(Clone, Debug)]
@@ -69,8 +71,6 @@ pub struct CheckpointOptions {
     pub path: PathBuf,
     /// Checkpoint every N window barriers (`1` = every window).
     pub every_windows: u64,
-    /// Bounded-retry policy for the write path.
-    pub retry: RetryPolicy,
     /// Test hook: fail this many write attempts with a synthetic
     /// transient I/O error before letting writes through. Deterministic,
     /// so faulted checkpoint runs replay bit-identically.
@@ -81,13 +81,12 @@ pub struct CheckpointOptions {
 }
 
 impl CheckpointOptions {
-    /// Checkpoint every window to `path` with the default retry policy.
+    /// Checkpoint every window to `path`.
     #[must_use]
     pub fn new(path: impl Into<PathBuf>) -> Self {
         CheckpointOptions {
             path: path.into(),
             every_windows: 1,
-            retry: RetryPolicy::default_checkpoint(),
             inject_write_failures: 0,
             stop_after_windows: None,
         }
@@ -103,8 +102,6 @@ pub struct CheckpointReport {
     pub skipped: u64,
     /// Total write attempts beyond the first, across all checkpoints.
     pub retried_attempts: u64,
-    /// Total deterministic backoff charged by the retry loop, in nanos.
-    pub(crate) total_backoff_nanos: u64,
     /// Encoded size of the most recent snapshot, in bytes.
     pub last_snapshot_bytes: u64,
     /// Content digest of the most recent snapshot.
@@ -323,31 +320,26 @@ impl<'a> CheckpointSink<'a> {
         let bytes = file.encode();
         let path = &self.options.path;
         let span = self.tracer.as_mut().map(|t| t.begin(progress.window_start, obs::SNAP_SAVE));
-        let outcome = retry_with_backoff(self.options.retry, |_attempt| {
-            if self.remaining_failures > 0 {
+        let (mut made, mut written) = (0, false);
+        while !written && made < WRITE_ATTEMPTS {
+            made += 1;
+            written = if self.remaining_failures > 0 {
                 self.remaining_failures -= 1;
-                return Err(SnapshotError::Io {
-                    op: "write(injected)",
-                    kind: std::io::ErrorKind::Interrupted,
-                });
-            }
-            rotate_previous(path);
-            write_atomic(path, &bytes)
-        });
-        match outcome {
-            RetryOutcome::Succeeded { attempts, total_backoff_nanos, .. } => {
-                self.report.written += 1;
-                self.report.retried_attempts += u64::from(attempts - 1);
-                self.report.total_backoff_nanos += total_backoff_nanos;
-                self.report.last_snapshot_bytes = bytes.len() as u64;
-                self.report.last_digest = digest;
-            }
-            RetryOutcome::Exhausted { attempts, .. } => {
-                // The run survives a failed checkpoint; it only loses the
-                // ability to resume from this barrier.
-                self.report.skipped += 1;
-                self.report.retried_attempts += u64::from(attempts.saturating_sub(1));
-            }
+                false
+            } else {
+                rotate_previous(path);
+                write_atomic(path, &bytes).is_ok()
+            };
+        }
+        self.report.retried_attempts += u64::from(made - 1);
+        if written {
+            self.report.written += 1;
+            self.report.last_snapshot_bytes = bytes.len() as u64;
+            self.report.last_digest = digest;
+        } else {
+            // The run survives a failed checkpoint; it only loses the
+            // ability to resume from this barrier.
+            self.report.skipped += 1;
         }
         if let (Some(tracer), Some(span)) = (self.tracer.as_mut(), span) {
             tracer.counter(progress.window_start, "snap.bytes", bytes.len() as u64);
@@ -403,7 +395,7 @@ fn checkpointed(
 ///
 /// # Errors
 ///
-/// Returns [`FarmError::BadConfig`] for the same rejects as
+/// Returns [`FarmError::Config`] for the same rejects as
 /// [`run_telescope_sharded`]. Checkpoint write failures are *not*
 /// errors: the retry loop absorbs transients and exhaustion only
 /// increments `checkpoints.skipped`.
@@ -426,7 +418,7 @@ pub fn run_telescope_checkpointed(
 /// # Errors
 ///
 /// [`FarmError::Snapshot`] when the snapshot fails fingerprint or
-/// structural validation; [`FarmError::BadConfig`] for config rejects.
+/// structural validation; [`FarmError::Config`] for config rejects.
 pub fn resume_telescope_checkpointed(
     config: &ShardedTelescopeConfig,
     workers: usize,
@@ -550,11 +542,10 @@ mod tests {
         let config = sharded_config(1);
         let path = temp_path("faulty.snap");
         let mut options = CheckpointOptions::new(&path);
-        options.retry = RetryPolicy { max_attempts: 2, ..RetryPolicy::default_checkpoint() };
-        // First checkpoint exhausts both attempts and is skipped; the
+        // First checkpoint exhausts all three attempts and is skipped; the
         // second loses one attempt to the last injected failure and then
         // lands.
-        options.inject_write_failures = 3;
+        options.inject_write_failures = WRITE_ATTEMPTS + 1;
         let run = run_telescope_checkpointed(&config, 1, &options).unwrap();
         assert!(run.checkpoints.skipped >= 1, "{:?}", run.checkpoints);
         assert!(run.checkpoints.written >= 1, "{:?}", run.checkpoints);

@@ -11,7 +11,9 @@ use potemkin_vmm::VmmError;
 pub enum FarmError {
     /// A VMM operation failed.
     Vmm(VmmError),
-    /// The configuration is invalid.
+    /// A config value was rejected; the error names its struct and field.
+    Config(ConfigError),
+    /// The configuration is invalid in a way no single field explains.
     BadConfig {
         /// What is wrong.
         what: &'static str,
@@ -27,6 +29,7 @@ impl fmt::Display for FarmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FarmError::Vmm(e) => write!(f, "vmm: {e}"),
+            FarmError::Config(e) => write!(f, "bad config: {e}"),
             FarmError::BadConfig { what } => write!(f, "bad config: {what}"),
             FarmError::NoCapacity => write!(f, "no server has capacity"),
             FarmError::Snapshot(e) => write!(f, "snapshot: {e}"),
@@ -39,6 +42,7 @@ impl std::error::Error for FarmError {
         match self {
             FarmError::Vmm(e) => Some(e),
             FarmError::Snapshot(e) => Some(e),
+            FarmError::Config(e) => Some(e),
             FarmError::BadConfig { .. } | FarmError::NoCapacity => None,
         }
     }
@@ -52,7 +56,7 @@ impl From<VmmError> for FarmError {
 
 impl From<ConfigError> for FarmError {
     fn from(e: ConfigError) -> Self {
-        FarmError::BadConfig { what: e.reason() }
+        FarmError::Config(e)
     }
 }
 
@@ -165,6 +169,9 @@ mod tests {
         let c = FarmError::BadConfig { what: "no servers" };
         assert_eq!(c.to_string(), "bad config: no servers");
         assert!(c.source().is_none());
+        let f = FarmError::from(ConfigError::new("FarmConfig", "servers", "must be > 0"));
+        assert_eq!(f.to_string(), "bad config: FarmConfig.servers: must be > 0");
+        assert!(f.source().is_some());
         let n = FarmError::NoCapacity;
         assert_eq!(n.to_string(), "no server has capacity");
         assert!(n.source().is_none());

@@ -455,7 +455,7 @@ pub(crate) fn attach_hops(
 ///
 /// # Errors
 ///
-/// Returns [`FarmError::BadConfig`] for an invalid layout (farm/cell
+/// Returns [`FarmError::Config`] for an invalid layout (farm/cell
 /// geometry), seed infections without a worm, or a farm the cells cannot
 /// build.
 pub fn run_telescope_federated(
@@ -682,7 +682,11 @@ mod tests {
         }
     }
 
-    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (444_205, 0x22598e8e93851d00);
+    /// Re-pinned, length unchanged, when twelve config fields nothing set
+    /// were deleted: the header's config fingerprint hashes the config's
+    /// `Debug` text. With the old fingerprint put back, the file digests
+    /// to the old pin, `0x22598e8e93851d00`.
+    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (444_205, 0x290760277431753b);
 
     #[test]
     fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {
@@ -785,6 +789,6 @@ mod tests {
         // Mutated-after-build invalidity surfaces as a typed run error.
         let mut config = federated_config(2, 4);
         config.farms = 3;
-        assert!(matches!(run_telescope_federated(&config, 1), Err(FarmError::BadConfig { .. })));
+        assert!(matches!(run_telescope_federated(&config, 1), Err(FarmError::Config(_))));
     }
 }

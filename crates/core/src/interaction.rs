@@ -21,7 +21,7 @@
 //! prepare time, the farm's replies to that external attacker are
 //! captured at the tunnel boundary of the same cell (a cell with a fleet
 //! keeps them instead of dropping them), and every follow-up request is
-//! scheduled back into the same cell's queue at `now + reply_delay`.
+//! scheduled back into the same cell's queue at `now + REPLY_DELAY`.
 //! Nothing an actor does crosses a cell boundary, so the conservative
 //! window barrier never reorders a conversation and the merged report is
 //! byte-identical at any worker count (`tests/prop_services.rs` holds
@@ -58,6 +58,14 @@ use crate::scenario::TelescopeConfig;
 /// Attacker source block (TEST-NET-2 and up; outside any telescope).
 const ATTACKER_BASE: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
 
+/// An actor's think time between receiving a response and sending the
+/// next drive step.
+const REPLY_DELAY: SimTime = SimTime::from_millis(40);
+
+/// Ambient radiation rate (sources/second at the diurnal peak):
+/// background scanners share the farm with the scripted attackers.
+const BACKGROUND_RATE: f64 = 0.5;
+
 /// Configuration for a scenario-driven interaction replay.
 ///
 /// Construct via [`InteractionConfig::builder`]; the struct is
@@ -81,15 +89,9 @@ pub struct InteractionConfig {
     pub(crate) seed: u64,
     /// Closed-loop attacker actors per scenario in the pack.
     pub(crate) attackers_per_scenario: usize,
-    /// Think time between receiving a response and sending the next
-    /// drive step.
-    pub(crate) reply_delay: SimTime,
     /// Gap between consecutive actors' opening SYNs (staggered starts
     /// spread VM cloning).
     pub(crate) start_stagger: SimTime,
-    /// Ambient radiation rate (sources/second at the diurnal peak);
-    /// background scanners share the farm with the scripted attackers.
-    pub(crate) background_rate: f64,
     /// VMM servers per cell farm.
     pub(crate) servers: usize,
     /// Gateway cap on concurrently open interaction sessions per cell
@@ -114,9 +116,7 @@ impl InteractionConfig {
                 window: SimTime::from_millis(250),
                 seed: 2005,
                 attackers_per_scenario: 4,
-                reply_delay: SimTime::from_millis(40),
                 start_stagger: SimTime::from_millis(200),
-                background_rate: 0.5,
                 servers: 2,
                 session_cap: None,
                 trace: None,
@@ -304,7 +304,6 @@ struct AttackerActor {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FleetPlan {
     attackers_per_scenario: usize,
-    reply_delay: SimTime,
     start_stagger: SimTime,
 }
 
@@ -315,7 +314,6 @@ pub(crate) struct Fleet {
     /// Actors keyed by source address; replies are routed back by
     /// `packet.dst()`.
     actors: BTreeMap<Ipv4Addr, AttackerActor>,
-    reply_delay: SimTime,
     /// Farm replies to external destinations captured at the cell's tunnel
     /// boundary since the last drain.
     pub(crate) replies: Vec<Packet>,
@@ -384,7 +382,7 @@ impl Fleet {
                 &data,
             );
             actor.next_step += 1;
-            q.schedule(now + self.reply_delay, CellEvent::Packet(packets.insert(request)));
+            q.schedule(now + REPLY_DELAY, CellEvent::Packet(packets.insert(request)));
         }
     }
 }
@@ -412,7 +410,6 @@ pub(crate) fn launch_fleet(
             let fleet = shard.world.fleet.get_or_insert_with(|| Fleet {
                 pack: Arc::clone(&pack),
                 actors: BTreeMap::new(),
-                reply_delay: plan.reply_delay,
                 replies: Vec::new(),
             });
             let actor = AttackerActor {
@@ -455,16 +452,15 @@ fn sharded_config(config: &InteractionConfig) -> Result<ShardedTelescopeConfig, 
     let profile = profile_for_pack(config.services.pack.scenarios());
     let mut gateway = potemkin_gateway::GatewayConfig::default();
     gateway.service_sessions = config.session_cap;
-    let farm = crate::farm::FarmConfig::builder()
-        .gateway(gateway)
-        .servers(config.servers)
-        .profile(profile)
-        .seed(config.seed)
-        .services(config.services.clone())
-        .build()?;
+    let mut farm = crate::farm::FarmConfig::small_test();
+    farm.gateway = gateway;
+    farm.servers = config.servers;
+    farm.profile = profile;
+    farm.seed = config.seed;
+    farm.services = Some(config.services.clone());
     let radiation = RadiationConfig {
         telescope: config.telescope,
-        peak_source_rate: config.background_rate,
+        peak_source_rate: BACKGROUND_RATE,
         ..RadiationConfig::default()
     };
     let base = TelescopeConfig::builder(farm, radiation)
@@ -478,7 +474,6 @@ fn sharded_config(config: &InteractionConfig) -> Result<ShardedTelescopeConfig, 
     sharded.trace = config.trace;
     sharded.fleet = Some(FleetPlan {
         attackers_per_scenario: config.attackers_per_scenario,
-        reply_delay: config.reply_delay,
         start_stagger: config.start_stagger,
     });
     Ok(sharded)
@@ -505,7 +500,7 @@ fn attacker_addr(g: u64) -> Ipv4Addr {
 ///
 /// # Errors
 ///
-/// Returns [`FarmError::BadConfig`] when the internal telescope or
+/// Returns [`FarmError::Config`] when the internal telescope or
 /// sharded config fails to validate, or a farm the cells cannot build.
 pub fn run_interaction(
     config: &InteractionConfig,

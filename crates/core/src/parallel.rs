@@ -244,6 +244,7 @@ impl ShardedTelescopeConfig {
         let bad = |field, reason| {
             Err(potemkin_gateway::ConfigError::new("ShardedTelescopeConfig", field, reason))
         };
+        self.base.validate()?;
         let radiation = &self.base.radiation;
         if !(radiation.peak_source_rate >= 0.0 && radiation.peak_source_rate.is_finite()) {
             return bad("base.radiation.peak_source_rate", "rate must be finite and >= 0");
@@ -255,10 +256,10 @@ impl ShardedTelescopeConfig {
             return bad("seed_infections", "more seed infections than telescope addresses");
         }
         if self.cells == 0 {
-            return bad("cells", "cells must be > 0");
+            return bad("cells", "must be > 0");
         }
         if self.window == SimTime::ZERO {
-            return bad("window", "window must be > 0");
+            return bad("window", "must be > 0");
         }
         if self.cell_map == CellMap::Sliced
             && (!self.cells.is_power_of_two()
@@ -337,9 +338,10 @@ impl ShardedTelescopeConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`](potemkin_gateway::ConfigError) for a
-    /// radiation rate that is negative, NaN or infinite, radiation without
-    /// ports, zero cells, a zero window, a sliced map that cannot split the
+    /// Returns [`ConfigError`](potemkin_gateway::ConfigError) for a zero
+    /// horizon, tick or sample interval in `base`, a radiation rate that
+    /// is negative, NaN or infinite, radiation without ports, zero cells,
+    /// a zero window, a sliced map that cannot split the
     /// telescope, seed infections without a worm on the base farm or more
     /// of them than telescope addresses, or bad adaptive bounds.
     pub fn build(self) -> Result<ShardedTelescopeConfig, potemkin_gateway::ConfigError> {
@@ -798,11 +800,9 @@ pub(crate) fn assemble_result(
 ///
 /// // An outbreak: the telescope is the worm's scan space and is quiet.
 /// let space = "10.1.0.0/28".parse().unwrap();
-/// let farm = FarmConfig::builder()
-///     .worm(WormSpec::code_red(space))
-///     .frames_per_server(200_000)
-///     .build()
-///     .unwrap();
+/// let mut farm = FarmConfig::small_test();
+/// farm.worm = Some(WormSpec::code_red(space));
+/// farm.frames_per_server = 200_000;
 /// let quiet = RadiationConfig { telescope: space, peak_source_rate: 0.0, ..Default::default() };
 /// let base = TelescopeConfig::builder(farm, quiet).duration(SimTime::from_secs(5)).build().unwrap();
 /// let config = ShardedTelescopeConfig::builder(base).seed_infections(1).build().unwrap();
@@ -813,7 +813,7 @@ pub(crate) fn assemble_result(
 ///
 /// # Errors
 ///
-/// Returns [`FarmError::BadConfig`] for a config
+/// Returns [`FarmError::Config`] for a config
 /// [`ShardedTelescopeConfigBuilder::build`] rejects, or a farm the cells
 /// cannot build.
 pub fn run_telescope_sharded(
@@ -1053,17 +1053,6 @@ mod tests {
         for workers in [2, 4] {
             let parallel = run_telescope_sharded(&config, workers).unwrap();
             assert_eq!(serial.canonical_string(), parallel.canonical_string(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn steady_state_recycles_packet_buffers() {
-        let config = sharded_config(2);
-        let (run, _) = run_cells(&config, 1, None, None).unwrap();
-        for shard in &run.shards {
-            // Packet-event slots recycle through the slab freelist.
-            let (inserted, _) = shard.world.packets.reuse_stats();
-            assert!(inserted > 0, "trace packets ride the slab");
         }
     }
 
@@ -1412,6 +1401,12 @@ mod tests {
         assert!(run_telescope_sharded(&config, 1).is_err());
         config.cells = 2;
         config.seed_infections = 1; // no worm configured
+        assert!(run_telescope_sharded(&config, 1).is_err());
+        config.seed_infections = 0;
+        config.base.tick_interval = SimTime::ZERO; // would tick at t = 0 forever
+        assert!(run_telescope_sharded(&config, 1).is_err());
+        config.base.tick_interval = SimTime::from_secs(1);
+        config.base.duration = SimTime::ZERO;
         assert!(run_telescope_sharded(&config, 1).is_err());
     }
 }

@@ -95,16 +95,32 @@ impl TelescopeConfigBuilder {
     ///
     /// Returns [`ConfigError`] when any interval is zero.
     pub fn build(self) -> Result<TelescopeConfig, ConfigError> {
-        let c = self.inner;
-        if c.duration == SimTime::ZERO {
-            return Err(ConfigError::new("TelescopeConfig", "duration", "must be > 0"));
+        self.inner.validate()?;
+        Ok(self.inner)
+    }
+}
+
+impl TelescopeConfig {
+    /// The builder's checks, re-run by the sharded run loop because
+    /// `duration` and `tick_interval` are public and may have been edited
+    /// since `build`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] when any interval is zero: a zero tick or
+    /// sample interval would reschedule its event at the same instant
+    /// forever.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        let bad = |field, reason| Err(ConfigError::new("TelescopeConfig", field, reason));
+        if self.duration == SimTime::ZERO {
+            return bad("duration", "must be > 0");
         }
-        if c.sample_interval == SimTime::ZERO {
-            return Err(ConfigError::new("TelescopeConfig", "sample_interval", "must be > 0"));
+        if self.sample_interval == SimTime::ZERO {
+            return bad("sample_interval", "must be > 0");
         }
-        if c.tick_interval == SimTime::ZERO {
-            return Err(ConfigError::new("TelescopeConfig", "tick_interval", "must be > 0"));
+        if self.tick_interval == SimTime::ZERO {
+            return bad("tick_interval", "must be > 0");
         }
-        Ok(c)
+        Ok(())
     }
 }

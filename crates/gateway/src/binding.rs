@@ -230,7 +230,7 @@ impl AddressBinder {
 
     /// Every live binding as a reclaim candidate, in ascending bind epoch.
     /// Epochs are unique and monotone, so the order is deterministic — the
-    /// contract [`crate::reclaim::ReclaimPolicy`] implementations rely on.
+    /// contract every [`crate::reclaim::ReclaimPolicy`] pick relies on.
     #[must_use]
     pub fn reclaim_candidates(&self) -> Vec<ReclaimCandidate> {
         self.bind_order

@@ -1,10 +1,11 @@
-//! Shared configuration-validation error for the typed config builders.
+//! Shared configuration-validation error.
 //!
-//! Every `*Config` struct in the workspace exposes a `::builder()` whose
-//! `build()` returns `Result<_, ConfigError>`. The error type lives here
-//! (the lowest crate that defines config structs) and is re-exported by
-//! `potemkin-core` and the umbrella crate so callers never import it from
-//! two places.
+//! A config is checked where a run reads it: a run's entry point (or a
+//! builder's `build()`, where the config has one) returns
+//! `Result<_, ConfigError>` for a value it cannot run with. The error
+//! type lives here (the lowest crate that defines config structs) and is
+//! re-exported by `potemkin-core` and the umbrella crate so callers never
+//! import it from two places.
 
 /// A rejected configuration value, naming the struct and field.
 ///

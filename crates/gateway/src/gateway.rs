@@ -17,7 +17,6 @@ use potemkin_sim::{SimTime, TokenBucket};
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter};
 
 use crate::binding::{AddressBinder, BindGranularity, ExpiredBinding, VmRef};
-use crate::config::ConfigError;
 use crate::dnsgw::DnsProxy;
 use crate::flowtable::{FlowDirection, FlowTable};
 use crate::policy::{ContainmentMode, DropReason, PolicyConfig};
@@ -25,9 +24,10 @@ use crate::reclaim::ReclaimPolicy;
 
 /// Gateway configuration.
 ///
-/// Construct via [`GatewayConfig::builder`] (the struct is
-/// `#[non_exhaustive]`, so literal construction only works inside this
-/// crate); existing instances may still be mutated field-by-field.
+/// Start from [`GatewayConfig::default`] and edit the fields a run varies
+/// (the struct is `#[non_exhaustive]`, so literal construction only works
+/// inside this crate). DNS answers always come from the reserved
+/// 172.20.0.0/16 sinkhole.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct GatewayConfig {
@@ -35,8 +35,6 @@ pub struct GatewayConfig {
     pub policy: PolicyConfig,
     /// Address-binding granularity.
     pub granularity: BindGranularity,
-    /// The reserved prefix DNS answers come from.
-    pub(crate) sinkhole: Ipv4Prefix,
     /// Cap on concurrently open interaction-service sessions admitted per
     /// farm (`None` = unlimited). Checked by
     /// [`Gateway::admit_service_session`] before the farm opens a new
@@ -49,61 +47,16 @@ impl Default for GatewayConfig {
         GatewayConfig {
             policy: PolicyConfig::default(),
             granularity: BindGranularity::PerDestination,
-            sinkhole: const { Ipv4Prefix::constant(Ipv4Addr::new(172, 20, 0, 0), 16) },
             service_sessions: None,
         }
     }
 }
 
-impl GatewayConfig {
-    /// A builder starting from [`GatewayConfig::default`].
-    #[must_use]
-    pub fn builder() -> GatewayConfigBuilder {
-        GatewayConfigBuilder { inner: GatewayConfig::default() }
-    }
-}
+/// The reserved prefix DNS answers come from.
+const SINKHOLE: Ipv4Prefix = Ipv4Prefix::constant(Ipv4Addr::new(172, 20, 0, 0), 16);
 
-/// Typed builder for [`GatewayConfig`].
-///
-/// # Examples
-///
-/// ```
-/// use potemkin_gateway::gateway::GatewayConfig;
-/// use potemkin_gateway::policy::PolicyConfig;
-///
-/// let config = GatewayConfig::builder().policy(PolicyConfig::drop_all()).build().unwrap();
-/// assert_eq!(config.policy.mode, PolicyConfig::drop_all().mode);
-/// ```
-#[derive(Clone, Debug)]
-pub struct GatewayConfigBuilder {
-    inner: GatewayConfig,
-}
-
-impl GatewayConfigBuilder {
-    /// Sets the containment policy.
-    #[must_use]
-    pub fn policy(mut self, policy: PolicyConfig) -> Self {
-        self.inner.policy = policy;
-        self
-    }
-
-    /// Validates and returns the config.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the sinkhole prefix is a single address
-    /// (DNS answers need room for more than one sinkholed name).
-    pub fn build(self) -> Result<GatewayConfig, ConfigError> {
-        if self.inner.sinkhole.bits() >= 32 {
-            return Err(ConfigError::new(
-                "GatewayConfig",
-                "sinkhole",
-                "prefix must contain more than one address",
-            ));
-        }
-        Ok(self.inner)
-    }
-}
+/// Idle timeout for flow-table entries.
+const FLOW_IDLE_TIMEOUT: SimTime = SimTime::from_secs(120);
 
 /// What the controller must do with a packet.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -240,8 +193,8 @@ impl Gateway {
             policy.binding_max_lifetime,
             policy.per_source_vm_limit,
         );
-        let flows = FlowTable::new(policy.flow_idle_timeout, policy.max_flows);
-        let dns = DnsProxy::new(config.sinkhole);
+        let flows = FlowTable::new(FLOW_IDLE_TIMEOUT, policy.max_flows);
+        let dns = DnsProxy::new(SINKHOLE);
         Gateway {
             config,
             flows,
@@ -340,19 +293,11 @@ impl Gateway {
                 }
             }
         }
-        if let Some(port) = packet.flow_key().transport.dst_port() {
-            if self.config.policy.filtered_ports.contains(&port) {
-                self.counters.incr("dropped_port_filtered");
-                return GatewayAction::Drop { reason: DropReason::PortFiltered };
-            }
-        }
-        if self.config.policy.gateway_answers_ping {
-            if let PacketPayload::Icmp(msg) = packet.payload() {
-                if let Some(reply) = msg.reply_to() {
-                    self.counters.incr("gateway_pings_answered");
-                    let reply_packet = PacketBuilder::new(dst, src).icmp(reply);
-                    return GatewayAction::GatewayReply(reply_packet);
-                }
+        if let PacketPayload::Icmp(msg) = packet.payload() {
+            if let Some(reply) = msg.reply_to() {
+                self.counters.incr("gateway_pings_answered");
+                let reply_packet = PacketBuilder::new(dst, src).icmp(reply);
+                return GatewayAction::GatewayReply(reply_packet);
             }
         }
         if !self.binder.source_within_quota(src) {
@@ -432,7 +377,7 @@ impl Gateway {
         }
 
         // DNS to anywhere is answered by the controlled resolver.
-        if self.config.policy.proxy_dns && DnsProxy::is_dns_query(&packet) {
+        if DnsProxy::is_dns_query(&packet) {
             if let Some(reply) = self.dns.answer(&packet) {
                 self.counters.incr("dns_answered");
                 return GatewayAction::GatewayReply(reply);
@@ -452,12 +397,8 @@ impl Gateway {
 
         // Replies within attacker-initiated flows preserve fidelity.
         if is_reply || is_icmp_error {
-            if self.config.policy.allow_replies {
-                self.counters.incr("replies_forwarded");
-                return GatewayAction::ForwardExternal(packet);
-            }
-            self.counters.incr("dropped_replies");
-            return GatewayAction::Drop { reason: DropReason::Containment };
+            self.counters.incr("replies_forwarded");
+            return GatewayAction::ForwardExternal(packet);
         }
 
         // New outbound connection: rate limit, then containment mode.
@@ -473,18 +414,6 @@ impl Gateway {
         if self.dns.is_sinkhole_addr(dst) {
             self.counters.incr("reflected_sinkhole");
             return GatewayAction::Reflect { addr: dst, packet };
-        }
-
-        // Proxied service ports: redirect to the designated internal
-        // emulation address (mail tarpits, HTTP emulators).
-        if let Some(port) = packet.flow_key().transport.dst_port() {
-            if let Some(&proxy_addr) = self.config.policy.proxied_ports.get(&port) {
-                self.counters.incr("proxied_service");
-                return match packet.rewrite_addresses(src, proxy_addr) {
-                    Ok(rewritten) => GatewayAction::Reflect { addr: proxy_addr, packet: rewritten },
-                    Err(_) => GatewayAction::Drop { reason: DropReason::Malformed },
-                };
-            }
         }
 
         match self.config.policy.mode {
@@ -509,13 +438,13 @@ impl Gateway {
     pub fn evict_for_pressure(
         &mut self,
         now: SimTime,
-        policy: &mut dyn ReclaimPolicy,
+        policy: &mut ReclaimPolicy,
     ) -> Option<ExpiredBinding> {
         let candidates = self.binder.reclaim_candidates();
         if candidates.is_empty() {
             return None;
         }
-        let chosen = candidates[policy.pick(now, &candidates).min(candidates.len() - 1)];
+        let chosen = candidates[policy.pick(&candidates).min(candidates.len() - 1)];
         let evicted = self.binder.evict_key(chosen.key, now)?;
         self.rate.remove(&evicted.vm);
         self.retire_binding_flows(evicted.key.dst);
@@ -556,7 +485,7 @@ impl Gateway {
     /// Advances time: expires idle flows and bindings. The controller must
     /// destroy the VMs of returned bindings.
     pub fn expire(&mut self, now: SimTime) -> Vec<ExpiredBinding> {
-        self.flush_hot();
+        self.end_window();
         let evicted_flows = self.flows.expire(now, |_| {});
         self.counters.add("flows_expired", evicted_flows as u64);
         let expired = self.binder.expire(now);
@@ -568,16 +497,11 @@ impl Gateway {
         expired
     }
 
-    /// Folds accumulated hot-path tallies into the counter set.
-    fn flush_hot(&mut self) {
-        std::mem::take(&mut self.hot).fold_into(&mut self.counters);
-    }
-
     /// Window-barrier hook: folds hot-path counters into the counter set.
-    /// The sharded engine calls this when a cell's window closes; the
-    /// serial driver calls it each tick. Cheap when nothing is pending.
+    /// The sharded engine calls this when a cell's window closes, and
+    /// [`Gateway::expire`] on each tick. Cheap when nothing is pending.
     pub fn end_window(&mut self) {
-        self.flush_hot();
+        std::mem::take(&mut self.hot).fold_into(&mut self.counters);
     }
 
     /// The gateway's telemetry counters as of the last flush point
@@ -781,20 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn filtered_ports_never_get_vms() {
-        let mut policy = PolicyConfig::reflect();
-        policy.filtered_ports.insert(445);
-        let mut g = gw(policy);
-        match g.on_inbound(SimTime::ZERO, syn(ATTACKER, HP1)) {
-            GatewayAction::Drop { reason } => assert_eq!(reason, DropReason::PortFiltered),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Other ports still clone.
-        let p80 = PacketBuilder::new(ATTACKER, HP1).tcp_syn(4444, 80);
-        assert!(matches!(g.on_inbound(SimTime::ZERO, p80), GatewayAction::CloneAndDeliver { .. }));
-    }
-
-    #[test]
     fn per_source_quota_enforced() {
         let mut policy = PolicyConfig::reflect();
         policy.per_source_vm_limit = Some(1);
@@ -940,57 +850,6 @@ mod tests {
     }
 
     #[test]
-    fn proxied_ports_redirect_to_emulation_address() {
-        let mut policy = PolicyConfig::reflect();
-        let tarpit = Ipv4Addr::new(172, 21, 0, 25);
-        policy.proxied_ports.insert(25, tarpit);
-        let mut g = gw(policy);
-        let t = SimTime::ZERO;
-        g.on_inbound(t, syn(ATTACKER, HP1));
-        g.bind(t, ATTACKER, HP1, VmRef(1));
-        // An infected bot tries to send spam to a real mail server.
-        let smtp = PacketBuilder::new(HP1, Ipv4Addr::new(64, 12, 0, 1)).tcp_syn(1_099, 25);
-        match g.on_outbound(t, VmRef(1), smtp) {
-            GatewayAction::Reflect { addr, packet } => {
-                assert_eq!(addr, tarpit);
-                assert_eq!(packet.dst(), tarpit, "packet rewritten to the tarpit");
-                assert_eq!(packet.src(), HP1);
-                assert_eq!(packet.flow_key().transport.dst_port(), Some(25));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(g.counters().get("proxied_service"), 1);
-        // Other ports still follow the containment mode.
-        let other = PacketBuilder::new(HP1, Ipv4Addr::new(64, 12, 0, 1)).tcp_syn(1_100, 80);
-        assert!(matches!(
-            g.on_outbound(t, VmRef(1), other),
-            GatewayAction::Reflect { addr, .. } if addr == Ipv4Addr::new(64, 12, 0, 1)
-        ));
-    }
-
-    #[test]
-    fn proxied_ports_apply_even_under_drop_all() {
-        let mut policy = PolicyConfig::drop_all();
-        let tarpit = Ipv4Addr::new(172, 21, 0, 25);
-        policy.proxied_ports.insert(25, tarpit);
-        let mut g = gw(policy);
-        let t = SimTime::ZERO;
-        g.on_inbound(t, syn(ATTACKER, HP1));
-        g.bind(t, ATTACKER, HP1, VmRef(1));
-        let smtp = PacketBuilder::new(HP1, Ipv4Addr::new(64, 12, 0, 1)).tcp_syn(1_099, 25);
-        assert!(matches!(
-            g.on_outbound(t, VmRef(1), smtp),
-            GatewayAction::Reflect { addr, .. } if addr == tarpit
-        ));
-        // Non-proxied ports are dropped as configured.
-        let http = PacketBuilder::new(HP1, Ipv4Addr::new(64, 12, 0, 1)).tcp_syn(1_100, 80);
-        assert!(matches!(
-            g.on_outbound(t, VmRef(1), http),
-            GatewayAction::Drop { reason: DropReason::Containment }
-        ));
-    }
-
-    #[test]
     fn spoofed_source_dropped() {
         let mut g = gw(PolicyConfig::reflect());
         let t = SimTime::ZERO;
@@ -1106,7 +965,7 @@ mod tests {
         g.bind(t, ATTACKER, HP1, VmRef(1));
         g.on_inbound(t, syn(ATTACKER, HP1));
         assert!(g.flows.flows_for(HP1) > 0);
-        let mut policy = crate::reclaim::OldestFirst;
+        let mut policy = crate::reclaim::ReclaimPolicyKind::Oldest.instantiate();
         let evicted = g.evict_for_pressure(SimTime::from_secs(1), &mut policy).unwrap();
         assert_eq!(evicted.vm, VmRef(1));
         assert_eq!(g.flows.flows_for(HP1), 0);
@@ -1123,7 +982,7 @@ mod tests {
         // HP1 stays active; HP2 never hears another packet, so LRU evicts it
         // even though HP1's binding is older.
         g.on_inbound(SimTime::from_secs(5), syn(ATTACKER, HP1));
-        let mut policy = crate::reclaim::LruByLastPacket;
+        let mut policy = crate::reclaim::ReclaimPolicyKind::LruByLastPacket.instantiate();
         let evicted = g.evict_for_pressure(SimTime::from_secs(6), &mut policy).unwrap();
         assert_eq!(evicted.vm, VmRef(2), "least recently active loses");
         assert!(g.evict_for_pressure(SimTime::from_secs(7), &mut policy).is_some());
@@ -1305,16 +1164,13 @@ mod tests {
             epoch,
         };
         let mut clock = ReclaimPolicyKind::Clock.instantiate();
-        clock.pick(SimTime::from_secs(10), &[cand(0, 3), cand(1, 0), cand(2, 2)]);
+        clock.pick(&[cand(0, 3), cand(1, 0), cand(2, 2)]);
         let state = clock.snapshot_state();
         let mut restored = ReclaimPolicyKind::Clock.instantiate();
         restored.restore_state(&state).unwrap();
         // Identical picks from here on: the hand position survived.
         let script = [cand(0, 5), cand(2, 2), cand(3, 0)];
-        assert_eq!(
-            clock.pick(SimTime::from_secs(11), &script),
-            restored.pick(SimTime::from_secs(11), &script)
-        );
+        assert_eq!(clock.pick(&script), restored.pick(&script));
         assert_eq!(clock.snapshot_state(), restored.snapshot_state());
         // Stateless policies reject clock-shaped state.
         let mut oldest = ReclaimPolicyKind::Oldest.instantiate();

@@ -9,8 +9,6 @@
 //! lives in [`crate::gateway`].
 
 use potemkin_sim::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
-use std::net::Ipv4Addr;
 use std::num::NonZeroUsize;
 
 /// The headline containment mode for new outbound connections.
@@ -36,14 +34,9 @@ pub enum DropReason {
     RateLimited,
     /// The source exceeded its per-source VM quota (resource policy).
     SourceQuota,
-    /// The inbound packet's destination port is filtered out (not worth a
-    /// VM).
-    PortFiltered,
     /// The inbound packet is backscatter (a TCP non-SYN with no flow and no
     /// binding): it cannot start an interaction, so it never earns a VM.
     Backscatter,
-    /// The packet could not be parsed or is otherwise malformed.
-    Malformed,
     /// The emitting VM is not bound to the address it claims.
     SpoofedSource,
     /// Gateway admission control: the farm is degraded and the binding cap
@@ -64,9 +57,7 @@ potemkin_snapshot::snap_enum!(DropReason {
     Containment = 0,
     RateLimited = 1,
     SourceQuota = 2,
-    PortFiltered = 3,
     Backscatter = 4,
-    Malformed = 5,
     SpoofedSource = 6,
     AdmissionControl = 7,
     GatewayStalled = 8,
@@ -80,9 +71,7 @@ impl core::fmt::Display for DropReason {
             DropReason::Containment => "containment",
             DropReason::RateLimited => "rate-limited",
             DropReason::SourceQuota => "source-quota",
-            DropReason::PortFiltered => "port-filtered",
             DropReason::Backscatter => "backscatter",
-            DropReason::Malformed => "malformed",
             DropReason::SpoofedSource => "spoofed-source",
             DropReason::AdmissionControl => "admission-control",
             DropReason::GatewayStalled => "gateway-stalled",
@@ -95,32 +84,23 @@ impl core::fmt::Display for DropReason {
 
 /// Full containment policy configuration.
 ///
-/// Construct via the presets or [`Default`] (the struct is
-/// `#[non_exhaustive]`, so literal construction only works inside this
-/// crate); existing instances may still be mutated field-by-field.
+/// Start from a preset ([`PolicyConfig::reflect`], the [`Default`];
+/// [`PolicyConfig::drop_all`]; [`PolicyConfig::allow_all`]) and edit the
+/// fields a run varies (the struct is `#[non_exhaustive]`, so literal
+/// construction only works inside this crate). What no run varies is a
+/// fixed part of the gateway: DNS is always answered by the controlled
+/// resolver, replies within an attacker-initiated flow always go out,
+/// the gateway itself answers pings to unbound addresses, and flows idle
+/// out after two minutes.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct PolicyConfig {
     /// Mode for new outbound connections.
     pub mode: ContainmentMode,
-    /// Whether outbound DNS queries are answered by the gateway's
-    /// controlled resolver (fidelity: most malware resolves names before
-    /// acting).
-    pub(crate) proxy_dns: bool,
-    /// Whether replies within an attacker-initiated flow are allowed out
-    /// (required for any interaction fidelity at all; disable only to model
-    /// a fully mute farm).
-    pub(crate) allow_replies: bool,
     /// Optional per-VM outbound packet rate limit (packets/second).
     pub outbound_pps_limit: Option<f64>,
     /// Burst size for the per-VM limiter.
     pub outbound_burst: f64,
-    /// Inbound destination ports that never get a VM (scanner noise not
-    /// worth resources). Empty = everything gets a VM.
-    pub(crate) filtered_ports: BTreeSet<u16>,
-    /// Whether the gateway itself answers ICMP echo for *unbound* addresses
-    /// (cheap liveness fidelity without spending a VM).
-    pub(crate) gateway_answers_ping: bool,
     /// Whether TCP non-SYN packets for *unbound* addresses are dropped as
     /// backscatter instead of earning a VM (a DoS victim's SYN-ACKs and
     /// RSTs are a large share of telescope traffic and can never start an
@@ -135,8 +115,6 @@ pub struct PolicyConfig {
     /// Hard cap on a binding's lifetime regardless of activity (bounds
     /// state-holding attacks). `SimTime::MAX` disables it.
     pub binding_max_lifetime: SimTime,
-    /// Idle timeout for flow-table entries.
-    pub(crate) flow_idle_timeout: SimTime,
     /// Optional hard bound on flow-table entries (LRU eviction beyond it);
     /// `None` = timeout-only eviction.
     pub max_flows: Option<NonZeroUsize>,
@@ -144,34 +122,21 @@ pub struct PolicyConfig {
     /// farm is degraded (hosts down), capping admissions preserves service
     /// for existing interactions instead of thrashing. `None` disables it.
     pub(crate) max_bindings: Option<usize>,
-    /// Service proxying: new outbound connections to these destination
-    /// ports are redirected to a designated internal emulation address
-    /// (e.g. an SMTP tarpit at 25, an HTTP emulator at 80), regardless of
-    /// the containment mode — the paper's "proxy selected protocols to
-    /// controlled servers" refinement.
-    pub(crate) proxied_ports: BTreeMap<u16, Ipv4Addr>,
 }
 
 impl Default for PolicyConfig {
-    /// The paper's default posture: reflection, proxied DNS, replies
-    /// allowed, 1-minute VM recycling.
+    /// The paper's default posture: reflection, 1-minute VM recycling.
     fn default() -> Self {
         PolicyConfig {
             mode: ContainmentMode::Reflect,
-            proxy_dns: true,
-            allow_replies: true,
             outbound_pps_limit: None,
             outbound_burst: 10.0,
-            filtered_ports: BTreeSet::new(),
-            gateway_answers_ping: true,
             filter_backscatter: true,
             per_source_vm_limit: None,
             binding_idle_timeout: SimTime::from_secs(60),
             binding_max_lifetime: SimTime::MAX,
-            flow_idle_timeout: SimTime::from_secs(120),
             max_flows: None,
             max_bindings: None,
-            proxied_ports: BTreeMap::new(),
         }
     }
 }
@@ -212,9 +177,6 @@ mod tests {
     fn defaults_are_paper_posture() {
         let p = PolicyConfig::default();
         assert_eq!(p.mode, ContainmentMode::Reflect);
-        assert!(p.proxy_dns);
-        assert!(p.allow_replies);
-        assert!(p.gateway_answers_ping);
         assert_eq!(p.binding_idle_timeout, SimTime::from_secs(60));
     }
 

@@ -1,12 +1,12 @@
-//! Pluggable reclamation policies for memory pressure.
+//! Selectable reclamation policies for memory pressure.
 //!
 //! When the farm cannot place a new clone (a host is out of frames, over
 //! its memory budget, or out of domain slots), it must recycle a live
 //! binding to make room. The paper treats the choice of *victim* as a
 //! policy question — recycle the oldest interaction, the least recently
 //! active one, or sweep with a clock hand — and this module makes that
-//! choice a trait so experiments can compare policies without touching
-//! the gateway's bookkeeping.
+//! choice a config value so experiments can compare policies without
+//! touching the gateway's bookkeeping.
 //!
 //! Determinism contract: [`AddressBinder::reclaim_candidates`] returns
 //! candidates sorted by bind epoch (a unique, monotone counter), so a
@@ -44,73 +44,30 @@ pub struct ReclaimCandidate {
     pub epoch: u64,
 }
 
-/// Picks which live binding to reclaim under memory pressure.
-///
-/// Implementations may keep state across calls (the clock policy keeps
-/// its hand position), but must be deterministic: the same candidate
-/// sequence must always produce the same picks. `Send` is required so a
-/// farm holding a boxed policy can migrate between shard workers.
-pub trait ReclaimPolicy: Send {
-    /// Stable policy name for counters, traces, and bench artifacts.
-    fn name(&self) -> &'static str;
-
-    /// Returns the index of the candidate to evict.
-    ///
-    /// `candidates` is non-empty and sorted by ascending epoch. An
-    /// out-of-range return is clamped by the caller.
-    fn pick(&mut self, now: SimTime, candidates: &[ReclaimCandidate]) -> usize;
-
-    /// Checkpoint support: the policy's internal state, serialized.
-    /// Stateless policies return an empty buffer (the default).
-    fn snapshot_state(&self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Checkpoint support: restores state captured by
-    /// [`ReclaimPolicy::snapshot_state`] on a freshly instantiated policy
-    /// of the same kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Decode`] when the bytes do not match the
-    /// policy's expected layout (e.g. a snapshot taken under a different
-    /// policy kind).
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Decode { context: "gateway.reclaim" })
-        }
-    }
-}
-
 /// Which reclaim policy the farm runs — the config-level, `Copy` handle
-/// for [`ReclaimPolicy`] implementations.
+/// for a [`ReclaimPolicy`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReclaimPolicyKind {
-    /// Evict the binding bound earliest (`OldestFirst`) — the
-    /// behaviour the farm had before policies were pluggable.
+    /// Evict the binding bound earliest; ties break on epoch (bind
+    /// order) — the behaviour the farm had before policies were
+    /// selectable.
     #[default]
     Oldest,
-    /// Evict the binding idle longest (`LruByLastPacket`).
+    /// Evict the binding whose last packet is furthest in the past — the
+    /// interaction least likely to still be live.
     LruByLastPacket,
-    /// Second-chance clock sweep over bind order (`ClockSecondChance`).
+    /// Second-chance clock sweep over bind order.
     Clock,
 }
 
 impl ReclaimPolicyKind {
     /// Instantiates the policy (clock state starts at the hand's origin).
     #[must_use]
-    pub fn instantiate(self) -> Box<dyn ReclaimPolicy> {
-        match self {
-            ReclaimPolicyKind::Oldest => Box::new(OldestFirst),
-            ReclaimPolicyKind::LruByLastPacket => Box::new(LruByLastPacket),
-            ReclaimPolicyKind::Clock => Box::new(ClockSecondChance::new()),
-        }
+    pub fn instantiate(self) -> ReclaimPolicy {
+        ReclaimPolicy { kind: self, hand_epoch: None, seen_packets: BTreeMap::new() }
     }
 
-    /// Stable name, identical to the instantiated policy's
-    /// [`ReclaimPolicy::name`].
+    /// Stable policy name for counters, traces, and bench artifacts.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -127,58 +84,41 @@ impl core::fmt::Display for ReclaimPolicyKind {
     }
 }
 
-/// Evicts the binding with the earliest `bound_at`; ties break on epoch
-/// (bind order), which subsumes the pre-policy `evict_oldest` behaviour.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct OldestFirst;
-
-impl ReclaimPolicy for OldestFirst {
-    fn name(&self) -> &'static str {
-        "oldest"
-    }
-
-    fn pick(&mut self, _now: SimTime, candidates: &[ReclaimCandidate]) -> usize {
-        min_index_by_key(candidates, |c| c.bound_at)
-    }
-}
-
-/// Evicts the binding whose last packet is furthest in the past — the
-/// interaction least likely to still be live.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct LruByLastPacket;
-
-impl ReclaimPolicy for LruByLastPacket {
-    fn name(&self) -> &'static str {
-        "lru-by-last-packet"
-    }
-
-    fn pick(&mut self, _now: SimTime, candidates: &[ReclaimCandidate]) -> usize {
-        min_index_by_key(candidates, |c| c.last_active)
-    }
-}
-
-/// Second-chance clock over bind order.
+/// A running reclaim policy: its kind, plus the clock's state (untouched
+/// by the other two kinds).
 ///
-/// The hand sweeps candidates by ascending epoch, resuming past where it
-/// last evicted. A binding that served packets since the hand's previous
-/// visit is "referenced": it gets its bit cleared (the packet count is
-/// recorded) and is skipped once. The first unreferenced binding loses.
-/// If every binding was referenced, the full sweep cleared every bit, so
-/// the binding right after the hand is evicted — classic second chance.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ClockSecondChance {
-    /// Epoch the hand last stopped at (`None` before the first eviction);
-    /// the sweep resumes just past it.
+/// The clock is a second-chance sweep over bind order. The hand sweeps
+/// candidates by ascending epoch, resuming past where it last evicted. A
+/// binding that served packets since the hand's previous visit is
+/// "referenced": it gets its bit cleared (the packet count is recorded)
+/// and is skipped once. The first unreferenced binding loses. If every
+/// binding was referenced, the full sweep cleared every bit, so the
+/// binding right after the hand is evicted — classic second chance.
+///
+/// Every pick is deterministic: the same candidate sequence always
+/// produces the same picks.
+#[derive(Debug)]
+pub struct ReclaimPolicy {
+    kind: ReclaimPolicyKind,
+    /// Epoch the clock's hand last stopped at (`None` before the first
+    /// eviction); the sweep resumes just past it.
     hand_epoch: Option<u64>,
-    /// Packet counts recorded when each binding's bit was last cleared.
+    /// Packet counts recorded when each binding's clock bit was last
+    /// cleared.
     seen_packets: BTreeMap<u64, u64>,
 }
 
-impl ClockSecondChance {
-    /// A clock with the hand at the origin and every bit set.
-    #[must_use]
-    pub(crate) fn new() -> Self {
-        ClockSecondChance::default()
+impl ReclaimPolicy {
+    /// Returns the index of the candidate to evict.
+    ///
+    /// `candidates` is non-empty and sorted by ascending epoch. An
+    /// out-of-range return is clamped by the caller.
+    pub fn pick(&mut self, candidates: &[ReclaimCandidate]) -> usize {
+        match self.kind {
+            ReclaimPolicyKind::Oldest => min_index_by_key(candidates, |c| c.bound_at),
+            ReclaimPolicyKind::LruByLastPacket => min_index_by_key(candidates, |c| c.last_active),
+            ReclaimPolicyKind::Clock => self.sweep(candidates),
+        }
     }
 
     fn referenced(&self, c: &ReclaimCandidate) -> bool {
@@ -187,14 +127,9 @@ impl ClockSecondChance {
             Some(&seen) => c.packets > seen,
         }
     }
-}
 
-impl ReclaimPolicy for ClockSecondChance {
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-
-    fn pick(&mut self, _now: SimTime, candidates: &[ReclaimCandidate]) -> usize {
+    /// The clock's pick.
+    fn sweep(&mut self, candidates: &[ReclaimCandidate]) -> usize {
         // Bindings evicted or expired since the last pick would leak map
         // entries; keep only the live ones.
         let live: std::collections::BTreeSet<u64> = candidates.iter().map(|c| c.epoch).collect();
@@ -224,14 +159,35 @@ impl ReclaimPolicy for ClockSecondChance {
         idx
     }
 
-    fn snapshot_state(&self) -> Vec<u8> {
+    /// Checkpoint support: the clock's state, serialized; empty for the
+    /// stateless kinds.
+    #[must_use]
+    pub fn snapshot_state(&self) -> Vec<u8> {
+        if self.kind != ReclaimPolicyKind::Clock {
+            return Vec::new();
+        }
         let mut w = SnapWriter::new();
         self.hand_epoch.snap(&mut w);
         self.seen_packets.snap(&mut w);
         w.into_bytes()
     }
 
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+    /// Checkpoint support: restores state captured by
+    /// [`ReclaimPolicy::snapshot_state`] on a freshly instantiated policy
+    /// of the same kind.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Decode`] when the bytes do not match the
+    /// kind's layout (e.g. a snapshot taken under a different kind).
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        if self.kind != ReclaimPolicyKind::Clock {
+            return if bytes.is_empty() {
+                Ok(())
+            } else {
+                Err(SnapshotError::Decode { context: "gateway.reclaim" })
+            };
+        }
         let mut r = SnapReader::new(bytes, "gateway.reclaim.clock");
         let hand_epoch = Snap::unsnap(&mut r)?;
         let seen_packets = Snap::unsnap(&mut r)?;
@@ -276,41 +232,41 @@ mod tests {
     #[test]
     fn oldest_picks_earliest_bound() {
         let cs = [cand(0, 5, 9, 1), cand(1, 2, 8, 1), cand(2, 7, 1, 1)];
-        assert_eq!(OldestFirst.pick(SimTime::from_secs(10), &cs), 1);
+        assert_eq!(ReclaimPolicyKind::Oldest.instantiate().pick(&cs), 1);
     }
 
     #[test]
     fn oldest_breaks_ties_by_epoch_order() {
         let cs = [cand(3, 5, 9, 1), cand(4, 5, 1, 1)];
-        assert_eq!(OldestFirst.pick(SimTime::from_secs(10), &cs), 0);
+        assert_eq!(ReclaimPolicyKind::Oldest.instantiate().pick(&cs), 0);
     }
 
     #[test]
     fn lru_picks_longest_idle() {
         let cs = [cand(0, 5, 9, 1), cand(1, 2, 8, 1), cand(2, 7, 1, 1)];
-        assert_eq!(LruByLastPacket.pick(SimTime::from_secs(10), &cs), 2);
+        assert_eq!(ReclaimPolicyKind::LruByLastPacket.instantiate().pick(&cs), 2);
     }
 
     #[test]
     fn clock_gives_referenced_bindings_a_second_chance() {
-        let mut clock = ClockSecondChance::new();
+        let mut clock = ReclaimPolicyKind::Clock.instantiate();
         // Epoch 0 has served packets (referenced), epoch 1 has not: the
         // sweep clears epoch 0's bit and evicts epoch 1.
         let cs = [cand(0, 0, 5, 3), cand(1, 1, 1, 0)];
-        assert_eq!(clock.pick(SimTime::from_secs(10), &cs), 1, "unreferenced loses first");
+        assert_eq!(clock.pick(&cs), 1, "unreferenced loses first");
         // Epoch 2 served packets since bind (referenced, bit cleared and
         // skipped); epoch 0's bit was already cleared and it has no new
         // packets, so it loses despite its earlier activity.
         let cs = [cand(0, 0, 5, 3), cand(2, 2, 9, 4)];
-        assert_eq!(clock.pick(SimTime::from_secs(11), &cs), 0, "cleared bit, no new packets");
+        assert_eq!(clock.pick(&cs), 0, "cleared bit, no new packets");
     }
 
     #[test]
     fn clock_evicts_at_hand_when_all_referenced() {
-        let mut clock = ClockSecondChance::new();
+        let mut clock = ReclaimPolicyKind::Clock.instantiate();
         let cs = [cand(0, 0, 5, 3), cand(1, 1, 6, 4)];
         // Both referenced: full sweep clears both bits, hand-adjacent loses.
-        assert_eq!(clock.pick(SimTime::from_secs(10), &cs), 0);
+        assert_eq!(clock.pick(&cs), 0);
     }
 
     #[test]
@@ -321,12 +277,8 @@ mod tests {
             vec![cand(2, 2, 9, 7), cand(3, 3, 3, 0)],
         ];
         let run = || {
-            let mut clock = ClockSecondChance::new();
-            script
-                .iter()
-                .enumerate()
-                .map(|(i, cs)| clock.pick(SimTime::from_secs(i as u64), cs))
-                .collect::<Vec<_>>()
+            let mut clock = ReclaimPolicyKind::Clock.instantiate();
+            script.iter().map(|cs| clock.pick(cs)).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
@@ -338,7 +290,7 @@ mod tests {
             ReclaimPolicyKind::LruByLastPacket,
             ReclaimPolicyKind::Clock,
         ] {
-            assert_eq!(kind.instantiate().name(), kind.name());
+            assert_eq!(kind.instantiate().kind, kind);
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(ReclaimPolicyKind::default(), ReclaimPolicyKind::Oldest);

@@ -31,16 +31,13 @@ pub struct ServicesConfig {
     /// Maximum live sessions per engine (deterministic LRU eviction past
     /// it).
     pub(crate) session_budget: usize,
-    /// Maximum transcript entries retained per session.
-    pub(crate) transcript_limit: usize,
 }
 
 impl ServicesConfig {
-    /// Config with the default budget (256 sessions) and transcript cap
-    /// (64 entries).
+    /// Config with the default budget (256 sessions).
     #[must_use]
     pub fn new(pack: ScenarioPack) -> ServicesConfig {
-        ServicesConfig { pack, session_budget: 256, transcript_limit: 64 }
+        ServicesConfig { pack, session_budget: 256 }
     }
 }
 
@@ -160,7 +157,7 @@ impl ServiceEngine {
             .collect();
         ServiceEngine {
             pack: config.pack.clone(),
-            sessions: SessionManager::new(config.session_budget, config.transcript_limit),
+            sessions: SessionManager::new(config.session_budget),
             store: MemoryStore::new(),
             metrics,
             requests: 0,

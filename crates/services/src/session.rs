@@ -77,25 +77,26 @@ pub(crate) struct Session {
     pub(crate) transcript: Vec<TranscriptEntry>,
 }
 
+/// Maximum transcript entries retained per session.
+const TRANSCRIPT_LIMIT: usize = 64;
+
 /// The session table: bounded, ordered, deterministically evicted.
 #[derive(Clone, Debug)]
 pub(crate) struct SessionManager {
     sessions: BTreeMap<SessionKey, Session>,
     budget: usize,
-    transcript_limit: usize,
     evictions: u64,
     transcript_drops: u64,
 }
 
 impl SessionManager {
     /// Creates a manager holding at most `budget` live sessions, each
-    /// with at most `transcript_limit` transcript entries.
+    /// with at most `TRANSCRIPT_LIMIT` transcript entries.
     #[must_use]
-    pub(crate) fn new(budget: usize, transcript_limit: usize) -> SessionManager {
+    pub(crate) fn new(budget: usize) -> SessionManager {
         SessionManager {
             sessions: BTreeMap::new(),
             budget: budget.max(1),
-            transcript_limit,
             evictions: 0,
             transcript_drops: 0,
         }
@@ -142,9 +143,8 @@ impl SessionManager {
 
     /// Appends to a session's transcript, honoring the per-session cap.
     pub(crate) fn record(&mut self, key: &SessionKey, entry: TranscriptEntry) {
-        let limit = self.transcript_limit;
         if let Some(session) = self.sessions.get_mut(key) {
-            if session.transcript.len() < limit {
+            if session.transcript.len() < TRANSCRIPT_LIMIT {
                 session.transcript.push(entry);
             } else {
                 self.transcript_drops += 1;
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn eviction_is_least_recently_active_then_key_order() {
-        let mut mgr = SessionManager::new(2, 8);
+        let mut mgr = SessionManager::new(2);
         assert!(mgr.open(key(1, 0), session(5)).is_none());
         assert!(mgr.open(key(2, 0), session(3)).is_none());
         // Third session: key(2,0) has the older last_activity → evicted.
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn reopening_an_existing_key_does_not_evict() {
-        let mut mgr = SessionManager::new(1, 8);
+        let mut mgr = SessionManager::new(1);
         assert!(mgr.open(key(1, 0), session(1)).is_none());
         assert!(mgr.open(key(1, 0), session(2)).is_none());
         assert_eq!(mgr.len(), 1);
@@ -217,9 +217,9 @@ mod tests {
 
     #[test]
     fn transcripts_are_capped() {
-        let mut mgr = SessionManager::new(4, 2);
+        let mut mgr = SessionManager::new(4);
         mgr.open(key(1, 0), session(0));
-        for i in 0..5u64 {
+        for i in 0..TRANSCRIPT_LIMIT as u64 + 3 {
             mgr.record(
                 &key(1, 0),
                 TranscriptEntry {
@@ -229,13 +229,13 @@ mod tests {
                 },
             );
         }
-        assert_eq!(mgr.get(&key(1, 0)).unwrap().transcript.len(), 2);
+        assert_eq!(mgr.get(&key(1, 0)).unwrap().transcript.len(), TRANSCRIPT_LIMIT);
         assert_eq!(mgr.transcript_drops, 3);
     }
 
     #[test]
     fn drain_yields_key_order() {
-        let mut mgr = SessionManager::new(8, 8);
+        let mut mgr = SessionManager::new(8);
         mgr.open(key(9, 1), session(1));
         mgr.open(key(1, 0), session(2));
         mgr.open(key(9, 0), session(3));

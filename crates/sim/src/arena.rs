@@ -103,8 +103,6 @@ pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     free_head: u32,
     len: usize,
-    inserts: u64,
-    reuses: u64,
 }
 
 impl<T> Default for Slab<T> {
@@ -117,13 +115,12 @@ impl<T> Slab<T> {
     /// Creates an empty slab.
     #[must_use]
     pub fn new() -> Slab<T> {
-        Slab { slots: Vec::new(), free_head: END, len: 0, inserts: 0, reuses: 0 }
+        Slab { slots: Vec::new(), free_head: END, len: 0 }
     }
 
     /// Stores `value`, returning its key. Reuses a vacated slot when one is
     /// available; otherwise grows the backing vector.
     pub fn insert(&mut self, value: T) -> usize {
-        self.inserts += 1;
         self.len += 1;
         if let Some(key) = slot(self.free_head) {
             let Slot::Vacant(next) = self.slots[key] else {
@@ -131,7 +128,6 @@ impl<T> Slab<T> {
             };
             self.free_head = next;
             self.slots[key] = Slot::Occupied(value);
-            self.reuses += 1;
             key
         } else {
             self.slots.push(Slot::Occupied(value));
@@ -183,13 +179,6 @@ impl<T> Slab<T> {
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Total inserts and how many of them reused a vacated slot. After
-    /// warmup, every insert is a reuse.
-    #[must_use]
-    pub fn reuse_stats(&self) -> (u64, u64) {
-        (self.inserts, self.reuses)
-    }
 }
 
 #[cfg(test)]
@@ -223,9 +212,6 @@ mod tests {
         assert_eq!(slab.insert(20), keys[2]);
         assert_eq!(slab.insert(10), keys[1]);
         assert_eq!(slab.slots.len(), 4);
-        let (inserts, reuses) = slab.reuse_stats();
-        assert_eq!(inserts, 6);
-        assert_eq!(reuses, 2);
     }
 
     #[test]
@@ -236,9 +222,6 @@ mod tests {
             assert_eq!(slab.remove(k), Some(round));
         }
         assert_eq!(slab.slots.len(), 1);
-        let (inserts, reuses) = slab.reuse_stats();
-        assert_eq!(inserts, 1000);
-        assert_eq!(reuses, 999, "every insert after the first reuses the slot");
     }
 
     #[test]

@@ -18,10 +18,6 @@
 //!   the destination directory, fsync, then atomically rename over the final
 //!   path so readers only ever observe the old or the new snapshot, never a
 //!   torn one.
-//! * [`RetryPolicy`] — bounded retry with deterministic backoff for the
-//!   auto-checkpoint path, so a transiently failing disk degrades a run
-//!   (checkpoint skipped) instead of killing it.
-//!
 //! * [`Snap`] — the one value-level codec trait: a type states its byte
 //!   layout once and gets both directions, usually from a field list
 //!   ([`snap_struct!`], [`snap_enum!`]). Implemented here for the primitives
@@ -40,12 +36,10 @@ mod codec;
 mod crc;
 mod error;
 mod file;
-mod retry;
 mod snap;
 
 pub use codec::{SnapReader, SnapWriter};
 pub use crc::{fnv1a64, Fnv64};
 pub use error::SnapshotError;
 pub use file::{write_atomic, SnapshotFile};
-pub use retry::{retry_with_backoff, RetryOutcome, RetryPolicy};
 pub use snap::Snap;

@@ -138,13 +138,6 @@ impl Host {
         }
     }
 
-    /// Replaces the latency model.
-    #[must_use]
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Caps the number of simultaneously live domains (Xen-era limits).
     #[must_use]
     pub fn with_max_domains(mut self, max: usize) -> Self {

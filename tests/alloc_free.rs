@@ -137,12 +137,12 @@ fn warmed_slab_recycles_slots_without_allocating() {
     for round in 0..128u64 {
         let a = slab.insert(round);
         let b = slab.insert(round + 1);
+        // The freelist recycles: every key stays below the warmed 64.
+        assert!(a < 64 && b < 64, "freelist must be recycling");
         assert_eq!(slab.remove(a), Some(round));
         assert_eq!(slab.remove(b), Some(round + 1));
     }
     assert_eq!(allocations() - before, 0, "slab churn below the watermark must be free");
-    let (inserted, reused) = slab.reuse_stats();
-    assert!(reused > 0 && inserted > reused, "freelist must be recycling");
 }
 
 #[test]

@@ -232,9 +232,7 @@ proptest! {
         dests in proptest::collection::vec(any::<u32>(), 1..80),
         ports in proptest::collection::vec(1u16..u16::MAX, 1..80),
     ) {
-        let mut g = Gateway::new(
-            GatewayConfig::builder().policy(PolicyConfig::reflect()).build().unwrap(),
-        );
+        let mut g = Gateway::new(GatewayConfig::default());
         let t = SimTime::ZERO;
         let vm_addr = telescope_addr(1);
         g.bind(t, Ipv4Addr::new(6, 6, 6, 6), vm_addr, VmRef(0));
@@ -470,7 +468,9 @@ proptest! {
             1 => PolicyConfig::drop_all(),
             _ => PolicyConfig::allow_all(),
         };
-        let mut g = Gateway::new(GatewayConfig::builder().policy(policy).build().unwrap());
+        let mut config = GatewayConfig::default();
+        config.policy = policy;
+        let mut g = Gateway::new(config);
         let p = PacketBuilder::new(Ipv4Addr::from(src), telescope_addr(dst_raw))
             .tcp_syn(sport, dport);
         let action = g.on_inbound(SimTime::ZERO, p);

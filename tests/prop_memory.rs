@@ -30,7 +30,6 @@ use proptest::prelude::*;
 use potemkin::farm::FarmConfig;
 use potemkin::gateway::policy::PolicyConfig;
 use potemkin::gateway::reclaim::ReclaimPolicyKind;
-use potemkin::gateway::GatewayConfig;
 use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::SimTime;
@@ -60,23 +59,17 @@ fn diverged_merged_host(clones: usize, payload_seed: u64) -> (Host, Vec<DomainId
 }
 
 fn pressure_config(kind: ReclaimPolicyKind, seed: u64, cells: usize) -> ShardedTelescopeConfig {
-    let gateway = GatewayConfig::builder()
-        .policy(PolicyConfig::reflect().with_idle_timeout(SimTime::from_secs(10)))
-        .build()
-        .expect("valid gateway config");
-    let farm = FarmConfig::builder()
-        .gateway(gateway)
-        .servers(2)
-        .frames_per_server(262_144)
-        .max_domains_per_server(4_096)
-        .seed(seed)
-        .worm(WormSpec::code_red("10.1.0.0/22".parse().expect("static prefix")))
-        .evict_on_pressure(true)
-        .memory_budget_frames(10_752)
-        .merge_interval(SimTime::from_secs(1))
-        .reclaim_policy(kind)
-        .build()
-        .expect("valid farm config");
+    let mut farm = FarmConfig::small_test();
+    farm.gateway.policy = PolicyConfig::reflect().with_idle_timeout(SimTime::from_secs(10));
+    farm.servers = 2;
+    farm.frames_per_server = 262_144;
+    farm.max_domains_per_server = 4_096;
+    farm.seed = seed;
+    farm.worm = Some(WormSpec::code_red("10.1.0.0/22".parse().expect("static prefix")));
+    farm.evict_on_pressure = true;
+    farm.memory_budget_frames = Some(10_752);
+    farm.merge_interval = Some(SimTime::from_secs(1));
+    farm.reclaim_policy = kind;
     let base = TelescopeConfig::builder(farm, RadiationConfig::default())
         .seed(seed)
         .duration(SimTime::from_secs(3))

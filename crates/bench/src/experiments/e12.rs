@@ -142,7 +142,7 @@ fn capture_clone_breakdown() -> (SpanAggregator, u64) {
 pub(crate) fn run(duration: SimTime, cells: usize) -> ObsResult {
     // Part 1: the observed breakdown vs the cost model.
     let (agg, pages) = capture_clone_breakdown();
-    let modeled = CostModel::default().flash_clone_stages(pages);
+    let modeled = CostModel::CALIBRATED.flash_clone_stages(pages);
     let mut rows = Vec::with_capacity(modeled.len());
     let mut max_delta = SimTime::ZERO;
     for (stage, predicted) in &modeled {

@@ -157,7 +157,7 @@ fn sharing_point(kind: ReclaimPolicyKind, clones: usize) -> SharingPoint {
         frames_pristine,
         frames_diverged,
         frames_merged,
-        merged_pages: farm.merge_report().merged_pages,
+        merged_pages: farm.counters().get("pages_merged"),
         sharing_ratio: sharing.ratio(),
         frames_per_vm: frames_merged as f64 / clones as f64,
     }

@@ -45,13 +45,14 @@
 //! `federation.router` and one `cell<i>.fed` section per cell — only
 //! then, so a plain snapshot's bytes and fingerprint never moved.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::path::{Path, PathBuf};
+use std::sync::PoisonError;
 
 use potemkin_obs::{names as obs, Tracer};
 use potemkin_sim::{BarrierControl, Shard, ShardProgress, SimTime};
-use potemkin_snapshot::{
-    fnv1a64, write_atomic, Snap, SnapReader, SnapWriter, SnapshotError, SnapshotFile,
-};
+use potemkin_snapshot::{fnv1a64, write_atomic, Snap, SnapshotError, SnapshotFile};
 
 use crate::error::FarmError;
 use crate::parallel::{
@@ -156,12 +157,6 @@ fn encode_snapshot(
     shards: &[Shard<CellWorld>],
 ) -> SnapshotFile {
     let mut file = SnapshotFile::new(config_fingerprint(config));
-    let mut meta = SnapWriter::new();
-    meta.u64(config.cells as u64);
-    meta.u64(config.window.as_nanos());
-    meta.u64(config.base.duration.as_nanos());
-    meta.u64(config.base.seed);
-    file.push("meta", meta.into_bytes());
     file.push("progress", progress.to_bytes());
     for (cell, shard) in shards.iter().enumerate() {
         file.push(&format!("cell{cell}.farm"), shard.world.farm.encode_state());
@@ -175,7 +170,8 @@ fn encode_snapshot(
         }
     }
     if let Some(hop) = shards.first().and_then(|s| s.world.hop.as_ref()) {
-        file.push("federation.router", hop.router.lock().expect("router lock").encode_state());
+        let router = hop.router.lock().unwrap_or_else(PoisonError::into_inner);
+        file.push("federation.router", router.encode_state());
     }
     file
 }
@@ -190,15 +186,8 @@ pub(crate) fn restore_snapshot(
     if file.config_fingerprint != offered {
         return Err(SnapshotError::ConfigMismatch { stored: file.config_fingerprint, offered });
     }
-    let mut meta = SnapReader::new(file.section("meta")?, "core.checkpoint.meta");
-    let cells = meta.u64()? as usize;
-    let _window = meta.u64()?;
-    let _duration = meta.u64()?;
-    let _seed = meta.u64()?;
-    meta.finish()?;
-    if cells != shards.len() {
-        return Err(meta.bad());
-    }
+    // The fingerprint covers the cell count, window, duration and seed;
+    // the per-shard progress must still name every cell.
     const PROGRESS: &str = "core.checkpoint.progress";
     let progress = ShardProgress::from_bytes(file.section("progress")?, PROGRESS)?;
     if progress.per_shard.len() != shards.len() {
@@ -217,7 +206,7 @@ pub(crate) fn restore_snapshot(
     }
     if let Some(hop) = shards.first().and_then(|s| s.world.hop.as_ref()) {
         let router = file.section("federation.router")?;
-        hop.router.lock().expect("router lock").restore_state(router)?;
+        hop.router.lock().unwrap_or_else(PoisonError::into_inner).restore_state(router)?;
     }
     Ok(progress)
 }

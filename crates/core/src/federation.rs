@@ -685,8 +685,10 @@ mod tests {
     /// Re-pinned, length unchanged, when twelve config fields nothing set
     /// were deleted: the header's config fingerprint hashes the config's
     /// `Debug` text. With the old fingerprint put back, the file digests
-    /// to the old pin, `0x22598e8e93851d00`.
-    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (444_205, 0x290760277431753b);
+    /// to the old pin, `0x22598e8e93851d00`. Re-pinned for snapshot
+    /// version 10: 1,244 bytes less — the 52-byte `meta` section, 9 bytes
+    /// of progress a shard, and 140 bytes a one-host cell farm.
+    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (442_961, 0x5776f4de271cb362);
 
     #[test]
     fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {
@@ -720,7 +722,7 @@ mod tests {
         }
 
         // Truncated federation sections are rejected, not misdecoded; and
-        // no section of any kind — meta, progress, a cell's farm, world,
+        // no section of any kind — progress, a cell's farm, world,
         // queue or hop, the routing tier — reserves room for a length its
         // payload could not hold.
         let hostile = (u64::MAX >> 4).to_le_bytes().to_vec();

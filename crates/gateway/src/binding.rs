@@ -102,10 +102,6 @@ pub struct AddressBinder {
     per_source: HashMap<Ipv4Addr, u32>,
     per_source_limit: Option<u32>,
     next_epoch: u64,
-    /// Lifetime counters.
-    binds: u64,
-    expiries: u64,
-    quota_rejections: u64,
 }
 
 impl AddressBinder {
@@ -127,9 +123,6 @@ impl AddressBinder {
             per_source: HashMap::new(),
             per_source_limit,
             next_epoch: 0,
-            binds: 0,
-            expiries: 0,
-            quota_rejections: 0,
         }
     }
 
@@ -162,11 +155,6 @@ impl AddressBinder {
         }
     }
 
-    /// Records a quota rejection (telemetry).
-    pub(crate) fn note_quota_rejection(&mut self) {
-        self.quota_rejections += 1;
-    }
-
     /// Binds `vm` for traffic from `src` to `dst`.
     ///
     /// Returns the previous VM if the key was already bound (the controller
@@ -182,7 +170,6 @@ impl AddressBinder {
             Binding { vm, src, bound_at: now, last_active: now, packets: 0, epoch, hard_due };
         let slot = self.bindings.insert(key, now + self.idle_timeout, binding);
         self.bind_order.push_last(&mut self.bind_links, slot);
-        self.binds += 1;
         *self.per_source.entry(src).or_insert(0) += 1;
         old
     }
@@ -204,7 +191,6 @@ impl AddressBinder {
     /// Ends the binding at `slot` as an expiry at `now`.
     fn expire_slot(&mut self, slot: usize, now: SimTime) -> ExpiredBinding {
         let (key, binding) = self.release(slot);
-        self.expiries += 1;
         ExpiredBinding {
             key,
             vm: binding.vm,
@@ -291,12 +277,6 @@ impl AddressBinder {
         self.bindings.is_empty()
     }
 
-    /// Lifetime `(binds, expiries, quota_rejections)`.
-    #[must_use]
-    pub fn lifetime_counts(&self) -> (u64, u64, u64) {
-        (self.binds, self.expiries, self.quota_rejections)
-    }
-
     /// Live bindings for a given source (quota accounting).
     #[must_use]
     pub fn source_bindings(&self, src: Ipv4Addr) -> u32 {
@@ -304,7 +284,7 @@ impl AddressBinder {
     }
 
     /// Checkpoint support: serializes every mutable field — the bindings,
-    /// least recently active first, and the lifetime counters.
+    /// least recently active first, and the next bind epoch.
     /// Configuration (granularity, timeouts, quota limit) is not included —
     /// restore goes into a binder freshly built from the same
     /// [`crate::GatewayConfig`].
@@ -313,9 +293,6 @@ impl AddressBinder {
         let mut w = SnapWriter::new();
         self.bindings.snap(&mut w);
         w.u64(self.next_epoch);
-        w.u64(self.binds);
-        w.u64(self.expiries);
-        w.u64(self.quota_rejections);
         w.into_bytes()
     }
 
@@ -332,9 +309,6 @@ impl AddressBinder {
         let mut r = SnapReader::new(bytes, "gateway.binder");
         let bindings = RecencySlab::<BindKey, Binding>::unsnap(&mut r)?;
         let next_epoch = r.u64()?;
-        let binds = r.u64()?;
-        let expiries = r.u64()?;
-        let quota_rejections = r.u64()?;
         r.finish()?;
         let mut slots: Vec<usize> = bindings.slots().collect();
         slots.sort_unstable_by_key(|&slot| bindings[slot].epoch);
@@ -345,9 +319,6 @@ impl AddressBinder {
             *self.per_source.entry(self.bindings[slot].src).or_insert(0) += 1;
         }
         self.next_epoch = next_epoch;
-        self.binds = binds;
-        self.expiries = expiries;
-        self.quota_rejections = quota_rejections;
         Ok(())
     }
 }
@@ -556,14 +527,5 @@ mod tests {
         assert_eq!(b.source_bindings(SRC), 0, "quota released");
         assert_eq!(b.lookup_active(SimTime::from_secs(1), SRC2, DST2), Some(VmRef(2)));
         assert!(b.unbind_vm(VmRef(99)).is_empty());
-    }
-
-    #[test]
-    fn lifetime_counts() {
-        let mut b = binder(1);
-        b.bind(SimTime::ZERO, SRC, DST, VmRef(1));
-        b.expire(SimTime::from_secs(2));
-        b.note_quota_rejection();
-        assert_eq!(b.lifetime_counts(), (1, 1, 1));
     }
 }

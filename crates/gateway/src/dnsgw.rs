@@ -17,7 +17,7 @@ use std::net::Ipv4Addr;
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::dns::{DnsMessage, DNS_PORT, TYPE_A};
 use potemkin_net::{Packet, PacketBuilder, PacketPayload};
-use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{Snap, SnapshotError};
 
 /// Why the sinkhole could not produce an address for a name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +37,9 @@ impl fmt::Display for SinkholeError {
 
 impl std::error::Error for SinkholeError {}
 
+/// The TTL of every answer, in seconds.
+const ANSWER_TTL: u32 = 300;
+
 /// The controlled resolver.
 pub struct DnsProxy {
     sinkhole: Ipv4Prefix,
@@ -44,23 +47,13 @@ pub struct DnsProxy {
     forward: HashMap<String, Ipv4Addr>,
     /// sinkhole address → name (for attribution in reports).
     reverse: HashMap<Ipv4Addr, String>,
-    ttl: u32,
-    queries: u64,
-    nxdomain: u64,
 }
 
 impl DnsProxy {
     /// Creates a resolver answering out of `sinkhole`.
     #[must_use]
     pub fn new(sinkhole: Ipv4Prefix) -> Self {
-        DnsProxy {
-            sinkhole,
-            forward: HashMap::new(),
-            reverse: HashMap::new(),
-            ttl: 300,
-            queries: 0,
-            nxdomain: 0,
-        }
+        DnsProxy { sinkhole, forward: HashMap::new(), reverse: HashMap::new() }
     }
 
     /// The deterministic sinkhole address for `name` (FNV-1a over the name,
@@ -123,17 +116,13 @@ impl DnsProxy {
         if query.is_response {
             return None;
         }
-        self.queries += 1;
         let answer_addr = match query.questions.first() {
             // An exhausted sinkhole answers NXDOMAIN-style (no address)
             // rather than panicking: fidelity degrades, containment holds.
             Some(q) if q.qtype == TYPE_A => self.addr_for(&q.name).ok(),
             _ => None,
         };
-        if answer_addr.is_none() {
-            self.nxdomain += 1;
-        }
-        let response = DnsMessage::respond(&query, answer_addr, self.ttl);
+        let response = DnsMessage::respond(&query, answer_addr, ANSWER_TTL);
         let wire = response.build().ok()?;
         Some(PacketBuilder::new(query_packet.dst(), query_packet.src()).udp(
             DNS_PORT,
@@ -155,52 +144,37 @@ impl DnsProxy {
         self.sinkhole.contains(addr)
     }
 
-    /// Lifetime `(queries, nxdomain)` counts.
-    #[must_use]
-    pub fn counts(&self) -> (u64, u64) {
-        (self.queries, self.nxdomain)
-    }
-
     /// Number of distinct names resolved.
     #[cfg(test)]
     pub(crate) fn names_resolved(&self) -> usize {
         self.forward.len()
     }
 
-    /// Checkpoint support: serializes the name table and counters. The
+    /// Checkpoint support: serializes the name table, in name order. The
     /// sinkhole prefix is not included — restore goes into a proxy freshly
     /// built from the same config, and the reverse map is rebuilt from the
     /// forward one.
     #[must_use]
     pub(crate) fn encode_state(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.forward.snap(&mut w);
-        w.u32(self.ttl);
-        w.u64(self.queries);
-        w.u64(self.nxdomain);
-        w.into_bytes()
+        self.forward.to_bytes()
     }
 
     /// Restores state encoded by `DnsProxy::encode_state` into this proxy.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Decode`] on truncated or malformed input;
-    /// the proxy is left untouched in that case.
+    /// Returns [`SnapshotError::Decode`] on truncated or malformed input,
+    /// including two names on one address; the proxy is left untouched in
+    /// that case.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapReader::new(bytes, "gateway.dns");
-        // In wire (name) order, so the reverse map is rebuilt the same way
-        // on every restore.
-        let names = Vec::<(String, Ipv4Addr)>::unsnap(&mut r)?;
-        let ttl = r.u32()?;
-        let queries = r.u64()?;
-        let nxdomain = r.u64()?;
-        r.finish()?;
-        self.reverse = names.iter().map(|(name, addr)| (*addr, name.clone())).collect();
-        self.forward = names.into_iter().collect();
-        self.ttl = ttl;
-        self.queries = queries;
-        self.nxdomain = nxdomain;
+        const CONTEXT: &str = "gateway.dns";
+        let forward = HashMap::<String, Ipv4Addr>::from_bytes(bytes, CONTEXT)?;
+        let reverse: HashMap<Ipv4Addr, String> =
+            forward.iter().map(|(name, &addr)| (addr, name.clone())).collect();
+        if reverse.len() != forward.len() {
+            return Err(SnapshotError::Decode { context: CONTEXT });
+        }
+        (self.forward, self.reverse) = (forward, reverse);
         Ok(())
     }
 }
@@ -288,7 +262,7 @@ mod tests {
         let resp = DnsMessage::respond(&q, Some(Ipv4Addr::new(1, 2, 3, 4)), 60).build().unwrap();
         let resp_pkt = PacketBuilder::new(VM_ADDR, RESOLVER).udp(3333, DNS_PORT, &resp);
         assert!(p.answer(&resp_pkt).is_none());
-        assert_eq!(p.counts().0, 0);
+        assert_eq!(p.names_resolved(), 0);
     }
 
     #[test]
@@ -305,10 +279,27 @@ mod tests {
         let msg = DnsMessage::parse(payload).unwrap();
         assert!(msg.is_response);
         assert!(msg.answers.is_empty());
-        assert_eq!(p.counts(), (2, 1));
         // The already-bound name keeps resolving.
         assert!(p.answer(&query_packet("a.example", 3)).is_some());
         assert_eq!(p.names_resolved(), 1);
+    }
+
+    #[test]
+    fn a_checkpoint_with_two_names_on_one_address_is_refused() {
+        let mut p = proxy();
+        p.answer(&query_packet("a.example", 1)).unwrap();
+        let restored = |bytes: &[u8]| {
+            let mut q = proxy();
+            q.restore_state(bytes).map(|()| q.names_resolved())
+        };
+        assert_eq!(restored(&p.encode_state()), Ok(1));
+        let addr = p.forward["a.example"];
+        let two: HashMap<String, Ipv4Addr> =
+            [("a.example".to_string(), addr), ("b.example".to_string(), addr)].into();
+        assert_eq!(
+            restored(&two.to_bytes()),
+            Err(SnapshotError::Decode { context: "gateway.dns" })
+        );
     }
 
     #[test]
@@ -316,13 +307,5 @@ mod tests {
         let mut p = DnsProxy::new("172.20.0.1/32".parse().unwrap());
         assert!(p.addr_for("a.example").is_ok());
         assert_eq!(p.addr_for("b.example"), Err(SinkholeError::Exhausted));
-    }
-
-    #[test]
-    fn counts_track() {
-        let mut p = proxy();
-        p.answer(&query_packet("a.example", 1));
-        p.answer(&query_packet("b.example", 2));
-        assert_eq!(p.counts(), (2, 0));
     }
 }

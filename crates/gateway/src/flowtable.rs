@@ -15,7 +15,7 @@ use std::num::NonZeroUsize;
 use potemkin_net::FlowKey;
 use potemkin_sim::arena::{Links, SlotList};
 use potemkin_sim::{RecencySlab, SimTime};
-use potemkin_snapshot::{snap_enum, Snap, SnapReader, SnapWriter, SnapshotError};
+use potemkin_snapshot::{snap_enum, Snap, SnapshotError};
 
 /// Who sent the first packet of the flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,10 +70,6 @@ pub struct FlowTable {
     /// at the address) instead of O(table).
     by_addr: HashMap<Ipv4Addr, SlotList>,
     chain_links: Vec<Links>,
-    /// Lifetime counters.
-    created: u64,
-    evicted: u64,
-    lru_evicted: u64,
 }
 
 impl FlowTable {
@@ -91,9 +87,6 @@ impl FlowTable {
             max_flows,
             by_addr: HashMap::new(),
             chain_links: Vec::new(),
-            created: 0,
-            evicted: 0,
-            lru_evicted: 0,
         }
     }
 
@@ -122,7 +115,6 @@ impl FlowTable {
         for (link, addr) in ends(slot, key) {
             self.unchain(addr, link);
         }
-        self.evicted += 1;
         key
     }
 
@@ -136,13 +128,11 @@ impl FlowTable {
         let (slot, new) = self.flows.refresh_or_insert(key.canonical(), deadline, || dir);
         if new {
             self.chain(slot);
-            self.created += 1;
         }
         // The new flow is the newest, so the victims are the oldest others.
         while self.max_flows.is_some_and(|max| self.flows.len() > max.get()) {
             let Some(oldest) = self.flows.slots().next() else { break };
             self.evict(oldest);
-            self.lru_evicted += 1;
         }
         self.flows[slot]
     }
@@ -202,31 +192,14 @@ impl FlowTable {
         self.flows.is_empty()
     }
 
-    /// Lifetime `(created, evicted)` counts.
-    #[must_use]
-    pub fn lifetime_counts(&self) -> (u64, u64) {
-        (self.created, self.evicted)
-    }
-
-    /// Flows evicted specifically by the LRU capacity bound.
-    #[must_use]
-    pub fn lru_evictions(&self) -> u64 {
-        self.lru_evicted
-    }
-
     /// Checkpoint support: serializes every mutable field. Configuration
     /// (idle timeout, capacity bound) is not included — restore goes into a
     /// table freshly built from the same policy config. The per-address
     /// chains are derivable from the flows, so only the flows — least
-    /// recently seen first — and the lifetime counters go on the wire.
+    /// recently seen first — go on the wire.
     #[must_use]
     pub fn encode_state(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.flows.snap(&mut w);
-        w.u64(self.created);
-        w.u64(self.evicted);
-        w.u64(self.lru_evicted);
-        w.into_bytes()
+        self.flows.to_bytes()
     }
 
     /// Restores mutable state encoded by [`FlowTable::encode_state`] into
@@ -238,20 +211,11 @@ impl FlowTable {
     /// Returns [`SnapshotError::Decode`] on truncated or malformed input;
     /// the table is left untouched in that case.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapReader::new(bytes, "gateway.flows");
-        let flows = RecencySlab::<FlowKey, FlowDirection>::unsnap(&mut r)?;
-        let created = r.u64()?;
-        let evicted = r.u64()?;
-        let lru_evicted = r.u64()?;
-        r.finish()?;
-        self.flows = flows;
+        self.flows = RecencySlab::from_bytes(bytes, "gateway.flows")?;
         self.by_addr = HashMap::new();
         for slot in self.flows.slots().collect::<Vec<_>>() {
             self.chain(slot);
         }
-        self.created = created;
-        self.evicted = evicted;
-        self.lru_evicted = lru_evicted;
         Ok(())
     }
 }
@@ -280,7 +244,7 @@ mod tests {
         let mut ft = FlowTable::new(SimTime::from_secs(10), None);
         ft.observe(SimTime::ZERO, key(), FlowDirection::InboundInitiated);
         ft.observe(SimTime::from_secs(1), key(), FlowDirection::OutboundInitiated);
-        assert_eq!(ft.lifetime_counts(), (1, 0), "the second packet created nothing");
+        assert_eq!(ft.len(), 1, "the second packet created nothing");
         assert_eq!(ft.get(key()), Some(FlowDirection::InboundInitiated));
     }
 
@@ -313,7 +277,7 @@ mod tests {
         let evicted = expired(&mut ft, SimTime::from_secs(6));
         assert_eq!(evicted, vec![key().canonical()]);
         assert!(ft.get(key()).is_none());
-        assert_eq!(ft.lifetime_counts(), (1, 1));
+        assert!(ft.is_empty());
     }
 
     #[test]
@@ -347,11 +311,10 @@ mod tests {
         assert!(ft.get(keys[1]).is_none(), "LRU flow evicted");
         assert!(ft.get(keys[2]).is_some());
         assert!(ft.get(keys[3]).is_some());
-        assert_eq!(ft.lru_evictions(), 1);
         // A fifth flow evicts keys[2].
         ft.observe(SimTime::from_secs(12), keys[4], FlowDirection::InboundInitiated);
         assert!(ft.get(keys[2]).is_none());
-        assert_eq!(ft.lru_evictions(), 2);
+        assert_eq!(ft.len(), 3);
     }
 
     #[test]
@@ -367,7 +330,7 @@ mod tests {
         let early = expired(&mut ft, SimTime::from_secs(5) + SimTime::from_millis(500));
         assert!(early.is_empty(), "k2 idles out at t=6, not before");
         assert_eq!(expired(&mut ft, SimTime::from_secs(7)), vec![k2.canonical()]);
-        assert_eq!(ft.lifetime_counts(), (2, 2));
+        assert!(ft.is_empty());
     }
 
     #[test]
@@ -378,7 +341,6 @@ mod tests {
             ft.observe(SimTime::ZERO, k, FlowDirection::InboundInitiated);
         }
         assert_eq!(ft.len(), 500);
-        assert_eq!(ft.lru_evictions(), 0);
     }
 
     #[test]

@@ -67,8 +67,9 @@ impl CounterSet {
     }
 }
 
-/// A sequence of `(name, value)` pairs in name order. A decoded name is
-/// owned by the set it was decoded into and freed with it.
+/// A sequence of `(name, value)` pairs in strictly ascending name order, as
+/// a map of names is written. A decoded name is owned by the set it was
+/// decoded into and freed with it.
 impl Snap for CounterSet {
     fn snap(&self, w: &mut SnapWriter) {
         w.seq(&self.counters, |(name, value), w| {
@@ -77,11 +78,8 @@ impl Snap for CounterSet {
         });
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let mut set = CounterSet::new();
-        for _ in 0..r.seq_len()? {
-            set.counters.insert(Cow::Owned(r.str()?.to_string()), r.u64()?);
-        }
-        Ok(set)
+        let counters = BTreeMap::<String, u64>::unsnap(r)?;
+        Ok(CounterSet { counters: counters.into_iter().map(|(k, v)| (Cow::Owned(k), v)).collect() })
     }
 }
 

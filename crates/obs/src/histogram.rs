@@ -6,6 +6,8 @@
 //! linear sub-buckets, giving a bounded relative error everywhere — the same
 //! scheme HdrHistogram uses, reduced to the essentials.
 
+use std::collections::BTreeMap;
+
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// The finest precision [`LogHistogram::unsnap`] accepts. Every histogram
@@ -164,7 +166,8 @@ impl LogHistogram {
 /// The precision, the summary (`count`, `sum`, `min`, `max`), then only
 /// the non-zero buckets as `(index, count)` pairs. A precision that is not
 /// a power of two or is finer than `MAX_DECODED_SUB_BUCKETS`, or a bucket
-/// index outside the table, is a decode error.
+/// index outside the table, out of ascending order or with a zero count, is
+/// a decode error.
 impl Snap for LogHistogram {
     fn snap(&self, w: &mut SnapWriter) {
         w.u32(self.sub_buckets);
@@ -187,9 +190,9 @@ impl Snap for LogHistogram {
         h.sum = r.u128()?;
         h.min = r.u64()?;
         h.max = r.u64()?;
-        for (idx, c) in Vec::<(u64, u64)>::unsnap(r)? {
+        for (idx, c) in BTreeMap::<u64, u64>::unsnap(r)? {
             let slot = usize::try_from(idx).ok().and_then(|i| h.counts.get_mut(i));
-            *slot.ok_or_else(|| r.bad())? = c;
+            *slot.filter(|_| c > 0).ok_or_else(|| r.bad())? = c;
         }
         Ok(h)
     }
@@ -295,6 +298,29 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min, 1);
         assert_eq!(a.max, 1_000_000);
+    }
+
+    #[test]
+    fn a_bucket_list_out_of_order_or_with_a_zero_count_is_refused() {
+        let mut h = LogHistogram::new(32);
+        h.record(3);
+        h.record(900);
+        let bytes = h.to_bytes();
+        assert_eq!(
+            LogHistogram::from_bytes(&bytes, "hist").map(|h| h.to_bytes()),
+            Ok(bytes.clone())
+        );
+        // The two (index, count) pairs sit at the end, 16 bytes each.
+        let pairs = bytes.len() - 32;
+        let mut swapped = bytes[..pairs].to_vec();
+        swapped.extend_from_slice(&bytes[pairs + 16..]);
+        swapped.extend_from_slice(&bytes[pairs..pairs + 16]);
+        let mut zero = bytes.clone();
+        zero[bytes.len() - 8..].fill(0);
+        for hostile in [swapped, zero] {
+            let decoded = LogHistogram::from_bytes(&hostile, "hist");
+            assert_eq!(decoded.err(), Some(SnapshotError::Decode { context: "hist" }));
+        }
     }
 
     #[test]

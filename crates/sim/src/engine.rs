@@ -25,14 +25,9 @@ pub trait World {
 pub struct RunStats {
     /// Number of events dispatched to the world.
     pub events_processed: u64,
-    /// Virtual time of the last dispatched event (zero if none).
-    pub(crate) last_event_time: SimTime,
-    /// Whether the run stopped because the horizon was reached (as opposed to
-    /// the queue draining).
-    pub(crate) hit_horizon: bool,
 }
 
-potemkin_snapshot::snap_struct!(RunStats { events_processed, last_event_time, hit_horizon });
+potemkin_snapshot::snap_struct!(RunStats { events_processed });
 
 /// Runs the simulation until the queue drains or an event at or beyond
 /// `horizon` is next.
@@ -46,15 +41,10 @@ pub(crate) fn run_until<W: World>(
     horizon: SimTime,
 ) -> RunStats {
     let mut stats = RunStats::default();
-    while let Some(at) = queue.peek_time() {
-        if at >= horizon {
-            stats.hit_horizon = true;
-            break;
-        }
+    while queue.peek_time().is_some_and(|at| at < horizon) {
         let (now, event) = queue.pop().expect("peeked entry must pop");
         world.handle(now, event, queue);
         stats.events_processed += 1;
-        stats.last_event_time = now;
     }
     stats
 }
@@ -87,7 +77,7 @@ mod tests {
         q.schedule(SimTime::from_millis(7), 2);
         let stats = run_until(&mut w, &mut q, SimTime::from_secs(10));
         assert_eq!(stats.events_processed, 3, "follow-up event included");
-        assert!(!stats.hit_horizon);
+        assert!(q.is_empty());
         assert_eq!(
             w.seen,
             vec![
@@ -106,7 +96,6 @@ mod tests {
         q.schedule(SimTime::from_secs(2), 3);
         let stats = run_until(&mut w, &mut q, SimTime::from_secs(2));
         assert_eq!(stats.events_processed, 1);
-        assert!(stats.hit_horizon);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)), "event at the horizon stays queued");
         // A second window picks it up.
         let stats2 = run_until(&mut w, &mut q, SimTime::from_secs(3));
@@ -120,15 +109,5 @@ mod tests {
         let mut q: EventQueue<u32> = EventQueue::new();
         let stats = run_until(&mut w, &mut q, SimTime::from_secs(1));
         assert_eq!(stats, RunStats::default());
-    }
-
-    #[test]
-    fn last_event_time_tracks() {
-        let mut w = Recorder { seen: vec![] };
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(3), 7);
-        q.schedule(SimTime::from_millis(9), 8);
-        let stats = run_until(&mut w, &mut q, SimTime::MAX);
-        assert_eq!(stats.last_event_time, SimTime::from_millis(9));
     }
 }

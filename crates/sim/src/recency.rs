@@ -142,10 +142,14 @@ impl<K: Copy + Eq + Hash, V> RecencySlab<K, V> {
         self.order.push_last(&mut self.links, slot);
     }
 
-    /// The due tick and sequence number of a refresh made now.
+    /// The due tick and sequence number of a refresh made now. The tick is
+    /// never before the newest entry's, so the list stays in due order even
+    /// when a restored checkpoint's stamps run ahead of the clock: such an
+    /// entry expires late, never early.
     fn next_stamp(&mut self, deadline: SimTime) -> (u64, u64) {
+        let newest = self.nodes.get(self.order.last as usize).map_or(0, |n| n.due);
         self.next_seq += 1;
-        (self.due_tick(deadline), self.next_seq - 1)
+        (self.due_tick(deadline).max(newest), self.next_seq - 1)
     }
 
     /// Restamps the live entry at `slot` and moves it to the newest end.
@@ -335,6 +339,17 @@ mod tests {
         assert_eq!(expire(&mut t, ms(10_100)), vec!['x']);
         // Sweeping to an earlier time is a no-op, not a rewind.
         assert_eq!(t.sweep(ms(5_000)), None);
+    }
+
+    #[test]
+    fn a_stamp_ahead_of_the_clock_delays_later_entries_and_never_reorders_them() {
+        // As a restored checkpoint whose stamps run ahead of the resumed
+        // clock leaves the table: the newest entry is due at 1 h.
+        let mut t = RecencySlab::default();
+        t.insert(1, SimTime::from_hours(1), 'a');
+        t.insert(2, ms(500), 'b');
+        assert!(expire(&mut t, ms(1_000)).is_empty(), "b waits behind a");
+        assert_eq!(expire(&mut t, SimTime::from_hours(1)), vec!['a', 'b']);
     }
 
     #[test]

@@ -387,8 +387,6 @@ where
             costs[idx] = costs[idx] / 2 + stats.events_processed;
             let agg = &mut report.per_shard[idx];
             agg.events_processed += stats.events_processed;
-            agg.last_event_time = agg.last_event_time.max(stats.last_event_time);
-            agg.hit_horizon |= stats.hit_horizon;
             report.batches.push(BatchStat {
                 shard: idx,
                 start: window_start,
@@ -434,8 +432,6 @@ where
     }
     for s in &report.per_shard {
         report.total.events_processed += s.events_processed;
-        report.total.last_event_time = report.total.last_event_time.max(s.last_event_time);
-        report.total.hit_horizon |= s.hit_horizon;
     }
     (report, interrupted)
 }

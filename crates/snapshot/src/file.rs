@@ -44,9 +44,14 @@ use crate::error::SnapshotError;
 /// the gateway's rate estimator, tunnel and route-table statistics, per-disk
 /// read/write counts, a host's crash tallies and a tunnel fault's latency;
 /// version 9 writes a flow as its key, its initiator and its expiry stamp,
-/// without first/last-seen times or packet and byte counts.
+/// without first/last-seen times or packet and byte counts; version 10
+/// drops the tallies that repeat a counter or that only tests read (the
+/// flow table's, binder's, DNS proxy's and host's lifetime counts, the DNS
+/// TTL, the farm's merge totals and its copy of the fault plan's
+/// clone-failure probability, each shard's last event time and horizon
+/// flag) and the `meta` section, whose facts the config fingerprint holds.
 /// Older files are rejected rather than misparsed.
-pub(crate) const SNAPSHOT_VERSION: u32 = 9;
+pub(crate) const SNAPSHOT_VERSION: u32 = 10;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

@@ -134,14 +134,26 @@ macro_rules! snap_tuple {
 snap_tuple!(A, B);
 snap_tuple!(A, B, C);
 
-/// A sequence of `(key, value)` pairs in ascending key order.
+/// Reads the `(key, value)` pairs of a map. Keys must strictly ascend, as
+/// the writer puts them: a repeated or out-of-order key is a decode error,
+/// so a map decodes only from the one encoding it re-encodes to.
+fn ascending_pairs<K: Snap + Ord, V: Snap>(
+    r: &mut SnapReader<'_>,
+) -> Result<Vec<(K, V)>, SnapshotError> {
+    let pairs = Vec::<(K, V)>::unsnap(r)?;
+    if pairs.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(r.bad());
+    }
+    Ok(pairs)
+}
+
+/// A sequence of `(key, value)` pairs in strictly ascending key order.
 impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     fn snap(&self, w: &mut SnapWriter) {
         w.pairs(self);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.seq_len()?;
-        (0..n).map(|_| Ok((K::unsnap(r)?, V::unsnap(r)?))).collect()
+        Ok(ascending_pairs(r)?.into_iter().collect())
     }
 }
 
@@ -156,12 +168,7 @@ impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
         w.pairs(entries);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.seq_len()?;
-        let mut map = HashMap::with_capacity(n);
-        for _ in 0..n {
-            map.insert(K::unsnap(r)?, V::unsnap(r)?);
-        }
-        Ok(map)
+        Ok(ascending_pairs(r)?.into_iter().collect())
     }
 }
 
@@ -263,6 +270,16 @@ mod tests {
         let ordered: BTreeMap<u32, u8> = pairs.into_iter().collect();
         assert_eq!(hashed.to_bytes(), ordered.to_bytes());
         assert_eq!(HashMap::from_bytes(&hashed.to_bytes(), "map"), Ok(hashed));
+    }
+
+    #[test]
+    fn a_map_whose_keys_do_not_strictly_ascend_is_refused() {
+        let bytes = |keys: [u32; 2]| keys.map(|k| (k, 0u8)).to_vec().to_bytes();
+        for keys in [[2, 2], [5, 2]] {
+            assert!(HashMap::<u32, u8>::from_bytes(&bytes(keys), "map").is_err());
+            assert!(BTreeMap::<u32, u8>::from_bytes(&bytes(keys), "map").is_err());
+        }
+        assert!(BTreeMap::<u32, u8>::from_bytes(&bytes([2, 5]), "map").is_ok());
     }
 
     #[test]

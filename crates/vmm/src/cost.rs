@@ -6,8 +6,9 @@
 //! lands in the "low hundreds of milliseconds" the paper reports (its
 //! unoptimized prototype measured ≈521 ms end-to-end), a cold OS boot takes
 //! tens of seconds, and an eager full-memory-copy clone pays a per-page copy
-//! cost. Every constant is a public field, so experiments can ablate the
-//! model.
+//! cost. Every host runs under the one calibrated model,
+//! [`CostModel::CALIBRATED`]; [`CostModel::optimized`] is the projection
+//! experiments compare it with.
 
 use potemkin_sim::SimTime;
 
@@ -139,29 +140,26 @@ pub struct CostModel {
     pub(crate) rollback_fixed: SimTime,
 }
 
-impl Default for CostModel {
-    /// Calibration chosen to match the published evaluation's shape:
-    /// flash clone of a 128 MiB image ≈ 520 ms, cold boot ≈ 23 s.
-    fn default() -> Self {
-        CostModel {
-            control_plane: SimTime::from_millis(182),
-            domain_create: SimTime::from_millis(59),
-            cow_map_per_page: SimTime::from_nanos(320),
-            copy_per_page: SimTime::from_micros(4), // ~1 GiB/s for 4 KiB pages
-            device_attach: SimTime::from_millis(123),
-            net_config: SimTime::from_millis(99),
-            unpause: SimTime::from_millis(31),
-            cow_fault: SimTime::from_micros(25),
-            chunk_materialize: SimTime::from_micros(250), // ~256 KiB chunk at ~1 GiB/s
-            cold_boot: SimTime::from_secs(23),
-            destroy_per_page: SimTime::from_nanos(150),
-            destroy_fixed: SimTime::from_millis(40),
-            rollback_fixed: SimTime::from_millis(12),
-        }
-    }
-}
-
 impl CostModel {
+    /// The model every host runs under. Calibration chosen to match the
+    /// published evaluation's shape: flash clone of a 128 MiB image
+    /// ≈ 520 ms, cold boot ≈ 23 s.
+    pub const CALIBRATED: CostModel = CostModel {
+        control_plane: SimTime::from_millis(182),
+        domain_create: SimTime::from_millis(59),
+        cow_map_per_page: SimTime::from_nanos(320),
+        copy_per_page: SimTime::from_micros(4), // ~1 GiB/s for 4 KiB pages
+        device_attach: SimTime::from_millis(123),
+        net_config: SimTime::from_millis(99),
+        unpause: SimTime::from_millis(31),
+        cow_fault: SimTime::from_micros(25),
+        chunk_materialize: SimTime::from_micros(250), // ~256 KiB chunk at ~1 GiB/s
+        cold_boot: SimTime::from_secs(23),
+        destroy_per_page: SimTime::from_nanos(150),
+        destroy_fixed: SimTime::from_millis(40),
+        rollback_fixed: SimTime::from_millis(12),
+    };
+
     /// An idealized optimized model (the paper's "future work" projection:
     /// bypass the control plane, batch the map operations).
     #[must_use]
@@ -173,7 +171,7 @@ impl CostModel {
             device_attach: SimTime::from_millis(8),
             net_config: SimTime::from_millis(4),
             unpause: SimTime::from_millis(2),
-            ..CostModel::default()
+            ..CostModel::CALIBRATED
         }
     }
 
@@ -240,7 +238,7 @@ mod tests {
 
     #[test]
     fn flash_clone_lands_near_paper_total() {
-        let m = CostModel::default();
+        let m = CostModel::CALIBRATED;
         let t = total(&m.flash_clone_stages(PAGES_128M));
         let ms = t.as_millis();
         assert!((450..600).contains(&ms), "flash clone total = {ms} ms");
@@ -248,14 +246,14 @@ mod tests {
 
     #[test]
     fn cold_boot_is_tens_of_seconds() {
-        let m = CostModel::default();
+        let m = CostModel::CALIBRATED;
         let t = total(&m.cold_boot_stages(PAGES_128M));
         assert!(t >= SimTime::from_secs(20));
     }
 
     #[test]
     fn ordering_flash_lt_copy_lt_boot() {
-        let m = CostModel::default();
+        let m = CostModel::CALIBRATED;
         let flash = total(&m.flash_clone_stages(PAGES_128M));
         let copy = total(&m.full_copy_stages(PAGES_128M));
         let boot = total(&m.cold_boot_stages(PAGES_128M));
@@ -265,14 +263,14 @@ mod tests {
 
     #[test]
     fn optimized_is_faster() {
-        let d = total(&CostModel::default().flash_clone_stages(PAGES_128M));
+        let d = total(&CostModel::CALIBRATED.flash_clone_stages(PAGES_128M));
         let o = total(&CostModel::optimized().flash_clone_stages(PAGES_128M));
         assert!(o < d / 4, "optimized {o} not ≪ default {d}");
     }
 
     #[test]
     fn per_page_terms_scale() {
-        let m = CostModel::default();
+        let m = CostModel::CALIBRATED;
         let small = total(&m.flash_clone_stages(1_000));
         let big = total(&m.flash_clone_stages(100_000));
         assert!(big > small);
@@ -282,14 +280,14 @@ mod tests {
 
     #[test]
     fn destroy_cost_scales_with_private_pages() {
-        let m = CostModel::default();
+        let m = CostModel::CALIBRATED;
         assert!(m.destroy_cost(10_000) > m.destroy_cost(0));
         assert_eq!(m.destroy_cost(0), m.destroy_fixed);
     }
 
     #[test]
     fn rollback_and_standby_are_cheaper() {
-        let m = CostModel::default();
+        let m = CostModel::CALIBRATED;
         // Rollback beats destroy for the same delta size.
         assert!(m.rollback_cost(1_000) < m.destroy_cost(1_000));
         // Binding a standby VM beats a fresh flash clone.
@@ -317,7 +315,7 @@ mod tests {
 
     #[test]
     fn stage_names_are_stable() {
-        let m = CostModel::default();
+        let m = CostModel::CALIBRATED;
         let names: Vec<&str> = m.flash_clone_stages(1).iter().map(|&(n, _)| n).collect();
         assert_eq!(
             names,

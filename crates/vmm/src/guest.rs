@@ -157,8 +157,9 @@ impl GuestProfile {
     fn spread(&self, seed: u64, count: u64) -> Vec<u64> {
         // Deterministic pseudo-random page selection (SplitMix64 stream).
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
+        let count = count.min(self.memory_pages);
         let mut pages = Vec::with_capacity(count as usize);
-        for _ in 0..count.min(self.memory_pages) {
+        for _ in 0..count {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -196,6 +197,13 @@ impl GuestProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_touch_count_past_the_memory_reserves_only_the_memory() {
+        // A restored image's profile is read from the checkpoint.
+        let profile = GuestProfile { request_touch_pages: u64::MAX, ..GuestProfile::small() };
+        assert_eq!(profile.pages_for_request(0).len() as u64, profile.memory_pages);
+    }
 
     #[test]
     fn presets_are_consistent() {

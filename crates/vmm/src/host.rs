@@ -88,16 +88,9 @@ pub struct Host {
     domains: BTreeMap<DomainId, Domain>,
     next_image: u64,
     next_domain: u64,
-    cost: CostModel,
     max_domains: usize,
     /// Per-domain fixed overhead, in pages (see [`DOMAIN_OVERHEAD_PAGES`]).
     overhead_pages: u64,
-    /// Lifetime clone counters by kind.
-    flash_clones: u64,
-    full_copies: u64,
-    cold_boots: u64,
-    destroys: u64,
-    rollbacks: u64,
     /// Whether the physical server is up. A crashed host rejects every VMM
     /// operation with [`VmmError::HostDown`] until [`Host::revive`].
     alive: bool,
@@ -123,14 +116,8 @@ impl Host {
             domains: BTreeMap::new(),
             next_image: 0,
             next_domain: 0,
-            cost: CostModel::default(),
             max_domains: usize::MAX,
             overhead_pages: DOMAIN_OVERHEAD_PAGES,
-            flash_clones: 0,
-            full_copies: 0,
-            cold_boots: 0,
-            destroys: 0,
-            rollbacks: 0,
             alive: true,
             pending_clone_faults: 0,
             store: SharedChunkStore::new_memory(),
@@ -166,13 +153,6 @@ impl Host {
     pub fn with_disk_chunk_blocks(mut self, blocks: u64) -> Self {
         self.chunk_blocks = blocks.max(1);
         self
-    }
-
-    /// Lifetime provisioning counts `(flash, full_copy, cold_boot,
-    /// destroys)`.
-    #[must_use]
-    pub fn lifecycle_counts(&self) -> (u64, u64, u64, u64) {
-        (self.flash_clones, self.full_copies, self.cold_boots, self.destroys)
     }
 
     /// Whether the server is up.
@@ -223,15 +203,15 @@ impl Host {
     }
 
     /// One lookup each of a live host's domain and the image it came from,
-    /// with the frame table and cost model a memory operation needs beside.
+    /// with the frame table a memory operation needs beside.
     fn resolve(
         &mut self,
         id: DomainId,
-    ) -> Result<(&mut Domain, &ReferenceImage, &mut FrameTable, &CostModel), VmmError> {
+    ) -> Result<(&mut Domain, &ReferenceImage, &mut FrameTable), VmmError> {
         self.ensure_alive()?;
         let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
         let image = self.images.get(&dom.image()).ok_or(VmmError::NoSuchImage(dom.image()))?;
-        Ok((dom, image, &mut self.frames, &self.cost))
+        Ok((dom, image, &mut self.frames))
     }
 
     /// Boots a guest profile once and freezes it as a reference image.
@@ -337,15 +317,14 @@ impl Host {
         }
         let base = Arc::clone(self.image(image)?.shared_frames());
         self.admission_check(self.overhead_pages)?;
-        let timing = CloneTiming::new(self.cost.flash_clone_stages(base.len() as u64));
+        let timing = CloneTiming::new(CostModel::CALIBRATED.flash_clone_stages(base.len() as u64));
         let space = AddressSpace::over_base(base, self.alloc_overhead());
-        self.flash_clones += 1;
         Ok((self.start(image, space), timing))
     }
 
     /// Starts a domain holding a private copy of every image page — a full
-    /// copy or a cold boot, which differ only in cost and in the counter
-    /// each bumps; returns it with the image's page count.
+    /// copy or a cold boot, which differ only in cost; returns it with the
+    /// image's page count.
     fn copy_clone(&mut self, image: ImageId) -> Result<(DomainId, u64), VmmError> {
         self.ensure_alive()?;
         let list = Arc::clone(self.image(image)?.shared_frames());
@@ -367,8 +346,7 @@ impl Host {
     /// the whole image plus overhead.
     pub fn full_copy_clone(&mut self, image: ImageId) -> Result<(DomainId, CloneTiming), VmmError> {
         let (id, pages) = self.copy_clone(image)?;
-        self.full_copies += 1;
-        Ok((id, CloneTiming::new(self.cost.full_copy_stages(pages))))
+        Ok((id, CloneTiming::new(CostModel::CALIBRATED.full_copy_stages(pages))))
     }
 
     /// Boots a fresh domain from scratch (the no-cloning baseline: tens of
@@ -380,8 +358,7 @@ impl Host {
     /// Returns the same errors as [`Host::full_copy_clone`].
     pub fn cold_boot(&mut self, image: ImageId) -> Result<(DomainId, CloneTiming), VmmError> {
         let (id, pages) = self.copy_clone(image)?;
-        self.cold_boots += 1;
-        Ok((id, CloneTiming::new(self.cost.cold_boot_stages(pages))))
+        Ok((id, CloneTiming::new(CostModel::CALIBRATED.cold_boot_stages(pages))))
     }
 
     /// Destroys a domain, releasing all of its frames. Returns the
@@ -394,9 +371,8 @@ impl Host {
     pub fn destroy(&mut self, id: DomainId) -> Result<SimTime, VmmError> {
         self.ensure_alive()?;
         let mut dom = self.domains.remove(&id).ok_or(VmmError::NoSuchDomain(id))?;
-        let cost = self.cost.destroy_cost(dom.private_pages());
+        let cost = CostModel::CALIBRATED.destroy_cost(dom.private_pages());
         dom.space_mut().release_all(&mut self.frames);
-        self.destroys += 1;
         Ok(cost)
     }
 
@@ -415,7 +391,7 @@ impl Host {
     ///
     /// Returns [`VmmError::NoSuchDomain`] for unknown domains.
     pub fn snapshot_domain(&mut self, id: DomainId, name: &str) -> Result<ImageId, VmmError> {
-        let (dom, source, table, _) = self.resolve(id)?;
+        let (dom, source, table) = self.resolve(id)?;
         let (profile, disk) = (source.profile().clone(), source.disk().clone());
         let image_pages = profile.memory_pages;
         // Freeze the domain's view — its private pages become shared rows,
@@ -444,7 +420,7 @@ impl Host {
     ///
     /// Returns [`VmmError::NoSuchDomain`] for unknown domains.
     pub fn rollback(&mut self, id: DomainId) -> Result<SimTime, VmmError> {
-        let (dom, image, frames, cost) = self.resolve(id)?;
+        let (dom, image, frames) = self.resolve(id)?;
         let image_frames = image.frames();
         let image_pages = image_frames.len() as u64;
         assert!(dom.memory_pages() >= image_pages, "image pfns are mapped");
@@ -463,9 +439,7 @@ impl Host {
             dom.space_mut().write(pfn, 0, frames).expect("in range, and no fault");
         }
         dom.reset_guest_state();
-        let cost = cost.rollback_cost(released);
-        self.rollbacks += 1;
-        Ok(cost)
+        Ok(CostModel::CALIBRATED.rollback_cost(released))
     }
 
     /// Re-shares a domain's private pages whose contents have reverted to
@@ -481,7 +455,7 @@ impl Host {
     ///
     /// Returns [`VmmError::NoSuchDomain`] for unknown domains.
     pub fn reshare_reverted_pages(&mut self, id: DomainId) -> Result<u64, VmmError> {
-        let (dom, image, frames, _) = self.resolve(id)?;
+        let (dom, image, frames) = self.resolve(id)?;
         let image_frames = image.frames();
         let image_pages = image_frames.len() as u64;
         assert!(dom.memory_pages() >= image_pages, "image pfns are mapped");
@@ -551,7 +525,6 @@ impl Host {
             // has nothing to do there and takes the stored entries only.
             // Taken up front: merging remaps this domain's entries (and
             // earlier domains') only behind the one being looked at.
-            report.scanned_pages += guest_pages;
             let stored: Vec<(u64, Pte)> =
                 self.domains[&id].space().stored().take_while(|s| s.0 < guest_pages).collect();
             for (pfn, pte) in stored {
@@ -629,7 +602,7 @@ impl Host {
         let before = dom.disk().base().materialized_chunks();
         let content = dom.disk().read(block)?;
         let after = dom.disk().base().materialized_chunks();
-        Ok((content, self.cost.chunk_materialize * (after - before)))
+        Ok((content, CostModel::CALIBRATED.chunk_materialize * (after - before)))
     }
 
     /// Writes a guest page, taking a CoW fault on the first write to a
@@ -664,14 +637,13 @@ impl Host {
     ) -> Result<TouchStats, VmmError> {
         self.ensure_alive()?;
         let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
-        Self::touch(dom, &mut self.frames, &self.cost, pfns, value_seed)
+        Self::touch(dom, &mut self.frames, pfns, value_seed)
     }
 
     /// The body of every guest write batch, over a domain already resolved.
     fn touch(
         dom: &mut Domain,
         frames: &mut FrameTable,
-        cost: &CostModel,
         pfns: &[u64],
         value_seed: u64,
     ) -> Result<TouchStats, VmmError> {
@@ -682,7 +654,7 @@ impl Host {
             stats.pages += 1;
             if faulted {
                 stats.faults += 1;
-                stats.cost += cost.cow_fault;
+                stats.cost += CostModel::CALIBRATED.cow_fault;
             }
         }
         Ok(stats)
@@ -699,9 +671,9 @@ impl Host {
         id: DomainId,
         request_idx: u64,
     ) -> Result<TouchStats, VmmError> {
-        let (dom, image, frames, cost) = self.resolve(id)?;
+        let (dom, image, frames) = self.resolve(id)?;
         let pages = image.profile().pages_for_request(request_idx);
-        Self::touch(dom, frames, cost, &pages, request_idx)
+        Self::touch(dom, frames, &pages, request_idx)
     }
 
     /// Applies the guest's page/disk activity for a successful infection
@@ -711,9 +683,9 @@ impl Host {
     ///
     /// Propagates memory errors.
     pub fn apply_infection(&mut self, id: DomainId, seed: u64) -> Result<TouchStats, VmmError> {
-        let (dom, image, frames, cost) = self.resolve(id)?;
+        let (dom, image, frames) = self.resolve(id)?;
         let profile = image.profile();
-        let stats = Self::touch(dom, frames, cost, &profile.pages_for_infection(seed), seed)?;
+        let stats = Self::touch(dom, frames, &profile.pages_for_infection(seed), seed)?;
         for b in 0..profile.infection_disk_blocks.min(profile.disk_blocks) {
             dom.disk_mut().write(b, seed.wrapping_add(b)).expect("block bounds clamped");
         }
@@ -746,9 +718,9 @@ impl Host {
 }
 
 /// Whole-host checkpoint support: serializes every piece of mutable VMM
-/// state (frame table, reference images, domains, lifecycle counters) into
-/// a flat byte payload, and restores it into a host carrying the same
-/// *configuration* (cost model, domain cap, overhead pages — which are not
+/// state (frame table, reference images, domains) into a flat byte
+/// payload, and restores it into a host carrying the same
+/// *configuration* (domain cap, overhead pages — which are not
 /// serialized; they come from the scenario at reconstruction time).
 impl Host {
     /// Encodes the host's mutable state for a checkpoint section.
@@ -756,14 +728,9 @@ impl Host {
     pub fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.frames.snap(&mut w);
-        // Id allocators and lifecycle counters.
+        // Id allocators and liveness.
         w.u64(self.next_image);
         w.u64(self.next_domain);
-        w.u64(self.flash_clones);
-        w.u64(self.full_copies);
-        w.u64(self.cold_boots);
-        w.u64(self.destroys);
-        w.u64(self.rollbacks);
         w.bool(self.alive);
         w.u32(self.pending_clone_faults);
         // Both maps are ordered by id.
@@ -773,8 +740,8 @@ impl Host {
     }
 
     /// Restores mutable state encoded by [`Host::encode_state`] into this
-    /// host, replacing whatever it held. Configuration (cost model, limits)
-    /// is kept from `self`.
+    /// host, replacing whatever it held. Configuration (domain cap,
+    /// overhead pages) is kept from `self`.
     ///
     /// # Errors
     ///
@@ -790,11 +757,6 @@ impl Host {
         let frames: FrameTable = Snap::unsnap(&mut r)?;
         let next_image = r.u64()?;
         let next_domain = r.u64()?;
-        let flash_clones = r.u64()?;
-        let full_copies = r.u64()?;
-        let cold_boots = r.u64()?;
-        let destroys = r.u64()?;
-        let rollbacks = r.u64()?;
         let alive = r.bool()?;
         let pending_clone_faults = r.u32()?;
         let images = r.seq(|r| ReferenceImage::decode(r, &self.store))?;
@@ -825,11 +787,6 @@ impl Host {
         self.domains = domains;
         self.next_image = next_image;
         self.next_domain = next_domain;
-        self.flash_clones = flash_clones;
-        self.full_copies = full_copies;
-        self.cold_boots = cold_boots;
-        self.destroys = destroys;
-        self.rollbacks = rollbacks;
         self.alive = alive;
         self.pending_clone_faults = pending_clone_faults;
         Ok(())
@@ -851,9 +808,10 @@ fn ids_in_order(mut ids: impl Iterator<Item = u64>, next: u64) -> bool {
 mod tests {
     use super::*;
 
-    /// `encode_state` of [`diverged_host`] as of snapshot version 8.
-    const DIVERGED_HOST_BYTES: usize = 378_639;
-    const DIVERGED_HOST_DIGEST: u64 = 0x17c8_57cb_f943_9278;
+    /// `encode_state` of [`diverged_host`] as of snapshot version 10 (no
+    /// lifecycle tallies: 40 bytes less).
+    const DIVERGED_HOST_BYTES: usize = 378_599;
+    const DIVERGED_HOST_DIGEST: u64 = 0x8ac2_c5ba_aa2c_4b1a;
 
     fn small_host() -> (Host, ImageId) {
         let mut host = Host::new(100_000).with_overhead_pages(16);
@@ -1147,8 +1105,7 @@ mod tests {
         let dom = host.domain(vm).unwrap();
         assert!(!dom.space().shares_base(host.image(image).unwrap().shared_frames()));
         assert_eq!(dom.shared_pages(), 0);
-        let (flash, full, cold, _) = host.lifecycle_counts();
-        assert_eq!((flash, full, cold), (1, 0, 1));
+        assert_eq!(host.memory_report().live_domains, 2);
     }
 
     #[test]
@@ -1256,7 +1213,6 @@ mod tests {
         assert_eq!(d.disk().dirty_blocks(), 0);
         // Memory reads pristine image content again.
         assert_eq!(host.read_page(vm, 3).unwrap(), GuestProfile::boot_content(image.0, 3));
-        assert_eq!(host.rollbacks, 1);
     }
 
     #[test]
@@ -1266,7 +1222,7 @@ mod tests {
         host.touch_pages(vm, &(0..200).collect::<Vec<_>>(), 1).unwrap();
         let private = host.domain(vm).unwrap().private_pages();
         let rollback_cost = host.rollback(vm).unwrap();
-        let destroy_cost = host.cost.destroy_cost(private);
+        let destroy_cost = CostModel::CALIBRATED.destroy_cost(private);
         assert!(rollback_cost < destroy_cost + clone_timing.total());
     }
 
@@ -1537,7 +1493,6 @@ mod tests {
         host.write_page(b, 4, 7).unwrap();
         let first = host.scan_and_merge().unwrap();
         assert_eq!(first.merged_pages, 1, "only the guest-region duplicate merges");
-        assert_eq!(first.scanned_pages, 2 * 8_192);
         let second = host.scan_and_merge().unwrap();
         assert_eq!(second.merged_pages, 0, "second pass finds nothing");
         assert_eq!(second.frames_reclaimed, 0);

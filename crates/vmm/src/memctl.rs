@@ -13,27 +13,20 @@
 //!
 //! [`Host::scan_and_merge`]: crate::host::Host::scan_and_merge
 
-use potemkin_snapshot::snap_struct;
-
 /// Outcome of one [`Host::scan_and_merge`] pass over a host.
 ///
 /// [`Host::scan_and_merge`]: crate::host::Host::scan_and_merge
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeReport {
-    /// Guest-region page mappings examined.
-    pub(crate) scanned_pages: u64,
     /// Divergent pages remapped back to a shared frame.
     pub merged_pages: u64,
     /// Machine frames actually freed by the pass.
     pub frames_reclaimed: u64,
 }
 
-snap_struct!(MergeReport { scanned_pages, merged_pages, frames_reclaimed });
-
 impl MergeReport {
     /// Folds another pass (or another host's pass) into this report.
     pub fn absorb(&mut self, other: MergeReport) {
-        self.scanned_pages += other.scanned_pages;
         self.merged_pages += other.merged_pages;
         self.frames_reclaimed += other.frames_reclaimed;
     }
@@ -159,8 +152,8 @@ mod tests {
 
     #[test]
     fn merge_report_absorbs() {
-        let mut a = MergeReport { scanned_pages: 10, merged_pages: 4, frames_reclaimed: 3 };
-        a.absorb(MergeReport { scanned_pages: 5, merged_pages: 1, frames_reclaimed: 1 });
-        assert_eq!(a, MergeReport { scanned_pages: 15, merged_pages: 5, frames_reclaimed: 4 });
+        let mut a = MergeReport { merged_pages: 4, frames_reclaimed: 3 };
+        a.absorb(MergeReport { merged_pages: 1, frames_reclaimed: 1 });
+        assert_eq!(a, MergeReport { merged_pages: 5, frames_reclaimed: 4 });
     }
 }

@@ -93,8 +93,6 @@ fn dns_resolution_leads_to_sinkhole_honeypot_not_internet() {
         ),
         "DNS query must not escape"
     );
-    let (queries, _) = farm.gateway().dns().counts();
-    assert_eq!(queries, 1);
 
     // The DNS reply was delivered back into the VM and consumed by the
     // guest's resolver.

@@ -19,7 +19,9 @@
 //!    after a round trip that consumes its bytes exactly, *every*
 //!    truncation of its encoding is [`SnapshotError::Decode`], and a
 //!    component handed a length no payload could hold refuses it with the
-//!    same typed error before reserving anything.
+//!    same typed error before reserving anything. A host's or a farm's
+//!    payload with one byte flipped, cut or inflated is refused, or restored
+//!    as exactly the state it encodes.
 //!
 //! Each resume case replays a full telescope scenario three times, so the
 //! case budget is kept small; the fixed unit tests in
@@ -769,5 +771,115 @@ proptest! {
             }
         };
         check_mutated_host_payload(&what, &payload)?;
+    }
+}
+
+/// A two-server farm on a 256-page image that has been through every path
+/// that writes its checkpointed state, so that a case stays cheap: standby
+/// binds and fresh clones, a worm infection and its probes, merge passes,
+/// a memory budget, a host crash and recovery, a tunnel degradation and
+/// clone failures, with outputs left undrained.
+fn busy_small_farm_config() -> FarmConfig {
+    use potemkin::vmm::guest::GuestProfile;
+
+    let mut cfg = FarmConfig::small_test();
+    cfg.servers = 2;
+    cfg.frames_per_server = 4_096;
+    cfg.overhead_pages = 8;
+    cfg.profile = GuestProfile { memory_pages: 256, disk_blocks: 256, ..GuestProfile::small() };
+    cfg.standby_per_host = 1;
+    cfg.worm = Some(WormSpec::slammer("10.1.0.0/26".parse().unwrap()));
+    cfg.gateway.policy = PolicyConfig::reflect().with_idle_timeout(SimTime::from_secs(4));
+    cfg.merge_interval = Some(SimTime::from_secs(2));
+    cfg.memory_budget_frames = Some(900);
+    cfg
+}
+
+/// The seconds [`busy_small_farm`] drives its farm for.
+const BUSY_SECS: u64 = 10;
+
+fn busy_small_farm() -> Honeyfarm {
+    use potemkin::net::PacketBuilder;
+    use potemkin::sim::{FaultEvent, FaultKind, FaultPlan};
+    use std::net::Ipv4Addr;
+
+    let mut farm = Honeyfarm::new(busy_small_farm_config()).unwrap();
+    let at = SimTime::from_secs;
+    farm.install_fault_plan(FaultPlan {
+        events: vec![
+            FaultEvent { at: at(3), kind: FaultKind::HostCrash { host: 1 } },
+            FaultEvent { at: at(5), kind: FaultKind::HostRecover { host: 1 } },
+            FaultEvent { at: at(6), kind: FaultKind::TunnelDegrade { loss: 0.5, duration: at(2) } },
+            FaultEvent { at: at(8), kind: FaultKind::CloneFaultBurst { host: 0, count: 2 } },
+        ],
+        clone_failure_prob: 0.05,
+    });
+    let attacker = Ipv4Addr::new(6, 6, 6, 6);
+    let vm0 = farm.materialize(SimTime::ZERO, Ipv4Addr::new(10, 1, 0, 1)).unwrap();
+    farm.seed_infection(vm0).unwrap();
+    for s in 0..BUSY_SECS {
+        let octet = 2 + (s % 40) as u8;
+        let dst = Ipv4Addr::new(10, 1, 0, octet);
+        farm.inject_external(at(s), PacketBuilder::new(attacker, dst).tcp_syn(4_444, 445));
+        let probe = PacketBuilder::new(attacker, dst).udp(40_000, 1434, &[4u8; 376]);
+        farm.inject_external(at(s), probe);
+        farm.worm_probe(at(s), vm0, s);
+        farm.tick(at(s));
+    }
+    farm
+}
+
+/// Restores `payload`, `what` a mutation made, into a farm built from the
+/// same configuration and holds the outcome to claim 4f.
+fn check_mutated_farm_payload(what: &str, payload: &[u8]) -> Result<(), TestCaseError> {
+    use potemkin::net::PacketBuilder;
+    use std::net::Ipv4Addr;
+
+    let mut farm = Honeyfarm::new(busy_small_farm_config()).unwrap();
+    match farm.restore_state(payload) {
+        Err(SnapshotError::Decode { .. }) => return Ok(()),
+        Err(other) => prop_assert!(false, "{what}: not a decode error: {other:?}"),
+        Ok(()) => prop_assert!(farm.encode_state() == payload, "{what}: accepted, re-encodes else"),
+    }
+    let next = SimTime::from_secs(BUSY_SECS);
+    farm.tick(next);
+    let syn = PacketBuilder::new(Ipv4Addr::new(7, 7, 7, 7), Ipv4Addr::new(10, 1, 0, 60));
+    farm.inject_external(next, syn.tcp_syn(4_445, 445));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Claim 4f: one mutation of a busy farm's payload — a byte flipped, a
+    /// cut, or a large value added to an 8-byte field — is either refused
+    /// as a decode error or accepted as exactly the state it encodes, on
+    /// which a tick and an inbound packet return rather than panic.
+    #[test]
+    fn a_mutated_farm_payload_is_refused_or_restored_whole(seed in any::<u64>()) {
+        static BUSY: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        let bytes = BUSY.get_or_init(|| busy_small_farm().encode_state());
+        let mut rng = SimRng::seed_from(seed);
+        let at = rng.below(bytes.len() as u64) as usize;
+        let mut payload = bytes.clone();
+        let what = match rng.below(3) {
+            0 => {
+                let bit = rng.below(8);
+                payload[at] ^= 1 << bit;
+                format!("bit {bit} of byte {at} flipped")
+            }
+            1 => {
+                payload.truncate(at);
+                format!("cut at {at}")
+            }
+            _ => {
+                let at = at.min(bytes.len() - 8);
+                let field = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+                let large = 1 << 32 | rng.next_u64();
+                payload[at..at + 8].copy_from_slice(&field.wrapping_add(large).to_le_bytes());
+                format!("{large:#x} added at byte {at}")
+            }
+        };
+        check_mutated_farm_payload(&what, &payload)?;
     }
 }

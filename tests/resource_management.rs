@@ -145,6 +145,6 @@ fn multi_server_pool_exhaustion_falls_back_to_cloning() {
     assert_eq!(farm.live_vms(), 4);
     assert_eq!(farm.standby_vms(), 0);
     assert_eq!(farm.counters().get("standby_hits"), 2, "two pool hits, two cold clones");
-    let flash: u64 = farm.hosts().iter().map(|h| h.lifecycle_counts().0).sum();
-    assert_eq!(flash, 4, "2 pool fills + 2 on-demand");
+    let domains: usize = farm.hosts().iter().map(|h| h.domains().count()).sum();
+    assert_eq!(domains, 4, "2 pool fills + 2 on-demand");
 }

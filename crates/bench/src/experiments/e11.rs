@@ -141,7 +141,7 @@ pub(crate) fn table(profiles: &[Profile]) -> Table {
         for p in &sweep.points {
             // Wall-clock nanoseconds per event inside a window batch,
             // weighted by batch size so big windows count proportionally.
-            let mut dispatch = LogHistogram::new(32);
+            let mut dispatch = LogHistogram::new();
             for batch in &p.result.engine.batches {
                 if let Some(per_event) = batch.elapsed_nanos.checked_div(batch.events) {
                     dispatch.record_n(per_event, batch.events);

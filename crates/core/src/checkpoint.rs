@@ -52,7 +52,7 @@ use std::sync::PoisonError;
 
 use potemkin_obs::{names as obs, Tracer};
 use potemkin_sim::{BarrierControl, Shard, ShardProgress, SimTime};
-use potemkin_snapshot::{fnv1a64, write_atomic, Snap, SnapshotError, SnapshotFile};
+use potemkin_snapshot::{fnv1a64, write_atomic, Fnv64, Snap, SnapshotError, SnapshotFile};
 
 use crate::error::FarmError;
 use crate::parallel::{
@@ -123,8 +123,9 @@ pub struct CheckpointedRun {
 
 /// Fingerprint of every configuration field that affects deterministic
 /// results — for a config lowered from a federated one, the farm grouping
-/// and admission policy too, and the adaptive window controller when one
-/// is set (both appended only then, so no other snapshot's fingerprint
+/// and admission policy too, the adaptive window controller when one is
+/// set, and a digest of the capture's `(stamp, wire bytes)` when one is
+/// replayed (each appended only then, so no other snapshot's fingerprint
 /// moved). The trace config is deliberately excluded (tracing is
 /// observer-effect-free by the `prop_obs` rule), so traced and untraced
 /// runs share snapshots; so is `tuning.rebalance`, which is
@@ -145,6 +146,15 @@ pub(crate) fn config_fingerprint(config: &ShardedTelescopeConfig) -> u64 {
     }
     if let Some(adaptive) = &config.tuning.adaptive {
         canonical.push_str(&format!("|{adaptive:?}"));
+    }
+    if let Some(capture) = &config.capture {
+        let mut digest = Fnv64::new();
+        for event in capture.events() {
+            // A wire image carries its own length (IPv4 total length).
+            digest.update(&event.at.as_nanos().to_le_bytes());
+            digest.update(event.packet.wire());
+        }
+        canonical.push_str(&format!("|capture {:016x}", digest.finish()));
     }
     fnv1a64(canonical.as_bytes())
 }
@@ -442,8 +452,10 @@ mod tests {
     use crate::parallel::run_telescope_sharded;
     use crate::scenario::TelescopeConfig;
     use potemkin_gateway::policy::PolicyConfig;
-    use potemkin_workload::radiation::RadiationConfig;
+    use potemkin_workload::radiation::{RadiationConfig, RadiationModel};
+    use potemkin_workload::trace::Trace;
     use potemkin_workload::worm::WormSpec;
+    use std::sync::Arc;
 
     /// A deliberately small scenario: checkpoint encoding walks every
     /// domain page table and every host free list, so tests trim the guest
@@ -647,6 +659,43 @@ mod tests {
         options.stop_after_windows = None;
         assert!(matches!(
             resume_telescope_checkpointed(&adaptive, 1, &snapshot, &options),
+            Err(FarmError::Snapshot(SnapshotError::ConfigMismatch { .. }))
+        ));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(rotated_path(&path));
+    }
+
+    #[test]
+    fn a_capture_run_resumes_exactly_and_only_under_its_own_capture() {
+        let mut config = sharded_config(2);
+        let base = &config.base;
+        let capture =
+            RadiationModel::new(base.radiation.clone(), base.seed).generate(base.duration);
+        let mut one_short = Trace::new();
+        for event in &capture.events()[1..] {
+            one_short.push(event.at, event.packet.clone());
+        }
+        config.capture = Some(Arc::new(capture));
+        let path = temp_path("capture.snap");
+        let uninterrupted = run_telescope_sharded(&config, 1).unwrap();
+
+        let mut options = CheckpointOptions::new(&path);
+        options.stop_after_windows = Some(4);
+        assert!(run_telescope_checkpointed(&config, 1, &options).unwrap().checkpoints.interrupted);
+        let (snapshot, _) = recover_snapshot(&path).unwrap();
+        options.stop_after_windows = None;
+        for workers in [1, 2] {
+            let resumed =
+                resume_telescope_checkpointed(&config, workers, &snapshot, &options).unwrap();
+            assert_eq!(
+                uninterrupted.canonical_string(),
+                resumed.result.canonical_string(),
+                "workers={workers}"
+            );
+        }
+        config.capture = Some(Arc::new(one_short));
+        assert!(matches!(
+            resume_telescope_checkpointed(&config, 1, &snapshot, &options),
             Err(FarmError::Snapshot(SnapshotError::ConfigMismatch { .. }))
         ));
         let _ = std::fs::remove_file(&path);

@@ -688,7 +688,7 @@ mod tests {
     /// to the old pin, `0x22598e8e93851d00`. Re-pinned for snapshot
     /// version 10: 1,244 bytes less — the 52-byte `meta` section, 9 bytes
     /// of progress a shard, and 140 bytes a one-host cell farm.
-    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (442_961, 0x5776f4de271cb362);
+    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (442_897, 0xbb989d698735b93c);
 
     #[test]
     fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {

@@ -23,7 +23,8 @@
 //! A plain telescope replay and an in-farm worm outbreak are runs of the
 //! same loop too: one cell on one worker, the outbreak with the worm's
 //! scan space as its telescope, a zero radiation rate and
-//! `seed_infections(n)`. [`ShardedTelescopeResult`] is the one result type,
+//! `seed_infections(n)`; a loaded capture replays in the radiation's place,
+//! partitioned like it. [`ShardedTelescopeResult`] is the one result type,
 //! infection curve included.
 //!
 //! # Determinism
@@ -37,8 +38,10 @@
 //! run; `tests/prop_parallel.rs` asserts this across seeds, worker counts,
 //! and fault schedules.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use potemkin_gateway::binding::VmRef;
 use potemkin_net::addr::Ipv4Prefix;
@@ -50,7 +53,7 @@ use potemkin_sim::{
 };
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError, SnapshotFile};
 use potemkin_workload::radiation::RadiationModel;
-use potemkin_workload::trace::TrafficMix;
+use potemkin_workload::trace::{Trace, TraceEvent, TrafficMix};
 
 use crate::checkpoint::{restore_snapshot, CheckpointSink};
 use crate::error::FarmError;
@@ -215,6 +218,9 @@ pub struct ShardedTelescopeConfig {
     pub(crate) federation: Option<FederationPlan>,
     /// The attacker fleet, set only by the interaction driver's lowering.
     pub(crate) fleet: Option<FleetPlan>,
+    /// A loaded capture replayed in place of the radiation model's trace
+    /// (see [`ShardedTelescopeConfigBuilder::capture`]).
+    pub(crate) capture: Option<Arc<Trace>>,
 }
 
 impl ShardedTelescopeConfig {
@@ -234,6 +240,7 @@ impl ShardedTelescopeConfig {
                 tuning: EngineTuning::default(),
                 federation: None,
                 fleet: None,
+                capture: None,
             },
         }
     }
@@ -272,6 +279,10 @@ impl ShardedTelescopeConfig {
         }
         if self.tuning.adaptive.is_some_and(|a| a.min == SimTime::ZERO || a.min > a.max) {
             return bad("tuning.adaptive", "adaptive window needs 0 < min <= max");
+        }
+        let stray = |e: &TraceEvent| !radiation.telescope.contains(e.packet.dst());
+        if self.capture.as_ref().is_some_and(|capture| capture.events().iter().any(stray)) {
+            return bad("capture", "a captured destination is outside base.radiation.telescope");
         }
         Ok(())
     }
@@ -334,6 +345,15 @@ impl ShardedTelescopeConfigBuilder {
         self
     }
 
+    /// Replays `capture` (a trace read from a pcap file, every destination
+    /// a telescope address) in place of the radiation `base.radiation`
+    /// would generate, partitioned, queued and summarized the same way.
+    #[must_use]
+    pub fn capture(mut self, capture: Arc<Trace>) -> Self {
+        self.inner.capture = Some(capture);
+        self
+    }
+
     /// Validates and produces the configuration.
     ///
     /// # Errors
@@ -343,7 +363,8 @@ impl ShardedTelescopeConfigBuilder {
     /// is negative, NaN or infinite, radiation without ports, zero cells,
     /// a zero window, a sliced map that cannot split the
     /// telescope, seed infections without a worm on the base farm or more
-    /// of them than telescope addresses, or bad adaptive bounds.
+    /// of them than telescope addresses, bad adaptive bounds, or a capture
+    /// with a destination outside the telescope.
     pub fn build(self) -> Result<ShardedTelescopeConfig, potemkin_gateway::ConfigError> {
         self.inner.validate()?;
         Ok(self.inner)
@@ -580,8 +601,8 @@ impl ShardWorld for CellWorld {
 }
 
 /// The cells of a run, plus the deterministic facts about the replayed
-/// radiation trace (regenerated from config + seed at prepare time, so a
-/// resumed run reports identical values without storing the packets).
+/// trace (regenerated from config + seed, or the capture's, at prepare
+/// time, so a resumed run reports identical values without storing them).
 pub(crate) struct PreparedRun {
     pub(crate) shards: Vec<Shard<CellWorld>>,
     packets: u64,
@@ -594,10 +615,10 @@ pub(crate) struct PreparedRun {
 ///
 /// With `schedule == true` the queues are primed for a fresh run: initial
 /// `Sample`/`Tick` events, patient-zero infections, and the partitioned
-/// radiation trace. With `schedule == false` the queues stay empty and no
-/// farm state is touched beyond construction — the caller restores both
-/// from a checkpoint (the trace is still *generated*, deterministically,
-/// so its metadata fields can be reported).
+/// trace, the capture or else the generated radiation. With
+/// `schedule == false` the queues stay empty and no farm state is touched
+/// beyond construction — the caller restores both from a checkpoint (the
+/// trace is still at hand, so its metadata fields can be reported).
 fn prepare_shards(
     config: &ShardedTelescopeConfig,
     schedule: bool,
@@ -606,8 +627,9 @@ fn prepare_shards(
     let base = &config.base;
     let telescope = base.radiation.telescope;
 
-    let mut model = RadiationModel::new(base.radiation.clone(), base.seed);
-    let trace = model.generate(base.duration);
+    let generate =
+        || RadiationModel::new(base.radiation.clone(), base.seed).generate(base.duration);
+    let trace = config.capture.as_deref().map_or_else(|| Cow::Owned(generate()), Cow::Borrowed);
     let packets = trace.len() as u64;
     let distinct_sources = trace.distinct_sources() as u64;
     let distinct_destinations = trace.distinct_destinations() as u64;
@@ -617,11 +639,11 @@ fn prepare_shards(
     // One shared config for every cell: the farm template (service tables,
     // hitlists, profiles) is cloned once into the `Arc`, not per cell;
     // per-cell variation is only the derived RNG seed.
-    let farm_template = std::sync::Arc::new(base.farm.clone());
+    let farm_template = Arc::new(base.farm.clone());
     let mut shards = Vec::with_capacity(config.cells);
     for cell in 0..config.cells {
         let mut farm = Honeyfarm::with_shared_config(
-            std::sync::Arc::clone(&farm_template),
+            Arc::clone(&farm_template),
             derive_cell_seed(base.farm.seed, cell),
         )?;
         let slot = CellSlot { telescope, index: cell, count: config.cells, map: config.cell_map };
@@ -676,7 +698,7 @@ fn prepare_shards(
         // Partition the trace: each packet goes to the cell owning its
         // destination, in trace order (the queue's FIFO tie-break keeps
         // same-timestamp arrivals in this order).
-        for event in trace.into_events() {
+        for event in trace.into_owned().into_events() {
             let cell = config.cell_map.owner(telescope, event.packet.dst(), config.cells);
             let shard = &mut shards[cell];
             let key = shard.world.packets.insert(event.packet);
@@ -1011,6 +1033,7 @@ mod tests {
             tuning: EngineTuning::default(),
             federation: None,
             fleet: None,
+            capture: None,
         }
     }
 

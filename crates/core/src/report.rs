@@ -48,7 +48,7 @@ impl FarmStats {
         let mut infected_vms = 0;
         let mut memory = Vec::new();
         let mut counters = CounterSet::new();
-        let mut clone_latency = LogHistogram::new(32);
+        let mut clone_latency = LogHistogram::new();
         let mut vmm_time = SimTime::ZERO;
         let mut sharing = SharingReport::default();
         for farm in farms {
@@ -174,7 +174,7 @@ impl DegradationReport {
         farms: impl IntoIterator<Item = &'a Honeyfarm>,
     ) -> DegradationReport {
         let mut c = CounterSet::new();
-        let mut rebind = LogHistogram::new(32);
+        let mut rebind = LogHistogram::new();
         let mut pending_rebinds = 0u64;
         for farm in farms {
             c.merge(farm.counters());

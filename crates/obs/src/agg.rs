@@ -26,7 +26,7 @@ pub struct SpanStats {
 
 impl SpanStats {
     fn new() -> Self {
-        SpanStats { count: 0, total: SimTime::ZERO, hist_us: LogHistogram::new(32) }
+        SpanStats { count: 0, total: SimTime::ZERO, hist_us: LogHistogram::new() }
     }
 
     /// Mean duration over completed instances.

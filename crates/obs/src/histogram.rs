@@ -10,21 +10,20 @@ use std::collections::BTreeMap;
 
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
-/// The finest precision [`LogHistogram::unsnap`] accepts. Every histogram
-/// in the tree is built with 32; a decoded precision sizes the bucket table
-/// (`64 * sub_buckets` counters), so it is bounded before that allocation.
-const MAX_DECODED_SUB_BUCKETS: u32 = 1 << 10;
+/// Linear sub-buckets per power of two: the one precision every histogram
+/// has, so any two merge and none carries it on the wire.
+const SUB_BUCKETS: u64 = 32;
 
 /// A histogram of `u64` samples with geometric buckets.
 ///
-/// Relative quantile error is bounded by `1 / sub_buckets`.
+/// Relative quantile error is bounded by `1 / 32`.
 ///
 /// # Examples
 ///
 /// ```
 /// use potemkin_obs::LogHistogram;
 ///
-/// let mut h = LogHistogram::new(16);
+/// let mut h = LogHistogram::new();
 /// for v in 1..=1000u64 {
 ///     h.record(v);
 /// }
@@ -34,7 +33,6 @@ const MAX_DECODED_SUB_BUCKETS: u32 = 1 << 10;
 /// ```
 #[derive(Clone, Debug)]
 pub struct LogHistogram {
-    sub_buckets: u32,
     /// counts[b] where b encodes (power, sub-bucket).
     counts: Vec<u64>,
     count: u64,
@@ -44,22 +42,12 @@ pub struct LogHistogram {
 }
 
 impl LogHistogram {
-    /// Creates a histogram with the given number of linear sub-buckets per
-    /// power of two (higher = more precision, more memory).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub_buckets` is 0 or not a power of two.
+    /// Creates an empty histogram.
     #[must_use]
-    pub fn new(sub_buckets: u32) -> Self {
-        assert!(
-            sub_buckets.is_power_of_two() && sub_buckets > 0,
-            "sub_buckets must be a power of two"
-        );
-        // 64 powers of two, each with `sub_buckets` linear sub-buckets.
+    pub fn new() -> Self {
+        // 64 powers of two, each with `SUB_BUCKETS` linear sub-buckets.
         LogHistogram {
-            sub_buckets,
-            counts: vec![0; 64 * sub_buckets as usize],
+            counts: vec![0; 64 * SUB_BUCKETS as usize],
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -67,10 +55,10 @@ impl LogHistogram {
         }
     }
 
-    fn bucket_of(&self, value: u64) -> usize {
-        let sb = self.sub_buckets as u64;
+    fn bucket_of(value: u64) -> usize {
+        let sb = SUB_BUCKETS;
         if value < sb {
-            // The first `sub_buckets` values map one-to-one.
+            // The first `SUB_BUCKETS` values map one-to-one.
             return value as usize;
         }
         let msb = 63 - value.leading_zeros() as u64;
@@ -79,8 +67,8 @@ impl LogHistogram {
         ((msb - sb.trailing_zeros() as u64 + 1) * sb + sub) as usize
     }
 
-    fn bucket_low(&self, bucket: usize) -> u64 {
-        let sb = self.sub_buckets as u64;
+    fn bucket_low(bucket: usize) -> u64 {
+        let sb = SUB_BUCKETS;
         let b = bucket as u64;
         if b < sb {
             return b;
@@ -92,7 +80,7 @@ impl LogHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        let b = self.bucket_of(value);
+        let b = Self::bucket_of(value);
         self.counts[b] += 1;
         self.count += 1;
         self.sum += u128::from(value);
@@ -102,7 +90,7 @@ impl LogHistogram {
 
     /// Records a sample `n` times.
     pub fn record_n(&mut self, value: u64, n: u64) {
-        let b = self.bucket_of(value);
+        let b = Self::bucket_of(value);
         self.counts[b] += n;
         self.count += n;
         self.sum += u128::from(value) * u128::from(n);
@@ -140,19 +128,14 @@ impl LogHistogram {
             seen += c;
             if seen >= target {
                 // Clamp to observed extremes for tighter tails.
-                return self.bucket_low(b).clamp(self.min, self.max);
+                return Self::bucket_low(b).clamp(self.min, self.max);
             }
         }
         self.max
     }
 
-    /// Merges another histogram (must have identical `sub_buckets`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the precisions differ.
+    /// Merges another histogram.
     pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(self.sub_buckets, other.sub_buckets, "histogram precision mismatch");
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -163,14 +146,13 @@ impl LogHistogram {
     }
 }
 
-/// The precision, the summary (`count`, `sum`, `min`, `max`), then only
-/// the non-zero buckets as `(index, count)` pairs. A precision that is not
-/// a power of two or is finer than `MAX_DECODED_SUB_BUCKETS`, or a bucket
-/// index outside the table, out of ascending order or with a zero count, is
-/// a decode error.
+/// The summary (`count`, `sum`, `min`, `max`), then only the non-zero
+/// buckets as `(index, count)` pairs. A bucket index outside the table,
+/// out of ascending order or with a zero count, bucket counts that do not
+/// sum to `count`, or a non-empty histogram whose `min` exceeds its `max`
+/// (which [`LogHistogram::quantile`] clamps between) is a decode error.
 impl Snap for LogHistogram {
     fn snap(&self, w: &mut SnapWriter) {
-        w.u32(self.sub_buckets);
         w.u64(self.count);
         w.u128(self.sum);
         w.u64(self.min);
@@ -181,20 +163,27 @@ impl Snap for LogHistogram {
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let sub_buckets = r.u32()?;
-        if !sub_buckets.is_power_of_two() || sub_buckets > MAX_DECODED_SUB_BUCKETS {
-            return Err(r.bad());
-        }
-        let mut h = LogHistogram::new(sub_buckets);
+        let mut h = LogHistogram::new();
         h.count = r.u64()?;
         h.sum = r.u128()?;
         h.min = r.u64()?;
         h.max = r.u64()?;
+        let mut total = 0u64;
         for (idx, c) in BTreeMap::<u64, u64>::unsnap(r)? {
             let slot = usize::try_from(idx).ok().and_then(|i| h.counts.get_mut(i));
             *slot.filter(|_| c > 0).ok_or_else(|| r.bad())? = c;
+            total = total.checked_add(c).ok_or_else(|| r.bad())?;
+        }
+        if total != h.count || (h.count > 0 && h.min > h.max) {
+            return Err(r.bad());
         }
         Ok(h)
+    }
+}
+
+impl Default for LogHistogram {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -203,43 +192,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_hostile_precision_is_refused_before_the_bucket_table_is_sized() {
-        // 64 * (1 << 31) counters would be a 1 TiB table.
-        let mut bytes = LogHistogram::new(32).to_bytes();
-        bytes[..4].copy_from_slice(&(1u32 << 31).to_le_bytes());
-        let decoded = LogHistogram::from_bytes(&bytes, "hist");
-        assert_eq!(decoded.err(), Some(SnapshotError::Decode { context: "hist" }));
-    }
-
-    #[test]
     fn small_values_are_exact() {
-        let mut h = LogHistogram::new(16);
-        for v in 0..16u64 {
-            h.record(v);
-        }
-        // Values below sub_buckets land in their own bucket.
-        for v in 0..16u64 {
-            assert_eq!(h.bucket_of(v), v as usize);
-            assert_eq!(h.bucket_low(v as usize), v);
+        // Values below `SUB_BUCKETS` land in their own bucket.
+        for v in 0..SUB_BUCKETS {
+            assert_eq!(LogHistogram::bucket_of(v), v as usize);
+            assert_eq!(LogHistogram::bucket_low(v as usize), v);
         }
     }
 
     #[test]
     fn bucket_low_is_lower_bound_of_bucket() {
-        let h = LogHistogram::new(16);
-        for v in [1u64, 15, 16, 17, 100, 1000, 4096, 1 << 20, u64::MAX / 2] {
-            let b = h.bucket_of(v);
-            let low = h.bucket_low(b);
+        for v in [1u64, 31, 32, 33, 100, 1000, 4096, 1 << 20, u64::MAX / 2] {
+            let b = LogHistogram::bucket_of(v);
+            let low = LogHistogram::bucket_low(b);
             assert!(low <= v, "low {low} > value {v}");
             // The next bucket's low must be above the value.
-            let next_low = h.bucket_low(b + 1);
+            let next_low = LogHistogram::bucket_low(b + 1);
             assert!(v < next_low, "value {v} >= next bucket low {next_low}");
         }
     }
 
     #[test]
     fn relative_error_bounded() {
-        let mut h = LogHistogram::new(32);
+        let mut h = LogHistogram::new();
         let v = 123_456_789u64;
         h.record(v);
         let p = h.quantile(1.0);
@@ -249,7 +224,7 @@ mod tests {
 
     #[test]
     fn quantiles_of_uniform_range() {
-        let mut h = LogHistogram::new(32);
+        let mut h = LogHistogram::new();
         for v in 1..=10_000u64 {
             h.record(v);
         }
@@ -265,7 +240,7 @@ mod tests {
 
     #[test]
     fn mean_min_max() {
-        let mut h = LogHistogram::new(16);
+        let mut h = LogHistogram::new();
         assert_eq!(h.mean(), 0.0);
         h.record(10);
         h.record(20);
@@ -277,8 +252,8 @@ mod tests {
 
     #[test]
     fn record_n_equivalent_to_loop() {
-        let mut a = LogHistogram::new(16);
-        let mut b = LogHistogram::new(16);
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
         a.record_n(500, 100);
         for _ in 0..100 {
             b.record(500);
@@ -290,8 +265,8 @@ mod tests {
 
     #[test]
     fn merge_combines() {
-        let mut a = LogHistogram::new(16);
-        let mut b = LogHistogram::new(16);
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
         a.record(1);
         b.record(1_000_000);
         a.merge(&b);
@@ -301,8 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn a_bucket_list_out_of_order_or_with_a_zero_count_is_refused() {
-        let mut h = LogHistogram::new(32);
+    fn a_bucket_list_out_of_order_miscounted_or_with_min_over_max_is_refused() {
+        let mut h = LogHistogram::new();
         h.record(3);
         h.record(900);
         let bytes = h.to_bytes();
@@ -317,23 +292,20 @@ mod tests {
         swapped.extend_from_slice(&bytes[pairs..pairs + 16]);
         let mut zero = bytes.clone();
         zero[bytes.len() - 8..].fill(0);
-        for hostile in [swapped, zero] {
+        // `count` is the first field; `min` and `max` follow `sum`.
+        let mut miscounted = bytes.clone();
+        miscounted[0] += 1;
+        let mut inverted = bytes.clone();
+        inverted[24..32].copy_from_slice(&1_000u64.to_le_bytes());
+        for hostile in [swapped, zero, miscounted, inverted] {
             let decoded = LogHistogram::from_bytes(&hostile, "hist");
             assert_eq!(decoded.err(), Some(SnapshotError::Decode { context: "hist" }));
         }
     }
 
     #[test]
-    #[should_panic(expected = "precision mismatch")]
-    fn merge_mismatched_precision_panics() {
-        let mut a = LogHistogram::new(16);
-        let b = LogHistogram::new(32);
-        a.merge(&b);
-    }
-
-    #[test]
     fn extreme_values() {
-        let mut h = LogHistogram::new(16);
+        let mut h = LogHistogram::new();
         h.record(0);
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);

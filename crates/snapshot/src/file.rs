@@ -49,9 +49,10 @@ use crate::error::SnapshotError;
 /// flow table's, binder's, DNS proxy's and host's lifetime counts, the DNS
 /// TTL, the farm's merge totals and its copy of the fault plan's
 /// clone-failure probability, each shard's last event time and horizon
-/// flag) and the `meta` section, whose facts the config fingerprint holds.
-/// Older files are rejected rather than misparsed.
-pub(crate) const SNAPSHOT_VERSION: u32 = 10;
+/// flag) and the `meta` section, whose facts the config fingerprint holds;
+/// version 11 writes a histogram without its precision, which every
+/// histogram shares. Older files are rejected rather than misparsed.
+pub(crate) const SNAPSHOT_VERSION: u32 = 11;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

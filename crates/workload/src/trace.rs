@@ -1,6 +1,13 @@
 //! Timestamped packet traces.
+//!
+//! A trace's one file format is nanosecond libpcap ([`Trace::write_pcap`],
+//! [`Trace::read_pcap`]): generated radiation is saved as one, and an
+//! operator's own capture is read as one.
 
-use potemkin_net::Packet;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use potemkin_net::pcap::{parse_pcap, PcapRecord};
+use potemkin_net::{NetError, Packet};
 use potemkin_sim::SimTime;
 
 /// One packet at one virtual time.
@@ -156,80 +163,36 @@ impl Trace {
         mix
     }
 
-    /// Writes the trace as a standard libpcap file (LINKTYPE_RAW), openable
-    /// in Wireshark/tcpdump. Virtual time maps to the pcap timestamp.
+    /// Writes the trace as a standard libpcap file (LINKTYPE_RAW,
+    /// nanosecond stamps), openable in Wireshark/tcpdump. Virtual time maps
+    /// to the pcap timestamp.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_pcap<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let records: Vec<potemkin_net::pcap::PcapRecord> = self
+        let records: Vec<PcapRecord> = self
             .events
             .iter()
-            .map(|e| potemkin_net::pcap::PcapRecord {
-                ts_sec: e.at.as_secs() as u32,
-                ts_usec: (e.at.as_micros() % 1_000_000) as u32,
-                packet: e.packet.clone(),
-            })
+            .map(|e| PcapRecord { nanos: e.at.as_nanos(), packet: e.packet.clone() })
             .collect();
         potemkin_net::pcap::write_pcap(w, &records)
     }
 
-    /// Writes the trace in the line-oriented text format
-    /// (`<nanoseconds> <hex wire bytes>` per event), so runs can be
-    /// replayed across processes.
+    /// Reads a libpcap file (see [`potemkin_net::pcap::parse_pcap`]) as a
+    /// trace, each stamp read as virtual time since the run's start. The
+    /// events keep file order, so [`Trace::write_pcap`] gives back the
+    /// bytes of a file it wrote.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_to<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        for e in &self.events {
-            write!(w, "{} ", e.at.as_nanos())?;
-            for b in e.packet.wire() {
-                write!(w, "{b:02x}")?;
-            }
-            writeln!(w)?;
-        }
-        Ok(())
-    }
-
-    /// Reads a trace previously written by [`Trace::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for malformed lines or unparseable packets,
-    /// and propagates I/O errors from `r`.
-    pub fn read_from<R: std::io::BufRead>(r: &mut R) -> std::io::Result<Trace> {
-        use std::io::{Error, ErrorKind};
-        let bad = |what: &str| Error::new(ErrorKind::InvalidData, what.to_string());
-        let mut trace = Trace::new();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if r.read_line(&mut line)? == 0 {
-                break;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (nanos, hex) = line.split_once(' ').ok_or_else(|| bad("missing separator"))?;
-            let hex = hex.trim_end();
-            let nanos: u64 = nanos.parse().map_err(|_| bad("bad timestamp"))?;
-            if !hex.len().is_multiple_of(2) {
-                return Err(bad("odd hex length"));
-            }
-            let mut bytes = Vec::with_capacity(hex.len() / 2);
-            for i in (0..hex.len()).step_by(2) {
-                let byte =
-                    u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| bad("bad hex digit"))?;
-                bytes.push(byte);
-            }
-            let packet = Packet::parse(&bytes)
-                .map_err(|e| Error::new(ErrorKind::InvalidData, e.to_string()))?;
-            trace.push(SimTime::from_nanos(nanos), packet);
-        }
-        trace.sort();
-        Ok(trace)
+    /// Returns the [`NetError`] of the first bad header, record or packet.
+    pub fn read_pcap(buf: &[u8]) -> Result<Trace, NetError> {
+        let events = parse_pcap(buf)?
+            .into_iter()
+            .map(|r| TraceEvent { at: SimTime::from_nanos(r.nanos), packet: r.packet })
+            .collect();
+        Ok(Trace { events })
     }
 }
 
@@ -284,53 +247,6 @@ mod tests {
         assert_eq!(mix.top_ports(1), vec![(445, 2)]);
         assert_eq!(mix.top_ports(10).len(), 3);
         assert!(mix.bytes > 0);
-    }
-
-    #[test]
-    fn pcap_export_roundtrips_through_parser() {
-        let mut t = Trace::new();
-        t.push(SimTime::from_millis(1_500), pkt(1, 1));
-        t.push(SimTime::from_secs(3), pkt(2, 2));
-        let mut buf = Vec::new();
-        t.write_pcap(&mut buf).unwrap();
-        let records = potemkin_net::pcap::parse_pcap(&buf).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].ts_sec, 1);
-        assert_eq!(records[0].ts_usec, 500_000);
-        assert_eq!(records[0].packet, t.events()[0].packet);
-        assert_eq!(records[1].ts_sec, 3);
-    }
-
-    #[test]
-    fn file_format_roundtrips() {
-        let mut t = Trace::new();
-        t.push(SimTime::from_millis(5), pkt(1, 1));
-        t.push(SimTime::from_secs(2), pkt(2, 3));
-        t.push(
-            SimTime::from_nanos(17),
-            PacketBuilder::new(Ipv4Addr::new(9, 9, 9, 9), Ipv4Addr::new(10, 0, 0, 1))
-                .udp(53, 53, b"payload"),
-        );
-        t.sort();
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        let parsed = Trace::read_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(parsed.len(), t.len());
-        for (a, b) in parsed.events().iter().zip(t.events()) {
-            assert_eq!(a.at, b.at);
-            assert_eq!(a.packet, b.packet);
-        }
-    }
-
-    #[test]
-    fn file_format_rejects_garbage() {
-        for bad in ["nonsense", "123 zz", "123 abc", "123 dead"] {
-            let r = Trace::read_from(&mut bad.as_bytes());
-            assert!(r.is_err(), "{bad:?} should fail");
-        }
-        // Empty input and blank lines are fine.
-        assert_eq!(Trace::read_from(&mut "".as_bytes()).unwrap().len(), 0);
-        assert_eq!(Trace::read_from(&mut "\n\n".as_bytes()).unwrap().len(), 0);
     }
 
     #[test]

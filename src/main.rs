@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! potemkin replay   [--duration SECS] [--idle SECS] [--servers N]
-//!                   [--seed N] [--save-trace FILE] [--load-trace FILE]
-//!                   [--save-pcap FILE]
+//!                   [--seed N] [--save-trace FILE.pcap] [--load-trace FILE.pcap]
 //! potemkin outbreak [--worm codered|slammer|blaster] [--policy reflect|drop|allow]
 //!                   [--duration SECS] [--scan-rate R] [--seeds N]
 //! potemkin demand   [--duration SECS] [--lifetimes S1,S2,...] [--seed N]
@@ -24,17 +23,24 @@
 //!                   [--chunk-blocks N] [--reads N]
 //! ```
 //!
+//! A trace file is a libpcap file of bare IPv4 packets (LINKTYPE_RAW):
+//! `replay --save-trace` writes the generated radiation as one, with
+//! nanosecond stamps, and exits; `replay --load-trace` replays one — its
+//! stamps read as time since the start, microsecond files too — in the
+//! radiation's place, on the same engine and into the same table.
+//!
 //! Each subcommand exercises the public library API end to end; the
 //! `figures` binary in `potemkin-bench` regenerates the paper's tables.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use potemkin::checkpoint::{
     fork_telescope_checkpointed, recover_snapshot, resume_telescope_checkpointed,
     run_telescope_checkpointed, CheckpointOptions, CheckpointedRun,
 };
-use potemkin::farm::{FarmConfig, Honeyfarm};
+use potemkin::farm::FarmConfig;
 use potemkin::fed::AdmissionConfig;
 use potemkin::federation::{run_telescope_federated, FederatedTelescopeConfig};
 use potemkin::gateway::policy::PolicyConfig;
@@ -133,48 +139,27 @@ fn cmd_replay(args: &Args) -> Result<(), Error> {
     farm.gateway.policy.binding_idle_timeout = idle;
 
     if let Some(path) = args.flags.get("save-trace") {
-        let mut model = RadiationModel::new(RadiationConfig::default(), seed);
-        let trace = model.generate(duration);
-        let mut file = std::fs::File::create(path)?;
-        trace.write_to(&mut file)?;
-        println!("wrote {} events to {path}", trace.len());
-        return Ok(());
-    }
-    if let Some(path) = args.flags.get("save-pcap") {
-        let mut model = RadiationModel::new(RadiationConfig::default(), seed);
-        let trace = model.generate(duration);
-        let mut file = std::fs::File::create(path)?;
-        trace.write_pcap(&mut file)?;
-        println!("wrote {} packets to {path} (libpcap, LINKTYPE_RAW)", trace.len());
+        let trace = RadiationModel::new(RadiationConfig::default(), seed).generate(duration);
+        let mut bytes = Vec::new();
+        trace.write_pcap(&mut bytes)?;
+        std::fs::write(path, bytes)?;
+        println!("wrote {} packets to {path} (libpcap, LINKTYPE_RAW, ns stamps)", trace.len());
         return Ok(());
     }
 
-    let result = if let Some(path) = args.flags.get("load-trace") {
-        // Replay a saved trace through a hand-driven farm.
-        let file = std::fs::File::open(path)?;
-        let mut reader = std::io::BufReader::new(file);
-        let trace = Trace::read_from(&mut reader)?;
-        println!("loaded {} events from {path}", trace.len());
-        let mut live_farm = Honeyfarm::new(farm)?;
-        let mut last_tick = SimTime::ZERO;
-        for event in trace.events() {
-            live_farm.inject_external(event.at, event.packet.clone());
-            if event.at.saturating_sub(last_tick) >= SimTime::from_secs(1) {
-                live_farm.tick(event.at);
-                last_tick = event.at;
-            }
-        }
-        println!("\n{}", live_farm.stats());
-        return Ok(());
-    } else {
-        let base = TelescopeConfig::builder(farm, RadiationConfig::default())
-            .seed(seed)
-            .duration(duration)
-            .sample_interval(SimTime::from_secs(5))
-            .tick_interval(SimTime::from_secs(1))
-            .build()?;
-        run_telescope_sharded(&ShardedTelescopeConfig::builder(base).build()?, 1)?
-    };
+    let base = TelescopeConfig::builder(farm, RadiationConfig::default())
+        .seed(seed)
+        .duration(duration)
+        .sample_interval(SimTime::from_secs(5))
+        .tick_interval(SimTime::from_secs(1))
+        .build()?;
+    let mut config = ShardedTelescopeConfig::builder(base);
+    if let Some(path) = args.flags.get("load-trace") {
+        let trace = Trace::read_pcap(&std::fs::read(path)?)?;
+        println!("loaded {} packets from {path}", trace.len());
+        config = config.capture(Arc::new(trace));
+    }
+    let result = run_telescope_sharded(&config.build()?, 1)?;
 
     let mut t = Table::new(&["metric", "value"]).with_title("telescope replay");
     t.row_owned(vec!["packets".into(), result.packets.to_string()]);

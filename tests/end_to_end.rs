@@ -203,3 +203,35 @@ fn deterministic_across_identical_runs() {
     };
     assert_eq!(run(), run(), "same seed, same result");
 }
+
+/// `potemkin replay` with `args`, its stdout, failing on a nonzero exit.
+fn replay(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_potemkin"))
+        .arg("replay")
+        .args(["--duration", "10"])
+        .args(args)
+        .output()
+        .expect("run potemkin replay");
+    assert!(out.status.success(), "replay {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// The one "telescope replay" table of a replay's output.
+fn table(stdout: &str) -> &str {
+    let start = stdout.find("== telescope replay ==").expect("a telescope replay table");
+    &stdout[start..]
+}
+
+#[test]
+fn a_saved_trace_loads_and_replays_to_the_generated_table() {
+    let path = std::env::temp_dir().join(format!("potemkin-e2e-{}.pcap", std::process::id()));
+    let file = path.to_str().expect("utf-8 temp path");
+    assert!(replay(&["--save-trace", file]).starts_with("wrote "));
+    let bytes = std::fs::read(&path).expect("the saved trace");
+    assert_eq!(bytes[..4], 0xA1B2_3C4Du32.to_le_bytes(), "nanosecond libpcap");
+    let loaded = replay(&["--load-trace", file]);
+    let _ = std::fs::remove_file(&path);
+    let generated = replay(&[]);
+    assert_eq!(table(&loaded), table(&generated));
+    assert!(table(&generated).lines().any(|l| l.starts_with("escapes") && l.ends_with(" 0")));
+}

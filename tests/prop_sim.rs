@@ -34,7 +34,7 @@ proptest! {
     /// relative error bound holds for every recorded point.
     #[test]
     fn histogram_quantile_invariants(samples in proptest::collection::vec(1u64..1_000_000_000, 1..300)) {
-        let mut h = LogHistogram::new(32);
+        let mut h = LogHistogram::new();
         for &s in &samples {
             h.record(s);
         }

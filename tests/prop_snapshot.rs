@@ -336,7 +336,7 @@ fn check_every_codec(seed: u64) -> Result<(), TestCaseError> {
     check_codec("ShardProgress", &progress)?;
 
     // Metrics.
-    let mut hist = LogHistogram::new(32);
+    let mut hist = LogHistogram::new();
     w[..n].iter().for_each(|&x| hist.record(x >> (x % 60)));
     check_codec("LogHistogram", &hist)?;
     let mut series = TimeSeries::new(SimTime::from_secs(1));
@@ -841,10 +841,14 @@ fn check_mutated_farm_payload(what: &str, payload: &[u8]) -> Result<(), TestCase
         Err(other) => prop_assert!(false, "{what}: not a decode error: {other:?}"),
         Ok(()) => prop_assert!(farm.encode_state() == payload, "{what}: accepted, re-encodes else"),
     }
+    // The report merges the restored histograms, so it runs on the state
+    // as decoded and again after the farm moves on.
+    let _ = farm.stats();
     let next = SimTime::from_secs(BUSY_SECS);
     farm.tick(next);
     let syn = PacketBuilder::new(Ipv4Addr::new(7, 7, 7, 7), Ipv4Addr::new(10, 1, 0, 60));
     farm.inject_external(next, syn.tcp_syn(4_445, 445));
+    let _ = farm.stats();
     Ok(())
 }
 
@@ -854,7 +858,8 @@ proptest! {
     /// Claim 4f: one mutation of a busy farm's payload — a byte flipped, a
     /// cut, or a large value added to an 8-byte field — is either refused
     /// as a decode error or accepted as exactly the state it encodes, on
-    /// which a tick and an inbound packet return rather than panic.
+    /// which the report, a tick and an inbound packet return rather than
+    /// panic.
     #[test]
     fn a_mutated_farm_payload_is_refused_or_restored_whole(seed in any::<u64>()) {
         static BUSY: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();

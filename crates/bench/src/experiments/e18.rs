@@ -18,8 +18,8 @@
 //!    creation and cloning, and rises only once guests actually read —
 //!    the paper's "late binding of resources" applied to disk blocks.
 //! 3. **Manifest checkpoints.** Host snapshots encode disks as manifest
-//!    references (geometry + one bool per chunk slot) instead of an
-//!    O(disk) block walk, so checkpoint size is governed by dirty
+//!    references (the indexes of the materialized chunk slots) instead of
+//!    an O(disk) block walk, so checkpoint size is governed by dirty
 //!    overlays, not virtual disk size — and results stay byte-identical
 //!    across worker counts and across chunked vs. flat layouts.
 //!
@@ -263,10 +263,11 @@ pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> StorageResult {
     }
 }
 
-/// Encoded size of one study manifest: geometry words plus one bool per
-/// chunk slot (the part that replaced the flat walk).
+/// Encoded size of one study manifest: the length of its list of
+/// materialized slots (the part that replaced the flat walk), empty here —
+/// no guest of the study host reads its disk.
 fn manifest_section_bytes() -> u64 {
-    4 * 8 + DISK_BLOCKS.div_ceil(CHUNK_BLOCKS)
+    8
 }
 
 /// Renders the dedupe / late-binding accounting.

@@ -2397,9 +2397,11 @@ mod tests {
     /// disk or crash tallies; the rebind histogram follows the clone
     /// latency one) and 10 (no merge totals, host lifecycle tallies or
     /// gateway tallies, and the clone-failure probability only in the fault
-    /// injector: 24 + 40 a host + 68 + 8 bytes less).
-    const BUSY_FARM_PIN: (usize, u64) = (957_196, 0xc8eff80e963ba8ad);
-    const CHUNKED_FARM_PIN: (usize, u64) = (969_484, 0x42d20a44b09f0a55);
+    /// injector: 24 + 40 a host + 68 + 8 bytes less) and 12 (an image is
+    /// its profile: no row per image page, no frame list, no manifest
+    /// geometry; no read or write tally a domain).
+    const BUSY_FARM_PIN: (usize, u64) = (35_412, 0x4adf1e8a6ad3033e);
+    const CHUNKED_FARM_PIN: (usize, u64) = (35_492, 0x5f8ff4f565603403);
 
     #[test]
     fn encode_state_matches_the_pinned_wire_format() {

@@ -687,8 +687,10 @@ mod tests {
     /// `Debug` text. With the old fingerprint put back, the file digests
     /// to the old pin, `0x22598e8e93851d00`. Re-pinned for snapshot
     /// version 10: 1,244 bytes less — the 52-byte `meta` section, 9 bytes
-    /// of progress a shard, and 140 bytes a one-host cell farm.
-    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (442_897, 0xbb989d698735b93c);
+    /// of progress a shard, and 140 bytes a one-host cell farm. Re-pinned
+    /// for snapshot version 12, where an image is its profile and a domain
+    /// carries no read or write tally.
+    const FEDERATED_SNAPSHOT_PIN: (usize, u64) = (211_345, 0x7b8e54bd4eef0920);
 
     #[test]
     fn federated_snapshot_rejects_other_layouts_and_truncated_sections() {

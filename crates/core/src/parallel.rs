@@ -53,7 +53,7 @@ use potemkin_sim::{
 };
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError, SnapshotFile};
 use potemkin_workload::radiation::RadiationModel;
-use potemkin_workload::trace::{Trace, TraceEvent, TrafficMix};
+use potemkin_workload::trace::{Trace, TrafficMix};
 
 use crate::checkpoint::{restore_snapshot, CheckpointSink};
 use crate::error::FarmError;
@@ -280,12 +280,29 @@ impl ShardedTelescopeConfig {
         if self.tuning.adaptive.is_some_and(|a| a.min == SimTime::ZERO || a.min > a.max) {
             return bad("tuning.adaptive", "adaptive window needs 0 < min <= max");
         }
-        let stray = |e: &TraceEvent| !radiation.telescope.contains(e.packet.dst());
-        if self.capture.as_ref().is_some_and(|capture| capture.events().iter().any(stray)) {
+        let events = self.capture.as_ref().map_or(&[][..], |capture| capture.events());
+        if events.iter().any(|e| !radiation.telescope.contains(e.packet.dst())) {
             return bad("capture", "a captured destination is outside base.radiation.telescope");
+        }
+        // A packet stamped at or past the horizon is never delivered: a
+        // capture with epoch stamps would replay nothing. Stamps are kept
+        // as written (a saved trace reads back as the run it came from).
+        if let Some(late) = events.iter().find(|e| e.at >= self.base.duration) {
+            return Err(late_capture(late.at, self.base.duration));
         }
         Ok(())
     }
+}
+
+/// The error for a capture with a packet stamped `at`, at or past the
+/// run's `duration`. The reason names the stamp, but `ConfigError` holds a
+/// `&'static str`: an owned reason widens every `Result<_, ConfigError>`
+/// and slows every config build. So the message is leaked, once per
+/// refused capture, which never runs.
+#[cold]
+fn late_capture(at: SimTime, duration: SimTime) -> potemkin_gateway::ConfigError {
+    let reason = format!("a captured packet is stamped {at}, at or past base.duration {duration}");
+    potemkin_gateway::ConfigError::new("ShardedTelescopeConfig", "capture", reason.leak())
 }
 
 /// Typed builder for [`ShardedTelescopeConfig`]; see

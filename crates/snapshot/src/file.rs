@@ -51,8 +51,15 @@ use crate::error::SnapshotError;
 /// clone-failure probability, each shard's last event time and horizon
 /// flag) and the `meta` section, whose facts the config fingerprint holds;
 /// version 11 writes a histogram without its precision, which every
-/// histogram shares. Older files are rejected rather than misparsed.
-pub(crate) const SNAPSHOT_VERSION: u32 = 11;
+/// histogram shares; version 12 writes an image as its profile — no
+/// frame-table row per page and no frame list, a boot image's disk as the
+/// indexes of its materialized chunk slots without the geometry its profile
+/// and the host give, a forensic snapshot as its boot image and the pages
+/// it froze — and a p2m entry's kind as private, shared or image page, with
+/// the total page count (private pages and boot images' pages) beside the
+/// rows, and drops a domain's read and write tallies, which nothing read.
+/// Older files are rejected rather than misparsed.
+pub(crate) const SNAPSHOT_VERSION: u32 = 12;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

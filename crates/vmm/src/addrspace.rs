@@ -1,43 +1,36 @@
 //! Per-domain pseudo-physical address spaces (the p2m map).
 //!
 //! Each domain sees a contiguous pseudo-physical frame space `0..size`.
-//! Every entry is either a private page — the domain's alone, written in
-//! place, its content word held by the entry itself — or a read-only
-//! mapping of a shared machine frame. Delta virtualization is exactly this
-//! indirection: many domains map the same machine frame read-only, and the
-//! first write by any of them triggers a CoW fault that turns that single
-//! entry into a private page.
+//! Every entry is a private page — the domain's alone, written in place,
+//! its content word held by the entry itself — or a read-only mapping of a
+//! page others may map too: a shared frame-table row, or a page of the
+//! domain's boot image, which has no row (`crate::snapshot`). The first
+//! write to a read-only page is a CoW fault that makes that one entry a
+//! private page: delta virtualization.
 //!
-//! The map is itself delta-virtualized. A flash clone does not copy its
-//! image's frame list; it holds the list by reference (the *base*: every
-//! pfn it covers is implicitly mapped read-only to the listed frame), a
-//! *delta* of the entries that have diverged from that (bitmap-indexed, see
-//! `Delta`), and a dense *tail* for the pages past the image (the
-//! per-domain overhead). A domain with nothing to share (full copy, cold
-//! boot, a hand-built space) is the same structure with an empty base:
-//! everything lives in the tail.
-//! The representation is invisible to callers — `lookup`, `remap` and `iter`
-//! behave as one dense table — and canonical: the delta holds exactly the
-//! entries that differ from the pristine read-only base mapping, so two
-//! spaces with the same contents over the same base have the same footprint.
-//! A stored entry is one 8-byte word: a private page's content, or the
-//! number of the frame it shares; a bitmap, allocated at the first shared
-//! stored entry, says which.
+//! The map is itself delta-virtualized. A flash clone holds its image by
+//! reference (the *base*: every pfn the image covers maps read-only as the
+//! image maps it), a *delta* of the entries that have diverged from that
+//! (bitmap-indexed, see `Delta`), and a dense *tail* for the pages past the
+//! image (the per-domain overhead). A domain with nothing to share (full
+//! copy, cold boot, a hand-built space) has no base: everything is in the
+//! tail. Callers see one dense table (`lookup`, `remap`, `iter`), and the
+//! representation is canonical: the delta holds exactly the entries that
+//! differ from the base. A stored entry is one 8-byte word — a private
+//! page's content, a row's number or a boot page's — and a two-bit kind.
 //!
-//! References follow the representation. Every *stored* entry, delta or
-//! tail, owns one reference: a shared one on the frame it names, a private
-//! one its page in the frame table's private count. A pristine mapping owns
-//! none — the hold on the base list stands for all of them, and the image
-//! that owns the list owns the frames (`crate::snapshot`). Constructors
-//! adopt entries whose references the caller took; `write`, `remap`,
-//! `freeze`, `remap_stored_below` and `release_all` keep the rule from
-//! there, so a clone costs the frame table its overhead and dirtied pages,
-//! no more, and a dirtied page costs no row.
+//! References follow the representation. A *stored* entry, delta or tail,
+//! owns what it holds: a shared one a reference on its row, a private one
+//! its page in the frame table's count, an image one nothing (the boot
+//! image holds its pages). A pristine mapping owns nothing: the hold on the
+//! image stands for it. Constructors adopt entries whose references the
+//! caller took; `write`, `remap`, `freeze`, `remap_stored_below` and
+//! `release_all` keep the rule from there, so a clone costs the frame table
+//! its overhead and dirtied pages and no row.
 //!
-//! A checkpoint writes the same three parts and nothing they imply: whether
-//! the space sits over its image's list, the delta as `(pfn, Pte)` pairs in
-//! pfn order, and the tail (`AddressSpace::encode`). A fresh clone's
-//! bytes are its overhead pages, whatever the size of its image.
+//! A checkpoint writes the same three parts and nothing they imply
+//! (`AddressSpace::encode`): a fresh clone's bytes are its overhead pages,
+//! whatever the size of its image.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -47,6 +40,7 @@ use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 use crate::error::VmmError;
 use crate::frame::{FrameId, FrameTable};
+use crate::snapshot::ReferenceImage;
 
 /// One p2m entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,15 +49,20 @@ pub enum Pte {
     Private(u64),
     /// A read-only mapping of a shared machine frame; a write faults.
     Shared(FrameId),
+    /// A read-only mapping of this page of the domain's boot image, which
+    /// has no frame; a write faults. A flash clone's pristine page is the
+    /// one at its own pfn.
+    Image(u64),
 }
 
 impl Pte {
-    /// The page's content word; a shared entry must name a live frame.
+    /// The page's content word in a domain of `image`.
     #[must_use]
-    pub(crate) fn content(self, frames: &FrameTable) -> u64 {
+    pub(crate) fn content(self, frames: &FrameTable, image: &ReferenceImage) -> u64 {
         match self {
             Pte::Private(content) => content,
             Pte::Shared(frame) => frames.read(frame),
+            Pte::Image(pfn) => image.boot_content(pfn),
         }
     }
 
@@ -71,18 +70,29 @@ impl Pte {
         matches!(self, Pte::Private(_))
     }
 
-    /// The stored word: the content, or the frame's number.
+    /// The stored word: the content, the frame's number or the page's.
     fn word(self) -> u64 {
         match self {
-            Pte::Private(word) | Pte::Shared(FrameId(word)) => word,
+            Pte::Private(word) | Pte::Shared(FrameId(word)) | Pte::Image(word) => word,
         }
     }
 
-    fn from_word(word: u64, shared: bool) -> Self {
-        if shared {
-            Pte::Shared(FrameId(word))
-        } else {
-            Pte::Private(word)
+    /// What the word stands for: 0 private, 1 shared, 2 image.
+    fn kind(self) -> u64 {
+        match self {
+            Pte::Private(_) => 0,
+            Pte::Shared(_) => 1,
+            Pte::Image(_) => 2,
+        }
+    }
+
+    /// The entry of `kind` whose stored word is `word`.
+    fn of(kind: u64, word: u64) -> Option<Pte> {
+        match kind {
+            0 => Some(Pte::Private(word)),
+            1 => Some(Pte::Shared(FrameId(word))),
+            2 => Some(Pte::Image(word)),
+            _ => None,
         }
     }
 
@@ -91,49 +101,49 @@ impl Pte {
         match self {
             Pte::Private(_) => frames.release_private(1),
             Pte::Shared(frame) => frames.release(frame),
+            Pte::Image(_) => {}
         }
     }
 }
 
-/// A kind tag (0 private, 1 shared), then the word.
+/// The kind (see `Pte::kind`) as a tag byte, then the word.
 impl Snap for Pte {
     fn snap(&self, w: &mut SnapWriter) {
-        w.bool(!self.is_private());
+        w.u8(self.kind() as u8);
         w.u64(self.word());
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let shared = r.bool()?;
-        Ok(Pte::from_word(r.u64()?, shared))
+        let kind = r.u8()?;
+        Pte::of(kind.into(), r.u64()?).ok_or_else(|| r.bad())
     }
 }
 
-/// Which stored words name a frame: one bit per pfn, nothing at all until
-/// the first one does.
+/// The kind of each stored word, two bits per pfn, nothing at all until the
+/// first that is not private.
 #[derive(Clone, Debug, Default)]
-struct SharedBits(Vec<u64>);
+struct Kinds(Vec<u64>);
 
-impl SharedBits {
-    fn get(&self, pfn: u64) -> bool {
-        let (word, bit) = bit_of(pfn);
-        self.0.get(word).is_some_and(|&bits| bits & bit != 0)
+impl Kinds {
+    /// What the stored `word` of `pfn` stands for.
+    fn entry(&self, pfn: u64, word: u64) -> Pte {
+        let kind = self.0.get(pfn as usize / 32).map_or(0, |&bits| bits >> (pfn % 32 * 2) & 3);
+        Pte::of(kind, word).unwrap_or(Pte::Private(word))
     }
 
-    /// Sets the bit of `pfn`, of `pages`.
-    fn set(&mut self, pfn: u64, shared: bool, pages: usize) {
-        let (word, bit) = bit_of(pfn);
-        if shared {
-            if self.0.is_empty() {
-                self.0 = vec![0; pages.div_ceil(64)];
-            }
-            self.0[word] |= bit;
-        } else if let Some(bits) = self.0.get_mut(word) {
-            *bits &= !bit;
+    /// Records `pfn`'s kind, of `pages` (0 for a pfn no longer stored).
+    fn set(&mut self, pfn: u64, kind: u64, pages: usize) {
+        if kind != 0 && self.0.is_empty() {
+            self.0 = vec![0; pages.div_ceil(32)];
+        }
+        if let Some(bits) = self.0.get_mut(pfn as usize / 32) {
+            let at = pfn % 32 * 2;
+            *bits = *bits & !(3 << at) | kind << at;
         }
     }
 }
 
-/// The entries below the base's length that have diverged from it.
+/// The entries below the base's pages that have diverged from it.
 ///
 /// A bitmap over the base's pfns says which have; their words sit in pfn
 /// order, so an entry's position is the number of set bits below its pfn
@@ -238,17 +248,17 @@ impl Delta {
 /// A pseudo-physical → machine mapping for one domain.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
-    /// The reference image's frame list, shared with the image and every
-    /// sibling clone. Pfn `i < base.len()` maps `base[i]` read-only unless
-    /// the delta says otherwise.
-    base: Arc<[FrameId]>,
-    /// Entries below `base.len()` that differ from the pristine base
+    /// The reference image a flash clone maps, shared with every sibling
+    /// clone: pfn `i` below its pages maps as the image does unless the
+    /// delta says otherwise. `None` for a space with nothing to share.
+    base: Option<Arc<ReferenceImage>>,
+    /// Entries below the base's pages that differ from the pristine base
     /// mapping, and only those.
     delta: Delta,
-    /// Entries for pfns `base.len()..size`, dense.
+    /// Entries for the pfns past the base's pages, dense.
     tail: Vec<u64>,
-    /// Which stored words, by pfn, name a frame.
-    shared: SharedBits,
+    /// What each stored word, by pfn, stands for.
+    kinds: Kinds,
     /// Private entries across delta and tail (base entries never are).
     private: u64,
 }
@@ -257,69 +267,71 @@ impl AddressSpace {
     /// Builds an address space from explicit entries (nothing shared).
     #[must_use]
     pub fn from_entries(entries: Vec<Pte>) -> Self {
-        Self::over_base(Arc::from([]), entries)
+        Self::over(None, entries)
     }
 
-    /// Builds a flash clone's space: every pfn of `base` mapped read-only
-    /// to the listed frame, followed by `tail`. Touches no frame's count.
+    /// Builds a space over `base` (a flash clone's image), followed by
+    /// `tail`. Touches no frame's count.
     #[must_use]
-    pub fn over_base(base: Arc<[FrameId]>, tail: Vec<Pte>) -> Self {
-        let (pages, slots) = (base.len() as u64, base.len() + tail.len());
-        let (mut shared, mut private) = (SharedBits::default(), 0);
+    pub(crate) fn over(base: Option<Arc<ReferenceImage>>, tail: Vec<Pte>) -> Self {
+        let pages = base.as_ref().map_or(0, |base| base.pages());
+        let slots = pages as usize + tail.len();
+        let (mut kinds, mut private) = (Kinds::default(), 0);
         let tail = (pages..)
             .zip(tail)
             .map(|(pfn, pte)| {
-                shared.set(pfn, !pte.is_private(), slots);
+                kinds.set(pfn, pte.kind(), slots);
                 private += u64::from(pte.is_private());
                 pte.word()
             })
             .collect();
-        AddressSpace { base, delta: Delta::default(), tail, shared, private }
+        AddressSpace { base, delta: Delta::default(), tail, kinds, private }
     }
 
-    /// Checkpoint support: one bool (does the space sit over a base?), the
-    /// delta as `(pfn, Pte)` pairs in pfn order, then the tail's entries.
-    /// The size is not written; it is the base's length plus the tail's.
+    /// Checkpoint support: one bool (does the space sit over its image?),
+    /// the delta as `(pfn, Pte)` pairs in pfn order, then the tail's
+    /// entries. The size is not written; it is the image's pages plus the
+    /// tail's.
     pub(crate) fn encode(&self, w: &mut SnapWriter) {
-        w.bool(!self.base.is_empty());
+        w.bool(self.base.is_some());
         w.usize(self.delta.words.len());
-        self.delta.iter().for_each(|(pfn, word)| (pfn, self.entry(pfn, word)).snap(w));
+        self.delta.iter().for_each(|(pfn, word)| (pfn, self.kinds.entry(pfn, word)).snap(w));
         w.usize(self.tail.len());
         self.tail_entries().for_each(|(_, pte)| pte.snap(w));
     }
 
     /// Reads a space written by [`AddressSpace::encode`], over `image` (its
-    /// domain's image's frame list) if the space sat over one. Each pair is
-    /// applied through the one write path, so the delta is rebuilt as a
-    /// running space would have built it.
+    /// domain's image) if the space sat over it. Each pair is applied
+    /// through the one write path, so the delta is rebuilt as a running
+    /// space would have built it.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Decode`] for a space smaller than `image` or over an
-    /// empty one, a shared page past `image`, or a pair that is out of pfn
-    /// order, past the base, or equal to what the base implies — spaces no
-    /// host builds.
+    /// [`SnapshotError::Decode`] for a space no host builds: smaller than
+    /// `image`, a shared or image page past `image` or a page `image` does
+    /// not have, or a pair out of pfn order, past the base, or equal to
+    /// what the base implies.
     pub(crate) fn decode(
         r: &mut SnapReader<'_>,
-        image: &Arc<[FrameId]>,
+        image: &Arc<ReferenceImage>,
     ) -> Result<Self, SnapshotError> {
-        let base = match r.bool()? {
-            false => Arc::from([]),
-            true if !image.is_empty() => Arc::clone(image),
-            true => return Err(r.bad()),
-        };
+        let pages = image.pages();
+        let base = r.bool()?.then(|| Arc::clone(image));
         let pairs = Vec::<(u64, Pte)>::unsnap(r)?;
-        let mut space = Self::over_base(base, Vec::unsnap(r)?);
+        let mut space = Self::over(base, Vec::unsnap(r)?);
         // Pages past the image are the domain's own overhead, never shared.
-        let pages = image.len() as u64;
-        let shared_past = space.tail_entries().any(|(pfn, pte)| pfn >= pages && !pte.is_private());
-        if space.size() < pages || shared_past {
+        let stray = |pfn: u64, pte: Pte| match pte {
+            Pte::Private(_) => false,
+            Pte::Shared(_) => pfn >= pages,
+            Pte::Image(page) => pfn >= pages || page >= pages,
+        };
+        if space.size() < pages || space.tail_entries().any(|(pfn, pte)| stray(pfn, pte)) {
             return Err(r.bad());
         }
         let mut next = 0;
         for (pfn, pte) in pairs {
-            let implied = space.base.get(pfn as usize).map(|&frame| Pte::Shared(frame));
-            if pfn < next || implied.is_none_or(|implied| implied == pte) {
+            let implied = space.pristine(pfn);
+            if pfn < next || implied.is_none_or(|implied| implied == pte) || stray(pfn, pte) {
                 return Err(r.bad());
             }
             space.update(pfn, |_, _| Ok(pte)).map_err(|_| r.bad())?;
@@ -331,24 +343,34 @@ impl AddressSpace {
     /// The domain's memory size in pages.
     #[must_use]
     pub fn size(&self) -> u64 {
-        (self.base.len() + self.tail.len()) as u64
+        self.base_pages() + self.tail.len() as u64
     }
 
-    /// Whether this space maps `frames` by reference as its base.
+    /// How many pfns the base covers.
+    fn base_pages(&self) -> u64 {
+        self.base.as_ref().map_or(0, |base| base.pages())
+    }
+
+    /// Whether this space sits over `image` as its base.
     #[cfg(test)]
-    pub(crate) fn shares_base(&self, frames: &Arc<[FrameId]>) -> bool {
-        Arc::ptr_eq(&self.base, frames)
+    pub(crate) fn is_over(&self, image: &Arc<ReferenceImage>) -> bool {
+        self.base.as_ref().is_some_and(|base| Arc::ptr_eq(base, image))
     }
 
-    /// How many entries below the base's length have diverged from it.
+    /// How many entries below the base's pages have diverged from it.
     #[cfg(test)]
     pub(crate) fn delta_len(&self) -> usize {
         self.delta.words.len()
     }
 
-    /// Where in `tail` the entry for `pfn` (at or past the base's length) is.
+    /// What the base maps at `pfn` read-only, if it covers `pfn`.
+    fn pristine(&self, pfn: u64) -> Option<Pte> {
+        self.base.as_ref().filter(|base| pfn < base.pages()).map(|base| base.pristine(pfn))
+    }
+
+    /// Where in `tail` the entry for `pfn` (at or past the base's pages) is.
     fn tail_slot(&self, pfn: u64) -> Result<usize, VmmError> {
-        let at = (pfn - self.base.len() as u64) as usize;
+        let at = (pfn - self.base_pages()) as usize;
         if at < self.tail.len() {
             Ok(at)
         } else {
@@ -356,25 +378,20 @@ impl AddressSpace {
         }
     }
 
-    /// What the stored `word` of `pfn` stands for.
-    fn entry(&self, pfn: u64, word: u64) -> Pte {
-        Pte::from_word(word, self.shared.get(pfn))
-    }
-
     /// The tail's entries with their pfn.
     fn tail_entries(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
-        let pfns = self.base.len() as u64..;
-        pfns.zip(&self.tail).map(|(pfn, &word)| (pfn, self.entry(pfn, word)))
+        let pfns = self.base_pages()..;
+        pfns.zip(&self.tail).map(|(pfn, &word)| (pfn, self.kinds.entry(pfn, word)))
     }
 
     /// Looks up the entry for `pfn`.
     pub fn lookup(&self, pfn: u64) -> Result<Pte, VmmError> {
-        match self.base.get(pfn as usize) {
-            Some(&frame) => Ok(match self.delta.position(pfn) {
-                Ok(at) => self.entry(pfn, self.delta.words[at]),
-                Err(_) => Pte::Shared(frame),
+        match self.pristine(pfn) {
+            Some(pristine) => Ok(match self.delta.position(pfn) {
+                Ok(at) => self.kinds.entry(pfn, self.delta.words[at]),
+                Err(_) => pristine,
             }),
-            None => Ok(self.entry(pfn, self.tail[self.tail_slot(pfn)?])),
+            None => Ok(self.kinds.entry(pfn, self.tail[self.tail_slot(pfn)?])),
         }
     }
 
@@ -386,51 +403,47 @@ impl AddressSpace {
         pfn: u64,
         change: impl FnOnce(Pte, bool) -> Result<Pte, VmmError>,
     ) -> Result<bool, VmmError> {
-        let (old, new, stored) = match self.base.get(pfn as usize) {
-            Some(&frame) => {
-                let pristine = Pte::Shared(frame);
+        let (old, new, stored) = match self.pristine(pfn) {
+            Some(pristine) => {
                 let slot = self.delta.position(pfn);
-                let old = slot.map_or(pristine, |at| self.entry(pfn, self.delta.words[at]));
+                let old = slot.map_or(pristine, |at| self.kinds.entry(pfn, self.delta.words[at]));
                 let new = change(old, slot.is_ok())?;
                 let word = new.word();
                 match slot {
                     Ok(at) if new == pristine => self.delta.remove(pfn, at),
                     Ok(at) => self.delta.words[at] = word,
-                    Err(at) if new != pristine => self.delta.insert(pfn, at, word, self.base.len()),
+                    Err(at) if new != pristine => {
+                        self.delta.insert(pfn, at, word, self.base_pages() as usize);
+                    }
                     Err(_) => {}
                 }
                 (old, new, new != pristine)
             }
             None => {
                 let at = self.tail_slot(pfn)?;
-                let old = self.entry(pfn, self.tail[at]);
+                let old = self.kinds.entry(pfn, self.tail[at]);
                 let new = change(old, true)?;
                 self.tail[at] = new.word();
                 (old, new, true)
             }
         };
         let slots = self.size() as usize;
-        self.shared.set(pfn, stored && !new.is_private(), slots);
+        self.kinds.set(pfn, if stored { new.kind() } else { 0 }, slots);
         self.private = self.private - u64::from(old.is_private()) + u64::from(new.is_private());
         Ok(stored)
     }
 
-    /// Maps `pfn` read-only to `frame`, moving the space's reference with
-    /// it: the entry takes one on `frame` unless it comes out as the base
-    /// implies, and a stored old entry gives its up. On
-    /// [`VmmError::BadPfn`] nothing has changed.
-    pub fn remap(
-        &mut self,
-        pfn: u64,
-        frame: FrameId,
-        frames: &mut FrameTable,
-    ) -> Result<(), VmmError> {
+    /// Maps `pfn` read-only to `to` — a shared frame or a boot page —
+    /// moving the space's reference with it: the entry takes one on a
+    /// frame unless it comes out as the base implies, and a stored old
+    /// entry gives its up. On [`VmmError::BadPfn`] nothing has changed.
+    pub fn remap(&mut self, pfn: u64, to: Pte, frames: &mut FrameTable) -> Result<(), VmmError> {
         let mut held = None;
         let stored = self.update(pfn, |old, owns| {
             held = owns.then_some(old);
-            Ok(Pte::Shared(frame))
+            Ok(to)
         })?;
-        if stored {
+        if let (true, Pte::Shared(frame)) = (stored, to) {
             frames.share(frame);
         }
         if let Some(old) = held {
@@ -440,10 +453,10 @@ impl AddressSpace {
     }
 
     /// A guest write of `value` to `pfn`: in place if the page is private,
-    /// else a CoW fault onto a fresh private page, which releases the
-    /// reference a stored entry held on the frame it leaves (a pristine one
-    /// held none). Returns whether it faulted. On [`VmmError::BadPfn`], or
-    /// [`VmmError::OutOfMemory`] from the fault, nothing has changed.
+    /// else a CoW fault onto a fresh private page, which gives up what a
+    /// stored entry held (a pristine one held nothing). Returns whether it
+    /// faulted. On [`VmmError::BadPfn`], or [`VmmError::OutOfMemory`] from
+    /// the fault, nothing has changed.
     pub fn write(
         &mut self,
         pfn: u64,
@@ -452,10 +465,10 @@ impl AddressSpace {
     ) -> Result<bool, VmmError> {
         let mut faulted = false;
         self.update(pfn, |pte, owns| {
-            if let Pte::Shared(frame) = pte {
+            if !pte.is_private() {
                 frames.alloc_private(1)?;
                 if owns {
-                    frames.release(frame);
+                    pte.release(frames);
                 }
                 faulted = true;
             }
@@ -465,24 +478,20 @@ impl AddressSpace {
         Ok(faulted)
     }
 
-    /// Makes the page at `pfn` shareable and returns the frame its entry
-    /// names from now on: a private page's content moves into a fresh row,
-    /// which the entry holds read-only (the frame count does not move), so
-    /// the next write faults; a shared entry is left as it is.
-    pub(crate) fn freeze(
-        &mut self,
-        pfn: u64,
-        frames: &mut FrameTable,
-    ) -> Result<FrameId, VmmError> {
-        let mut named = FrameId(0);
+    /// Makes the page at `pfn` shareable and returns what its entry maps
+    /// read-only from now on: a private page's content moves into a fresh
+    /// row, which the entry holds (the frame count does not move), so the
+    /// next write faults; a read-only entry is left as it is.
+    pub(crate) fn freeze(&mut self, pfn: u64, frames: &mut FrameTable) -> Result<Pte, VmmError> {
+        let mut frozen = Pte::Image(pfn);
         self.update(pfn, |pte, _| {
-            named = match pte {
-                Pte::Private(content) => frames.promote(content),
-                Pte::Shared(frame) => frame,
+            frozen = match pte {
+                Pte::Private(content) => Pte::Shared(frames.promote(content)),
+                read_only => read_only,
             };
-            Ok(Pte::Shared(named))
+            Ok(frozen)
         })?;
-        Ok(named)
+        Ok(frozen)
     }
 
     /// Iterates all entries with their pfn, in pfn order: the dense table
@@ -494,45 +503,45 @@ impl AddressSpace {
 
     /// Iterates, in pfn order, the entries that are stored rather than
     /// implied by the base — the only ones that can be anything but a
-    /// pristine read-only image mapping, and the only ones that own a
-    /// reference. A walk with nothing to do for pristine pages takes these.
+    /// pristine read-only image mapping, and the only ones that own what
+    /// they hold. A walk with nothing to do for pristine pages takes these.
     pub fn stored(&self) -> impl Iterator<Item = (u64, Pte)> + '_ {
-        let delta = self.delta.iter().map(|(pfn, word)| (pfn, self.entry(pfn, word)));
+        let delta = self.delta.iter().map(|(pfn, word)| (pfn, self.kinds.entry(pfn, word)));
         delta.chain(self.tail_entries())
     }
 
-    /// Lets `to` name, in pfn order, a frame for every stored entry below
-    /// `limit` (see [`AddressSpace::stored`]) to map read-only instead, or
-    /// `None` to leave it; pages implied by the base are not visited. One
-    /// linear pass however many entries change. A remapped entry's reference
-    /// moves to the frame, or is given up where the entry comes out as the
-    /// base implies (it is then dropped).
+    /// Lets `to` name, in pfn order, a read-only mapping for every stored
+    /// entry below `limit` to take instead, or `None` to leave it, in one
+    /// linear pass. A remapped entry's reference moves to what it maps, or
+    /// is given up where it comes out as the base implies (and is dropped).
     pub(crate) fn remap_stored_below(
         &mut self,
         limit: u64,
         frames: &mut FrameTable,
-        mut to: impl FnMut(u64, Pte, &FrameTable) -> Option<FrameId>,
+        mut to: impl FnMut(u64, Pte) -> Option<Pte>,
     ) {
         let (mut private, slots) = (self.private, self.size() as usize);
-        let shared = &mut self.shared;
+        let kinds = &mut self.kinds;
         // Rewrites one stored word and says whether it stays stored;
-        // `implied` is the base's frame.
-        let mut visit = |pfn: u64, word: &mut u64, implied: Option<FrameId>| {
-            let was = Pte::from_word(*word, shared.get(pfn));
-            let Some(frame) = to(pfn, was, frames) else { return true };
-            let stored = implied != Some(frame);
-            if stored {
+        // `implied` is the base's mapping.
+        let mut visit = |pfn: u64, word: &mut u64, implied: Option<Pte>| {
+            let was = kinds.entry(pfn, *word);
+            let Some(now) = to(pfn, was) else { return true };
+            let stored = implied != Some(now);
+            if let (true, Pte::Shared(frame)) = (stored, now) {
                 frames.share(frame);
             }
             private -= u64::from(was.is_private());
             was.release(frames);
-            shared.set(pfn, stored, slots);
-            *word = frame.0;
+            kinds.set(pfn, if stored { now.kind() } else { 0 }, slots);
+            *word = now.word();
             stored
         };
-        let (base, pages) = (&self.base, self.base.len() as u64);
-        self.delta
-            .retain_mut(|pfn, word| pfn >= limit || visit(pfn, word, Some(base[pfn as usize])));
+        let base = self.base.as_deref();
+        let pages = base.map_or(0, ReferenceImage::pages);
+        self.delta.retain_mut(|pfn, word| {
+            pfn >= limit || visit(pfn, word, base.map(|base| base.pristine(pfn)))
+        });
         for (pfn, word) in (pages..limit).zip(&mut self.tail) {
             visit(pfn, word, None);
         }
@@ -545,7 +554,7 @@ impl AddressSpace {
         self.private
     }
 
-    /// Counts entries mapped read-only from a shared frame.
+    /// Counts entries mapped read-only, from a shared frame or an image.
     #[must_use]
     pub fn shared_pages(&self) -> u64 {
         self.size() - self.private_pages()
@@ -554,7 +563,7 @@ impl AddressSpace {
     /// Releases every stored entry's reference back to the table — the
     /// shared ones in pfn order (the table's free list is LIFO, so the order
     /// decides every later allocation) — and empties the space. Pristine
-    /// pages hold nothing.
+    /// and image pages hold nothing.
     pub fn release_all(&mut self, frames: &mut FrameTable) {
         for (_, pte) in self.stored() {
             if let Pte::Shared(frame) = pte {
@@ -569,18 +578,29 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BaseDisk;
+    use crate::guest::GuestProfile;
+    use crate::snapshot::ImageId;
 
     fn space_with(frames: &mut FrameTable, n: u64) -> AddressSpace {
         frames.alloc_private(n).unwrap();
         AddressSpace::from_entries((0..n).map(Pte::Private).collect())
     }
 
+    /// A boot image of `pages` pages, counted in `frames` as a host counts
+    /// one.
+    fn image_of(frames: &mut FrameTable, pages: u64) -> Arc<ReferenceImage> {
+        frames.alloc_private(pages).unwrap();
+        let profile = GuestProfile { memory_pages: pages, ..GuestProfile::small() };
+        Arc::new(ReferenceImage::boot(ImageId(0), "t", BaseDisk::generate(1, 1), profile))
+    }
+
     /// A 6-page image with a 2-page private tail, as `flash_clone` builds.
-    fn clone_of(frames: &mut FrameTable) -> (Arc<[FrameId]>, AddressSpace) {
-        let base: Arc<[FrameId]> = (0..6).map(|i| frames.alloc(100 + i).unwrap()).collect();
+    fn clone_of(frames: &mut FrameTable) -> (Arc<ReferenceImage>, AddressSpace) {
+        let image = image_of(frames, 6);
         frames.alloc_private(2).unwrap();
-        let space = AddressSpace::over_base(Arc::clone(&base), vec![Pte::Private(0); 2]);
-        (base, space)
+        let space = AddressSpace::over(Some(Arc::clone(&image)), vec![Pte::Private(0); 2]);
+        (image, space)
     }
 
     #[test]
@@ -595,17 +615,21 @@ mod tests {
     #[test]
     fn an_entry_is_one_word() {
         let mut ft = FrameTable::new(700);
-        let base: Arc<[FrameId]> = (0..600).map(|i| ft.alloc(i).unwrap()).collect();
-        let mut space = AddressSpace::over_base(base, vec![Pte::Private(0); 3]);
+        let image = image_of(&mut ft, 600);
+        let mut space = AddressSpace::over(Some(Arc::clone(&image)), vec![Pte::Private(0); 3]);
         ft.alloc_private(3).unwrap();
         space.write(7, 1, &mut ft).unwrap();
+        space.write(8, 1, &mut ft).unwrap();
         fn word_of<T>(_: &[T]) -> usize {
             std::mem::size_of::<T>()
         }
         assert_eq!((word_of(&space.tail), word_of(&space.delta.words)), (8, 8));
-        assert!(space.shared.0.is_empty(), "no bitmap while nothing stored is shared");
+        assert!(space.kinds.0.is_empty(), "no kind map while everything stored is private");
         space.freeze(7, &mut ft).unwrap();
-        assert_eq!(space.shared.0.len(), 10, "one bit per page, once one is shared");
+        assert_eq!(space.kinds.0.len(), 19, "two bits per page, once one is shared");
+        space.remap(8, Pte::Image(9), &mut ft).unwrap();
+        assert_eq!(space.lookup(8), Ok(Pte::Image(9)));
+        assert_eq!((space.lookup(7).unwrap().content(&ft, &image), space.delta_len()), (1, 2));
     }
 
     #[test]
@@ -613,11 +637,11 @@ mod tests {
         let mut ft = FrameTable::new(10);
         let mut space = space_with(&mut ft, 2);
         let new_frame = ft.alloc(99).unwrap();
-        space.remap(1, new_frame, &mut ft).unwrap();
+        space.remap(1, Pte::Shared(new_frame), &mut ft).unwrap();
         assert_eq!(space.lookup(1), Ok(Pte::Shared(new_frame)));
         assert_eq!(ft.refcount(new_frame), 2, "the allocation's reference and the entry's");
         assert_eq!(ft.used_frames(), 2, "the displaced private page went back");
-        assert!(space.remap(5, new_frame, &mut ft).is_err());
+        assert!(space.remap(5, Pte::Shared(new_frame), &mut ft).is_err());
         assert_eq!(ft.refcount(new_frame), 2, "a refused remap takes nothing");
     }
 
@@ -649,38 +673,41 @@ mod tests {
     #[test]
     fn clone_space_stores_only_what_diverged() {
         let mut ft = FrameTable::new(32);
-        let (base, mut space) = clone_of(&mut ft);
+        let (image, mut space) = clone_of(&mut ft);
         assert_eq!((space.size(), space.delta_len(), space.private_pages()), (8, 0, 2));
-        assert_eq!(space.lookup(3), Ok(Pte::Shared(base[3])));
+        assert_eq!(space.lookup(3), Ok(Pte::Image(3)));
+        assert_eq!(space.lookup(3).unwrap().content(&ft, &image), image.boot_content(3));
         assert_eq!(space.lookup(8).unwrap_err(), VmmError::BadPfn { pfn: 8, size: 8 });
 
         // Diverge out of order; the delta stays in pfn order.
         assert!(space.write(4, 7, &mut ft).unwrap() && space.write(1, 8, &mut ft).unwrap());
         assert_eq!((space.delta_len(), space.private_pages(), space.shared_pages()), (2, 4, 4));
         let ptes: Vec<Pte> = space.iter().map(|(_, pte)| pte).collect();
-        let image = |pfn: usize| Pte::Shared(base[pfn]);
-        let expect = [image(0), Pte::Private(8), image(2), image(3), Pte::Private(7), image(5)];
-        assert_eq!(ptes[..6], expect);
+        let image_page = Pte::Image;
+        let expect = [image_page(0), Pte::Private(8), image_page(2), image_page(3)];
+        assert_eq!(ptes[..4], expect);
+        assert_eq!(ptes[4..6], [Pte::Private(7), image_page(5)]);
         let stored: Vec<u64> = space.stored().map(|(pfn, _)| pfn).collect();
         assert_eq!(stored, [1, 4, 6, 7], "the delta, then the tail");
 
-        // Freezing keeps the entry (its frame still differs) and moves the
-        // page into a row; mapping the image frame back drops it.
-        let row = space.freeze(4, &mut ft).unwrap();
+        // Freezing keeps the entry (it now maps a row, not the image page)
+        // and moves the page into the row; mapping the image page back
+        // drops it.
+        let Pte::Shared(row) = space.freeze(4, &mut ft).unwrap() else { panic!("a row") };
         assert_eq!((space.delta_len(), space.private_pages()), (2, 3));
         assert_eq!((ft.read(row), ft.refcount(row), ft.used_frames()), (7, 1, 6 + 1 + 3));
-        space.remap(4, base[4], &mut ft).unwrap();
-        space.remap(2, base[2], &mut ft).unwrap();
+        space.remap(4, Pte::Image(4), &mut ft).unwrap();
+        space.remap(2, Pte::Image(2), &mut ft).unwrap();
         assert_eq!((space.delta_len(), space.private_pages()), (1, 3));
-        assert_eq!(ft.live_rows(), 6, "the dropped entry's row went with it");
-        assert!(base.iter().all(|&f| ft.refcount(f) == 1), "a pristine mapping owns none");
+        assert_eq!(ft.live_rows(), 0, "the dropped entry's row went with it");
+        assert_eq!(ft.used_frames(), 6 + 3, "and image pages never had one");
     }
 
     #[test]
     fn delta_keeps_pfn_order_across_words_and_blocks() {
         let mut ft = FrameTable::new(2_048);
-        let base: Arc<[FrameId]> = (0..600).map(|i| ft.alloc(i).unwrap()).collect();
-        let mut space = AddressSpace::over_base(Arc::clone(&base), Vec::new());
+        let image = image_of(&mut ft, 600);
+        let mut space = AddressSpace::over(Some(Arc::clone(&image)), Vec::new());
         // Either side of word and block boundaries, high pfns first.
         let pfns = [599, 256, 255, 0, 511, 512, 63, 64];
         for pfn in pfns {
@@ -689,14 +716,13 @@ mod tests {
         let stored: Vec<u64> = space.stored().map(|(pfn, _)| pfn).collect();
         assert_eq!(stored, [0, 63, 64, 255, 256, 511, 512, 599]);
         for pfn in pfns {
-            assert_eq!(space.lookup(pfn).unwrap().content(&ft), pfn + 1_000);
+            assert_eq!(space.lookup(pfn).unwrap().content(&ft, &image), pfn + 1_000);
         }
-        assert_eq!(space.lookup(257), Ok(Pte::Shared(base[257])));
+        assert_eq!(space.lookup(257), Ok(Pte::Image(257)));
         assert!(space.iter().map(|(pfn, _)| pfn).eq(0..600));
 
-        space.remap(256, base[256], &mut ft).unwrap();
-        space
-            .remap_stored_below(512, &mut ft, |pfn, _, _| (pfn >= 255).then(|| base[pfn as usize]));
+        space.remap(256, Pte::Image(256), &mut ft).unwrap();
+        space.remap_stored_below(512, &mut ft, |pfn, _| (pfn >= 255).then_some(Pte::Image(pfn)));
         let stored: Vec<u64> = space.stored().map(|(pfn, _)| pfn).collect();
         assert_eq!(stored, [0, 63, 64, 512, 599], "pfn 512 is not below the limit");
         assert_eq!((space.delta_len(), space.private_pages(), ft.used_frames()), (5, 5, 605));
@@ -705,46 +731,40 @@ mod tests {
     #[test]
     fn remap_stored_visits_delta_then_tail_and_drops_pristine_entries() {
         let mut ft = FrameTable::new(32);
-        let (base, mut space) = clone_of(&mut ft);
+        let (_, mut space) = clone_of(&mut ft);
         for pfn in [5, 0, 3] {
             assert!(space.write(pfn, pfn, &mut ft).unwrap());
         }
-        let row = space.freeze(5, &mut ft).unwrap();
+        let frozen = space.freeze(5, &mut ft).unwrap();
+        let Pte::Shared(row) = frozen else { panic!("a row") };
         let mut seen = Vec::new();
-        space.remap_stored_below(7, &mut ft, |pfn, pte, ft| {
-            seen.push((pfn, pte.content(ft)));
+        space.remap_stored_below(7, &mut ft, |pfn, pte| {
+            seen.push((pfn, pte));
             match pfn {
-                0 => Some(base[0]),
-                // Past the base every entry stays stored, whatever it names.
-                6 => Some(base[1]),
+                0 => Some(Pte::Image(0)),
+                // Past the base every entry stays stored, whatever it maps.
+                6 => Some(frozen),
                 _ => None,
             }
         });
-        assert_eq!(seen, [(0, 0), (3, 3), (5, 5), (6, 0)], "pfn order, pristine pages skipped");
-        assert_eq!(
-            (ft.refcount(base[0]), ft.refcount(base[1]), ft.refcount(row)),
-            (1, 2, 1),
-            "only a stored entry owns"
-        );
+        let zero = Pte::Private(0);
+        let expect = [(0, zero), (3, Pte::Private(3)), (5, frozen), (6, zero)];
+        assert_eq!(seen, expect, "pfn order, pristine pages skipped");
+        assert_eq!(ft.refcount(row), 2, "only a stored entry owns");
         assert_eq!((space.delta_len(), space.private_pages()), (2, 2));
-        assert_eq!(ft.used_frames(), 7 + 2, "six image rows, the frozen row, pfns 3 and 7");
-        assert_eq!(space.lookup(0), Ok(Pte::Shared(base[0])));
-        assert_eq!(space.lookup(6), Ok(Pte::Shared(base[1])));
+        assert_eq!(ft.used_frames(), 6 + 1 + 2, "six image pages, the frozen row, pfns 3 and 7");
+        assert_eq!(space.lookup(0), Ok(Pte::Image(0)));
+        assert_eq!(space.lookup(6), Ok(frozen));
         assert_eq!(space.lookup(7), Ok(Pte::Private(0)));
     }
 
     #[test]
     fn write_faults_once_and_takes_only_what_it_stores() {
         let mut ft = FrameTable::new(10);
-        let (base, mut space) = clone_of(&mut ft);
+        let (_, mut space) = clone_of(&mut ft);
         assert!(space.write(3, 0xAB, &mut ft).unwrap(), "a pristine page faults");
         assert_eq!(space.lookup(3), Ok(Pte::Private(0xAB)));
-        assert_eq!(
-            (ft.read(base[3]), ft.refcount(base[3])),
-            (103, 1),
-            "the image row is untouched"
-        );
-        assert_eq!((ft.live_rows(), ft.used_frames()), (6, 9), "a fault takes no row");
+        assert_eq!((ft.live_rows(), ft.used_frames()), (0, 9), "a fault takes no row");
         assert!(!space.write(3, 0xCD, &mut ft).unwrap(), "the private page is written in place");
         assert!(!space.write(6, 1, &mut ft).unwrap(), "as is a private tail page");
         assert_eq!(
@@ -754,7 +774,7 @@ mod tests {
 
         // A stored shared entry (a merged or frozen page) gives its
         // reference up when it faults.
-        let row = space.freeze(3, &mut ft).unwrap();
+        let Pte::Shared(row) = space.freeze(3, &mut ft).unwrap() else { panic!("a row") };
         ft.share(row);
         assert!(space.write(3, 0xEF, &mut ft).unwrap());
         assert_eq!(ft.refcount(row), 1, "the other holder's");
@@ -763,8 +783,7 @@ mod tests {
         // Out of frames: the fault fails and nothing has moved.
         assert_eq!(ft.free_frames(), 0);
         assert!(matches!(space.write(0, 1, &mut ft), Err(VmmError::OutOfMemory { .. })));
-        assert_eq!(space.lookup(0), Ok(Pte::Shared(base[0])));
-        assert_eq!((ft.refcount(base[0]), space.delta_len()), (1, 1));
+        assert_eq!((space.lookup(0), space.delta_len()), (Ok(Pte::Image(0)), 1));
         assert!(matches!(space.write(8, 1, &mut ft), Err(VmmError::BadPfn { pfn: 8, size: 8 })));
 
         space.release_all(&mut ft);
@@ -774,17 +793,18 @@ mod tests {
     #[test]
     fn decode_inverts_encode_over_a_base_or_none() {
         let mut ft = FrameTable::new(32);
-        let (base, mut clone) = clone_of(&mut ft);
+        let (image, mut clone) = clone_of(&mut ft);
         clone.write(2, 1, &mut ft).unwrap();
         clone.write(4, 2, &mut ft).unwrap();
         clone.freeze(4, &mut ft).unwrap();
+        clone.remap(5, Pte::Image(1), &mut ft).unwrap();
         let dense = space_with(&mut ft, 8);
         for space in [clone, dense] {
             let mut w = SnapWriter::new();
             space.encode(&mut w);
             let bytes = w.into_bytes();
-            let back = AddressSpace::decode(&mut SnapReader::new(&bytes, "p2m"), &base).unwrap();
-            assert_eq!(back.shares_base(&base), space.shares_base(&base));
+            let back = AddressSpace::decode(&mut SnapReader::new(&bytes, "p2m"), &image).unwrap();
+            assert_eq!(back.is_over(&image), space.is_over(&image));
             assert_eq!(
                 (back.delta_len(), back.private_pages()),
                 (space.delta_len(), space.private_pages())
@@ -794,9 +814,10 @@ mod tests {
             back.encode(&mut again);
             assert_eq!(again.into_bytes(), bytes);
         }
-        // Over a base, but the image has no pages: not what `encode` writes.
+        // A flash clone of an image with no pages sits over it all the same.
         let over_nothing = [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
-        let empty: Arc<[FrameId]> = Arc::from([]);
-        assert!(AddressSpace::decode(&mut SnapReader::new(&over_nothing, "p2m"), &empty).is_err());
+        let empty = image_of(&mut ft, 0);
+        let back = AddressSpace::decode(&mut SnapReader::new(&over_nothing, "p2m"), &empty);
+        assert!(back.is_ok_and(|back| back.is_over(&empty) && back.size() == 0));
     }
 }

@@ -13,8 +13,8 @@
 //! [`SharedChunkStore`], and chunks materialize lazily on first guest read.
 //! The only serialization path is the manifest codec —
 //! [`BaseDisk::encode_manifest`] / [`BaseDisk::decode_manifest`] and the
-//! overlay equivalents — so checkpoints store O(chunks) + O(dirty blocks),
-//! never raw block walks.
+//! overlay equivalents — so checkpoints store O(materialized chunks) +
+//! O(dirty blocks), never raw block walks.
 
 use std::sync::{Arc, Mutex};
 
@@ -81,21 +81,23 @@ impl BaseDisk {
         self.manifest().read(&self.store, block)
     }
 
-    /// Encodes this disk through the manifest section codec: geometry plus
-    /// one materialized bit per chunk slot — the only way a base disk is
-    /// ever serialized.
+    /// Encodes this disk as its manifest's materialized slots — the only way
+    /// a base disk is ever serialized.
     pub(crate) fn encode_manifest(&self, w: &mut SnapWriter) {
         self.manifest().encode(w);
     }
 
-    /// Decodes a disk encoded by [`BaseDisk::encode_manifest`] over
-    /// `store`, re-putting materialized chunks (dedupe no-ops when the
-    /// content is already resident).
+    /// Decodes a disk encoded by [`BaseDisk::encode_manifest`] into the
+    /// disk [`BaseDisk::open`] opens from the same arguments, re-putting
+    /// materialized chunks into `store`.
     pub(crate) fn decode_manifest(
         r: &mut SnapReader,
         store: &SharedChunkStore,
+        size: u64,
+        chunk_blocks: u64,
+        seed: u64,
     ) -> Result<Self, SnapshotError> {
-        let m = Manifest::decode(r, store)?;
+        let m = Manifest::decode(r, store, size, chunk_blocks, seed)?;
         Ok(BaseDisk { manifest: Arc::new(Mutex::new(m)), store: store.clone() })
     }
 }
@@ -330,7 +332,7 @@ mod tests {
 
         let fresh = SharedChunkStore::new_memory();
         let mut r = SnapReader::new(&bytes, "test");
-        let base2 = BaseDisk::decode_manifest(&mut r, &fresh).unwrap();
+        let base2 = BaseDisk::decode_manifest(&mut r, &fresh, 100, 16, 42).unwrap();
         let d2 = CowDisk::decode_overlay(base2.clone(), &mut r).unwrap();
         r.finish().unwrap();
 

@@ -2,7 +2,7 @@
 //!
 //! Memory operations that need the host's frame table (reads, CoW writes)
 //! live on [`crate::host::Host`]; everything domain-local (disk, address
-//! binding, infection flag, telemetry) lives here. A domain in a host's map
+//! binding, infection flag, fault count) lives here. A domain in a host's map
 //! is running: a host starts it as it provisions it and drops it as it
 //! destroys it.
 
@@ -11,6 +11,7 @@
 use core::fmt;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use potemkin_snapshot::{snap_struct, Snap, SnapReader, SnapWriter, SnapshotError};
 
@@ -47,9 +48,6 @@ pub struct Domain {
     bound_addr: Option<Ipv4Addr>,
     /// CoW write faults taken so far.
     cow_faults: u64,
-    /// Memory reads and writes (telemetry).
-    reads: u64,
-    writes: u64,
     /// Whether an exploit payload has executed in this guest.
     infected: bool,
 }
@@ -58,17 +56,7 @@ impl Domain {
     /// Assembles a domain (called by [`crate::host::Host`]).
     #[must_use]
     pub(crate) fn new(id: DomainId, image: ImageId, space: AddressSpace, disk: CowDisk) -> Self {
-        Domain {
-            id,
-            image,
-            space,
-            disk,
-            bound_addr: None,
-            cow_faults: 0,
-            reads: 0,
-            writes: 0,
-            infected: false,
-        }
+        Domain { id, image, space, disk, bound_addr: None, cow_faults: 0, infected: false }
     }
 
     /// Checkpoint support: every field verbatim, the address space as what
@@ -78,8 +66,6 @@ impl Domain {
         self.image.snap(w);
         self.bound_addr.snap(w);
         w.u64(self.cow_faults);
-        w.u64(self.reads);
-        w.u64(self.writes);
         w.bool(self.infected);
         self.space.encode(w);
         self.disk.encode_overlay(w);
@@ -89,22 +75,20 @@ impl Domain {
     /// already-restored `images` — the one thing that keeps this from being
     /// a [`Snap`] impl: a domain's base disk always aliases its image's
     /// disk (every provisioning path clones it), and a flash clone's space
-    /// sits over its image's frame list again.
+    /// sits over its image again.
     pub(crate) fn decode(
         r: &mut SnapReader<'_>,
-        images: &BTreeMap<ImageId, ReferenceImage>,
+        images: &BTreeMap<ImageId, Arc<ReferenceImage>>,
     ) -> Result<Self, SnapshotError> {
         let id = Snap::unsnap(r)?;
         let image = Snap::unsnap(r)?;
         let img = images.get(&image).ok_or_else(|| r.bad())?;
         let bound_addr = Snap::unsnap(r)?;
         let cow_faults = r.u64()?;
-        let reads = r.u64()?;
-        let writes = r.u64()?;
         let infected = r.bool()?;
-        let space = AddressSpace::decode(r, img.shared_frames())?;
+        let space = AddressSpace::decode(r, img)?;
         let disk = CowDisk::decode_overlay(img.disk().clone(), r)?;
-        Ok(Domain { id, image, space, disk, bound_addr, cow_faults, reads, writes, infected })
+        Ok(Domain { id, image, space, disk, bound_addr, cow_faults, infected })
     }
 
     /// The domain identifier.
@@ -196,16 +180,9 @@ impl Domain {
         &mut self.space
     }
 
-    /// Internal: telemetry hooks for the host's memory path.
-    pub(crate) fn note_read(&mut self) {
-        self.reads += 1;
-    }
-
-    pub(crate) fn note_write(&mut self, faulted: bool) {
-        self.writes += 1;
-        if faulted {
-            self.cow_faults += 1;
-        }
+    /// Counts a CoW fault of the host's memory path.
+    pub(crate) fn note_fault(&mut self) {
+        self.cow_faults += 1;
     }
 }
 

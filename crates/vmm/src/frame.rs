@@ -8,11 +8,13 @@
 //! writes must never be visible through the image or a sibling clone)
 //! without storing 4 KiB per page.
 //!
-//! Only a frame that can be shared has a row: an image's frames, and those
-//! a merge pass or a forensic snapshot shares. A private page — one domain's
-//! CoW copy or overhead page — keeps its content word in its own p2m entry
-//! (see [`crate::addrspace`]), and the table keeps only their count, so
-//! every admission, pressure and merge decision still sees each page.
+//! Only a frame that a merge pass or a forensic snapshot shares has a row.
+//! A page only its owner holds — a domain's private page, whose content its
+//! p2m entry holds (see [`crate::addrspace`]), or a boot image's page, whose
+//! content is computed — is only counted, so every admission, pressure and
+//! merge decision still sees each page.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use core::fmt;
 
@@ -51,9 +53,10 @@ struct FrameState {
 /// The global machine frame table of one host.
 ///
 /// Rows are allocated with refcount 1; each further holder — an image's
-/// frame list, a stored shared p2m entry (see [`crate::addrspace`]) — bumps
-/// the count; the row returns to the free list when the count reaches zero.
-/// Private pages are a count beside the rows, under the same capacity.
+/// frozen page, a stored shared p2m entry (see [`crate::addrspace`]) —
+/// bumps the count; the row returns to the free list when the count reaches
+/// zero. Pages without a row are a count beside the rows, under the same
+/// capacity.
 ///
 /// # Examples
 ///
@@ -74,7 +77,7 @@ pub struct FrameTable {
     frames: Vec<FrameState>,
     free: Vec<u64>,
     total: u64,
-    /// Pages that live in a p2m entry of their own and have no row.
+    /// Pages without a row: domains' private pages and boot images' pages.
     private: u64,
 }
 
@@ -104,7 +107,7 @@ impl FrameTable {
         self.total - self.used_frames()
     }
 
-    /// Frames currently in use: live rows plus private pages.
+    /// Frames currently in use: live rows plus pages without one.
     #[must_use]
     pub fn used_frames(&self) -> u64 {
         self.live_rows() + self.private
@@ -128,7 +131,7 @@ impl FrameTable {
         Ok(self.promote(content))
     }
 
-    /// Counts `pages` new private pages.
+    /// Counts `pages` new pages without a row.
     ///
     /// # Errors
     ///
@@ -142,7 +145,7 @@ impl FrameTable {
         Ok(())
     }
 
-    /// Gives `pages` private pages back.
+    /// Gives `pages` pages without a row back.
     pub fn release_private(&mut self, pages: u64) {
         self.private -= pages;
     }
@@ -177,18 +180,17 @@ impl FrameTable {
             && owed.iter().zip(&self.frames).all(|(&n, s)| n == s.refcount)
     }
 
+    /// A live frame's row; a dead one is a use-after-free in the caller.
     fn state(&self, frame: FrameId) -> &FrameState {
-        self.frames
-            .get(frame.0 as usize)
-            .filter(|state| state.refcount > 0)
-            .expect("frame id must reference a live frame")
+        let state = &self.frames[frame.0 as usize];
+        assert!(state.refcount > 0, "frame id must reference a live frame");
+        state
     }
 
     fn state_mut(&mut self, frame: FrameId) -> &mut FrameState {
-        self.frames
-            .get_mut(frame.0 as usize)
-            .filter(|state| state.refcount > 0)
-            .expect("frame id must reference a live frame")
+        let state = &mut self.frames[frame.0 as usize];
+        assert!(state.refcount > 0, "frame id must reference a live frame");
+        state
     }
 
     /// Reads the content word of a live frame.

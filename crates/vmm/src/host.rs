@@ -7,6 +7,8 @@
 //! ([`Host::memory_report`]) is the ground truth behind the reproduction of
 //! the paper's delta-virtualization figure.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -19,7 +21,7 @@ use crate::clone::CloneTiming;
 use crate::cost::CostModel;
 use crate::domain::{Domain, DomainId};
 use crate::error::VmmError;
-use crate::frame::{FrameId, FrameTable};
+use crate::frame::FrameTable;
 use crate::guest::GuestProfile;
 use crate::snapshot::{ImageId, ReferenceImage};
 use crate::storage::{SharedChunkStore, DEFAULT_CHUNK_BLOCKS};
@@ -62,8 +64,6 @@ pub struct MemoryReport {
     pub image_frames: u64,
     /// Frames owned exclusively by live domains (their deltas + overhead).
     pub private_frames: u64,
-    /// Domain page mappings that still share an image frame.
-    pub(crate) shared_mappings: u64,
     /// Live (not destroyed) domains.
     pub live_domains: u64,
 }
@@ -84,7 +84,8 @@ impl MemoryReport {
 /// A physical server in the honeyfarm.
 pub struct Host {
     frames: FrameTable,
-    images: BTreeMap<ImageId, ReferenceImage>,
+    /// Held by `Arc`: a flash clone's address space holds its image too.
+    images: BTreeMap<ImageId, Arc<ReferenceImage>>,
     domains: BTreeMap<DomainId, Domain>,
     next_image: u64,
     next_domain: u64,
@@ -172,7 +173,7 @@ impl Host {
     /// VMM operations fail with [`VmmError::HostDown`] until
     /// [`Host::revive`]. Reference images survive — they are re-provisioned
     /// from stable storage on reboot, which the model represents by keeping
-    /// their frames resident.
+    /// their pages counted.
     ///
     /// Returns the number of domains lost. Idempotent on a dead host.
     pub fn crash(&mut self) -> u64 {
@@ -214,7 +215,8 @@ impl Host {
         Ok((dom, image, &mut self.frames))
     }
 
-    /// Boots a guest profile once and freezes it as a reference image.
+    /// Boots a guest profile once and freezes it as a reference image: its
+    /// pages are counted, and their content is computed from the profile.
     ///
     /// # Errors
     ///
@@ -225,27 +227,17 @@ impl Host {
         profile: GuestProfile,
     ) -> Result<ImageId, VmmError> {
         self.ensure_alive()?;
-        if self.frames.free_frames() < profile.memory_pages {
-            return Err(VmmError::OutOfMemory {
-                requested: profile.memory_pages,
-                free: self.frames.free_frames(),
-            });
-        }
+        self.frames.alloc_private(profile.memory_pages)?;
         let id = ImageId(self.next_image);
         self.next_image += 1;
-        let mut frames = Vec::with_capacity(profile.memory_pages as usize);
-        for pfn in 0..profile.memory_pages {
-            let content = GuestProfile::boot_content(id.0, pfn);
-            frames.push(self.frames.alloc(content).expect("capacity checked above"));
-        }
         let disk =
             BaseDisk::open(&self.store, profile.disk_blocks, self.chunk_blocks, profile.disk_seed);
-        self.images.insert(id, ReferenceImage::new(id, name, frames, disk, profile));
+        self.images.insert(id, Arc::new(ReferenceImage::boot(id, name, disk, profile)));
         Ok(id)
     }
 
-    /// Looks up a reference image.
-    pub fn image(&self, id: ImageId) -> Result<&ReferenceImage, VmmError> {
+    /// Looks up a reference image, as a clone of it holds it.
+    pub fn image(&self, id: ImageId) -> Result<&Arc<ReferenceImage>, VmmError> {
         self.images.get(&id).ok_or(VmmError::NoSuchImage(id))
     }
 
@@ -270,37 +262,27 @@ impl Host {
         self.domains.len()
     }
 
-    fn admission_check(&self, private_pages_needed: u64) -> Result<(), VmmError> {
+    /// Admits a domain of `pages` private pages, under the domain cap.
+    fn admit(&mut self, pages: u64) -> Result<(), VmmError> {
         if self.domains.len() >= self.max_domains {
             return Err(VmmError::TooManyDomains { limit: self.max_domains });
         }
-        if self.frames.free_frames() < private_pages_needed {
-            return Err(VmmError::OutOfMemory {
-                requested: private_pages_needed,
-                free: self.frames.free_frames(),
-            });
-        }
-        Ok(())
-    }
-
-    fn alloc_overhead(&mut self) -> Vec<Pte> {
-        self.frames.alloc_private(self.overhead_pages).expect("admission checked");
-        vec![Pte::Private(0); self.overhead_pages as usize]
+        self.frames.alloc_private(pages)
     }
 
     /// Starts a domain of `image` over `space`, with a fresh overlay on the
     /// image's disk, under the next domain id.
-    fn start(&mut self, image: ImageId, space: AddressSpace) -> DomainId {
-        let disk = CowDisk::new(self.images[&image].disk().clone());
+    fn start(&mut self, image: &ReferenceImage, space: AddressSpace) -> DomainId {
+        let disk = CowDisk::new(image.disk().clone());
         let id = DomainId(self.next_domain);
         self.next_domain += 1;
-        self.domains.insert(id, Domain::new(id, image, space, disk));
+        self.domains.insert(id, Domain::new(id, image.id(), space, disk));
         id
     }
 
     /// Flash-clones a domain from a reference image: every image page is
-    /// mapped copy-on-write by holding the image's frame list (no frame's
-    /// count moves); only the fixed overhead is allocated.
+    /// mapped copy-on-write by holding the image itself (no frame's count
+    /// moves); only the fixed overhead is allocated.
     ///
     /// The returned [`CloneTiming`] is the reproduction of the paper's
     /// clone-latency breakdown. The domain comes back *running*.
@@ -315,11 +297,12 @@ impl Host {
             self.pending_clone_faults -= 1;
             return Err(VmmError::InjectedFault { op: "flash_clone" });
         }
-        let base = Arc::clone(self.image(image)?.shared_frames());
-        self.admission_check(self.overhead_pages)?;
-        let timing = CloneTiming::new(CostModel::CALIBRATED.flash_clone_stages(base.len() as u64));
-        let space = AddressSpace::over_base(base, self.alloc_overhead());
-        Ok((self.start(image, space), timing))
+        let base = Arc::clone(self.image(image)?);
+        self.admit(self.overhead_pages)?;
+        let timing = CloneTiming::new(CostModel::CALIBRATED.flash_clone_stages(base.pages()));
+        let overhead = vec![Pte::Private(0); self.overhead_pages as usize];
+        let space = AddressSpace::over(Some(Arc::clone(&base)), overhead);
+        Ok((self.start(&base, space), timing))
     }
 
     /// Starts a domain holding a private copy of every image page — a full
@@ -327,14 +310,13 @@ impl Host {
     /// image's page count.
     fn copy_clone(&mut self, image: ImageId) -> Result<(DomainId, u64), VmmError> {
         self.ensure_alive()?;
-        let list = Arc::clone(self.image(image)?.shared_frames());
-        let pages = list.len() as u64;
-        self.admission_check(pages + self.overhead_pages)?;
-        let mut entries: Vec<Pte> =
-            list.iter().map(|&frame| Pte::Private(self.frames.read(frame))).collect();
-        self.frames.alloc_private(pages).expect("admission checked");
-        entries.extend(self.alloc_overhead());
-        Ok((self.start(image, AddressSpace::from_entries(entries)), pages))
+        let image = Arc::clone(self.image(image)?);
+        let pages = image.pages();
+        self.admit(pages + self.overhead_pages)?;
+        let content = |pfn| image.pristine(pfn).content(&self.frames, &image);
+        let mut entries: Vec<Pte> = (0..pages).map(|pfn| Pte::Private(content(pfn))).collect();
+        entries.resize(entries.len() + self.overhead_pages as usize, Pte::Private(0));
+        Ok((self.start(&image, AddressSpace::from_entries(entries)), pages))
     }
 
     /// Eagerly copies every image page into private frames (the no-delta
@@ -381,38 +363,47 @@ impl Host {
     /// captured for offline analysis, or used as the clone source for a
     /// whole farm of already-infected honeypots.
     ///
-    /// The new image shares every frame with the domain (copy-on-write in
-    /// both directions): each private page of the image region moves into
-    /// a row the two share, so creating it uses no frame. The image's disk is
-    /// the domain's *base* disk (block overlays are per-domain state and
-    /// are not captured).
+    /// The new image is the domain's boot image plus each page the domain
+    /// maps differently, shared copy-on-write in both directions: a private
+    /// one moves into a row the two share, so it costs what the domain has
+    /// dirtied and no frame. The image's disk is the domain's *base* disk
+    /// (block overlays are per-domain state and are not captured).
     ///
     /// # Errors
     ///
     /// Returns [`VmmError::NoSuchDomain`] for unknown domains.
     pub fn snapshot_domain(&mut self, id: DomainId, name: &str) -> Result<ImageId, VmmError> {
-        let (dom, source, table) = self.resolve(id)?;
-        let (profile, disk) = (source.profile().clone(), source.disk().clone());
-        let image_pages = profile.memory_pages;
-        // Freeze the domain's view — its private pages become shared rows,
-        // so future writes CoW away from the snapshot — and share each.
-        let space = dom.space_mut();
-        let frames = (0..image_pages).map(|pfn| space.freeze(pfn, table));
-        let frames: Vec<FrameId> = frames.collect::<Result<_, _>>().expect("image pfns are mapped");
-        for &frame in &frames {
-            table.share(frame);
-        }
+        self.ensure_alive()?;
+        let source = Arc::clone(self.image(self.domain(id)?.image())?);
+        let boot = Arc::clone(self.image(source.boot_image())?);
         let new_id = ImageId(self.next_image);
+        let (dom, _, table) = self.resolve(id)?;
+        let pages = source.pages();
+        // The domain's view over its image's: its private pages become rows,
+        // so its future writes CoW away from the snapshot.
+        let space = dom.space_mut();
+        let mut view: BTreeMap<u64, Pte> = source.frozen().stored().collect();
+        let stored: Vec<u64> =
+            space.stored().map(|(pfn, _)| pfn).take_while(|&pfn| pfn < pages).collect();
+        for pfn in stored {
+            view.insert(pfn, space.freeze(pfn, table)?);
+        }
+        let mut frozen = AddressSpace::over(Some(boot), Vec::new());
+        for (pfn, pte) in view {
+            frozen.remap(pfn, pte, table)?;
+        }
+        let image = ReferenceImage::snapshot(new_id, name, &source, frozen);
+        self.images.insert(new_id, Arc::new(image));
         self.next_image += 1;
-        self.images.insert(new_id, ReferenceImage::new(new_id, name, frames, disk, profile));
         Ok(new_id)
     }
 
     /// Rolls a domain back to its pristine reference-image state: every
-    /// private image page is released and remapped copy-on-write, the disk
-    /// overlay and infection flag are cleared, and the address binding is
-    /// dropped. Much cheaper than destroy + flash-clone (the paper's
-    /// recycling optimization: the domain's fixed structures survive).
+    /// image page it stores is given back and remapped copy-on-write as the
+    /// image maps it, the disk overlay and infection flag are cleared, and
+    /// the address binding is dropped. Much cheaper than destroy +
+    /// flash-clone (the paper's recycling optimization: the domain's fixed
+    /// structures survive).
     ///
     /// Returns the virtual-time cost.
     ///
@@ -421,69 +412,39 @@ impl Host {
     /// Returns [`VmmError::NoSuchDomain`] for unknown domains.
     pub fn rollback(&mut self, id: DomainId) -> Result<SimTime, VmmError> {
         let (dom, image, frames) = self.resolve(id)?;
-        let image_frames = image.frames();
-        let image_pages = image_frames.len() as u64;
+        let image_pages = image.pages();
         assert!(dom.memory_pages() >= image_pages, "image pfns are mapped");
         let mut released = 0u64;
         // Only stored entries are visited: a page the space leaves to its
         // base is already the pristine read-only image mapping. Anything
         // else — a private CoW copy, a row frozen into a later snapshot — goes.
-        dom.space_mut().remap_stored_below(image_pages, frames, |pfn, pte, _| {
-            let img_frame = image_frames[pfn as usize];
-            released += u64::from(pte != Pte::Shared(img_frame));
-            Some(img_frame)
+        dom.space_mut().remap_stored_below(image_pages, frames, |pfn, pte| {
+            let pristine = image.pristine(pfn);
+            released += u64::from(pte != pristine);
+            Some(pristine)
         });
         // Overhead pages beyond the image stay allocated and private; scrub
         // them.
         for pfn in image_pages..dom.memory_pages() {
-            dom.space_mut().write(pfn, 0, frames).expect("in range, and no fault");
+            dom.space_mut().write(pfn, 0, frames)?;
         }
         dom.reset_guest_state();
         Ok(CostModel::CALIBRATED.rollback_cost(released))
     }
 
-    /// Re-shares a domain's private pages whose contents have reverted to
-    /// the reference image (freed buffers, scrubbed caches): each such page
-    /// is released and remapped copy-on-write, reclaiming its frame.
-    ///
-    /// This is the content-based sharing refinement the paper leaves as
-    /// future work, restricted to image-identical pages (which is sound
-    /// without any writeback machinery). Returns the number of frames
-    /// reclaimed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmmError::NoSuchDomain`] for unknown domains.
-    pub fn reshare_reverted_pages(&mut self, id: DomainId) -> Result<u64, VmmError> {
-        let (dom, image, frames) = self.resolve(id)?;
-        let image_frames = image.frames();
-        let image_pages = image_frames.len() as u64;
-        assert!(dom.memory_pages() >= image_pages, "image pfns are mapped");
-        let mut reclaimed = 0u64;
-        // A private page is always a stored entry, so those are all there is
-        // to look at.
-        dom.space_mut().remap_stored_below(image_pages, frames, |pfn, pte, frames| {
-            let img_frame = image_frames[pfn as usize];
-            let reverted = pte == Pte::Private(frames.read(img_frame));
-            reclaimed += u64::from(reverted);
-            reverted.then_some(img_frame)
-        });
-        Ok(reclaimed)
-    }
-
     /// One content-index pass over every domain's guest region: divergent
-    /// pages whose contents match an already-resident frame (an image page,
+    /// pages whose contents match an already-resident page (an image page,
     /// a previously merged frame, or another domain's divergent page) are
-    /// released and remapped to that frame copy-on-write.
+    /// released and remapped to that page copy-on-write.
     ///
-    /// This generalizes [`Host::reshare_reverted_pages`] from
-    /// image-identical pages to *any* identical content — the KSM-style
-    /// content-based sharing the paper leaves as future work. Worm payloads
-    /// write the same bytes into every victim, so post-infection clones
-    /// re-converge. When the merge target is another domain's private page,
-    /// that page first moves into a shared row that both then map read-only,
-    /// so a future write by either side faults a private copy (guest-visible
-    /// contents never change).
+    /// This is the KSM-style content-based sharing the paper leaves as
+    /// future work. Worm payloads write the same bytes into every victim, so
+    /// post-infection clones re-converge. When the merge target is another
+    /// domain's private page, that page first moves into a shared row that
+    /// both then map read-only, so a future write by either side faults a
+    /// private copy (guest-visible contents never change). A boot image's
+    /// page takes no row, so only its own image's domains map it; a domain
+    /// of another image merges that content with its peers through a row.
     ///
     /// Only the image-backed guest region is scanned: the fixed overhead
     /// pages model per-domain hypervisor structures (shadow tables, device
@@ -499,65 +460,76 @@ impl Host {
     pub fn scan_and_merge(&mut self) -> Result<crate::memctl::MergeReport, VmmError> {
         self.ensure_alive()?;
         let free_before = self.frames.free_frames();
-        // Where a content word already lives: a shared row, or the one
-        // private page that holds it so far.
+        // Where a content word already lives: a row, or the one private page
+        // that holds it so far.
         #[derive(Clone, Copy)]
         enum Holder {
-            Row(FrameId),
+            Row(Pte),
             Page(DomainId, u64),
         }
-        // Seeded from reference images in id order so pristine frames
-        // always win canonical status.
+        // A boot image's pages, by content, first pfn first: only that
+        // image's domains can map one (it has no row), and where one holds
+        // the content it wins over any row.
+        let mut image_pages: HashMap<(ImageId, u64), u64> = HashMap::new();
         let mut canonical: HashMap<u64, Holder> = HashMap::new();
         for img in self.images.values() {
-            for &frame in img.frames() {
-                canonical.entry(self.frames.read(frame)).or_insert(Holder::Row(frame));
+            if img.is_boot() {
+                for pfn in 0..img.pages() {
+                    image_pages.entry((img.id(), img.boot_content(pfn))).or_insert(pfn);
+                }
+            }
+            for (_, pte) in img.frozen().stored() {
+                if let Pte::Shared(frame) = pte {
+                    canonical.entry(self.frames.read(frame)).or_insert(Holder::Row(pte));
+                }
             }
         }
         let mut report = crate::memctl::MergeReport::default();
-        // Per domain, the pages of its guest region: the image-backed prefix.
-        let pages_of = |d: &Domain| self.images.get(&d.image()).map_or(0, ReferenceImage::pages);
-        let scan: Vec<(DomainId, u64)> =
-            self.domains.values().map(|d| (d.id(), pages_of(d))).collect();
-        for (id, guest_pages) in scan {
-            // A page the space leaves to its base maps an image frame
-            // read-only, and every image frame is indexed above: the pass
+        // Per domain, its boot image and its image-backed guest region.
+        let scan: Vec<(DomainId, ImageId, u64)> = self
+            .domains
+            .values()
+            .filter_map(|d| Some((d.id(), self.images.get(&d.image())?)))
+            .map(|(id, img)| (id, img.boot_image(), img.pages()))
+            .collect();
+        for (id, boot, guest_pages) in scan {
+            // A page the space leaves to its base maps an image page
+            // read-only, and every image page is indexed above: the pass
             // has nothing to do there and takes the stored entries only.
             // Taken up front: merging remaps this domain's entries (and
             // earlier domains') only behind the one being looked at.
+            let dom = self.domains.get(&id).ok_or(VmmError::NoSuchDomain(id))?;
             let stored: Vec<(u64, Pte)> =
-                self.domains[&id].space().stored().take_while(|s| s.0 < guest_pages).collect();
+                dom.space().stored().take_while(|s| s.0 < guest_pages).collect();
             for (pfn, pte) in stored {
                 let content = match pte {
                     Pte::Shared(frame) => {
                         // Already shared; index it so later duplicates can join.
-                        canonical.entry(self.frames.read(frame)).or_insert(Holder::Row(frame));
+                        canonical.entry(self.frames.read(frame)).or_insert(Holder::Row(pte));
                         continue;
                     }
+                    Pte::Image(_) => continue,
                     Pte::Private(content) => content,
                 };
-                let row = match canonical.get(&content).copied() {
-                    None => {
+                let to = match (image_pages.get(&(boot, content)), canonical.get(&content)) {
+                    (Some(&page), _) => Pte::Image(page),
+                    (None, None) => {
                         canonical.insert(content, Holder::Page(id, pfn));
                         continue;
                     }
-                    Some(Holder::Row(row)) => row,
-                    Some(Holder::Page(owner, opfn)) => {
+                    (None, Some(&Holder::Row(to))) => to,
+                    (None, Some(&Holder::Page(owner, opfn))) => {
                         // The first holder's page becomes the shared row, so
                         // neither side can mutate it in place.
-                        let odom = self.domains.get_mut(&owner).expect("owner is live");
-                        let row = odom.space_mut().freeze(opfn, &mut self.frames);
-                        let row = row.expect("owner pfn in range");
+                        let odom =
+                            self.domains.get_mut(&owner).ok_or(VmmError::NoSuchDomain(owner))?;
+                        let row = odom.space_mut().freeze(opfn, &mut self.frames)?;
                         canonical.insert(content, Holder::Row(row));
                         row
                     }
                 };
-                self.domains
-                    .get_mut(&id)
-                    .expect("listed above")
-                    .space_mut()
-                    .remap(pfn, row, &mut self.frames)
-                    .expect("pfn in range");
+                let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
+                dom.space_mut().remap(pfn, to, &mut self.frames)?;
                 report.merged_pages += 1;
             }
         }
@@ -580,11 +552,8 @@ impl Host {
     ///
     /// Returns [`VmmError::NoSuchDomain`] or [`VmmError::BadPfn`].
     pub fn read_page(&mut self, id: DomainId, pfn: u64) -> Result<u64, VmmError> {
-        self.ensure_alive()?;
-        let dom = self.domains.get_mut(&id).ok_or(VmmError::NoSuchDomain(id))?;
-        let pte = dom.space().lookup(pfn)?;
-        dom.note_read();
-        Ok(pte.content(&self.frames))
+        let (dom, image, frames) = self.resolve(id)?;
+        Ok(dom.space().lookup(pfn)?.content(frames, image))
     }
 
     /// Reads a guest disk block through the domain's CoW view, lazily
@@ -650,9 +619,9 @@ impl Host {
         let mut stats = TouchStats::default();
         for (i, &pfn) in pfns.iter().enumerate() {
             let faulted = dom.space_mut().write(pfn, value_seed.wrapping_add(i as u64), frames)?;
-            dom.note_write(faulted);
             stats.pages += 1;
             if faulted {
+                dom.note_fault();
                 stats.faults += 1;
                 stats.cost += CostModel::CALIBRATED.cow_fault;
             }
@@ -687,7 +656,7 @@ impl Host {
         let profile = image.profile();
         let stats = Self::touch(dom, frames, &profile.pages_for_infection(seed), seed)?;
         for b in 0..profile.infection_disk_blocks.min(profile.disk_blocks) {
-            dom.disk_mut().write(b, seed.wrapping_add(b)).expect("block bounds clamped");
+            dom.disk_mut().write(b, seed.wrapping_add(b))?;
         }
         dom.mark_infected();
         Ok(stats)
@@ -696,16 +665,14 @@ impl Host {
     /// Produces the current memory accounting snapshot.
     #[must_use]
     pub fn memory_report(&self) -> MemoryReport {
-        let image_frames: u64 = self.images.values().map(ReferenceImage::pages).sum();
+        let image_frames: u64 = self.images.values().map(|image| image.pages()).sum();
         let private_frames: u64 = self.domains.values().map(Domain::private_pages).sum();
-        let shared_mappings: u64 = self.domains.values().map(Domain::shared_pages).sum();
         MemoryReport {
             total_frames: self.frames.total_frames(),
             free_frames: self.frames.free_frames(),
             used_frames: self.frames.used_frames(),
             image_frames,
             private_frames,
-            shared_mappings,
             live_domains: self.domains.len() as u64,
         }
     }
@@ -734,7 +701,7 @@ impl Host {
         w.bool(self.alive);
         w.u32(self.pending_clone_faults);
         // Both maps are ordered by id.
-        w.seq(self.images.values(), ReferenceImage::encode);
+        w.seq(self.images.values(), |image, w| image.encode(w));
         w.seq(self.domains.values(), Domain::encode);
         w.into_bytes()
     }
@@ -746,25 +713,40 @@ impl Host {
     /// # Errors
     ///
     /// Returns [`SnapshotError::Decode`] when the payload is truncated or
-    /// structurally inconsistent — including images or domains out of id
-    /// order or past their id allocator, and a frame table that disagrees
-    /// with what names its frames (the reference rule of
-    /// [`crate::addrspace`]); the host itself is left untouched in that
-    /// case, though chunks of the images decoded so far may already have
-    /// been put into the shared store.
+    /// structurally inconsistent — including a frame table of another size
+    /// than this host's, images or domains out of id order or past their
+    /// id allocator, and a frame table that disagrees with what names its
+    /// frames (the reference rule of [`crate::addrspace`]); the host itself
+    /// is left untouched in that case, though chunks of the images decoded
+    /// so far may already have been put into the shared store.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapReader::new(bytes, "vmm.host");
         let frames: FrameTable = Snap::unsnap(&mut r)?;
+        if frames.total_frames() != self.frames.total_frames() {
+            return Err(r.bad());
+        }
         let next_image = r.u64()?;
         let next_domain = r.u64()?;
         let alive = r.bool()?;
         let pending_clone_faults = r.u32()?;
-        let images = r.seq(|r| ReferenceImage::decode(r, &self.store))?;
-        if !ids_in_order(images.iter().map(|img| img.id().0), next_image) {
+        let (mut images, mut boot_pages) = (BTreeMap::new(), 0u64);
+        let ids = r.seq(|r| {
+            let image = ReferenceImage::decode(r, &self.store, self.chunk_blocks, &images)?;
+            // A boot image's pages size every space over it: bounded by the
+            // host before a snapshot or a domain is read over it.
+            if image.is_boot() {
+                boot_pages = boot_pages.saturating_add(image.pages());
+            }
+            if boot_pages > frames.total_frames() {
+                return Err(r.bad());
+            }
+            let id = image.id();
+            images.insert(id, Arc::new(image));
+            Ok(id.0)
+        })?;
+        if !ids_in_order(ids.into_iter(), next_image) {
             return Err(r.bad());
         }
-        let images: BTreeMap<ImageId, ReferenceImage> =
-            images.into_iter().map(|img| (img.id(), img)).collect();
         let domains = r.seq(|r| Domain::decode(r, &images))?;
         if !ids_in_order(domains.iter().map(|d| d.id().0), next_domain) {
             return Err(r.bad());
@@ -772,14 +754,14 @@ impl Host {
         let domains: BTreeMap<DomainId, Domain> =
             domains.into_iter().map(|d| (d.id(), d)).collect();
         r.finish()?;
-        let listed = images.values().flat_map(|img| img.frames().iter().copied());
-        let stored = domains.values().flat_map(|d| d.space().stored());
-        let shared = stored.filter_map(|(_, pte)| match pte {
+        let frozen = images.values().map(|img| img.frozen());
+        let spaces = frozen.chain(domains.values().map(Domain::space));
+        let rows = spaces.flat_map(AddressSpace::stored).filter_map(|(_, pte)| match pte {
             Pte::Shared(frame) => Some(frame),
-            Pte::Private(_) => None,
+            Pte::Private(_) | Pte::Image(_) => None,
         });
-        let private = domains.values().map(Domain::private_pages).sum();
-        if !frames.is_held_by(listed.chain(shared), private) {
+        let private = domains.values().map(Domain::private_pages).sum::<u64>() + boot_pages;
+        if !frames.is_held_by(rows, private) {
             return Err(r.bad());
         }
         self.frames = frames;
@@ -808,10 +790,11 @@ fn ids_in_order(mut ids: impl Iterator<Item = u64>, next: u64) -> bool {
 mod tests {
     use super::*;
 
-    /// `encode_state` of [`diverged_host`] as of snapshot version 10 (no
-    /// lifecycle tallies: 40 bytes less).
-    const DIVERGED_HOST_BYTES: usize = 378_599;
-    const DIVERGED_HOST_DIGEST: u64 = 0x8ac2_c5ba_aa2c_4b1a;
+    /// `encode_state` of [`diverged_host`] as of snapshot version 12 (an
+    /// image is its profile: no rows, no frame list, no manifest geometry;
+    /// no read or write tally a domain).
+    const DIVERGED_HOST_BYTES: usize = 85_444;
+    const DIVERGED_HOST_DIGEST: u64 = 0xf04f_56ce_3d48_9691;
 
     fn small_host() -> (Host, ImageId) {
         let mut host = Host::new(100_000).with_overhead_pages(16);
@@ -853,8 +836,9 @@ mod tests {
 
     /// Every way a p2m entry diverges from its image or comes back: CoW
     /// writes, a forensic snapshot freezing them, a merge pass sharing them
-    /// across clones, a rollback and a reshare undoing them, next to a
-    /// full-copy domain that shares nothing.
+    /// across clones and mapping a page onto an image page at another pfn,
+    /// a rollback and a second pass undoing them, next to a full-copy
+    /// domain that shares nothing.
     fn diverged_host() -> Host {
         let (mut host, image) = small_host();
         let vms: Vec<DomainId> = (0..5).map(|_| host.flash_clone(image).unwrap().0).collect();
@@ -868,7 +852,8 @@ mod tests {
         host.rollback(vms[1]).unwrap();
         host.write_page(vms[1], 12, 0xCD).unwrap();
         host.write_page(vms[3], 40, GuestProfile::boot_content(image.0, 40)).unwrap();
-        host.reshare_reverted_pages(vms[3]).unwrap();
+        host.write_page(vms[3], 41, GuestProfile::boot_content(image.0, 7)).unwrap();
+        host.scan_and_merge().unwrap();
         host.full_copy_clone(image).unwrap();
         let (of_forensic, _) = host.flash_clone(forensic).unwrap();
         host.write_page(of_forensic, 3, 0xEF).unwrap();
@@ -883,14 +868,13 @@ mod tests {
         assert_eq!(potemkin_snapshot::fnv1a64(&bytes), DIVERGED_HOST_DIGEST);
 
         // A resumed host holds what the uninterrupted one held: each flash
-        // clone back over its image's list with the same few stored entries,
-        // and every domain mapping what it mapped, pfn by pfn.
+        // clone back over its image with the same few stored entries, and
+        // every domain mapping what it mapped, pfn by pfn.
         let mut restored = Host::new(100_000).with_overhead_pages(16);
         restored.restore_state(&bytes).unwrap();
         assert_eq!(restored.encode_state(), bytes);
-        let over_image = |host: &Host, dom: &Domain| {
-            dom.space().shares_base(host.image(dom.image()).unwrap().shared_frames())
-        };
+        let over_image =
+            |host: &Host, dom: &Domain| dom.space().is_over(&host.images[&dom.image()]);
         for (was, now) in host.domains().zip(restored.domains()) {
             assert_eq!(now.id(), was.id());
             assert_eq!(over_image(&restored, now), over_image(&host, was), "{}", now.id());
@@ -924,13 +908,13 @@ mod tests {
     #[test]
     fn flash_clone_footprint_is_overhead_plus_dirtied_pages() {
         let (mut host, image) = small_host();
-        let holders = |host: &Host| Arc::strong_count(host.image(image).unwrap().shared_frames());
-        assert_eq!(holders(&host), 1, "the image alone");
+        let holders = |host: &Host| Arc::strong_count(&host.images[&image]);
+        assert_eq!(holders(&host), 1, "the host alone");
         let vms: Vec<DomainId> = (0..3).map(|_| host.flash_clone(image).unwrap().0).collect();
         assert_eq!(holders(&host), 4, "one reference per clone, no copy");
         for &vm in &vms {
             let space = host.domain(vm).unwrap().space();
-            assert!(space.shares_base(host.image(image).unwrap().shared_frames()));
+            assert!(space.is_over(&host.images[&image]));
             assert_eq!(space.delta_len(), 0, "a fresh clone stores nothing but its overhead");
         }
         host.touch_pages(vms[0], &[5, 900, 5, 8_191, 8_192], 1).unwrap();
@@ -961,12 +945,49 @@ mod tests {
     }
 
     #[test]
+    fn a_host_over_an_image_of_no_pages_restores() {
+        let mut host = Host::new(100).with_overhead_pages(2);
+        let profile = GuestProfile { memory_pages: 0, ..GuestProfile::small() };
+        let image = host.create_reference_image("empty", profile).unwrap();
+        let (vm, _) = host.flash_clone(image).unwrap();
+        host.write_page(vm, 1, 7).unwrap();
+        host.snapshot_domain(vm, "frozen").unwrap();
+        let bytes = host.encode_state();
+        let mut restored = Host::new(100).with_overhead_pages(2);
+        restored.restore_state(&bytes).unwrap();
+        assert_eq!(restored.encode_state(), bytes);
+    }
+
+    #[test]
+    fn a_boot_image_larger_than_the_host_is_refused_before_a_space_is_sized() {
+        // A snapshot and a clone over a 777-page image: both size their
+        // delta by the boot image's page count, which the payload states.
+        let mut host = Host::new(100_000).with_overhead_pages(16);
+        let profile = GuestProfile { memory_pages: 777, ..GuestProfile::small() };
+        let image = host.create_reference_image("sized", profile).unwrap();
+        let (vm, _) = host.flash_clone(image).unwrap();
+        host.write_page(vm, 3, 1).unwrap();
+        host.snapshot_domain(vm, "frozen").unwrap();
+        host.flash_clone(image).and_then(|(vm, _)| host.write_page(vm, 4, 2)).unwrap();
+        let bytes = host.encode_state();
+        let pages = 777u64.to_le_bytes();
+        let at = bytes.windows(8).position(|w| w == pages).unwrap();
+        for huge in [100_001u64, 1 << 40, u64::MAX] {
+            let mut payload = bytes.clone();
+            payload[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+            let mut fresh = Host::new(100_000).with_overhead_pages(16);
+            assert!(fresh.restore_state(&payload).is_err(), "{huge} pages");
+        }
+    }
+
+    #[test]
     fn image_creation_accounts_frames() {
         let (host, image) = small_host();
         let report = host.memory_report();
         assert_eq!(report.image_frames, 8_192);
         assert_eq!(report.used_frames, 8_192);
         assert_eq!(host.image(image).unwrap().pages(), 8_192);
+        assert_eq!(host.frames().live_rows(), 0, "counted, and nothing else");
     }
 
     #[test]
@@ -1028,7 +1049,7 @@ mod tests {
         let before = host.memory_report().used_frames;
         let stats = host.touch_pages(vm, &(0..10_000).collect::<Vec<_>>(), 1).unwrap();
         assert_eq!(stats.faults, 10_000);
-        assert_eq!(host.frames().live_rows(), 10_000, "the image's rows, and no more");
+        assert_eq!(host.frames().live_rows(), 0, "neither the image nor a fault takes a row");
         assert_eq!(host.memory_report().used_frames, before + 10_000);
         assert_eq!(host.read_page(vm, 9_999).unwrap(), 10_000);
     }
@@ -1103,7 +1124,7 @@ mod tests {
         assert!(boot_t.total() > SimTime::from_secs(20));
         assert!(boot_t.total() > flash_t.total() * 10);
         let dom = host.domain(vm).unwrap();
-        assert!(!dom.space().shares_base(host.image(image).unwrap().shared_frames()));
+        assert!(!dom.space().is_over(&host.images[&image]));
         assert_eq!(dom.shared_pages(), 0);
         assert_eq!(host.memory_report().live_domains, 2);
     }
@@ -1251,8 +1272,11 @@ mod tests {
         host.write_page(vm, 10, 0xFEED).unwrap();
         let used_before = host.memory_report().used_frames;
 
+        let dirtied = host.domain(vm).unwrap().space().delta_len();
         let forensic = host.snapshot_domain(vm, "infected-capture").unwrap();
         assert_eq!(host.memory_report().used_frames, used_before, "snapshot allocates nothing");
+        let frozen = host.image(forensic).unwrap().frozen();
+        assert_eq!(frozen.delta_len(), dirtied, "it holds what the domain dirtied, no more");
 
         // A clone of the forensic image sees the infected state...
         let (clone, _) = host.flash_clone(forensic).unwrap();
@@ -1314,33 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn reverted_pages_are_reshared() {
-        let (mut host, image) = small_host();
-        let (vm, _) = host.flash_clone(image).unwrap();
-        // Dirty three pages, then write the image content back into two of
-        // them (a freed buffer reverting to its pristine state).
-        for pfn in [1u64, 2, 3] {
-            host.write_page(vm, pfn, 0xD1147).unwrap();
-        }
-        for pfn in [1u64, 2] {
-            host.write_page(vm, pfn, GuestProfile::boot_content(image.0, pfn)).unwrap();
-        }
-        let before = host.memory_report().used_frames;
-        let reclaimed = host.reshare_reverted_pages(vm).unwrap();
-        assert_eq!(reclaimed, 2);
-        assert_eq!(host.memory_report().used_frames, before - 2);
-        // Contents unchanged from the guest's point of view.
-        for pfn in [1u64, 2] {
-            assert_eq!(host.read_page(vm, pfn).unwrap(), GuestProfile::boot_content(image.0, pfn));
-        }
-        assert_eq!(host.read_page(vm, 3).unwrap(), 0xD1147);
-        // A re-shared page faults again on the next write.
-        assert!(host.write_page(vm, 1, 0x1).unwrap().faulted);
-        // Idempotent when nothing reverted.
-        assert_eq!(host.reshare_reverted_pages(vm).unwrap(), 0);
-    }
-
-    #[test]
     fn rollback_unknown_domain_fails() {
         let (mut host, _) = small_host();
         assert!(matches!(host.rollback(DomainId(9)), Err(VmmError::NoSuchDomain(_))));
@@ -1380,7 +1377,6 @@ mod tests {
         assert_eq!(host.read_page(vm, 0), Err(VmmError::HostDown));
         assert_eq!(host.write_page(vm, 0, 1).unwrap_err(), VmmError::HostDown);
         assert_eq!(host.snapshot_domain(vm, "s").unwrap_err(), VmmError::HostDown);
-        assert_eq!(host.reshare_reverted_pages(vm), Err(VmmError::HostDown));
         assert!(matches!(
             host.create_reference_image("x", GuestProfile::small()),
             Err(VmmError::HostDown)
@@ -1456,14 +1452,64 @@ mod tests {
     fn merge_reshares_image_identical_pages() {
         let (mut host, image) = small_host();
         let (vm, _) = host.flash_clone(image).unwrap();
-        let orig = host.read_page(vm, 3).unwrap();
-        host.write_page(vm, 3, 0xFEED).unwrap();
-        host.write_page(vm, 3, orig).unwrap(); // reverted to image content
+        // Dirty three pages, then write the image content back into two of
+        // them (a freed buffer reverting to its pristine state).
+        for pfn in [1u64, 2, 3] {
+            host.write_page(vm, pfn, 0xD1147).unwrap();
+        }
+        for pfn in [1u64, 2] {
+            host.write_page(vm, pfn, GuestProfile::boot_content(image.0, pfn)).unwrap();
+        }
         let before = host.memory_report().used_frames;
         let report = host.scan_and_merge().unwrap();
-        assert_eq!(report.merged_pages, 1);
+        assert_eq!((report.merged_pages, report.frames_reclaimed), (2, 2));
+        assert_eq!(host.memory_report().used_frames, before - 2);
+        // Contents unchanged from the guest's point of view, and the two
+        // are the image's pristine pages again.
+        for pfn in [1u64, 2] {
+            assert_eq!(host.read_page(vm, pfn).unwrap(), GuestProfile::boot_content(image.0, pfn));
+        }
+        assert_eq!(host.read_page(vm, 3).unwrap(), 0xD1147);
+        assert_eq!(host.domain(vm).unwrap().space().delta_len(), 1);
+        // A re-shared page faults again on the next write.
+        assert!(host.write_page(vm, 1, 0x1).unwrap().faulted);
+        // Idempotent when nothing reverted.
+        assert_eq!(host.scan_and_merge().unwrap().merged_pages, 0);
+    }
+
+    #[test]
+    fn merge_maps_an_image_page_at_another_pfn_without_a_row() {
+        // Request 0 writes the word 0 to its first page, which is the boot
+        // content of the first image's pfn 0.
+        let (mut host, image) = small_host();
+        assert_eq!(GuestProfile::boot_content(image.0, 0), 0);
+        let (vm, _) = host.flash_clone(image).unwrap();
+        let first = host.image(image).unwrap().profile().pages_for_request(0)[0];
+        host.apply_request(vm, 0).unwrap();
+        assert_eq!(host.read_page(vm, first).unwrap(), 0);
+        let before = host.memory_report().used_frames;
+        let report = host.scan_and_merge().unwrap();
+        assert_eq!((report.merged_pages, report.frames_reclaimed), (1, 1));
         assert_eq!(host.memory_report().used_frames, before - 1);
-        assert_eq!(host.read_page(vm, 3).unwrap(), orig);
+        assert_eq!(host.frames().live_rows(), 0, "no row for an image page");
+        let space = host.domain(vm).unwrap().space();
+        assert_eq!(space.lookup(first), Ok(Pte::Image(0)));
+        assert_eq!(host.read_page(vm, first).unwrap(), 0);
+        assert!(
+            host.write_page(vm, first, 0xABCD).unwrap().faulted,
+            "read-only, like any image page"
+        );
+        // Domains of another boot image do not map this one's pages: theirs
+        // merge with each other, through a row.
+        let other = host.create_reference_image("other", GuestProfile::small()).unwrap();
+        let strangers = [host.flash_clone(other).unwrap().0, host.flash_clone(other).unwrap().0];
+        for stranger in strangers {
+            host.write_page(stranger, 3, 0).unwrap();
+        }
+        assert_eq!(host.scan_and_merge().unwrap().merged_pages, 1);
+        assert!(matches!(host.domain(strangers[1]).unwrap().space().lookup(3), Ok(Pte::Shared(_))));
+        assert_eq!(host.frames().live_rows(), 1);
+        assert_eq!(host.read_page(strangers[0], 3).unwrap(), 0);
     }
 
     #[test]

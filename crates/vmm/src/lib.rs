@@ -16,11 +16,12 @@
 //!
 //! * `frame` — the machine frame table: allocation, reference counts,
 //!   content words standing in for the contents of shared frames, and a
-//!   count of the private pages that hold their own.
+//!   count of the pages without a row (private pages and image pages).
 //! * [`addrspace`] — per-domain pseudo-physical → machine maps with
 //!   private pages held in the entry (the p2m table).
-//! * `snapshot` — frozen reference images created by booting a guest
-//!   profile once.
+//! * `snapshot` — frozen reference images: a boot image is its profile,
+//!   its page contents computed; a forensic snapshot is its boot image
+//!   plus the pages it froze.
 //! * `domain` — VM domains: identity, address space, disk, address
 //!   binding and infection state; checkpointed as what they store.
 //! * `storage` — the content-addressed chunk store and the chunk
@@ -82,6 +83,5 @@ pub use host::{Host, MemoryReport};
 pub use memctl::{MemoryBudget, MergeReport, PressureEvent, SharingReport};
 pub use snapshot::ImageId;
 pub use storage::{
-    ChunkHash, ChunkRef, Manifest, OverlayManifest, SharedChunkStore, StoreStats,
-    DEFAULT_CHUNK_BLOCKS,
+    ChunkHash, Manifest, OverlayManifest, SharedChunkStore, StoreStats, DEFAULT_CHUNK_BLOCKS,
 };

@@ -12,23 +12,21 @@
 //!    reference image that shares the store: the store is a cloneable
 //!    handle a whole farm shares.
 //!
-//! 2. **Manifests are the only disk representation.** A [`Manifest`] is an
-//!    ordered list of chunk references — a reference image. An
+//! 2. **Manifests are the only disk representation.** A [`Manifest`] is a
+//!    reference image's disk: its geometry and the chunks it has stored. An
 //!    [`OverlayManifest`] is a sparse block→content delta — a clone's
 //!    private CoW disk. Nothing above this module ever sees a raw block
 //!    vector.
 //!
 //! 3. **Chunks materialize lazily on first read.** A fresh manifest holds
-//!    only [`ChunkRef::Lazy`] slots; the first guest read of a chunk
-//!    generates its content, puts it in the store, and flips the slot to
-//!    [`ChunkRef::Stored`]. The store counts materializations
-//!    ([`StoreStats::materialized`]) so experiments can show late binding
-//!    doing its job.
+//!    no slot; the first guest read of a chunk generates its content, puts
+//!    it in the store, and records the slot's hash. The store counts
+//!    materializations ([`StoreStats::materialized`]) so experiments can
+//!    show late binding doing its job.
 //!
-//! Checkpoints benefit directly: a manifest encodes as its geometry plus
-//! one *bit* per chunk slot (materialized or not) — O(chunks), not
-//! O(blocks) — because chunk content is re-derivable from the manifest
-//! seed. Overlays encode as their sorted block walks, O(dirty blocks).
+//! Checkpoints benefit directly: a manifest encodes as the indexes of its
+//! materialized slots and an overlay as its sorted block walk, never
+//! O(blocks).
 //!
 //! Everything here is deterministic: hashes are FNV-1a over little-endian
 //! words, overlay iteration is `BTreeMap` order, and no wall-clock or
@@ -40,5 +38,5 @@
 mod manifest;
 mod store;
 
-pub use manifest::{ChunkRef, Manifest, OverlayManifest, DEFAULT_CHUNK_BLOCKS};
+pub use manifest::{Manifest, OverlayManifest, DEFAULT_CHUNK_BLOCKS};
 pub use store::{ChunkHash, SharedChunkStore, StoreStats};

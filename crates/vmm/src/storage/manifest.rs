@@ -1,19 +1,20 @@
 //! Manifests: the only public disk representations.
 //!
-//! A [`Manifest`] is a reference image — an ordered list of chunk
-//! references over a [`SharedChunkStore`]. An [`OverlayManifest`] is a
+//! A [`Manifest`] is a reference image's disk — its geometry and the chunks
+//! it has put into a [`SharedChunkStore`]. An [`OverlayManifest`] is a
 //! clone disk — the sparse CoW delta a clone lays over its image's
 //! manifest.
 //!
 //! Reference-image content in this reproduction is procedurally generated
-//! from a seed (the simulated stand-in for a golden image file), so a
-//! [`ChunkRef::Lazy`] slot means "not yet faulted in from the golden
-//! image". The first read of a lazy slot generates the chunk, puts it in
-//! the store (deduping against every other image that already holds the
-//! same content), counts one materialization, and flips the slot to
-//! [`ChunkRef::Stored`]. That regenerability is also what shrinks
-//! checkpoints: a manifest serializes as its geometry plus one
-//! materialized bit per slot, never the block contents.
+//! from a seed (the simulated stand-in for a golden image file), so a slot
+//! the manifest does not hold is "not yet faulted in from the golden
+//! image". The first read of one generates the chunk, puts it in the store
+//! (deduping against every image that already holds the same content),
+//! counts one materialization, and records the slot's hash. A checkpoint
+//! writes only the indexes of those slots: the rest comes from the seed,
+//! and the geometry from the image's profile and the host.
+
+use std::collections::BTreeMap;
 
 use potemkin_snapshot::{snap_struct, SnapReader, SnapWriter, SnapshotError};
 
@@ -23,23 +24,15 @@ use crate::error::VmmError;
 /// Default chunk size in blocks, the farm-config default.
 pub const DEFAULT_CHUNK_BLOCKS: u64 = 64;
 
-/// One manifest slot: a chunk not yet faulted in, or the content hash of
-/// its stored chunk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChunkRef {
-    /// Not yet materialized — content is still only implied by the seed.
-    Lazy,
-    /// Materialized: the chunk lives in the store under this hash.
-    Stored(ChunkHash),
-}
-
-/// An ordered list of chunk references — a reference image's disk.
+/// A reference image's disk: its geometry and content seed, and the chunks
+/// it has materialized into the store.
 #[derive(Clone, Debug)]
 pub struct Manifest {
     size_blocks: u64,
     chunk_blocks: u64,
     seed: u64,
-    slots: Vec<ChunkRef>,
+    /// The materialized slots' hashes, by chunk index.
+    stored: BTreeMap<u64, ChunkHash>,
 }
 
 impl Manifest {
@@ -49,8 +42,7 @@ impl Manifest {
     #[must_use]
     pub fn new(size_blocks: u64, chunk_blocks: u64, seed: u64) -> Self {
         let chunk_blocks = chunk_blocks.max(1);
-        let chunks = size_blocks.div_ceil(chunk_blocks);
-        Manifest { size_blocks, chunk_blocks, seed, slots: vec![ChunkRef::Lazy; chunks as usize] }
+        Manifest { size_blocks, chunk_blocks, seed, stored: BTreeMap::new() }
     }
 
     /// The deterministic content word of block `block` under `seed` — the
@@ -70,22 +62,22 @@ impl Manifest {
     /// Number of slots already materialized into the store.
     #[must_use]
     pub(crate) fn materialized_chunks(&self) -> u64 {
-        self.slots.iter().filter(|s| matches!(s, ChunkRef::Stored(_))).count() as u64
+        self.stored.len() as u64
     }
 
-    /// The slots, in disk order.
-    #[must_use]
-    pub fn slots(&self) -> &[ChunkRef] {
-        &self.slots
+    /// The materialized slots' hashes, in disk order.
+    pub fn stored(&self) -> impl Iterator<Item = ChunkHash> + '_ {
+        self.stored.values().copied()
     }
 
-    /// Generates the content words of chunk `chunk` (the last chunk may be
-    /// partial).
-    #[must_use]
-    pub(crate) fn generate_chunk(&self, chunk: u64) -> Vec<u64> {
+    /// Generates the content words of chunk `chunk` (the last may be
+    /// partial), puts them into `store` and records their hash.
+    fn materialize(&mut self, store: &SharedChunkStore, chunk: u64) -> Result<Vec<u64>, VmmError> {
         let start = chunk * self.chunk_blocks;
         let end = (start + self.chunk_blocks).min(self.size_blocks);
-        (start..end).map(|b| Manifest::block_content(self.seed, b)).collect()
+        let words: Vec<u64> = (start..end).map(|b| Manifest::block_content(self.seed, b)).collect();
+        self.stored.insert(chunk, store.put(&words)?);
+        Ok(words)
     }
 
     /// Reads one block, materializing its chunk into `store` on first
@@ -96,58 +88,44 @@ impl Manifest {
         }
         let chunk = block / self.chunk_blocks;
         let offset = block % self.chunk_blocks;
-        match self.slots[chunk as usize] {
-            ChunkRef::Stored(hash) => store.read_word(hash, offset),
-            ChunkRef::Lazy => {
-                let words = self.generate_chunk(chunk);
-                let content = words[offset as usize];
-                let hash = store.put(&words)?;
-                store.note_materialized();
-                self.slots[chunk as usize] = ChunkRef::Stored(hash);
-                Ok(content)
-            }
+        if let Some(&hash) = self.stored.get(&chunk) {
+            return store.read_word(hash, offset);
         }
+        let words = self.materialize(store, chunk)?;
+        store.note_materialized();
+        Ok(words[offset as usize])
     }
 
-    /// Encodes this manifest: geometry plus one materialized bit per slot.
-    /// O(chunks), never O(blocks) — chunk content is re-derivable from the
-    /// seed, so hashes are not stored either.
+    /// Encodes this manifest as the indexes of its materialized slots, in
+    /// order: content and hashes come from the seed, the geometry from the
+    /// decoder.
     pub(crate) fn encode(&self, w: &mut SnapWriter) {
-        w.u64(self.size_blocks);
-        w.u64(self.chunk_blocks);
-        w.u64(self.seed);
-        w.seq(&self.slots, |slot, w| w.bool(matches!(slot, ChunkRef::Stored(_))));
+        w.seq(self.stored.keys(), |&chunk, w| w.u64(chunk));
     }
 
-    /// Decodes a manifest encoded by [`Manifest::encode`], re-putting each
-    /// materialized chunk into `store` (a dedupe no-op when the content is
-    /// already resident). Not a [`Snap`](potemkin_snapshot::Snap) impl only
-    /// because it needs the store.
+    /// Decodes the slots written by [`Manifest::encode`] into a manifest of
+    /// the given geometry (as [`Manifest::new`]), re-putting each slot's
+    /// chunk into `store` (a dedupe no-op when already resident). A slot
+    /// index out of ascending order or past the disk is a decode error.
     pub(crate) fn decode(
         r: &mut SnapReader,
         store: &SharedChunkStore,
+        size_blocks: u64,
+        chunk_blocks: u64,
+        seed: u64,
     ) -> Result<Self, SnapshotError> {
-        let size_blocks = r.u64()?;
-        let chunk_blocks = r.u64()?;
-        if chunk_blocks == 0 {
-            return Err(r.bad());
+        let mut manifest = Manifest::new(size_blocks, chunk_blocks, seed);
+        let slots = size_blocks.div_ceil(manifest.chunk_blocks);
+        let mut next = 0;
+        for _ in 0..r.seq_len()? {
+            let chunk = r.u64()?;
+            if !(next..slots).contains(&chunk) {
+                return Err(r.bad());
+            }
+            manifest.materialize(store, chunk).map_err(|_| r.bad())?;
+            next = chunk + 1;
         }
-        let seed = r.u64()?;
-        let n_slots = r.seq_len()? as u64;
-        if n_slots != size_blocks.div_ceil(chunk_blocks) {
-            return Err(r.bad());
-        }
-        let geometry = Manifest { size_blocks, chunk_blocks, seed, slots: Vec::new() };
-        let slots = (0..n_slots)
-            .map(|chunk| {
-                if !r.bool()? {
-                    return Ok(ChunkRef::Lazy);
-                }
-                let hash = store.put(&geometry.generate_chunk(chunk)).map_err(|_| r.bad())?;
-                Ok(ChunkRef::Stored(hash))
-            })
-            .collect::<Result<_, SnapshotError>>()?;
-        Ok(Manifest { slots, ..geometry })
+        Ok(manifest)
     }
 }
 
@@ -201,7 +179,6 @@ mod tests {
     fn lazy_then_stored_on_first_read() {
         let store = SharedChunkStore::new_memory();
         let mut m = Manifest::new(100, 16, 42);
-        assert_eq!(m.slots.len(), 7, "ceil(100/16)");
         assert_eq!(m.materialized_chunks(), 0);
         assert_eq!(store.stats().materialized, 0);
 
@@ -259,39 +236,59 @@ mod tests {
         let mut w = SnapWriter::new();
         m.encode(&mut w);
         let bytes = w.into_bytes();
-        // O(chunks): geometry (4 × u64) + one byte per slot.
-        assert_eq!(bytes.len(), 32 + 7);
+        // O(materialized chunks): a length and two slot indexes.
+        assert_eq!(bytes.len(), 8 + 2 * 8);
 
         let fresh = SharedChunkStore::new_memory();
         let mut r = SnapReader::new(&bytes, "test");
-        let d = Manifest::decode(&mut r, &fresh).unwrap();
+        let d = Manifest::decode(&mut r, &fresh, 100, 16, 42).unwrap();
         r.finish().unwrap();
-        assert_eq!(d.size_blocks(), 100);
-        assert_eq!(d.chunk_blocks, 16);
-        assert_eq!(d.seed, 42);
+        assert_eq!((d.size_blocks(), d.chunk_blocks, d.seed), (100, 16, 42));
         assert_eq!(d.materialized_chunks(), 2);
         assert_eq!(fresh.stats().resident_chunks, 2, "decode re-put the stored chunks");
-        assert_eq!(d.slots()[0], m.slots()[0]);
+        assert!(d.stored().eq(m.stored()));
+        assert_eq!(fresh.stats().materialized, 0, "a restore faults nothing in");
+    }
+
+    /// The slot indexes `slots` as they go on the wire.
+    fn slots_bytes(slots: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.seq(slots, |&slot, w| w.u64(slot));
+        w.into_bytes()
     }
 
     #[test]
-    fn manifest_decode_rejects_bad_geometry() {
-        let mut w = SnapWriter::new();
-        w.u64(100);
-        w.u64(0); // chunk_blocks == 0
-        w.u64(1);
-        w.u64(0);
-        let bytes = w.into_bytes();
+    fn manifest_decode_refuses_a_slot_out_of_order_or_past_the_disk() {
+        let decode = |slots: &[u64], size_blocks: u64, chunk_blocks: u64| {
+            let store = SharedChunkStore::new_memory();
+            let bytes = slots_bytes(slots);
+            Manifest::decode(
+                &mut SnapReader::new(&bytes, "test"),
+                &store,
+                size_blocks,
+                chunk_blocks,
+                1,
+            )
+            .map(|m| m.materialized_chunks())
+        };
+        assert_eq!(decode(&[0, 3, 6], 100, 16), Ok(3), "the last slot is partial");
+        for (what, slots) in [
+            ("out of order", &[3, 0][..]),
+            ("repeated", &[3, 3]),
+            ("at the slot count", &[7]),
+            ("far past it", &[1 << 40]),
+        ] {
+            let outcome = decode(slots, 100, 16);
+            assert!(matches!(outcome, Err(SnapshotError::Decode { .. })), "{what}: {outcome:?}");
+        }
+        // Nothing is sized by the slot count: a 2^40-block disk with one
+        // slot materialized costs that one chunk.
+        assert_eq!(decode(&[1 << 30], 1 << 40, 64), Ok(1));
+        let truncated = &slots_bytes(&[0, 1])[..12];
         let store = SharedChunkStore::new_memory();
-        assert!(Manifest::decode(&mut SnapReader::new(&bytes, "test"), &store).is_err());
-
-        let mut w = SnapWriter::new();
-        w.u64(100);
-        w.u64(16);
-        w.u64(1);
-        w.u64(3); // wrong slot count
-        let bytes = w.into_bytes();
-        assert!(Manifest::decode(&mut SnapReader::new(&bytes, "test"), &store).is_err());
+        assert!(
+            Manifest::decode(&mut SnapReader::new(truncated, "test"), &store, 100, 16, 1).is_err()
+        );
     }
 
     #[test]

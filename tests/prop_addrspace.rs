@@ -7,20 +7,19 @@
 //! afterwards, and with it every digest downstream.
 //!
 //! The oracle also keeps the reference rule by hand, in a frame table of its
-//! own where every one of its entries is stored and so owns a reference — a
-//! count on the row it shares, or one private page; the space under test
-//! keeps it itself, and where it sits over the image's list its pristine
-//! pages own none. The two tables must agree on which rows are free, in
-//! which order, on the count of every row no pristine page maps, and on the
-//! private pages.
-
-use std::sync::Arc;
+//! own where every one of its entries is stored and so owns what it holds —
+//! a count on the row it shares, one private page, or nothing for a page of
+//! the image, which has no row; the space under test keeps it itself, and
+//! where it sits over the image its pristine pages own nothing. The two
+//! tables must agree on which rows are free, in which order, on the count
+//! of every row, and on the pages without one.
 
 use proptest::prelude::*;
 
 use potemkin::snapshot::Snap;
 use potemkin::vmm::addrspace::{AddressSpace, Pte};
-use potemkin::vmm::{FrameId, FrameTable, VmmError};
+use potemkin::vmm::guest::GuestProfile;
+use potemkin::vmm::{FrameTable, Host, VmmError};
 
 // Ten words of the delta's bitmap (the last one partial) in two rank blocks.
 const BASE_PAGES: u64 = 600;
@@ -36,9 +35,14 @@ enum Op {
     Freeze {
         pfn: u64,
     },
-    /// Rollback/reshare-style: back to the image frame, read-only.
+    /// Rollback/merge-style: back to the image page, read-only.
     Revert {
         pfn: u64,
+    },
+    /// Merge-style: another page of the image, read-only.
+    MapImage {
+        pfn: u64,
+        page: u64,
     },
     Lookup {
         pfn: u64,
@@ -54,31 +58,29 @@ fn arb_op() -> impl Strategy<Value = Op> {
         5 => pfn.clone().prop_map(|pfn| Op::Diverge { pfn }),
         2 => pfn.clone().prop_map(|pfn| Op::Freeze { pfn }),
         3 => pfn.clone().prop_map(|pfn| Op::Revert { pfn }),
+        2 => (pfn.clone(), 0..BASE_PAGES).prop_map(|(pfn, page)| Op::MapImage { pfn, page }),
         3 => pfn.prop_map(|pfn| Op::Lookup { pfn }),
         1 => Just(Op::Audit),
     ]
 }
 
-/// One frame table holding an image and a clone of it: the image's frame
-/// list, the clone's space (over that list when `shared`, else flattened
-/// into explicit entries, each owning a reference), and the dense oracle of
+/// A host's frame table holding an image and a flash clone of it, the
+/// clone's space (over the image when `shared`, else flattened into
+/// explicit entries, each owning what it holds), and the dense oracle of
 /// the same mapping.
-fn build(shared: bool) -> (FrameTable, Arc<[FrameId]>, AddressSpace, Vec<Pte>) {
-    let mut frames = FrameTable::new(4_096);
-    let image: Arc<[FrameId]> = (0..BASE_PAGES).map(|i| frames.alloc(i).unwrap()).collect();
-    if !shared {
-        image.iter().for_each(|&f| frames.share(f));
-    }
-    frames.alloc_private(TAIL_PAGES).unwrap();
+fn build(shared: bool) -> (FrameTable, AddressSpace, Vec<Pte>) {
+    let mut host = Host::new(4_096).with_overhead_pages(TAIL_PAGES);
+    let profile = GuestProfile { memory_pages: BASE_PAGES, ..GuestProfile::small() };
+    let image = host.create_reference_image("base", profile).unwrap();
+    let (vm, _) = host.flash_clone(image).unwrap();
     let tail = vec![Pte::Private(0); TAIL_PAGES as usize];
-    let oracle: Vec<Pte> =
-        image.iter().map(|&frame| Pte::Shared(frame)).chain(tail.clone()).collect();
+    let oracle: Vec<Pte> = (0..BASE_PAGES).map(Pte::Image).chain(tail).collect();
     let space = if shared {
-        AddressSpace::over_base(Arc::clone(&image), tail)
+        host.domain(vm).unwrap().space().clone()
     } else {
         AddressSpace::from_entries(oracle.clone())
     };
-    (frames, image, space, oracle)
+    (host.frames().clone(), space, oracle)
 }
 
 /// What the space under test does to make `pfn` read as `new`: a guest
@@ -91,7 +93,7 @@ fn apply(
 ) -> Result<(), VmmError> {
     match new {
         Pte::Private(value) => space.write(pfn, value, frames).map(drop),
-        Pte::Shared(frame) => space.remap(pfn, frame, frames),
+        read_only => space.remap(pfn, read_only, frames),
     }
 }
 
@@ -100,6 +102,7 @@ fn hold(frames: &mut FrameTable, pte: Pte) {
     match pte {
         Pte::Private(_) => frames.alloc_private(1).unwrap(),
         Pte::Shared(frame) => frames.share(frame),
+        Pte::Image(_) => {}
     }
 }
 
@@ -108,6 +111,7 @@ fn let_go(frames: &mut FrameTable, pte: Pte) {
     match pte {
         Pte::Private(_) => frames.release_private(1),
         Pte::Shared(frame) => frames.release(frame),
+        Pte::Image(_) => {}
     }
 }
 
@@ -128,7 +132,7 @@ fn audit(space: &AddressSpace, oracle: &[Pte]) -> Result<(), TestCaseError> {
     }
     for (pfn, pte) in expect {
         let listed = stored.binary_search_by_key(&pfn, |s| s.0).is_ok();
-        prop_assert!(matches!(pte, Pte::Shared(_)) || listed, "private pfn {} not stored", pfn);
+        prop_assert!(!matches!(pte, Pte::Private(_)) || listed, "private pfn {} not stored", pfn);
     }
     Ok(())
 }
@@ -141,10 +145,10 @@ proptest! {
         shared in any::<bool>(),
         ops in proptest::collection::vec(arb_op(), 1..160),
     ) {
-        let (mut frames, image, mut space, mut oracle) = build(shared);
+        let (mut frames, mut space, mut oracle) = build(shared);
         // A second, untouched dense copy of the same clone in its own frame
         // table tells what the free list must look like at the end.
-        let (mut dense_frames, _, _, _) = build(false);
+        let (mut dense_frames, _, _) = build(false);
 
         for (step, op) in (0u64..).zip(ops) {
             // `fresh` is a row allocated for the op, with a reference of its own.
@@ -160,10 +164,9 @@ proptest! {
                     Some(&shared) => (pfn, shared, None),
                     None => continue,
                 },
-                Op::Revert { pfn } => match image.get(pfn as usize) {
-                    Some(&frame) => (pfn, Pte::Shared(frame), None),
-                    None => continue,
-                },
+                Op::Revert { pfn } if pfn < BASE_PAGES => (pfn, Pte::Image(pfn), None),
+                Op::MapImage { pfn, page } => (pfn, Pte::Image(page), None),
+                Op::Revert { .. } => continue,
                 Op::Lookup { pfn } => {
                     prop_assert_eq!(space.lookup(pfn).ok(), oracle.get(pfn as usize).copied());
                     continue;
@@ -191,18 +194,13 @@ proptest! {
         }
         audit(&space, &oracle)?;
         prop_assert_eq!(frames.used_frames(), dense_frames.used_frames());
-        // What each row is owed: one reference for the image's list, one
-        // for each stored entry naming it.
-        let shared_rows = || space.stored().filter_map(|(_, pte)| match pte {
-            Pte::Shared(frame) => Some(frame),
-            Pte::Private(_) => None,
-        });
-        for (pfn, &frame) in (0u64..).zip(image.iter()) {
-            let stored = shared_rows().filter(|&f| f == frame).count() as u32;
-            prop_assert_eq!(frames.refcount(frame), 1 + stored, "image frame of pfn {}", pfn);
-        }
-        for frame in shared_rows().filter(|f| !image.contains(f)) {
-            prop_assert_eq!(frames.refcount(frame), dense_frames.refcount(frame));
+        // What each row is owed: one reference for each stored entry naming
+        // it; the image's pages have no row.
+        prop_assert_eq!(frames.live_rows(), dense_frames.live_rows());
+        for (_, pte) in space.stored() {
+            if let Pte::Shared(frame) = pte {
+                prop_assert_eq!(frames.refcount(frame), dense_frames.refcount(frame));
+            }
         }
 
         // Release the space one way and the oracle the plain way: pfn order.

@@ -15,11 +15,15 @@
 //!    opens a containment hole (the escape counter stays zero).
 //!
 //! 4. **The reference rule.** Whatever a host has been through, a frame's
-//!    count is the image frame lists naming it plus the *stored* shared p2m
-//!    entries naming it — a clone's pristine pages hold nothing — every
-//!    frame in use is such a row or one private page, through a checkpoint
-//!    and back, and once every domain is gone what stays resident is what
-//!    the images hold.
+//!    count is the snapshots' frozen pages naming it plus the *stored*
+//!    shared p2m entries naming it — a clone's pristine pages and image
+//!    pages hold nothing — every frame in use is such a row, one private
+//!    page or one page of a boot image, through a checkpoint and back, and
+//!    once every domain is gone what stays resident is what the images
+//!    hold.
+//! 5. **An image is its profile.** Its bookkeeping is constant in its
+//!    size: no row, a checkpoint of the same length whatever its pages,
+//!    and a forensic snapshot that costs what its domain dirtied.
 //!
 //! The replay cases run full telescope scenarios per worker count, so
 //! their budget is small; the fixed tests in `potemkin_bench::e13` and
@@ -123,15 +127,12 @@ enum HostOp {
         pfns: Vec<u64>,
         seed: u64,
     },
-    /// Write a page's image content back, so a reshare or a merge finds it.
+    /// Write a page's boot content back, so a merge finds it.
     Revert {
         dom: usize,
         pfn: u64,
     },
     Rollback {
-        dom: usize,
-    },
-    Reshare {
         dom: usize,
     },
     Merge,
@@ -159,8 +160,7 @@ fn arb_host_op() -> impl Strategy<Value = HostOp> {
             .prop_map(|(dom, pfns, seed)| HostOp::Touch { dom, pfns, seed }),
         3 => (pick.clone(), 0..RULE_IMAGE_PAGES).prop_map(|(dom, pfn)| HostOp::Revert { dom, pfn }),
         2 => pick.clone().prop_map(|dom| HostOp::Rollback { dom }),
-        2 => pick.clone().prop_map(|dom| HostOp::Reshare { dom }),
-        2 => Just(HostOp::Merge),
+        4 => Just(HostOp::Merge),
         1 => pick.clone().prop_map(|dom| HostOp::Snapshot { dom }),
         2 => pick.prop_map(|dom| HostOp::Destroy { dom }),
         1 => Just(HostOp::CrashAndRevive),
@@ -171,23 +171,24 @@ fn rule_host() -> Host {
     Host::new(16_384).with_overhead_pages(RULE_OVERHEAD_PAGES)
 }
 
-/// The reference rule, checked frame by frame: every live row is named by an
-/// image list or a stored shared entry, and counts exactly those; every other
-/// frame in use is one domain's private page.
+/// The reference rule, checked frame by frame: every live row is named by a
+/// snapshot's frozen page or a stored shared entry, and counts exactly
+/// those; every other frame in use is one domain's private page or one page
+/// of the boot image, `images[0]`.
 fn check_reference_rule(host: &Host, images: &[ImageId]) -> Result<(), TestCaseError> {
     let mut owed: std::collections::BTreeMap<FrameId, u32> = Default::default();
-    let listed = images.iter().flat_map(|&id| host.image(id).expect("kept").frames().to_vec());
-    let shared = host.domains().flat_map(|d| d.space().stored()).filter_map(|(_, pte)| match pte {
-        Pte::Shared(frame) => Some(frame),
-        Pte::Private(_) => None,
-    });
-    for frame in listed.chain(shared) {
-        *owed.entry(frame).or_default() += 1;
+    let frozen = images.iter().map(|&id| host.image(id).expect("kept").frozen());
+    for (_, pte) in frozen.chain(host.domains().map(|d| d.space())).flat_map(|s| s.stored()) {
+        if let Pte::Shared(frame) = pte {
+            *owed.entry(frame).or_default() += 1;
+        }
     }
     let rows = host.frames().live_rows();
     let private: u64 = host.domains().map(|d| d.private_pages()).sum();
+    let boot_pages = host.image(images[0]).expect("kept").pages();
     prop_assert_eq!(rows, owed.len() as u64, "a row nothing names");
-    prop_assert_eq!(host.frames().used_frames(), rows + private, "a frame neither row nor page");
+    let used = host.frames().used_frames();
+    prop_assert_eq!(used, rows + private + boot_pages, "a frame neither row nor page");
     for (&frame, &count) in &owed {
         prop_assert_eq!(host.frames().refcount(frame), count, "{}", frame);
     }
@@ -200,7 +201,7 @@ proptest! {
     /// Claim 4, over random lives of one host with a checkpoint round trip
     /// somewhere in the middle.
     #[test]
-    fn refcounts_are_image_lists_plus_stored_entries(
+    fn refcounts_are_frozen_pages_plus_stored_entries(
         ops in proptest::collection::vec(arb_host_op(), 1..80),
         checkpoint_at in 0usize..80,
     ) {
@@ -237,18 +238,11 @@ proptest! {
                     let _ = dom(i).map(|id| host.touch_pages(id, &pfns, seed));
                 }
                 HostOp::Revert { dom: i, pfn } => {
-                    if let Some(id) = dom(i) {
-                        let image = host.domain(id).expect("live").image();
-                        let frame = host.image(image).expect("kept").frames()[pfn as usize];
-                        let content = host.frames().read(frame);
-                        let _ = host.write_page(id, pfn, content);
-                    }
+                    let content = GuestProfile::boot_content(images[0].0, pfn);
+                    let _ = dom(i).map(|id| host.write_page(id, pfn, content));
                 }
                 HostOp::Rollback { dom: i } => {
                     let _ = dom(i).map(|id| host.rollback(id));
-                }
-                HostOp::Reshare { dom: i } => {
-                    let _ = dom(i).map(|id| host.reshare_reverted_pages(id));
                 }
                 HostOp::Snapshot { dom: i } => {
                     if let Some(id) = dom(i) {
@@ -268,6 +262,73 @@ proptest! {
         // With no domain left the rule says it all: what stays resident is
         // what the images hold.
         check_reference_rule(&host, &images)?;
+    }
+}
+
+/// A host of 2^17 frames with one boot image of `memory_pages` pages and
+/// a `disk_blocks`-block disk.
+fn sized_host(memory_pages: u64, disk_blocks: u64) -> (Host, ImageId) {
+    let mut host = Host::new(1 << 17).with_overhead_pages(RULE_OVERHEAD_PAGES);
+    let profile = GuestProfile { memory_pages, disk_blocks, ..GuestProfile::small() };
+    let image = host.create_reference_image("sized", profile).expect("fits");
+    (host, image)
+}
+
+/// What a forensic snapshot of a clone that wrote `writes` (pfns taken
+/// modulo `span`) adds to its host's checkpoint, in bytes, and to its
+/// frames in use, for an image of `memory_pages` pages.
+fn snapshot_growth(memory_pages: u64, span: u64, writes: &[(u64, u64)]) -> (usize, u64) {
+    let (mut host, image) = sized_host(memory_pages, 64);
+    let (vm, _) = host.flash_clone(image).expect("fits");
+    for &(pfn, value) in writes {
+        host.write_page(vm, pfn % span, value).expect("in range");
+    }
+    let (bytes, used) = (host.encode_state().len(), host.frames().used_frames());
+    host.snapshot_domain(vm, "frozen").expect("live domain");
+    (host.encode_state().len() - bytes, host.frames().used_frames() - used)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Claim 5: an image costs the host its page count and nothing per
+    /// page — no row, and checkpoint bytes that do not depend on its size —
+    /// a clone reads its computed pages until it writes them, and a
+    /// forensic snapshot of a clone costs what the clone dirtied.
+    #[test]
+    fn image_bookkeeping_is_constant_in_image_size(
+        memory_pages in 1u64..=65_536,
+        other_pages in 1u64..=65_536,
+        disk_blocks in 1u64..=1 << 20,
+        writes in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..24),
+        probes in proptest::collection::vec(any::<u64>(), 1..16),
+    ) {
+        let (mut host, image) = sized_host(memory_pages, disk_blocks);
+        prop_assert_eq!(host.frames().live_rows(), 0);
+        prop_assert_eq!(host.frames().used_frames(), memory_pages);
+        let (one_page, _) = sized_host(1, 1);
+        prop_assert_eq!(host.encode_state().len(), one_page.encode_state().len());
+
+        let (vm, _) = host.flash_clone(image).expect("fits");
+        let mut written = std::collections::HashMap::new();
+        for &(pfn, value) in &writes {
+            let pfn = pfn % memory_pages;
+            host.write_page(vm, pfn, value).expect("in range");
+            written.insert(pfn, value);
+        }
+        for pfn in probes.iter().map(|p| p % memory_pages).chain(written.keys().copied()) {
+            let boot = GuestProfile::boot_content(image.0, pfn);
+            let expect = written.get(&pfn).copied().unwrap_or(boot);
+            prop_assert_eq!(host.read_page(vm, pfn).expect("in range"), expect, "pfn {}", pfn);
+        }
+
+        // Each frozen page is a row (20 bytes) and a (pfn, entry) pair (17).
+        let span = memory_pages.min(other_pages);
+        let dirtied = writes.iter().map(|&(pfn, _)| pfn % span).collect::<std::collections::HashSet<_>>();
+        let (grown, used) = snapshot_growth(memory_pages, span, &writes);
+        prop_assert_eq!(used, 0, "a snapshot takes no frame");
+        prop_assert_eq!(snapshot_growth(other_pages, span, &writes), (grown, 0));
+        prop_assert_eq!(grown, snapshot_growth(memory_pages, span, &[]).0 + 37 * dirtied.len());
     }
 }
 

@@ -21,7 +21,9 @@
 //!    component handed a length no payload could hold refuses it with the
 //!    same typed error before reserving anything. A host's or a farm's
 //!    payload with one byte flipped, cut or inflated is refused, or restored
-//!    as exactly the state it encodes.
+//!    as exactly the state it encodes; so is a host payload whose disk
+//!    manifest alone is mutated, and its restore never allocates more than
+//!    the payload could describe.
 //!
 //! Each resume case replays a full telescope scenario three times, so the
 //! case budget is kept small; the fixed unit tests in
@@ -30,6 +32,9 @@
 //!
 //! [`SnapshotError`]: potemkin::snapshot::SnapshotError
 //! [`Snap`]: potemkin::snapshot::Snap
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use proptest::prelude::*;
 
@@ -517,16 +522,17 @@ fn a_hostile_first_length_is_a_decode_error_for_every_component() {
 }
 
 /// Claim 4c: a host payload whose frame table disagrees with what names its
-/// frames — the image lists and the shared p2m entries, one reference each,
-/// and the private pages, one count each — is a decode error, and the host
-/// it was offered to is left as it was. Each case is the host's own payload
-/// with only its frame table, the payload's first field, replaced.
+/// frames — the snapshots' frozen pages and the shared p2m entries, one
+/// reference each, and the private pages and boot images' pages, one count
+/// each — is a decode error, and the host it was offered to is left as it
+/// was. Each case is the host's own payload with only its frame table, the
+/// payload's first field, replaced.
 #[test]
 fn a_host_payload_that_breaks_the_reference_rule_is_a_decode_error() {
     use potemkin::snapshot::SnapReader;
     use potemkin::vmm::addrspace::Pte;
     use potemkin::vmm::guest::GuestProfile;
-    use potemkin::vmm::{FrameId, FrameTable, Host};
+    use potemkin::vmm::{FrameTable, Host};
 
     let fresh = || Host::new(100_000).with_overhead_pages(16);
     let mut host = fresh();
@@ -537,9 +543,14 @@ fn a_host_payload_that_breaks_the_reference_rule_is_a_decode_error() {
     host.write_page(b, 9, 0xC0DE).unwrap();
     host.write_page(b, 10, 0xF00D).unwrap();
     host.scan_and_merge().unwrap();
-    let Ok(Pte::Shared(merged)) = host.domain(a).unwrap().space().lookup(9) else {
-        panic!("the merge shares pfn 9")
+    host.snapshot_domain(b, "frozen").unwrap();
+    let row = |vm, pfn| match host.domain(vm).unwrap().space().lookup(pfn) {
+        Ok(Pte::Shared(frame)) => frame,
+        other => panic!("{vm} pfn {pfn} maps a row: {other:?}"),
     };
+    // Pfn 9 is merged (held by both clones and the snapshot), pfn 10 frozen
+    // (held by b and the snapshot).
+    let (merged, frozen) = (row(a, 9), row(b, 10));
     let bytes = host.encode_state();
     let table = FrameTable::unsnap(&mut SnapReader::new(&bytes, "table")).unwrap();
     let rest = &bytes[table.to_bytes().len()..];
@@ -564,14 +575,16 @@ fn a_host_payload_that_breaks_the_reference_rule_is_a_decode_error() {
     let (c, _) = bystander.flash_clone(kept).unwrap();
     bystander.write_page(c, 3, 0xAB).unwrap();
     let before = bystander.encode_state();
+    assert_eq!((table.refcount(merged), table.refcount(frozen)), (3, 2));
     for (what, payload) in [
-        ("an image frame on the free list", with(&|t| t.release(FrameId(8_191)))),
-        ("a shared entry naming a free slot", with(&|t| (0..2).for_each(|_| t.release(merged)))),
-        ("a refcount one above its holders", with(&|t| t.share(FrameId(0)))),
-        ("a refcount one below its holders", with(&|t| t.release(merged))),
+        ("a frozen row on the free list", with(&|t| (0..2).for_each(|_| t.release(frozen)))),
+        ("a shared entry naming a free slot", with(&|t| (0..3).for_each(|_| t.release(merged)))),
+        ("a refcount one above its holders", with(&|t| t.share(merged))),
+        ("a refcount one below its holders", with(&|t| t.release(frozen))),
         ("a row nothing names", with(&|t| assert!(t.alloc(5).is_ok()))),
         ("a private count one high", private_off_by(1)),
         ("a private count one low", private_off_by(-1)),
+        ("a boot image's pages not counted", private_off_by(-8_192)),
     ] {
         let outcome = bystander.restore_state(&payload);
         assert!(matches!(outcome, Err(SnapshotError::Decode { .. })), "{what}: {outcome:?}");
@@ -589,17 +602,18 @@ fn find_once(bytes: &[u8], part: &[u8]) -> usize {
 
 /// Claim 4d: a host payload whose p2m is not one a host makes — a space
 /// smaller than its image, a delta pair out of pfn order, repeated, past
-/// the image or equal to what the image implies, or a shared page past the
-/// image — is a decode error, and the host it was offered to is left as it
-/// was. Each case splices one domain's space and edits the frame table to
-/// match, so the reference rule alone would accept it.
+/// the image or equal to what the image implies, a shared or image page
+/// past the image, or an image page the image does not have — is a decode
+/// error, and the host it was offered to is left as it was. Each case
+/// splices one domain's space and edits the frame table to match, so the
+/// reference rule alone would accept it.
 #[test]
 fn a_host_payload_with_a_hostile_p2m_is_a_decode_error() {
     use potemkin::snapshot::SnapReader;
     use potemkin::snapshot::SnapWriter;
     use potemkin::vmm::addrspace::Pte;
     use potemkin::vmm::guest::GuestProfile;
-    use potemkin::vmm::{FrameTable, Host};
+    use potemkin::vmm::{FrameId, FrameTable, Host};
 
     let fresh = || Host::new(100_000).with_overhead_pages(16);
     let mut host = fresh();
@@ -609,10 +623,9 @@ fn a_host_payload_with_a_hostile_p2m_is_a_decode_error() {
     host.write_page(clone, 9, 0xA9).unwrap();
     let (copy, _) = host.full_copy_clone(image).unwrap();
     let bytes = host.encode_state();
-    let base = host.image(image).unwrap().frames().to_vec();
 
-    // A space as it goes on the wire: whether it sits over its image's
-    // list, the pairs that differ from the list, then the pages past it.
+    // A space as it goes on the wire: whether it sits over its image, the
+    // pairs that differ from the image, then the pages past it.
     let space = |over: bool, pairs: &[(u64, Pte)], tail: &[Pte]| {
         let mut w = SnapWriter::new();
         w.bool(over);
@@ -646,8 +659,12 @@ fn a_host_payload_with_a_hostile_p2m_is_a_decode_error() {
     bystander.write_page(c, 3, 0xAB).unwrap();
     let before = bystander.encode_state();
     let short = [Pte::Private(0); 10];
-    let mut shared_overhead = copied.clone();
-    *shared_overhead.last_mut().unwrap() = Pte::Shared(base[0]);
+    let with_last = |pte: Pte| {
+        let mut entries = copied.clone();
+        *entries.last_mut().unwrap() = pte;
+        entries
+    };
+
     let (same, one_fewer) = (&|_: &mut FrameTable| {}, &fewer_private(1));
     for (what, payload) in [
         ("a flash clone mapping fewer pages than its image", {
@@ -664,13 +681,28 @@ fn a_host_payload_with_a_hostile_p2m_is_a_decode_error() {
             splice(&clone_space, &past, one_fewer)
         }),
         ("a pair equal to the image's mapping", {
-            let equal = space(true, &[a3, (9, Pte::Shared(base[9]))], &overhead);
+            let equal = space(true, &[a3, (9, Pte::Image(9))], &overhead);
             splice(&clone_space, &equal, one_fewer)
         }),
+        ("a pair mapping a page the image does not have", {
+            let outside = space(true, &[a3, (5, Pte::Image(8_192)), a9], &overhead);
+            splice(&clone_space, &outside, same)
+        }),
+        ("an image page past the image", {
+            let past = space(false, &[], &with_last(Pte::Image(0)));
+            splice(&copy_space, &past, one_fewer)
+        }),
+        ("a page the image does not have in a full copy", {
+            let mut outside = copied.clone();
+            outside[3] = Pte::Image(9_000);
+            splice(&copy_space, &space(false, &[], &outside), one_fewer)
+        }),
         ("a shared page past the image", {
-            splice(&copy_space, &space(false, &[], &shared_overhead), &|t| {
+            // The table's first row, which the page alone holds.
+            let past = space(false, &[], &with_last(Pte::Shared(FrameId(0))));
+            splice(&copy_space, &past, &|t| {
                 t.release_private(1);
-                t.share(base[0]);
+                assert_eq!(t.alloc(7), Ok(FrameId(0)));
             })
         }),
     ] {
@@ -886,5 +918,102 @@ proptest! {
             }
         };
         check_mutated_farm_payload(&what, &payload)?;
+    }
+}
+
+thread_local! {
+    /// The largest single request since the test last zeroed it.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct LargestAlloc;
+
+// SAFETY: delegates every operation to `System`; the side record is
+// thread-local and never re-enters the allocator.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.with(|c| c.set(c.get().max(layout.size())));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.with(|c| c.set(c.get().max(new_size)));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestAlloc = LargestAlloc;
+
+/// A fresh host of the shape [`materialized_host`] builds.
+fn disk_host() -> potemkin::vmm::Host {
+    potemkin::vmm::Host::new(4_096).with_overhead_pages(8)
+}
+
+/// A host whose image's 64-slot disk a clone has partly read (slots 0, 5
+/// and 63), with the manifest's bytes as its payload carries them: the
+/// slot count, then each slot's index.
+fn materialized_host() -> (potemkin::vmm::Host, Vec<u8>) {
+    use potemkin::vmm::guest::GuestProfile;
+
+    let mut host = disk_host();
+    let profile = GuestProfile { memory_pages: 256, disk_blocks: 4_096, ..GuestProfile::small() };
+    let image = host.create_reference_image("disk", profile).unwrap();
+    let (vm, _) = host.flash_clone(image).unwrap();
+    for block in [0, 5 * 64 + 3, 4_095] {
+        host.read_block(vm, block).unwrap();
+    }
+    (host, vec![0u64, 5, 63].to_bytes())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Claim 4f: one mutation of a host payload's disk manifest — a byte
+    /// flipped, a cut, or a large value added to its count or to a slot's
+    /// index — is refused as a decode error, or accepted as exactly the
+    /// state it encodes. No allocation while restoring reaches a mebibyte:
+    /// a count or an index inflated by at least 2^32, read unchecked, would
+    /// ask for gigabytes.
+    #[test]
+    fn a_mutated_manifest_is_refused_or_restored_whole(seed in any::<u64>()) {
+        let (host, manifest) = materialized_host();
+        let bytes = host.encode_state();
+        let start = find_once(&bytes, &manifest);
+        let mut rng = SimRng::seed_from(seed);
+        let mut payload = bytes.clone();
+        let what = match rng.below(3) {
+            0 => {
+                let (at, bit) = (start + rng.below(manifest.len() as u64) as usize, rng.below(8));
+                payload[at] ^= 1 << bit;
+                format!("bit {bit} of byte {at} flipped")
+            }
+            1 => {
+                let at = start + rng.below(manifest.len() as u64) as usize;
+                payload.truncate(at);
+                format!("cut at {at}")
+            }
+            _ => {
+                let at = start + 8 * rng.below(manifest.len() as u64 / 8) as usize;
+                let field = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+                let large = 1 << 32 | rng.next_u64();
+                payload[at..at + 8].copy_from_slice(&field.wrapping_add(large).to_le_bytes());
+                format!("{large:#x} added at byte {at}")
+            }
+        };
+        let mut restored = disk_host();
+        LARGEST.with(|c| c.set(0));
+        let outcome = restored.restore_state(&payload);
+        let largest = LARGEST.with(Cell::get);
+        prop_assert!(largest < 1 << 20, "{what}: allocated {largest}");
+        match outcome {
+            Err(SnapshotError::Decode { .. }) => {}
+            Err(other) => prop_assert!(false, "{what}: not a decode error: {other:?}"),
+            Ok(()) => prop_assert!(restored.encode_state() == payload, "{what}: re-encodes else"),
+        }
     }
 }

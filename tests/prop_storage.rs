@@ -33,7 +33,7 @@ use potemkin::gateway::policy::PolicyConfig;
 use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::SimTime;
-use potemkin::vmm::{BaseDisk, ChunkHash, ChunkRef, CowDisk, Manifest, SharedChunkStore};
+use potemkin::vmm::{BaseDisk, ChunkHash, CowDisk, Manifest, SharedChunkStore};
 use potemkin::workload::radiation::RadiationConfig;
 use potemkin::workload::worm::WormSpec;
 
@@ -114,10 +114,8 @@ proptest! {
         prop_assert_eq!(stats.puts, chunks * images as u64);
         prop_assert_eq!(stats.dedupe_hits, chunks * (images as u64 - 1));
         for m in &manifests {
-            for slot in m.slots() {
-                let ChunkRef::Stored(hash) = *slot else {
-                    panic!("every chunk was read, so every slot is stored");
-                };
+            prop_assert_eq!(m.stored().count() as u64, chunks, "every chunk was read");
+            for hash in m.stored() {
                 let words = store.get(hash).expect("stored chunk exists");
                 prop_assert_eq!(ChunkHash::of_words(&words), hash, "hash round-trips");
             }

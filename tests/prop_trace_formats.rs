@@ -300,3 +300,21 @@ fn a_capture_with_a_destination_outside_the_telescope_is_a_config_error() {
         assert!(err.to_string().contains("capture"), "{map:?}: {err}");
     }
 }
+
+/// A capture stamped in epoch time — as tcpdump writes one — lies past the
+/// run's horizon, so no packet of it would be delivered: the config is
+/// refused, naming the first such stamp, instead of running empty.
+#[test]
+fn an_epoch_stamped_capture_is_a_config_error() {
+    let base = telescope(5);
+    let shift = SimTime::from_secs(1_700_000_000);
+    let mut epoch = Trace::new();
+    for event in captured(&base).events() {
+        epoch.push(event.at + shift, event.packet.clone());
+    }
+    let first = epoch.events().iter().map(|e| e.at).min().unwrap();
+    let built = ShardedTelescopeConfig::builder(base).capture(Arc::new(epoch)).build();
+    let err = built.expect_err("an epoch-stamped capture must be refused");
+    assert_eq!(err.field(), "capture", "{err}");
+    assert!(err.to_string().contains(&first.to_string()), "{err}");
+}

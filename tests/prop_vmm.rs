@@ -19,7 +19,7 @@ enum Op {
     Read { vm_pick: usize, pfn: u64 },
     Destroy { vm_pick: usize },
     Rollback { vm_pick: usize },
-    Reshare { vm_pick: usize },
+    Merge,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -30,7 +30,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => (any::<usize>(), 0u64..2048).prop_map(|(vm_pick, pfn)| Op::Read { vm_pick, pfn }),
         1 => any::<usize>().prop_map(|vm_pick| Op::Destroy { vm_pick }),
         1 => any::<usize>().prop_map(|vm_pick| Op::Rollback { vm_pick }),
-        1 => any::<usize>().prop_map(|vm_pick| Op::Reshare { vm_pick }),
+        1 => Just(Op::Merge),
     ]
 }
 
@@ -90,19 +90,19 @@ proptest! {
                     // Rollback discards the delta: the model resets too.
                     model.get_mut(&dom).unwrap().clear();
                 }
-                Op::Reshare { vm_pick } => {
-                    // Re-sharing reverted pages never changes guest-visible
-                    // contents, so the model is untouched.
-                    if live.is_empty() { continue; }
-                    let dom = live[vm_pick % live.len()];
-                    host.reshare_reverted_pages(dom).unwrap();
+                Op::Merge => {
+                    // Merging never changes guest-visible contents, so the
+                    // model is untouched.
+                    host.scan_and_merge().unwrap();
                 }
             }
 
-            // Report consistency after every step.
+            // Report consistency after every step: a frame in use is an
+            // image page, a private page or a row a merge shares.
             let r = host.memory_report();
             prop_assert_eq!(r.used_frames + r.free_frames, r.total_frames);
-            prop_assert_eq!(r.used_frames, r.image_frames + r.private_frames);
+            let rows = host.frames().live_rows();
+            prop_assert_eq!(r.used_frames, r.image_frames + r.private_frames + rows);
             prop_assert_eq!(r.live_domains as usize, live.len());
         }
 

@@ -31,7 +31,6 @@ use potemkin_gateway::policy::PolicyConfig;
 use potemkin_json::{obj, JsonValue};
 use potemkin_obs::{LogHistogram, Table};
 use potemkin_sim::{AdaptiveWindow, EngineTuning, SimTime};
-use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
@@ -86,9 +85,7 @@ fn tuned_config(duration: SimTime, cells: usize) -> ShardedTelescopeConfig {
 /// One profile's sweep.
 type Profile = (&'static str, Sweep<usize, ShardedTelescopeResult>);
 
-/// Sweeps `config` over `worker_counts` (first is the serial reference)
-/// with the pinned replay digest recipe: degradation report, packets in,
-/// final infections and remote messages.
+/// Sweeps `config` over `worker_counts` (first is the serial reference).
 ///
 /// # Panics
 ///
@@ -101,16 +98,7 @@ fn run_config(
     sweep(
         worker_counts,
         |workers| run_telescope_sharded(config, workers).expect("replay runs"),
-        |result| {
-            let canonical = format!(
-                "{}|{}|{}|{}",
-                result.degradation.canonical_string(),
-                result.stats.counters.get("packets_in"),
-                result.final_infected,
-                result.engine.remote_messages,
-            );
-            (result.engine.total.events_processed, fnv1a64(canonical.as_bytes()))
-        },
+        |result| result,
     )
 }
 

@@ -27,13 +27,12 @@
 use std::net::Ipv4Addr;
 
 use potemkin_core::farm::{FarmConfig, Honeyfarm};
-use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeResult};
+use potemkin_core::parallel::run_telescope_sharded;
 use potemkin_json::{obj, JsonValue};
 use potemkin_net::PacketBuilder;
 use potemkin_obs::Table;
 use potemkin_obs::{names, SpanAggregator, SpanStats, TraceConfig, TraceEvent};
 use potemkin_sim::SimTime;
-use potemkin_snapshot::fnv1a64;
 use potemkin_vmm::cost::CostModel;
 
 use super::e11;
@@ -96,22 +95,6 @@ pub(crate) struct ObsResult {
     pub(crate) digests_match: bool,
 }
 
-/// The deterministic face of a replay result (wall-clock telemetry and
-/// the trace itself excluded), digested.
-fn digest(result: &ShardedTelescopeResult) -> u64 {
-    fnv1a64(
-        format!(
-            "{}|{}|{}|{}|{}",
-            result.degradation.canonical_string(),
-            result.stats.counters.get("packets_in"),
-            result.final_infected,
-            result.cross_cell_packets,
-            result.engine.remote_messages,
-        )
-        .as_bytes(),
-    )
-}
-
 /// Drives `CLONES` flash clones through a traced farm and rebuilds the
 /// stage breakdown from the recorded spans.
 fn capture_clone_breakdown() -> (SpanAggregator, u64) {
@@ -171,7 +154,7 @@ pub(crate) fn run(duration: SimTime, cells: usize) -> ObsResult {
     let mut capture_config = replay_config;
     capture_config.trace = Some(TraceConfig::flight(CAPTURE_FLIGHT_CAPACITY).with_wall_clock(true));
     let capture = run_telescope_sharded(&capture_config, workers).expect("capture replay runs");
-    let digests_match = digest(&capture) == digest(&untraced);
+    let digests_match = untraced.divergence(&capture).is_none();
 
     ObsResult {
         clones: CLONES,

@@ -25,9 +25,7 @@
 //! [`ReclaimPolicyKind`]: potemkin_gateway::reclaim::ReclaimPolicyKind
 
 use potemkin_core::farm::{FarmConfig, Honeyfarm};
-use potemkin_core::parallel::{
-    run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult,
-};
+use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_gateway::reclaim::ReclaimPolicyKind;
@@ -196,31 +194,6 @@ fn pressure_config(kind: ReclaimPolicyKind, duration: SimTime) -> ShardedTelesco
         .expect("fixed sharded config is valid")
 }
 
-/// The pressure replay's canonical report, digested.
-fn pressure_digest(r: &ShardedTelescopeResult) -> u64 {
-    let counter = |name| r.stats.counters.get(name);
-    fnv1a64(
-        format!(
-            "{}|in={}|cloned={}|recycled={}|evicted={}|gw_evicted={}|pressure={}|\
-             merged={}|reclaimed={}|logical={}|resident={}|infected={}|remote={}",
-            r.degradation.canonical_string(),
-            counter("packets_in"),
-            r.stats.vms_cloned,
-            r.stats.vms_recycled,
-            counter("evicted_for_pressure"),
-            counter("bindings_evicted_pressure"),
-            counter("memory_pressure_events"),
-            counter("pages_merged"),
-            counter("frames_reclaimed_by_merge"),
-            r.stats.sharing.logical_pages,
-            r.stats.sharing.resident_frames,
-            r.final_infected,
-            r.engine.remote_messages,
-        )
-        .as_bytes(),
-    )
-}
-
 fn pressure_point(
     kind: ReclaimPolicyKind,
     duration: SimTime,
@@ -230,7 +203,7 @@ fn pressure_point(
     let runs = sweep(
         worker_counts,
         |workers| run_telescope_sharded(&config, workers).expect("replay runs"),
-        |r| (r.engine.total.events_processed, pressure_digest(r)),
+        |r| r,
     );
     let last = &runs.points.last().expect("at least one worker count").result;
     PressurePoint {

@@ -33,15 +33,13 @@ use potemkin_core::checkpoint::{
     run_telescope_checkpointed, CheckpointOptions,
 };
 use potemkin_core::farm::FarmConfig;
-use potemkin_core::parallel::{
-    run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult,
-};
+use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_json::{obj, JsonValue};
 use potemkin_obs::Table;
 use potemkin_sim::{FaultPlanConfig, SimTime};
-use potemkin_snapshot::{fnv1a64, SnapshotError, SnapshotFile};
+use potemkin_snapshot::{SnapshotError, SnapshotFile};
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
@@ -144,12 +142,6 @@ fn sharded_config(duration: SimTime) -> ShardedTelescopeConfig {
     config
 }
 
-/// The canonical report digest — same field set as E11/E13, so "byte
-/// identical" means the same thing across the determinism experiments.
-fn digest(r: &ShardedTelescopeResult) -> u64 {
-    fnv1a64(r.canonical_string().as_bytes())
-}
-
 fn error_name(e: &SnapshotError) -> &'static str {
     match e {
         SnapshotError::BadMagic { .. } => "bad-magic",
@@ -198,12 +190,12 @@ pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult 
 
     // Claim 1: checkpointing is pure observation.
     let baseline = run_telescope_sharded(&config, 1).expect("baseline runs");
-    let baseline_digest = digest(&baseline);
+    let baseline_digest = baseline.stream_digest;
     let full_path = temp_path("full.snap");
     let mut options = CheckpointOptions::new(&full_path);
     options.every_windows = EVERY_WINDOWS;
     let full = run_telescope_checkpointed(&config, 1, &options).expect("checkpointed run");
-    let observation_pure = digest(&full.result) == baseline_digest;
+    let observation_pure = full.result.stream_digest == baseline_digest;
     let checkpoints_written = full.checkpoints.written;
     cleanup(&full_path);
 
@@ -228,7 +220,7 @@ pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult 
                 .expect("resume runs")
                 .result
         },
-        |r| (r.engine.total.events_processed, digest(r)),
+        |r| r,
     );
     let final_infected = resumed.points.last().map_or(0, |p| p.result.final_infected);
     let resumes: Vec<(usize, u64)> = resumed.points.iter().map(|p| (p.param, p.digest)).collect();
@@ -243,7 +235,7 @@ pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult 
     let flaky = run_telescope_checkpointed(&config, 1, &flaky_options).expect("flaky run");
     let retried_attempts = flaky.checkpoints.retried_attempts;
     let retry_skipped = flaky.checkpoints.skipped;
-    let retry_digest_clean = digest(&flaky.result) == baseline_digest;
+    let retry_digest_clean = flaky.result.stream_digest == baseline_digest;
     cleanup(&flaky_path);
 
     // Claim 3a: a corrupted primary falls back to the rotated previous
@@ -257,7 +249,7 @@ pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult 
             Ok((older, fell_back)) => {
                 fell_back
                     && resume_telescope_checkpointed(&config, 1, &older, &resume_options)
-                        .is_ok_and(|r| digest(&r.result) == baseline_digest)
+                        .is_ok_and(|r| r.result.stream_digest == baseline_digest)
             }
             Err(_) => false,
         };
@@ -301,8 +293,8 @@ pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> SnapshotResult 
         fork_telescope_checkpointed(&config, 1, &snapshot, 42, &resume_options).expect("fork runs");
     let fork_b = fork_telescope_checkpointed(&config, 1, &snapshot, 42, &resume_options)
         .expect("fork reruns");
-    let fork_reproducible = digest(&fork_a.result) == digest(&fork_b.result);
-    let fork_diverges = digest(&fork_a.result) != resume_digest;
+    let fork_reproducible = fork_a.result.stream_digest == fork_b.result.stream_digest;
+    let fork_diverges = fork_a.result.stream_digest != resume_digest;
 
     SnapshotResult {
         duration,

@@ -33,7 +33,6 @@ use potemkin_json::{obj, JsonValue};
 use potemkin_net::addr::Ipv4Prefix;
 use potemkin_obs::Table;
 use potemkin_sim::SimTime;
-use potemkin_snapshot::fnv1a64;
 use potemkin_workload::radiation::RadiationConfig;
 use potemkin_workload::worm::WormSpec;
 
@@ -107,20 +106,6 @@ pub(crate) fn config(
         .expect("fixed federated config is valid")
 }
 
-fn digest_of(result: &FederatedTelescopeResult) -> u64 {
-    fnv1a64(
-        format!(
-            "{}|{}|{}|{}|{}",
-            result.merged.degradation.canonical_string(),
-            result.merged.stats.counters.get("packets_in"),
-            result.merged.final_infected,
-            result.merged.engine.remote_messages,
-            result.federation.shed_packets,
-        )
-        .as_bytes(),
-    )
-}
-
 /// Runs the sweep: the same federated replay at each (farm count, worker
 /// count), then the admission sub-sweep at the extreme farm counts.
 ///
@@ -148,7 +133,7 @@ pub(crate) fn run(
             run_telescope_federated(&config(duration, telescope, farms, cells), workers)
                 .expect("federated replay runs")
         },
-        |r| (r.merged.engine.total.events_processed, digest_of(r)),
+        |r| &r.merged,
     );
     let last = &sweep.points.last().expect("at least one layout").result;
 

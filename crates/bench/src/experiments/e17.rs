@@ -35,7 +35,6 @@ use potemkin_obs::Table;
 use potemkin_services::pack::builtin;
 use potemkin_services::{render, ServiceEngine, ServicesConfig};
 use potemkin_sim::SimTime;
-use potemkin_snapshot::fnv1a64;
 
 use crate::harness::{hex, sweep, Outcome, Sweep};
 
@@ -100,18 +99,6 @@ pub(crate) fn config(duration: SimTime, cells: usize, attackers: usize) -> Inter
         .seed(2005)
         .build()
         .expect("fixed interaction config is valid")
-}
-
-fn digest_of(result: &InteractionResult) -> u64 {
-    fnv1a64(
-        format!(
-            "{}|{}|{}",
-            result.merged.degradation.canonical_string(),
-            result.merged.stats.counters.get("packets_in"),
-            result.canonical_summary(),
-        )
-        .as_bytes(),
-    )
 }
 
 /// Replays one scenario's drive against a responder, returning the
@@ -204,7 +191,7 @@ pub(crate) fn run(
     let sweep = sweep(
         workers,
         |w| run_interaction(&cfg, w).expect("interaction replay runs"),
-        |r| (r.merged.engine.total.events_processed, digest_of(r)),
+        |r| &r.merged,
     );
     let reference = &sweep.points.first().expect("at least one worker count").result;
 

@@ -27,15 +27,12 @@
 //! carries no wall-clock fields and is comparable across machines.
 
 use potemkin_core::farm::FarmConfig;
-use potemkin_core::parallel::{
-    run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult,
-};
+use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin_core::scenario::TelescopeConfig;
 use potemkin_gateway::policy::PolicyConfig;
 use potemkin_json::{obj, JsonValue};
 use potemkin_obs::Table;
 use potemkin_sim::SimTime;
-use potemkin_snapshot::fnv1a64;
 use potemkin_vmm::guest::GuestProfile;
 use potemkin_vmm::{Host, SharedChunkStore, StoreStats};
 use potemkin_workload::radiation::RadiationConfig;
@@ -141,15 +138,6 @@ fn sharded_config(duration: SimTime, chunk_blocks: u64) -> ShardedTelescopeConfi
         .expect("fixed sharded config is valid")
 }
 
-/// The canonical report digest — same field set as E11/E13/E14, so
-/// "byte identical" means the same thing across the determinism
-/// experiments.
-fn digest(r: &ShardedTelescopeResult) -> u64 {
-    fnv1a64(r.canonical_string().as_bytes())
-}
-
-/// A study host: 2 K frames (kept tight — the encoded free list is
-/// O(frames)), chunked store shared with `store`.
 fn study_host(store: &SharedChunkStore) -> Host {
     Host::new(2_048)
         .with_overhead_pages(16)
@@ -242,7 +230,7 @@ pub(crate) fn run(duration: SimTime, worker_counts: &[usize]) -> StorageResult {
             run_telescope_sharded(&sharded_config(duration, chunk_blocks), workers)
                 .expect("sharded run")
         },
-        |r| (r.engine.total.events_processed, digest(r)),
+        |r| r,
     );
     let digests = runs.points.iter().map(|p| (p.param.0, p.param.1, p.digest)).collect();
     let deterministic = runs.deterministic;

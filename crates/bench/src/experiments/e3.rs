@@ -9,8 +9,6 @@
 //! sessions for a sweep of idle-recycle times, and reports peak and mean
 //! concurrent VMs per point.
 
-use std::collections::HashMap;
-
 use potemkin_obs::{ConcurrencyAnalyzer, Table};
 use potemkin_sim::SimTime;
 use potemkin_workload::radiation::{RadiationConfig, RadiationModel};
@@ -43,64 +41,24 @@ pub(crate) struct DemandResult {
     pub(crate) duration: SimTime,
 }
 
-/// Derives binding sessions per destination under an idle-timeout `lifetime`
-/// and returns the concurrency analyzer loaded with them.
-///
-/// A session opens at an address's first packet and closes `lifetime` after
-/// the last packet whose gap from its predecessor is below `lifetime` —
-/// exactly the gateway's idle-recycling semantics.
-#[must_use]
-pub(crate) fn sessions_for_lifetime(
-    per_dst: &HashMap<u32, Vec<SimTime>>,
-    lifetime: SimTime,
-) -> ConcurrencyAnalyzer {
-    let mut analyzer = ConcurrencyAnalyzer::new();
-    for times in per_dst.values() {
-        let mut start = times[0];
-        let mut last = times[0];
-        for &t in &times[1..] {
-            if t.saturating_sub(last) >= lifetime {
-                analyzer.record(start, last + lifetime - start);
-                start = t;
-            }
-            last = t;
-        }
-        analyzer.record(start, last + lifetime - start);
-    }
-    analyzer
-}
-
-/// Groups a trace's packet times by destination address.
-#[must_use]
-pub(crate) fn arrivals_by_destination(
-    trace: &potemkin_workload::trace::Trace,
-) -> HashMap<u32, Vec<SimTime>> {
-    let mut per_dst: HashMap<u32, Vec<SimTime>> = HashMap::new();
-    for e in trace.events() {
-        per_dst.entry(u32::from(e.packet.dst())).or_default().push(e.at);
-    }
-    // The trace is time-sorted, so each vec is already sorted.
-    per_dst
-}
-
 /// Runs the sweep over the given recycle times.
 #[must_use]
 pub(crate) fn run(duration: SimTime, lifetimes: &[SimTime], seed: u64) -> DemandResult {
     let mut model = RadiationModel::new(RadiationConfig::default(), seed);
     let trace = model.generate(duration);
-    let per_dst = arrivals_by_destination(&trace);
+    let arrivals = trace.events().iter().map(|e| (u32::from(e.packet.dst()), e.at));
+    let demand = ConcurrencyAnalyzer::idle_recycling(arrivals, lifetimes);
 
-    let mut points = Vec::with_capacity(lifetimes.len());
-    for &lifetime in lifetimes {
-        let analyzer = sessions_for_lifetime(&per_dst, lifetime);
-        let stats = analyzer.analyze();
-        points.push(DemandPoint {
+    let points = lifetimes
+        .iter()
+        .zip(demand)
+        .map(|(&lifetime, stats)| DemandPoint {
             lifetime,
             peak_vms: stats.peak,
             mean_vms: stats.mean,
             littles_law: stats.arrival_rate * lifetime.as_secs_f64(),
-        });
-    }
+        })
+        .collect();
     DemandResult {
         points,
         packets: trace.len() as u64,
@@ -206,17 +164,6 @@ mod tests {
             p.mean_vms,
             p.littles_law
         );
-    }
-
-    #[test]
-    fn session_merging_semantics() {
-        let mut per_dst: HashMap<u32, Vec<SimTime>> = HashMap::new();
-        // One address: packets at 0 s, 5 s (gap < 10), 60 s (gap ≥ 10).
-        per_dst.insert(1, vec![SimTime::ZERO, SimTime::from_secs(5), SimTime::from_secs(60)]);
-        let analyzer = sessions_for_lifetime(&per_dst, SimTime::from_secs(10));
-        let stats = analyzer.analyze();
-        assert_eq!(stats.intervals, 2, "two sessions: [0,15) and [60,70)");
-        assert_eq!(stats.peak, 1);
     }
 
     #[test]

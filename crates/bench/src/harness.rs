@@ -11,6 +11,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use potemkin_core::parallel::ShardedTelescopeResult;
 use potemkin_json::JsonValue;
 use potemkin_obs::Table;
 
@@ -125,7 +126,7 @@ pub(crate) struct Point<P, R> {
     pub(crate) events_per_sec: f64,
     /// Throughput relative to the sweep's first point.
     pub(crate) speedup: f64,
-    /// Digest of the run's deterministic report.
+    /// The run's stream digest.
     pub(crate) digest: u64,
     /// What the run returned, kept whole: a report is small next to the
     /// run that produced it (full-length e16 peaks at 2.0 GB either way).
@@ -137,31 +138,39 @@ pub(crate) struct Point<P, R> {
 pub(crate) struct Sweep<P, R> {
     /// One point per parameter, in input order.
     pub(crate) points: Vec<Point<P, R>>,
-    /// Whether every point produced the same digest.
+    /// Whether every point produced the first point's stream digest.
     pub(crate) deterministic: bool,
 }
 
-/// Runs and times `run` at each parameter; `measure` (untimed) extracts
-/// `(events, digest)` from a result. Each experiment keeps its own digest
-/// recipe — they differ on purpose and the digests are pinned.
-pub(crate) fn sweep<P: Copy, R>(
+/// Runs and times `run` at each parameter; `merged` picks the merged
+/// telescope report out of a result, whose event count and stream digest
+/// the point keeps. The first point that departs from the first is named
+/// on stderr with where it departs.
+pub(crate) fn sweep<P: Copy + std::fmt::Debug, R>(
     params: &[P],
     mut run: impl FnMut(P) -> R,
-    measure: impl Fn(&R) -> (u64, u64),
+    merged: impl Fn(&R) -> &ShardedTelescopeResult,
 ) -> Sweep<P, R> {
     let mut points: Vec<Point<P, R>> = Vec::with_capacity(params.len());
     for &param in params {
         let start = Instant::now();
         let result = run(param);
         let wall_secs = start.elapsed().as_secs_f64();
-        let (events, digest) = measure(&result);
+        let events = merged(&result).engine.total.events_processed;
         let events_per_sec = if wall_secs > 0.0 { events as f64 / wall_secs } else { 0.0 };
         let speedup =
             points.first().map_or(1.0, |base| events_per_sec / base.events_per_sec.max(1e-9));
+        let digest = merged(&result).stream_digest;
         points.push(Point { param, wall_secs, events_per_sec, speedup, digest, result });
     }
-    let deterministic = points.windows(2).all(|w| w[0].digest == w[1].digest);
-    Sweep { points, deterministic }
+    let divergence = points.split_first().and_then(|(first, rest)| {
+        rest.iter()
+            .find_map(|p| Some((p.param, merged(&first.result).divergence(merged(&p.result))?)))
+    });
+    if let Some((param, divergence)) = divergence {
+        eprintln!("sweep: {param:?} diverged from {:?}: {divergence:?}", params[0]);
+    }
+    Sweep { points, deterministic: divergence.is_none() }
 }
 
 /// A digest as the 16-digit hex string every table and artifact shows.
@@ -218,10 +227,25 @@ mod tests {
     }
 
     #[test]
-    fn sweep_reports_speedup_against_the_first_point_and_digest_equality() {
-        let s = sweep(&[1_u64, 2], |p| p, |_| (100, 7));
-        assert!(s.deterministic);
-        assert!((s.points[0].speedup - 1.0).abs() < 1e-9);
-        assert!(!sweep(&[1_u64, 2], |p| p, |&p| (100, p)).deterministic);
+    fn sweep_reports_speedup_against_the_first_point_and_stream_digest_equality() {
+        use potemkin_core::farm::FarmConfig;
+        use potemkin_core::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+        use potemkin_core::scenario::TelescopeConfig;
+        use potemkin_sim::SimTime;
+        use potemkin_workload::radiation::RadiationConfig;
+        let run = |seed| {
+            let base =
+                TelescopeConfig::builder(FarmConfig::small_test(), RadiationConfig::default())
+                    .seed(seed)
+                    .duration(SimTime::from_secs(2))
+                    .build()
+                    .unwrap();
+            let config = ShardedTelescopeConfig::builder(base).cells(2).build().unwrap();
+            run_telescope_sharded(&config, 1).unwrap()
+        };
+        let same = sweep(&[1_u64, 1], run, |r| r);
+        assert!(same.deterministic);
+        assert!((same.points[0].speedup - 1.0).abs() < 1e-9);
+        assert!(!sweep(&[1_u64, 2], run, |r| r).deterministic);
     }
 }

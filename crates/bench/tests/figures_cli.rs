@@ -76,7 +76,7 @@ fn check_passes_on_the_checked_in_baseline_and_fails_on_a_pinned_difference() {
     assert!(stderr(&out).contains("cannot read baseline"), "{}", stderr(&out));
 
     let baseline = std::fs::read_to_string(repo.join("BENCH_services.json")).expect("baseline");
-    let digest = "\"digest\": \"a342e7210fca478c\"";
+    let digest = "\"digest\": \"8ca15fea54008d7c\"";
     assert!(baseline.contains(digest), "the pinned E17 digest moved: {baseline}");
     let digest_line = 1 + baseline.lines().position(|l| l.contains(digest)).expect("digest");
     let copy = dir.join("BENCH_services.json");
@@ -84,8 +84,8 @@ fn check_passes_on_the_checked_in_baseline_and_fails_on_a_pinned_difference() {
     // A one-byte change anywhere fails, naming the file and the line: the
     // last digit of the digest, one more space, and the final newline.
     for (changed, line) in [
-        (baseline.replace(digest, "\"digest\": \"a342e7210fca478d\""), digest_line),
-        (baseline.replace(digest, "\"digest\":  \"a342e7210fca478c\""), digest_line),
+        (baseline.replace(digest, "\"digest\": \"8ca15fea54008d7d\""), digest_line),
+        (baseline.replace(digest, "\"digest\":  \"8ca15fea54008d7c\""), digest_line),
         (baseline.trim_end().to_string(), baseline.lines().count() + 1),
     ] {
         std::fs::write(&copy, changed).expect("write copy");

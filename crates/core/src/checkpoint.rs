@@ -498,11 +498,7 @@ mod tests {
         let plain = run_telescope_sharded(&config, 1).unwrap();
         let checked =
             run_telescope_checkpointed(&config, 1, &CheckpointOptions::new(&path)).unwrap();
-        assert_eq!(
-            plain.canonical_string(),
-            checked.result.canonical_string(),
-            "checkpointing is pure observation"
-        );
+        assert_eq!(plain.divergence(&checked.result), None, "checkpointing is pure observation");
         assert!(checked.checkpoints.written > 0);
         assert!(!checked.checkpoints.interrupted);
         assert!(path.exists());
@@ -527,11 +523,7 @@ mod tests {
         for workers in [1, 2] {
             let resumed =
                 resume_telescope_checkpointed(&config, workers, &snapshot, &options).unwrap();
-            assert_eq!(
-                uninterrupted.canonical_string(),
-                resumed.result.canonical_string(),
-                "workers={workers}"
-            );
+            assert_eq!(uninterrupted.divergence(&resumed.result), None, "workers={workers}");
             assert!(!resumed.checkpoints.interrupted);
         }
         let _ = std::fs::remove_file(&path);
@@ -552,11 +544,7 @@ mod tests {
         assert!(run.checkpoints.written >= 1, "{:?}", run.checkpoints);
         assert!(run.checkpoints.retried_attempts >= 2);
         let plain = run_telescope_sharded(&config, 1).unwrap();
-        assert_eq!(
-            plain.canonical_string(),
-            run.result.canonical_string(),
-            "faulted writes don't touch results"
-        );
+        assert_eq!(plain.divergence(&run.result), None, "faulted writes don't touch results");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(rotated_path(&path));
     }
@@ -569,14 +557,14 @@ mod tests {
         options.stop_after_windows = Some(4);
         run_telescope_checkpointed(&config, 1, &options).unwrap();
         assert!(rotated_path(&path).exists(), "rotation kept the previous checkpoint");
-        let plain = run_telescope_sharded(&config, 1).unwrap().canonical_string();
+        let plain = run_telescope_sharded(&config, 1).unwrap().stream_digest;
         // Resumed runs checkpoint elsewhere, so every case below reads the
         // files the killed run left.
         let resumed_path = temp_path("fallback-resumed.snap");
         let resume_options = CheckpointOptions::new(&resumed_path);
         let resume = |snapshot: &SnapshotFile| {
             let run = resume_telescope_checkpointed(&config, 1, snapshot, &resume_options);
-            run.unwrap().result.canonical_string()
+            run.unwrap().result.stream_digest
         };
 
         // Flip a byte mid-file: the primary must fail integrity
@@ -687,11 +675,7 @@ mod tests {
         for workers in [1, 2] {
             let resumed =
                 resume_telescope_checkpointed(&config, workers, &snapshot, &options).unwrap();
-            assert_eq!(
-                uninterrupted.canonical_string(),
-                resumed.result.canonical_string(),
-                "workers={workers}"
-            );
+            assert_eq!(uninterrupted.divergence(&resumed.result), None, "workers={workers}");
         }
         config.capture = Some(Arc::new(one_short));
         assert!(matches!(
@@ -723,14 +707,9 @@ mod tests {
         let resumed = resume_telescope_checkpointed(&config, 1, &snapshot, &options).unwrap();
         let fork_a = fork_telescope_checkpointed(&config, 1, &snapshot, 42, &options).unwrap();
         let fork_b = fork_telescope_checkpointed(&config, 1, &snapshot, 42, &options).unwrap();
-        assert_eq!(
-            fork_a.result.canonical_string(),
-            fork_b.result.canonical_string(),
-            "same salt, same branch"
-        );
+        assert_eq!(fork_a.result.divergence(&fork_b.result), None, "same salt, same branch");
         assert_ne!(
-            resumed.result.canonical_string(),
-            fork_a.result.canonical_string(),
+            resumed.result.stream_digest, fork_a.result.stream_digest,
             "fork must explore a different branch"
         );
         let _ = std::fs::remove_file(&path);
@@ -745,7 +724,7 @@ mod tests {
         config.trace = Some(potemkin_obs::TraceConfig::unbounded());
         let traced =
             run_telescope_checkpointed(&config, 1, &CheckpointOptions::new(&path)).unwrap();
-        assert_eq!(plain.result.canonical_string(), traced.result.canonical_string());
+        assert_eq!(plain.result.divergence(&traced.result), None);
         assert_eq!(plain.checkpoints, traced.checkpoints, "tracing is observer-effect-free");
         let snap_lane = Lane::Snapshot.number(config.cells);
         let saves = traced

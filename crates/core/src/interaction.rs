@@ -34,6 +34,8 @@
 //! lowering to a sharded config stays private so the checkpoint entry
 //! points cannot be reached with a fleet (DESIGN.md §15).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -110,7 +112,7 @@ impl InteractionConfig {
         InteractionConfigBuilder {
             inner: InteractionConfig {
                 services,
-                telescope: "10.4.0.0/20".parse().expect("static prefix"),
+                telescope: Ipv4Prefix::constant(Ipv4Addr::new(10, 4, 0, 0), 20),
                 duration: SimTime::from_secs(30),
                 cells: 4,
                 window: SimTime::from_millis(250),
@@ -256,9 +258,9 @@ pub struct InteractionResult {
 }
 
 impl InteractionResult {
-    /// Canonical digest input: per-scenario fidelity lines plus the
-    /// deterministic drive counters. Everything wall-clock-dependent is
-    /// excluded, so the string is byte-identical at any worker count.
+    /// Per-scenario fidelity lines plus the deterministic drive counters:
+    /// the input of the benchmark ledger's pinned `interact_w1` digest
+    /// only. Runs are compared by `merged.stream_digest`.
     #[must_use]
     pub fn canonical_summary(&self) -> String {
         let mut s = String::new();
@@ -484,7 +486,7 @@ fn sharded_config(config: &InteractionConfig) -> Result<ShardedTelescopeConfig, 
 /// actors across cells.
 fn target_for(telescope: Ipv4Prefix, g: u64) -> Ipv4Addr {
     let idx = (g.wrapping_mul(97).wrapping_add(5)) % telescope.len();
-    telescope.addr_at(idx).expect("index is in range by construction")
+    Ipv4Addr::from(u32::from(telescope.network()).wrapping_add(idx as u32))
 }
 
 /// Actor `g`'s source address (outside the telescope, deterministic).
@@ -569,12 +571,11 @@ mod tests {
         assert_eq!(result.attackers, 8);
         assert!(result.drive_requests > 0, "actors must send requests");
         assert_eq!(
-            result.drive_completed,
-            result.attackers,
-            "every drive script must complete: {}",
-            result.canonical_summary()
+            result.drive_completed, result.attackers,
+            "every drive script must complete: {:?}",
+            result.scenarios
         );
-        assert_eq!(result.drive_aborted, 0, "{}", result.canonical_summary());
+        assert_eq!(result.drive_aborted, 0, "{:?}", result.scenarios);
         // Every scenario captured its marked payload from every actor.
         assert_eq!(result.scenarios.len(), 4);
         for m in &result.scenarios {
@@ -586,21 +587,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_is_worker_invariant() {
+    fn stream_digest_is_worker_invariant() {
         let cfg = config(2);
         let reference = run_interaction(&cfg, 1).expect("serial run");
         for workers in [2, 4] {
             let run = run_interaction(&cfg, workers).expect("parallel run");
-            assert_eq!(
-                run.canonical_summary(),
-                reference.canonical_summary(),
-                "fidelity summary diverged at {workers} workers"
-            );
-            assert_eq!(
-                run.merged.degradation.canonical_string(),
-                reference.merged.degradation.canonical_string(),
-                "merged report diverged at {workers} workers"
-            );
+            assert_eq!(reference.merged.divergence(&run.merged), None, "{workers} workers");
         }
     }
 

@@ -37,6 +37,12 @@
 //! with eight workers is therefore byte-identical to the serial one-worker
 //! run; `tests/prop_parallel.rs` asserts this across seeds, worker counts,
 //! and fault schedules.
+//! Every check of that contract compares
+//! [`ShardedTelescopeResult::stream_digest`], and
+//! [`divergence`](ShardedTelescopeResult::divergence) names where two runs
+//! part.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -48,8 +54,8 @@ use potemkin_net::addr::Ipv4Prefix;
 use potemkin_net::Packet;
 use potemkin_obs::TimeSeries;
 use potemkin_sim::{
-    run_sharded_resumable, BarrierControl, EngineTuning, EventQueue, FaultPlan, FaultPlanConfig,
-    Shard, ShardConfig, ShardRunReport, ShardWorld, SimTime, Slab, World,
+    fold, fold_bytes, run_sharded_resumable, BarrierControl, EngineTuning, EventQueue, FaultPlan,
+    FaultPlanConfig, Shard, ShardConfig, ShardRunReport, ShardWorld, SimTime, Slab, World,
 };
 use potemkin_snapshot::{Snap, SnapReader, SnapWriter, SnapshotError, SnapshotFile};
 use potemkin_workload::radiation::RadiationModel;
@@ -123,16 +129,15 @@ impl CellMap {
     ///
     /// # Panics
     ///
-    /// Panics if `cells` is zero, or for `Sliced` when `addr` is outside
-    /// `telescope` or `cells` does not evenly split it — all rejected at
-    /// config validation.
+    /// Panics if `cells` is zero, or for `Sliced` when `cells` does not
+    /// evenly split `telescope` — both rejected at config validation.
     #[must_use]
     pub(crate) fn owner(self, telescope: Ipv4Prefix, addr: Ipv4Addr, cells: usize) -> usize {
         match self {
             CellMap::Hashed => cell_for(addr, cells),
             CellMap::Sliced => {
                 assert!(cells > 0, "cells must be >= 1");
-                let index = telescope.index_of(addr).expect("sliced map needs a telescope address");
+                let index = u64::from(u32::from(addr).wrapping_sub(u32::from(telescope.network())));
                 let slice_len = telescope.len() / cells as u64;
                 assert!(
                     slice_len > 0 && telescope.len().is_multiple_of(cells as u64),
@@ -396,8 +401,7 @@ pub struct ShardedTelescopeResult {
     pub live_vm_series: TimeSeries,
     /// Cumulative infections at each sample time — the SI model's I(t),
     /// patient zeros counted from t = 0 — from the cells' infection logs.
-    /// One bin per `live_vm_series` bin; not part of
-    /// [`canonical_string`](Self::canonical_string).
+    /// One bin per `live_vm_series` bin.
     pub infected_series: TimeSeries,
     /// Packets in the replayed trace.
     pub packets: u64,
@@ -431,18 +435,53 @@ pub struct ShardedTelescopeResult {
     /// exporters.
     pub trace_lanes: Vec<(u32, String)>,
     /// The routing tier's transport telemetry, present when the config
-    /// was lowered from a federated one. Layout-dependent, so excluded
-    /// from [`canonical_string`](Self::canonical_string).
+    /// was lowered from a federated one. Layout-dependent, so outside the
+    /// stream digest.
     pub federation: Option<FederationReport>,
+    /// The run's one determinism digest: every cell folds each farm event
+    /// it runs — time, kind, and key (a packet's wire image, a probe's
+    /// `(vm, idx)`) — into a link per window, the engine chains the links
+    /// ([`ShardRunReport::chain`]), and the merged report's deterministic
+    /// fields are the last link, because a resumed run restores part of
+    /// the report rather than recomputing it.
+    pub stream_digest: u64,
+}
+
+/// Where two runs part, as [`ShardedTelescopeResult::divergence`] finds it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Divergence {
+    /// The first `(window, cell)` both runs executed whose events differ.
+    Cell { window: u64, cell: usize },
+    /// Every window both runs executed matches, yet the chains differ: a
+    /// window only one of them carries differs (a resumed run carries the
+    /// windows before its checkpoint as the chain's head alone).
+    Chain,
+    /// Every link matches; the merged report differs.
+    Report,
 }
 
 impl ShardedTelescopeResult {
-    /// The deterministic face of a result — no wall-clock, trace or
-    /// transport telemetry — as the one string the determinism experiments
-    /// (E14, E18) and property suites hash and compare.
+    /// Where `other` first departs from this run, or `None` when their
+    /// stream digests are equal.
     #[must_use]
-    pub fn canonical_string(&self) -> String {
-        format!(
+    pub fn divergence(&self, other: &ShardedTelescopeResult) -> Option<Divergence> {
+        if self.stream_digest == other.stream_digest {
+            return None;
+        }
+        let theirs: BTreeMap<_, _> = other.engine.links().map(|(w, c, l)| ((w, c), l)).collect();
+        let first =
+            self.engine.links().find(|(w, c, l)| theirs.get(&(*w, *c)).is_some_and(|t| t != l));
+        Some(match first {
+            Some((window, cell, _)) => Divergence::Cell { window, cell },
+            None if self.engine.chain != other.engine.chain => Divergence::Chain,
+            None => Divergence::Report,
+        })
+    }
+
+    /// Sets the stream digest: the chain, then the report's deterministic
+    /// fields as its last link.
+    fn sealed(mut self) -> Self {
+        let report = format!(
             "{}|{}|{}|{}|{}|{}|{:?}|{}",
             self.degradation.canonical_string(),
             self.stats.live_vms,
@@ -452,7 +491,9 @@ impl ShardedTelescopeResult {
             self.final_infected,
             self.live_vm_series.iter().collect::<Vec<_>>(),
             self.engine.remote_messages,
-        )
+        );
+        self.stream_digest = fold(self.engine.chain, fold_bytes(0, report.as_bytes()));
+        self
     }
 }
 
@@ -476,6 +517,8 @@ pub(crate) enum CellEvent {
 /// plain telescope replay.
 pub(crate) struct CellWorld {
     slot: CellSlot,
+    /// The fold of the events handled since the window opened.
+    window_digest: u64,
     pub(crate) farm: Honeyfarm,
     /// Arena for pending [`CellEvent::Packet`] payloads. Slots are
     /// recycled through an intrusive freelist, so the steady-state packet
@@ -545,13 +588,19 @@ impl World for CellWorld {
     type Event = CellEvent;
 
     fn handle(&mut self, now: SimTime, event: CellEvent, q: &mut EventQueue<CellEvent>) {
+        // The event's time, kind and key join the window's fold.
+        let head = fold(self.window_digest, now.as_nanos());
         match event {
             CellEvent::Packet(key) => {
-                let packet = self.packets.remove(key).expect("scheduled packet key is live");
-                self.farm.inject_external(now, packet);
-                self.schedule_new_infections(now, q);
+                // A key is scheduled once and taken once, so it is live.
+                if let Some(packet) = self.packets.remove(key) {
+                    self.window_digest = fold_bytes(fold(head, 0), packet.wire());
+                    self.farm.inject_external(now, packet);
+                    self.schedule_new_infections(now, q);
+                }
             }
             CellEvent::Probe { vm, idx } => {
+                self.window_digest = fold(fold(fold(head, 1), vm.0), idx);
                 if self.farm.worm_probe(now, vm, idx) {
                     if let Some(gap) = self.probe_gap {
                         q.schedule(now + gap, CellEvent::Probe { vm, idx: idx + 1 });
@@ -560,12 +609,14 @@ impl World for CellWorld {
                 self.schedule_new_infections(now, q);
             }
             CellEvent::Tick => {
+                self.window_digest = fold(head, 2);
                 self.farm.tick(now);
                 if now + self.tick_interval < self.duration {
                     q.schedule(now + self.tick_interval, CellEvent::Tick);
                 }
             }
             CellEvent::Sample => {
+                self.window_digest = fold(head, 3);
                 self.live_vm_series.record_max(now, self.farm.live_vms() as f64);
                 if now + self.sample_interval < self.duration {
                     q.schedule(now + self.sample_interval, CellEvent::Sample);
@@ -614,6 +665,10 @@ impl ShardWorld for CellWorld {
             let key = self.packets.insert(packet);
             queue.schedule(at, CellEvent::Packet(key));
         }
+    }
+
+    fn take_window_digest(&mut self) -> u64 {
+        std::mem::take(&mut self.window_digest)
     }
 }
 
@@ -675,6 +730,7 @@ fn prepare_shards(
         }
         let world = CellWorld {
             slot,
+            window_digest: 0,
             farm,
             packets: Slab::new(),
             probe_gap,
@@ -817,7 +873,9 @@ pub(crate) fn assemble_result(
         trace: trace_events,
         trace_lanes,
         federation,
+        stream_digest: 0,
     }
+    .sealed()
 }
 
 /// Runs a sharded telescope replay on `workers` OS threads.
@@ -910,7 +968,7 @@ pub(crate) fn encode_cell_queue(queue: &EventQueue<CellEvent>, packets: &Slab<Pa
     queue.snap_with(&mut w, |event, w| match event {
         CellEvent::Packet(key) => {
             w.u8(0);
-            packets.get(*key).expect("queued packet key is live").snap(w);
+            packets[*key].snap(w);
         }
         CellEvent::Probe { vm, idx } => {
             w.u8(1);
@@ -1062,8 +1120,20 @@ mod tests {
         assert!(serial.stats.vms_cloned > 0);
         for workers in [2, 4] {
             let parallel = run_telescope_sharded(&config, workers).unwrap();
-            assert_eq!(serial.canonical_string(), parallel.canonical_string(), "workers={workers}");
+            assert_eq!(serial.divergence(&parallel), None, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn divergence_names_the_first_differing_link_else_the_report() {
+        let run = run_telescope_sharded(&sharded_config(2), 1).unwrap();
+        assert_eq!(run.divergence(&run.clone()), None);
+        let mut other = run.clone();
+        other.stream_digest ^= 1;
+        assert_eq!(run.divergence(&other), Some(Divergence::Report));
+        other.engine.batches[5].digest ^= 1;
+        other.engine.batches[7].digest ^= 1;
+        assert_eq!(run.divergence(&other), Some(Divergence::Cell { window: 2, cell: 1 }));
     }
 
     #[test]
@@ -1076,7 +1146,7 @@ mod tests {
         tuned.tuning = EngineTuning { rebalance: true, adaptive: None };
         for workers in [1, 2, 4] {
             let run = run_telescope_sharded(&tuned, workers).unwrap();
-            assert_eq!(reference.canonical_string(), run.canonical_string(), "workers={workers}");
+            assert_eq!(reference.divergence(&run), None, "workers={workers}");
         }
     }
 
@@ -1092,7 +1162,7 @@ mod tests {
         assert!(serial.packets > 50);
         for workers in [2, 4] {
             let parallel = run_telescope_sharded(&config, workers).unwrap();
-            assert_eq!(serial.canonical_string(), parallel.canonical_string(), "workers={workers}");
+            assert_eq!(serial.divergence(&parallel), None, "workers={workers}");
         }
     }
 
@@ -1105,11 +1175,7 @@ mod tests {
         assert!(plain.trace_lanes.is_empty());
         config.trace = Some(potemkin_obs::TraceConfig::unbounded());
         let traced = run_telescope_sharded(&config, 2).unwrap();
-        assert_eq!(
-            plain.canonical_string(),
-            traced.canonical_string(),
-            "tracing must be observer-effect-free"
-        );
+        assert_eq!(plain.divergence(&traced), None, "tracing must be observer-effect-free");
         assert!(!traced.trace.is_empty());
         // Lanes: farm + gateway per cell, plus one engine lane per shard.
         assert_eq!(traced.trace_lanes.len(), 2 * 2 + 2);
@@ -1185,7 +1251,7 @@ mod tests {
         assert!(serial.final_infected > config.seed_infections, "worm must spread across cells");
         assert_eq!(serial.degradation.escaped, 0, "reflection still contains everything");
         let parallel = run_telescope_sharded(&config, 4).unwrap();
-        assert_eq!(serial.canonical_string(), parallel.canonical_string());
+        assert_eq!(serial.divergence(&parallel), None);
     }
 
     #[test]
@@ -1200,7 +1266,7 @@ mod tests {
         let serial = run_telescope_sharded(&config, 1).unwrap();
         assert!(serial.degradation.host_crashes > 0, "crashes fired");
         let parallel = run_telescope_sharded(&config, 2).unwrap();
-        assert_eq!(serial.canonical_string(), parallel.canonical_string());
+        assert_eq!(serial.divergence(&parallel), None);
     }
 
     /// A one-cell in-farm outbreak: the worm's /24 is a quiet telescope.
@@ -1279,7 +1345,7 @@ mod tests {
         let plain = run_telescope_sharded(&config, 1).unwrap();
         config.faults = Some(FaultPlanConfig::zero(config.base.duration, config.base.farm.servers));
         let faulted = run_telescope_sharded(&config, 1).unwrap();
-        assert_eq!(plain.canonical_string(), faulted.canonical_string());
+        assert_eq!(plain.divergence(&faulted), None);
         assert_eq!(faulted.degradation.host_crashes, 0);
         assert_eq!(faulted.degradation.availability(), 1.0);
     }
@@ -1417,7 +1483,7 @@ mod tests {
         assert!(serial.packets > 50);
         assert!(serial.cross_cell_packets > 0, "worm probes must cross slice boundaries");
         let parallel = run_telescope_sharded(&config, 4).unwrap();
-        assert_eq!(serial.canonical_string(), parallel.canonical_string());
+        assert_eq!(serial.divergence(&parallel), None);
     }
 
     #[test]

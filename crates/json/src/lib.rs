@@ -33,6 +33,11 @@ pub enum JsonValue {
     Object(BTreeMap<String, JsonValue>),
 }
 
+/// The deepest nesting of arrays and objects a document may have: the
+/// parser recurses once a level, and 128 levels fit a 2 MiB thread's stack
+/// in a debug build. No scenario file or artifact comes near it.
+pub const MAX_DEPTH: usize = 128;
+
 /// Where and why a parse failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JsonError {
@@ -134,9 +139,10 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem,
+    /// among them a container nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -196,6 +202,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,8 +232,13 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nested too deep")),
+            Some(b'{' | b'[') => {
+                self.depth += 1;
+                let value = if self.peek() == Some(b'{') { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -254,9 +267,12 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("non-UTF-8 number"))?;
+        // Past `f64`'s range is refused: infinity would print as `null`.
         text.parse::<f64>()
+            .ok()
+            .filter(|n| n.is_finite())
             .map(JsonValue::Num)
-            .map_err(|_| JsonError { at: start, what: "malformed number" })
+            .ok_or(JsonError { at: start, what: "malformed number" })
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -443,12 +459,33 @@ mod tests {
         assert_eq!(v.get("b").and_then(|b| b.get("e")), Some(&JsonValue::Null));
     }
 
+    /// `depth` nested arrays around a zero, parsed on a 2 MiB thread.
+    fn parse_nested(depth: usize) -> Result<JsonValue, JsonError> {
+        let text = format!("{}0{}", "[".repeat(depth), "]".repeat(depth));
+        let parse = move || JsonValue::parse(&text);
+        std::thread::Builder::new().stack_size(2 << 20).spawn(parse).unwrap().join().unwrap()
+    }
+
+    #[test]
+    fn nesting_parses_to_the_cap_and_is_an_error_past_it() {
+        let mut value = parse_nested(MAX_DEPTH).unwrap();
+        for _ in 0..MAX_DEPTH {
+            value = value.as_array().unwrap()[0].clone();
+        }
+        assert_eq!(value, JsonValue::Num(0.0));
+        let err = parse_nested(MAX_DEPTH + 1).unwrap_err();
+        assert_eq!(err, JsonError { at: MAX_DEPTH, what: "nested too deep" });
+        // Far past the cap is the same typed error, not a stack overflow.
+        assert_eq!(parse_nested(100_000).unwrap_err(), err);
+    }
+
     #[test]
     fn rejects_garbage() {
         assert!(JsonValue::parse("{").is_err());
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("{} x").is_err());
         assert!(JsonValue::parse("\"\\q\"").is_err());
+        assert!(JsonValue::parse("-1e999").is_err());
     }
 
     #[test]

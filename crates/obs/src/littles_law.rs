@@ -8,6 +8,8 @@
 //! "VMs required vs. VM lifetime" figure feeds first-contact arrival times
 //! into a [`ConcurrencyAnalyzer`] and sweeps T.
 
+use std::collections::HashMap;
+
 use potemkin_sim::SimTime;
 
 /// Result of a concurrency analysis.
@@ -47,6 +49,37 @@ impl ConcurrencyAnalyzer {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// VM demand under idle recycling, one `ConcurrencyStats` per
+    /// `lifetime`: a key (a telescope address) holds a VM from an arrival
+    /// until `lifetime` after the last arrival that followed its
+    /// predecessor by less than `lifetime` — the gateway's idle-recycling
+    /// semantics. `arrivals` are `(key, time)` pairs in time order.
+    #[must_use]
+    pub fn idle_recycling(
+        arrivals: impl IntoIterator<Item = (u32, SimTime)>,
+        lifetimes: &[SimTime],
+    ) -> Vec<ConcurrencyStats> {
+        let mut per_key: HashMap<u32, Vec<SimTime>> = HashMap::new();
+        for (key, at) in arrivals {
+            per_key.entry(key).or_default().push(at);
+        }
+        let sessions = |lifetime: SimTime| {
+            let mut analyzer = ConcurrencyAnalyzer::new();
+            for times in per_key.values() {
+                let mut start = times[0];
+                for pair in times.windows(2) {
+                    if pair[1].saturating_sub(pair[0]) >= lifetime {
+                        analyzer.record(start, pair[0] + lifetime - start);
+                        start = pair[1];
+                    }
+                }
+                analyzer.record(start, times[times.len() - 1] + lifetime - start);
+            }
+            analyzer.analyze()
+        };
+        lifetimes.iter().map(|&lifetime| sessions(lifetime)).collect()
     }
 
     /// Records an interval starting at `start` lasting `duration`.
@@ -114,6 +147,15 @@ mod tests {
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    #[test]
+    fn idle_recycling_splits_a_session_at_a_gap_of_one_lifetime() {
+        // One address: packets at 0 s, 5 s (gap < 10), 60 s (gap >= 10).
+        let arrivals = [(1, secs(0)), (1, secs(5)), (1, secs(60))];
+        let stats = ConcurrencyAnalyzer::idle_recycling(arrivals, &[secs(10)]);
+        assert_eq!(stats[0].intervals, 2, "two sessions: [0,15) and [60,70)");
+        assert_eq!(stats[0].peak, 1);
     }
 
     #[test]

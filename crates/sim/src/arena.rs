@@ -111,6 +111,16 @@ impl<T> Default for Slab<T> {
     }
 }
 
+/// The value at an occupied `key`; a vacant or out-of-range key panics,
+/// as a `Vec` index out of range does.
+impl<T> std::ops::Index<usize> for Slab<T> {
+    type Output = T;
+
+    fn index(&self, key: usize) -> &T {
+        self.get(key).unwrap_or_else(|| panic!("slab key {key} is vacant"))
+    }
+}
+
 impl<T> Slab<T> {
     /// Creates an empty slab.
     #[must_use]

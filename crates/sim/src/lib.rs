@@ -52,8 +52,8 @@ pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanConfig
 pub use recency::RecencySlab;
 pub use rng::SimRng;
 pub use shard::{
-    run_sharded, run_sharded_resumable, AdaptiveWindow, BarrierControl, EngineTuning, Shard,
-    ShardConfig, ShardProgress, ShardRunReport, ShardWorld,
+    fold, fold_bytes, run_sharded, run_sharded_resumable, AdaptiveWindow, BarrierControl,
+    EngineTuning, Shard, ShardConfig, ShardProgress, ShardRunReport, ShardWorld,
 };
 pub use time::SimTime;
 pub use token_bucket::TokenBucket;

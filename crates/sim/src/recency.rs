@@ -105,7 +105,7 @@ impl<K: Copy + Eq + Hash, V> RecencySlab<K, V> {
     }
 
     fn node(&self, slot: usize) -> &Node<K, V> {
-        self.nodes.get(slot).expect("slot is live")
+        &self.nodes[slot]
     }
 
     /// The slot holding `key`, without refreshing it.

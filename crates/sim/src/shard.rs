@@ -44,6 +44,10 @@
 //!   delivery times, exactly as a different fixed `window` would; the
 //!   [`AdaptiveWindow::max`] bound must therefore respect the same
 //!   minimum-cross-shard-latency rule as a fixed window.
+//!
+//! **The event chain.** Each shard's window is one link
+//! ([`BatchStat::digest`]); at each barrier the links join
+//! [`ShardRunReport::chain`] in shard order.
 
 use crate::engine::{run_until, RunStats, World};
 use crate::event::EventQueue;
@@ -70,6 +74,38 @@ pub trait ShardWorld: World {
         msg: Self::Remote,
         queue: &mut EventQueue<Self::Event>,
     );
+
+    /// The fold of the events this shard ran in the window just closed,
+    /// reset for the next; a world that folds nothing keeps 0.
+    fn take_window_digest(&mut self) -> u64 {
+        0
+    }
+}
+
+/// One step of the event fold, FxHash's: a bijection of `h` for a fixed
+/// word and of the word for a fixed `h`, so two streams of one length that
+/// differ in a single word never fold alike.
+#[inline]
+#[must_use]
+pub fn fold(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Folds `bytes` into `h` eight at a time (little-endian, the last word
+/// zero-padded), after their length.
+#[must_use]
+pub fn fold_bytes(h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = fold(h, bytes.len() as u64);
+    let mut word = [0u8; 8];
+    for chunk in &mut words {
+        word.copy_from_slice(chunk);
+        h = fold(h, u64::from_le_bytes(word));
+    }
+    match words.remainder() {
+        [] => h,
+        tail => fold(h, tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b))),
+    }
 }
 
 /// One shard: a world plus its private event queue.
@@ -183,6 +219,8 @@ pub struct BatchStat {
     pub elapsed_nanos: u64,
     /// High-watermark of the shard's event-queue depth during the window.
     pub queue_depth_high: u64,
+    /// The fold of the events the batch ran: its link of the chain.
+    pub digest: u64,
 }
 
 /// Outcome of a sharded run.
@@ -198,6 +236,22 @@ pub struct ShardRunReport {
     pub remote_messages: u64,
     /// Windows executed (including the final partial one).
     pub windows: u64,
+    /// Every batch's digest folded in `(window, shard)` order; a resumed
+    /// run starts from the head its checkpoint carried.
+    pub chain: u64,
+}
+
+impl ShardRunReport {
+    /// `(window, shard, digest)` of every batch this run executed, in
+    /// order; a resumed run's first window is the one it resumed at.
+    pub fn links(&self) -> impl Iterator<Item = (u64, usize, u64)> + '_ {
+        let shards = self.per_shard.len().max(1);
+        let first = self.windows - (self.batches.len() / shards) as u64;
+        self.batches
+            .iter()
+            .enumerate()
+            .map(move |(i, b)| (first + (i / shards) as u64, b.shard, b.digest))
+    }
 }
 
 /// Engine progress at a window barrier: everything [`run_sharded`]
@@ -220,6 +274,8 @@ pub struct ShardProgress {
     pub remote_messages: u64,
     /// Windows executed so far.
     pub windows: u64,
+    /// The chain's head so far ([`ShardRunReport::chain`]).
+    pub chain: u64,
 }
 
 potemkin_snapshot::snap_struct!(ShardProgress {
@@ -229,6 +285,7 @@ potemkin_snapshot::snap_struct!(ShardProgress {
     remote_messages,
     windows,
     window_width,
+    chain,
 });
 
 /// What a barrier hook tells the engine to do after a window completes.
@@ -354,6 +411,7 @@ where
         batches: Vec::new(),
         remote_messages: resume.remote_messages,
         windows: resume.windows,
+        chain: resume.chain,
     };
     let initial_width = match config.tuning.adaptive {
         Some(a) => config.window.max(a.min).min(a.max),
@@ -375,26 +433,18 @@ where
         } else {
             static_assignment(n, workers)
         };
-        let mut results = execute_window(shards, window_end, &assignment);
-        results.sort_by_key(|r| r.shard);
+        let mut results = execute_window(shards, window_start..window_end, &assignment);
+        results.sort_by_key(|(batch, _)| batch.shard);
 
         let mut window_events = 0u64;
         let mut deliveries = 0u64;
-        for result in results {
-            let WindowResult { shard: idx, stats, elapsed_nanos, queue_depth_high, outbound } =
-                result;
-            window_events += stats.events_processed;
-            costs[idx] = costs[idx] / 2 + stats.events_processed;
-            let agg = &mut report.per_shard[idx];
-            agg.events_processed += stats.events_processed;
-            report.batches.push(BatchStat {
-                shard: idx,
-                start: window_start,
-                end: window_end,
-                events: stats.events_processed,
-                elapsed_nanos,
-                queue_depth_high,
-            });
+        for (batch, outbound) in results {
+            let idx = batch.shard;
+            window_events += batch.events;
+            costs[idx] = costs[idx] / 2 + batch.events;
+            report.per_shard[idx].events_processed += batch.events;
+            report.chain = fold(report.chain, batch.digest);
+            report.batches.push(batch);
             // `results` is sorted by source shard and each `outbound` is in
             // emission order, so this loop delivers in the canonical
             // (barrier time, source shard, emission seq) order.
@@ -419,6 +469,7 @@ where
             per_shard: report.per_shard.clone(),
             remote_messages: report.remote_messages,
             windows: report.windows,
+            chain: report.chain,
         };
         if barrier_hook(&progress, shards) == BarrierControl::Stop {
             interrupted = true;
@@ -462,20 +513,15 @@ fn lpt_assignment(costs: &[u64], workers: usize) -> Vec<Vec<usize>> {
     buckets
 }
 
-struct WindowResult<R> {
-    shard: usize,
-    stats: RunStats,
-    elapsed_nanos: u64,
-    queue_depth_high: u64,
-    outbound: Vec<(usize, R)>,
-}
+/// One shard's batch of a window and the messages it emitted for others.
+type WindowResult<R> = (BatchStat, Vec<(usize, R)>);
 
 /// Runs every shard for one window under the given worker assignment,
 /// returning per-shard results in arbitrary order. A single bucket stays on
 /// the calling thread.
 fn execute_window<'a, W>(
     shards: &'a mut [Shard<W>],
-    window_end: SimTime,
+    window: std::ops::Range<SimTime>,
     assignment: &[Vec<usize>],
 ) -> Vec<WindowResult<W::Remote>>
 where
@@ -484,11 +530,17 @@ where
 {
     let run_one = |idx: usize, shard: &mut Shard<W>| {
         let start = std::time::Instant::now();
-        let stats = run_until(&mut shard.world, &mut shard.queue, window_end);
-        let elapsed_nanos = start.elapsed().as_nanos() as u64;
-        let queue_depth_high = shard.queue.take_depth_high_watermark() as u64;
-        let outbound = shard.world.take_outbound();
-        WindowResult { shard: idx, stats, elapsed_nanos, queue_depth_high, outbound }
+        let stats = run_until(&mut shard.world, &mut shard.queue, window.end);
+        let batch = BatchStat {
+            shard: idx,
+            start: window.start,
+            end: window.end,
+            events: stats.events_processed,
+            elapsed_nanos: start.elapsed().as_nanos() as u64,
+            queue_depth_high: shard.queue.take_depth_high_watermark() as u64,
+            digest: shard.world.take_window_digest(),
+        };
+        (batch, shard.world.take_outbound())
     };
     // Hand each worker exclusive ownership of its assigned shards.
     let mut slots: Vec<Option<&'a mut Shard<W>>> = shards.iter_mut().map(Some).collect();

@@ -57,9 +57,10 @@ use crate::error::SnapshotError;
 /// and the host give, a forensic snapshot as its boot image and the pages
 /// it froze — and a p2m entry's kind as private, shared or image page, with
 /// the total page count (private pages and boot images' pages) beside the
-/// rows, and drops a domain's read and write tallies, which nothing read.
-/// Older files are rejected rather than misparsed.
-pub(crate) const SNAPSHOT_VERSION: u32 = 12;
+/// rows, and drops a domain's read and write tallies, which nothing read;
+/// version 13 adds the head of the run's event chain to the engine's
+/// progress. Older files are rejected rather than misparsed.
+pub(crate) const SNAPSHOT_VERSION: u32 = 13;
 
 const MAGIC: &[u8; 8] = b"PTMKSNAP";
 const END_MAGIC: &[u8; 8] = b"PSNAPEND";

@@ -46,7 +46,7 @@ use potemkin::federation::{run_telescope_federated, FederatedTelescopeConfig};
 use potemkin::gateway::policy::PolicyConfig;
 use potemkin::interaction::{run_interaction, InteractionConfig};
 use potemkin::obs::{ConcurrencyAnalyzer, Table};
-use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
+use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig, ShardedTelescopeResult};
 use potemkin::scenario::TelescopeConfig;
 use potemkin::services::{JsonlStore, ScenarioPack, ServicesConfig};
 use potemkin::sim::SimTime;
@@ -252,28 +252,11 @@ fn cmd_demand(args: &Args) -> Result<(), Error> {
         duration
     );
 
-    // Group arrivals per destination and derive binding sessions.
-    let mut per_dst: HashMap<u32, Vec<SimTime>> = HashMap::new();
-    for e in trace.events() {
-        per_dst.entry(u32::from(e.packet.dst())).or_default().push(e.at);
-    }
+    let arrivals = trace.events().iter().map(|e| (u32::from(e.packet.dst()), e.at));
+    let demand = ConcurrencyAnalyzer::idle_recycling(arrivals, &lifetimes);
     let mut t = Table::new(&["recycle time", "peak VMs", "mean VMs"])
         .with_title("VM demand vs. recycle time");
-    for lifetime in lifetimes {
-        let mut analyzer = ConcurrencyAnalyzer::new();
-        for times in per_dst.values() {
-            let mut start = times[0];
-            let mut last = times[0];
-            for &at in &times[1..] {
-                if at.saturating_sub(last) >= lifetime {
-                    analyzer.record(start, last + lifetime - start);
-                    start = at;
-                }
-                last = at;
-            }
-            analyzer.record(start, last + lifetime - start);
-        }
-        let stats = analyzer.analyze();
+    for (lifetime, stats) in lifetimes.into_iter().zip(demand) {
         t.row_owned(vec![
             lifetime.to_string(),
             stats.peak.to_string(),
@@ -348,6 +331,7 @@ fn print_checkpointed_run(run: &CheckpointedRun) {
     t.row_owned(vec!["final infected".into(), r.final_infected.to_string()]);
     t.row_owned(vec!["peak live VMs".into(), format!("{:.0}", r.peak_live_vms)]);
     t.row_owned(vec!["windows executed".into(), r.engine.windows.to_string()]);
+    t.row_owned(vec!["stream digest".into(), format!("{:016x}", r.stream_digest)]);
     t.row_owned(vec!["checkpoints written".into(), c.written.to_string()]);
     t.row_owned(vec!["checkpoints skipped".into(), c.skipped.to_string()]);
     t.row_owned(vec!["last snapshot bytes".into(), c.last_snapshot_bytes.to_string()]);
@@ -475,24 +459,22 @@ fn cmd_federate(args: &Args) -> Result<(), Error> {
         let mut reference = config.clone();
         reference.farms = 1;
         let single = run_telescope_federated(&reference, 1)?;
-        let fingerprint = |r: &potemkin::federation::FederatedTelescopeResult| {
-            format!(
-                "{}|{}|{}|{}|{}",
-                r.merged.degradation.canonical_string(),
-                r.merged.stats.counters.get("packets_in"),
-                r.merged.final_infected,
-                r.merged.engine.remote_messages,
-                r.federation.shed_packets,
-            )
-        };
-        if fingerprint(&single) == fingerprint(&result) {
-            println!("verify: single-farm reference matches ({farms} farms ≡ 1 farm)");
-        } else {
-            return Err(Error::Cli(format!(
-                "verify FAILED: {farms}-farm report diverged from the single-farm reference"
-            )));
-        }
+        verify(&single.merged, merged, &format!("single-farm reference ({farms} farms ≡ 1 farm)"))?;
     }
+    Ok(())
+}
+
+/// Compares a run with its `reference` by stream digest, naming the first
+/// `(window, cell)` where they part.
+fn verify(
+    reference: &ShardedTelescopeResult,
+    run: &ShardedTelescopeResult,
+    what: &str,
+) -> Result<(), Error> {
+    if let Some(divergence) = reference.divergence(run) {
+        return Err(Error::Cli(format!("verify FAILED against the {what}: {divergence:?}")));
+    }
+    println!("verify: {what} matches, stream digest {:016x}", run.stream_digest);
     Ok(())
 }
 
@@ -582,13 +564,8 @@ fn cmd_services(args: &Args) -> Result<(), Error> {
 
     if args.str("verify", "false") == "true" {
         let reference = run_interaction(&config, 1)?;
-        if reference.canonical_summary() == result.canonical_summary() {
-            println!("verify: serial reference matches ({workers} workers ≡ 1 worker)");
-        } else {
-            return Err(Error::Cli(format!(
-                "verify FAILED: {workers}-worker report diverged from the serial reference"
-            )));
-        }
+        let what = format!("serial reference ({workers} workers ≡ 1 worker)");
+        verify(&reference.merged, &result.merged, &what)?;
     }
     Ok(())
 }

@@ -204,16 +204,36 @@ fn deterministic_across_identical_runs() {
     assert_eq!(run(), run(), "same seed, same result");
 }
 
-/// `potemkin replay` with `args`, its stdout, failing on a nonzero exit.
-fn replay(args: &[&str]) -> String {
+/// `potemkin` with `args`, its stdout, failing on a nonzero exit.
+fn potemkin(args: &[&str]) -> String {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_potemkin"))
-        .arg("replay")
-        .args(["--duration", "10"])
         .args(args)
         .output()
-        .expect("run potemkin replay");
-    assert!(out.status.success(), "replay {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        .expect("run potemkin");
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
     String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// `potemkin replay` over ten seconds with `args`.
+fn replay(args: &[&str]) -> String {
+    potemkin(&[&["replay", "--duration", "10"], args].concat())
+}
+
+/// Runs `args` with `--verify true` and checks it matched its reference.
+fn assert_verified(args: &[&str]) {
+    let out = potemkin(&[args, &["--verify", "true"]].concat());
+    let line = out.lines().find(|l| l.starts_with("verify: "));
+    assert!(line.is_some_and(|l| l.contains(" matches, stream digest ")), "{out}");
+}
+
+#[test]
+fn federate_verify_matches_the_single_farm_reference() {
+    assert_verified(&["federate", "--farms", "2", "--cells", "4", "--duration", "2"]);
+}
+
+#[test]
+fn services_verify_matches_the_serial_reference() {
+    assert_verified(&["services", "--cells", "2", "--attackers", "1", "--duration", "5"]);
 }
 
 /// The one "telescope replay" table of a replay's output.

@@ -15,11 +15,11 @@
 use proptest::prelude::*;
 
 use potemkin::farm::FarmConfig;
-use potemkin::federation::{run_telescope_federated, FederatedTelescopeConfig};
-use potemkin::gateway::policy::PolicyConfig;
-use potemkin::parallel::{
-    run_telescope_sharded, CellMap, ShardedTelescopeConfig, ShardedTelescopeResult,
+use potemkin::federation::{
+    run_telescope_federated, FederatedTelescopeConfig, FederatedTelescopeResult,
 };
+use potemkin::gateway::policy::PolicyConfig;
+use potemkin::parallel::{run_telescope_sharded, CellMap, ShardedTelescopeConfig};
 use potemkin::scenario::TelescopeConfig;
 use potemkin::sim::{FaultPlanConfig, SimTime};
 use potemkin::workload::radiation::RadiationConfig;
@@ -136,27 +136,8 @@ fn sliced_config(fed: &FederatedTelescopeConfig) -> ShardedTelescopeConfig {
     builder.build().expect("valid sliced config")
 }
 
-/// Everything a replay reports except wall-clock and transport telemetry,
-/// rendered to one comparable string.
-fn render(merged: &ShardedTelescopeResult, shed: u64) -> String {
-    format!(
-        "{}|live={}|in={}|cloned={}|recycled={}|forwarded={}|infected={}|remote={}|\
-         shed={shed}|series={:?}",
-        merged.degradation.canonical_string(),
-        merged.stats.live_vms,
-        merged.stats.counters.get("packets_in"),
-        merged.stats.vms_cloned,
-        merged.stats.vms_recycled,
-        merged.cross_cell_packets,
-        merged.final_infected,
-        merged.engine.remote_messages,
-        merged.live_vm_series.iter().collect::<Vec<_>>(),
-    )
-}
-
-fn digest(config: &FederatedTelescopeConfig, workers: usize) -> (String, u64) {
-    let r = run_telescope_federated(config, workers).expect("federated replay runs");
-    (render(&r.merged, r.federation.shed_packets), r.merged.degradation.escaped)
+fn run(config: &FederatedTelescopeConfig, workers: usize) -> FederatedTelescopeResult {
+    run_telescope_federated(config, workers).expect("federated replay runs")
 }
 
 proptest! {
@@ -170,13 +151,13 @@ proptest! {
     fn federated_replay_matches_single_farm_byte_for_byte(s in arb_run()) {
         let reference = config_for(s, 1);
         let federated = config_for(s, s.farms);
-        let (single, _) = digest(&reference, 1);
-        let (multi, _) = digest(&federated, s.workers);
-        prop_assert_eq!(&single, &multi);
+        let single = run(&reference, 1);
+        let multi = run(&federated, s.workers);
+        prop_assert_eq!(single.merged.divergence(&multi.merged), None);
         let plain = run_telescope_sharded(&sliced_config(&reference), s.workers)
             .expect("sliced replay runs");
         prop_assert!(plain.federation.is_none());
-        prop_assert_eq!(single, render(&plain, 0));
+        prop_assert_eq!(single.merged.divergence(&plain), None);
     }
 
     /// The routing tier must not open a containment hole: under
@@ -185,9 +166,9 @@ proptest! {
     /// federated layout.
     #[test]
     fn federated_containment_holds(s in arb_run()) {
-        let (_, escaped_single) = digest(&config_for(s, 1), 1);
-        let (_, escaped_multi) = digest(&config_for(s, s.farms), s.workers);
-        prop_assert_eq!(escaped_single, 0, "single-farm run leaked");
-        prop_assert_eq!(escaped_multi, 0, "federated run leaked");
+        let single = run(&config_for(s, 1), 1);
+        let multi = run(&config_for(s, s.farms), s.workers);
+        prop_assert_eq!(single.merged.degradation.escaped, 0, "single-farm run leaked");
+        prop_assert_eq!(multi.merged.degradation.escaped, 0, "federated run leaked");
     }
 }

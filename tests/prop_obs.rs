@@ -95,24 +95,6 @@ fn config_for(s: SampledRun, trace: Option<TraceConfig>) -> ShardedTelescopeConf
     builder.build().expect("valid sharded config")
 }
 
-/// Everything a replay reports except wall-clock telemetry and the trace
-/// itself, rendered to one comparable string.
-fn report_digest(config: &ShardedTelescopeConfig, workers: usize) -> String {
-    let r = run_telescope_sharded(config, workers).expect("replay runs");
-    format!(
-        "{}|live={}|in={}|cloned={}|recycled={}|forwarded={}|infected={}|remote={}|series={:?}",
-        r.degradation.canonical_string(),
-        r.stats.live_vms,
-        r.stats.counters.get("packets_in"),
-        r.stats.vms_cloned,
-        r.stats.vms_recycled,
-        r.cross_cell_packets,
-        r.final_infected,
-        r.engine.remote_messages,
-        r.live_vm_series.iter().collect::<Vec<_>>(),
-    )
-}
-
 /// One scripted tracer operation for the export round-trip property.
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -136,11 +118,9 @@ proptest! {
         let plain_config = config_for(s, None);
         let traced_config =
             config_for(s, Some(TraceConfig::flight(s.flight_capacity)));
-        let plain = report_digest(&plain_config, s.workers);
-        let traced = report_digest(&traced_config, s.workers);
-        prop_assert_eq!(plain, traced, "tracing changed a deterministic report");
         let plain_run = run_telescope_sharded(&plain_config, s.workers).expect("replay runs");
         let traced_run = run_telescope_sharded(&traced_config, s.workers).expect("replay runs");
+        prop_assert_eq!(plain_run.divergence(&traced_run), None, "tracing changed the run");
         prop_assert!(plain_run.trace.is_empty(), "untraced run must capture nothing");
         prop_assert!(!traced_run.trace.is_empty(), "traced run must capture events");
     }

@@ -3,11 +3,11 @@
 //! Two claims are held here. First, the scenario DSL round-trips: any
 //! valid scenario serialized with [`Scenario::to_json`] parses back to an
 //! identical value, and each class of malformed document is rejected with
-//! its typed [`ScenarioError`] — no panics, no silent coercion. Second,
-//! the sharded interaction replay is worker-invariant: the merged
-//! fidelity report (per-scenario capture metrics, drive counters, farm
-//! degradation) is byte-identical at any worker count, because every
-//! attacker conversation lives inside the cell that owns its target.
+//! its typed [`ScenarioError`] — no panics, no silent coercion
+//! (`tests/prop_snapshot.rs` mutates the scenario files themselves).
+//! Second, the sharded interaction replay is worker-invariant: every cell
+//! runs the same events at any worker count, because every attacker
+//! conversation lives inside the cell that owns its target.
 //!
 //! Each replay case runs several full sharded interactions, so the case
 //! budget is kept small; the fixed unit tests in
@@ -151,18 +151,8 @@ proptest! {
         let reference = run_interaction(&config, 1).expect("serial run");
         let parallel = run_interaction(&config, workers).expect("parallel run");
         prop_assert_eq!(
-            parallel.canonical_summary(),
-            reference.canonical_summary(),
-            "fidelity summary diverged at {} workers", workers
-        );
-        prop_assert_eq!(
-            parallel.merged.degradation.canonical_string(),
-            reference.merged.degradation.canonical_string(),
-            "degradation report diverged at {} workers", workers
-        );
-        prop_assert_eq!(
-            parallel.merged.stats.counters.get("packets_in"),
-            reference.merged.stats.counters.get("packets_in")
+            reference.merged.divergence(&parallel.merged), None,
+            "{} workers diverged from serial", workers
         );
         prop_assert_eq!(parallel.records.len(), reference.records.len());
     }

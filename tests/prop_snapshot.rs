@@ -24,6 +24,10 @@
 //!    as exactly the state it encodes; so is a host payload whose disk
 //!    manifest alone is mutated, and its restore never allocates more than
 //!    the payload could describe.
+//! 5. **Scenario files.** A scenario file with a byte flipped, a cut, or a
+//!    long run of brackets or quotes inserted parses to a typed error or to
+//!    a value that re-encodes to itself — as JSON and as a scenario pack —
+//!    and never asks for a mebibyte at once.
 //!
 //! Each resume case replays a full telescope scenario three times, so the
 //! case budget is kept small; the fixed unit tests in
@@ -43,8 +47,10 @@ use potemkin::checkpoint::{
 };
 use potemkin::farm::{FarmConfig, Honeyfarm};
 use potemkin::gateway::policy::PolicyConfig;
+use potemkin::json::JsonValue;
 use potemkin::parallel::{run_telescope_sharded, ShardedTelescopeConfig};
 use potemkin::scenario::TelescopeConfig;
+use potemkin::services::{Scenario, ScenarioPack};
 use potemkin::sim::{FaultPlanConfig, SimRng, SimTime};
 use potemkin::snapshot::{Snap, SnapshotError, SnapshotFile};
 use potemkin::workload::radiation::RadiationConfig;
@@ -239,7 +245,7 @@ proptest! {
         let resumed = resume_telescope_checkpointed(&config, s.workers, &snapshot, &options)
             .expect("resume runs");
         cleanup(&path);
-        prop_assert_eq!(uninterrupted.canonical_string(), resumed.result.canonical_string());
+        prop_assert_eq!(uninterrupted.divergence(&resumed.result), None);
     }
 }
 
@@ -1014,6 +1020,58 @@ proptest! {
             Err(SnapshotError::Decode { .. }) => {}
             Err(other) => prop_assert!(false, "{what}: not a decode error: {other:?}"),
             Ok(()) => prop_assert!(restored.encode_state() == payload, "{what}: re-encodes else"),
+        }
+    }
+}
+
+/// The built-in pack's scenario documents, one of them mutated by a
+/// draw from `seed` — a byte changed, a cut, or a run of up to 200,000
+/// `[`, `{` or `"` inserted — and its index. Bytes that stop being UTF-8
+/// read as U+FFFD, as a lossy loader would hand them on.
+fn mutated_scenarios(seed: u64) -> (Vec<String>, usize) {
+    let pack = potemkin::services::pack::builtin().unwrap();
+    let mut docs: Vec<String> = pack.scenarios().iter().map(Scenario::to_json).collect();
+    let mut rng = SimRng::seed_from(seed);
+    let doc = rng.below(docs.len() as u64) as usize;
+    let mut bytes = std::mem::take(&mut docs[doc]).into_bytes();
+    let at = rng.below(bytes.len() as u64) as usize;
+    match rng.below(3) {
+        0 => bytes[at] ^= 1 + rng.below(255) as u8,
+        1 => bytes.truncate(at),
+        _ => {
+            let run = std::iter::repeat(b"[{\""[rng.below(3) as usize]);
+            bytes.splice(at..at, run.take(1 + rng.below(200_000) as usize));
+        }
+    }
+    docs[doc] = String::from_utf8_lossy(&bytes).into_owned();
+    (docs, doc)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Claim 5 for the JSON parser.
+    #[test]
+    fn a_mutated_json_document_is_refused_or_reencodes_to_itself(seed in any::<u64>()) {
+        let (docs, doc) = mutated_scenarios(seed);
+        LARGEST.with(|c| c.set(0));
+        let parsed = JsonValue::parse(&docs[doc]);
+        prop_assert!(LARGEST.with(Cell::get) < 1 << 20, "allocated a mebibyte");
+        if let Ok(value) = parsed {
+            prop_assert_eq!(JsonValue::parse(&value.to_string()), Ok(value));
+        }
+    }
+
+    /// Claim 5 for the scenario loader.
+    #[test]
+    fn a_mutated_scenario_pack_is_refused_or_reencodes_to_itself(seed in any::<u64>()) {
+        let (docs, _) = mutated_scenarios(seed);
+        LARGEST.with(|c| c.set(0));
+        let loaded = ScenarioPack::parse_many(&docs);
+        prop_assert!(LARGEST.with(Cell::get) < 1 << 20, "allocated a mebibyte");
+        for scenario in loaded.iter().flat_map(ScenarioPack::scenarios) {
+            let again = Scenario::parse(&scenario.to_json()).ok();
+            prop_assert_eq!(again.as_ref(), Some(scenario));
         }
     }
 }

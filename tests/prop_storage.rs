@@ -207,11 +207,10 @@ proptest! {
     fn restore_from_manifests_matches_uninterrupted_run(s in arb_run()) {
         let config = config_for(s);
         let uninterrupted = run_telescope_sharded(&config, 1).expect("baseline runs");
-        let baseline = uninterrupted.canonical_string();
 
         let flat = config_for(SampledRun { chunk_blocks: 1, ..s });
         let flat_run = run_telescope_sharded(&flat, 1).expect("flat run");
-        prop_assert_eq!(&flat_run.canonical_string(), &baseline, "chunk geometry leaked into the report");
+        prop_assert_eq!(uninterrupted.divergence(&flat_run), None, "chunk geometry leaked into the run");
 
         let path = temp_path(s.seed);
         let mut options = CheckpointOptions::new(&path);
@@ -225,6 +224,6 @@ proptest! {
         let resumed = resume_telescope_checkpointed(&config, s.workers, &snapshot, &options)
             .expect("resume runs");
         cleanup(&path);
-        prop_assert_eq!(&resumed.result.canonical_string(), &baseline);
+        prop_assert_eq!(uninterrupted.divergence(&resumed.result), None);
     }
 }

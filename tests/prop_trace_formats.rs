@@ -269,8 +269,7 @@ proptest! {
             let at = format!("cells={cells} {map:?} workers={workers}");
             prop_assert!(generated.packets > 0, "{}: an empty trace proves nothing", at);
             prop_assert!(generated.cross_cell_packets > 0, "{}: no packet crossed a cell", at);
-            prop_assert_eq!(generated.canonical_string(), replayed.canonical_string(), "{}", at);
-            prop_assert_eq!(generated.packets, replayed.packets, "{}", at);
+            prop_assert_eq!(generated.divergence(&replayed), None, "{}", at);
             prop_assert_eq!(generated.distinct_sources, replayed.distinct_sources, "{}", at);
             prop_assert_eq!(
                 generated.distinct_destinations,
